@@ -6,11 +6,12 @@ use std::time::{Duration, Instant};
 
 use bruck_bench::harness::BenchGroup;
 use bruck_comm::{Communicator, ThreadComm};
-use bruck_core::{packed_displs, two_phase_bruck_radix};
+use bruck_core::{configurable_alltoallv, packed_displs, EngineConfig};
 use bruck_workload::{Distribution, SizeMatrix};
 
 fn run_iters(m: &SizeMatrix, radix: usize, iters: u64) -> Duration {
     let p = m.p();
+    let cfg = EngineConfig { radix, ..EngineConfig::as_two_phase() };
     let per_rank = ThreadComm::run(p, |comm| {
         let me = comm.rank();
         let sendcounts = m.sendcounts(me);
@@ -22,8 +23,8 @@ fn run_iters(m: &SizeMatrix, radix: usize, iters: u64) -> Duration {
         comm.barrier().unwrap();
         let start = Instant::now();
         for _ in 0..iters {
-            two_phase_bruck_radix(
-                comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls, radix,
+            configurable_alltoallv(
+                comm, &cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
             )
             .unwrap();
         }

@@ -573,11 +573,13 @@ fn radix_ablation() {
 }
 
 /// §6.1 ablation: where SLOAV loses to two-phase Bruck, phase by phase
-/// (real threaded runs; medians over 20 iterations).
+/// (real threaded runs; per-call means over 20 iterations, read from the
+/// engine's `bruck-probe` spans).
 fn sloav_ablation() {
     use bruck_comm::{Communicator, ThreadComm};
-    use bruck_core::{packed_displs, sloav_alltoallv_timed, two_phase_bruck_timed};
+    use bruck_core::{configurable_alltoallv, packed_displs, probe, EngineConfig};
 
+    const ITERS: u64 = 20;
     println!("\n== §6.1 ablation — SLOAV vs two-phase Bruck phase breakdown (real, P = 32) ==");
     println!(
         "{:>6} {:>16} | {:>10} {:>10} {:>10} {:>10} {:>10}",
@@ -586,7 +588,11 @@ fn sloav_ablation() {
     let p = 32;
     for n in [32usize, 256, 2048] {
         let m = SizeMatrix::generate(Distribution::Uniform, SEED, p, n);
-        for (name, use_two_phase) in [("two-phase", true), ("SLOAV", false)] {
+        for (name, family, cfg) in [
+            ("two-phase", "two_phase.", EngineConfig::as_two_phase()),
+            ("SLOAV", "sloav.", EngineConfig::as_sloav()),
+        ] {
+            // Per rank: nanoseconds in [allreduce, meta, data, copy, scan].
             let phases = ThreadComm::run(p, |comm| {
                 let me = comm.rank();
                 let sendcounts = m.sendcounts(me);
@@ -595,44 +601,35 @@ fn sloav_ablation() {
                 let recvcounts = m.recvcounts(me);
                 let rdispls = packed_displs(&recvcounts);
                 let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-                let mut acc = bruck_core::NonuniformPhases::default();
-                for _ in 0..20 {
-                    let t = if use_two_phase {
-                        two_phase_bruck_timed(
-                            comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts,
-                            &rdispls,
-                        )
-                        .unwrap()
-                    } else {
-                        sloav_alltoallv_timed(
-                            comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts,
-                            &rdispls,
-                        )
-                        .unwrap()
-                    };
-                    acc.allreduce += t.allreduce;
-                    acc.meta_comm += t.meta_comm;
-                    acc.data_comm += t.data_comm;
-                    acc.local_copy += t.local_copy;
-                    acc.scan += t.scan;
+                probe::install();
+                for _ in 0..ITERS {
+                    configurable_alltoallv(
+                        comm, &cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts,
+                        &rdispls,
+                    )
+                    .unwrap();
                 }
-                acc
+                let mut columns = [0u64; 5];
+                for event in probe::take() {
+                    let column = match event.name.strip_prefix(family) {
+                        Some("allreduce") => 0,
+                        Some("meta") => 1,
+                        Some("data") => 2,
+                        Some("pack" | "scatter") => 3,
+                        Some("scan") => 4,
+                        _ => continue,
+                    };
+                    columns[column] += event.dur_ns;
+                }
+                columns
             });
-            let us = |d: std::time::Duration| d.as_secs_f64() * 1e6 / 20.0;
-            let max = phases
-                .iter()
-                .max_by(|a, b| a.total().cmp(&b.total()))
-                .copied()
-                .unwrap_or_default();
+            let slowest =
+                phases.into_iter().max_by_key(|c| c.iter().sum::<u64>()).unwrap_or_default();
+            let [allreduce, meta, data, copy, scan] =
+                slowest.map(|ns| ns as f64 / 1e3 / ITERS as f64);
             println!(
-                "{:>6} {:>16} | {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-                n,
-                name,
-                us(max.allreduce),
-                us(max.meta_comm),
-                us(max.data_comm),
-                us(max.local_copy),
-                us(max.scan)
+                "{n:>6} {name:>16} | {allreduce:>10.1} {meta:>10.1} {data:>10.1} {copy:>10.1} \
+                 {scan:>10.1}"
             );
         }
     }

@@ -62,7 +62,7 @@ const CALIBRATION_PAIRS: [(AlltoallvAlgorithm, NonuniformAlgo); 8] = [
 ];
 
 /// The candidate set the tuner selects from: all nine named points plus
-/// off-point members of the knob space the legacy API could not express.
+/// off-point members of the knob space no algorithm name covers.
 fn candidates() -> Vec<EngineConfig> {
     let mut out: Vec<EngineConfig> =
         EngineConfig::named_points().iter().map(|(cfg, _)| *cfg).collect();
@@ -127,8 +127,8 @@ impl Cell {
 }
 
 /// Run one config on the event runtime and return the measured cell. The
-/// production entry point (`configurable_alltoallv`) is what's timed, so the
-/// snap-to-variant dispatch overhead is inside the measurement.
+/// engine's one entry point (`configurable_alltoallv`) is what's timed, so
+/// config and argument validation are inside the measurement.
 fn run_cell(cfg: &EngineConfig, m: &SizeMatrix, n_cap: usize, workers: usize) -> Cell {
     let p = m.p();
     let key = cfg.key();

@@ -53,15 +53,16 @@
 //!   failure evidence the detector/agreement cycle exists to act on. Every
 //!   deliberate best-effort discard (e.g. the post-exchange ARQ drain) must
 //!   be audited into the allowlist; everything else handles or propagates.
-//! * `no-direct-variant-call` — a call to one of the nine legacy
-//!   non-uniform variant functions (`two_phase_bruck(`, `sloav_alltoallv(`,
-//!   …) in non-test code outside `crates/core/src/nonuniform/engine.rs`:
-//!   since the configurable engine landed, the variants are *named config
-//!   points* of one parameter space, and every production call must route
-//!   through the engine (`alltoallv` / `configurable_alltoallv`) so config
-//!   snapping, validation, and the tuner's key accounting stay in one
-//!   place. Definitions (`fn two_phase_bruck`) are not calls and are
-//!   exempt; migration stragglers get a counted allowlist budget.
+//! * `no-direct-variant-call` — a call to one of the three knob-less
+//!   exchanges the engine delegates to (`reference_alltoallv(`,
+//!   `hierarchical_alltoallv(`, `ranka_two_stage_alltoallv(`) in non-test
+//!   code outside `crates/core/src/nonuniform/engine.rs`, or to a
+//!   collective-family schedule outside its dispatcher: the algorithms are
+//!   *named config points* of one parameter space, and every production
+//!   call must route through the engine (`alltoallv` /
+//!   `configurable_alltoallv`) so validation and the tuner's key accounting
+//!   stay in one place. Definitions (`fn hierarchical_alltoallv`) are not
+//!   calls and are exempt; stragglers get a counted allowlist budget.
 //! * `no-adhoc-condvar` — the `Condvar` type in `crates/comm` outside
 //!   `runtime.rs` and `mailbox.rs`: blocking/wakeup must go through the
 //!   readiness abstraction (`MatchStore` + waiter lists / the `Mailbox`
@@ -396,20 +397,14 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<LintFinding>) {
                 }
             }
             if variant_call_banned {
-                // The nine legacy alltoallv variant entry points plus the
+                // The three exchanges the engine delegates to plus the
                 // eight collective-family schedules, matched as *calls*:
                 // name immediately followed by `(`, preceded by a
                 // non-identifier character, and not a definition (generic
                 // definitions `fn name<C: ...>(` never match `name(`, but
                 // monomorphic helpers could, so `fn ` is checked too).
-                const VARIANT_CALLS: [&str; 17] = [
+                const VARIANT_CALLS: [&str; 11] = [
                     "reference_alltoallv(",
-                    "spread_out_alltoallv(",
-                    "vendor_alltoallv(",
-                    "padded_bruck(",
-                    "padded_alltoall(",
-                    "two_phase_bruck(",
-                    "sloav_alltoallv(",
                     "hierarchical_alltoallv(",
                     "ranka_two_stage_alltoallv(",
                     "allgatherv_ring(",
@@ -734,31 +729,32 @@ mod tests {
 
     #[test]
     fn direct_variant_call_flagged_outside_engine() {
-        let call = "fn f(c: &C) { two_phase_bruck(c, s, sc, sd, r, rc, rd) }\n";
+        let call = "fn f(c: &C) { hierarchical_alltoallv(c, s, sc, sd, r, rc, rd, g) }\n";
         assert!(scan_str("crates/core/src/nonuniform/mod.rs", call)
             .iter()
             .any(|f| f.rule == "no-direct-variant-call"));
         assert!(scan_str("crates/bench/src/bin/figures.rs", call)
             .iter()
             .any(|f| f.rule == "no-direct-variant-call"));
-        // The engine's dispatch table is the sanctioned call site.
+        // The engine's topology match is the sanctioned call site.
         assert!(scan_str("crates/core/src/nonuniform/engine.rs", call)
             .iter()
             .all(|f| f.rule != "no-direct-variant-call"));
         // Definitions are not calls...
-        let def = "pub fn two_phase_bruck(c: &C) -> CommResult<()> {\n";
-        assert!(scan_str("crates/core/src/nonuniform/two_phase.rs", def)
+        let def = "pub fn hierarchical_alltoallv(c: &C) -> CommResult<()> {\n";
+        assert!(scan_str("crates/core/src/nonuniform/hierarchical.rs", def)
             .iter()
             .all(|f| f.rule != "no-direct-variant-call"));
         // ...nor are prefixed identifiers or mentions in comments/strings.
-        let prefixed = "fn f() { timed_two_phase_bruck(c) } // two_phase_bruck( in a comment\n";
-        assert!(scan_str("crates/core/src/nonuniform/timed.rs", prefixed)
+        let prefixed =
+            "fn f() { my_hierarchical_alltoallv(c) } // hierarchical_alltoallv( in a comment\n";
+        assert!(scan_str("crates/core/src/nonuniform/adaptive.rs", prefixed)
             .iter()
             .all(|f| f.rule != "no-direct-variant-call"));
         // Test code may call variants directly (differential baselines).
         let test_src =
-            "#[cfg(test)]\nmod tests {\n    fn g(c: &C) { sloav_alltoallv(c) }\n}\n";
-        assert!(scan_str("crates/core/src/nonuniform/sloav.rs", test_src)
+            "#[cfg(test)]\nmod tests {\n    fn g(c: &C) { reference_alltoallv(c) }\n}\n";
+        assert!(scan_str("crates/core/src/nonuniform/two_stage.rs", test_src)
             .iter()
             .all(|f| f.rule != "no-direct-variant-call"));
     }

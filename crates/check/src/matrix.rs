@@ -21,7 +21,7 @@ use std::sync::Mutex;
 
 use bruck_comm::{Communicator, ExchangePlan, ReduceOp, VectorCollectives};
 use bruck_core::{
-    allgatherv, allreduce, alltoall, alltoallv, configurable_alltoallv_general, packed_displs,
+    allgatherv, allreduce, alltoall, alltoallv, configurable_alltoallv, packed_displs,
     pattern_byte, pattern_u64, reduce_scatter, reference_allgatherv, reference_allreduce,
     reference_reduce_scatter, AllgathervAlgorithm, AllreduceAlgorithm, AlltoallAlgorithm,
     AlltoallvAlgorithm, EngineConfig, EngineTopology, IntermediateLayout, PaddingRule,
@@ -134,10 +134,9 @@ pub fn check_alltoallv(algo: AlltoallvAlgorithm, m: &SizeMatrix, label: &str) ->
     CaseReport { name, findings }
 }
 
-/// Verify one engine config through the *generalized* machinery (no
-/// snap-to-variant dispatch) against one size matrix — this is what holds
-/// the knob-space product points, not just the named ones, to the same
-/// symbolic-execution analyses as the legacy variants.
+/// Verify one engine config against one size matrix — this is what holds
+/// the knob-space product points, not just the named ones, to the
+/// symbolic-execution analyses.
 pub fn check_engine(cfg: &EngineConfig, m: &SizeMatrix, label: &str) -> CaseReport {
     let p = m.p();
     let name = format!("engine/{}/{label}/p={p}", cfg.key());
@@ -155,7 +154,7 @@ pub fn check_engine(cfg: &EngineConfig, m: &SizeMatrix, label: &str) -> CaseRepo
         let recvcounts = m.recvcounts(me);
         let rdispls = packed_displs(&recvcounts);
         let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-        configurable_alltoallv_general(
+        configurable_alltoallv(
             comm, cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
         )?;
         verify_v(me, m, &recvbuf, &rdispls, &wrong);
@@ -166,8 +165,8 @@ pub fn check_engine(cfg: &EngineConfig, m: &SizeMatrix, label: &str) -> CaseRepo
     CaseReport { name, findings }
 }
 
-/// General-only engine configs the matrix sweeps alongside the nine named
-/// points — product-space members the legacy API could not express.
+/// Off-point engine configs the matrix sweeps alongside the nine named
+/// points — product-space members no algorithm name covers.
 fn engine_off_points() -> Vec<EngineConfig> {
     vec![
         // Radix-4 two-phase Bruck (separate metadata message).
@@ -377,7 +376,7 @@ pub fn run_full_matrix() -> Vec<CaseReport> {
             }
         }
     }
-    // Engine configs through the generalized machinery: the nine named
+    // Engine configs by knob setting rather than by name: the nine named
     // points plus off-point members of the knob space, at a prime and a
     // power-of-two size.
     for &p in &[3usize, 8] {

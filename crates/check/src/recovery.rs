@@ -544,8 +544,15 @@ mod tests {
             let recvcounts: Vec<usize> = sv.iter().map(|&s| m.get(s, me)).collect();
             let rdispls = packed_displs(&recvcounts);
             let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-            bruck_core::two_phase_bruck(
-                comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
+            bruck_core::alltoallv(
+                AlltoallvAlgorithm::TwoPhaseBruck,
+                comm,
+                &sendbuf,
+                &sendcounts,
+                &sdispls,
+                &mut recvbuf,
+                &recvcounts,
+                &rdispls,
             )
             .unwrap();
             recvbuf

@@ -2,22 +2,20 @@
 //!
 //! Two angles:
 //!
-//! 1. The production dispatch (`alltoallv`) now routes every named variant
-//!    through the configurable engine, so the existing chaos harness
-//!    (FaultComm → ReliableComm → `resilient_alltoallv`) exercises the
-//!    engine's snap path for free — assert a smoke cell stays clean.
-//! 2. The *generalized* machinery (off-point knob combinations the legacy
-//!    API could not express) composes with the ARQ layer directly: a lossy
-//!    fault plan beneath `ReliableComm` must still deliver byte-correct
-//!    buffers through `configurable_alltoallv_general`.
+//! 1. The by-name dispatch (`alltoallv`) routes every algorithm through the
+//!    configurable engine, so the existing chaos harness (FaultComm →
+//!    ReliableComm → `resilient_alltoallv`) exercises the engine's named
+//!    points for free — assert a smoke cell stays clean.
+//! 2. Off-point knob combinations (configs no algorithm name covers)
+//!    compose with the ARQ layer directly: a lossy fault plan beneath
+//!    `ReliableComm` must still deliver byte-correct buffers through
+//!    `configurable_alltoallv`.
 
 use std::time::Duration;
 
 use bruck_check::chaos::{plan_battery, reliable_config, run_cell};
 use bruck_comm::{Communicator, FaultComm, FaultPlan, ReliableComm, ThreadComm};
-use bruck_core::{
-    configurable_alltoallv_general, packed_displs, AlltoallvAlgorithm, EngineConfig,
-};
+use bruck_core::{configurable_alltoallv, packed_displs, AlltoallvAlgorithm, EngineConfig};
 use bruck_workload::{Distribution, SizeMatrix};
 
 /// A chaos smoke cell through the engine-backed dispatch: the lossy plan
@@ -76,7 +74,7 @@ fn general_engine_survives_a_lossy_link_under_the_arq_layer() {
             let recvcounts = m2.recvcounts(me);
             let rdispls = packed_displs(&recvcounts);
             let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-            configurable_alltoallv_general(
+            configurable_alltoallv(
                 &rc, &cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
             )
             .unwrap_or_else(|e| panic!("rank {me}: engine {} under faults: {e}", cfg.key()));

@@ -9,7 +9,7 @@
 
 use bruck_comm::{Communicator, SimComm};
 use bruck_core::{
-    alltoallv, configurable_alltoallv_general, packed_displs, AlltoallvAlgorithm, EngineConfig,
+    alltoallv, configurable_alltoallv, packed_displs, AlltoallvAlgorithm, EngineConfig,
     EngineTopology, IntermediateLayout, PaddingRule,
 };
 use bruck_workload::{Distribution, SizeMatrix};
@@ -66,8 +66,8 @@ fn every_algorithm_delivers_identical_bytes_across_16_schedules() {
     }
 }
 
-/// Like [`exchange`], but through the engine's generalized machinery (no
-/// snap-to-variant dispatch), so off-point knob combinations are swept too.
+/// Like [`exchange`], but by engine config rather than algorithm name, so
+/// off-point knob combinations are swept too.
 fn exchange_engine(cfg: &EngineConfig, m: &SizeMatrix, sched_seed: u64) -> Vec<Vec<u8>> {
     let p = m.p();
     let run = SimComm::run(p, sched_seed, |comm| {
@@ -81,7 +81,7 @@ fn exchange_engine(cfg: &EngineConfig, m: &SizeMatrix, sched_seed: u64) -> Vec<V
         let recvcounts = m.recvcounts(me);
         let rdispls = packed_displs(&recvcounts);
         let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-        configurable_alltoallv_general(
+        configurable_alltoallv(
             comm, cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
         )
         .unwrap();

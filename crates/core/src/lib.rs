@@ -16,12 +16,19 @@
 //!
 //! ## Non-uniform (`MPI_Alltoallv` signature) — §3
 //!
-//! * [`padded_bruck`] — pad → uniform Bruck → scan (§3.1)
-//! * [`two_phase_bruck`] — coupled metadata/data exchange over a monolithic
-//!   working buffer (§3.2, Algorithm 1)
-//! * [`spread_out_alltoallv`], [`vendor_alltoallv`] — the linear baselines
-//! * [`padded_alltoall`] — pad → vendor uniform all-to-all → scan
-//! * [`sloav_alltoallv`] — the SLOAV (Xu et al.) prior art, reimplemented (§6.1)
+//! One engine, [`configurable_alltoallv`], runs every algorithm; an
+//! [`EngineConfig`] says which. The paper's algorithms are its named points,
+//! also reachable by [`AlltoallvAlgorithm`] through [`alltoallv`]:
+//!
+//! * [`EngineConfig::as_padded_bruck`] — pad → uniform Bruck → scan (§3.1)
+//! * [`EngineConfig::as_two_phase`] — coupled metadata/data exchange over a
+//!   monolithic working buffer (§3.2, Algorithm 1)
+//! * [`EngineConfig::as_spread_out`], [`EngineConfig::as_vendor`] — the
+//!   linear baselines
+//! * [`EngineConfig::as_padded_alltoall`] — pad → vendor uniform all-to-all
+//!   → scan
+//! * [`EngineConfig::as_sloav`] — the SLOAV (Xu et al.) prior art,
+//!   reimplemented (§6.1)
 //!
 //! ## Beyond alltoallv — the collective family
 //!
@@ -40,7 +47,7 @@
 //!
 //! ```
 //! use bruck_comm::{Communicator, ThreadComm};
-//! use bruck_core::{packed_displs, two_phase_bruck};
+//! use bruck_core::{configurable_alltoallv, packed_displs, EngineConfig};
 //!
 //! // 4 ranks; rank p sends p+1 bytes of value p to every rank.
 //! ThreadComm::run(4, |comm| {
@@ -51,8 +58,8 @@
 //!     let recvcounts: Vec<usize> = (0..4).map(|src| src + 1).collect();
 //!     let rdispls = packed_displs(&recvcounts);
 //!     let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-//!     two_phase_bruck(
-//!         comm, &sendbuf, &sendcounts, &sdispls,
+//!     configurable_alltoallv(
+//!         comm, &EngineConfig::as_two_phase(), &sendbuf, &sendcounts, &sdispls,
 //!         &mut recvbuf, &recvcounts, &rdispls,
 //!     ).unwrap();
 //!     for src in 0..4 {
@@ -89,18 +96,15 @@ pub use model::{
 };
 pub use nonuniform::{
     adaptive_alltoallv, alltoallv, alltoallw, configurable_alltoallv,
-    configurable_alltoallv_general, hierarchical_alltoallv, packed_displs, padded_alltoall,
-    padded_bruck, piece_len, piece_offset, ranka_two_stage_alltoallv, recovering_alltoallv,
-    reference_alltoallv, resilient_alltoallv, sloav_alltoallv, sloav_alltoallv_timed,
-    spread_out_alltoallv, two_phase_bruck, two_phase_bruck_timed, vendor_alltoallv,
-    AlltoallvAlgorithm, EngineConfig, EngineTopology, ExchangeOutcome, IntermediateLayout, Mttr,
-    NonuniformPhases, PaddingRule, PartialExchange, Recovery, RecoveringConfig, RecoveryOutcome,
-    ResilientConfig, DEFAULT_GROUP_SIZE, VENDOR_WINDOW,
+    configurable_alltoallv_general, hierarchical_alltoallv, packed_displs, piece_len,
+    piece_offset, ranka_two_stage_alltoallv, recovering_alltoallv, reference_alltoallv,
+    resilient_alltoallv, AlltoallvAlgorithm, EngineConfig, EngineTopology, ExchangeOutcome,
+    IntermediateLayout, Mttr, PaddingRule, PartialExchange, Recovery, RecoveringConfig,
+    RecoveryOutcome, ResilientConfig, DEFAULT_GROUP_SIZE, VENDOR_WINDOW,
 };
 pub use phases::PhaseTimes;
 pub use radix::{
-    radix_digit, radix_schedule, radix_step_rel_indices, two_phase_bruck_radix,
-    zero_rotation_bruck_radix,
+    radix_digit, radix_schedule, radix_step_rel_indices, zero_rotation_bruck_radix,
 };
 pub use uniform::{
     alltoall, alltoall_timed, basic_bruck, basic_bruck_dt, basic_bruck_timed, modified_bruck,

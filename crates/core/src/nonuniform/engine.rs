@@ -1,10 +1,10 @@
 //! The configurable non-uniform all-to-all engine: one parameterized
-//! algorithm that subsumes every hand-written variant in this crate.
+//! algorithm, of which every variant the paper evaluates is a point.
 //!
 //! The paper's variants (two-phase, spread-out, padded, SLOAV, …) are points
 //! in a small knob space — *Configurable Non-uniform All-to-all Algorithms*
 //! (arXiv 2411.02581) decomposes them into orthogonal parameters, and this
-//! module implements that decomposition over our existing kernels:
+//! module is that decomposition:
 //!
 //! | knob | values | what it selects |
 //! |---|---|---|
@@ -15,27 +15,44 @@
 //! | [`IntermediateLayout`] | monolithic / block-views | staging store for Bruck forwarding |
 //! | `two_phase_split` | bool | decoupled metadata message vs. combined buffer |
 //!
-//! Every legacy variant is a **named config point** ([`EngineConfig::as_two_phase`],
-//! [`EngineConfig::as_spread_out`], …). The production entry point
-//! [`configurable_alltoallv`] *snaps* exact named points to the hand-tuned
-//! kernels (which carry the pinned `bruck-probe` spans the conformance suite
-//! asserts on) and runs the generalized machinery for every other point;
-//! [`configurable_alltoallv_general`] always runs the generalized machinery.
-//! The differential gauntlet (`tests/engine_equivalence.rs`) proves the snap
-//! is semantics-free: at each named point the general path is byte-identical
-//! *and* per-tag message-count-identical to the legacy kernel on every
-//! backend, so the engine is a strict generalization, not a ninth sibling.
+//! The named algorithms are **constructors, not kernels**:
+//! [`EngineConfig::as_two_phase`], [`EngineConfig::as_spread_out`], … build
+//! the config that *is* that algorithm, and [`configurable_alltoallv`] runs
+//! every config — named or not — through the same four loops:
+//!
+//! * the direct pairwise loop (`Direct`), windowed by `throttle_window`;
+//! * the unpadded radix Bruck loop (`Bruck`) in either layout, both sharing
+//!   one metadata/data step coupling selected by `two_phase_split`;
+//! * the pad → uniform exchange → scan wrapper, entered when the
+//!   [`PaddingRule`] fires, around the direct loop or the uniform radix
+//!   Zero Rotation Bruck;
+//! * the oracle, leader and two-stage exchanges, which have no knobs beyond
+//!   their topology.
+//!
+//! The `bruck-probe` spans live in those loops under the names the paper's
+//! algorithms are known by (DESIGN.md §10.2 has the span ← loop ← knob table).
+//! The evidence that each named point is the paper's algorithm is the model
+//! and the oracle, not a sibling implementation: `tests/engine_equivalence.rs`
+//! holds the engine to `bruck-model`'s closed-form per-tag message and byte
+//! counts and to [`reference_alltoallv`]'s bytes on every backend.
 
 use bruck_comm::{CommError, CommResult, Communicator, MsgBuf, ReduceOp};
 
 use super::validate_v;
 use crate::common::{add_mod, data_tag, meta_tag, rotation_index, sub_mod, SPREAD_TAG};
+use crate::probe::span;
 use crate::radix::{radix_schedule, radix_step_rel_indices, zero_rotation_bruck_radix};
 use crate::nonuniform::{
-    hierarchical_alltoallv, padded_alltoall, padded_bruck, ranka_two_stage_alltoallv,
-    reference_alltoallv, sloav_alltoallv, spread_out_alltoallv, two_phase_bruck,
-    vendor_alltoallv, AlltoallvAlgorithm, DEFAULT_GROUP_SIZE, VENDOR_WINDOW,
+    hierarchical_alltoallv, ranka_two_stage_alltoallv, reference_alltoallv, AlltoallvAlgorithm,
+    DEFAULT_GROUP_SIZE,
 };
+
+/// Outstanding-request window of the vendor `MPI_Alltoallv` stand-in. Cray's
+/// implementation is closed source, but the paper notes (§1) that MPICH-family
+/// libraries implement `MPI_Alltoallv` "using only variants of the Spread-out
+/// algorithm", throttled to a window of outstanding pairs to avoid swamping
+/// the receive side (`MPIR_CVAR_ALLTOALL_THROTTLE`; 32 is the MPICH default).
+pub const VENDOR_WINDOW: usize = 32;
 
 /// When to pad every block to the global maximum size `N` before exchanging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,7 +99,7 @@ pub enum EngineTopology {
 }
 
 /// One point in the engine's knob space. See the [module docs](self) for the
-/// knob table and the config-point ↔ legacy-variant mapping.
+/// knob table and what each knob selects.
 ///
 /// Knobs that a topology does not consult are *don't-cares*: the canonical
 /// form (what the named constructors produce and [`EngineConfig::key`]
@@ -217,7 +234,7 @@ impl EngineConfig {
         AlltoallvAlgorithm::ALL.map(|a| (Self::for_algorithm(a), a))
     }
 
-    /// The legacy variant this config is an exact point of, if any — only
+    /// The named algorithm this config is an exact point of, if any — only
     /// the knobs the topology actually consults participate in the match,
     /// so don't-care fields never block recognition.
     pub fn as_algorithm(&self) -> Option<AlltoallvAlgorithm> {
@@ -375,89 +392,10 @@ impl EngineConfig {
     }
 }
 
-/// Dispatch to the hand-tuned legacy kernel for `algo` — the snap target of
-/// [`configurable_alltoallv`] and the body of [`crate::alltoallv`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dispatch_variant<C: Communicator + ?Sized>(
-    algo: AlltoallvAlgorithm,
-    comm: &C,
-    sendbuf: &[u8],
-    sendcounts: &[usize],
-    sdispls: &[usize],
-    recvbuf: &mut [u8],
-    recvcounts: &[usize],
-    rdispls: &[usize],
-) -> CommResult<()> {
-    match algo {
-        AlltoallvAlgorithm::Reference => {
-            reference_alltoallv(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
-        }
-        AlltoallvAlgorithm::SpreadOut => {
-            spread_out_alltoallv(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
-        }
-        AlltoallvAlgorithm::Vendor => {
-            vendor_alltoallv(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
-        }
-        AlltoallvAlgorithm::PaddedBruck => {
-            padded_bruck(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
-        }
-        AlltoallvAlgorithm::PaddedAlltoall => {
-            padded_alltoall(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
-        }
-        AlltoallvAlgorithm::TwoPhaseBruck => {
-            two_phase_bruck(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
-        }
-        AlltoallvAlgorithm::Sloav => {
-            sloav_alltoallv(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
-        }
-        AlltoallvAlgorithm::Hierarchical => hierarchical_alltoallv(
-            comm,
-            sendbuf,
-            sendcounts,
-            sdispls,
-            recvbuf,
-            recvcounts,
-            rdispls,
-            DEFAULT_GROUP_SIZE,
-        ),
-        AlltoallvAlgorithm::RankaTwoStage => ranka_two_stage_alltoallv(
-            comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
-        ),
-    }
-}
-
-/// The production engine entry (same contract as `MPI_Alltoallv`): exact
-/// named config points snap to the hand-tuned kernels (probe spans and
-/// conformance pins live there); every other point runs the generalized
-/// machinery. The snap is proven semantics-free by the differential gauntlet
-/// — see the [module docs](self).
+/// The engine entry (same contract as `MPI_Alltoallv`): run the exchange
+/// `cfg` describes. Named points and off-point configs take the same path.
 #[allow(clippy::too_many_arguments)]
 pub fn configurable_alltoallv<C: Communicator + ?Sized>(
-    comm: &C,
-    cfg: &EngineConfig,
-    sendbuf: &[u8],
-    sendcounts: &[usize],
-    sdispls: &[usize],
-    recvbuf: &mut [u8],
-    recvcounts: &[usize],
-    rdispls: &[usize],
-) -> CommResult<()> {
-    cfg.validate()?;
-    if let Some(algo) = cfg.as_algorithm() {
-        return dispatch_variant(
-            algo, comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
-        );
-    }
-    configurable_alltoallv_general(
-        comm, cfg, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
-    )
-}
-
-/// The generalized engine, with no snapping: every config — named points
-/// included — runs the parameterized machinery. This is the subject of the
-/// differential gauntlet and the knob-space property tests.
-#[allow(clippy::too_many_arguments)]
-pub fn configurable_alltoallv_general<C: Communicator + ?Sized>(
     comm: &C,
     cfg: &EngineConfig,
     sendbuf: &[u8],
@@ -478,42 +416,33 @@ pub fn configurable_alltoallv_general<C: Communicator + ?Sized>(
         EngineTopology::Leader { group } => hierarchical_alltoallv(
             comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls, group,
         ),
-        EngineTopology::Direct => direct_general(
-            comm, cfg, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
-        ),
-        EngineTopology::Bruck => bruck_general(
+        EngineTopology::Direct | EngineTopology::Bruck => direct_or_bruck(
             comm, cfg, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
         ),
     }
 }
 
 /// Global maximum block size (one allreduce) — the `N` of the paper.
-fn global_n_max<C: Communicator + ?Sized>(comm: &C, sendcounts: &[usize]) -> CommResult<usize> {
+fn global_n_max<C: Communicator + ?Sized>(
+    comm: &C,
+    sendcounts: &[usize],
+    span_name: &'static str,
+) -> CommResult<usize> {
+    let _probe = span(span_name);
     let local_max = sendcounts.iter().copied().max().unwrap_or(0);
     Ok(comm.allreduce_u64(local_max as u64, ReduceOp::Max)? as usize)
 }
 
-/// Evaluate the padding rule. `Never` costs nothing; `Always`/`Threshold`
-/// cost the sizing allreduce. Returns `Some(n_max)` when blocks must pad.
-fn padding_n_max<C: Communicator + ?Sized>(
-    comm: &C,
-    rule: PaddingRule,
-    sendcounts: &[usize],
-) -> CommResult<Option<usize>> {
-    match rule {
-        PaddingRule::Never => Ok(None),
-        PaddingRule::Always => Ok(Some(global_n_max(comm, sendcounts)?)),
-        PaddingRule::Threshold(t) => {
-            let n_max = global_n_max(comm, sendcounts)?;
-            Ok((n_max <= t).then_some(n_max))
-        }
-    }
-}
-
-/// Generalized direct (pairwise) exchange: spread-out / vendor / padded
-/// alltoall, parameterized by window and padding.
+/// The `Direct` and `Bruck` topologies: validate once, find `N` at most once
+/// (the padding rule and the monolithic layout both want it), then either
+/// pad → uniform exchange → scan, or the exact-size exchange.
+///
+/// The four loops this chooses between are `#[inline(never)]`: `EventComm`
+/// suspends a rank by unwinding, the unwinder's work per frame grows with the
+/// frame's call-site table, and one merged function measured ~3 % slower per
+/// exchange (P = 256, 64 B blocks) than one small frame per loop.
 #[allow(clippy::too_many_arguments)]
-fn direct_general<C: Communicator + ?Sized>(
+fn direct_or_bruck<C: Communicator + ?Sized>(
     comm: &C,
     cfg: &EngineConfig,
     sendbuf: &[u8],
@@ -524,167 +453,282 @@ fn direct_general<C: Communicator + ?Sized>(
     rdispls: &[usize],
 ) -> CommResult<()> {
     let p = validate_v(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)?;
-    let me = comm.rank();
 
-    match padding_n_max(comm, cfg.padding, sendcounts)? {
-        Some(n_max) => {
-            if n_max == 0 {
-                return Ok(()); // nothing anywhere (all blocks empty)
-            }
-            let mut padded_send = vec![0u8; p * n_max];
-            for dst in 0..p {
-                let d = sdispls[dst];
-                padded_send[dst * n_max..dst * n_max + sendcounts[dst]]
-                    .copy_from_slice(&sendbuf[d..d + sendcounts[dst]]);
-            }
-            let mut padded_recv = vec![0u8; p * n_max];
-            padded_recv[me * n_max..(me + 1) * n_max]
-                .copy_from_slice(&padded_send[me * n_max..(me + 1) * n_max]);
-            let packed = MsgBuf::from_vec(padded_send);
-            windowed_pairwise(comm, cfg.throttle_window, p, me, |i| {
-                let dest = add_mod(me, i, p);
-                comm.isend_buf(dest, SPREAD_TAG, packed.slice(dest * n_max..(dest + 1) * n_max))
-            }, |i| {
-                let src = sub_mod(me, i, p);
-                comm.recv_into(src, SPREAD_TAG, &mut padded_recv[src * n_max..(src + 1) * n_max])
-                    .map(drop)
-            })?;
-            for src in 0..p {
-                let want = recvcounts[src];
-                recvbuf[rdispls[src]..rdispls[src] + want]
-                    .copy_from_slice(&padded_recv[src * n_max..src * n_max + want]);
-            }
-            Ok(())
+    let n_max = match cfg.padding {
+        PaddingRule::Never => None,
+        _ => Some(global_n_max(comm, sendcounts, "padded.allreduce")?),
+    };
+    let pad_to = match cfg.padding {
+        PaddingRule::Threshold(t) => n_max.filter(|&n| n <= t),
+        _ => n_max,
+    };
+    if let Some(n) = pad_to {
+        return padded_exchange(
+            comm, cfg, p, n, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
+        );
+    }
+
+    if cfg.topology == EngineTopology::Direct {
+        return direct_exchange(
+            comm, cfg.throttle_window, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
+        );
+    }
+    match cfg.layout {
+        IntermediateLayout::Monolithic => {
+            // The monolithic buffer needs N; a threshold rule that did not
+            // fire has already paid for it.
+            let n = match n_max {
+                Some(n) => n,
+                None => global_n_max(comm, sendcounts, "two_phase.allreduce")?,
+            };
+            bruck_monolithic(
+                comm, cfg, p, n, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
+            )
         }
-        None => {
-            recvbuf[rdispls[me]..rdispls[me] + recvcounts[me]]
-                .copy_from_slice(&sendbuf[sdispls[me]..sdispls[me] + sendcounts[me]]);
-            if p == 1 {
-                return Ok(());
-            }
-            let packed = MsgBuf::copy_from_slice(sendbuf);
-            // recvbuf is borrowed mutably inside the recv closure, so the
-            // windowed driver cannot also capture it; split per-source.
-            let rbuf = std::cell::RefCell::new(recvbuf);
-            windowed_pairwise(comm, cfg.throttle_window, p, me, |i| {
+        IntermediateLayout::BlockViews => {
+            bruck_block_views(comm, cfg, p, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
+        }
+    }
+}
+
+/// The §3.1 padded family: every block travels as an `n`-byte slot (`n` = the
+/// global maximum), moved by the topology's uniform exchange — windowed
+/// pairwise for `Direct`, radix-`r` Zero Rotation Bruck for `Bruck` — and a
+/// final scan strips the padding.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn padded_exchange<C: Communicator + ?Sized>(
+    comm: &C,
+    cfg: &EngineConfig,
+    p: usize,
+    n: usize,
+    sendbuf: &[u8],
+    sendcounts: &[usize],
+    sdispls: &[usize],
+    recvbuf: &mut [u8],
+    recvcounts: &[usize],
+    rdispls: &[usize],
+) -> CommResult<()> {
+    if n == 0 {
+        return Ok(()); // nothing anywhere (all blocks empty)
+    }
+    let mut padded_send = vec![0u8; p * n];
+    let mut padded_recv = vec![0u8; p * n];
+    {
+        let _probe = span("padded.pad");
+        for dst in 0..p {
+            let d = sdispls[dst];
+            padded_send[dst * n..dst * n + sendcounts[dst]]
+                .copy_from_slice(&sendbuf[d..d + sendcounts[dst]]);
+        }
+    }
+    {
+        let _probe = span("padded.exchange");
+        if cfg.topology == EngineTopology::Direct {
+            // The padded region is the packed send buffer: every message is
+            // a disjoint slice of it.
+            let counts = vec![n; p];
+            let displs: Vec<usize> = (0..p).map(|i| i * n).collect();
+            direct_exchange(
+                comm,
+                cfg.throttle_window,
+                padded_send,
+                &counts,
+                &displs,
+                &mut padded_recv,
+                &counts,
+                &displs,
+            )?;
+        } else {
+            zero_rotation_bruck_radix(comm, &padded_send, &mut padded_recv, n, cfg.radix)?;
+        }
+    }
+    let _probe = span("padded.scan");
+    for src in 0..p {
+        let want = recvcounts[src];
+        recvbuf[rdispls[src]..rdispls[src] + want]
+            .copy_from_slice(&padded_recv[src * n..src * n + want]);
+    }
+    Ok(())
+}
+
+/// Direct (pairwise) exchange: every block travels exactly once, posted with
+/// `MPI_Isend` semantics to `me + i` and drained from `me − i` at round `i`.
+/// `window` throttles the `P − 1` rounds into batches of that many
+/// outstanding pairs (MPICH's `MPI_Alltoallv`); `None` posts every send, then
+/// drains every receive (§4.1's `Spread-out`).
+///
+/// Zero-copy send path: `sendbuf` becomes one shared region (a copy of the
+/// user's buffer, or the padded buffer moved in) and the in-flight messages
+/// are disjoint slices of it, so posting a send allocates and copies nothing.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn direct_exchange<C: Communicator + ?Sized>(
+    comm: &C,
+    window: Option<usize>,
+    sendbuf: impl Into<MsgBuf>,
+    sendcounts: &[usize],
+    sdispls: &[usize],
+    recvbuf: &mut [u8],
+    recvcounts: &[usize],
+    rdispls: &[usize],
+) -> CommResult<()> {
+    let p = comm.size();
+    let me = comm.rank();
+    let packed: MsgBuf = sendbuf.into(); // the one pack copy
+
+    recvbuf[rdispls[me]..rdispls[me] + recvcounts[me]]
+        .copy_from_slice(&packed[sdispls[me]..sdispls[me] + sendcounts[me]]);
+
+    let batch = window.unwrap_or(p).max(1);
+    let mut next = 1usize;
+    while next < p {
+        let _window = window.map(|_| span("vendor.window"));
+        let batch_end = next.saturating_add(batch).min(p);
+        {
+            let _send = window.is_none().then(|| span("spread_out.send"));
+            for i in next..batch_end {
                 let dest = add_mod(me, i, p);
                 comm.isend_buf(
                     dest,
                     SPREAD_TAG,
                     packed.slice(sdispls[dest]..sdispls[dest] + sendcounts[dest]),
-                )
-            }, |i| {
-                let src = sub_mod(me, i, p);
-                let mut rb = rbuf.borrow_mut();
-                let n = comm.recv_into(
-                    src,
-                    SPREAD_TAG,
-                    &mut rb[rdispls[src]..rdispls[src] + recvcounts[src]],
                 )?;
-                debug_assert_eq!(n, recvcounts[src], "peer sent unexpected block size");
-                Ok(())
-            })
+            }
         }
-    }
-}
-
-/// Drive the `P − 1` pairwise exchanges in windows of `window` outstanding
-/// pairs (`None` = one unthrottled batch): post the window's sends, drain
-/// its receives, advance — the exact op order of `vendor_alltoallv`, and of
-/// `spread_out_alltoallv` when the window covers all pairs.
-fn windowed_pairwise<C: Communicator + ?Sized>(
-    _comm: &C,
-    window: Option<usize>,
-    p: usize,
-    _me: usize,
-    mut send: impl FnMut(usize) -> CommResult<()>,
-    mut recv: impl FnMut(usize) -> CommResult<()>,
-) -> CommResult<()> {
-    let w = window.unwrap_or(p.saturating_sub(1)).max(1);
-    let mut next = 1usize;
-    while next < p {
-        let batch_end = (next + w).min(p);
+        let _recv = window.is_none().then(|| span("spread_out.recv"));
         for i in next..batch_end {
-            send(i)?;
-        }
-        for i in next..batch_end {
-            recv(i)?;
+            let src = sub_mod(me, i, p);
+            let n = comm.recv_into(
+                src,
+                SPREAD_TAG,
+                &mut recvbuf[rdispls[src]..rdispls[src] + recvcounts[src]],
+            )?;
+            debug_assert_eq!(n, recvcounts[src], "peer sent unexpected block size");
         }
         next = batch_end;
     }
     Ok(())
 }
 
-/// Generalized Bruck exchange: padding → uniform radix Bruck; otherwise the
-/// non-uniform radix loop in the configured layout/coupling.
-#[allow(clippy::too_many_arguments)]
-fn bruck_general<C: Communicator + ?Sized>(
-    comm: &C,
-    cfg: &EngineConfig,
-    sendbuf: &[u8],
-    sendcounts: &[usize],
-    sdispls: &[usize],
-    recvbuf: &mut [u8],
-    recvcounts: &[usize],
-    rdispls: &[usize],
-) -> CommResult<()> {
-    let p = validate_v(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)?;
-
-    if let Some(n_max) = padding_n_max(comm, cfg.padding, sendcounts)? {
-        if n_max == 0 {
-            return Ok(());
-        }
-        let mut padded_send = vec![0u8; p * n_max];
-        for dst in 0..p {
-            let d = sdispls[dst];
-            padded_send[dst * n_max..dst * n_max + sendcounts[dst]]
-                .copy_from_slice(&sendbuf[d..d + sendcounts[dst]]);
-        }
-        let mut padded_recv = vec![0u8; p * n_max];
-        zero_rotation_bruck_radix(comm, &padded_send, &mut padded_recv, n_max, cfg.radix)?;
-        for src in 0..p {
-            let want = recvcounts[src];
-            recvbuf[rdispls[src]..rdispls[src] + want]
-                .copy_from_slice(&padded_recv[src * n_max..src * n_max + want]);
-        }
-        return Ok(());
-    }
-
-    match cfg.layout {
-        IntermediateLayout::Monolithic => bruck_monolithic(
-            comm,
-            cfg.radix,
-            cfg.two_phase_split,
-            sendbuf,
-            sendcounts,
-            sdispls,
-            recvbuf,
-            recvcounts,
-            rdispls,
-        ),
-        IntermediateLayout::BlockViews => bruck_block_views(
-            comm,
-            cfg.radix,
-            cfg.two_phase_split,
-            sendbuf,
-            sendcounts,
-            sdispls,
-            recvbuf,
-            recvcounts,
-            rdispls,
-        ),
-    }
+/// Probe span names of one unpadded Bruck step; the layout picks the family.
+struct StepSpans {
+    meta: &'static str,
+    pack: &'static str,
+    data: &'static str,
+    scatter: &'static str,
 }
 
-/// Non-uniform radix Bruck over a monolithic `P × N` working buffer with
-/// zero-rotation routing and in-place final delivery. `split = true, radix
-/// = 2` is wire-identical to [`two_phase_bruck`]; `crate::two_phase_bruck_radix`
-/// is a thin shim over this loop.
+const TWO_PHASE_SPANS: StepSpans = StepSpans {
+    meta: "two_phase.meta",
+    pack: "two_phase.pack",
+    data: "two_phase.data",
+    scatter: "two_phase.scatter",
+};
+
+const SLOAV_SPANS: StepSpans = StepSpans {
+    meta: "sloav.meta",
+    pack: "sloav.pack",
+    data: "sloav.data",
+    scatter: "sloav.scatter",
+};
+
+/// The coupled metadata + data exchange of one unpadded Bruck step with
+/// `dest` / `src`: a small header message, then the body. `sizes[ix]` for
+/// `ix` in `indices` are the byte sizes of the outgoing blocks, in wire
+/// order; `pack` appends their payload.
+///
+/// * Split coupling (§3.2): the header is the 4-byte-per-block size array,
+///   the body is the packed payload, packed after the header exchange.
+/// * Combined coupling (SLOAV, §6.1): the body is `[sizes][payload]`, packed
+///   up front, and the header announces its 8-byte total length.
+///
+/// On return `sizes[ix]` are the *received* blocks' sizes, and the result is
+/// the received body plus the offset its payload starts at; the payload
+/// length has been checked against the sizes.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn bruck_monolithic<C: Communicator + ?Sized>(
+fn coupled_step<C: Communicator + ?Sized>(
     comm: &C,
-    radix: usize,
     split: bool,
+    spans: &StepSpans,
+    idx: u32,
+    dest: usize,
+    src: usize,
+    indices: &[usize],
+    sizes: &mut [usize],
+    pack: impl Fn(&mut Vec<u8>, &[usize]),
+) -> CommResult<(MsgBuf, usize)> {
+    let meta_len = indices.len() * 4;
+    let mut size_array = Vec::with_capacity(meta_len);
+    for &ix in indices {
+        let sz = u32::try_from(sizes[ix])
+            .map_err(|_| CommError::BadArgument("block size exceeds u32 metadata"))?;
+        size_array.extend_from_slice(&sz.to_le_bytes());
+    }
+
+    // The wire buffers are handed to the transport as `MsgBuf`s: the per-step
+    // pack is the only copy, the send itself moves the region.
+    let (header, mut body) = if split {
+        (size_array, Vec::new())
+    } else {
+        let _probe = span(spans.pack);
+        let mut body = size_array;
+        pack(&mut body, sizes);
+        ((body.len() as u64).to_le_bytes().to_vec(), body)
+    };
+    let header = {
+        let _probe = span(spans.meta);
+        comm.sendrecv_buf(dest, meta_tag(idx), MsgBuf::from_vec(header), src, meta_tag(idx))?
+    };
+    if split {
+        if header.len() != meta_len {
+            return Err(CommError::BadArgument("metadata length mismatch"));
+        }
+        let _probe = span(spans.pack);
+        pack(&mut body, sizes);
+    }
+    let data = {
+        let _probe = span(spans.data);
+        comm.sendrecv_buf(dest, data_tag(idx), MsgBuf::from_vec(body), src, data_tag(idx))?
+    };
+    let (meta, base) = if split {
+        (header.as_slice(), 0)
+    } else {
+        let announced = u64::from_le_bytes(
+            header.as_slice().try_into().map_err(|_| CommError::BadArgument("bad size header"))?,
+        );
+        if data.len() as u64 != announced || data.len() < meta_len {
+            return Err(CommError::BadArgument("combined buffer length mismatch"));
+        }
+        (&data[..meta_len], meta_len)
+    };
+    let mut end = base;
+    for (&ix, sz) in indices.iter().zip(meta.chunks_exact(4)) {
+        let sz = u32::from_le_bytes([sz[0], sz[1], sz[2], sz[3]]) as usize;
+        sizes[ix] = sz;
+        end += sz;
+    }
+    if end != data.len() {
+        return Err(CommError::BadArgument("data payload length mismatch"));
+    }
+    Ok((data, base))
+}
+
+/// Non-uniform radix Bruck over a monolithic `P × N` working buffer `W` —
+/// two-phase Bruck's §3.2 / §6.1 design. Slot `j` of `W` is reserved for
+/// working slot `j`, so staging needs no per-block allocation, no pointer
+/// array and no resizing. Routing is Zero Rotation Bruck's: working slot `j`
+/// at rank `p` carries the block with relative index `i = (j − p) mod P`; a
+/// block's first send reads straight from the user buffer through the
+/// rotation index array, and a block whose relative index is exhausted is
+/// received directly into its final position — no rotation, no final scan.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn bruck_monolithic<C: Communicator + ?Sized>(
+    comm: &C,
+    cfg: &EngineConfig,
+    p: usize,
+    n_max: usize,
     sendbuf: &[u8],
     sendcounts: &[usize],
     sdispls: &[usize],
@@ -692,12 +736,10 @@ pub(crate) fn bruck_monolithic<C: Communicator + ?Sized>(
     recvcounts: &[usize],
     rdispls: &[usize],
 ) -> CommResult<()> {
-    let p = validate_v(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)?;
     let me = comm.rank();
+    let radix = cfg.radix;
 
-    // The monolithic buffer needs the global maximum block size.
-    let n_max = global_n_max(comm, sendcounts)?;
-
+    // Self block: never communicated (relative index 0).
     recvbuf[rdispls[me]..rdispls[me] + recvcounts[me]]
         .copy_from_slice(&sendbuf[sdispls[me]..sdispls[me] + sendcounts[me]]);
     if p == 1 {
@@ -705,137 +747,83 @@ pub(crate) fn bruck_monolithic<C: Communicator + ?Sized>(
     }
 
     let mut working = vec![0u8; p * n_max];
+    // Rotation index array I[j] = (2p − j) mod P.
     let rot = rotation_index(me, p);
+    // Current byte size of the block in working slot j (initially the
+    // original block the rotation maps there).
     let mut cur_size: Vec<usize> = (0..p).map(|j| sendcounts[rot[j]]).collect();
+    // Slot j's data has been received into W (vs. still in sendbuf).
     let mut in_working = vec![false; p];
-
     let mut slots: Vec<usize> = Vec::new();
 
     for (idx, weight, d) in radix_schedule(p, radix) {
-        let hop = (d * weight) % p;
+        let hop = d * weight; // < P by construction of the schedule
         let dest = sub_mod(me, hop, p);
         let src = add_mod(me, hop, p);
 
-        slots.clear();
-        slots.extend(radix_step_rel_indices(p, weight, d, radix).map(|i| add_mod(i, me, p)));
-
-        let mut sizes_wire: Vec<u8> = Vec::with_capacity(slots.len() * 4);
-        for &j in &slots {
-            let sz = u32::try_from(cur_size[j])
-                .map_err(|_| CommError::BadArgument("block size exceeds u32 metadata"))?;
-            sizes_wire.extend_from_slice(&sz.to_le_bytes());
+        // The working slots transmitted this step.
+        radix_step_rel_indices(p, weight, d, radix, &mut slots);
+        for j in &mut slots {
+            *j = add_mod(*j, me, p);
         }
-        let meta_len = slots.len() * 4;
 
-        let pack_payload = |out: &mut Vec<u8>,
-                            working: &[u8],
-                            cur_size: &[usize],
-                            in_working: &[bool]| {
-            for &j in &slots {
-                let sz = cur_size[j];
-                if in_working[j] {
-                    out.extend_from_slice(&working[j * n_max..j * n_max + sz]);
-                } else {
-                    let dd = sdispls[rot[j]];
-                    out.extend_from_slice(&sendbuf[dd..dd + sz]);
+        let (got, base) = coupled_step(
+            comm,
+            cfg.two_phase_split,
+            &TWO_PHASE_SPANS,
+            idx,
+            dest,
+            src,
+            &slots,
+            &mut cur_size,
+            // From W if previously received, else from the user's send
+            // buffer through the rotation index.
+            |wire, cur_size| {
+                for &j in &slots {
+                    let sz = cur_size[j];
+                    if in_working[j] {
+                        wire.extend_from_slice(&working[j * n_max..j * n_max + sz]);
+                    } else {
+                        let dd = sdispls[rot[j]];
+                        wire.extend_from_slice(&sendbuf[dd..dd + sz]);
+                    }
                 }
-            }
-        };
-
-        // (meta bytes, payload region) of the received step, in either
-        // coupling: split sends sizes then payload on separate tags;
-        // combined prepends the sizes to one buffer behind an 8-byte
-        // total-size exchange.
-        let (meta_got, data_got, data_base) = if split {
-            let meta_got = comm.sendrecv_buf(
-                dest,
-                meta_tag(idx),
-                MsgBuf::from_vec(sizes_wire),
-                src,
-                meta_tag(idx),
-            )?;
-            if meta_got.len() != meta_len {
-                return Err(CommError::BadArgument("metadata length mismatch"));
-            }
-            let mut data_wire: Vec<u8> = Vec::new();
-            pack_payload(&mut data_wire, &working, &cur_size, &in_working);
-            let data_got = comm.sendrecv_buf(
-                dest,
-                data_tag(idx),
-                MsgBuf::from_vec(data_wire),
-                src,
-                data_tag(idx),
-            )?;
-            (meta_got, data_got, 0usize)
-        } else {
-            let mut combined = sizes_wire;
-            pack_payload(&mut combined, &working, &cur_size, &in_working);
-            let total = (combined.len() as u64).to_le_bytes();
-            let their_total = comm.sendrecv_buf(
-                dest,
-                meta_tag(idx),
-                MsgBuf::copy_from_slice(&total),
-                src,
-                meta_tag(idx),
-            )?;
-            let their_total = u64::from_le_bytes(
-                their_total
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| CommError::BadArgument("bad size header"))?,
-            ) as usize;
-            let got = comm.sendrecv_buf(
-                dest,
-                data_tag(idx),
-                MsgBuf::from_vec(combined),
-                src,
-                data_tag(idx),
-            )?;
-            if got.len() != their_total || got.len() < meta_len {
-                return Err(CommError::BadArgument("combined buffer length mismatch"));
-            }
-            (got.slice(0..meta_len), got.clone(), meta_len)
-        };
+            },
+        )?;
 
         // Scatter: a block is home once every digit above the current
-        // position is zero — rel < weight · radix.
+        // position is zero — rel < weight · radix. It goes straight into the
+        // user's receive buffer; the rest are staged in W for a later step.
+        let _probe = span(TWO_PHASE_SPANS.scatter);
         let done_bound = weight.saturating_mul(radix);
-        let mut at = data_base;
-        for (si, &j) in slots.iter().enumerate() {
-            let sz = u32::from_le_bytes(
-                meta_got[si * 4..si * 4 + 4]
-                    .try_into()
-                    .map_err(|_| CommError::BadArgument("bad metadata entry"))?,
-            ) as usize;
-            if at + sz > data_got.len() {
-                return Err(CommError::BadArgument("data payload length mismatch"));
-            }
-            let rel = sub_mod(j, me, p);
-            if rel < done_bound {
+        let mut at = base;
+        for &j in &slots {
+            let sz = cur_size[j];
+            if sub_mod(j, me, p) < done_bound {
                 debug_assert_eq!(sz, recvcounts[j], "recvcounts disagrees with routed size");
-                recvbuf[rdispls[j]..rdispls[j] + sz].copy_from_slice(&data_got[at..at + sz]);
+                recvbuf[rdispls[j]..rdispls[j] + sz].copy_from_slice(&got[at..at + sz]);
             } else {
-                working[j * n_max..j * n_max + sz].copy_from_slice(&data_got[at..at + sz]);
+                working[j * n_max..j * n_max + sz].copy_from_slice(&got[at..at + sz]);
             }
             in_working[j] = true;
-            cur_size[j] = sz;
             at += sz;
-        }
-        if at != data_got.len() {
-            return Err(CommError::BadArgument("data payload length mismatch"));
         }
     }
     Ok(())
 }
 
-/// Non-uniform radix Bruck over SLOAV's two-layer block-view layout:
-/// offset-keyed refcounted views, basic-Bruck direction, final scan.
-/// `split = false, radix = 2` is wire-identical to [`sloav_alltoallv`].
+/// Non-uniform radix Bruck over SLOAV's (Xu et al.) two-layer layout, kept
+/// faithful to the structure §6.1 criticizes so the ablation can price it:
+/// intermediate blocks live in a pointer array of individually sized views
+/// keyed by Bruck *offset* (reference-counted slices of each step's received
+/// region), routed in basic-Bruck direction, and copied to their destination
+/// positions only in a final scan over all `P` blocks. No allreduce.
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn bruck_block_views<C: Communicator + ?Sized>(
     comm: &C,
-    radix: usize,
-    split: bool,
+    cfg: &EngineConfig,
+    p: usize,
     sendbuf: &[u8],
     sendcounts: &[usize],
     sdispls: &[usize],
@@ -843,109 +831,56 @@ fn bruck_block_views<C: Communicator + ?Sized>(
     recvcounts: &[usize],
     rdispls: &[usize],
 ) -> CommResult<()> {
-    let p = validate_v(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)?;
     let me = comm.rank();
+    let radix = cfg.radix;
 
+    // temp[i] holds the block currently at Bruck offset i, if it has been
+    // received; otherwise the block is still the original send-buffer block
+    // for destination (me + i) % P.
     let mut temp: Vec<Option<MsgBuf>> = vec![None; p];
     let mut sizes: Vec<usize> = (0..p).map(|i| sendcounts[add_mod(me, i, p)]).collect();
+    let mut offsets: Vec<usize> = Vec::new();
 
     for (idx, weight, d) in radix_schedule(p, radix) {
-        let hop = (d * weight) % p;
+        let hop = d * weight; // < P by construction of the schedule
         let dest = add_mod(me, hop, p); // basic-Bruck direction
         let src = sub_mod(me, hop, p);
-        let offsets: Vec<usize> = radix_step_rel_indices(p, weight, d, radix).collect();
+        radix_step_rel_indices(p, weight, d, radix, &mut offsets);
 
-        let mut sizes_wire = Vec::with_capacity(offsets.len() * 4);
-        for &i in &offsets {
-            let sz = u32::try_from(sizes[i])
-                .map_err(|_| CommError::BadArgument("block size exceeds u32 metadata"))?;
-            sizes_wire.extend_from_slice(&sz.to_le_bytes());
-        }
-        let meta_len = offsets.len() * 4;
-
-        let pack_payload = |out: &mut Vec<u8>, temp: &[Option<MsgBuf>], sizes: &[usize]| {
-            for &i in &offsets {
-                match &temp[i] {
-                    Some(block) => out.extend_from_slice(block),
-                    None => {
-                        let dd = sdispls[add_mod(me, i, p)];
-                        out.extend_from_slice(&sendbuf[dd..dd + sizes[i]]);
+        let (got, base) = coupled_step(
+            comm,
+            cfg.two_phase_split,
+            &SLOAV_SPANS,
+            idx,
+            dest,
+            src,
+            &offsets,
+            &mut sizes,
+            |wire, sizes| {
+                for &i in &offsets {
+                    match &temp[i] {
+                        Some(block) => wire.extend_from_slice(block),
+                        None => {
+                            let dd = sdispls[add_mod(me, i, p)];
+                            wire.extend_from_slice(&sendbuf[dd..dd + sizes[i]]);
+                        }
                     }
                 }
-            }
-        };
+            },
+        )?;
 
-        let (meta_got, data_got, data_base) = if split {
-            let meta_got = comm.sendrecv_buf(
-                dest,
-                meta_tag(idx),
-                MsgBuf::from_vec(sizes_wire),
-                src,
-                meta_tag(idx),
-            )?;
-            if meta_got.len() != meta_len {
-                return Err(CommError::BadArgument("metadata length mismatch"));
-            }
-            let mut data_wire: Vec<u8> = Vec::new();
-            pack_payload(&mut data_wire, &temp, &sizes);
-            let data_got = comm.sendrecv_buf(
-                dest,
-                data_tag(idx),
-                MsgBuf::from_vec(data_wire),
-                src,
-                data_tag(idx),
-            )?;
-            (meta_got, data_got, 0usize)
-        } else {
-            let mut combined = sizes_wire;
-            pack_payload(&mut combined, &temp, &sizes);
-            let total = (combined.len() as u64).to_le_bytes();
-            let their_total = comm.sendrecv_buf(
-                dest,
-                meta_tag(idx),
-                MsgBuf::copy_from_slice(&total),
-                src,
-                meta_tag(idx),
-            )?;
-            let their_total = u64::from_le_bytes(
-                their_total
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| CommError::BadArgument("bad size header"))?,
-            ) as usize;
-            let got = comm.sendrecv_buf(
-                dest,
-                data_tag(idx),
-                MsgBuf::from_vec(combined),
-                src,
-                data_tag(idx),
-            )?;
-            if got.len() != their_total || got.len() < meta_len {
-                return Err(CommError::BadArgument("combined buffer length mismatch"));
-            }
-            (got.slice(0..meta_len), got.clone(), meta_len)
-        };
-
-        let mut at = data_base;
-        for (oi, &i) in offsets.iter().enumerate() {
-            let sz = u32::from_le_bytes(
-                meta_got[oi * 4..oi * 4 + 4]
-                    .try_into()
-                    .map_err(|_| CommError::BadArgument("bad metadata entry"))?,
-            ) as usize;
-            if at + sz > data_got.len() {
-                return Err(CommError::BadArgument("data payload length mismatch"));
-            }
-            temp[i] = Some(data_got.slice(at..at + sz));
-            sizes[i] = sz;
-            at += sz;
-        }
-        if at != data_got.len() {
-            return Err(CommError::BadArgument("data payload length mismatch"));
+        // Re-slice each received block into the pointer array.
+        let _probe = span(SLOAV_SPANS.scatter);
+        let mut at = base;
+        for &i in &offsets {
+            temp[i] = Some(got.slice(at..at + sizes[i]));
+            at += sizes[i];
         }
     }
 
-    // Final scan (+ implicit rotation): offset i came from (me − i) mod P.
+    // Final scan (+ implicit rotation): the block at offset i came from rank
+    // (me − i) mod P.
+    let _probe = span("sloav.scan");
     for i in 0..p {
         let src_rank = sub_mod(me, i, p);
         let want = recvcounts[src_rank];
@@ -968,27 +903,11 @@ fn bruck_block_views<C: Communicator + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{build_send, check_recv, TEST_SIZES};
+    use super::super::testutil::{build_send, run_and_check_config, TEST_SIZES};
     use super::*;
     use crate::packed_displs;
-    use bruck_comm::ThreadComm;
+    use bruck_comm::{MeteredComm, ThreadComm};
     use bruck_workload::{Distribution, SizeMatrix};
-
-    fn run_general(cfg: &EngineConfig, m: &SizeMatrix) {
-        let p = m.p();
-        ThreadComm::run(p, |comm| {
-            let me = comm.rank();
-            let (sendbuf, sendcounts, sdispls) = build_send(me, m);
-            let recvcounts = m.recvcounts(me);
-            let rdispls = packed_displs(&recvcounts);
-            let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-            configurable_alltoallv_general(
-                comm, cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
-            )
-            .unwrap_or_else(|e| panic!("{} failed: {e}", cfg.key()));
-            check_recv(me, m, &recvbuf, &rdispls);
-        });
-    }
 
     #[test]
     fn named_points_round_trip_to_their_algorithms() {
@@ -1099,15 +1018,7 @@ mod tests {
     }
 
     #[test]
-    fn general_path_correct_at_every_named_point() {
-        let m = SizeMatrix::generate(Distribution::POWER_LAW_STEEP, 0xE9, 9, 40);
-        for (cfg, _) in EngineConfig::named_points() {
-            run_general(&cfg, &m);
-        }
-    }
-
-    #[test]
-    fn general_path_correct_across_the_product_space() {
+    fn correct_across_the_product_space() {
         // Off-point combos: new radices, windows, couplings, and the
         // threshold padding rule on both sides of the threshold.
         let m = SizeMatrix::generate(Distribution::Normal, 0x5EED, 8, 32);
@@ -1133,16 +1044,16 @@ mod tests {
                 ..CANONICAL
             },
         ] {
-            run_general(&cfg, &m);
+            run_and_check_config(&cfg, &m);
         }
     }
 
     #[test]
-    fn general_path_survives_every_world_size() {
+    fn off_point_configs_survive_every_world_size() {
         for p in TEST_SIZES {
             let m = SizeMatrix::generate(Distribution::Uniform, 0xC0DE + p as u64, p, 24);
-            run_general(&EngineConfig { radix: 3, ..EngineConfig::as_two_phase() }, &m);
-            run_general(
+            run_and_check_config(&EngineConfig { radix: 3, ..EngineConfig::as_two_phase() }, &m);
+            run_and_check_config(
                 &EngineConfig { two_phase_split: true, ..EngineConfig::as_sloav() },
                 &m,
             );
@@ -1150,7 +1061,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_blocks_and_skew_survive_the_general_path() {
+    fn zero_blocks_and_skew_survive_off_point_configs() {
         let zero = SizeMatrix::uniform(6, 0);
         let mut rows = vec![vec![0usize; 9]; 9];
         rows[1][6] = 100;
@@ -1164,38 +1075,41 @@ mod tests {
                 EngineConfig { two_phase_split: true, ..EngineConfig::as_sloav() },
                 EngineConfig { throttle_window: Some(2), ..EngineConfig::as_spread_out() },
             ] {
-                run_general(&cfg, m);
+                run_and_check_config(&cfg, m);
             }
         }
     }
 
     #[test]
-    fn production_entry_snaps_and_general_agree() {
-        let m = SizeMatrix::generate(Distribution::Uniform, 0xABBA, 8, 24);
-        let p = m.p();
-        for (cfg, _) in EngineConfig::named_points() {
-            let outs = ThreadComm::run(p, |comm| {
-                let me = comm.rank();
+    fn threshold_that_does_not_fire_pays_one_sizing_allreduce() {
+        // The rule's allreduce finds N; the monolithic layout must reuse it
+        // rather than ask again — the tuner prices exactly one.
+        let m = SizeMatrix::generate(Distribution::Normal, 0x5EED, 8, 32);
+        assert!(m.global_max() > 1, "the threshold must not fire");
+        let reserved_msgs = |cfg: EngineConfig| -> Vec<u64> {
+            ThreadComm::run(m.p(), |comm| {
+                let meter = MeteredComm::new(comm);
+                let me = meter.rank();
                 let (sendbuf, sendcounts, sdispls) = build_send(me, &m);
                 let recvcounts = m.recvcounts(me);
                 let rdispls = packed_displs(&recvcounts);
-                let mut snapped = vec![0u8; recvcounts.iter().sum()];
+                let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
                 configurable_alltoallv(
-                    comm, &cfg, &sendbuf, &sendcounts, &sdispls, &mut snapped, &recvcounts,
+                    &meter, &cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts,
                     &rdispls,
                 )
                 .unwrap();
-                let mut general = vec![0u8; recvcounts.iter().sum()];
-                configurable_alltoallv_general(
-                    comm, &cfg, &sendbuf, &sendcounts, &sdispls, &mut general, &recvcounts,
-                    &rdispls,
-                )
-                .unwrap();
-                (snapped, general)
-            });
-            for (snapped, general) in outs {
-                assert_eq!(snapped, general, "{}", cfg.key());
-            }
-        }
+                meter.metrics().reserved.sent_msgs
+            })
+        };
+        let two_phase = reserved_msgs(EngineConfig::as_two_phase());
+        assert!(two_phase.iter().all(|&n| n > 0), "two-phase sizes its buffer with an allreduce");
+        assert_eq!(
+            reserved_msgs(EngineConfig {
+                padding: PaddingRule::Threshold(1),
+                ..EngineConfig::as_two_phase()
+            }),
+            two_phase
+        );
     }
 }

@@ -9,38 +9,26 @@
 
 mod adaptive;
 mod alltoallw;
-pub(crate) mod engine;
+mod engine;
 mod hierarchical;
-mod padded;
-mod padded_alltoall;
 mod recovering;
 mod reference;
 mod resilient;
-mod sloav;
-mod spread_out;
-mod timed;
-mod two_phase;
 mod two_stage;
-mod vendor;
 
 pub use adaptive::adaptive_alltoallv;
 pub use alltoallw::alltoallw;
+// `configurable_alltoallv_general` is the same function under the name the
+// frozen `benchmark/` crate imports.
 pub use engine::{
-    configurable_alltoallv, configurable_alltoallv_general, EngineConfig, EngineTopology,
-    IntermediateLayout, PaddingRule,
+    configurable_alltoallv, configurable_alltoallv as configurable_alltoallv_general,
+    EngineConfig, EngineTopology, IntermediateLayout, PaddingRule, VENDOR_WINDOW,
 };
 pub use hierarchical::{hierarchical_alltoallv, DEFAULT_GROUP_SIZE};
-pub use padded::padded_bruck;
-pub use padded_alltoall::padded_alltoall;
 pub use recovering::{recovering_alltoallv, Mttr, Recovery, RecoveringConfig, RecoveryOutcome};
 pub use reference::reference_alltoallv;
 pub use resilient::{resilient_alltoallv, ExchangeOutcome, PartialExchange, ResilientConfig};
-pub use sloav::sloav_alltoallv;
-pub use spread_out::spread_out_alltoallv;
-pub use timed::{sloav_alltoallv_timed, two_phase_bruck_timed, NonuniformPhases};
-pub use two_phase::two_phase_bruck;
 pub use two_stage::{piece_len, piece_offset, ranka_two_stage_alltoallv};
-pub use vendor::{vendor_alltoallv, VENDOR_WINDOW};
 
 use bruck_comm::{CommError, CommResult, Communicator};
 
@@ -101,8 +89,8 @@ impl AlltoallvAlgorithm {
     }
 }
 
-/// Dispatch a non-uniform all-to-all by algorithm id — a shim over the
-/// configurable engine's named config points (see [`engine`]).
+/// Run a non-uniform all-to-all by algorithm id: the configurable engine at
+/// the named config point [`EngineConfig::for_algorithm`] gives for `algo`.
 #[allow(clippy::too_many_arguments)]
 pub fn alltoallv<C: Communicator + ?Sized>(
     algo: AlltoallvAlgorithm,
@@ -114,8 +102,15 @@ pub fn alltoallv<C: Communicator + ?Sized>(
     recvcounts: &[usize],
     rdispls: &[usize],
 ) -> CommResult<()> {
-    engine::dispatch_variant(
-        algo, comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
+    configurable_alltoallv(
+        comm,
+        &EngineConfig::for_algorithm(algo),
+        sendbuf,
+        sendcounts,
+        sdispls,
+        recvbuf,
+        recvcounts,
+        rdispls,
     )
 }
 
@@ -197,8 +192,9 @@ pub(crate) mod testutil {
         }
     }
 
-    /// Run `algo` on every rank for the given size matrix and verify output.
-    pub fn run_and_check_matrix(algo: AlltoallvAlgorithm, m: &SizeMatrix) {
+    /// Run the exchange `cfg` describes on every rank for the given size
+    /// matrix and verify the output.
+    pub fn run_and_check_config(cfg: &EngineConfig, m: &SizeMatrix) {
         let p = m.p();
         ThreadComm::run(p, |comm| {
             let me = comm.rank();
@@ -206,10 +202,17 @@ pub(crate) mod testutil {
             let recvcounts = m.recvcounts(me);
             let rdispls = packed_displs(&recvcounts);
             let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-            alltoallv(algo, comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls)
-                .unwrap();
+            configurable_alltoallv(
+                comm, cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
+            )
+            .unwrap_or_else(|e| panic!("{} failed: {e}", cfg.key()));
             check_recv(me, m, &recvbuf, &rdispls);
         });
+    }
+
+    /// Run `algo`'s named config point for the given size matrix.
+    pub fn run_and_check_matrix(algo: AlltoallvAlgorithm, m: &SizeMatrix) {
+        run_and_check_config(&EngineConfig::for_algorithm(algo), m);
     }
 
     /// Run `algo` over a generated workload.
@@ -224,7 +227,47 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
+    use super::testutil::{run_and_check_matrix, TEST_SIZES};
     use super::*;
+    use bruck_workload::{Distribution, SizeMatrix};
+
+    /// Every algorithm on one matrix; the label names the case on failure.
+    fn check_all(label: &str, m: &SizeMatrix) {
+        for algo in AlltoallvAlgorithm::ALL {
+            eprintln!("{} / {label} / P={}", algo.name(), m.p());
+            run_and_check_matrix(algo, m);
+        }
+    }
+
+    #[test]
+    fn every_algorithm_correct_on_the_case_table() {
+        // Powers of two, odd, prime, one.
+        for p in TEST_SIZES {
+            check_all("uniform", &SizeMatrix::generate(Distribution::Uniform, 0xBEEF, p, 48));
+        }
+        // P > window exercises the vendor batching loop.
+        check_all("beyond the window", &SizeMatrix::generate(Distribution::Uniform, 0xFEED, 40, 16));
+        for dist in [
+            Distribution::Uniform,
+            Distribution::Windowed { r: 30 },
+            Distribution::Normal,
+            Distribution::POWER_LAW_STEEP,
+        ] {
+            check_all(&dist.label(), &SizeMatrix::generate(dist, 7, 12, 96));
+        }
+        check_all("all-zero", &SizeMatrix::uniform(8, 0));
+        // When every block is the same size, padding is a no-op.
+        check_all("degenerate uniform", &SizeMatrix::uniform(7, 24));
+        // Only rank 2 sends anything, and only to rank 5.
+        let mut single = vec![vec![0usize; 8]; 8];
+        single[2][5] = 40;
+        check_all("single non-zero block", &SizeMatrix::from_rows(single));
+        // One huge block per rank among tiny ones exercises the W staging.
+        let skew = (0..9)
+            .map(|src| (0..9).map(|dst| if dst == (src + 3) % 9 { 512 } else { 1 }).collect())
+            .collect();
+        check_all("one-huge-block skew", &SizeMatrix::from_rows(skew));
+    }
 
     #[test]
     fn packed_displs_is_exclusive_prefix_sum() {

@@ -8,13 +8,16 @@
 //! `⌈log_r P⌉` times, so the radix dials the latency↔bandwidth trade-off the
 //! paper's §3.3 model describes (`r = 2` is the classic algorithm; `r = P`
 //! degenerates to spread-out). The paper's conclusion calls for exactly this
-//! kind of tunability ("a more rigorous performance model"); we implement it
-//! for both the uniform Zero Rotation Bruck and the non-uniform two-phase
-//! Bruck, and the bench suite ablates the radix.
+//! kind of tunability ("a more rigorous performance model"). This module
+//! holds the schedule, the uniform loop (Zero Rotation Bruck, whose `r = 2`
+//! point is the paper's algorithm) and the step enumeration the non-uniform
+//! engine's `radix` knob shares with it; the bench suite ablates the radix.
 
 use bruck_comm::{CommResult, Communicator, MsgBuf};
 
 use crate::common::{add_mod, rotation_index, sub_mod, uniform_step_tag};
+use crate::phases::{timed, PhaseTimes};
+use crate::probe::span;
 use crate::uniform::validate_uniform;
 
 /// The `k`-th base-`r` digit of `i`.
@@ -32,31 +35,42 @@ pub fn radix_schedule(p: usize, radix: usize) -> Vec<(u32, usize, usize)> {
     let mut weight = 1usize;
     let mut idx = 0u32;
     while weight < p {
+        // Only digits with `d·weight < P` move anything, so a phase has at
+        // most `⌈P/weight⌉ − 1` sub-steps however large the radix is.
         for d in 1..radix {
-            if d * weight < p {
-                steps.push((idx, weight, d));
-                idx += 1;
+            if d.saturating_mul(weight) >= p {
+                break;
             }
+            steps.push((idx, weight, d));
+            idx += 1;
         }
-        weight *= radix;
+        weight = weight.saturating_mul(radix);
     }
     steps
 }
 
 /// Relative indices transmitted at sub-step `(weight, d)`: all `i ∈ (0, P)`
-/// whose digit at `weight` equals `d`.
-#[inline]
+/// whose digit at `weight` equals `d`, ascending, written over `out`. They
+/// come in runs of `weight` starting at `d·weight`, one run per period
+/// `weight·radix`, so enumeration is by stride — no per-index division.
 pub fn radix_step_rel_indices(
     p: usize,
     weight: usize,
     d: usize,
     radix: usize,
-) -> impl Iterator<Item = usize> {
-    (1..p).filter(move |&i| radix_digit(i, weight, radix) == d)
+    out: &mut Vec<usize>,
+) {
+    out.clear();
+    let period = weight.saturating_mul(radix);
+    let mut run = d.saturating_mul(weight);
+    while run < p {
+        out.extend(run.max(1)..run.saturating_add(weight).min(p));
+        run = run.saturating_add(period);
+    }
 }
 
-/// Radix-`r` Zero Rotation Bruck (uniform all-to-all). `radix = 2` computes
-/// exactly what [`crate::zero_rotation_bruck`] computes.
+/// Radix-`r` Zero Rotation Bruck (uniform all-to-all). `radix = 2` is
+/// [`crate::zero_rotation_bruck`].
 pub fn zero_rotation_bruck_radix<C: Communicator + ?Sized>(
     comm: &C,
     sendbuf: &[u8],
@@ -64,63 +78,74 @@ pub fn zero_rotation_bruck_radix<C: Communicator + ?Sized>(
     block: usize,
     radix: usize,
 ) -> CommResult<()> {
-    let p = validate_uniform(comm, sendbuf, recvbuf, block)?;
-    let me = comm.rank();
-    let rot = rotation_index(me, p);
-    let mut received = vec![false; p];
-
-    for (idx, weight, d) in radix_schedule(p, radix) {
-        let hop = (d * weight) % p;
-        let dest = sub_mod(me, hop, p);
-        let src = add_mod(me, hop, p);
-        let mut wire = Vec::new();
-        for i in radix_step_rel_indices(p, weight, d, radix) {
-            let abs = add_mod(i, me, p);
-            let from = if received[abs] {
-                &recvbuf[abs * block..(abs + 1) * block]
-            } else {
-                let orig = rot[abs] * block;
-                &sendbuf[orig..orig + block]
-            };
-            wire.extend_from_slice(from);
-        }
-        let got = comm.sendrecv_buf(
-            dest,
-            uniform_step_tag(idx),
-            MsgBuf::from_vec(wire),
-            src,
-            uniform_step_tag(idx),
-        )?;
-        let mut at = 0;
-        for i in radix_step_rel_indices(p, weight, d, radix) {
-            let abs = add_mod(i, me, p);
-            recvbuf[abs * block..(abs + 1) * block].copy_from_slice(&got[at..at + block]);
-            received[abs] = true;
-            at += block;
-        }
-    }
-    recvbuf[me * block..(me + 1) * block].copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
-    Ok(())
+    zero_rotation_bruck_radix_timed(comm, sendbuf, recvbuf, block, radix).map(drop)
 }
 
-/// Radix-`r` two-phase Bruck (non-uniform all-to-all). `radix = 2` computes
-/// exactly what [`crate::two_phase_bruck`] computes, with the same wire tags.
-/// A shim over the configurable engine's monolithic Bruck loop (split
-/// metadata/data coupling) — the engine owns the generalized machinery.
-#[allow(clippy::too_many_arguments)]
-pub fn two_phase_bruck_radix<C: Communicator + ?Sized>(
+/// [`zero_rotation_bruck_radix`] with per-phase breakdown: `setup` is only
+/// the `O(P)` index-array construction — the point of the algorithm.
+pub(crate) fn zero_rotation_bruck_radix_timed<C: Communicator + ?Sized>(
     comm: &C,
     sendbuf: &[u8],
-    sendcounts: &[usize],
-    sdispls: &[usize],
     recvbuf: &mut [u8],
-    recvcounts: &[usize],
-    rdispls: &[usize],
+    block: usize,
     radix: usize,
-) -> CommResult<()> {
-    crate::nonuniform::engine::bruck_monolithic(
-        comm, radix, true, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
-    )
+) -> CommResult<PhaseTimes> {
+    let p = validate_uniform(comm, sendbuf, recvbuf, block)?;
+    let me = comm.rank();
+    let mut t = PhaseTimes::default();
+
+    // Phase 1 — O(P) rotation index array instead of an O(P·n) data rotation.
+    let rot = timed(&mut t.setup, || {
+        let _probe = span("zero_rotation.setup");
+        rotation_index(me, p)
+    });
+
+    timed(&mut t.comm, || -> CommResult<()> {
+        // received[j]: slot j's current data lives in recvbuf (it has been
+        // received in an earlier step) rather than in sendbuf[I[j]].
+        let mut received = vec![false; p];
+        let mut slots: Vec<usize> = Vec::new();
+        for (idx, weight, d) in radix_schedule(p, radix) {
+            let _probe = span("zero_rotation.step");
+            let hop = d * weight; // < P by construction of the schedule
+            let dest = sub_mod(me, hop, p);
+            let src = add_mod(me, hop, p);
+            radix_step_rel_indices(p, weight, d, radix, &mut slots);
+            for j in &mut slots {
+                *j = add_mod(*j, me, p);
+            }
+            // Per-step pack is the only copy; the wire region moves to the
+            // transport as a `MsgBuf` without another allocation.
+            let mut wire = Vec::new();
+            for &abs in &slots {
+                let from = if received[abs] {
+                    &recvbuf[abs * block..(abs + 1) * block]
+                } else {
+                    let orig = rot[abs] * block;
+                    &sendbuf[orig..orig + block]
+                };
+                wire.extend_from_slice(from);
+            }
+            let got = comm.sendrecv_buf(
+                dest,
+                uniform_step_tag(idx),
+                MsgBuf::from_vec(wire),
+                src,
+                uniform_step_tag(idx),
+            )?;
+            let mut at = 0;
+            for &abs in &slots {
+                recvbuf[abs * block..(abs + 1) * block].copy_from_slice(&got[at..at + block]);
+                received[abs] = true;
+                at += block;
+            }
+        }
+        // The self block never travels: I[p] = p.
+        recvbuf[me * block..(me + 1) * block]
+            .copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
+        Ok(())
+    })?;
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -128,8 +153,13 @@ mod tests {
     use super::*;
     use crate::nonuniform::testutil as nu;
     use crate::uniform::testutil as ut;
+    use crate::EngineConfig;
     use bruck_comm::ThreadComm;
     use bruck_workload::{Distribution, SizeMatrix};
+
+    fn two_phase_radix(radix: usize, m: &SizeMatrix) {
+        nu::run_and_check_config(&EngineConfig { radix, ..EngineConfig::as_two_phase() }, m);
+    }
 
     #[test]
     fn schedule_covers_every_offset_exactly_by_its_digits() {
@@ -191,40 +221,11 @@ mod tests {
     }
 
     #[test]
-    fn uniform_radix_two_equals_plain_zero_rotation() {
-        let p = 12;
-        let block = 5;
-        let outs = ThreadComm::run(p, |comm| {
-            let sendbuf = ut::fill_sendbuf(comm.rank(), p, block);
-            let mut a = vec![0u8; p * block];
-            let mut b = vec![0u8; p * block];
-            zero_rotation_bruck_radix(comm, &sendbuf, &mut a, block, 2).unwrap();
-            crate::zero_rotation_bruck(comm, &sendbuf, &mut b, block).unwrap();
-            (a, b)
-        });
-        for (a, b) in outs {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn two_phase_radix_correct_for_many_radices() {
         for radix in [2usize, 3, 4, 8] {
             for p in [3usize, 8, 12, 16] {
                 let m = SizeMatrix::generate(Distribution::Uniform, 31 + radix as u64, p, 48);
-                ThreadComm::run(p, |comm| {
-                    let me = comm.rank();
-                    let (sendbuf, sendcounts, sdispls) = nu::build_send(me, &m);
-                    let recvcounts = m.recvcounts(me);
-                    let rdispls = crate::packed_displs(&recvcounts);
-                    let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-                    two_phase_bruck_radix(
-                        comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts,
-                        &rdispls, radix,
-                    )
-                    .unwrap();
-                    nu::check_recv(me, &m, &recvbuf, &rdispls);
-                });
+                two_phase_radix(radix, &m);
             }
         }
     }
@@ -237,20 +238,39 @@ mod tests {
         rows[8][0] = 1;
         let m = SizeMatrix::from_rows(rows);
         for radix in [3usize, 9] {
-            ThreadComm::run(9, |comm| {
-                let me = comm.rank();
-                let (sendbuf, sendcounts, sdispls) = nu::build_send(me, &m);
-                let recvcounts = m.recvcounts(me);
-                let rdispls = crate::packed_displs(&recvcounts);
-                let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-                two_phase_bruck_radix(
-                    comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
-                    radix,
-                )
-                .unwrap();
-                nu::check_recv(me, &m, &recvbuf, &rdispls);
-            });
+            two_phase_radix(radix, &m);
         }
+    }
+
+    #[test]
+    fn stride_enumeration_matches_the_digit_definition() {
+        let mut got = Vec::new();
+        for p in [1usize, 2, 3, 8, 12, 17, 27, 100] {
+            for radix in [2usize, 3, 4, 8, 100, usize::MAX] {
+                for (_, weight, d) in radix_schedule(p, radix) {
+                    radix_step_rel_indices(p, weight, d, radix, &mut got);
+                    let want: Vec<usize> =
+                        (1..p).filter(|&i| radix_digit(i, weight, radix) == d).collect();
+                    assert_eq!(got, want, "p={p} radix={radix} weight={weight} d={d}");
+                }
+            }
+        }
+        // Digit 0 is never scheduled, but the enumeration still skips the
+        // self block if asked for it.
+        radix_step_rel_indices(9, 1, 0, 3, &mut got);
+        assert_eq!(got, [3, 6]);
+    }
+
+    #[test]
+    fn huge_radix_terminates_with_one_phase() {
+        // A radix far beyond P has at most P − 1 qualifying digits per phase;
+        // the schedule must not walk the other ~2⁶⁴.
+        let sched = radix_schedule(8, usize::MAX);
+        assert_eq!(sched, (1..8).map(|d| (d as u32 - 1, 1, d)).collect::<Vec<_>>());
+        assert_eq!(radix_schedule(8, 1 << 40), sched);
+        // And an exchange under a key parsed from outside input completes.
+        let cfg = EngineConfig::parse_key(&format!("bruck:r={}", usize::MAX)).unwrap();
+        nu::run_and_check_config(&cfg, &SizeMatrix::generate(Distribution::Uniform, 3, 8, 24));
     }
 
     #[test]

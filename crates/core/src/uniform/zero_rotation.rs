@@ -8,13 +8,15 @@
 //! straight out of the user's send buffer through `I`; received blocks are
 //! staged in the receive buffer itself (slot `j` is its own final home for
 //! uniform loads) and re-sent from there.
+//!
+//! The loop itself is the radix-`r` one in
+//! [`crate::zero_rotation_bruck_radix`]; the paper's algorithm is its `r = 2`
+//! point.
 
-use bruck_comm::{CommResult, Communicator, MsgBuf};
+use bruck_comm::{CommResult, Communicator};
 
-use super::validate_uniform;
-use crate::common::{add_mod, ceil_log2, rotation_index, step_rel_indices, sub_mod, uniform_step_tag};
-use crate::phases::{timed, PhaseTimes};
-use crate::probe::span;
+use crate::phases::PhaseTimes;
+use crate::radix::zero_rotation_bruck_radix_timed;
 
 /// Zero Rotation Bruck with explicit `memcpy` buffer management.
 pub fn zero_rotation_bruck<C: Communicator + ?Sized>(
@@ -34,59 +36,7 @@ pub fn zero_rotation_bruck_timed<C: Communicator + ?Sized>(
     recvbuf: &mut [u8],
     block: usize,
 ) -> CommResult<PhaseTimes> {
-    let p = validate_uniform(comm, sendbuf, recvbuf, block)?;
-    let me = comm.rank();
-    let mut t = PhaseTimes::default();
-
-    // Phase 1 — O(P) rotation index array instead of an O(P·n) data rotation.
-    let rot = timed(&mut t.setup, || {
-        let _probe = span("zero_rotation.setup");
-        rotation_index(me, p)
-    });
-
-    timed(&mut t.comm, || -> CommResult<()> {
-        // received[j]: slot j's current data lives in recvbuf (it has been
-        // received in an earlier step) rather than in sendbuf[I[j]].
-        let mut received = vec![false; p];
-        for k in 0..ceil_log2(p) {
-            let _probe = span("zero_rotation.step");
-            let hop = 1usize << k;
-            let dest = sub_mod(me, hop, p);
-            let src = add_mod(me, hop, p);
-            // Per-step pack is the only copy; the wire region moves to the
-            // transport as a `MsgBuf` without another allocation.
-            let mut wire = Vec::new();
-            for i in step_rel_indices(p, k) {
-                let abs = add_mod(i, me, p);
-                let from = if received[abs] {
-                    &recvbuf[abs * block..(abs + 1) * block]
-                } else {
-                    let orig = rot[abs] * block;
-                    &sendbuf[orig..orig + block]
-                };
-                wire.extend_from_slice(from);
-            }
-            let got = comm.sendrecv_buf(
-                dest,
-                uniform_step_tag(k),
-                MsgBuf::from_vec(wire),
-                src,
-                uniform_step_tag(k),
-            )?;
-            let mut at = 0;
-            for i in step_rel_indices(p, k) {
-                let abs = add_mod(i, me, p);
-                recvbuf[abs * block..(abs + 1) * block].copy_from_slice(&got[at..at + block]);
-                received[abs] = true;
-                at += block;
-            }
-        }
-        // The self block never travels: I[p] = p.
-        recvbuf[me * block..(me + 1) * block]
-            .copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
-        Ok(())
-    })?;
-    Ok(t)
+    zero_rotation_bruck_radix_timed(comm, sendbuf, recvbuf, block, 2)
 }
 
 #[cfg(test)]

@@ -17,12 +17,13 @@ pub fn radix_schedule(p: usize, radix: usize) -> Vec<(u32, usize, usize)> {
     let mut idx = 0u32;
     while weight < p {
         for d in 1..radix {
-            if d * weight < p {
-                steps.push((idx, weight, d));
-                idx += 1;
+            if d.saturating_mul(weight) >= p {
+                break; // no larger digit moves anything, however large the radix
             }
+            steps.push((idx, weight, d));
+            idx += 1;
         }
-        weight *= radix;
+        weight = weight.saturating_mul(radix);
     }
     steps
 }

@@ -54,18 +54,10 @@ use crate::{calibrate, fit_error, FitSample, MachineModel, NonuniformAlgo};
 /// Radix-`r` schedule shape at `p` ranks: `(sub_steps, phases)` —
 /// `(r−1)·⌈log_r P⌉` communication sub-steps, `⌈log_r P⌉` forwards per block.
 fn schedule_shape(p: usize, radix: usize) -> (f64, f64) {
-    let mut weight = 1usize;
-    let (mut steps, mut phases) = (0usize, 0usize);
-    while weight < p {
-        for d in 1..radix {
-            if d * weight < p {
-                steps += 1;
-            }
-        }
-        phases += 1;
-        weight = weight.saturating_mul(radix);
-    }
-    (steps as f64, phases as f64)
+    let schedule = crate::radix::radix_schedule(p, radix);
+    // Every phase opens with its digit-1 sub-step.
+    let phases = schedule.iter().filter(|&&(_, _, d)| d == 1).count();
+    (schedule.len() as f64, phases as f64)
 }
 
 /// α-cost of the sizing allreduce (recursive doubling: ~2·log₂P exchanges).

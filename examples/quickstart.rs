@@ -3,7 +3,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use bruck_comm::{Communicator, ThreadComm};
-use bruck_core::{packed_displs, two_phase_bruck};
+use bruck_core::{configurable_alltoallv, packed_displs, EngineConfig};
 
 fn main() {
     const P: usize = 8;
@@ -25,8 +25,10 @@ fn main() {
         let rdispls = packed_displs(&recvcounts);
         let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
 
-        two_phase_bruck(
-            comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
+        // Two-phase Bruck is a named point of the engine's knob space.
+        let cfg = EngineConfig::as_two_phase();
+        configurable_alltoallv(
+            comm, &cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
         )
         .expect("exchange failed");
 

@@ -4,29 +4,48 @@
 set -eu
 cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
-cargo build --workspace --release
-cargo test --workspace -q
+
+# stage "<name>" cmd...: run one gate stage, print its wall time, and keep a
+# row for the summary table printed when the script exits (also on failure,
+# so a red gate still shows where the time went).
+stage_rows=""
+stage() {
+    stage_name=$1
+    shift
+    stage_t0=$(date +%s)
+    stage_status=ok
+    "$@" || stage_status="FAILED ($?)"
+    stage_row=$(printf '%-24s %5ss  %s' "$stage_name" "$(( $(date +%s) - stage_t0 ))" "$stage_status")
+    echo "verify: stage $stage_row"
+    stage_rows="$stage_rows
+  $stage_row"
+    [ "$stage_status" = ok ]
+}
+trap 'echo; echo "verify: wall time per stage$stage_rows"' EXIT
+
+stage build cargo build --workspace --release
+stage test cargo test --workspace -q
 # Observability conformance gate (DESIGN.md §10): every algorithm × workload
 # cell under MeteredComm must match the closed-form model's phase counts,
 # message counts, and byte volumes.
-cargo test --release -q --test conformance
+stage conformance cargo test --release -q --test conformance
 # Collective-family gate (DESIGN.md §16): the differential gauntlet — every
 # allgatherv / reduce_scatter / allreduce schedule vs the naive reference,
 # byte-identical across ThreadComm/SimComm/EventComm, schedule-independent
 # over 16 sim seeds, and message/byte-exact against the closed-form model
 # traces (a miscounted trace must fail with a precise diagnostic) — plus the
 # seeded property sweep over arbitrary non-uniform counts.
-cargo test --release -q --test collectives_gauntlet
-cargo test --release -q --test collectives_properties
+stage collectives-gauntlet cargo test --release -q --test collectives_gauntlet
+stage collectives-properties cargo test --release -q --test collectives_properties
 # Static gates (DESIGN.md §8): source lint with audited allowlist, then the
 # protocol-analysis matrix (every algorithm × workload under the model
 # communicator). Both exit non-zero on any unallowlisted finding.
-cargo run --release -p bruck-check --bin bruck-lint
-cargo run --release -p bruck-check --bin bruck-check
+stage bruck-lint cargo run --release -p bruck-check --bin bruck-lint
+stage bruck-check cargo run --release -p bruck-check --bin bruck-check
 # Dynamic fault-tolerance gate (DESIGN.md §9): the algorithm × fault-plan
 # soak matrix under a watchdog, asserting the crash-only property. Seeds can
 # be overridden with BRUCK_CHAOS_SEEDS=1,2,3.
-cargo run --release -p bruck-check --bin bruck-chaos -- --smoke
+stage chaos-smoke cargo run --release -p bruck-check --bin bruck-chaos -- --smoke
 # Self-healing recovery gate (DESIGN.md §14): every alltoallv algorithm ×
 # crash phase class (negotiate/pack/data/unpack) on a 5-rank simulated world
 # with a scripted victim, driving detect -> agree -> shrink -> retry to a
@@ -35,13 +54,13 @@ cargo run --release -p bruck-check --bin bruck-chaos -- --smoke
 # committed BENCH_PR8.json (> 1.6x drift advisory, > 8x fails; MTTR is
 # virtual-time, so drift means the protocol itself changed). Regenerate with:
 #   cargo run --release -p bruck-check --bin bruck-chaos -- --recovery-smoke --out BENCH_PR8.json
-cargo run --release -p bruck-check --bin bruck-chaos -- --recovery-smoke --check-against BENCH_PR8.json
+stage recovery-smoke cargo run --release -p bruck-check --bin bruck-chaos -- --recovery-smoke --check-against BENCH_PR8.json
 # Deterministic-simulation gate (DESIGN.md §11): the algorithm × workload ×
 # schedule-seed matrix under the cooperative SimComm scheduler. Every cell
 # runs twice and must produce byte-identical traces and results; on failure
 # the report prints the seed plus a saved trace file under target/bruck-sim/
 # and the one-command replay.
-cargo run --release -p bruck-check --bin bruck-sim -- --smoke
+stage sim-smoke cargo run --release -p bruck-check --bin bruck-sim -- --smoke
 # Exhaustive-interleaving gate (DESIGN.md §13): DPOR over SimComm walks every
 # inequivalent schedule of the tiny-world matrix (the report prints explored
 # vs. inequivalent vs. naive counts per cell and requires >=10x pruning),
@@ -49,12 +68,12 @@ cargo run --release -p bruck-check --bin bruck-sim -- --smoke
 # of the protocol scenarios against the vector-clock invariants. The second
 # run arms the seeded lost-wakeup bug and fails unless the auditor finds it
 # and shrinks the witness.
-cargo run --release -p bruck-check --bin bruck-verify -- --smoke
-cargo run --release -p bruck-check --bin bruck-verify -- --with-bug
+stage verify-smoke cargo run --release -p bruck-check --bin bruck-verify -- --smoke
+stage verify-with-bug cargo run --release -p bruck-check --bin bruck-verify -- --with-bug
 # Bench smoke with observability artifacts: BENCH_PR4.json (per-cell report,
 # metering overhead advisory) and BENCH_PR4.trace.json (chrome trace_events).
 # Exits non-zero on any metering consistency error.
-cargo run --release -p bruck-bench --bin smoke -- BENCH_PR4.json BENCH_PR4.trace.json
+stage bench-smoke cargo run --release -p bruck-bench --bin smoke -- BENCH_PR4.json BENCH_PR4.trace.json
 # Event-runtime scale gate (DESIGN.md §12): the P = 4096 log-phase cells on
 # EventComm's bounded worker pool, compared against the committed artifact.
 # A cell > 1.6x slower than BENCH_PR6.json prints an advisory; > 8x fails —
@@ -62,11 +81,12 @@ cargo run --release -p bruck-bench --bin smoke -- BENCH_PR4.json BENCH_PR4.trace
 # reintroduced on the deposit path), not shared-CI wall-clock noise. The
 # committed artifact itself is regenerated with:
 #   cargo run --release -p bruck-bench --bin bruck-scale -- --out BENCH_PR6.json
-cargo run --release -p bruck-bench --bin bruck-scale -- --smoke --check-against BENCH_PR6.json
+stage scale-smoke cargo run --release -p bruck-bench --bin bruck-scale -- --smoke --check-against BENCH_PR6.json
 # Auto-tuner gate (DESIGN.md §15): the configurable engine's candidate set on
-# EventComm (production snap-dispatch entry point inside the measurement),
+# EventComm (the one engine entry point, `configurable_alltoallv`, inside the
+# measurement),
 # wall clocks fed through the observe -> refit -> select state machine, each
 # cell compared to the committed BENCH_PR9.json with the same advisory/fatal
 # bars as bruck-scale. The committed artifact and tuning table regenerate with:
 #   cargo run --release -p bruck-bench --bin bruck-tune -- --smoke --out BENCH_PR9.json --table tuning.table
-cargo run --release -p bruck-bench --bin bruck-tune -- --smoke --check-against BENCH_PR9.json
+stage tune-smoke cargo run --release -p bruck-bench --bin bruck-tune -- --smoke --check-against BENCH_PR9.json

@@ -1,31 +1,22 @@
-//! The differential test gauntlet: the configurable engine at each named
-//! config point must be **byte-identical** and **schedule-count-identical**
-//! to the legacy variant it subsumes.
+//! The engine's evidence: at each named config point the configurable engine
+//! must put **the paper's schedule** on the wire and deliver **the oracle's
+//! bytes**.
 //!
-//! Three layers of evidence, per (algorithm × distribution × world size):
+//! Two layers, per (algorithm × distribution × world size):
 //!
-//! 1. **Metered differential on ThreadComm** — legacy variant and
-//!    `configurable_alltoallv_general` (no snapping) run back-to-back under
-//!    separate [`MeteredComm`]s: receive buffers, per-tag send counters
-//!    (messages *and* bytes), per-peer counters, and both channel totals
-//!    (logical + reserved, i.e. allreduce traffic) must agree exactly.
-//! 2. **Closed-form schedule counts** — the general engine's per-tag metered
-//!    counts must equal `bruck-model`'s byte-exact trace predictions
-//!    ([`nonuniform_trace`]), the same oracle `tests/trace_validation.rs`
-//!    holds the legacy variants to. Equality against the *model*, not just
-//!    the sibling implementation, is what makes the engine's schedule
-//!    provably the paper's.
-//! 3. **Cross-backend byte identity** — legacy vs general receive buffers on
-//!    [`SimComm`] (two schedule seeds) and [`EventComm`].
-//!
-//! The snap path itself (`configurable_alltoallv`) is covered by the engine
-//! unit tests; everything here exercises the generalized machinery.
-
-use std::collections::BTreeMap;
+//! 1. **Closed-form schedule counts** — the engine's per-tag metered counts
+//!    (messages *and* bytes, under [`MeteredComm`] on ThreadComm) must equal
+//!    `bruck-model`'s byte-exact trace predictions ([`nonuniform_trace`]),
+//!    and nothing may travel on a tag the trace does not predict. Equality
+//!    against the *model*, not a sibling implementation, is what makes the
+//!    engine's schedule provably the paper's.
+//! 2. **Oracle byte identity** — the receive buffers must equal
+//!    [`reference_alltoallv`]'s on ThreadComm, [`SimComm`] (two schedule
+//!    seeds) and [`EventComm`].
 
 use bruck_comm::{Communicator, EventComm, MeteredComm, Metrics, SimComm, ThreadComm};
 use bruck_core::{
-    alltoallv, configurable_alltoallv_general, packed_displs, AlltoallvAlgorithm, EngineConfig,
+    configurable_alltoallv, packed_displs, reference_alltoallv, AlltoallvAlgorithm, EngineConfig,
 };
 use bruck_model::{nonuniform_trace, MatrixSource, NonuniformAlgo, RankSample};
 use bruck_workload::{Distribution, SizeMatrix};
@@ -48,63 +39,30 @@ fn send_side(me: usize, m: &SizeMatrix) -> (Vec<u8>, Vec<usize>, Vec<usize>) {
     (sendbuf, sendcounts, sdispls)
 }
 
-/// Run the legacy variant on `comm`; return the receive buffer.
-fn run_legacy<C: Communicator + ?Sized>(
-    comm: &C,
-    algo: AlltoallvAlgorithm,
-    m: &SizeMatrix,
-) -> Vec<u8> {
+/// Run the pairwise oracle on `comm`; return the receive buffer.
+fn run_oracle<C: Communicator + ?Sized>(comm: &C, m: &SizeMatrix) -> Vec<u8> {
     let me = comm.rank();
     let (sendbuf, sendcounts, sdispls) = send_side(me, m);
     let recvcounts = m.recvcounts(me);
     let rdispls = packed_displs(&recvcounts);
     let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-    alltoallv(algo, comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls)
-        .unwrap_or_else(|e| panic!("rank {me}: legacy {} failed: {e}", algo.name()));
+    reference_alltoallv(comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls)
+        .unwrap_or_else(|e| panic!("rank {me}: oracle failed: {e}"));
     recvbuf
 }
 
-/// Run the generalized engine (no snapping) on `comm`; return the receive
-/// buffer.
-fn run_general<C: Communicator + ?Sized>(
-    comm: &C,
-    cfg: &EngineConfig,
-    m: &SizeMatrix,
-) -> Vec<u8> {
+/// Run the engine on `comm`; return the receive buffer.
+fn run_engine<C: Communicator + ?Sized>(comm: &C, cfg: &EngineConfig, m: &SizeMatrix) -> Vec<u8> {
     let me = comm.rank();
     let (sendbuf, sendcounts, sdispls) = send_side(me, m);
     let recvcounts = m.recvcounts(me);
     let rdispls = packed_displs(&recvcounts);
     let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-    configurable_alltoallv_general(
+    configurable_alltoallv(
         comm, cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
     )
     .unwrap_or_else(|e| panic!("rank {me}: engine {} failed: {e}", cfg.key()));
     recvbuf
-}
-
-/// The schedule-relevant projection of a metrics snapshot: everything
-/// deterministic under scheduling (counts and bytes, no in-flight gauges or
-/// wait histograms).
-#[derive(Debug, PartialEq)]
-struct Schedule {
-    logical: (u64, u64, u64, u64),
-    reserved: (u64, u64, u64, u64),
-    per_peer: Vec<(u64, u64, u64, u64)>,
-    per_tag_sent: BTreeMap<u32, (u64, u64)>,
-}
-
-fn schedule_of(m: &Metrics) -> Schedule {
-    Schedule {
-        logical: (m.logical.sent_msgs, m.logical.sent_bytes, m.logical.recv_msgs, m.logical.recv_bytes),
-        reserved: (m.reserved.sent_msgs, m.reserved.sent_bytes, m.reserved.recv_msgs, m.reserved.recv_bytes),
-        per_peer: m
-            .per_peer
-            .iter()
-            .map(|c| (c.sent_msgs, c.sent_bytes, c.recv_msgs, c.recv_bytes))
-            .collect(),
-        per_tag_sent: m.per_tag_sent.iter().map(|(&t, c)| (t, (c.msgs, c.bytes))).collect(),
-    }
 }
 
 /// The named points paired with the model's trace generators (Reference has
@@ -124,49 +82,37 @@ const MODELED_PAIRS: [(AlltoallvAlgorithm, NonuniformAlgo); 8] = [
 const DISTS: [Distribution; 3] =
     [Distribution::Uniform, Distribution::Normal, Distribution::POWER_LAW_STEEP];
 
-/// Layer 1: metered differential for one cell. Returns the general engine's
-/// per-rank metrics for layer 2's closed-form check.
+/// One ThreadComm cell: the engine under a [`MeteredComm`] next to the
+/// oracle. Asserts byte identity and returns the engine's per-rank metrics
+/// for the closed-form check.
 fn metered_cell(algo: AlltoallvAlgorithm, m: &SizeMatrix) -> Vec<Metrics> {
     let cfg = EngineConfig::for_algorithm(algo);
     let p = m.p();
     let results = ThreadComm::run(p, |comm| {
-        let legacy_meter = MeteredComm::new(comm);
-        let legacy_recv = run_legacy(&legacy_meter, algo, m);
-        let general_meter = MeteredComm::with_key(comm, cfg.key());
-        let general_recv = run_general(&general_meter, &cfg, m);
-        (legacy_recv, general_recv, legacy_meter.metrics(), general_meter.metrics())
+        let want = run_oracle(comm, m);
+        let meter = MeteredComm::with_key(comm, cfg.key());
+        let got = run_engine(&meter, &cfg, m);
+        (want, got, meter.metrics())
     });
-    let mut general_metrics = Vec::with_capacity(p);
-    for (rank, (legacy_recv, general_recv, legacy, general)) in results.into_iter().enumerate() {
-        assert_eq!(
-            legacy_recv,
-            general_recv,
-            "{} rank {rank}: receive buffers diverge (P={p})",
-            algo.name()
-        );
-        assert_eq!(
-            schedule_of(&legacy),
-            schedule_of(&general),
-            "{} rank {rank}: wire schedules diverge (P={p})",
-            algo.name()
-        );
-        assert!(general.consistency_errors().is_empty(), "{:?}", general.consistency_errors());
-        assert_eq!(general.key.as_deref(), Some(cfg.key().as_str()));
-        general_metrics.push(general);
+    let mut metrics = Vec::with_capacity(p);
+    for (rank, (want, got, mm)) in results.into_iter().enumerate() {
+        assert_eq!(got, want, "{} rank {rank}: bytes differ from the oracle (P={p})", algo.name());
+        assert!(mm.consistency_errors().is_empty(), "{:?}", mm.consistency_errors());
+        assert_eq!(mm.key.as_deref(), Some(cfg.key().as_str()));
+        metrics.push(mm);
     }
-    general_metrics
+    metrics
 }
 
 /// Algorithms whose traces are *message-exact* (one modeled message per
 /// real message). The hierarchical and Ranka traces aggregate fan-out
-/// rounds into single loads — their per-tag **bytes** are still exact, and
-/// layer 1 already proves engine↔legacy message-count identity for them.
+/// rounds into single loads — their per-tag **bytes** are still exact.
 fn trace_is_message_exact(algo: NonuniformAlgo) -> bool {
     !matches!(algo, NonuniformAlgo::Hierarchical | NonuniformAlgo::RankaTwoStage)
 }
 
-/// Layer 2: the general engine's metered per-tag counts must equal the
-/// model's closed-form trace for the algorithm it claims to reproduce.
+/// The engine's metered per-tag counts must equal the model's closed-form
+/// trace for the algorithm the config is a named point of.
 fn check_against_model(model_algo: NonuniformAlgo, m: &SizeMatrix, metrics: &[Metrics]) {
     let p = m.p();
     let trace = nonuniform_trace(model_algo, &MatrixSource(m), &RankSample::all(p));
@@ -204,11 +150,11 @@ fn check_against_model(model_algo: NonuniformAlgo, m: &SizeMatrix, metrics: &[Me
 }
 
 #[test]
-fn engine_matches_legacy_and_model_on_thread_comm() {
+fn engine_matches_model_and_oracle_on_thread_comm() {
     for p in [5usize, 8, 12] {
         for (di, dist) in DISTS.iter().enumerate() {
             let m = SizeMatrix::generate(*dist, 0x9E00 + (di * 31 + p) as u64, p, 48);
-            // Reference: byte + schedule identity only (no model trace).
+            // Reference *is* the oracle: byte identity only (no model trace).
             metered_cell(AlltoallvAlgorithm::Reference, &m);
             for (algo, model_algo) in MODELED_PAIRS {
                 let metrics = metered_cell(algo, &m);
@@ -219,7 +165,7 @@ fn engine_matches_legacy_and_model_on_thread_comm() {
 }
 
 #[test]
-fn engine_matches_legacy_with_empty_and_skewed_blocks() {
+fn engine_matches_model_and_oracle_with_empty_and_skewed_blocks() {
     // Degenerate shapes: all-zero, single nonzero block, heavy skew.
     let zero = SizeMatrix::uniform(8, 0);
     let mut single = vec![vec![0usize; 8]; 8];
@@ -233,10 +179,10 @@ fn engine_matches_legacy_with_empty_and_skewed_blocks() {
         metered_cell(AlltoallvAlgorithm::Reference, m);
         for (algo, model_algo) in MODELED_PAIRS {
             let metrics = metered_cell(algo, m);
-            // The implementations short-circuit all sends when the global
+            // The padded family short-circuits every send when the global
             // maximum block is zero; the trace models the full schedule
-            // (zero-byte messages). Legacy↔engine identity is still asserted
-            // above; skip only the trace comparison for the all-zero matrix.
+            // (zero-byte messages). Oracle identity is still asserted above;
+            // skip only the trace comparison for the all-zero matrix.
             if m.global_max() > 0 {
                 check_against_model(model_algo, m, &metrics);
             }
@@ -245,32 +191,26 @@ fn engine_matches_legacy_with_empty_and_skewed_blocks() {
 }
 
 #[test]
-fn engine_byte_identical_on_sim_comm_across_seeds() {
+fn engine_byte_identical_to_oracle_on_sim_comm_across_seeds() {
     for p in [5usize, 8] {
         let m = SizeMatrix::generate(Distribution::Normal, 0x51D0 + p as u64, p, 32);
-        for (cfg, algo) in EngineConfig::named_points() {
-            for seed in [1u64, 0xFEED] {
-                let legacy = SimComm::run(p, seed, |comm| run_legacy(comm, algo, &m)).results;
-                let general = SimComm::run(p, seed, |comm| run_general(comm, &cfg, &m)).results;
-                assert_eq!(
-                    legacy,
-                    general,
-                    "{} vs {} on SimComm seed {seed} (P={p})",
-                    algo.name(),
-                    cfg.key()
-                );
+        for seed in [1u64, 0xFEED] {
+            let want = SimComm::run(p, seed, |comm| run_oracle(comm, &m)).results;
+            for (cfg, _) in EngineConfig::named_points() {
+                let got = SimComm::run(p, seed, |comm| run_engine(comm, &cfg, &m)).results;
+                assert_eq!(got, want, "{} on SimComm seed {seed} (P={p})", cfg.key());
             }
         }
     }
 }
 
 #[test]
-fn engine_byte_identical_on_event_comm() {
+fn engine_byte_identical_to_oracle_on_event_comm() {
     let p = 12;
     let m = SizeMatrix::generate(Distribution::POWER_LAW_STEEP, 0xE7E7, p, 40);
-    for (cfg, algo) in EngineConfig::named_points() {
-        let legacy = EventComm::run_pooled(p, 3, |comm| run_legacy(comm, algo, &m));
-        let general = EventComm::run_pooled(p, 3, |comm| run_general(comm, &cfg, &m));
-        assert_eq!(legacy, general, "{} vs {} on EventComm (P={p})", algo.name(), cfg.key());
+    let want = EventComm::run_pooled(p, 3, |comm| run_oracle(comm, &m));
+    for (cfg, _) in EngineConfig::named_points() {
+        let got = EventComm::run_pooled(p, 3, |comm| run_engine(comm, &cfg, &m));
+        assert_eq!(got, want, "{} on EventComm (P={p})", cfg.key());
     }
 }

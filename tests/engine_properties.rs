@@ -20,7 +20,7 @@ use bruck_core::common::{
     RANKA_STAGE1_TAG, RANKA_STAGE2_TAG, SPREAD_TAG,
 };
 use bruck_core::{
-    configurable_alltoallv_general, packed_displs, EngineConfig, EngineTopology,
+    configurable_alltoallv, packed_displs, EngineConfig, EngineTopology,
     IntermediateLayout, PaddingRule,
 };
 use bruck_workload::{Distribution, SizeMatrix};
@@ -152,7 +152,7 @@ fn run_world(cfg: EngineConfig, m: &SizeMatrix) -> Vec<(Vec<u8>, Metrics)> {
         let recvcounts = m.recvcounts(me);
         let rdispls = packed_displs(&recvcounts);
         let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-        configurable_alltoallv_general(
+        configurable_alltoallv(
             &metered, &cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
         )
         .unwrap_or_else(|e| panic!("rank {me}: engine {} failed: {e}", cfg.key()));

@@ -2,17 +2,24 @@
 //! plus schedule agreement between `bruck-core` and `bruck-model`.
 
 use bruck_comm::{Communicator, CountingComm, SentRecord, ThreadComm};
-use bruck_core::{packed_displs, two_phase_bruck_radix, zero_rotation_bruck_radix};
+use bruck_core::{
+    configurable_alltoallv, packed_displs, zero_rotation_bruck_radix, EngineConfig,
+};
 use bruck_model::{
     radix_trace_schedule, two_phase_radix_trace, zero_rotation_radix_trace, MatrixSource,
     RankSample,
 };
 use bruck_workload::{Distribution, SizeMatrix};
 
+/// Two-phase Bruck at radix `r`: the named point with one knob turned.
+fn two_phase_radix(radix: usize) -> EngineConfig {
+    EngineConfig { radix, ..EngineConfig::as_two_phase() }
+}
+
 #[test]
 fn core_and_model_radix_schedules_agree() {
     for p in [2usize, 5, 16, 27, 100] {
-        for radix in [2usize, 3, 4, 8] {
+        for radix in [2usize, 3, 4, 8, 1 << 40, usize::MAX] {
             assert_eq!(
                 bruck_core::radix_schedule(p, radix),
                 radix_trace_schedule(p, radix),
@@ -41,9 +48,9 @@ fn radix_two_phase_traces_predict_wire_bytes_exactly() {
                 let recvcounts = m.recvcounts(me);
                 let rdispls = packed_displs(&recvcounts);
                 let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-                two_phase_bruck_radix(
-                    &counting, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts,
-                    &rdispls, radix,
+                configurable_alltoallv(
+                    &counting, &two_phase_radix(radix), &sendbuf, &sendcounts, &sdispls,
+                    &mut recvbuf, &recvcounts, &rdispls,
                 )
                 .unwrap();
                 counting.log()
@@ -104,8 +111,9 @@ fn radix_output_equals_binary_output() {
             let recvcounts = m.recvcounts(me);
             let rdispls = packed_displs(&recvcounts);
             let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-            two_phase_bruck_radix(
-                comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls, radix,
+            configurable_alltoallv(
+                comm, &two_phase_radix(radix), &sendbuf, &sendcounts, &sdispls, &mut recvbuf,
+                &recvcounts, &rdispls,
             )
             .unwrap();
             recvbuf
