@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use bruck_bench::harness::BenchGroup;
-use bruck_comm::{Communicator, CountingComm, MsgBuf, ReduceOp, Tag, ThreadComm};
+use bruck_comm::{Communicator, MeteredComm, MsgBuf, ReduceOp, Tag, ThreadComm};
 use bruck_core::{alltoallv, packed_displs, AlltoallvAlgorithm};
 use bruck_datatype::IndexedBlocks;
 use bruck_workload::{Distribution, SizeMatrix};
@@ -163,7 +163,7 @@ fn region_spread_out<C: Communicator + ?Sized>(
 /// Large-message all-to-all: the `MsgBuf` path (pack once, send refcounted
 /// views) against the compat path (copy every message), plus the prepacked
 /// steady state (region built once, zero copies per exchange). Also prints
-/// the copied-byte totals measured under `CountingComm`, which is the
+/// the copied-byte totals measured by `MeteredComm`'s copy class, which is the
 /// point: same wire traffic, far fewer bytes copied, no slowdown.
 fn bench_alltoallv_copy_paths() {
     let p = 16;
@@ -171,7 +171,7 @@ fn bench_alltoallv_copy_paths() {
     let m = SizeMatrix::generate(Distribution::Uniform, 11, p, n);
 
     // Copied-byte audit (untimed, one run each).
-    let audits: Vec<(usize, usize)> = ThreadComm::run(p, |comm| {
+    let audits: Vec<(u64, u64)> = ThreadComm::run(p, |comm| {
         let me = comm.rank();
         let sendcounts = m.sendcounts(me);
         let sdispls = packed_displs(&sendcounts);
@@ -180,7 +180,7 @@ fn bench_alltoallv_copy_paths() {
         let rdispls = packed_displs(&recvcounts);
         let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
 
-        let counting = CountingComm::new(comm);
+        let counting = MeteredComm::new(comm);
         compat_spread_out(
             &counting, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
         );
@@ -200,8 +200,8 @@ fn bench_alltoallv_copy_paths() {
         let msgbuf_copied = counting.bytes_copied();
         (compat_copied, msgbuf_copied)
     });
-    let compat_total: usize = audits.iter().map(|a| a.0).sum();
-    let msgbuf_total: usize = audits.iter().map(|a| a.1).sum();
+    let compat_total: u64 = audits.iter().map(|a| a.0).sum();
+    let msgbuf_total: u64 = audits.iter().map(|a| a.1).sum();
     println!(
         "\n== alltoallv_large (P={p}, N={n}) ==\n\
          bytes copied on the send side: compat path {compat_total}, MsgBuf path {msgbuf_total}"

@@ -4,12 +4,12 @@
 //!
 //! * **Chrome trace** ([`chrome_trace_json`]) — the `trace_events` format
 //!   understood by `chrome://tracing` and Perfetto. Every
-//!   [`PhaseEvent`](bruck_core::probe::PhaseEvent) from the `bruck-core`
+//!   [`PhaseEvent`] from the `bruck-core`
 //!   span layer becomes a complete (`"ph": "X"`) slice; ranks map to
 //!   threads (`tid`), bench cells to processes (`pid`).
 //! * **Bench report** ([`bench_report_json`]) — the `BENCH_PR4.json`
 //!   artifact: one record per smoke-matrix cell with bare vs metered
-//!   wall-clock and the aggregated [`Metrics`] channel totals.
+//!   wall-clock and the aggregated [`bruck_comm::Metrics`] channel totals.
 //!
 //! [`measure_metered`] is the producer: it times an algorithm bare (via
 //! [`crate::time_alltoallv`]) and again under [`MeteredComm`], then runs one

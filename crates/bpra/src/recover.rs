@@ -101,7 +101,7 @@ pub struct RecoveringTcResult {
 /// epochs over a shrinking survivor view. Every rank passes the same full
 /// edge list; node ids `>= u64::MAX - 1` are reserved for control tuples.
 /// Crashed or evicted ranks get a typed error; survivors return the closure
-/// over the final view. See the [module docs](self).
+/// over the final view. See the module docs.
 pub fn recovering_closure<C: Communicator + ?Sized>(
     comm: &C,
     cfg: &RecoveringConfig,

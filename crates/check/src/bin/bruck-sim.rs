@@ -11,7 +11,7 @@
 //! delta-debugging shrinker minimizes it, and the report prints the seed,
 //! the trace paths, and the one-command replay:
 //!
-//!   bruck-sim --replay target/bruck-sim/<cell>.trace
+//!   `bruck-sim --replay target/bruck-sim/<cell>.trace`
 //!
 //! Usage:
 //!   bruck-sim [--smoke] [--replay FILE]

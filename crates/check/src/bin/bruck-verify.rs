@@ -17,7 +17,7 @@
 //! On any violation the witness schedule is saved, ddmin-minimized, and the
 //! one-command replay is printed:
 //!
-//!   bruck-verify --replay target/bruck-verify/<name>.trace
+//!   `bruck-verify --replay target/bruck-verify/<name>.trace`
 //!
 //! Usage:
 //!   bruck-verify [--smoke] [--replay FILE] [--with-bug]

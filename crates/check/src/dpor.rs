@@ -6,7 +6,7 @@
 //!
 //! `bruck-sim` *samples* the schedule space with seeds; this module
 //! *exhausts* it for tiny worlds. A [`VerifyCell`] wraps a
-//! [`SimCell`](crate::sim_matrix::SimCell) and the explorer enumerates every
+//! [`SimCell`] and the explorer enumerates every
 //! Mazurkiewicz-inequivalent interleaving of its scheduling points
 //! (classic Flanagan–Godefroid stateless DPOR: depth-first replay from
 //! schedule prefixes, backtrack sets derived from the dependency relation,

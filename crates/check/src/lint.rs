@@ -18,9 +18,9 @@
 //!   flags that gate memory publication are unsound, so every relaxed use
 //!   must be audited into the allowlist.
 //! * `no-relaxed-rmw` — a `.load(Ordering::Relaxed)` followed shortly by a
-//!   `.store(` on the same receiver: a non-atomic read-modify-write (the
-//!   exact lost-update bug once present in `ChaosComm::jitter`); use
-//!   `fetch_update`/`fetch_add` instead.
+//!   `.store(` on the same receiver: a non-atomic read-modify-write (a
+//!   lost update when two threads interleave; the `detects_relaxed_rmw_pair`
+//!   fixture below is the pattern); use `fetch_update`/`fetch_add` instead.
 //! * `no-unsafe` — the `unsafe` keyword anywhere: the workspace is safe Rust
 //!   except the audited block(s) listed in the allowlist and DESIGN.md.
 //! * `no-adhoc-instant` — `Instant::now()` in `crates/core` outside
@@ -379,7 +379,7 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<LintFinding>) {
                 // Same core/comm scope as the determinism rules: a
                 // discarded Result from a communication call swallows the
                 // failure evidence the recovery stack runs on.
-                const COMM_CALLS: [&str; 11] = [
+                const COMM_CALLS: [&str; 10] = [
                     ".send_buf(",
                     ".recv_buf(",
                     ".recv_into(",
@@ -389,7 +389,6 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<LintFinding>) {
                     ".barrier(",
                     ".allreduce_u64(",
                     ".allgather_u64(",
-                    ".bcast_bytes(",
                     ".alltoall_counts(",
                 ];
                 if COMM_CALLS.iter().any(|c| san.contains(c)) {

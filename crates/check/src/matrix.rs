@@ -19,7 +19,7 @@
 
 use std::sync::Mutex;
 
-use bruck_comm::{Communicator, ExchangePlan, ReduceOp, VectorCollectives};
+use bruck_comm::{Communicator, ExchangePlan, ReduceOp};
 use bruck_core::{
     allgatherv, allreduce, alltoall, alltoallv, configurable_alltoallv, packed_displs,
     pattern_byte, pattern_u64, reduce_scatter, reference_allgatherv, reference_allreduce,
@@ -238,31 +238,6 @@ pub fn check_plan(algo: AlltoallvAlgorithm, m: &SizeMatrix, label: &str) -> Case
     CaseReport { name, findings }
 }
 
-/// Verify the ring allgatherv from `bruck-comm`'s [`VectorCollectives`].
-pub fn check_allgatherv(p: usize) -> CaseReport {
-    let name = format!("allgatherv/ring/p={p}");
-    let wrong: Mutex<Vec<Finding>> = Mutex::new(Vec::new());
-    let ext = extract(p, |comm| {
-        let me = comm.rank();
-        // Variable-length payload: rank r contributes r+1 pattern bytes.
-        let mine: Vec<u8> = (0..me + 1).map(|i| pattern(me, me, i)).collect();
-        let all = comm.allgatherv_bufs(bruck_comm::MsgBuf::from_vec(mine))?;
-        for (src, got) in all.iter().enumerate() {
-            let want: Vec<u8> = (0..src + 1).map(|i| pattern(src, src, i)).collect();
-            if got.as_slice() != want.as_slice() {
-                wrong.lock().unwrap_or_else(|e| e.into_inner()).push(Finding::WrongOutput {
-                    rank: me,
-                    detail: format!("allgatherv slot {src}: got {got:?}, want {want:?}"),
-                });
-            }
-        }
-        Ok(())
-    });
-    let mut findings = wrong.into_inner().unwrap_or_else(|e| e.into_inner());
-    findings.extend(analyze(&ext));
-    CaseReport { name, findings }
-}
-
 /// Per-rank contribution/segment counts for the collective-family cases:
 /// non-uniform with zero-sized segments sprinkled in.
 fn coll_counts(p: usize) -> Vec<usize> {
@@ -395,10 +370,6 @@ pub fn run_full_matrix() -> Vec<CaseReport> {
             reports.push(check_plan(algo, &m, "powerlaw"));
         }
     }
-    // Vector collectives.
-    for &p in &MATRIX_SIZES {
-        reports.push(check_allgatherv(p));
-    }
     // The collective family (DESIGN.md §16): every schedule at every size;
     // the reduce family additionally sweeps a non-commutative-looking pair
     // of operators to catch ordering bugs the Sum wrap would mask.
@@ -483,7 +454,7 @@ mod tests {
 
     #[test]
     fn allgatherv_case_is_clean() {
-        let r = check_allgatherv(6);
+        let r = check_collective_allgatherv(AllgathervAlgorithm::Ring, 6);
         assert!(r.is_clean(), "{}: {:?}", r.name, r.findings);
     }
 }

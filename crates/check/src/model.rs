@@ -35,6 +35,7 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 use bruck_comm::{
     BlockedOn, CommError, CommResult, Communicator, Event, EventKind, MsgBuf, MsgRecord, Schedule,
@@ -101,8 +102,8 @@ impl ModelWorld {
 
 /// The communicator handed to rank bodies under symbolic execution.
 ///
-/// Implements the full [`Communicator`] surface (collectives included, via
-/// the default methods) but never blocks: an unmatched receive returns
+/// Implements the nine [`Communicator`] primitives (collectives come with
+/// the provided methods) but never blocks: an unmatched receive returns
 /// [`CommError::WouldBlock`] instead.
 pub struct ModelComm {
     rank: usize,
@@ -265,6 +266,19 @@ impl Communicator for ModelComm {
         w.cursors[me] += 1;
         Ok(found)
     }
+
+    // The model is untimed: a receive either matches or parks the rank, so a
+    // deadline never expires, the clock stands still and sleeping is free.
+
+    fn recv_buf_timeout(&self, src: usize, tag: Tag, _timeout: Duration) -> CommResult<MsgBuf> {
+        self.recv_buf(src, tag)
+    }
+
+    fn now(&self) -> Duration {
+        Duration::ZERO
+    }
+
+    fn sleep(&self, _d: Duration) {}
 }
 
 /// How one rank's body ended under symbolic execution.
@@ -396,6 +410,56 @@ mod tests {
         assert!(ext.all_completed());
         assert_eq!(ext.schedule.messages.len(), 2);
         assert!(ext.schedule.unmatched_messages().is_empty());
+    }
+
+    #[test]
+    fn same_key_sends_match_fifo_and_overlap_in_flight() {
+        let ext = extract(2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 7, &[1, 2, 3])?;
+                comm.send(1, 7, &[4, 5])?;
+            } else {
+                assert_eq!(comm.probe(0, 9)?, None);
+                assert_eq!(comm.recv(0, 7)?, vec![1, 2, 3]);
+                assert_eq!(comm.recv(0, 7)?, vec![4, 5]);
+            }
+            Ok(())
+        });
+        let schedule = &ext.schedule;
+        assert_eq!(schedule.messages.len(), 2);
+        assert!(schedule.unmatched_messages().is_empty());
+        // FIFO matching: first send pairs with first recv (event 0 on rank 1
+        // is the probe).
+        assert_eq!(schedule.messages[0].payload, vec![1u8, 2, 3]);
+        assert_eq!(schedule.messages[0].recv_event, Some((1, 1)));
+        assert_eq!(schedule.messages[1].recv_event, Some((1, 2)));
+        // Back-to-back sends with no ack in between: the second was sent
+        // while the first could still be in flight.
+        assert!(schedule.concurrent_in_flight(0, 1));
+    }
+
+    #[test]
+    fn acknowledged_resend_is_not_concurrent() {
+        let ext = extract(2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 7, &[1])?;
+                comm.recv(1, 8)?; // ack: 1 received the first message
+                comm.send(1, 7, &[2])?;
+            } else {
+                comm.recv(0, 7)?;
+                comm.send(0, 8, &[])?;
+                comm.recv(0, 7)?;
+            }
+            Ok(())
+        });
+        let schedule = &ext.schedule;
+        let tag7: Vec<usize> =
+            (0..schedule.messages.len()).filter(|&i| schedule.messages[i].tag == 7).collect();
+        assert_eq!(tag7.len(), 2);
+        assert!(
+            !schedule.concurrent_in_flight(tag7[0], tag7[1]),
+            "the ack forces recv(first) to happen-before send(second)"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Seeded-bug regressions: prove `bruck-check` catches, with precise
-//! diagnostics, the two protocol-bug classes `ChaosComm` can only find by
-//! schedule lottery — tag collisions and deadlock cycles.
+//! diagnostics, the two protocol-bug classes timing perturbation on real
+//! threads can only find by schedule lottery — tag collisions and deadlock
+//! cycles.
 
 use bruck_check::analysis::{analyze, Finding};
 use bruck_check::model::extract;

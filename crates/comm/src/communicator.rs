@@ -1,18 +1,30 @@
 //! The [`Communicator`] trait: the narrow waist every algorithm is written
 //! against.
 //!
-//! A communicator gives a rank its identity (`rank`, `size`), tagged eager
-//! point-to-point transfers, and a small set of collectives implemented as
-//! default methods on top of point-to-point (so every backend — real threads,
-//! instrumented wrappers — gets them for free, with identical message
-//! schedules, which is what lets the cost model in `bruck-model` price them).
+//! The waist is **nine required primitives** — identity ([`Communicator::rank`],
+//! [`Communicator::size`]), tagged eager point-to-point
+//! ([`Communicator::send_buf`], [`Communicator::recv_buf`],
+//! [`Communicator::recv_into`], [`Communicator::recv_buf_timeout`],
+//! [`Communicator::probe`]) and the clock ([`Communicator::now`],
+//! [`Communicator::sleep`]). None has a default body: a backend or wrapper
+//! that omits one does not compile, so "which methods must a wrapper
+//! forward" is answered by the type checker, not by a doc comment.
 //!
-//! The *primitive* transfer operations move [`MsgBuf`] views
-//! ([`Communicator::send_buf`] / [`Communicator::recv_buf`]): handing a
-//! message to the runtime is a reference-count bump, never a payload copy.
-//! The `&[u8]`/`Vec<u8>` forms ([`Communicator::send`],
-//! [`Communicator::recv`], …) are thin compat wrappers that pack into /
-//! unpack out of a `MsgBuf` — one copy on send, usually zero on receive.
+//! Everything else — the `&[u8]`/`Vec<u8>` compat forms, `sendrecv*`, and the
+//! small collectives — is a provided method built from those nine, so every
+//! backend and every wrapper stack gets it for free with an identical message
+//! schedule (which is what lets the cost model in `bruck-model` price them).
+//! **A wrapper implements the nine and nothing else.** The one exception is
+//! [`crate::MeteredComm::send`], an *observing* override: it performs the
+//! same pack-and-`send_buf` as the provided body and additionally records
+//! that the payload was copied.
+//!
+//! The primitive transfers move [`MsgBuf`] views: handing a message to the
+//! runtime is a reference-count bump, never a payload copy. The compat forms
+//! ([`Communicator::send`], [`Communicator::recv`], …) pack into / unpack out
+//! of a `MsgBuf` — one copy on send, usually zero on receive. Matching is
+//! lazy (a receive names `(src, tag)` when it completes), so the order of an
+//! algorithm's receives *is* its waitall; there is no posted-receive handle.
 
 use crate::{CommError, CommResult, MsgBuf, ReduceOp, Tag};
 
@@ -23,21 +35,7 @@ pub const RESERVED_TAG_BASE: Tag = 0x4000_0000;
 const TAG_BARRIER: Tag = RESERVED_TAG_BASE;
 const TAG_ALLREDUCE: Tag = RESERVED_TAG_BASE + 1;
 const TAG_ALLGATHER: Tag = RESERVED_TAG_BASE + 2;
-const TAG_GATHER: Tag = RESERVED_TAG_BASE + 3;
 const TAG_ALLTOALL_COUNTS: Tag = RESERVED_TAG_BASE + 4;
-const TAG_BCAST: Tag = RESERVED_TAG_BASE + 5;
-
-/// A posted receive. The eager runtime matches lazily: the handle simply
-/// records what to match, and completion happens in [`Communicator::wait_into`]
-/// (or [`Communicator::wait`]). Sends complete immediately under the eager
-/// protocol, so no send handle is needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvReq {
-    /// Source rank this receive matches.
-    pub src: usize,
-    /// Tag this receive matches.
-    pub tag: Tag,
-}
 
 /// SPMD communicator: every rank of the program holds one, all methods are
 /// called collectively or pairwise exactly as in MPI.
@@ -64,35 +62,46 @@ pub trait Communicator: Sync {
     /// message is left un-consumed in that case so the caller can retry.
     fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize>;
 
+    /// Zero-copy receive with a deadline: [`CommError::Timeout`] if no
+    /// matching message arrives within `timeout` on this communicator's
+    /// clock. Backends park the rank (the threaded mailbox's condition
+    /// variable, the simulator's scheduler); wrappers forward, so a timed
+    /// receive reaches that parked wait through any stack.
+    fn recv_buf_timeout(
+        &self,
+        src: usize,
+        tag: Tag,
+        timeout: std::time::Duration,
+    ) -> CommResult<MsgBuf>;
+
     /// Length of the next matching message, if one has already arrived.
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>>;
-
-    // ------------------------------------------------------------------
-    // The clock: every time-dependent path in the workspace reads time
-    // through these two methods so a backend can substitute virtual time.
-    // ------------------------------------------------------------------
 
     /// Current time on this communicator's clock, as elapsed time since an
     /// arbitrary fixed epoch. Values are only meaningful relative to each
     /// other (`later - earlier` = elapsed time).
     ///
-    /// Real-thread backends report monotonic wall-clock time; the
+    /// Every time-dependent path in the workspace reads time through `now`
+    /// and [`Communicator::sleep`] so a backend can substitute virtual time:
+    /// real-thread backends report monotonic wall-clock time; the
     /// deterministic simulator ([`crate::SimComm`]) reports its virtual
-    /// clock, which advances only when every rank is blocked. Wrappers must
+    /// clock, which advances only when every rank is blocked. Wrappers
     /// forward to their inner communicator so a whole stack shares one time
     /// axis.
-    fn now(&self) -> std::time::Duration {
-        crate::clock::wall_now()
-    }
+    fn now(&self) -> std::time::Duration;
 
     /// Suspend the calling rank for `d` on this communicator's clock.
     ///
     /// Real-thread backends sleep the OS thread; the simulator parks the
     /// rank until the virtual clock reaches `now() + d` (which costs zero
-    /// wall-clock time). Like [`Communicator::now`], wrappers forward this.
-    fn sleep(&self, d: std::time::Duration) {
-        crate::clock::wall_sleep(d)
-    }
+    /// wall-clock time).
+    fn sleep(&self, d: std::time::Duration);
+
+    // ------------------------------------------------------------------
+    // Provided methods: built from the nine primitives above, identical on
+    // every backend and through every wrapper. Wrappers do not override
+    // them.
+    // ------------------------------------------------------------------
 
     /// Eager send of a borrowed slice: compat wrapper over
     /// [`Communicator::send_buf`] that packs `data` into a fresh region
@@ -121,68 +130,6 @@ pub trait Communicator: Sync {
         self.send_buf(dest, tag, buf)
     }
 
-    /// Post a receive for `(src, tag)`; complete it with
-    /// [`Communicator::wait_into`] or [`Communicator::wait`].
-    fn irecv(&self, src: usize, tag: Tag) -> CommResult<RecvReq> {
-        let size = self.size();
-        if src >= size {
-            return Err(CommError::InvalidRank { rank: src, size });
-        }
-        Ok(RecvReq { src, tag })
-    }
-
-    /// Complete a posted receive into a caller buffer.
-    fn wait_into(&self, req: RecvReq, buf: &mut [u8]) -> CommResult<usize> {
-        self.recv_into(req.src, req.tag, buf)
-    }
-
-    /// Complete a posted receive, returning an owned payload.
-    fn wait(&self, req: RecvReq) -> CommResult<Vec<u8>> {
-        self.recv(req.src, req.tag)
-    }
-
-    /// Complete a posted receive, returning the shared view.
-    fn wait_buf(&self, req: RecvReq) -> CommResult<MsgBuf> {
-        self.recv_buf(req.src, req.tag)
-    }
-
-    // ------------------------------------------------------------------
-    // Deadline-aware receives (fault detection).
-    // ------------------------------------------------------------------
-
-    /// Zero-copy receive with a deadline: [`CommError::Timeout`] if no
-    /// matching message arrives within `timeout`.
-    ///
-    /// The default implementation polls [`Communicator::probe`] against the
-    /// communicator's own clock ([`Communicator::now`] /
-    /// [`Communicator::sleep`]) — correct on any backend, including under
-    /// virtual time, but backends with a parked-wait primitive (the threaded
-    /// mailbox's condition variable, the simulator's scheduler) override it.
-    /// Wrappers should forward to their inner communicator so the efficient
-    /// implementation is reached.
-    fn recv_buf_timeout(
-        &self,
-        src: usize,
-        tag: Tag,
-        timeout: std::time::Duration,
-    ) -> CommResult<MsgBuf> {
-        // Poll quantum for the fallback loop: long enough that a virtual
-        // clock makes progress per iteration, short enough to stay
-        // responsive on a wall clock.
-        const POLL: std::time::Duration = std::time::Duration::from_micros(20);
-        let start = self.now();
-        loop {
-            if self.probe(src, tag)?.is_some() {
-                return self.recv_buf(src, tag);
-            }
-            let waited = self.now().saturating_sub(start);
-            if waited >= timeout {
-                return Err(CommError::Timeout { src, tag, waited });
-            }
-            self.sleep(POLL.min(timeout - waited));
-        }
-    }
-
     /// [`Communicator::recv_buf_timeout`] returning an owned `Vec<u8>`.
     fn recv_timeout(
         &self,
@@ -191,17 +138,6 @@ pub trait Communicator: Sync {
         timeout: std::time::Duration,
     ) -> CommResult<Vec<u8>> {
         Ok(self.recv_buf_timeout(src, tag, timeout)?.into_vec())
-    }
-
-    /// Complete a posted receive with a deadline ([`CommError::Timeout`] on
-    /// expiry, like [`Communicator::recv_buf_timeout`]).
-    fn wait_buf_timeout(&self, req: RecvReq, timeout: std::time::Duration) -> CommResult<MsgBuf> {
-        self.recv_buf_timeout(req.src, req.tag, timeout)
-    }
-
-    /// [`Communicator::wait_buf_timeout`] returning an owned `Vec<u8>`.
-    fn wait_timeout(&self, req: RecvReq, timeout: std::time::Duration) -> CommResult<Vec<u8>> {
-        self.recv_timeout(req.src, req.tag, timeout)
     }
 
     /// Combined send-then-receive (deadlock-free under the eager protocol),
@@ -245,11 +181,6 @@ pub trait Communicator: Sync {
         self.send(dest, send_tag, data)?;
         self.recv_into(src, recv_tag, rbuf)
     }
-
-    // ------------------------------------------------------------------
-    // Collectives (default, point-to-point based — identical schedules on
-    // every backend).
-    // ------------------------------------------------------------------
 
     /// Dissemination barrier: ⌈log₂ P⌉ rounds of empty messages.
     fn barrier(&self) -> CommResult<()> {
@@ -336,68 +267,6 @@ pub trait Communicator: Sync {
             out[(me + p - s - 1) % p] = carry;
         }
         Ok(out)
-    }
-
-    /// Gather variable-length byte payloads at `root`; non-roots get `None`.
-    fn gather_bytes(&self, root: usize, data: &[u8]) -> CommResult<Option<Vec<Vec<u8>>>> {
-        let p = self.size();
-        let me = self.rank();
-        if root >= p {
-            return Err(CommError::InvalidRank { rank: root, size: p });
-        }
-        if me == root {
-            let mut out = vec![Vec::new(); p];
-            out[me] = data.to_vec();
-            for (src, slot) in out.iter_mut().enumerate() {
-                if src != me {
-                    *slot = self.recv(src, TAG_GATHER)?;
-                }
-            }
-            Ok(Some(out))
-        } else {
-            self.send(root, TAG_GATHER, data)?;
-            Ok(None)
-        }
-    }
-
-    /// Broadcast variable-length bytes from `root` (binomial tree).
-    ///
-    /// Zero-copy fan-out: interior ranks forward the *received view* to every
-    /// child, so one packed region at the root serves all `P − 1` deliveries.
-    fn bcast_bytes(&self, root: usize, data: &[u8]) -> CommResult<Vec<u8>> {
-        let p = self.size();
-        let me = self.rank();
-        if root >= p {
-            return Err(CommError::InvalidRank { rank: root, size: p });
-        }
-        if p == 1 {
-            return Ok(data.to_vec());
-        }
-        // Work in a rotated space where the root is rank 0.
-        let vrank = (me + p - root) % p;
-        let mut payload = if me == root { MsgBuf::copy_from_slice(data) } else { MsgBuf::new() };
-        let mut mask = 1usize;
-        while mask < p {
-            mask <<= 1;
-        }
-        mask >>= 1;
-        // Receive from the parent first (unless root)...
-        if vrank != 0 {
-            let lowest = 1usize << vrank.trailing_zeros();
-            let parent = (vrank - lowest + root) % p;
-            payload = self.recv_buf(parent, TAG_BCAST)?;
-        }
-        // ...then fan out to children.
-        let lowest = if vrank == 0 { mask << 1 } else { 1usize << vrank.trailing_zeros() };
-        let mut child_bit = lowest >> 1;
-        while child_bit > 0 {
-            let child_v = vrank + child_bit;
-            if child_v < p {
-                self.send_buf((child_v + root) % p, TAG_BCAST, payload.clone())?;
-            }
-            child_bit >>= 1;
-        }
-        Ok(payload.into_vec())
     }
 
     /// The "counts handshake" of every `alltoallv`: each rank learns how many

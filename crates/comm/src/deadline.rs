@@ -21,7 +21,7 @@
 
 use std::time::Duration;
 
-use crate::{CommError, CommResult, Communicator, MsgBuf, RecvReq, Tag};
+use crate::{CommError, CommResult, Communicator, MsgBuf, Tag};
 
 /// A deadline-enforcing wrapper: every blocking receive observes the same
 /// budget, fixed at construction on the inner communicator's clock — wall
@@ -100,10 +100,6 @@ impl<C: Communicator + ?Sized> Communicator for DeadlineComm<'_, C> {
 
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
         self.inner.probe(src, tag)
-    }
-
-    fn irecv(&self, src: usize, tag: Tag) -> CommResult<RecvReq> {
-        self.inner.irecv(src, tag)
     }
 
     fn now(&self) -> Duration {

@@ -43,7 +43,7 @@
 
 use std::time::Duration;
 
-use crate::chaos::splitmix;
+use crate::splitmix;
 use crate::{CommError, CommResult, Communicator, MsgBuf, Tag, RESERVED_TAG_BASE};
 
 /// Base of the failure-detector tag block (`0x3000..0x30FF` above

@@ -528,8 +528,7 @@ impl Communicator for EventComm<'_> {
     }
 
     fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<MsgBuf> {
-        // Override of the polling default: parks the task with a virtual
-        // deadline instead of probe/sleep spinning.
+        // Parks the task with a virtual deadline.
         self.op_recv(src, tag, Some(timeout), None)
     }
 

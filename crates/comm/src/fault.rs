@@ -1,8 +1,8 @@
 //! [`FaultComm`]: deterministic fault injection for testing recovery paths.
 //!
-//! Where [`crate::ChaosComm`] only perturbs *timing*, this wrapper perturbs
-//! *delivery*: it drops, duplicates, corrupts, and delays messages, and can
-//! stall or crash a whole rank, all according to a composable [`FaultPlan`].
+//! This wrapper perturbs *delivery* and *timing*: it drops, duplicates,
+//! corrupts, and delays messages, and can stall or crash a whole rank, all
+//! according to a composable [`FaultPlan`].
 //! Every decision is a pure function of `(seed, src, dest, per-edge message
 //! index)` — never of wall-clock time or thread interleaving — so the same
 //! plan injects the same fault sequence on every run, which is what makes
@@ -20,8 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use crate::chaos::splitmix;
-use crate::{CommError, CommResult, Communicator, MsgBuf, RecvReq, Tag};
+use crate::{splitmix, CommError, CommResult, Communicator, MsgBuf, Tag};
 
 /// Per-edge fault probabilities. All probabilities are in `[0, 1]` and are
 /// evaluated independently per message, in the order delay → drop → corrupt
@@ -200,8 +199,7 @@ struct FaultState {
 }
 
 /// A fault-injecting wrapper around any [`Communicator`]. One wrapper per
-/// rank, like [`crate::ChaosComm`]; all ranks should be given the same
-/// [`FaultPlan`] value.
+/// rank; all ranks should be given the same [`FaultPlan`] value.
 pub struct FaultComm<'a, C: Communicator + ?Sized> {
     inner: &'a C,
     plan: FaultPlan,
@@ -393,13 +391,6 @@ impl<C: Communicator + ?Sized> Communicator for FaultComm<'_, C> {
 
     fn sleep(&self, d: Duration) {
         self.inner.sleep(d)
-    }
-
-    fn irecv(&self, src: usize, tag: Tag) -> CommResult<RecvReq> {
-        if self.lock().crashed {
-            return Err(CommError::RankFailed { rank: self.inner.rank() });
-        }
-        self.inner.irecv(src, tag)
     }
 }
 

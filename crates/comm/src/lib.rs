@@ -7,19 +7,29 @@
 //!
 //! * **SPMD ranks** — [`ThreadComm::run`] plays the role of `mpiexec -n P`,
 //!   mapping one rank to one OS thread ("MPI everywhere").
+//! * **One narrow waist** — [`Communicator`] requires nine primitives
+//!   (`rank`, `size`, `send_buf`, `recv_buf`, `recv_into`,
+//!   `recv_buf_timeout`, `probe`, `now`, `sleep`), none with a default body.
+//!   A backend or wrapper implements these and nothing else; the compiler
+//!   rejects one that forgets any. [`MeteredComm::send`] is the one observing
+//!   override of a provided method.
 //! * **Tagged point-to-point** — eager [`Communicator::send`] /
 //!   blocking [`Communicator::recv`] with `(source, tag)` matching and MPI's
-//!   non-overtaking guarantee, plus `isend`/`irecv`/`sendrecv` forms.
+//!   non-overtaking guarantee, plus `isend`/`sendrecv` forms. Matching is
+//!   lazy, so receive order is the waitall; there is no posted-receive
+//!   handle.
 //! * **Collectives** — dissemination [`Communicator::barrier`], recursive-
 //!   doubling [`Communicator::allreduce_u64`], ring
-//!   [`Communicator::allgather_u64`], binomial [`Communicator::bcast_bytes`],
-//!   and the counts handshake [`Communicator::alltoall_counts`] — all built
-//!   from point-to-point as default trait methods, so every backend shares
-//!   the exact same message schedule.
-//! * **Instrumentation** — [`CountingComm`] logs every outgoing message; the
-//!   cost model in `bruck-model` is validated against these logs. [`TraceComm`]
-//!   records full vector-clocked schedules for `bruck-check`'s protocol
-//!   analysis passes.
+//!   [`Communicator::allgather_u64`], and the counts handshake
+//!   [`Communicator::alltoall_counts`] — all built from point-to-point as
+//!   provided trait methods, so every backend shares the exact same message
+//!   schedule.
+//! * **Instrumentation** — [`MeteredComm`] is the one meter: per-peer and
+//!   per-tag message/byte counters, in-flight high-water marks, histograms,
+//!   and the copy audit (which sends packed their payload). The cost model in
+//!   `bruck-model` is validated against its per-tag counters. [`Schedule`] /
+//!   [`VectorClock`] are the vector-clocked history types `bruck-check`'s
+//!   symbolic executor fills for the protocol analysis passes.
 //! * **Fault tolerance** — [`FaultComm`] injects seeded message drop /
 //!   duplication / corruption / delay and scripted rank stall / crash;
 //!   [`ReliableComm`] repairs a lossy transport back to exactly-once in-order
@@ -51,10 +61,8 @@
 
 #![deny(missing_docs)]
 
-mod chaos;
 mod clock;
 mod communicator;
-mod counting;
 mod deadline;
 mod error;
 mod event;
@@ -73,11 +81,8 @@ mod sim;
 mod subcomm;
 mod thread_comm;
 mod trace;
-mod vector;
 
-pub use chaos::ChaosComm;
-pub use communicator::{Communicator, RecvReq, RESERVED_TAG_BASE};
-pub use counting::{CommStats, CopyStats, CountingComm, SentRecord};
+pub use communicator::{Communicator, RESERVED_TAG_BASE};
 pub use deadline::DeadlineComm;
 pub use error::{CommError, CommResult};
 pub use event::EventComm;
@@ -102,12 +107,23 @@ pub use sim::{
 };
 pub use subcomm::{ShrinkComm, SubComm, SUBCOMM_MAX_TAG};
 pub use thread_comm::{ThreadComm, World};
-pub use trace::{
-    BlockedOn, Event, EventKind, MsgRecord, Schedule, TraceComm, TraceState, VectorClock,
-};
-pub use vector::VectorCollectives;
+pub use trace::{BlockedOn, Event, EventKind, MsgRecord, Schedule, VectorClock};
+
+/// The name of the send-log wrapper [`MeteredComm`] absorbed, kept for
+/// callers that only want the copy audit ([`MeteredComm::bytes_copied`]).
+pub type CountingComm<'a, C> = MeteredComm<'a, C>;
 
 /// Message tag. Algorithms in this workspace tag data messages with their
 /// communication-step index; tags at or above [`RESERVED_TAG_BASE`] are
 /// reserved for the built-in collectives.
 pub type Tag = u32;
+
+/// The splitmix64 finalizer: the seeded hash behind every deterministic draw
+/// in this crate (fault decisions, schedule seeds, ARQ checksums, backoff
+/// jitter, split contexts).
+pub(crate) fn splitmix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -16,6 +16,14 @@
 //!   sendrecv-paced 1 and the vendor window's cap;
 //! * **per-tag send counters** — the exact quantity the conformance suite
 //!   compares against `bruck-model` trace predictions;
+//! * the **copy class** (`copied_msgs` / `copied_bytes`, per channel and per
+//!   tag): sends that entered through the compat `&[u8]` path
+//!   ([`Communicator::send`]) and so packed their payload into a fresh region
+//!   (one allocation + one copy), as opposed to [`Communicator::send_buf`]
+//!   sends, which hand over a shared view (neither). This is the audit that
+//!   lets a test *prove* an algorithm's data phase does zero per-message
+//!   copies; [`MeteredComm::send`] is the one observing override that feeds
+//!   it;
 //! * a **receive-wait histogram** (nanoseconds, log₂ buckets) over every
 //!   successful blocking receive, and a **sent-size histogram** (bytes) over
 //!   logical sends.
@@ -41,7 +49,7 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::{CommResult, Communicator, MsgBuf, RecvReq, Tag, RESERVED_TAG_BASE};
+use crate::{CommResult, Communicator, MsgBuf, Tag, RESERVED_TAG_BASE};
 
 /// Number of log₂ buckets in a [`Histogram`]. Bucket 0 holds zeros; bucket
 /// `b ≥ 1` holds values in `[2^(b−1), 2^b)`; the last bucket absorbs
@@ -114,6 +122,10 @@ pub struct ChannelTotals {
     pub recv_msgs: u64,
     /// Bytes received on this channel.
     pub recv_bytes: u64,
+    /// Of `sent_msgs`, those that took the compat (packing) send path.
+    pub copied_msgs: u64,
+    /// Of `sent_bytes`, those packed by compat-path sends.
+    pub copied_bytes: u64,
     /// High-water mark of sends-posted minus receives-completed on this
     /// channel.
     pub max_in_flight: u64,
@@ -126,6 +138,10 @@ pub struct TagCounters {
     pub msgs: u64,
     /// Bytes sent with this tag.
     pub bytes: u64,
+    /// Of `msgs`, those that took the compat (packing) send path.
+    pub copied_msgs: u64,
+    /// Of `bytes`, those packed by compat-path sends.
+    pub copied_bytes: u64,
 }
 
 /// A consistent snapshot of everything a [`MeteredComm`] has recorded.
@@ -184,27 +200,27 @@ impl Metrics {
                 errs.push(format!("{what}: per-peer sum {got} != channel total {want}"));
             }
         }
-        let (mut lm, mut lb, mut rm, mut rb) = (0u64, 0u64, 0u64, 0u64);
+        // Per-tag sums, [logical, reserved] × (msgs, bytes, copied msgs,
+        // copied bytes), against the channel totals.
+        let mut sums = [[0u64; 4]; 2];
         for (tag, c) in &self.per_tag_sent {
-            if *tag < RESERVED_TAG_BASE {
-                lm += c.msgs;
-                lb += c.bytes;
-            } else {
-                rm += c.msgs;
-                rb += c.bytes;
+            let s = &mut sums[usize::from(*tag >= RESERVED_TAG_BASE)];
+            for (acc, v) in s.iter_mut().zip([c.msgs, c.bytes, c.copied_msgs, c.copied_bytes]) {
+                *acc += v;
             }
         }
-        if (lm, lb) != (self.logical.sent_msgs, self.logical.sent_bytes) {
-            errs.push(format!(
-                "logical per-tag sums ({lm} msgs, {lb} B) != totals ({} msgs, {} B)",
-                self.logical.sent_msgs, self.logical.sent_bytes
-            ));
-        }
-        if (rm, rb) != (self.reserved.sent_msgs, self.reserved.sent_bytes) {
-            errs.push(format!(
-                "reserved per-tag sums ({rm} msgs, {rb} B) != totals ({} msgs, {} B)",
-                self.reserved.sent_msgs, self.reserved.sent_bytes
-            ));
+        for (name, got, ch) in
+            [("logical", sums[0], &self.logical), ("reserved", sums[1], &self.reserved)]
+        {
+            let want = [ch.sent_msgs, ch.sent_bytes, ch.copied_msgs, ch.copied_bytes];
+            if got != want {
+                errs.push(format!(
+                    "{name} per-tag sums (msgs, bytes, copied msgs, copied bytes) {got:?} != totals {want:?}"
+                ));
+            }
+            if ch.copied_msgs > ch.sent_msgs || ch.copied_bytes > ch.sent_bytes {
+                errs.push(format!("{name} copy class exceeds what was sent: {ch:?}"));
+            }
         }
         if self.sent_sizes.count != self.logical.sent_msgs {
             errs.push(format!(
@@ -275,7 +291,7 @@ impl MeterState {
 }
 
 /// Traffic-metering wrapper around any [`Communicator`]. See the
-/// [module docs](self) for what is recorded and for the positional
+/// module docs for what is recorded and for the positional
 /// (logical vs. wire) accounting contract under `ReliableComm`.
 ///
 /// Self-sends that cross the `Communicator` interface are counted like any
@@ -338,27 +354,43 @@ impl<'a, C: Communicator + ?Sized> MeteredComm<'a, C> {
         *self.lock() = MeterState::sized(p);
     }
 
-    fn note_send(&self, dest: usize, tag: Tag, len: usize) {
-        let mut s = self.lock();
+    /// Payload bytes that took the compat (packing) send path, both
+    /// channels — the copy audit's headline number.
+    pub fn bytes_copied(&self) -> u64 {
+        let s = self.lock();
+        s.logical.copied_bytes + s.reserved.copied_bytes
+    }
+
+    fn note_send(&self, dest: usize, tag: Tag, len: usize, copied: bool) {
+        let len = len as u64;
+        let (copied_msgs, copied_bytes) = if copied { (1, len) } else { (0, 0) };
+        let logical = tag < RESERVED_TAG_BASE;
+        let mut guard = self.lock();
+        let s = &mut *guard;
         let entry = s.per_tag_sent.entry(tag).or_default();
         entry.msgs += 1;
-        entry.bytes += len as u64;
-        if tag < RESERVED_TAG_BASE {
-            s.logical.sent_msgs += 1;
-            s.logical.sent_bytes += len as u64;
-            s.sent_sizes.record(len as u64);
-            s.logical_flight.on_send();
+        entry.bytes += len;
+        entry.copied_msgs += copied_msgs;
+        entry.copied_bytes += copied_bytes;
+        let (channel, flight) = if logical {
+            (&mut s.logical, &mut s.logical_flight)
+        } else {
+            (&mut s.reserved, &mut s.reserved_flight)
+        };
+        channel.sent_msgs += 1;
+        channel.sent_bytes += len;
+        channel.copied_msgs += copied_msgs;
+        channel.copied_bytes += copied_bytes;
+        flight.on_send();
+        if logical {
+            s.sent_sizes.record(len);
             if let Some(c) = s.per_peer.get_mut(dest) {
                 c.sent_msgs += 1;
-                c.sent_bytes += len as u64;
+                c.sent_bytes += len;
             }
             if let Some(f) = s.peer_flight.get_mut(dest) {
                 f.on_send();
             }
-        } else {
-            s.reserved.sent_msgs += 1;
-            s.reserved.sent_bytes += len as u64;
-            s.reserved_flight.on_send();
         }
     }
 
@@ -393,18 +425,19 @@ impl<C: Communicator + ?Sized> Communicator for MeteredComm<'_, C> {
         self.inner.size()
     }
 
-    fn now(&self) -> std::time::Duration {
-        self.inner.now()
-    }
-
-    fn sleep(&self, d: std::time::Duration) {
-        self.inner.sleep(d)
-    }
-
     fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()> {
         let len = buf.len();
         self.inner.send_buf(dest, tag, buf)?;
-        self.note_send(dest, tag, len);
+        self.note_send(dest, tag, len, false);
+        Ok(())
+    }
+
+    /// The workspace's one override of a provided method, and an observing
+    /// one: the same pack-and-`send_buf` as the trait's body, recorded in the
+    /// copy class.
+    fn send(&self, dest: usize, tag: Tag, data: &[u8]) -> CommResult<()> {
+        self.inner.send_buf(dest, tag, MsgBuf::copy_from_slice(data))?;
+        self.note_send(dest, tag, data.len(), true);
         Ok(())
     }
 
@@ -423,8 +456,7 @@ impl<C: Communicator + ?Sized> Communicator for MeteredComm<'_, C> {
     }
 
     fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<MsgBuf> {
-        // Forward so the backend's parked-wait implementation is reached;
-        // only successful receives are recorded.
+        // Only successful receives are recorded.
         let start = Instant::now();
         let msg = self.inner.recv_buf_timeout(src, tag, timeout)?;
         self.note_recv(src, tag, msg.len(), start.elapsed());
@@ -435,10 +467,12 @@ impl<C: Communicator + ?Sized> Communicator for MeteredComm<'_, C> {
         self.inner.probe(src, tag)
     }
 
-    fn irecv(&self, src: usize, tag: Tag) -> CommResult<RecvReq> {
-        // Completion funnels back through our overridden recv_* methods via
-        // the wait_* defaults, so posted receives are still metered.
-        self.inner.irecv(src, tag)
+    fn now(&self) -> Duration {
+        self.inner.now()
+    }
+
+    fn sleep(&self, d: Duration) {
+        self.inner.sleep(d)
     }
 }
 
@@ -468,8 +502,15 @@ mod tests {
             assert_eq!(m.per_peer[peer].sent_msgs, 2);
             assert_eq!(m.per_peer[peer].recv_bytes, 8);
             assert_eq!(m.per_peer[me].sent_msgs, 0);
-            assert_eq!(m.sent_for_tag(7), TagCounters { msgs: 1, bytes: 3 });
-            assert_eq!(m.sent_for_tag(9), TagCounters { msgs: 1, bytes: 5 });
+            // Both sends took the compat path, so both land in the copy class.
+            assert_eq!(
+                m.sent_for_tag(7),
+                TagCounters { msgs: 1, bytes: 3, copied_msgs: 1, copied_bytes: 3 }
+            );
+            assert_eq!(
+                m.sent_for_tag(9),
+                TagCounters { msgs: 1, bytes: 5, copied_msgs: 1, copied_bytes: 5 }
+            );
             assert_eq!(m.reserved.sent_msgs, 0);
             assert!(m.consistency_errors().is_empty(), "{:?}", m.consistency_errors());
         }
@@ -514,13 +555,50 @@ mod tests {
     }
 
     #[test]
+    fn copy_class_distinguishes_the_two_send_paths() {
+        ThreadComm::run(1, |comm| {
+            let mc = MeteredComm::new(comm);
+            mc.send(0, 0, &[1, 2, 3]).unwrap(); // compat: one pack copy
+            let region = MsgBuf::from_vec(vec![0u8; 100]);
+            mc.send_buf(0, 1, region.slice(..40)).unwrap(); // zero-copy
+            mc.send_buf(0, 1, region.slice(40..)).unwrap(); // zero-copy
+            mc.recv(0, 0).unwrap();
+            mc.recv_buf(0, 1).unwrap();
+            mc.recv_buf(0, 1).unwrap();
+            let m = mc.metrics();
+            assert_eq!((m.logical.sent_msgs, m.logical.sent_bytes), (3, 103));
+            assert_eq!((m.logical.copied_msgs, m.logical.copied_bytes), (1, 3));
+            assert_eq!(m.sent_for_tag(1).copied_msgs, 0);
+            assert_eq!(mc.bytes_copied(), 3);
+            assert!(m.consistency_errors().is_empty(), "{:?}", m.consistency_errors());
+        });
+    }
+
+    #[test]
+    fn barrier_at_p4_is_two_empty_uncopied_messages_per_rank() {
+        let metrics = ThreadComm::run(4, |comm| {
+            let mc = MeteredComm::new(comm);
+            mc.barrier().unwrap();
+            mc.metrics()
+        });
+        // Dissemination barrier at P=4: log2(4) = 2 rounds, 1 empty message each.
+        for m in metrics {
+            assert_eq!((m.reserved.sent_msgs, m.reserved.sent_bytes), (2, 0));
+            assert_eq!(m.reserved.copied_msgs, 0);
+            assert_eq!(m.logical, ChannelTotals::default());
+        }
+    }
+
+    #[test]
     fn reset_zeroes_everything() {
         ThreadComm::run(2, |comm| {
             let mc = MeteredComm::new(comm);
             let peer = 1 - mc.rank();
             mc.send(peer, 3, &[0; 16]).unwrap();
             mc.recv(peer, 3).unwrap();
+            assert_eq!(mc.bytes_copied(), 16);
             mc.reset();
+            assert_eq!(mc.bytes_copied(), 0);
             let m = mc.metrics();
             assert_eq!(m.logical, ChannelTotals::default());
             assert_eq!(m.recv_wait_ns.count, 0);

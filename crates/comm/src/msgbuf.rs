@@ -22,7 +22,7 @@
 //!   copy otherwise.
 //!
 //! The only *intentional* copy on the zero-copy path is the initial pack into
-//! the region; [`crate::CountingComm`] counts every other copy so tests can
+//! the region; [`crate::MeteredComm`] counts every other copy so tests can
 //! assert there are none.
 
 use std::ops::{Bound, Deref, RangeBounds};
@@ -30,7 +30,7 @@ use std::sync::{Arc, OnceLock};
 
 /// A cheap, clonable, immutable slice of a reference-counted byte region.
 ///
-/// See the [module docs](self) for the ownership model.
+/// See the module docs for the ownership model.
 #[derive(Clone)]
 pub struct MsgBuf {
     /// `Arc<Vec<u8>>` rather than `Arc<[u8]>`: converting a `Vec` into an

@@ -20,7 +20,7 @@
 
 use std::time::Duration;
 
-use crate::chaos::splitmix;
+use crate::splitmix;
 use crate::Communicator;
 
 /// A bounded exponential backoff schedule with optional seeded jitter.

@@ -55,7 +55,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 use std::time::Duration;
 
-use crate::chaos::splitmix;
+use crate::splitmix;
 use crate::clock::VirtualClock;
 use crate::event::{EventComm, ExecCtx, Inbox, Park, ReplayLog, TaskYield, Wake};
 use crate::mailbox::{MatchStore, StoreStats};

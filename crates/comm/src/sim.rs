@@ -36,7 +36,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use crate::chaos::splitmix;
+use crate::splitmix;
 use crate::mailbox::{MatchStore, StoreStats};
 use crate::{CommError, CommResult, Communicator, MsgBuf, Tag};
 

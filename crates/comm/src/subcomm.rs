@@ -7,6 +7,9 @@
 //! context id into the message tag, the same role MPI's communicator
 //! contexts play.
 
+use std::time::Duration;
+
+use crate::splitmix;
 use crate::{CommError, CommResult, Communicator, MsgBuf, Tag};
 
 /// Bits of the tag reserved for the subcommunicator context.
@@ -152,14 +155,6 @@ impl<C: Communicator + ?Sized> Communicator for ShrinkComm<'_, C> {
         self.sub.size()
     }
 
-    fn now(&self) -> std::time::Duration {
-        self.sub.now()
-    }
-
-    fn sleep(&self, d: std::time::Duration) {
-        self.sub.sleep(d)
-    }
-
     fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()> {
         self.sub.send_buf(dest, tag, buf)
     }
@@ -168,32 +163,25 @@ impl<C: Communicator + ?Sized> Communicator for ShrinkComm<'_, C> {
         self.sub.recv_buf(src, tag)
     }
 
-    fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: std::time::Duration) -> CommResult<MsgBuf> {
-        self.sub.recv_buf_timeout(src, tag, timeout)
-    }
-
-    fn send(&self, dest: usize, tag: Tag, data: &[u8]) -> CommResult<()> {
-        self.sub.send(dest, tag, data)
-    }
-
-    fn recv(&self, src: usize, tag: Tag) -> CommResult<Vec<u8>> {
-        self.sub.recv(src, tag)
-    }
-
     fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
         self.sub.recv_into(src, tag, buf)
+    }
+
+    fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<MsgBuf> {
+        self.sub.recv_buf_timeout(src, tag, timeout)
     }
 
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
         self.sub.probe(src, tag)
     }
-}
 
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    fn now(&self) -> Duration {
+        self.sub.now()
+    }
+
+    fn sleep(&self, d: Duration) {
+        self.sub.sleep(d)
+    }
 }
 
 impl<C: Communicator + ?Sized> Communicator for SubComm<'_, C> {
@@ -203,14 +191,6 @@ impl<C: Communicator + ?Sized> Communicator for SubComm<'_, C> {
 
     fn size(&self) -> usize {
         self.members.len()
-    }
-
-    fn now(&self) -> std::time::Duration {
-        self.parent.now()
-    }
-
-    fn sleep(&self, d: std::time::Duration) {
-        self.parent.sleep(d)
     }
 
     fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()> {
@@ -223,24 +203,34 @@ impl<C: Communicator + ?Sized> Communicator for SubComm<'_, C> {
         self.parent.recv_buf(self.members[src], self.map_tag(tag)?)
     }
 
-    fn send(&self, dest: usize, tag: Tag, data: &[u8]) -> CommResult<()> {
-        self.check_rank(dest)?;
-        self.parent.send(self.members[dest], self.map_tag(tag)?, data)
-    }
-
-    fn recv(&self, src: usize, tag: Tag) -> CommResult<Vec<u8>> {
-        self.check_rank(src)?;
-        self.parent.recv(self.members[src], self.map_tag(tag)?)
-    }
-
     fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
         self.check_rank(src)?;
         self.parent.recv_into(self.members[src], self.map_tag(tag)?, buf)
     }
 
+    fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<MsgBuf> {
+        self.check_rank(src)?;
+        // A timeout names the receive that expired: report it in this
+        // communicator's rank and tag space, not the parent's.
+        self.parent.recv_buf_timeout(self.members[src], self.map_tag(tag)?, timeout).map_err(|e| {
+            match e {
+                CommError::Timeout { waited, .. } => CommError::Timeout { src, tag, waited },
+                other => other,
+            }
+        })
+    }
+
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
         self.check_rank(src)?;
         self.parent.probe(self.members[src], self.map_tag(tag)?)
+    }
+
+    fn now(&self) -> Duration {
+        self.parent.now()
+    }
+
+    fn sleep(&self, d: Duration) {
+        self.parent.sleep(d)
     }
 }
 

@@ -207,11 +207,19 @@ impl Communicator for ThreadComm {
         self.check_rank(src)?;
         let start = std::time::Instant::now();
         // pop_timeout parks on the mailbox condvar (no polling), waking on
-        // arrival or deadline — this is the override the trait docs promise.
+        // arrival or deadline.
         match self.world.mailboxes[self.rank].pop_timeout(src, tag, timeout) {
             Some(msg) => Ok(msg),
             None => Err(CommError::Timeout { src, tag, waited: start.elapsed() }),
         }
+    }
+
+    fn now(&self) -> std::time::Duration {
+        crate::clock::wall_now()
+    }
+
+    fn sleep(&self, d: std::time::Duration) {
+        crate::clock::wall_sleep(d)
     }
 }
 
@@ -288,7 +296,7 @@ mod tests {
     fn invalid_rank_errors() {
         ThreadComm::run(2, |comm| {
             assert!(matches!(comm.send(5, 0, &[]), Err(CommError::InvalidRank { rank: 5, size: 2 })));
-            assert!(matches!(comm.irecv(9, 0), Err(CommError::InvalidRank { rank: 9, size: 2 })));
+            assert!(matches!(comm.probe(9, 0), Err(CommError::InvalidRank { rank: 9, size: 2 })));
         });
     }
 
@@ -350,40 +358,6 @@ mod tests {
             let expect: Vec<u64> = (0..p as u64).map(|r| r * 100).collect();
             for got in all {
                 assert_eq!(got, expect);
-            }
-        }
-    }
-
-    #[test]
-    fn gather_bytes_at_each_root() {
-        let p = 5;
-        for root in 0..p {
-            let out = ThreadComm::run(p, move |comm| {
-                let payload = vec![comm.rank() as u8; comm.rank() + 1];
-                comm.gather_bytes(root, &payload).unwrap()
-            });
-            for (rank, o) in out.into_iter().enumerate() {
-                if rank == root {
-                    let gathered = o.expect("root gets data");
-                    for (src, msg) in gathered.iter().enumerate() {
-                        assert_eq!(msg, &vec![src as u8; src + 1]);
-                    }
-                } else {
-                    assert!(o.is_none());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bcast_from_each_root() {
-        for p in [1usize, 2, 3, 5, 8, 12] {
-            for root in [0, p / 2, p - 1] {
-                let out = ThreadComm::run(p, move |comm| {
-                    let data = if comm.rank() == root { vec![7u8, 8, 9] } else { vec![] };
-                    comm.bcast_bytes(root, &data).unwrap()
-                });
-                assert!(out.iter().all(|v| v == &[7u8, 8, 9]));
             }
         }
     }

@@ -1,13 +1,13 @@
-//! Event tracing with vector clocks: the substrate of protocol verification.
+//! Vector-clocked schedules: the data model of protocol verification.
 //!
 //! Protocol analysis (deadlock-freedom, tag disjointness, conservation — the
-//! passes in `bruck-check`) needs more than `CountingComm`'s send log: it
-//! needs *both* sides of every transfer, the matching between them, and a
+//! passes in `bruck-check`) needs more than a meter's send counters: it needs
+//! *both* sides of every transfer, the matching between them, and a
 //! happens-before order so that questions like "could these two messages have
 //! been in flight at the same time under some legal schedule?" have answers
 //! independent of the interleaving that happened to occur.
 //!
-//! This module provides that layer:
+//! This module provides the types of that layer:
 //!
 //! * [`VectorClock`] — the standard logical-clock construction: each rank
 //!   ticks its own component on every event and joins the sender's clock on
@@ -17,20 +17,12 @@
 //!   receive event (if matched), the payload, and the sender's clock.
 //! * [`Schedule`] — the complete extracted history: per-rank event logs, the
 //!   message table, and each rank's final blocked state.
-//! * [`TraceComm`] — a transparent wrapper (like [`crate::CountingComm`])
-//!   that records a [`Schedule`] from a *real* run on any backend. All ranks'
-//!   wrappers share one [`TraceState`].
 //!
-//! A `TraceComm` schedule reflects the one interleaving that actually ran and
-//! cannot observe a deadlock (the run would simply hang); `bruck-check`'s
-//! `ModelComm` produces the same [`Schedule`] type from a single-threaded
-//! symbolic execution and can. The analysis passes accept either source.
+//! The one producer is `bruck-check`'s `ModelComm`, which fills a
+//! [`Schedule`] from a single-threaded symbolic execution — so it can also
+//! observe a deadlock, where a traced real run would simply hang.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-use crate::{CommResult, Communicator, MsgBuf, Tag};
+use crate::{MsgBuf, Tag};
 
 /// A vector logical clock over `P` ranks.
 ///
@@ -134,8 +126,7 @@ pub struct MsgRecord {
     pub recv_event: Option<(usize, usize)>,
 }
 
-/// A receive a rank is parked on (schedule extraction only; a traced real run
-/// either completes or hangs).
+/// A receive a rank is parked on when schedule extraction stalls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockedOn {
     /// Source rank of the unmatched receive.
@@ -155,8 +146,7 @@ pub struct Schedule {
     /// per `(src, dst, tag)` key by construction).
     pub messages: Vec<MsgRecord>,
     /// Per rank: the receive it was still parked on when extraction stopped
-    /// (`None` for ranks that ran to completion). Always all-`None` for
-    /// schedules recorded from real runs.
+    /// (`None` for ranks that ran to completion).
     pub blocked: Vec<Option<BlockedOn>>,
 }
 
@@ -195,183 +185,11 @@ impl Schedule {
     pub fn unmatched_messages(&self) -> Vec<usize> {
         (0..self.messages.len()).filter(|&i| self.messages[i].recv_event.is_none()).collect()
     }
-
-    /// Total events across all ranks.
-    pub fn event_count(&self) -> usize {
-        self.events.iter().map(Vec::len).sum()
-    }
-}
-
-/// Shared recording state behind every rank's [`TraceComm`] wrapper.
-pub struct TraceState {
-    p: usize,
-    inner: Mutex<TraceInner>,
-}
-
-struct TraceInner {
-    clocks: Vec<VectorClock>,
-    schedule: Schedule,
-    /// Sender clocks (by message id) awaiting their receive, FIFO per key —
-    /// mirrors the runtime's own non-overtaking matching.
-    inflight: BTreeMap<(usize, usize, Tag), VecDeque<usize>>,
-}
-
-impl TraceState {
-    /// Fresh shared state for a `p`-rank region.
-    pub fn new(p: usize) -> Arc<Self> {
-        Arc::new(TraceState {
-            p,
-            inner: Mutex::new(TraceInner {
-                clocks: vec![VectorClock::new(p); p],
-                schedule: Schedule::new(p),
-                inflight: BTreeMap::new(),
-            }),
-        })
-    }
-
-    /// Number of ranks.
-    pub fn p(&self) -> usize {
-        self.p
-    }
-
-    /// Snapshot the recorded schedule (typically after the region completes).
-    pub fn schedule(&self) -> Schedule {
-        self.lock().schedule.clone()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, TraceInner> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn record_send(&self, src: usize, dst: usize, tag: Tag, payload: &MsgBuf) {
-        let mut inner = self.lock();
-        inner.clocks[src].tick(src);
-        let clock = inner.clocks[src].clone();
-        let msg = inner.schedule.messages.len();
-        let event_idx = inner.schedule.events[src].len();
-        inner.schedule.messages.push(MsgRecord {
-            src,
-            dst,
-            tag,
-            payload: payload.clone(),
-            send_clock: clock.clone(),
-            send_event: (src, event_idx),
-            recv_event: None,
-        });
-        inner.schedule.events[src].push(Event {
-            kind: EventKind::Send { dst, tag, len: payload.len(), msg },
-            clock,
-        });
-        inner.inflight.entry((src, dst, tag)).or_default().push_back(msg);
-    }
-
-    fn record_recv(&self, dst: usize, src: usize, tag: Tag, len: usize) {
-        let mut inner = self.lock();
-        let msg = inner
-            .inflight
-            .get_mut(&(src, dst, tag))
-            .and_then(VecDeque::pop_front);
-        let Some(msg) = msg else {
-            // A receive the tracer never saw the send of (the wrapper was
-            // installed mid-conversation, or the peer bypassed its wrapper).
-            // Record nothing rather than corrupt the matching.
-            return;
-        };
-        let send_clock = inner.schedule.messages[msg].send_clock.clone();
-        inner.clocks[dst].tick(dst);
-        inner.clocks[dst].join(&send_clock);
-        let clock = inner.clocks[dst].clone();
-        let event_idx = inner.schedule.events[dst].len();
-        inner.schedule.messages[msg].recv_event = Some((dst, event_idx));
-        inner.schedule.events[dst].push(Event {
-            kind: EventKind::Recv { src, tag, len, msg },
-            clock,
-        });
-    }
-
-    fn record_probe(&self, rank: usize, src: usize, tag: Tag, found: Option<usize>) {
-        let mut inner = self.lock();
-        inner.clocks[rank].tick(rank);
-        let clock = inner.clocks[rank].clone();
-        inner.schedule.events[rank].push(Event { kind: EventKind::Probe { src, tag, found }, clock });
-    }
-}
-
-/// A transparent wrapper that records every operation of a real run into a
-/// shared [`TraceState`]. Construct one per rank over the same state.
-pub struct TraceComm<'a, C: Communicator + ?Sized> {
-    inner: &'a C,
-    state: Arc<TraceState>,
-}
-
-impl<'a, C: Communicator + ?Sized> TraceComm<'a, C> {
-    /// Wrap `inner`; `state` must be shared by every rank of the region and
-    /// sized for `inner.size()` ranks.
-    pub fn new(inner: &'a C, state: Arc<TraceState>) -> Self {
-        assert_eq!(state.p(), inner.size(), "TraceState sized for a different communicator");
-        TraceComm { inner, state }
-    }
-
-    /// The shared recording state.
-    pub fn state(&self) -> &Arc<TraceState> {
-        &self.state
-    }
-}
-
-impl<C: Communicator + ?Sized> Communicator for TraceComm<'_, C> {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn now(&self) -> std::time::Duration {
-        self.inner.now()
-    }
-
-    fn sleep(&self, d: std::time::Duration) {
-        self.inner.sleep(d)
-    }
-
-    fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()> {
-        // Record before forwarding so the matching receive (which can only
-        // complete after the runtime delivery) always finds the in-flight
-        // entry, even under real-thread interleaving.
-        self.check_rank(dest)?;
-        self.state.record_send(self.rank(), dest, tag, &buf);
-        self.inner.send_buf(dest, tag, buf)
-    }
-
-    fn recv_buf(&self, src: usize, tag: Tag) -> CommResult<MsgBuf> {
-        let got = self.inner.recv_buf(src, tag)?;
-        self.state.record_recv(self.rank(), src, tag, got.len());
-        Ok(got)
-    }
-
-    fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
-        let n = self.inner.recv_into(src, tag, buf)?;
-        // A truncation error returns above without consuming the message, so
-        // only successful receives are recorded.
-        self.state.record_recv(self.rank(), src, tag, n);
-        Ok(n)
-    }
-
-    fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
-        let found = self.inner.probe(src, tag)?;
-        self.state.record_probe(self.rank(), src, tag, found);
-        Ok(found)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ThreadComm;
 
     #[test]
     fn clock_ordering_basics() {
@@ -386,78 +204,5 @@ mod tests {
         assert!(!a.le(&c) && !c.le(&a), "independent events are concurrent");
         b.join(&c);
         assert!(c.le(&b));
-    }
-
-    #[test]
-    fn traced_run_matches_sends_to_recvs() {
-        let state = TraceState::new(2);
-        let st = Arc::clone(&state);
-        ThreadComm::run(2, move |comm| {
-            let traced = TraceComm::new(comm, Arc::clone(&st));
-            if traced.rank() == 0 {
-                traced.send(1, 7, &[1, 2, 3]).unwrap();
-                traced.send(1, 7, &[4, 5]).unwrap();
-            } else {
-                assert_eq!(traced.probe(0, 9).unwrap(), None);
-                assert_eq!(traced.recv(0, 7).unwrap(), vec![1, 2, 3]);
-                assert_eq!(traced.recv(0, 7).unwrap(), vec![4, 5]);
-            }
-        });
-        let schedule = state.schedule();
-        assert_eq!(schedule.messages.len(), 2);
-        assert!(schedule.unmatched_messages().is_empty());
-        // FIFO matching: first send pairs with first recv.
-        assert_eq!(schedule.messages[0].payload, vec![1u8, 2, 3]);
-        assert_eq!(schedule.messages[0].recv_event, Some((1, 1)));
-        assert_eq!(schedule.messages[1].recv_event, Some((1, 2)));
-        // Same-key back-to-back sends with no ack in between: the second was
-        // sent while the first could still be in flight.
-        assert!(schedule.concurrent_in_flight(0, 1));
-    }
-
-    #[test]
-    fn acknowledged_resend_is_not_concurrent() {
-        let state = TraceState::new(2);
-        let st = Arc::clone(&state);
-        ThreadComm::run(2, move |comm| {
-            let traced = TraceComm::new(comm, Arc::clone(&st));
-            if traced.rank() == 0 {
-                traced.send(1, 7, &[1]).unwrap();
-                traced.recv(1, 8).unwrap(); // ack: 1 received the first message
-                traced.send(1, 7, &[2]).unwrap();
-            } else {
-                traced.recv(0, 7).unwrap();
-                traced.send(0, 8, &[]).unwrap();
-                traced.recv(0, 7).unwrap();
-            }
-        });
-        let schedule = state.schedule();
-        // messages: [0→1 tag7 #1, 1→0 tag8 ack, 0→1 tag7 #2] in commit order.
-        let tag7: Vec<usize> =
-            (0..schedule.messages.len()).filter(|&i| schedule.messages[i].tag == 7).collect();
-        assert_eq!(tag7.len(), 2);
-        assert!(
-            !schedule.concurrent_in_flight(tag7[0], tag7[1]),
-            "the ack forces recv(first) to happen-before send(second)"
-        );
-    }
-
-    #[test]
-    fn unmatched_sends_are_visible() {
-        let state = TraceState::new(2);
-        let st = Arc::clone(&state);
-        ThreadComm::run(2, move |comm| {
-            let traced = TraceComm::new(comm, Arc::clone(&st));
-            if traced.rank() == 0 {
-                traced.send(1, 3, &[9]).unwrap();
-                traced.send(1, 4, &[8]).unwrap(); // never received
-            } else {
-                traced.recv(0, 3).unwrap();
-            }
-        });
-        let schedule = state.schedule();
-        let unmatched = schedule.unmatched_messages();
-        assert_eq!(unmatched.len(), 1);
-        assert_eq!(schedule.messages[unmatched[0]].tag, 4);
     }
 }

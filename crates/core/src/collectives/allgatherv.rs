@@ -1,10 +1,10 @@
 //! Non-uniform all-gather schedules: ring and Bruck distance-doubling.
 //!
 //! Both operate on known counts (the `MPI_Allgatherv` contract), so no
-//! length framing travels on the wire — unlike [`crate::bruck_allgatherv`],
-//! the self-describing variant the membership layer uses when counts are
-//! *not* globally known. Message and byte volumes are therefore exact
-//! closed forms, which the conformance gauntlet pins against `bruck-model`.
+//! length framing travels on the wire. Message and byte volumes are
+//! therefore exact closed forms, which the conformance gauntlet pins against
+//! `bruck-model`. These (with PAT in the sibling module) are the workspace's
+//! only allgatherv implementations.
 
 use bruck_comm::{CommResult, Communicator, MsgBuf};
 

@@ -45,7 +45,7 @@ pub fn add_mod(a: usize, b: usize, p: usize) -> usize {
 
 // ---------------------------------------------------------------------------
 // Tag conventions. All well below `bruck_comm::RESERVED_TAG_BASE`. The cost
-// model and `CountingComm`-based validation group traffic per step by tag.
+// model and `MeteredComm`-based validation group traffic per step by tag.
 // ---------------------------------------------------------------------------
 
 /// Tag for the data message of uniform-Bruck step `k`.

@@ -72,7 +72,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod allgather;
 pub mod collectives;
 pub mod common;
 mod memory;
@@ -83,7 +82,6 @@ pub mod probe;
 mod radix;
 mod uniform;
 
-pub use allgather::bruck_allgatherv;
 pub use collectives::{
     allgatherv, allreduce, collective_with_deadline, pattern_byte, pattern_u64, reduce_scatter,
     reference_allgatherv, reference_allreduce, reference_reduce_scatter, AllgathervAlgorithm,

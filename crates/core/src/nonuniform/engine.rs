@@ -98,7 +98,7 @@ pub enum EngineTopology {
     TwoStage,
 }
 
-/// One point in the engine's knob space. See the [module docs](self) for the
+/// One point in the engine's knob space. See the module docs for the
 /// knob table and what each knob selects.
 ///
 /// Knobs that a topology does not consult are *don't-cares*: the canonical

@@ -175,7 +175,7 @@ pub struct Recovery {
 
 /// Self-healing non-uniform all-to-all over the `view` subset of `comm`'s
 /// world. `sendcounts[i]` bytes go to parent rank `view[i]`; `sendbuf` is
-/// packed by `sendcounts`. See the [module docs](self) for the protocol.
+/// packed by `sendcounts`. See the module docs for the protocol.
 ///
 /// Errors are crash-only: bad arguments, this rank dead or evicted, or
 /// retries exhausted (the last fault). A `Recovered` outcome's buffer is

@@ -131,7 +131,7 @@ pub(crate) fn is_fault(e: &CommError) -> bool {
 }
 
 /// Non-uniform all-to-all with graceful degradation. See the
-/// [module docs](self) for the protocol and the exact buffer guarantees per
+/// module docs for the protocol and the exact buffer guarantees per
 /// [`ExchangeOutcome`].
 ///
 /// Programming errors (bad arguments, invalid ranks) propagate as `Err` just

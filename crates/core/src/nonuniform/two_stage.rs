@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn stage_messages_are_balanced() {
-        use bruck_comm::{Communicator, CountingComm, ThreadComm};
+        use bruck_comm::{Communicator, MeteredComm, ThreadComm};
 
         // With a skewed matrix, stage messages still differ by at most
         // ~4P header + P bytes of rounding.
@@ -205,8 +205,8 @@ mod tests {
         rows[0][1] = 800; // one huge block
         rows[3][4] = 3;
         let m = SizeMatrix::from_rows(rows);
-        let logs = ThreadComm::run(p, |comm| {
-            let counting = CountingComm::new(comm);
+        let metrics = ThreadComm::run(p, |comm| {
+            let counting = MeteredComm::new(comm);
             let me = counting.rank();
             let sendcounts = m.sendcounts(me);
             let sdispls = crate::packed_displs(&sendcounts);
@@ -218,16 +218,15 @@ mod tests {
                 &counting, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
             )
             .unwrap();
-            counting.log()
+            counting.metrics()
         });
         // Rank 0's stage-1 messages: 800 bytes split into 8 pieces of 100,
-        // plus the 4P header each.
-        let stage1: Vec<usize> = logs[0]
-            .iter()
-            .filter(|r| r.tag == crate::common::RANKA_STAGE1_TAG)
-            .map(|r| r.len)
-            .collect();
-        assert_eq!(stage1.len(), p - 1);
-        assert!(stage1.iter().all(|&l| l == 4 * p + 100), "{stage1:?}");
+        // plus the 4P header each. Count, total and largest send together pin
+        // every one of them at exactly that size.
+        let piece = (4 * p + 100) as u64;
+        let stage1 = metrics[0].sent_for_tag(crate::common::RANKA_STAGE1_TAG);
+        assert_eq!(stage1.msgs, (p - 1) as u64);
+        assert_eq!(stage1.bytes, (p - 1) as u64 * piece);
+        assert_eq!(metrics[0].sent_sizes.max, piece, "{:?}", metrics[0].sent_sizes);
     }
 }

@@ -24,7 +24,7 @@
 //! ## Wall-clock discipline
 //!
 //! `bruck-lint` bans ad-hoc `Instant::now()` in `crates/core`: all timing
-//! goes through [`span`] or the crate-internal [`Stopwatch`] (which backs the
+//! goes through [`span`] or the crate-internal `Stopwatch` (which backs the
 //! public `*_timed` phase breakdowns). This file is the single audited
 //! exception where the clock is actually read.
 

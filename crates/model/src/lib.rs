@@ -9,7 +9,7 @@
 //! `P = 32768` on a laptop.
 //!
 //! Validation: integration tests in the workspace root run the real
-//! implementations under `bruck_comm::CountingComm` and assert the traces
+//! implementations under `bruck_comm::MeteredComm` and assert the traces
 //! predict the wire bytes of every rank at every step exactly.
 //!
 //! ```

@@ -1,7 +1,7 @@
 //! Traces for the radix-r generalizations in `bruck-core::radix`.
 //!
 //! Same byte-exactness contract as the binary generators: validated against
-//! `CountingComm` logs of the real radix implementations.
+//! `MeteredComm` per-tag counters of the real radix implementations.
 
 use crate::source::SizeSource;
 use crate::trace::{CommTrace, RankLoad, Step, StepKind};

@@ -4,12 +4,12 @@
 //! A trace is generated without moving any payload (see
 //! [`crate::nonuniform_trace`]) but is *byte-exact*: integration tests assert
 //! that the bytes each step says a rank sends equal what the real
-//! implementation in `bruck-core` sends under a `CountingComm`.
+//! implementation in `bruck-core` sends under a `MeteredComm`.
 
 use crate::MachineModel;
 
 /// What a step is, which also determines the wire tag the real implementation
-/// uses for it (the bridge to `CountingComm` validation).
+/// uses for it (the bridge to `MeteredComm` validation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepKind {
     /// Uniform Bruck data exchange of step `k` (tag `0x100 + k`).
@@ -152,7 +152,7 @@ impl CommTrace {
     }
 
     /// Total wire bytes `rank` sends across all tagged steps (excludes the
-    /// collective prologue, matching a tag-filtered `CountingComm` log).
+    /// collective prologue, matching a `MeteredComm`'s logical-channel total).
     pub fn wire_bytes_out(&self, rank: usize) -> Option<u64> {
         let mut total = 0u64;
         for step in &self.steps {

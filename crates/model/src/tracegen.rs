@@ -7,7 +7,7 @@
 //! at relative index `i` of rank `q` is the original `(s, d)` block with
 //! `s = q ± (i & (2^k − 1))` and `d = s ∓ i` (sign by schedule direction).
 //! Summing `size(s, d)` over the step's indices gives the exact bytes on the
-//! wire — which integration tests verify against `CountingComm` logs of the
+//! wire — which integration tests verify against `MeteredComm` per-tag counters of the
 //! real implementations.
 
 use crate::source::SizeSource;

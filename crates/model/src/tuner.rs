@@ -67,7 +67,7 @@ fn allreduce_alpha(p: usize, machine: &MachineModel) -> f64 {
 
 /// Predicted seconds for one engine config on one workload point.
 ///
-/// Affine in `n_max` (see the [module docs](self)); `dist` contributes only
+/// Affine in `n_max` (see the module docs); `dist` contributes only
 /// its density (mean block size / `n_max`).
 pub fn predict_config(
     cfg: &EngineConfig,
@@ -199,7 +199,7 @@ pub struct TuningEntry {
 }
 
 /// A versioned set of [`TuningEntry`]s with a line-oriented text form. See
-/// the [module docs](self) for the format.
+/// the module docs for the format.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TuningTable {
     /// Entries, kept sorted by key.
@@ -315,7 +315,7 @@ impl TuningTable {
     }
 }
 
-/// The observe → refit → select state machine. See the [module docs](self).
+/// The observe → refit → select state machine. See the module docs.
 #[derive(Debug, Clone)]
 pub struct AutoTuner {
     machine: MachineModel,

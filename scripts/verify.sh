@@ -25,6 +25,9 @@ trap 'echo; echo "verify: wall time per stage$stage_rows"' EXIT
 
 stage build cargo build --workspace --release
 stage test cargo test --workspace -q
+# Rustdoc gate: every intra-doc link must resolve, so deleting or renaming a
+# type fails here instead of leaving [`crate::Gone`] references to rot.
+stage docs env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Observability conformance gate (DESIGN.md §10): every algorithm × workload
 # cell under MeteredComm must match the closed-form model's phase counts,
 # message counts, and byte volumes.

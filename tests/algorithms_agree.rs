@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use bruck_comm::{Communicator, CountingComm, ThreadComm, World, RESERVED_TAG_BASE};
+use bruck_comm::{Communicator, MeteredComm, ThreadComm, World};
 use bruck_core::{alltoall, alltoallv, packed_displs, AlltoallAlgorithm, AlltoallvAlgorithm};
 use bruck_workload::{SizeMatrix, SplitMix64};
 
@@ -164,8 +164,8 @@ fn data_phase_sends_are_zero_copy_for_every_algorithm() {
     let m = SizeMatrix::generate(bruck_workload::Distribution::Uniform, 7, 12, 96);
     let p = m.p();
     for algo in AlltoallvAlgorithm::ALL {
-        let logs = ThreadComm::run(p, |comm| {
-            let counting = CountingComm::new(comm);
+        let metrics = ThreadComm::run(p, |comm| {
+            let counting = MeteredComm::new(comm);
             let me = counting.rank();
             let sendcounts = m.sendcounts(me);
             let sdispls = packed_displs(&sendcounts);
@@ -183,22 +183,19 @@ fn data_phase_sends_are_zero_copy_for_every_algorithm() {
                 &rdispls,
             )
             .unwrap();
-            counting.log()
+            counting.metrics()
         });
-        let mut data_sends = 0usize;
-        for log in &logs {
-            for rec in log {
-                if rec.tag < RESERVED_TAG_BASE {
-                    data_sends += 1;
-                    assert!(
-                        !rec.copied,
-                        "{}: data-phase send (tag {:#x}, {} bytes) copied its payload",
-                        algo.name(),
-                        rec.tag,
-                        rec.len
-                    );
-                }
-            }
+        let mut data_sends = 0;
+        for m in &metrics {
+            data_sends += m.logical.sent_msgs;
+            assert_eq!(
+                m.logical.copied_msgs,
+                0,
+                "{}: rank {} copied {} data-phase payload bytes on the send path",
+                algo.name(),
+                m.rank,
+                m.logical.copied_bytes
+            );
         }
         assert!(data_sends > 0, "{}: expected data-phase traffic", algo.name());
     }

@@ -1,7 +1,7 @@
 //! Radix-r extension: real implementations vs. model traces, byte-exact,
 //! plus schedule agreement between `bruck-core` and `bruck-model`.
 
-use bruck_comm::{Communicator, CountingComm, SentRecord, ThreadComm};
+use bruck_comm::{Communicator, MeteredComm, Metrics, ThreadComm};
 use bruck_core::{
     configurable_alltoallv, packed_displs, zero_rotation_bruck_radix, EngineConfig,
 };
@@ -29,18 +29,14 @@ fn core_and_model_radix_schedules_agree() {
     }
 }
 
-fn logged_bytes(log: &[SentRecord], tag: u32) -> u64 {
-    log.iter().filter(|r| r.tag == tag).map(|r| r.len as u64).sum()
-}
-
 #[test]
 fn radix_two_phase_traces_predict_wire_bytes_exactly() {
     for radix in [2usize, 3, 4, 8] {
         for p in [4usize, 9, 12, 16] {
             let m = SizeMatrix::generate(Distribution::Uniform, radix as u64 * 97, p, 64);
             let trace = two_phase_radix_trace(&MatrixSource(&m), radix, &RankSample::all(p));
-            let logs: Vec<Vec<SentRecord>> = ThreadComm::run(p, |comm| {
-                let counting = CountingComm::new(comm);
+            let metrics: Vec<Metrics> = ThreadComm::run(p, |comm| {
+                let counting = MeteredComm::new(comm);
                 let me = counting.rank();
                 let sendcounts = m.sendcounts(me);
                 let sdispls = packed_displs(&sendcounts);
@@ -53,13 +49,13 @@ fn radix_two_phase_traces_predict_wire_bytes_exactly() {
                     &mut recvbuf, &recvcounts, &rdispls,
                 )
                 .unwrap();
-                counting.log()
+                counting.metrics()
             });
-            for (rank, log) in logs.iter().enumerate() {
+            for (rank, m) in metrics.iter().enumerate() {
                 for tag in trace.wire_tags() {
                     assert_eq!(
                         trace.bytes_for_tag(rank, tag),
-                        Some(logged_bytes(log, tag)),
+                        Some(m.sent_for_tag(tag).bytes),
                         "radix {radix}, P={p}, rank {rank}, tag {tag:#x}"
                     );
                 }
@@ -74,18 +70,18 @@ fn radix_uniform_traces_predict_wire_bytes_exactly() {
         for p in [4usize, 7, 16] {
             let n = 16;
             let trace = zero_rotation_radix_trace(p, n, radix, &RankSample::all(p));
-            let logs: Vec<Vec<SentRecord>> = ThreadComm::run(p, |comm| {
-                let counting = CountingComm::new(comm);
+            let metrics: Vec<Metrics> = ThreadComm::run(p, |comm| {
+                let counting = MeteredComm::new(comm);
                 let sendbuf = vec![1u8; p * n];
                 let mut recvbuf = vec![0u8; p * n];
                 zero_rotation_bruck_radix(&counting, &sendbuf, &mut recvbuf, n, radix).unwrap();
-                counting.log()
+                counting.metrics()
             });
-            for (rank, log) in logs.iter().enumerate() {
+            for (rank, m) in metrics.iter().enumerate() {
                 for tag in trace.wire_tags() {
                     assert_eq!(
                         trace.bytes_for_tag(rank, tag),
-                        Some(logged_bytes(log, tag)),
+                        Some(m.sent_for_tag(tag).bytes),
                         "radix {radix}, P={p}, rank {rank}, tag {tag:#x}"
                     );
                 }

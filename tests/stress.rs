@@ -276,7 +276,7 @@ fn fault_injection_is_deterministic_across_runs() {
 /// Every algorithm remains correct under adversarial schedule perturbation.
 #[test]
 fn all_algorithms_survive_chaos() {
-    use bruck_comm::ChaosComm;
+    use bruck_comm::{FaultComm, FaultPlan};
     let p = 9;
     let m = SizeMatrix::generate(Distribution::Uniform, 0xC4A05, p, 48);
     for seed in 0..3u64 {
@@ -290,7 +290,9 @@ fn all_algorithms_survive_chaos() {
             AlltoallvAlgorithm::RankaTwoStage,
         ] {
             ThreadComm::run(p, |comm| {
-                let chaos = ChaosComm::new(comm, seed);
+                // Delay-only plan: every cross-rank send spin-yields a seeded
+                // amount first, reordering it against concurrent senders.
+                let chaos = FaultComm::new(comm, FaultPlan::new(seed).with_delay(1.0, 64));
                 let me = chaos.rank();
                 let sendcounts = m.sendcounts(me);
                 let sdispls = packed_displs(&sendcounts);

@@ -1,12 +1,12 @@
 //! The model↔implementation bridge (DESIGN.md §3, "validation bridges").
 //!
 //! For every algorithm, run the real implementation from `bruck-core` under
-//! `CountingComm` and assert that the byte-exact trace from `bruck-model`
+//! `MeteredComm` and assert that the byte-exact trace from `bruck-model`
 //! predicts, for every rank and every wire tag (= communication step),
 //! exactly the bytes the real code put on the wire. This is what licenses
 //! trusting the model's predictions at `P = 32768`.
 
-use bruck_comm::{Communicator, CountingComm, SentRecord, ThreadComm, RESERVED_TAG_BASE};
+use bruck_comm::{Communicator, MeteredComm, Metrics, ThreadComm};
 use bruck_core::{alltoall, alltoallv, packed_displs, AlltoallAlgorithm, AlltoallvAlgorithm};
 use bruck_model::{
     nonuniform_trace, uniform_trace, MatrixSource, NonuniformAlgo, RankSample, UniformAlgo,
@@ -36,21 +36,11 @@ const UNIFORM_PAIRS: [(AlltoallAlgorithm, UniformAlgo); 7] = [
     (AlltoallAlgorithm::SpreadOut, UniformAlgo::SpreadOut),
 ];
 
-/// Sum of logged bytes for one wire tag.
-fn logged_bytes(log: &[SentRecord], tag: u32) -> u64 {
-    log.iter().filter(|r| r.tag == tag).map(|r| r.len as u64).sum()
-}
-
-/// Sum of logged bytes for all algorithm (non-collective) tags.
-fn logged_wire_bytes(log: &[SentRecord]) -> u64 {
-    log.iter().filter(|r| r.tag < RESERVED_TAG_BASE).map(|r| r.len as u64).sum()
-}
-
 fn check_nonuniform(core_algo: AlltoallvAlgorithm, model_algo: NonuniformAlgo, m: &SizeMatrix) {
     let p = m.p();
     let trace = nonuniform_trace(model_algo, &MatrixSource(m), &RankSample::all(p));
-    let logs: Vec<Vec<SentRecord>> = ThreadComm::run(p, |comm| {
-        let counting = CountingComm::new(comm);
+    let metrics: Vec<Metrics> = ThreadComm::run(p, |comm| {
+        let counting = MeteredComm::new(comm);
         let me = counting.rank();
         let sendcounts = m.sendcounts(me);
         let sdispls = packed_displs(&sendcounts);
@@ -63,20 +53,20 @@ fn check_nonuniform(core_algo: AlltoallvAlgorithm, model_algo: NonuniformAlgo, m
             &rdispls,
         )
         .unwrap();
-        counting.log()
+        counting.metrics()
     });
-    for (rank, log) in logs.iter().enumerate() {
+    for (rank, m) in metrics.iter().enumerate() {
         for tag in trace.wire_tags() {
             assert_eq!(
                 trace.bytes_for_tag(rank, tag),
-                Some(logged_bytes(log, tag)),
+                Some(m.sent_for_tag(tag).bytes),
                 "{}: rank {rank}, tag {tag:#x}, P={p}",
                 model_algo.name()
             );
         }
         assert_eq!(
             trace.wire_bytes_out(rank),
-            Some(logged_wire_bytes(log)),
+            Some(m.logical.sent_bytes),
             "{}: rank {rank} total, P={p}",
             model_algo.name()
         );
@@ -123,25 +113,25 @@ fn uniform_traces_predict_real_wire_bytes_exactly() {
             let trace_sample = RankSample::all(p);
             for (core_algo, model_algo) in UNIFORM_PAIRS {
                 let trace = uniform_trace(model_algo, p, n, &trace_sample);
-                let logs: Vec<Vec<SentRecord>> = ThreadComm::run(p, |comm| {
-                    let counting = CountingComm::new(comm);
+                let metrics: Vec<Metrics> = ThreadComm::run(p, |comm| {
+                    let counting = MeteredComm::new(comm);
                     let sendbuf = vec![0x5Au8; p * n];
                     let mut recvbuf = vec![0u8; p * n];
                     alltoall(core_algo, &counting, &sendbuf, &mut recvbuf, n).unwrap();
-                    counting.log()
+                    counting.metrics()
                 });
-                for (rank, log) in logs.iter().enumerate() {
+                for (rank, m) in metrics.iter().enumerate() {
                     for tag in trace.wire_tags() {
                         assert_eq!(
                             trace.bytes_for_tag(rank, tag),
-                            Some(logged_bytes(log, tag)),
+                            Some(m.sent_for_tag(tag).bytes),
                             "{}: rank {rank}, tag {tag:#x}, P={p}, n={n}",
                             model_algo.name()
                         );
                     }
                     assert_eq!(
                         trace.wire_bytes_out(rank),
-                        Some(logged_wire_bytes(log)),
+                        Some(m.logical.sent_bytes),
                         "{}: rank {rank} total, P={p}, n={n}",
                         model_algo.name()
                     );
@@ -156,8 +146,8 @@ fn message_counts_match_trace_structure() {
     // Each tagged step is exactly one message per rank for the Bruck family.
     let p = 8;
     let m = SizeMatrix::generate(Distribution::Uniform, 3, p, 40);
-    let logs: Vec<Vec<SentRecord>> = ThreadComm::run(p, |comm| {
-        let counting = CountingComm::new(comm);
+    let metrics: Vec<Metrics> = ThreadComm::run(p, |comm| {
+        let counting = MeteredComm::new(comm);
         let me = counting.rank();
         let sendcounts = m.sendcounts(me);
         let sdispls = packed_displs(&sendcounts);
@@ -170,12 +160,11 @@ fn message_counts_match_trace_structure() {
             &mut recvbuf, &recvcounts, &rdispls,
         )
         .unwrap();
-        counting.log()
+        counting.metrics()
     });
-    for log in &logs {
+    for m in &metrics {
         // log2(8) = 3 steps × (1 meta + 1 data) — plus the allreduce
         // (reserved tags).
-        let algo_msgs = log.iter().filter(|r| r.tag < RESERVED_TAG_BASE).count();
-        assert_eq!(algo_msgs, 6);
+        assert_eq!(m.logical.sent_msgs, 6);
     }
 }
