@@ -34,7 +34,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bruck_bench::export::{measure_metered, write_text, MeteredRun};
+use bruck_bench::export::{measure_metered, scheduler_report_json, write_text, MeteredRun};
 use bruck_comm::EventComm;
 use bruck_core::{alltoallv, packed_displs, AlltoallvAlgorithm};
 use bruck_workload::{Distribution, SizeMatrix};
@@ -65,6 +65,9 @@ struct Cell {
     wall_s: f64,
     messages: usize,
     executions: u64,
+    /// The run's full scheduler report (parks by kind, wakes, replayed ops),
+    /// rendered by [`scheduler_report_json`]; empty for a skipped cell.
+    scheduler: String,
     skip_reason: Option<String>,
 }
 
@@ -93,12 +96,13 @@ impl Cell {
                 let _ = write!(
                     s,
                     ",\"skipped\":false,\"wall_s\":{:.4},\"messages\":{},\"executions\":{},\
-                     \"ranks_per_s\":{:.1},\"msgs_per_s\":{:.1}}}",
+                     \"ranks_per_s\":{:.1},\"msgs_per_s\":{:.1},\"scheduler\":{}}}",
                     self.wall_s,
                     self.messages,
                     self.executions,
                     self.ranks_per_s(),
-                    self.msgs_per_s()
+                    self.msgs_per_s(),
+                    self.scheduler
                 );
             }
         }
@@ -186,6 +190,7 @@ fn run_cell(
         wall_s: 0.0,
         messages: 0,
         executions: 0,
+        scheduler: String::new(),
         skip_reason: Some(reason),
     };
     let est_bytes = estimated_peak_bytes(algo, p, block);
@@ -246,6 +251,7 @@ fn run_cell(
         wall_s,
         messages: report.messages,
         executions: report.executions,
+        scheduler: scheduler_report_json(&report),
         skip_reason: None,
     }
 }

@@ -1,6 +1,6 @@
 //! Machine-readable exporters for instrumented bench runs.
 //!
-//! Two artifacts, both hand-rolled JSON (the workspace is std-only):
+//! Three artifacts, all hand-rolled JSON (the workspace is std-only):
 //!
 //! * **Chrome trace** ([`chrome_trace_json`]) — the `trace_events` format
 //!   understood by `chrome://tracing` and Perfetto. Every
@@ -10,6 +10,10 @@
 //! * **Bench report** ([`bench_report_json`]) — the `BENCH_PR4.json`
 //!   artifact: one record per smoke-matrix cell with bare vs metered
 //!   wall-clock and the aggregated [`bruck_comm::Metrics`] channel totals.
+//! * **Scheduler report** ([`scheduler_report_json`]) — an event-runtime
+//!   run's [`EventReport`]: the wire totals next to the scheduler counters
+//!   (parks by kind, wakes, replayed ops), so a slow `EventComm` cell points
+//!   at a counter.
 //!
 //! [`measure_metered`] is the producer: it times an algorithm bare (via
 //! [`crate::time_alltoallv`]) and again under [`MeteredComm`], then runs one
@@ -22,7 +26,7 @@ use std::io;
 use std::path::Path;
 use std::time::Instant;
 
-use bruck_comm::{Communicator, MeteredComm, ThreadComm};
+use bruck_comm::{Communicator, EventReport, MeteredComm, ThreadComm};
 use bruck_core::probe::{self, PhaseEvent};
 use bruck_core::{alltoallv, packed_displs, AlltoallvAlgorithm};
 use bruck_workload::SizeMatrix;
@@ -162,6 +166,27 @@ pub fn bench_report_json(runs: &[MeteredRun]) -> String {
     out
 }
 
+/// Render one event-runtime run's scheduler and transport telemetry.
+pub fn scheduler_report_json(r: &EventReport) -> String {
+    format!(
+        "{{\"schema\":\"bruck-bench/scheduler\",\"workers\":{},\"messages\":{},\
+         \"executions\":{},\"wakes\":{},\"replayed_ops\":{},\
+         \"parks\":{{\"recv\":{},\"timed_recv\":{},\"sleep\":{},\"arrival\":{}}},\
+         \"pending_messages\":{},\"dead_match_keys\":{}}}",
+        r.workers,
+        r.messages,
+        r.executions,
+        r.wakes,
+        r.replayed_ops,
+        r.parks.recv,
+        r.parks.timed_recv,
+        r.parks.sleep,
+        r.parks.arrival,
+        r.pending_messages,
+        r.dead_match_keys,
+    )
+}
+
 /// Write an artifact, creating parent directories as needed.
 pub fn write_text(path: &Path, text: &str) -> io::Result<()> {
     if let Some(dir) = path.parent() {
@@ -271,6 +296,29 @@ mod tests {
         assert!(doc.contains("\"dur\":2.500"));
         assert!(doc.contains("\"tid\":1"));
         assert!(doc.contains("\"ph\":\"M\""), "cell label metadata event");
+    }
+
+    #[test]
+    fn scheduler_report_carries_the_park_kinds() {
+        use bruck_comm::EventComm;
+        use std::time::Duration;
+        let (_, report) = EventComm::run_report(2, 1, |comm| {
+            if comm.rank() == 0 {
+                comm.sleep(Duration::from_millis(1));
+                comm.send(1, 1, &[1]).unwrap();
+            } else {
+                let seen = comm.wait_arrival(0, Duration::ZERO).unwrap();
+                comm.wait_arrival(seen, Duration::from_secs(1)).unwrap();
+                comm.recv(0, 1).unwrap();
+            }
+        });
+        let doc = scheduler_report_json(&report);
+        assert!(doc.starts_with("{\"schema\":\"bruck-bench/scheduler\""), "{doc}");
+        assert!(doc.contains("\"executions\":4,\"wakes\":2,"), "{doc}");
+        assert!(
+            doc.contains("\"parks\":{\"recv\":0,\"timed_recv\":0,\"sleep\":1,\"arrival\":1}"),
+            "{doc}"
+        );
     }
 
     #[test]

@@ -23,10 +23,11 @@
 //!
 //! Two scheduling choices commute unless their pending ops interfere
 //! ([`dependent`]): same-rank ops are always dependent; a send is dependent
-//! with a matching receive/probe on the other side of its channel;
-//! everything that reads the virtual clock (timed receives, sleeps) is
-//! conservatively pairwise dependent, because the clock only advances at
-//! global quiescence and therefore couples all timed ops. Fault-stack cells
+//! with a matching receive/probe on the other side of its channel, and with
+//! an arrival wait on its destination rank whatever the channel;
+//! everything that reads the virtual clock (timed receives, sleeps, arrival
+//! waits) is conservatively pairwise dependent, because the clock only
+//! advances at global quiescence and therefore couples all timed ops. Fault-stack cells
 //! are dominated by timed ops, so their reduction degenerates toward full
 //! enumeration — such cells run under an explicit *bounded* budget
 //! ([`VerifyCell::exhaustive`] = false) and act as systematic deep fuzzing
@@ -61,7 +62,7 @@ use std::time::{Duration, Instant};
 /// clock reader can change what global quiescence looks like, so all such
 /// ops are conservatively pairwise dependent.
 fn clocked(a: &SimOp) -> bool {
-    matches!(a, SimOp::Sleep | SimOp::Recv { timed: true, .. })
+    matches!(a, SimOp::Sleep | SimOp::Arrival | SimOp::Recv { timed: true, .. })
 }
 
 /// The DPOR dependency relation over pending-op footprints. `ra`/`rb` are
@@ -85,6 +86,11 @@ pub fn dependent(ra: u32, a: &SimOp, rb: u32, b: &SimOp) -> bool {
         | (SimOp::Probe { src, tag: rt }, SimOp::Send { dest, tag }) => {
             *dest as u32 == ra && *src as u32 == rb && tag == rt
         }
+        // An arrival wait observes every deposit into its rank's store,
+        // whatever the key: any send to that rank changes what it returns
+        // and whether it parks.
+        (SimOp::Send { dest, .. }, SimOp::Arrival) => *dest as u32 == rb,
+        (SimOp::Arrival, SimOp::Send { dest, .. }) => *dest as u32 == ra,
         // Sends commute with each other (per-channel queues), receives and
         // probes on different ranks touch disjoint mailboxes, and spawns
         // touch nothing.
@@ -108,6 +114,7 @@ fn op_code(op: &SimOp) -> u64 {
         }
         SimOp::Probe { src, tag } => mix(4 ^ ((*src as u64) << 8) ^ ((*tag as u64) << 32)),
         SimOp::Sleep => 5,
+        SimOp::Arrival => 6,
     }
 }
 
@@ -870,6 +877,13 @@ mod tests {
         assert!(!dependent(0, &SimOp::Spawn, 1, &SimOp::Spawn));
         // Clock-coupled ops are pairwise dependent.
         assert!(dependent(0, &SimOp::Sleep, 1, &SimOp::Recv { src: 0, tag: 1, timed: true }));
+        // An arrival wait depends on every send to its rank, on no send to
+        // anyone else, and on every clocked op.
+        assert!(dependent(0, &send(1, 7), 1, &SimOp::Arrival));
+        assert!(dependent(1, &SimOp::Arrival, 2, &send(1, 9)));
+        assert!(!dependent(0, &send(2, 7), 1, &SimOp::Arrival));
+        assert!(dependent(0, &SimOp::Sleep, 1, &SimOp::Arrival));
+        assert!(dependent(0, &SimOp::Arrival, 1, &SimOp::Arrival));
         // Sends to different destinations commute.
         assert!(!dependent(0, &send(2, 7), 1, &send(2, 7)));
     }

@@ -32,6 +32,14 @@
 //!   `Communicator::sleep` (backed by the clock layer), so the deterministic
 //!   simulator can replace it with virtual time. An ad-hoc real sleep is
 //!   invisible to `SimComm` and reintroduces wall-clock flakiness.
+//! * `no-sleep-poll` — a `.sleep(` call in non-test code under
+//!   `crates/comm/src`, `crates/core/src` or `crates/bpra/src`: a wait loop
+//!   that sleeps a quantum between probe sweeps prices every message at that
+//!   quantum (it is how `ReliableComm`, the failure detector, the agreement
+//!   flood and `SubComm` each came to poll). Waiting for traffic is
+//!   `Communicator::wait_arrival` with the caller's own next deadline; the
+//!   audited sleeps that are not polls — wrapper forwards, the retry
+//!   back-off, `FaultComm`'s scripted stall — carry allowlist budgets.
 //! * `no-adhoc-spawn` — thread spawning (`spawn(` / `spawn_scoped(`) in
 //!   `crates/comm` outside `runtime.rs` and `mailbox.rs`: since the
 //!   event-driven runtime landed, concurrency in the comm layer is a
@@ -263,6 +271,11 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<LintFinding>) {
     // with virtual time.
     let sleep_banned = (rel.starts_with("crates/core/") || rel.starts_with("crates/comm/"))
         && rel != "crates/comm/src/clock.rs";
+    // Library code that waits for traffic parks on arrival; it does not
+    // sleep a quantum and look again.
+    let sleep_poll_banned = ["crates/comm/src/", "crates/core/src/", "crates/bpra/src/"]
+        .iter()
+        .any(|dir| rel.starts_with(dir));
     // The scheduler and the blocking-mailbox wrapper are the two sanctioned
     // concurrency-primitive sites in the comm layer; everywhere else must go
     // through the readiness abstraction.
@@ -352,6 +365,11 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<LintFinding>) {
             if sleep_banned {
                 for _ in san.match_indices("thread::sleep(") {
                     push("no-adhoc-sleep");
+                }
+            }
+            if sleep_poll_banned {
+                for _ in san.match_indices(".sleep(") {
+                    push("no-sleep-poll");
                 }
             }
             if spawn_banned {
@@ -797,6 +815,47 @@ mod tests {
         assert!(scan_str("crates/check/src/matrix.rs", dispatch)
             .iter()
             .all(|f| f.rule != "no-direct-variant-call"));
+    }
+
+    #[test]
+    fn sleep_poll_flagged_in_library_code_of_comm_core_and_bpra() {
+        // The shape the rule exists for: sweep, find nothing, sleep a quantum.
+        let src = [
+            "fn wait(c: &C) {",
+            "    loop {",
+            "        if c.probe(0, 1).is_some() { return; }",
+            "        c.sleep(QUANTUM);",
+            "    }",
+            "}",
+        ]
+        .join("\n");
+        let src = src.as_str();
+        for rel in [
+            "crates/comm/src/reliable.rs",
+            "crates/core/src/nonuniform/resilient.rs",
+            "crates/bpra/src/exchange.rs",
+        ] {
+            let hits = scan_str(rel, src);
+            assert!(
+                hits.iter().any(|f| f.rule == "no-sleep-poll" && f.line == 4),
+                "{rel}: {hits:?}"
+            );
+        }
+        // Harnesses and benches may sleep; so may integration tests (not
+        // under src/) and #[cfg(test)] regions.
+        for rel in ["crates/check/src/chaos.rs", "crates/bench/src/lib.rs", "crates/comm/tests/a.rs"]
+        {
+            assert!(scan_str(rel, src).iter().all(|f| f.rule != "no-sleep-poll"), "{rel}");
+        }
+        let test_src = "#[cfg(test)]\nmod tests {\n    fn g(c: &C) { c.sleep(NAP); }\n}\n";
+        assert!(scan_str("crates/comm/src/sim.rs", test_src)
+            .iter()
+            .all(|f| f.rule != "no-sleep-poll"));
+        // A real-thread sleep is the other rule's business, not this one's.
+        let real = "fn f() { std::thread::sleep(d); }\n";
+        assert!(scan_str("crates/comm/src/clock.rs", real)
+            .iter()
+            .all(|f| f.rule != "no-sleep-poll"));
     }
 
     #[test]

@@ -68,6 +68,8 @@ struct WorldInner {
     /// Send/recv commits so far (probes excluded — they never unblock
     /// anything, so they don't count as scheduler progress).
     commits: u64,
+    /// Sends committed so far per destination: the arrival counts.
+    deposits: Vec<u64>,
 }
 
 /// Shared state of one symbolic execution; every rank's [`ModelComm`] points
@@ -88,6 +90,7 @@ impl ModelWorld {
                 ops: (0..p).map(|_| Vec::new()).collect(),
                 cursors: vec![0; p],
                 commits: 0,
+                deposits: vec![0; p],
             }),
         })
     }
@@ -102,7 +105,7 @@ impl ModelWorld {
 
 /// The communicator handed to rank bodies under symbolic execution.
 ///
-/// Implements the nine [`Communicator`] primitives (collectives come with
+/// Implements the ten [`Communicator`] primitives (collectives come with
 /// the provided methods) but never blocks: an unmatched receive returns
 /// [`CommError::WouldBlock`] instead.
 pub struct ModelComm {
@@ -169,6 +172,7 @@ impl Communicator for ModelComm {
             clock,
         });
         w.pending.entry((me, dest, tag)).or_default().push_back(msg);
+        w.deposits[dest] += 1;
         w.ops[me].push(Op::Send { dst: dest, tag, msg });
         w.cursors[me] += 1;
         w.commits += 1;
@@ -268,7 +272,8 @@ impl Communicator for ModelComm {
     }
 
     // The model is untimed: a receive either matches or parks the rank, so a
-    // deadline never expires, the clock stands still and sleeping is free.
+    // deadline never expires, the clock stands still, sleeping is free and an
+    // arrival wait returns the count at once.
 
     fn recv_buf_timeout(&self, src: usize, tag: Tag, _timeout: Duration) -> CommResult<MsgBuf> {
         self.recv_buf(src, tag)
@@ -279,6 +284,10 @@ impl Communicator for ModelComm {
     }
 
     fn sleep(&self, _d: Duration) {}
+
+    fn wait_arrival(&self, _seen: u64, _timeout: Duration) -> CommResult<u64> {
+        Ok(self.world.lock().deposits[self.rank])
+    }
 }
 
 /// How one rank's body ended under symbolic execution.

@@ -55,11 +55,14 @@
 //!
 //! Frames travel on the reserved tag `RESERVED_TAG_BASE + 0x3100 + (epoch
 //! mod 256)` and carry the full epoch; stale-epoch frames are discarded on
-//! receipt. All waiting is on the trait clock, so agreement is
+//! receipt. All waiting is on the trait clock — a collecting rank parks on
+//! arrival ([`Communicator::wait_arrival`]) until a frame lands or the
+//! anchored round deadline, with no poll quantum — so agreement is
 //! deterministic (and nearly free) under [`crate::SimComm`].
 
 use std::time::Duration;
 
+use crate::communicator::await_arrival;
 use crate::detect::Suspicion;
 use crate::{CommError, CommResult, Communicator, MsgBuf, Tag, RESERVED_TAG_BASE};
 
@@ -127,9 +130,6 @@ pub struct AgreeConfig {
     /// [`crate::CommError::Timeout`] (crash-only: a wedged agreement fails
     /// loudly rather than spinning).
     pub max_rounds: u32,
-    /// Poll quantum between probe passes while collecting, on the trait
-    /// clock.
-    pub poll: Duration,
 }
 
 impl Default for AgreeConfig {
@@ -138,7 +138,6 @@ impl Default for AgreeConfig {
             round_timeout: Duration::from_millis(200),
             stable_rounds: 2,
             max_rounds: 64,
-            poll: Duration::from_micros(50),
         }
     }
 }
@@ -214,6 +213,7 @@ pub fn agree_survivors<C: Communicator + ?Sized>(
     let mut courtesy_done: Vec<bool> = (0..n).map(|i| susp.get(i)).collect();
     let mut stable = 0u32;
     let start = comm.now();
+    let mut seen = comm.wait_arrival(0, Duration::ZERO)?;
 
     let outcome = |survivor_bits: Suspicion, rounds: u32, adopted: bool, dirty: bool| {
         let evicted_me = survivor_bits.get(me_pos);
@@ -321,7 +321,8 @@ pub fn agree_survivors<C: Communicator + ?Sized>(
             if pending.is_empty() {
                 break;
             }
-            if comm.now() >= deadline {
+            let now = comm.now();
+            if now >= deadline {
                 // Whoever has not produced a frame by the anchored deadline
                 // is suspected; the next round floods that news.
                 for &i in &pending {
@@ -330,9 +331,9 @@ pub fn agree_survivors<C: Communicator + ?Sized>(
                 all_echoed_exactly = false;
                 break;
             }
-            if !progressed {
-                comm.sleep(cfg.poll);
-            }
+            // An empty pass parks until a frame arrives or the anchored
+            // deadline.
+            seen = await_arrival(comm, seen, !progressed, deadline - now)?;
         }
 
         if susp.get(me_pos) {
@@ -378,7 +379,6 @@ mod tests {
             round_timeout: Duration::from_millis(150),
             stable_rounds: 2,
             max_rounds: 32,
-            poll: Duration::from_micros(200),
         }
     }
 

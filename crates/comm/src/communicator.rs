@@ -1,20 +1,28 @@
 //! The [`Communicator`] trait: the narrow waist every algorithm is written
 //! against.
 //!
-//! The waist is **nine required primitives** — identity ([`Communicator::rank`],
+//! The waist is **ten required primitives** — identity ([`Communicator::rank`],
 //! [`Communicator::size`]), tagged eager point-to-point
 //! ([`Communicator::send_buf`], [`Communicator::recv_buf`],
 //! [`Communicator::recv_into`], [`Communicator::recv_buf_timeout`],
 //! [`Communicator::probe`]) and the clock ([`Communicator::now`],
-//! [`Communicator::sleep`]). None has a default body: a backend or wrapper
-//! that omits one does not compile, so "which methods must a wrapper
-//! forward" is answered by the type checker, not by a doc comment.
+//! [`Communicator::sleep`], [`Communicator::wait_arrival`]). None has a
+//! default body: a backend or wrapper that omits one does not compile, so
+//! "which methods must a wrapper forward" is answered by the type checker,
+//! not by a doc comment.
+//!
+//! The keyed receives block on *one* `(src, tag)`; `wait_arrival` is how a
+//! protocol that must service *any* channel while it waits (an ARQ acking
+//! third-party frames, a heartbeat sweep, a flood) parks without a poll
+//! quantum: read the arrival count, sweep with `probe`, and if the sweep
+//! found nothing, wait for the count to move or for the protocol's own next
+//! deadline.
 //!
 //! Everything else — the `&[u8]`/`Vec<u8>` compat forms, `sendrecv*`, and the
-//! small collectives — is a provided method built from those nine, so every
+//! small collectives — is a provided method built from those ten, so every
 //! backend and every wrapper stack gets it for free with an identical message
 //! schedule (which is what lets the cost model in `bruck-model` price them).
-//! **A wrapper implements the nine and nothing else.** The one exception is
+//! **A wrapper implements the ten and nothing else.** The one exception is
 //! [`crate::MeteredComm::send`], an *observing* override: it performs the
 //! same pack-and-`send_buf` as the provided body and additionally records
 //! that the payload was copied.
@@ -36,6 +44,22 @@ const TAG_BARRIER: Tag = RESERVED_TAG_BASE;
 const TAG_ALLREDUCE: Tag = RESERVED_TAG_BASE + 1;
 const TAG_ALLGATHER: Tag = RESERVED_TAG_BASE + 2;
 const TAG_ALLTOALL_COUNTS: Tag = RESERVED_TAG_BASE + 4;
+
+/// The tail of every service loop in this crate (the ARQ, the failure
+/// detector, the agreement flood). `seen` is an arrival count read *before*
+/// the pass that just ended: if that pass was `idle` (handled nothing), park
+/// until the count moves or `budget` — the caller's own next deadline —
+/// elapses; otherwise only refresh the count. Either way the caller sweeps
+/// again before it next parks on the returned count, so a frame landing
+/// mid-sweep is never slept through.
+pub(crate) fn await_arrival<C: Communicator + ?Sized>(
+    comm: &C,
+    seen: u64,
+    idle: bool,
+    budget: std::time::Duration,
+) -> CommResult<u64> {
+    comm.wait_arrival(seen, if idle { budget } else { std::time::Duration::ZERO })
+}
 
 /// SPMD communicator: every rank of the program holds one, all methods are
 /// called collectively or pairwise exactly as in MPI.
@@ -97,8 +121,29 @@ pub trait Communicator: Sync {
     /// wall-clock time).
     fn sleep(&self, d: std::time::Duration);
 
+    /// This rank's *arrival count* — how many messages have ever been
+    /// deposited for it, on any `(src, tag)` — returned at once if it
+    /// differs from `seen`, otherwise after parking the rank until something
+    /// is deposited for it or `timeout` elapses on this communicator's
+    /// clock. `timeout == Duration::ZERO` therefore just reads the count,
+    /// and [`Duration::MAX`](std::time::Duration::MAX) waits unbounded.
+    ///
+    /// The wait is edge-triggered on the count, which is what makes the
+    /// *read count → sweep with `probe` → wait on that count* loop free of
+    /// lost wake-ups: a frame landing between the sweep and the wait has
+    /// already moved the count, so the wait returns immediately. It may
+    /// return early (a wrapper over a shared transport counts traffic for
+    /// other contexts too; callers re-sweep and wait again) but never later
+    /// than `timeout`. Only the equality of two readings is meaningful; the
+    /// value carries no other information.
+    ///
+    /// A virtual-time backend that proves the world stuck — every rank
+    /// parked, no deadline pending — returns [`CommError::Deadlock`] (with
+    /// this rank as `src` and tag 0) rather than hanging.
+    fn wait_arrival(&self, seen: u64, timeout: std::time::Duration) -> CommResult<u64>;
+
     // ------------------------------------------------------------------
-    // Provided methods: built from the nine primitives above, identical on
+    // Provided methods: built from the ten primitives above, identical on
     // every backend and through every wrapper. Wrappers do not override
     // them.
     // ------------------------------------------------------------------

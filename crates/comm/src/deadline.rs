@@ -109,6 +109,12 @@ impl<C: Communicator + ?Sized> Communicator for DeadlineComm<'_, C> {
     fn sleep(&self, d: Duration) {
         self.inner.sleep(d)
     }
+
+    fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
+        // Not clipped to the budget: the caller names its own bound, and a
+        // clipped wait would return at once forever after expiry.
+        self.inner.wait_arrival(seen, timeout)
+    }
 }
 
 #[cfg(test)]

@@ -12,8 +12,11 @@
 //!
 //! Every live member enters [`detect_failures`] (SPMD, like a collective)
 //! and immediately sends a PING to every other unsuspected member. It then
-//! polls until the window closes, answering incoming PINGs with PONGs and
-//! collecting proof of life. The crucial asymmetry-absorbing rule:
+//! services its mailbox until the window closes, answering incoming PINGs
+//! with PONGs and collecting proof of life, and between service passes parks
+//! on arrival ([`Communicator::wait_arrival`]) until the next heartbeat is
+//! due or the window closes — there is no poll quantum. The crucial
+//! asymmetry-absorbing rule:
 //! **any** detector message for this epoch — PING or PONG — proves its
 //! sender alive. Sends are eager, so a member that enters the sweep late
 //! still finds the early birds' PINGs already in its mailbox, and the early
@@ -30,7 +33,7 @@
 //! protocol that makes them consistent.
 //!
 //! All waiting happens on the trait clock ([`Communicator::now`] /
-//! [`Communicator::sleep`]), so the detector runs identically on
+//! [`Communicator::wait_arrival`]), so the detector runs identically on
 //! [`crate::ThreadComm`] (wall time), [`crate::SimComm`] (virtual time, a
 //! 100 ms window costs microseconds of wall clock), and [`crate::EventComm`].
 //!
@@ -43,6 +46,7 @@
 
 use std::time::Duration;
 
+use crate::communicator::await_arrival;
 use crate::splitmix;
 use crate::{CommError, CommResult, Communicator, MsgBuf, Tag, RESERVED_TAG_BASE};
 
@@ -167,8 +171,6 @@ pub struct DetectorConfig {
     /// re-PING schedule from this seed (spreads heartbeats; keeps replays
     /// deterministic).
     pub seed: u64,
-    /// Poll quantum between service passes, on the trait clock.
-    pub poll: Duration,
 }
 
 impl Default for DetectorConfig {
@@ -177,7 +179,6 @@ impl Default for DetectorConfig {
             window: Duration::from_millis(100),
             heartbeat: Duration::from_millis(20),
             seed: 0,
-            poll: Duration::from_micros(50),
         }
     }
 }
@@ -256,6 +257,7 @@ pub fn detect_failures<C: Communicator + ?Sized>(
         Duration::from_nanos(draw % (cfg.heartbeat.as_nanos().max(1) as u64))
     };
     let mut next_hb = start + cfg.heartbeat + hb_jitter;
+    let mut seen = comm.wait_arrival(0, Duration::ZERO)?;
 
     loop {
         let mut handled = 0usize;
@@ -314,9 +316,10 @@ pub fn detect_failures<C: Communicator + ?Sized>(
             }
             next_hb = now + cfg.heartbeat + hb_jitter;
         }
-        if handled == 0 {
-            comm.sleep(cfg.poll);
-        }
+        // An empty pass parks until something arrives, the next heartbeat
+        // is due, or the window closes.
+        let budget = next_hb.min(deadline).saturating_sub(now);
+        seen = await_arrival(comm, seen, handled == 0, budget)?;
     }
 
     for i in 0..n {
@@ -337,7 +340,6 @@ mod tests {
             window: Duration::from_millis(60),
             heartbeat: Duration::from_millis(10),
             seed: 7,
-            poll: Duration::from_micros(50),
         }
     }
 

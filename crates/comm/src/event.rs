@@ -47,8 +47,9 @@
 //! ## Virtual time
 //!
 //! Like the simulator, the runtime's clock is virtual: [`Communicator::now`]
-//! reads it, [`Communicator::sleep`] and timed receives park the *task* with
-//! a deadline. The clock advances only at global quiescence (every worker
+//! reads it; [`Communicator::sleep`], timed receives and
+//! [`Communicator::wait_arrival`] park the *task* with a deadline. The clock
+//! advances only at global quiescence (every worker
 //! idle, no task runnable), jumping to the earliest pending deadline — so
 //! timeouts fire after exactly their budget of virtual time and zero
 //! wall-clock time, and a world where every live task is parked with no
@@ -87,15 +88,22 @@ pub(crate) enum Wake {
     Deadlocked,
 }
 
-/// A parked receive registered in a rank's inbox: the readiness list entry a
+/// A parked wait registered in a rank's inbox: the readiness list entry a
 /// depositing sender checks. At most one per rank (a task parks on exactly
 /// one operation), tagged with the parking execution's epoch so stale wakes
 /// are provably ignorable.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Waiter {
-    pub(crate) src: usize,
-    pub(crate) tag: Tag,
+    /// The `(src, tag)` a parked receive matches on; `None` for a parked
+    /// `wait_arrival`, which any deposit satisfies.
+    pub(crate) key: Option<(usize, Tag)>,
     pub(crate) epoch: u64,
+}
+
+impl Waiter {
+    fn matches(&self, src: usize, tag: Tag) -> bool {
+        self.key.is_none_or(|k| k == (src, tag))
+    }
 }
 
 /// One rank's inbox: the matching store plus its readiness registration.
@@ -116,6 +124,11 @@ pub(crate) enum Park {
         /// Virtual instant at which the sleep elapses.
         until: Duration,
     },
+    /// Parked in `wait_arrival` behind an any-source waiter.
+    Arrival {
+        /// Virtual-time deadline; `None` waits unbounded.
+        deadline: Option<Duration>,
+    },
 }
 
 // Replay-log operation kinds: one byte per completed operation. Keeping the
@@ -128,6 +141,7 @@ const K_ERR: u8 = 2;
 const K_PROBE: u8 = 3;
 const K_NOW: u8 = 4;
 const K_SLEEP: u8 = 5;
+const K_ARRIVAL: u8 = 6;
 
 fn kind_name(k: u8) -> &'static str {
     match k {
@@ -137,6 +151,7 @@ fn kind_name(k: u8) -> &'static str {
         K_PROBE => "probe",
         K_NOW => "now",
         K_SLEEP => "sleep",
+        K_ARRIVAL => "wait_arrival",
         _ => "unknown",
     }
 }
@@ -158,6 +173,8 @@ pub(crate) struct ReplayLog {
     probes: Vec<Option<u32>>,
     /// Virtual-clock reading (nanoseconds) per `K_NOW`.
     nows: Vec<u64>,
+    /// Arrival count returned per `K_ARRIVAL`.
+    arrivals: Vec<u64>,
 }
 
 /// Replay progress through a [`ReplayLog`]: one cursor per column.
@@ -169,6 +186,7 @@ struct Cursor {
     err: usize,
     probe: usize,
     now: usize,
+    arrival: usize,
 }
 
 /// Per-execution state of one task, owned by the [`EventComm`] handle the
@@ -186,6 +204,8 @@ pub(crate) struct ExecCtx {
     park: Option<Park>,
     /// This execution's epoch (== the task slot's epoch while it runs).
     epoch: u64,
+    /// Ops already in the log when this execution started (its replay debt).
+    logged: usize,
 }
 
 /// Buffered sends per flush. Batching amortizes inbox locking and wake
@@ -194,12 +214,23 @@ const OUTBOX_BATCH: usize = 64;
 
 impl ExecCtx {
     pub(crate) fn new(log: ReplayLog, wake: Option<Wake>, epoch: u64) -> ExecCtx {
-        ExecCtx { log, cur: Cursor::default(), outbox: Vec::new(), wake, park: None, epoch }
+        let logged = log.kinds.len();
+        ExecCtx { log, cur: Cursor::default(), outbox: Vec::new(), wake, park: None, epoch, logged }
     }
 
     /// Still retracing the previous executions' completed prefix?
     pub(crate) fn replaying(&self) -> bool {
         self.cur.op < self.log.kinds.len()
+    }
+
+    /// Logged ops this execution has not retraced yet (0 once it is live).
+    pub(crate) fn unreplayed(&self) -> usize {
+        self.log.kinds.len() - self.cur.op
+    }
+
+    /// Logged ops this execution retraced before going live (or ending).
+    pub(crate) fn replayed(&self) -> usize {
+        self.cur.op.min(self.logged)
     }
 
     pub(crate) fn take_park(&mut self) -> Option<Park> {
@@ -262,6 +293,13 @@ impl ExecCtx {
         self.cur.op += 1;
     }
 
+    fn append_arrival(&mut self, count: u64) {
+        self.log.kinds.push(K_ARRIVAL);
+        self.log.arrivals.push(count);
+        self.cur.op += 1;
+        self.cur.arrival += 1;
+    }
+
     // -- replay-mode consume helpers --
 
     fn replay_send(&mut self, rank: usize) -> CommResult<()> {
@@ -284,12 +322,7 @@ impl ExecCtx {
                 self.cur.arena += len;
                 Ok(MsgBuf::copy_from_slice(&self.log.arena[start..start + len]))
             }
-            K_ERR => {
-                self.cur.op += 1;
-                let e = self.log.errs[self.cur.err].clone();
-                self.cur.err += 1;
-                Err(e)
-            }
+            K_ERR => self.replay_err(),
             _ => self.diverged(rank, "recv"),
         }
     }
@@ -323,6 +356,26 @@ impl ExecCtx {
             K_SLEEP => self.cur.op += 1,
             _ => self.diverged(rank, "sleep"),
         }
+    }
+
+    fn replay_arrival(&mut self, rank: usize) -> CommResult<u64> {
+        match self.log.kinds[self.cur.op] {
+            K_ARRIVAL => {
+                self.cur.op += 1;
+                let count = self.log.arrivals[self.cur.arrival];
+                self.cur.arrival += 1;
+                Ok(count)
+            }
+            K_ERR => self.replay_err(),
+            _ => self.diverged(rank, "wait_arrival"),
+        }
+    }
+
+    fn replay_err<T>(&mut self) -> CommResult<T> {
+        self.cur.op += 1;
+        let e = self.log.errs[self.cur.err].clone();
+        self.cur.err += 1;
+        Err(e)
     }
 }
 
@@ -367,10 +420,7 @@ impl<'w> EventComm<'w> {
             inbox.store.push(rank, tag, buf);
             #[cfg(feature = "hb-audit")]
             world.audit_record(rank, crate::runtime::AuditKind::Deposit { src: rank, dest, tag });
-            let matches = inbox
-                .waiter
-                .as_ref()
-                .is_some_and(|w| w.src == rank && w.tag == tag);
+            let matches = inbox.waiter.as_ref().is_some_and(|w| w.matches(rank, tag));
             if matches {
                 if let Some(w) = inbox.waiter.take() {
                     #[cfg(feature = "hb-audit")]
@@ -458,7 +508,7 @@ impl<'w> EventComm<'w> {
                     if inbox.waiter.is_some() {
                         panic!("rank {}: second waiter registered", self.rank);
                     }
-                    inbox.waiter = Some(Waiter { src, tag, epoch: ctx.epoch });
+                    inbox.waiter = Some(Waiter { key: Some((src, tag)), epoch: ctx.epoch });
                     drop(inbox);
                     #[cfg(feature = "hb-audit")]
                     self.world.audit_record(
@@ -558,6 +608,52 @@ impl Communicator for EventComm<'_> {
         self.flush(&mut ctx);
         let until = self.world.clock_now() + d;
         ctx.park = Some(Park::Sleep { until });
+        drop(ctx);
+        panic_any(TaskYield)
+    }
+
+    fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
+        let mut ctx = self.ctx();
+        if ctx.replaying() {
+            return ctx.replay_arrival(self.rank);
+        }
+        self.flush(&mut ctx);
+        // As in `op_recv`: the first live blocking op is the op that parked,
+        // so this execution's wake verdict (if any) belongs to us.
+        let wake = ctx.wake.take();
+        let mut inbox = self.world.inbox(self.rank);
+        let count = inbox.store.deposits();
+        // A deposit beats a simultaneous wake verdict; a timer wake means
+        // virtual time reached the deadline exactly.
+        if count != seen || timeout.is_zero() || wake == Some(Wake::TimedOut) {
+            drop(inbox);
+            ctx.append_arrival(count);
+            return Ok(count);
+        }
+        if wake == Some(Wake::Deadlocked) {
+            drop(inbox);
+            let e = CommError::Deadlock { src: self.rank, tag: 0 };
+            ctx.append_err(e.clone());
+            return Err(e);
+        }
+        if inbox.waiter.is_some() {
+            panic!("rank {}: second waiter registered", self.rank);
+        }
+        inbox.waiter = Some(Waiter { key: None, epoch: ctx.epoch });
+        drop(inbox);
+        #[cfg(feature = "hb-audit")]
+        self.world.audit_record(
+            self.rank,
+            crate::runtime::AuditKind::WaiterArmed {
+                rank: self.rank,
+                src: self.rank,
+                tag: 0,
+                epoch: ctx.epoch,
+            },
+        );
+        // A timeout the clock cannot represent is an unbounded wait.
+        let deadline = self.world.clock_now().checked_add(timeout);
+        ctx.park = Some(Park::Arrival { deadline });
         drop(ctx);
         panic_any(TaskYield)
     }

@@ -377,7 +377,7 @@ impl<C: Communicator + ?Sized> Communicator for FaultComm<'_, C> {
     }
 
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
-        // Probes are control-plane: no op accounting (recovery layers poll
+        // Probes are control-plane: no op accounting (recovery layers sweep
         // them at arbitrary rates), but a crashed rank stays crashed.
         if self.lock().crashed {
             return Err(CommError::RankFailed { rank: self.inner.rank() });
@@ -391,6 +391,14 @@ impl<C: Communicator + ?Sized> Communicator for FaultComm<'_, C> {
 
     fn sleep(&self, d: Duration) {
         self.inner.sleep(d)
+    }
+
+    fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
+        // Control-plane like `probe`: no op accounting, crashed stays crashed.
+        if self.lock().crashed {
+            return Err(CommError::RankFailed { rank: self.inner.rank() });
+        }
+        self.inner.wait_arrival(seen, timeout)
     }
 }
 

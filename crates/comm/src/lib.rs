@@ -7,9 +7,10 @@
 //!
 //! * **SPMD ranks** — [`ThreadComm::run`] plays the role of `mpiexec -n P`,
 //!   mapping one rank to one OS thread ("MPI everywhere").
-//! * **One narrow waist** — [`Communicator`] requires nine primitives
+//! * **One narrow waist** — [`Communicator`] requires ten primitives
 //!   (`rank`, `size`, `send_buf`, `recv_buf`, `recv_into`,
-//!   `recv_buf_timeout`, `probe`, `now`, `sleep`), none with a default body.
+//!   `recv_buf_timeout`, `probe`, and the clock group `now`, `sleep`,
+//!   `wait_arrival`), none with a default body.
 //!   A backend or wrapper implements these and nothing else; the compiler
 //!   rejects one that forgets any. [`MeteredComm::send`] is the one observing
 //!   override of a provided method.
@@ -34,7 +35,9 @@
 //!   duplication / corruption / delay and scripted rank stall / crash;
 //!   [`ReliableComm`] repairs a lossy transport back to exactly-once in-order
 //!   delivery (sequence numbers + checksums + ack/retry with bounded
-//!   backoff); [`DeadlineComm`] bounds every blocking receive by a shared
+//!   backoff), parking on arrival between service passes
+//!   ([`Communicator::wait_arrival`]) rather than polling;
+//!   [`DeadlineComm`] bounds every blocking receive by a shared
 //!   wall-clock budget, surfacing [`CommError::Timeout`] /
 //!   [`CommError::RankFailed`] for graceful-degradation drivers.
 //! * **Deterministic simulation** — [`SimComm`] runs the same unmodified
@@ -99,6 +102,7 @@ pub use reduce::ReduceOp;
 pub use retry::RetryPolicy;
 pub use runtime::{
     AuditEvent, AuditKind, EventReport, EventRun, EventStep, EventVerifyOpts, EventWorld,
+    ParkCounts,
     WakeSource,
 };
 pub use sim::{

@@ -32,7 +32,12 @@
 //!   scheduler — no per-rank thread, no per-rank condvar.
 //!
 //! All three backends therefore share one matching semantics (FIFO per key,
-//! non-destructive bounded receive, pop-and-trim hygiene) by construction.
+//! non-destructive bounded receive, pop-and-trim hygiene) by construction —
+//! and one *arrival count*: [`MatchStore::push`] numbers the deposits into
+//! its store, which is all [`crate::Communicator::wait_arrival`] needs from
+//! the matching core. Each backend parks an arrival wait where it already
+//! parks a receive: the condvar here, a blocked state in the simulator, an
+//! any-source waiter in the event runtime.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -96,16 +101,21 @@ impl StoreStats {
 pub(crate) struct MatchStore {
     queues: MatchQueues,
     stats: Arc<StoreStats>,
+    /// Deposits ever made into *this* store: the arrival count behind
+    /// [`crate::Communicator::wait_arrival`]. Only ever grows, so "the count
+    /// moved since I read it" is exactly "something was deposited since".
+    deposits: u64,
 }
 
 impl MatchStore {
     pub(crate) fn new(stats: Arc<StoreStats>) -> MatchStore {
-        MatchStore { queues: MatchQueues::new(), stats }
+        MatchStore { queues: MatchQueues::new(), stats, deposits: 0 }
     }
 
     /// Deposit a message from `src` with `tag`. Never blocks, never copies.
     pub(crate) fn push(&mut self, src: usize, tag: Tag, data: MsgBuf) {
         self.queues.entry((src, tag)).or_default().push_back(data);
+        self.deposits += 1;
         self.stats.pending.fetch_add(1, Ordering::SeqCst);
         self.stats.deposited.fetch_add(1, Ordering::SeqCst);
     }
@@ -147,6 +157,11 @@ impl MatchStore {
     /// Byte length of the next matching message, without consuming it.
     pub(crate) fn peek_len(&self, src: usize, tag: Tag) -> Option<usize> {
         self.queues.get(&(src, tag)).and_then(VecDeque::front).map(MsgBuf::len)
+    }
+
+    /// Deposits ever made into this store (see the field docs).
+    pub(crate) fn deposits(&self) -> u64 {
+        self.deposits
     }
 
     /// Undelivered messages in *this* store (O(keys) structural scan; the
@@ -193,11 +208,14 @@ impl Mailbox {
     pub(crate) fn push(&self, src: usize, tag: Tag, data: MsgBuf) {
         let mut store = self.lock();
         store.push(src, tag, data);
-        // notify_all: several receives with distinct (src, tag) keys can be
-        // parked on the same condvar (collectives never do this, but user
-        // code running helper threads may).
-        self.arrived.notify_all();
+        // Unlock before notifying: a receiver woken while the depositor
+        // still holds the store would block on that mutex as its first act
+        // (two extra context switches per hand-off on a busy CPU).
         drop(store);
+        // notify_all: keyed receives and arrival waits share this condvar,
+        // and several receives with distinct (src, tag) keys can be parked
+        // on it at once (user code running helper threads).
+        self.arrived.notify_all();
     }
 
     /// Pop the oldest message matching `(src, tag)`, blocking until present.
@@ -252,6 +270,29 @@ impl Mailbox {
                 return store.try_pop(src, tag);
             }
         }
+    }
+
+    /// Park until the deposit count differs from `seen` or `timeout`
+    /// elapses; returns the count either way. The comparison happens under
+    /// the store lock the depositor increments under, so a deposit landing
+    /// between the caller's read of `seen` and this call is never slept
+    /// through. A `timeout` too large to add to the clock waits unbounded.
+    pub(crate) fn wait_arrival(&self, seen: u64, timeout: std::time::Duration) -> u64 {
+        let deadline = std::time::Instant::now().checked_add(timeout);
+        let mut store = self.lock();
+        while store.deposits() == seen {
+            store = match deadline {
+                None => self.arrived.wait(store).unwrap_or_else(|p| p.into_inner()),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(std::time::Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    self.arrived.wait_timeout(store, left).unwrap_or_else(|p| p.into_inner()).0
+                }
+            };
+        }
+        store.deposits()
     }
 
     /// Non-blocking probe: the byte length of the next matching message.

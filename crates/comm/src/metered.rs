@@ -474,6 +474,10 @@ impl<C: Communicator + ?Sized> Communicator for MeteredComm<'_, C> {
     fn sleep(&self, d: Duration) {
         self.inner.sleep(d)
     }
+
+    fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
+        self.inner.wait_arrival(seen, timeout)
+    }
 }
 
 #[cfg(test)]

@@ -23,6 +23,14 @@
 //! deadlock-freedom the algorithms rely on: two ranks that send to each other
 //! simultaneously each ack the other's frame from inside their own send.
 //!
+//! Between service passes a blocked rank *parks on arrival*
+//! ([`Communicator::wait_arrival`] on the inner communicator): it reads the
+//! arrival count, sweeps, and if the sweep handled nothing waits for the
+//! count to move or for its own next deadline — the retransmission timer,
+//! the caller's timeout, a quiesce window. There is no poll quantum: a
+//! frame wakes the rank it was deposited for, and an untimed receive whose
+//! frame never comes is a wait the simulator can prove stuck.
+//!
 //! Because acknowledging requires a live peer, a rank must not stop servicing
 //! while peers may still retransmit: call [`ReliableComm::quiesce`] after the
 //! last application exchange (the `bruck-chaos` harness does) so a dropped
@@ -39,6 +47,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
+use crate::communicator::await_arrival;
 use crate::splitmix;
 use crate::retry::RetryPolicy;
 use crate::{CommError, CommResult, Communicator, MsgBuf, Tag, RESERVED_TAG_BASE};
@@ -166,12 +175,6 @@ pub struct ReliableComm<'a, C: Communicator + ?Sized> {
     state: Mutex<ReliableState>,
 }
 
-/// The polling pause used by every wait loop when a service pass found
-/// nothing: long enough to not burn a core, short against any timeout.
-/// Taken on the inner communicator's clock, so under [`crate::SimComm`] it
-/// advances virtual time instead of suspending the OS thread.
-const IDLE_PAUSE: Duration = Duration::from_micros(50);
-
 impl<'a, C: Communicator + ?Sized> ReliableComm<'a, C> {
     /// Wrap `inner` with the default retransmission policy.
     pub fn new(inner: &'a C) -> Self {
@@ -195,10 +198,6 @@ impl<'a, C: Communicator + ?Sized> ReliableComm<'a, C> {
 
     fn lock(&self) -> MutexGuard<'_, ReliableState> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn idle_pause(&self) {
-        self.inner.sleep(IDLE_PAUSE);
     }
 
     /// Drain every arrived wire frame: verify, deduplicate, acknowledge, and
@@ -256,14 +255,22 @@ impl<'a, C: Communicator + ?Sized> ReliableComm<'a, C> {
         Ok(false)
     }
 
-    fn pop_stash(&self, src: usize, tag: Tag) -> Option<MsgBuf> {
+    /// Pop the oldest stashed payload for `(src, tag)`. With `cap`, a
+    /// payload longer than `cap` bytes is refused *without* leaving the
+    /// stash (non-destructive truncation, like the mailbox).
+    fn pop_stash(&self, src: usize, tag: Tag, cap: Option<usize>) -> CommResult<Option<MsgBuf>> {
         let mut s = self.lock();
-        let q = s.stash.get_mut(&(src, tag))?;
+        let Some(q) = s.stash.get_mut(&(src, tag)) else { return Ok(None) };
+        if let (Some(front), Some(cap)) = (q.front(), cap) {
+            if front.len() > cap {
+                return Err(CommError::Truncated { message_len: front.len(), buffer_len: cap });
+            }
+        }
         let msg = q.pop_front();
         if q.is_empty() {
             s.stash.remove(&(src, tag));
         }
-        msg
+        Ok(msg)
     }
 
     fn send_reliable(&self, dest: usize, tag: Tag, payload: MsgBuf) -> CommResult<()> {
@@ -283,6 +290,7 @@ impl<'a, C: Communicator + ?Sized> ReliableComm<'a, C> {
         };
         let frame = build_data_frame(seq, tag, &payload);
         let policy = self.cfg.retry_policy();
+        let mut seen = self.inner.wait_arrival(0, Duration::ZERO)?;
         for attempt in 0..policy.attempts() {
             self.inner.send_buf(dest, RELIABLE_DATA_TAG, frame.clone())?;
             let deadline = self.inner.now() + policy.delay(attempt);
@@ -291,36 +299,58 @@ impl<'a, C: Communicator + ?Sized> ReliableComm<'a, C> {
                 if self.take_ack(dest, tag, seq)? {
                     return Ok(());
                 }
-                if self.inner.now() >= deadline {
+                let now = self.inner.now();
+                if now >= deadline {
                     break;
                 }
-                if handled == 0 {
-                    self.idle_pause();
-                }
+                seen = await_arrival(self.inner, seen, handled == 0, deadline - now)?;
             }
         }
         Err(CommError::RankFailed { rank: dest })
     }
 
-    fn recv_reliable(&self, src: usize, tag: Tag, timeout: Option<Duration>) -> CommResult<MsgBuf> {
+    /// The one receive loop: `timeout` bounds the wait (`None` waits
+    /// unbounded), `cap` makes it a bounded receive (see
+    /// [`ReliableComm::pop_stash`]).
+    fn recv_reliable(
+        &self,
+        src: usize,
+        tag: Tag,
+        timeout: Option<Duration>,
+        cap: Option<usize>,
+    ) -> CommResult<MsgBuf> {
         self.inner.check_rank(src)?;
+        // Already serviced into the stash (the common case after a send):
+        // no clock read, no arrival count.
+        if let Some(msg) = self.pop_stash(src, tag, cap)? {
+            return Ok(msg);
+        }
         let me = self.inner.rank();
         let start = self.inner.now();
+        let mut seen = self.inner.wait_arrival(0, Duration::ZERO)?;
         loop {
-            if let Some(msg) = self.pop_stash(src, tag) {
-                return Ok(msg);
-            }
+            // Only a service pass can add to the stash.
             let handled = if src == me { 0 } else { self.service_incoming()? };
             if handled > 0 {
-                continue; // something arrived — re-check the stash first
-            }
-            if let Some(t) = timeout {
-                let waited = self.inner.now().saturating_sub(start);
-                if waited >= t {
-                    return Err(CommError::Timeout { src, tag, waited });
+                if let Some(msg) = self.pop_stash(src, tag, cap)? {
+                    return Ok(msg);
                 }
             }
-            self.idle_pause();
+            let budget = match timeout {
+                Some(t) if handled == 0 => {
+                    let waited = self.inner.now().saturating_sub(start);
+                    if waited >= t {
+                        return Err(CommError::Timeout { src, tag, waited });
+                    }
+                    t - waited
+                }
+                _ => Duration::MAX,
+            };
+            // A stuck world is reported against the receive the caller made.
+            seen = await_arrival(self.inner, seen, handled == 0, budget).map_err(|e| match e {
+                CommError::Deadlock { .. } => CommError::Deadlock { src, tag },
+                other => other,
+            })?;
         }
     }
 
@@ -333,16 +363,20 @@ impl<'a, C: Communicator + ?Sized> ReliableComm<'a, C> {
     pub fn quiesce(&self, quiet: Duration, max_total: Duration) -> CommResult<()> {
         let start = self.inner.now();
         let mut last_activity = start;
+        let mut seen = self.inner.wait_arrival(0, Duration::ZERO)?;
         loop {
-            if self.service_incoming()? > 0 {
-                last_activity = self.inner.now();
-            }
+            let handled = self.service_incoming()?;
             let now = self.inner.now();
-            if now.saturating_sub(last_activity) >= quiet || now.saturating_sub(start) >= max_total
-            {
+            if handled > 0 {
+                last_activity = now;
+            }
+            let left = quiet
+                .saturating_sub(now.saturating_sub(last_activity))
+                .min(max_total.saturating_sub(now.saturating_sub(start)));
+            if left.is_zero() {
                 return Ok(());
             }
-            self.idle_pause();
+            seen = await_arrival(self.inner, seen, handled == 0, left)?;
         }
     }
 }
@@ -361,44 +395,17 @@ impl<C: Communicator + ?Sized> Communicator for ReliableComm<'_, C> {
     }
 
     fn recv_buf(&self, src: usize, tag: Tag) -> CommResult<MsgBuf> {
-        self.recv_reliable(src, tag, None)
+        self.recv_reliable(src, tag, None, None)
     }
 
     fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<MsgBuf> {
-        self.recv_reliable(src, tag, Some(timeout))
+        self.recv_reliable(src, tag, Some(timeout), None)
     }
 
     fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
-        self.inner.check_rank(src)?;
-        let me = self.inner.rank();
-        loop {
-            {
-                let mut s = self.lock();
-                if let Some(q) = s.stash.get_mut(&(src, tag)) {
-                    if let Some(front) = q.front() {
-                        // Non-destructive truncation, like the mailbox: the
-                        // check happens before the message leaves the stash.
-                        if front.len() > buf.len() {
-                            return Err(CommError::Truncated {
-                                message_len: front.len(),
-                                buffer_len: buf.len(),
-                            });
-                        }
-                        if let Some(msg) = q.pop_front() {
-                            buf[..msg.len()].copy_from_slice(&msg);
-                            if q.is_empty() {
-                                s.stash.remove(&(src, tag));
-                            }
-                            return Ok(msg.len());
-                        }
-                    }
-                }
-            }
-            let handled = if src == me { 0 } else { self.service_incoming()? };
-            if handled == 0 {
-                self.idle_pause();
-            }
-        }
+        let msg = self.recv_reliable(src, tag, None, Some(buf.len()))?;
+        buf[..msg.len()].copy_from_slice(&msg);
+        Ok(msg.len())
     }
 
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
@@ -415,6 +422,13 @@ impl<C: Communicator + ?Sized> Communicator for ReliableComm<'_, C> {
 
     fn sleep(&self, d: Duration) {
         self.inner.sleep(d)
+    }
+
+    fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
+        // The wire's count: acks and frames for other channels move it too,
+        // so a caller may wake early; its re-sweep through `probe` services
+        // whatever arrived.
+        self.inner.wait_arrival(seen, timeout)
     }
 }
 

@@ -30,8 +30,9 @@
 //! ## Wakeups, timers, quiescence
 //!
 //! Message wakes are delivered by the depositing sender in batches (one
-//! scheduler lock per flushed outbox). Deadlines (timed receives, sleeps)
-//! sit in a min-heap keyed by virtual time and tagged with the park's epoch,
+//! scheduler lock per flushed outbox). Deadlines (timed receives, arrival
+//! waits, sleeps) sit in a min-heap keyed by virtual time and tagged with
+//! the park's epoch,
 //! so a stale entry — the task was woken by a message first — is skipped by
 //! construction. The virtual clock only advances at *global quiescence*:
 //! every worker idle and nothing runnable. The last idle worker then jumps
@@ -89,6 +90,62 @@ struct TaskSlot {
     /// Incremented at each execution start; waiters and timers registered by
     /// execution N are valid only while the slot is `Parked` at epoch N.
     epoch: u64,
+    /// This task's share of the run's scheduler counters, bumped under the
+    /// slot lock the execution's start and end already take and summed into
+    /// the [`EventReport`] once the pool has drained.
+    counters: SchedCounters,
+}
+
+/// How often tasks parked, by the operation they parked in.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ParkCounts {
+    /// Parks in an untimed receive (`recv_buf` / `recv_into`).
+    pub recv: u64,
+    /// Parks in `recv_buf_timeout`.
+    pub timed_recv: u64,
+    /// Parks in `sleep`.
+    pub sleep: u64,
+    /// Parks in `wait_arrival`.
+    pub arrival: u64,
+}
+
+impl ParkCounts {
+    /// Parks of every kind.
+    pub fn total(&self) -> u64 {
+        self.recv + self.timed_recv + self.sleep + self.arrival
+    }
+}
+
+/// Scheduler counters of one task (and, summed, of one run).
+#[derive(Debug, Clone, Copy, Default)]
+struct SchedCounters {
+    parks: ParkCounts,
+    wakes: u64,
+    replayed_ops: u64,
+}
+
+impl SchedCounters {
+    /// Account one finished execution: the ops it retraced and, if it ended
+    /// in a park request, the kind it parked in.
+    fn note_execution(&mut self, ctx: &ExecCtx, park: Option<&Park>) {
+        self.replayed_ops += ctx.replayed() as u64;
+        match park {
+            Some(Park::Recv { deadline: None }) => self.parks.recv += 1,
+            Some(Park::Recv { deadline: Some(_) }) => self.parks.timed_recv += 1,
+            Some(Park::Sleep { .. }) => self.parks.sleep += 1,
+            Some(Park::Arrival { .. }) => self.parks.arrival += 1,
+            None => {}
+        }
+    }
+
+    fn merge(&mut self, other: SchedCounters) {
+        self.parks.recv += other.parks.recv;
+        self.parks.timed_recv += other.parks.timed_recv;
+        self.parks.sleep += other.parks.sleep;
+        self.parks.arrival += other.parks.arrival;
+        self.wakes += other.wakes;
+        self.replayed_ops += other.replayed_ops;
+    }
 }
 
 /// A pending virtual-time deadline. Min-heap order by deadline (field order
@@ -103,7 +160,8 @@ struct TimerEntry {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum TimerKind {
-    /// A `recv_buf_timeout` deadline: wake with [`Wake::TimedOut`].
+    /// A `recv_buf_timeout` or `wait_arrival` deadline: deregister the
+    /// waiter and wake with [`Wake::TimedOut`].
     RecvDeadline,
     /// A `sleep` wake-up: wake with [`Wake::SleepElapsed`].
     Sleep,
@@ -239,13 +297,15 @@ pub enum AuditKind {
         /// Message tag.
         tag: Tag,
     },
-    /// A parking receive registered its readiness-list entry.
+    /// A parking receive (or `wait_arrival`) registered its readiness-list
+    /// entry.
     WaiterArmed {
         /// The parking rank.
         rank: usize,
-        /// Source the receive matches on.
+        /// Source the receive matches on (the parking rank itself for an
+        /// any-source `wait_arrival`).
         src: usize,
-        /// Tag the receive matches on.
+        /// Tag the receive matches on (0 for `wait_arrival`).
         tag: Tag,
         /// Epoch of the parking execution.
         epoch: u64,
@@ -441,6 +501,7 @@ impl EventWorld {
                         log: Some(ReplayLog::default()),
                         wake: None,
                         epoch: 0,
+                        counters: SchedCounters::default(),
                     })
                 })
                 .collect(),
@@ -716,7 +777,7 @@ where
     T: Send,
     F: Fn(&EventComm<'_>) -> T + Sync,
 {
-    let ctx = {
+    let (ctx, epoch) = {
         let mut slot = world.slot(rank);
         if slot.state != TaskState::Queued {
             panic!("executing rank {rank} in state {:?}", slot.state);
@@ -724,12 +785,9 @@ where
         slot.state = TaskState::Running;
         slot.epoch += 1;
         let log = slot.log.take().unwrap_or_default();
-        ExecCtx::new(log, slot.wake.take(), slot.epoch)
-    };
-    let epoch = {
-        // Epoch was just set under the slot lock; re-derive for timer tags.
-        let slot = world.slot(rank);
-        slot.epoch
+        let wake = slot.wake.take();
+        slot.counters.wakes += u64::from(wake.is_some());
+        (ExecCtx::new(log, wake, slot.epoch), slot.epoch)
     };
     #[cfg(feature = "hb-audit")]
     world.audit_record(rank, AuditKind::ExecStart { rank, epoch });
@@ -747,11 +805,12 @@ where
                 panic!(
                     "rank {rank}: closure returned while {} logged ops were still \
                      unreplayed (nondeterministic closure?)",
-                    "some"
+                    ctx.unreplayed()
                 );
             }
             *results[rank].lock().unwrap_or_else(|p| p.into_inner()) = Some(Ok(v));
             let mut slot = world.slot(rank);
+            slot.counters.note_execution(&ctx, None);
             slot.state = TaskState::Done;
             slot.log = None;
             drop(slot);
@@ -765,6 +824,7 @@ where
                 None => panic!("rank {rank}: yielded without a park request"),
             };
             let mut slot = world.slot(rank);
+            slot.counters.note_execution(&ctx, Some(&park));
             slot.log = Some(ctx.into_log());
             match slot.state {
                 TaskState::Running => {
@@ -773,10 +833,13 @@ where
                         Park::Recv { deadline: Some(d) } => {
                             world.add_timer(d, rank, epoch, TimerKind::RecvDeadline)
                         }
+                        Park::Arrival { deadline: Some(d) } => {
+                            world.add_timer(d, rank, epoch, TimerKind::RecvDeadline)
+                        }
                         Park::Sleep { until } => {
                             world.add_timer(until, rank, epoch, TimerKind::Sleep)
                         }
-                        Park::Recv { deadline: None } => {}
+                        Park::Recv { deadline: None } | Park::Arrival { deadline: None } => {}
                     }
                     drop(slot);
                     #[cfg(feature = "hb-audit")]
@@ -800,6 +863,7 @@ where
         Err(payload) => {
             *results[rank].lock().unwrap_or_else(|p| p.into_inner()) = Some(Err(payload));
             let mut slot = world.slot(rank);
+            slot.counters.note_execution(&ctx, None);
             slot.state = TaskState::Done;
             slot.log = None;
             drop(slot);
@@ -917,6 +981,15 @@ pub struct EventReport {
     pub pending_messages: usize,
     /// Drained-but-unremoved match keys at the end (must be 0).
     pub dead_match_keys: usize,
+    /// Executions that ended in a park request, by the operation parked in
+    /// (`parks.total() == executions - p` once every task has finished).
+    pub parks: ParkCounts,
+    /// Executions started by a wake verdict (message, timer or deadlock
+    /// sweep).
+    pub wakes: u64,
+    /// Logged ops retraced by re-executions before they went live — the
+    /// work the run-to-block + replay design spends on resumption.
+    pub replayed_ops: u64,
 }
 
 /// Worker-pool size for [`EventComm::run`]: tasks never block an OS thread,
@@ -947,6 +1020,10 @@ where
         }
     });
     let report = {
+        let mut total = SchedCounters::default();
+        for rank in 0..p {
+            total.merge(world.slot(rank).counters);
+        }
         let s = world.lock_sched();
         EventReport {
             messages: world.stats.deposited(),
@@ -954,6 +1031,9 @@ where
             workers,
             pending_messages: world.stats.pending(),
             dead_match_keys: world.stats.dead_keys(),
+            parks: total.parks,
+            wakes: total.wakes,
+            replayed_ops: total.replayed_ops,
         }
     };
     let outcomes = results

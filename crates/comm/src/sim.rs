@@ -7,16 +7,16 @@
 //! * **One runnable rank at a time.** Each rank is still an OS thread (so
 //!   algorithm code needs no changes), but a token — guarded by one mutex and
 //!   condition variable — lets exactly one of them execute. Every
-//!   communicator operation (send, receive, probe, sleep) is a yield point
-//!   where the central scheduler picks the next runnable rank.
+//!   communicator operation (send, receive, probe, sleep, arrival wait) is
+//!   a yield point where the central scheduler picks the next runnable rank.
 //! * **Seeded choice.** The scheduler draws each pick from a SplitMix64
 //!   stream, so a `(program, seed)` pair fully determines the interleaving.
 //!   The sequence of picked ranks is the *schedule trace*
 //!   ([`ScheduleTrace`]), serializable to a file and replayable bit-for-bit.
 //! * **Virtual time.** [`SimComm::now`] reads a virtual clock that only
 //!   advances when every rank is blocked, jumping straight to the earliest
-//!   pending deadline. `recv_buf_timeout` therefore fires after *exactly*
-//!   its budget of virtual time and zero wall-clock time, and
+//!   pending deadline. `recv_buf_timeout` and `wait_arrival` therefore fire
+//!   after *exactly* their budget of virtual time and zero wall-clock time, and
 //!   [`crate::DeadlineComm`] / [`crate::FaultComm`] stalls compose with it
 //!   unchanged.
 //! * **Deadlock as a value.** If every live rank is blocked and no pending
@@ -195,6 +195,10 @@ pub enum SimOp {
     },
     /// Virtual-time sleep (clock-coupled).
     Sleep,
+    /// About to read (or park on) its own store's arrival count
+    /// (`wait_arrival`): observes every deposit into that store, whatever
+    /// the key, and the virtual clock.
+    Arrival,
 }
 
 /// One recorded scheduling point: which rank the scheduler picked and every
@@ -306,6 +310,9 @@ enum RankState {
     Blocked { src: usize, tag: Tag, deadline: Option<Duration>, since: Duration },
     /// Parked in a virtual-time sleep.
     Sleeping { until: Duration },
+    /// Parked in `wait_arrival`: any deposit into this rank's store wakes
+    /// it, as does the deadline (`None` = unbounded wait).
+    Waiting { deadline: Option<Duration> },
     /// Closure returned (or panicked).
     Done,
 }
@@ -421,7 +428,9 @@ impl SimWorld {
                 .ranks
                 .iter()
                 .filter_map(|r| match r {
-                    RankState::Blocked { deadline, .. } => *deadline,
+                    RankState::Blocked { deadline, .. } | RankState::Waiting { deadline } => {
+                        *deadline
+                    }
                     RankState::Sleeping { until } => Some(*until),
                     _ => None,
                 })
@@ -431,7 +440,10 @@ impl SimWorld {
                     st.now = st.now.max(t);
                     for r in st.ranks.iter_mut() {
                         match *r {
-                            RankState::Blocked { deadline: Some(d), .. } if d <= st.now => {
+                            RankState::Blocked { deadline: Some(d), .. }
+                            | RankState::Waiting { deadline: Some(d) }
+                                if d <= st.now =>
+                            {
                                 *r = RankState::Ready { timed_out: true, deadlocked: false };
                             }
                             RankState::Sleeping { until } if until <= st.now => {
@@ -446,7 +458,7 @@ impl SimWorld {
                     // schedule can make progress. Wake them all with the
                     // deadlock verdict.
                     for r in st.ranks.iter_mut() {
-                        if matches!(r, RankState::Blocked { .. }) {
+                        if matches!(r, RankState::Blocked { .. } | RankState::Waiting { .. }) {
                             *r = RankState::Ready { timed_out: false, deadlocked: true };
                         }
                     }
@@ -516,11 +528,15 @@ impl SimWorld {
         st.pending[rank] = SimOp::Send { dest, tag };
         st = self.yield_turn(st, rank);
         st.queues[dest].push(rank, tag, buf);
-        // Hand-off: a rank parked in a matching receive becomes runnable.
-        if let RankState::Blocked { src, tag: t, .. } = st.ranks[dest] {
-            if src == rank && t == tag {
-                st.ranks[dest] = RankState::Ready { timed_out: false, deadlocked: false };
-            }
+        // Hand-off: a rank parked in a matching receive — or waiting for any
+        // arrival — becomes runnable.
+        let wakes = match st.ranks[dest] {
+            RankState::Blocked { src, tag: t, .. } => src == rank && t == tag,
+            RankState::Waiting { .. } => true,
+            _ => false,
+        };
+        if wakes {
+            st.ranks[dest] = RankState::Ready { timed_out: false, deadlocked: false };
         }
         Ok(())
     }
@@ -609,6 +625,28 @@ impl SimWorld {
 
     fn sim_now(&self) -> Duration {
         self.lock().now
+    }
+
+    /// Arrival wait: yields, then parks until a deposit, the deadline, or a
+    /// proved deadlock. A zero timeout is a pure read of the count.
+    fn sim_wait_arrival(&self, rank: usize, seen: u64, timeout: Duration) -> CommResult<u64> {
+        let mut st = self.lock();
+        st.pending[rank] = SimOp::Arrival;
+        st = self.yield_turn(st, rank);
+        if st.queues[rank].deposits() != seen || timeout.is_zero() {
+            return Ok(st.queues[rank].deposits());
+        }
+        // A timeout the clock cannot represent is an unbounded wait.
+        let deadline = st.now.checked_add(timeout);
+        st.ranks[rank] = RankState::Waiting { deadline };
+        self.pick_next(&mut st);
+        let (st, _, deadlocked) = self.wait_for_token(st, rank);
+        // A deposit beats a simultaneous deadlock verdict, as in `sim_recv`.
+        let count = st.queues[rank].deposits();
+        if deadlocked && count == seen {
+            return Err(CommError::Deadlock { src: rank, tag: 0 });
+        }
+        Ok(count)
     }
 }
 
@@ -752,6 +790,10 @@ impl Communicator for SimComm<'_> {
 
     fn sleep(&self, d: Duration) {
         self.world.sim_sleep(self.rank, d)
+    }
+
+    fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
+        self.world.sim_wait_arrival(self.rank, seen, timeout)
     }
 }
 

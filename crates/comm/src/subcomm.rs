@@ -182,6 +182,10 @@ impl<C: Communicator + ?Sized> Communicator for ShrinkComm<'_, C> {
     fn sleep(&self, d: Duration) {
         self.sub.sleep(d)
     }
+
+    fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
+        self.sub.wait_arrival(seen, timeout)
+    }
 }
 
 impl<C: Communicator + ?Sized> Communicator for SubComm<'_, C> {
@@ -231,6 +235,12 @@ impl<C: Communicator + ?Sized> Communicator for SubComm<'_, C> {
 
     fn sleep(&self, d: Duration) {
         self.parent.sleep(d)
+    }
+
+    fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
+        // The parent's count: traffic for other members and contexts moves
+        // it too, so this may return early — never late.
+        self.parent.wait_arrival(seen, timeout)
     }
 }
 

@@ -221,6 +221,11 @@ impl Communicator for ThreadComm {
     fn sleep(&self, d: std::time::Duration) {
         crate::clock::wall_sleep(d)
     }
+
+    fn wait_arrival(&self, seen: u64, timeout: std::time::Duration) -> CommResult<u64> {
+        // Parks on the mailbox condvar every deposit notifies.
+        Ok(self.world.mailboxes[self.rank].wait_arrival(seen, timeout))
+    }
 }
 
 #[cfg(test)]

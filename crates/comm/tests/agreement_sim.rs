@@ -18,7 +18,6 @@ fn cfg() -> AgreeConfig {
         round_timeout: Duration::from_millis(400),
         stable_rounds: 2,
         max_rounds: 48,
-        poll: Duration::from_millis(1),
     }
 }
 

@@ -1,8 +1,12 @@
 //! The waist contract: one rank body, run over [`SimComm`] bare and under
-//! every wrapper, asserting what the nine [`Communicator`] primitives promise
+//! every wrapper, asserting what the ten [`Communicator`] primitives promise
 //! through any stack.
 //!
 //! * `now()` / `sleep()` are the simulator's virtual clock, not the wall's.
+//! * `wait_arrival` returns at once when the count has moved, waits exactly
+//!   its virtual budget when nothing arrives, and otherwise wakes at the
+//!   deposit's virtual time, not at the deadline. Over a sub-world it may
+//!   wake early (the parent's traffic moves the count) but never late.
 //! * A timed receive with no sender expires at exactly its virtual budget.
 //! * A too-small `recv_into` returns `Truncated` and leaves the message for a
 //!   retry — except under [`DeadlineComm`], whose documented exception is
@@ -20,8 +24,6 @@ use bruck_comm::{
 };
 
 const NAP: Duration = Duration::from_millis(5);
-/// A whole number of `ReliableComm` idle pauses (50 µs), so its serviced
-/// wait lands on the budget exactly like a parked one.
 const BUDGET: Duration = Duration::from_millis(3);
 
 const TAG_SILENT: u32 = 1;
@@ -84,42 +86,117 @@ fn contract<C: Communicator + ?Sized>(sim: &SimComm<'_>, comm: &C, truncation: T
     assert_eq!(comm.probe(peer, TAG_FIRST).unwrap(), None);
 }
 
-/// A named stack: builds its wrapper over the simulator and runs the body.
-type Case = (&'static str, fn(&SimComm<'_>));
+/// The `wait_arrival` rows, run first in each world so the only deposit is
+/// the one rank 1 makes `BUDGET + NAP` in.
+fn arrival_contract<C: Communicator + ?Sized>(sim: &SimComm<'_>, comm: &C) {
+    let t0 = sim.now();
+    if comm.rank() == 1 {
+        comm.sleep(BUDGET + NAP);
+        comm.send(0, TAG_FIRST, &[7; 9]).unwrap();
+        return;
+    }
+    // A zero timeout only reads the count.
+    let quiet = comm.wait_arrival(0, Duration::ZERO).unwrap();
+    assert_eq!(sim.now(), t0);
+    // Nothing arrives: exactly the budget, and the count has not moved.
+    assert_eq!(comm.wait_arrival(quiet, BUDGET).unwrap(), quiet);
+    assert_eq!(sim.now(), t0 + BUDGET);
+    // Something arrives: woken at the deposit's time, not the deadline's.
+    let moved = comm.wait_arrival(quiet, Duration::from_secs(1)).unwrap();
+    assert_ne!(moved, quiet);
+    assert_eq!(sim.now(), t0 + BUDGET + NAP);
+    // The count has moved since `quiet` was read: returns at once.
+    assert_ne!(comm.wait_arrival(quiet, Duration::from_secs(1)).unwrap(), quiet);
+    assert_eq!(sim.now(), t0 + BUDGET + NAP);
+    assert_eq!(comm.recv_buf(1, TAG_FIRST).unwrap().as_slice(), &[7; 9]);
+}
 
-/// Every wrapper, each over the bare simulator.
+/// A named stack: its wrapper built over the simulator, and what its
+/// `recv_into` does on truncation.
+type Build = for<'a> fn(&'a SimComm<'a>) -> Box<dyn Communicator + 'a>;
+type Case = (&'static str, Truncation, Option<Build>);
+
+/// Run `f` against the case's stack over `sim` (`None` is the bare backend).
+fn stacked(sim: &SimComm<'_>, build: Option<Build>, f: impl FnOnce(&dyn Communicator)) {
+    match build {
+        None => f(sim),
+        Some(build) => f(&*build(sim)),
+    }
+}
+
+/// Bare, then every wrapper over the bare simulator (the two sub-worlds
+/// last).
 const CASES: [Case; 7] = [
-    ("bare", |sim| contract(sim, sim, Truncation::Retryable)),
-    ("MeteredComm", |sim| contract(sim, &MeteredComm::new(sim), Truncation::Retryable)),
-    ("DeadlineComm", |sim| {
-        let dc = DeadlineComm::new(sim, Duration::from_secs(1));
-        contract(sim, &dc, Truncation::Destructive)
-    }),
-    ("ReliableComm", |sim| contract(sim, &ReliableComm::new(sim), Truncation::Retryable)),
-    ("FaultComm", |sim| {
-        let fc = FaultComm::new(sim, FaultPlan::new(0));
-        contract(sim, &fc, Truncation::Retryable)
-    }),
-    ("SubComm", |sim| {
-        let sub = SubComm::from_members(sim, vec![0, 1], 5).unwrap();
-        contract(sim, &sub, Truncation::Retryable)
-    }),
-    ("ShrinkComm", |sim| {
-        let shrunk = ShrinkComm::new(sim, vec![0, 1], 3).unwrap();
-        contract(sim, &shrunk, Truncation::Retryable)
-    }),
+    ("bare", Truncation::Retryable, None),
+    ("MeteredComm", Truncation::Retryable, Some(|sim| Box::new(MeteredComm::new(sim)))),
+    ("DeadlineComm", Truncation::Destructive, Some(|sim| {
+        Box::new(DeadlineComm::new(sim, Duration::from_secs(1)))
+    })),
+    ("ReliableComm", Truncation::Retryable, Some(|sim| Box::new(ReliableComm::new(sim)))),
+    ("FaultComm", Truncation::Retryable, Some(|sim| {
+        Box::new(FaultComm::new(sim, FaultPlan::new(0)))
+    })),
+    ("SubComm", Truncation::Retryable, Some(|sim| {
+        Box::new(SubComm::from_members(sim, vec![0, 1], 5).unwrap())
+    })),
+    ("ShrinkComm", Truncation::Retryable, Some(|sim| {
+        Box::new(ShrinkComm::new(sim, vec![0, 1], 3).unwrap())
+    })),
 ];
 
-#[test]
-fn every_wrapper_honours_the_waist_contract() {
-    for (name, body) in CASES {
+/// Run `body` on a `p`-rank world under each of `cases` × 3 schedule seeds.
+fn for_each_case(cases: &[Case], p: usize, body: fn(&SimComm<'_>, &Case)) {
+    for case in cases {
         for seed in [1u64, 2, 3] {
-            let report = SimComm::try_run(2, &SimConfig::from_seed(seed), body);
+            let report = SimComm::try_run(p, &SimConfig::from_seed(seed), |sim| body(sim, case));
             for (rank, outcome) in report.outcomes.iter().enumerate() {
-                assert!(outcome.is_ok(), "{name}, seed {seed}, rank {rank}: {outcome:?}");
+                assert!(outcome.is_ok(), "{}, seed {seed}, rank {rank}: {outcome:?}", case.0);
             }
         }
     }
+}
+
+#[test]
+fn every_wrapper_honours_the_waist_contract() {
+    for_each_case(&CASES, 2, |sim, &(_, truncation, build)| {
+        stacked(sim, build, |comm| contract(sim, comm, truncation))
+    });
+}
+
+#[test]
+fn every_wrapper_honours_the_arrival_wait_contract() {
+    for_each_case(&CASES, 2, |sim, &(_, _, build)| {
+        stacked(sim, build, |comm| arrival_contract(sim, comm))
+    });
+}
+
+/// Over a sub-world the arrival count is the parent's, so traffic from a
+/// non-member may end the wait early — but a caller that re-arms with the
+/// remainder still returns exactly at its deadline, never after it.
+#[test]
+fn a_sub_world_arrival_wait_may_wake_early_but_never_late() {
+    for_each_case(&CASES[5..], 3, |sim, &(_, _, build)| {
+        let t0 = sim.now();
+        match sim.rank() {
+            // The outsider deposits on the parent, mid-wait.
+            2 => {
+                sim.sleep(BUDGET);
+                sim.send(0, TAG_SILENT, &[]).unwrap();
+            }
+            1 => {}
+            _ => stacked(sim, build, |sub| {
+                let deadline = t0 + NAP;
+                let mut seen = sub.wait_arrival(0, Duration::ZERO).unwrap();
+                let mut wakes = Vec::new();
+                while sim.now() < deadline {
+                    seen = sub.wait_arrival(seen, deadline - sim.now()).unwrap();
+                    wakes.push(sim.now() - t0);
+                }
+                assert_eq!(wakes, [BUDGET, NAP], "early once, then on time");
+                sim.recv_buf(2, TAG_SILENT).unwrap();
+            }),
+        }
+    });
 }
 
 /// Timed receives over a shrunk world park instead of polling: a

@@ -88,9 +88,7 @@ impl RecoveringConfig {
         let window = skew + skew / 4;
         self.detector.window = window;
         self.detector.heartbeat = (window / 8).max(Duration::from_millis(1));
-        self.detector.poll = (window / 1000).max(Duration::from_micros(50));
         self.agreement.round_timeout = window;
-        self.agreement.poll = self.detector.poll;
         self
     }
 }
@@ -401,13 +399,11 @@ mod tests {
                 window: Duration::from_millis(1200),
                 heartbeat: Duration::from_millis(150),
                 seed: 7,
-                poll: Duration::from_millis(1),
             },
             agreement: AgreeConfig {
                 round_timeout: Duration::from_millis(900),
                 stable_rounds: 2,
                 max_rounds: 32,
-                poll: Duration::from_millis(1),
             },
             retry: RetryPolicy::exponential(
                 Duration::from_millis(10),
