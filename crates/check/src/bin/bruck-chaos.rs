@@ -1,12 +1,16 @@
-//! `bruck-chaos`: fault-injection soak for the resilient alltoallv stack.
+//! `bruck-chaos`: fault-injection soak for the fault-tolerance stack.
 //!
 //! Two matrices share the binary:
 //!
-//! * The **fault soak** (default): algorithm × fault-plan × seed, each cell
-//!   on a fresh threaded world with `FaultComm` → `ReliableComm` →
-//!   `resilient_alltoallv` layered, under a per-cell watchdog. Asserts the
-//!   crash-only property: byte-identical completion or a typed error within
-//!   the deadline — never a hang, never silent corruption.
+//! * The **fault soak** (default): the registry's chaos rows — op × fault
+//!   plan × seed — each on a fresh *simulated* world with `FaultComm` →
+//!   `ReliableComm` → `MeteredComm` layered and the resilient driver (or
+//!   `collective_with_deadline`) on top. Asserts the crash-only property:
+//!   byte-identical completion or a typed error within the *exact* virtual
+//!   time budget — never a hang (a stuck world is proved stuck), never
+//!   silent corruption — and every cell, crash cells included, is run twice
+//!   and compared by digest. Three rows are real-clock canaries: the same
+//!   runner on `ThreadComm` under a watchdog.
 //! * The **recovery matrix** (`--recovery-smoke`): algorithm × crash phase
 //!   class under the deterministic simulator, driving the full self-healing
 //!   stack (`recovering_alltoallv`: detect → agree → shrink → retry) and
@@ -21,153 +25,57 @@
 //!   bruck-chaos --recovery-smoke [--seeds 1] [--out FILE] [--check-against FILE]
 //!
 //! `--smoke` runs the CI-sized fault matrix (wired into scripts/verify.sh).
-//! Seeds come from `--seeds`, else the `BRUCK_CHAOS_SEEDS` environment
-//! variable (comma-separated), else built-in defaults.
+//! Seeds come from `--seeds`, else the registry's defaults.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bruck_check::chaos::{
-    run_coll_battery, run_matrix, seeds_from_env, ChaosConfig, COLL_PLAN_NAMES, COLL_SCHEDULES,
-};
-use bruck_check::recovery::{
-    bench_json_line, check_against_baseline, run_recovery_matrix, RecoveryMatrixConfig,
-};
+use bruck_check::cells::{rows, Family, DEFAULT_SEEDS};
+use bruck_check::cli::{exit_code, parse_args};
+use bruck_check::recovery::{bench_json_line, check_against_baseline, run_recovery_matrix};
+use bruck_check::sim_matrix::sweep;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut recovery = false;
-    let mut cli_seeds: Option<Vec<u64>> = None;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--recovery-smoke" => recovery = true,
-            "--seeds" => {
-                i += 1;
-                let Some(list) = args.get(i) else {
-                    eprintln!("--seeds needs a comma-separated list");
-                    return ExitCode::from(2);
-                };
-                cli_seeds =
-                    Some(list.split(',').filter_map(|t| t.trim().parse().ok()).collect());
-            }
-            "--out" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::from(2);
-                };
-                out = Some(path.clone());
-            }
-            "--check-against" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--check-against needs a file path");
-                    return ExitCode::from(2);
-                };
-                baseline = Some(path.clone());
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: bruck-chaos [--smoke] [--seeds 1,2,3]\n       \
-                     bruck-chaos --recovery-smoke [--seeds 1] [--out FILE] \
-                     [--check-against FILE]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
-
-    if recovery {
-        return run_recovery(cli_seeds, out, baseline);
-    }
-
-    let seeds = match cli_seeds {
-        Some(s) if !s.is_empty() => s,
-        _ => seeds_from_env(&[1, 2]),
+    let usage = "bruck-chaos [--smoke] [--seeds 1,2,3]\n       \
+                 bruck-chaos --recovery-smoke [--seeds 1] [--out FILE] [--check-against FILE]";
+    let args = match parse_args(
+        usage,
+        &["--smoke", "--recovery-smoke"],
+        &["--seeds", "--out", "--check-against"],
+    ) {
+        Ok(args) => args,
+        Err(code) => return code,
     };
-    let cfg = if smoke { ChaosConfig::smoke(seeds) } else { ChaosConfig::full(seeds) };
+    let seeds: Vec<u64> = match args.value("--seeds") {
+        None => DEFAULT_SEEDS.to_vec(),
+        Some(list) => list.split(',').filter_map(|t| t.trim().parse().ok()).collect(),
+    };
+    if seeds.is_empty() {
+        eprintln!("--seeds needs a comma-separated list of numbers");
+        return ExitCode::from(2);
+    }
+    let tier = args.tier();
+    if args.has("--recovery-smoke") {
+        return run_recovery(seeds[0], args.value("--out"), args.value("--check-against"));
+    }
 
-    println!(
-        "bruck-chaos: {} matrix, sizes {:?}, seeds {:?}, {} algorithms",
-        if smoke { "smoke" } else { "full" },
-        cfg.sizes,
-        cfg.seeds,
-        cfg.algorithms.len(),
-    );
+    let rows = rows(Family::Chaos, tier, &seeds);
+    println!("bruck-chaos: {tier:?} matrix, seeds {seeds:?} (virtual time; each cell runs twice)");
     let start = Instant::now();
-    let mut failures = 0usize;
-    let reports = run_matrix(&cfg, |r| {
-        match &r.violation {
-            None => println!("  PASS {:<40} {:>8.1?}", r.label, r.elapsed),
-            Some(v) => println!("  FAIL {:<40} {:>8.1?}  {v}", r.label, r.elapsed),
-        }
-    });
-    for r in &reports {
-        if r.violation.is_some() {
-            failures += 1;
-        }
-    }
-    // The collective-family battery: every allgatherv / reduce_scatter /
-    // allreduce schedule under the representative plan trio, each rank
-    // wrapped in `collective_with_deadline` so crashes end typed.
-    let coll_seeds: &[u64] = if smoke { &cfg.seeds[..1.min(cfg.seeds.len())] } else { &cfg.seeds };
+    let failures = sweep("bruck-chaos", &rows);
     println!(
-        "bruck-chaos: collective battery, p={}, {} schedules x plans {:?}, seeds {:?}",
-        cfg.sizes[0],
-        COLL_SCHEDULES.len(),
-        COLL_PLAN_NAMES,
-        coll_seeds,
-    );
-    let coll_reports =
-        run_coll_battery(cfg.sizes[0], coll_seeds, cfg.cell_wall_bound, |r| {
-            match &r.violation {
-                None => println!("  PASS {:<40} {:>8.1?}", r.label, r.elapsed),
-                Some(v) => println!("  FAIL {:<40} {:>8.1?}  {v}", r.label, r.elapsed),
-            }
-        });
-    for r in &coll_reports {
-        if r.violation.is_some() {
-            failures += 1;
-        }
-    }
-    println!(
-        "bruck-chaos: {} cells, {failures} failures, {:.1?} total",
-        reports.len() + coll_reports.len(),
+        "bruck-chaos: cells: {}, {failures} failures, {:.1?} total",
+        rows.len(),
         start.elapsed()
     );
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    exit_code(failures == 0)
 }
 
-fn run_recovery(
-    cli_seeds: Option<Vec<u64>>,
-    out: Option<String>,
-    baseline: Option<String>,
-) -> ExitCode {
-    let seed = cli_seeds.and_then(|s| s.first().copied()).unwrap_or(1);
-    let cfg = RecoveryMatrixConfig { seed, ..RecoveryMatrixConfig::default() };
-    println!(
-        "bruck-chaos: recovery matrix, p={} victim={} seed={} ({} algorithms x 4 phases)",
-        cfg.p,
-        cfg.victim,
-        cfg.seed,
-        cfg.algorithms.len(),
-    );
+fn run_recovery(seed: u64, out: Option<&str>, baseline: Option<&str>) -> ExitCode {
+    let (p, victim, _) = bruck_check::cells::RECOVERY_WORLD;
+    println!("bruck-chaos: recovery matrix, p={p} victim={victim} seed={seed}");
     let start = Instant::now();
-    let reports = run_recovery_matrix(&cfg, |r| match (&r.violation, &r.mttr) {
+    let reports = run_recovery_matrix(seed, |r| match (&r.violation, &r.mttr) {
         (None, Some(cm)) => println!(
             "  PASS {:<32} crash@{:<4} cycles={} attempts={} mttr={:.1?}",
             r.label,
@@ -181,7 +89,7 @@ fn run_recovery(
     });
     let failures = reports.iter().filter(|r| r.violation.is_some()).count();
     println!(
-        "bruck-chaos: {} recovery cells, {failures} failures, {:.1?} total",
+        "bruck-chaos: cells: {} (recovery), {failures} failures, {:.1?} total",
         reports.len(),
         start.elapsed()
     );
@@ -226,9 +134,5 @@ fn run_recovery(
         }
     }
 
-    if failures == 0 && fatal_regressions == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    exit_code(failures == 0 && fatal_regressions == 0)
 }

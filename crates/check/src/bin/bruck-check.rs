@@ -1,5 +1,5 @@
-//! Protocol-verification gate: run the full algorithm × workload matrix
-//! through the symbolic executor and analysis passes.
+//! Protocol-verification gate: run the registry's check rows through the
+//! symbolic executor and analysis passes.
 //!
 //! Exit status 0 iff every case is clean. `scripts/verify.sh` runs this as a
 //! tier-1 stage.
@@ -20,10 +20,10 @@ fn main() -> ExitCode {
         }
     }
     if dirty == 0 {
-        println!("bruck-check: {total} cases clean (no deadlock cycles, tag collisions, conservation violations, or unmatched sends)");
+        println!("bruck-check: cells: {total}, {total} cases clean (no deadlock cycles, tag collisions, conservation violations, or unmatched sends)");
         ExitCode::SUCCESS
     } else {
-        eprintln!("bruck-check: {dirty}/{total} cases with findings");
+        eprintln!("bruck-check: cells: {total}, {dirty}/{total} cases with findings");
         ExitCode::FAILURE
     }
 }

@@ -27,150 +27,63 @@
 //! auditor must find it (used by the regression test; exits non-zero iff
 //! the bug is *missed*).
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use bruck_check::dpor::{
-    explore_cell, explore_event_scenario, full_cells, smoke_cells, EventScenario, Violation,
+use bruck_check::cells::{rows, Family, DEFAULT_SEEDS};
+use bruck_check::cli::{
+    exit_code, load_trace, parse_args, replay_cell, replay_verdict, save_witness,
 };
-use bruck_check::sim_matrix::{run_cell, SimCell};
-use bruck_comm::ScheduleTrace;
-
-/// Where witness schedules are written (created on demand).
-fn trace_dir() -> PathBuf {
-    Path::new("target").join("bruck-verify")
-}
+use bruck_check::dpor::{
+    explore_cell, explore_event_scenario, replay_event_trace, EventScenario, Violation,
+};
 
 /// Per-cell wall-clock budget: generous locally, hard stop for CI hangs.
 const CELL_WALL_BUDGET: Duration = Duration::from_secs(120);
 
 fn save_violation(name: &str, v: &Violation) {
-    let dir = trace_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("{name}.trace"));
-    let min_path = dir.join(format!("{name}.min.trace"));
-    println!("  message:        {}", v.message);
-    if v.trace.save(&path).is_ok() {
-        println!("  witness trace:  {} ({} choices)", path.display(), v.trace.choices.len());
-        println!(
-            "  replay with:    cargo run --release -p bruck-check --bin bruck-verify -- --replay {}",
-            path.display()
-        );
-    }
-    if v.min_trace.save(&min_path).is_ok() {
-        println!(
-            "  shrunk witness: {} ({} choices)",
-            min_path.display(),
-            v.min_trace.choices.len()
-        );
-    }
+    save_witness("bruck-verify", name, &v.message, &v.trace, &v.min_trace);
 }
 
 fn replay(path: &str) -> ExitCode {
-    let trace = match ScheduleTrace::load(Path::new(path)) {
+    let trace = match load_trace("bruck-verify", path) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("bruck-verify: cannot load trace {path}: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     // Event-auditor traces are tagged `event scenario=<name> bug=<bool>`;
     // everything else is a simulator cell meta line.
-    if let Some(rest) = trace.meta.strip_prefix("event ") {
-        let mut scenario = None;
-        let mut bug = false;
-        for tok in rest.split_whitespace() {
-            match tok.split_once('=') {
-                Some(("scenario", v)) => scenario = EventScenario::parse(v),
-                Some(("bug", v)) => bug = v == "true",
-                _ => {}
-            }
-        }
-        let Some(scenario) = scenario else {
-            eprintln!("bruck-verify: trace {path} names no known event scenario");
-            return ExitCode::from(2);
-        };
-        println!(
-            "bruck-verify: replaying event scenario {} ({} picks, bug={bug})",
-            scenario.name(),
-            trace.choices.len()
-        );
-        let cfg = bruck_comm::SimConfig::replay_trace(&trace);
-        let opts = {
-            let mut o = bruck_comm::EventVerifyOpts::default();
-            o.audit = true;
-            if bug {
-                o.with_lost_wakeup_bug()
-            } else {
-                o
-            }
-        };
-        let run = bruck_check::dpor::run_event_scenario(scenario, &cfg, opts);
-        return match bruck_check::dpor::event_leaf_check(scenario, &run) {
-            None => {
-                println!("  PASS — the violation does not reproduce under this schedule");
-                ExitCode::SUCCESS
-            }
-            Some(msg) => {
-                println!("  FAIL (reproduced) — {msg}");
-                ExitCode::FAILURE
-            }
-        };
+    if !trace.meta.starts_with("event ") {
+        return replay_cell("bruck-verify", path, &trace);
     }
-    let cell = match SimCell::decode_meta(&trace.meta) {
-        Ok(c) => c,
+    match replay_event_trace(&trace) {
+        Ok((scenario, bug, reproduced)) => {
+            println!(
+                "bruck-verify: replaying event scenario {} ({} picks, bug={bug})",
+                scenario.name(),
+                trace.choices.len()
+            );
+            replay_verdict(reproduced)
+        }
         Err(e) => {
-            eprintln!("bruck-verify: trace {path} has no replayable meta: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    println!(
-        "bruck-verify: replaying {} ({} scheduling choices)",
-        cell.label(),
-        trace.choices.len()
-    );
-    let outcome = run_cell(&cell, Some(&trace.choices));
-    match outcome.failure {
-        None => {
-            println!("  PASS — the violation does not reproduce under this schedule");
-            ExitCode::SUCCESS
-        }
-        Some(msg) => {
-            println!("  FAIL (reproduced) — {msg}");
-            ExitCode::FAILURE
+            eprintln!("bruck-verify: trace {path}: {e}");
+            ExitCode::from(2)
         }
     }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut with_bug = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--with-bug" => with_bug = true,
-            "--replay" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--replay needs a trace file path");
-                    return ExitCode::from(2);
-                };
-                return replay(path);
-            }
-            "--help" | "-h" => {
-                println!("usage: bruck-verify [--smoke] [--replay FILE] [--with-bug]");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
+    let args = match parse_args(
+        "bruck-verify [--smoke] [--replay FILE] [--with-bug]",
+        &["--smoke", "--with-bug"],
+        &["--replay"],
+    ) {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
+    if let Some(path) = args.value("--replay") {
+        return replay(path);
     }
+    let (tier, with_bug) = (args.tier(), args.has("--with-bug"));
 
     let start = Instant::now();
     let mut failed = false;
@@ -207,18 +120,17 @@ fn main() -> ExitCode {
         }
     }
 
-    let cells = if smoke { smoke_cells() } else { full_cells() };
+    let cells = rows(Family::Verify, tier, &DEFAULT_SEEDS);
     println!(
-        "bruck-verify: {} matrix — {} DPOR cells + {} event scenarios",
-        if smoke { "smoke" } else { "full" },
+        "bruck-verify: {tier:?} matrix — {} DPOR cells + {} event scenarios",
         cells.len(),
         EventScenario::ALL.len()
     );
 
     println!("\n== DPOR over SimComm (explored / inequivalent / naive) ==");
     let mut best_pruning_log10 = f64::NEG_INFINITY;
-    for vcell in &cells {
-        let report = explore_cell(vcell, CELL_WALL_BUDGET);
+    for row in &cells {
+        let report = explore_cell(row, CELL_WALL_BUDGET);
         let status = if !report.ok() {
             failed = true;
             "FAIL"
@@ -229,7 +141,7 @@ fn main() -> ExitCode {
         };
         println!(
             "  {status} {} — explored {} / inequivalent {} / naive ~10^{:.1} (pruning ×10^{:.1})",
-            vcell.cell.label(),
+            row.label(),
             report.executions,
             report.classes,
             report.naive_log10,
@@ -238,14 +150,14 @@ fn main() -> ExitCode {
         if report.converged {
             best_pruning_log10 = best_pruning_log10.max(report.pruning_log10());
         }
-        if !report.converged && vcell.exhaustive {
+        if !report.converged && report.exhaustive {
             println!(
                 "    exceeded budget ({} executions) without converging",
                 report.executions
             );
         }
         if let Some(v) = &report.violation {
-            save_violation(&vcell.cell.label(), v);
+            save_violation(&row.label(), v);
         }
     }
     // The reduction must demonstrably beat naive enumeration somewhere ≥10×.
@@ -272,13 +184,11 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "\nbruck-verify: {} in {:.1?}",
+        "\nbruck-verify: cells: {} + {} scenarios, {} in {:.1?}",
+        cells.len(),
+        EventScenario::ALL.len(),
         if failed { "FAIL" } else { "all interleavings verified" },
         start.elapsed()
     );
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_code(!failed)
 }

@@ -5,8 +5,8 @@
 //! ## What it proves
 //!
 //! `bruck-sim` *samples* the schedule space with seeds; this module
-//! *exhausts* it for tiny worlds. A [`VerifyCell`] wraps a
-//! [`SimCell`] and the explorer enumerates every
+//! *exhausts* it for tiny worlds. A [`Harness::Verify`] registry row names a
+//! cell, a budget and a contract, and the explorer enumerates every
 //! Mazurkiewicz-inequivalent interleaving of its scheduling points
 //! (classic Flanagan–Godefroid stateless DPOR: depth-first replay from
 //! schedule prefixes, backtrack sets derived from the dependency relation,
@@ -30,7 +30,7 @@
 //! advances at global quiescence and therefore couples all timed ops. Fault-stack cells
 //! are dominated by timed ops, so their reduction degenerates toward full
 //! enumeration — such cells run under an explicit *bounded* budget
-//! ([`VerifyCell::exhaustive`] = false) and act as systematic deep fuzzing
+//! (`exhaustive: false` in the row) and act as systematic deep fuzzing
 //! rather than full proofs (DESIGN.md §13).
 //!
 //! ## The event-runtime auditor
@@ -45,12 +45,12 @@
 //! joins its waker's clock), and termination. A violation is minimized with
 //! [`shrink_choices`] and saved as a one-command replayable trace.
 
-use crate::sim_matrix::{run_cell, run_cell_recorded, SimCell};
+use crate::cells::{mix, Harness, Row};
+use crate::runner::{run_cell, shrink_trace, World};
 use bruck_comm::{
     shrink_choices, AuditKind, CommError, Communicator, EventComm, EventRun, EventVerifyOpts,
     ScheduleTrace, SimConfig, SimOp, WakeSource,
 };
-use bruck_core::AlltoallvAlgorithm;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -96,13 +96,6 @@ pub fn dependent(ra: u32, a: &SimOp, rb: u32, b: &SimOp) -> bool {
         // touch nothing.
         _ => false,
     }
-}
-
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn op_code(op: &SimOp) -> u64 {
@@ -164,26 +157,11 @@ pub fn naive_interleavings_log10(run: &[(u32, SimOp)]) -> f64 {
 // The stateless DPOR explorer over SimComm cells
 // ---------------------------------------------------------------------------
 
-/// One cell of the verification matrix: a simulator cell plus its
-/// exploration contract.
-#[derive(Debug, Clone)]
-pub struct VerifyCell {
-    /// The simulator cell (algorithm, workload, world size, fault plan).
-    pub cell: SimCell,
-    /// Execution budget for this cell.
-    pub max_executions: u64,
-    /// When true the cell must *converge* (every inequivalent interleaving
-    /// explored) within budget or the run fails. Fault-stack cells, whose
-    /// clock coupling defeats the reduction, set this false and run as
-    /// budget-bounded systematic exploration instead.
-    pub exhaustive: bool,
-}
-
 /// Exploration outcome for one cell.
 #[derive(Debug)]
 pub struct CellVerifyReport {
-    /// The explored cell.
-    pub cell: VerifyCell,
+    /// Did the row promise convergence inside its budget?
+    pub exhaustive: bool,
     /// Schedules executed (complete replays from the root).
     pub executions: u64,
     /// Distinct Mazurkiewicz classes seen (canonical trace digests).
@@ -208,7 +186,7 @@ impl CellVerifyReport {
     /// True when the cell met its contract: no violation, and converged if
     /// it promised to.
     pub fn ok(&self) -> bool {
-        self.violation.is_none() && (self.converged || !self.cell.exhaustive)
+        self.violation.is_none() && (self.converged || !self.exhaustive)
     }
 }
 
@@ -254,11 +232,15 @@ impl Node {
     }
 }
 
-/// Exhaustively explore one cell. `wall_budget` bounds the whole cell's
-/// exploration regardless of the execution budget.
-pub fn explore_cell(vcell: &VerifyCell, wall_budget: Duration) -> CellVerifyReport {
+/// Exhaustively explore one [`Harness::Verify`] row. `wall_budget` bounds the
+/// whole cell's exploration regardless of the execution budget.
+pub fn explore_cell(row: &Row, wall_budget: Duration) -> CellVerifyReport {
     let start = Instant::now();
-    let cell = &vcell.cell;
+    let (cell, faults, seed) = (&row.cell, row.faults, row.seed);
+    let (max_executions, exhaustive) = match row.harness {
+        Harness::Verify { max_executions, exhaustive } => (max_executions, exhaustive),
+        Harness::Check | Harness::Sim | Harness::Chaos { .. } | Harness::Recovery(_) => (1, false),
+    };
     let mut executions = 0u64;
     let mut classes: BTreeSet<u64> = BTreeSet::new();
     let mut stack: Vec<Node> = Vec::new();
@@ -270,7 +252,9 @@ pub fn explore_cell(vcell: &VerifyCell, wall_budget: Duration) -> CellVerifyRepo
     let mut converged = false;
 
     loop {
-        let out = run_cell_recorded(cell, Some(&prefix));
+        let world =
+            World::Sim { sched_seed: seed, replay: Some(prefix.clone()), record_steps: true };
+        let out = run_cell(cell, faults, seed, &world);
         executions += 1;
         let steps = out.steps.as_deref().unwrap_or(&[]);
         let run: Vec<(u32, SimOp)> = steps
@@ -300,19 +284,10 @@ pub fn explore_cell(vcell: &VerifyCell, wall_budget: Duration) -> CellVerifyRepo
                 )
             })
         });
-        if let Some(message) = leaf_failure {
-            let fails = |cand: &[u32]| {
-                let o = run_cell(cell, Some(cand));
-                o.failure.is_some() || o.digest != baseline
-            };
-            let min_choices = shrink_choices(&out.trace.choices, fails);
-            let min_trace = ScheduleTrace {
-                p: out.trace.p,
-                seed: out.trace.seed,
-                meta: out.trace.meta.clone(),
-                choices: min_choices,
-            };
-            violation = Some(Violation { message, trace: out.trace, min_trace });
+        if let (Some(message), Some(trace)) = (leaf_failure, out.trace) {
+            let min_trace =
+                shrink_trace(cell, faults, seed, &trace, |o| !o.ok() || o.digest != baseline);
+            violation = Some(Violation { message, trace, min_trace });
             break;
         }
 
@@ -399,13 +374,13 @@ pub fn explore_cell(vcell: &VerifyCell, wall_budget: Duration) -> CellVerifyRepo
                 prefix.push(stack[depth - 1].chosen);
             }
         }
-        if executions >= vcell.max_executions || start.elapsed() > wall_budget {
+        if executions >= max_executions || start.elapsed() > wall_budget {
             break;
         }
     }
 
     CellVerifyReport {
-        cell: vcell.clone(),
+        exhaustive,
         executions,
         classes: classes.len(),
         baseline_len,
@@ -413,113 +388,6 @@ pub fn explore_cell(vcell: &VerifyCell, wall_budget: Duration) -> CellVerifyRepo
         converged,
         violation,
     }
-}
-
-/// Per-algorithm exhaustive-exploration budget at P = 3. The schedule space
-/// depends only on the communication *structure* (DPOR sees op footprints,
-/// not byte counts), so these are stable per algorithm: the metadata-heavy
-/// two-phase family needs far more executions per inequivalent class than
-/// the direct senders. `None` means the P = 3 space is too large to exhaust
-/// (> ~200k executions without converging) — the cell runs *bounded*
-/// instead, and the algorithm's exhaustive proof is its P = 2 cell.
-fn p3_budget(algo: AlltoallvAlgorithm) -> Option<u64> {
-    match algo {
-        // Converges at ~120k executions (measured); give it headroom.
-        AlltoallvAlgorithm::PaddedBruck => Some(200_000),
-        AlltoallvAlgorithm::TwoPhaseBruck
-        | AlltoallvAlgorithm::Sloav
-        | AlltoallvAlgorithm::RankaTwoStage => None,
-        // The light algorithms all converge within a few thousand runs.
-        _ => Some(60_000),
-    }
-}
-
-/// The smoke verification matrix: every algorithm at P = 2 and P = 3 over a
-/// uniform and a skewed workload, plus a bounded fault-stack cell. Sized to
-/// converge in seconds (wired into `scripts/verify.sh`).
-pub fn smoke_cells() -> Vec<VerifyCell> {
-    let mut out = Vec::new();
-    for &algo in &AlltoallvAlgorithm::ALL {
-        for (p, dist_idx) in [(2usize, 0usize), (3, 2)] {
-            let (max_executions, exhaustive) = if p == 2 {
-                (60_000, true)
-            } else {
-                match p3_budget(algo) {
-                    Some(budget) => (budget, true),
-                    None => (20_000, false),
-                }
-            };
-            out.push(VerifyCell {
-                cell: SimCell {
-                    algo,
-                    dist_idx,
-                    p,
-                    n_max: 3,
-                    workload_seed: 11,
-                    sched_seed: 1,
-                    fault: "none".into(),
-                },
-                max_executions,
-                exhaustive,
-            });
-        }
-    }
-    // The fault stack: clock coupling defeats the reduction (module docs),
-    // so this is bounded systematic exploration, not a convergence proof.
-    out.push(VerifyCell {
-        cell: SimCell {
-            algo: AlltoallvAlgorithm::TwoPhaseBruck,
-            dist_idx: 0,
-            p: 2,
-            n_max: 2,
-            workload_seed: 11,
-            sched_seed: 1,
-            fault: "clean".into(),
-        },
-        max_executions: 400,
-        exhaustive: false,
-    });
-    out
-}
-
-/// The full matrix: smoke plus every algorithm at P = 4 and a lossy
-/// fault-stack cell. At P = 4 only `Hierarchical` (whose 2×2 grid splits
-/// the world into near-independent halves) converges within reach
-/// (~10k executions, measured); the other schedule spaces are ≥ 10^16
-/// naive and still growing past 400k explored, so those cells run
-/// bounded — the per-algorithm exhaustive proofs are the P ≤ 3 cells.
-pub fn full_cells() -> Vec<VerifyCell> {
-    let mut out = smoke_cells();
-    for &algo in &AlltoallvAlgorithm::ALL {
-        let exhaustive = algo == AlltoallvAlgorithm::Hierarchical;
-        out.push(VerifyCell {
-            cell: SimCell {
-                algo,
-                dist_idx: 1,
-                p: 4,
-                n_max: 4,
-                workload_seed: 11,
-                sched_seed: 1,
-                fault: "none".into(),
-            },
-            max_executions: if exhaustive { 60_000 } else { 50_000 },
-            exhaustive,
-        });
-    }
-    out.push(VerifyCell {
-        cell: SimCell {
-            algo: AlltoallvAlgorithm::TwoPhaseBruck,
-            dist_idx: 0,
-            p: 3,
-            n_max: 2,
-            workload_seed: 11,
-            sched_seed: 1,
-            fault: "lossy".into(),
-        },
-        max_executions: 800,
-        exhaustive: false,
-    });
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -635,6 +503,39 @@ impl EventScenario {
             }
         }
     }
+}
+
+/// Auditing event-runtime options; `with_bug` arms the seeded lost-wakeup
+/// bug. bruck-check compiles bruck-comm with `seeded-bugs` (Cargo.toml), so
+/// the arming constructor is always available here; the bug still fires
+/// only in runs that arm it.
+pub fn event_opts(with_bug: bool) -> EventVerifyOpts {
+    let mut o = EventVerifyOpts::default();
+    o.audit = true;
+    if with_bug {
+        o.with_lost_wakeup_bug()
+    } else {
+        o
+    }
+}
+
+/// Replay an auditor witness (`meta`: `event scenario=<name> bug=<bool>`)
+/// under exactly its recorded picks. `Ok` carries the scenario, whether the
+/// bug was armed, and the violation if it reproduced.
+pub fn replay_event_trace(
+    trace: &ScheduleTrace,
+) -> Result<(EventScenario, bool, Option<String>), String> {
+    let (mut scenario, mut bug) = (None, false);
+    for tok in trace.meta.split_whitespace() {
+        match tok.split_once('=') {
+            Some(("scenario", v)) => scenario = EventScenario::parse(v),
+            Some(("bug", v)) => bug = v == "true",
+            _ => {}
+        }
+    }
+    let scenario = scenario.ok_or("the trace names no known event scenario")?;
+    let run = run_event_scenario(scenario, &SimConfig::replay_trace(trace), event_opts(bug));
+    Ok((scenario, bug, event_leaf_check(scenario, &run)))
 }
 
 /// Run one scenario under the scheduled event runtime.
@@ -776,18 +677,7 @@ pub fn explore_event_scenario(
     max_executions: u64,
     with_bug: bool,
 ) -> EventVerifyReport {
-    // bruck-check compiles bruck-comm with `seeded-bugs` (Cargo.toml), so
-    // the arming constructor is always available here; the bug still fires
-    // only in runs that arm it.
-    let opts = || {
-        let mut o = EventVerifyOpts::default();
-        o.audit = true;
-        if with_bug {
-            o.with_lost_wakeup_bug()
-        } else {
-            o
-        }
-    };
+    let opts = || event_opts(with_bug);
     let meta = format!("event scenario={} bug={}", scenario.name(), with_bug);
     let cfg_for = |prefix: &[u32]| SimConfig {
         seed: 0,
@@ -910,20 +800,13 @@ mod tests {
 
     #[test]
     fn tiny_cell_converges_and_prunes() {
-        let vcell = VerifyCell {
-            cell: SimCell {
-                algo: AlltoallvAlgorithm::SpreadOut,
-                dist_idx: 0,
-                p: 2,
-                n_max: 3,
-                workload_seed: 11,
-                sched_seed: 1,
-                fault: "none".into(),
-            },
-            max_executions: 50_000,
-            exhaustive: true,
-        };
-        let report = explore_cell(&vcell, Duration::from_secs(60));
+        use crate::cells::{rows, Family, Op, Tier, DEFAULT_SEEDS};
+        let spread_out = Op::named(bruck_core::AlltoallvAlgorithm::SpreadOut);
+        let row = rows(Family::Verify, Tier::Smoke, &DEFAULT_SEEDS)
+            .into_iter()
+            .find(|r| r.cell.op == spread_out && r.cell.p == 2)
+            .expect("the registry has a P = 2 spread-out verify row");
+        let report = explore_cell(&row, Duration::from_secs(60));
         assert!(report.ok(), "violation: {:?}", report.violation);
         assert!(report.converged, "did not converge in {} executions", report.executions);
         assert!(report.classes >= 2, "a 2-rank exchange has inequivalent schedules");
@@ -971,26 +854,13 @@ mod tests {
         );
         // The saved witness replays: arm the bug, force the minimized
         // schedule, and the same violation must reproduce.
-        let cfg = SimConfig::replay_trace(&v.min_trace);
-        let opts = {
-            let mut o = EventVerifyOpts::default();
-            o.audit = true;
-            o.with_lost_wakeup_bug()
-        };
-        let run = run_event_scenario(EventScenario::Ping, &cfg, opts);
-        assert!(
-            event_leaf_check(EventScenario::Ping, &run).is_some(),
-            "minimized witness did not reproduce the violation"
-        );
+        let (scenario, bug, reproduced) = replay_event_trace(&v.min_trace).unwrap();
+        assert_eq!((scenario, bug), (EventScenario::Ping, true));
+        assert!(reproduced.is_some(), "minimized witness did not reproduce the violation");
         // Without the bug armed, the exact same schedule is clean — the
         // fault is the seeded bug, not the schedule.
         let cfg = SimConfig::replay_trace(&v.min_trace);
-        let opts = {
-            let mut o = EventVerifyOpts::default();
-            o.audit = true;
-            o
-        };
-        let run = run_event_scenario(EventScenario::Ping, &cfg, opts);
+        let run = run_event_scenario(EventScenario::Ping, &cfg, event_opts(false));
         assert!(
             event_leaf_check(EventScenario::Ping, &run).is_none(),
             "clean runtime failed under the witness schedule"

@@ -1,61 +1,36 @@
 //! # bruck-check — communication-protocol verifier and repo lint gate
 //!
-//! Three layers of static assurance over the workspace, all std-only:
+//! One typed cell list ([`cells::registry`]) — every operation reachable
+//! from a public `bruck-core` entry point × workload × world size — and five
+//! harnesses that are *interpretations* of it. A cell knows how a rank runs
+//! it and what the right bytes are ([`cells::Cell`]); [`runner`] knows how to
+//! put it in a world (symbolic, simulated, real threads), under which fault
+//! stack, and what verdict the crash-only contract gives it. All std-only.
 //!
-//! 1. **Schedule extraction** ([`model`]) — [`model::ModelComm`] symbolically
-//!    executes any `Communicator`-generic algorithm on a single thread,
-//!    recording every send/recv/probe (collectives included — they are trait
-//!    default methods) into vector-clocked per-rank event logs. Unlike a
-//!    threaded run, it terminates on deadlocks and reports them.
-//! 2. **Protocol analysis** ([`analysis`]) — passes over the extracted
-//!    [`bruck_comm::Schedule`]: wait-for-graph deadlock cycles, unmatched
-//!    sends, orphaned receives, tag collisions, per-step byte conservation,
-//!    and counts/displacement layout checks.
-//! 3. **Source lint** ([`lint`]) — `bruck-lint` scans crate sources for
-//!    banned patterns with an explicit, counted allowlist.
+//! | Harness (binary) | World | What it asserts per cell | Module |
+//! |---|---|---|---|
+//! | **check** (`bruck-check`) | [`model`]: single-thread symbolic execution, vector-clocked event log; terminates on deadlocks | every [`analysis`] pass over the extracted schedule (wait-for cycles, unmatched sends, orphaned receives, tag collisions, byte conservation, layouts) + expected bytes | [`matrix`] |
+//! | **sim** (`bruck-sim`) | `SimComm` × schedule seeds | run twice: identical schedule trace and digest; expected bytes; failing schedule saved, ddmin-shrunk, `--replay`able (DESIGN.md §11) | [`sim_matrix`] |
+//! | **verify** (`bruck-verify`) | recorded `SimComm` schedules | stateless DPOR: every Mazurkiewicz-inequivalent interleaving of the tiny-world cells ends byte-identical and deadlock-free; plus the event runtime's wakeup protocol audited exhaustively with vector clocks (DESIGN.md §13) | [`dpor`] |
+//! | **chaos** (`bruck-chaos`) | `SimComm` + `FaultComm → ReliableComm → MeteredComm`; three real-clock canaries on `ThreadComm` | the crash-only contract on exact virtual-time budgets: never hang, never silent corruption, completion where promised, never meter drift; every cell run twice (DESIGN.md §9) | [`runner`], [`sim_matrix`] |
+//! | **recovery** (`bruck-chaos --recovery-smoke`) | `SimComm` + scripted crash calibrated into each phase class | detect → agree → shrink → retry ends typed `Recovered`, byte-correct on the survivor view, digest-deterministic; virtual-time MTTR regression-checked against `BENCH_PR8.json` (DESIGN.md §14) | [`recovery`] |
 //!
-//! The [`matrix`] module wires layers 1–2 across every algorithm × workload
-//! combination; `scripts/verify.sh` runs both binaries as tier-1 gates.
-//!
-//! A fourth, *dynamic* layer rides in the same crate: the [`chaos`] module
-//! (binary `bruck-chaos`) soaks the fault-tolerance stack — fault injection,
-//! reliable transport, resilient driver — across an algorithm × fault-plan
-//! matrix under a watchdog, asserting the crash-only property (DESIGN.md §9).
-//!
-//! A fifth layer, the [`sim_matrix`] module (binary `bruck-sim`), fuzzes the
-//! *schedule* dimension: every algorithm runs under `bruck-comm`'s
-//! deterministic simulator across seeded interleavings with a virtual clock,
-//! with recorded, replayable, shrinkable schedule traces (DESIGN.md §11).
-//!
-//! A sixth layer, the [`dpor`] module (binary `bruck-verify`), upgrades the
-//! schedule fuzzer to a *model checker*: stateless dynamic partial-order
-//! reduction exhaustively enumerates every inequivalent interleaving of the
-//! tiny-world cells, proves byte-identical outcomes and deadlock-freedom at
-//! every leaf, and exhaustively audits the event runtime's wakeup protocol
-//! with vector-clock happens-before checks (DESIGN.md §13). Shared payload
-//! helpers for the dynamic harnesses live in [`cells`].
-//!
-//! A seventh layer, the [`recovery`] module (also under `bruck-chaos`, via
-//! `--recovery-smoke`), exercises the *self-healing* stack end to end:
-//! every alltoallv algorithm × crash phase class (negotiate/pack/data/unpack)
-//! on a simulated world with a scripted victim, driving failure detection,
-//! survivor agreement, communicator shrink, and epoch retry to a typed
-//! `Recovered` ending — byte-correct on the survivor view, same-seed
-//! digest-deterministic, with virtual-time MTTR regression-checked against
-//! the committed `BENCH_PR8.json` (DESIGN.md §14).
-//!
-//! The verifier's model, guarantees, and non-guarantees are documented in
-//! DESIGN.md §8.
+//! Beside them, the **source lint** ([`lint`], binary `bruck-lint`) scans
+//! crate sources for banned patterns with an explicit, counted allowlist;
+//! [`cli`] is what the matrix binaries share. `scripts/verify.sh` runs all
+//! of it as tier-1 gates. The verifier's model, guarantees, and
+//! non-guarantees are documented in DESIGN.md §8.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod analysis;
 pub mod cells;
-pub mod chaos;
+pub mod cli;
 pub mod dpor;
 pub mod lint;
 pub mod matrix;
 pub mod model;
 pub mod recovery;
+pub mod runner;
 pub mod sim_matrix;

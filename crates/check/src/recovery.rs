@@ -13,7 +13,7 @@
 //!   returns [`RecoveryOutcome::Recovered`] naming exactly the victim as
 //!   evicted, on the dense survivor view.
 //! * **Byte-correct on the survivor world** — every received block matches
-//!   the closed-form [`crate::cells::pattern`] for its (survivor source,
+//!   the closed-form [`bruck_core::pattern`] for its (survivor source,
 //!   destination) pair, which is exactly what a fault-free direct run on the
 //!   survivor set produces (the chaos and sim matrices prove that equality
 //!   for healthy worlds; `direct_survivor_run_matches` re-proves it here).
@@ -29,47 +29,18 @@
 use std::time::Duration;
 
 use bruck_comm::{
-    CommError, Communicator, DeadlineComm, ExchangePlan, FaultComm, FaultPlan, ShrinkComm,
-    SimComm, SimConfig,
+    CommError, CommResult, Communicator, DeadlineComm, ExchangePlan, FaultComm, FaultPlan,
+    ShrinkComm,
 };
 use bruck_core::{
     recovering_alltoallv, resilient_alltoallv, AlltoallvAlgorithm, Mttr, RecoveringConfig,
     RecoveryOutcome, ResilientConfig,
 };
-use bruck_workload::{Distribution, SizeMatrix};
 
-use crate::cells::{digest_rank_buf, mix, pattern, pattern_send_side};
-
-/// Which exchange phase the scripted crash is calibrated to land in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PhaseClass {
-    /// Mid counts-handshake: the plan itself is the casualty.
-    Negotiate,
-    /// The negotiate/data boundary: the victim dies on its first data op.
-    Pack,
-    /// Mid data movement: survivors hold partial, asymmetric data.
-    Data,
-    /// The victim's last exchange op: survivors may already be lossless and
-    /// must still re-execute on the shrunken view (commit needs the full
-    /// view to confirm clean).
-    Unpack,
-}
-
-impl PhaseClass {
-    /// All four classes, in exchange order.
-    pub const ALL: [PhaseClass; 4] =
-        [PhaseClass::Negotiate, PhaseClass::Pack, PhaseClass::Data, PhaseClass::Unpack];
-
-    /// Display name for cell labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PhaseClass::Negotiate => "negotiate",
-            PhaseClass::Pack => "pack",
-            PhaseClass::Data => "data",
-            PhaseClass::Unpack => "unpack",
-        }
-    }
-}
+use crate::cells::{
+    digest_rank_buf, rows, Cell, Family, Harness, PhaseClass, Row, Tier, RECOVERY_WORLD,
+};
+use crate::runner::{launch, run_twice, Launched, World};
 
 /// The recovering-exchange budgets every cell runs under: tight enough that
 /// a whole cell is a few hundred simulated milliseconds, with the detector
@@ -108,13 +79,15 @@ pub struct RecoveryCellReport {
     pub label: String,
     /// Violation description, if the cell failed.
     pub violation: Option<String>,
-    /// Digest over outcomes, views, buffers, and MTTR (equal across the two
-    /// same-seed runs when the cell passed).
-    pub digest: u64,
     /// Slowest-survivor MTTR (absent if the cell failed before extraction).
     pub mttr: Option<CellMttr>,
     /// The calibrated crash op count.
     pub crash_after_ops: u64,
+}
+
+/// The algorithm a recovery cell names (recovery rows are named points).
+fn algorithm(cell: &Cell) -> AlltoallvAlgorithm {
+    cell.op.resilient_algorithm().unwrap_or(AlltoallvAlgorithm::TwoPhaseBruck)
 }
 
 /// Calibrate the victim's op counts on a healthy same-seed world: returns
@@ -123,41 +96,33 @@ pub struct RecoveryCellReport {
 /// calibration replays the exact op sequence of `recovering_alltoallv`'s
 /// first attempt (same epoch, same wrappers), so a crash threshold placed
 /// between those marks lands inside the intended phase.
-pub fn calibrate_phases(
-    algorithm: AlltoallvAlgorithm,
-    matrix: &SizeMatrix,
-    victim: usize,
-    seed: u64,
-) -> Result<(u64, u64), String> {
-    let p = matrix.p();
-    let cfg = recovery_config(algorithm);
-    let m = matrix.clone();
-    let report = SimComm::try_run(p, &SimConfig::from_seed(seed), move |comm| {
+pub fn calibrate_phases(cell: &Cell, victim: usize, seed: u64) -> Result<(u64, u64), String> {
+    let cfg = recovery_config(algorithm(cell));
+    let (cell, p) = (*cell, cell.p);
+    let body = move |comm: &dyn Communicator| {
         let fc = FaultComm::new(comm, FaultPlan::new(seed));
-        let me = fc.rank();
-        let (sendcounts, _sdispls, sendbuf) = pattern_send_side(&m, me);
-        let view: Vec<usize> = (0..p).collect();
-        let sc = ShrinkComm::new(&fc, view, cfg.epoch)?;
+        let a = cell.v_args(fc.rank());
+        let sc = ShrinkComm::new(&fc, (0..p).collect(), cfg.epoch)?;
         let dc = DeadlineComm::new(&sc, cfg.negotiate_timeout);
-        let plan = ExchangePlan::negotiate_isolated(&dc, sendcounts, cfg.epoch)?;
+        let plan = ExchangePlan::negotiate_isolated(&dc, a.sendcounts, cfg.epoch)?;
         let negotiate_ops = fc.ops();
         let mut recvbuf = plan.alloc_recvbuf();
         resilient_alltoallv(
             &ResilientConfig { epoch: cfg.epoch, ..cfg.resilient },
             &sc,
-            &sendbuf,
+            &a.sendbuf,
             plan.sendcounts(),
             plan.sdispls(),
             &mut recvbuf,
             plan.recvcounts(),
             plan.rdispls(),
         )?;
-        Ok::<(u64, u64), CommError>((negotiate_ops, fc.ops()))
-    });
-    match report.outcomes.get(victim) {
-        Some(Ok(Ok(marks))) => Ok(*marks),
+        Ok((negotiate_ops, fc.ops()))
+    };
+    match launch(&World::sim(seed), p, "", body).ranks.into_iter().nth(victim) {
+        Some(Ok(Ok(marks))) => Ok(marks),
         Some(Ok(Err(e))) => Err(format!("calibration comm error: {e}")),
-        Some(Err(p)) => Err(format!("calibration panic: {p}")),
+        Some(Err(why)) => Err(format!("calibration {why}")),
         None => Err("victim out of range".to_string()),
     }
 }
@@ -172,91 +137,47 @@ pub fn crash_point(phase: PhaseClass, negotiate_ops: u64, exchange_ops: u64) -> 
     }
 }
 
-type RankOutcome = Result<
-    (Vec<u8>, Vec<usize>, Vec<usize>, Vec<usize>, RecoveryOutcome),
-    CommError,
->;
+/// One rank's recovered `(recvbuf, recvcounts, view, outcome)`.
+type Recovered = (Vec<u8>, Vec<usize>, Vec<usize>, RecoveryOutcome);
+type RankOutcome = CommResult<Recovered>;
 
-fn run_world(
-    algorithm: AlltoallvAlgorithm,
-    matrix: &SizeMatrix,
-    victim: usize,
-    after_ops: u64,
-    seed: u64,
-) -> Vec<Result<RankOutcome, String>> {
-    let p = matrix.p();
-    let cfg = recovery_config(algorithm);
-    let m = matrix.clone();
-    let report = SimComm::try_run(p, &SimConfig::from_seed(seed), move |comm| {
+/// Run the recovering exchange with `victim` scripted to crash after
+/// `after_ops` data ops. The recovering driver brings its own detector and
+/// epoch retry, so only the fault injector sits under it.
+fn run_world(cell: &Cell, victim: usize, after_ops: u64, seed: u64) -> Launched<Recovered> {
+    let cfg = recovery_config(algorithm(cell));
+    let (cell, p) = (*cell, cell.p);
+    let body = move |comm: &dyn Communicator| {
         let fc = FaultComm::new(comm, FaultPlan::new(seed).with_crash(victim, after_ops));
-        let me = fc.rank();
-        let (sendcounts, _sdispls, sendbuf) = pattern_send_side(&m, me);
+        let a = cell.v_args(fc.rank());
         let view: Vec<usize> = (0..p).collect();
-        recovering_alltoallv(&cfg, &fc, &view, &sendcounts, &sendbuf).map(|rec| {
-            (rec.recvbuf, rec.recvcounts, rec.rdispls, rec.view, rec.outcome)
-        })
-    });
-    report.outcomes
+        recovering_alltoallv(&cfg, &fc, &view, &a.sendcounts, &a.sendbuf)
+            .map(|rec| (rec.recvbuf, rec.recvcounts, rec.view, rec.outcome))
+    };
+    launch(&World::sim(seed), p, "", body)
 }
 
-/// Fold one world's outcomes into an order-sensitive digest.
+/// Fold one world's outcomes — errors, buffers, views, evictions, retry
+/// shape and virtual-time MTTR, everything `Debug` shows — into an
+/// order-sensitive digest.
 fn digest_world(outcomes: &[Result<RankOutcome, String>]) -> u64 {
-    let mut d = 0xD1_6E57u64;
-    for (rank, out) in outcomes.iter().enumerate() {
-        d = mix(d ^ rank as u64);
-        match out {
-            Err(_) => d = mix(d ^ 1),
-            Ok(Err(e)) => {
-                d = mix(d ^ 2);
-                for b in e.to_string().bytes() {
-                    d = mix(d ^ b as u64);
-                }
-            }
-            Ok(Ok((recvbuf, recvcounts, _rdispls, view, outcome))) => {
-                d = mix(d ^ 3);
-                d = digest_rank_buf(d, rank, recvbuf);
-                for &c in recvcounts {
-                    d = mix(d ^ c as u64);
-                }
-                for &v in view {
-                    d = mix(d ^ v as u64);
-                }
-                match outcome {
-                    RecoveryOutcome::Complete => d = mix(d ^ 10),
-                    RecoveryOutcome::Recovered { evicted, cycles, attempts, mttr } => {
-                        d = mix(d ^ 11);
-                        for &e in evicted {
-                            d = mix(d ^ e as u64);
-                        }
-                        d = mix(d ^ *cycles as u64);
-                        d = mix(d ^ *attempts as u64);
-                        for t in
-                            [mttr.detect, mttr.agree, mttr.repair, mttr.reexecute]
-                        {
-                            d = mix(d ^ t.as_nanos() as u64);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    d
+    let fold = |d, (rank, out)| digest_rank_buf(d, rank, format!("{out:?}").as_bytes());
+    outcomes.iter().enumerate().fold(0xD1_6E57, fold)
 }
 
 /// Check one world against the recovery contract; returns the slowest
 /// survivor's MTTR on success.
 fn check_world(
-    matrix: &SizeMatrix,
+    cell: &Cell,
     victim: usize,
     outcomes: &[Result<RankOutcome, String>],
 ) -> Result<CellMttr, String> {
-    let p = matrix.p();
-    let survivors: Vec<usize> = (0..p).filter(|&r| r != victim).collect();
+    let survivors: Vec<usize> = (0..cell.p).filter(|&r| r != victim).collect();
     let mut slowest: Option<CellMttr> = None;
     for (rank, out) in outcomes.iter().enumerate() {
         let res = match out {
             Ok(r) => r,
-            Err(panic) => return Err(format!("rank {rank} panicked: {panic}")),
+            Err(why) => return Err(format!("rank {rank} {why}")),
         };
         if rank == victim {
             match res {
@@ -265,7 +186,7 @@ fn check_world(
             }
             continue;
         }
-        let (recvbuf, recvcounts, rdispls, view, outcome) = match res {
+        let (recvbuf, recvcounts, view, outcome) = match res {
             Ok(r) => r,
             Err(e) => return Err(format!("survivor {rank} failed: {e}")),
         };
@@ -288,110 +209,71 @@ fn check_world(
         }
         // Byte-correctness on the shrunken view: block j must be exactly
         // what parent rank view[j] sends rank `rank` in a fault-free world.
-        for (j, &src) in view.iter().enumerate() {
-            let want_len = matrix.get(src, rank);
-            if recvcounts[j] != want_len {
-                return Err(format!(
-                    "survivor {rank}: block from {src} has {} bytes, want {want_len}",
-                    recvcounts[j]
-                ));
-            }
-            for idx in 0..want_len {
-                let got = recvbuf[rdispls[j] + idx];
-                let want = pattern(src, rank, idx);
-                if got != want {
-                    return Err(format!(
-                        "survivor {rank}: SILENT CORRUPTION in block from {src} \
-                         byte {idx}: got {got}, want {want}"
-                    ));
-                }
-            }
+        let m = cell.matrix();
+        if let Some((j, &src)) =
+            view.iter().enumerate().find(|&(j, &src)| recvcounts[j] != m.get(src, rank))
+        {
+            return Err(format!(
+                "survivor {rank}: block from {src} has {} bytes, want {}",
+                recvcounts[j],
+                m.get(src, rank)
+            ));
+        }
+        let want = cell.expected_from(rank, view);
+        if let Some(i) = (0..want.len()).find(|&i| recvbuf.get(i) != Some(&want[i])) {
+            return Err(format!(
+                "survivor {rank}: SILENT CORRUPTION at byte {i}: got {:?}, want {}",
+                recvbuf.get(i),
+                want[i]
+            ));
         }
     }
     slowest.ok_or_else(|| "no survivor produced an outcome".to_string())
 }
 
-/// Run one (algorithm, phase class, seed) recovery cell: calibrate, run
-/// twice, check the contract and digest equality.
-pub fn run_recovery_cell(
-    algorithm: AlltoallvAlgorithm,
-    phase: PhaseClass,
-    p: usize,
-    victim: usize,
-    n_max: usize,
-    seed: u64,
-) -> RecoveryCellReport {
-    let label = format!("{}/{}/seed{}", algorithm.name(), phase.name(), seed);
-    let matrix = SizeMatrix::generate(Distribution::Uniform, seed, p, n_max);
-    let (neg, ex) = match calibrate_phases(algorithm, &matrix, victim, seed) {
+/// Run one recovery row: calibrate, run twice, check the contract and
+/// digest equality.
+pub fn run_recovery_cell(row: &Row) -> RecoveryCellReport {
+    let (label, cell, seed, victim) = (row.label(), &row.cell, row.seed, RECOVERY_WORLD.1);
+    let fail = |violation: String| RecoveryCellReport {
+        label: label.clone(),
+        violation: Some(violation),
+        mttr: None,
+        crash_after_ops: 0,
+    };
+    let Harness::Recovery(phase) = row.harness else {
+        return fail("not a recovery row".to_string());
+    };
+    let (neg, ex) = match calibrate_phases(cell, victim, seed) {
         Ok(marks) => marks,
-        Err(e) => {
-            return RecoveryCellReport {
-                label,
-                violation: Some(e),
-                digest: 0,
-                mttr: None,
-                crash_after_ops: 0,
-            }
-        }
+        Err(e) => return fail(e),
     };
     let after_ops = crash_point(phase, neg, ex);
-    let first = run_world(algorithm, &matrix, victim, after_ops, seed);
-    let second = run_world(algorithm, &matrix, victim, after_ops, seed);
-    let digest = digest_world(&first);
-    let mut violation = None;
-    let mut mttr = None;
-    match check_world(&matrix, victim, &first) {
-        Ok(cm) => mttr = Some(cm),
-        Err(e) => violation = Some(e),
-    }
-    if violation.is_none() && digest != digest_world(&second) {
-        violation =
-            Some("NONDETERMINISM: same seed produced different digests".to_string());
-    }
-    RecoveryCellReport { label, violation, digest, mttr, crash_after_ops: after_ops }
+    let (first, diff) = run_twice(
+        || run_world(cell, victim, after_ops, seed),
+        |w| (w.trace.as_ref().map_or(Vec::new(), |t| t.choices.clone()), digest_world(&w.ranks)),
+    );
+    let (violation, mttr) = match check_world(cell, victim, &first.ranks) {
+        Ok(cm) => (diff, Some(cm)),
+        Err(e) => (Some(e), None),
+    };
+    RecoveryCellReport { label, violation, mttr, crash_after_ops: after_ops }
 }
 
-/// Matrix configuration for [`run_recovery_matrix`].
-pub struct RecoveryMatrixConfig {
-    /// World size (the victim is evicted from it).
-    pub p: usize,
-    /// The scripted-to-crash rank.
-    pub victim: usize,
-    /// Largest per-pair block size in the generated workload.
-    pub n_max: usize,
-    /// Workload/schedule/fault seed.
-    pub seed: u64,
-    /// Algorithms to sweep.
-    pub algorithms: Vec<AlltoallvAlgorithm>,
-}
-
-impl Default for RecoveryMatrixConfig {
-    fn default() -> Self {
-        RecoveryMatrixConfig {
-            p: 5,
-            victim: 2,
-            n_max: 24,
-            seed: 1,
-            algorithms: AlltoallvAlgorithm::ALL.to_vec(),
-        }
-    }
-}
-
-/// Run every algorithm × phase-class cell.
+/// Run every algorithm × phase-class row at `seed` (workload, schedule and
+/// fault seed at once).
 pub fn run_recovery_matrix(
-    cfg: &RecoveryMatrixConfig,
+    seed: u64,
     mut progress: impl FnMut(&RecoveryCellReport),
 ) -> Vec<RecoveryCellReport> {
-    let mut reports = Vec::new();
-    for &algorithm in &cfg.algorithms {
-        for phase in PhaseClass::ALL {
-            let r = run_recovery_cell(algorithm, phase, cfg.p, cfg.victim, cfg.n_max, cfg.seed);
+    rows(Family::Recovery, Tier::Smoke, &[seed])
+        .iter()
+        .map(|row| {
+            let r = run_recovery_cell(row);
             progress(&r);
-            reports.push(r);
-        }
-    }
-    reports
+            r
+        })
+        .collect()
 }
 
 /// Render one passing cell as a `BENCH_PR8.json` line.
@@ -474,13 +356,21 @@ pub fn check_against_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bruck_core::packed_displs;
+    use bruck_comm::SimComm;
+    use bruck_core::{alltoallv, packed_displs, pattern};
+
+    /// The registry's recovery row for `algo` × `phase` at `seed`.
+    fn row(algo: AlltoallvAlgorithm, phase: PhaseClass, seed: u64) -> Row {
+        rows(Family::Recovery, Tier::Smoke, &[seed])
+            .into_iter()
+            .find(|r| r.harness == Harness::Recovery(phase) && algorithm(&r.cell) == algo)
+            .expect("every algorithm x phase has a recovery row")
+    }
 
     #[test]
     fn calibration_marks_are_ordered() {
-        let m = SizeMatrix::generate(Distribution::Uniform, 1, 5, 24);
-        let (neg, ex) =
-            calibrate_phases(AlltoallvAlgorithm::TwoPhaseBruck, &m, 2, 1).unwrap();
+        let cell = row(AlltoallvAlgorithm::TwoPhaseBruck, PhaseClass::Data, 1).cell;
+        let (neg, ex) = calibrate_phases(&cell, 2, 1).unwrap();
         assert!(neg > 0, "negotiation moves messages");
         assert!(ex > neg, "the exchange moves more");
         let points: Vec<u64> =
@@ -492,7 +382,7 @@ mod tests {
 
     #[test]
     fn data_crash_cell_recovers_byte_correct_and_deterministic() {
-        let r = run_recovery_cell(AlltoallvAlgorithm::TwoPhaseBruck, PhaseClass::Data, 5, 2, 24, 1);
+        let r = run_recovery_cell(&row(AlltoallvAlgorithm::TwoPhaseBruck, PhaseClass::Data, 1));
         assert!(r.violation.is_none(), "{:?}", r.violation);
         let cm = r.mttr.expect("survivor MTTR extracted");
         assert!(cm.cycles >= 1);
@@ -501,14 +391,7 @@ mod tests {
 
     #[test]
     fn negotiate_crash_cell_recovers() {
-        let r = run_recovery_cell(
-            AlltoallvAlgorithm::SpreadOut,
-            PhaseClass::Negotiate,
-            5,
-            2,
-            24,
-            3,
-        );
+        let r = run_recovery_cell(&row(AlltoallvAlgorithm::SpreadOut, PhaseClass::Negotiate, 3));
         assert!(r.violation.is_none(), "{:?}", r.violation);
     }
 
@@ -517,21 +400,16 @@ mod tests {
         // The cell checks bytes against the closed-form pattern; this test
         // closes the loop by running an actual fault-free exchange on the
         // survivor world and comparing buffers block by block.
-        let p = 5;
-        let victim = 2usize;
-        let seed = 1u64;
-        let matrix = SizeMatrix::generate(Distribution::Uniform, seed, p, 24);
-        let (neg, ex) =
-            calibrate_phases(AlltoallvAlgorithm::TwoPhaseBruck, &matrix, victim, seed).unwrap();
-        let after = crash_point(PhaseClass::Data, neg, ex);
-        let recovered = run_world(AlltoallvAlgorithm::TwoPhaseBruck, &matrix, victim, after, seed);
+        let (victim, seed) = (2usize, 1u64);
+        let cell = row(AlltoallvAlgorithm::TwoPhaseBruck, PhaseClass::Data, seed).cell;
+        let (neg, ex) = calibrate_phases(&cell, victim, seed).unwrap();
+        let recovered = run_world(&cell, victim, crash_point(PhaseClass::Data, neg, ex), seed);
 
-        let survivors: Vec<usize> = (0..p).filter(|&r| r != victim).collect();
+        let survivors: Vec<usize> = (0..cell.p).filter(|&r| r != victim).collect();
         // Direct run: survivor s at dense position j exchanges the same
         // blocks the recovered world settled on.
-        let m = matrix.clone();
-        let sv = survivors.clone();
-        let direct = SimComm::try_run(survivors.len(), &SimConfig::from_seed(seed), move |comm| {
+        let (m, sv) = (cell.matrix(), &survivors);
+        let direct = SimComm::run(survivors.len(), seed, |comm| {
             let me = sv[comm.rank()];
             let sendcounts: Vec<usize> = sv.iter().map(|&d| m.get(me, d)).collect();
             let sdispls = packed_displs(&sendcounts);
@@ -544,23 +422,16 @@ mod tests {
             let recvcounts: Vec<usize> = sv.iter().map(|&s| m.get(s, me)).collect();
             let rdispls = packed_displs(&recvcounts);
             let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-            bruck_core::alltoallv(
-                AlltoallvAlgorithm::TwoPhaseBruck,
-                comm,
-                &sendbuf,
-                &sendcounts,
-                &sdispls,
-                &mut recvbuf,
-                &recvcounts,
-                &rdispls,
+            alltoallv(
+                AlltoallvAlgorithm::TwoPhaseBruck, comm, &sendbuf, &sendcounts, &sdispls,
+                &mut recvbuf, &recvcounts, &rdispls,
             )
             .unwrap();
             recvbuf
         });
         for (j, &rank) in survivors.iter().enumerate() {
-            let rec = recovered[rank].as_ref().unwrap().as_ref().unwrap();
-            let want = direct.outcomes[j].as_ref().unwrap();
-            assert_eq!(&rec.0, want, "rank {rank}: recovered buffer == direct survivor run");
+            let rec = recovered.ranks[rank].as_ref().unwrap().as_ref().unwrap();
+            assert_eq!(rec.0, direct.results[j], "rank {rank}: recovered buffer == direct run");
         }
     }
 
@@ -569,7 +440,6 @@ mod tests {
         let r = RecoveryCellReport {
             label: "TwoPhaseBruck/data/seed1".to_string(),
             violation: None,
-            digest: 7,
             mttr: Some(CellMttr {
                 mttr: Mttr {
                     detect: Duration::from_millis(120),

@@ -1,675 +1,110 @@
-//! The `bruck-sim` deterministic-schedule fuzz matrix.
+//! The **sim** and **chaos** interpretations of the registry: rows swept on
+//! the deterministic simulator, every cell run twice.
 //!
-//! Every cell runs one full non-uniform exchange under
-//! [`bruck_comm::SimComm`] — the cooperative token-passing scheduler with a
-//! virtual clock — so the *interleaving itself* is an input: a cell is
-//! `(algorithm, workload, schedule seed)`, optionally composed with a
-//! [`bruck_comm::FaultPlan`] behind [`bruck_comm::ReliableComm`] and the
-//! resilient driver, in which case schedule determinism plus fault
-//! determinism makes the whole chaos cell bit-reproducible.
+//! Under [`bruck_comm::SimComm`] the *interleaving itself* is an input: a
+//! row is `(cell, fault plan, seed)`, and schedule determinism plus fault
+//! determinism makes the whole stack bit-reproducible. Each row is executed
+//! **twice** with the same seed; the sweep asserts the schedule traces and
+//! result digests are byte-identical ([`run_twice`] — the contract a
+//! replayable fuzzer stands on, and one real threads could never promise
+//! for crash cells), and [`run_cell`] judges the payloads and budgets.
 //!
-//! Each cell is executed **twice** with the same seed; the harness asserts
-//! the schedule traces and result digests are byte-identical (the
-//! reproducibility contract a replayable fuzzer stands on), then verifies
-//! the received bytes against the closed-form pattern. A failing cell's
-//! recorded schedule is handed back so the caller (the `bruck-sim` binary)
-//! can save it to a trace file, print the one-command replay, and shrink it.
+//! `bruck-sim` sweeps the [`Family::Sim`](crate::cells::Family) rows
+//! (schedule seeds, a few fault plans); `bruck-chaos` sweeps the
+//! [`Family::Chaos`](crate::cells::Family) rows (the whole plan battery),
+//! three of which are real-clock canaries that run once on `ThreadComm`
+//! under a watchdog instead.
 
-use crate::cells::{check_block, digest_rank_buf, pattern_send_side};
-use bruck_comm::{
-    shrink_choices, Communicator, FaultComm, FaultPlan, ReduceOp, ReliableComm, ReliableConfig,
-    ScheduleTrace, SimComm, SimConfig, SimStep,
-};
-use bruck_core::{
-    allgatherv, allreduce, alltoallv, packed_displs, pattern_byte, pattern_u64, reduce_scatter,
-    reference_allgatherv, reference_allreduce, reference_reduce_scatter, resilient_alltoallv,
-    AllgathervAlgorithm, AllreduceAlgorithm, AlltoallvAlgorithm, ExchangeOutcome,
-    ReduceScatterAlgorithm, ResilientConfig,
-};
-use bruck_workload::{Distribution, SizeMatrix};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Workload distributions the matrix draws from, by stable index (the index
-/// is what goes into a trace file's `meta` line, so order is part of the
-/// trace format).
-pub const DISTRIBUTIONS: [Distribution; 3] =
-    [Distribution::Uniform, Distribution::Normal, Distribution::POWER_LAW_STEEP];
+use crate::cells::{Harness, Row};
+use crate::cli::save_witness;
+use crate::runner::{run_cell, run_twice, shrink_trace, World};
 
-/// Named fault plans available to sim cells, by stable name. All are
-/// repaired by the reliable layer, so every cell must complete lossless;
-/// the point here is *reproducibility* of the whole chaos stack, which the
-/// determinism re-run asserts.
-pub fn fault_plan(name: &str, seed: u64, p: usize) -> Option<FaultPlan> {
-    match name {
-        "none" => None,
-        "clean" => Some(FaultPlan::new(seed)),
-        "lossy" => Some(
-            FaultPlan::new(seed)
-                .with_drop(0.05)
-                .with_duplicate(0.05)
-                .with_corrupt(0.04)
-                .with_delay(0.2, 16),
-        ),
-        "stall" => Some(FaultPlan::new(seed).with_stall(1 % p.max(1), 3, 40)),
-        _ => None,
-    }
-}
+/// Watchdog bound of a real-clock canary cell: a crash cell sits out
+/// roughly [`Faults::op_budget`](crate::cells::Faults::op_budget) (≈ 16 s
+/// at P = 5) in the worst case.
+pub const CANARY_WALL_BOUND: Duration = Duration::from_secs(60);
 
-/// Fault-plan names in `meta`-stable order.
-pub const FAULT_NAMES: [&str; 4] = ["none", "clean", "lossy", "stall"];
-
-/// One cell of the simulation matrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimCell {
-    /// Algorithm under test (index into [`AlltoallvAlgorithm::ALL`]).
-    pub algo: AlltoallvAlgorithm,
-    /// Workload distribution (index into [`DISTRIBUTIONS`]).
-    pub dist_idx: usize,
-    /// World size.
-    pub p: usize,
-    /// Densest row/column size in the workload matrix.
-    pub n_max: usize,
-    /// Seed for the workload matrix.
-    pub workload_seed: u64,
-    /// Seed for the scheduler's choices — the fuzzed input.
-    pub sched_seed: u64,
-    /// Fault plan name from [`FAULT_NAMES`] ("none" = plain transport).
-    pub fault: String,
-}
-
-impl SimCell {
-    /// Short human-readable label for reports and trace file names.
-    pub fn label(&self) -> String {
-        format!(
-            "{}-{}-p{}-n{}-w{}-s{}-{}",
-            self.algo.name().replace([' ', '_'], ""),
-            DISTRIBUTIONS[self.dist_idx].label(),
-            self.p,
-            self.n_max,
-            self.workload_seed,
-            self.sched_seed,
-            self.fault
-        )
-    }
-
-    /// Encode the cell into a trace `meta` line so a saved trace is
-    /// self-describing: `bruck-sim --replay file` reconstructs the cell
-    /// from this.
-    pub fn encode_meta(&self) -> String {
-        let algo_idx = AlltoallvAlgorithm::ALL
-            .iter()
-            .position(|a| a == &self.algo)
-            .unwrap_or(0);
-        format!(
-            "cell algo={algo_idx} dist={} p={} n={} wseed={} sseed={} fault={}",
-            self.dist_idx, self.p, self.n_max, self.workload_seed, self.sched_seed, self.fault
-        )
-    }
-
-    /// Decode a cell from a trace `meta` line written by
-    /// [`SimCell::encode_meta`].
-    pub fn decode_meta(meta: &str) -> Result<SimCell, String> {
-        let mut toks = meta.split_whitespace();
-        if toks.next() != Some("cell") {
-            return Err(format!("not a cell meta line: {meta:?}"));
-        }
-        let mut algo_idx = None;
-        let mut dist_idx = None;
-        let mut p = None;
-        let mut n = None;
-        let mut wseed = None;
-        let mut sseed = None;
-        let mut fault = None;
-        for tok in toks {
-            let (k, v) = tok.split_once('=').ok_or_else(|| format!("bad token {tok:?}"))?;
-            match k {
-                "algo" => algo_idx = Some(v.parse::<usize>().map_err(|e| e.to_string())?),
-                "dist" => dist_idx = Some(v.parse::<usize>().map_err(|e| e.to_string())?),
-                "p" => p = Some(v.parse::<usize>().map_err(|e| e.to_string())?),
-                "n" => n = Some(v.parse::<usize>().map_err(|e| e.to_string())?),
-                "wseed" => wseed = Some(v.parse::<u64>().map_err(|e| e.to_string())?),
-                "sseed" => sseed = Some(v.parse::<u64>().map_err(|e| e.to_string())?),
-                "fault" => fault = Some(v.to_string()),
-                other => return Err(format!("unknown cell field {other:?}")),
-            }
-        }
-        let algo_idx = algo_idx.ok_or("missing algo")?;
-        let algo = *AlltoallvAlgorithm::ALL
-            .get(algo_idx)
-            .ok_or_else(|| format!("algo index {algo_idx} out of range"))?;
-        let dist_idx = dist_idx.ok_or("missing dist")?;
-        if dist_idx >= DISTRIBUTIONS.len() {
-            return Err(format!("dist index {dist_idx} out of range"));
-        }
-        Ok(SimCell {
-            algo,
-            dist_idx,
-            p: p.ok_or("missing p")?,
-            n_max: n.ok_or("missing n")?,
-            workload_seed: wseed.ok_or("missing wseed")?,
-            sched_seed: sseed.ok_or("missing sseed")?,
-            fault: fault.ok_or("missing fault")?,
-        })
-    }
-}
-
-/// Retransmission policy used for fault cells under the simulator: short
-/// virtual timeouts (virtual time is free), generous retry budget so the
-/// lossy plans stay inside it.
-pub fn sim_reliable_config() -> ReliableConfig {
-    ReliableConfig {
-        ack_timeout: Duration::from_millis(5),
-        max_retries: 12,
-        backoff_cap: Duration::from_millis(20),
-    }
-}
-
-/// Outcome of executing one cell once.
-#[derive(Debug)]
-pub struct CellOutcome {
-    /// `None` if every rank completed with pattern-exact buffers.
-    pub failure: Option<String>,
-    /// The schedule that was executed.
-    pub trace: ScheduleTrace,
-    /// Digest of every rank's receive buffer (order-sensitive), for
-    /// byte-identical comparison across runs.
-    pub digest: u64,
-    /// Per-scheduling-point enabled sets + op footprints, recorded only by
-    /// [`run_cell_recorded`] (the DPOR explorer's entry point).
-    pub steps: Option<Vec<SimStep>>,
-}
-
-impl CellOutcome {
-    /// True when the cell passed.
-    pub fn ok(&self) -> bool {
-        self.failure.is_none()
-    }
-}
-
-/// Execute one cell under the simulator. `replay` substitutes a recorded
-/// schedule for the seeded one (used by `--replay` and by the shrinker).
-pub fn run_cell(cell: &SimCell, replay: Option<&[u32]>) -> CellOutcome {
-    run_cell_opts(cell, replay, false)
-}
-
-/// [`run_cell`] with step recording on: the outcome carries the enabled set
-/// and op footprint of every scheduling point, which the DPOR explorer
-/// turns into backtrack sets.
-pub fn run_cell_recorded(cell: &SimCell, replay: Option<&[u32]>) -> CellOutcome {
-    run_cell_opts(cell, replay, true)
-}
-
-fn run_cell_opts(cell: &SimCell, replay: Option<&[u32]>, record_steps: bool) -> CellOutcome {
-    let m = SizeMatrix::generate(
-        DISTRIBUTIONS[cell.dist_idx],
-        cell.workload_seed,
-        cell.p,
-        cell.n_max,
-    );
-    let cfg = SimConfig {
-        seed: cell.sched_seed,
-        replay: replay.map(<[u32]>::to_vec),
-        meta: cell.encode_meta(),
-        record_steps,
-    };
-    let plan = fault_plan(&cell.fault, cell.sched_seed, cell.p);
-    let m_ref = &m;
-    let report = SimComm::try_run(cell.p, &cfg, move |comm| -> Result<Vec<u8>, String> {
-        let me = comm.rank();
-        let (sendcounts, sdispls, sendbuf) = pattern_send_side(m_ref, me);
-        let recvcounts = m_ref.recvcounts(me);
-        let rdispls = packed_displs(&recvcounts);
-        let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-        if let Some(plan) = plan.clone() {
-            // The production fault stack, schedule-deterministic end to end.
-            let fc = FaultComm::new(comm, plan);
-            let rc = ReliableComm::with_config(&fc, sim_reliable_config());
-            let rcfg = ResilientConfig {
-                algorithm: cell.algo,
-                deadline: Duration::from_secs(2),
-                commit_timeout: Duration::from_millis(400),
-                peer_timeout: Duration::from_secs(1),
-                epoch: 0,
-            };
-            let outcome = resilient_alltoallv(
-                &rcfg, &rc, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
-            )
-            .map_err(|e| format!("rank {me}: resilient exchange failed: {e}"))?;
-            match outcome {
-                ExchangeOutcome::Complete | ExchangeOutcome::Recovered { .. } => {}
-                other => return Err(format!("rank {me}: non-lossless outcome {other:?}")),
-            }
-            rc.quiesce(Duration::from_millis(25), Duration::from_millis(500))
-                .map_err(|e| format!("rank {me}: quiesce failed: {e}"))?;
+/// Run every row — twice on the simulator, once under the watchdog for a
+/// canary — printing a PASS/FAIL line per cell with its wall time. A
+/// failing row's recorded schedule is ddmin-shrunk (the candidate must
+/// still fail) and both traces are saved under `target/bruck-sim/` with the
+/// one-command replay; `bin` only labels the report. Returns the number of
+/// failures.
+pub fn sweep(bin: &str, rows: &[Row]) -> usize {
+    let mut failures = 0;
+    for row in rows {
+        let start = Instant::now();
+        let (cell, faults, seed) = (&row.cell, row.faults, row.seed);
+        let (first, diff) = if row.harness == (Harness::Chaos { threads: true }) {
+            let world = World::Threads { wall_bound: CANARY_WALL_BOUND };
+            (run_cell(cell, faults, seed, &world), None)
         } else {
-            alltoallv(
-                cell.algo, comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts,
-                &rdispls,
+            run_twice(
+                || run_cell(cell, faults, seed, &World::sim(seed)),
+                |o| (o.trace.as_ref().map_or(Vec::new(), |t| t.choices.clone()), o.digest),
             )
-            .map_err(|e| format!("rank {me}: exchange failed: {e}"))?;
-        }
-        for src in 0..m_ref.p() {
-            if let Some(mm) = check_block(m_ref, me, src, &rdispls, &recvbuf) {
-                return Err(format!(
-                    "rank {me}: byte {} of block from {src}: got {}, want {}",
-                    mm.idx, mm.got, mm.want
-                ));
+        };
+        let label = row.label();
+        let failed = first.failure.is_some();
+        let message = first.failure.or(diff);
+        let verdict = if message.is_none() { "PASS" } else { "FAIL" };
+        println!("  {verdict} {label:<72} {:>8.1?}", start.elapsed());
+        let Some(message) = message else { continue };
+        failures += 1;
+        println!("\n{bin} FAILURE: {label}");
+        match first.trace {
+            // A nondeterminism finding has no failing run to shrink against.
+            Some(trace) if failed => {
+                let min = shrink_trace(cell, faults, seed, &trace, |o| !o.ok());
+                save_witness("bruck-sim", &label, &message, &trace, &min);
             }
-        }
-        Ok(recvbuf)
-    });
-    let mut digest = 0xC0FF_EE00_5EED_0001u64;
-    let mut failure = None;
-    for (rank, out) in report.outcomes.iter().enumerate() {
-        match out {
-            Ok(Ok(buf)) => {
-                digest = digest_rank_buf(digest, rank, buf);
-            }
-            Ok(Err(msg)) => {
-                failure.get_or_insert_with(|| msg.clone());
-            }
-            Err(panic_msg) => {
-                failure.get_or_insert_with(|| format!("rank {rank} panicked: {panic_msg}"));
-            }
+            Some(trace) => save_witness("bruck-sim", &label, &message, &trace, &trace),
+            None => println!("  message:        {message}"),
         }
     }
-    CellOutcome { failure, trace: report.trace, digest, steps: report.steps }
-}
-
-/// A failing cell, fully reproducible: the cell, the recorded schedule, and
-/// the ddmin-minimized schedule that still fails.
-#[derive(Debug)]
-pub struct SimFailure {
-    /// The failing cell.
-    pub cell: SimCell,
-    /// First failure message observed.
-    pub message: String,
-    /// The schedule recorded on the failing run.
-    pub trace: ScheduleTrace,
-    /// The shrunken schedule (still failing, usually far shorter).
-    pub min_trace: ScheduleTrace,
-}
-
-/// Matrix configuration.
-pub struct SimMatrixConfig {
-    /// Algorithms under test.
-    pub algorithms: Vec<AlltoallvAlgorithm>,
-    /// Indices into [`DISTRIBUTIONS`].
-    pub dist_idxs: Vec<usize>,
-    /// World size.
-    pub p: usize,
-    /// Densest workload row.
-    pub n_max: usize,
-    /// Workload seed.
-    pub workload_seed: u64,
-    /// Schedule seeds fuzzed per (algorithm, distribution).
-    pub sched_seeds: Vec<u64>,
-    /// Fault-plan names composed with a subset of algorithms.
-    pub fault_names: Vec<&'static str>,
-    /// Algorithms that also run the fault-composed cells.
-    pub fault_algorithms: Vec<AlltoallvAlgorithm>,
-}
-
-impl SimMatrixConfig {
-    /// The verify-gate matrix: every algorithm, one workload, two schedule
-    /// seeds, plus the fault stack on the paper's main algorithm.
-    pub fn smoke() -> SimMatrixConfig {
-        SimMatrixConfig {
-            algorithms: AlltoallvAlgorithm::ALL.to_vec(),
-            dist_idxs: vec![0],
-            p: 5,
-            n_max: 24,
-            workload_seed: 11,
-            sched_seeds: vec![1, 2],
-            fault_names: vec!["lossy", "stall"],
-            fault_algorithms: vec![AlltoallvAlgorithm::TwoPhaseBruck],
-        }
-    }
-
-    /// The soak matrix: every algorithm × three distributions × more seeds,
-    /// fault stack on two algorithms.
-    pub fn full() -> SimMatrixConfig {
-        SimMatrixConfig {
-            algorithms: AlltoallvAlgorithm::ALL.to_vec(),
-            dist_idxs: vec![0, 1, 2],
-            p: 7,
-            n_max: 32,
-            workload_seed: 11,
-            sched_seeds: vec![1, 2, 3, 4, 5, 6],
-            fault_names: vec!["clean", "lossy", "stall"],
-            fault_algorithms: vec![
-                AlltoallvAlgorithm::TwoPhaseBruck,
-                AlltoallvAlgorithm::SpreadOut,
-            ],
-        }
-    }
-
-    /// Enumerate the matrix cells.
-    pub fn cells(&self) -> Vec<SimCell> {
-        let mut out = Vec::new();
-        for &algo in &self.algorithms {
-            for &dist_idx in &self.dist_idxs {
-                for &sched_seed in &self.sched_seeds {
-                    out.push(SimCell {
-                        algo,
-                        dist_idx,
-                        p: self.p,
-                        n_max: self.n_max,
-                        workload_seed: self.workload_seed,
-                        sched_seed,
-                        fault: "none".into(),
-                    });
-                }
-            }
-        }
-        for &algo in &self.fault_algorithms {
-            for fault in &self.fault_names {
-                for &sched_seed in &self.sched_seeds {
-                    out.push(SimCell {
-                        algo,
-                        dist_idx: 0,
-                        p: self.p,
-                        n_max: self.n_max,
-                        workload_seed: self.workload_seed,
-                        sched_seed,
-                        fault: (*fault).into(),
-                    });
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Result of a matrix run.
-pub struct MatrixReport {
-    /// Cells executed (each runs twice for the determinism check).
-    pub cells_run: usize,
-    /// Failures, each with recorded + shrunken schedules.
-    pub failures: Vec<SimFailure>,
-}
-
-/// Run every cell twice, asserting determinism, verifying payloads, and
-/// shrinking any failure. `progress` is called per cell with its label and
-/// pass/fail.
-pub fn run_matrix(
-    cfg: &SimMatrixConfig,
-    mut progress: impl FnMut(&str, bool),
-) -> MatrixReport {
-    let mut failures = Vec::new();
-    let cells = cfg.cells();
-    let cells_run = cells.len();
-    for cell in cells {
-        let first = run_cell(&cell, None);
-        let second = run_cell(&cell, None);
-        let mut message = first.failure.clone();
-        if message.is_none() && first.trace.choices != second.trace.choices {
-            message = Some(format!(
-                "nondeterministic schedule: run 1 recorded {} choices, run 2 {}",
-                first.trace.choices.len(),
-                second.trace.choices.len()
-            ));
-        }
-        if message.is_none() && first.digest != second.digest {
-            message = Some(format!(
-                "nondeterministic results: digest {:#018x} vs {:#018x}",
-                first.digest, second.digest
-            ));
-        }
-        let ok = message.is_none();
-        progress(&cell.label(), ok);
-        if let Some(message) = message {
-            let min_choices = shrink_choices(&first.trace.choices, |cand| {
-                !run_cell(&cell, Some(cand)).ok()
-            });
-            let min_trace = ScheduleTrace {
-                p: first.trace.p,
-                seed: first.trace.seed,
-                meta: first.trace.meta.clone(),
-                choices: min_choices,
-            };
-            failures.push(SimFailure { cell, message, trace: first.trace, min_trace });
-        }
-    }
-    MatrixReport { cells_run, failures }
-}
-
-/// The collective-family schedules covered by the sim sweep (DESIGN.md §16),
-/// in stable label order.
-pub const COLL_SCHEDULES: [&str; 8] = [
-    "agv/ring",
-    "agv/bruck",
-    "agv/pat",
-    "rs/pairwise",
-    "rs/halving",
-    "rs/pat",
-    "ar/doubling",
-    "ar/rsag",
-];
-
-/// Non-uniform per-rank counts for the collective sim cells, stirred by the
-/// workload seed so different seeds exercise different zero placements.
-fn coll_counts(p: usize, seed: u64) -> Vec<usize> {
-    (0..p)
-        .map(|i| {
-            let x = (seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            if x % 4 == 0 {
-                0
-            } else {
-                (x % 9) as usize + 1
-            }
-        })
-        .collect()
-}
-
-/// Outcome of one collective cell run: failure message (if any), the
-/// executed schedule, and a digest of every rank's output bytes.
-#[derive(Debug)]
-pub struct CollOutcome {
-    /// `None` if every rank produced the reference result.
-    pub failure: Option<String>,
-    /// The schedule that was executed.
-    pub trace: ScheduleTrace,
-    /// Order-sensitive digest of every rank's output.
-    pub digest: u64,
-}
-
-/// Execute one collective-family schedule under the simulator: dispatch the
-/// named schedule on every rank over seeded non-uniform counts and compare
-/// each rank's output against the pure reference oracle.
-pub fn run_coll_cell(schedule: &str, p: usize, workload_seed: u64, sched_seed: u64) -> CollOutcome {
-    let counts = coll_counts(p, workload_seed);
-    let total: usize = counts.iter().sum();
-    let cfg = SimConfig {
-        seed: sched_seed,
-        replay: None,
-        meta: format!("coll {schedule} p={p} wseed={workload_seed} sseed={sched_seed}"),
-        record_steps: false,
-    };
-    let counts_ref = &counts;
-    let report = SimComm::try_run(p, &cfg, move |comm| -> Result<Vec<u8>, String> {
-        let me = comm.rank();
-        let fail = |what: &str| format!("rank {me}: {schedule} {what}");
-        match schedule {
-            "agv/ring" | "agv/bruck" | "agv/pat" => {
-                let algo = match schedule {
-                    "agv/ring" => AllgathervAlgorithm::Ring,
-                    "agv/bruck" => AllgathervAlgorithm::Bruck,
-                    _ => AllgathervAlgorithm::Pat,
-                };
-                let inputs: Vec<Vec<u8>> = (0..p)
-                    .map(|r| (0..counts_ref[r]).map(|i| pattern_byte(r, i)).collect())
-                    .collect();
-                let displs = packed_displs(counts_ref);
-                let mut recvbuf = vec![0u8; total];
-                allgatherv(algo, comm, &inputs[me], &mut recvbuf, counts_ref, &displs)
-                    .map_err(|e| fail(&format!("failed: {e}")))?;
-                if recvbuf != reference_allgatherv(&inputs) {
-                    return Err(fail("diverges from the concatenation reference"));
-                }
-                Ok(recvbuf)
-            }
-            "rs/pairwise" | "rs/halving" | "rs/pat" => {
-                let algo = match schedule {
-                    "rs/pairwise" => ReduceScatterAlgorithm::Pairwise,
-                    "rs/halving" => ReduceScatterAlgorithm::RecursiveHalving,
-                    _ => ReduceScatterAlgorithm::Pat,
-                };
-                let inputs: Vec<Vec<u64>> = (0..p)
-                    .map(|r| (0..total).map(|i| pattern_u64(r, i)).collect())
-                    .collect();
-                let want = reference_reduce_scatter(&inputs, counts_ref, ReduceOp::Sum);
-                let mut recvbuf = vec![0u64; counts_ref[me]];
-                reduce_scatter(algo, comm, &inputs[me], &mut recvbuf, counts_ref, ReduceOp::Sum)
-                    .map_err(|e| fail(&format!("failed: {e}")))?;
-                if recvbuf != want[me] {
-                    return Err(fail("segment diverges from the Sum fold"));
-                }
-                Ok(recvbuf.iter().flat_map(|v| v.to_le_bytes()).collect())
-            }
-            "ar/doubling" | "ar/rsag" => {
-                let algo = match schedule {
-                    "ar/doubling" => AllreduceAlgorithm::RecursiveDoubling,
-                    _ => AllreduceAlgorithm::ReduceScatterAllgather,
-                };
-                let inputs: Vec<Vec<u64>> = (0..p)
-                    .map(|r| (0..total).map(|i| pattern_u64(r, i)).collect())
-                    .collect();
-                let want = reference_allreduce(&inputs, ReduceOp::Sum);
-                let mut buf = inputs[me].clone();
-                allreduce(algo, comm, &mut buf, ReduceOp::Sum)
-                    .map_err(|e| fail(&format!("failed: {e}")))?;
-                if buf != want {
-                    return Err(fail("diverges from the sequential Sum fold"));
-                }
-                Ok(buf.iter().flat_map(|v| v.to_le_bytes()).collect())
-            }
-            other => Err(format!("unknown collective schedule {other:?}")),
-        }
-    });
-    let mut digest = 0xC0FF_EE00_5EED_0001u64;
-    let mut failure = None;
-    for (rank, out) in report.outcomes.iter().enumerate() {
-        match out {
-            Ok(Ok(buf)) => digest = digest_rank_buf(digest, rank, buf),
-            Ok(Err(msg)) => {
-                failure.get_or_insert_with(|| msg.clone());
-            }
-            Err(panic_msg) => {
-                failure.get_or_insert_with(|| format!("rank {rank} panicked: {panic_msg}"));
-            }
-        }
-    }
-    CollOutcome { failure, trace: report.trace, digest }
-}
-
-/// Run every collective schedule × schedule seed twice, asserting
-/// determinism (identical schedule traces and digests) and reference-exact
-/// payloads. Returns `(cells_run, failure_messages)`.
-pub fn run_coll_matrix(
-    p: usize,
-    workload_seed: u64,
-    sched_seeds: &[u64],
-    mut progress: impl FnMut(&str, bool),
-) -> (usize, Vec<String>) {
-    let mut failures = Vec::new();
-    let mut cells_run = 0;
-    for schedule in COLL_SCHEDULES {
-        for &sched_seed in sched_seeds {
-            cells_run += 1;
-            let label = format!("{schedule}-p{p}-w{workload_seed}-s{sched_seed}");
-            let first = run_coll_cell(schedule, p, workload_seed, sched_seed);
-            let second = run_coll_cell(schedule, p, workload_seed, sched_seed);
-            let mut message = first.failure.clone();
-            if message.is_none() && first.trace.choices != second.trace.choices {
-                message = Some(format!(
-                    "nondeterministic schedule: run 1 recorded {} choices, run 2 {}",
-                    first.trace.choices.len(),
-                    second.trace.choices.len()
-                ));
-            }
-            if message.is_none() && first.digest != second.digest {
-                message = Some(format!(
-                    "nondeterministic results: digest {:#018x} vs {:#018x}",
-                    first.digest, second.digest
-                ));
-            }
-            let ok = message.is_none();
-            progress(&label, ok);
-            if let Some(message) = message {
-                failures.push(format!("{label}: {message}"));
-            }
-        }
-    }
-    (cells_run, failures)
+    failures
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cells::{rows, Family, Faults, Tier, DEFAULT_SEEDS};
 
+    /// The gate's two simulator sweeps, minus the real-clock canaries, are
+    /// cheap enough (≈ 2 s) to run under `cargo test` as well.
     #[test]
-    fn cell_meta_round_trips() {
-        let cell = SimCell {
-            algo: AlltoallvAlgorithm::TwoPhaseBruck,
-            dist_idx: 2,
-            p: 7,
-            n_max: 32,
-            workload_seed: 11,
-            sched_seed: 42,
-            fault: "lossy".into(),
-        };
-        let decoded = SimCell::decode_meta(&cell.encode_meta()).unwrap();
-        assert_eq!(decoded, cell);
-        assert!(SimCell::decode_meta("not a cell").is_err());
+    fn smoke_sim_and_virtual_chaos_rows_all_pass() {
+        let mut all = rows(Family::Sim, Tier::Smoke, &DEFAULT_SEEDS);
+        all.extend(rows(Family::Chaos, Tier::Smoke, &DEFAULT_SEEDS));
+        all.retain(|r| r.harness != Harness::Chaos { threads: true });
+        assert_eq!(sweep("test", &all), 0);
     }
 
+    /// Collectives are ordinary cells: a recorded schedule replays to the
+    /// same schedule and digest, ddmin shrinks it against any predicate on
+    /// the replayed outcome, and the `meta` line alone names the cell again.
     #[test]
-    fn plain_cell_passes_and_is_deterministic() {
-        let cell = SimCell {
-            algo: AlltoallvAlgorithm::TwoPhaseBruck,
-            dist_idx: 0,
-            p: 4,
-            n_max: 16,
-            workload_seed: 3,
-            sched_seed: 9,
-            fault: "none".into(),
-        };
-        let a = run_cell(&cell, None);
-        let b = run_cell(&cell, None);
+    fn a_collective_schedule_replays_shrinks_and_describes_itself() {
+        let row = *rows(Family::Sim, Tier::Smoke, &DEFAULT_SEEDS)
+            .iter()
+            .find(|r| r.cell.op.label() == "ar/rsag:sum")
+            .expect("the registry sweeps every schedule");
+        let (cell, seed) = (&row.cell, row.seed);
+        let a = run_cell(cell, Faults::None, seed, &World::sim(seed));
         assert!(a.ok(), "{:?}", a.failure);
-        assert_eq!(a.trace.choices, b.trace.choices);
-        assert_eq!(a.digest, b.digest);
-        // And the recorded schedule replays to the same schedule + digest.
-        let replayed = run_cell(&cell, Some(&a.trace.choices));
-        assert!(replayed.ok(), "{:?}", replayed.failure);
-        assert_eq!(replayed.trace.choices, a.trace.choices);
+        let recorded = a.trace.unwrap();
+        let replayed = run_cell(cell, Faults::None, seed, &World::replay(seed, &recorded.choices));
+        assert_eq!(replayed.trace.as_ref().unwrap().choices, recorded.choices);
         assert_eq!(replayed.digest, a.digest);
-    }
-
-    #[test]
-    fn collective_cells_pass_and_are_deterministic() {
-        let (cells_run, failures) =
-            run_coll_matrix(5, 11, &[1, 2], |_label, ok| assert!(ok));
-        assert_eq!(cells_run, COLL_SCHEDULES.len() * 2);
-        assert!(failures.is_empty(), "{failures:?}");
-    }
-
-    #[test]
-    fn fault_cell_is_lossless_and_reproducible() {
-        let cell = SimCell {
-            algo: AlltoallvAlgorithm::TwoPhaseBruck,
-            dist_idx: 0,
-            p: 3,
-            n_max: 8,
-            workload_seed: 3,
-            sched_seed: 5,
-            fault: "lossy".into(),
+        // A stand-in "failure": rank 4 gets scheduled at least five times.
+        let picks = |o: &crate::runner::CellOutcome| {
+            o.trace.as_ref().map_or(0, |t| t.choices.iter().filter(|&&r| r == 4).count())
         };
-        let a = run_cell(&cell, None);
-        let b = run_cell(&cell, None);
-        assert!(a.ok(), "{:?}", a.failure);
-        assert_eq!(a.trace.choices, b.trace.choices, "chaos cell must be bit-reproducible");
-        assert_eq!(a.digest, b.digest);
+        let min = shrink_trace(cell, Faults::None, seed, &recorded, |o| picks(o) >= 5);
+        assert!(min.choices.len() < recorded.choices.len(), "nothing was shrunk");
+        assert!(picks(&run_cell(cell, Faults::None, seed, &World::replay(seed, &min.choices))) >= 5);
+        assert_eq!(crate::cells::decode_meta(&min.meta), Ok((*cell, Faults::None, seed)));
     }
 }

@@ -95,7 +95,7 @@ pub use model::{
 pub use nonuniform::{
     adaptive_alltoallv, alltoallv, alltoallw, configurable_alltoallv,
     configurable_alltoallv_general, hierarchical_alltoallv, packed_displs, piece_len,
-    piece_offset, ranka_two_stage_alltoallv, recovering_alltoallv, reference_alltoallv,
+    piece_offset, pattern, ranka_two_stage_alltoallv, recovering_alltoallv, reference_alltoallv,
     resilient_alltoallv, AlltoallvAlgorithm, EngineConfig, EngineTopology, ExchangeOutcome,
     IntermediateLayout, Mttr, PaddingRule, PartialExchange, Recovery, RecoveringConfig,
     RecoveryOutcome, ResilientConfig, DEFAULT_GROUP_SIZE, VENDOR_WINDOW,

@@ -26,7 +26,7 @@ pub use engine::{
 };
 pub use hierarchical::{hierarchical_alltoallv, DEFAULT_GROUP_SIZE};
 pub use recovering::{recovering_alltoallv, Mttr, Recovery, RecoveringConfig, RecoveryOutcome};
-pub use reference::reference_alltoallv;
+pub use reference::{pattern, reference_alltoallv};
 pub use resilient::{resilient_alltoallv, ExchangeOutcome, PartialExchange, ResilientConfig};
 pub use two_stage::{piece_len, piece_offset, ranka_two_stage_alltoallv};
 
@@ -159,10 +159,7 @@ pub(crate) mod testutil {
     use bruck_comm::ThreadComm;
     use bruck_workload::SizeMatrix;
 
-    /// Deterministic pattern byte for (source, destination, offset-in-block).
-    pub fn pattern(src: usize, dst: usize, idx: usize) -> u8 {
-        (src.wrapping_mul(167) ^ dst.wrapping_mul(59) ^ idx.wrapping_mul(13)) as u8
-    }
+    pub use super::pattern;
 
     /// Build rank `src`'s packed (sendbuf, sendcounts, sdispls) for a matrix.
     pub fn build_send(src: usize, m: &SizeMatrix) -> (Vec<u8>, Vec<usize>, Vec<usize>) {

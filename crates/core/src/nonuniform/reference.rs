@@ -5,6 +5,15 @@ use bruck_comm::{CommResult, Communicator, MsgBuf};
 use super::validate_v;
 use crate::common::{add_mod, sub_mod, SPREAD_TAG};
 
+/// The closed-form workload pattern: byte `idx` of the block rank `src` sends
+/// to rank `dst`. Every test and harness that fills an `alltoall(v)` send
+/// side and checks the receive side uses this one definition, so "the right
+/// bytes" means the same thing everywhere (the collective family's
+/// counterparts are [`crate::pattern_byte`] / [`crate::pattern_u64`]).
+pub fn pattern(src: usize, dst: usize, idx: usize) -> u8 {
+    (src.wrapping_mul(167) ^ dst.wrapping_mul(59) ^ idx.wrapping_mul(13)) as u8
+}
+
 /// Blocking pairwise exchange, structurally unlike the Bruck family.
 ///
 /// Zero-copy send path: the user's send buffer is packed once into a shared

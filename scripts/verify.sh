@@ -41,13 +41,20 @@ stage conformance cargo test --release -q --test conformance
 stage collectives-gauntlet cargo test --release -q --test collectives_gauntlet
 stage collectives-properties cargo test --release -q --test collectives_properties
 # Static gates (DESIGN.md §8): source lint with audited allowlist, then the
-# protocol-analysis matrix (every algorithm × workload under the model
-# communicator). Both exit non-zero on any unallowlisted finding.
+# protocol-analysis matrix (the cell registry's check rows under the model
+# communicator). Both exit non-zero on any unallowlisted finding. Every
+# matrix binary's summary line prints `cells: N`, so coverage reads next to
+# the wall time in the table below.
 stage bruck-lint cargo run --release -p bruck-check --bin bruck-lint
 stage bruck-check cargo run --release -p bruck-check --bin bruck-check
-# Dynamic fault-tolerance gate (DESIGN.md §9): the algorithm × fault-plan
-# soak matrix under a watchdog, asserting the crash-only property. Seeds can
-# be overridden with BRUCK_CHAOS_SEEDS=1,2,3.
+# Dynamic fault-tolerance gate (DESIGN.md §9): the op × fault-plan battery
+# on SimComm's virtual clock, asserting the crash-only property against exact
+# budgets, every cell run twice (< 2 s for all of it). The rest of the
+# stage's time is three real-clock cells on ThreadComm — two-phase x lossy,
+# two-phase x crash, one collective x crash — kept as the canary that virtual
+# time is not hiding a wall-clock dependence in the ARQ, the resilient
+# fallback or the collective deadline wrapper; the crash ones sit out real
+# deadlines. Seeds can be overridden with `--seeds 1,2,3`.
 stage chaos-smoke cargo run --release -p bruck-check --bin bruck-chaos -- --smoke
 # Self-healing recovery gate (DESIGN.md §14): every alltoallv algorithm ×
 # crash phase class (negotiate/pack/data/unpack) on a 5-rank simulated world
@@ -58,8 +65,8 @@ stage chaos-smoke cargo run --release -p bruck-check --bin bruck-chaos -- --smok
 # virtual-time, so drift means the protocol itself changed). Regenerate with:
 #   cargo run --release -p bruck-check --bin bruck-chaos -- --recovery-smoke --out BENCH_PR8.json
 stage recovery-smoke cargo run --release -p bruck-check --bin bruck-chaos -- --recovery-smoke --check-against BENCH_PR8.json
-# Deterministic-simulation gate (DESIGN.md §11): the algorithm × workload ×
-# schedule-seed matrix under the cooperative SimComm scheduler. Every cell
+# Deterministic-simulation gate (DESIGN.md §11): the registry's cell ×
+# schedule-seed rows under the cooperative SimComm scheduler. Every cell
 # runs twice and must produce byte-identical traces and results; on failure
 # the report prints the seed plus a saved trace file under target/bruck-sim/
 # and the one-command replay.
