@@ -1,6 +1,6 @@
 //! Regenerate every figure of the paper's evaluation as text tables.
 //!
-//! Usage: `figures <fig2a|fig2b|fig6|fig7|fig8|fig9|fig10|fig10f|fig11|fig12|fig13|model|all>`
+//! Usage: `figures <fig2a|fig2b|fig6|fig7|fig8|fig9|fig10|fig10f|fig11|fig12|fig13|model|radix|ablation|all>`
 //!
 //! Model-driven figures sweep the α–β trace simulator (Theta-like preset
 //! unless stated); application figures (11, 12) run the real implementations
@@ -10,25 +10,23 @@
 use bruck_bench::{print_table, time_alltoall, time_alltoallv, to_ms, Series};
 use bruck_bpra::{graph1_like, graph2_like, kcfa_like_run, transitive_closure, KcfaConfig};
 use bruck_comm::ThreadComm;
-use bruck_core::{
-    padded_beats_two_phase, padded_bruck_cost, select_algorithm, spread_out_cost,
-    two_phase_bruck_cost, AlltoallAlgorithm, AlltoallvAlgorithm, CostParams,
-};
+use bruck_core::{AlltoallAlgorithm, AlltoallvAlgorithm, EngineConfig};
 use bruck_model::{
-    crossover_n, nonuniform_trace, predict, two_phase_radix_trace, uniform_trace, DistSource,
-    MachineModel, NonuniformAlgo, RankSample, StepKind, UniformAlgo,
+    crossover_n, nonuniform_trace, padded_beats_two_phase, padded_bruck_cost, predict,
+    spread_out_cost, two_phase_bruck_cost, uniform_trace, DistSource, MachineModel, RankSample,
+    StepKind,
 };
 use bruck_workload::{histogram, Distribution, SizeMatrix};
 
 const SEED: u64 = 2022;
 
 /// The five algorithms of Figure 6's legends.
-const FIG6_ALGOS: [NonuniformAlgo; 5] = [
-    NonuniformAlgo::SpreadOut,
-    NonuniformAlgo::PaddedAlltoall,
-    NonuniformAlgo::Vendor,
-    NonuniformAlgo::PaddedBruck,
-    NonuniformAlgo::TwoPhaseBruck,
+const FIG6_ALGOS: [AlltoallvAlgorithm; 5] = [
+    AlltoallvAlgorithm::SpreadOut,
+    AlltoallvAlgorithm::PaddedAlltoall,
+    AlltoallvAlgorithm::Vendor,
+    AlltoallvAlgorithm::PaddedBruck,
+    AlltoallvAlgorithm::TwoPhaseBruck,
 ];
 
 fn main() {
@@ -88,7 +86,7 @@ fn main() {
     if !ran {
         eprintln!(
             "unknown figure '{which}'; expected one of \
-             fig2a fig2b fig6 fig7 fig8 fig9 fig10 fig10f fig11 fig12 fig13 model radix all"
+             fig2a fig2b fig6 fig7 fig8 fig9 fig10 fig10f fig11 fig12 fig13 model radix ablation all"
         );
         std::process::exit(2);
     }
@@ -99,7 +97,8 @@ fn fig2a() {
     let m = MachineModel::theta_like();
     let ps = [256usize, 512, 1024, 2048, 4096];
     let n = 32;
-    let series: Vec<Series> = UniformAlgo::ALL[..6]
+    let bruck_variants = &AlltoallAlgorithm::ALL[..6];
+    let series: Vec<Series> = bruck_variants
         .iter()
         .map(|&algo| Series {
             label: algo.name().to_string(),
@@ -113,20 +112,13 @@ fn fig2a() {
 
     // Real-execution companion at thread-feasible scale.
     let real_ps = [32usize, 64, 128];
-    let series: Vec<Series> = [
-        AlltoallAlgorithm::BasicBruck,
-        AlltoallAlgorithm::BasicBruckDt,
-        AlltoallAlgorithm::ModifiedBruck,
-        AlltoallAlgorithm::ModifiedBruckDt,
-        AlltoallAlgorithm::ZeroCopyBruckDt,
-        AlltoallAlgorithm::ZeroRotationBruck,
-    ]
-    .iter()
-    .map(|&algo| Series {
-        label: algo.name().to_string(),
-        ys: real_ps.iter().map(|&p| to_ms(time_alltoall(algo, p, n, 20))).collect(),
-    })
-    .collect();
+    let series: Vec<Series> = bruck_variants
+        .iter()
+        .map(|&algo| Series {
+            label: algo.name().to_string(),
+            ys: real_ps.iter().map(|&p| to_ms(time_alltoall(algo, p, n, 20))).collect(),
+        })
+        .collect();
     print_table(
         "Fig 2a companion — real threaded execution, N = 32 B (20 iters, median)",
         "P",
@@ -147,9 +139,11 @@ fn fig2b() {
         "P", "algorithm", "rot-init ms", "comm ms", "rot-final ms", "rot %"
     );
     for &p in &ps {
-        for algo in
-            [UniformAlgo::BasicBruck, UniformAlgo::ModifiedBruck, UniformAlgo::ZeroRotationBruck]
-        {
+        for algo in [
+            AlltoallAlgorithm::BasicBruck,
+            AlltoallAlgorithm::ModifiedBruck,
+            AlltoallAlgorithm::ZeroRotationBruck,
+        ] {
             let trace = uniform_trace(algo, p, n, &RankSample::auto(p));
             let mut local = Vec::new();
             let mut comm = 0.0;
@@ -233,8 +227,8 @@ fn fig6() {
     // Headline claim (§4.1): two-phase vs vendor at N = 256.
     println!("\nHeadline — two-phase speedup over MPI_Alltoallv at N = 256:");
     for p in [512usize, 1024, 2048, 4096] {
-        let v = predict(NonuniformAlgo::Vendor, Distribution::Uniform, SEED, p, 256, &m);
-        let t = predict(NonuniformAlgo::TwoPhaseBruck, Distribution::Uniform, SEED, p, 256, &m);
+        let v = predict(AlltoallvAlgorithm::Vendor, Distribution::Uniform, SEED, p, 256, &m);
+        let t = predict(AlltoallvAlgorithm::TwoPhaseBruck, Distribution::Uniform, SEED, p, 256, &m);
         println!("  P = {p:>5}: {:.1}% faster (paper: 50.1/38.5/35.8/30.8%)", 100.0 * (v - t) / v);
     }
 }
@@ -276,9 +270,9 @@ fn fig8() {
     for n in [16usize, 64, 256, 1024] {
         for r in [100u32, 80, 60, 40, 20, 0] {
             let dist = Distribution::Windowed { r };
-            let v = predict(NonuniformAlgo::Vendor, dist, SEED, p, n, &m);
-            let t = predict(NonuniformAlgo::TwoPhaseBruck, dist, SEED, p, n, &m);
-            let pd = predict(NonuniformAlgo::PaddedBruck, dist, SEED, p, n, &m);
+            let v = predict(AlltoallvAlgorithm::Vendor, dist, SEED, p, n, &m);
+            let t = predict(AlltoallvAlgorithm::TwoPhaseBruck, dist, SEED, p, n, &m);
+            let pd = predict(AlltoallvAlgorithm::PaddedBruck, dist, SEED, p, n, &m);
             let mut marks = Vec::new();
             if t < v {
                 marks.push("two-phase beats Alltoallv (green)");
@@ -310,8 +304,8 @@ fn fig9() {
     );
     for p in [128usize, 512, 1024, 4096, 8192, 16384, 32768] {
         let tv = crossover_n(
-            NonuniformAlgo::TwoPhaseBruck,
-            NonuniformAlgo::Vendor,
+            AlltoallvAlgorithm::TwoPhaseBruck,
+            AlltoallvAlgorithm::Vendor,
             Distribution::Uniform,
             SEED,
             p,
@@ -319,8 +313,8 @@ fn fig9() {
             &m,
         );
         let pt = crossover_n(
-            NonuniformAlgo::PaddedBruck,
-            NonuniformAlgo::TwoPhaseBruck,
+            AlltoallvAlgorithm::PaddedBruck,
+            AlltoallvAlgorithm::TwoPhaseBruck,
             Distribution::Uniform,
             SEED,
             p,
@@ -336,7 +330,7 @@ fn fig9() {
 fn fig10() {
     let m = MachineModel::theta_like();
     let ns = [16usize, 64, 256, 1024, 2048];
-    let algos = [NonuniformAlgo::Vendor, NonuniformAlgo::TwoPhaseBruck, NonuniformAlgo::PaddedBruck];
+    let algos = [AlltoallvAlgorithm::Vendor, AlltoallvAlgorithm::TwoPhaseBruck, AlltoallvAlgorithm::PaddedBruck];
     for (dist, label) in [
         (Distribution::POWER_LAW_STEEP, "power-law base 0.99"),
         (Distribution::POWER_LAW_HEAVY, "power-law base 0.999"),
@@ -362,8 +356,8 @@ fn fig10() {
         let speedups: Vec<f64> = ns
             .iter()
             .map(|&n| {
-                let v = predict(NonuniformAlgo::Vendor, dist, SEED, 8192, n, &m);
-                let t = predict(NonuniformAlgo::TwoPhaseBruck, dist, SEED, 8192, n, &m);
+                let v = predict(AlltoallvAlgorithm::Vendor, dist, SEED, 8192, n, &m);
+                let t = predict(AlltoallvAlgorithm::TwoPhaseBruck, dist, SEED, 8192, n, &m);
                 100.0 * (v - t) / v
             })
             .collect();
@@ -508,9 +502,9 @@ fn fig13() {
     let ps = [128usize, 512, 2048, 8192, 32768];
     for machine in [MachineModel::cori_like(), MachineModel::stampede_like()] {
         let series: Vec<Series> = [
-            NonuniformAlgo::Vendor,
-            NonuniformAlgo::TwoPhaseBruck,
-            NonuniformAlgo::PaddedBruck,
+            AlltoallvAlgorithm::Vendor,
+            AlltoallvAlgorithm::TwoPhaseBruck,
+            AlltoallvAlgorithm::PaddedBruck,
         ]
         .iter()
         .map(|&algo| Series {
@@ -545,7 +539,8 @@ fn radix_ablation() {
                     .iter()
                     .map(|&n| {
                         let s = DistSource::new(Distribution::Uniform, SEED, p, n);
-                        to_ms(two_phase_radix_trace(&s, radix, &sample).time(&m))
+                        let cfg = EngineConfig { radix, ..EngineConfig::as_two_phase() };
+                        to_ms(nonuniform_trace(cfg, &s, &sample).time(&m))
                     })
                     .collect(),
             })
@@ -662,10 +657,10 @@ fn related_work_table() {
     let ns = [16usize, 128, 1024];
     for p in [512usize, 4096] {
         let series: Vec<Series> = [
-            NonuniformAlgo::Vendor,
-            NonuniformAlgo::TwoPhaseBruck,
-            NonuniformAlgo::Hierarchical,
-            NonuniformAlgo::RankaTwoStage,
+            AlltoallvAlgorithm::Vendor,
+            AlltoallvAlgorithm::TwoPhaseBruck,
+            AlltoallvAlgorithm::Hierarchical,
+            AlltoallvAlgorithm::RankaTwoStage,
         ]
         .iter()
         .map(|&algo| Series {
@@ -686,43 +681,39 @@ fn related_work_table() {
     }
 }
 
-/// §3.3: the closed-form model and inequality (3).
+/// §3.3: the closed-form model and inequality (3), over the machine's α(P)
+/// and β. Printed, not selected with: every selection ranks trace times.
 fn model_table() {
-    let params = CostParams::default();
-    println!("\n== §3.3 theoretical model (α = {}, β = {}) ==", params.alpha, params.beta);
+    let m = MachineModel::theta_like();
     println!(
-        "{:>7} {:>7} | {:>12} {:>12} {:>12} | {:>10} {:>8}",
-        "P", "N", "padded ms", "two-ph ms", "spread ms", "selected", "ineq(3)"
+        "\n== §3.3 theoretical model ({}: α(P) = {} + {}·P, β = {}) ==",
+        m.name, m.alpha0, m.alpha_per_rank, m.beta
+    );
+    println!(
+        "{:>7} {:>7} | {:>12} {:>12} {:>12} | {:>8}",
+        "P", "N", "padded ms", "two-ph ms", "spread ms", "ineq(3)"
     );
     for p in [128usize, 1024, 4096, 32768] {
         for n in [4usize, 8, 64, 512, 4096] {
             println!(
-                "{:>7} {:>7} | {:>12.4} {:>12.4} {:>12.4} | {:>10} {:>8}",
+                "{:>7} {:>7} | {:>12.4} {:>12.4} {:>12.4} | {:>8}",
                 p,
                 n,
-                to_ms(padded_bruck_cost(p, n, &params)),
-                to_ms(two_phase_bruck_cost(p, n, &params)),
-                to_ms(spread_out_cost(p, n, &params)),
-                match select_algorithm(p, n, &params) {
-                    AlltoallvAlgorithm::PaddedBruck => "padded",
-                    AlltoallvAlgorithm::TwoPhaseBruck => "two-phase",
-                    _ => "spread-out",
-                },
-                padded_beats_two_phase(p, n, &params)
+                to_ms(padded_bruck_cost(p, n, &m)),
+                to_ms(two_phase_bruck_cost(p, n, &m)),
+                to_ms(spread_out_cost(p, n, &m)),
+                padded_beats_two_phase(p, n, &m)
             );
         }
     }
 
     // Model-vs-trace sanity: the closed form and the trace simulator must
     // rank padded vs two-phase identically in the latency-dominated regime.
-    let m = MachineModel::theta_like();
     println!("\n  model-vs-trace agreement on the padded/two-phase winner:");
     for (p, n) in [(1024usize, 8usize), (1024, 2048), (8192, 8), (8192, 2048)] {
-        let closed = padded_beats_two_phase(p, n, &CostParams { alpha: m.alpha(p), beta: m.beta });
-        let s = DistSource::new(Distribution::Uniform, SEED, p, n);
-        let sample = RankSample::auto(p);
-        let padded = nonuniform_trace(NonuniformAlgo::PaddedBruck, &s, &sample).time(&m);
-        let two = nonuniform_trace(NonuniformAlgo::TwoPhaseBruck, &s, &sample).time(&m);
+        let closed = padded_beats_two_phase(p, n, &m);
+        let padded = predict(AlltoallvAlgorithm::PaddedBruck, Distribution::Uniform, SEED, p, n, &m);
+        let two = predict(AlltoallvAlgorithm::TwoPhaseBruck, Distribution::Uniform, SEED, p, n, &m);
         println!(
             "    P={p:>5} N={n:>5}: closed-form says padded wins = {closed}, trace says {}",
             padded < two

@@ -23,6 +23,10 @@
 //!
 //! The selection grid extrapolates beyond the measured grid on purpose: the
 //! α–β model is what lets 26 tiny EventComm cells pick winners at P = 32768.
+//! Every measured cell calibrates (the model is keyed by `EngineConfig`, so
+//! off-point candidates fit like named ones), and every selection is printed
+//! as a loss table: predicted seconds per candidate, the winner, and what
+//! the runner-up and the paper's default (two-phase) would lose.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -30,12 +34,10 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use bruck_bench::export::write_text;
+use bruck_bench::tune_candidates;
 use bruck_comm::{Communicator, EventComm, MeteredComm};
-use bruck_core::{
-    configurable_alltoallv, packed_displs, AlltoallvAlgorithm, EngineConfig, EngineTopology,
-    IntermediateLayout, PaddingRule,
-};
-use bruck_model::{AutoTuner, MachineModel, NonuniformAlgo, TuningTable};
+use bruck_core::{configurable_alltoallv, packed_displs, EngineConfig};
+use bruck_model::{par_map, AutoTuner, MachineModel, TuningEntry, TuningKey, TuningTable};
 use bruck_workload::{Distribution, SizeMatrix};
 
 /// Slowdown ratio that prints an advisory warning in `--check-against`.
@@ -46,51 +48,29 @@ const FATAL_SLOWDOWN: f64 = 8.0;
 /// (the table key is `(P, density, dist)` — density, not n, carries the
 /// workload shape, so one working point per key is persisted).
 const SELECT_N_MAX: usize = 1024;
+/// Workload seed of the traces the tuner fits and selects on.
+const MODEL_SEED: u64 = 1;
 
-/// Named config points paired with the model algorithm whose wall clock they
-/// calibrate (Reference has no closed form — it is measured for the artifact
-/// but not fed to the fitter).
-const CALIBRATION_PAIRS: [(AlltoallvAlgorithm, NonuniformAlgo); 8] = [
-    (AlltoallvAlgorithm::SpreadOut, NonuniformAlgo::SpreadOut),
-    (AlltoallvAlgorithm::Vendor, NonuniformAlgo::Vendor),
-    (AlltoallvAlgorithm::PaddedBruck, NonuniformAlgo::PaddedBruck),
-    (AlltoallvAlgorithm::PaddedAlltoall, NonuniformAlgo::PaddedAlltoall),
-    (AlltoallvAlgorithm::TwoPhaseBruck, NonuniformAlgo::TwoPhaseBruck),
-    (AlltoallvAlgorithm::Sloav, NonuniformAlgo::Sloav),
-    (AlltoallvAlgorithm::Hierarchical, NonuniformAlgo::Hierarchical),
-    (AlltoallvAlgorithm::RankaTwoStage, NonuniformAlgo::RankaTwoStage),
-];
-
-/// The candidate set the tuner selects from: all nine named points plus
-/// off-point members of the knob space no algorithm name covers.
-fn candidates() -> Vec<EngineConfig> {
-    let mut out: Vec<EngineConfig> =
-        EngineConfig::named_points().iter().map(|(cfg, _)| *cfg).collect();
-    // Radix-4 two-phase Bruck: fewer phases, more steps per phase.
-    out.push(EngineConfig {
-        radix: 4,
-        ..EngineConfig::as_two_phase()
-    });
-    // Radix-4 block-view (SLOAV-style) Bruck.
-    out.push(EngineConfig {
-        radix: 4,
-        ..EngineConfig::as_sloav()
-    });
-    // Tightly throttled direct exchange (window 8 instead of the vendor 32).
-    out.push(EngineConfig {
-        throttle_window: Some(8),
-        ..EngineConfig::as_spread_out()
-    });
-    // Adaptive padding: pad only when the global max block is small.
-    out.push(EngineConfig {
-        topology: EngineTopology::Bruck,
-        radix: 2,
-        throttle_window: None,
-        padding: PaddingRule::Threshold(64),
-        layout: IntermediateLayout::Monolithic,
-        two_phase_split: true,
-    });
-    out
+/// Print one selection the loss-table way: every candidate with its predicted
+/// seconds and what choosing it would lose against the winner, then the
+/// winner, the runner-up's loss and the loss of the paper's default.
+fn print_loss_table(p: usize, dist: &str, ranked: &[(EngineConfig, f64)]) {
+    let (winner, best) = ranked[0];
+    let loss = |seconds: f64| 100.0 * (seconds - best) / best;
+    println!("  p={p} dist={dist}:");
+    for (cfg, seconds) in ranked {
+        println!("    {:<48} {:>11.3e} s  {:>+9.1} %", cfg.key(), seconds, loss(*seconds));
+    }
+    let (runner_up, next) = ranked[1];
+    let default = ranked.iter().find(|(c, _)| *c == EngineConfig::as_two_phase());
+    println!(
+        "    -> {} ({best:.3e} s); runner-up {} loses {:.1} %; the paper's default \
+         (two-phase) loses {}",
+        winner.key(),
+        runner_up.key(),
+        loss(next),
+        default.map_or("n/a".to_string(), |&(_, s)| format!("{:.1} %", loss(s))),
+    );
 }
 
 /// One measured cell: `config` on the event runtime at `(P, n_cap)`.
@@ -298,7 +278,7 @@ fn main() -> ExitCode {
     // verify.sh stage finishes in seconds; the full run adds larger worlds.
     let (grid_ps, grid_ns): (Vec<usize>, Vec<usize>) =
         if smoke_mode { (vec![8], vec![4, 64]) } else { (ps, vec![4, 64, 512]) };
-    let cand = candidates();
+    let cand = tune_candidates();
     let measure_dist = Distribution::Uniform;
 
     println!(
@@ -321,14 +301,9 @@ fn main() -> ExitCode {
                     "{:>42} {:>6} {:>6} | {:>9.4} {:>10} {:>12.0}",
                     cell.config, p, n_cap, cell.wall_s, cell.messages, cell.msgs_per_s()
                 );
-                // Named points calibrate the machine model; off-point
-                // configs are measured for the artifact only.
-                if let Some((_, model_algo)) = CALIBRATION_PAIRS
-                    .iter()
-                    .find(|(a, _)| cfg.as_algorithm() == Some(*a))
-                {
-                    tuner.observe(p, n_max, *model_algo, cell.wall_s);
-                }
+                // Every measured cell calibrates: the model is keyed by the
+                // config, so off-point candidates fit like named ones.
+                tuner.observe(p, n_max, *cfg, cell.wall_s);
                 cells.push(cell);
             }
         }
@@ -337,29 +312,30 @@ fn main() -> ExitCode {
     // Refit the α–β parameters on every observation, then select winners
     // across a key grid that extrapolates well past the measured worlds —
     // that extrapolation is the point of fitting a model at all.
-    let fit_log_mse = tuner.refit(measure_dist, 1, refit_rounds);
+    let fit_log_mse = tuner.refit(measure_dist, MODEL_SEED, refit_rounds);
     println!(
         "refit: {} observations, mean squared log error {fit_log_mse:.4}",
         tuner.observations()
     );
 
     let mut table = TuningTable::default();
-    let select_ps = [8usize, 64, 512, 4096, 32768];
+    // One trace per (cell, candidate), up to P = 32768 (seconds each): fan
+    // the cells out, largest first so the costly ones start in parallel.
+    let select_ps = [32768usize, 4096, 512, 64, 8];
     let select_dists =
-        [Distribution::Uniform, Distribution::Normal, Distribution::POWER_LAW_STEEP];
-    println!("selections (predicted at n_max = {SELECT_N_MAX}):");
-    for &p in &select_ps {
-        for dist in select_dists {
-            let entry = tuner.tune(&cand, p, SELECT_N_MAX, dist);
-            println!(
-                "  p={:<6} dist={:<14} -> {} ({:.3e} s)",
-                p,
-                entry.key.dist,
-                entry.config.key(),
-                entry.predicted_s
-            );
-            table.insert(entry);
-        }
+        [Distribution::POWER_LAW_STEEP, Distribution::Normal, Distribution::Uniform];
+    println!("selections (predicted at n_max = {SELECT_N_MAX}; loss vs the winner):");
+    let grid: Vec<(usize, Distribution)> =
+        select_ps.iter().flat_map(|&p| select_dists.map(|dist| (p, dist))).collect();
+    let rankings = par_map(&grid, |&(p, dist)| {
+        tuner.select(&cand, dist, MODEL_SEED, p, SELECT_N_MAX)
+    });
+    // Printed smallest first.
+    for (&(p, dist), ranked) in grid.iter().zip(&rankings).rev() {
+        let key = TuningKey::for_workload(p, dist);
+        print_loss_table(p, &key.dist, ranked);
+        let (config, predicted_s) = ranked[0];
+        table.insert(TuningEntry { key, config, predicted_s });
     }
 
     let mut failed = false;

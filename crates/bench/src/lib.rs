@@ -18,8 +18,31 @@ pub mod harness;
 use std::time::Instant;
 
 use bruck_comm::{Communicator, ThreadComm};
-use bruck_core::{alltoall, alltoallv, packed_displs, AlltoallAlgorithm, AlltoallvAlgorithm};
+use bruck_core::{
+    alltoall, alltoallv, packed_displs, AlltoallAlgorithm, AlltoallvAlgorithm, EngineConfig,
+    PaddingRule,
+};
 use bruck_workload::SizeMatrix;
+
+/// The candidate set `bruck-tune` measures, calibrates on and selects from:
+/// all nine named points plus four off-point members of the knob space no
+/// algorithm name covers. Shared with the workspace tests, which hold every
+/// one of them to its model trace.
+pub fn tune_candidates() -> Vec<EngineConfig> {
+    let mut out: Vec<EngineConfig> =
+        EngineConfig::named_points().iter().map(|(cfg, _)| *cfg).collect();
+    out.extend([
+        // Radix-4 two-phase Bruck: fewer phases, more steps per phase.
+        EngineConfig { radix: 4, ..EngineConfig::as_two_phase() },
+        // Radix-4 block-view (SLOAV-style) Bruck.
+        EngineConfig { radix: 4, ..EngineConfig::as_sloav() },
+        // Tightly throttled direct exchange (window 8 instead of the vendor 32).
+        EngineConfig { throttle_window: Some(8), ..EngineConfig::as_spread_out() },
+        // Adaptive padding: pad only when the global max block is small.
+        EngineConfig { padding: PaddingRule::Threshold(64), ..EngineConfig::as_two_phase() },
+    ]);
+    out
+}
 
 /// Median of a sample (not-NaN f64s).
 pub fn median(xs: &mut [f64]) -> f64 {

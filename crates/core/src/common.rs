@@ -96,8 +96,8 @@ pub const RESILIENT_EPOCH_SPAN: u32 = 0x100;
 // PAT) owns the 0x0800..0x0FFF block — disjoint from every alltoallv tag
 // above and from the resilient fallback span, so composed collectives (the
 // reduce_scatter + allgatherv allreduce) can never match a stray alltoallv
-// frame. `bruck-model`'s collective trace generators mirror these bases;
-// the gauntlet pins the two crates to the same values.
+// frame. `bruck-model`'s trace generators tag their steps by calling the
+// functions below, so the two crates share one definition of every tag.
 // ---------------------------------------------------------------------------
 
 /// Tag for ring-allgatherv step `s` (one hop per step, `P − 1` steps).

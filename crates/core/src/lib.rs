@@ -40,8 +40,12 @@
 //!
 //! ## Model — §3.3
 //!
-//! [`padded_bruck_cost`], [`two_phase_bruck_cost`], [`spread_out_cost`],
-//! inequality (3) as [`padded_beats_two_phase`], and [`select_algorithm`].
+//! The cost model lives in `bruck-model`, keyed by [`EngineConfig`]: its
+//! byte-exact traces price every config, its `AutoTuner::select` ranks a
+//! candidate slice (`adaptive_alltoallv` is that selection run at call
+//! time), and the paper's equations (1)–(3) are closed forms there. What
+//! this crate contributes to a selection is [`memory_overhead_bytes`], the
+//! budget filter.
 //!
 //! ## Example
 //!
@@ -75,9 +79,7 @@
 pub mod collectives;
 pub mod common;
 mod memory;
-mod model;
 mod nonuniform;
-mod phases;
 pub mod probe;
 mod radix;
 mod uniform;
@@ -87,25 +89,20 @@ pub use collectives::{
     reference_allgatherv, reference_allreduce, reference_reduce_scatter, AllgathervAlgorithm,
     AllreduceAlgorithm, CollectiveOutcome, ReduceScatterAlgorithm,
 };
-pub use memory::{memory_overhead_bytes, select_algorithm_with_budget};
-pub use model::{
-    padded_beats_two_phase, padded_bruck_cost, select_algorithm, spread_out_cost,
-    two_phase_bruck_cost, CostParams,
-};
+pub use memory::memory_overhead_bytes;
 pub use nonuniform::{
-    adaptive_alltoallv, alltoallv, alltoallw, configurable_alltoallv,
+    alltoallv, alltoallw, configurable_alltoallv,
     configurable_alltoallv_general, hierarchical_alltoallv, packed_displs, piece_len,
     piece_offset, pattern, ranka_two_stage_alltoallv, recovering_alltoallv, reference_alltoallv,
     resilient_alltoallv, AlltoallvAlgorithm, EngineConfig, EngineTopology, ExchangeOutcome,
     IntermediateLayout, Mttr, PaddingRule, PartialExchange, Recovery, RecoveringConfig,
     RecoveryOutcome, ResilientConfig, DEFAULT_GROUP_SIZE, VENDOR_WINDOW,
 };
-pub use phases::PhaseTimes;
 pub use radix::{
     radix_digit, radix_schedule, radix_step_rel_indices, zero_rotation_bruck_radix,
 };
 pub use uniform::{
-    alltoall, alltoall_timed, basic_bruck, basic_bruck_dt, basic_bruck_timed, modified_bruck,
-    modified_bruck_dt, modified_bruck_timed, reference_alltoall, spread_out_alltoall,
-    zero_copy_bruck_dt, zero_rotation_bruck, zero_rotation_bruck_timed, AlltoallAlgorithm,
+    alltoall, basic_bruck, basic_bruck_dt, modified_bruck, modified_bruck_dt,
+    reference_alltoall, spread_out_alltoall, zero_copy_bruck_dt, zero_rotation_bruck,
+    AlltoallAlgorithm,
 };

@@ -1,115 +1,97 @@
-//! Memory-footprint model: the auxiliary space each algorithm allocates
+//! Memory-footprint model: the auxiliary space each engine config allocates
 //! beyond the user's send/receive buffers.
 //!
 //! §3.2 is explicit that two-phase Bruck "requires more space in the
 //! transfer phases to optimize communication time" (the monolithic `P × N`
 //! working buffer), and padding doubles that again. This module quantifies
-//! the trade-off so the selector can respect a memory budget.
+//! the trade-off so a selection can respect a memory budget: filter the
+//! candidate slice by [`memory_overhead_bytes`] before handing it to
+//! `bruck_model::AutoTuner::select` — the budget is a filter, not a second
+//! selector.
 
-use crate::nonuniform::AlltoallvAlgorithm;
+use crate::nonuniform::{EngineConfig, EngineTopology, IntermediateLayout};
 
-/// Auxiliary bytes allocated by one call of `algo` on one rank, excluding
-/// the caller's own send/receive buffers and O(P) index arrays.
+/// Auxiliary bytes allocated by one call of `cfg` (an [`EngineConfig`] or an
+/// `AlltoallvAlgorithm`, i.e. its named point) on one rank, excluding the
+/// caller's own send/receive buffers and O(P) index arrays.
 ///
 /// * `p` — communicator size; `n_max` — global maximum block size;
 /// * `send_total` / `recv_total` — this rank's total send/receive volume.
 pub fn memory_overhead_bytes(
-    algo: AlltoallvAlgorithm,
+    cfg: impl Into<EngineConfig>,
     p: usize,
     n_max: usize,
     send_total: usize,
     recv_total: usize,
 ) -> usize {
+    let cfg = cfg.into();
     let step_wire = |avg_factor: usize| {
         // One step's pack + unpack staging: ≈ (P+1)/2 blocks of ~N/avg each.
-        2 * (p + 1) / 2 * (n_max / avg_factor.max(1))
+        2 * (p + 1) / 2 * (n_max / avg_factor)
     };
-    match algo {
+    // Padded send and receive images of the whole exchange.
+    let padded = 2 * p * n_max + step_wire(1);
+    match cfg.topology {
         // Pairwise sends straight out of user buffers.
-        AlltoallvAlgorithm::Reference
-        | AlltoallvAlgorithm::SpreadOut
-        | AlltoallvAlgorithm::Vendor => 0,
-        // The monolithic working buffer plus one step's wire staging.
-        AlltoallvAlgorithm::TwoPhaseBruck => p * n_max + step_wire(2),
-        // Padded send and receive images of the whole exchange.
-        AlltoallvAlgorithm::PaddedBruck | AlltoallvAlgorithm::PaddedAlltoall => {
-            2 * p * n_max + step_wire(1)
+        EngineTopology::Oracle => 0,
+        EngineTopology::Direct => {
+            if cfg.padding.fires(n_max) {
+                padded
+            } else {
+                0
+            }
         }
-        // Pointer-array staging holds every forwarded block (up to the whole
-        // receive volume) plus per-step combined buffers.
-        AlltoallvAlgorithm::Sloav => recv_total + step_wire(2),
+        EngineTopology::Bruck => match (cfg.padding.fires(n_max), cfg.layout) {
+            (true, _) => padded,
+            // The monolithic working buffer plus one step's wire staging.
+            (false, IntermediateLayout::Monolithic) => p * n_max + step_wire(2),
+            // Pointer-array staging holds every forwarded block (up to the
+            // whole receive volume) plus per-step combined buffers.
+            (false, IntermediateLayout::BlockViews) => recv_total + step_wire(2),
+        },
         // Leaders hold the whole group's data both ways; amortized per rank
         // this is a send + receive image.
-        AlltoallvAlgorithm::Hierarchical => send_total + recv_total,
+        EngineTopology::Leader { group: _ } => send_total + recv_total,
         // Intermediates hold one piece of every block: a full send image in
         // aggregate, 1/P per rank of the global volume ≈ send_total.
-        AlltoallvAlgorithm::RankaTwoStage => send_total + recv_total / p.max(1),
+        EngineTopology::TwoStage => send_total + recv_total / p.max(1),
     }
-}
-
-/// The cheapest algorithm under the §3.3 time model whose memory overhead
-/// fits `budget_bytes` (assumes uniform loads: totals ≈ `p·n_max/2`).
-pub fn select_algorithm_with_budget(
-    p: usize,
-    n_max: usize,
-    budget_bytes: usize,
-    params: &crate::CostParams,
-) -> AlltoallvAlgorithm {
-    let totals = p * n_max / 2;
-    let candidates = [
-        AlltoallvAlgorithm::PaddedBruck,
-        AlltoallvAlgorithm::TwoPhaseBruck,
-        AlltoallvAlgorithm::SpreadOut,
-    ];
-    let cost = |algo: AlltoallvAlgorithm| match algo {
-        AlltoallvAlgorithm::PaddedBruck => crate::padded_bruck_cost(p, n_max, params),
-        AlltoallvAlgorithm::TwoPhaseBruck => crate::two_phase_bruck_cost(p, n_max, params),
-        _ => crate::spread_out_cost(p, n_max, params),
-    };
-    candidates
-        .into_iter()
-        .filter(|&a| memory_overhead_bytes(a, p, n_max, totals, totals) <= budget_bytes)
-        .min_by(|&a, &b| cost(a).partial_cmp(&cost(b)).expect("finite costs"))
-        // Spread-out needs no auxiliary memory, so the filter never empties.
-        .expect("spread-out always fits")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CostParams;
+    use crate::nonuniform::{AlltoallvAlgorithm, PaddingRule};
 
     #[test]
     fn footprints_order_as_the_paper_describes() {
         let (p, n) = (1024, 512);
         let totals = p * n / 2;
-        let of = |a| memory_overhead_bytes(a, p, n, totals, totals);
+        let of = |a: AlltoallvAlgorithm| memory_overhead_bytes(a, p, n, totals, totals);
         assert_eq!(of(AlltoallvAlgorithm::Vendor), 0);
         // Padding costs about twice the two-phase working buffer.
         assert!(of(AlltoallvAlgorithm::PaddedBruck) > of(AlltoallvAlgorithm::TwoPhaseBruck));
+        assert_eq!(of(AlltoallvAlgorithm::PaddedAlltoall), of(AlltoallvAlgorithm::PaddedBruck));
         assert!(of(AlltoallvAlgorithm::TwoPhaseBruck) >= p * n);
         assert!(of(AlltoallvAlgorithm::Sloav) >= totals);
     }
 
     #[test]
-    fn budget_selection_degrades_gracefully() {
-        let params = CostParams::default();
-        let (p, n) = (1024, 64);
-        // Unlimited budget in the small-N regime: a Bruck variant wins.
-        let free = select_algorithm_with_budget(p, n, usize::MAX, &params);
-        assert!(matches!(
-            free,
-            AlltoallvAlgorithm::TwoPhaseBruck | AlltoallvAlgorithm::PaddedBruck
-        ));
-        // Zero budget: only spread-out fits.
+    fn a_threshold_rule_costs_the_padded_images_only_when_it_fires() {
+        let (p, totals) = (64, 64 * 16);
+        let cfg = EngineConfig {
+            padding: PaddingRule::Threshold(64),
+            ..EngineConfig::as_two_phase()
+        };
+        let padded = AlltoallvAlgorithm::PaddedBruck;
+        let two_phase = AlltoallvAlgorithm::TwoPhaseBruck;
         assert_eq!(
-            select_algorithm_with_budget(p, n, 0, &params),
-            AlltoallvAlgorithm::SpreadOut
+            memory_overhead_bytes(cfg, p, 32, totals, totals),
+            memory_overhead_bytes(padded, p, 32, totals, totals)
         );
-        // A budget that fits two-phase but not padded.
-        let two_phase_need =
-            memory_overhead_bytes(AlltoallvAlgorithm::TwoPhaseBruck, p, 8, p * 4, p * 4);
-        let picked = select_algorithm_with_budget(p, 8, two_phase_need, &params);
-        assert_eq!(picked, AlltoallvAlgorithm::TwoPhaseBruck, "padded would win on time at N=8");
+        assert_eq!(
+            memory_overhead_bytes(cfg, p, 512, totals, totals),
+            memory_overhead_bytes(two_phase, p, 512, totals, totals)
+        );
     }
 }

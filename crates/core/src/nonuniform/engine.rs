@@ -67,6 +67,20 @@ pub enum PaddingRule {
     Threshold(usize),
 }
 
+impl PaddingRule {
+    /// Whether an exchange whose global maximum block size is `n_max` pads —
+    /// the one definition the engine, the memory model and `bruck-model`'s
+    /// trace generator share.
+    #[inline]
+    pub fn fires(self, n_max: usize) -> bool {
+        match self {
+            PaddingRule::Never => false,
+            PaddingRule::Always => true,
+            PaddingRule::Threshold(t) => n_max <= t,
+        }
+    }
+}
+
 /// Where intermediate (store-and-forward) blocks live during Bruck steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntermediateLayout {
@@ -123,6 +137,15 @@ pub struct EngineConfig {
     /// combined `[sizes][blocks]` buffer preceded by an 8-byte total-size
     /// exchange (SLOAV coupling). Consulted by unpadded `Bruck` only.
     pub two_phase_split: bool,
+}
+
+/// An algorithm id is its named config point ([`EngineConfig::for_algorithm`]),
+/// so anything keyed by `EngineConfig` — `bruck-model`'s traces, predictions
+/// and tuner — accepts either.
+impl From<AlltoallvAlgorithm> for EngineConfig {
+    fn from(algo: AlltoallvAlgorithm) -> EngineConfig {
+        EngineConfig::for_algorithm(algo)
+    }
 }
 
 /// Canonical don't-care defaults (see [`EngineConfig`] docs).
@@ -458,11 +481,7 @@ fn direct_or_bruck<C: Communicator + ?Sized>(
         PaddingRule::Never => None,
         _ => Some(global_n_max(comm, sendcounts, "padded.allreduce")?),
     };
-    let pad_to = match cfg.padding {
-        PaddingRule::Threshold(t) => n_max.filter(|&n| n <= t),
-        _ => n_max,
-    };
-    if let Some(n) = pad_to {
+    if let Some(n) = n_max.filter(|&n| cfg.padding.fires(n)) {
         return padded_exchange(
             comm, cfg, p, n, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
         );

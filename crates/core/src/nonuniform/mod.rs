@@ -7,7 +7,6 @@
 //! already knows `recvcounts` (apply [`bruck_comm::Communicator::alltoall_counts`]
 //! first if it does not).
 
-mod adaptive;
 mod alltoallw;
 mod engine;
 mod hierarchical;
@@ -16,7 +15,6 @@ mod reference;
 mod resilient;
 mod two_stage;
 
-pub use adaptive::adaptive_alltoallv;
 pub use alltoallw::alltoallw;
 // `configurable_alltoallv_general` is the same function under the name the
 // frozen `benchmark/` crate imports.

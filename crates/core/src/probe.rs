@@ -24,12 +24,11 @@
 //! ## Wall-clock discipline
 //!
 //! `bruck-lint` bans ad-hoc `Instant::now()` in `crates/core`: all timing
-//! goes through [`span`] or the crate-internal `Stopwatch` (which backs the
-//! public `*_timed` phase breakdowns). This file is the single audited
-//! exception where the clock is actually read.
+//! goes through [`span`]. This file is the single audited exception where
+//! the clock is actually read.
 
 use std::cell::RefCell;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One completed phase span recorded on this thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,24 +100,6 @@ impl Drop for Span {
     }
 }
 
-/// The crate's sanctioned stopwatch, backing the public `*_timed` phase
-/// breakdowns. Keeping the raw clock behind this type (and [`span`]) is what
-/// lets `bruck-lint` ban ad-hoc `Instant::now()` timing in `crates/core`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Stopwatch(Instant);
-
-impl Stopwatch {
-    /// Start timing now.
-    pub(crate) fn start() -> Self {
-        Stopwatch(Instant::now())
-    }
-
-    /// Time elapsed since [`Stopwatch::start`].
-    pub(crate) fn elapsed(&self) -> Duration {
-        self.0.elapsed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,12 +158,5 @@ mod tests {
         }
         let events = take();
         assert_eq!(events.iter().filter(|e| e.name == "algo.step").count(), 5);
-    }
-
-    #[test]
-    fn stopwatch_measures_forward_time() {
-        let sw = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(sw.elapsed() >= Duration::from_millis(1));
     }
 }

@@ -16,7 +16,6 @@
 use bruck_comm::{CommResult, Communicator, MsgBuf};
 
 use crate::common::{add_mod, rotation_index, sub_mod, uniform_step_tag};
-use crate::phases::{timed, PhaseTimes};
 use crate::probe::span;
 use crate::uniform::validate_uniform;
 
@@ -78,74 +77,58 @@ pub fn zero_rotation_bruck_radix<C: Communicator + ?Sized>(
     block: usize,
     radix: usize,
 ) -> CommResult<()> {
-    zero_rotation_bruck_radix_timed(comm, sendbuf, recvbuf, block, radix).map(drop)
-}
-
-/// [`zero_rotation_bruck_radix`] with per-phase breakdown: `setup` is only
-/// the `O(P)` index-array construction — the point of the algorithm.
-pub(crate) fn zero_rotation_bruck_radix_timed<C: Communicator + ?Sized>(
-    comm: &C,
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
-    block: usize,
-    radix: usize,
-) -> CommResult<PhaseTimes> {
     let p = validate_uniform(comm, sendbuf, recvbuf, block)?;
     let me = comm.rank();
-    let mut t = PhaseTimes::default();
 
-    // Phase 1 — O(P) rotation index array instead of an O(P·n) data rotation.
-    let rot = timed(&mut t.setup, || {
+    // Phase 1 — O(P) rotation index array instead of an O(P·n) data rotation:
+    // the whole setup of the algorithm.
+    let rot = {
         let _probe = span("zero_rotation.setup");
         rotation_index(me, p)
-    });
+    };
 
-    timed(&mut t.comm, || -> CommResult<()> {
-        // received[j]: slot j's current data lives in recvbuf (it has been
-        // received in an earlier step) rather than in sendbuf[I[j]].
-        let mut received = vec![false; p];
-        let mut slots: Vec<usize> = Vec::new();
-        for (idx, weight, d) in radix_schedule(p, radix) {
-            let _probe = span("zero_rotation.step");
-            let hop = d * weight; // < P by construction of the schedule
-            let dest = sub_mod(me, hop, p);
-            let src = add_mod(me, hop, p);
-            radix_step_rel_indices(p, weight, d, radix, &mut slots);
-            for j in &mut slots {
-                *j = add_mod(*j, me, p);
-            }
-            // Per-step pack is the only copy; the wire region moves to the
-            // transport as a `MsgBuf` without another allocation.
-            let mut wire = Vec::new();
-            for &abs in &slots {
-                let from = if received[abs] {
-                    &recvbuf[abs * block..(abs + 1) * block]
-                } else {
-                    let orig = rot[abs] * block;
-                    &sendbuf[orig..orig + block]
-                };
-                wire.extend_from_slice(from);
-            }
-            let got = comm.sendrecv_buf(
-                dest,
-                uniform_step_tag(idx),
-                MsgBuf::from_vec(wire),
-                src,
-                uniform_step_tag(idx),
-            )?;
-            let mut at = 0;
-            for &abs in &slots {
-                recvbuf[abs * block..(abs + 1) * block].copy_from_slice(&got[at..at + block]);
-                received[abs] = true;
-                at += block;
-            }
+    // received[j]: slot j's current data lives in recvbuf (it has been
+    // received in an earlier step) rather than in sendbuf[I[j]].
+    let mut received = vec![false; p];
+    let mut slots: Vec<usize> = Vec::new();
+    for (idx, weight, d) in radix_schedule(p, radix) {
+        let _probe = span("zero_rotation.step");
+        let hop = d * weight; // < P by construction of the schedule
+        let dest = sub_mod(me, hop, p);
+        let src = add_mod(me, hop, p);
+        radix_step_rel_indices(p, weight, d, radix, &mut slots);
+        for j in &mut slots {
+            *j = add_mod(*j, me, p);
         }
-        // The self block never travels: I[p] = p.
-        recvbuf[me * block..(me + 1) * block]
-            .copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
-        Ok(())
-    })?;
-    Ok(t)
+        // Per-step pack is the only copy; the wire region moves to the
+        // transport as a `MsgBuf` without another allocation.
+        let mut wire = Vec::new();
+        for &abs in &slots {
+            let from = if received[abs] {
+                &recvbuf[abs * block..(abs + 1) * block]
+            } else {
+                let orig = rot[abs] * block;
+                &sendbuf[orig..orig + block]
+            };
+            wire.extend_from_slice(from);
+        }
+        let got = comm.sendrecv_buf(
+            dest,
+            uniform_step_tag(idx),
+            MsgBuf::from_vec(wire),
+            src,
+            uniform_step_tag(idx),
+        )?;
+        let mut at = 0;
+        for &abs in &slots {
+            recvbuf[abs * block..(abs + 1) * block].copy_from_slice(&got[at..at + block]);
+            received[abs] = true;
+            at += block;
+        }
+    }
+    // The self block never travels: I[p] = p.
+    recvbuf[me * block..(me + 1) * block].copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -203,6 +186,33 @@ mod tests {
         assert_eq!(phases(2), 8);
         assert_eq!(phases(4), 4);
         assert_eq!(phases(16), 2);
+    }
+
+    #[test]
+    fn schedule_takes_r_minus_one_steps_in_each_of_log_r_p_phases() {
+        // ⌈log_r P⌉ phases of at most r − 1 sub-steps; exactly
+        // (r − 1)·log_r P of them when P is a power of the radix — the α and
+        // β multipliers the model's radix trade-off rests on.
+        for p in [2usize, 5, 16, 27, 64, 100, 729] {
+            for radix in [2usize, 3, 4, 8, 1 << 40, usize::MAX] {
+                let sched = radix_schedule(p, radix);
+                let mut phases = 0usize;
+                let mut reach = 1usize;
+                while reach < p {
+                    reach = reach.saturating_mul(radix);
+                    phases += 1;
+                }
+                let weights: std::collections::BTreeSet<usize> =
+                    sched.iter().map(|&(_, w, _)| w).collect();
+                assert_eq!(weights.len(), phases, "p={p} radix={radix}");
+                assert!(sched.len() <= (radix - 1).saturating_mul(phases), "p={p} radix={radix}");
+                if reach == p {
+                    assert_eq!(sched.len(), (radix - 1) * phases, "p={p} radix={radix}");
+                }
+                // Step indices are the wire-tag offsets: dense from zero.
+                assert!(sched.iter().enumerate().all(|(i, &(idx, _, _))| idx as usize == i));
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@ use bruck_datatype::IndexedBlocks;
 
 use super::validate_uniform;
 use crate::common::{add_mod, ceil_log2, step_rel_indices, sub_mod, uniform_step_tag};
-use crate::phases::{timed, PhaseTimes};
 use crate::probe::span;
 
 /// Basic Bruck with explicit `memcpy` buffer management.
@@ -15,62 +14,46 @@ pub fn basic_bruck<C: Communicator + ?Sized>(
     recvbuf: &mut [u8],
     block: usize,
 ) -> CommResult<()> {
-    basic_bruck_timed(comm, sendbuf, recvbuf, block).map(drop)
-}
-
-/// [`basic_bruck`] with per-phase wall-clock breakdown (Figure 2b).
-pub fn basic_bruck_timed<C: Communicator + ?Sized>(
-    comm: &C,
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
-    block: usize,
-) -> CommResult<PhaseTimes> {
     let p = validate_uniform(comm, sendbuf, recvbuf, block)?;
     let me = comm.rank();
-    let mut t = PhaseTimes::default();
 
     // Phase 1 — local rotation: R[i] = S[(p + i) % P].
-    timed(&mut t.setup, || {
+    {
         let _probe = span("basic.rotate");
         for i in 0..p {
             let src = add_mod(me, i, p) * block;
             recvbuf[i * block..(i + 1) * block].copy_from_slice(&sendbuf[src..src + block]);
         }
-    });
+    }
 
     // Phase 2 — log(P) exchange steps over the offset bits.
-    timed(&mut t.comm, || -> CommResult<()> {
-        let mut wire = Vec::new();
-        for k in 0..ceil_log2(p) {
-            let _probe = span("basic.step");
-            let hop = 1usize << k;
-            let dest = add_mod(me, hop, p);
-            let src = sub_mod(me, hop, p);
-            wire.clear();
-            for i in step_rel_indices(p, k) {
-                wire.extend_from_slice(&recvbuf[i * block..(i + 1) * block]);
-            }
-            let got = comm.sendrecv(dest, uniform_step_tag(k), &wire, src, uniform_step_tag(k))?;
-            debug_assert_eq!(got.len(), wire.len(), "peers exchange equal step volumes");
-            let mut at = 0;
-            for i in step_rel_indices(p, k) {
-                recvbuf[i * block..(i + 1) * block].copy_from_slice(&got[at..at + block]);
-                at += block;
-            }
+    let mut wire = Vec::new();
+    for k in 0..ceil_log2(p) {
+        let _probe = span("basic.step");
+        let hop = 1usize << k;
+        let dest = add_mod(me, hop, p);
+        let src = sub_mod(me, hop, p);
+        wire.clear();
+        for i in step_rel_indices(p, k) {
+            wire.extend_from_slice(&recvbuf[i * block..(i + 1) * block]);
         }
-        Ok(())
-    })?;
+        let got = comm.sendrecv(dest, uniform_step_tag(k), &wire, src, uniform_step_tag(k))?;
+        debug_assert_eq!(got.len(), wire.len(), "peers exchange equal step volumes");
+        let mut at = 0;
+        for i in step_rel_indices(p, k) {
+            recvbuf[i * block..(i + 1) * block].copy_from_slice(&got[at..at + block]);
+            at += block;
+        }
+    }
 
     // Phase 3 — final inverse rotation: R'[i] = R[(p − i) % P].
-    timed(&mut t.finalize, || {
-        let _probe = span("basic.final_rotate");
-        let staged = recvbuf.to_vec();
-        for i in 0..p {
-            let from = sub_mod(me, i, p) * block;
-            recvbuf[i * block..(i + 1) * block].copy_from_slice(&staged[from..from + block]);
-        }
-    });
-    Ok(t)
+    let _probe = span("basic.final_rotate");
+    let staged = recvbuf.to_vec();
+    for i in 0..p {
+        let from = sub_mod(me, i, p) * block;
+        recvbuf[i * block..(i + 1) * block].copy_from_slice(&staged[from..from + block]);
+    }
+    Ok(())
 }
 
 /// Basic Bruck where each step's non-contiguous blocks are described by a

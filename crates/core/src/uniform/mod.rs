@@ -12,16 +12,14 @@ mod spread_out;
 mod zero_copy;
 mod zero_rotation;
 
-pub use basic::{basic_bruck, basic_bruck_dt, basic_bruck_timed};
-pub use modified::{modified_bruck, modified_bruck_dt, modified_bruck_timed};
+pub use basic::{basic_bruck, basic_bruck_dt};
+pub use modified::{modified_bruck, modified_bruck_dt};
 pub use reference::reference_alltoall;
 pub use spread_out::spread_out_alltoall;
 pub use zero_copy::zero_copy_bruck_dt;
-pub use zero_rotation::{zero_rotation_bruck, zero_rotation_bruck_timed};
+pub use zero_rotation::zero_rotation_bruck;
 
 use bruck_comm::{CommError, CommResult, Communicator};
-
-use crate::PhaseTimes;
 
 /// The six Bruck variants of the paper's Figure 2, plus the baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,29 +87,6 @@ pub fn alltoall<C: Communicator + ?Sized>(
         AlltoallAlgorithm::ZeroRotationBruck => zero_rotation_bruck(comm, sendbuf, recvbuf, block),
         AlltoallAlgorithm::SpreadOut => spread_out_alltoall(comm, sendbuf, recvbuf, block),
         AlltoallAlgorithm::Reference => reference_alltoall(comm, sendbuf, recvbuf, block),
-    }
-}
-
-/// Dispatch with per-phase timing where the variant reports it (non-timed
-/// variants report everything under `comm`).
-pub fn alltoall_timed<C: Communicator + ?Sized>(
-    algo: AlltoallAlgorithm,
-    comm: &C,
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
-    block: usize,
-) -> CommResult<PhaseTimes> {
-    match algo {
-        AlltoallAlgorithm::BasicBruck => basic_bruck_timed(comm, sendbuf, recvbuf, block),
-        AlltoallAlgorithm::ModifiedBruck => modified_bruck_timed(comm, sendbuf, recvbuf, block),
-        AlltoallAlgorithm::ZeroRotationBruck => {
-            zero_rotation_bruck_timed(comm, sendbuf, recvbuf, block)
-        }
-        other => {
-            let mut t = PhaseTimes::default();
-            crate::phases::timed(&mut t.comm, || alltoall(other, comm, sendbuf, recvbuf, block))?;
-            Ok(t)
-        }
     }
 }
 

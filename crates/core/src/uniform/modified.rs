@@ -8,7 +8,6 @@ use bruck_datatype::IndexedBlocks;
 
 use super::validate_uniform;
 use crate::common::{add_mod, ceil_log2, step_rel_indices, sub_mod, uniform_step_tag};
-use crate::phases::{timed, PhaseTimes};
 use crate::probe::span;
 
 /// Modified Bruck with explicit `memcpy` buffer management.
@@ -18,55 +17,41 @@ pub fn modified_bruck<C: Communicator + ?Sized>(
     recvbuf: &mut [u8],
     block: usize,
 ) -> CommResult<()> {
-    modified_bruck_timed(comm, sendbuf, recvbuf, block).map(drop)
-}
-
-/// [`modified_bruck`] with per-phase wall-clock breakdown (Figure 2b).
-pub fn modified_bruck_timed<C: Communicator + ?Sized>(
-    comm: &C,
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
-    block: usize,
-) -> CommResult<PhaseTimes> {
     let p = validate_uniform(comm, sendbuf, recvbuf, block)?;
     let me = comm.rank();
-    let mut t = PhaseTimes::default();
 
     // Phase 1 — re-aimed rotation: R[i] = S[(2p − i) % P].
-    timed(&mut t.setup, || {
+    {
         let _probe = span("modified.rotate");
         for i in 0..p {
             let src = ((2 * me + p) - i) % p * block;
             recvbuf[i * block..(i + 1) * block].copy_from_slice(&sendbuf[src..src + block]);
         }
-    });
+    }
 
     // Phase 2 — reversed-direction steps on the *relative* indices
     // (i + p) % P; blocks keep their relative index as they hop, so they
     // finish in source order with no final rotation.
-    timed(&mut t.comm, || -> CommResult<()> {
-        let mut wire = Vec::new();
-        for k in 0..ceil_log2(p) {
-            let _probe = span("modified.step");
-            let hop = 1usize << k;
-            let dest = sub_mod(me, hop, p);
-            let src = add_mod(me, hop, p);
-            wire.clear();
-            for i in step_rel_indices(p, k) {
-                let abs = add_mod(i, me, p);
-                wire.extend_from_slice(&recvbuf[abs * block..(abs + 1) * block]);
-            }
-            let got = comm.sendrecv(dest, uniform_step_tag(k), &wire, src, uniform_step_tag(k))?;
-            let mut at = 0;
-            for i in step_rel_indices(p, k) {
-                let abs = add_mod(i, me, p);
-                recvbuf[abs * block..(abs + 1) * block].copy_from_slice(&got[at..at + block]);
-                at += block;
-            }
+    let mut wire = Vec::new();
+    for k in 0..ceil_log2(p) {
+        let _probe = span("modified.step");
+        let hop = 1usize << k;
+        let dest = sub_mod(me, hop, p);
+        let src = add_mod(me, hop, p);
+        wire.clear();
+        for i in step_rel_indices(p, k) {
+            let abs = add_mod(i, me, p);
+            wire.extend_from_slice(&recvbuf[abs * block..(abs + 1) * block]);
         }
-        Ok(())
-    })?;
-    Ok(t)
+        let got = comm.sendrecv(dest, uniform_step_tag(k), &wire, src, uniform_step_tag(k))?;
+        let mut at = 0;
+        for i in step_rel_indices(p, k) {
+            let abs = add_mod(i, me, p);
+            recvbuf[abs * block..(abs + 1) * block].copy_from_slice(&got[at..at + block]);
+            at += block;
+        }
+    }
+    Ok(())
 }
 
 /// Modified Bruck driven by derived datatypes (`ModifiedBruck-dt`).

@@ -15,8 +15,7 @@
 
 use bruck_comm::{CommResult, Communicator};
 
-use crate::phases::PhaseTimes;
-use crate::radix::zero_rotation_bruck_radix_timed;
+use crate::radix::zero_rotation_bruck_radix;
 
 /// Zero Rotation Bruck with explicit `memcpy` buffer management.
 pub fn zero_rotation_bruck<C: Communicator + ?Sized>(
@@ -25,18 +24,7 @@ pub fn zero_rotation_bruck<C: Communicator + ?Sized>(
     recvbuf: &mut [u8],
     block: usize,
 ) -> CommResult<()> {
-    zero_rotation_bruck_timed(comm, sendbuf, recvbuf, block).map(drop)
-}
-
-/// [`zero_rotation_bruck`] with per-phase breakdown: `setup` is only the
-/// `O(P)` index-array construction — the point of the algorithm.
-pub fn zero_rotation_bruck_timed<C: Communicator + ?Sized>(
-    comm: &C,
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
-    block: usize,
-) -> CommResult<PhaseTimes> {
-    zero_rotation_bruck_radix_timed(comm, sendbuf, recvbuf, block, 2)
+    zero_rotation_bruck_radix(comm, sendbuf, recvbuf, block, 2)
 }
 
 #[cfg(test)]
@@ -51,19 +39,6 @@ mod tests {
         for p in TEST_SIZES {
             run_and_check(AlltoallAlgorithm::ZeroRotationBruck, p, 3);
         }
-    }
-
-    #[test]
-    fn setup_phase_does_no_data_copies() {
-        // The timed breakdown must attribute (essentially) everything to comm:
-        // setup builds a P-entry index array only. We check structure, not
-        // wall-clock: the setup allocation is O(P), independent of block size.
-        ThreadComm::run(4, |comm| {
-            let send = super::super::testutil::fill_sendbuf(comm.rank(), 4, 64);
-            let mut recv = vec![0u8; 4 * 64];
-            let t = zero_rotation_bruck_timed(comm, &send, &mut recv, 64).unwrap();
-            assert!(t.finalize.is_zero(), "zero-rotation has no final phase");
-        });
     }
 
     #[test]

@@ -3,112 +3,26 @@
 //! reduce_scatter, vector allreduce, and the PAT schedules.
 //!
 //! Each generator replicates the exact loop arithmetic of its `bruck-core`
-//! counterpart — same step order, same per-step tag, same per-rank byte
-//! sums — without moving payload. The collective gauntlet runs the real
-//! schedules under `MeteredComm` and asserts every per-tag message and byte
-//! count matches these traces exactly, so any drift between model and
-//! implementation fails CI.
+//! counterpart — same step order, same per-rank byte sums — without moving
+//! payload. The collective gauntlet runs the real schedules under
+//! `MeteredComm` and asserts every per-tag message and byte count matches
+//! these traces exactly, so any drift between model and implementation
+//! fails CI.
 //!
-//! Tag bases mirror `bruck_core::common` (crates do not share the
-//! constants; the gauntlet pins both sides to the same values).
+//! The generators are keyed by `bruck-core`'s own algorithm enums and tag
+//! their steps with `bruck_core::common`'s tag functions: which schedule and
+//! which tag are shared facts; which bytes travel at each step is derived
+//! here independently.
+
+use bruck_core::common::{
+    add_mod, agv_bruck_tag, agv_ring_tag, ar_doubling_tag, ceil_log2, pat_ag_tag, pat_rs_tag,
+    rs_halving_tag, sub_mod, AR_FOLD_TAG, AR_UNFOLD_TAG, RS_FOLD_TAG, RS_PAIRWISE_TAG,
+    RS_UNFOLD_TAG,
+};
+use bruck_core::{piece_len, AllgathervAlgorithm, AllreduceAlgorithm, ReduceScatterAlgorithm};
 
 use crate::trace::{CommTrace, RankLoad, Step, StepKind};
 use crate::tracegen::RankSample;
-
-/// Base tag of ring-allgatherv step `s`: `0x0800 + s`.
-pub const AGV_RING_TAG_BASE: u32 = 0x0800;
-/// Base tag of Bruck-allgatherv step `k`: `0x0900 + k`.
-pub const AGV_BRUCK_TAG_BASE: u32 = 0x0900;
-/// Tag of the pairwise-exchange reduce_scatter phase.
-pub const RS_PAIRWISE_TAG: u32 = 0x0A00;
-/// Base tag of recursive-halving reduce_scatter step `k`: `0x0B00 + k`.
-pub const RS_HALVING_TAG_BASE: u32 = 0x0B00;
-/// Tag of the recursive-halving pre-fold.
-pub const RS_FOLD_TAG: u32 = 0x0B80;
-/// Tag of the recursive-halving post-unfold.
-pub const RS_UNFOLD_TAG: u32 = 0x0B81;
-/// Base tag of recursive-doubling allreduce step `k`: `0x0C00 + k`.
-pub const AR_DOUBLING_TAG_BASE: u32 = 0x0C00;
-/// Tag of the recursive-doubling pre-fold.
-pub const AR_FOLD_TAG: u32 = 0x0C80;
-/// Tag of the recursive-doubling post-unfold.
-pub const AR_UNFOLD_TAG: u32 = 0x0C81;
-/// Base tag of PAT all-gather phase `k`: `0x0D00 + k`.
-pub const PAT_AG_TAG_BASE: u32 = 0x0D00;
-/// Base tag of PAT reduce-scatter phase `k`: `0x0E00 + k`.
-pub const PAT_RS_TAG_BASE: u32 = 0x0E00;
-
-/// Allgatherv schedules modeled here, mirroring
-/// `bruck_core::AllgathervAlgorithm`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllgathervModel {
-    /// `P − 1` neighbor hops.
-    Ring,
-    /// Bruck distance-doubling, `⌈log₂ P⌉` steps.
-    Bruck,
-    /// PAT descending-bit binomial trees, `⌈log₂ P⌉` phases.
-    Pat,
-}
-
-impl AllgathervModel {
-    /// Every modeled schedule.
-    pub const ALL: [AllgathervModel; 3] =
-        [AllgathervModel::Ring, AllgathervModel::Bruck, AllgathervModel::Pat];
-}
-
-/// Reduce-scatter schedules modeled here, mirroring
-/// `bruck_core::ReduceScatterAlgorithm`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceScatterModel {
-    /// All-pairs exchange, `P − 1` messages per rank on one tag.
-    Pairwise,
-    /// Recursive halving over a power-of-two core (fold / halve / unfold).
-    Halving,
-    /// PAT ascending-bit reduction trees, `⌈log₂ P⌉` phases.
-    Pat,
-}
-
-impl ReduceScatterModel {
-    /// Every modeled schedule.
-    pub const ALL: [ReduceScatterModel; 3] =
-        [ReduceScatterModel::Pairwise, ReduceScatterModel::Halving, ReduceScatterModel::Pat];
-}
-
-/// Allreduce schedules modeled here, mirroring
-/// `bruck_core::AllreduceAlgorithm`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllreduceModel {
-    /// Recursive doubling on whole vectors.
-    Doubling,
-    /// Recursive-halving reduce_scatter + Bruck allgatherv composition.
-    RsAg,
-}
-
-impl AllreduceModel {
-    /// Every modeled schedule.
-    pub const ALL: [AllreduceModel; 2] = [AllreduceModel::Doubling, AllreduceModel::RsAg];
-}
-
-#[inline]
-fn ceil_log2(p: usize) -> u32 {
-    usize::BITS - (p - 1).leading_zeros()
-}
-
-#[inline]
-fn sub_mod(a: usize, b: usize, p: usize) -> usize {
-    (a + p - b % p) % p
-}
-
-#[inline]
-fn add_mod(a: usize, b: usize, p: usize) -> usize {
-    (a + b) % p
-}
-
-/// Near-equal allreduce piece split — must match `bruck_core::piece_len`.
-#[inline]
-fn piece_len(n: usize, i: usize, p: usize) -> usize {
-    n / p + usize::from(i < n % p)
-}
 
 /// The power-of-two core size for halving/doubling: largest `2ᵏ ≤ p`.
 #[inline]
@@ -141,7 +55,7 @@ fn coll_step<F: Fn(usize) -> RankLoad>(
 
 /// Byte-exact trace of one allgatherv schedule over per-rank byte `counts`.
 pub fn allgatherv_trace(
-    algo: AllgathervModel,
+    algo: AllgathervAlgorithm,
     counts: &[usize],
     sample: &RankSample,
 ) -> CommTrace {
@@ -151,10 +65,10 @@ pub fn allgatherv_trace(
         return CommTrace { p, steps };
     }
     match algo {
-        AllgathervModel::Ring => {
+        AllgathervAlgorithm::Ring => {
             // Step s: forward the block received at step s − 1; one hop.
             for s in 0..p - 1 {
-                steps.push(coll_step(AGV_RING_TAG_BASE + s as u32, false, sample, |q| {
+                steps.push(coll_step(agv_ring_tag(s as u32), false, sample, |q| {
                     let out = counts[sub_mod(q, s, p)] as u64;
                     let inc = counts[sub_mod(q, s + 1, p)] as u64;
                     RankLoad {
@@ -169,11 +83,11 @@ pub fn allgatherv_trace(
                 }));
             }
         }
-        AllgathervModel::Bruck => {
+        AllgathervAlgorithm::Bruck => {
             for k in 0..ceil_log2(p) {
                 let hop = 1usize << k;
                 let cnt = hop.min(p - hop);
-                steps.push(coll_step(AGV_BRUCK_TAG_BASE + k, false, sample, |q| {
+                steps.push(coll_step(agv_bruck_tag(k), false, sample, |q| {
                     let out: u64 =
                         (0..cnt).map(|j| counts[add_mod(q, j, p)] as u64).sum();
                     let inc: u64 =
@@ -189,11 +103,11 @@ pub fn allgatherv_trace(
                 }));
             }
         }
-        AllgathervModel::Pat => {
+        AllgathervAlgorithm::Pat => {
             // Execution order is descending k.
             for k in (0..ceil_log2(p)).rev() {
                 let h = 1usize << k;
-                steps.push(coll_step(PAT_AG_TAG_BASE + k, false, sample, |q| {
+                steps.push(coll_step(pat_ag_tag(k), false, sample, |q| {
                     let out: u64 = pat_sender_offsets(p, k)
                         .map(|j| counts[sub_mod(q, j, p)] as u64)
                         .sum();
@@ -218,7 +132,7 @@ pub fn allgatherv_trace(
 /// Byte-exact trace of one reduce_scatter schedule over per-rank *element*
 /// `counts` (each element is 8 wire bytes).
 pub fn reduce_scatter_trace(
-    algo: ReduceScatterModel,
+    algo: ReduceScatterAlgorithm,
     counts: &[usize],
     sample: &RankSample,
 ) -> CommTrace {
@@ -229,7 +143,7 @@ pub fn reduce_scatter_trace(
         return CommTrace { p, steps };
     }
     match algo {
-        ReduceScatterModel::Pairwise => {
+        ReduceScatterAlgorithm::Pairwise => {
             // One all-pairs phase on a single tag: P − 1 serialized
             // sendrecvs, each mailing the input segment of one peer.
             steps.push(coll_step(RS_PAIRWISE_TAG, true, sample, |q| RankLoad {
@@ -240,7 +154,7 @@ pub fn reduce_scatter_trace(
                 ..Default::default()
             }));
         }
-        ReduceScatterModel::Halving => {
+        ReduceScatterAlgorithm::RecursiveHalving => {
             let m = pow2_core(p);
             let r = p - m;
             // Element counts virtual rank `w < m` answers for post-fold.
@@ -260,7 +174,7 @@ pub fn reduce_scatter_trace(
             }
             for k in (0..m.trailing_zeros()).rev() {
                 let h = 1usize << k;
-                steps.push(coll_step(RS_HALVING_TAG_BASE + k, false, sample, |q| {
+                steps.push(coll_step(rs_halving_tag(k), false, sample, |q| {
                     if q >= m {
                         return RankLoad::default();
                     }
@@ -294,11 +208,11 @@ pub fn reduce_scatter_trace(
                 }));
             }
         }
-        ReduceScatterModel::Pat => {
+        ReduceScatterAlgorithm::Pat => {
             // Execution order is ascending k.
             for k in 0..ceil_log2(p) {
                 let h = 1usize << k;
-                steps.push(coll_step(PAT_RS_TAG_BASE + k, false, sample, |q| {
+                steps.push(coll_step(pat_rs_tag(k), false, sample, |q| {
                     let out: u64 = (h..p)
                         .step_by(2 * h)
                         .map(|j| counts[sub_mod(q, j, p)] as u64)
@@ -323,7 +237,7 @@ pub fn reduce_scatter_trace(
 /// Byte-exact trace of one allreduce schedule over `n`-element vectors on
 /// `p` ranks.
 pub fn allreduce_trace(
-    algo: AllreduceModel,
+    algo: AllreduceAlgorithm,
     p: usize,
     n: usize,
     sample: &RankSample,
@@ -333,7 +247,7 @@ pub fn allreduce_trace(
         return CommTrace { p, steps };
     }
     match algo {
-        AllreduceModel::Doubling => {
+        AllreduceAlgorithm::RecursiveDoubling => {
             let m = pow2_core(p);
             let r = p - m;
             let full = 8 * n as u64;
@@ -349,7 +263,7 @@ pub fn allreduce_trace(
                 }));
             }
             for k in 0..m.trailing_zeros() {
-                steps.push(coll_step(AR_DOUBLING_TAG_BASE + k, false, sample, |q| {
+                steps.push(coll_step(ar_doubling_tag(k), false, sample, |q| {
                     if q < m {
                         RankLoad {
                             seq_msgs: 1,
@@ -376,14 +290,14 @@ pub fn allreduce_trace(
             }
             CommTrace { p, steps }
         }
-        AllreduceModel::RsAg => {
+        AllreduceAlgorithm::ReduceScatterAllgather => {
             // Exactly the two component traces back to back: the halving
             // reduce_scatter of near-equal element pieces, then the Bruck
             // allgatherv of the reduced pieces (8 bytes per element).
             let counts: Vec<usize> = (0..p).map(|i| piece_len(n, i, p)).collect();
-            let mut trace = reduce_scatter_trace(ReduceScatterModel::Halving, &counts, sample);
+            let mut trace = reduce_scatter_trace(ReduceScatterAlgorithm::RecursiveHalving, &counts, sample);
             let byte_counts: Vec<usize> = counts.iter().map(|c| c * 8).collect();
-            let ag = allgatherv_trace(AllgathervModel::Bruck, &byte_counts, sample);
+            let ag = allgatherv_trace(AllgathervAlgorithm::Bruck, &byte_counts, sample);
             trace.steps.extend(ag.steps);
             trace
         }
@@ -400,13 +314,13 @@ mod tests {
 
     #[test]
     fn empty_world_or_singleton_traces_are_empty() {
-        for algo in AllgathervModel::ALL {
+        for algo in AllgathervAlgorithm::ALL {
             assert!(allgatherv_trace(algo, &[7], &sample(1)).steps.is_empty());
         }
-        for algo in ReduceScatterModel::ALL {
+        for algo in ReduceScatterAlgorithm::ALL {
             assert!(reduce_scatter_trace(algo, &[7], &sample(1)).steps.is_empty());
         }
-        for algo in AllreduceModel::ALL {
+        for algo in AllreduceAlgorithm::ALL {
             assert!(allreduce_trace(algo, 1, 7, &sample(1)).steps.is_empty());
         }
     }
@@ -418,7 +332,7 @@ mod tests {
         let counts = [3usize, 0, 7, 2, 5, 1, 4];
         let p = counts.len();
         let total: u64 = counts.iter().map(|&c| c as u64).sum();
-        for algo in AllgathervModel::ALL {
+        for algo in AllgathervAlgorithm::ALL {
             let t = allgatherv_trace(algo, &counts, &sample(p));
             for q in 0..p {
                 let inc: u64 =
@@ -433,21 +347,21 @@ mod tests {
         // What all ranks send must equal what all ranks receive, per step.
         let counts = [3usize, 0, 7, 2, 5, 1, 4, 9, 6, 8, 2, 1];
         let p = counts.len();
-        for algo in AllgathervModel::ALL {
+        for algo in AllgathervAlgorithm::ALL {
             for step in allgatherv_trace(algo, &counts, &sample(p)).steps {
                 let out: u64 = step.loads.iter().map(|(_, l)| l.bytes_out).sum();
                 let inc: u64 = step.loads.iter().map(|(_, l)| l.bytes_in).sum();
                 assert_eq!(out, inc, "{algo:?} {:?}", step.kind);
             }
         }
-        for algo in ReduceScatterModel::ALL {
+        for algo in ReduceScatterAlgorithm::ALL {
             for step in reduce_scatter_trace(algo, &counts, &sample(p)).steps {
                 let out: u64 = step.loads.iter().map(|(_, l)| l.bytes_out).sum();
                 let inc: u64 = step.loads.iter().map(|(_, l)| l.bytes_in).sum();
                 assert_eq!(out, inc, "{algo:?} {:?}", step.kind);
             }
         }
-        for algo in AllreduceModel::ALL {
+        for algo in AllreduceAlgorithm::ALL {
             for step in allreduce_trace(algo, p, 29, &sample(p)).steps {
                 let out: u64 = step.loads.iter().map(|(_, l)| l.bytes_out).sum();
                 let inc: u64 = step.loads.iter().map(|(_, l)| l.bytes_in).sum();
@@ -462,19 +376,19 @@ mod tests {
             let counts = vec![4usize; p];
             let lg = ceil_log2(p) as usize;
             assert_eq!(
-                allgatherv_trace(AllgathervModel::Ring, &counts, &sample(p)).steps.len(),
+                allgatherv_trace(AllgathervAlgorithm::Ring, &counts, &sample(p)).steps.len(),
                 p - 1
             );
             assert_eq!(
-                allgatherv_trace(AllgathervModel::Bruck, &counts, &sample(p)).steps.len(),
+                allgatherv_trace(AllgathervAlgorithm::Bruck, &counts, &sample(p)).steps.len(),
                 lg
             );
             assert_eq!(
-                allgatherv_trace(AllgathervModel::Pat, &counts, &sample(p)).steps.len(),
+                allgatherv_trace(AllgathervAlgorithm::Pat, &counts, &sample(p)).steps.len(),
                 lg
             );
             assert_eq!(
-                reduce_scatter_trace(ReduceScatterModel::Pat, &counts, &sample(p)).steps.len(),
+                reduce_scatter_trace(ReduceScatterAlgorithm::Pat, &counts, &sample(p)).steps.len(),
                 lg
             );
         }
@@ -485,8 +399,8 @@ mod tests {
         for p in [2usize, 3, 5, 7, 8, 12, 16, 31] {
             let counts = vec![1usize; p];
             for t in [
-                allgatherv_trace(AllgathervModel::Pat, &counts, &sample(p)),
-                reduce_scatter_trace(ReduceScatterModel::Pat, &counts, &sample(p)),
+                allgatherv_trace(AllgathervAlgorithm::Pat, &counts, &sample(p)),
+                reduce_scatter_trace(ReduceScatterAlgorithm::Pat, &counts, &sample(p)),
             ] {
                 for step in &t.steps {
                     for (q, l) in &step.loads {
@@ -499,19 +413,19 @@ mod tests {
 
     #[test]
     fn halving_tags_include_fold_and_unfold_only_when_needed() {
-        let t8 = reduce_scatter_trace(ReduceScatterModel::Halving, &[1; 8], &sample(8));
+        let t8 = reduce_scatter_trace(ReduceScatterAlgorithm::RecursiveHalving, &[1; 8], &sample(8));
         assert!(!t8.wire_tags().contains(&RS_FOLD_TAG));
         assert!(!t8.wire_tags().contains(&RS_UNFOLD_TAG));
-        let t12 = reduce_scatter_trace(ReduceScatterModel::Halving, &[1; 12], &sample(12));
+        let t12 = reduce_scatter_trace(ReduceScatterAlgorithm::RecursiveHalving, &[1; 12], &sample(12));
         assert!(t12.wire_tags().contains(&RS_FOLD_TAG));
         assert!(t12.wire_tags().contains(&RS_UNFOLD_TAG));
     }
 
     #[test]
     fn rs_ag_composition_concatenates_disjoint_tag_blocks() {
-        let t = allreduce_trace(AllreduceModel::RsAg, 12, 100, &sample(12));
+        let t = allreduce_trace(AllreduceAlgorithm::ReduceScatterAllgather, 12, 100, &sample(12));
         let tags = t.wire_tags();
-        assert!(tags.iter().any(|&t| (RS_HALVING_TAG_BASE..RS_FOLD_TAG).contains(&t)));
-        assert!(tags.iter().any(|&t| (AGV_BRUCK_TAG_BASE..RS_PAIRWISE_TAG).contains(&t)));
+        assert!(tags.iter().any(|&t| (rs_halving_tag(0)..RS_FOLD_TAG).contains(&t)));
+        assert!(tags.iter().any(|&t| (agv_bruck_tag(0)..RS_PAIRWISE_TAG).contains(&t)));
     }
 }

@@ -3,14 +3,15 @@
 //!
 //! The paper's conclusion calls for "a more rigorous performance model" fed
 //! by measurements across machines; this module is the fitting half of that
-//! loop. Given `(P, N, algorithm) → seconds` samples (e.g. from the real
+//! loop. Given `(P, N, engine config) → seconds` samples (e.g. from the real
 //! threaded runs in `bruck-bench`, or from a user's actual cluster), it
 //! coordinate-descends the dominant parameters (`alpha0`, `inject`, `beta`,
 //! `beta_pair`) to minimize the mean squared *log* error — log error because
 //! the sweep spans four orders of magnitude and we care about relative fit.
 
 use crate::par::par_map;
-use crate::{predict, MachineModel, NonuniformAlgo};
+use crate::{predict, MachineModel};
+use bruck_core::EngineConfig;
 use bruck_workload::Distribution;
 
 /// One measured data point.
@@ -20,8 +21,8 @@ pub struct FitSample {
     pub p: usize,
     /// Maximum block size (bytes).
     pub n: usize,
-    /// Algorithm measured.
-    pub algo: NonuniformAlgo,
+    /// Engine config measured — any point of the knob space calibrates.
+    pub config: EngineConfig,
     /// Measured wall-clock seconds.
     pub seconds: f64,
 }
@@ -29,7 +30,7 @@ pub struct FitSample {
 /// Mean squared log error of `machine` against the samples.
 pub fn fit_error(samples: &[FitSample], dist: Distribution, seed: u64, machine: &MachineModel) -> f64 {
     let errors = par_map(samples, |s| {
-        let predicted = predict(s.algo, dist, seed, s.p, s.n, machine).max(1e-12);
+        let predicted = predict(s.config, dist, seed, s.p, s.n, machine).max(1e-12);
         let e = (predicted / s.seconds.max(1e-12)).ln();
         e * e
     });
@@ -100,13 +101,16 @@ mod tests {
         let mut out = Vec::new();
         for p in [64usize, 128, 256] {
             for n in [16usize, 128, 1024] {
-                for algo in [NonuniformAlgo::Vendor, NonuniformAlgo::TwoPhaseBruck, NonuniformAlgo::PaddedBruck]
-                {
+                for config in [
+                    EngineConfig::as_vendor(),
+                    EngineConfig::as_two_phase(),
+                    EngineConfig::as_padded_bruck(),
+                ] {
                     out.push(FitSample {
                         p,
                         n,
-                        algo,
-                        seconds: predict(algo, Distribution::Uniform, SEED, p, n, truth),
+                        config,
+                        seconds: predict(config, Distribution::Uniform, SEED, p, n, truth),
                     });
                 }
             }
@@ -138,9 +142,9 @@ mod tests {
         assert!(after < before / 100.0, "fit must improve ≥100×: {before} → {after}");
         // Predictions within 25% across the sample grid.
         for s in &samples {
-            let pred = predict(s.algo, Distribution::Uniform, SEED, s.p, s.n, &fitted);
+            let pred = predict(s.config, Distribution::Uniform, SEED, s.p, s.n, &fitted);
             let ratio = pred / s.seconds;
-            assert!((0.75..1.34).contains(&ratio), "{:?}: ratio {ratio}", (s.p, s.n, s.algo));
+            assert!((0.75..1.34).contains(&ratio), "{:?}: ratio {ratio}", (s.p, s.n, s.config));
         }
     }
 

@@ -1,6 +1,6 @@
 //! Block-size sources: where a trace generator reads `size(src, dst)` from.
 
-use bruck_workload::{Distribution, SizeMatrix};
+use bruck_workload::{Distribution, SizeMatrix, SizeRow};
 
 /// Anything that can answer "how many bytes does `src` send to `dst`?".
 ///
@@ -27,33 +27,31 @@ pub trait SizeSource: Sync {
 }
 
 /// A lazy source backed by a keyed [`Distribution`] — O(1) per query, no
-/// materialization, usable at `P = 32768`.
-#[derive(Debug, Clone, Copy)]
+/// `P × P` materialization, usable at `P = 32768`. What it does hold is one
+/// [`SizeRow`] per rank: the part of the keyed function that depends only on
+/// the source rank (the power-law permutation above all) is paid `P` times
+/// at construction instead of once per query.
+#[derive(Debug, Clone)]
 pub struct DistSource {
-    /// The distribution scheme.
-    pub dist: Distribution,
-    /// Workload seed.
-    pub seed: u64,
-    /// Communicator size.
-    pub p: usize,
-    /// Maximum block size parameter `N`.
-    pub n_cap: usize,
+    rows: Vec<SizeRow>,
+    n_cap: usize,
 }
 
 impl DistSource {
-    /// Convenience constructor.
+    /// The `(dist, seed)` workload on `p` ranks with maximum block size
+    /// parameter `n_cap`.
     pub fn new(dist: Distribution, seed: u64, p: usize, n_cap: usize) -> Self {
-        DistSource { dist, seed, p, n_cap }
+        DistSource { rows: (0..p).map(|src| dist.row(seed, src, p, n_cap)).collect(), n_cap }
     }
 }
 
 impl SizeSource for DistSource {
     fn p(&self) -> usize {
-        self.p
+        self.rows.len()
     }
 
     fn size(&self, src: usize, dst: usize) -> usize {
-        self.dist.block_size(self.seed, src, dst, self.p, self.n_cap)
+        self.rows[src].size(dst)
     }
 
     /// The distribution cap. For every scheme the realized global maximum of

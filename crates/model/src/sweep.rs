@@ -2,12 +2,15 @@
 //! empirical performance model of Figure 9).
 
 use crate::par::par_map;
-use crate::{nonuniform_trace, DistSource, MachineModel, NonuniformAlgo, RankSample};
+use crate::{nonuniform_trace, DistSource, MachineModel, RankSample};
+use bruck_core::EngineConfig;
 use bruck_workload::Distribution;
 
-/// Predicted time of one algorithm on one workload point.
+/// Predicted time of one engine config (or algorithm id, i.e. its named
+/// point) on one workload point: the time of its trace — the cost function
+/// every calibration, sweep and selection in the repo goes through.
 pub fn predict(
-    algo: NonuniformAlgo,
+    cfg: impl Into<EngineConfig>,
     dist: Distribution,
     seed: u64,
     p: usize,
@@ -15,7 +18,7 @@ pub fn predict(
     machine: &MachineModel,
 ) -> f64 {
     let source = DistSource::new(dist, seed, p, n);
-    nonuniform_trace(algo, &source, &RankSample::auto(p)).time(machine)
+    nonuniform_trace(cfg, &source, &RankSample::auto(p)).time(machine)
 }
 
 /// One evaluated point of a sweep.
@@ -25,46 +28,47 @@ pub struct SweepPoint {
     pub p: usize,
     /// Maximum block size (bytes).
     pub n: usize,
-    /// Algorithm evaluated.
-    pub algo: NonuniformAlgo,
+    /// Engine config evaluated.
+    pub config: EngineConfig,
     /// Predicted seconds.
     pub seconds: f64,
 }
 
-/// Evaluate `algos × ps × ns` in parallel (scoped threads via [`par_map`]);
-/// output is sorted by `(p, n, algo order)` for stable figure rendering.
+/// Evaluate `configs × ps × ns` in parallel (scoped threads via [`par_map`]);
+/// output is sorted by `(p, n, config order)` for stable figure rendering.
 pub fn sweep(
-    algos: &[NonuniformAlgo],
+    configs: &[EngineConfig],
     dist: Distribution,
     seed: u64,
     ps: &[usize],
     ns: &[usize],
     machine: &MachineModel,
 ) -> Vec<SweepPoint> {
-    let grid: Vec<(usize, usize, usize, NonuniformAlgo)> = ps
+    let grid: Vec<(usize, usize, usize, EngineConfig)> = ps
         .iter()
         .flat_map(|&p| ns.iter().map(move |&n| (p, n)))
-        .flat_map(|(p, n)| algos.iter().enumerate().map(move |(ai, &algo)| (p, n, ai, algo)))
+        .flat_map(|(p, n)| configs.iter().enumerate().map(move |(ci, &config)| (p, n, ci, config)))
         .collect();
-    let mut points: Vec<(usize, SweepPoint)> = par_map(&grid, |&(p, n, ai, algo)| {
-        let seconds = predict(algo, dist, seed, p, n, machine);
-        (ai, SweepPoint { p, n, algo, seconds })
+    let mut points: Vec<(usize, SweepPoint)> = par_map(&grid, |&(p, n, ci, config)| {
+        let seconds = predict(config, dist, seed, p, n, machine);
+        (ci, SweepPoint { p, n, config, seconds })
     });
-    points.sort_by_key(|(ai, a)| (a.p, a.n, *ai));
+    points.sort_by_key(|(ci, a)| (a.p, a.n, *ci));
     points.into_iter().map(|(_, sp)| sp).collect()
 }
 
 /// The largest `n` in `n_grid` for which `a` is predicted to beat `b`
 /// (Figure 9's crossover threshold). `None` if `a` never wins.
 pub fn crossover_n(
-    a: NonuniformAlgo,
-    b: NonuniformAlgo,
+    a: impl Into<EngineConfig>,
+    b: impl Into<EngineConfig>,
     dist: Distribution,
     seed: u64,
     p: usize,
     n_grid: &[usize],
     machine: &MachineModel,
 ) -> Option<usize> {
+    let (a, b) = (a.into(), b.into());
     let wins: Vec<(usize, bool)> = par_map(n_grid, |&n| {
         (n, predict(a, dist, seed, p, n, machine) < predict(b, dist, seed, p, n, machine))
     });
@@ -74,6 +78,7 @@ pub fn crossover_n(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bruck_core::AlltoallvAlgorithm;
 
     const SEED: u64 = 2022;
 
@@ -81,7 +86,7 @@ mod tests {
     fn sweep_covers_the_grid() {
         let m = MachineModel::theta_like();
         let pts = sweep(
-            &[NonuniformAlgo::Vendor, NonuniformAlgo::TwoPhaseBruck],
+            &[EngineConfig::as_vendor(), EngineConfig::as_two_phase()],
             Distribution::Uniform,
             SEED,
             &[64, 128],
@@ -98,13 +103,13 @@ mod tests {
     fn two_phase_beats_vendor_at_small_n_loses_at_huge_n() {
         let m = MachineModel::theta_like();
         let p = 1024;
-        let small = predict(NonuniformAlgo::TwoPhaseBruck, Distribution::Uniform, SEED, p, 64, &m);
-        let vendor_small = predict(NonuniformAlgo::Vendor, Distribution::Uniform, SEED, p, 64, &m);
+        let small = predict(AlltoallvAlgorithm::TwoPhaseBruck, Distribution::Uniform, SEED, p, 64, &m);
+        let vendor_small = predict(AlltoallvAlgorithm::Vendor, Distribution::Uniform, SEED, p, 64, &m);
         assert!(small < vendor_small, "two-phase must win at N=64: {small} vs {vendor_small}");
         let huge =
-            predict(NonuniformAlgo::TwoPhaseBruck, Distribution::Uniform, SEED, p, 1 << 16, &m);
+            predict(AlltoallvAlgorithm::TwoPhaseBruck, Distribution::Uniform, SEED, p, 1 << 16, &m);
         let vendor_huge =
-            predict(NonuniformAlgo::Vendor, Distribution::Uniform, SEED, p, 1 << 16, &m);
+            predict(AlltoallvAlgorithm::Vendor, Distribution::Uniform, SEED, p, 1 << 16, &m);
         assert!(huge > vendor_huge, "vendor must win at N=64K: {huge} vs {vendor_huge}");
     }
 
@@ -116,8 +121,8 @@ mod tests {
         let grid: Vec<usize> = (4..=14).map(|e| 1usize << e).collect();
         let at = |p| {
             crossover_n(
-                NonuniformAlgo::TwoPhaseBruck,
-                NonuniformAlgo::Vendor,
+                AlltoallvAlgorithm::TwoPhaseBruck,
+                AlltoallvAlgorithm::Vendor,
                 Distribution::Uniform,
                 SEED,
                 p,
@@ -138,8 +143,8 @@ mod tests {
         let p = 1024;
         let grid = [8usize, 16, 32, 64, 128, 256, 512, 1024];
         let cross = crossover_n(
-            NonuniformAlgo::PaddedBruck,
-            NonuniformAlgo::TwoPhaseBruck,
+            AlltoallvAlgorithm::PaddedBruck,
+            AlltoallvAlgorithm::TwoPhaseBruck,
             Distribution::Uniform,
             SEED,
             p,
@@ -150,8 +155,8 @@ mod tests {
         if let Some(n) = cross {
             assert!(n <= 256, "padded Bruck should stop winning by N=256, got {n}");
         }
-        let padded = predict(NonuniformAlgo::PaddedBruck, Distribution::Uniform, SEED, p, 1024, &m);
-        let two = predict(NonuniformAlgo::TwoPhaseBruck, Distribution::Uniform, SEED, p, 1024, &m);
+        let padded = predict(AlltoallvAlgorithm::PaddedBruck, Distribution::Uniform, SEED, p, 1024, &m);
+        let two = predict(AlltoallvAlgorithm::TwoPhaseBruck, Distribution::Uniform, SEED, p, 1024, &m);
         assert!(two < padded, "two-phase must dominate padded at N=1024");
     }
 }

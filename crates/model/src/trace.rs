@@ -6,33 +6,39 @@
 //! that the bytes each step says a rank sends equal what the real
 //! implementation in `bruck-core` sends under a `MeteredComm`.
 
+use bruck_core::common::{
+    data_tag, meta_tag, uniform_step_tag, HIER_GATHER_TAG, HIER_LEADER_TAG, HIER_SCATTER_TAG,
+    RANKA_STAGE1_TAG, RANKA_STAGE2_TAG, SPREAD_TAG,
+};
+
 use crate::MachineModel;
 
 /// What a step is, which also determines the wire tag the real implementation
-/// uses for it (the bridge to `MeteredComm` validation).
+/// uses for it (the bridge to `MeteredComm` validation): [`StepKind::tag`]
+/// calls `bruck_core::common`'s tag functions, so the two crates cannot drift.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepKind {
-    /// Uniform Bruck data exchange of step `k` (tag `0x100 + k`).
+    /// Uniform Bruck data exchange of step `k` (`uniform_step_tag(k)`).
     UniformData(u32),
-    /// Non-uniform metadata exchange of step `k` (tag `0x200 + k`).
+    /// Non-uniform metadata exchange of step `k` (`meta_tag(k)`).
     Meta(u32),
-    /// Non-uniform data exchange of step `k` (tag `0x300 + k`).
+    /// Non-uniform data exchange of step `k` (`data_tag(k)`).
     Data(u32),
-    /// All-pairs point-to-point phase (tag `0x400`). `throttled` selects the
+    /// All-pairs point-to-point phase (`SPREAD_TAG`). `throttled` selects the
     /// windowed (vendor) vs unthrottled (spread-out) injection overhead.
     Pairwise {
         /// Windowed outstanding requests (vendor-style) or not.
         throttled: bool,
     },
-    /// Hierarchical member→leader gather (tag `0x500`).
+    /// Hierarchical member→leader gather (`HIER_GATHER_TAG`).
     HierGather,
-    /// Hierarchical leader↔leader exchange (tag `0x501`).
+    /// Hierarchical leader↔leader exchange (`HIER_LEADER_TAG`).
     HierLeader,
-    /// Hierarchical leader→member scatter (tag `0x502`).
+    /// Hierarchical leader→member scatter (`HIER_SCATTER_TAG`).
     HierScatter,
-    /// Ranka two-stage piece scatter (tag `0x600`).
+    /// Ranka two-stage piece scatter (`RANKA_STAGE1_TAG`).
     RankaStage1,
-    /// Ranka two-stage forwarding (tag `0x601`).
+    /// Ranka two-stage forwarding (`RANKA_STAGE2_TAG`).
     RankaStage2,
     /// A collective prologue (allreduce of the maximum block size); uses
     /// reserved tags and is skipped by byte validation.
@@ -57,15 +63,15 @@ impl StepKind {
     /// if it has one.
     pub fn tag(&self) -> Option<u32> {
         match *self {
-            StepKind::UniformData(k) => Some(0x0100 + k),
-            StepKind::Meta(k) => Some(0x0200 + k),
-            StepKind::Data(k) => Some(0x0300 + k),
-            StepKind::Pairwise { .. } => Some(0x0400),
-            StepKind::HierGather => Some(0x0500),
-            StepKind::HierLeader => Some(0x0501),
-            StepKind::HierScatter => Some(0x0502),
-            StepKind::RankaStage1 => Some(0x0600),
-            StepKind::RankaStage2 => Some(0x0601),
+            StepKind::UniformData(k) => Some(uniform_step_tag(k)),
+            StepKind::Meta(k) => Some(meta_tag(k)),
+            StepKind::Data(k) => Some(data_tag(k)),
+            StepKind::Pairwise { .. } => Some(SPREAD_TAG),
+            StepKind::HierGather => Some(HIER_GATHER_TAG),
+            StepKind::HierLeader => Some(HIER_LEADER_TAG),
+            StepKind::HierScatter => Some(HIER_SCATTER_TAG),
+            StepKind::RankaStage1 => Some(RANKA_STAGE1_TAG),
+            StepKind::RankaStage2 => Some(RANKA_STAGE2_TAG),
             StepKind::Coll { tag, .. } => Some(tag),
             StepKind::Collective | StepKind::Local => None,
         }
@@ -84,9 +90,12 @@ pub struct RankLoad {
     pub bytes_out: u64,
     /// Payload bytes received by this rank in this step.
     pub bytes_in: u64,
-    /// Local bytes copied (pack + unpack + rotations + padding + scans).
+    /// Local bytes copied (pack + unpack + rotations + padding + scans, the
+    /// combined coupling's extra pack pass, the two-stage repack).
     pub copy_bytes: u64,
-    /// Blocks walked by the datatype engine (`-dt` variants only).
+    /// Blocks handled one descriptor at a time: walked by the datatype engine
+    /// (`-dt` variants), parsed out of a combined buffer, or kept as views in
+    /// a pointer array (the §6.1 per-block costs).
     pub dt_blocks: u32,
 }
 

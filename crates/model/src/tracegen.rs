@@ -1,115 +1,36 @@
-//! Trace generators: byte-exact per-step traffic for every algorithm in
-//! `bruck-core`, computed from block-size sources without moving payloads.
+//! Trace generators: byte-exact per-step traffic for every exchange
+//! `bruck-core` can run, computed from block-size sources without moving
+//! payloads.
 //!
-//! The generators replicate each algorithm's *routing*. For the Bruck family
-//! the key fact is store-and-forward identity: the block with relative index
-//! `i` hops at exactly the set bits of `i`, so just before step `k` the block
-//! at relative index `i` of rank `q` is the original `(s, d)` block with
-//! `s = q ± (i & (2^k − 1))` and `d = s ∓ i` (sign by schedule direction).
+//! [`nonuniform_trace`] is keyed by [`EngineConfig`] — the one identity of an
+//! exchange — and walks the same decision tree as the engine
+//! (`engine.rs::direct_or_bruck`): sizing allreduce ← padding rule / layout;
+//! padded → uniform slots + scan; `Direct` → one pairwise phase; unpadded
+//! `Bruck` → one radix-`r` step loop whose direction comes from the layout
+//! and whose metadata/data split comes from the coupling. Every config,
+//! named point or not, therefore has a trace, and
+//! `CommTrace::time(&MachineModel)` of it is the repo's only cost function.
+//!
+//! What is shared with `bruck-core` is the *schedule* (`radix_schedule`, the
+//! step index enumeration, the tag functions, the padding predicate). What is
+//! derived here independently — and is what makes the byte-exact gate a
+//! differential test — is the per-step **block identity**: store-and-forward
+//! means the block with relative index `i` hops at exactly the non-zero
+//! base-`r` digits of `i`, so just before sub-step `(weight, d)` the block at
+//! relative index `i` of rank `q` is the original `(s, d)` block with
+//! `s = q ± (i mod weight)` and `d = s ∓ i` (sign by schedule direction).
 //! Summing `size(s, d)` over the step's indices gives the exact bytes on the
-//! wire — which integration tests verify against `MeteredComm` per-tag counters of the
-//! real implementations.
+//! wire — which integration tests verify against `MeteredComm` per-tag
+//! counters of the real implementations.
+
+use bruck_core::common::{add_mod, ceil_log2, sub_mod};
+use bruck_core::{
+    piece_len, radix_schedule, radix_step_rel_indices, AlltoallAlgorithm, EngineConfig,
+    EngineTopology, IntermediateLayout, PaddingRule,
+};
 
 use crate::source::SizeSource;
 use crate::trace::{CommTrace, RankLoad, Step, StepKind};
-
-/// Uniform algorithms (paper §2 / Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UniformAlgo {
-    /// Rotation + log(P) steps + rotation, explicit packing.
-    BasicBruck,
-    /// Basic Bruck via the datatype engine.
-    BasicBruckDt,
-    /// No final rotation, explicit packing.
-    ModifiedBruck,
-    /// Modified Bruck via the datatype engine.
-    ModifiedBruckDt,
-    /// Alternating-buffer datatype variant.
-    ZeroCopyBruckDt,
-    /// Neither rotation (the paper's synthesis).
-    ZeroRotationBruck,
-    /// Linear non-blocking baseline.
-    SpreadOut,
-}
-
-impl UniformAlgo {
-    /// All uniform algorithms in Figure 2 order (plus the baseline).
-    pub const ALL: [UniformAlgo; 7] = [
-        UniformAlgo::BasicBruck,
-        UniformAlgo::BasicBruckDt,
-        UniformAlgo::ModifiedBruck,
-        UniformAlgo::ModifiedBruckDt,
-        UniformAlgo::ZeroCopyBruckDt,
-        UniformAlgo::ZeroRotationBruck,
-        UniformAlgo::SpreadOut,
-    ];
-
-    /// Display name matching the paper.
-    pub fn name(&self) -> &'static str {
-        match self {
-            UniformAlgo::BasicBruck => "BasicBruck",
-            UniformAlgo::BasicBruckDt => "BasicBruck-dt",
-            UniformAlgo::ModifiedBruck => "ModifiedBruck",
-            UniformAlgo::ModifiedBruckDt => "ModifiedBruck-dt",
-            UniformAlgo::ZeroCopyBruckDt => "ZeroCopyBruck-dt",
-            UniformAlgo::ZeroRotationBruck => "ZeroRotationBruck",
-            UniformAlgo::SpreadOut => "SpreadOut",
-        }
-    }
-}
-
-/// Non-uniform algorithms (paper §3–4 / Figures 6–13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NonuniformAlgo {
-    /// All-pairs non-blocking, unthrottled.
-    SpreadOut,
-    /// Throttled all-pairs: the vendor `MPI_Alltoallv` stand-in.
-    Vendor,
-    /// Pad → uniform Bruck → scan.
-    PaddedBruck,
-    /// Pad → vendor uniform all-to-all → scan.
-    PaddedAlltoall,
-    /// Coupled metadata/data Bruck over a monolithic working buffer.
-    TwoPhaseBruck,
-    /// SLOAV prior art (combined buffers, pointer array, final scan).
-    Sloav,
-    /// Leader-based hierarchical exchange (related work, §6), groups of 8.
-    Hierarchical,
-    /// Ranka et al.'s balanced two-stage decomposition (related work, §6).
-    RankaTwoStage,
-}
-
-impl NonuniformAlgo {
-    /// All non-uniform algorithms.
-    pub const ALL: [NonuniformAlgo; 8] = [
-        NonuniformAlgo::SpreadOut,
-        NonuniformAlgo::Vendor,
-        NonuniformAlgo::PaddedBruck,
-        NonuniformAlgo::PaddedAlltoall,
-        NonuniformAlgo::TwoPhaseBruck,
-        NonuniformAlgo::Sloav,
-        NonuniformAlgo::Hierarchical,
-        NonuniformAlgo::RankaTwoStage,
-    ];
-
-    /// The group size [`NonuniformAlgo::Hierarchical`] uses (mirrors
-    /// `bruck_core::DEFAULT_GROUP_SIZE`).
-    pub const HIER_GROUP: usize = 8;
-
-    /// Display name matching the paper's figure legends.
-    pub fn name(&self) -> &'static str {
-        match self {
-            NonuniformAlgo::SpreadOut => "Spread-out",
-            NonuniformAlgo::Vendor => "MPI_Alltoallv",
-            NonuniformAlgo::PaddedBruck => "Padded Bruck",
-            NonuniformAlgo::PaddedAlltoall => "PaddedAlltoall",
-            NonuniformAlgo::TwoPhaseBruck => "Two-phase Bruck",
-            NonuniformAlgo::Sloav => "SLOAV",
-            NonuniformAlgo::Hierarchical => "Hierarchical",
-            NonuniformAlgo::RankaTwoStage => "Ranka two-stage",
-        }
-    }
-}
 
 /// Which ranks a trace covers. Exact per-rank loads are computed for each
 /// covered rank; step time is the max over them. For i.i.d. workloads a
@@ -141,60 +62,28 @@ impl RankSample {
         }
     }
 
-    /// The covered ranks.
+    /// The covered ranks, ascending.
     pub fn ranks(&self) -> &[usize] {
         &self.ranks
     }
 }
 
-#[inline]
-fn ceil_log2(p: usize) -> u32 {
-    usize::BITS - (p - 1).leading_zeros()
+/// One step in which every covered rank carries the same load.
+fn even_step(kind: StepKind, load: RankLoad, sample: &RankSample) -> Step {
+    Step { kind, loads: sample.ranks().iter().map(|&r| (r, load)).collect() }
 }
 
-#[inline]
-fn step_indices(p: usize, k: u32) -> impl Iterator<Item = usize> {
-    let mask = 1usize << k;
-    (1..p).filter(move |i| i & mask != 0)
+fn local_step(load: impl Fn(usize) -> RankLoad, sample: &RankSample) -> Step {
+    Step { kind: StepKind::Local, loads: sample.ranks().iter().map(|&r| (r, load(r))).collect() }
 }
 
-fn step_block_count(p: usize, k: u32) -> u64 {
-    step_indices(p, k).count() as u64
+fn copy_step(copy_bytes: impl Fn(usize) -> u64, sample: &RankSample) -> Step {
+    local_step(|r| RankLoad { copy_bytes: copy_bytes(r), ..Default::default() }, sample)
 }
 
-/// Exact bytes rank `q` sends at step `k` under the *modified/zero-rotation*
-/// schedule (blocks hop downward): before step `k`, relative index `i` at
-/// rank `q` holds the original block `(s, d)` with `s = (q + (i & (2^k−1)))
-/// mod P`, `d = (s − i) mod P`.
-fn modified_dir_step_bytes<S: SizeSource + ?Sized>(s: &S, q: usize, k: u32) -> u64 {
-    let p = s.p();
-    let low = (1usize << k) - 1;
-    let mut total = 0u64;
-    for i in step_indices(p, k) {
-        let src = (q + (i & low)) % p;
-        let dst = (src + p - i) % p;
-        total += s.size(src, dst) as u64;
-    }
-    total
-}
-
-/// Exact bytes rank `q` sends at step `k` under the *basic/SLOAV* schedule
-/// (blocks hop upward): `s = (q − (i & (2^k−1))) mod P`, `d = (s + i) mod P`.
-fn basic_dir_step_bytes<S: SizeSource + ?Sized>(s: &S, q: usize, k: u32) -> u64 {
-    let p = s.p();
-    let low = (1usize << k) - 1;
-    let mut total = 0u64;
-    for i in step_indices(p, k) {
-        let src = (q + p - (i & low)) % p;
-        let dst = (src + i) % p;
-        total += s.size(src, dst) as u64;
-    }
-    total
-}
-
-/// The allreduce prologue shared by the padding-based and two-phase
-/// algorithms (global maximum block size).
-pub(crate) fn collective_step(p: usize, sample: &RankSample) -> Step {
+/// The allreduce prologue shared by the padding-based and monolithic-layout
+/// configs (global maximum block size).
+fn collective_step(p: usize, sample: &RankSample) -> Step {
     let rounds = ceil_log2(p) + u32::from(!p.is_power_of_two());
     let load = RankLoad {
         seq_msgs: rounds,
@@ -202,247 +91,278 @@ pub(crate) fn collective_step(p: usize, sample: &RankSample) -> Step {
         bytes_in: 8 * u64::from(rounds),
         ..Default::default()
     };
-    Step { kind: StepKind::Collective, loads: sample.ranks().iter().map(|&r| (r, load)).collect() }
+    even_step(StepKind::Collective, load, sample)
 }
 
-fn local_step(copy_bytes: impl Fn(usize) -> u64, sample: &RankSample) -> Step {
-    Step {
-        kind: StepKind::Local,
-        loads: sample
-            .ranks()
-            .iter()
-            .map(|&r| (r, RankLoad { copy_bytes: copy_bytes(r), ..Default::default() }))
-            .collect(),
+/// How a rank issues the `P − 1` messages of an all-pairs phase.
+#[derive(Clone, Copy)]
+enum Issue {
+    /// Sendrecv rounds: every latency serializes (the pairwise oracles).
+    Blocking,
+    /// One latency is exposed and the rest overlap, each paying the windowed
+    /// (`throttled`) or the all-pairs-in-flight injection overhead.
+    Overlapped { throttled: bool },
+}
+
+/// One all-pairs phase of `P − 1` messages per rank.
+fn pairwise_step(
+    p: usize,
+    issue: Issue,
+    bytes: impl Fn(usize) -> (u64, u64),
+    sample: &RankSample,
+) -> Step {
+    let peers = (p - 1) as u32;
+    let (seq_msgs, ov_msgs, throttled) = match issue {
+        Issue::Blocking => (peers, 0, false),
+        Issue::Overlapped { throttled } => (1, peers - 1, throttled),
+    };
+    let loads = sample
+        .ranks()
+        .iter()
+        .map(|&q| {
+            let (bytes_out, bytes_in) = bytes(q);
+            (q, RankLoad { seq_msgs, ov_msgs, bytes_out, bytes_in, ..Default::default() })
+        })
+        .collect();
+    Step { kind: StepKind::Pairwise { throttled }, loads }
+}
+
+/// The radix-`r` uniform Bruck steps over `n`-byte blocks: every rank ships
+/// the same `count · n` bytes per sub-step. `dt_per_block` is the datatype
+/// engine's descriptor work per block (`0` for explicit packing).
+fn uniform_bruck_steps(
+    p: usize,
+    n: usize,
+    radix: usize,
+    dt_per_block: u32,
+    sample: &RankSample,
+    steps: &mut Vec<Step>,
+) {
+    let mut rel = Vec::new();
+    for (idx, weight, d) in radix_schedule(p, radix) {
+        radix_step_rel_indices(p, weight, d, radix, &mut rel);
+        let bytes = (rel.len() * n) as u64;
+        let load = RankLoad {
+            seq_msgs: 1,
+            bytes_out: bytes,
+            bytes_in: bytes,
+            copy_bytes: 2 * bytes,
+            dt_blocks: dt_per_block * rel.len() as u32,
+            ..Default::default()
+        };
+        steps.push(even_step(StepKind::UniformData(idx), load, sample));
     }
 }
 
+/// Trace of the radix-`r` Zero Rotation Bruck (uniform, `n`-byte blocks):
+/// an O(P) index array (8 bytes per entry, no data rotation at all), then
+/// the steps. `radix = 2` is [`AlltoallAlgorithm::ZeroRotationBruck`].
+pub fn zero_rotation_radix_trace(
+    p: usize,
+    n: usize,
+    radix: usize,
+    sample: &RankSample,
+) -> CommTrace {
+    let mut steps = vec![copy_step(|_| 8 * p as u64, sample)];
+    uniform_bruck_steps(p, n, radix, 0, sample, &mut steps);
+    CommTrace { p, steps }
+}
+
 /// Trace of a uniform all-to-all with `P` ranks and `n`-byte blocks.
-pub fn uniform_trace(algo: UniformAlgo, p: usize, n: usize, sample: &RankSample) -> CommTrace {
-    let mut steps = Vec::new();
-    let rot = |sample: &RankSample| local_step(|_| (p * n) as u64, sample);
-    let bruck_steps = |steps: &mut Vec<Step>, dt_per_block: u32| {
-        for k in 0..ceil_log2(p) {
-            let count = step_block_count(p, k);
-            let bytes = count * n as u64;
-            let load = RankLoad {
-                seq_msgs: 1,
-                bytes_out: bytes,
-                bytes_in: bytes,
-                copy_bytes: 2 * bytes,
-                dt_blocks: dt_per_block * count as u32,
-                ..Default::default()
-            };
-            steps.push(Step {
-                kind: StepKind::UniformData(k),
-                loads: sample.ranks().iter().map(|&r| (r, load)).collect(),
-            });
+pub fn uniform_trace(algo: AlltoallAlgorithm, p: usize, n: usize, sample: &RankSample) -> CommTrace {
+    let uniform_pairwise = |issue: Issue| {
+        let mut steps = Vec::new();
+        if p > 1 {
+            let bytes = ((p - 1) * n) as u64;
+            steps.push(pairwise_step(p, issue, |_| (bytes, bytes), sample));
         }
+        CommTrace { p, steps }
     };
-    match algo {
-        UniformAlgo::BasicBruck => {
-            steps.push(rot(sample));
-            bruck_steps(&mut steps, 0);
-            steps.push(rot(sample));
-        }
-        UniformAlgo::BasicBruckDt => {
-            steps.push(rot(sample));
-            bruck_steps(&mut steps, 2);
-            steps.push(rot(sample));
-        }
-        UniformAlgo::ModifiedBruck => {
-            steps.push(rot(sample));
-            bruck_steps(&mut steps, 0);
-        }
-        UniformAlgo::ModifiedBruckDt => {
-            steps.push(rot(sample));
-            bruck_steps(&mut steps, 2);
-        }
-        UniformAlgo::ZeroCopyBruckDt => {
-            // Initial split placement, per-step struct datatypes over two
-            // buffers (2× descriptor complexity), final copy-out of R.
-            steps.push(rot(sample));
-            bruck_steps(&mut steps, 4);
-            steps.push(rot(sample));
-        }
-        UniformAlgo::ZeroRotationBruck => {
-            // O(P) index array: 8 bytes per entry, no data rotation at all.
-            steps.push(local_step(|_| 8 * p as u64, sample));
-            bruck_steps(&mut steps, 0);
-        }
-        UniformAlgo::SpreadOut => {
-            if p > 1 {
-                let bytes = ((p - 1) * n) as u64;
-                let load = RankLoad {
-                    seq_msgs: 1,
-                    ov_msgs: (p - 2) as u32,
-                    bytes_out: bytes,
-                    bytes_in: bytes,
-                    ..Default::default()
-                };
-                steps.push(Step {
-                    kind: StepKind::Pairwise { throttled: false },
-                    loads: sample.ranks().iter().map(|&r| (r, load)).collect(),
-                });
-            }
-        }
+    // (rotations before, datatype descriptors per block, rotations after).
+    let (rot_in, dt_per_block, rot_out) = match algo {
+        AlltoallAlgorithm::BasicBruck => (true, 0, true),
+        AlltoallAlgorithm::BasicBruckDt => (true, 2, true),
+        AlltoallAlgorithm::ModifiedBruck => (true, 0, false),
+        AlltoallAlgorithm::ModifiedBruckDt => (true, 2, false),
+        // Initial split placement, per-step struct datatypes over two
+        // buffers (2× descriptor complexity), final copy-out of R.
+        AlltoallAlgorithm::ZeroCopyBruckDt => (true, 4, true),
+        AlltoallAlgorithm::ZeroRotationBruck => return zero_rotation_radix_trace(p, n, 2, sample),
+        AlltoallAlgorithm::SpreadOut => return uniform_pairwise(Issue::Overlapped { throttled: false }),
+        AlltoallAlgorithm::Reference => return uniform_pairwise(Issue::Blocking),
+    };
+    let rotation = || copy_step(|_| (p * n) as u64, sample);
+    let mut steps = Vec::new();
+    if rot_in {
+        steps.push(rotation());
+    }
+    uniform_bruck_steps(p, n, 2, dt_per_block, sample, &mut steps);
+    if rot_out {
+        steps.push(rotation());
     }
     CommTrace { p, steps }
 }
 
-/// Trace of a non-uniform all-to-all over the given size source.
+/// Trace of the non-uniform all-to-all `cfg` describes — an [`EngineConfig`]
+/// or an `AlltoallvAlgorithm` (its named point) — over the given size source.
 pub fn nonuniform_trace<S: SizeSource + ?Sized>(
-    algo: NonuniformAlgo,
+    cfg: impl Into<EngineConfig>,
     source: &S,
     sample: &RankSample,
 ) -> CommTrace {
+    let cfg: EngineConfig = cfg.into();
     let p = source.p();
     let mut steps = Vec::new();
     if p <= 1 {
         return CommTrace { p, steps };
     }
-
-    let pairwise = |throttled: bool| -> Step {
-        let loads = sample
-            .ranks()
-            .iter()
-            .map(|&q| {
-                let self_block = source.size(q, q) as u64;
-                (
-                    q,
-                    RankLoad {
-                        seq_msgs: 1,
-                        ov_msgs: (p - 2) as u32,
-                        bytes_out: source.row_sum(q) - self_block,
-                        bytes_in: source.col_sum(q) - self_block,
-                        ..Default::default()
-                    },
-                )
-            })
-            .collect();
-        Step { kind: StepKind::Pairwise { throttled }, loads }
+    // Everything a rank sends / receives except its self block.
+    let off_diagonal = |q: usize| {
+        let own = source.size(q, q) as u64;
+        (source.row_sum(q) - own, source.col_sum(q) - own)
     };
 
-    match algo {
-        NonuniformAlgo::SpreadOut => steps.push(pairwise(false)),
-        NonuniformAlgo::Vendor => steps.push(pairwise(true)),
-        NonuniformAlgo::Hierarchical => {
-            hierarchical_steps(source, NonuniformAlgo::HIER_GROUP, sample, &mut steps)
+    match cfg.topology {
+        EngineTopology::Oracle => {
+            steps.push(pairwise_step(p, Issue::Blocking, off_diagonal, sample));
         }
-        NonuniformAlgo::RankaTwoStage => ranka_steps(source, sample, &mut steps),
-        NonuniformAlgo::TwoPhaseBruck => {
-            steps.push(collective_step(p, sample));
-            for k in 0..ceil_log2(p) {
-                let count = step_block_count(p, k);
-                let meta = RankLoad {
-                    seq_msgs: 1,
-                    bytes_out: 4 * count,
-                    bytes_in: 4 * count,
-                    ..Default::default()
-                };
-                steps.push(Step {
-                    kind: StepKind::Meta(k),
-                    loads: sample.ranks().iter().map(|&r| (r, meta)).collect(),
-                });
-                let loads = sample
-                    .ranks()
-                    .iter()
-                    .map(|&q| {
-                        let out = modified_dir_step_bytes(source, q, k);
-                        let peer = (q + (1 << k)) % p;
-                        let inb = modified_dir_step_bytes(source, peer, k);
-                        (
-                            q,
-                            RankLoad {
-                                seq_msgs: 1,
-                                bytes_out: out,
-                                bytes_in: inb,
-                                copy_bytes: out + inb,
-                                ..Default::default()
-                            },
-                        )
-                    })
-                    .collect();
-                steps.push(Step { kind: StepKind::Data(k), loads });
-            }
-        }
-        NonuniformAlgo::Sloav => {
-            for k in 0..ceil_log2(p) {
-                let count = step_block_count(p, k);
-                let meta = RankLoad {
-                    seq_msgs: 1,
-                    bytes_out: 8,
-                    bytes_in: 8,
-                    ..Default::default()
-                };
-                steps.push(Step {
-                    kind: StepKind::Meta(k),
-                    loads: sample.ranks().iter().map(|&r| (r, meta)).collect(),
-                });
-                let loads = sample
-                    .ranks()
-                    .iter()
-                    .map(|&q| {
-                        let out = 4 * count + basic_dir_step_bytes(source, q, k);
-                        let peer = (q + p - (1 << k) % p) % p;
-                        let inb = 4 * count + basic_dir_step_bytes(source, peer, k);
-                        (
-                            q,
-                            RankLoad {
-                                seq_msgs: 1,
-                                bytes_out: out,
-                                bytes_in: inb,
-                                copy_bytes: out + inb,
-                                ..Default::default()
-                            },
-                        )
-                    })
-                    .collect();
-                steps.push(Step { kind: StepKind::Data(k), loads });
-            }
-            // Final scan: every received block is copied to its destination.
-            steps.push(local_step(|q| source.col_sum(q), sample));
-        }
-        NonuniformAlgo::PaddedBruck | NonuniformAlgo::PaddedAlltoall => {
+        EngineTopology::Leader { group } => hierarchical_steps(source, group, sample, &mut steps),
+        EngineTopology::TwoStage => ranka_steps(source, sample, &mut steps),
+        EngineTopology::Direct | EngineTopology::Bruck => {
+            let bruck = cfg.topology == EngineTopology::Bruck;
             let n_max = source.n_max();
-            steps.push(collective_step(p, sample));
-            // Padding: write the P·N uniform buffer (reading row_sum bytes).
-            steps.push(local_step(|q| (p * n_max) as u64 + source.row_sum(q), sample));
-            if algo == NonuniformAlgo::PaddedBruck {
-                // Zero Rotation Bruck over N-byte blocks.
-                steps.push(local_step(|_| 8 * p as u64, sample));
-                for k in 0..ceil_log2(p) {
-                    let bytes = step_block_count(p, k) * n_max as u64;
-                    let load = RankLoad {
-                        seq_msgs: 1,
-                        bytes_out: bytes,
-                        bytes_in: bytes,
-                        copy_bytes: 2 * bytes,
-                        ..Default::default()
-                    };
-                    steps.push(Step {
-                        kind: StepKind::UniformData(k),
-                        loads: sample.ranks().iter().map(|&r| (r, load)).collect(),
-                    });
-                }
-            } else {
-                let bytes = ((p - 1) * n_max) as u64;
-                let load = RankLoad {
-                    seq_msgs: 1,
-                    ov_msgs: (p - 2) as u32,
-                    bytes_out: bytes,
-                    bytes_in: bytes,
-                    ..Default::default()
-                };
-                steps.push(Step {
-                    kind: StepKind::Pairwise { throttled: true },
-                    loads: sample.ranks().iter().map(|&r| (r, load)).collect(),
-                });
+            let pads = cfg.padding.fires(n_max);
+            let monolithic = match cfg.layout {
+                IntermediateLayout::Monolithic => true,
+                IntermediateLayout::BlockViews => false,
+            };
+            // One sizing allreduce at most: any padding rule but `Never` asks
+            // for `N`, and the monolithic buffer reuses the answer.
+            if cfg.padding != PaddingRule::Never || (bruck && monolithic) {
+                steps.push(collective_step(p, sample));
             }
-            // Scan the real bytes out of the padded receive buffer.
-            steps.push(local_step(|q| source.col_sum(q), sample));
+            let issue = Issue::Overlapped { throttled: cfg.throttle_window.is_some() };
+            if pads {
+                if n_max == 0 {
+                    return CommTrace { p, steps }; // nothing anywhere: no slot is sent
+                }
+                // Padding: write the P·N uniform buffer (reading row_sum bytes).
+                steps.push(copy_step(|q| (p * n_max) as u64 + source.row_sum(q), sample));
+                if bruck {
+                    steps.extend(zero_rotation_radix_trace(p, n_max, cfg.radix, sample).steps);
+                } else {
+                    let bytes = ((p - 1) * n_max) as u64;
+                    steps.push(pairwise_step(p, issue, |_| (bytes, bytes), sample));
+                }
+                // Scan the real bytes out of the padded receive buffer.
+                steps.push(copy_step(|q| source.col_sum(q), sample));
+            } else if bruck {
+                bruck_steps(&cfg, monolithic, source, sample, &mut steps);
+            } else {
+                steps.push(pairwise_step(p, issue, off_diagonal, sample));
+            }
         }
     }
     CommTrace { p, steps }
+}
+
+/// The unpadded radix-`r` Bruck loop in all four layout × coupling
+/// combinations (two-phase and SLOAV are two of them).
+///
+/// * Layout → direction. The monolithic buffer routes like Zero Rotation
+///   Bruck: blocks hop *downward* (`q → q − hop`), so relative index `i` at
+///   rank `q` holds the original block `s = q + (i mod weight)`,
+///   `d = s − i`. Block views route like basic Bruck: *upward*,
+///   `s = q − (i mod weight)`, `d = s + i` — and end with a scan that copies
+///   every received block home through the pointer array.
+/// * Coupling → metadata/data split. Split: a `4·count`-byte size array,
+///   then the payload. Combined: an 8-byte length announcement, then
+///   `[sizes][payload]` in one buffer — walked once more when it is packed
+///   and parsed block by block on arrival (§6.1).
+fn bruck_steps<S: SizeSource + ?Sized>(
+    cfg: &EngineConfig,
+    downward: bool,
+    source: &S,
+    sample: &RankSample,
+    steps: &mut Vec<Step>,
+) {
+    let p = source.p();
+    let mut rel = Vec::new();
+    // Per transmitted block, as forward offsets mod P: where its source rank
+    // sits relative to the sender, and its destination relative to the source.
+    let mut blocks: Vec<(usize, usize)> = Vec::new();
+    for (idx, weight, d) in radix_schedule(p, cfg.radix) {
+        radix_step_rel_indices(p, weight, d, cfg.radix, &mut rel);
+        blocks.clear();
+        blocks.extend(rel.iter().map(|&i| {
+            let absorbed = i % weight; // the lower-digit hops already taken
+            if downward {
+                (absorbed, p - i)
+            } else {
+                (p - absorbed, i)
+            }
+        }));
+        let count = blocks.len() as u64;
+        let payload = |q: usize| -> u64 {
+            blocks
+                .iter()
+                .map(|&(to_src, to_dst)| {
+                    let src = add_mod(q, to_src, p);
+                    source.size(src, add_mod(src, to_dst, p)) as u64
+                })
+                .sum()
+        };
+        let (meta_bytes, header) = if cfg.two_phase_split { (4 * count, 0) } else { (8, 4 * count) };
+        let meta = RankLoad {
+            seq_msgs: 1,
+            bytes_out: meta_bytes,
+            bytes_in: meta_bytes,
+            ..Default::default()
+        };
+        steps.push(even_step(StepKind::Meta(idx), meta, sample));
+
+        let hop = d * weight;
+        let sent: Vec<u64> = sample.ranks().iter().map(|&q| payload(q)).collect();
+        let loads = sample
+            .ranks()
+            .iter()
+            .zip(&sent)
+            .map(|(&q, &sent_q)| {
+                // What arrives is what the peer sends: already known when the
+                // peer is covered too (always, unless the ranks are sampled).
+                let from = if downward { add_mod(q, hop, p) } else { sub_mod(q, hop, p) };
+                let arriving = match sample.ranks().binary_search(&from) {
+                    Ok(at) => sent[at],
+                    Err(_) => payload(from),
+                };
+                let out = header + sent_q;
+                let inb = header + arriving;
+                let mut load = RankLoad {
+                    seq_msgs: 1,
+                    bytes_out: out,
+                    bytes_in: inb,
+                    copy_bytes: out + inb,
+                    ..Default::default()
+                };
+                if !cfg.two_phase_split {
+                    load.copy_bytes += out;
+                    load.dt_blocks = count as u32;
+                }
+                (q, load)
+            })
+            .collect();
+        steps.push(Step { kind: StepKind::Data(idx), loads });
+    }
+    if !downward {
+        // Final scan: every received block is copied to its destination, one
+        // view of the pointer array at a time.
+        let scan = |q| RankLoad {
+            copy_bytes: source.col_sum(q),
+            dt_blocks: p as u32,
+            ..Default::default()
+        };
+        steps.push(local_step(scan, sample));
+    }
 }
 
 /// Steps of the hierarchical (leader-based) exchange with the given group
@@ -455,93 +375,57 @@ fn hierarchical_steps<S: SizeSource + ?Sized>(
 ) {
     let p = source.p();
     let n_groups = p.div_ceil(group);
-    let leader_of = |q: usize| (q / group) * group;
-    let members_of = |g: usize| (g * group)..((g + 1) * group).min(p);
-
-    // Gather: members send (8P counts header + their row); leaders receive
-    // every member's payload.
-    let gather_loads = sample
-        .ranks()
-        .iter()
-        .map(|&q| {
-            let load = if q == leader_of(q) {
-                let inbound: u64 = members_of(q / group)
-                    .filter(|&m| m != q)
-                    .map(|m| 8 * p as u64 + source.row_sum(m))
-                    .sum();
-                RankLoad { bytes_in: inbound, ..Default::default() }
-            } else {
-                RankLoad {
-                    seq_msgs: 1,
-                    bytes_out: 8 * p as u64 + source.row_sum(q),
-                    ..Default::default()
-                }
+    let (mut gather, mut exchange, mut scatter) = (Vec::new(), Vec::new(), Vec::new());
+    for &q in sample.ranks() {
+        let members = (q / group * group)..((q / group + 1) * group).min(p);
+        if q != members.start {
+            // A member ships its 8P-byte counts row and its send image up,
+            // sits out the leader exchange, and gets its receive image back.
+            let up = 8 * p as u64 + source.row_sum(q);
+            gather.push((q, RankLoad { seq_msgs: 1, bytes_out: up, ..Default::default() }));
+            exchange.push((q, RankLoad::default()));
+            scatter.push((q, RankLoad { bytes_in: source.col_sum(q), ..Default::default() }));
+            continue;
+        }
+        // A leader handles the whole group's rows and columns.
+        let g_size = members.len() as u64;
+        let rows: u64 = members.clone().map(|s| source.row_sum(s)).sum();
+        let cols: u64 = members.clone().map(|d| source.col_sum(d)).sum();
+        let (own_row, own_col) = (source.row_sum(q), source.col_sum(q));
+        let inbound = 8 * p as u64 * (g_size - 1) + rows - own_row;
+        gather.push((q, RankLoad { bytes_in: inbound, ..Default::default() }));
+        if n_groups > 1 {
+            // Per other group h: a 4-byte size matrix plus all blocks
+            // (s in g, d in h) — everything but the group's own traffic.
+            let intra: u64 = members
+                .clone()
+                .flat_map(|s| members.clone().map(move |d| (s, d)))
+                .map(|(s, d)| source.size(s, d) as u64)
+                .sum();
+            let header = 4 * g_size * (p as u64 - g_size);
+            let load = RankLoad {
+                seq_msgs: 1,
+                ov_msgs: (n_groups - 2) as u32,
+                bytes_out: header + rows - intra,
+                bytes_in: header + cols - intra,
+                ..Default::default()
             };
-            (q, load)
-        })
-        .collect();
-    steps.push(Step { kind: StepKind::HierGather, loads: gather_loads });
-
-    // Leader exchange: each leader ships, per other group h, a 4-byte size
-    // matrix plus all blocks (s in g, d in h).
-    if n_groups > 1 {
-        let leader_loads = sample
-            .ranks()
-            .iter()
-            .map(|&q| {
-                if q != leader_of(q) {
-                    return (q, RankLoad::default());
-                }
-                let g = q / group;
-                let g_size = members_of(g).len() as u64;
-                let intra: u64 = members_of(g)
-                    .flat_map(|s| members_of(g).map(move |d| (s, d)))
-                    .map(|(s, d)| source.size(s, d) as u64)
-                    .sum();
-                let row_total: u64 = members_of(g).map(|s| source.row_sum(s)).sum();
-                let col_total: u64 = members_of(g).map(|d| source.col_sum(d)).sum();
-                let header = 4 * g_size * (p as u64 - g_size);
-                let load = RankLoad {
-                    seq_msgs: 1,
-                    ov_msgs: (n_groups - 2) as u32,
-                    bytes_out: header + row_total - intra,
-                    bytes_in: header + col_total - intra,
-                    ..Default::default()
-                };
-                (q, load)
-            })
-            .collect();
-        steps.push(Step { kind: StepKind::HierLeader, loads: leader_loads });
+            exchange.push((q, load));
+        }
+        // Scatter: flatten each other member's column; deliver its own.
+        let load = RankLoad {
+            seq_msgs: 1,
+            bytes_out: cols - own_col,
+            copy_bytes: own_col,
+            ..Default::default()
+        };
+        scatter.push((q, load));
     }
-
-    // Scatter: leaders flatten each non-leader member's column.
-    let scatter_loads = sample
-        .ranks()
-        .iter()
-        .map(|&q| {
-            let load = if q == leader_of(q) {
-                let outbound: u64 =
-                    members_of(q / group).filter(|&d| d != q).map(|d| source.col_sum(d)).sum();
-                RankLoad {
-                    seq_msgs: 1,
-                    bytes_out: outbound,
-                    copy_bytes: source.col_sum(q),
-                    ..Default::default()
-                }
-            } else {
-                RankLoad { bytes_in: source.col_sum(q), ..Default::default() }
-            };
-            (q, load)
-        })
-        .collect();
-    steps.push(Step { kind: StepKind::HierScatter, loads: scatter_loads });
-}
-
-/// Bytes of piece `i` (of `p`) of a `len`-byte block (mirrors
-/// `bruck_core::piece_len`).
-#[inline]
-fn piece_len(len: usize, i: usize, p: usize) -> usize {
-    len / p + usize::from(i < len % p)
+    steps.push(Step { kind: StepKind::HierGather, loads: gather });
+    if n_groups > 1 {
+        steps.push(Step { kind: StepKind::HierLeader, loads: exchange });
+    }
+    steps.push(Step { kind: StepKind::HierScatter, loads: scatter });
 }
 
 /// P above which Ranka per-rank loads are estimated statistically (exact
@@ -572,6 +456,9 @@ fn ranka_steps<S: SizeSource + ?Sized>(source: &S, sample: &RankSample, steps: &
                         ov_msgs: (p.saturating_sub(2)) as u32,
                         bytes_out: out,
                         bytes_in: inb,
+                        // Every block is cut into pieces: one pass over the
+                        // send image.
+                        copy_bytes: source.row_sum(q),
                         ..Default::default()
                     },
                 )
@@ -598,6 +485,9 @@ fn ranka_steps<S: SizeSource + ?Sized>(source: &S, sample: &RankSample, steps: &
                         ov_msgs: (p.saturating_sub(2)) as u32,
                         bytes_out: out,
                         bytes_in: inb,
+                        // Pieces are placed one by one: one pass over the
+                        // receive image.
+                        copy_bytes: source.col_sum(q),
                         ..Default::default()
                     },
                 )
@@ -616,6 +506,7 @@ fn ranka_steps<S: SizeSource + ?Sized>(source: &S, sample: &RankSample, steps: &
             ov_msgs: (p - 2) as u32,
             bytes_out: header + per_rank,
             bytes_in: header + per_rank,
+            copy_bytes: per_rank, // the send image, then the receive image
             ..Default::default()
         };
         for kind in [StepKind::RankaStage1, StepKind::RankaStage2] {
@@ -636,10 +527,25 @@ fn ranka_steps<S: SizeSource + ?Sized>(source: &S, sample: &RankSample, steps: &
 mod tests {
     use super::*;
     use crate::source::DistSource;
+    use crate::MachineModel;
+    use bruck_core::AlltoallvAlgorithm;
     use bruck_workload::Distribution;
 
     fn src(p: usize, n: usize) -> DistSource {
         DistSource::new(Distribution::Uniform, 42, p, n)
+    }
+
+    fn two_phase_radix(radix: usize) -> EngineConfig {
+        EngineConfig { radix, ..EngineConfig::as_two_phase() }
+    }
+
+    fn data_bytes_out(trace: &CommTrace) -> u64 {
+        trace
+            .steps
+            .iter()
+            .filter(|st| matches!(st.kind, StepKind::Data(_)))
+            .flat_map(|st| st.loads.iter().map(|(_, l)| l.bytes_out))
+            .sum()
     }
 
     #[test]
@@ -659,13 +565,7 @@ mod tests {
         // once per set bit of its offset.
         let p = 16;
         let s = src(p, 100);
-        let trace = nonuniform_trace(NonuniformAlgo::TwoPhaseBruck, &s, &RankSample::all(p));
-        let data_bytes: u64 = trace
-            .steps
-            .iter()
-            .filter(|st| matches!(st.kind, StepKind::Data(_)))
-            .flat_map(|st| st.loads.iter().map(|(_, l)| l.bytes_out))
-            .sum();
+        let trace = nonuniform_trace(AlltoallvAlgorithm::TwoPhaseBruck, &s, &RankSample::all(p));
         let mut expect = 0u64;
         for srk in 0..p {
             for dst in 0..p {
@@ -673,42 +573,37 @@ mod tests {
                 expect += (s.size(srk, dst) as u64) * offset.count_ones() as u64;
             }
         }
-        assert_eq!(data_bytes, expect);
+        assert_eq!(data_bytes_out(&trace), expect);
     }
 
     #[test]
     fn sloav_trace_conserves_bytes_across_steps() {
         let p = 12;
         let s = src(p, 64);
-        let trace = nonuniform_trace(NonuniformAlgo::Sloav, &s, &RankSample::all(p));
-        let data_bytes: u64 = trace
-            .steps
-            .iter()
-            .filter(|st| matches!(st.kind, StepKind::Data(_)))
-            .flat_map(|st| st.loads.iter().map(|(_, l)| l.bytes_out))
-            .sum();
+        let trace = nonuniform_trace(AlltoallvAlgorithm::Sloav, &s, &RankSample::all(p));
         let mut expect = 0u64;
-        let meta_total: u64 =
-            (0..ceil_log2(p)).map(|k| step_block_count(p, k) * 4 * p as u64).sum();
+        let meta_total: u64 = (0..ceil_log2(p))
+            .map(|k| (1..p).filter(|i| i & (1 << k) != 0).count() as u64 * 4 * p as u64)
+            .sum();
         for srk in 0..p {
             for dst in 0..p {
                 let offset = (dst + p - srk) % p; // basic direction: d = s + i
                 expect += (s.size(srk, dst) as u64) * offset.count_ones() as u64;
             }
         }
-        assert_eq!(data_bytes, expect + meta_total);
+        assert_eq!(data_bytes_out(&trace), expect + meta_total);
     }
 
     #[test]
     fn padded_trace_moves_n_max_blocks() {
         let p = 8;
         let s = src(p, 50);
-        let trace = nonuniform_trace(NonuniformAlgo::PaddedBruck, &s, &RankSample::all(p));
+        let trace = nonuniform_trace(AlltoallvAlgorithm::PaddedBruck, &s, &RankSample::all(p));
         for step in &trace.steps {
             if let StepKind::UniformData(k) = step.kind {
-                let expect = step_block_count(p, k) * s.n_max() as u64;
+                let count = (1..p).filter(|i| i & (1 << k) != 0).count() as u64;
                 for (_, l) in &step.loads {
-                    assert_eq!(l.bytes_out, expect, "step {k}");
+                    assert_eq!(l.bytes_out, count * s.n_max() as u64, "step {k}");
                 }
             }
         }
@@ -718,7 +613,7 @@ mod tests {
     fn spread_out_trace_is_row_and_col_sums() {
         let p = 10;
         let s = src(p, 30);
-        let trace = nonuniform_trace(NonuniformAlgo::SpreadOut, &s, &RankSample::all(p));
+        let trace = nonuniform_trace(AlltoallvAlgorithm::SpreadOut, &s, &RankSample::all(p));
         assert_eq!(trace.steps.len(), 1);
         for (q, l) in &trace.steps[0].loads {
             assert_eq!(l.bytes_out, s.row_sum(*q) - s.size(*q, *q) as u64);
@@ -730,10 +625,10 @@ mod tests {
     fn uniform_traces_have_expected_step_structure() {
         let p = 16;
         let sample = RankSample::all(p);
-        let basic = uniform_trace(UniformAlgo::BasicBruck, p, 32, &sample);
+        let basic = uniform_trace(AlltoallAlgorithm::BasicBruck, p, 32, &sample);
         // rotation + 4 steps + rotation
         assert_eq!(basic.steps.len(), 6);
-        let zero_rot = uniform_trace(UniformAlgo::ZeroRotationBruck, p, 32, &sample);
+        let zero_rot = uniform_trace(AlltoallAlgorithm::ZeroRotationBruck, p, 32, &sample);
         assert_eq!(zero_rot.steps.len(), 5);
         // Zero-rotation moves the same wire bytes but copies far less.
         let wire = |t: &CommTrace| t.total_wire_bytes();
@@ -747,7 +642,7 @@ mod tests {
     #[test]
     fn single_rank_traces_are_trivial() {
         let s = src(1, 64);
-        for algo in NonuniformAlgo::ALL {
+        for algo in AlltoallvAlgorithm::ALL {
             let t = nonuniform_trace(algo, &s, &RankSample::all(1));
             assert!(t.steps.is_empty(), "{}", algo.name());
         }
@@ -755,11 +650,145 @@ mod tests {
 
     #[test]
     fn trace_times_are_positive_and_finite() {
-        let m = crate::MachineModel::theta_like();
+        let m = MachineModel::theta_like();
         let s = src(64, 256);
-        for algo in NonuniformAlgo::ALL {
+        for algo in AlltoallvAlgorithm::ALL {
             let t = nonuniform_trace(algo, &s, &RankSample::auto(64)).time(&m);
             assert!(t.is_finite() && t > 0.0, "{}: {t}", algo.name());
         }
+    }
+
+    #[test]
+    fn the_sizing_allreduce_is_priced_at_most_once() {
+        // A threshold rule that does not fire has already paid for `N`; the
+        // monolithic layout must not be charged a second allreduce (the
+        // engine's `threshold_that_does_not_fire_pays_one_sizing_allreduce`).
+        let s = src(16, 100);
+        let sample = RankSample::all(16);
+        let prologues = |cfg: EngineConfig| {
+            nonuniform_trace(cfg, &s, &sample)
+                .steps
+                .iter()
+                .filter(|st| st.kind == StepKind::Collective)
+                .count()
+        };
+        let unfired = EngineConfig {
+            padding: PaddingRule::Threshold(1),
+            ..EngineConfig::as_two_phase()
+        };
+        assert_eq!(prologues(unfired), 1);
+        assert_eq!(prologues(EngineConfig::as_two_phase()), 1);
+        assert_eq!(prologues(EngineConfig::as_sloav()), 0);
+        assert_eq!(prologues(EngineConfig { padding: PaddingRule::Threshold(1), ..EngineConfig::as_sloav() }), 1);
+        // Fired, the rule's trace is the padded point's.
+        let fired = EngineConfig {
+            padding: PaddingRule::Threshold(100),
+            ..EngineConfig::as_two_phase()
+        };
+        assert_eq!(
+            nonuniform_trace(fired, &s, &sample),
+            nonuniform_trace(AlltoallvAlgorithm::PaddedBruck, &s, &sample)
+        );
+    }
+
+    #[test]
+    fn the_coupling_only_relabels_header_bytes() {
+        // In either layout the combined coupling routes the same payload as
+        // the split one; it moves the 4·count size array from the metadata
+        // message into the data message and announces 8 bytes instead.
+        let p = 12;
+        let s = src(p, 80);
+        let sample = RankSample::all(p);
+        for radix in [2usize, 3] {
+            for layout in [IntermediateLayout::Monolithic, IntermediateLayout::BlockViews] {
+                let point = |two_phase_split| {
+                    let cfg = EngineConfig { layout, two_phase_split, ..two_phase_radix(radix) };
+                    nonuniform_trace(cfg, &s, &sample)
+                };
+                let (split, combined) = (point(true), point(false));
+                let steps = radix_schedule(p, radix).len() as u64;
+                assert_eq!(
+                    combined.total_wire_bytes(),
+                    split.total_wire_bytes() + 8 * steps * p as u64,
+                    "radix {radix} {layout:?}"
+                );
+                let headers: u64 = (1..p)
+                    .map(|i| {
+                        let mut digits = 0u64;
+                        let mut i = i;
+                        while i > 0 {
+                            digits += u64::from(i % radix != 0);
+                            i /= radix;
+                        }
+                        4 * digits
+                    })
+                    .sum();
+                assert_eq!(
+                    data_bytes_out(&combined),
+                    data_bytes_out(&split) + headers * p as u64,
+                    "radix {radix} {layout:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn radix_two_uniform_trace_is_the_zero_rotation_trace() {
+        let p = 16;
+        let sample = RankSample::all(p);
+        let r2 = zero_rotation_radix_trace(p, 32, 2, &sample);
+        let bin = uniform_trace(AlltoallAlgorithm::ZeroRotationBruck, p, 32, &sample);
+        assert_eq!(r2, bin);
+    }
+
+    #[test]
+    fn radix_conserves_total_data_bytes() {
+        // Over all sub-steps, a block is transmitted once per non-zero digit
+        // of its offset, whatever the radix.
+        let p = 27;
+        let s = DistSource::new(Distribution::Uniform, 5, p, 80);
+        for radix in [2usize, 3, 4, 9] {
+            let t = nonuniform_trace(two_phase_radix(radix), &s, &RankSample::all(p));
+            let mut expect = 0u64;
+            for src in 0..p {
+                for dst in 0..p {
+                    let mut i = (src + p - dst) % p;
+                    let mut hops = 0u64;
+                    while i > 0 {
+                        if i % radix != 0 {
+                            hops += 1;
+                        }
+                        i /= radix;
+                    }
+                    expect += (s.size(src, dst) as u64) * hops;
+                }
+            }
+            assert_eq!(data_bytes_out(&t), expect, "radix {radix}");
+        }
+    }
+
+    #[test]
+    fn higher_radix_trades_latency_for_bandwidth() {
+        // More sub-steps (latency), less forwarded data (bandwidth).
+        let p = 4096;
+        let sample = RankSample::auto(p);
+        let at = |n: usize, radix: usize| {
+            let s = DistSource::new(Distribution::Uniform, 7, p, n);
+            nonuniform_trace(two_phase_radix(radix), &s, &sample)
+        };
+        let (t2, t8) = (at(512, 2), at(512, 8));
+        let msgs = |t: &CommTrace| t.steps.iter().filter(|s| s.kind.tag().is_some()).count();
+        assert!(msgs(&t8) > msgs(&t2), "radix 8 must have more message rounds");
+        assert!(
+            t8.total_wire_bytes() < t2.total_wire_bytes(),
+            "radix 8 must forward less data"
+        );
+        // Under a latency-heavy machine, radix 2 wins; the bandwidth saving
+        // must show up for large blocks.
+        let m = MachineModel::theta_like();
+        let (big2, big8) = (at(4096, 2).time(&m), at(4096, 8).time(&m));
+        assert!(big8 < big2, "radix 8 should win at N=4096: {big8} vs {big2}");
+        let (small2, small8) = (at(16, 2).time(&m), at(16, 8).time(&m));
+        assert!(small2 < small8, "radix 2 should win at N=16: {small2} vs {small8}");
     }
 }

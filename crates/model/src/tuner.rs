@@ -1,26 +1,28 @@
-//! Online auto-tuner: α–β closed forms over the engine's knob space, a
-//! versioned `tuning.table` persistence format, and the observe → refit →
-//! select loop that closes the paper's "more rigorous performance model"
-//! call with live [`MeteredComm`](bruck_comm)-style measurements.
+//! Online auto-tuner: a versioned `tuning.table` persistence format, the
+//! observe → refit → select loop that closes the paper's "more rigorous
+//! performance model" call with live [`MeteredComm`](bruck_comm)-style
+//! measurements, and the adaptive `alltoallv` that runs a selection at call
+//! time.
 //!
-//! ## Cost closed forms ([`predict_config`])
+//! ## One cost function
 //!
-//! Every config's predicted time is **affine in the block size**:
-//! `cost(cfg, n) = A(cfg, P) + B(cfg, P, dist) · n` — the α-like part `A`
-//! (message latencies, injection overheads, allreduce synchronizations) does
-//! not depend on `n`, and the β-like part `B` (bandwidth, memcpy, datatype
-//! engine, scaled by the distribution's density) multiplies it. Affinity is
-//! what makes tuner selection analyzable: for any two configs the winner
-//! flips at most once along the `n` axis, at
-//! `N* = (A₂ − A₁) / (B₁ − B₂)` — the §4 crossover the regression test pins.
+//! The tuner has no cost formula of its own. `observe` keys every
+//! measurement by the [`EngineConfig`] that produced it, `refit` calibrates
+//! the machine parameters through [`fit_error`] → [`predict`], and `select`
+//! ranks candidates by the same [`predict`] — the time of the config's
+//! byte-exact trace ([`crate::nonuniform_trace`]) under the current
+//! [`MachineModel`]. What is fitted is what selects, any measured config
+//! calibrates (not only the named points), and two distributions with the
+//! same mean are told apart because the trace sees the block sizes, not
+//! their average.
 //!
-//! Per knob: the Bruck radix trades steps `(r−1)·⌈log_r P⌉` (α) against
-//! forwards `⌈log_r P⌉` (β·γ); the throttle window selects `inject` vs the
-//! slightly worse `inject_unthrottled`; padding pays the sizing allreduce
-//! and ships `N`-byte slots but drops the per-step metadata; the combined
-//! coupling (`two_phase_split = false`) pays the §6.1 extra pack/unpack and
-//! per-block pointer chasing; the block-view layout pays the final scan that
-//! the monolithic layout's in-place delivery avoids.
+//! Per knob, the trace prices: the Bruck radix's trade of steps
+//! `(r−1)·⌈log_r P⌉` (α) against forwards `⌈log_r P⌉` (β, γ); the throttle
+//! window's injection class; padding's sizing allreduce, `N`-byte slots and
+//! pad/scan copies against the per-step metadata it drops; the combined
+//! coupling's (`two_phase_split = false`) extra pack pass and per-block
+//! parsing (§6.1); the block-view layout's final scan and pointer-array
+//! bookkeeping that the monolithic layout's in-place delivery avoids.
 //!
 //! ## `tuning.table` format ([`TuningTable`])
 //!
@@ -40,127 +42,18 @@
 //!
 //! ## Tuner state machine ([`AutoTuner`])
 //!
-//! `observe` (accumulate keyed measurements) → `refit` (coordinate-descend
-//! the machine parameters on the accumulated samples, [`calibrate`]) →
-//! `select` (argmin of [`predict_config`] over a candidate set) → emit a
-//! [`TuningEntry`] per key. `bruck-tune` drives this loop on EventComm and
-//! persists the result.
+//! `observe` (accumulate config-keyed measurements) → `refit`
+//! (coordinate-descend the machine parameters on the accumulated samples,
+//! [`calibrate`]) → `select` (candidates ranked by [`predict`]) → keep the
+//! winner as a [`TuningEntry`] per key. `bruck-tune` drives this loop on EventComm and
+//! persists the result. A memory budget is a filter on the candidate slice
+//! (`bruck_core::memory_overhead_bytes`), not a second selector.
 
-use bruck_core::{EngineConfig, EngineTopology, IntermediateLayout, PaddingRule};
+use bruck_comm::{CommResult, Communicator, ReduceOp};
+use bruck_core::{configurable_alltoallv, EngineConfig};
 use bruck_workload::Distribution;
 
-use crate::{calibrate, fit_error, FitSample, MachineModel, NonuniformAlgo};
-
-/// Radix-`r` schedule shape at `p` ranks: `(sub_steps, phases)` —
-/// `(r−1)·⌈log_r P⌉` communication sub-steps, `⌈log_r P⌉` forwards per block.
-fn schedule_shape(p: usize, radix: usize) -> (f64, f64) {
-    let schedule = crate::radix::radix_schedule(p, radix);
-    // Every phase opens with its digit-1 sub-step.
-    let phases = schedule.iter().filter(|&&(_, _, d)| d == 1).count();
-    (schedule.len() as f64, phases as f64)
-}
-
-/// α-cost of the sizing allreduce (recursive doubling: ~2·log₂P exchanges).
-fn allreduce_alpha(p: usize, machine: &MachineModel) -> f64 {
-    2.0 * (usize::BITS - p.next_power_of_two().leading_zeros()) as f64 * machine.alpha(p)
-}
-
-/// Predicted seconds for one engine config on one workload point.
-///
-/// Affine in `n_max` (see the module docs); `dist` contributes only
-/// its density (mean block size / `n_max`).
-pub fn predict_config(
-    cfg: &EngineConfig,
-    p: usize,
-    n_max: usize,
-    dist: Distribution,
-    machine: &MachineModel,
-) -> f64 {
-    let n = n_max as f64;
-    let pf = p as f64;
-    let density = if p == 0 { 0.0 } else { dist.mean_size(1_000_000, p) / 1_000_000.0 };
-    let mean = density * n; // mean block bytes under `dist`
-    let a = machine.alpha(p);
-
-    // Would this config pad? Threshold compares the global max block size.
-    let pads = match cfg.padding {
-        PaddingRule::Never => false,
-        PaddingRule::Always => true,
-        PaddingRule::Threshold(t) => n_max <= t,
-    };
-
-    match cfg.topology {
-        // Blocking pairwise: P − 1 synchronized exchanges, all-pairs flows.
-        EngineTopology::Oracle => (pf - 1.0) * a + (pf - 1.0) * mean * machine.beta_pair,
-
-        EngineTopology::Direct => {
-            let all_pairs = cfg.throttle_window.map_or(true, |w| w >= p.saturating_sub(1));
-            let inject = if all_pairs { machine.inject_unthrottled } else { machine.inject };
-            let (volume, fixed) = if pads {
-                // Pad → N-byte slots each way → scan.
-                let pad_scan = 2.0 * pf * n * machine.gamma;
-                ((pf - 1.0) * n, allreduce_alpha(p, machine) + pad_scan)
-            } else {
-                ((pf - 1.0) * mean, 0.0)
-            };
-            fixed + 2.0 * (pf - 1.0) * inject + volume * machine.beta_pair
-        }
-
-        EngineTopology::Bruck => {
-            let (steps, phases) = schedule_shape(p, cfg.radix);
-            if pads {
-                // Pad → uniform radix Bruck (every slot ships N bytes each
-                // forward, no metadata) → scan.
-                let volume = phases * (pf - 1.0) * n;
-                allreduce_alpha(p, machine)
-                    + steps * a
-                    + volume * machine.beta
-                    + (2.0 * pf * n + volume) * machine.gamma
-            } else {
-                // Each step exchanges a metadata message and a data message;
-                // each block is packed, shipped, and unpacked once per
-                // forward.
-                let volume = phases * (pf - 1.0) * mean;
-                let mut cost = 2.0 * steps * a
-                    + volume * machine.beta
-                    + 2.0 * volume * machine.gamma
-                    + allreduce_alpha(p, machine) * f64::from(u8::from(
-                        cfg.layout == IntermediateLayout::Monolithic,
-                    ));
-                if !cfg.two_phase_split {
-                    // Combined coupling (§6.1): sizes packed with the data —
-                    // an extra pack + unpack pass and per-block pointer
-                    // chasing on the receive side.
-                    cost += volume * machine.gamma + phases * (pf - 1.0) * machine.dt_block;
-                }
-                if cfg.layout == IntermediateLayout::BlockViews {
-                    // Two-layer layout: final scan over all P blocks plus
-                    // per-block view bookkeeping (monolithic delivers in
-                    // place).
-                    cost += pf * mean * machine.gamma + pf * machine.dt_block;
-                }
-                cost
-            }
-        }
-
-        EngineTopology::Leader { group } => {
-            let g = group.max(1).min(p) as f64;
-            let groups = (pf / g).ceil();
-            // Gather to leader, leader exchange of g²-fatter blocks, scatter.
-            2.0 * (g - 1.0) * a
-                + 2.0 * (g - 1.0) * g * mean * machine.beta
-                + 2.0 * (groups - 1.0) * machine.inject
-                + (groups - 1.0) * g * g * mean * machine.beta_pair
-        }
-
-        // Balanced two-stage: two rounds of direct exchange with a repack.
-        EngineTopology::TwoStage => {
-            2.0 * (pf - 1.0) * machine.inject
-                + 2.0 * (pf - 1.0) * mean * machine.beta
-                + 2.0 * pf * mean * machine.gamma
-        }
-    }
-}
+use crate::{calibrate, fit_error, predict, FitSample, MachineModel};
 
 /// A workload identity the tuner keys winners by.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -338,10 +231,10 @@ impl AutoTuner {
         self.samples.len()
     }
 
-    /// Record one measured `(P, n_max, algorithm) → seconds` point — e.g. a
-    /// `MeteredComm::with_key`-stamped named-config run.
-    pub fn observe(&mut self, p: usize, n: usize, algo: NonuniformAlgo, seconds: f64) {
-        self.samples.push(FitSample { p, n, algo, seconds });
+    /// Record one measured `(P, n_max, config) → seconds` point — e.g. a
+    /// `MeteredComm::with_key`-stamped run of any engine config.
+    pub fn observe(&mut self, p: usize, n: usize, config: EngineConfig, seconds: f64) {
+        self.samples.push(FitSample { p, n, config, seconds });
     }
 
     /// Coordinate-descend the machine parameters on everything observed so
@@ -353,134 +246,133 @@ impl AutoTuner {
         fit_error(&self.samples, dist, seed, &self.machine)
     }
 
-    /// The candidate with the lowest [`predict_config`] time (ties break to
-    /// the earlier candidate). Returns the winner and its predicted seconds.
+    /// The candidates ranked by [`predict`]ed seconds on the `(dist, seed,
+    /// P, n_max)` workload, cheapest first (ties keep candidate order). The
+    /// winner is `[0]`; the rest is what a loss table needs.
     ///
     /// # Panics
     /// If `candidates` is empty.
     pub fn select(
         &self,
         candidates: &[EngineConfig],
+        dist: Distribution,
+        seed: u64,
         p: usize,
         n_max: usize,
-        dist: Distribution,
-    ) -> (EngineConfig, f64) {
+    ) -> Vec<(EngineConfig, f64)> {
         assert!(!candidates.is_empty(), "select() needs at least one candidate");
-        let mut best = (candidates[0], f64::INFINITY);
-        for &cfg in candidates {
-            let t = predict_config(&cfg, p, n_max, dist, &self.machine);
-            if t < best.1 {
-                best = (cfg, t);
-            }
-        }
-        best
+        let mut ranked: Vec<(EngineConfig, f64)> = candidates
+            .iter()
+            .map(|&cfg| (cfg, predict(cfg, dist, seed, p, n_max, &self.machine)))
+            .collect();
+        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+        ranked
     }
+}
 
-    /// Select and wrap as a persistable [`TuningEntry`].
-    pub fn tune(
-        &self,
-        candidates: &[EngineConfig],
-        p: usize,
-        n_max: usize,
-        dist: Distribution,
-    ) -> TuningEntry {
-        let (config, predicted_s) = self.select(candidates, p, n_max, dist);
-        TuningEntry { key: TuningKey::for_workload(p, dist), config, predicted_s }
-    }
+/// Workload seed [`adaptive_alltoallv`] ranks its candidates on. Any fixed
+/// value works; what matters is that every rank uses the same one.
+const ADAPTIVE_SEED: u64 = 1;
+
+/// The adaptive `alltoallv` the paper's conclusion proposes ("implementations
+/// of MPI can use insights from this paper to directly optimize their
+/// MPI_Alltoallv"): measure the workload's global maximum block size with one
+/// allreduce, rank `candidates` with [`AutoTuner::select`] on the uniform
+/// workload of that `(P, N)` shape (§4.1's assumption — all a rank knows
+/// without another collective), and run the winner. Returns the config used.
+///
+/// All ranks deterministically agree on the choice (the allreduce gives every
+/// rank the same `N`, and the ranking is a pure function of it), so the
+/// collective stays well-formed.
+#[allow(clippy::too_many_arguments)]
+pub fn adaptive_alltoallv<C: Communicator + ?Sized>(
+    comm: &C,
+    tuner: &AutoTuner,
+    candidates: &[EngineConfig],
+    sendbuf: &[u8],
+    sendcounts: &[usize],
+    sdispls: &[usize],
+    recvbuf: &mut [u8],
+    recvcounts: &[usize],
+    rdispls: &[usize],
+) -> CommResult<EngineConfig> {
+    let local_max = sendcounts.iter().copied().max().unwrap_or(0);
+    let n_max = comm.allreduce_u64(local_max as u64, ReduceOp::Max)? as usize;
+    let (cfg, _) =
+        tuner.select(candidates, Distribution::Uniform, ADAPTIVE_SEED, comm.size(), n_max)[0];
+    configurable_alltoallv(
+        comm, &cfg, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
+    )?;
+    Ok(cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bruck_comm::ThreadComm;
+    use bruck_core::{memory_overhead_bytes, packed_displs, pattern, EngineTopology, PaddingRule};
+    use bruck_workload::SizeMatrix;
 
-    /// Recover the affine parts of a config's cost: `(A, B)` with
-    /// `cost(n) = A + B·n`.
-    fn affine_parts(cfg: &EngineConfig, p: usize, dist: Distribution, m: &MachineModel) -> (f64, f64) {
-        let a = predict_config(cfg, p, 0, dist, m);
-        let hi = predict_config(cfg, p, 1 << 20, dist, m);
-        (a, (hi - a) / (1u64 << 20) as f64)
-    }
+    const SEED: u64 = 7;
 
     #[test]
-    fn costs_are_affine_in_block_size() {
-        let m = MachineModel::theta_like();
-        for (cfg, _) in EngineConfig::named_points() {
-            let (a, b) = affine_parts(&cfg, 64, Distribution::Uniform, &m);
-            for n in [16usize, 1024, 65536] {
-                let want = a + b * n as f64;
-                let got = predict_config(&cfg, 64, n, Distribution::Uniform, &m);
-                assert!(
-                    (got - want).abs() <= 1e-9 * want.abs().max(1e-12),
-                    "{}: {got} vs affine {want} at n={n}",
-                    cfg.key()
-                );
-            }
+    fn select_ranks_every_candidate_by_predict() {
+        let tuner = AutoTuner::new(MachineModel::theta_like());
+        let candidates: Vec<EngineConfig> =
+            EngineConfig::named_points().iter().map(|(c, _)| *c).collect();
+        let ranked = tuner.select(&candidates, Distribution::Normal, SEED, 64, 256);
+        assert_eq!(ranked.len(), candidates.len());
+        assert!(ranked.windows(2).all(|w| w[0].1 <= w[1].1), "cheapest first");
+        for (cfg, seconds) in &ranked {
+            let want = predict(*cfg, Distribution::Normal, SEED, 64, 256, tuner.machine());
+            assert_eq!(*seconds, want, "{}", cfg.key());
         }
+        // Ties keep candidate order: the same config twice stays in place.
+        let twice = [EngineConfig::as_vendor(), EngineConfig::as_vendor()];
+        let ranked = tuner.select(&twice, Distribution::Uniform, SEED, 16, 64);
+        assert_eq!(ranked[0].1, ranked[1].1);
     }
 
     #[test]
-    fn tuner_flips_exactly_once_at_the_analytic_crossover() {
+    fn winner_flips_exactly_once_along_the_block_size_axis() {
         // Pinned fixture: the theta-like machine, P = 1024, uniform density.
         // Two-phase Bruck (low fixed cost, log-factor slope) vs spread-out
         // (huge injection fixed cost, contended but log-free slope) — the §4
-        // crossover: two-phase wins small N, spread-out wins large N.
-        let m = MachineModel::theta_like();
-        let p = 1024;
-        let dist = Distribution::Uniform;
-        let two_phase = EngineConfig::as_two_phase();
-        let spread = EngineConfig::as_spread_out();
-        let (a_tp, b_tp) = affine_parts(&two_phase, p, dist, &m);
-        let (a_so, b_so) = affine_parts(&spread, p, dist, &m);
-        assert!(a_tp < a_so, "two-phase must have the lower fixed cost");
-        assert!(b_tp > b_so, "spread-out must have the shallower slope at P=1024");
-        let n_star = (a_so - a_tp) / (b_tp - b_so);
-        assert!(n_star > 16.0 && n_star < 4e6, "crossover out of range: {n_star}");
-
-        let tuner = AutoTuner::new(m);
-        let candidates = [two_phase, spread];
-        let mut flips = 0;
-        let mut prev: Option<EngineConfig> = None;
-        // Geometric grid spanning the crossover.
-        for e in 0..40 {
-            let n = (4.0 * 1.5f64.powi(e)) as usize;
-            let (winner, _) = tuner.select(&candidates, p, n, dist);
-            // The selection must agree with the analytic line on each side.
-            if (n as f64) < n_star * 0.99 {
-                assert_eq!(winner, two_phase, "n={n} < N*={n_star:.0}");
-            } else if (n as f64) > n_star * 1.01 {
-                assert_eq!(winner, spread, "n={n} > N*={n_star:.0}");
-            }
-            if prev.is_some_and(|w| w != winner) {
-                flips += 1;
-            }
-            prev = Some(winner);
-        }
+        // crossover: two-phase wins small N, spread-out wins large N, and
+        // the winner changes hands once in between.
+        let tuner = AutoTuner::new(MachineModel::theta_like());
+        let candidates = [EngineConfig::as_two_phase(), EngineConfig::as_spread_out()];
+        let winners: Vec<EngineConfig> = (0..24)
+            .map(|e| {
+                let n = (4.0 * 1.8f64.powi(e)) as usize;
+                tuner.select(&candidates, Distribution::Uniform, SEED, 1024, n)[0].0
+            })
+            .collect();
+        assert_eq!(winners[0], candidates[0], "two-phase must win at N = 4");
+        assert_eq!(*winners.last().unwrap(), candidates[1], "spread-out must win at huge N");
+        let flips = winners.windows(2).filter(|w| w[0] != w[1]).count();
         assert_eq!(flips, 1, "winner must flip exactly once across the N grid");
     }
 
     #[test]
     fn refit_improves_selection_inputs() {
         // Synthesize measurements from cori on a theta-started tuner: refit
-        // must shrink the log error.
+        // must shrink the log error. An off-point config calibrates like any
+        // named one.
         let truth = MachineModel::cori_like();
         let mut tuner = AutoTuner::new(MachineModel::theta_like());
         let dist = Distribution::Uniform;
+        let radix4 = EngineConfig { radix: 4, ..EngineConfig::as_two_phase() };
         for p in [64usize, 256] {
             for n in [32usize, 512, 4096] {
-                for algo in [NonuniformAlgo::Vendor, NonuniformAlgo::TwoPhaseBruck] {
-                    tuner.observe(p, n, algo, crate::predict(algo, dist, 7, p, n, &truth));
+                for cfg in [EngineConfig::as_vendor(), EngineConfig::as_two_phase(), radix4] {
+                    tuner.observe(p, n, cfg, predict(cfg, dist, SEED, p, n, &truth));
                 }
             }
         }
-        let before = fit_error(
-            &(0..tuner.observations())
-                .map(|i| tuner.samples[i])
-                .collect::<Vec<_>>(),
-            dist,
-            7,
-            &MachineModel::theta_like(),
-        );
-        let after = tuner.refit(dist, 7, 20);
+        assert_eq!(tuner.observations(), 18);
+        let before = fit_error(&tuner.samples, dist, SEED, &MachineModel::theta_like());
+        let after = tuner.refit(dist, SEED, 20);
         assert!(after < before, "refit must improve: {before} → {after}");
     }
 
@@ -570,51 +462,120 @@ mod tests {
     #[test]
     fn padding_threshold_switches_the_direct_cost_regime() {
         let m = MachineModel::theta_like();
+        let dist = Distribution::POWER_LAW_STEEP;
+        let cost = |cfg: EngineConfig, n: usize| predict(cfg, dist, SEED, 64, n, &m);
         let cfg = EngineConfig {
             padding: PaddingRule::Threshold(256),
             ..EngineConfig::as_vendor()
         };
-        let below = predict_config(&cfg, 64, 128, Distribution::POWER_LAW_STEEP, &m);
-        let unpadded = predict_config(
-            &EngineConfig::as_vendor(),
-            64,
-            128,
-            Distribution::POWER_LAW_STEEP,
-            &m,
-        );
         // Below the threshold the config pads: sparse power-law traffic
-        // shipped as full slots plus an allreduce must cost more.
-        assert!(below > unpadded);
-        // Above the threshold the rule is inert: identical to never-pad.
-        let above = predict_config(&cfg, 64, 4096, Distribution::POWER_LAW_STEEP, &m);
-        let never = predict_config(
-            &EngineConfig::as_vendor(),
-            64,
-            4096,
-            Distribution::POWER_LAW_STEEP,
-            &m,
-        );
-        assert!((above - never).abs() < 1e-15);
+        // shipped as full slots plus an allreduce must cost more — exactly
+        // what the always-padded point costs.
+        assert!(cost(cfg, 128) > cost(EngineConfig::as_vendor(), 128));
+        assert_eq!(cost(cfg, 128), cost(EngineConfig::as_padded_alltoall(), 128));
+        // Above it the rule only costs its sizing allreduce.
+        let above = cost(cfg, 4096) - cost(EngineConfig::as_vendor(), 4096);
+        assert!(above > 0.0 && above < 20.0 * m.alpha(64), "one allreduce, got {above}");
     }
 
     #[test]
-    fn radix_trades_alpha_for_beta() {
-        let m = MachineModel::theta_like();
-        let p = 4096;
-        let dist = Distribution::Uniform;
-        let r2 = EngineConfig::as_two_phase();
-        let r8 = EngineConfig { radix: 8, ..r2 };
-        // Radix 8 has more sub-steps (7·log₈P = 28 vs 12) but fewer
-        // forwards per block (4 vs 12): at tiny N the α term dominates and
-        // radix 2 wins; at huge N the forward volume dominates and radix 8
-        // wins.
-        assert!(
-            predict_config(&r2, p, 8, dist, &m) < predict_config(&r8, p, 8, dist, &m),
-            "radix 2 must win at tiny N"
-        );
-        assert!(
-            predict_config(&r8, p, 1 << 20, dist, &m) < predict_config(&r2, p, 1 << 20, dist, &m),
-            "radix 8 must win at huge N"
-        );
+    fn a_memory_budget_is_a_filter_on_the_candidate_slice() {
+        let tuner = AutoTuner::new(MachineModel::theta_like());
+        let candidates = [
+            EngineConfig::as_padded_bruck(),
+            EngineConfig::as_two_phase(),
+            EngineConfig::as_spread_out(),
+        ];
+        let (p, n) = (1024, 8);
+        let totals = p * n / 2;
+        let within = |budget: usize| -> Vec<EngineConfig> {
+            candidates
+                .iter()
+                .copied()
+                .filter(|&c| memory_overhead_bytes(c, p, n, totals, totals) <= budget)
+                .collect()
+        };
+        let winner = |budget: usize| {
+            tuner.select(&within(budget), Distribution::Uniform, SEED, p, n)[0].0
+        };
+        // Unlimited budget in the tiny-N regime: a Bruck variant wins.
+        assert_eq!(winner(usize::MAX).topology, EngineTopology::Bruck);
+        // Zero budget: only spread-out fits (it needs no auxiliary memory,
+        // so the filter never empties).
+        assert_eq!(within(0), [EngineConfig::as_spread_out()]);
+        assert_eq!(winner(0), EngineConfig::as_spread_out());
+        // A budget that fits two-phase but not padded.
+        let two_phase_need =
+            memory_overhead_bytes(EngineConfig::as_two_phase(), p, n, totals, totals);
+        assert_eq!(within(two_phase_need).len(), 2);
+        assert_eq!(winner(two_phase_need), EngineConfig::as_two_phase());
+    }
+
+    /// Run [`adaptive_alltoallv`] on every rank of `m`, check the delivered
+    /// bytes, and return the (unanimous) config it picked.
+    fn run_adaptive(m: &SizeMatrix, candidates: &[EngineConfig]) -> EngineConfig {
+        let tuner = AutoTuner::new(MachineModel::theta_like());
+        let p = m.p();
+        let chosen = ThreadComm::run(p, |comm| {
+            let me = comm.rank();
+            let sendcounts = m.sendcounts(me);
+            let sdispls = packed_displs(&sendcounts);
+            let mut sendbuf = vec![0u8; sendcounts.iter().sum()];
+            for dst in 0..p {
+                for idx in 0..sendcounts[dst] {
+                    sendbuf[sdispls[dst] + idx] = pattern(me, dst, idx);
+                }
+            }
+            let recvcounts = m.recvcounts(me);
+            let rdispls = packed_displs(&recvcounts);
+            let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
+            let cfg = adaptive_alltoallv(
+                comm, &tuner, candidates, &sendbuf, &sendcounts, &sdispls, &mut recvbuf,
+                &recvcounts, &rdispls,
+            )
+            .unwrap();
+            for src in 0..p {
+                for idx in 0..recvcounts[src] {
+                    assert_eq!(recvbuf[rdispls[src] + idx], pattern(src, me, idx));
+                }
+            }
+            cfg
+        });
+        assert!(chosen.windows(2).all(|w| w[0] == w[1]), "every rank must pick the same config");
+        chosen[0]
+    }
+
+    #[test]
+    fn adaptive_runs_the_selected_config_and_stays_correct() {
+        let candidates = [
+            EngineConfig::as_vendor(),
+            EngineConfig::as_padded_bruck(),
+            EngineConfig::as_two_phase(),
+        ];
+        let tuner = AutoTuner::new(MachineModel::theta_like());
+        for m in [
+            SizeMatrix::uniform(64, 4),
+            SizeMatrix::uniform(64, 512),
+            SizeMatrix::generate(Distribution::Uniform, 1, 8, 512),
+        ] {
+            let (p, n_max) = (m.p(), m.global_max());
+            let ranked = tuner.select(&candidates, Distribution::Uniform, ADAPTIVE_SEED, p, n_max);
+            assert_eq!(run_adaptive(&m, &candidates), ranked[0].0, "P={p} N={n_max}");
+        }
+        // Tiny blocks at a P where log P ≪ P are Bruck territory.
+        let tiny = run_adaptive(&SizeMatrix::uniform(64, 4), &candidates);
+        assert_eq!(tiny.topology, EngineTopology::Bruck);
+    }
+
+    #[test]
+    fn adaptive_ranks_agree_under_skew() {
+        // Only one rank holds the large block; the allreduce must still give
+        // a unanimous selection (asserted by `run_adaptive`), made for the
+        // global maximum rather than anyone's local one.
+        let mut rows = vec![vec![2usize; 6]; 6];
+        rows[3][1] = 1 << 16;
+        let candidates = [EngineConfig::as_padded_bruck(), EngineConfig::as_two_phase()];
+        let picked = run_adaptive(&SizeMatrix::from_rows(rows), &candidates);
+        assert_eq!(picked, EngineConfig::as_two_phase(), "N = 64 KiB is far past inequality (3)");
     }
 }

@@ -94,59 +94,117 @@ impl Distribution {
     /// `p`-rank communicator and maximum block size `n_max`.
     ///
     /// Pure and O(1) in `(seed, src, dst)` (amortized O(1) for `Normal`'s
-    /// rejection loop), deterministic across platforms.
+    /// rejection loop), deterministic across platforms. Many queries against
+    /// one `src` are cheaper through [`Distribution::row`].
     pub fn block_size(&self, seed: u64, src: usize, dst: usize, p: usize, n_max: usize) -> usize {
-        debug_assert!(src < p && dst < p);
-        match *self {
-            Distribution::Uniform => {
-                let u = unit_f64(mix3(seed, src as u64, dst as u64));
-                (u * n_max as f64).round() as usize
-            }
-            Distribution::Windowed { r } => {
-                let r = r.min(100);
-                let lo = (n_max as f64 * (100 - r) as f64 / 100.0).round();
-                let u = unit_f64(mix3(seed, src as u64, dst as u64));
-                (lo + u * (n_max as f64 - lo)).round() as usize
-            }
-            Distribution::Normal => {
-                let mean = n_max as f64 / 2.0;
-                let sigma = n_max as f64 / 6.0;
-                let mut ctr = 0u64;
-                loop {
-                    let x1 = mix3(seed ^ ctr.wrapping_mul(0xA24B_AED4_963E_E407), src as u64, dst as u64);
-                    let x2 = splitmix64(x1);
-                    let z = box_muller(unit_open_f64(x1), unit_f64(x2));
-                    if z.abs() <= 3.0 {
-                        return (mean + sigma * z).round().clamp(0.0, n_max as f64) as usize;
-                    }
-                    ctr += 1;
-                }
-            }
-            Distribution::Hotspot { spacing, damping } => {
-                let u = unit_f64(mix3(seed, src as u64, dst as u64));
-                if dst as u32 % spacing.max(1) == 0 {
-                    (u * n_max as f64).round() as usize
-                } else {
-                    (u * n_max as f64 / f64::from(damping.max(1))).round() as usize
-                }
-            }
+        self.row(seed, src, p, n_max).size(dst)
+    }
+
+    /// Rank `src`'s row of the keyed size function, with everything that
+    /// depends only on `(seed, src)` — the row hash, the power-law
+    /// permutation — computed once: `row.size(dst)` is
+    /// [`Distribution::block_size`].
+    pub fn row(&self, seed: u64, src: usize, p: usize, n_max: usize) -> SizeRow {
+        debug_assert!(src < p);
+        let (affine, zero_from) = match *self {
             Distribution::PowerLaw { base } => {
                 assert!(base > 0.0 && base < 1.0, "power-law base must be in (0, 1)");
                 // Keyed pseudorandom permutation of destinations onto decay
                 // positions: an affine bijection j = (a·dst + b) mod p with
                 // gcd(a, p) = 1.
                 let h = splitmix64(seed ^ (src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let (a, b) = affine_coeffs(h, p);
-                let j = (a * dst + b) % p;
-                (n_max as f64 * base.powi(j as i32)).round() as usize
+                // N·baseʲ < ½ rounds to zero from j = ln(2N) / −ln(base) on;
+                // two positions of margin (a factor base² ≪ 1 − ulp) make
+                // skipping `powi` there exact.
+                let zero_from = ((2.0 * n_max as f64).ln() / -base.ln()).ceil() as usize + 2;
+                (affine_coeffs(h, p), zero_from)
             }
+            _ => ((0, 0), 0),
+        };
+        SizeRow {
+            dist: *self,
+            seed,
+            src: src as u64,
+            key: row_key(seed, src as u64),
+            p,
+            n_max,
+            affine,
+            zero_from,
         }
     }
 
     /// Sample one rank's row of `p` destination block sizes with maximum
     /// `n_max`: `row[dst] = block_size(seed, rank, dst, p, n_max)`.
     pub fn sample_row(&self, seed: u64, rank: usize, p: usize, n_max: usize) -> Vec<usize> {
-        (0..p).map(|dst| self.block_size(seed, rank, dst, p, n_max)).collect()
+        let row = self.row(seed, rank, p, n_max);
+        (0..p).map(|dst| row.size(dst)).collect()
+    }
+}
+
+/// One rank's row of a [`Distribution`]'s keyed size function — see
+/// [`Distribution::row`].
+#[derive(Debug, Clone, Copy)]
+pub struct SizeRow {
+    dist: Distribution,
+    seed: u64,
+    src: u64,
+    /// `(seed, src)` mixed: the row half of the `(seed, src, dst)` hash.
+    key: u64,
+    p: usize,
+    n_max: usize,
+    /// Power-law only: the permutation `j = (a·dst + b) mod p`.
+    affine: (usize, usize),
+    /// Power-law only: decay positions from here on round to zero bytes.
+    zero_from: usize,
+}
+
+impl SizeRow {
+    /// Bytes this row's rank sends to rank `dst`.
+    pub fn size(&self, dst: usize) -> usize {
+        debug_assert!(dst < self.p);
+        let n = self.n_max as f64;
+        let unit = || unit_f64(mix_dst(self.key, dst as u64));
+        match self.dist {
+            Distribution::Uniform => (unit() * n).round() as usize,
+            Distribution::Windowed { r } => {
+                let lo = (n * (100 - r.min(100)) as f64 / 100.0).round();
+                (lo + unit() * (n - lo)).round() as usize
+            }
+            Distribution::Normal => {
+                let (mean, sigma) = (n / 2.0, n / 6.0);
+                let mut ctr = 0u64;
+                loop {
+                    // Out-of-window draws re-key the whole hash with a counter.
+                    let x1 = if ctr == 0 {
+                        mix_dst(self.key, dst as u64)
+                    } else {
+                        let seed = self.seed ^ ctr.wrapping_mul(0xA24B_AED4_963E_E407);
+                        mix_dst(row_key(seed, self.src), dst as u64)
+                    };
+                    let z = box_muller(unit_open_f64(x1), unit_f64(splitmix64(x1)));
+                    if z.abs() <= 3.0 {
+                        return (mean + sigma * z).round().clamp(0.0, n) as usize;
+                    }
+                    ctr += 1;
+                }
+            }
+            Distribution::Hotspot { spacing, damping } => {
+                if dst as u32 % spacing.max(1) == 0 {
+                    (unit() * n).round() as usize
+                } else {
+                    (unit() * n / f64::from(damping.max(1))).round() as usize
+                }
+            }
+            Distribution::PowerLaw { base } => {
+                let (a, b) = self.affine;
+                let j = (a * dst + b) % self.p;
+                if j >= self.zero_from {
+                    0
+                } else {
+                    (n * base.powi(j as i32)).round() as usize
+                }
+            }
+        }
     }
 }
 
@@ -187,10 +245,16 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
 
 use crate::rng::splitmix64;
 
-/// Mix three values into one well-distributed u64.
+/// The row half of the `(seed, src, dst)` hash…
 #[inline]
-fn mix3(seed: u64, a: u64, b: u64) -> u64 {
-    splitmix64(splitmix64(seed ^ a.wrapping_mul(0xD6E8_FEB8_6659_FD93)) ^ b.wrapping_mul(0xCA5A_8268_5916_3693))
+fn row_key(seed: u64, src: u64) -> u64 {
+    splitmix64(seed ^ src.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+}
+
+/// …and the destination half: together one well-distributed u64 per block.
+#[inline]
+fn mix_dst(row_key: u64, dst: u64) -> u64 {
+    splitmix64(row_key ^ dst.wrapping_mul(0xCA5A_8268_5916_3693))
 }
 
 /// Map a u64 to [0, 1].
@@ -270,13 +334,16 @@ mod tests {
 
     #[test]
     fn power_law_is_permuted_geometric_decay() {
-        let p = 512;
-        let row = Distribution::POWER_LAW_STEEP.sample_row(9, 2, p, 1024);
-        let mut sorted = row.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let expect: Vec<usize> =
-            (0..p).map(|j| (1024.0 * 0.99f64.powi(j as i32)).round() as usize).collect();
-        assert_eq!(sorted, expect);
+        // P well past the position where blocks round to zero bytes, so the
+        // row's skip of `powi` there is held to the formula too.
+        for (base, p, n) in [(0.99f64, 512usize, 1024usize), (0.99, 4096, 1024), (0.999, 20_000, 7), (0.5, 64, 0)] {
+            let row = Distribution::PowerLaw { base }.sample_row(9, 2, p, n);
+            let mut sorted = row.clone();
+            sorted.sort_unstable_by(|a, b| b.cmp(a));
+            let expect: Vec<usize> =
+                (0..p).map(|j| (n as f64 * base.powi(j as i32)).round() as usize).collect();
+            assert_eq!(sorted, expect, "base {base} p {p} n {n}");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ mod matrix;
 mod rng;
 mod stats;
 
-pub use distribution::{rank_block_sizes, Distribution};
+pub use distribution::{rank_block_sizes, Distribution, SizeRow};
 pub use matrix::SizeMatrix;
 pub use rng::{splitmix64, SplitMix64};
 pub use stats::{histogram, DistStats};

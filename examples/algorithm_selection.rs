@@ -1,46 +1,61 @@
-//! Algorithm selection: use the paper's §3.3 performance model (and the
-//! trace-based machine model) to answer its own motivating question —
-//! "with P = 350 and N = 800, should one use two-phase Bruck, padded Bruck,
-//! or the vendor's MPI_Alltoallv?" — then run the winner for real.
+//! Algorithm selection: use the one cost model — `predict`, the time of a
+//! config's byte-exact trace on a machine model — to answer the paper's own
+//! motivating question: "with P = 350 and N = 800, should one use two-phase
+//! Bruck, padded Bruck, or the vendor's MPI_Alltoallv?" — then let
+//! `adaptive_alltoallv` make and run the selection for real.
 //!
 //! Run with: `cargo run --release --example algorithm_selection`
 
 use bruck_comm::{Communicator, ThreadComm};
-use bruck_core::{alltoallv, packed_displs, select_algorithm, AlltoallvAlgorithm, CostParams};
-use bruck_model::{predict, MachineModel, NonuniformAlgo};
+use bruck_core::{memory_overhead_bytes, packed_displs, EngineConfig};
+use bruck_model::{
+    adaptive_alltoallv, padded_beats_two_phase, AutoTuner, MachineModel,
+};
 use bruck_workload::{Distribution, SizeMatrix};
 
 fn main() {
-    let params = CostParams::default();
+    let tuner = AutoTuner::new(MachineModel::theta_like());
+    let candidates =
+        [EngineConfig::as_vendor(), EngineConfig::as_padded_bruck(), EngineConfig::as_two_phase()];
 
-    println!("§3.3 closed-form selection (α = {:.1e}s, β = {:.1e}s/B):", params.alpha, params.beta);
-    for (p, n) in [(350usize, 800usize), (1024, 16), (1024, 64), (4096, 256), (32768, 4096)] {
-        let choice = select_algorithm(p, n, &params);
-        println!("  P = {p:>6}, N = {n:>5} → {}", choice.name());
+    println!("Trace-model selection on the Theta-like machine (uniform workload):");
+    for (p, n) in [(350usize, 800usize), (1024, 16), (1024, 64), (4096, 256), (4096, 4096)] {
+        let ranked = tuner.select(&candidates, Distribution::Uniform, 1, p, n);
+        let (winner, seconds) = ranked[0];
+        let (runner_up, next) = ranked[1];
+        println!(
+            "  P = {p:>5}, N = {n:>5} → {} ({:.3} ms; runner-up {} loses {:.0} %; \
+             §3.3 inequality (3) says padded beats two-phase: {})",
+            winner.key(),
+            seconds * 1e3,
+            runner_up.key(),
+            100.0 * (next - seconds) / seconds,
+            padded_beats_two_phase(p, n, tuner.machine()),
+        );
     }
 
-    println!("\nTrace-model selection on the Theta-like machine:");
-    let theta = MachineModel::theta_like();
-    for (p, n) in [(350usize, 800usize), (4096, 256), (4096, 4096)] {
-        let mut best = (f64::INFINITY, NonuniformAlgo::Vendor);
-        for algo in
-            [NonuniformAlgo::Vendor, NonuniformAlgo::PaddedBruck, NonuniformAlgo::TwoPhaseBruck]
-        {
-            let t = predict(algo, Distribution::Uniform, 1, p, n, &theta);
-            if t < best.0 {
-                best = (t, algo);
-            }
-        }
-        println!("  P = {p:>6}, N = {n:>5} → {} ({:.3} ms)", best.1.name(), best.0 * 1e3);
-    }
+    // A memory budget is a filter on the candidate slice, not another
+    // selector: at N = 8 padded Bruck wins on time but needs two padded
+    // images; a budget that only fits the two-phase working buffer keeps it
+    // out of the ranking.
+    let (p, n) = (1024, 8);
+    let totals = p * n / 2;
+    let budget = memory_overhead_bytes(EngineConfig::as_two_phase(), p, n, totals, totals);
+    let affordable: Vec<EngineConfig> = candidates
+        .iter()
+        .copied()
+        .filter(|&c| memory_overhead_bytes(c, p, n, totals, totals) <= budget)
+        .collect();
+    let free = tuner.select(&candidates, Distribution::Uniform, 1, p, n)[0].0;
+    let tight = tuner.select(&affordable, Distribution::Uniform, 1, p, n)[0].0;
+    println!("\nP = {p}, N = {n}: unlimited memory → {}; {budget} B budget → {}", free.key(), tight.key());
 
-    // Run the selected algorithm for real at a thread-feasible scale.
-    let p = 16;
-    let n = 64;
-    let selected = select_algorithm(p, n, &params);
-    println!("\nRunning the selected algorithm ({}) for real at P = {p}, N = {n}:", selected.name());
+    // Run the selection for real at a thread-feasible scale: one allreduce
+    // finds N, every rank ranks the candidates identically, the winner runs.
+    let (p, n) = (16, 64);
+    println!("\nRunning adaptive_alltoallv for real at P = {p}, N ≤ {n}:");
     let m = SizeMatrix::generate(Distribution::Uniform, 9, p, n);
-    let ok = ThreadComm::run(p, |comm| {
+    let picked = ThreadComm::run(p, |comm| {
         let me = comm.rank();
         let sendcounts = m.sendcounts(me);
         let sdispls = packed_displs(&sendcounts);
@@ -48,15 +63,22 @@ fn main() {
         let recvcounts = comm.alltoall_counts(&sendcounts).unwrap();
         let rdispls = packed_displs(&recvcounts);
         let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-        alltoallv(selected, comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls)
-            .unwrap();
-        (0..p).all(|src| {
+        let cfg = adaptive_alltoallv(
+            comm, &tuner, &candidates, &sendbuf, &sendcounts, &sdispls, &mut recvbuf,
+            &recvcounts, &rdispls,
+        )
+        .unwrap();
+        let ok = (0..p).all(|src| {
             recvbuf[rdispls[src]..rdispls[src] + recvcounts[src]].iter().all(|&b| b == src as u8)
-        })
+        });
+        assert!(ok, "exchange verification failed on rank {me}");
+        cfg
     });
-    assert!(ok.iter().all(|&b| b), "exchange verification failed");
-    println!("verified on all {p} ranks ✓");
+    assert!(picked.windows(2).all(|w| w[0] == w[1]), "ranks must agree on the config");
+    println!("  every rank picked {} — verified on all {p} ranks ✓", picked[0].key());
 
-    // Sanity: the selection degrades gracefully — vendor wins for huge N.
-    assert_eq!(select_algorithm(4096, 1 << 22, &params), AlltoallvAlgorithm::SpreadOut);
+    // Sanity: the selection degrades gracefully — the pairwise path wins for
+    // huge blocks at scale.
+    let huge = tuner.select(&candidates, Distribution::Uniform, 1, 4096, 1 << 16)[0].0;
+    assert_eq!(huge, EngineConfig::as_vendor());
 }

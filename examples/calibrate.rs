@@ -9,15 +9,15 @@
 
 use bruck_bench::time_alltoallv;
 use bruck_core::AlltoallvAlgorithm;
-use bruck_model::{calibrate, fit_error, FitSample, MachineModel, NonuniformAlgo};
+use bruck_model::{calibrate, fit_error, predict, FitSample, MachineModel};
 use bruck_workload::{Distribution, SizeMatrix};
 
 fn main() {
     const SEED: u64 = 7;
-    let pairs = [
-        (AlltoallvAlgorithm::Vendor, NonuniformAlgo::Vendor),
-        (AlltoallvAlgorithm::TwoPhaseBruck, NonuniformAlgo::TwoPhaseBruck),
-        (AlltoallvAlgorithm::PaddedBruck, NonuniformAlgo::PaddedBruck),
+    let algos = [
+        AlltoallvAlgorithm::Vendor,
+        AlltoallvAlgorithm::TwoPhaseBruck,
+        AlltoallvAlgorithm::PaddedBruck,
     ];
 
     println!("measuring real threaded all-to-alls (median of 10 iterations each)...");
@@ -25,9 +25,10 @@ fn main() {
     for p in [8usize, 16, 32] {
         for n in [32usize, 256, 2048] {
             let m = SizeMatrix::generate(Distribution::Uniform, SEED, p, n);
-            for (real, model) in pairs {
-                let seconds = time_alltoallv(real, &m, 10);
-                samples.push(FitSample { p, n, algo: model, seconds });
+            for algo in algos {
+                // The sample is keyed by the engine config that was measured.
+                let seconds = time_alltoallv(algo, &m, 10);
+                samples.push(FitSample { p, n, config: algo.into(), seconds });
             }
         }
     }
@@ -48,12 +49,12 @@ fn main() {
 
     println!("\nper-sample residuals (predicted / measured):");
     for s in &samples {
-        let pred = bruck_model::predict(s.algo, Distribution::Uniform, SEED, s.p, s.n, &fitted);
+        let pred = predict(s.config, Distribution::Uniform, SEED, s.p, s.n, &fitted);
         println!(
-            "  P={:>3} N={:>5} {:<16} measured {:>9.1} µs, predicted {:>9.1} µs ({:>5.2}x)",
+            "  P={:>3} N={:>5} {:<46} measured {:>9.1} µs, predicted {:>9.1} µs ({:>5.2}x)",
             s.p,
             s.n,
-            s.algo.name(),
+            s.config.key(),
             s.seconds * 1e6,
             pred * 1e6,
             pred / s.seconds

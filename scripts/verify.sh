@@ -30,7 +30,12 @@ stage test cargo test --workspace -q
 stage docs env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Observability conformance gate (DESIGN.md §10): every algorithm × workload
 # cell under MeteredComm must match the closed-form model's phase counts,
-# message counts, and byte volumes.
+# message counts, and byte volumes. Its message/byte comparator
+# (tests/common/, with the two negative fixtures that prove it can fail) is
+# the only one in the workspace: trace_validation, radix_validation,
+# engine_equivalence, engine_properties and collectives_gauntlet bring their
+# cells to it in the `test` stage above — the last one holds every randomly
+# drawn EngineConfig to its own trace, per tag.
 stage conformance cargo test --release -q --test conformance
 # Collective-family gate (DESIGN.md §16): the differential gauntlet — every
 # allgatherv / reduce_scatter / allreduce schedule vs the naive reference,
@@ -95,8 +100,9 @@ stage scale-smoke cargo run --release -p bruck-bench --bin bruck-scale -- --smok
 # Auto-tuner gate (DESIGN.md §15): the configurable engine's candidate set on
 # EventComm (the one engine entry point, `configurable_alltoallv`, inside the
 # measurement),
-# wall clocks fed through the observe -> refit -> select state machine, each
-# cell compared to the committed BENCH_PR9.json with the same advisory/fatal
-# bars as bruck-scale. The committed artifact and tuning table regenerate with:
+# every wall clock fed through the observe -> refit -> select state machine
+# (observations == measured cells), each selection printed as a loss table,
+# each cell compared to the committed BENCH_PR9.json with the same
+# advisory/fatal bars as bruck-scale. The committed artifact and tuning table regenerate with:
 #   cargo run --release -p bruck-bench --bin bruck-tune -- --smoke --out BENCH_PR9.json --table tuning.table
 stage tune-smoke cargo run --release -p bruck-bench --bin bruck-tune -- --smoke --check-against BENCH_PR9.json

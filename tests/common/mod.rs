@@ -1,0 +1,184 @@
+//! The one "metered == trace" comparator, shared by every suite that holds a
+//! real run under [`MeteredComm`] to a `bruck-model` trace, plus the metered
+//! runner the byte-exactness suites drive it with.
+//!
+//! [`conformance_violations`] is a pure function returning violation strings,
+//! so the negative fixtures in `conformance.rs` and `collectives_gauntlet.rs`
+//! exercise the exact code path the positive cells assert empty.
+
+#![allow(dead_code)] // each test crate uses its own subset
+
+use bruck_comm::{Communicator, MeteredComm, Metrics, ThreadComm, RESERVED_TAG_BASE};
+use bruck_core::probe::PhaseEvent;
+use bruck_core::{configurable_alltoallv, packed_displs, EngineConfig, EngineTopology};
+use bruck_model::{nonuniform_trace, CommTrace, MatrixSource, RankSample};
+use bruck_workload::SizeMatrix;
+
+/// How one rank's metered counters are held to a trace.
+#[derive(Clone, Copy)]
+pub enum Rule {
+    /// Messages and bytes per tag must equal the prediction.
+    Exact,
+    /// Messages exact; |measured − predicted| bytes ≤ `quantum` × predicted
+    /// messages: padding may shift volume by up to one pad quantum per
+    /// message, never more.
+    Quantum(u64),
+    /// Bytes exact per tag, message counts not compared — the one named
+    /// exception: the hierarchical and Ranka traces fold a fan-out round
+    /// (`g − 1` scatter sends, `P − 1` piece sends) into a single modelled
+    /// load, so their per-tag message counts are not the wire's.
+    AggregatedFanOut,
+}
+
+impl Rule {
+    /// The strictest rule `cfg`'s trace supports.
+    pub fn for_config(cfg: &EngineConfig) -> Rule {
+        match cfg.topology {
+            EngineTopology::Leader { .. } | EngineTopology::TwoStage => Rule::AggregatedFanOut,
+            EngineTopology::Oracle | EngineTopology::Direct | EngineTopology::Bruck => Rule::Exact,
+        }
+    }
+
+    fn msgs_hold(self, got: u64, want: u64) -> bool {
+        matches!(self, Rule::AggregatedFanOut) || got == want
+    }
+
+    fn bytes_hold(self, got: u64, want_bytes: u64, want_msgs: u64) -> bool {
+        match self {
+            Rule::Exact | Rule::AggregatedFanOut => got == want_bytes,
+            Rule::Quantum(q) => got.abs_diff(want_bytes) <= q * want_msgs,
+        }
+    }
+}
+
+/// Compare one rank's metered counters against the model trace: messages and
+/// bytes per wire tag, no logical traffic on a tag the trace does not model,
+/// and channel totals fully explained. Returns one violation string per
+/// mismatch; empty = conformant.
+pub fn conformance_violations(
+    rank: usize,
+    metrics: &Metrics,
+    trace: &CommTrace,
+    rule: Rule,
+) -> Vec<String> {
+    let mut v = metrics.consistency_errors();
+    let wire_tags = trace.wire_tags();
+    let mut predicted_msgs = 0u64;
+    let mut predicted_bytes = 0u64;
+    for &tag in &wire_tags {
+        let Some(want_msgs) = trace.msgs_for_tag(rank, tag) else {
+            v.push(format!("rank {rank}: trace does not cover rank for tag {tag:#x}"));
+            continue;
+        };
+        let want_bytes = trace.bytes_for_tag(rank, tag).unwrap_or(0);
+        predicted_msgs += want_msgs;
+        predicted_bytes += want_bytes;
+        let got = metrics.sent_for_tag(tag);
+        if !rule.msgs_hold(got.msgs, want_msgs) {
+            v.push(format!(
+                "rank {rank} tag {tag:#x}: sent {} messages, model predicts {want_msgs}",
+                got.msgs
+            ));
+        }
+        if !rule.bytes_hold(got.bytes, want_bytes, want_msgs) {
+            v.push(format!(
+                "rank {rank} tag {tag:#x}: sent {} bytes, model predicts {want_bytes} \
+                 (outside tolerance)",
+                got.bytes
+            ));
+        }
+    }
+    for (&tag, sent) in &metrics.per_tag_sent {
+        if tag < RESERVED_TAG_BASE && sent.msgs > 0 && !wire_tags.contains(&tag) {
+            v.push(format!("rank {rank}: sent {} messages on unmodelled tag {tag:#x}", sent.msgs));
+        }
+    }
+    // Channel totals must be fully explained by the trace.
+    if !rule.msgs_hold(metrics.logical.sent_msgs, predicted_msgs) {
+        v.push(format!(
+            "rank {rank}: {} logical messages total, model explains {predicted_msgs}",
+            metrics.logical.sent_msgs
+        ));
+    }
+    if !rule.bytes_hold(metrics.logical.sent_bytes, predicted_bytes, predicted_msgs) {
+        v.push(format!(
+            "rank {rank}: {} logical bytes total, model explains {predicted_bytes} \
+             (outside tolerance)",
+            metrics.logical.sent_bytes
+        ));
+    }
+    v
+}
+
+/// Assert every rank of a metered run conforms to `trace` under `rule`.
+pub fn assert_conforms<'a>(
+    label: &str,
+    metrics: impl IntoIterator<Item = &'a Metrics>,
+    trace: &CommTrace,
+    rule: Rule,
+) {
+    for (rank, mm) in metrics.into_iter().enumerate() {
+        let v = conformance_violations(rank, mm, trace, rule);
+        assert!(v.is_empty(), "{label} rank {rank}:\n{}", v.join("\n"));
+    }
+}
+
+/// Hold a metered run of `cfg` on `m` to `cfg`'s own trace under the
+/// strictest rule that trace supports.
+pub fn assert_config_conforms<'a>(
+    cfg: &EngineConfig,
+    m: &SizeMatrix,
+    metrics: impl IntoIterator<Item = &'a Metrics>,
+) {
+    let p = m.p();
+    let trace = nonuniform_trace(*cfg, &MatrixSource(m), &RankSample::all(p));
+    assert_conforms(&format!("{} (P={p})", cfg.key()), metrics, &trace, Rule::for_config(cfg));
+}
+
+/// Compare a rank's span timeline against the declared phase list: every
+/// expected name must appear exactly `count` times, and nothing else at all.
+pub fn phase_violations(
+    rank: usize,
+    events: &[PhaseEvent],
+    expected: &[(&str, u64)],
+) -> Vec<String> {
+    let mut v = Vec::new();
+    for &(name, count) in expected {
+        let got = events.iter().filter(|e| e.name == name).count() as u64;
+        if got != count {
+            v.push(format!("rank {rank}: phase '{name}' recorded {got} times, expected {count}"));
+        }
+    }
+    let total: u64 = expected.iter().map(|&(_, c)| c).sum();
+    if events.len() as u64 != total {
+        let unexpected: Vec<&str> = events
+            .iter()
+            .map(|e| e.name)
+            .filter(|n| !expected.iter().any(|&(e, _)| e == *n))
+            .collect();
+        v.push(format!(
+            "rank {rank}: {} phase events recorded, expected {total} (unexpected: {unexpected:?})",
+            events.len()
+        ));
+    }
+    v
+}
+
+/// Run `cfg` on `m` under a [`MeteredComm`] on `ThreadComm`; per-rank metrics.
+pub fn metered_alltoallv(cfg: &EngineConfig, m: &SizeMatrix) -> Vec<Metrics> {
+    ThreadComm::run(m.p(), |comm| {
+        let meter = MeteredComm::new(comm);
+        let me = meter.rank();
+        let sendcounts = m.sendcounts(me);
+        let sdispls = packed_displs(&sendcounts);
+        let sendbuf = vec![0xABu8; sendcounts.iter().sum()];
+        let recvcounts = m.recvcounts(me);
+        let rdispls = packed_displs(&recvcounts);
+        let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
+        configurable_alltoallv(
+            &meter, cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
+        )
+        .unwrap_or_else(|e| panic!("rank {me}: engine {} failed: {e}", cfg.key()));
+        meter.metrics()
+    })
+}

@@ -4,7 +4,7 @@
 //! `bruck-core` phase recorder installed, and three measured quantities are
 //! checked against closed-form predictions from `bruck-model`:
 //!
-//! * **Message counts** — per wire tag, *exact* ([`CommTrace::msgs_for_tag`]).
+//! * **Message counts** — per wire tag, *exact* (`CommTrace::msgs_for_tag`).
 //! * **Byte volumes** — per wire tag: exact for the direct algorithms; for
 //!   padded Bruck the assertion is a bounded band of one pad quantum
 //!   (8 bytes, the `u64` length granularity the padding machinery rounds
@@ -20,114 +20,24 @@
 //!
 //! The checker is a pure function returning violation strings, so the
 //! negative tests exercise the exact code path the positive cells assert
-//! empty.
+//! empty. It lives in `tests/common/` and is the only loop in the workspace
+//! that compares metered per-tag messages and bytes to a trace: the
+//! byte-exactness suites (`trace_validation`, `radix_validation`,
+//! `engine_equivalence`, `engine_properties`, `collectives_gauntlet`) bring
+//! their own cells to it.
+
+mod common;
 
 use bruck_comm::{Communicator, MeteredComm, Metrics, ThreadComm};
 use bruck_core::common::ceil_log2;
 use bruck_core::probe::{self, PhaseEvent};
 use bruck_core::{alltoall, alltoallv, packed_displs, AlltoallAlgorithm, AlltoallvAlgorithm};
-use bruck_model::{nonuniform_trace, uniform_trace, CommTrace, MatrixSource, NonuniformAlgo,
-    RankSample, UniformAlgo};
+use bruck_model::{nonuniform_trace, uniform_trace, MatrixSource, RankSample, StepKind};
 use bruck_workload::{Distribution, SizeMatrix};
+use common::{conformance_violations, phase_violations, Rule};
 
 const SEED: u64 = 0xC04F;
 const WORLD_SIZES: [usize; 2] = [8, 12];
-
-/// How predicted vs measured bytes are compared for one cell.
-#[derive(Clone, Copy)]
-enum ByteRule {
-    /// Measured bytes must equal the prediction.
-    Exact,
-    /// |measured − predicted| ≤ `quantum` × predicted messages: padding may
-    /// shift volume by up to one pad quantum per message, never more.
-    Quantum(u64),
-}
-
-impl ByteRule {
-    fn holds(self, got: u64, want_bytes: u64, want_msgs: u64) -> bool {
-        match self {
-            ByteRule::Exact => got == want_bytes,
-            ByteRule::Quantum(q) => got.abs_diff(want_bytes) <= q * want_msgs,
-        }
-    }
-}
-
-/// Compare one rank's metered counters against the model trace. Returns one
-/// violation string per mismatch; empty = conformant.
-fn conformance_violations(
-    rank: usize,
-    metrics: &Metrics,
-    trace: &CommTrace,
-    rule: ByteRule,
-) -> Vec<String> {
-    let mut v = metrics.consistency_errors();
-    let mut predicted_msgs = 0u64;
-    let mut predicted_bytes = 0u64;
-    for tag in trace.wire_tags() {
-        let Some(want_msgs) = trace.msgs_for_tag(rank, tag) else {
-            v.push(format!("rank {rank}: trace does not cover rank for tag {tag:#x}"));
-            continue;
-        };
-        let want_bytes = trace.bytes_for_tag(rank, tag).unwrap_or(0);
-        predicted_msgs += want_msgs;
-        predicted_bytes += want_bytes;
-        let got = metrics.sent_for_tag(tag);
-        if got.msgs != want_msgs {
-            v.push(format!(
-                "rank {rank} tag {tag:#x}: sent {} messages, model predicts {want_msgs}",
-                got.msgs
-            ));
-        }
-        if !rule.holds(got.bytes, want_bytes, want_msgs) {
-            v.push(format!(
-                "rank {rank} tag {tag:#x}: sent {} bytes, model predicts {want_bytes} \
-                 (outside tolerance)",
-                got.bytes
-            ));
-        }
-    }
-    // No logical traffic outside the predicted tags: channel totals must be
-    // fully explained by the trace.
-    if metrics.logical.sent_msgs != predicted_msgs {
-        v.push(format!(
-            "rank {rank}: {} logical messages total, model explains {predicted_msgs}",
-            metrics.logical.sent_msgs
-        ));
-    }
-    if !rule.holds(metrics.logical.sent_bytes, predicted_bytes, predicted_msgs) {
-        v.push(format!(
-            "rank {rank}: {} logical bytes total, model explains {predicted_bytes} \
-             (outside tolerance)",
-            metrics.logical.sent_bytes
-        ));
-    }
-    v
-}
-
-/// Compare a rank's span timeline against the declared phase list: every
-/// expected name must appear exactly `count` times, and nothing else at all.
-fn phase_violations(rank: usize, events: &[PhaseEvent], expected: &[(&str, u64)]) -> Vec<String> {
-    let mut v = Vec::new();
-    for &(name, count) in expected {
-        let got = events.iter().filter(|e| e.name == name).count() as u64;
-        if got != count {
-            v.push(format!("rank {rank}: phase '{name}' recorded {got} times, expected {count}"));
-        }
-    }
-    let total: u64 = expected.iter().map(|&(_, c)| c).sum();
-    if events.len() as u64 != total {
-        let unexpected: Vec<&str> = events
-            .iter()
-            .map(|e| e.name)
-            .filter(|n| !expected.iter().any(|&(e, _)| e == *n))
-            .collect();
-        v.push(format!(
-            "rank {rank}: {} phase events recorded, expected {total} (unexpected: {unexpected:?})",
-            events.len()
-        ));
-    }
-    v
-}
 
 /// The three workload shapes of the conformance matrix.
 fn workloads(p: usize) -> Vec<(String, SizeMatrix)> {
@@ -199,15 +109,9 @@ fn expected_phases_v(algo: AlltoallvAlgorithm, p: usize) -> Vec<(&'static str, u
 }
 
 /// Positive direction: run the cell, assert zero violations of any kind.
-fn assert_cell_conformant(
-    algo: AlltoallvAlgorithm,
-    model: NonuniformAlgo,
-    label: &str,
-    m: &SizeMatrix,
-    rule: ByteRule,
-) {
+fn assert_cell_conformant(algo: AlltoallvAlgorithm, label: &str, m: &SizeMatrix, rule: Rule) {
     let p = m.p();
-    let trace = nonuniform_trace(model, &MatrixSource(m), &RankSample::all(p));
+    let trace = nonuniform_trace(algo, &MatrixSource(m), &RankSample::all(p));
     let expected_spans = expected_phases_v(algo, p);
     for (rank, (metrics, events)) in run_metered_v(algo, m).iter().enumerate() {
         let mut v = conformance_violations(rank, metrics, &trace, rule);
@@ -220,13 +124,7 @@ fn assert_cell_conformant(
 fn two_phase_bruck_conforms_to_model() {
     for p in WORLD_SIZES {
         for (label, m) in workloads(p) {
-            assert_cell_conformant(
-                AlltoallvAlgorithm::TwoPhaseBruck,
-                NonuniformAlgo::TwoPhaseBruck,
-                &label,
-                &m,
-                ByteRule::Exact,
-            );
+            assert_cell_conformant(AlltoallvAlgorithm::TwoPhaseBruck, &label, &m, Rule::Exact);
         }
     }
 }
@@ -235,13 +133,7 @@ fn two_phase_bruck_conforms_to_model() {
 fn padded_bruck_conforms_to_model() {
     for p in WORLD_SIZES {
         for (label, m) in workloads(p) {
-            assert_cell_conformant(
-                AlltoallvAlgorithm::PaddedBruck,
-                NonuniformAlgo::PaddedBruck,
-                &label,
-                &m,
-                ByteRule::Quantum(8),
-            );
+            assert_cell_conformant(AlltoallvAlgorithm::PaddedBruck, &label, &m, Rule::Quantum(8));
         }
     }
 }
@@ -250,13 +142,7 @@ fn padded_bruck_conforms_to_model() {
 fn spread_out_conforms_to_model() {
     for p in WORLD_SIZES {
         for (label, m) in workloads(p) {
-            assert_cell_conformant(
-                AlltoallvAlgorithm::SpreadOut,
-                NonuniformAlgo::SpreadOut,
-                &label,
-                &m,
-                ByteRule::Exact,
-            );
+            assert_cell_conformant(AlltoallvAlgorithm::SpreadOut, &label, &m, Rule::Exact);
         }
     }
 }
@@ -265,13 +151,7 @@ fn spread_out_conforms_to_model() {
 fn vendor_conforms_to_model() {
     for p in WORLD_SIZES {
         for (label, m) in workloads(p) {
-            assert_cell_conformant(
-                AlltoallvAlgorithm::Vendor,
-                NonuniformAlgo::Vendor,
-                &label,
-                &m,
-                ByteRule::Exact,
-            );
+            assert_cell_conformant(AlltoallvAlgorithm::Vendor, &label, &m, Rule::Exact);
         }
     }
 }
@@ -282,7 +162,7 @@ fn uniform_zero_rotation_conforms_to_model() {
     // workload shapes (a uniform exchange has no distribution axis).
     for p in WORLD_SIZES {
         for n in [4usize, 64, 257] {
-            let trace = uniform_trace(UniformAlgo::ZeroRotationBruck, p, n, &RankSample::all(p));
+            let trace = uniform_trace(AlltoallAlgorithm::ZeroRotationBruck, p, n, &RankSample::all(p));
             let steps = u64::from(ceil_log2(p));
             let expected_spans =
                 vec![("zero_rotation.setup", 1), ("zero_rotation.step", steps)];
@@ -297,7 +177,7 @@ fn uniform_zero_rotation_conforms_to_model() {
                 (mc.metrics(), probe::take())
             });
             for (rank, (metrics, events)) in results.iter().enumerate() {
-                let mut v = conformance_violations(rank, metrics, &trace, ByteRule::Exact);
+                let mut v = conformance_violations(rank, metrics, &trace, Rule::Exact);
                 v.extend(phase_violations(rank, events, &expected_spans));
                 assert!(v.is_empty(), "zero-rotation / p={p} n={n} rank {rank}:\n{}", v.join("\n"));
             }
@@ -311,11 +191,12 @@ fn miscounted_fixture_fails_the_checker() {
     // one extra predicted message, must produce violations on every rank.
     let p = 8;
     let m = SizeMatrix::generate(Distribution::Uniform, SEED, p, 48);
-    let mut trace = nonuniform_trace(NonuniformAlgo::TwoPhaseBruck, &MatrixSource(&m), &RankSample::all(p));
+    let mut trace =
+        nonuniform_trace(AlltoallvAlgorithm::TwoPhaseBruck, &MatrixSource(&m), &RankSample::all(p));
     let step = trace
         .steps
         .iter_mut()
-        .find(|s| matches!(s.kind, bruck_model::StepKind::Data(0)))
+        .find(|s| matches!(s.kind, StepKind::Data(0)))
         .expect("two-phase trace has a Data(0) step");
     for (_, load) in &mut step.loads {
         load.seq_msgs += 1; // the deliberate miscount
@@ -323,7 +204,7 @@ fn miscounted_fixture_fails_the_checker() {
     }
     let results = run_metered_v(AlltoallvAlgorithm::TwoPhaseBruck, &m);
     for (rank, (metrics, _)) in results.iter().enumerate() {
-        let v = conformance_violations(rank, metrics, &trace, ByteRule::Exact);
+        let v = conformance_violations(rank, metrics, &trace, Rule::Exact);
         assert!(
             v.iter().any(|s| s.contains("messages")) && v.iter().any(|s| s.contains("bytes")),
             "rank {rank}: miscounted fixture must fail both counts and bytes, got {v:?}"
@@ -331,7 +212,7 @@ fn miscounted_fixture_fails_the_checker() {
     }
     // And the quantum rule must not absorb a million-byte error either.
     for (rank, (metrics, _)) in results.iter().enumerate() {
-        let v = conformance_violations(rank, metrics, &trace, ByteRule::Quantum(8));
+        let v = conformance_violations(rank, metrics, &trace, Rule::Quantum(8));
         assert!(!v.is_empty(), "rank {rank}: tolerance must not hide gross miscounts");
     }
 }

@@ -1,25 +1,27 @@
-//! The engine's evidence: at each named config point the configurable engine
-//! must put **the paper's schedule** on the wire and deliver **the oracle's
-//! bytes**.
+//! The engine's evidence: at each named config point — and at the off-point
+//! candidates the tuner measures — the configurable engine must put **its
+//! trace's schedule** on the wire and deliver **the oracle's bytes**.
 //!
-//! Two layers, per (algorithm × distribution × world size):
+//! Two layers, per (config × distribution × world size):
 //!
 //! 1. **Closed-form schedule counts** — the engine's per-tag metered counts
 //!    (messages *and* bytes, under [`MeteredComm`] on ThreadComm) must equal
-//!    `bruck-model`'s byte-exact trace predictions ([`nonuniform_trace`]),
-//!    and nothing may travel on a tag the trace does not predict. Equality
-//!    against the *model*, not a sibling implementation, is what makes the
-//!    engine's schedule provably the paper's.
+//!    `bruck-model`'s byte-exact trace of the same [`EngineConfig`], and
+//!    nothing may travel on a tag the trace does not predict (the one
+//!    comparator, `tests/common/`). Equality against the *model*, not a
+//!    sibling implementation, is what makes the engine's schedule provably
+//!    the paper's.
 //! 2. **Oracle byte identity** — the receive buffers must equal
 //!    [`reference_alltoallv`]'s on ThreadComm, [`SimComm`] (two schedule
 //!    seeds) and [`EventComm`].
 
+mod common;
+
+use bruck_bench::tune_candidates;
 use bruck_comm::{Communicator, EventComm, MeteredComm, Metrics, SimComm, ThreadComm};
-use bruck_core::{
-    configurable_alltoallv, packed_displs, reference_alltoallv, AlltoallvAlgorithm, EngineConfig,
-};
-use bruck_model::{nonuniform_trace, MatrixSource, NonuniformAlgo, RankSample};
+use bruck_core::{configurable_alltoallv, packed_displs, reference_alltoallv, EngineConfig};
 use bruck_workload::{Distribution, SizeMatrix};
+use common::assert_config_conforms;
 
 /// Pattern byte for (src, dst, idx), distinct across blocks.
 fn pat(src: usize, dst: usize, idx: usize) -> u8 {
@@ -65,88 +67,27 @@ fn run_engine<C: Communicator + ?Sized>(comm: &C, cfg: &EngineConfig, m: &SizeMa
     recvbuf
 }
 
-/// The named points paired with the model's trace generators (Reference has
-/// no model counterpart — the engine maps it to the same oracle function, so
-/// only byte identity applies there).
-const MODELED_PAIRS: [(AlltoallvAlgorithm, NonuniformAlgo); 8] = [
-    (AlltoallvAlgorithm::SpreadOut, NonuniformAlgo::SpreadOut),
-    (AlltoallvAlgorithm::Vendor, NonuniformAlgo::Vendor),
-    (AlltoallvAlgorithm::PaddedBruck, NonuniformAlgo::PaddedBruck),
-    (AlltoallvAlgorithm::PaddedAlltoall, NonuniformAlgo::PaddedAlltoall),
-    (AlltoallvAlgorithm::TwoPhaseBruck, NonuniformAlgo::TwoPhaseBruck),
-    (AlltoallvAlgorithm::Sloav, NonuniformAlgo::Sloav),
-    (AlltoallvAlgorithm::Hierarchical, NonuniformAlgo::Hierarchical),
-    (AlltoallvAlgorithm::RankaTwoStage, NonuniformAlgo::RankaTwoStage),
-];
-
 const DISTS: [Distribution; 3] =
     [Distribution::Uniform, Distribution::Normal, Distribution::POWER_LAW_STEEP];
 
 /// One ThreadComm cell: the engine under a [`MeteredComm`] next to the
 /// oracle. Asserts byte identity and returns the engine's per-rank metrics
 /// for the closed-form check.
-fn metered_cell(algo: AlltoallvAlgorithm, m: &SizeMatrix) -> Vec<Metrics> {
-    let cfg = EngineConfig::for_algorithm(algo);
+fn metered_cell(cfg: &EngineConfig, m: &SizeMatrix) -> Vec<Metrics> {
     let p = m.p();
     let results = ThreadComm::run(p, |comm| {
         let want = run_oracle(comm, m);
         let meter = MeteredComm::with_key(comm, cfg.key());
-        let got = run_engine(&meter, &cfg, m);
+        let got = run_engine(&meter, cfg, m);
         (want, got, meter.metrics())
     });
     let mut metrics = Vec::with_capacity(p);
     for (rank, (want, got, mm)) in results.into_iter().enumerate() {
-        assert_eq!(got, want, "{} rank {rank}: bytes differ from the oracle (P={p})", algo.name());
-        assert!(mm.consistency_errors().is_empty(), "{:?}", mm.consistency_errors());
+        assert_eq!(got, want, "{} rank {rank}: bytes differ from the oracle (P={p})", cfg.key());
         assert_eq!(mm.key.as_deref(), Some(cfg.key().as_str()));
         metrics.push(mm);
     }
     metrics
-}
-
-/// Algorithms whose traces are *message-exact* (one modeled message per
-/// real message). The hierarchical and Ranka traces aggregate fan-out
-/// rounds into single loads — their per-tag **bytes** are still exact.
-fn trace_is_message_exact(algo: NonuniformAlgo) -> bool {
-    !matches!(algo, NonuniformAlgo::Hierarchical | NonuniformAlgo::RankaTwoStage)
-}
-
-/// The engine's metered per-tag counts must equal the model's closed-form
-/// trace for the algorithm the config is a named point of.
-fn check_against_model(model_algo: NonuniformAlgo, m: &SizeMatrix, metrics: &[Metrics]) {
-    let p = m.p();
-    let trace = nonuniform_trace(model_algo, &MatrixSource(m), &RankSample::all(p));
-    let wire_tags = trace.wire_tags();
-    for (rank, mm) in metrics.iter().enumerate() {
-        for &tag in &wire_tags {
-            let sent = mm.sent_for_tag(tag);
-            if trace_is_message_exact(model_algo) {
-                assert_eq!(
-                    trace.msgs_for_tag(rank, tag),
-                    Some(sent.msgs),
-                    "{}: rank {rank} tag {tag:#x} message count (P={p})",
-                    model_algo.name()
-                );
-            }
-            assert_eq!(
-                trace.bytes_for_tag(rank, tag),
-                Some(sent.bytes),
-                "{}: rank {rank} tag {tag:#x} bytes (P={p})",
-                model_algo.name()
-            );
-        }
-        // No traffic outside the model's schedule: every metered logical tag
-        // must be one the trace predicts.
-        for (&tag, c) in &mm.per_tag_sent {
-            if tag < bruck_comm::RESERVED_TAG_BASE && c.msgs > 0 {
-                assert!(
-                    wire_tags.contains(&tag),
-                    "{}: rank {rank} sent on unmodeled tag {tag:#x}",
-                    model_algo.name()
-                );
-            }
-        }
-    }
 }
 
 #[test]
@@ -154,11 +95,8 @@ fn engine_matches_model_and_oracle_on_thread_comm() {
     for p in [5usize, 8, 12] {
         for (di, dist) in DISTS.iter().enumerate() {
             let m = SizeMatrix::generate(*dist, 0x9E00 + (di * 31 + p) as u64, p, 48);
-            // Reference *is* the oracle: byte identity only (no model trace).
-            metered_cell(AlltoallvAlgorithm::Reference, &m);
-            for (algo, model_algo) in MODELED_PAIRS {
-                let metrics = metered_cell(algo, &m);
-                check_against_model(model_algo, &m, &metrics);
+            for cfg in tune_candidates() {
+                assert_config_conforms(&cfg, &m, &metered_cell(&cfg, &m));
             }
         }
     }
@@ -166,7 +104,9 @@ fn engine_matches_model_and_oracle_on_thread_comm() {
 
 #[test]
 fn engine_matches_model_and_oracle_with_empty_and_skewed_blocks() {
-    // Degenerate shapes: all-zero, single nonzero block, heavy skew.
+    // Degenerate shapes: all-zero (the padded family short-circuits every
+    // send when the global maximum block is zero, and so does its trace),
+    // single nonzero block, heavy skew.
     let zero = SizeMatrix::uniform(8, 0);
     let mut single = vec![vec![0usize; 8]; 8];
     single[2][5] = 40;
@@ -176,16 +116,8 @@ fn engine_matches_model_and_oracle_with_empty_and_skewed_blocks() {
         .collect();
     let skew = SizeMatrix::from_rows(skew);
     for m in [&zero, &single, &skew] {
-        metered_cell(AlltoallvAlgorithm::Reference, m);
-        for (algo, model_algo) in MODELED_PAIRS {
-            let metrics = metered_cell(algo, m);
-            // The padded family short-circuits every send when the global
-            // maximum block is zero; the trace models the full schedule
-            // (zero-byte messages). Oracle identity is still asserted above;
-            // skip only the trace comparison for the all-zero matrix.
-            if m.global_max() > 0 {
-                check_against_model(model_algo, m, &metrics);
-            }
+        for cfg in tune_candidates() {
+            assert_config_conforms(&cfg, m, &metered_cell(&cfg, m));
         }
     }
 }

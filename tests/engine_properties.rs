@@ -1,7 +1,7 @@
 //! Property tests over the engine's knob space: **any** valid
 //! [`EngineConfig`] — not just the nine named points — must deliver the
-//! right bytes on a seeded workload, conserve bytes globally, and stay
-//! inside its tag block.
+//! right bytes on a seeded workload, conserve bytes globally, and put
+//! exactly its trace on the wire.
 //!
 //! A deterministic xorshift generator drives the sweep (the workspace is
 //! std-only, so this is proptest-shaped without the dependency): each
@@ -10,20 +10,19 @@
 //!
 //! 1. every rank's receive buffer equals the pairwise reference expectation,
 //! 2. world-total logical sent bytes == world-total logical received bytes,
-//! 3. every logical tag with traffic lies in the config's allowed tag set.
+//! 3. every rank's per-tag messages and bytes equal `bruck-model`'s trace of
+//!    the drawn config, with no traffic on a tag the trace does not model —
+//!    which is also what keeps a config inside its tag block.
 
-use std::collections::BTreeSet;
+mod common;
 
-use bruck_comm::{Communicator, MeteredComm, Metrics, ThreadComm, RESERVED_TAG_BASE};
-use bruck_core::common::{
-    data_tag, meta_tag, uniform_step_tag, HIER_GATHER_TAG, HIER_LEADER_TAG, HIER_SCATTER_TAG,
-    RANKA_STAGE1_TAG, RANKA_STAGE2_TAG, SPREAD_TAG,
-};
+use bruck_comm::{Communicator, MeteredComm, Metrics, ThreadComm};
 use bruck_core::{
     configurable_alltoallv, packed_displs, EngineConfig, EngineTopology,
     IntermediateLayout, PaddingRule,
 };
 use bruck_workload::{Distribution, SizeMatrix};
+use common::assert_config_conforms;
 
 /// Deterministic xorshift64* stream.
 struct Rng(u64);
@@ -79,62 +78,6 @@ fn pat(src: usize, dst: usize, idx: usize) -> u8 {
     (src.wrapping_mul(131) ^ dst.wrapping_mul(23) ^ idx.wrapping_mul(7)) as u8
 }
 
-/// Number of point-to-point steps the radix-r Bruck schedule takes for `p`
-/// ranks — the tag budget per tag block (mirrors `radix_schedule`).
-fn bruck_steps(p: usize, radix: usize) -> u32 {
-    let mut steps = 0u32;
-    let mut weight = 1usize;
-    while weight < p {
-        for d in 1..radix {
-            if d * weight >= p {
-                break;
-            }
-            steps += 1;
-        }
-        weight *= radix;
-    }
-    steps.max(1)
-}
-
-/// The set of logical tags `cfg` is allowed to touch at world size `p`.
-/// Padding can route a Bruck topology onto the uniform-step block, so a
-/// `Threshold` rule admits both blocks.
-fn allowed_tags(cfg: &EngineConfig, p: usize) -> BTreeSet<u32> {
-    let mut tags = BTreeSet::new();
-    match cfg.topology {
-        EngineTopology::Oracle => {
-            tags.insert(SPREAD_TAG);
-        }
-        EngineTopology::Direct => {
-            tags.insert(SPREAD_TAG);
-        }
-        EngineTopology::TwoStage => {
-            tags.insert(RANKA_STAGE1_TAG);
-            tags.insert(RANKA_STAGE2_TAG);
-        }
-        EngineTopology::Leader { .. } => {
-            tags.insert(HIER_GATHER_TAG);
-            tags.insert(HIER_LEADER_TAG);
-            tags.insert(HIER_SCATTER_TAG);
-        }
-        EngineTopology::Bruck => {
-            let steps = bruck_steps(p, cfg.radix);
-            let padded_possible = !matches!(cfg.padding, PaddingRule::Never);
-            let unpadded_possible = !matches!(cfg.padding, PaddingRule::Always);
-            for k in 0..steps {
-                if padded_possible {
-                    tags.insert(uniform_step_tag(k));
-                }
-                if unpadded_possible {
-                    tags.insert(meta_tag(k));
-                    tags.insert(data_tag(k));
-                }
-            }
-        }
-    }
-    tags
-}
-
 /// One world run: returns (per-rank recvbuf, per-rank metrics).
 fn run_world(cfg: EngineConfig, m: &SizeMatrix) -> Vec<(Vec<u8>, Metrics)> {
     let p = m.p();
@@ -188,26 +131,9 @@ fn check_world(cfg: &EngineConfig, m: &SizeMatrix, results: &[(Vec<u8>, Metrics)
     let recv_msgs: u64 = results.iter().map(|(_, mm)| mm.logical.recv_msgs).sum();
     assert_eq!(sent_msgs, recv_msgs, "{key}: logical messages not conserved (P={p})");
 
-    // Property 3: traffic stays inside the config's tag block.
-    let allowed = allowed_tags(cfg, p);
-    for (me, (_, mm)) in results.iter().enumerate() {
-        for (&tag, counter) in &mm.per_tag_sent {
-            // Reserved tags carry collective (allreduce) traffic shared by
-            // every topology; the tag-block property is about logical tags.
-            if tag < RESERVED_TAG_BASE && counter.msgs > 0 {
-                assert!(
-                    allowed.contains(&tag),
-                    "{key}: rank {me} sent on unexpected tag {tag:#x} (P={p}); allowed: \
-                     {allowed:x?}"
-                );
-            }
-        }
-        assert!(
-            mm.consistency_errors().is_empty(),
-            "{key}: rank {me} metered consistency errors: {:?}",
-            mm.consistency_errors()
-        );
-    }
+    // Property 3: the wire carries exactly the config's trace (reserved tags
+    // carry the sizing allreduce and are not the trace's business).
+    assert_config_conforms(cfg, m, results.iter().map(|(_, mm)| mm));
 }
 
 #[test]

@@ -5,8 +5,12 @@
 //! builds hermetically with zero external crates, so each property runs a
 //! fixed number of deterministic random cases instead of shrinking searches.
 
-use bruck_model::{nonuniform_trace, MatrixSource, NonuniformAlgo, RankSample, StepKind};
-use bruck_workload::{SizeMatrix, SplitMix64};
+use bruck_bench::tune_candidates;
+use bruck_core::AlltoallvAlgorithm;
+use bruck_model::{
+    nonuniform_trace, predict, AutoTuner, MachineModel, MatrixSource, RankSample, StepKind,
+};
+use bruck_workload::{Distribution, SizeMatrix, SplitMix64};
 
 const CASES: u64 = 24;
 
@@ -26,7 +30,7 @@ fn per_step_flow_conservation() {
         let m = random_matrix(&mut rng);
         let p = m.p();
         let src = MatrixSource(&m);
-        for algo in NonuniformAlgo::ALL {
+        for algo in AlltoallvAlgorithm::ALL {
             let trace = nonuniform_trace(algo, &src, &RankSample::all(p));
             for step in &trace.steps {
                 if step.kind.tag().is_none() {
@@ -50,7 +54,7 @@ fn two_phase_payload_matches_popcount_routing() {
         let m = random_matrix(&mut rng);
         let p = m.p();
         let src = MatrixSource(&m);
-        let trace = nonuniform_trace(NonuniformAlgo::TwoPhaseBruck, &src, &RankSample::all(p));
+        let trace = nonuniform_trace(AlltoallvAlgorithm::TwoPhaseBruck, &src, &RankSample::all(p));
         let data: u64 = trace
             .steps
             .iter()
@@ -76,7 +80,7 @@ fn spread_out_moves_exactly_the_matrix() {
         let m = random_matrix(&mut rng);
         let p = m.p();
         let src = MatrixSource(&m);
-        let trace = nonuniform_trace(NonuniformAlgo::Vendor, &src, &RankSample::all(p));
+        let trace = nonuniform_trace(AlltoallvAlgorithm::Vendor, &src, &RankSample::all(p));
         let wire = trace.total_wire_bytes();
         let expect: u64 = (0..p)
             .flat_map(|s| (0..p).map(move |d| (s, d)))
@@ -100,8 +104,8 @@ fn message_count_crossover_is_density_independent() {
         let p = m.p();
         let src = MatrixSource(&m);
         let sample = RankSample::all(p);
-        let two = nonuniform_trace(NonuniformAlgo::TwoPhaseBruck, &src, &sample);
-        let spread = nonuniform_trace(NonuniformAlgo::SpreadOut, &src, &sample);
+        let two = nonuniform_trace(AlltoallvAlgorithm::TwoPhaseBruck, &src, &sample);
+        let spread = nonuniform_trace(AlltoallvAlgorithm::SpreadOut, &src, &sample);
         let logp = u64::from(bruck_core::common::ceil_log2(p));
         for rank in 0..p {
             let msgs = |t: &bruck_model::CommTrace| -> u64 {
@@ -120,14 +124,14 @@ fn message_count_crossover_is_density_independent() {
 /// `B = (P+1)/2` (equate equations (2) and the linear baseline of §3.3).
 #[test]
 fn cost_crossover_matches_the_analytic_boundary() {
-    use bruck_core::{spread_out_cost, two_phase_bruck_cost, CostParams};
-    let params = CostParams::default();
+    use bruck_model::{spread_out_cost, two_phase_bruck_cost};
+    let params = MachineModel::theta_like();
     for case in 0..CASES {
         let mut rng = SplitMix64::new(0x4B0D ^ case);
         let p = rng.next_range(8, 4096) as usize;
         let l = f64::from(bruck_core::common::ceil_log2(p));
         let b = (p as f64 + 1.0) / 2.0;
-        let num = params.alpha * (p as f64 - 1.0 - 2.0 * l) - 4.0 * params.beta * l * b;
+        let num = params.alpha(p) * (p as f64 - 1.0 - 2.0 * l) - 4.0 * params.beta * l * b;
         let den = params.beta * (l * b - (p as f64 - 1.0));
         assert!(num > 0.0 && den > 0.0, "case {case} p={p}: crossover must exist");
         let n_star = 2.0 * num / den;
@@ -152,11 +156,11 @@ fn predictions_are_sane() {
         let m = random_matrix(&mut rng);
         let p = m.p();
         let src = MatrixSource(&m);
-        let fast = bruck_model::MachineModel::theta_like();
+        let fast = MachineModel::theta_like();
         let mut slow = fast.clone();
         slow.beta *= 4.0;
         slow.beta_pair *= 4.0;
-        for algo in NonuniformAlgo::ALL {
+        for algo in AlltoallvAlgorithm::ALL {
             let trace = nonuniform_trace(algo, &src, &RankSample::all(p));
             let tf = trace.time(&fast);
             let ts = trace.time(&slow);
@@ -164,4 +168,42 @@ fn predictions_are_sane() {
             assert!(ts >= tf, "case {case}: {}: slower beta must not be faster", algo.name());
         }
     }
+}
+
+/// One cost function: the ranking `AutoTuner::select` returns for the
+/// `bruck-tune` candidate set is the ranking of `predict` — what `refit`
+/// calibrates is what selects.
+#[test]
+fn select_orders_candidates_as_predict_does() {
+    let tuner = AutoTuner::new(MachineModel::cori_like());
+    let candidates = tune_candidates();
+    assert_eq!(candidates.len(), 13);
+    for (p, n, dist) in [
+        (8usize, 64usize, Distribution::Uniform),
+        (64, 1024, Distribution::Normal),
+        (128, 256, Distribution::POWER_LAW_STEEP),
+    ] {
+        let seed = 0x5E1EC7;
+        let mut by_predict: Vec<_> = candidates
+            .iter()
+            .map(|&cfg| (cfg, predict(cfg, dist, seed, p, n, tuner.machine())))
+            .collect();
+        by_predict.sort_by(|a, b| a.1.total_cmp(&b.1));
+        assert_eq!(tuner.select(&candidates, dist, seed, p, n), by_predict, "P={p} N={n}");
+    }
+}
+
+/// Uniform and Normal have the same mean block size; a model that sees only
+/// the mean gives them one number. The trace sees the blocks.
+#[test]
+fn equal_mean_distributions_are_distinguishable() {
+    let m = MachineModel::theta_like();
+    let (p, n) = (64, 1024);
+    assert_eq!(Distribution::Uniform.mean_size(n, p), Distribution::Normal.mean_size(n, p));
+    let at = |dist| predict(AlltoallvAlgorithm::TwoPhaseBruck, dist, 1, p, n, &m);
+    let (uniform, normal) = (at(Distribution::Uniform), at(Distribution::Normal));
+    assert!(
+        (uniform - normal).abs() > 0.01 * uniform,
+        "uniform {uniform} s vs normal {normal} s must differ"
+    );
 }

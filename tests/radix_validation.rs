@@ -1,15 +1,16 @@
-//! Radix-r extension: real implementations vs. model traces, byte-exact,
-//! plus schedule agreement between `bruck-core` and `bruck-model`.
+//! Radix-r extension: real implementations vs. model traces through the one
+//! comparator (`tests/common/`), over the radix × world-size grid, plus
+//! output equality across radices.
+
+mod common;
 
 use bruck_comm::{Communicator, MeteredComm, Metrics, ThreadComm};
 use bruck_core::{
     configurable_alltoallv, packed_displs, zero_rotation_bruck_radix, EngineConfig,
 };
-use bruck_model::{
-    radix_trace_schedule, two_phase_radix_trace, zero_rotation_radix_trace, MatrixSource,
-    RankSample,
-};
+use bruck_model::{zero_rotation_radix_trace, RankSample};
 use bruck_workload::{Distribution, SizeMatrix};
+use common::{assert_config_conforms, assert_conforms, metered_alltoallv, Rule};
 
 /// Two-phase Bruck at radix `r`: the named point with one knob turned.
 fn two_phase_radix(radix: usize) -> EngineConfig {
@@ -17,49 +18,12 @@ fn two_phase_radix(radix: usize) -> EngineConfig {
 }
 
 #[test]
-fn core_and_model_radix_schedules_agree() {
-    for p in [2usize, 5, 16, 27, 100] {
-        for radix in [2usize, 3, 4, 8, 1 << 40, usize::MAX] {
-            assert_eq!(
-                bruck_core::radix_schedule(p, radix),
-                radix_trace_schedule(p, radix),
-                "p={p} radix={radix}"
-            );
-        }
-    }
-}
-
-#[test]
 fn radix_two_phase_traces_predict_wire_bytes_exactly() {
     for radix in [2usize, 3, 4, 8] {
         for p in [4usize, 9, 12, 16] {
             let m = SizeMatrix::generate(Distribution::Uniform, radix as u64 * 97, p, 64);
-            let trace = two_phase_radix_trace(&MatrixSource(&m), radix, &RankSample::all(p));
-            let metrics: Vec<Metrics> = ThreadComm::run(p, |comm| {
-                let counting = MeteredComm::new(comm);
-                let me = counting.rank();
-                let sendcounts = m.sendcounts(me);
-                let sdispls = packed_displs(&sendcounts);
-                let sendbuf = vec![7u8; sendcounts.iter().sum()];
-                let recvcounts = m.recvcounts(me);
-                let rdispls = packed_displs(&recvcounts);
-                let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-                configurable_alltoallv(
-                    &counting, &two_phase_radix(radix), &sendbuf, &sendcounts, &sdispls,
-                    &mut recvbuf, &recvcounts, &rdispls,
-                )
-                .unwrap();
-                counting.metrics()
-            });
-            for (rank, m) in metrics.iter().enumerate() {
-                for tag in trace.wire_tags() {
-                    assert_eq!(
-                        trace.bytes_for_tag(rank, tag),
-                        Some(m.sent_for_tag(tag).bytes),
-                        "radix {radix}, P={p}, rank {rank}, tag {tag:#x}"
-                    );
-                }
-            }
+            let cfg = two_phase_radix(radix);
+            assert_config_conforms(&cfg, &m, &metered_alltoallv(&cfg, &m));
         }
     }
 }
@@ -71,21 +35,13 @@ fn radix_uniform_traces_predict_wire_bytes_exactly() {
             let n = 16;
             let trace = zero_rotation_radix_trace(p, n, radix, &RankSample::all(p));
             let metrics: Vec<Metrics> = ThreadComm::run(p, |comm| {
-                let counting = MeteredComm::new(comm);
+                let meter = MeteredComm::new(comm);
                 let sendbuf = vec![1u8; p * n];
                 let mut recvbuf = vec![0u8; p * n];
-                zero_rotation_bruck_radix(&counting, &sendbuf, &mut recvbuf, n, radix).unwrap();
-                counting.metrics()
+                zero_rotation_bruck_radix(&meter, &sendbuf, &mut recvbuf, n, radix).unwrap();
+                meter.metrics()
             });
-            for (rank, m) in metrics.iter().enumerate() {
-                for tag in trace.wire_tags() {
-                    assert_eq!(
-                        trace.bytes_for_tag(rank, tag),
-                        Some(m.sent_for_tag(tag).bytes),
-                        "radix {radix}, P={p}, rank {rank}, tag {tag:#x}"
-                    );
-                }
-            }
+            assert_conforms(&format!("radix {radix}, P={p}"), &metrics, &trace, Rule::Exact);
         }
     }
 }
