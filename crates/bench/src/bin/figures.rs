@@ -7,7 +7,10 @@
 //! on the threaded runtime at laptop-scale rank counts. Build with
 //! `--release`; the large-P sweeps are compute-heavy.
 
-use bruck_bench::{print_table, time_alltoall, time_alltoallv, to_ms, Series};
+use std::path::Path;
+
+use bruck_bench::export::{chrome_trace_json, write_text};
+use bruck_bench::{print_table, time_alltoall, time_alltoallv, time_on_threads, to_ms, Series};
 use bruck_bpra::{graph1_like, graph2_like, kcfa_like_run, transitive_closure, KcfaConfig};
 use bruck_comm::ThreadComm;
 use bruck_core::{AlltoallAlgorithm, AlltoallvAlgorithm, EngineConfig};
@@ -569,43 +572,29 @@ fn radix_ablation() {
 
 /// §6.1 ablation: where SLOAV loses to two-phase Bruck, phase by phase
 /// (real threaded runs; per-call means over 20 iterations, read from the
-/// engine's `bruck-probe` spans).
+/// engine's `bruck-probe` spans). The span timelines behind the table are
+/// written to `target/bruck-bench/ablation.trace.json`.
 fn sloav_ablation() {
-    use bruck_comm::{Communicator, ThreadComm};
-    use bruck_core::{configurable_alltoallv, packed_displs, probe, EngineConfig};
-
-    const ITERS: u64 = 20;
+    const ITERS: usize = 20;
     println!("\n== §6.1 ablation — SLOAV vs two-phase Bruck phase breakdown (real, P = 32) ==");
     println!(
         "{:>6} {:>16} | {:>10} {:>10} {:>10} {:>10} {:>10}",
         "N", "algorithm", "allred µs", "meta µs", "data µs", "copy µs", "scan µs"
     );
     let p = 32;
+    let mut trace_cells = Vec::new();
     for n in [32usize, 256, 2048] {
         let m = SizeMatrix::generate(Distribution::Uniform, SEED, p, n);
         for (name, family, cfg) in [
             ("two-phase", "two_phase.", EngineConfig::as_two_phase()),
             ("SLOAV", "sloav.", EngineConfig::as_sloav()),
         ] {
+            let (_, timelines) =
+                time_on_threads(&m, ITERS, true, |comm, d, recvbuf| d.exchange(comm, &cfg, recvbuf));
             // Per rank: nanoseconds in [allreduce, meta, data, copy, scan].
-            let phases = ThreadComm::run(p, |comm| {
-                let me = comm.rank();
-                let sendcounts = m.sendcounts(me);
-                let sdispls = packed_displs(&sendcounts);
-                let sendbuf = vec![0u8; sendcounts.iter().sum()];
-                let recvcounts = m.recvcounts(me);
-                let rdispls = packed_displs(&recvcounts);
-                let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-                probe::install();
-                for _ in 0..ITERS {
-                    configurable_alltoallv(
-                        comm, &cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts,
-                        &rdispls,
-                    )
-                    .unwrap();
-                }
+            let phases = timelines.iter().map(|timeline| {
                 let mut columns = [0u64; 5];
-                for event in probe::take() {
+                for event in &timeline.events {
                     let column = match event.name.strip_prefix(family) {
                         Some("allreduce") => 0,
                         Some("meta") => 1,
@@ -618,17 +607,22 @@ fn sloav_ablation() {
                 }
                 columns
             });
-            let slowest =
-                phases.into_iter().max_by_key(|c| c.iter().sum::<u64>()).unwrap_or_default();
+            let slowest = phases.max_by_key(|c| c.iter().sum::<u64>()).unwrap_or_default();
             let [allreduce, meta, data, copy, scan] =
                 slowest.map(|ns| ns as f64 / 1e3 / ITERS as f64);
             println!(
                 "{n:>6} {name:>16} | {allreduce:>10.1} {meta:>10.1} {data:>10.1} {copy:>10.1} \
                  {scan:>10.1}"
             );
+            trace_cells.push((format!("{name}/N={n}"), timelines));
         }
     }
     println!("  (two-phase: no scan phase, no per-block allocations — the §6.1 improvements)");
+    let path = Path::new("target").join("bruck-bench").join("ablation.trace.json");
+    match write_text(&path, &chrome_trace_json(&trace_cells)) {
+        Ok(()) => println!("  span timelines: {} (chrome://tracing, Perfetto)", path.display()),
+        Err(e) => eprintln!("  cannot write {}: {e}", path.display()),
+    }
 }
 
 /// §3.2's space trade-off: auxiliary memory per algorithm.

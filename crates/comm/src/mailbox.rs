@@ -57,7 +57,7 @@ type MatchQueues = BTreeMap<(usize, Tag), VecDeque<MsgBuf>>;
 pub(crate) struct StoreStats {
     /// Messages currently deposited but not yet received, across all ranks.
     pending: AtomicUsize,
-    /// Total deposits ever made (throughput accounting for `bruck-scale`).
+    /// Total deposits ever made (throughput accounting for `bruck-bench`).
     deposited: AtomicUsize,
     /// Match-map keys stranded with a drained queue. Every pop path trims
     /// drained keys immediately, so this stays 0; any future pop path that

@@ -309,8 +309,8 @@ impl<'a, C: Communicator + ?Sized> MeteredComm<'a, C> {
     }
 
     /// Wrap `inner` and stamp every [`Metrics`] snapshot with `key` — the
-    /// measurement identity (e.g. a tuning key like `p=8 density=500
-    /// dist=uniform config=bruck:…`) that downstream consumers such as the
+    /// measurement identity (e.g. an engine config key like
+    /// `bruck:r=2:layout=mono:…`) that downstream consumers such as the
     /// auto-tuner use to attribute samples without a side channel.
     pub fn with_key(inner: &'a C, key: impl Into<String>) -> Self {
         MeteredComm {

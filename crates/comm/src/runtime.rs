@@ -967,7 +967,7 @@ where
 }
 
 /// Summary of one [`EventComm::run_report`] run: scheduler and transport
-/// telemetry for throughput benchmarks (`bruck-scale`) and leak checks.
+/// telemetry for throughput benchmarks (`bruck-bench`) and leak checks.
 #[derive(Debug, Clone)]
 pub struct EventReport {
     /// Total messages deposited across the run.
@@ -1094,7 +1094,7 @@ impl EventComm<'_> {
     }
 
     /// [`EventComm::run_pooled`] that also returns scheduler/transport
-    /// telemetry ([`EventReport`]) — the `bruck-scale` entry point.
+    /// telemetry ([`EventReport`]) — the `bruck-bench` entry point.
     pub fn run_report<T, F>(p: usize, workers: usize, f: F) -> (Vec<T>, EventReport)
     where
         T: Send,

@@ -311,9 +311,9 @@ impl EngineConfig {
         Ok(())
     }
 
-    /// Stable text key for this config — the serialization used by
-    /// `tuning.table` and the `bruck-tune` artifact. Only knobs the topology
-    /// consults appear, so the key is canonical by construction.
+    /// Stable text key for this config — the `key` of every row of the
+    /// `bruck-bench` artifact. Only knobs the topology consults appear, so
+    /// the key is canonical by construction.
     pub fn key(&self) -> String {
         let pad = |p: PaddingRule| match p {
             PaddingRule::Never => "never".to_string(),

@@ -62,6 +62,4 @@ pub use source::{DistSource, MatrixSource, SizeSource};
 pub use sweep::{crossover_n, predict, sweep, SweepPoint};
 pub use trace::{CommTrace, RankLoad, Step, StepKind};
 pub use tracegen::{nonuniform_trace, uniform_trace, zero_rotation_radix_trace, RankSample};
-pub use tuner::{
-    adaptive_alltoallv, AutoTuner, TuningEntry, TuningKey, TuningTable, TUNING_TABLE_HEADER,
-};
+pub use tuner::{adaptive_alltoallv, AutoTuner};

@@ -1,8 +1,7 @@
-//! Online auto-tuner: a versioned `tuning.table` persistence format, the
-//! observe → refit → select loop that closes the paper's "more rigorous
-//! performance model" call with live [`MeteredComm`](bruck_comm)-style
-//! measurements, and the adaptive `alltoallv` that runs a selection at call
-//! time.
+//! Online auto-tuner: the observe → refit → select loop that closes the
+//! paper's "more rigorous performance model" call with live
+//! [`MeteredComm`](bruck_comm)-style measurements, and the adaptive
+//! `alltoallv` that runs a selection at call time.
 //!
 //! ## One cost function
 //!
@@ -24,189 +23,21 @@
 //! parsing (§6.1); the block-view layout's final scan and pointer-array
 //! bookkeeping that the monolithic layout's in-place delivery avoids.
 //!
-//! ## `tuning.table` format ([`TuningTable`])
-//!
-//! Line-oriented text, versioned by its first line (`bruck-tuning v1`).
-//! Blank lines and `#` comments are skipped. Each entry line is
-//! whitespace-separated `key=value` tokens:
-//!
-//! ```text
-//! bruck-tuning v1
-//! # winners per (P, density, distribution)
-//! p=8 density=500 dist=uniform config=bruck:r=2:layout=mono:split=meta:pad=never predicted_s=1.9e-5
-//! ```
-//!
-//! Malformed lines fail with line-numbered errors; tokens with *unknown*
-//! keys are skipped with a warning so future writers can add fields without
-//! breaking old readers.
-//!
 //! ## Tuner state machine ([`AutoTuner`])
 //!
 //! `observe` (accumulate config-keyed measurements) → `refit`
 //! (coordinate-descend the machine parameters on the accumulated samples,
-//! [`calibrate`]) → `select` (candidates ranked by [`predict`]) → keep the
-//! winner as a [`TuningEntry`] per key. `bruck-tune` drives this loop on EventComm and
-//! persists the result. A memory budget is a filter on the candidate slice
-//! (`bruck_core::memory_overhead_bytes`), not a second selector.
+//! [`calibrate`]) → `select` (candidates ranked by [`predict`]).
+//! `bruck-bench tune` drives this loop on EventComm and records the winners
+//! in its artifact's `selections`. A memory budget is a filter on the
+//! candidate slice (`bruck_core::memory_overhead_bytes`), not a second
+//! selector.
 
 use bruck_comm::{CommResult, Communicator, ReduceOp};
 use bruck_core::{configurable_alltoallv, EngineConfig};
 use bruck_workload::Distribution;
 
 use crate::{calibrate, fit_error, predict, FitSample, MachineModel};
-
-/// A workload identity the tuner keys winners by.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TuningKey {
-    /// Communicator size.
-    pub p: usize,
-    /// Workload density (mean block size / max block size) in permille.
-    pub density_permille: u32,
-    /// Distribution label, whitespace-stripped.
-    pub dist: String,
-}
-
-impl TuningKey {
-    /// Key for a `(P, distribution)` workload. Density comes from the
-    /// distribution's closed-form mean, so equal-density workloads share
-    /// tuning entries regardless of `n_max`.
-    pub fn for_workload(p: usize, dist: Distribution) -> TuningKey {
-        let density = if p == 0 { 0.0 } else { dist.mean_size(1_000_000, p) / 1_000_000.0 };
-        TuningKey {
-            p,
-            density_permille: (density * 1000.0).round() as u32,
-            dist: dist.label().split_whitespace().collect(),
-        }
-    }
-}
-
-/// One tuned winner: the selected config and its predicted time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TuningEntry {
-    /// Workload identity.
-    pub key: TuningKey,
-    /// Winning config.
-    pub config: EngineConfig,
-    /// Predicted seconds at selection time.
-    pub predicted_s: f64,
-}
-
-/// A versioned set of [`TuningEntry`]s with a line-oriented text form. See
-/// the module docs for the format.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TuningTable {
-    /// Entries, kept sorted by key.
-    pub entries: Vec<TuningEntry>,
-}
-
-/// The version header every `tuning.table` must start with.
-pub const TUNING_TABLE_HEADER: &str = "bruck-tuning v1";
-
-impl TuningTable {
-    /// Insert or replace the entry for `entry.key`.
-    pub fn insert(&mut self, entry: TuningEntry) {
-        match self.entries.binary_search_by(|e| e.key.cmp(&entry.key)) {
-            Ok(i) => self.entries[i] = entry,
-            Err(i) => self.entries.insert(i, entry),
-        }
-    }
-
-    /// The entry for `key`, if tuned.
-    pub fn lookup(&self, key: &TuningKey) -> Option<&TuningEntry> {
-        self.entries.binary_search_by(|e| e.key.cmp(key)).ok().map(|i| &self.entries[i])
-    }
-
-    /// Serialize to the versioned text format (stable: sorted by key).
-    pub fn serialize(&self) -> String {
-        let mut out = String::from(TUNING_TABLE_HEADER);
-        out.push('\n');
-        for e in &self.entries {
-            out.push_str(&format!(
-                "p={} density={} dist={} config={} predicted_s={:e}\n",
-                e.key.p,
-                e.key.density_permille,
-                e.key.dist,
-                e.config.key(),
-                e.predicted_s,
-            ));
-        }
-        out
-    }
-
-    /// Parse the text format. Returns the table plus warnings (one per
-    /// skipped unknown key). Malformed lines produce line-numbered errors.
-    pub fn parse(text: &str) -> Result<(TuningTable, Vec<String>), String> {
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, h)) if h.trim() == TUNING_TABLE_HEADER => {}
-            Some((_, h)) => {
-                return Err(format!(
-                    "line 1: expected header {TUNING_TABLE_HEADER:?}, found {:?}",
-                    h.trim()
-                ))
-            }
-            None => return Err("line 1: empty tuning table".to_string()),
-        }
-
-        let mut table = TuningTable::default();
-        let mut warnings = Vec::new();
-        for (i, line) in lines {
-            let lineno = i + 1;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut p = None;
-            let mut density = None;
-            let mut dist = None;
-            let mut config = None;
-            let mut predicted = None;
-            for tok in line.split_whitespace() {
-                let (k, v) = tok
-                    .split_once('=')
-                    .ok_or_else(|| format!("line {lineno}: token {tok:?} is not key=value"))?;
-                match k {
-                    "p" => {
-                        p = Some(v.parse::<usize>().map_err(|_| {
-                            format!("line {lineno}: bad communicator size {v:?}")
-                        })?)
-                    }
-                    "density" => {
-                        density = Some(v.parse::<u32>().map_err(|_| {
-                            format!("line {lineno}: bad density permille {v:?}")
-                        })?)
-                    }
-                    "dist" => dist = Some(v.to_string()),
-                    "config" => {
-                        config = Some(EngineConfig::parse_key(v).map_err(|e| {
-                            format!("line {lineno}: bad config key {v:?}: {e}")
-                        })?)
-                    }
-                    "predicted_s" => {
-                        predicted = Some(v.parse::<f64>().map_err(|_| {
-                            format!("line {lineno}: bad predicted seconds {v:?}")
-                        })?)
-                    }
-                    unknown => warnings
-                        .push(format!("line {lineno}: skipping unknown key {unknown:?}")),
-                }
-            }
-            let (Some(p), Some(density_permille), Some(dist), Some(config)) =
-                (p, density, dist, config)
-            else {
-                return Err(format!(
-                    "line {lineno}: entry needs p=, density=, dist=, config="
-                ));
-            };
-            table.insert(TuningEntry {
-                key: TuningKey { p, density_permille, dist },
-                config,
-                predicted_s: predicted.unwrap_or(0.0),
-            });
-        }
-        Ok((table, warnings))
-    }
-}
 
 /// The observe → refit → select state machine. See the module docs.
 #[derive(Debug, Clone)]
@@ -374,89 +205,6 @@ mod tests {
         let before = fit_error(&tuner.samples, dist, SEED, &MachineModel::theta_like());
         let after = tuner.refit(dist, SEED, 20);
         assert!(after < before, "refit must improve: {before} → {after}");
-    }
-
-    #[test]
-    fn table_round_trips_to_identity() {
-        let mut table = TuningTable::default();
-        for (p, dist) in [
-            (8, Distribution::Uniform),
-            (64, Distribution::Normal),
-            (64, Distribution::POWER_LAW_STEEP),
-            (1024, Distribution::Windowed { r: 30 }),
-        ] {
-            table.insert(TuningEntry {
-                key: TuningKey::for_workload(p, dist),
-                config: EngineConfig::as_two_phase(),
-                predicted_s: 1.25e-5 * p as f64,
-            });
-        }
-        table.insert(TuningEntry {
-            key: TuningKey::for_workload(8, Distribution::Hotspot { spacing: 4, damping: 8 }),
-            config: EngineConfig {
-                radix: 4,
-                padding: PaddingRule::Threshold(128),
-                ..EngineConfig::as_two_phase()
-            },
-            predicted_s: 3.0e-6,
-        });
-
-        let text = table.serialize();
-        let (parsed, warnings) = TuningTable::parse(&text).expect("round trip");
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert_eq!(parsed, table);
-        // parse → serialize → parse is also identity.
-        assert_eq!(parsed.serialize(), text);
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        let cases = [
-            ("", "line 1"),
-            ("bruck-tuning v2\n", "line 1"),
-            (
-                "bruck-tuning v1\np=8 density=500 dist=uniform config=oracle\nnot-a-token\n",
-                "line 3",
-            ),
-            ("bruck-tuning v1\np=eight density=500 dist=uniform config=oracle\n", "line 2"),
-            ("bruck-tuning v1\np=8 density=500 dist=uniform config=warp:f=9\n", "line 2"),
-            ("bruck-tuning v1\np=8 density=500 config=oracle\n", "line 2"),
-            ("bruck-tuning v1\n\n# ok\np=8 density=many dist=uniform config=oracle\n", "line 4"),
-        ];
-        for (text, want) in cases {
-            let err = TuningTable::parse(text).expect_err(text);
-            assert!(err.starts_with(want), "{text:?}: error {err:?} should start {want:?}");
-        }
-    }
-
-    #[test]
-    fn unknown_keys_warn_but_do_not_fail() {
-        let text = "bruck-tuning v1\n\
-            p=8 density=500 dist=uniform config=oracle predicted_s=1e-6 flux=9 era=2\n";
-        let (table, warnings) = TuningTable::parse(text).expect("unknown keys are skippable");
-        assert_eq!(table.entries.len(), 1);
-        assert_eq!(warnings.len(), 2, "{warnings:?}");
-        assert!(warnings[0].contains("line 2") && warnings[0].contains("flux"));
-    }
-
-    #[test]
-    fn insert_replaces_and_lookup_finds() {
-        let key = TuningKey::for_workload(8, Distribution::Uniform);
-        let mut table = TuningTable::default();
-        table.insert(TuningEntry {
-            key: key.clone(),
-            config: EngineConfig::as_vendor(),
-            predicted_s: 2.0,
-        });
-        table.insert(TuningEntry {
-            key: key.clone(),
-            config: EngineConfig::as_two_phase(),
-            predicted_s: 1.0,
-        });
-        assert_eq!(table.entries.len(), 1);
-        let hit = table.lookup(&key).expect("tuned key");
-        assert_eq!(hit.config, EngineConfig::as_two_phase());
-        assert!(table.lookup(&TuningKey::for_workload(16, Distribution::Uniform)).is_none());
     }
 
     #[test]

@@ -23,6 +23,13 @@ stage() {
 }
 trap 'echo; echo "verify: wall time per stage$stage_rows"' EXIT
 
+# The working tree as git sees it (a constant outside a git checkout, so the
+# comparison at the end of the script is skipped there).
+tree_state() {
+    git status --porcelain 2>/dev/null || echo "not a git checkout"
+}
+tree_before=$(tree_state)
+
 stage build cargo build --workspace --release
 stage test cargo test --workspace -q
 # Rustdoc gate: every intra-doc link must resolve, so deleting or renaming a
@@ -85,24 +92,22 @@ stage sim-smoke cargo run --release -p bruck-check --bin bruck-sim -- --smoke
 # and shrinks the witness.
 stage verify-smoke cargo run --release -p bruck-check --bin bruck-verify -- --smoke
 stage verify-with-bug cargo run --release -p bruck-check --bin bruck-verify -- --with-bug
-# Bench smoke with observability artifacts: BENCH_PR4.json (per-cell report,
-# metering overhead advisory) and BENCH_PR4.trace.json (chrome trace_events).
-# Exits non-zero on any metering consistency error.
-stage bench-smoke cargo run --release -p bruck-bench --bin smoke -- BENCH_PR4.json BENCH_PR4.trace.json
-# Event-runtime scale gate (DESIGN.md §12): the P = 4096 log-phase cells on
-# EventComm's bounded worker pool, compared against the committed artifact.
-# A cell > 1.6x slower than BENCH_PR6.json prints an advisory; > 8x fails —
-# the fatal bar only catches structural regressions (e.g. an O(P) scan
-# reintroduced on the deposit path), not shared-CI wall-clock noise. The
-# committed artifact itself is regenerated with:
-#   cargo run --release -p bruck-bench --bin bruck-scale -- --out BENCH_PR6.json
-stage scale-smoke cargo run --release -p bruck-bench --bin bruck-scale -- --smoke --check-against BENCH_PR6.json
-# Auto-tuner gate (DESIGN.md §15): the configurable engine's candidate set on
-# EventComm (the one engine entry point, `configurable_alltoallv`, inside the
-# measurement),
-# every wall clock fed through the observe -> refit -> select state machine
-# (observations == measured cells), each selection printed as a loss table,
-# each cell compared to the committed BENCH_PR9.json with the same
-# advisory/fatal bars as bruck-scale. The committed artifact and tuning table regenerate with:
-#   cargo run --release -p bruck-bench --bin bruck-tune -- --smoke --out BENCH_PR9.json --table tuning.table
-stage tune-smoke cargo run --release -p bruck-bench --bin bruck-tune -- --smoke --check-against BENCH_PR9.json
+# Bench regression gate (DESIGN.md §12.6, §15.5): one bin, one row type, one
+# committed baseline. The tuner's candidate set at P = 8 (each cell the median
+# of 5 whole worlds on EventComm, every wall clock fed through observe ->
+# refit -> select, each selection printed as a loss table) and the two
+# P = 4096 log-phase cells on the bounded worker pool. Every cell must have a
+# row in crates/bench/baseline.json with exactly the same `messages`; a wall
+# clock is judged only where the baseline's is >= 1 s (> 1.6x advisory, > 8x
+# fails — the fatal bar only catches structural regressions, e.g. an O(P)
+# scan reintroduced on the deposit path, not shared-CI noise). A cell the
+# baseline does not cover, or an unreadable baseline, fails. Regenerate with:
+#   cargo run --release -p bruck-bench --bin bruck-bench -- --smoke --out crates/bench/baseline.json
+stage bench-regress cargo run --release -p bruck-bench --bin bruck-bench -- --smoke --check-against crates/bench/baseline.json
+# No stage may write into the tree: whatever `git status` said at the start,
+# it must say now.
+if [ "$(tree_state)" != "$tree_before" ]; then
+    echo "verify: FAILED: a stage changed the working tree; git status --porcelain now says:" >&2
+    tree_state >&2
+    exit 1
+fi

@@ -171,7 +171,7 @@ fn predictions_are_sane() {
 }
 
 /// One cost function: the ranking `AutoTuner::select` returns for the
-/// `bruck-tune` candidate set is the ranking of `predict` — what `refit`
+/// `bruck-bench tune` candidate set is the ranking of `predict` — what `refit`
 /// calibrates is what selects.
 #[test]
 fn select_orders_candidates_as_predict_does() {
