@@ -7,16 +7,17 @@
 //!
 //! What each pass guarantees (and does not) is documented in DESIGN.md §8;
 //! the short version: all properties are **per-schedule** — they hold for the
-//! schedule the model executed (which, by determinism of the rank bodies, is
-//! the communication DAG of *every* run), not for hypothetical programs whose
-//! control flow depends on message timing.
+//! schedule the recorded run executed (which, for rank bodies that are
+//! deterministic in their received payloads, is the communication DAG of
+//! *every* run), not for programs whose control flow depends on message
+//! timing.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use bruck_comm::{Tag, RESERVED_TAG_BASE};
 
-use crate::model::{Extraction, RankOutcome};
+use crate::schedule::{Extraction, RankOutcome};
 
 /// One verifier diagnostic. Ordering of fields mirrors what a human debugging
 /// the algorithm needs first: which ranks, which step (tag), what went wrong.
@@ -77,7 +78,7 @@ pub enum Finding {
         /// Total bytes received under the tag.
         received: usize,
     },
-    /// A rank's body returned a real error.
+    /// A rank's body returned an error, or panicked.
     RankError {
         /// The failing rank.
         rank: usize,
@@ -146,9 +147,12 @@ pub fn analyze(extraction: &Extraction) -> Vec<Finding> {
 
 fn rank_errors(ext: &Extraction, out: &mut Vec<Finding>) {
     for (rank, outcome) in ext.ranks.iter().enumerate() {
-        if let RankOutcome::Failed(e) = outcome {
-            out.push(Finding::RankError { rank, error: e.to_string() });
-        }
+        let error = match outcome {
+            RankOutcome::Failed(e) => e.to_string(),
+            RankOutcome::Panicked(why) => format!("panicked: {why}"),
+            RankOutcome::Completed | RankOutcome::Blocked(_) => continue,
+        };
+        out.push(Finding::RankError { rank, error });
     }
 }
 
@@ -325,7 +329,7 @@ pub fn check_layout(context: &str, counts: &[usize], displs: &[usize], buf_len: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::extract;
+    use crate::schedule::extract;
     use bruck_comm::Communicator;
 
     #[test]

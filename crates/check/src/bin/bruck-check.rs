@@ -1,5 +1,5 @@
-//! Protocol-verification gate: run the registry's check rows through the
-//! symbolic executor and analysis passes.
+//! Protocol-verification gate: run the registry's check rows on a
+//! lowest-first `SimComm` run and through the analysis passes.
 //!
 //! Exit status 0 iff every case is clean. `scripts/verify.sh` runs this as a
 //! tier-1 stage.

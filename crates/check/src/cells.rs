@@ -638,7 +638,8 @@ impl PhaseClass {
 /// Which harness interprets a row, with the parameters only it reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Harness {
-    /// `bruck-check`: symbolic extraction, every analysis pass, `expected`.
+    /// `bruck-check`: one recorded lowest-first `SimComm` run, every
+    /// analysis pass, `expected`.
     Check,
     /// `bruck-sim`: seeded schedules on `SimComm`, run twice.
     Sim,
@@ -778,7 +779,7 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
         .chain([Op::Plan(AlltoallvAlgorithm::TwoPhaseBruck)])
         .collect();
 
-    // -- check: symbolic execution. Powers of two, odd, prime, one. --------
+    // -- check: one recorded run. Powers of two, odd, prime, one. ----------
     let mut check = |cell| add(Harness::Check, Smoke, Faults::None, 0, cell);
     const SIZES: [usize; 5] = [1, 3, 4, 5, 8];
     // Uniform algorithms: a small odd block, and the degenerate all-empty

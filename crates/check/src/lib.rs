@@ -4,12 +4,12 @@
 //! from a public `bruck-core` entry point × workload × world size — and five
 //! harnesses that are *interpretations* of it. A cell knows how a rank runs
 //! it and what the right bytes are ([`cells::Cell`]); [`runner`] knows how to
-//! put it in a world (symbolic, simulated, real threads), under which fault
-//! stack, and what verdict the crash-only contract gives it. All std-only.
+//! put it in a world (simulated or real threads), under which fault stack,
+//! and what verdict the crash-only contract gives it. All std-only.
 //!
 //! | Harness (binary) | World | What it asserts per cell | Module |
 //! |---|---|---|---|
-//! | **check** (`bruck-check`) | [`model`]: single-thread symbolic execution, vector-clocked event log; terminates on deadlocks | every [`analysis`] pass over the extracted schedule (wait-for cycles, unmatched sends, orphaned receives, tag collisions, byte conservation, layouts) + expected bytes | [`matrix`] |
+//! | **check** (`bruck-check`) | `SimComm`, lowest-runnable-first, wire log recorded; [`schedule`] turns the log into a vector-clocked history; a stuck world is proved, not hung on | every [`analysis`] pass over the extracted schedule (wait-for cycles, unmatched sends, orphaned receives, tag collisions, byte conservation, layouts) + expected bytes | [`matrix`] |
 //! | **sim** (`bruck-sim`) | `SimComm` × schedule seeds | run twice: identical schedule trace and digest; expected bytes; failing schedule saved, ddmin-shrunk, `--replay`able (DESIGN.md §11) | [`sim_matrix`] |
 //! | **verify** (`bruck-verify`) | recorded `SimComm` schedules | stateless DPOR: every Mazurkiewicz-inequivalent interleaving of the tiny-world cells ends byte-identical and deadlock-free; plus the event runtime's wakeup protocol audited exhaustively with vector clocks (DESIGN.md §13) | [`dpor`] |
 //! | **chaos** (`bruck-chaos`) | `SimComm` + `FaultComm → ReliableComm → MeteredComm`; three real-clock canaries on `ThreadComm` | the crash-only contract on exact virtual-time budgets: never hang, never silent corruption, completion where promised, never meter drift; every cell run twice (DESIGN.md §9) | [`runner`], [`sim_matrix`] |
@@ -30,7 +30,9 @@ pub mod cli;
 pub mod dpor;
 pub mod lint;
 pub mod matrix;
-pub mod model;
 pub mod recovery;
 pub mod runner;
+pub mod schedule;
 pub mod sim_matrix;
+
+pub use schedule::{extract, Extraction, RankOutcome};

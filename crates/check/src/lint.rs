@@ -397,8 +397,9 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<LintFinding>) {
                 // Same core/comm scope as the determinism rules: a
                 // discarded Result from a communication call swallows the
                 // failure evidence the recovery stack runs on.
-                const COMM_CALLS: [&str; 10] = [
+                const COMM_CALLS: [&str; 11] = [
                     ".send_buf(",
+                    ".recv_match(",
                     ".recv_buf(",
                     ".recv_into(",
                     ".recv_buf_timeout(",
@@ -692,7 +693,7 @@ mod tests {
             .iter()
             .any(|f| f.rule == "no-hash-iteration"));
         // The rule governs the determinism-critical crates only.
-        assert!(scan_str("crates/check/src/model.rs", src)
+        assert!(scan_str("crates/check/src/schedule.rs", src)
             .iter()
             .all(|f| f.rule != "no-hash-iteration"));
         // Test code may hash (e.g. counting distinct schedule weights).

@@ -1,19 +1,18 @@
 //! The **check** interpretation of the registry: every [`Family::Check`]
-//! row symbolically executed under [`World::Model`].
+//! row run once on `SimComm` under the lowest-runnable-first schedule, with
+//! the wire log recorded.
 //!
 //! Each case runs the cell's one rank body through
-//! [`crate::model::extract`], verifies every rank's output against
-//! [`Cell::expected`](crate::cells::Cell::expected), layout-checks the
-//! `alltoallv` argument arrays, and runs the full analysis suite from
-//! [`crate::analysis`] over the extracted schedule. Keep `p` small (≤ 12)
-//! in check rows: symbolic execution replays each rank's body once per
-//! blocking receive.
+//! [`crate::schedule::record`], verifies every rank's output against
+//! [`Cell::expected`](crate::cells::Cell::expected),
+//! layout-checks the `alltoallv` argument arrays, and runs the full analysis
+//! suite from [`crate::analysis`] over the schedule.
 
 use crate::analysis::{analyze, check_layout, Finding};
-use bruck_comm::Communicator;
+use bruck_comm::SimConfig;
 
 use crate::cells::{rows, Cell, Family, Op, Tier, DEFAULT_SEEDS};
-use crate::runner::{launch, World};
+use crate::schedule::{lowest_first, record, Extraction};
 
 /// One verified case: a label and whatever findings it produced.
 #[derive(Debug)]
@@ -31,17 +30,19 @@ impl CaseReport {
     }
 }
 
-/// Verify one cell under symbolic execution.
+/// Verify one cell on the lowest-first recorded run.
 pub fn check_cell(cell: &Cell) -> CaseReport {
-    let body = {
-        let cell = *cell;
-        move |comm: &dyn Communicator| cell.run_rank(comm)
-    };
-    let launched = launch(&World::Model, cell.p, "", body);
+    check_cell_in(cell, &lowest_first()).0
+}
+
+/// [`check_cell`] under any simulator schedule; also hands back the
+/// extraction the findings were read from.
+fn check_cell_in(cell: &Cell, cfg: &SimConfig) -> (CaseReport, Extraction) {
+    let (extraction, outputs) = record(cell.p, cfg, |comm| cell.run_rank(comm));
     let mut findings = Vec::new();
     // Rank errors and stalls are the analyses' to explain (with the cycle,
     // the tag, the orphaned receive); wrong bytes are only visible here.
-    for (rank, out) in launched.ranks.iter().enumerate() {
+    for (rank, out) in outputs.iter().enumerate() {
         if let Ok(Ok(bytes)) = out {
             if let Err(detail) = cell.verify(rank, bytes, &[]) {
                 findings.push(Finding::WrongOutput { rank, detail });
@@ -63,14 +64,64 @@ pub fn check_cell(cell: &Cell) -> CaseReport {
         }
         Op::Alltoall(..) | Op::Allgatherv(_) | Op::ReduceScatter(..) | Op::Allreduce(..) => {}
     }
-    if let Some(extraction) = &launched.extraction {
-        findings.extend(analyze(extraction));
-    }
-    CaseReport { name: cell.label(), findings }
+    findings.extend(analyze(&extraction));
+    (CaseReport { name: cell.label(), findings }, extraction)
 }
 
 /// Run the full verification matrix. This is what `bruck-check` (the binary)
 /// and `scripts/verify.sh` gate on.
 pub fn run_full_matrix() -> Vec<CaseReport> {
     rows(Family::Check, Tier::Full, &DEFAULT_SEEDS).iter().map(|row| check_cell(&row.cell)).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use super::*;
+
+    /// One message: its `(src, dst, tag)`, payload, whether it was received,
+    /// and its vector-clock verdict against its predecessor on the same key
+    /// (per-sender program order, so "predecessor" means the same thing under
+    /// every schedule).
+    type MessageRow = ((usize, usize, u32), Vec<u8>, bool, Option<bool>);
+
+    /// The message table as a multiset.
+    fn message_table(ext: &Extraction) -> Vec<MessageRow> {
+        let mut last = BTreeMap::new();
+        let mut table: Vec<_> = (ext.schedule.messages.iter().enumerate())
+            .map(|(i, m)| {
+                let key = (m.src, m.dst, m.tag);
+                let overlaps =
+                    last.insert(key, i).map(|prev| ext.schedule.concurrent_in_flight(prev, i));
+                (key, m.payload.to_vec(), m.recv_event.is_some(), overlaps)
+            })
+            .collect();
+        table.sort();
+        table
+    }
+
+    #[test]
+    fn the_analyses_do_not_depend_on_the_lowest_first_schedule() {
+        let all = rows(Family::Check, Tier::Full, &DEFAULT_SEEDS);
+        let order = |ext: &Extraction| -> Vec<_> {
+            ext.schedule.messages.iter().map(|m| (m.src, m.dst, m.tag)).collect()
+        };
+        let mut reordered = 0;
+        for row in all.iter().step_by(13) {
+            let (base, base_ext) = check_cell_in(&row.cell, &lowest_first());
+            assert!(!base_ext.schedule.messages.is_empty() || row.cell.p == 1, "{}", base.name);
+            for seed in [1, 2, 3] {
+                let (seeded, ext) = check_cell_in(&row.cell, &SimConfig::from_seed(seed));
+                assert_eq!(seeded.findings, base.findings, "{} under seed {seed}", base.name);
+                assert!(
+                    message_table(&ext) == message_table(&base_ext),
+                    "{}: message table moved under seed {seed}",
+                    base.name
+                );
+                reordered += usize::from(order(&ext) != order(&base_ext));
+            }
+        }
+        assert!(reordered > 0, "the seeds never left the lowest-first send order");
+    }
 }

@@ -1,8 +1,7 @@
 //! How one [`Cell`] runs: the one world launcher, the one fault stack, the
 //! one verdict, the one run-twice comparator.
 //!
-//! [`launch`] runs a rank body on every rank of a [`World`] — symbolic
-//! ([`World::Model`], [`crate::model::extract`]), deterministic
+//! [`launch`] runs a rank body on every rank of a [`World`] — deterministic
 //! ([`World::Sim`], `SimComm`) or real threads under a watchdog
 //! ([`World::Threads`], the only `ThreadComm::run` call in this crate).
 //! [`run_cell`] layers the production fault stack over it, `FaultComm →
@@ -26,7 +25,7 @@
 //!
 //! The plain transport ([`Faults::None`]) is the same runner with no stack.
 
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use bruck_comm::{
@@ -39,7 +38,6 @@ use bruck_core::{
 };
 
 use crate::cells::{digest_rank_buf, encode_meta, mix, Cell, Expectation, Faults};
-use crate::model::{extract, Extraction, RankOutcome};
 
 // ---------------------------------------------------------------------------
 // The world launcher
@@ -48,9 +46,6 @@ use crate::model::{extract, Extraction, RankOutcome};
 /// Where a cell runs.
 #[derive(Debug, Clone)]
 pub enum World {
-    /// Symbolic single-thread execution; the launch also yields the
-    /// extracted wire schedule.
-    Model,
     /// The deterministic simulator on virtual time.
     Sim {
         /// Seed of the scheduler's picks.
@@ -89,8 +84,6 @@ pub struct Launched<T> {
     pub trace: Option<ScheduleTrace>,
     /// Recorded scheduling points (`record_steps` only).
     pub steps: Option<Vec<SimStep>>,
-    /// The extracted wire schedule ([`World::Model`] only).
-    pub extraction: Option<Extraction>,
 }
 
 /// Run `body` on every rank of a fresh `p`-rank `world`. `meta` is copied
@@ -103,32 +96,6 @@ where
     F: Fn(&dyn Communicator) -> CommResult<T> + Send + Sync + 'static,
 {
     match world {
-        World::Model => {
-            // The body's tail runs once per rank: only the attempt that
-            // completes reaches it, after which the rank is never re-run.
-            let done: Mutex<Vec<Option<T>>> = Mutex::new((0..p).map(|_| None).collect());
-            let extraction = extract(p, |comm| {
-                let out = body(comm)?;
-                done.lock().unwrap_or_else(|e| e.into_inner())[comm.rank()] = Some(out);
-                Ok(())
-            });
-            let mut done = done.into_inner().unwrap_or_else(|e| e.into_inner());
-            let ranks = extraction
-                .ranks
-                .iter()
-                .enumerate()
-                .map(|(r, outcome)| match outcome {
-                    RankOutcome::Completed => {
-                        done[r].take().map(Ok).ok_or_else(|| "completed without output".into())
-                    }
-                    RankOutcome::Blocked(b) => {
-                        Ok(Err(CommError::Deadlock { src: b.src, tag: b.tag }))
-                    }
-                    RankOutcome::Failed(e) => Ok(Err(e.clone())),
-                })
-                .collect();
-            Launched { ranks, trace: None, steps: None, extraction: Some(extraction) }
-        }
         World::Sim { sched_seed, replay, record_steps } => {
             let cfg = SimConfig {
                 seed: *sched_seed,
@@ -139,12 +106,7 @@ where
             let report = SimComm::try_run(p, &cfg, |comm| body(comm));
             let ranks =
                 report.outcomes.into_iter().map(|r| r.map_err(|m| format!("panicked: {m}")));
-            Launched {
-                ranks: ranks.collect(),
-                trace: Some(report.trace),
-                steps: report.steps,
-                extraction: None,
-            }
+            Launched { ranks: ranks.collect(), trace: Some(report.trace), steps: report.steps }
         }
         World::Threads { wall_bound } => {
             let (tx, rx) = mpsc::channel();
@@ -161,7 +123,7 @@ where
                 Ok(Err(_)) => lost("a rank panicked".to_string()),
                 Err(_) => lost(format!("HANG: exceeded wall bound {wall_bound:?}")),
             };
-            Launched { ranks, trace: None, steps: None, extraction: None }
+            Launched { ranks, trace: None, steps: None }
         }
     }
 }
@@ -440,25 +402,23 @@ mod tests {
     }
 
     #[test]
-    fn one_body_three_worlds() {
-        // A ring pass: every world runs it to the same per-rank results.
+    fn one_body_two_worlds() {
+        // A ring pass: both worlds run it to the same per-rank results.
         let ring = |comm: &dyn Communicator| {
             let (me, p) = (comm.rank(), comm.size());
             comm.send((me + 1) % p, 7, &[me as u8])?;
             Ok(comm.recv((me + p - 1) % p, 7)?[0])
         };
         let threads = World::Threads { wall_bound: Duration::from_secs(30) };
-        for world in [World::Model, World::sim(3), threads] {
+        for world in [World::sim(3), threads] {
             let launched = launch(&world, 4, "", ring);
             let got: Vec<u8> = launched.ranks.into_iter().map(|r| r.unwrap().unwrap()).collect();
             assert_eq!(got, [3, 0, 1, 2], "{world:?}");
         }
-        // A receive nobody sends for: both virtual worlds prove it stuck.
+        // A receive nobody sends for: virtual time proves it stuck.
         let stuck = |comm: &dyn Communicator| comm.recv((comm.rank() + 1) % 2, 9);
-        for world in [World::Model, World::sim(3)] {
-            for rank in launch(&world, 2, "", stuck).ranks {
-                assert!(matches!(rank, Ok(Err(CommError::Deadlock { .. }))), "{world:?}: {rank:?}");
-            }
+        for rank in launch(&World::sim(3), 2, "", stuck).ranks {
+            assert!(matches!(rank, Ok(Err(CommError::Deadlock { .. }))), "{rank:?}");
         }
     }
 

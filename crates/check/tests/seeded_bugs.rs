@@ -4,7 +4,7 @@
 //! cycles.
 
 use bruck_check::analysis::{analyze, Finding};
-use bruck_check::model::extract;
+use bruck_check::extract;
 use bruck_comm::{CommResult, Communicator};
 
 /// A deliberately broken two-step ring exchange: both Bruck-style steps tag

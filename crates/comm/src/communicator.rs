@@ -1,17 +1,21 @@
 //! The [`Communicator`] trait: the narrow waist every algorithm is written
 //! against.
 //!
-//! The waist is **ten required primitives** — identity ([`Communicator::rank`],
-//! [`Communicator::size`]), tagged eager point-to-point
-//! ([`Communicator::send_buf`], [`Communicator::recv_buf`],
-//! [`Communicator::recv_into`], [`Communicator::recv_buf_timeout`],
+//! The waist is **eight required primitives** — identity
+//! ([`Communicator::rank`], [`Communicator::size`]), tagged eager
+//! point-to-point ([`Communicator::send_buf`], [`Communicator::recv_match`],
 //! [`Communicator::probe`]) and the clock ([`Communicator::now`],
 //! [`Communicator::sleep`], [`Communicator::wait_arrival`]). None has a
 //! default body: a backend or wrapper that omits one does not compile, so
 //! "which methods must a wrapper forward" is answered by the type checker,
 //! not by a doc comment.
 //!
-//! The keyed receives block on *one* `(src, tag)`; `wait_arrival` is how a
+//! There is **one receive, with two bounds**, because that is what every
+//! backend and the ARQ implement: the oldest message on `(src, tag)`, unless
+//! it is longer than `max_len` (refused *without consuming it*) or `timeout`
+//! elapses first; `usize::MAX` / [`Duration::MAX`] mean unbounded.
+//! `recv_buf`, `recv_into` and `recv_buf_timeout` are provided corners of it.
+//! It blocks on *one* `(src, tag)`; `wait_arrival` is how a
 //! protocol that must service *any* channel while it waits (an ARQ acking
 //! third-party frames, a heartbeat sweep, a flood) parks without a poll
 //! quantum: read the arrival count, sweep with `probe`, and if the sweep
@@ -19,10 +23,10 @@
 //! deadline.
 //!
 //! Everything else — the `&[u8]`/`Vec<u8>` compat forms, `sendrecv*`, and the
-//! small collectives — is a provided method built from those ten, so every
+//! small collectives — is a provided method built from those eight, so every
 //! backend and every wrapper stack gets it for free with an identical message
 //! schedule (which is what lets the cost model in `bruck-model` price them).
-//! **A wrapper implements the ten and nothing else.** The one exception is
+//! **A wrapper implements the eight and nothing else.** The one exception is
 //! [`crate::MeteredComm::send`], an *observing* override: it performs the
 //! same pack-and-`send_buf` as the provided body and additionally records
 //! that the payload was copied.
@@ -33,6 +37,8 @@
 //! of a `MsgBuf` — one copy on send, usually zero on receive. Matching is
 //! lazy (a receive names `(src, tag)` when it completes), so the order of an
 //! algorithm's receives *is* its waitall; there is no posted-receive handle.
+
+use std::time::Duration;
 
 use crate::{CommError, CommResult, MsgBuf, ReduceOp, Tag};
 
@@ -56,9 +62,9 @@ pub(crate) fn await_arrival<C: Communicator + ?Sized>(
     comm: &C,
     seen: u64,
     idle: bool,
-    budget: std::time::Duration,
+    budget: Duration,
 ) -> CommResult<u64> {
-    comm.wait_arrival(seen, if idle { budget } else { std::time::Duration::ZERO })
+    comm.wait_arrival(seen, if idle { budget } else { Duration::ZERO })
 }
 
 /// SPMD communicator: every rank of the program holds one, all methods are
@@ -75,27 +81,24 @@ pub trait Communicator: Sync {
     /// backing region lives until the receiver consumes the message.
     fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()>;
 
-    /// Blocking zero-copy receive of the oldest message matching
-    /// `(src, tag)`: returns the sender's view, payload shared rather than
-    /// copied.
-    fn recv_buf(&self, src: usize, tag: Tag) -> CommResult<MsgBuf>;
-
-    /// Blocking receive into a caller buffer; returns the message length.
+    /// The one receive: blocks for the oldest message matching `(src, tag)`
+    /// and returns the sender's view, payload shared rather than copied.
     ///
-    /// Errors with [`CommError::Truncated`] if `buf` is too small; the
-    /// message is left un-consumed in that case so the caller can retry.
-    fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize>;
-
-    /// Zero-copy receive with a deadline: [`CommError::Timeout`] if no
-    /// matching message arrives within `timeout` on this communicator's
-    /// clock. Backends park the rank (the threaded mailbox's condition
-    /// variable, the simulator's scheduler); wrappers forward, so a timed
-    /// receive reaches that parked wait through any stack.
-    fn recv_buf_timeout(
+    /// A match longer than `max_len` bytes fails with
+    /// [`CommError::Truncated`] and is left un-consumed, so the caller can
+    /// retry with more room. If nothing matches within `timeout` on this
+    /// communicator's clock the receive fails with [`CommError::Timeout`];
+    /// [`Duration::MAX`] — or any timeout the clock cannot represent — waits
+    /// unbounded, and such a receive never reads the clock. Backends park the
+    /// rank (the mailbox condvar, the simulator's scheduler, a task waiter);
+    /// wrappers forward both bounds, so a bounded or timed receive reaches
+    /// that parked wait through any stack.
+    fn recv_match(
         &self,
         src: usize,
         tag: Tag,
-        timeout: std::time::Duration,
+        max_len: usize,
+        timeout: Duration,
     ) -> CommResult<MsgBuf>;
 
     /// Length of the next matching message, if one has already arrived.
@@ -112,21 +115,21 @@ pub trait Communicator: Sync {
     /// clock, which advances only when every rank is blocked. Wrappers
     /// forward to their inner communicator so a whole stack shares one time
     /// axis.
-    fn now(&self) -> std::time::Duration;
+    fn now(&self) -> Duration;
 
     /// Suspend the calling rank for `d` on this communicator's clock.
     ///
     /// Real-thread backends sleep the OS thread; the simulator parks the
     /// rank until the virtual clock reaches `now() + d` (which costs zero
     /// wall-clock time).
-    fn sleep(&self, d: std::time::Duration);
+    fn sleep(&self, d: Duration);
 
     /// This rank's *arrival count* — how many messages have ever been
     /// deposited for it, on any `(src, tag)` — returned at once if it
     /// differs from `seen`, otherwise after parking the rank until something
     /// is deposited for it or `timeout` elapses on this communicator's
     /// clock. `timeout == Duration::ZERO` therefore just reads the count,
-    /// and [`Duration::MAX`](std::time::Duration::MAX) waits unbounded.
+    /// and [`Duration::MAX`] waits unbounded.
     ///
     /// The wait is edge-triggered on the count, which is what makes the
     /// *read count → sweep with `probe` → wait on that count* loop free of
@@ -140,13 +143,36 @@ pub trait Communicator: Sync {
     /// A virtual-time backend that proves the world stuck — every rank
     /// parked, no deadline pending — returns [`CommError::Deadlock`] (with
     /// this rank as `src` and tag 0) rather than hanging.
-    fn wait_arrival(&self, seen: u64, timeout: std::time::Duration) -> CommResult<u64>;
+    fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64>;
 
     // ------------------------------------------------------------------
-    // Provided methods: built from the ten primitives above, identical on
+    // Provided methods: built from the eight primitives above, identical on
     // every backend and through every wrapper. Wrappers do not override
     // them.
     // ------------------------------------------------------------------
+
+    /// Blocking zero-copy receive: [`Communicator::recv_match`] with neither
+    /// bound.
+    fn recv_buf(&self, src: usize, tag: Tag) -> CommResult<MsgBuf> {
+        self.recv_match(src, tag, usize::MAX, Duration::MAX)
+    }
+
+    /// Blocking receive into a caller buffer; returns the message length.
+    ///
+    /// Errors with [`CommError::Truncated`] if `buf` is too small; the
+    /// message is left un-consumed in that case so the caller can retry.
+    fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
+        let msg = self.recv_match(src, tag, buf.len(), Duration::MAX)?;
+        buf[..msg.len()].copy_from_slice(&msg);
+        Ok(msg.len())
+    }
+
+    /// Zero-copy receive with a deadline: [`CommError::Timeout`] if no
+    /// matching message arrives within `timeout` on this communicator's
+    /// clock.
+    fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<MsgBuf> {
+        self.recv_match(src, tag, usize::MAX, timeout)
+    }
 
     /// Eager send of a borrowed slice: compat wrapper over
     /// [`Communicator::send_buf`] that packs `data` into a fresh region
@@ -180,7 +206,7 @@ pub trait Communicator: Sync {
         &self,
         src: usize,
         tag: Tag,
-        timeout: std::time::Duration,
+        timeout: Duration,
     ) -> CommResult<Vec<u8>> {
         Ok(self.recv_buf_timeout(src, tag, timeout)?.into_vec())
     }

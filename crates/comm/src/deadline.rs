@@ -4,20 +4,15 @@
 //! every one of those receives to give up when the exchange's overall budget
 //! is spent. Rather than threading a deadline parameter through every
 //! algorithm, this wrapper fixes a deadline on the inner communicator's own
-//! clock ([`Communicator::now`]) at construction and converts each blocking
-//! receive into a [`Communicator::recv_buf_timeout`] with the *remaining*
-//! budget — so one deadline covers the whole exchange, however
-//! many receives it takes, and an algorithm run under it either completes or
-//! returns [`crate::CommError::Timeout`] close to the deadline.
+//! clock ([`Communicator::now`]) at construction and clips the timeout of
+//! every receive to the *remaining* budget — so one deadline covers the whole
+//! exchange, however many receives it takes, and an algorithm run under it
+//! either completes or returns [`crate::CommError::Timeout`] close to the
+//! deadline. The length bound is forwarded untouched, so a truncated
+//! `recv_into` is as non-destructive here as on the backend.
 //!
 //! Sends and probes pass straight through (they never block under the eager
-//! protocol). Note one semantic difference forced by the timeout path:
-//! [`Communicator::recv_into`] through this wrapper consumes the message
-//! before the size check, so a [`crate::CommError::Truncated`] receive is
-//! *destructive* here (the inner mailbox's non-destructive retry contract
-//! does not survive deadline conversion). Resilient drivers size their
-//! buffers from the negotiated counts, so this is acceptable in exchange for
-//! the bounded-wait guarantee.
+//! protocol).
 
 use std::time::Duration;
 
@@ -36,19 +31,22 @@ pub struct DeadlineComm<'a, C: Communicator + ?Sized> {
 impl<'a, C: Communicator + ?Sized> DeadlineComm<'a, C> {
     /// Wrap `inner` with a budget of `budget` from now.
     pub fn new(inner: &'a C, budget: Duration) -> Self {
-        let deadline = inner.now() + budget;
-        DeadlineComm { inner, deadline }
+        DeadlineComm { inner, deadline: inner.now().saturating_add(budget) }
     }
 
     /// Wrap `inner` with an explicit absolute deadline — a timestamp on the
     /// inner communicator's [`Communicator::now`] axis (lets several
-    /// wrappers — or several phases — share one deadline).
+    /// wrappers — or several phases — share one deadline). [`Duration::MAX`]
+    /// is no deadline at all.
     pub fn until(inner: &'a C, deadline: Duration) -> Self {
         DeadlineComm { inner, deadline }
     }
 
     /// Time left before the deadline (zero once expired).
     pub fn remaining(&self) -> Duration {
+        if self.deadline == Duration::MAX {
+            return Duration::MAX;
+        }
         self.deadline.saturating_sub(self.inner.now())
     }
 
@@ -71,31 +69,19 @@ impl<C: Communicator + ?Sized> Communicator for DeadlineComm<'_, C> {
         self.inner.send_buf(dest, tag, buf)
     }
 
-    fn recv_buf(&self, src: usize, tag: Tag) -> CommResult<MsgBuf> {
-        let remaining = self.remaining();
-        if remaining == Duration::ZERO {
-            return Err(CommError::Timeout { src, tag, waited: Duration::ZERO });
-        }
-        self.inner.recv_buf_timeout(src, tag, remaining)
-    }
-
-    fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<MsgBuf> {
+    fn recv_match(
+        &self,
+        src: usize,
+        tag: Tag,
+        max_len: usize,
+        timeout: Duration,
+    ) -> CommResult<MsgBuf> {
         // An explicit per-call timeout is still clipped to the shared budget.
         let remaining = self.remaining();
         if remaining == Duration::ZERO {
             return Err(CommError::Timeout { src, tag, waited: Duration::ZERO });
         }
-        self.inner.recv_buf_timeout(src, tag, timeout.min(remaining))
-    }
-
-    fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
-        // Destructive on truncation — see the module docs.
-        let msg = self.recv_buf(src, tag)?;
-        if msg.len() > buf.len() {
-            return Err(CommError::Truncated { message_len: msg.len(), buffer_len: buf.len() });
-        }
-        buf[..msg.len()].copy_from_slice(&msg);
-        Ok(msg.len())
+        self.inner.recv_match(src, tag, max_len, timeout.min(remaining))
     }
 
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {

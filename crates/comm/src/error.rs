@@ -37,23 +37,9 @@ pub enum CommError {
     },
     /// Mismatched argument lengths (e.g. a counts slice not of length `size`).
     BadArgument(&'static str),
-    /// A receive could not be matched *yet*.
-    ///
-    /// Never returned by the threaded backend (whose receives block). It is
-    /// the suspension signal of schedule-extraction executors (`bruck-check`'s
-    /// `ModelComm`), which run every rank on one thread and unwind a rank's
-    /// execution through `?` when it would block, so the scheduler can run
-    /// another rank and replay this one later. Algorithm code must simply
-    /// propagate it like any other error.
-    WouldBlock {
-        /// Source rank the unmatched receive was posted for.
-        src: usize,
-        /// Tag the unmatched receive was posted for.
-        tag: crate::Tag,
-    },
     /// A deadline-aware receive found no matching message in time.
     ///
-    /// Raised by [`crate::Communicator::recv_buf_timeout`] and friends. On a
+    /// Raised by a [`crate::Communicator::recv_match`] with a timeout. On a
     /// healthy system this means the deadline was too tight; under fault
     /// injection it is how a stalled or crashed peer is *detected*.
     Timeout {
@@ -97,9 +83,6 @@ impl fmt::Display for CommError {
                 "message of {message_len} bytes truncated by {buffer_len}-byte receive buffer"
             ),
             CommError::BadArgument(what) => write!(f, "bad argument: {what}"),
-            CommError::WouldBlock { src, tag } => {
-                write!(f, "receive from rank {src} tag {tag} has no matching message yet")
-            }
             CommError::Timeout { src, tag, waited } => write!(
                 f,
                 "receive from rank {src} tag {tag} timed out after {waited:?} \

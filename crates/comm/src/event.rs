@@ -15,10 +15,8 @@
 //!
 //! This workspace is `unsafe`-free and dependency-free, so a blocked task
 //! cannot capture its OS stack (no fibers, no hand-rolled coroutines). A
-//! rank task instead uses **run-to-block + replay**, the same
-//! commit-and-replay idea `bruck-check`'s `ModelComm` uses for symbolic
-//! schedule extraction (and what [`CommError::WouldBlock`] documents as the
-//! suspension-by-unwinding idiom):
+//! rank task instead uses **run-to-block + replay** — the one place in the
+//! workspace that suspends a rank by unwinding it:
 //!
 //! 1. The rank closure executes normally, appending every *completed*
 //!    communicator operation to a compact per-task [`ReplayLog`].
@@ -445,16 +443,43 @@ impl<'w> EventComm<'w> {
     fn flush(&self, ctx: &mut ExecCtx) {
         Self::flush_outbox(self.world, self.rank, ctx);
     }
+}
 
-    /// Core receive: replay, complete immediately, or park the task.
-    /// `cap` makes it a bounded receive failing with [`CommError::Truncated`]
-    /// *without consuming* the message, exactly like the other backends.
-    fn op_recv(
+impl Communicator for EventComm<'_> {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn size(&self) -> usize {
+        self.world.size()
+    }
+
+    fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()> {
+        self.check_rank(dest)?;
+        let mut ctx = self.ctx();
+        if ctx.replaying() {
+            // Replayed sends are suppressed: the original execution already
+            // delivered this message.
+            return ctx.replay_send(self.rank);
+        }
+        ctx.append_send();
+        ctx.outbox.push((dest, tag, buf));
+        if ctx.outbox.len() >= OUTBOX_BATCH {
+            self.flush(&mut ctx);
+        }
+        Ok(())
+    }
+
+    /// Replay, complete immediately, or park the task. A match longer than
+    /// `max_len` fails with [`CommError::Truncated`] *without consuming* the
+    /// message, exactly like the other backends; only a timed receive reads
+    /// the clock.
+    fn recv_match(
         &self,
         src: usize,
         tag: Tag,
-        timeout: Option<Duration>,
-        cap: Option<usize>,
+        max_len: usize,
+        timeout: Duration,
     ) -> CommResult<MsgBuf> {
         self.check_rank(src)?;
         let mut ctx = self.ctx();
@@ -466,20 +491,16 @@ impl<'w> EventComm<'w> {
         // so this execution's wake verdict (if any) belongs to us.
         let wake = ctx.wake.take();
         let mut inbox = self.world.inbox(self.rank);
-        match inbox.store.peek_len(src, tag) {
-            Some(len) if cap.is_some_and(|c| len > c) => {
+        match inbox.store.try_pop(src, tag, max_len) {
+            Some(Err(message_len)) => {
                 drop(inbox);
-                let e = CommError::Truncated { message_len: len, buffer_len: cap.unwrap_or(0) };
+                let e = CommError::Truncated { message_len, buffer_len: max_len };
                 ctx.append_err(e.clone());
                 Err(e)
             }
-            Some(_) => {
-                // A message beats a simultaneous wake verdict, matching the
-                // simulator: if one raced in, deliver it and drop the verdict.
-                let msg = match inbox.store.try_pop(src, tag) {
-                    Some(m) => m,
-                    None => panic!("rank {}: peek/pop mismatch", self.rank),
-                };
+            // A message beats a simultaneous wake verdict, matching the
+            // simulator: if one raced in, deliver it and drop the verdict.
+            Some(Ok(msg)) => {
                 drop(inbox);
                 ctx.append_recv(&msg);
                 Ok(msg)
@@ -489,8 +510,7 @@ impl<'w> EventComm<'w> {
                     drop(inbox);
                     // Virtual time advanced exactly to the deadline, so the
                     // wait equals the budget (same exactness the sim tests).
-                    let e =
-                        CommError::Timeout { src, tag, waited: timeout.unwrap_or_default() };
+                    let e = CommError::Timeout { src, tag, waited: timeout };
                     ctx.append_err(e.clone());
                     Err(e)
                 }
@@ -520,49 +540,17 @@ impl<'w> EventComm<'w> {
                             epoch: ctx.epoch,
                         },
                     );
-                    let deadline = timeout.map(|t| self.world.clock_now() + t);
+                    // `Duration::MAX`, or a deadline past the end of the
+                    // clock, is an untimed receive.
+                    let deadline = (timeout != Duration::MAX)
+                        .then(|| self.world.clock_now().checked_add(timeout))
+                        .flatten();
                     ctx.park = Some(Park::Recv { deadline });
                     drop(ctx);
                     panic_any(TaskYield)
                 }
             },
         }
-    }
-}
-
-impl Communicator for EventComm<'_> {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.world.size()
-    }
-
-    fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()> {
-        self.check_rank(dest)?;
-        let mut ctx = self.ctx();
-        if ctx.replaying() {
-            // Replayed sends are suppressed: the original execution already
-            // delivered this message.
-            return ctx.replay_send(self.rank);
-        }
-        ctx.append_send();
-        ctx.outbox.push((dest, tag, buf));
-        if ctx.outbox.len() >= OUTBOX_BATCH {
-            self.flush(&mut ctx);
-        }
-        Ok(())
-    }
-
-    fn recv_buf(&self, src: usize, tag: Tag) -> CommResult<MsgBuf> {
-        self.op_recv(src, tag, None, None)
-    }
-
-    fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
-        let msg = self.op_recv(src, tag, None, Some(buf.len()))?;
-        buf[..msg.len()].copy_from_slice(&msg);
-        Ok(msg.len())
     }
 
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
@@ -575,11 +563,6 @@ impl Communicator for EventComm<'_> {
         let len = self.world.inbox(self.rank).store.peek_len(src, tag);
         ctx.append_probe(len);
         Ok(len)
-    }
-
-    fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<MsgBuf> {
-        // Parks the task with a virtual deadline.
-        self.op_recv(src, tag, Some(timeout), None)
     }
 
     fn now(&self) -> Duration {
@@ -618,7 +601,7 @@ impl Communicator for EventComm<'_> {
             return ctx.replay_arrival(self.rank);
         }
         self.flush(&mut ctx);
-        // As in `op_recv`: the first live blocking op is the op that parked,
+        // As in `recv_match`: the first live blocking op is the op that parked,
         // so this execution's wake verdict (if any) belongs to us.
         let wake = ctx.wake.take();
         let mut inbox = self.world.inbox(self.rank);

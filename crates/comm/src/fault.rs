@@ -356,24 +356,15 @@ impl<C: Communicator + ?Sized> Communicator for FaultComm<'_, C> {
         Ok(())
     }
 
-    fn recv_buf(&self, src: usize, tag: Tag) -> CommResult<MsgBuf> {
-        self.data_op()?;
-        self.inner.recv_buf(src, tag)
-    }
-
-    fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
-        self.data_op()?;
-        self.inner.recv_into(src, tag, buf)
-    }
-
-    fn recv_buf_timeout(
+    fn recv_match(
         &self,
         src: usize,
         tag: Tag,
+        max_len: usize,
         timeout: Duration,
     ) -> CommResult<MsgBuf> {
         self.data_op()?;
-        self.inner.recv_buf_timeout(src, tag, timeout)
+        self.inner.recv_match(src, tag, max_len, timeout)
     }
 
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {

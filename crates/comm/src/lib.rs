@@ -7,11 +7,12 @@
 //!
 //! * **SPMD ranks** — [`ThreadComm::run`] plays the role of `mpiexec -n P`,
 //!   mapping one rank to one OS thread ("MPI everywhere").
-//! * **One narrow waist** — [`Communicator`] requires ten primitives
-//!   (`rank`, `size`, `send_buf`, `recv_buf`, `recv_into`,
-//!   `recv_buf_timeout`, `probe`, and the clock group `now`, `sleep`,
-//!   `wait_arrival`), none with a default body.
-//!   A backend or wrapper implements these and nothing else; the compiler
+//! * **One narrow waist** — [`Communicator`] requires eight primitives
+//!   (`rank`, `size`, `send_buf`, `recv_match`, `probe`, and the clock group
+//!   `now`, `sleep`, `wait_arrival`), none with a default body. The one
+//!   receive takes a length bound and a timeout (`MAX` = unbounded);
+//!   `recv_buf` / `recv_into` / `recv_buf_timeout` are provided corners of it.
+//!   A backend or wrapper implements the eight and nothing else; the compiler
 //!   rejects one that forgets any. [`MeteredComm::send`] is the one observing
 //!   override of a provided method.
 //! * **Tagged point-to-point** — eager [`Communicator::send`] /
@@ -25,12 +26,10 @@
 //!   [`Communicator::alltoall_counts`] — all built from point-to-point as
 //!   provided trait methods, so every backend shares the exact same message
 //!   schedule.
-//! * **Instrumentation** — [`MeteredComm`] is the one meter: per-peer and
-//!   per-tag message/byte counters, in-flight high-water marks, histograms,
-//!   and the copy audit (which sends packed their payload). The cost model in
-//!   `bruck-model` is validated against its per-tag counters. [`Schedule`] /
-//!   [`VectorClock`] are the vector-clocked history types `bruck-check`'s
-//!   symbolic executor fills for the protocol analysis passes.
+//! * **Instrumentation** — [`MeteredComm`] is the one meter: per-channel and
+//!   per-tag message/byte counters, the sent-size histogram, and the copy
+//!   audit (which sends packed their payload). The cost model in
+//!   `bruck-model` is validated against its per-tag counters.
 //! * **Fault tolerance** — [`FaultComm`] injects seeded message drop /
 //!   duplication / corruption / delay and scripted rank stall / crash;
 //!   [`ReliableComm`] repairs a lossy transport back to exactly-once in-order
@@ -43,8 +42,10 @@
 //! * **Deterministic simulation** — [`SimComm`] runs the same unmodified
 //!   algorithms under a seeded cooperative scheduler with a virtual clock:
 //!   one runnable rank at a time, recorded/replayable schedules
-//!   ([`ScheduleTrace`]), proved deadlocks instead of hangs, and
-//!   delta-debugging minimization of failing schedules ([`shrink_choices`]).
+//!   ([`ScheduleTrace`]), proved deadlocks instead of hangs,
+//!   delta-debugging minimization of failing schedules ([`shrink_choices`]),
+//!   and a recorded wire log ([`WireEvent`]) `bruck-check` builds its
+//!   vector-clocked schedules from.
 //! * **Event-driven scale-out** — [`EventComm`] multiplexes many lightweight
 //!   rank tasks over a fixed pool of worker OS threads (run-to-block +
 //!   log-replay suspension), so the full algorithm suite executes at
@@ -83,16 +84,13 @@ mod runtime;
 mod sim;
 mod subcomm;
 mod thread_comm;
-mod trace;
 
 pub use communicator::{Communicator, RESERVED_TAG_BASE};
 pub use deadline::DeadlineComm;
 pub use error::{CommError, CommResult};
 pub use event::EventComm;
 pub use fault::{EdgeFaults, FaultComm, FaultEvent, FaultKind, FaultPlan, ScriptedFault};
-pub use metered::{
-    ChannelTotals, Histogram, MeteredComm, Metrics, PeerCounters, TagCounters, HIST_BUCKETS,
-};
+pub use metered::{ChannelTotals, Histogram, MeteredComm, Metrics, TagCounters, HIST_BUCKETS};
 pub use msgbuf::MsgBuf;
 pub use agree::{agree_survivors, AgreeConfig, AgreeOutcome};
 pub use detect::{detect_failures, DetectorConfig, Suspicion};
@@ -107,11 +105,10 @@ pub use runtime::{
 };
 pub use sim::{
     shrink_choices, ScheduleTrace, SimComm, SimConfig, SimOp, SimReport, SimRun, SimStep,
-    SimWorld,
+    SimWorld, WireEvent, WireKind,
 };
 pub use subcomm::{ShrinkComm, SubComm, SUBCOMM_MAX_TAG};
 pub use thread_comm::{ThreadComm, World};
-pub use trace::{BlockedOn, Event, EventKind, MsgRecord, Schedule, VectorClock};
 
 /// The name of the send-log wrapper [`MeteredComm`] absorbed, kept for
 /// callers that only want the copy audit ([`MeteredComm::bytes_copied`]).

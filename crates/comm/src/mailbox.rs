@@ -43,8 +43,9 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
-use crate::{MsgBuf, Tag};
+use crate::{CommError, CommResult, MsgBuf, Tag};
 
 /// Per-(source, tag) FIFO queues of undelivered messages.
 type MatchQueues = BTreeMap<(usize, Tag), VecDeque<MsgBuf>>;
@@ -122,36 +123,28 @@ impl MatchStore {
 
     /// Pop the oldest message matching `(src, tag)`, if any, trimming the
     /// key when its queue drains. Every pop path must go through here.
-    pub(crate) fn try_pop(&mut self, src: usize, tag: Tag) -> Option<MsgBuf> {
-        let q = self.queues.get_mut(&(src, tag))?;
-        let msg = q.pop_front();
-        if q.is_empty() {
-            self.queues.remove(&(src, tag));
-        }
-        if msg.is_some() {
-            self.stats.pending.fetch_sub(1, Ordering::SeqCst);
-        }
-        msg
-    }
-
-    /// Like [`MatchStore::try_pop`], but refuses (without consuming the
-    /// message) if the matching message is longer than `cap` bytes:
-    /// `Some(Err(message_len))`.
     ///
-    /// This is what makes `recv_into` truncation non-destructive — the check
-    /// happens *before* the message leaves the queue, so a caller that
-    /// retries with a bigger buffer still observes the message.
-    pub(crate) fn try_pop_bounded(
+    /// A match longer than `max_len` bytes is refused *without consuming it*:
+    /// `Some(Err(message_len))`. The check happens before the message leaves
+    /// the queue, which is what makes `recv_into` truncation non-destructive
+    /// — a caller that retries with a bigger buffer still observes it.
+    pub(crate) fn try_pop(
         &mut self,
         src: usize,
         tag: Tag,
-        cap: usize,
+        max_len: usize,
     ) -> Option<Result<MsgBuf, usize>> {
-        let len = self.peek_len(src, tag)?;
-        if len > cap {
+        let q = self.queues.get_mut(&(src, tag))?;
+        let len = q.front()?.len();
+        if len > max_len {
             return Some(Err(len));
         }
-        self.try_pop(src, tag).map(Ok)
+        let msg = q.pop_front()?;
+        if q.is_empty() {
+            self.queues.remove(&(src, tag));
+        }
+        self.stats.pending.fetch_sub(1, Ordering::SeqCst);
+        Some(Ok(msg))
     }
 
     /// Byte length of the next matching message, without consuming it.
@@ -218,57 +211,38 @@ impl Mailbox {
         self.arrived.notify_all();
     }
 
-    /// Pop the oldest message matching `(src, tag)`, blocking until present.
-    pub(crate) fn pop(&self, src: usize, tag: Tag) -> MsgBuf {
-        let mut store = self.lock();
-        loop {
-            if let Some(msg) = store.try_pop(src, tag) {
-                return msg;
-            }
-            store = self.arrived.wait(store).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Like [`Mailbox::pop`], but refuses (without consuming the message) if
-    /// the matching message is longer than `cap` bytes: `Err(message_len)`.
-    pub(crate) fn pop_bounded(&self, src: usize, tag: Tag, cap: usize) -> Result<MsgBuf, usize> {
-        let mut store = self.lock();
-        loop {
-            if let Some(outcome) = store.try_pop_bounded(src, tag, cap) {
-                return outcome;
-            }
-            store = self.arrived.wait(store).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Pop with a deadline: `None` if no matching message arrives in time.
-    pub(crate) fn pop_timeout(
+    /// Pop the oldest message matching `(src, tag)`, blocking until present
+    /// or until `timeout` elapses ([`CommError::Timeout`]). A match longer
+    /// than `max_len` bytes is refused *without consuming it*
+    /// ([`CommError::Truncated`]): the check happens under the lock, before
+    /// the message leaves its queue. `Duration::MAX` — or a timeout too large
+    /// to add to the clock — waits unbounded, and then no clock is read.
+    pub(crate) fn pop(
         &self,
         src: usize,
         tag: Tag,
-        timeout: std::time::Duration,
-    ) -> Option<MsgBuf> {
-        let deadline = std::time::Instant::now() + timeout;
+        max_len: usize,
+        timeout: Duration,
+    ) -> CommResult<MsgBuf> {
+        let timed = (timeout != Duration::MAX)
+            .then(Instant::now)
+            .and_then(|start| Some((start, start.checked_add(timeout)?)));
         let mut store = self.lock();
         loop {
-            if let Some(msg) = store.try_pop(src, tag) {
-                return Some(msg);
+            if let Some(outcome) = store.try_pop(src, tag, max_len) {
+                return outcome
+                    .map_err(|message_len| CommError::Truncated { message_len, buffer_len: max_len });
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, timed_out) = self
-                .arrived
-                .wait_timeout(store, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            store = guard;
-            if timed_out.timed_out() {
-                // One last check: the message may have raced the timeout.
-                // (Goes through try_pop like every other pop, so a race-won
-                // pop cannot strand an empty dead key in the map.)
-                return store.try_pop(src, tag);
-            }
+            store = match timed {
+                Some((start, deadline)) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(CommError::Timeout { src, tag, waited: start.elapsed() });
+                    }
+                    self.arrived.wait_timeout(store, left).unwrap_or_else(|p| p.into_inner()).0
+                }
+                None => self.arrived.wait(store).unwrap_or_else(|p| p.into_inner()),
+            };
         }
     }
 
@@ -277,14 +251,14 @@ impl Mailbox {
     /// the store lock the depositor increments under, so a deposit landing
     /// between the caller's read of `seen` and this call is never slept
     /// through. A `timeout` too large to add to the clock waits unbounded.
-    pub(crate) fn wait_arrival(&self, seen: u64, timeout: std::time::Duration) -> u64 {
-        let deadline = std::time::Instant::now().checked_add(timeout);
+    pub(crate) fn wait_arrival(&self, seen: u64, timeout: Duration) -> u64 {
+        let deadline = Instant::now().checked_add(timeout);
         let mut store = self.lock();
         while store.deposits() == seen {
             store = match deadline {
                 None => self.arrived.wait(store).unwrap_or_else(|p| p.into_inner()),
                 Some(deadline) => {
-                    let left = deadline.saturating_duration_since(std::time::Instant::now());
+                    let left = deadline.saturating_duration_since(Instant::now());
                     if left.is_zero() {
                         break;
                     }
@@ -315,11 +289,14 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::time::Duration;
 
     fn buf(bytes: &[u8]) -> MsgBuf {
         MsgBuf::copy_from_slice(bytes)
+    }
+
+    /// The unbounded, untimed corner of [`Mailbox::pop`].
+    fn take(mb: &Mailbox, src: usize, tag: Tag) -> MsgBuf {
+        mb.pop(src, tag, usize::MAX, Duration::MAX).expect("an unbounded pop cannot fail")
     }
 
     #[test]
@@ -328,9 +305,9 @@ mod tests {
         mb.push(0, 7, buf(&[1]));
         mb.push(0, 7, buf(&[2]));
         mb.push(1, 7, buf(&[9]));
-        assert_eq!(mb.pop(0, 7), vec![1]);
-        assert_eq!(mb.pop(0, 7), vec![2]);
-        assert_eq!(mb.pop(1, 7), vec![9]);
+        assert_eq!(take(&mb, 0, 7), vec![1]);
+        assert_eq!(take(&mb, 0, 7), vec![2]);
+        assert_eq!(take(&mb, 1, 7), vec![9]);
         assert_eq!(mb.pending(), 0);
         assert_eq!(mb.dead_keys(), 0);
     }
@@ -341,7 +318,7 @@ mod tests {
         let region = MsgBuf::from_vec((0u8..64).collect());
         let ptr = region.as_slice().as_ptr();
         mb.push(0, 1, region.slice(16..32));
-        let got = mb.pop(0, 1);
+        let got = take(&mb, 0, 1);
         // The queued message aliases the sender's region.
         assert_eq!(got.as_slice().as_ptr(), unsafe { ptr.add(16) });
         assert_eq!(got, region.slice(16..32));
@@ -351,7 +328,7 @@ mod tests {
     fn pop_blocks_until_push() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
-        let t = std::thread::spawn(move || mb2.pop(3, 11));
+        let t = std::thread::spawn(move || take(&mb2, 3, 11));
         std::thread::sleep(Duration::from_millis(20));
         mb.push(3, 11, buf(&[42]));
         assert_eq!(t.join().unwrap(), vec![42]);
@@ -363,16 +340,17 @@ mod tests {
         assert_eq!(mb.probe(0, 0), None);
         mb.push(0, 0, buf(&[0; 17]));
         assert_eq!(mb.probe(0, 0), Some(17));
-        assert_eq!(mb.pop(0, 0).len(), 17);
+        assert_eq!(take(&mb, 0, 0).len(), 17);
     }
 
     #[test]
-    fn pop_bounded_rejects_without_consuming() {
+    fn bounded_pop_rejects_without_consuming() {
         let mb = Mailbox::new();
         mb.push(2, 5, buf(&[7; 16]));
-        assert_eq!(mb.pop_bounded(2, 5, 4), Err(16));
+        let refused = mb.pop(2, 5, 4, Duration::from_secs(5));
+        assert_eq!(refused, Err(CommError::Truncated { message_len: 16, buffer_len: 4 }));
         assert_eq!(mb.pending(), 1, "rejected message must stay queued");
-        let got = mb.pop_bounded(2, 5, 16).unwrap();
+        let got = mb.pop(2, 5, 16, Duration::MAX).unwrap();
         assert_eq!(got, vec![7; 16]);
         assert_eq!(mb.pending(), 0);
         assert_eq!(mb.dead_keys(), 0);
@@ -383,12 +361,12 @@ mod tests {
         let mb = Arc::new(Mailbox::new());
         mb.push(0, 1, buf(&[1]));
         let mb2 = Arc::clone(&mb);
-        let t = std::thread::spawn(move || mb2.pop(0, 2));
+        let t = std::thread::spawn(move || take(&mb2, 0, 2));
         std::thread::sleep(Duration::from_millis(20));
         assert!(!t.is_finished(), "pop(0,2) must not match tag 1");
         mb.push(0, 2, buf(&[2]));
         assert_eq!(t.join().unwrap(), vec![2]);
-        assert_eq!(mb.pop(0, 1), vec![1]);
+        assert_eq!(take(&mb, 0, 1), vec![1]);
     }
 
     #[test]
@@ -404,11 +382,11 @@ mod tests {
                 std::thread::sleep(Duration::from_micros(round % 120));
                 mb2.push(1, 3, buf(&[round as u8]));
             });
-            let got = mb.pop_timeout(1, 3, Duration::from_micros(60));
+            let got = mb.pop(1, 3, usize::MAX, Duration::from_micros(60));
             pusher.join().unwrap();
-            if got.is_none() {
+            if got.is_err() {
                 // Push lost the race: drain it so the next round starts clean.
-                assert_eq!(mb.pop(1, 3), vec![round as u8]);
+                assert_eq!(take(&mb, 1, 3), vec![round as u8]);
             }
             assert_eq!(mb.dead_keys(), 0, "round {round} stranded an empty key");
         }
@@ -416,9 +394,10 @@ mod tests {
     }
 
     #[test]
-    fn pop_timeout_returns_none_when_nothing_arrives() {
+    fn timed_pop_times_out_when_nothing_arrives() {
         let mb = Mailbox::new();
-        assert!(mb.pop_timeout(0, 0, Duration::from_millis(5)).is_none());
+        let err = mb.pop(0, 0, usize::MAX, Duration::from_millis(5)).unwrap_err();
+        assert!(matches!(err, CommError::Timeout { src: 0, tag: 0, waited } if waited >= Duration::from_millis(5)));
         assert_eq!(mb.dead_keys(), 0);
     }
 
@@ -435,10 +414,10 @@ mod tests {
         assert_eq!(stats.pending(), 3);
         assert_eq!(stats.deposited(), 3);
         assert_eq!(stats.pending(), a.pending() + b.pending());
-        assert_eq!(a.pop(0, 1), vec![1]);
+        assert_eq!(take(&a, 0, 1), vec![1]);
         assert_eq!(stats.pending(), 2);
-        assert_eq!(b.pop(1, 1), vec![3]);
-        assert_eq!(a.pop(0, 1), vec![2]);
+        assert_eq!(take(&b, 1, 1), vec![3]);
+        assert_eq!(take(&a, 0, 1), vec![2]);
         assert_eq!(stats.pending(), 0);
         assert_eq!(stats.deposited(), 3, "deposited is cumulative, not current");
         assert_eq!(stats.dead_keys(), 0);
@@ -447,11 +426,11 @@ mod tests {
     #[test]
     fn match_store_bounded_pop_is_non_destructive() {
         let mut store = MatchStore::new(StoreStats::new());
-        assert!(store.try_pop_bounded(4, 2, 8).is_none(), "empty store has no match");
+        assert!(store.try_pop(4, 2, 8).is_none(), "empty store has no match");
         store.push(4, 2, buf(&[9; 10]));
-        assert_eq!(store.try_pop_bounded(4, 2, 4), Some(Err(10)));
+        assert_eq!(store.try_pop(4, 2, 4), Some(Err(10)));
         assert_eq!(store.scan_pending(), 1);
-        assert_eq!(store.try_pop_bounded(4, 2, 10).and_then(Result::ok), Some(buf(&[9; 10])));
+        assert_eq!(store.try_pop(4, 2, 10).and_then(Result::ok), Some(buf(&[9; 10])));
         assert_eq!(store.scan_pending(), 0);
         assert_eq!(store.scan_dead_keys(), 0);
     }

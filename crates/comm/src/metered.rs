@@ -1,19 +1,14 @@
-//! [`MeteredComm`]: per-peer, per-tag traffic metering with latency and size
-//! histograms — the measurement half of the `bruck-probe` observability
-//! layer (DESIGN.md §10).
+//! [`MeteredComm`]: per-channel, per-tag traffic metering — the measurement
+//! half of the `bruck-probe` observability layer (DESIGN.md §10). It records
+//! only what something reads.
 //!
 //! The wrapper records, per rank:
 //!
-//! * **per-peer counters** (messages and bytes, both directions) for the
+//! * **channel totals** (messages and bytes, both directions) for the
 //!   *logical* channel — tags below [`RESERVED_TAG_BASE`], i.e. algorithm
-//!   traffic;
-//! * **channel totals** for the logical channel and the *reserved* channel
-//!   (built-in collectives and wrapper-internal protocols such as the
-//!   `ReliableComm` ARQ frames) separately;
-//! * **max in-flight** high-water marks: sends posted minus receives
-//!   completed, tracked per peer and per channel. Under the eager protocol
-//!   this distinguishes spread-out's `P − 1` burst from Bruck's
-//!   sendrecv-paced 1 and the vendor window's cap;
+//!   traffic — and the *reserved* channel (built-in collectives and
+//!   wrapper-internal protocols such as the `ReliableComm` ARQ frames)
+//!   separately;
 //! * **per-tag send counters** — the exact quantity the conformance suite
 //!   compares against `bruck-model` trace predictions;
 //! * the **copy class** (`copied_msgs` / `copied_bytes`, per channel and per
@@ -24,9 +19,9 @@
 //!   lets a test *prove* an algorithm's data phase does zero per-message
 //!   copies; [`MeteredComm::send`] is the one observing override that feeds
 //!   it;
-//! * a **receive-wait histogram** (nanoseconds, log₂ buckets) over every
-//!   successful blocking receive, and a **sent-size histogram** (bytes) over
-//!   logical sends.
+//! * a **sent-size histogram** (bytes) over logical sends.
+//!
+//! State is O(tags used), not O(P), and no operation reads a clock.
 //!
 //! ## Retransmit-aware accounting
 //!
@@ -47,7 +42,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::{CommResult, Communicator, MsgBuf, Tag, RESERVED_TAG_BASE};
 
@@ -95,22 +90,6 @@ impl Histogram {
     }
 }
 
-/// Message/byte counters for one peer on the logical channel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PeerCounters {
-    /// Messages sent to this peer.
-    pub sent_msgs: u64,
-    /// Bytes sent to this peer.
-    pub sent_bytes: u64,
-    /// Messages received from this peer.
-    pub recv_msgs: u64,
-    /// Bytes received from this peer.
-    pub recv_bytes: u64,
-    /// High-water mark of sends-posted minus receives-completed with this
-    /// peer (never below 0).
-    pub max_in_flight: u64,
-}
-
 /// Aggregate counters for one channel (logical or reserved).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelTotals {
@@ -126,9 +105,6 @@ pub struct ChannelTotals {
     pub copied_msgs: u64,
     /// Of `sent_bytes`, those packed by compat-path sends.
     pub copied_bytes: u64,
-    /// High-water mark of sends-posted minus receives-completed on this
-    /// channel.
-    pub max_in_flight: u64,
 }
 
 /// Send-side counters for one tag.
@@ -155,12 +131,8 @@ pub struct Metrics {
     pub logical: ChannelTotals,
     /// Totals for reserved-tag traffic (collectives, wrapper protocols).
     pub reserved: ChannelTotals,
-    /// Logical-channel counters indexed by peer rank (`len == size`).
-    pub per_peer: Vec<PeerCounters>,
     /// Send-side counters per tag, both channels.
     pub per_tag_sent: BTreeMap<Tag, TagCounters>,
-    /// Wait times of successful blocking receives, in nanoseconds.
-    pub recv_wait_ns: Histogram,
     /// Payload sizes of logical-channel sends, in bytes.
     pub sent_sizes: Histogram,
     /// Measurement identity stamped by [`MeteredComm::with_key`]; `None`
@@ -179,27 +151,6 @@ impl Metrics {
     /// to prove the meter itself never drifts.
     pub fn consistency_errors(&self) -> Vec<String> {
         let mut errs = Vec::new();
-        if self.per_peer.len() != self.size {
-            errs.push(format!(
-                "per_peer len {} != world size {}",
-                self.per_peer.len(),
-                self.size
-            ));
-            return errs;
-        }
-        let sum =
-            |f: fn(&PeerCounters) -> u64| -> u64 { self.per_peer.iter().map(f).sum::<u64>() };
-        let checks = [
-            ("peer sent msgs", sum(|p| p.sent_msgs), self.logical.sent_msgs),
-            ("peer sent bytes", sum(|p| p.sent_bytes), self.logical.sent_bytes),
-            ("peer recv msgs", sum(|p| p.recv_msgs), self.logical.recv_msgs),
-            ("peer recv bytes", sum(|p| p.recv_bytes), self.logical.recv_bytes),
-        ];
-        for (what, got, want) in checks {
-            if got != want {
-                errs.push(format!("{what}: per-peer sum {got} != channel total {want}"));
-            }
-        }
         // Per-tag sums, [logical, reserved] × (msgs, bytes, copied msgs,
         // copied bytes), against the channel totals.
         let mut sums = [[0u64; 4]; 2];
@@ -234,36 +185,7 @@ impl Metrics {
                 self.sent_sizes.sum, self.logical.sent_bytes
             ));
         }
-        if self.recv_wait_ns.count != self.logical.recv_msgs + self.reserved.recv_msgs {
-            errs.push(format!(
-                "recv-wait histogram count {} != total received msgs {}",
-                self.recv_wait_ns.count,
-                self.logical.recv_msgs + self.reserved.recv_msgs
-            ));
-        }
         errs
-    }
-}
-
-/// Outstanding-message gauge with a high-water mark.
-#[derive(Debug, Clone, Copy, Default)]
-struct Flight {
-    outstanding: i64,
-    high: i64,
-}
-
-impl Flight {
-    fn on_send(&mut self) {
-        self.outstanding += 1;
-        self.high = self.high.max(self.outstanding);
-    }
-
-    fn on_recv(&mut self) {
-        self.outstanding -= 1;
-    }
-
-    fn high_water(&self) -> u64 {
-        self.high.max(0) as u64
     }
 }
 
@@ -271,23 +193,8 @@ impl Flight {
 struct MeterState {
     logical: ChannelTotals,
     reserved: ChannelTotals,
-    per_peer: Vec<PeerCounters>,
-    peer_flight: Vec<Flight>,
-    logical_flight: Flight,
-    reserved_flight: Flight,
     per_tag_sent: BTreeMap<Tag, TagCounters>,
-    recv_wait_ns: Histogram,
     sent_sizes: Histogram,
-}
-
-impl MeterState {
-    fn sized(p: usize) -> Self {
-        MeterState {
-            per_peer: vec![PeerCounters::default(); p],
-            peer_flight: vec![Flight::default(); p],
-            ..MeterState::default()
-        }
-    }
 }
 
 /// Traffic-metering wrapper around any [`Communicator`]. See the
@@ -305,7 +212,7 @@ pub struct MeteredComm<'a, C: Communicator + ?Sized> {
 impl<'a, C: Communicator + ?Sized> MeteredComm<'a, C> {
     /// Wrap `inner`, starting all counters at zero.
     pub fn new(inner: &'a C) -> Self {
-        MeteredComm { inner, key: None, state: Mutex::new(MeterState::sized(inner.size())) }
+        MeteredComm { inner, key: None, state: Mutex::default() }
     }
 
     /// Wrap `inner` and stamp every [`Metrics`] snapshot with `key` — the
@@ -313,11 +220,7 @@ impl<'a, C: Communicator + ?Sized> MeteredComm<'a, C> {
     /// `bruck:r=2:layout=mono:…`) that downstream consumers such as the
     /// auto-tuner use to attribute samples without a side channel.
     pub fn with_key(inner: &'a C, key: impl Into<String>) -> Self {
-        MeteredComm {
-            inner,
-            key: Some(key.into()),
-            state: Mutex::new(MeterState::sized(inner.size())),
-        }
+        MeteredComm { inner, key: Some(key.into()), state: Mutex::default() }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, MeterState> {
@@ -327,31 +230,20 @@ impl<'a, C: Communicator + ?Sized> MeteredComm<'a, C> {
     /// Snapshot every counter and histogram recorded so far.
     pub fn metrics(&self) -> Metrics {
         let s = self.lock();
-        let mut per_peer = s.per_peer.clone();
-        for (c, f) in per_peer.iter_mut().zip(&s.peer_flight) {
-            c.max_in_flight = f.high_water();
-        }
-        let mut logical = s.logical;
-        logical.max_in_flight = s.logical_flight.high_water();
-        let mut reserved = s.reserved;
-        reserved.max_in_flight = s.reserved_flight.high_water();
         Metrics {
             rank: self.inner.rank(),
             size: self.inner.size(),
-            logical,
-            reserved,
-            per_peer,
+            logical: s.logical,
+            reserved: s.reserved,
             per_tag_sent: s.per_tag_sent.clone(),
-            recv_wait_ns: s.recv_wait_ns.clone(),
             sent_sizes: s.sent_sizes.clone(),
             key: self.key.clone(),
         }
     }
 
-    /// Zero every counter and histogram (in-flight gauges included).
+    /// Zero every counter and histogram.
     pub fn reset(&self) {
-        let p = self.inner.size();
-        *self.lock() = MeterState::sized(p);
+        *self.lock() = MeterState::default();
     }
 
     /// Payload bytes that took the compat (packing) send path, both
@@ -361,7 +253,7 @@ impl<'a, C: Communicator + ?Sized> MeteredComm<'a, C> {
         s.logical.copied_bytes + s.reserved.copied_bytes
     }
 
-    fn note_send(&self, dest: usize, tag: Tag, len: usize, copied: bool) {
+    fn note_send(&self, tag: Tag, len: usize, copied: bool) {
         let len = len as u64;
         let (copied_msgs, copied_bytes) = if copied { (1, len) } else { (0, 0) };
         let logical = tag < RESERVED_TAG_BASE;
@@ -372,47 +264,21 @@ impl<'a, C: Communicator + ?Sized> MeteredComm<'a, C> {
         entry.bytes += len;
         entry.copied_msgs += copied_msgs;
         entry.copied_bytes += copied_bytes;
-        let (channel, flight) = if logical {
-            (&mut s.logical, &mut s.logical_flight)
-        } else {
-            (&mut s.reserved, &mut s.reserved_flight)
-        };
+        let channel = if logical { &mut s.logical } else { &mut s.reserved };
         channel.sent_msgs += 1;
         channel.sent_bytes += len;
         channel.copied_msgs += copied_msgs;
         channel.copied_bytes += copied_bytes;
-        flight.on_send();
         if logical {
             s.sent_sizes.record(len);
-            if let Some(c) = s.per_peer.get_mut(dest) {
-                c.sent_msgs += 1;
-                c.sent_bytes += len;
-            }
-            if let Some(f) = s.peer_flight.get_mut(dest) {
-                f.on_send();
-            }
         }
     }
 
-    fn note_recv(&self, src: usize, tag: Tag, len: usize, waited: Duration) {
+    fn note_recv(&self, tag: Tag, len: usize) {
         let mut s = self.lock();
-        s.recv_wait_ns.record(waited.as_nanos().min(u128::from(u64::MAX)) as u64);
-        if tag < RESERVED_TAG_BASE {
-            s.logical.recv_msgs += 1;
-            s.logical.recv_bytes += len as u64;
-            s.logical_flight.on_recv();
-            if let Some(c) = s.per_peer.get_mut(src) {
-                c.recv_msgs += 1;
-                c.recv_bytes += len as u64;
-            }
-            if let Some(f) = s.peer_flight.get_mut(src) {
-                f.on_recv();
-            }
-        } else {
-            s.reserved.recv_msgs += 1;
-            s.reserved.recv_bytes += len as u64;
-            s.reserved_flight.on_recv();
-        }
+        let channel = if tag < RESERVED_TAG_BASE { &mut s.logical } else { &mut s.reserved };
+        channel.recv_msgs += 1;
+        channel.recv_bytes += len as u64;
     }
 }
 
@@ -428,7 +294,7 @@ impl<C: Communicator + ?Sized> Communicator for MeteredComm<'_, C> {
     fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()> {
         let len = buf.len();
         self.inner.send_buf(dest, tag, buf)?;
-        self.note_send(dest, tag, len, false);
+        self.note_send(tag, len, false);
         Ok(())
     }
 
@@ -437,29 +303,20 @@ impl<C: Communicator + ?Sized> Communicator for MeteredComm<'_, C> {
     /// copy class.
     fn send(&self, dest: usize, tag: Tag, data: &[u8]) -> CommResult<()> {
         self.inner.send_buf(dest, tag, MsgBuf::copy_from_slice(data))?;
-        self.note_send(dest, tag, data.len(), true);
+        self.note_send(tag, data.len(), true);
         Ok(())
     }
 
-    fn recv_buf(&self, src: usize, tag: Tag) -> CommResult<MsgBuf> {
-        let start = Instant::now();
-        let msg = self.inner.recv_buf(src, tag)?;
-        self.note_recv(src, tag, msg.len(), start.elapsed());
-        Ok(msg)
-    }
-
-    fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
-        let start = Instant::now();
-        let len = self.inner.recv_into(src, tag, buf)?;
-        self.note_recv(src, tag, len, start.elapsed());
-        Ok(len)
-    }
-
-    fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<MsgBuf> {
+    fn recv_match(
+        &self,
+        src: usize,
+        tag: Tag,
+        max_len: usize,
+        timeout: Duration,
+    ) -> CommResult<MsgBuf> {
         // Only successful receives are recorded.
-        let start = Instant::now();
-        let msg = self.inner.recv_buf_timeout(src, tag, timeout)?;
-        self.note_recv(src, tag, msg.len(), start.elapsed());
+        let msg = self.inner.recv_match(src, tag, max_len, timeout)?;
+        self.note_recv(tag, msg.len());
         Ok(msg)
     }
 
@@ -497,15 +354,11 @@ mod tests {
             assert_eq!(mc.recv(peer, 9).unwrap().len(), 5);
             mc.metrics()
         });
-        for (me, m) in metrics.iter().enumerate() {
-            let peer = 1 - me;
+        for m in &metrics {
             assert_eq!(m.logical.sent_msgs, 2);
             assert_eq!(m.logical.sent_bytes, 8);
             assert_eq!(m.logical.recv_msgs, 2);
             assert_eq!(m.logical.recv_bytes, 8);
-            assert_eq!(m.per_peer[peer].sent_msgs, 2);
-            assert_eq!(m.per_peer[peer].recv_bytes, 8);
-            assert_eq!(m.per_peer[me].sent_msgs, 0);
             // Both sends took the compat path, so both land in the copy class.
             assert_eq!(
                 m.sent_for_tag(7),
@@ -517,27 +370,6 @@ mod tests {
             );
             assert_eq!(m.reserved.sent_msgs, 0);
             assert!(m.consistency_errors().is_empty(), "{:?}", m.consistency_errors());
-        }
-    }
-
-    #[test]
-    fn in_flight_high_water_sees_send_bursts() {
-        let metrics = ThreadComm::run(2, |comm| {
-            let mc = MeteredComm::new(comm);
-            let me = mc.rank();
-            let peer = 1 - me;
-            // Burst three sends before draining: the gauge must hit 3.
-            for i in 0..3u8 {
-                mc.send(peer, 5, &[i]).unwrap();
-            }
-            for _ in 0..3 {
-                mc.recv(peer, 5).unwrap();
-            }
-            mc.metrics()
-        });
-        for m in &metrics {
-            assert_eq!(m.logical.max_in_flight, 3);
-            assert_eq!(m.per_peer[1 - m.rank].max_in_flight, 3);
         }
     }
 
@@ -605,7 +437,7 @@ mod tests {
             assert_eq!(mc.bytes_copied(), 0);
             let m = mc.metrics();
             assert_eq!(m.logical, ChannelTotals::default());
-            assert_eq!(m.recv_wait_ns.count, 0);
+            assert_eq!(m.sent_sizes.count, 0);
             assert!(m.per_tag_sent.is_empty());
         });
     }

@@ -83,14 +83,7 @@ impl ExchangePlan {
         match Self::handshake(comm, &sendcounts, tag) {
             Ok(recvcounts) => Self::from_counts(sendcounts, recvcounts),
             Err(e) => {
-                // WouldBlock is a transport-level "retry this op" signal, not
-                // a failed handshake: non-blocking communicators (the model
-                // verifier's commit-and-replay among them) surface it so the
-                // caller can re-issue the same op sequence. Draining here
-                // would consume messages a retry still needs.
-                if !matches!(e, CommError::WouldBlock { .. }) {
-                    Self::drain_instance(comm, tag);
-                }
+                Self::drain_instance(comm, tag);
                 Err(e)
             }
         }

@@ -255,16 +255,14 @@ impl<'a, C: Communicator + ?Sized> ReliableComm<'a, C> {
         Ok(false)
     }
 
-    /// Pop the oldest stashed payload for `(src, tag)`. With `cap`, a
-    /// payload longer than `cap` bytes is refused *without* leaving the
-    /// stash (non-destructive truncation, like the mailbox).
-    fn pop_stash(&self, src: usize, tag: Tag, cap: Option<usize>) -> CommResult<Option<MsgBuf>> {
+    /// Pop the oldest stashed payload for `(src, tag)`. A payload longer
+    /// than `max_len` bytes is refused *without* leaving the stash
+    /// (non-destructive truncation, like the mailbox).
+    fn pop_stash(&self, src: usize, tag: Tag, max_len: usize) -> CommResult<Option<MsgBuf>> {
         let mut s = self.lock();
         let Some(q) = s.stash.get_mut(&(src, tag)) else { return Ok(None) };
-        if let (Some(front), Some(cap)) = (q.front(), cap) {
-            if front.len() > cap {
-                return Err(CommError::Truncated { message_len: front.len(), buffer_len: cap });
-            }
+        if let Some(message_len) = q.front().map(MsgBuf::len).filter(|&len| len > max_len) {
+            return Err(CommError::Truncated { message_len, buffer_len: max_len });
         }
         let msg = q.pop_front();
         if q.is_empty() {
@@ -309,51 +307,6 @@ impl<'a, C: Communicator + ?Sized> ReliableComm<'a, C> {
         Err(CommError::RankFailed { rank: dest })
     }
 
-    /// The one receive loop: `timeout` bounds the wait (`None` waits
-    /// unbounded), `cap` makes it a bounded receive (see
-    /// [`ReliableComm::pop_stash`]).
-    fn recv_reliable(
-        &self,
-        src: usize,
-        tag: Tag,
-        timeout: Option<Duration>,
-        cap: Option<usize>,
-    ) -> CommResult<MsgBuf> {
-        self.inner.check_rank(src)?;
-        // Already serviced into the stash (the common case after a send):
-        // no clock read, no arrival count.
-        if let Some(msg) = self.pop_stash(src, tag, cap)? {
-            return Ok(msg);
-        }
-        let me = self.inner.rank();
-        let start = self.inner.now();
-        let mut seen = self.inner.wait_arrival(0, Duration::ZERO)?;
-        loop {
-            // Only a service pass can add to the stash.
-            let handled = if src == me { 0 } else { self.service_incoming()? };
-            if handled > 0 {
-                if let Some(msg) = self.pop_stash(src, tag, cap)? {
-                    return Ok(msg);
-                }
-            }
-            let budget = match timeout {
-                Some(t) if handled == 0 => {
-                    let waited = self.inner.now().saturating_sub(start);
-                    if waited >= t {
-                        return Err(CommError::Timeout { src, tag, waited });
-                    }
-                    t - waited
-                }
-                _ => Duration::MAX,
-            };
-            // A stuck world is reported against the receive the caller made.
-            seen = await_arrival(self.inner, seen, handled == 0, budget).map_err(|e| match e {
-                CommError::Deadlock { .. } => CommError::Deadlock { src, tag },
-                other => other,
-            })?;
-        }
-    }
-
     /// Keep servicing retransmissions until the network has been quiet for
     /// `quiet` (no frame arrived), or `max_total` has elapsed. Call after the
     /// last application-level exchange: a peer whose *ack* was lost is still
@@ -394,18 +347,46 @@ impl<C: Communicator + ?Sized> Communicator for ReliableComm<'_, C> {
         self.send_reliable(dest, tag, buf)
     }
 
-    fn recv_buf(&self, src: usize, tag: Tag) -> CommResult<MsgBuf> {
-        self.recv_reliable(src, tag, None, None)
-    }
-
-    fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<MsgBuf> {
-        self.recv_reliable(src, tag, Some(timeout), None)
-    }
-
-    fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
-        let msg = self.recv_reliable(src, tag, None, Some(buf.len()))?;
-        buf[..msg.len()].copy_from_slice(&msg);
-        Ok(msg.len())
+    /// The one receive loop: service, pop the stash, park on arrival.
+    fn recv_match(
+        &self,
+        src: usize,
+        tag: Tag,
+        max_len: usize,
+        timeout: Duration,
+    ) -> CommResult<MsgBuf> {
+        self.inner.check_rank(src)?;
+        // Already serviced into the stash (the common case after a send):
+        // no clock read, no arrival count.
+        if let Some(msg) = self.pop_stash(src, tag, max_len)? {
+            return Ok(msg);
+        }
+        let me = self.inner.rank();
+        let start = self.inner.now();
+        let mut seen = self.inner.wait_arrival(0, Duration::ZERO)?;
+        loop {
+            // Only a service pass can add to the stash.
+            let handled = if src == me { 0 } else { self.service_incoming()? };
+            if handled > 0 {
+                if let Some(msg) = self.pop_stash(src, tag, max_len)? {
+                    return Ok(msg);
+                }
+            }
+            let budget = if handled == 0 && timeout != Duration::MAX {
+                let waited = self.inner.now().saturating_sub(start);
+                if waited >= timeout {
+                    return Err(CommError::Timeout { src, tag, waited });
+                }
+                timeout - waited
+            } else {
+                Duration::MAX
+            };
+            // A stuck world is reported against the receive the caller made.
+            seen = await_arrival(self.inner, seen, handled == 0, budget).map_err(|e| match e {
+                CommError::Deadlock { .. } => CommError::Deadlock { src, tag },
+                other => other,
+            })?;
+        }
     }
 
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {

@@ -15,7 +15,7 @@
 //!   ([`ScheduleTrace`]), serializable to a file and replayable bit-for-bit.
 //! * **Virtual time.** [`SimComm::now`] reads a virtual clock that only
 //!   advances when every rank is blocked, jumping straight to the earliest
-//!   pending deadline. `recv_buf_timeout` and `wait_arrival` therefore fire
+//!   pending deadline. A timed receive and `wait_arrival` therefore fire
 //!   after *exactly* their budget of virtual time and zero wall-clock time, and
 //!   [`crate::DeadlineComm`] / [`crate::FaultComm`] stalls compose with it
 //!   unchanged.
@@ -182,8 +182,8 @@ pub enum SimOp {
         src: usize,
         /// Message tag.
         tag: Tag,
-        /// True for `recv_buf_timeout`: the op also observes the virtual
-        /// clock, so it is dependent on every other clock-coupled op.
+        /// True for a receive with a timeout: the op also observes the
+        /// virtual clock, so it is dependent on every other clock-coupled op.
         timed: bool,
     },
     /// About to peek key `(src, tag)` in its own store.
@@ -213,6 +213,37 @@ pub struct SimStep {
     pub enabled: Vec<(u32, SimOp)>,
 }
 
+/// One thing a recorded run did on the wire. The log (present when
+/// [`SimConfig::record_steps`] is set) is appended under the scheduler lock,
+/// so its order is the order the world saw; `bruck-check` builds its
+/// vector-clocked schedule from it.
+#[derive(Debug, Clone)]
+pub struct WireEvent {
+    /// The acting rank.
+    pub rank: usize,
+    /// The other end: the destination of a send, the source otherwise.
+    pub peer: usize,
+    /// Message tag.
+    pub tag: Tag,
+    /// What happened.
+    pub kind: WireKind,
+}
+
+/// What a [`WireEvent`] records.
+#[derive(Debug, Clone)]
+pub enum WireKind {
+    /// Deposited this payload (a shared view) for `peer`.
+    Send(MsgBuf),
+    /// Consumed the oldest message on `(peer, tag)`.
+    Recv,
+    /// Probed `(peer, tag)`: `Some(len)` if a matching message had arrived.
+    Probe(Option<usize>),
+    /// The scheduler proved the world stuck while the rank was parked on
+    /// `(peer, tag)` (an arrival wait reports itself and tag 0). One per
+    /// parked rank, logged at the verdict — before any error path runs.
+    Stuck,
+}
+
 // ---------------------------------------------------------------------------
 // Scheduler configuration and reports.
 // ---------------------------------------------------------------------------
@@ -238,8 +269,8 @@ pub struct SimConfig {
     /// Free-form context copied into the resulting [`ScheduleTrace::meta`].
     pub meta: String,
     /// Record a [`SimStep`] (enabled set + op footprints) at every
-    /// scheduling point. Off by default: recording allocates per pick, and
-    /// only the model checker reads it.
+    /// scheduling point and a [`WireEvent`] per wire operation. Off by
+    /// default: recording allocates per pick, and only `bruck-check` reads it.
     pub record_steps: bool,
 }
 
@@ -264,16 +295,18 @@ impl SimConfig {
 /// Outcome of [`SimComm::try_run`]: per-rank results with panics captured as
 /// strings, plus the recorded schedule.
 #[derive(Debug)]
-pub struct SimReport<T> {
+pub struct SimReport<T, E = String> {
     /// One entry per rank: the closure's return value, or the panic payload
     /// rendered as a string.
-    pub outcomes: Vec<Result<T, String>>,
+    pub outcomes: Vec<Result<T, E>>,
     /// The schedule that was actually executed.
     pub trace: ScheduleTrace,
     /// Per-scheduling-point enabled sets and op footprints, present iff
     /// [`SimConfig::record_steps`] was set. Aligned 1:1 with
     /// [`ScheduleTrace::choices`].
     pub steps: Option<Vec<SimStep>>,
+    /// The wire log, present iff [`SimConfig::record_steps`] was set.
+    pub wire: Option<Vec<WireEvent>>,
 }
 
 impl<T> SimReport<T> {
@@ -339,7 +372,9 @@ struct SimState {
     pending: Vec<SimOp>,
     /// Recorded scheduling points (empty unless `record` is set).
     steps: Vec<SimStep>,
-    /// Whether to record [`SimStep`]s.
+    /// Recorded wire operations (empty unless `record` is set).
+    wire: Vec<WireEvent>,
+    /// Whether to record [`SimStep`]s and [`WireEvent`]s.
     record: bool,
     /// Threads attached so far; scheduling starts when all `p` are in.
     started: usize,
@@ -372,6 +407,7 @@ impl SimWorld {
                 choices: Vec::new(),
                 pending: vec![SimOp::Spawn; p],
                 steps: Vec::new(),
+                wire: Vec::new(),
                 record: cfg.record_steps,
                 started: 0,
             }),
@@ -389,8 +425,10 @@ impl SimWorld {
     }
 
     /// Pick the next rank to run and hand it the token, advancing the
-    /// virtual clock (or proving a deadlock) if nothing is runnable.
-    fn pick_next(&self, st: &mut SimState) {
+    /// virtual clock (or proving a deadlock) if nothing is runnable. Every
+    /// other rank thread is parked on a token it does not hold, so they are
+    /// only woken when the token leaves `caller`.
+    fn pick_next(&self, st: &mut SimState, caller: usize) {
         st.current = None;
         loop {
             let ready: Vec<usize> = (0..self.p)
@@ -415,7 +453,9 @@ impl SimWorld {
                     st.steps.push(SimStep { chosen: pick as u32, enabled });
                 }
                 st.current = Some(pick);
-                self.cv.notify_all();
+                if pick != caller {
+                    self.cv.notify_all();
+                }
                 return;
             }
             if st.ranks.iter().all(|r| *r == RankState::Done) {
@@ -457,10 +497,16 @@ impl SimWorld {
                     // Every live rank is blocked without a timeout: no
                     // schedule can make progress. Wake them all with the
                     // deadlock verdict.
-                    for r in st.ranks.iter_mut() {
-                        if matches!(r, RankState::Blocked { .. } | RankState::Waiting { .. }) {
-                            *r = RankState::Ready { timed_out: false, deadlocked: true };
+                    for (rank, r) in st.ranks.iter_mut().enumerate() {
+                        let (peer, tag) = match *r {
+                            RankState::Blocked { src, tag, .. } => (src, tag),
+                            RankState::Waiting { .. } => (rank, 0),
+                            _ => continue,
+                        };
+                        if st.record {
+                            st.wire.push(WireEvent { rank, peer, tag, kind: WireKind::Stuck });
                         }
+                        *r = RankState::Ready { timed_out: false, deadlocked: true };
                     }
                 }
             }
@@ -493,7 +539,7 @@ impl SimWorld {
         rank: usize,
     ) -> MutexGuard<'a, SimState> {
         st.ranks[rank] = RankState::Ready { timed_out: false, deadlocked: false };
-        self.pick_next(&mut st);
+        self.pick_next(&mut st, rank);
         let (st, _, _) = self.wait_for_token(st, rank);
         st
     }
@@ -505,7 +551,7 @@ impl SimWorld {
         st.ranks[rank] = RankState::Ready { timed_out: false, deadlocked: false };
         st.started += 1;
         if st.started == self.p {
-            self.pick_next(&mut st);
+            self.pick_next(&mut st, rank);
         }
         let _ = self.wait_for_token(st, rank);
     }
@@ -516,7 +562,7 @@ impl SimWorld {
         let mut st = self.lock();
         st.ranks[rank] = RankState::Done;
         if st.current == Some(rank) {
-            self.pick_next(&mut st);
+            self.pick_next(&mut st, rank);
         }
     }
 
@@ -527,6 +573,9 @@ impl SimWorld {
         let mut st = self.lock();
         st.pending[rank] = SimOp::Send { dest, tag };
         st = self.yield_turn(st, rank);
+        if st.record {
+            st.wire.push(WireEvent { rank, peer: dest, tag, kind: WireKind::Send(buf.clone()) });
+        }
         st.queues[dest].push(rank, tag, buf);
         // Hand-off: a rank parked in a matching receive — or waiting for any
         // arrival — becomes runnable.
@@ -541,44 +590,44 @@ impl SimWorld {
         Ok(())
     }
 
-    /// Core receive: yields, then blocks until a matching message, timeout,
-    /// or proved deadlock. `max_len` makes it a bounded receive that fails
-    /// with [`CommError::Truncated`] *without consuming* the message.
+    /// The receive: yields, then blocks until a matching message, timeout,
+    /// or proved deadlock. A match longer than `max_len` fails with
+    /// [`CommError::Truncated`] *without consuming* the message;
+    /// `Duration::MAX` (or a deadline past the end of the clock) is untimed.
     fn sim_recv(
         &self,
         rank: usize,
         src: usize,
         tag: Tag,
-        timeout: Option<Duration>,
-        max_len: Option<usize>,
+        max_len: usize,
+        timeout: Duration,
     ) -> CommResult<MsgBuf> {
         if src >= self.p {
             return Err(CommError::InvalidRank { rank: src, size: self.p });
         }
+        let timed = timeout != Duration::MAX;
         let mut st = self.lock();
-        st.pending[rank] = SimOp::Recv { src, tag, timed: timeout.is_some() };
+        st.pending[rank] = SimOp::Recv { src, tag, timed };
         st = self.yield_turn(st, rank);
         let op_start = st.now;
-        let deadline = timeout.map(|t| op_start + t);
+        let deadline = op_start.checked_add(timeout).filter(|_| timed);
         loop {
-            match st.queues[rank].peek_len(src, tag) {
-                Some(len) if max_len.is_some_and(|cap| len > cap) => {
-                    // Bounded receive too small: error out *without*
-                    // consuming, exactly like the threaded mailbox.
-                    return Err(CommError::Truncated {
-                        message_len: len,
-                        buffer_len: max_len.unwrap_or(0),
-                    });
-                }
-                Some(_) => {
-                    if let Some(msg) = st.queues[rank].try_pop(src, tag) {
-                        return Ok(msg);
+            match st.queues[rank].try_pop(src, tag, max_len) {
+                Some(Ok(msg)) => {
+                    if st.record {
+                        st.wire.push(WireEvent { rank, peer: src, tag, kind: WireKind::Recv });
                     }
+                    return Ok(msg);
+                }
+                // Too long: error out *without* consuming, exactly like the
+                // threaded mailbox.
+                Some(Err(message_len)) => {
+                    return Err(CommError::Truncated { message_len, buffer_len: max_len });
                 }
                 None => {}
             }
             st.ranks[rank] = RankState::Blocked { src, tag, deadline, since: op_start };
-            self.pick_next(&mut st);
+            self.pick_next(&mut st, rank);
             let (g, timed_out, deadlocked) = self.wait_for_token(st, rank);
             st = g;
             // A message beats a simultaneous wake verdict: re-check the
@@ -607,7 +656,11 @@ impl SimWorld {
         let mut st = self.lock();
         st.pending[rank] = SimOp::Probe { src, tag };
         st = self.yield_turn(st, rank);
-        Ok(st.queues[rank].peek_len(src, tag))
+        let found = st.queues[rank].peek_len(src, tag);
+        if st.record {
+            st.wire.push(WireEvent { rank, peer: src, tag, kind: WireKind::Probe(found) });
+        }
+        Ok(found)
     }
 
     fn sim_sleep(&self, rank: usize, d: Duration) {
@@ -619,7 +672,7 @@ impl SimWorld {
         }
         let until = st.now + d;
         st.ranks[rank] = RankState::Sleeping { until };
-        self.pick_next(&mut st);
+        self.pick_next(&mut st, rank);
         let _ = self.wait_for_token(st, rank);
     }
 
@@ -639,7 +692,7 @@ impl SimWorld {
         // A timeout the clock cannot represent is an unbounded wait.
         let deadline = st.now.checked_add(timeout);
         st.ranks[rank] = RankState::Waiting { deadline };
-        self.pick_next(&mut st);
+        self.pick_next(&mut st, rank);
         let (st, _, deadlocked) = self.wait_for_token(st, rank);
         // A deposit beats a simultaneous deadlock verdict, as in `sim_recv`.
         let count = st.queues[rank].deposits();
@@ -671,15 +724,15 @@ impl SimComm<'_> {
         F: Fn(&SimComm<'_>) -> T + Sync,
         T: Send,
     {
-        let (outcomes, trace, _) = Self::run_inner(p, &SimConfig::from_seed(seed), &f);
+        let report = Self::run_inner(p, &SimConfig::from_seed(seed), &f);
         let mut results = Vec::with_capacity(p);
-        for o in outcomes {
+        for o in report.outcomes {
             match o {
                 Ok(v) => results.push(v),
                 Err(payload) => resume_unwind(payload),
             }
         }
-        SimRun { results, trace }
+        SimRun { results, trace: report.trace }
     }
 
     /// Run `f` on every rank under `cfg`, capturing panics as per-rank
@@ -690,8 +743,9 @@ impl SimComm<'_> {
         F: Fn(&SimComm<'_>) -> T + Sync,
         T: Send,
     {
-        let (outcomes, trace, steps) = Self::run_inner(p, cfg, &f);
-        let outcomes = outcomes
+        let report = Self::run_inner(p, cfg, &f);
+        let outcomes = report
+            .outcomes
             .into_iter()
             .map(|o| {
                 o.map_err(|payload| {
@@ -705,14 +759,10 @@ impl SimComm<'_> {
                 })
             })
             .collect();
-        SimReport { outcomes, trace, steps }
+        SimReport { outcomes, trace: report.trace, steps: report.steps, wire: report.wire }
     }
 
-    fn run_inner<T, F>(
-        p: usize,
-        cfg: &SimConfig,
-        f: &F,
-    ) -> (Vec<Result<T, Box<dyn std::any::Any + Send>>>, ScheduleTrace, Option<Vec<SimStep>>)
+    fn run_inner<T, F>(p: usize, cfg: &SimConfig, f: &F) -> SimReport<T, Box<dyn std::any::Any + Send>>
     where
         F: Fn(&SimComm<'_>) -> T + Sync,
         T: Send,
@@ -748,8 +798,9 @@ impl SimComm<'_> {
             choices: st.choices.clone(),
         };
         let steps = cfg.record_steps.then(|| std::mem::take(&mut st.steps));
+        let wire = cfg.record_steps.then(|| std::mem::take(&mut st.wire));
         drop(st);
-        (outcomes, trace, steps)
+        SimReport { outcomes, trace, steps, wire }
     }
 }
 
@@ -766,22 +817,18 @@ impl Communicator for SimComm<'_> {
         self.world.sim_send(self.rank, dest, tag, buf)
     }
 
-    fn recv_buf(&self, src: usize, tag: Tag) -> CommResult<MsgBuf> {
-        self.world.sim_recv(self.rank, src, tag, None, None)
-    }
-
-    fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
-        let msg = self.world.sim_recv(self.rank, src, tag, None, Some(buf.len()))?;
-        buf[..msg.len()].copy_from_slice(&msg);
-        Ok(msg.len())
+    fn recv_match(
+        &self,
+        src: usize,
+        tag: Tag,
+        max_len: usize,
+        timeout: Duration,
+    ) -> CommResult<MsgBuf> {
+        self.world.sim_recv(self.rank, src, tag, max_len, timeout)
     }
 
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
         self.world.sim_probe(self.rank, src, tag)
-    }
-
-    fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<MsgBuf> {
-        self.world.sim_recv(self.rank, src, tag, Some(timeout), None)
     }
 
     fn now(&self) -> Duration {

@@ -159,16 +159,14 @@ impl<C: Communicator + ?Sized> Communicator for ShrinkComm<'_, C> {
         self.sub.send_buf(dest, tag, buf)
     }
 
-    fn recv_buf(&self, src: usize, tag: Tag) -> CommResult<MsgBuf> {
-        self.sub.recv_buf(src, tag)
-    }
-
-    fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
-        self.sub.recv_into(src, tag, buf)
-    }
-
-    fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<MsgBuf> {
-        self.sub.recv_buf_timeout(src, tag, timeout)
+    fn recv_match(
+        &self,
+        src: usize,
+        tag: Tag,
+        max_len: usize,
+        timeout: Duration,
+    ) -> CommResult<MsgBuf> {
+        self.sub.recv_match(src, tag, max_len, timeout)
     }
 
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
@@ -202,26 +200,22 @@ impl<C: Communicator + ?Sized> Communicator for SubComm<'_, C> {
         self.parent.send_buf(self.members[dest], self.map_tag(tag)?, buf)
     }
 
-    fn recv_buf(&self, src: usize, tag: Tag) -> CommResult<MsgBuf> {
-        self.check_rank(src)?;
-        self.parent.recv_buf(self.members[src], self.map_tag(tag)?)
-    }
-
-    fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
-        self.check_rank(src)?;
-        self.parent.recv_into(self.members[src], self.map_tag(tag)?, buf)
-    }
-
-    fn recv_buf_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<MsgBuf> {
+    fn recv_match(
+        &self,
+        src: usize,
+        tag: Tag,
+        max_len: usize,
+        timeout: Duration,
+    ) -> CommResult<MsgBuf> {
         self.check_rank(src)?;
         // A timeout names the receive that expired: report it in this
         // communicator's rank and tag space, not the parent's.
-        self.parent.recv_buf_timeout(self.members[src], self.map_tag(tag)?, timeout).map_err(|e| {
-            match e {
+        self.parent.recv_match(self.members[src], self.map_tag(tag)?, max_len, timeout).map_err(
+            |e| match e {
                 CommError::Timeout { waited, .. } => CommError::Timeout { src, tag, waited },
                 other => other,
-            }
-        })
+            },
+        )
     }
 
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use crate::mailbox::{Mailbox, StoreStats};
-use crate::{CommError, CommResult, Communicator, MsgBuf, Tag};
+use crate::{CommResult, Communicator, MsgBuf, Tag};
 
 /// Render a rank closure's panic payload for rank-attributed propagation.
 pub(crate) fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
@@ -172,46 +172,22 @@ impl Communicator for ThreadComm {
         Ok(())
     }
 
-    fn recv_buf(&self, src: usize, tag: Tag) -> CommResult<MsgBuf> {
+    fn recv_match(
+        &self,
+        src: usize,
+        tag: Tag,
+        max_len: usize,
+        timeout: std::time::Duration,
+    ) -> CommResult<MsgBuf> {
         self.check_rank(src)?;
-        Ok(self.world.mailboxes[self.rank].pop(src, tag))
-    }
-
-    fn recv_into(&self, src: usize, tag: Tag, buf: &mut [u8]) -> CommResult<usize> {
-        self.check_rank(src)?;
-        // pop_bounded checks the length under the mailbox lock *before*
-        // consuming, so a Truncated error leaves the message at the front of
-        // its queue and a retry with a bigger buffer still sees it.
-        match self.world.mailboxes[self.rank].pop_bounded(src, tag, buf.len()) {
-            Ok(msg) => {
-                buf[..msg.len()].copy_from_slice(&msg);
-                Ok(msg.len())
-            }
-            Err(message_len) => {
-                Err(CommError::Truncated { message_len, buffer_len: buf.len() })
-            }
-        }
+        // Parks on the mailbox condvar (no polling), waking on arrival or
+        // deadline; the length check happens under the mailbox lock.
+        self.world.mailboxes[self.rank].pop(src, tag, max_len, timeout)
     }
 
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
         self.check_rank(src)?;
         Ok(self.world.mailboxes[self.rank].probe(src, tag))
-    }
-
-    fn recv_buf_timeout(
-        &self,
-        src: usize,
-        tag: Tag,
-        timeout: std::time::Duration,
-    ) -> CommResult<MsgBuf> {
-        self.check_rank(src)?;
-        let start = std::time::Instant::now();
-        // pop_timeout parks on the mailbox condvar (no polling), waking on
-        // arrival or deadline.
-        match self.world.mailboxes[self.rank].pop_timeout(src, tag, timeout) {
-            Some(msg) => Ok(msg),
-            None => Err(CommError::Timeout { src, tag, waited: start.elapsed() }),
-        }
     }
 
     fn now(&self) -> std::time::Duration {
@@ -231,7 +207,7 @@ impl Communicator for ThreadComm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ReduceOp;
+    use crate::{CommError, ReduceOp};
 
     #[test]
     fn ring_pass_all_sizes() {

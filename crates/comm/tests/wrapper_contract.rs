@@ -1,6 +1,6 @@
 //! The waist contract: one rank body, run over [`SimComm`] bare and under
-//! every wrapper, asserting what the ten [`Communicator`] primitives promise
-//! through any stack.
+//! every wrapper, asserting what the eight [`Communicator`] primitives
+//! promise through any stack.
 //!
 //! * `now()` / `sleep()` are the simulator's virtual clock, not the wall's.
 //! * `wait_arrival` returns at once when the count has moved, waits exactly
@@ -8,9 +8,9 @@
 //!   deposit's virtual time, not at the deadline. Over a sub-world it may
 //!   wake early (the parent's traffic moves the count) but never late.
 //! * A timed receive with no sender expires at exactly its virtual budget.
+//! * A timeout of `Duration::MAX` is no timeout, on every backend.
 //! * A too-small `recv_into` returns `Truncated` and leaves the message for a
-//!   retry — except under [`DeadlineComm`], whose documented exception is
-//!   that the truncated message is consumed.
+//!   retry.
 //! * `probe` reports the length `recv_buf` then returns.
 //!
 //! The simulator makes every clause exact: virtual time has no scheduling
@@ -19,8 +19,8 @@
 use std::time::Duration;
 
 use bruck_comm::{
-    CommError, Communicator, DeadlineComm, FaultComm, FaultPlan, MeteredComm, MsgBuf,
-    ReliableComm, ShrinkComm, SimComm, SimConfig, SubComm,
+    CommError, Communicator, DeadlineComm, EventComm, FaultComm, FaultPlan, MeteredComm, MsgBuf,
+    ReliableComm, ShrinkComm, SimComm, SimConfig, SimOp, SubComm, ThreadComm,
 };
 
 const NAP: Duration = Duration::from_millis(5);
@@ -31,18 +31,9 @@ const TAG_BIG: u32 = 2;
 const TAG_FIRST: u32 = 3;
 const TAG_SECOND: u32 = 4;
 
-/// What `recv_into` does with a message larger than the buffer.
-#[derive(Clone, Copy)]
-enum Truncation {
-    /// The message stays queued; a retry with room succeeds.
-    Retryable,
-    /// The message is consumed (`DeadlineComm`'s documented exception).
-    Destructive,
-}
-
 /// The rank body, for a two-rank world. `sim` is the backend underneath
 /// `comm`, kept to compare clocks against.
-fn contract<C: Communicator + ?Sized>(sim: &SimComm<'_>, comm: &C, truncation: Truncation) {
+fn contract<C: Communicator + ?Sized>(sim: &SimComm<'_>, comm: &C) {
     assert_eq!(comm.size(), 2);
     let peer = 1 - comm.rank();
 
@@ -60,21 +51,16 @@ fn contract<C: Communicator + ?Sized>(sim: &SimComm<'_>, comm: &C, truncation: T
     assert_eq!(err, CommError::Timeout { src: peer, tag: TAG_SILENT, waited: BUDGET });
     assert_eq!(comm.now() - t1, BUDGET);
 
-    // Truncation.
+    // Truncation leaves the message for a retry with room.
     let big: Vec<u8> = (0..16).map(|i| i + comm.rank() as u8).collect();
     let want: Vec<u8> = (0..16).map(|i| i + peer as u8).collect();
     comm.send_buf(peer, TAG_BIG, MsgBuf::from_vec(big)).unwrap();
     let mut small = [0u8; 4];
     let err = comm.recv_into(peer, TAG_BIG, &mut small).unwrap_err();
     assert_eq!(err, CommError::Truncated { message_len: 16, buffer_len: 4 });
-    match truncation {
-        Truncation::Retryable => {
-            let mut room = [0u8; 16];
-            assert_eq!(comm.recv_into(peer, TAG_BIG, &mut room).unwrap(), 16);
-            assert_eq!(room.to_vec(), want);
-        }
-        Truncation::Destructive => assert_eq!(comm.probe(peer, TAG_BIG).unwrap(), None),
-    }
+    let mut room = [0u8; 16];
+    assert_eq!(comm.recv_into(peer, TAG_BIG, &mut room).unwrap(), 16);
+    assert_eq!(room.to_vec(), want);
 
     // Probe sees what recv_buf then returns. The peer sends FIRST before
     // SECOND, so once SECOND is here FIRST must already be queued.
@@ -111,10 +97,34 @@ fn arrival_contract<C: Communicator + ?Sized>(sim: &SimComm<'_>, comm: &C) {
     assert_eq!(comm.recv_buf(1, TAG_FIRST).unwrap().as_slice(), &[7; 9]);
 }
 
-/// A named stack: its wrapper built over the simulator, and what its
-/// `recv_into` does on truncation.
+/// `Duration::MAX` is no timeout: the receive returns the message whether it
+/// is posted after the send or before it, with the clock past zero (where
+/// adding the timeout to it used to overflow).
+fn unbounded_timed_receive<C: Communicator + ?Sized>(comm: &C) {
+    let peer = 1 - comm.rank();
+    comm.send(peer, TAG_FIRST, &[1]).unwrap();
+    comm.sleep(NAP);
+    let forever = Duration::MAX;
+    assert_eq!(comm.recv_buf_timeout(peer, TAG_FIRST, forever).unwrap().as_slice(), &[1]);
+    if comm.rank() == 0 {
+        // Posted while the peer is still asleep.
+        assert_eq!(comm.recv_buf_timeout(peer, TAG_SECOND, forever).unwrap().as_slice(), &[2]);
+    } else {
+        comm.sleep(NAP);
+        comm.send(peer, TAG_SECOND, &[2]).unwrap();
+    }
+}
+
+/// [`unbounded_timed_receive`] bare and under a [`DeadlineComm`] with no
+/// deadline.
+fn unbounded_both_ways<C: Communicator>(comm: &C) {
+    unbounded_timed_receive(comm);
+    unbounded_timed_receive(&DeadlineComm::until(comm, Duration::MAX));
+}
+
+/// A named stack: its wrapper built over the simulator.
 type Build = for<'a> fn(&'a SimComm<'a>) -> Box<dyn Communicator + 'a>;
-type Case = (&'static str, Truncation, Option<Build>);
+type Case = (&'static str, Option<Build>);
 
 /// Run `f` against the case's stack over `sim` (`None` is the bare backend).
 fn stacked(sim: &SimComm<'_>, build: Option<Build>, f: impl FnOnce(&dyn Communicator)) {
@@ -127,21 +137,13 @@ fn stacked(sim: &SimComm<'_>, build: Option<Build>, f: impl FnOnce(&dyn Communic
 /// Bare, then every wrapper over the bare simulator (the two sub-worlds
 /// last).
 const CASES: [Case; 7] = [
-    ("bare", Truncation::Retryable, None),
-    ("MeteredComm", Truncation::Retryable, Some(|sim| Box::new(MeteredComm::new(sim)))),
-    ("DeadlineComm", Truncation::Destructive, Some(|sim| {
-        Box::new(DeadlineComm::new(sim, Duration::from_secs(1)))
-    })),
-    ("ReliableComm", Truncation::Retryable, Some(|sim| Box::new(ReliableComm::new(sim)))),
-    ("FaultComm", Truncation::Retryable, Some(|sim| {
-        Box::new(FaultComm::new(sim, FaultPlan::new(0)))
-    })),
-    ("SubComm", Truncation::Retryable, Some(|sim| {
-        Box::new(SubComm::from_members(sim, vec![0, 1], 5).unwrap())
-    })),
-    ("ShrinkComm", Truncation::Retryable, Some(|sim| {
-        Box::new(ShrinkComm::new(sim, vec![0, 1], 3).unwrap())
-    })),
+    ("bare", None),
+    ("MeteredComm", Some(|sim| Box::new(MeteredComm::new(sim)))),
+    ("DeadlineComm", Some(|sim| Box::new(DeadlineComm::new(sim, Duration::from_secs(1))))),
+    ("ReliableComm", Some(|sim| Box::new(ReliableComm::new(sim)))),
+    ("FaultComm", Some(|sim| Box::new(FaultComm::new(sim, FaultPlan::new(0))))),
+    ("SubComm", Some(|sim| Box::new(SubComm::from_members(sim, vec![0, 1], 5).unwrap()))),
+    ("ShrinkComm", Some(|sim| Box::new(ShrinkComm::new(sim, vec![0, 1], 3).unwrap()))),
 ];
 
 /// Run `body` on a `p`-rank world under each of `cases` × 3 schedule seeds.
@@ -158,14 +160,44 @@ fn for_each_case(cases: &[Case], p: usize, body: fn(&SimComm<'_>, &Case)) {
 
 #[test]
 fn every_wrapper_honours_the_waist_contract() {
-    for_each_case(&CASES, 2, |sim, &(_, truncation, build)| {
-        stacked(sim, build, |comm| contract(sim, comm, truncation))
+    for_each_case(&CASES, 2, |sim, &(_, build)| stacked(sim, build, |comm| contract(sim, comm)));
+}
+
+#[test]
+fn an_unbounded_timed_receive_is_untimed_on_sim_comm_through_every_wrapper() {
+    for_each_case(&CASES, 2, |sim, &(_, build)| {
+        stacked(sim, build, |comm| unbounded_timed_receive(comm))
     });
+    // Its footprint stays untimed, and with nobody sending it is a proved
+    // deadlock — under a `DeadlineComm` with no deadline too.
+    let mut cfg = SimConfig::from_seed(1);
+    cfg.record_steps = true;
+    let report = SimComm::try_run(2, &cfg, |sim| {
+        unbounded_both_ways(sim);
+        let dc = DeadlineComm::until(sim, Duration::MAX);
+        dc.recv_buf_timeout(1 - sim.rank(), TAG_SILENT, Duration::MAX).unwrap_err()
+    });
+    for (rank, outcome) in report.outcomes.iter().enumerate() {
+        assert_eq!(*outcome, Ok(CommError::Deadlock { src: 1 - rank, tag: TAG_SILENT }));
+    }
+    let ops = report.steps.iter().flatten().flat_map(|s| &s.enabled);
+    assert!(ops.clone().any(|(_, op)| matches!(op, SimOp::Recv { .. })));
+    assert!(ops.clone().all(|(_, op)| !matches!(op, SimOp::Recv { timed: true, .. })));
+}
+
+#[test]
+fn an_unbounded_timed_receive_is_untimed_on_thread_comm() {
+    ThreadComm::run(2, unbounded_both_ways);
+}
+
+#[test]
+fn an_unbounded_timed_receive_is_untimed_on_event_comm() {
+    EventComm::run_pooled(2, 1, |comm| unbounded_both_ways(comm));
 }
 
 #[test]
 fn every_wrapper_honours_the_arrival_wait_contract() {
-    for_each_case(&CASES, 2, |sim, &(_, _, build)| {
+    for_each_case(&CASES, 2, |sim, &(_, build)| {
         stacked(sim, build, |comm| arrival_contract(sim, comm))
     });
 }
@@ -175,7 +207,7 @@ fn every_wrapper_honours_the_arrival_wait_contract() {
 /// remainder still returns exactly at its deadline, never after it.
 #[test]
 fn a_sub_world_arrival_wait_may_wake_early_but_never_late() {
-    for_each_case(&CASES[5..], 3, |sim, &(_, _, build)| {
+    for_each_case(&CASES[5..], 3, |sim, &(_, build)| {
         let t0 = sim.now();
         match sim.rank() {
             // The outsider deposits on the parent, mid-wait.

@@ -53,8 +53,8 @@ stage conformance cargo test --release -q --test conformance
 stage collectives-gauntlet cargo test --release -q --test collectives_gauntlet
 stage collectives-properties cargo test --release -q --test collectives_properties
 # Static gates (DESIGN.md §8): source lint with audited allowlist, then the
-# protocol-analysis matrix (the cell registry's check rows under the model
-# communicator). Both exit non-zero on any unallowlisted finding. Every
+# protocol-analysis matrix (the registry's check rows on a lowest-first
+# `SimComm` run). Both exit non-zero on any unallowlisted finding. Every
 # matrix binary's summary line prints `cells: N`, so coverage reads next to
 # the wall time in the table below.
 stage bruck-lint cargo run --release -p bruck-check --bin bruck-lint
