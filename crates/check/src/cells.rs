@@ -296,9 +296,10 @@ impl Faults {
 
     /// Upper bound, on the communicator's own clock, for one operation under
     /// this plan to return on any rank of a `p`-rank world. Each phase is
-    /// bounded by its deadline plus one send's full retransmission schedule
-    /// (a send that started before the deadline runs its retries out);
-    /// the resilient fallback pays one send and one timed receive per peer.
+    /// bounded by its deadline plus one full retransmission schedule — the
+    /// oldest unacknowledged frame's, which a window-full send or a receive
+    /// from a dying peer may sit out past the deadline; the resilient
+    /// fallback pays one such schedule and one timed receive per peer.
     pub fn op_budget(self, p: usize, resilient: bool) -> Duration {
         let policy = Faults::RELIABLE.retry_policy();
         let send: Duration = (0..policy.attempts()).map(|k| policy.delay(k)).sum();

@@ -55,12 +55,13 @@
 //!   and the DPOR model checker all stand on. Use `BTreeMap` / `BTreeSet`;
 //!   ordered iteration is never the bottleneck at these sizes.
 //! * `no-discarded-comm-error` — `let _ =` on a communication call (a
-//!   `.send_buf(` / `.recv_buf(` / `.quiesce(` / collective call, etc.) in
-//!   `crates/core` or `crates/comm` non-test code: since the self-healing
-//!   membership layer landed, a swallowed `CommError` can hide the exact
-//!   failure evidence the detector/agreement cycle exists to act on. Every
-//!   deliberate best-effort discard (e.g. the post-exchange ARQ drain) must
-//!   be audited into the allowlist; everything else handles or propagates.
+//!   `.send_buf(` / `.recv_buf(` / `.flush(` / `.quiesce(` / collective
+//!   call, etc.) in `crates/core` or `crates/comm` non-test code: since the
+//!   self-healing membership layer landed, a swallowed `CommError` can hide
+//!   the exact failure evidence the detector/agreement cycle exists to act
+//!   on. Every deliberate best-effort discard (`ReliableComm`'s `Drop` is the
+//!   one today) must be audited into the allowlist; everything else handles
+//!   or propagates.
 //! * `no-direct-variant-call` — a call to one of the three knob-less
 //!   exchanges the engine delegates to (`reference_alltoallv(`,
 //!   `hierarchical_alltoallv(`, `ranka_two_stage_alltoallv(`) in non-test
@@ -403,7 +404,7 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<LintFinding>) {
                     ".recv_buf(",
                     ".recv_into(",
                     ".recv_buf_timeout(",
-                    ".send_reliable(",
+                    ".flush(",
                     ".quiesce(",
                     ".barrier(",
                     ".allreduce_u64(",
@@ -713,10 +714,12 @@ mod tests {
             .iter()
             .any(|f| f.rule == "no-discarded-comm-error"));
         // Collectives and the ARQ drain are covered too.
-        let drain = "fn f(rc: &R) {\n    let _ = rc.quiesce(a, b);\n}\n";
-        assert!(scan_str("crates/core/src/nonuniform/resilient.rs", drain)
-            .iter()
-            .any(|f| f.rule == "no-discarded-comm-error"));
+        for drain in ["rc.quiesce(a, b)", "rc.flush()"] {
+            let drain = format!("fn f(rc: &R) {{\n    let _ = {drain};\n}}\n");
+            assert!(scan_str("crates/core/src/nonuniform/resilient.rs", &drain)
+                .iter()
+                .any(|f| f.rule == "no-discarded-comm-error"));
+        }
         // Binding the result (even unused) is not a discard...
         let bound = "fn f(c: &C) {\n    let _sent = c.send_buf(1, 7, buf);\n}\n";
         assert!(scan_str("crates/comm/src/fault.rs", bound)

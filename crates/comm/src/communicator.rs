@@ -51,8 +51,9 @@ const TAG_ALLREDUCE: Tag = RESERVED_TAG_BASE + 1;
 const TAG_ALLGATHER: Tag = RESERVED_TAG_BASE + 2;
 const TAG_ALLTOALL_COUNTS: Tag = RESERVED_TAG_BASE + 4;
 
-/// The tail of every service loop in this crate (the ARQ, the failure
-/// detector, the agreement flood). `seen` is an arrival count read *before*
+/// The tail of the failure detector's and the agreement flood's service loops
+/// (the ARQ's driver parks on its pre-sweep count whatever the pass handled,
+/// so it calls `wait_arrival` itself). `seen` is an arrival count read *before*
 /// the pass that just ended: if that pass was `idle` (handled nothing), park
 /// until the count moves or `budget` — the caller's own next deadline —
 /// elapses; otherwise only refresh the count. Either way the caller sweeps

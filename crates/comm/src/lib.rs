@@ -33,9 +33,11 @@
 //! * **Fault tolerance** — [`FaultComm`] injects seeded message drop /
 //!   duplication / corruption / delay and scripted rank stall / crash;
 //!   [`ReliableComm`] repairs a lossy transport back to exactly-once in-order
-//!   delivery (sequence numbers + checksums + ack/retry with bounded
-//!   backoff), parking on arrival between service passes
-//!   ([`Communicator::wait_arrival`]) rather than polling;
+//!   delivery with a go-back-N sliding-window ARQ (one sequenced stream per
+//!   peer, checksums, cumulative acks, retransmission with bounded backoff):
+//!   a send returns without waiting a round trip, [`ReliableComm::flush`]
+//!   (and dropping the wrapper) settles what is in flight, and every wait
+//!   parks on arrival ([`Communicator::wait_arrival`]) rather than polling;
 //!   [`DeadlineComm`] bounds every blocking receive by a shared
 //!   wall-clock budget, surfacing [`CommError::Timeout`] /
 //!   [`CommError::RankFailed`] for graceful-degradation drivers.

@@ -251,9 +251,15 @@ impl Mailbox {
     /// the store lock the depositor increments under, so a deposit landing
     /// between the caller's read of `seen` and this call is never slept
     /// through. A `timeout` too large to add to the clock waits unbounded.
+    /// Like [`Mailbox::pop`], no clock is read unless it is about to wait:
+    /// a moved count and a zero timeout (the pure read every service loop
+    /// starts with) return at once.
     pub(crate) fn wait_arrival(&self, seen: u64, timeout: Duration) -> u64 {
-        let deadline = Instant::now().checked_add(timeout);
         let mut store = self.lock();
+        if store.deposits() != seen || timeout.is_zero() {
+            return store.deposits();
+        }
+        let deadline = Instant::now().checked_add(timeout);
         while store.deposits() == seen {
             store = match deadline {
                 None => self.arrived.wait(store).unwrap_or_else(|p| p.into_inner()),
@@ -399,6 +405,18 @@ mod tests {
         let err = mb.pop(0, 0, usize::MAX, Duration::from_millis(5)).unwrap_err();
         assert!(matches!(err, CommError::Timeout { src: 0, tag: 0, waited } if waited >= Duration::from_millis(5)));
         assert_eq!(mb.dead_keys(), 0);
+    }
+
+    #[test]
+    fn arrival_wait_returns_at_once_on_a_moved_count_or_a_zero_timeout() {
+        // Nobody deposits while this runs, so a call that parked would hang.
+        let mb = Mailbox::new();
+        mb.push(0, 1, buf(&[1]));
+        // A stale `seen`, however long the timeout: the count, no wait.
+        assert_eq!(mb.wait_arrival(0, Duration::MAX), 1);
+        // The current `seen` with a zero timeout: a pure read of the count.
+        assert_eq!(mb.wait_arrival(1, Duration::ZERO), 1);
+        assert_eq!(take(&mb, 0, 1), vec![1]);
     }
 
     #[test]

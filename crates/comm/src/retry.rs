@@ -4,9 +4,9 @@
 //! Before this module existed each retrying layer hand-rolled its own
 //! backoff arithmetic ([`crate::ReliableComm`]'s ack/retry loop was the
 //! canonical copy). The policy is a pure function from an attempt index to a
-//! delay, so the same value can drive an ack *deadline* (stop-and-wait ARQ)
-//! or a *sleep* between recovery attempts (epoch-level re-execution), and a
-//! test can pin the whole schedule as data.
+//! delay, so the same value can drive an ack *deadline* (the ARQ's oldest
+//! unacknowledged frame per peer) or a *sleep* between recovery attempts
+//! (epoch-level re-execution), and a test can pin the whole schedule as data.
 //!
 //! Two properties matter for the deterministic backends:
 //!

@@ -62,7 +62,7 @@ fn a_lost_frame_with_no_retransmission_left_is_a_typed_ending_not_a_spin() {
         if rc.rank() == 0 {
             rc.recv_buf(1, 5).map(|m| m.len())
         } else {
-            rc.send(0, 5, &[1]).map(|()| 0)
+            rc.send(0, 5, &[1]).and_then(|()| rc.flush()).map(|()| 0)
         }
     });
     let outcomes: Vec<_> = report.outcomes.iter().map(|o| o.as_ref().unwrap()).collect();

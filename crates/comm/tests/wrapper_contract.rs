@@ -12,6 +12,9 @@
 //! * A too-small `recv_into` returns `Truncated` and leaves the message for a
 //!   retry.
 //! * `probe` reports the length `recv_buf` then returns.
+//! * Under `ReliableComm` a send returns before its frame is delivered: to a
+//!   rank that never services it is `Ok` at the same virtual instant, and
+//!   `flush` is what reports the failure, one retry schedule later.
 //!
 //! The simulator makes every clause exact: virtual time has no scheduling
 //! noise, so the assertions are equalities, not tolerances.
@@ -20,7 +23,7 @@ use std::time::Duration;
 
 use bruck_comm::{
     CommError, Communicator, DeadlineComm, EventComm, FaultComm, FaultPlan, MeteredComm, MsgBuf,
-    ReliableComm, ShrinkComm, SimComm, SimConfig, SimOp, SubComm, ThreadComm,
+    ReliableComm, ReliableConfig, ShrinkComm, SimComm, SimConfig, SimOp, SubComm, ThreadComm,
 };
 
 const NAP: Duration = Duration::from_millis(5);
@@ -193,6 +196,25 @@ fn an_unbounded_timed_receive_is_untimed_on_thread_comm() {
 #[test]
 fn an_unbounded_timed_receive_is_untimed_on_event_comm() {
     EventComm::run_pooled(2, 1, |comm| unbounded_both_ways(comm));
+}
+
+/// The clause `ReliableComm`'s send window adds to its row.
+#[test]
+fn a_reliable_send_returns_before_delivery_and_flush_reports_the_failure() {
+    let report = SimComm::try_run(2, &SimConfig::from_seed(1), |sim| {
+        if sim.rank() == 1 {
+            return; // never services: nothing rank 0 sends is ever acknowledged
+        }
+        let rc = ReliableComm::new(sim);
+        let t0 = sim.now();
+        assert_eq!(rc.send(1, TAG_FIRST, &[7; 9]), Ok(()));
+        assert_eq!(sim.now(), t0, "a send does not wait for its ack");
+        assert_eq!(rc.flush(), Err(CommError::RankFailed { rank: 1 }));
+        let schedule: Duration = ReliableConfig::default().retry_policy().schedule().iter().sum();
+        assert_eq!(sim.now() - t0, schedule, "flush sits out exactly one retry schedule");
+        assert_eq!(rc.send(1, TAG_FIRST, &[]), Err(CommError::RankFailed { rank: 1 }));
+    });
+    assert!(report.all_ok(), "{:?}", report.outcomes);
 }
 
 #[test]

@@ -104,6 +104,26 @@ stage verify-with-bug cargo run --release -p bruck-check --bin bruck-verify -- -
 # baseline does not cover, or an unreadable baseline, fails. Regenerate with:
 #   cargo run --release -p bruck-bench --bin bruck-bench -- --smoke --out crates/bench/baseline.json
 stage bench-regress cargo run --release -p bruck-bench --bin bruck-bench -- --smoke --check-against crates/bench/baseline.json
+# The frozen benchmark's own tests (benchmark/README.md): its metric schema,
+# that every exact count repeats bit for bit between two traced runs under
+# real threads (`wrappers.wire_msgs` among them), and that every sample ends
+# with no message left in any mailbox. Nothing else in the gate builds that
+# crate, although it is what a gain-claiming PR is judged by and what the
+# transport's tear-down contract (DESIGN.md §9.2) exists for. It is
+#   cargo test --release --offline --manifest-path benchmark/Cargo.toml
+# run on a copy of the lock file, sources and tests under target/ whose
+# manifest points back at this tree's crates/: the committed
+# benchmark/Cargo.lock predates bruck-model's dependency on bruck-comm, so
+# building in place rewrites a frozen file and would trip the tree check below.
+benchmark_selftest() {
+    copy=target/benchmark-selftest
+    rm -rf "$copy/benchmark" && mkdir -p "$copy/benchmark" &&
+        cp -R benchmark/Cargo.lock benchmark/src benchmark/tests "$copy/benchmark/" &&
+        sed 's#\.\./crates/#../../../crates/#' benchmark/Cargo.toml >"$copy/benchmark/Cargo.toml" &&
+        cp BENCHMARK.json "$copy/" &&
+        CARGO_TARGET_DIR="$copy/target" cargo test --release --offline -q --manifest-path "$copy/benchmark/Cargo.toml"
+}
+stage benchmark-selftest benchmark_selftest
 # No stage may write into the tree: whatever `git status` said at the start,
 # it must say now.
 if [ "$(tree_state)" != "$tree_before" ]; then
