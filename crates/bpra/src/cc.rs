@@ -9,7 +9,8 @@ use std::collections::HashMap;
 use bruck_comm::{CommResult, Communicator, ReduceOp};
 use bruck_core::AlltoallvAlgorithm;
 
-use crate::{exchange_tuples, owner, ExchangeStats, Tuple};
+use crate::exchange::Fixpoint;
+use crate::{owner, ExchangeStats, Tuple};
 
 /// Result of a distributed connected-components run (per rank).
 #[derive(Debug)]
@@ -49,7 +50,7 @@ pub fn connected_components<C: Communicator + ?Sized>(
 
     // Changed set: vertices whose label improved since last broadcast.
     let mut changed: Vec<u64> = labels.keys().copied().collect();
-    let mut per_iteration = Vec::new();
+    let mut fixpoint = Fixpoint::default();
     loop {
         // Push (neighbor, my_label) to each neighbor's owner.
         let mut outboxes: Vec<Vec<Tuple>> = vec![Vec::new(); p];
@@ -59,8 +60,9 @@ pub fn connected_components<C: Communicator + ?Sized>(
                 outboxes[owner(n, p)].push((n, label));
             }
         }
-        let (received, stats) = exchange_tuples(comm, algo, &outboxes)?;
-        per_iteration.push(stats);
+        let Some(received) = fixpoint.round(comm, algo, &outboxes, changed.len() as u64)? else {
+            break;
+        };
 
         changed.clear();
         for (v, candidate) in received {
@@ -72,14 +74,11 @@ pub fn connected_components<C: Communicator + ?Sized>(
         }
         changed.sort_unstable();
         changed.dedup();
-        let total_changed = comm.allreduce_u64(changed.len() as u64, ReduceOp::Sum)?;
-        if total_changed == 0 {
-            break;
-        }
     }
 
     let local_roots = labels.iter().filter(|(v, l)| v == l).count() as u64;
     let components = comm.allreduce_u64(local_roots, ReduceOp::Sum)?;
+    let per_iteration: Vec<ExchangeStats> = fixpoint.rounds.into_iter().map(|r| r.1).collect();
     Ok(CcResult { components, iterations: per_iteration.len(), local_labels: labels, per_iteration })
 }
 

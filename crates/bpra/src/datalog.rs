@@ -24,7 +24,8 @@ use std::collections::HashMap;
 use bruck_comm::{CommResult, Communicator, ReduceOp};
 use bruck_core::AlltoallvAlgorithm;
 
-use crate::{exchange_tuples, owner, ExchangeStats, Relation, Tuple};
+use crate::exchange::Fixpoint;
+use crate::{owner, ExchangeStats, Relation, Tuple};
 
 /// A relation name (interned by the caller; small dense ids).
 pub type RelId = usize;
@@ -187,7 +188,8 @@ struct ShardedRelation {
 /// Per-iteration instrumentation of a Datalog run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DatalogIteration {
-    /// Globally new facts this iteration.
+    /// Globally new facts this iteration (known one round late: it is the
+    /// next round's vote sum).
     pub new_facts: u64,
     /// The iteration's exchange stats.
     pub exchange: ExchangeStats,
@@ -206,12 +208,8 @@ pub struct DatalogResult {
     pub per_iteration: Vec<DatalogIteration>,
 }
 
-/// Facts routed during an exchange: `(relation, tuple, reversed?)` packed
-/// into the two u64s of a wire tuple. We tag the relation and orientation in
-/// the low bits of a header tuple — instead, we simply run one exchange per
-/// (relation, orientation) pair batched together by encoding the relation id
-/// and orientation into the tuple stream: each outbox interleaves
-/// `(header, tuple)` pairs where `header = rel * 2 + reversed`.
+/// Facts of every relation and orientation share one exchange: each outbox
+/// interleaves `(header, tuple)` pairs where `header = rel * 2 + reversed`.
 fn push_fact(outbox: &mut Vec<Tuple>, rel: RelId, t: Tuple, reversed: bool) {
     outbox.push(((rel * 2 + usize::from(reversed)) as u64, 0));
     outbox.push(t);
@@ -248,7 +246,11 @@ pub fn evaluate<C: Communicator + ?Sized>(
         }
     }
 
-    let mut per_iteration = Vec::new();
+    let mut fixpoint = Fixpoint::default();
+    // Each new fact counted once globally, by its first-column insert (a
+    // fact's fwd and rev copies are always emitted together, so the rev
+    // shards quiesce exactly when the fwd shards do).
+    let mut new_local = 0u64;
     loop {
         // Derive new facts from the deltas.
         let mut outboxes: Vec<Vec<Tuple>> = vec![Vec::new(); p];
@@ -285,16 +287,11 @@ pub fn evaluate<C: Communicator + ?Sized>(
         }
 
         // One all-to-all ships every derived fact (both orientations).
-        let (received, exchange) = exchange_tuples(comm, algo, &outboxes)?;
+        let Some(received) = fixpoint.round(comm, algo, &outboxes, new_local)? else { break };
 
         // Deduplicate into the shards; new tuples feed the next deltas.
-        for d in &mut delta_fwd {
-            d.clear();
-        }
-        for d in &mut delta_rev {
-            d.clear();
-        }
-        let mut new_local = 0u64;
+        delta_fwd.iter_mut().chain(&mut delta_rev).for_each(Vec::clear);
+        new_local = 0;
         let mut pending = received.chunks_exact(2);
         for pair in &mut pending {
             let (header, t) = (pair[0], pair[1]);
@@ -309,21 +306,17 @@ pub fn evaluate<C: Communicator + ?Sized>(
                 new_local += 1;
             }
         }
-
-        // Count each new fact once globally via its first-column insert (a
-        // fact's fwd and rev copies are always emitted together, so the rev
-        // shards quiesce exactly when the fwd shards do).
-        let new_facts = comm.allreduce_u64(new_local, ReduceOp::Sum)?;
-        per_iteration.push(DatalogIteration { new_facts, exchange });
-        if new_facts == 0 {
-            break;
-        }
     }
 
     let mut total_facts = Vec::with_capacity(program.relations);
     for rel in &rels {
         total_facts.push(comm.allreduce_u64(rel.by_first.len() as u64, ReduceOp::Sum)?);
     }
+    let per_iteration: Vec<DatalogIteration> = fixpoint
+        .rounds
+        .into_iter()
+        .map(|(new_facts, exchange)| DatalogIteration { new_facts, exchange })
+        .collect();
     Ok(DatalogResult {
         iterations: per_iteration.len(),
         total_facts,

@@ -2,15 +2,8 @@
 //! (DESIGN.md §1): what matters for Figure 11 is the *per-iteration all-to-all
 //! load profile*, which is set by graph depth vs. breadth.
 
+use crate::kcfa::splitmix64;
 use crate::Tuple;
-
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// *Graph 1*-like: deep and narrow. Several long chains with sparse random
 /// forward shortcuts and light branching — the closure converges only after

@@ -32,7 +32,7 @@ impl Default for KcfaConfig {
 }
 
 #[inline]
-fn splitmix64(mut z: u64) -> u64 {
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -68,25 +68,30 @@ pub struct KcfaResult {
     pub facts_received: u64,
 }
 
+/// The facts `rank` produces at iteration `iter` of a `p`-rank run, routed
+/// to their owners: `outboxes_at(..)[dst]` is what `rank` sends `dst`.
+pub fn outboxes_at(cfg: &KcfaConfig, rank: usize, iter: usize, p: usize) -> Vec<Vec<Tuple>> {
+    let mut outboxes: Vec<Vec<Tuple>> = vec![Vec::new(); p];
+    for i in 0..facts_at(cfg, rank, iter) {
+        let h = splitmix64(cfg.seed ^ (iter as u64) << 40 ^ (rank as u64) << 20 ^ i as u64);
+        let fact: Tuple = (h, splitmix64(h));
+        outboxes[owner(fact.0, p)].push(fact);
+    }
+    outboxes
+}
+
 /// Run the iterated exchange with the chosen all-to-all algorithm.
 pub fn kcfa_like_run<C: Communicator + ?Sized>(
     comm: &C,
     algo: AlltoallvAlgorithm,
     cfg: &KcfaConfig,
 ) -> CommResult<KcfaResult> {
-    let p = comm.size();
-    let me = comm.rank();
+    let (p, me) = (comm.size(), comm.rank());
     let mut per_iteration = Vec::with_capacity(cfg.iterations);
     let mut facts_received = 0u64;
     for iter in 0..cfg.iterations {
-        let count = facts_at(cfg, me, iter);
-        let mut outboxes: Vec<Vec<Tuple>> = vec![Vec::new(); p];
-        for i in 0..count {
-            let h = splitmix64(cfg.seed ^ (iter as u64) << 40 ^ (me as u64) << 20 ^ i as u64);
-            let fact: Tuple = (h, splitmix64(h));
-            outboxes[owner(fact.0, p)].push(fact);
-        }
-        let (received, stats) = exchange_tuples(comm, algo, &outboxes)?;
+        // No vote: the schedule, not a fixpoint, decides when this run ends.
+        let (received, stats) = exchange_tuples(comm, algo, &outboxes_at(cfg, me, iter, p), 0)?;
         facts_received += received.len() as u64;
         per_iteration.push(stats);
     }

@@ -54,7 +54,7 @@ pub use pointsto::{
     points_to_analysis, points_to_program, sequential_points_to, PointsToInput,
 };
 pub use graphs::{graph1_like, graph2_like};
-pub use kcfa::{facts_at, kcfa_like_run, volume_multiplier, KcfaConfig, KcfaResult};
+pub use kcfa::{facts_at, kcfa_like_run, outboxes_at, volume_multiplier, KcfaConfig, KcfaResult};
 pub use recover::{
     exchange_tuples_recovering, heal_membership, recovering_closure, RecoveringTcResult,
 };

@@ -13,12 +13,14 @@ use std::time::{Duration, Instant};
 use bruck_comm::{CommResult, Communicator, ReduceOp};
 use bruck_core::AlltoallvAlgorithm;
 
-use crate::{exchange_tuples, owner, ExchangeStats, Relation, Tuple};
+use crate::exchange::Fixpoint;
+use crate::{owner, ExchangeStats, Relation, Tuple};
 
 /// Instrumentation for one fixpoint iteration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TcIteration {
-    /// Globally new paths discovered this iteration.
+    /// Globally new paths discovered this iteration (known one round late:
+    /// it is the next round's vote sum).
     pub new_paths: u64,
     /// The iteration's all-to-all stats (N, bytes, time).
     pub exchange: ExchangeStats,
@@ -56,43 +58,40 @@ pub fn transitive_closure<C: Communicator + ?Sized>(
 
     // Shard E by first column (join key).
     let my_edges: Relation = edges.iter().copied().filter(|e| owner(e.0, p) == me).collect();
-    // T and the initial delta: paths sharded by second column.
-    let mut local_paths: Relation =
-        edges.iter().copied().filter(|e| owner(e.1, p) == me).collect();
-    let mut delta: Vec<Tuple> = local_paths.iter().copied().collect();
+    // T and the initial delta: paths sharded by second column, the delta in
+    // input order (not hash order) so the wire bytes repeat run to run.
+    let mut local_paths = Relation::new();
+    let mut delta: Vec<Tuple> = edges.iter().copied().filter(|e| owner(e.1, p) == me).collect();
+    delta.retain(|&e| local_paths.insert(e));
 
-    let mut per_iteration = Vec::new();
-    let mut comm_time = Duration::ZERO;
+    let mut fixpoint = Fixpoint::default();
     loop {
         // Local join: ΔT(x, y) ⋈ E(y, z) → candidate paths (x, z).
         let mut outboxes: Vec<Vec<Tuple>> = vec![Vec::new(); p];
         my_edges.join_on_first(&delta, |x, _y, z| outboxes[owner(z, p)].push((x, z)));
 
-        let (received, exchange) = exchange_tuples(comm, algo, &outboxes)?;
-        comm_time += exchange.comm_time;
+        let Some(received) = fixpoint.round(comm, algo, &outboxes, delta.len() as u64)? else {
+            break;
+        };
 
         // Deduplicate against the local shard of T.
         delta.clear();
-        for t in received {
-            if local_paths.insert(t) {
-                delta.push(t);
-            }
-        }
-        let new_paths = comm.allreduce_u64(delta.len() as u64, ReduceOp::Sum)?;
-        per_iteration.push(TcIteration { new_paths, exchange });
-        if new_paths == 0 {
-            break;
-        }
+        delta.extend(received.into_iter().filter(|&t| local_paths.insert(t)));
     }
 
     let total_paths = comm.allreduce_u64(local_paths.len() as u64, ReduceOp::Sum)?;
+    let per_iteration: Vec<TcIteration> = fixpoint
+        .rounds
+        .into_iter()
+        .map(|(new_paths, exchange)| TcIteration { new_paths, exchange })
+        .collect();
     Ok(TcResult {
         iterations: per_iteration.len(),
         total_paths,
         local_paths,
+        comm_time: per_iteration.iter().map(|i| i.exchange.comm_time).sum(),
         per_iteration,
         total_time: start.elapsed(),
-        comm_time,
     })
 }
 

@@ -2,7 +2,8 @@
 //!
 //! A [`Cell`] names one operation on one workload in one world size:
 //! `{ op, dist, p, n_max, workload_seed }`, where [`Op`] is exhaustive over
-//! everything reachable from a public `bruck-core` entry point. A cell knows
+//! everything reachable from a public `bruck-core` entry point, plus the two
+//! `bruck-bpra` fixpoints the paper's §5 runs over them. A cell knows
 //! the four things every harness needs and nothing else: how a rank fills its
 //! input and runs the operation ([`Cell::run_rank`]), what the right bytes
 //! are ([`Cell::expected`], built from [`bruck_core::pattern`] and the
@@ -20,6 +21,10 @@
 
 use std::time::Duration;
 
+use bruck_bpra::{
+    encode_all, graph1_like, kcfa_like_run, outboxes_at, owner, sequential_closure,
+    transitive_closure, KcfaConfig, Tuple, TUPLE_BYTES,
+};
 use bruck_comm::{CommError, CommResult, Communicator, ExchangePlan, FaultPlan, ReduceOp, ReliableConfig};
 use bruck_core::{
     allgatherv, allreduce, alltoall, configurable_alltoallv, packed_displs, pattern, pattern_byte,
@@ -64,6 +69,22 @@ fn reduce_op_name(op: ReduceOp) -> &'static str {
 // Op: what runs
 // ---------------------------------------------------------------------------
 
+/// The multi-epoch tenants: a whole fixpoint of control + data rounds over
+/// two-phase Bruck (the paper's §5 swap), reusing every tag round after round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fixpoint {
+    /// `transitive_closure` of a deep graph: two chains of `n_max` edges
+    /// with `n_max / 4` shortcuts, so about `n_max` rounds.
+    Tc,
+    /// `kcfa_like_run` for `n_max` iterations of two base facts per rank.
+    Kcfa,
+}
+
+impl Fixpoint {
+    /// Both tenants.
+    pub const ALL: [Fixpoint; 2] = [Fixpoint::Tc, Fixpoint::Kcfa];
+}
+
 /// One operation reachable from a public entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
@@ -81,6 +102,8 @@ pub enum Op {
     ReduceScatter(ReduceScatterAlgorithm, ReduceOp),
     /// Vector allreduce by schedule and operator.
     Allreduce(AllreduceAlgorithm, ReduceOp),
+    /// A `bruck-bpra` fixpoint, start to finish.
+    Fixpoint(Fixpoint),
 }
 
 impl Op {
@@ -106,7 +129,8 @@ impl Op {
             | Op::Plan(_)
             | Op::Allgatherv(_)
             | Op::ReduceScatter(..)
-            | Op::Allreduce(..) => None,
+            | Op::Allreduce(..)
+            | Op::Fixpoint(_) => None,
         }
     }
 
@@ -134,6 +158,8 @@ impl Op {
             Op::ReduceScatter(ReduceScatterAlgorithm::Pat, op) => reduce("rs/pat", op),
             Op::Allreduce(AllreduceAlgorithm::RecursiveDoubling, op) => reduce("ar/doubling", op),
             Op::Allreduce(AllreduceAlgorithm::ReduceScatterAllgather, op) => reduce("ar/rsag", op),
+            Op::Fixpoint(Fixpoint::Tc) => "fixpoint/tc".to_string(),
+            Op::Fixpoint(Fixpoint::Kcfa) => "fixpoint/kcfa".to_string(),
         }
     }
 
@@ -153,6 +179,7 @@ impl Op {
         let mut known: Vec<Op> = AlltoallvAlgorithm::ALL.map(Op::named).to_vec();
         known.extend(AlltoallvAlgorithm::ALL.map(Op::Plan));
         known.extend(ReduceOp::ALL.into_iter().flat_map(Op::schedules));
+        known.extend(Fixpoint::ALL.map(Op::Fixpoint));
         known.into_iter().find(|op| op.label() == tok).ok_or_else(bad)
     }
 }
@@ -318,6 +345,10 @@ impl Faults {
 // Cell: one op on one workload
 // ---------------------------------------------------------------------------
 
+/// The all-to-all under every fixpoint cell (and under the frozen
+/// benchmark's application cells).
+pub const FIXPOINT_ALGORITHM: AlltoallvAlgorithm = AlltoallvAlgorithm::TwoPhaseBruck;
+
 /// Workload generators a cell may name; [`decode_meta`] looks labels up here.
 pub const DISTRIBUTIONS: [Distribution; 5] = [
     Distribution::Uniform,
@@ -337,7 +368,8 @@ pub struct Cell {
     pub dist: Distribution,
     /// World size.
     pub p: usize,
-    /// Largest block (`alltoallv`) or per-rank count (collectives).
+    /// Largest block (`alltoallv`), per-rank count (collectives) or length
+    /// of the run in rounds (fixpoints).
     pub n_max: usize,
     /// Seed of the workload matrix / counts.
     pub workload_seed: u64,
@@ -410,6 +442,25 @@ impl Cell {
         self.coll_counts().iter().sum::<usize>() + 1
     }
 
+    /// The input graph of a closure cell.
+    fn tc_edges(&self) -> Vec<Tuple> {
+        graph1_like(2, self.n_max, self.n_max / 4, self.workload_seed)
+    }
+
+    /// The schedule of a kCFA-like cell.
+    fn kcfa_config(&self) -> KcfaConfig {
+        KcfaConfig { iterations: self.n_max, base_facts: 2, seed: self.workload_seed }
+    }
+
+    /// A closure cell's output: the rank's shard, sorted, then the global
+    /// path count.
+    fn tc_output(mut shard: Vec<Tuple>, total: u64) -> Vec<u8> {
+        shard.sort_unstable();
+        let mut out = encode_all(&shard);
+        out.extend(total.to_le_bytes());
+        out
+    }
+
     /// One `alltoallv` through the engine. With `negotiate`, first derive
     /// the receive side by `ExchangePlan::negotiate` from the send counts
     /// alone: the handshake must reproduce exactly the packed arrays the
@@ -472,6 +523,16 @@ impl Cell {
                 allreduce(algo, comm, &mut buf, op)?;
                 Ok(le(buf))
             }
+            Op::Fixpoint(Fixpoint::Tc) => {
+                let r = transitive_closure(comm, FIXPOINT_ALGORITHM, &self.tc_edges())?;
+                Ok(Cell::tc_output(r.local_paths.iter().copied().collect(), r.total_paths))
+            }
+            // The facts received, then the `N` of every iteration.
+            Op::Fixpoint(Fixpoint::Kcfa) => {
+                let r = kcfa_like_run(comm, FIXPOINT_ALGORITHM, &self.kcfa_config())?;
+                let n_series = r.per_iteration.iter().map(|s| s.n_max as u64);
+                Ok(le(std::iter::once(r.facts_received).chain(n_series).collect()))
+            }
         }
     }
 
@@ -515,6 +576,26 @@ impl Cell {
             Op::Allreduce(_, op) => {
                 le(&reference_allreduce(&self.u64_inputs(self.allreduce_len()), op))
             }
+            Op::Fixpoint(Fixpoint::Tc) => {
+                let closure = sequential_closure(&self.tc_edges());
+                let shard = closure.iter().copied().filter(|t| owner(t.1, self.p) == me);
+                Cell::tc_output(shard.collect(), closure.len() as u64)
+            }
+            // Every fact produced is received once, by its owner; `N` is the
+            // largest outbox anywhere that iteration.
+            Op::Fixpoint(Fixpoint::Kcfa) => {
+                let cfg = self.kcfa_config();
+                let mut out = vec![0u64; 1 + cfg.iterations];
+                for iter in 0..cfg.iterations {
+                    for src in 0..self.p {
+                        let outboxes = outboxes_at(&cfg, src, iter, self.p);
+                        out[0] += outboxes[me].len() as u64;
+                        let largest = outboxes.iter().map(Vec::len).max().unwrap_or(0);
+                        out[1 + iter] = out[1 + iter].max((largest * TUPLE_BYTES) as u64);
+                    }
+                }
+                le(&out)
+            }
         }
     }
 
@@ -535,7 +616,10 @@ impl Cell {
                     Op::Alltoall(..) | Op::Alltoallv(_) | Op::Plan(_) => (0..self.p)
                         .find(|&src| self.recv_block(me, src).contains(&i))
                         .map_or(String::new(), |src| format!(" (block from rank {src})")),
-                    Op::Allgatherv(_) | Op::ReduceScatter(..) | Op::Allreduce(..) => String::new(),
+                    Op::Allgatherv(_)
+                    | Op::ReduceScatter(..)
+                    | Op::Allreduce(..)
+                    | Op::Fixpoint(_) => String::new(),
                 };
                 Err(format!("byte {i}{from}: got {:#04x}, want {:#04x}", got[i], want[i]))
             }
@@ -825,6 +909,20 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
         }
     }
 
+    // The multi-epoch tenants: every tag reused round after round, control
+    // and data exchanges alternating — at every size, and once for well over
+    // a hundred rounds.
+    for app in Fixpoint::ALL {
+        for p in SIZES {
+            check(cell(Op::Fixpoint(app), Uniform, p, 24, 0xF1C5 + p as u64));
+        }
+        check(cell(Op::Fixpoint(app), Uniform, 8, 160, 0xF1C5));
+    }
+    // Shortcut-free chains end on a round that derives nothing from a
+    // non-empty delta: the `N == 0` exit, without which two control rounds
+    // would run back to back on the same tags.
+    check(cell(Op::Fixpoint(Fixpoint::Tc), Uniform, 8, 3, 0xF1C5));
+
     // -- sim: seeded schedules; the fault stack on the paper's algorithm. ---
     let mut sim = |tier, faults, seed, cell| add(Harness::Sim, tier, faults, seed, cell);
     for seed in 1..=2 {
@@ -833,6 +931,9 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
         }
         for faults in [Faults::Lossy, Faults::Stall] {
             sim(Smoke, faults, seed, cell(two_phase, Uniform, 5, 24, 11));
+        }
+        for app in Fixpoint::ALL {
+            sim(Smoke, Faults::None, seed, cell(Op::Fixpoint(app), Uniform, 5, 24, 11));
         }
     }
     for &op in &others {
@@ -875,6 +976,8 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
     // The fault stack: clock coupling defeats the reduction (dpor module
     // docs), so these are bounded systematic exploration, not proofs.
     verify(400, false, Smoke, Faults::Clean, cell(two_phase, Uniform, 2, 2, 11));
+    // A whole fixpoint: rounds multiply the schedule space, so bounded.
+    verify(2_000, false, Smoke, Faults::None, cell(Op::Fixpoint(Fixpoint::Tc), Uniform, 2, 3, 11));
     verify(800, false, Full, Faults::Lossy, cell(two_phase, Uniform, 3, 2, 11));
 
     // -- chaos: the plan battery on virtual time. The workload seed is the

@@ -78,6 +78,14 @@
 //!   wrapper), not ad-hoc condition variables — a raw `Condvar` wait parks a
 //!   whole OS thread, which is exactly what the event runtime exists to
 //!   avoid, and it is invisible to the deadlock prover.
+//! * `no-raw-collective-in-fixpoint` — `.allreduce_u64(` / `.alltoall_counts(`
+//!   in non-test code under `crates/bpra/src`: a fixpoint round is one control
+//!   exchange plus one data exchange (DESIGN.md §14.5) — counts, `N` and the
+//!   termination vote ride `exchange_tuples`' fused round, and a raw
+//!   collective creeping back into a driver loop is three more blocking
+//!   rounds per iteration (and, under faults, the asymmetric failure
+//!   `recover.rs` exists to avoid). The one-off totals after a loop carry
+//!   allowlist budgets.
 //!
 //! Test code (`#[cfg(test)]` regions, tracked by brace depth) is exempt from
 //! the unwrap/expect/relaxed rules; `unsafe` is flagged even in tests.
@@ -277,6 +285,8 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<LintFinding>) {
     let sleep_poll_banned = ["crates/comm/src/", "crates/core/src/", "crates/bpra/src/"]
         .iter()
         .any(|dir| rel.starts_with(dir));
+    // The fixpoint drivers' control traffic rides the fused exchange.
+    let raw_collective_banned = rel.starts_with("crates/bpra/src/");
     // The scheduler and the blocking-mailbox wrapper are the two sanctioned
     // concurrency-primitive sites in the comm layer; everywhere else must go
     // through the readiness abstraction.
@@ -371,6 +381,13 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<LintFinding>) {
             if sleep_poll_banned {
                 for _ in san.match_indices(".sleep(") {
                     push("no-sleep-poll");
+                }
+            }
+            if raw_collective_banned {
+                for call in [".allreduce_u64(", ".alltoall_counts("] {
+                    for _ in san.match_indices(call) {
+                        push("no-raw-collective-in-fixpoint");
+                    }
                 }
             }
             if spawn_banned {
@@ -860,6 +877,38 @@ mod tests {
         assert!(scan_str("crates/comm/src/clock.rs", real)
             .iter()
             .all(|f| f.rule != "no-sleep-poll"));
+    }
+
+    #[test]
+    fn raw_collective_flagged_in_bpra_library_code() {
+        // The shape the rule exists for: a per-iteration termination vote.
+        let src = [
+            "fn drive(c: &C) {",
+            "    loop {",
+            "        let counts = c.alltoall_counts(&sendcounts)?;",
+            "        if c.allreduce_u64(new, ReduceOp::Sum)? == 0 { break; }",
+            "    }",
+            "}",
+        ]
+        .join("\n");
+        let hits = scan_str("crates/bpra/src/tc.rs", &src);
+        let lines: Vec<usize> = hits
+            .iter()
+            .filter(|f| f.rule == "no-raw-collective-in-fixpoint")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, [3, 4], "{hits:?}");
+        // The rule governs bpra's library code: not the layers below it, not
+        // its integration tests, not #[cfg(test)] regions or test files.
+        for rel in ["crates/core/src/nonuniform/engine.rs", "crates/bpra/tests/fused_rounds.rs"] {
+            let hits = scan_str(rel, &src);
+            assert!(hits.iter().all(|f| f.rule != "no-raw-collective-in-fixpoint"), "{rel}");
+        }
+        let test_src = "#[cfg(test)]\nmod tests {\n    fn g(c: &C) { c.allreduce_u64(1, op); }\n}\n";
+        for rel in ["crates/bpra/src/kcfa.rs", "crates/bpra/src/datalog_tests.rs"] {
+            let hits = scan_str(rel, test_src);
+            assert!(hits.iter().all(|f| f.rule != "no-raw-collective-in-fixpoint"), "{rel}");
+        }
     }
 
     #[test]

@@ -62,7 +62,11 @@ fn check_cell_in(cell: &Cell, cfg: &SimConfig) -> (CaseReport, Extraction) {
                 ));
             }
         }
-        Op::Alltoall(..) | Op::Allgatherv(_) | Op::ReduceScatter(..) | Op::Allreduce(..) => {}
+        Op::Alltoall(..)
+        | Op::Allgatherv(_)
+        | Op::ReduceScatter(..)
+        | Op::Allreduce(..)
+        | Op::Fixpoint(_) => {}
     }
     findings.extend(analyze(&extraction));
     (CaseReport { name: cell.label(), findings }, extraction)

@@ -4,8 +4,8 @@
 use std::collections::BTreeSet;
 
 use bruck_check::cells::{
-    decode_meta, encode_meta, registry, rows, Faults, Family, Harness, Op, PhaseClass, Row, Tier,
-    DEFAULT_SEEDS,
+    decode_meta, encode_meta, registry, rows, Faults, Family, Fixpoint, Harness, Op, PhaseClass,
+    Row, Tier, DEFAULT_SEEDS,
 };
 use bruck_comm::ReduceOp;
 use bruck_core::{
@@ -25,7 +25,7 @@ fn shape(op: Op) -> Op {
         Op::ReduceScatter(a, _) => Op::ReduceScatter(a, ReduceOp::Sum),
         Op::Allreduce(a, _) => Op::Allreduce(a, ReduceOp::Sum),
         Op::Plan(_) => Op::Plan(AlltoallvAlgorithm::Reference),
-        Op::Alltoallv(_) | Op::Allgatherv(_) => op,
+        Op::Alltoallv(_) | Op::Allgatherv(_) | Op::Fixpoint(_) => op,
     }
 }
 
@@ -71,6 +71,16 @@ fn registry_covers_every_public_point() {
             assert!(hit, "{fam:?} has no alltoallv cell with {what}");
         }
     }
+    // The multi-epoch tenants are recorded, schedule-fuzzed and (the closure,
+    // bounded) model-checked; they run on the plain transport only.
+    for want in Fixpoint::ALL.map(Op::Fixpoint) {
+        for fam in [Family::Check, Family::Sim] {
+            let hit = family(fam, Tier::Smoke).iter().any(|r| r.cell.op == want);
+            assert!(hit, "{fam:?}: no {}", want.label());
+        }
+    }
+    let tc = Op::Fixpoint(Fixpoint::Tc);
+    assert!(family(Family::Verify, Tier::Smoke).iter().any(|r| r.cell.op == tc && r.cell.p == 2));
     // The schedule families are model-checked too, at P = 2 and P = 3.
     let verify = family(Family::Verify, Tier::Smoke);
     for want in AlltoallvAlgorithm::ALL.map(Op::named).iter().chain(&schedules) {
@@ -107,11 +117,13 @@ fn registry_covers_every_public_point() {
 #[test]
 fn smoke_cell_counts_are_pinned() {
     let count = |fam| family(fam, Tier::Smoke).len();
-    assert_eq!(count(Family::Check), 414);
-    assert!(count(Family::Sim) >= 38, "sim: {}", count(Family::Sim));
+    // 414 single operations + 13 fixpoints.
+    assert_eq!(count(Family::Check), 427);
+    assert!(count(Family::Sim) >= 38 + 4, "sim: {}", count(Family::Sim));
     assert!(count(Family::Chaos) >= 60, "chaos: {}", count(Family::Chaos));
-    // 19 alltoallv DPOR cells + the eight schedules at P = 2 and P = 3.
-    assert!(count(Family::Verify) >= 19 + 16, "verify: {}", count(Family::Verify));
+    // 19 alltoallv DPOR cells + the eight schedules at P = 2 and P = 3, and
+    // one fixpoint on top.
+    assert!(count(Family::Verify) > 19 + 16, "verify: {}", count(Family::Verify));
     assert_eq!(bruck_check::dpor::EventScenario::ALL.len(), 4);
     assert_eq!(count(Family::Recovery), 36);
     let canaries = family(Family::Chaos, Tier::Full)
@@ -159,7 +171,14 @@ fn decode_rejects_unknown_tokens_by_name() {
     assert!(err.contains("losy"), "{err}");
     let err = decode_meta(&good.replace("op=alltoallv:Two-phaseBruck", "op=alltoallv:5")).unwrap_err();
     assert!(err.contains("alltoallv:5"), "{err}");
-    for bad in ["op=ar/rsag:avg", "op=agv/rng", "op=engine:bruck:r=x", "dist=zipf", "algo=5"] {
+    for bad in [
+        "op=ar/rsag:avg",
+        "op=agv/rng",
+        "op=engine:bruck:r=x",
+        "op=fixpoint/cc",
+        "dist=zipf",
+        "algo=5",
+    ] {
         let meta = good.replace("op=alltoallv:Two-phaseBruck", bad);
         assert!(decode_meta(&meta).is_err(), "{meta} decoded");
     }

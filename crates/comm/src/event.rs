@@ -634,8 +634,10 @@ impl Communicator for EventComm<'_> {
                 epoch: ctx.epoch,
             },
         );
-        // A timeout the clock cannot represent is an unbounded wait.
-        let deadline = self.world.clock_now().checked_add(timeout);
+        // `Duration::MAX`, or a timeout the clock cannot represent, is an
+        // unbounded wait (at virtual time 0 the add alone would succeed).
+        let deadline =
+            self.world.clock_now().checked_add(timeout).filter(|_| timeout != Duration::MAX);
         ctx.park = Some(Park::Arrival { deadline });
         drop(ctx);
         panic_any(TaskYield)

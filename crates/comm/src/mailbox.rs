@@ -171,11 +171,23 @@ impl MatchStore {
     }
 }
 
+/// A [`MatchStore`] plus who is parked on it. Both live under the one
+/// mutex, so a depositor reads the parked set in the same critical section
+/// as its push: a wait registered before the push is seen by it, and a wait
+/// that locks after the push sees the message instead.
+struct Watched {
+    store: MatchStore,
+    /// The `(src, tag)` of every keyed receive parked on the condvar.
+    keyed: Vec<(usize, Tag)>,
+    /// Arrival waits parked on the condvar (any deposit wakes them).
+    arrival_waits: usize,
+}
+
 /// A single rank's incoming-message store for the threaded backend: a
 /// [`MatchStore`] behind a mutex, plus the condition variable its owning
 /// OS thread parks on.
 pub(crate) struct Mailbox {
-    store: Mutex<MatchStore>,
+    inbox: Mutex<Watched>,
     arrived: Condvar,
 }
 
@@ -188,27 +200,34 @@ impl Mailbox {
 
     /// A mailbox participating in a world's shared accounting.
     pub(crate) fn with_stats(stats: Arc<StoreStats>) -> Self {
-        Mailbox { store: Mutex::new(MatchStore::new(stats)), arrived: Condvar::new() }
+        let inbox = Watched { store: MatchStore::new(stats), keyed: Vec::new(), arrival_waits: 0 };
+        Mailbox { inbox: Mutex::new(inbox), arrived: Condvar::new() }
     }
 
     /// A mailbox outlives any single rank's panic; recover the store rather
     /// than cascading poison panics across every other rank's shutdown path.
-    fn lock(&self) -> MutexGuard<'_, MatchStore> {
-        self.store.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    fn lock(&self) -> MutexGuard<'_, Watched> {
+        self.inbox.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Deposit a message from `src` with `tag`. Never blocks, never copies.
     pub(crate) fn push(&self, src: usize, tag: Tag, data: MsgBuf) {
-        let mut store = self.lock();
-        store.push(src, tag, data);
+        let mut inbox = self.lock();
+        inbox.store.push(src, tag, data);
+        // Only a parked wait this deposit can complete is worth a wake: a
+        // notify is a futex syscall even with nobody waiting, and a receive
+        // parked on another key would wake only to park again.
+        let wake = inbox.arrival_waits > 0 || inbox.keyed.contains(&(src, tag));
         // Unlock before notifying: a receiver woken while the depositor
         // still holds the store would block on that mutex as its first act
         // (two extra context switches per hand-off on a busy CPU).
-        drop(store);
-        // notify_all: keyed receives and arrival waits share this condvar,
-        // and several receives with distinct (src, tag) keys can be parked
-        // on it at once (user code running helper threads).
-        self.arrived.notify_all();
+        drop(inbox);
+        if wake {
+            // notify_all: keyed receives and arrival waits share this
+            // condvar, and several can be parked on it at once (user code
+            // running helper threads); the unmatched ones re-park.
+            self.arrived.notify_all();
+        }
     }
 
     /// Pop the oldest message matching `(src, tag)`, blocking until present
@@ -227,23 +246,35 @@ impl Mailbox {
         let timed = (timeout != Duration::MAX)
             .then(Instant::now)
             .and_then(|start| Some((start, start.checked_add(timeout)?)));
-        let mut store = self.lock();
-        loop {
-            if let Some(outcome) = store.try_pop(src, tag, max_len) {
-                return outcome
+        let mut inbox = self.lock();
+        let mut parked = false;
+        let outcome = loop {
+            if let Some(outcome) = inbox.store.try_pop(src, tag, max_len) {
+                break outcome
                     .map_err(|message_len| CommError::Truncated { message_len, buffer_len: max_len });
             }
-            store = match timed {
+            if !parked {
+                inbox.keyed.push((src, tag));
+                parked = true;
+            }
+            inbox = match timed {
                 Some((start, deadline)) => {
                     let left = deadline.saturating_duration_since(Instant::now());
                     if left.is_zero() {
-                        return Err(CommError::Timeout { src, tag, waited: start.elapsed() });
+                        break Err(CommError::Timeout { src, tag, waited: start.elapsed() });
                     }
-                    self.arrived.wait_timeout(store, left).unwrap_or_else(|p| p.into_inner()).0
+                    self.arrived.wait_timeout(inbox, left).unwrap_or_else(|p| p.into_inner()).0
                 }
-                None => self.arrived.wait(store).unwrap_or_else(|p| p.into_inner()),
+                None => self.arrived.wait(inbox).unwrap_or_else(|p| p.into_inner()),
             };
+        };
+        if parked {
+            // One entry per parked receive: two may share a key.
+            if let Some(at) = inbox.keyed.iter().position(|k| *k == (src, tag)) {
+                inbox.keyed.swap_remove(at);
+            }
         }
+        outcome
     }
 
     /// Park until the deposit count differs from `seen` or `timeout`
@@ -255,40 +286,42 @@ impl Mailbox {
     /// a moved count and a zero timeout (the pure read every service loop
     /// starts with) return at once.
     pub(crate) fn wait_arrival(&self, seen: u64, timeout: Duration) -> u64 {
-        let mut store = self.lock();
-        if store.deposits() != seen || timeout.is_zero() {
-            return store.deposits();
+        let mut inbox = self.lock();
+        if inbox.store.deposits() != seen || timeout.is_zero() {
+            return inbox.store.deposits();
         }
         let deadline = Instant::now().checked_add(timeout);
-        while store.deposits() == seen {
-            store = match deadline {
-                None => self.arrived.wait(store).unwrap_or_else(|p| p.into_inner()),
+        inbox.arrival_waits += 1;
+        while inbox.store.deposits() == seen {
+            inbox = match deadline {
+                None => self.arrived.wait(inbox).unwrap_or_else(|p| p.into_inner()),
                 Some(deadline) => {
                     let left = deadline.saturating_duration_since(Instant::now());
                     if left.is_zero() {
                         break;
                     }
-                    self.arrived.wait_timeout(store, left).unwrap_or_else(|p| p.into_inner()).0
+                    self.arrived.wait_timeout(inbox, left).unwrap_or_else(|p| p.into_inner()).0
                 }
             };
         }
-        store.deposits()
+        inbox.arrival_waits -= 1;
+        inbox.store.deposits()
     }
 
     /// Non-blocking probe: the byte length of the next matching message.
     pub(crate) fn probe(&self, src: usize, tag: Tag) -> Option<usize> {
-        self.lock().peek_len(src, tag)
+        self.lock().store.peek_len(src, tag)
     }
 
     /// Number of undelivered messages in this mailbox (structural scan).
     pub(crate) fn pending(&self) -> usize {
-        self.lock().scan_pending()
+        self.lock().store.scan_pending()
     }
 
     /// Number of match-map keys whose queue is empty in this mailbox
     /// (structural scan; must always be 0).
     pub(crate) fn dead_keys(&self) -> usize {
-        self.lock().scan_dead_keys()
+        self.lock().store.scan_dead_keys()
     }
 }
 
@@ -373,6 +406,31 @@ mod tests {
         mb.push(0, 2, buf(&[2]));
         assert_eq!(t.join().unwrap(), vec![2]);
         assert_eq!(take(&mb, 0, 1), vec![1]);
+    }
+
+    #[test]
+    fn a_deposit_wakes_the_receive_it_matches_and_no_other() {
+        let mb = Arc::new(Mailbox::new());
+        let park = |tag: Tag| {
+            let mb = Arc::clone(&mb);
+            std::thread::spawn(move || take(&mb, 0, tag))
+        };
+        let (a, b) = (park(1), park(2));
+        while mb.lock().keyed.len() < 2 {
+            std::thread::yield_now();
+        }
+        // An unrelated key matches neither parked receive: nobody is woken
+        // and the message waits for whoever asks for it.
+        mb.push(5, 9, buf(&[0]));
+        mb.push(0, 2, buf(&[2]));
+        assert_eq!(b.join().unwrap(), vec![2]);
+        assert_eq!(mb.lock().keyed, [(0, 1)], "the other receive is still parked");
+        assert!(!a.is_finished());
+        mb.push(0, 1, buf(&[1]));
+        assert_eq!(a.join().unwrap(), vec![1]);
+        assert!(mb.lock().keyed.is_empty());
+        assert_eq!(mb.lock().arrival_waits, 0);
+        assert_eq!(take(&mb, 5, 9), vec![0]);
     }
 
     #[test]

@@ -689,8 +689,9 @@ impl SimWorld {
         if st.queues[rank].deposits() != seen || timeout.is_zero() {
             return Ok(st.queues[rank].deposits());
         }
-        // A timeout the clock cannot represent is an unbounded wait.
-        let deadline = st.now.checked_add(timeout);
+        // `Duration::MAX`, or a timeout the clock cannot represent, is an
+        // unbounded wait (at virtual time 0 the add alone would succeed).
+        let deadline = st.now.checked_add(timeout).filter(|_| timeout != Duration::MAX);
         st.ranks[rank] = RankState::Waiting { deadline };
         self.pick_next(&mut st, rank);
         let (st, _, deadlocked) = self.wait_for_token(st, rank);
@@ -981,6 +982,21 @@ mod tests {
                 matches!(r, Err(CommError::Deadlock { .. })),
                 "expected proved deadlock, got {r:?}"
             );
+        }
+    }
+
+    #[test]
+    fn unbounded_arrival_wait_at_time_zero_is_a_deadlock_not_a_deadline() {
+        // `ZERO.checked_add(MAX)` succeeds: read as a deadline at `MAX`, the
+        // stuck world would jump the clock there instead of proving itself
+        // stuck.
+        let run = SimComm::run(2, 3, |comm| {
+            let seen = comm.wait_arrival(0, Duration::ZERO).unwrap();
+            (comm.wait_arrival(seen, Duration::MAX), comm.now())
+        });
+        for (r, now) in &run.results {
+            assert!(matches!(r, Err(CommError::Deadlock { .. })), "got {r:?}");
+            assert_eq!(*now, Duration::ZERO);
         }
     }
 
