@@ -617,7 +617,8 @@ fn sloav_ablation() {
             trace_cells.push((format!("{name}/N={n}"), timelines));
         }
     }
-    println!("  (two-phase: no scan phase, no per-block allocations — the §6.1 improvements)");
+    println!("  (two-phase: no scan phase, one exposed latency per step — the §6.1 improvements;");
+    println!("   allred is an empty marker span: neither layout sizes a buffer)");
     let path = Path::new("target").join("bruck-bench").join("ablation.trace.json");
     match write_text(&path, &chrome_trace_json(&trace_cells)) {
         Ok(()) => println!("  span timelines: {} (chrome://tracing, Perfetto)", path.display()),
@@ -701,9 +702,12 @@ fn model_table() {
         }
     }
 
-    // Model-vs-trace sanity: the closed form and the trace simulator must
-    // rank padded vs two-phase identically in the latency-dominated regime.
-    println!("\n  model-vs-trace agreement on the padded/two-phase winner:");
+    // The closed forms price the paper's schedule (eq (2): a metadata and a
+    // data latency per step); the trace prices this engine's two-phase
+    // (⌈log₂ P⌉ + 1 latencies and no sizing allreduce).
+    // Where latency decides, the two can name different winners: reported,
+    // not asserted.
+    println!("\n  padded/two-phase winner — the paper's closed form vs this engine's trace:");
     for (p, n) in [(1024usize, 8usize), (1024, 2048), (8192, 8), (8192, 2048)] {
         let closed = padded_beats_two_phase(p, n, &m);
         let padded = predict(AlltoallvAlgorithm::PaddedBruck, Distribution::Uniform, SEED, p, n, &m);

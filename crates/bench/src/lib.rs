@@ -309,7 +309,7 @@ mod tests {
             let metrics = metered.metrics();
             assert_eq!(metrics.consistency_errors(), Vec::<String>::new());
             assert!(metrics.logical.sent_msgs > 0 && metrics.logical.sent_bytes > 0);
-            assert!(metrics.reserved.sent_msgs > 0, "the allreduce lands on the reserved channel");
+            assert_eq!(metrics.reserved.sent_msgs, 0, "two-phase runs no collective");
         });
         assert!(seconds > 0.0);
         assert_eq!(timelines.len(), 6);

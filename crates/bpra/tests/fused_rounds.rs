@@ -11,7 +11,7 @@ use bruck_core::{alltoallv, packed_displs, AlltoallvAlgorithm};
 const ALGO: AlltoallvAlgorithm = AlltoallvAlgorithm::TwoPhaseBruck;
 
 #[test]
-fn a_round_is_twelve_messages_with_data_and_three_without_at_p8() {
+fn a_round_is_nine_messages_with_data_and_three_without_at_p8() {
     let p = 8;
     let sent = ThreadComm::run(p, |comm| {
         let mc = MeteredComm::new(comm);
@@ -29,10 +29,9 @@ fn a_round_is_twelve_messages_with_data_and_three_without_at_p8() {
         [round(&outboxes), round(&vec![Vec::new(); p])]
     });
     for [with_data, without] in sent {
-        // 3 control + (3 metadata + 3 data) two-phase steps, and the engine's
-        // 3-step sizing allreduce on reserved tags. The parent spent 22: two
-        // more allreduces and a P − 1 counts ring.
-        assert_eq!(with_data, (TUPLE_BYTES, 9, 3));
+        // 3 control + (3 metadata + 3 data) two-phase steps, nothing on
+        // reserved tags: the engine sizes no buffer, so it runs no allreduce.
+        assert_eq!(with_data, (TUPLE_BYTES, 9, 0));
         assert_eq!(without, (0, 3, 0));
     }
 }

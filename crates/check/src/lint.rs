@@ -79,12 +79,15 @@
 //!   whole OS thread, which is exactly what the event runtime exists to
 //!   avoid, and it is invisible to the deadlock prover.
 //! * `no-raw-collective-in-fixpoint` — `.allreduce_u64(` / `.alltoall_counts(`
-//!   in non-test code under `crates/bpra/src`: a fixpoint round is one control
+//!   in a round loop: non-test code under `crates/bpra/src` and in
+//!   `crates/core/src/nonuniform/engine.rs`. A fixpoint round is one control
 //!   exchange plus one data exchange (DESIGN.md §14.5) — counts, `N` and the
 //!   termination vote ride `exchange_tuples`' fused round, and a raw
 //!   collective creeping back into a driver loop is three more blocking
 //!   rounds per iteration (and, under faults, the asymmetric failure
-//!   `recover.rs` exists to avoid). The one-off totals after a loop carry
+//!   `recover.rs` exists to avoid); an unpadded Bruck step is one latency,
+//!   and a sizing round beside the step loop is ⌈log₂ P⌉ more. The one-off
+//!   totals after a loop and the padding rule's `global_n_max` carry
 //!   allowlist budgets.
 //!
 //! Test code (`#[cfg(test)]` regions, tracked by brace depth) is exempt from
@@ -285,8 +288,10 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<LintFinding>) {
     let sleep_poll_banned = ["crates/comm/src/", "crates/core/src/", "crates/bpra/src/"]
         .iter()
         .any(|dir| rel.starts_with(dir));
-    // The fixpoint drivers' control traffic rides the fused exchange.
-    let raw_collective_banned = rel.starts_with("crates/bpra/src/");
+    // The fixpoint drivers' control traffic rides the fused exchange, and the
+    // engine's step loops size nothing with a collective.
+    let raw_collective_banned = rel.starts_with("crates/bpra/src/")
+        || rel == "crates/core/src/nonuniform/engine.rs";
     // The scheduler and the blocking-mailbox wrapper are the two sanctioned
     // concurrency-primitive sites in the comm layer; everywhere else must go
     // through the readiness abstraction.
@@ -898,9 +903,10 @@ mod tests {
             .map(|f| f.line)
             .collect();
         assert_eq!(lines, [3, 4], "{hits:?}");
-        // The rule governs bpra's library code: not the layers below it, not
-        // its integration tests, not #[cfg(test)] regions or test files.
-        for rel in ["crates/core/src/nonuniform/engine.rs", "crates/bpra/tests/fused_rounds.rs"] {
+        // The rule governs the code that owns a round loop: not the other
+        // layers below bpra, not its integration tests, not #[cfg(test)]
+        // regions or test files.
+        for rel in ["crates/core/src/collectives/allreduce.rs", "crates/bpra/tests/fused_rounds.rs"] {
             let hits = scan_str(rel, &src);
             assert!(hits.iter().all(|f| f.rule != "no-raw-collective-in-fixpoint"), "{rel}");
         }
@@ -909,6 +915,24 @@ mod tests {
             let hits = scan_str(rel, test_src);
             assert!(hits.iter().all(|f| f.rule != "no-raw-collective-in-fixpoint"), "{rel}");
         }
+    }
+
+    #[test]
+    fn a_second_sizing_round_in_the_engine_fails_the_gate() {
+        // The engine's one audited collective is the padding rule's
+        // `global_n_max`; a sizing round back beside a step loop is a second
+        // finding, over the committed budget of one.
+        let engine = "crates/core/src/nonuniform/engine.rs";
+        let call = "    let n = comm.allreduce_u64(local_max as u64, ReduceOp::Max)?;\n";
+        let allow = || load_allowlist(&repo_root().join("crates/check/lint-allow.txt"));
+        let raw = |src: &str| -> Vec<LintFinding> {
+            let mut hits = scan_str(engine, src);
+            hits.retain(|f| f.rule == "no-raw-collective-in-fixpoint");
+            hits
+        };
+        assert!(apply_allowlist(raw(call), allow()).is_clean());
+        let report = apply_allowlist(raw(&call.repeat(2)), allow());
+        assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
     }
 
     #[test]

@@ -208,11 +208,12 @@ impl<C: Communicator + ?Sized> Communicator for SubComm<'_, C> {
         timeout: Duration,
     ) -> CommResult<MsgBuf> {
         self.check_rank(src)?;
-        // A timeout names the receive that expired: report it in this
-        // communicator's rank and tag space, not the parent's.
+        // A timeout or a proved deadlock names the receive that was stuck:
+        // report it in this communicator's rank and tag space, not the parent's.
         self.parent.recv_match(self.members[src], self.map_tag(tag)?, max_len, timeout).map_err(
             |e| match e {
                 CommError::Timeout { waited, .. } => CommError::Timeout { src, tag, waited },
+                CommError::Deadlock { .. } => CommError::Deadlock { src, tag },
                 other => other,
             },
         )
@@ -233,15 +234,19 @@ impl<C: Communicator + ?Sized> Communicator for SubComm<'_, C> {
 
     fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
         // The parent's count: traffic for other members and contexts moves
-        // it too, so this may return early — never late.
-        self.parent.wait_arrival(seen, timeout)
+        // it too, so this may return early — never late. A proved deadlock
+        // names the waiting rank: this one, in this communicator's space.
+        self.parent.wait_arrival(seen, timeout).map_err(|e| match e {
+            CommError::Deadlock { tag, .. } => CommError::Deadlock { src: self.my_index, tag },
+            other => other,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ReduceOp, ThreadComm};
+    use crate::{ReduceOp, SimComm, ThreadComm};
 
     #[test]
     fn split_partitions_and_reranks() {
@@ -298,6 +303,24 @@ mod tests {
             assert_eq!(sub.recv(back, 9).unwrap(), vec![2]);
             assert_eq!(comm.recv(back, 9).unwrap(), vec![1]);
         });
+    }
+
+    #[test]
+    fn a_proved_deadlock_is_reported_in_the_subcommunicator_s_space() {
+        // Even parent ranks form a group ordered [2, 0]: sub-rank 0 is parent
+        // rank 2 and waits on sub-rank 1 (parent rank 0), who sends nothing.
+        let run = SimComm::run(4, 1, |comm| {
+            let me = comm.rank();
+            let sub = SubComm::split(comm, (me % 2) as u64, (100 - me) as u64).unwrap();
+            (me == 2).then(|| {
+                let stuck = sub.recv_buf(1, 5).unwrap_err();
+                let seen = sub.wait_arrival(0, Duration::ZERO).unwrap();
+                (stuck, sub.wait_arrival(seen, Duration::MAX).unwrap_err())
+            })
+        });
+        let (recv, wait) = run.results[2].clone().expect("parent rank 2 is sub-rank 0");
+        assert_eq!(recv, CommError::Deadlock { src: 1, tag: 5 }, "not parent rank 0 / mapped tag");
+        assert_eq!(wait, CommError::Deadlock { src: 0, tag: 0 }, "not parent rank 2");
     }
 
     #[test]

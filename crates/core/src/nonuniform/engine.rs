@@ -12,17 +12,20 @@
 //! | `radix` | `r ≥ 2` | Bruck digit base: `(r−1)·⌈log_r P⌉` steps, `⌈log_r P⌉` forwards |
 //! | `throttle_window` | `None` / `Some(w)` | outstanding pairs for direct exchanges |
 //! | [`PaddingRule`] | never / always / threshold | pad blocks to the global max `N` first |
-//! | [`IntermediateLayout`] | monolithic / block-views | staging store for Bruck forwarding |
-//! | `two_phase_split` | bool | decoupled metadata message vs. combined buffer |
+//! | [`IntermediateLayout`] | monolithic / block-views | zero-rotation routing, finished blocks delivered in place, no final scan vs. basic routing + scan |
+//! | `two_phase_split` | bool | decoupled metadata message, running one step ahead of the data, vs. combined buffer |
 //!
 //! The named algorithms are **constructors, not kernels**:
 //! [`EngineConfig::as_two_phase`], [`EngineConfig::as_spread_out`], … build
 //! the config that *is* that algorithm, and [`configurable_alltoallv`] runs
-//! every config — named or not — through the same four loops:
+//! every config — named or not — through the same three loops:
 //!
 //! * the direct pairwise loop (`Direct`), windowed by `throttle_window`;
-//! * the unpadded radix Bruck loop (`Bruck`) in either layout, both sharing
-//!   one metadata/data step coupling selected by `two_phase_split`;
+//! * the unpadded radix Bruck loop (`Bruck`): one loop whose direction and
+//!   delivery come from the layout and whose metadata/data step coupling is
+//!   selected by `two_phase_split`. Forwarded blocks stay in the receive
+//!   regions they arrived in, so nothing is sized up front and no config of
+//!   it pays an allreduce;
 //! * the pad → uniform exchange → scan wrapper, entered when the
 //!   [`PaddingRule`] fires, around the direct loop or the uniform radix
 //!   Zero Rotation Bruck;
@@ -36,10 +39,12 @@
 //! holds the engine to `bruck-model`'s closed-form per-tag message and byte
 //! counts and to [`reference_alltoallv`]'s bytes on every backend.
 
+use std::time::Duration;
+
 use bruck_comm::{CommError, CommResult, Communicator, MsgBuf, ReduceOp};
 
 use super::validate_v;
-use crate::common::{add_mod, data_tag, meta_tag, rotation_index, sub_mod, SPREAD_TAG};
+use crate::common::{add_mod, data_tag, meta_tag, sub_mod, SPREAD_TAG};
 use crate::probe::span;
 use crate::radix::{radix_schedule, radix_step_rel_indices, zero_rotation_bruck_radix};
 use crate::nonuniform::{
@@ -81,15 +86,19 @@ impl PaddingRule {
     }
 }
 
-/// Where intermediate (store-and-forward) blocks live during Bruck steps.
+/// How the unpadded Bruck loop routes and delivers. In both layouts a block
+/// that must be forwarded again stays where it arrived, in that step's
+/// receive region: nothing is sized up front, so neither pays an allreduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntermediateLayout {
-    /// One monolithic `P × N` working buffer with zero-rotation routing and
-    /// in-place final delivery (two-phase Bruck's §6.1 improvement). Costs
-    /// one allreduce up front to size the buffer.
+    /// Zero-rotation routing: a block whose remaining hops are exhausted is
+    /// received straight into its final position, so there is no final scan
+    /// (two-phase Bruck's §6.1 improvement). The name — and the key spelling
+    /// `layout=mono` — date from the `P × N` working buffer §3.2 describes,
+    /// which the kept receive regions replaced.
     Monolithic,
-    /// A pointer array of per-offset block views with basic-Bruck routing
-    /// and a final scan (SLOAV's two-layer layout). No allreduce.
+    /// Basic-Bruck routing over a pointer array of per-offset block views,
+    /// every block copied home in a final scan (SLOAV's two-layer layout).
     BlockViews,
 }
 
@@ -133,9 +142,11 @@ pub struct EngineConfig {
     /// Intermediate staging layout; consulted by unpadded `Bruck` only.
     pub layout: IntermediateLayout,
     /// `true`: each Bruck step sends a separate 4-byte-per-block metadata
-    /// message, then the packed data (two-phase coupling). `false`: one
-    /// combined `[sizes][blocks]` buffer preceded by an 8-byte total-size
-    /// exchange (SLOAV coupling). Consulted by unpadded `Bruck` only.
+    /// message and the packed data (two-phase coupling); the metadata runs
+    /// one step ahead, so a step costs one latency. `false`: one combined
+    /// `[sizes][blocks]` buffer preceded by an 8-byte total-size exchange
+    /// (SLOAV coupling), two latencies per step. Consulted by unpadded
+    /// `Bruck` only.
     pub two_phase_split: bool,
 }
 
@@ -200,8 +211,8 @@ impl EngineConfig {
         }
     }
 
-    /// Coupled split metadata/data over a monolithic working buffer
-    /// ([`AlltoallvAlgorithm::TwoPhaseBruck`]).
+    /// Coupled split metadata/data with zero-rotation routing and in-place
+    /// delivery ([`AlltoallvAlgorithm::TwoPhaseBruck`]).
     pub fn as_two_phase() -> EngineConfig {
         EngineConfig {
             topology: EngineTopology::Bruck,
@@ -445,22 +456,19 @@ pub fn configurable_alltoallv<C: Communicator + ?Sized>(
     }
 }
 
-/// Global maximum block size (one allreduce) — the `N` of the paper.
-fn global_n_max<C: Communicator + ?Sized>(
-    comm: &C,
-    sendcounts: &[usize],
-    span_name: &'static str,
-) -> CommResult<usize> {
-    let _probe = span(span_name);
+/// Global maximum block size (one allreduce) — the `N` of the paper. Only a
+/// padding rule asks for it.
+fn global_n_max<C: Communicator + ?Sized>(comm: &C, sendcounts: &[usize]) -> CommResult<usize> {
+    let _probe = span("padded.allreduce");
     let local_max = sendcounts.iter().copied().max().unwrap_or(0);
     Ok(comm.allreduce_u64(local_max as u64, ReduceOp::Max)? as usize)
 }
 
-/// The `Direct` and `Bruck` topologies: validate once, find `N` at most once
-/// (the padding rule and the monolithic layout both want it), then either
-/// pad → uniform exchange → scan, or the exact-size exchange.
+/// The `Direct` and `Bruck` topologies: validate once, find `N` if the padding
+/// rule wants it, then either pad → uniform exchange → scan, or the
+/// exact-size exchange.
 ///
-/// The four loops this chooses between are `#[inline(never)]`: `EventComm`
+/// The three loops this chooses between are `#[inline(never)]`: `EventComm`
 /// suspends a rank by unwinding, the unwinder's work per frame grows with the
 /// frame's call-site table, and one merged function measured ~3 % slower per
 /// exchange (P = 256, 64 B blocks) than one small frame per loop.
@@ -477,36 +485,29 @@ fn direct_or_bruck<C: Communicator + ?Sized>(
 ) -> CommResult<()> {
     let p = validate_v(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)?;
 
-    let n_max = match cfg.padding {
-        PaddingRule::Never => None,
-        _ => Some(global_n_max(comm, sendcounts, "padded.allreduce")?),
-    };
-    if let Some(n) = n_max.filter(|&n| cfg.padding.fires(n)) {
-        return padded_exchange(
-            comm, cfg, p, n, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
-        );
+    if cfg.padding != PaddingRule::Never {
+        let n = global_n_max(comm, sendcounts)?;
+        if cfg.padding.fires(n) {
+            return padded_exchange(
+                comm, cfg, p, n, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
+            );
+        }
+    } else if cfg.topology == EngineTopology::Bruck
+        && cfg.layout == IntermediateLayout::Monolithic
+    {
+        // Where two-phase Bruck's sizing allreduce used to run. The frozen
+        // `benchmark/` reads a `nonuniform.two_phase.allreduce_us` row off
+        // this span and panics without a sample, so an empty marker stays
+        // until that row is dropped (ROADMAP item 1d); it times nothing.
+        drop(span("two_phase.allreduce"));
     }
 
     if cfg.topology == EngineTopology::Direct {
-        return direct_exchange(
+        direct_exchange(
             comm, cfg.throttle_window, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
-        );
-    }
-    match cfg.layout {
-        IntermediateLayout::Monolithic => {
-            // The monolithic buffer needs N; a threshold rule that did not
-            // fire has already paid for it.
-            let n = match n_max {
-                Some(n) => n,
-                None => global_n_max(comm, sendcounts, "two_phase.allreduce")?,
-            };
-            bruck_monolithic(
-                comm, cfg, p, n, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
-            )
-        }
-        IntermediateLayout::BlockViews => {
-            bruck_block_views(comm, cfg, p, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
-        }
+        )
+    } else {
+        bruck_unpadded(comm, cfg, p, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
     }
 }
 
@@ -652,102 +653,162 @@ const SLOAV_SPANS: StepSpans = StepSpans {
     scatter: "sloav.scatter",
 };
 
-/// The coupled metadata + data exchange of one unpadded Bruck step with
-/// `dest` / `src`: a small header message, then the body. `sizes[ix]` for
-/// `ix` in `indices` are the byte sizes of the outgoing blocks, in wire
-/// order; `pack` appends their payload.
+/// One sub-step of the unpadded Bruck schedule as this rank sees it.
+struct Hop {
+    /// Schedule index: the wire-tag offset of the sub-step's two messages.
+    idx: u32,
+    dest: usize,
+    src: usize,
+    /// Relative indices of the blocks on the wire, ascending.
+    rel: Vec<usize>,
+    /// A received block whose relative index is below this needs no further
+    /// hop: every digit above the sub-step's position is zero.
+    done_bound: usize,
+}
+
+/// The 4-byte-per-block size array announcing `hop`'s outgoing blocks.
+fn size_array(hop: &Hop, sizes: &[usize]) -> CommResult<Vec<u8>> {
+    let mut array = Vec::with_capacity(hop.rel.len() * 4);
+    for &i in &hop.rel {
+        let sz = u32::try_from(sizes[i])
+            .map_err(|_| CommError::BadArgument("block size exceeds u32 metadata"))?;
+        array.extend_from_slice(&sz.to_le_bytes());
+    }
+    Ok(array)
+}
+
+/// Post the size array announcing `hop`'s outgoing blocks (split coupling).
+fn post_sizes<C: Communicator + ?Sized>(comm: &C, hop: &Hop, sizes: &[usize]) -> CommResult<()> {
+    comm.isend_buf(hop.dest, meta_tag(hop.idx), MsgBuf::from_vec(size_array(hop, sizes)?))
+}
+
+/// The coupled metadata + data exchange of one unpadded Bruck sub-step.
+/// `sizes[i]` for `i` in `hop.rel` are the byte sizes of the outgoing blocks,
+/// in wire order; `pack` appends their payload.
 ///
-/// * Split coupling (§3.2): the header is the 4-byte-per-block size array,
-///   the body is the packed payload, packed after the header exchange.
+/// * Split coupling (§3.2), with the metadata chain one sub-step ahead of the
+///   data chain: the caller has already sent this sub-step's size array
+///   (`next`'s is sent here), so the packed payload leaves first, the size
+///   array from `src` is usually waiting, and the only latency left is the
+///   payload's. That is sound because a data message needs no metadata to be
+///   *sent*, and every size `next` announces is known once this sub-step's
+///   metadata is in: a block sent at `next` is an original one or was last
+///   overwritten no later than here.
 /// * Combined coupling (SLOAV, §6.1): the body is `[sizes][payload]`, packed
-///   up front, and the header announces its 8-byte total length.
+///   up front, preceded by an 8-byte message announcing its total length.
+///   That length depends on sizes carried inside the previous body, so it
+///   cannot run ahead: two latencies per sub-step.
 ///
-/// On return `sizes[ix]` are the *received* blocks' sizes, and the result is
-/// the received body plus the offset its payload starts at; the payload
+/// Either way the body is received with `max_len` = the length announced for
+/// it. On return `sizes[i]` are the *received* blocks' sizes, and the result
+/// is the received body plus the offset its payload starts at; the payload
 /// length has been checked against the sizes.
-#[allow(clippy::too_many_arguments)]
 fn coupled_step<C: Communicator + ?Sized>(
     comm: &C,
     split: bool,
     spans: &StepSpans,
-    idx: u32,
-    dest: usize,
-    src: usize,
-    indices: &[usize],
+    hop: &Hop,
+    next: Option<&Hop>,
     sizes: &mut [usize],
     pack: impl Fn(&mut Vec<u8>, &[usize]),
 ) -> CommResult<(MsgBuf, usize)> {
-    let meta_len = indices.len() * 4;
-    let mut size_array = Vec::with_capacity(meta_len);
-    for &ix in indices {
-        let sz = u32::try_from(sizes[ix])
-            .map_err(|_| CommError::BadArgument("block size exceeds u32 metadata"))?;
-        size_array.extend_from_slice(&sz.to_le_bytes());
-    }
+    let (idx, dest, src) = (hop.idx, hop.dest, hop.src);
+    let meta_len = hop.rel.len() * 4;
+    // Sized up front, the body is packed without a reallocation.
+    let outgoing: usize = hop.rel.iter().map(|&i| sizes[i]).sum();
+    // Read the size array of the incoming blocks; returns their total.
+    let read_sizes = |sizes: &mut [usize], array: &[u8]| -> usize {
+        let mut total = 0;
+        for (&i, sz) in hop.rel.iter().zip(array.chunks_exact(4)) {
+            sizes[i] = u32::from_le_bytes([sz[0], sz[1], sz[2], sz[3]]) as usize;
+            total += sizes[i];
+        }
+        total
+    };
 
     // The wire buffers are handed to the transport as `MsgBuf`s: the per-step
     // pack is the only copy, the send itself moves the region.
-    let (header, mut body) = if split {
-        (size_array, Vec::new())
-    } else {
-        let _probe = span(spans.pack);
-        let mut body = size_array;
-        pack(&mut body, sizes);
-        ((body.len() as u64).to_le_bytes().to_vec(), body)
-    };
-    let header = {
-        let _probe = span(spans.meta);
-        comm.sendrecv_buf(dest, meta_tag(idx), MsgBuf::from_vec(header), src, meta_tag(idx))?
-    };
-    if split {
-        if header.len() != meta_len {
-            return Err(CommError::BadArgument("metadata length mismatch"));
+    let (data, base, payload) = if split {
+        {
+            let _probe = span(spans.pack);
+            let mut body = Vec::with_capacity(outgoing);
+            pack(&mut body, sizes);
+            comm.isend_buf(dest, data_tag(idx), MsgBuf::from_vec(body))?;
         }
-        let _probe = span(spans.pack);
-        pack(&mut body, sizes);
-    }
-    let data = {
+        let payload = {
+            let _probe = span(spans.meta);
+            let array = comm.recv_buf(src, meta_tag(idx))?;
+            if array.len() != meta_len {
+                return Err(CommError::BadArgument("metadata length mismatch"));
+            }
+            let payload = read_sizes(sizes, &array);
+            if let Some(next) = next {
+                post_sizes(comm, next, sizes)?;
+            }
+            payload
+        };
         let _probe = span(spans.data);
-        comm.sendrecv_buf(dest, data_tag(idx), MsgBuf::from_vec(body), src, data_tag(idx))?
-    };
-    let (meta, base) = if split {
-        (header.as_slice(), 0)
+        (comm.recv_match(src, data_tag(idx), payload, Duration::MAX)?, 0, payload)
     } else {
+        let body = {
+            let _probe = span(spans.pack);
+            let mut body = size_array(hop, sizes)?;
+            body.reserve_exact(outgoing);
+            pack(&mut body, sizes);
+            body
+        };
+        let header = {
+            let _probe = span(spans.meta);
+            let announce = (body.len() as u64).to_le_bytes().to_vec();
+            comm.sendrecv_buf(dest, meta_tag(idx), MsgBuf::from_vec(announce), src, meta_tag(idx))?
+        };
         let announced = u64::from_le_bytes(
             header.as_slice().try_into().map_err(|_| CommError::BadArgument("bad size header"))?,
         );
-        if data.len() as u64 != announced || data.len() < meta_len {
+        let announced = usize::try_from(announced).unwrap_or(usize::MAX);
+        let data = {
+            let _probe = span(spans.data);
+            comm.isend_buf(dest, data_tag(idx), MsgBuf::from_vec(body))?;
+            comm.recv_match(src, data_tag(idx), announced, Duration::MAX)?
+        };
+        if data.len() != announced || data.len() < meta_len {
             return Err(CommError::BadArgument("combined buffer length mismatch"));
         }
-        (&data[..meta_len], meta_len)
+        let payload = read_sizes(sizes, &data[..meta_len]);
+        (data, meta_len, payload)
     };
-    let mut end = base;
-    for (&ix, sz) in indices.iter().zip(meta.chunks_exact(4)) {
-        let sz = u32::from_le_bytes([sz[0], sz[1], sz[2], sz[3]]) as usize;
-        sizes[ix] = sz;
-        end += sz;
-    }
-    if end != data.len() {
+    if base + payload != data.len() {
         return Err(CommError::BadArgument("data payload length mismatch"));
     }
     Ok((data, base))
 }
 
-/// Non-uniform radix Bruck over a monolithic `P × N` working buffer `W` —
-/// two-phase Bruck's §3.2 / §6.1 design. Slot `j` of `W` is reserved for
-/// working slot `j`, so staging needs no per-block allocation, no pointer
-/// array and no resizing. Routing is Zero Rotation Bruck's: working slot `j`
-/// at rank `p` carries the block with relative index `i = (j − p) mod P`; a
-/// block's first send reads straight from the user buffer through the
-/// rotation index array, and a block whose relative index is exhausted is
-/// received directly into its final position — no rotation, no final scan.
+/// The unpadded non-uniform radix Bruck loop. Every sub-step's receive region
+/// is kept (`regions`) and `held[i]` says where in them the block at relative
+/// index `i` arrived — `(region, offset)`, its size in `sizes[i]` — so
+/// store-and-forward needs no working buffer, no staging copy and no bound on
+/// block sizes; until a sub-step delivers it the block is still the original
+/// one in the user's send buffer. (A reference-counted `MsgBuf::slice` per
+/// block is the same idea and measured 10–20 % slower at small blocks: the
+/// count moves twice per block per step, again on every `EventComm` replay.)
+///
+/// The layout picks the routing and the delivery:
+///
+/// * `Monolithic` — two-phase Bruck's §3.2 / §6.1 design. Routing is Zero
+///   Rotation Bruck's: blocks hop *downward*, relative index `i` at rank `p`
+///   starts as the send-buffer block for rank `p − i` and ends as the block
+///   from rank `p + i`; a block whose relative index is exhausted is copied
+///   from the wire straight into its final position — no rotation, no scan.
+/// * `BlockViews` — SLOAV's (Xu et al.) two-layer layout, kept faithful to
+///   the structure §6.1 criticizes so the ablation can price it: blocks hop
+///   *upward* in basic-Bruck direction, every received block goes into the
+///   pointer array, and a final scan copies all of them home.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
-fn bruck_monolithic<C: Communicator + ?Sized>(
+fn bruck_unpadded<C: Communicator + ?Sized>(
     comm: &C,
     cfg: &EngineConfig,
     p: usize,
-    n_max: usize,
     sendbuf: &[u8],
     sendcounts: &[usize],
     sdispls: &[usize],
@@ -756,131 +817,53 @@ fn bruck_monolithic<C: Communicator + ?Sized>(
     rdispls: &[usize],
 ) -> CommResult<()> {
     let me = comm.rank();
-    let radix = cfg.radix;
+    let (downward, spans) = match cfg.layout {
+        IntermediateLayout::Monolithic => (true, &TWO_PHASE_SPANS),
+        IntermediateLayout::BlockViews => (false, &SLOAV_SPANS),
+    };
+    // The rank `i` hops along the routing direction, and the one `i` against.
+    let ahead = |i: usize| if downward { sub_mod(me, i, p) } else { add_mod(me, i, p) };
+    let behind = |i: usize| if downward { add_mod(me, i, p) } else { sub_mod(me, i, p) };
 
     // Self block: never communicated (relative index 0).
     recvbuf[rdispls[me]..rdispls[me] + recvcounts[me]]
         .copy_from_slice(&sendbuf[sdispls[me]..sdispls[me] + sendcounts[me]]);
-    if p == 1 {
-        return Ok(());
+
+    let mut regions: Vec<MsgBuf> = Vec::new();
+    let mut held: Vec<Option<(usize, usize)>> = vec![None; p];
+    let mut sizes: Vec<usize> = (0..p).map(|i| sendcounts[ahead(i)]).collect();
+
+    // Built one sub-step ahead of the loop: the split coupling announces
+    // the next sub-step's sizes while this one's data is in flight.
+    let mut hops = radix_schedule(p, cfg.radix)
+        .into_iter()
+        .map(|(idx, weight, d)| {
+            let hop = d * weight; // < P by construction of the schedule
+            let mut rel = Vec::new();
+            radix_step_rel_indices(p, weight, d, cfg.radix, &mut rel);
+            let done_bound = weight.saturating_mul(cfg.radix);
+            Hop { idx, dest: ahead(hop), src: behind(hop), rel, done_bound }
+        })
+        .peekable();
+
+    if let (true, Some(first)) = (cfg.two_phase_split, hops.peek()) {
+        // Prologue of the split coupling: the metadata chain's head start.
+        post_sizes(comm, first, &sizes)?;
     }
-
-    let mut working = vec![0u8; p * n_max];
-    // Rotation index array I[j] = (2p − j) mod P.
-    let rot = rotation_index(me, p);
-    // Current byte size of the block in working slot j (initially the
-    // original block the rotation maps there).
-    let mut cur_size: Vec<usize> = (0..p).map(|j| sendcounts[rot[j]]).collect();
-    // Slot j's data has been received into W (vs. still in sendbuf).
-    let mut in_working = vec![false; p];
-    let mut slots: Vec<usize> = Vec::new();
-
-    for (idx, weight, d) in radix_schedule(p, radix) {
-        let hop = d * weight; // < P by construction of the schedule
-        let dest = sub_mod(me, hop, p);
-        let src = add_mod(me, hop, p);
-
-        // The working slots transmitted this step.
-        radix_step_rel_indices(p, weight, d, radix, &mut slots);
-        for j in &mut slots {
-            *j = add_mod(*j, me, p);
-        }
-
+    while let Some(hop) = hops.next() {
         let (got, base) = coupled_step(
             comm,
             cfg.two_phase_split,
-            &TWO_PHASE_SPANS,
-            idx,
-            dest,
-            src,
-            &slots,
-            &mut cur_size,
-            // From W if previously received, else from the user's send
-            // buffer through the rotation index.
-            |wire, cur_size| {
-                for &j in &slots {
-                    let sz = cur_size[j];
-                    if in_working[j] {
-                        wire.extend_from_slice(&working[j * n_max..j * n_max + sz]);
-                    } else {
-                        let dd = sdispls[rot[j]];
-                        wire.extend_from_slice(&sendbuf[dd..dd + sz]);
-                    }
-                }
-            },
-        )?;
-
-        // Scatter: a block is home once every digit above the current
-        // position is zero — rel < weight · radix. It goes straight into the
-        // user's receive buffer; the rest are staged in W for a later step.
-        let _probe = span(TWO_PHASE_SPANS.scatter);
-        let done_bound = weight.saturating_mul(radix);
-        let mut at = base;
-        for &j in &slots {
-            let sz = cur_size[j];
-            if sub_mod(j, me, p) < done_bound {
-                debug_assert_eq!(sz, recvcounts[j], "recvcounts disagrees with routed size");
-                recvbuf[rdispls[j]..rdispls[j] + sz].copy_from_slice(&got[at..at + sz]);
-            } else {
-                working[j * n_max..j * n_max + sz].copy_from_slice(&got[at..at + sz]);
-            }
-            in_working[j] = true;
-            at += sz;
-        }
-    }
-    Ok(())
-}
-
-/// Non-uniform radix Bruck over SLOAV's (Xu et al.) two-layer layout, kept
-/// faithful to the structure §6.1 criticizes so the ablation can price it:
-/// intermediate blocks live in a pointer array of individually sized views
-/// keyed by Bruck *offset* (reference-counted slices of each step's received
-/// region), routed in basic-Bruck direction, and copied to their destination
-/// positions only in a final scan over all `P` blocks. No allreduce.
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn bruck_block_views<C: Communicator + ?Sized>(
-    comm: &C,
-    cfg: &EngineConfig,
-    p: usize,
-    sendbuf: &[u8],
-    sendcounts: &[usize],
-    sdispls: &[usize],
-    recvbuf: &mut [u8],
-    recvcounts: &[usize],
-    rdispls: &[usize],
-) -> CommResult<()> {
-    let me = comm.rank();
-    let radix = cfg.radix;
-
-    // temp[i] holds the block currently at Bruck offset i, if it has been
-    // received; otherwise the block is still the original send-buffer block
-    // for destination (me + i) % P.
-    let mut temp: Vec<Option<MsgBuf>> = vec![None; p];
-    let mut sizes: Vec<usize> = (0..p).map(|i| sendcounts[add_mod(me, i, p)]).collect();
-    let mut offsets: Vec<usize> = Vec::new();
-
-    for (idx, weight, d) in radix_schedule(p, radix) {
-        let hop = d * weight; // < P by construction of the schedule
-        let dest = add_mod(me, hop, p); // basic-Bruck direction
-        let src = sub_mod(me, hop, p);
-        radix_step_rel_indices(p, weight, d, radix, &mut offsets);
-
-        let (got, base) = coupled_step(
-            comm,
-            cfg.two_phase_split,
-            &SLOAV_SPANS,
-            idx,
-            dest,
-            src,
-            &offsets,
+            spans,
+            &hop,
+            hops.peek(),
             &mut sizes,
             |wire, sizes| {
-                for &i in &offsets {
-                    match &temp[i] {
-                        Some(block) => wire.extend_from_slice(block),
+                for &i in &hop.rel {
+                    match held[i] {
+                        Some((r, at)) => wire.extend_from_slice(&regions[r][at..at + sizes[i]]),
                         None => {
-                            let dd = sdispls[add_mod(me, i, p)];
+                            let dd = sdispls[ahead(i)];
                             wire.extend_from_slice(&sendbuf[dd..dd + sizes[i]]);
                         }
                     }
@@ -888,34 +871,34 @@ fn bruck_block_views<C: Communicator + ?Sized>(
             },
         )?;
 
-        // Re-slice each received block into the pointer array.
-        let _probe = span(SLOAV_SPANS.scatter);
+        let _probe = span(spans.scatter);
         let mut at = base;
-        for &i in &offsets {
-            temp[i] = Some(got.slice(at..at + sizes[i]));
-            at += sizes[i];
+        for &i in &hop.rel {
+            let sz = sizes[i];
+            if downward && i < hop.done_bound {
+                let from = behind(i);
+                debug_assert_eq!(sz, recvcounts[from], "recvcounts disagrees with routed size");
+                recvbuf[rdispls[from]..rdispls[from] + sz].copy_from_slice(&got[at..at + sz]);
+            } else {
+                held[i] = Some((regions.len(), at));
+            }
+            at += sz;
         }
+        regions.push(got);
+    }
+    if downward {
+        return Ok(());
     }
 
     // Final scan (+ implicit rotation): the block at offset i came from rank
-    // (me − i) mod P.
+    // (me − i) mod P. Only the self block (offset 0) never travels.
     let _probe = span("sloav.scan");
-    for i in 0..p {
-        let src_rank = sub_mod(me, i, p);
-        let want = recvcounts[src_rank];
-        let out = &mut recvbuf[rdispls[src_rank]..rdispls[src_rank] + want];
-        match &temp[i] {
-            Some(block) => {
-                debug_assert_eq!(block.len(), want, "routed size disagrees with recvcounts");
-                out.copy_from_slice(block);
-            }
-            None => {
-                // Only the self block (offset 0) never travels.
-                debug_assert_eq!(i, 0);
-                let dd = sdispls[add_mod(me, i, p)];
-                out.copy_from_slice(&sendbuf[dd..dd + want]);
-            }
-        }
+    for (i, block) in held.iter().enumerate() {
+        let Some((r, at)) = *block else { continue };
+        let from = behind(i);
+        debug_assert_eq!(sizes[i], recvcounts[from], "routed size disagrees with recvcounts");
+        recvbuf[rdispls[from]..rdispls[from] + recvcounts[from]]
+            .copy_from_slice(&regions[r][at..at + sizes[i]]);
     }
     Ok(())
 }
@@ -1101,8 +1084,9 @@ mod tests {
 
     #[test]
     fn threshold_that_does_not_fire_pays_one_sizing_allreduce() {
-        // The rule's allreduce finds N; the monolithic layout must reuse it
-        // rather than ask again — the tuner prices exactly one.
+        // Only the padding rule asks for N: an unfired threshold costs the one
+        // allreduce that evaluated it (⌈log₂ 8⌉ = 3 reserved-tag rounds per
+        // rank) and two-phase itself costs none — the tuner prices exactly that.
         let m = SizeMatrix::generate(Distribution::Normal, 0x5EED, 8, 32);
         assert!(m.global_max() > 1, "the threshold must not fire");
         let reserved_msgs = |cfg: EngineConfig| -> Vec<u64> {
@@ -1121,14 +1105,13 @@ mod tests {
                 meter.metrics().reserved.sent_msgs
             })
         };
-        let two_phase = reserved_msgs(EngineConfig::as_two_phase());
-        assert!(two_phase.iter().all(|&n| n > 0), "two-phase sizes its buffer with an allreduce");
+        assert_eq!(reserved_msgs(EngineConfig::as_two_phase()), [0; 8]);
         assert_eq!(
             reserved_msgs(EngineConfig {
                 padding: PaddingRule::Threshold(1),
                 ..EngineConfig::as_two_phase()
             }),
-            two_phase
+            [3; 8]
         );
     }
 }

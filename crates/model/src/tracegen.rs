@@ -4,10 +4,11 @@
 //!
 //! [`nonuniform_trace`] is keyed by [`EngineConfig`] — the one identity of an
 //! exchange — and walks the same decision tree as the engine
-//! (`engine.rs::direct_or_bruck`): sizing allreduce ← padding rule / layout;
-//! padded → uniform slots + scan; `Direct` → one pairwise phase; unpadded
-//! `Bruck` → one radix-`r` step loop whose direction comes from the layout
-//! and whose metadata/data split comes from the coupling. Every config,
+//! (`engine.rs::direct_or_bruck`): sizing allreduce ← padding rule; padded →
+//! uniform slots + scan; `Direct` → one pairwise phase; unpadded `Bruck` →
+//! one radix-`r` step loop whose direction comes from the layout and whose
+//! metadata/data split — and whether the metadata's latency is exposed —
+//! comes from the coupling. Every config,
 //! named point or not, therefore has a trace, and
 //! `CommTrace::time(&MachineModel)` of it is the repo's only cost function.
 //!
@@ -81,8 +82,8 @@ fn copy_step(copy_bytes: impl Fn(usize) -> u64, sample: &RankSample) -> Step {
     local_step(|r| RankLoad { copy_bytes: copy_bytes(r), ..Default::default() }, sample)
 }
 
-/// The allreduce prologue shared by the padding-based and monolithic-layout
-/// configs (global maximum block size).
+/// The allreduce prologue of every config with a padding rule (global
+/// maximum block size).
 fn collective_step(p: usize, sample: &RankSample) -> Step {
     let rounds = ceil_log2(p) + u32::from(!p.is_power_of_two());
     let load = RankLoad {
@@ -232,13 +233,8 @@ pub fn nonuniform_trace<S: SizeSource + ?Sized>(
             let bruck = cfg.topology == EngineTopology::Bruck;
             let n_max = source.n_max();
             let pads = cfg.padding.fires(n_max);
-            let monolithic = match cfg.layout {
-                IntermediateLayout::Monolithic => true,
-                IntermediateLayout::BlockViews => false,
-            };
-            // One sizing allreduce at most: any padding rule but `Never` asks
-            // for `N`, and the monolithic buffer reuses the answer.
-            if cfg.padding != PaddingRule::Never || (bruck && monolithic) {
+            // Any padding rule but `Never` asks for `N`; nothing else does.
+            if cfg.padding != PaddingRule::Never {
                 steps.push(collective_step(p, sample));
             }
             let issue = Issue::Overlapped { throttled: cfg.throttle_window.is_some() };
@@ -257,7 +253,8 @@ pub fn nonuniform_trace<S: SizeSource + ?Sized>(
                 // Scan the real bytes out of the padded receive buffer.
                 steps.push(copy_step(|q| source.col_sum(q), sample));
             } else if bruck {
-                bruck_steps(&cfg, monolithic, source, sample, &mut steps);
+                let downward = cfg.layout == IntermediateLayout::Monolithic;
+                bruck_steps(&cfg, downward, source, sample, &mut steps);
             } else {
                 steps.push(pairwise_step(p, issue, off_diagonal, sample));
             }
@@ -269,16 +266,20 @@ pub fn nonuniform_trace<S: SizeSource + ?Sized>(
 /// The unpadded radix-`r` Bruck loop in all four layout × coupling
 /// combinations (two-phase and SLOAV are two of them).
 ///
-/// * Layout → direction. The monolithic buffer routes like Zero Rotation
+/// * Layout → direction. The monolithic layout routes like Zero Rotation
 ///   Bruck: blocks hop *downward* (`q → q − hop`), so relative index `i` at
 ///   rank `q` holds the original block `s = q + (i mod weight)`,
 ///   `d = s − i`. Block views route like basic Bruck: *upward*,
 ///   `s = q − (i mod weight)`, `d = s + i` — and end with a scan that copies
 ///   every received block home through the pointer array.
-/// * Coupling → metadata/data split. Split: a `4·count`-byte size array,
-///   then the payload. Combined: an 8-byte length announcement, then
-///   `[sizes][payload]` in one buffer — walked once more when it is packed
-///   and parsed block by block on arrival (§6.1).
+/// * Coupling → metadata/data split. Split: a `4·count`-byte size array and
+///   the payload; the engine sends the size array of sub-step `k ≥ 1` beside
+///   the payload of sub-step `k − 1`, so only the first one's latency is
+///   exposed and the rest are overlapped messages. Combined: an 8-byte length
+///   announcement, then `[sizes][payload]` in one buffer — walked once more
+///   when it is packed and parsed block by block on arrival (§6.1) — and
+///   both latencies every sub-step, because the announced length depends on
+///   sizes inside the previous body.
 fn bruck_steps<S: SizeSource + ?Sized>(
     cfg: &EngineConfig,
     downward: bool,
@@ -313,8 +314,10 @@ fn bruck_steps<S: SizeSource + ?Sized>(
                 .sum()
         };
         let (meta_bytes, header) = if cfg.two_phase_split { (4 * count, 0) } else { (8, 4 * count) };
+        let runs_ahead = cfg.two_phase_split && idx > 0;
         let meta = RankLoad {
-            seq_msgs: 1,
+            seq_msgs: u32::from(!runs_ahead),
+            ov_msgs: u32::from(runs_ahead),
             bytes_out: meta_bytes,
             bytes_in: meta_bytes,
             ..Default::default()
@@ -660,9 +663,9 @@ mod tests {
 
     #[test]
     fn the_sizing_allreduce_is_priced_at_most_once() {
-        // A threshold rule that does not fire has already paid for `N`; the
-        // monolithic layout must not be charged a second allreduce (the
-        // engine's `threshold_that_does_not_fire_pays_one_sizing_allreduce`).
+        // Only a padding rule asks for `N`: a threshold that does not fire
+        // has paid one allreduce, and no unpadded Bruck layout adds another
+        // (the engine's `threshold_that_does_not_fire_pays_one_sizing_allreduce`).
         let s = src(16, 100);
         let sample = RankSample::all(16);
         let prologues = |cfg: EngineConfig| {
@@ -677,7 +680,7 @@ mod tests {
             ..EngineConfig::as_two_phase()
         };
         assert_eq!(prologues(unfired), 1);
-        assert_eq!(prologues(EngineConfig::as_two_phase()), 1);
+        assert_eq!(prologues(EngineConfig::as_two_phase()), 0);
         assert_eq!(prologues(EngineConfig::as_sloav()), 0);
         assert_eq!(prologues(EngineConfig { padding: PaddingRule::Threshold(1), ..EngineConfig::as_sloav() }), 1);
         // Fired, the rule's trace is the padded point's.
