@@ -12,7 +12,8 @@
 //!   4-byte uniform blocks) on a bounded worker pool. Per cell: wall clock,
 //!   transport deposits, **ranks/sec** (`P / wall`, "how many MPI ranks does
 //!   this box simulate"), **msgs/sec** (matching-core throughput under
-//!   multiplexing) and `exec/P`, the replay amplification. Cells whose
+//!   multiplexing), `exec/P`, the replay amplification, and `sweeps`, the
+//!   direction reversals of the runtime's ready set. Cells whose
 //!   estimated peak queue or wall clock exceeds its budget are *recorded as
 //!   skipped* with the estimate in the reason — never silently dropped.
 //! * **tune** — closes the loop the paper leaves open: instead of
@@ -36,7 +37,7 @@ use std::process::ExitCode;
 use bruck_bench::export::{scheduler_report_json, write_text};
 use bruck_bench::regress::{
     artifact_json, check_against, scale_matrix, tune_matrix, Cell, Selection, Spec, Suite,
-    ADVISORY_SLOWDOWN, FATAL_SLOWDOWN, JUDGED_WALL_S,
+    ADVISORY_SLOWDOWN, FATAL_AMPLIFICATION, FATAL_SLOWDOWN, JUDGED_WALL_S,
 };
 use bruck_bench::{median, run_on_events, tune_candidates, Descriptors, Workload};
 use bruck_core::{AlltoallvAlgorithm, EngineConfig};
@@ -92,35 +93,38 @@ fn estimated_peak_bytes(algo: AlltoallvAlgorithm, p: usize, block: usize) -> f64
 
 /// Estimated wall seconds for a cell on the calibration box (1 core), from
 /// the run-to-block cost model `wall ≈ executions × (per-execution prefix
-/// cost)`:
+/// cost)`, with the parks per rank the runtime's rank-order sweep of its
+/// ready set leaves each family (DESIGN.md §12.6):
 ///
-/// * **Log-phase** (Bruck family): O(log P) parks per rank, O(P) prefix →
-///   wall ∝ P² log P. Calibrated: TwoPhaseBruck ≈ 30 s at P = 4096.
-/// * **Pairwise** (Reference, Sloav): the shifted schedule makes each rank's
+/// * **Log-phase** (Bruck family): ≈ 2 parks per rank whatever P, O(P)
+///   prefix → wall ∝ P². Measured: TwoPhaseBruck 3.2–3.5 s at P = 4096;
+///   PaddedBruck adds its sizing allreduce's log₂P / 2 parks.
+/// * **Pairwise** (Reference): the shifted schedule makes each rank's
 ///   step-i receive depend on its step-i sender, so ranks advance in a
-///   wavefront — Θ(P) parks per rank, O(P) prefix → wall ∝ P³.
-/// * **Windowed/staged** (Vendor, RankaTwoStage): pairwise shape divided by
-///   the window / stage width.
-/// * **Eager** (SpreadOut): 1–2 parks per rank (everything is queued after
+///   wavefront — P/4 parks per rank, O(P) prefix → wall ∝ P³ (13 s at
+///   P = 1024, 97 s at 2048).
+/// * **Windowed/staged** (Vendor, PaddedAlltoall, RankaTwoStage): pairwise
+///   shape divided by the window / stage width (36 s and 41 s at P = 4096).
+/// * **Eager** (SpreadOut): 1 park per rank (everything is queued after
 ///   the send wave) → wall ∝ P² message handling; memory is the binding
 ///   constraint instead.
 ///
-/// Constants are fitted to measurements at P ≤ 4096 (see DESIGN.md §12.6)
-/// and deliberately rounded — the gate exists to refuse cells that are
-/// orders of magnitude over budget, not to predict wall clock to 10%.
+/// Constants are fitted to measurements at P ≤ 4096 and deliberately rounded
+/// — the gate exists to refuse cells that are orders of magnitude over
+/// budget, not to predict wall clock to 10%.
 fn estimated_wall_s(algo: AlltoallvAlgorithm, p: usize) -> f64 {
     use AlltoallvAlgorithm::*;
     let x = p as f64 / 4096.0;
     match algo {
         PaddedBruck => 8.0 * x * x,
-        TwoPhaseBruck => 30.0 * x * x,
-        PaddedAlltoall => 95.0 * x * x * x.sqrt(),
+        TwoPhaseBruck => 4.0 * x * x,
+        PaddedAlltoall => 45.0 * x * x * x.sqrt(),
         Hierarchical => 12.0 * x * x * x.sqrt(),
         SpreadOut => 30.0 * x * x,
         RankaTwoStage => 13000.0 * x * x * x,
-        Vendor => 75.0 * x * x * x.sqrt(),
+        Vendor => 40.0 * x * x * x.sqrt(),
         Sloav => 25.0 * x * x * x.sqrt(),
-        Reference => 1800.0 * x * x * x,
+        Reference => 800.0 * x * x * x,
     }
 }
 
@@ -181,12 +185,13 @@ fn run_cell(spec: &Spec, work: &Workload<'_>, workers: usize, budgets: &Budgets)
         cell.scheduler = Some(scheduler_report_json(report));
     }
     println!(
-        "{row} | {:>10.4} {:>10} {:>10.0} {:>11.0} {:>7.2}",
+        "{row} | {:>10.4} {:>10} {:>10.0} {:>11.0} {:>7.2} {:>6}",
         cell.wall_s,
         cell.messages,
         p as f64 / cell.wall_s,
         cell.msgs_per_s(),
-        report.executions as f64 / p as f64
+        report.executions as f64 / p as f64,
+        report.sweeps
     );
     cell
 }
@@ -309,8 +314,8 @@ fn main() -> ExitCode {
         if smoke { " (smoke)" } else { "" }
     );
     println!(
-        "{:>5} {:>48} {:>6} {:>4} | {:>10} {:>10} {:>10} {:>11} {:>7}",
-        "suite", "config", "P", "n", "wall s", "messages", "ranks/s", "msgs/s", "exec/P"
+        "{:>5} {:>48} {:>6} {:>4} | {:>10} {:>10} {:>10} {:>11} {:>7} {:>6}",
+        "suite", "config", "P", "n", "wall s", "messages", "ranks/s", "msgs/s", "exec/P", "sweeps"
     );
 
     let mut cells: Vec<Cell> = Vec::new();
@@ -369,8 +374,9 @@ fn main() -> ExitCode {
     }
     if let Some((path, baseline)) = &baseline {
         println!(
-            "regression check vs {path} (messages exact; wall clock judged where the baseline \
-             is >= {JUDGED_WALL_S} s: advisory > {ADVISORY_SLOWDOWN}x, fatal > {FATAL_SLOWDOWN}x):"
+            "regression check vs {path} (messages exact; executions fatal > \
+             {FATAL_AMPLIFICATION}x; wall clock judged where the baseline is >= \
+             {JUDGED_WALL_S} s: advisory > {ADVISORY_SLOWDOWN}x, fatal > {FATAL_SLOWDOWN}x):"
         );
         let failures = check_against(baseline, &cells);
         if failures > 0 {

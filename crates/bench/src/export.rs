@@ -10,8 +10,8 @@
 //!   writes its cells to `target/bruck-bench/ablation.trace.json`.
 //! * **Scheduler report** ([`scheduler_report_json`]) — an event-runtime
 //!   run's [`EventReport`]: the wire totals next to the scheduler counters
-//!   (parks by kind, wakes, replayed ops), so a slow `EventComm` cell points
-//!   at a counter. Embedded in every `scale` row of the `bruck-bench`
+//!   (sweeps, parks by kind, wakes, replayed ops), so a slow `EventComm` cell
+//!   points at a counter. Embedded in every `scale` row of the `bruck-bench`
 //!   artifact.
 
 use std::fmt::Write as _;
@@ -88,12 +88,13 @@ pub fn chrome_trace_json(cells: &[(String, Vec<PhaseTimeline>)]) -> String {
 pub fn scheduler_report_json(r: &EventReport) -> String {
     format!(
         "{{\"schema\":\"bruck-bench/scheduler\",\"workers\":{},\"messages\":{},\
-         \"executions\":{},\"wakes\":{},\"replayed_ops\":{},\
+         \"executions\":{},\"sweeps\":{},\"wakes\":{},\"replayed_ops\":{},\
          \"parks\":{{\"recv\":{},\"timed_recv\":{},\"sleep\":{},\"arrival\":{}}},\
          \"pending_messages\":{},\"dead_match_keys\":{}}}",
         r.workers,
         r.messages,
         r.executions,
+        r.sweeps,
         r.wakes,
         r.replayed_ops,
         r.parks.recv,
@@ -160,7 +161,8 @@ mod tests {
         });
         let doc = scheduler_report_json(&report);
         assert!(doc.starts_with("{\"schema\":\"bruck-bench/scheduler\""), "{doc}");
-        assert!(doc.contains("\"executions\":4,\"wakes\":2,"), "{doc}");
+        // Each wake readies the rank behind the sweep's position: two turns.
+        assert!(doc.contains("\"executions\":4,\"sweeps\":2,\"wakes\":2,"), "{doc}");
         assert!(
             doc.contains("\"parks\":{\"recv\":0,\"timed_recv\":0,\"sleep\":1,\"arrival\":1}"),
             "{doc}"

@@ -28,6 +28,12 @@ pub const ADVISORY_SLOWDOWN: f64 = 1.6;
 /// wall clock is noisy, so the bar only catches structural regressions (an
 /// O(P) scan reintroduced on the deposit or dispatch path), not 20 % jitter.
 pub const FATAL_SLOWDOWN: f64 = 8.0;
+/// Replay amplification (`scheduler.executions / p`, scale rows) against the
+/// baseline row's that fails the gate. It is a count, not a clock: on the
+/// P = 4,096 two-phase cell one worker reads 3.00 exactly and the gate's four
+/// read 4.24–4.30 run to run, while ranks served in arrival order cost the
+/// same cell 9.3–12.0 — a slowdown the wall-clock bars would only advise on.
+pub const FATAL_AMPLIFICATION: f64 = 1.5;
 /// Baseline wall clock below which no ratio is judged: the same commit reads
 /// sub-millisecond cells an order of magnitude apart run to run.
 pub const JUDGED_WALL_S: f64 = 1.0;
@@ -209,10 +215,12 @@ fn find_cell_line<'t>(baseline: &'t str, cell: &Cell) -> Option<&'t str> {
 /// gate: no baseline row (a cell the committed file does not cover is never
 /// "new coverage"), a baseline row without a measurement, a `messages` count
 /// that differs at all (it is deterministic — this is what gates the
-/// engine's dispatch), or a judged wall clock more than [`FATAL_SLOWDOWN`]×
-/// the baseline's. `Ok(Some(ratio))` is the measured / baseline wall ratio
-/// where it is judged — only where the baseline took at least
-/// [`JUDGED_WALL_S`]; `Ok(None)` is a row whose wall clock is below that.
+/// engine's dispatch), a scheduler report with more than
+/// [`FATAL_AMPLIFICATION`]× the baseline's executions, or a judged wall clock
+/// more than [`FATAL_SLOWDOWN`]× the baseline's. `Ok(Some(ratio))` is the
+/// measured / baseline wall ratio where it is judged — only where the
+/// baseline took at least [`JUDGED_WALL_S`]; `Ok(None)` is a row whose wall
+/// clock is below that.
 pub fn judge(baseline: &str, cell: &Cell) -> Result<Option<f64>, String> {
     let line = find_cell_line(baseline, cell).ok_or("no baseline row")?;
     let (Some(base_messages), Some(base_wall_s)) =
@@ -222,6 +230,20 @@ pub fn judge(baseline: &str, cell: &Cell) -> Result<Option<f64>, String> {
     };
     if base_messages != cell.messages as f64 {
         return Err(format!("{} messages, baseline has {base_messages}", cell.messages));
+    }
+    let executions = |row: &str| field_f64(row, "executions");
+    if let (Some(base), Some(now)) =
+        (executions(line), cell.scheduler.as_deref().and_then(executions))
+    {
+        if now > FATAL_AMPLIFICATION * base {
+            let p = cell.spec.p as f64;
+            return Err(format!(
+                "{:.2} executions per rank, baseline has {:.2}: replay amplification up {:.2}x",
+                now / p,
+                base / p,
+                now / base
+            ));
+        }
     }
     if base_wall_s < JUDGED_WALL_S {
         return Ok(None);
@@ -275,7 +297,8 @@ mod tests {
 
     const FIXTURE: &str = "{\"schema\":\"bruck-bench/cells\",\"workers\":2,\"cells\":[\n\
         {\"suite\":\"scale\",\"key\":\"bruck:r=2:layout=mono:split=meta:pad=never\",\"p\":4096,\
-         \"n\":4,\"workers\":2,\"wall_s\":10.000000,\"messages\":147456,\"scheduler\":{\"messages\":1}},\n\
+         \"n\":4,\"workers\":2,\"wall_s\":10.000000,\"messages\":147456,\
+         \"scheduler\":{\"messages\":1,\"executions\":12288}},\n\
         {\"suite\":\"tune\",\"key\":\"oracle\",\"p\":8,\"n\":4,\"workers\":2,\"wall_s\":0.000500,\
          \"messages\":56}\n]}\n";
 
@@ -318,6 +341,22 @@ mod tests {
         // Between the bars: advisory, not a failure.
         assert_eq!(judge(FIXTURE, &cell(scale, 20.0, 147_456)), Ok(Some(2.0)));
         assert_eq!(check_against(FIXTURE, &[cell(scale, 20.0, 147_456)]), 0);
+    }
+
+    #[test]
+    fn replay_amplification_past_its_bar_fails_whatever_the_wall_clock() {
+        let (scale, _) = fixture_specs();
+        let with_executions = |executions: u64| {
+            let mut c = cell(scale, 5.0, 147_456);
+            c.scheduler = Some(format!("{{\"messages\":7,\"executions\":{executions}}}"));
+            c
+        };
+        // The fixture row holds 3.00 per rank. A 4-worker run's 4.28 passes;
+        // a scheduler back to 12.00 fails although it ran in half the time.
+        assert_eq!(judge(FIXTURE, &with_executions(17_531)), Ok(Some(0.5)));
+        let reason = judge(FIXTURE, &with_executions(49_152)).unwrap_err();
+        assert!(reason.contains("12.00 executions per rank, baseline has 3.00"), "{reason}");
+        assert_eq!(check_against(FIXTURE, &[with_executions(49_152)]), 1);
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //!            └──(parks)──> Parked ──(wake)──> Queued
 //! ```
 //!
-//! A worker pops a rank off the ready queue, bumps the slot's *epoch*, and
-//! executes the closure against a fresh [`EventComm`] (replaying the logged
-//! prefix; see `event.rs`). The execution ends one of three ways: the
-//! closure returns (task `Done`), panics for real (task `Done`, payload
-//! propagated with the rank id), or unwinds with the yield sentinel — then
+//! A worker takes the next rank of the ready set's sweep (rank order from the
+//! rank served last, turning round only when nothing is ahead — the disk
+//! elevator), bumps the slot's *epoch*, and executes the closure against a
+//! fresh [`EventComm`] (replaying the logged prefix; see `event.rs`). The
+//! execution ends one of three ways: the closure returns (task `Done`),
+//! panics for real (task `Done`, payload propagated with the rank id), or
+//! unwinds with the yield sentinel — then
 //! the worker *commits the park*: it stores the log back in the slot and
 //! either parks the task or, if a waker already flagged it mid-unwind
 //! (`RunningWake`), immediately re-queues it. This two-phase park is what
@@ -46,12 +48,12 @@
 //!
 //! Tasks never block an OS thread (blocking is parking), so workers are pure
 //! CPU: [`EventComm::run`] defaults to `2 × available_parallelism`, and
-//! anything ≥ 1 is correct — `run_pooled(p, 1, …)` is a deterministic-ish
-//! single-threaded executor, useful for debugging.
+//! anything ≥ 1 is correct — `run_pooled(p, 1, …)` is fully deterministic:
+//! with one worker the sweep's order is a function of the program alone.
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 use std::time::Duration;
@@ -67,7 +69,7 @@ use crate::Tag;
 /// Scheduling state of one rank task. See the module docs for the lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TaskState {
-    /// In the ready queue, waiting for a worker.
+    /// In the ready set, waiting for a worker.
     Queued,
     /// A worker is executing (or unwinding) it.
     Running,
@@ -197,14 +199,13 @@ struct PickPolicy {
 }
 
 impl PickPolicy {
-    /// Pick one rank out of the ready queue and record the step. The ready
-    /// queue is non-empty.
-    fn pick(&mut self, ready: &mut VecDeque<usize>) -> usize {
-        let mut enabled: Vec<u32> = ready.iter().map(|&r| r as u32).collect();
-        enabled.sort_unstable();
+    /// Pick one rank out of the ready set and record the step. The set is
+    /// non-empty; the sweep position plays no part in a scheduled run.
+    fn pick(&mut self, ready: &mut BTreeSet<usize>) -> usize {
+        let enabled: Vec<u32> = ready.iter().map(|&r| r as u32).collect();
         let pick = match &mut self.replay {
             Some(q) => match q.pop_front() {
-                Some(c) if enabled.contains(&c) => c as usize,
+                Some(c) if enabled.binary_search(&c).is_ok() => c as usize,
                 // Diverged or exhausted recording: lowest runnable.
                 _ => enabled[0] as usize,
             },
@@ -215,11 +216,7 @@ impl PickPolicy {
         };
         self.choices.push(pick as u32);
         self.steps.push(EventStep { chosen: pick as u32, enabled });
-        let pos = match ready.iter().position(|&r| r == pick) {
-            Some(p) => p,
-            None => panic!("picked rank {pick} is not in the ready queue"),
-        };
-        ready.remove(pos);
+        ready.remove(&pick);
         pick
     }
 }
@@ -432,9 +429,49 @@ impl AuditState {
     }
 }
 
+/// The runnable ranks, served like a disk elevator (SCAN): in rank order from
+/// the sweep position, reversing only when nothing is ahead. A rank that
+/// becomes ready ahead of the position is served in this sweep, one behind it
+/// on the way back, so no rank waits through more than one reversal — and a
+/// chain of ranks each waiting for its neighbour (Bruck receives from
+/// `me + 2ᵏ`, the pairwise schedules from `me − i`) unwinds whole in the pass
+/// that runs against it, where arrival order advances it one link per pass.
+#[derive(Default)]
+struct ReadySet {
+    ranks: BTreeSet<usize>,
+    /// Sweep position, a gap between ranks: `head..` is ahead while
+    /// ascending, `..head` while descending. Serving `r` leaves it just
+    /// behind the position, so a rank re-queued the moment it was served
+    /// (the `RunningWake` requeue) waits for the way back and cannot spin.
+    head: usize,
+    descending: bool,
+    /// Direction reversals so far.
+    sweeps: u64,
+}
+
+impl ReadySet {
+    /// Remove and return the ready rank nearest the position in the sweep
+    /// direction, turning round first if nothing is ahead.
+    fn take(&mut self) -> Option<usize> {
+        let ahead = |s: &ReadySet| match s.descending {
+            true => s.ranks.range(..s.head).next_back().copied(),
+            false => s.ranks.range(s.head..).next().copied(),
+        };
+        let rank = ahead(self).or_else(|| {
+            self.ranks.first()?;
+            self.descending = !self.descending;
+            self.sweeps += 1;
+            ahead(self)
+        })?;
+        self.ranks.remove(&rank);
+        self.head = if self.descending { rank } else { rank + 1 };
+        Some(rank)
+    }
+}
+
 /// Scheduler shared state (one mutex; workers also park on its condvar).
 struct Sched {
-    ready: VecDeque<usize>,
+    ready: ReadySet,
     timers: BinaryHeap<Reverse<TimerEntry>>,
     /// Workers currently waiting for work.
     idle: usize,
@@ -506,7 +543,7 @@ impl EventWorld {
                 })
                 .collect(),
             sched: Mutex::new(Sched {
-                ready: (0..p).collect(),
+                ready: ReadySet { ranks: (0..p).collect(), ..ReadySet::default() },
                 timers: BinaryHeap::new(),
                 idle: 0,
                 live: p,
@@ -583,7 +620,7 @@ impl EventWorld {
                     #[cfg(feature = "seeded-bugs")]
                     if self.lost_wakeup_bug {
                         // Seeded bug: the state transition happens but the
-                        // ready-queue push is lost. Schedule-dependent — it
+                        // ready-set insert is lost. Schedule-dependent — it
                         // only fires when the receiver parked before this
                         // sender's flush — and manifests as a stuck world.
                         continue;
@@ -612,11 +649,15 @@ impl EventWorld {
 
     fn enqueue(&self, ranks: &[usize]) {
         let mut s = self.lock_sched();
-        s.ready.extend(ranks.iter().copied());
-        if ranks.len() == 1 {
-            self.work.notify_one();
-        } else {
-            self.work.notify_all();
+        s.ready.ranks.extend(ranks.iter().copied());
+        // No lost wake: a worker counts itself `idle` under this lock before
+        // the condvar releases it, so at `idle == 0` every worker is running
+        // or yet to re-check the set under the lock, and a notify would be a
+        // futex syscall that wakes nobody (always so with one worker).
+        match (s.idle, ranks.len()) {
+            (0, _) => {}
+            (_, 1) => self.work.notify_one(),
+            _ => self.work.notify_all(),
         }
     }
 
@@ -846,7 +887,7 @@ where
                     world.audit_record(rank, AuditKind::ParkCommitted { rank, epoch });
                 }
                 // A sender deposited our message while we were unwinding:
-                // skip the park, go straight back to the ready queue.
+                // skip the park, go straight back to the ready set.
                 TaskState::RunningWake => {
                     slot.state = TaskState::Queued;
                     drop(slot);
@@ -887,21 +928,14 @@ where
                 if s.aborted {
                     return;
                 }
-                if !s.ready.is_empty() {
-                    let r = match s.policy.take() {
-                        // Scheduled mode: the policy chooses among every
-                        // runnable rank and records the scheduling point.
-                        // (Taken and restored so the borrows don't overlap.)
-                        Some(mut pol) => {
-                            let r = pol.pick(&mut s.ready);
-                            s.policy = Some(pol);
-                            r
-                        }
-                        None => match s.ready.pop_front() {
-                            Some(r) => r,
-                            None => panic!("ready queue emptied while popping"),
-                        },
-                    };
+                let Sched { ready, policy, .. } = &mut *s;
+                // Scheduled mode: the policy chooses among every runnable
+                // rank and records the scheduling point; otherwise the sweep.
+                let next = match policy {
+                    Some(pol) => (!ready.ranks.is_empty()).then(|| pol.pick(&mut ready.ranks)),
+                    None => ready.take(),
+                };
+                if let Some(r) = next {
                     s.executions += 1;
                     break r;
                 }
@@ -922,7 +956,7 @@ where
                             let runnable = world.fire_timers(&due);
                             s = world.lock_sched();
                             if !runnable.is_empty() {
-                                s.ready.extend(runnable.iter().copied());
+                                s.ready.ranks.extend(runnable.iter().copied());
                                 world.work.notify_all();
                             }
                         }
@@ -931,7 +965,7 @@ where
                             let runnable = world.deadlock_sweep();
                             s = world.lock_sched();
                             if runnable.is_empty() {
-                                if s.live > 0 && s.ready.is_empty() {
+                                if s.live > 0 && s.ready.ranks.is_empty() {
                                     let msg = format!(
                                         "event runtime stuck: {} live tasks but nothing \
                                          runnable, no timers, no waiters",
@@ -951,7 +985,7 @@ where
                                     }
                                 }
                             } else {
-                                s.ready.extend(runnable.iter().copied());
+                                s.ready.ranks.extend(runnable.iter().copied());
                                 world.work.notify_all();
                             }
                         }
@@ -975,6 +1009,9 @@ pub struct EventReport {
     /// Task executions: `p` first runs plus every wake-driven re-execution.
     /// `executions / p` is the replay amplification factor.
     pub executions: u64,
+    /// Direction reversals of the ready set's sweep: how many passes over
+    /// the ranks the world took, less one.
+    pub sweeps: u64,
     /// Worker threads the pool ran on.
     pub workers: usize,
     /// Messages still undelivered at the end (0 for well-formed programs).
@@ -1028,6 +1065,7 @@ where
         EventReport {
             messages: world.stats.deposited(),
             executions: s.executions,
+            sweeps: s.ready.sweeps,
             workers,
             pending_messages: world.stats.pending(),
             dead_match_keys: world.stats.dead_keys(),
@@ -1195,19 +1233,92 @@ mod tests {
     use crate::{CommError, Communicator, MsgBuf, ReduceOp};
     use std::time::Duration;
 
+    /// Repetitions of the multi-worker no-hang loops.
+    const WAKE_REPS: usize = 200;
+
+    fn ready(ranks: impl IntoIterator<Item = usize>) -> ReadySet {
+        ReadySet { ranks: ranks.into_iter().collect(), ..ReadySet::default() }
+    }
+
+    #[test]
+    fn ready_set_serves_in_rank_order_and_reverses_only_when_nothing_is_ahead() {
+        let mut r = ready(0..5);
+        assert_eq!(std::iter::from_fn(|| r.take()).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        // Draining is not a reversal, and neither is asking an empty set.
+        assert_eq!((r.take(), r.sweeps), (None, 0));
+        // Everything is behind the position now: one reversal, then downwards.
+        r.ranks.extend([1, 3]);
+        assert_eq!((r.take(), r.sweeps), (Some(3), 1));
+        // Ahead of a descending sweep is below it: 0 rides this pass, 4 the next.
+        r.ranks.extend([0, 4]);
+        assert_eq!((r.take(), r.take(), r.sweeps), (Some(1), Some(0), 1));
+        assert_eq!((r.take(), r.sweeps), (Some(4), 2));
+    }
+
+    #[test]
+    fn a_rank_readied_ahead_rides_this_sweep_and_one_behind_the_way_back() {
+        let mut r = ready([2, 9]);
+        assert_eq!(r.take(), Some(2));
+        r.ranks.extend([0, 5]);
+        assert_eq!((r.take(), r.take(), r.sweeps), (Some(5), Some(9), 0));
+        assert_eq!((r.take(), r.sweeps), (Some(0), 1));
+    }
+
+    #[test]
+    fn the_rank_just_served_is_behind_the_position_and_cannot_spin() {
+        // The `RunningWake` requeue: a rank re-inserted the moment it was
+        // served does not pre-empt what is ahead…
+        let mut r = ready([2, 4]);
+        assert_eq!(r.take(), Some(2));
+        r.ranks.insert(2);
+        assert_eq!((r.take(), r.sweeps), (Some(4), 0));
+        // …and alone in the set it is still served, one reversal a time.
+        for sweeps in 1..=4 {
+            assert_eq!((r.take(), r.sweeps), (Some(2), sweeps));
+            r.ranks.insert(2);
+        }
+    }
+
+    #[test]
+    fn no_ready_rank_waits_through_more_than_one_reversal() {
+        // The fairness arrival order gave for free, and the reason the design
+        // is a sweep and not strict rank priority (under which a low rank
+        // that keeps re-readying itself starves the high ones).
+        const P: u64 = 48;
+        let mut r = ready([]);
+        let mut readied_at = [None; P as usize];
+        let mut rng = 0x5eed;
+        for _ in 0..10_000 {
+            rng = splitmix(rng);
+            let rank = (rng % P) as usize;
+            if rng >> 32 & 1 == 0 {
+                if r.ranks.insert(rank) {
+                    readied_at[rank] = Some(r.sweeps);
+                }
+            } else if let Some(served) = r.take() {
+                let since = readied_at[served].take().expect("served a rank nobody readied");
+                assert!(r.sweeps - since <= 1, "rank {served} waited {} reversals", r.sweeps - since);
+            }
+        }
+    }
+
     #[test]
     fn ring_pass_all_sizes_and_pools() {
         for p in [1usize, 2, 3, 5, 8, 13] {
             for workers in [1usize, 2, 4] {
-                let results = EventComm::run_pooled(p, workers, |comm| {
-                    let me = comm.rank();
-                    let right = (me + 1) % comm.size();
-                    let left = (me + comm.size() - 1) % comm.size();
-                    comm.send(right, 5, &[me as u8]).unwrap();
-                    comm.recv(left, 5).unwrap()[0] as usize
-                });
-                for (me, got) in results.iter().enumerate() {
-                    assert_eq!(*got, (me + p - 1) % p, "p={p} workers={workers}");
+                // Repeated on the multi-worker pools: a wake that `enqueue`
+                // skipped wrongly would leave a worker asleep and hang here.
+                for _ in 0..if workers > 1 { WAKE_REPS } else { 1 } {
+                    let results = EventComm::run_pooled(p, workers, |comm| {
+                        let me = comm.rank();
+                        let right = (me + 1) % comm.size();
+                        let left = (me + comm.size() - 1) % comm.size();
+                        comm.send(right, 5, &[me as u8]).unwrap();
+                        comm.recv(left, 5).unwrap()[0] as usize
+                    });
+                    for (me, got) in results.iter().enumerate() {
+                        assert_eq!(*got, (me + p - 1) % p, "p={p} workers={workers}");
+                    }
                 }
             }
         }
@@ -1224,11 +1335,15 @@ mod tests {
 
     #[test]
     fn more_ranks_than_workers_multiplexes() {
-        // 64 ranks on 2 workers: the whole point of the runtime.
-        let sums = EventComm::run_pooled(64, 2, |comm| {
-            comm.allreduce_u64(comm.rank() as u64, ReduceOp::Sum).unwrap()
-        });
-        assert!(sums.iter().all(|&s| s == 64 * 63 / 2));
+        // 64 ranks on 2 and 4 workers: the whole point of the runtime.
+        for workers in [2, 4] {
+            for _ in 0..WAKE_REPS {
+                let sums = EventComm::run_pooled(64, workers, |comm| {
+                    comm.allreduce_u64(comm.rank() as u64, ReduceOp::Sum).unwrap()
+                });
+                assert!(sums.iter().all(|&s| s == 64 * 63 / 2));
+            }
+        }
     }
 
     #[test]

@@ -7,15 +7,22 @@
 //!   not `2⌈log₂ P⌉` plus an allreduce. The messages themselves (tags,
 //!   counts, bytes) are exactly what they were with the allreduce and the
 //!   `P × N` working buffer: [`PARENT_TABLE`] was recorded from that code.
+//! * **The passes.** `EventComm` re-executes a rank each time a receive parks
+//!   it, so a one-worker run's `executions` counts the parks a schedule costs
+//!   under the runtime's sweep of its ready set — pinned below per family.
 //! * **The wire format.** A size array of the wrong length, a body longer or
 //!   shorter than announced, a malformed combined-coupling header: each must
 //!   come back as a typed error from the honest rank — no panic, no hang.
 
+use bruck_bpra::{graph1_like, transitive_closure};
 use bruck_comm::{
-    CommError, Communicator, EventComm, MeteredComm, MsgBuf, SimComm, Tag, ThreadComm,
+    CommError, Communicator, EventComm, MeteredComm, MsgBuf, ReduceOp, SimComm, Tag, ThreadComm,
 };
 use bruck_core::common::{ceil_log2, data_tag, meta_tag};
-use bruck_core::{configurable_alltoallv, packed_displs, pattern, EngineConfig};
+use bruck_core::{
+    allgatherv, allreduce, alltoall, configurable_alltoallv, packed_displs, pattern,
+    AllgathervAlgorithm, AllreduceAlgorithm, AlltoallAlgorithm, AlltoallvAlgorithm, EngineConfig,
+};
 use bruck_model::{nonuniform_trace, MatrixSource, RankSample};
 use bruck_workload::{Distribution, SizeMatrix};
 
@@ -93,12 +100,15 @@ fn two_phase_at_p8_is_six_messages_per_rank_on_four_latencies() {
     assert_eq!(latencies(EngineConfig { two_phase_split: false, ..cfg }), [6; 8]);
 }
 
+/// Executions of a one-worker `EventComm` world of `p` ranks running `f`.
+fn executions(p: usize, f: impl Fn(&EventComm<'_>) + Sync) -> u64 {
+    EventComm::run_report(p, 1, f).1.executions
+}
+
 #[test]
 fn two_phase_parks_a_rank_at_most_once_per_step_on_the_event_runtime() {
-    // `EventComm` re-executes a rank's closure each time a receive parks it,
-    // so executions count the blocking rounds a schedule really has. With one
-    // worker: at most one park for the first size array and one per data
-    // message, plus the first execution of each rank.
+    // At most one park for the first size array and one per data message,
+    // plus the first execution of each rank — whatever order ranks run in.
     let p = 64;
     let m = SizeMatrix::generate(Distribution::Uniform, 7, p, 64);
     let cfg = EngineConfig::as_two_phase();
@@ -110,6 +120,90 @@ fn two_phase_parks_a_rank_at_most_once_per_step_on_the_event_runtime() {
         report.executions
     );
     assert_eq!(report.messages as u64, p as u64 * 2 * steps, "metadata + data, nothing else");
+}
+
+#[test]
+fn a_bruck_rank_parks_twice_not_once_per_step() {
+    // Every Bruck receive comes from `me + 2ᵏ`: the first, ascending pass of
+    // the runtime's ready set runs each rank before the rank it waits for (one
+    // park); the descending pass runs every source before its receiver and
+    // carries a rank through every step whose sources do not wrap past P − 1;
+    // the wrapped remainder costs one more execution. Three per rank, where
+    // serving ranks in arrival order takes ⌈log₂ P⌉.
+    for p in [64usize, 256] {
+        let m = SizeMatrix::generate(Distribution::Uniform, 7, p, 64);
+        let two_phase = EngineConfig::as_two_phase();
+        let counts: Vec<usize> = (0..p).map(|r| 1 + r % 7).collect();
+        let displs = packed_displs(&counts);
+        let block = 8;
+        let runs = [
+            ("two-phase", executions(p, |comm| exchange(comm, &two_phase, &m))),
+            (
+                "allgatherv(Bruck)",
+                executions(p, |comm| {
+                    let mut recv = vec![0u8; counts.iter().sum()];
+                    let send = vec![comm.rank() as u8; counts[comm.rank()]];
+                    allgatherv(AllgathervAlgorithm::Bruck, comm, &send, &mut recv, &counts, &displs)
+                        .unwrap();
+                }),
+            ),
+            (
+                "alltoall(ZeroRotationBruck)",
+                executions(p, |comm| {
+                    let send = vec![comm.rank() as u8; p * block];
+                    let mut recv = vec![0u8; p * block];
+                    alltoall(AlltoallAlgorithm::ZeroRotationBruck, comm, &send, &mut recv, block)
+                        .unwrap();
+                }),
+            ),
+        ];
+        for (name, execs) in runs {
+            assert!(execs <= 3 * p as u64, "{name} at P = {p}: {execs} executions");
+        }
+    }
+}
+
+#[test]
+fn recursive_doubling_parks_half_the_ranks_at_every_step() {
+    // No order can beat this under run-to-block: in each of the log₂ P
+    // pairwise exchanges both partners send and then receive, and whichever
+    // of a pair runs first finds nothing to receive and must park — P/2
+    // parks per step, so P·(1 + log₂P / 2) executions is the floor, and the
+    // sweep sits on it.
+    for p in [64usize, 256] {
+        let execs = executions(p, |comm| {
+            let mut v = [comm.rank() as u64; 8];
+            allreduce(AllreduceAlgorithm::RecursiveDoubling, comm, &mut v, ReduceOp::Sum).unwrap();
+        });
+        let (p, steps) = (p as u64, ceil_log2(p) as u64);
+        assert_eq!(execs, p + p * steps / 2, "P = {p}");
+    }
+}
+
+#[test]
+fn the_pairwise_families_are_no_dearer_than_in_arrival_order() {
+    // The windowed and the pairwise schedules advance as a wavefront; served
+    // in arrival order they took 1,407 and 32,896 executions at P = 256.
+    let p = 256;
+    let m = SizeMatrix::generate(Distribution::Uniform, 7, p, 64);
+    for (algo, bound) in
+        [(AlltoallvAlgorithm::Vendor, 1_407), (AlltoallvAlgorithm::Reference, 16_800)]
+    {
+        let cfg = EngineConfig::from(algo);
+        let execs = executions(p, |comm| exchange(comm, &cfg, &m));
+        assert!(execs <= bound, "{algo:?}: {execs} executions, bound {bound}");
+    }
+}
+
+#[test]
+fn a_transitive_closure_fixpoint_at_p8_pins_its_executions() {
+    // One worker is fully deterministic, so the count is exact. In arrival
+    // order this fixpoint took 325 executions.
+    let edges = graph1_like(2, 10, 2, 1);
+    let execs = executions(8, |comm| {
+        transitive_closure(comm, AlltoallvAlgorithm::TwoPhaseBruck, &edges).unwrap();
+    });
+    assert_eq!(execs, 193);
 }
 
 #[test]
