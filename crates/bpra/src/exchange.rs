@@ -87,7 +87,7 @@ pub fn exchange_tuples<C: Communicator + ?Sized>(
     Ok((received, stats))
 }
 
-/// The one driver of every semi-naive loop. Round `r` ships what the caller
+/// The driver of a semi-naive loop. Round `r` ships what the caller
 /// derived from round `r − 1`'s delta and votes that delta's size, so the
 /// control exchange that sizes round `r` also tells whether round `r − 1` was
 /// the last: the verdict is one round late and costs no allreduce.

@@ -41,7 +41,7 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 
 /// The spiky volume multiplier of iteration `iter`: mostly 1–4×, with a
 /// 1-in-16 chance of a 10–40× burst (Figure 12's N spikes).
-pub fn volume_multiplier(seed: u64, iter: usize) -> usize {
+fn volume_multiplier(seed: u64, iter: usize) -> usize {
     let h = splitmix64(seed ^ (iter as u64).wrapping_mul(0xA076_1D64_78BD_642F));
     let base = 1 + (h % 4) as usize;
     if h.is_multiple_of(16) {

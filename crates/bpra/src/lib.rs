@@ -8,9 +8,22 @@
 //! ([`bruck_core::AlltoallvAlgorithm`]), which is exactly the paper's
 //! experiment: vendor `MPI_Alltoallv` vs two-phase Bruck, same application.
 //!
-//! * [`transitive_closure`] — §5.1 graph mining, with per-iteration stats.
-//! * [`kcfa_like_run`] — §5.2's program-analysis-style spiky load schedule.
+//! The public surface is the paper's two §5 applications and what they are
+//! made of:
+//!
+//! * [`transitive_closure`] → [`TcResult`] / [`TcIteration`] — §5.1 graph
+//!   mining, with per-iteration stats; [`sequential_closure`] is its oracle.
+//! * [`kcfa_like_run`] over a [`KcfaConfig`] → [`KcfaResult`] — §5.2's
+//!   program-analysis-style spiky load schedule; [`facts_at`] and
+//!   [`outboxes_at`] are the schedule itself, for oracles.
 //! * [`graph1_like`] / [`graph2_like`] — the two topology regimes of Fig. 11.
+//! * [`exchange_tuples`] → [`ExchangeStats`] — the one communication step of
+//!   both: a fused control round plus one `alltoallv`.
+//! * [`Relation`], [`Tuple`] ([`TUPLE_BYTES`] on the wire via [`encode_into`]
+//!   / [`encode_all`] / [`decode_all`]) and [`owner`], the hash partitioning.
+//! * [`recovering_closure`] → [`RecoveringTcResult`],
+//!   [`exchange_tuples_recovering`] and [`heal_membership`] — the closure on
+//!   the self-healing membership stack (`bruck_core::recovering_alltoallv`).
 //!
 //! ```
 //! use bruck_comm::ThreadComm;
@@ -29,32 +42,17 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod cc;
-pub mod datalog;
-#[cfg(test)]
-mod datalog_tests;
 mod exchange;
 mod graphs;
 mod kcfa;
-pub mod parser;
 mod recover;
-pub mod pointsto;
 mod relation;
 mod tc;
 mod tuple;
 
-pub use cc::{connected_components, sequential_components, CcResult};
-pub use datalog::{
-    evaluate as datalog_evaluate, AtomPat, DatalogIteration, DatalogResult, Program, RelId, Rule,
-    Term,
-};
 pub use exchange::{exchange_tuples, ExchangeStats};
-pub use parser::{parse_program, ParseError, ParsedProgram, SYMBOL_BASE};
-pub use pointsto::{
-    points_to_analysis, points_to_program, sequential_points_to, PointsToInput,
-};
 pub use graphs::{graph1_like, graph2_like};
-pub use kcfa::{facts_at, kcfa_like_run, outboxes_at, volume_multiplier, KcfaConfig, KcfaResult};
+pub use kcfa::{facts_at, kcfa_like_run, outboxes_at, KcfaConfig, KcfaResult};
 pub use recover::{
     exchange_tuples_recovering, heal_membership, recovering_closure, RecoveringTcResult,
 };

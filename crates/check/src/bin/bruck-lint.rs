@@ -1,8 +1,8 @@
 //! Source-lint gate: scan workspace sources for banned patterns, modulo the
 //! audited allowlist at `crates/check/lint-allow.txt`.
 //!
-//! Exit status 0 iff there are zero unallowlisted findings. `scripts/verify.sh`
-//! runs this as a tier-1 stage.
+//! Exit status 0 iff there are zero unallowlisted findings and zero stale
+//! allowlist lines. `scripts/verify.sh` runs this as a tier-1 stage.
 
 use std::process::ExitCode;
 
@@ -15,9 +15,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    for warning in &report.warnings {
-        eprintln!("warning: {warning}");
-    }
     if report.is_clean() {
         println!(
             "bruck-lint: clean ({} audited finding(s) within allowlist budgets)",
@@ -28,7 +25,14 @@ fn main() -> ExitCode {
         for finding in &report.violations {
             eprintln!("{finding}");
         }
-        eprintln!("bruck-lint: {} unallowlisted finding(s)", report.violations.len());
+        for stale in &report.stale {
+            eprintln!("{stale}");
+        }
+        eprintln!(
+            "bruck-lint: {} unallowlisted finding(s), {} stale allowlist line(s)",
+            report.violations.len(),
+            report.stale.len()
+        );
         ExitCode::FAILURE
     }
 }

@@ -1010,6 +1010,12 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
             for &op in &schedules {
                 chaos(false, tier, faults, seed, op, 5, 9);
             }
+            // A whole fixpoint through the reliable stack: the sequential
+            // oracle's bytes where the link repairs, a typed end where a
+            // rank dies mid-run.
+            for app in Fixpoint::ALL {
+                chaos(false, tier, faults, seed, Op::Fixpoint(app), 5, 24);
+            }
         }
         for faults in [Faults::Lossy, Faults::Crash] {
             for &op in named.iter().filter(|&&op| op != two_phase && op != spread_out) {

@@ -120,7 +120,15 @@ fn smoke_cell_counts_are_pinned() {
     // 414 single operations + 13 fixpoints.
     assert_eq!(count(Family::Check), 427);
     assert!(count(Family::Sim) >= 38 + 4, "sim: {}", count(Family::Sim));
-    assert!(count(Family::Chaos) >= 60, "chaos: {}", count(Family::Chaos));
+    // 96 single operations + the two fixpoints under clean / lossy / crash.
+    assert_eq!(count(Family::Chaos), 102);
+    let chaos = family(Family::Chaos, Tier::Smoke);
+    for app in Fixpoint::ALL {
+        for f in [Faults::Clean, Faults::Lossy, Faults::Crash] {
+            let hit = |r: &Row| r.cell.op == Op::Fixpoint(app) && r.faults == f && r.cell.p == 5;
+            assert!(chaos.iter().any(hit), "{app:?} misses {}", f.name());
+        }
+    }
     // 19 alltoallv DPOR cells + the eight schedules at P = 2 and P = 3, and
     // one fixpoint on top.
     assert!(count(Family::Verify) > 19 + 16, "verify: {}", count(Family::Verify));

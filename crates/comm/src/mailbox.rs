@@ -159,6 +159,7 @@ impl MatchStore {
 
     /// Undelivered messages in *this* store (O(keys) structural scan; the
     /// cheap world-level aggregate lives in [`StoreStats::pending`]).
+    #[cfg(test)]
     pub(crate) fn scan_pending(&self) -> usize {
         self.queues.values().map(VecDeque::len).sum()
     }
@@ -166,6 +167,7 @@ impl MatchStore {
     /// Keys whose queue is empty in *this* store. Must always be 0: every
     /// pop path trims drained keys. Structural cross-check for the shared
     /// [`StoreStats::dead_keys`] counter.
+    #[cfg(test)]
     pub(crate) fn scan_dead_keys(&self) -> usize {
         self.queues.values().filter(|q| q.is_empty()).count()
     }
@@ -314,12 +316,14 @@ impl Mailbox {
     }
 
     /// Number of undelivered messages in this mailbox (structural scan).
+    #[cfg(test)]
     pub(crate) fn pending(&self) -> usize {
         self.lock().store.scan_pending()
     }
 
     /// Number of match-map keys whose queue is empty in this mailbox
     /// (structural scan; must always be 0).
+    #[cfg(test)]
     pub(crate) fn dead_keys(&self) -> usize {
         self.lock().store.scan_dead_keys()
     }

@@ -55,8 +55,8 @@ impl World {
     }
 
     /// Match-map keys with drained queues across all ranks (must always be 0;
-    /// used by leak tests). O(1) shared-counter read; see
-    /// [`World::dead_match_keys_scan`] for the structural audit.
+    /// used by leak tests). O(1) shared-counter read; the module tests
+    /// cross-check it against a structural sweep.
     pub fn dead_match_keys(&self) -> usize {
         self.stats.dead_keys()
     }
@@ -69,13 +69,15 @@ impl World {
     /// O(P) structural sweep counting undelivered messages directly in the
     /// match maps. Cross-checks [`World::pending_messages`] in tests; prefer
     /// the O(1) form everywhere else.
-    pub fn pending_messages_scan(&self) -> usize {
+    #[cfg(test)]
+    fn pending_messages_scan(&self) -> usize {
         self.mailboxes.iter().map(Mailbox::pending).sum()
     }
 
     /// O(P) structural sweep counting drained-but-unremoved match keys.
     /// Cross-checks [`World::dead_match_keys`] in tests.
-    pub fn dead_match_keys_scan(&self) -> usize {
+    #[cfg(test)]
+    fn dead_match_keys_scan(&self) -> usize {
         self.mailboxes.iter().map(Mailbox::dead_keys).sum()
     }
 }

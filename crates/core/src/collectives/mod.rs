@@ -25,7 +25,7 @@
 //! one probe span per wire step, so the conformance gauntlet pins message
 //! counts, byte volumes, and phase counts against `bruck-model`'s closed
 //! forms exactly. Dispatch goes through the algorithm enums here — the
-//! `no-direct-variant-call` lint rule holds every other crate to it.
+//! schedules are `pub(super)`, so no other module can call one directly.
 
 mod allgatherv;
 mod allreduce;
@@ -258,7 +258,7 @@ fn validate_gv<C: Communicator + ?Sized>(
         return Err(CommError::BadArgument("sendbuf length must equal counts[rank]"));
     }
     for i in 0..p {
-        if displs[i] + counts[i] > recvbuf.len() {
+        if displs[i].checked_add(counts[i]).is_none_or(|end| end > recvbuf.len()) {
             return Err(CommError::BadArgument("recv slot out of bounds"));
         }
     }
@@ -439,6 +439,18 @@ mod tests {
                 &[0, 4]
             )
             .is_err());
+            // A displacement whose slot end overflows `usize`.
+            assert!(matches!(
+                allgatherv(
+                    AllgathervAlgorithm::Ring,
+                    comm,
+                    &[1u8],
+                    &mut recv,
+                    &[1, 1],
+                    &[0, usize::MAX]
+                ),
+                Err(CommError::BadArgument(_))
+            ));
         });
     }
 

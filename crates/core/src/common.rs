@@ -18,11 +18,6 @@ pub fn step_rel_indices(p: usize, k: u32) -> impl Iterator<Item = usize> {
     (1..p).filter(move |i| i & mask != 0)
 }
 
-/// Count of indices produced by [`step_rel_indices`].
-pub fn step_block_count(p: usize, k: u32) -> usize {
-    step_rel_indices(p, k).count()
-}
-
 /// The rotation index array of Zero Rotation Bruck and two-phase Bruck
 /// (§2.1, §3.2): `I[j] = (2p − j) mod P` for this rank `p`, mapping an
 /// *absolute working slot* `j` back to the original send-buffer block that
@@ -196,8 +191,9 @@ mod tests {
     fn last_step_of_non_power_of_two_sends_fewer_blocks() {
         let p = 12;
         let k_last = ceil_log2(p) - 1; // k = 3, mask 8
-        assert_eq!(step_block_count(p, k_last), 4); // {8, 9, 10, 11}
-        assert!(step_block_count(p, k_last) < p.div_ceil(2));
+        let blocks = step_rel_indices(p, k_last).count();
+        assert_eq!(blocks, 4); // {8, 9, 10, 11}
+        assert!(blocks < p.div_ceil(2));
     }
 
     #[test]

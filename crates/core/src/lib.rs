@@ -6,13 +6,15 @@
 //!
 //! ## Uniform (`MPI_Alltoall` signature) — §2
 //!
-//! | Function | Paper name | Rotations |
+//! One entry point, [`alltoall`], dispatching on [`AlltoallAlgorithm`]:
+//!
+//! | Variant | Paper name | Rotations |
 //! |---|---|---|
-//! | [`basic_bruck`] / [`basic_bruck_dt`] | BasicBruck(-dt) | initial + final |
-//! | [`modified_bruck`] / [`modified_bruck_dt`] | ModifiedBruck(-dt) | initial |
-//! | [`zero_copy_bruck_dt`] | ZeroCopyBruck-dt | initial |
-//! | [`zero_rotation_bruck`] | ZeroRotationBruck | **none** |
-//! | [`spread_out_alltoall`] | Spread-out | — |
+//! | `BasicBruck` / `BasicBruckDt` | BasicBruck(-dt) | initial + final |
+//! | `ModifiedBruck` / `ModifiedBruckDt` | ModifiedBruck(-dt) | initial |
+//! | `ZeroCopyBruckDt` | ZeroCopyBruck-dt | initial |
+//! | `ZeroRotationBruck` | ZeroRotationBruck | **none** |
+//! | `SpreadOut` | Spread-out | — |
 //!
 //! ## Non-uniform (`MPI_Alltoallv` signature) — §3
 //!
@@ -91,18 +93,10 @@ pub use collectives::{
 };
 pub use memory::memory_overhead_bytes;
 pub use nonuniform::{
-    alltoallv, alltoallw, configurable_alltoallv,
-    configurable_alltoallv_general, hierarchical_alltoallv, packed_displs, piece_len,
-    piece_offset, pattern, ranka_two_stage_alltoallv, recovering_alltoallv, reference_alltoallv,
-    resilient_alltoallv, AlltoallvAlgorithm, EngineConfig, EngineTopology, ExchangeOutcome,
-    IntermediateLayout, Mttr, PaddingRule, PartialExchange, Recovery, RecoveringConfig,
-    RecoveryOutcome, ResilientConfig, DEFAULT_GROUP_SIZE, VENDOR_WINDOW,
+    alltoallv, configurable_alltoallv, configurable_alltoallv_general, packed_displs, pattern,
+    piece_len, recovering_alltoallv, reference_alltoallv, resilient_alltoallv, AlltoallvAlgorithm,
+    EngineConfig, EngineTopology, ExchangeOutcome, IntermediateLayout, Mttr, PaddingRule,
+    PartialExchange, Recovery, RecoveringConfig, RecoveryOutcome, ResilientConfig, VENDOR_WINDOW,
 };
-pub use radix::{
-    radix_digit, radix_schedule, radix_step_rel_indices, zero_rotation_bruck_radix,
-};
-pub use uniform::{
-    alltoall, basic_bruck, basic_bruck_dt, modified_bruck, modified_bruck_dt,
-    reference_alltoall, spread_out_alltoall, zero_copy_bruck_dt, zero_rotation_bruck,
-    AlltoallAlgorithm,
-};
+pub use radix::{radix_schedule, radix_step_rel_indices, zero_rotation_bruck_radix};
+pub use uniform::{alltoall, reference_alltoall, AlltoallAlgorithm};

@@ -47,10 +47,9 @@ use super::validate_v;
 use crate::common::{add_mod, data_tag, meta_tag, sub_mod, SPREAD_TAG};
 use crate::probe::span;
 use crate::radix::{radix_schedule, radix_step_rel_indices, zero_rotation_bruck_radix};
-use crate::nonuniform::{
-    hierarchical_alltoallv, ranka_two_stage_alltoallv, reference_alltoallv, AlltoallvAlgorithm,
-    DEFAULT_GROUP_SIZE,
-};
+use super::hierarchical::{hierarchical_alltoallv, DEFAULT_GROUP_SIZE};
+use super::two_stage::ranka_two_stage_alltoallv;
+use super::{reference_alltoallv, AlltoallvAlgorithm};
 
 /// Outstanding-request window of the vendor `MPI_Alltoallv` stand-in. Cray's
 /// implementation is closed source, but the paper notes (§1) that MPICH-family
@@ -233,8 +232,8 @@ impl EngineConfig {
         }
     }
 
-    /// Leader-based hierarchical exchange with groups of
-    /// [`DEFAULT_GROUP_SIZE`] ([`AlltoallvAlgorithm::Hierarchical`]).
+    /// Leader-based hierarchical exchange with groups of eight
+    /// ([`AlltoallvAlgorithm::Hierarchical`]).
     pub fn as_hierarchical() -> EngineConfig {
         EngineConfig {
             topology: EngineTopology::Leader { group: DEFAULT_GROUP_SIZE },

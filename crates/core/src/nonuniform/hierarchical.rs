@@ -23,7 +23,7 @@ use crate::common::{HIER_GATHER_TAG, HIER_LEADER_TAG, HIER_SCATTER_TAG};
 
 /// Group size used by the [`super::AlltoallvAlgorithm::Hierarchical`]
 /// dispatcher (≈ ranks per node in the paper's related-work setting).
-pub const DEFAULT_GROUP_SIZE: usize = 8;
+pub(super) const DEFAULT_GROUP_SIZE: usize = 8;
 
 #[inline]
 fn group_of(rank: usize, group: usize) -> usize {
@@ -44,7 +44,7 @@ fn group_members(g: usize, group: usize, p: usize) -> std::ops::Range<usize> {
 /// `group = 1` degenerates to a leaders-only pairwise exchange, i.e. plain
 /// spread-out).
 #[allow(clippy::too_many_arguments)]
-pub fn hierarchical_alltoallv<C: Communicator + ?Sized>(
+pub(super) fn hierarchical_alltoallv<C: Communicator + ?Sized>(
     comm: &C,
     sendbuf: &[u8],
     sendcounts: &[usize],

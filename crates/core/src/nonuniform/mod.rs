@@ -7,7 +7,6 @@
 //! already knows `recvcounts` (apply [`bruck_comm::Communicator::alltoall_counts`]
 //! first if it does not).
 
-mod alltoallw;
 mod engine;
 mod hierarchical;
 mod recovering;
@@ -15,18 +14,16 @@ mod reference;
 mod resilient;
 mod two_stage;
 
-pub use alltoallw::alltoallw;
 // `configurable_alltoallv_general` is the same function under the name the
 // frozen `benchmark/` crate imports.
 pub use engine::{
     configurable_alltoallv, configurable_alltoallv as configurable_alltoallv_general,
     EngineConfig, EngineTopology, IntermediateLayout, PaddingRule, VENDOR_WINDOW,
 };
-pub use hierarchical::{hierarchical_alltoallv, DEFAULT_GROUP_SIZE};
 pub use recovering::{recovering_alltoallv, Mttr, Recovery, RecoveringConfig, RecoveryOutcome};
 pub use reference::{pattern, reference_alltoallv};
 pub use resilient::{resilient_alltoallv, ExchangeOutcome, PartialExchange, ResilientConfig};
-pub use two_stage::{piece_len, piece_offset, ranka_two_stage_alltoallv};
+pub use two_stage::piece_len;
 
 use bruck_comm::{CommError, CommResult, Communicator};
 
@@ -51,7 +48,7 @@ pub enum AlltoallvAlgorithm {
     /// pointer array, and final scan (§6.1 describes these drawbacks).
     Sloav,
     /// Leader-based hierarchical exchange (related work, §6) with groups of
-    /// [`DEFAULT_GROUP_SIZE`].
+    /// eight ([`EngineConfig::as_hierarchical`]).
     Hierarchical,
     /// Ranka et al.'s balanced two-stage decomposition (related work, §6).
     RankaTwoStage,
@@ -141,10 +138,10 @@ pub(crate) fn validate_v<C: Communicator + ?Sized>(
         return Err(CommError::BadArgument("recvcounts/rdispls must have length P"));
     }
     for i in 0..p {
-        if sdispls[i] + sendcounts[i] > sendbuf.len() {
+        if sdispls[i].checked_add(sendcounts[i]).is_none_or(|end| end > sendbuf.len()) {
             return Err(CommError::BadArgument("send block out of bounds"));
         }
-        if rdispls[i] + recvcounts[i] > recvbuf.len() {
+        if rdispls[i].checked_add(recvcounts[i]).is_none_or(|end| end > recvbuf.len()) {
             return Err(CommError::BadArgument("recv block out of bounds"));
         }
     }
@@ -278,6 +275,11 @@ mod tests {
             // block 1 reaches byte 5 > 4.
             let err = validate_v(comm, &send, &[2, 3], &[0, 2], &recv, &[2, 2], &[0, 2]);
             assert!(err.is_err());
+            // block 1's end overflows `usize`.
+            let err = validate_v(comm, &send, &[2, 2], &[0, usize::MAX], &recv, &[2, 2], &[0, 2]);
+            assert!(matches!(err, Err(CommError::BadArgument(_))));
+            let err = validate_v(comm, &send, &[2, 2], &[0, 2], &recv, &[2, 2], &[0, usize::MAX]);
+            assert!(matches!(err, Err(CommError::BadArgument(_))));
         });
     }
 }

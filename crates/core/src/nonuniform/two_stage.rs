@@ -24,14 +24,14 @@ pub fn piece_len(len: usize, i: usize, p: usize) -> usize {
 
 /// Byte offset of piece `i` within its block.
 #[inline]
-pub fn piece_offset(len: usize, i: usize, p: usize) -> usize {
+fn piece_offset(len: usize, i: usize, p: usize) -> usize {
     i * (len / p) + i.min(len % p)
 }
 
 /// Two-stage balanced non-uniform all-to-all (same contract as
 /// `MPI_Alltoallv`).
 #[allow(clippy::too_many_arguments)]
-pub fn ranka_two_stage_alltoallv<C: Communicator + ?Sized>(
+pub(super) fn ranka_two_stage_alltoallv<C: Communicator + ?Sized>(
     comm: &C,
     sendbuf: &[u8],
     sendcounts: &[usize],

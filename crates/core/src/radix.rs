@@ -19,12 +19,6 @@ use crate::common::{add_mod, rotation_index, sub_mod, uniform_step_tag};
 use crate::probe::span;
 use crate::uniform::validate_uniform;
 
-/// The `k`-th base-`r` digit of `i`.
-#[inline]
-pub fn radix_digit(i: usize, weight: usize, radix: usize) -> usize {
-    (i / weight) % radix
-}
-
 /// The sub-steps of a radix-`r` schedule over `p` ranks: `(step_index,
 /// weight, digit)` triples in execution order. `step_index` is globally
 /// unique and doubles as the wire-tag offset.
@@ -69,7 +63,7 @@ pub fn radix_step_rel_indices(
 }
 
 /// Radix-`r` Zero Rotation Bruck (uniform all-to-all). `radix = 2` is
-/// [`crate::zero_rotation_bruck`].
+/// [`crate::AlltoallAlgorithm::ZeroRotationBruck`].
 pub fn zero_rotation_bruck_radix<C: Communicator + ?Sized>(
     comm: &C,
     sendbuf: &[u8],
@@ -139,6 +133,11 @@ mod tests {
     use crate::EngineConfig;
     use bruck_comm::ThreadComm;
     use bruck_workload::{Distribution, SizeMatrix};
+
+    /// The base-`radix` digit of `i` at `weight`.
+    fn radix_digit(i: usize, weight: usize, radix: usize) -> usize {
+        (i / weight) % radix
+    }
 
     fn two_phase_radix(radix: usize, m: &SizeMatrix) {
         nu::run_and_check_config(&EngineConfig { radix, ..EngineConfig::as_two_phase() }, m);

@@ -8,7 +8,7 @@ use crate::common::{add_mod, ceil_log2, step_rel_indices, sub_mod, uniform_step_
 use crate::probe::span;
 
 /// Basic Bruck with explicit `memcpy` buffer management.
-pub fn basic_bruck<C: Communicator + ?Sized>(
+pub(super) fn basic_bruck<C: Communicator + ?Sized>(
     comm: &C,
     sendbuf: &[u8],
     recvbuf: &mut [u8],
@@ -59,7 +59,7 @@ pub fn basic_bruck<C: Communicator + ?Sized>(
 /// Basic Bruck where each step's non-contiguous blocks are described by a
 /// derived datatype ([`IndexedBlocks`]) instead of hand-packed (`BasicBruck-dt`
 /// in Figure 2).
-pub fn basic_bruck_dt<C: Communicator + ?Sized>(
+pub(super) fn basic_bruck_dt<C: Communicator + ?Sized>(
     comm: &C,
     sendbuf: &[u8],
     recvbuf: &mut [u8],

@@ -12,12 +12,13 @@ mod spread_out;
 mod zero_copy;
 mod zero_rotation;
 
-pub use basic::{basic_bruck, basic_bruck_dt};
-pub use modified::{modified_bruck, modified_bruck_dt};
 pub use reference::reference_alltoall;
-pub use spread_out::spread_out_alltoall;
-pub use zero_copy::zero_copy_bruck_dt;
-pub use zero_rotation::zero_rotation_bruck;
+
+use basic::{basic_bruck, basic_bruck_dt};
+use modified::{modified_bruck, modified_bruck_dt};
+use spread_out::spread_out_alltoall;
+use zero_copy::zero_copy_bruck_dt;
+use zero_rotation::zero_rotation_bruck;
 
 use bruck_comm::{CommError, CommResult, Communicator};
 

@@ -11,7 +11,7 @@ use crate::common::{add_mod, ceil_log2, step_rel_indices, sub_mod, uniform_step_
 use crate::probe::span;
 
 /// Modified Bruck with explicit `memcpy` buffer management.
-pub fn modified_bruck<C: Communicator + ?Sized>(
+pub(super) fn modified_bruck<C: Communicator + ?Sized>(
     comm: &C,
     sendbuf: &[u8],
     recvbuf: &mut [u8],
@@ -55,7 +55,7 @@ pub fn modified_bruck<C: Communicator + ?Sized>(
 }
 
 /// Modified Bruck driven by derived datatypes (`ModifiedBruck-dt`).
-pub fn modified_bruck_dt<C: Communicator + ?Sized>(
+pub(super) fn modified_bruck_dt<C: Communicator + ?Sized>(
     comm: &C,
     sendbuf: &[u8],
     recvbuf: &mut [u8],

@@ -10,7 +10,7 @@ use crate::probe::span;
 /// Non-blocking point-to-point exchange: every rank posts P−1 sends and P−1
 /// receives, with peers spread out by rank offset so no destination is
 /// hammered by all sources at once.
-pub fn spread_out_alltoall<C: Communicator + ?Sized>(
+pub(super) fn spread_out_alltoall<C: Communicator + ?Sized>(
     comm: &C,
     sendbuf: &[u8],
     recvbuf: &mut [u8],

@@ -36,7 +36,7 @@ fn starts_in_r(i: usize) -> bool {
 }
 
 /// Zero-copy Bruck (`ZeroCopyBruck-dt` in Figure 2).
-pub fn zero_copy_bruck_dt<C: Communicator + ?Sized>(
+pub(super) fn zero_copy_bruck_dt<C: Communicator + ?Sized>(
     comm: &C,
     sendbuf: &[u8],
     recvbuf: &mut [u8],

@@ -18,7 +18,7 @@ use bruck_comm::{CommResult, Communicator};
 use crate::radix::zero_rotation_bruck_radix;
 
 /// Zero Rotation Bruck with explicit `memcpy` buffer management.
-pub fn zero_rotation_bruck<C: Communicator + ?Sized>(
+pub(super) fn zero_rotation_bruck<C: Communicator + ?Sized>(
     comm: &C,
     sendbuf: &[u8],
     recvbuf: &mut [u8],

@@ -8,7 +8,7 @@
 //! point), so every exchange the engine can run — named or not — is priced
 //! by replicating its routing without moving payloads; [`uniform_trace`] and
 //! the [`collective`] traces are keyed by `bruck-core`'s own algorithm enums
-//! the same way. [`predict`], [`sweep`], [`crossover_n`], [`calibrate`] and
+//! the same way. [`predict`], [`crossover_n`], [`calibrate`] and
 //! the [`AutoTuner`] (`refit`, `select`, [`adaptive_alltoallv`]) are all that
 //! one function applied; the paper's §3.3 equations are kept as closed forms
 //! ([`padded_bruck_cost`], [`two_phase_bruck_cost`], [`spread_out_cost`],
@@ -59,7 +59,7 @@ pub use fit::{calibrate, fit_error, FitSample};
 pub use machine::MachineModel;
 pub use par::par_map;
 pub use source::{DistSource, MatrixSource, SizeSource};
-pub use sweep::{crossover_n, predict, sweep, SweepPoint};
+pub use sweep::{crossover_n, predict};
 pub use trace::{CommTrace, RankLoad, Step, StepKind};
 pub use tracegen::{nonuniform_trace, uniform_trace, zero_rotation_radix_trace, RankSample};
 pub use tuner::{adaptive_alltoallv, AutoTuner};

@@ -1,4 +1,4 @@
-//! Parameter sweeps and crossover extraction (Figures 6–10, 13 and the
+//! Point predictions and crossover extraction (Figures 6–10, 13 and the
 //! empirical performance model of Figure 9).
 
 use crate::par::par_map;
@@ -19,42 +19,6 @@ pub fn predict(
 ) -> f64 {
     let source = DistSource::new(dist, seed, p, n);
     nonuniform_trace(cfg, &source, &RankSample::auto(p)).time(machine)
-}
-
-/// One evaluated point of a sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
-    /// Communicator size.
-    pub p: usize,
-    /// Maximum block size (bytes).
-    pub n: usize,
-    /// Engine config evaluated.
-    pub config: EngineConfig,
-    /// Predicted seconds.
-    pub seconds: f64,
-}
-
-/// Evaluate `configs × ps × ns` in parallel (scoped threads via [`par_map`]);
-/// output is sorted by `(p, n, config order)` for stable figure rendering.
-pub fn sweep(
-    configs: &[EngineConfig],
-    dist: Distribution,
-    seed: u64,
-    ps: &[usize],
-    ns: &[usize],
-    machine: &MachineModel,
-) -> Vec<SweepPoint> {
-    let grid: Vec<(usize, usize, usize, EngineConfig)> = ps
-        .iter()
-        .flat_map(|&p| ns.iter().map(move |&n| (p, n)))
-        .flat_map(|(p, n)| configs.iter().enumerate().map(move |(ci, &config)| (p, n, ci, config)))
-        .collect();
-    let mut points: Vec<(usize, SweepPoint)> = par_map(&grid, |&(p, n, ci, config)| {
-        let seconds = predict(config, dist, seed, p, n, machine);
-        (ci, SweepPoint { p, n, config, seconds })
-    });
-    points.sort_by_key(|(ci, a)| (a.p, a.n, *ci));
-    points.into_iter().map(|(_, sp)| sp).collect()
 }
 
 /// The largest `n` in `n_grid` for which `a` is predicted to beat `b`
@@ -81,23 +45,6 @@ mod tests {
     use bruck_core::AlltoallvAlgorithm;
 
     const SEED: u64 = 2022;
-
-    #[test]
-    fn sweep_covers_the_grid() {
-        let m = MachineModel::theta_like();
-        let pts = sweep(
-            &[EngineConfig::as_vendor(), EngineConfig::as_two_phase()],
-            Distribution::Uniform,
-            SEED,
-            &[64, 128],
-            &[16, 64],
-            &m,
-        );
-        assert_eq!(pts.len(), 2 * 2 * 2);
-        assert!(pts.iter().all(|pt| pt.seconds > 0.0));
-        // Sorted by (p, n).
-        assert!(pts.windows(2).all(|w| (w[0].p, w[0].n) <= (w[1].p, w[1].n)));
-    }
 
     #[test]
     fn two_phase_beats_vendor_at_small_n_loses_at_huge_n() {

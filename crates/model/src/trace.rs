@@ -160,19 +160,6 @@ impl CommTrace {
         self.steps.iter().map(|s| s.time(m, self.p)).sum()
     }
 
-    /// Total wire bytes `rank` sends across all tagged steps (excludes the
-    /// collective prologue, matching a `MeteredComm`'s logical-channel total).
-    pub fn wire_bytes_out(&self, rank: usize) -> Option<u64> {
-        let mut total = 0u64;
-        for step in &self.steps {
-            if step.kind.tag().is_none() {
-                continue;
-            }
-            total += step.load_of(rank)?.bytes_out;
-        }
-        Some(total)
-    }
-
     /// Bytes `rank` sends under wire tag `tag` (for per-step validation).
     pub fn bytes_for_tag(&self, rank: usize, tag: u32) -> Option<u64> {
         let mut total = 0u64;
@@ -284,8 +271,6 @@ mod tests {
         assert_eq!(t.bytes_for_tag(0, 0x200), Some(8));
         assert_eq!(t.bytes_for_tag(0, 0x300), Some(64));
         assert_eq!(t.bytes_for_tag(0, 0x999), None);
-        assert_eq!(t.wire_bytes_out(0), Some(72));
-        assert_eq!(t.wire_bytes_out(1), None, "rank 1 not covered");
         assert_eq!(t.wire_tags(), vec![0x200, 0x300]);
     }
 

@@ -208,17 +208,6 @@ impl SizeRow {
     }
 }
 
-/// Standalone form of [`Distribution::sample_row`].
-pub fn rank_block_sizes(
-    dist: Distribution,
-    seed: u64,
-    rank: usize,
-    p: usize,
-    n_max: usize,
-) -> Vec<usize> {
-    dist.sample_row(seed, rank, p, n_max)
-}
-
 /// Affine permutation coefficients for modulus `p`: `a` coprime to `p`,
 /// arbitrary offset `b`.
 fn affine_coeffs(h: u64, p: usize) -> (usize, usize) {

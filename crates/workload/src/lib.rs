@@ -14,7 +14,7 @@
 //!
 //! Generators are deterministic given a seed, per-rank independent (rank `r`
 //! derives its stream from `(seed, r)`), and produce either one rank's row
-//! ([`rank_block_sizes`]) or a full `P×P` [`SizeMatrix`] with
+//! ([`Distribution::sample_row`]) or a full `P×P` [`SizeMatrix`] with
 //! `matrix[src][dst]` = bytes sent from `src` to `dst`.
 
 #![forbid(unsafe_code)]
@@ -25,7 +25,7 @@ mod matrix;
 mod rng;
 mod stats;
 
-pub use distribution::{rank_block_sizes, Distribution, SizeRow};
+pub use distribution::{Distribution, SizeRow};
 pub use matrix::SizeMatrix;
 pub use rng::{splitmix64, SplitMix64};
 pub use stats::{histogram, DistStats};
