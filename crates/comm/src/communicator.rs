@@ -68,6 +68,18 @@ pub(crate) fn await_arrival<C: Communicator + ?Sized>(
     comm.wait_arrival(seen, if idle { budget } else { Duration::ZERO })
 }
 
+/// Receive the one little-endian `u64` of a small collective's step. Its
+/// length comes from the peer, so a wrong one is a typed error, not a panic:
+/// a longer payload is [`CommError::Truncated`] (and stays queued), a shorter
+/// one [`CommError::BadArgument`].
+fn recv_u64<C: Communicator + ?Sized>(comm: &C, src: usize, tag: Tag) -> CommResult<u64> {
+    let mut word = [0u8; 8];
+    if comm.recv_into(src, tag, &mut word)? != word.len() {
+        return Err(CommError::BadArgument("short u64 collective payload"));
+    }
+    Ok(u64::from_le_bytes(word))
+}
+
 /// SPMD communicator: every rank of the program holds one, all methods are
 /// called collectively or pairwise exactly as in MPI.
 pub trait Communicator: Sync {
@@ -286,25 +298,17 @@ pub trait Communicator: Sync {
         let mut acc = value;
         if me >= m {
             self.send(me - m, TAG_ALLREDUCE, &acc.to_le_bytes())?;
-            let out = self.recv(me - m, TAG_ALLREDUCE + 1)?;
-            return Ok(u64::from_le_bytes(out.try_into().expect("8-byte reduce payload")));
+            return recv_u64(self, me - m, TAG_ALLREDUCE + 1);
         }
         if me < rem {
-            let folded = self.recv(me + m, TAG_ALLREDUCE)?;
-            acc = op.apply(acc, u64::from_le_bytes(folded.try_into().expect("8-byte reduce payload")));
+            acc = op.apply(acc, recv_u64(self, me + m, TAG_ALLREDUCE)?);
         }
         let mut dist = 1;
         let mut round: Tag = 2;
         while dist < m {
             let partner = me ^ dist;
-            let got = self.sendrecv(
-                partner,
-                TAG_ALLREDUCE + round,
-                &acc.to_le_bytes(),
-                partner,
-                TAG_ALLREDUCE + round,
-            )?;
-            acc = op.apply(acc, u64::from_le_bytes(got.try_into().expect("8-byte reduce payload")));
+            self.send(partner, TAG_ALLREDUCE + round, &acc.to_le_bytes())?;
+            acc = op.apply(acc, recv_u64(self, partner, TAG_ALLREDUCE + round)?);
             dist <<= 1;
             round += 1;
         }
@@ -328,14 +332,8 @@ pub trait Communicator: Sync {
         // At step s we forward the value that originated at (me - s) mod p.
         let mut carry = value;
         for s in 0..p - 1 {
-            let got = self.sendrecv(
-                right,
-                TAG_ALLGATHER + s as Tag,
-                &carry.to_le_bytes(),
-                left,
-                TAG_ALLGATHER + s as Tag,
-            )?;
-            carry = u64::from_le_bytes(got.try_into().expect("8-byte allgather payload"));
+            self.send(right, TAG_ALLGATHER + s as Tag, &carry.to_le_bytes())?;
+            carry = recv_u64(self, left, TAG_ALLGATHER + s as Tag)?;
             out[(me + p - s - 1) % p] = carry;
         }
         Ok(out)
@@ -354,14 +352,8 @@ pub trait Communicator: Sync {
         for i in 1..p {
             let dest = (me + i) % p;
             let src = (me + p - i) % p;
-            let got = self.sendrecv(
-                dest,
-                TAG_ALLTOALL_COUNTS,
-                &(sendcounts[dest] as u64).to_le_bytes(),
-                src,
-                TAG_ALLTOALL_COUNTS,
-            )?;
-            recvcounts[src] = u64::from_le_bytes(got.try_into().expect("8-byte count payload")) as usize;
+            self.send(dest, TAG_ALLTOALL_COUNTS, &(sendcounts[dest] as u64).to_le_bytes())?;
+            recvcounts[src] = recv_u64(self, src, TAG_ALLTOALL_COUNTS)? as usize;
         }
         Ok(recvcounts)
     }
@@ -373,5 +365,76 @@ pub trait Communicator: Sync {
         } else {
             Ok(())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{SimComm, ThreadComm};
+
+    /// A payload four bytes short of a `u64`, and one four bytes too long.
+    const SHORT: &[u8] = &[1; 4];
+    const LONG: &[u8] = &[1; 12];
+
+    fn wrong_length(payload: &[u8]) -> CommError {
+        if payload.len() < 8 {
+            CommError::BadArgument("short u64 collective payload")
+        } else {
+            CommError::Truncated { message_len: payload.len(), buffer_len: 8 }
+        }
+    }
+
+    /// What the honest rank `victim` of a `p`-rank world gets from `op` when
+    /// rank `rogue` sends it `payload` on `tag` in place of its step; the
+    /// other ranks sit out. Returned in rank order from both a `ThreadComm`
+    /// and a `SimComm` world.
+    fn against_rogue<T>(
+        p: usize,
+        (rogue, victim, tag): (usize, usize, Tag),
+        payload: &[u8],
+        op: impl Fn(&dyn Communicator) -> CommResult<T> + Sync,
+    ) -> [Vec<Option<CommError>>; 2] {
+        let rank = |comm: &dyn Communicator| {
+            if comm.rank() == rogue {
+                comm.send(victim, tag, payload).unwrap();
+            }
+            (comm.rank() == victim).then(|| op(comm).err()).flatten()
+        };
+        [ThreadComm::run(p, |comm| rank(comm)), SimComm::run(p, 3, |comm| rank(comm)).results]
+    }
+
+    fn assert_typed<T>(
+        p: usize,
+        (rogue, victim, tag): (usize, usize, Tag),
+        op: impl Fn(&dyn Communicator) -> CommResult<T> + Sync + Copy,
+    ) {
+        for payload in [SHORT, LONG] {
+            for results in against_rogue(p, (rogue, victim, tag), payload, op) {
+                let mut want = vec![None; p];
+                want[victim] = Some(wrong_length(payload));
+                assert_eq!(results, want, "p={p} tag={tag:#x} {} bytes", payload.len());
+            }
+        }
+    }
+
+    #[test]
+    fn allreduce_types_a_wrong_length_payload_from_a_rogue_peer() {
+        let op = |comm: &dyn Communicator| comm.allreduce_u64(5, ReduceOp::Sum);
+        // A recursive-doubling round, the fold-in and the unfold.
+        assert_typed(2, (1, 0, TAG_ALLREDUCE + 2), op);
+        assert_typed(3, (2, 0, TAG_ALLREDUCE), op);
+        assert_typed(3, (0, 2, TAG_ALLREDUCE + 1), op);
+    }
+
+    #[test]
+    fn allgather_types_a_wrong_length_payload_from_a_rogue_peer() {
+        assert_typed(2, (1, 0, TAG_ALLGATHER), |comm: &dyn Communicator| comm.allgather_u64(5));
+    }
+
+    #[test]
+    fn alltoall_counts_types_a_wrong_length_payload_from_a_rogue_peer() {
+        let op = |comm: &dyn Communicator| comm.alltoall_counts(&[1, 2]);
+        assert_typed(2, (1, 0, TAG_ALLTOALL_COUNTS), op);
     }
 }

@@ -8,7 +8,10 @@
 //!
 //! Matching preserves MPI's **non-overtaking** rule: two messages from the
 //! same source with the same tag are received in the order they were sent,
-//! because each `(source, tag)` key maps to a FIFO queue.
+//! because the store is one ordered map keyed by `(source, tag, deposit
+//! number)` — the deposit count the store keeps anyway — and a receive takes
+//! the first entry of its `(source, tag, ..)` range. A message is one map
+//! entry: no per-key queue to allocate, drain or trim.
 //!
 //! Messages are stored as [`MsgBuf`] views, so a queued message shares its
 //! backing region with the sender's pack buffer — the deposit is a
@@ -31,8 +34,8 @@
 //!   the lightweight task, and the depositing sender wakes it through the
 //!   scheduler — no per-rank thread, no per-rank condvar.
 //!
-//! All three backends therefore share one matching semantics (FIFO per key,
-//! non-destructive bounded receive, pop-and-trim hygiene) by construction —
+//! All three backends therefore share one matching semantics (FIFO per
+//! `(source, tag)`, non-destructive bounded receive) by construction —
 //! and one *arrival count*: [`MatchStore::push`] numbers the deposits into
 //! its store, which is all [`crate::Communicator::wait_arrival`] needs from
 //! the matching core. Each backend parks an arrival wait where it already
@@ -40,15 +43,15 @@
 //! any-source waiter in the event runtime.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::{CommError, CommResult, MsgBuf, Tag};
 
-/// Per-(source, tag) FIFO queues of undelivered messages.
-type MatchQueues = BTreeMap<(usize, Tag), VecDeque<MsgBuf>>;
+/// Undelivered messages keyed by `(source, tag, deposit number)`: ascending
+/// order within one `(source, tag)` is deposit order.
+type Messages = BTreeMap<(usize, Tag, u64), MsgBuf>;
 
 /// Shared message-accounting counters for one world, updated on every deposit
 /// and pop so world-level leak assertions are O(1) loads instead of O(P)
@@ -60,11 +63,6 @@ pub(crate) struct StoreStats {
     pending: AtomicUsize,
     /// Total deposits ever made (throughput accounting for `bruck-bench`).
     deposited: AtomicUsize,
-    /// Match-map keys stranded with a drained queue. Every pop path trims
-    /// drained keys immediately, so this stays 0; any future pop path that
-    /// skips the trim must bump it. Structural per-store scans
-    /// ([`MatchStore::scan_dead_keys`]) cross-check it in tests.
-    dead_keys: AtomicUsize,
 }
 
 impl StoreStats {
@@ -82,16 +80,18 @@ impl StoreStats {
         self.deposited.load(Ordering::SeqCst)
     }
 
-    /// Stranded drained keys (must be 0; see field docs).
+    /// Match keys left behind by a drained queue: 0 by construction, since a
+    /// key is one message and leaves with it. Kept because leak checks
+    /// outside this crate add it to [`StoreStats::pending`].
     pub(crate) fn dead_keys(&self) -> usize {
-        self.dead_keys.load(Ordering::SeqCst)
+        0
     }
 }
 
-/// The non-blocking matching engine: `(source, tag)` → FIFO queue of
-/// [`MsgBuf`] views, with the pop-and-trim invariant (a drained key is
-/// removed by the pop that drained it, so the map never accumulates dead
-/// entries across thousands of fixpoint iterations).
+/// The non-blocking matching engine: one ordered map of [`MsgBuf`] views
+/// keyed by `(source, tag, deposit number)`. A receive takes the first entry
+/// of its `(source, tag, ..)` range, so matching is FIFO per `(source, tag)`
+/// and a popped message leaves no key behind.
 ///
 /// `MatchStore` never waits — waiting is the caller's concern (condvar,
 /// scheduler token, or task parking; see the module docs). Locking is also
@@ -100,33 +100,33 @@ impl StoreStats {
 /// and its current senders, and critical sections only move a [`MsgBuf`]
 /// (three words).
 pub(crate) struct MatchStore {
-    queues: MatchQueues,
+    messages: Messages,
     stats: Arc<StoreStats>,
     /// Deposits ever made into *this* store: the arrival count behind
-    /// [`crate::Communicator::wait_arrival`]. Only ever grows, so "the count
-    /// moved since I read it" is exactly "something was deposited since".
+    /// [`crate::Communicator::wait_arrival`], and each message's deposit
+    /// number. Only ever grows, so "the count moved since I read it" is
+    /// exactly "something was deposited since".
     deposits: u64,
 }
 
 impl MatchStore {
     pub(crate) fn new(stats: Arc<StoreStats>) -> MatchStore {
-        MatchStore { queues: MatchQueues::new(), stats, deposits: 0 }
+        MatchStore { messages: Messages::new(), stats, deposits: 0 }
     }
 
     /// Deposit a message from `src` with `tag`. Never blocks, never copies.
     pub(crate) fn push(&mut self, src: usize, tag: Tag, data: MsgBuf) {
-        self.queues.entry((src, tag)).or_default().push_back(data);
+        self.messages.insert((src, tag, self.deposits), data);
         self.deposits += 1;
         self.stats.pending.fetch_add(1, Ordering::SeqCst);
         self.stats.deposited.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Pop the oldest message matching `(src, tag)`, if any, trimming the
-    /// key when its queue drains. Every pop path must go through here.
+    /// Pop the oldest message matching `(src, tag)`, if any.
     ///
     /// A match longer than `max_len` bytes is refused *without consuming it*:
     /// `Some(Err(message_len))`. The check happens before the message leaves
-    /// the queue, which is what makes `recv_into` truncation non-destructive
+    /// the store, which is what makes `recv_into` truncation non-destructive
     /// — a caller that retries with a bigger buffer still observes it.
     pub(crate) fn try_pop(
         &mut self,
@@ -134,22 +134,31 @@ impl MatchStore {
         tag: Tag,
         max_len: usize,
     ) -> Option<Result<MsgBuf, usize>> {
-        let q = self.queues.get_mut(&(src, tag))?;
-        let len = q.front()?.len();
-        if len > max_len {
-            return Some(Err(len));
-        }
-        let msg = q.pop_front()?;
-        if q.is_empty() {
-            self.queues.remove(&(src, tag));
-        }
+        // One walk of the range finds the oldest entry and unlinks it in
+        // place (a lookup followed by `remove` descends the tree twice). Once
+        // the oldest is refused, no later entry may be taken in its stead.
+        let mut refused = None;
+        let popped = self
+            .messages
+            .extract_if((src, tag, 0)..=(src, tag, u64::MAX), |_, msg| {
+                if refused.is_none() && msg.len() > max_len {
+                    refused = Some(msg.len());
+                }
+                refused.is_none()
+            })
+            .next();
+        let Some((_, msg)) = popped else {
+            return refused.map(Err);
+        };
         self.stats.pending.fetch_sub(1, Ordering::SeqCst);
         Some(Ok(msg))
     }
 
-    /// Byte length of the next matching message, without consuming it.
+    /// Byte length of the next matching message, without consuming it: the
+    /// first entry of the `(src, tag, ..)` range.
     pub(crate) fn peek_len(&self, src: usize, tag: Tag) -> Option<usize> {
-        self.queues.get(&(src, tag)).and_then(VecDeque::front).map(MsgBuf::len)
+        let (_, msg) = self.messages.range((src, tag, 0)..=(src, tag, u64::MAX)).next()?;
+        Some(msg.len())
     }
 
     /// Deposits ever made into this store (see the field docs).
@@ -157,19 +166,11 @@ impl MatchStore {
         self.deposits
     }
 
-    /// Undelivered messages in *this* store (O(keys) structural scan; the
-    /// cheap world-level aggregate lives in [`StoreStats::pending`]).
+    /// Undelivered messages in *this* store (a structural count; the cheap
+    /// world-level aggregate lives in [`StoreStats::pending`]).
     #[cfg(test)]
     pub(crate) fn scan_pending(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
-    }
-
-    /// Keys whose queue is empty in *this* store. Must always be 0: every
-    /// pop path trims drained keys. Structural cross-check for the shared
-    /// [`StoreStats::dead_keys`] counter.
-    #[cfg(test)]
-    pub(crate) fn scan_dead_keys(&self) -> usize {
-        self.queues.values().filter(|q| q.is_empty()).count()
+        self.messages.len()
     }
 }
 
@@ -320,13 +321,6 @@ impl Mailbox {
     pub(crate) fn pending(&self) -> usize {
         self.lock().store.scan_pending()
     }
-
-    /// Number of match-map keys whose queue is empty in this mailbox
-    /// (structural scan; must always be 0).
-    #[cfg(test)]
-    pub(crate) fn dead_keys(&self) -> usize {
-        self.lock().store.scan_dead_keys()
-    }
 }
 
 #[cfg(test)]
@@ -352,7 +346,25 @@ mod tests {
         assert_eq!(take(&mb, 0, 7), vec![2]);
         assert_eq!(take(&mb, 1, 7), vec![9]);
         assert_eq!(mb.pending(), 0);
-        assert_eq!(mb.dead_keys(), 0);
+    }
+
+    #[test]
+    fn fifo_per_key_holds_across_interleaved_keys() {
+        // Deposit numbers interleave across keys; each `(src, tag)` range
+        // still yields its own messages oldest first.
+        let mut store = MatchStore::new(StoreStats::new());
+        store.push(0, 7, buf(&[1]));
+        store.push(0, 8, buf(&[5, 5]));
+        store.push(1, 7, buf(&[9]));
+        store.push(0, 7, buf(&[2, 2, 2]));
+        assert_eq!(store.peek_len(0, 7), Some(1));
+        assert_eq!(store.try_pop(0, 7, usize::MAX), Some(Ok(buf(&[1]))));
+        assert_eq!(store.peek_len(0, 7), Some(3));
+        assert_eq!(store.try_pop(0, 7, usize::MAX), Some(Ok(buf(&[2, 2, 2]))));
+        assert_eq!(store.try_pop(0, 7, usize::MAX), None);
+        assert_eq!(store.peek_len(0, 8), Some(2));
+        assert_eq!(store.try_pop(1, 7, usize::MAX), Some(Ok(buf(&[9]))));
+        assert_eq!(store.scan_pending(), 1);
     }
 
     #[test]
@@ -396,7 +408,6 @@ mod tests {
         let got = mb.pop(2, 5, 16, Duration::MAX).unwrap();
         assert_eq!(got, vec![7; 16]);
         assert_eq!(mb.pending(), 0);
-        assert_eq!(mb.dead_keys(), 0);
     }
 
     #[test]
@@ -441,7 +452,7 @@ mod tests {
     fn pop_timeout_race_leaves_no_dead_keys() {
         // Regression test for the race-path pop that used to bypass key
         // cleanup: hammer pushes that land right around the timeout deadline
-        // and assert the match map never strands an empty queue.
+        // and assert no round leaves an entry in the match map.
         let mb = Arc::new(Mailbox::new());
         for round in 0..200u64 {
             let mb2 = Arc::clone(&mb);
@@ -456,7 +467,7 @@ mod tests {
                 // Push lost the race: drain it so the next round starts clean.
                 assert_eq!(take(&mb, 1, 3), vec![round as u8]);
             }
-            assert_eq!(mb.dead_keys(), 0, "round {round} stranded an empty key");
+            assert_eq!(mb.pending(), 0, "round {round} left an entry behind");
         }
         assert_eq!(mb.pending(), 0);
     }
@@ -466,7 +477,7 @@ mod tests {
         let mb = Mailbox::new();
         let err = mb.pop(0, 0, usize::MAX, Duration::from_millis(5)).unwrap_err();
         assert!(matches!(err, CommError::Timeout { src: 0, tag: 0, waited } if waited >= Duration::from_millis(5)));
-        assert_eq!(mb.dead_keys(), 0);
+        assert_eq!(mb.pending(), 0);
     }
 
     #[test]
@@ -508,10 +519,12 @@ mod tests {
         let mut store = MatchStore::new(StoreStats::new());
         assert!(store.try_pop(4, 2, 8).is_none(), "empty store has no match");
         store.push(4, 2, buf(&[9; 10]));
+        // A shorter message behind the refused one is not taken in its stead.
+        store.push(4, 2, buf(&[1; 2]));
         assert_eq!(store.try_pop(4, 2, 4), Some(Err(10)));
-        assert_eq!(store.scan_pending(), 1);
+        assert_eq!(store.scan_pending(), 2);
         assert_eq!(store.try_pop(4, 2, 10).and_then(Result::ok), Some(buf(&[9; 10])));
+        assert_eq!(store.try_pop(4, 2, 4).and_then(Result::ok), Some(buf(&[1; 2])));
         assert_eq!(store.scan_pending(), 0);
-        assert_eq!(store.scan_dead_keys(), 0);
     }
 }

@@ -1016,7 +1016,8 @@ pub struct EventReport {
     pub workers: usize,
     /// Messages still undelivered at the end (0 for well-formed programs).
     pub pending_messages: usize,
-    /// Drained-but-unremoved match keys at the end (must be 0).
+    /// Drained-but-unremoved match keys at the end: 0 by construction (a
+    /// match key is one message); leak checks add it to `pending_messages`.
     pub dead_match_keys: usize,
     /// Executions that ended in a park request, by the operation parked in
     /// (`parks.total() == executions - p` once every task has finished).

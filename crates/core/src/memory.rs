@@ -6,14 +6,22 @@
 //! space on a monolithic `P × N` working buffer; this engine spends it on the
 //! receive regions themselves — a forwarded block stays where it arrived, and
 //! every step's region is kept until the exchange ends — so the footprint
-//! follows the bytes that pass through the rank, not `N`: far below `P × N` when the
-//! mean block is far below the maximum, above it when most blocks are near
-//! `N` and `P` is large (every block hops ≈ ½·log₂ P times). Padding costs
-//! two `P × N` images whatever the sizes are. This module quantifies
-//! the trade-off so a selection can respect a memory budget: filter the
-//! candidate slice by [`memory_overhead_bytes`] before handing it to
-//! `bruck_model::AutoTuner::select` — the budget is a filter, not a second
-//! selector.
+//! follows the bytes that pass through the rank, not `N`: far below `P × N`
+//! when the mean block is far below the maximum, above it when most blocks
+//! are near `N` and `P` is large (every block hops ≈ ½·log₂ P times).
+//!
+//! Padded alltoall holds two `P × N` images (send and receive) whatever the
+//! sizes are. Padded Bruck holds one — the padded send image — plus the
+//! `N`-byte slots that pass through the rank, because its uniform loop also
+//! forwards from the receive regions and strips each slot on delivery: about
+//! `1 + ½·⌈log₂ P⌉` images at radix 2, *more* than padded alltoall's two once
+//! `P ≥ 8` — the trade two-phase makes too, paid for the receive image's
+//! per-hop copies and the final scan it no longer runs.
+//!
+//! This module quantifies the trade-off so a selection can respect a memory
+//! budget: filter the candidate slice by [`memory_overhead_bytes`] before
+//! handing it to `bruck_model::AutoTuner::select` — the budget is a filter,
+//! not a second selector.
 
 use crate::nonuniform::{EngineConfig, EngineTopology};
 use crate::radix::radix_schedule;
@@ -34,29 +42,24 @@ pub fn memory_overhead_bytes(
     let cfg = cfg.into();
     // One step's wire buffer: ≈ (P+1)/2 blocks of ~N/avg each.
     let step_wire = |avg_factor: usize| p.div_ceil(2) * (n_max / avg_factor);
-    // Padded send and receive images of the whole exchange, plus one step's
-    // pack and unpack staging.
-    let padded = 2 * p * n_max + 2 * step_wire(1);
+    // A Bruck loop forwards blocks from the receive regions they arrived in
+    // and keeps every region to the end (nearly all of them hold a block the
+    // last step forwards), so the peak is everything that passed through the
+    // rank — each sub-step brings in about 1/radix of the receive volume —
+    // plus the outgoing wire buffer.
+    let radix = cfg.radix.max(2); // an unvalidated config may hold less
+    let passed_through = |recv: usize| recv * radix_schedule(p, radix).len() / radix;
+    let pads = cfg.padding.fires(n_max);
     match cfg.topology {
         // Pairwise sends straight out of user buffers.
         EngineTopology::Oracle => 0,
-        EngineTopology::Direct => {
-            if cfg.padding.fires(n_max) {
-                padded
-            } else {
-                0
-            }
-        }
-        EngineTopology::Bruck if cfg.padding.fires(n_max) => padded,
-        // Either layout forwards blocks from the receive regions they
-        // arrived in and keeps every region to the end (nearly all of them
-        // hold a block the last step forwards), so the peak is everything
-        // that passed through the rank — each sub-step brings in about
-        // 1/radix of the receive volume — plus the outgoing wire buffer.
-        EngineTopology::Bruck => {
-            let radix = cfg.radix.max(2); // an unvalidated config may hold less
-            recv_total * radix_schedule(p, radix).len() / radix + step_wire(2)
-        }
+        // Padded send and receive images, plus one step's pack and unpack
+        // staging.
+        EngineTopology::Direct if pads => 2 * p * n_max + 2 * step_wire(1),
+        EngineTopology::Direct => 0,
+        // The padded send image, and `N`-byte slots through the rank.
+        EngineTopology::Bruck if pads => p * n_max + passed_through(p * n_max) + step_wire(1),
+        EngineTopology::Bruck => passed_through(recv_total) + step_wire(2),
         // Leaders hold the whole group's data both ways; amortized per rank
         // this is a send + receive image.
         EngineTopology::Leader { group: _ } => send_total + recv_total,
@@ -77,11 +80,18 @@ mod tests {
         let totals = p * n / 2;
         let of = |a: AlltoallvAlgorithm| memory_overhead_bytes(a, p, n, totals, totals);
         assert_eq!(of(AlltoallvAlgorithm::Vendor), 0);
-        // Padding holds two P × N images; two-phase holds what passed through
-        // the rank (10 steps × half the receive volume here).
-        assert!(of(AlltoallvAlgorithm::PaddedBruck) > of(AlltoallvAlgorithm::TwoPhaseBruck));
-        assert_eq!(of(AlltoallvAlgorithm::PaddedAlltoall), of(AlltoallvAlgorithm::PaddedBruck));
-        assert!(of(AlltoallvAlgorithm::TwoPhaseBruck) >= 5 * totals);
+        // Padded alltoall holds two P × N images (+ two 512-slot staging
+        // steps); padded Bruck one, plus the slots through the rank: 10 steps
+        // × half of P × N; two-phase what passed through the rank (10 steps ×
+        // half the receive volume here) + one half-size staging step.
+        let image = p * n;
+        assert_eq!(of(AlltoallvAlgorithm::PaddedAlltoall), 2 * image + 2 * 512 * n);
+        assert_eq!(of(AlltoallvAlgorithm::PaddedAlltoall), 1_572_864);
+        assert_eq!(of(AlltoallvAlgorithm::PaddedBruck), image + 5 * image + 512 * n);
+        assert_eq!(of(AlltoallvAlgorithm::PaddedBruck), 3_407_872);
+        assert_eq!(of(AlltoallvAlgorithm::TwoPhaseBruck), 5 * totals + 512 * n / 2);
+        assert_eq!(of(AlltoallvAlgorithm::TwoPhaseBruck), 1_441_792);
+        assert!(of(AlltoallvAlgorithm::PaddedBruck) > of(AlltoallvAlgorithm::PaddedAlltoall));
         assert_eq!(of(AlltoallvAlgorithm::Sloav), of(AlltoallvAlgorithm::TwoPhaseBruck));
         // No P × N term: a skewed exchange (mean ≪ N) costs a fraction of it.
         let skewed = memory_overhead_bytes(AlltoallvAlgorithm::TwoPhaseBruck, p, n, p * 8, p * 8);

@@ -26,9 +26,10 @@
 //!   selected by `two_phase_split`. Forwarded blocks stay in the receive
 //!   regions they arrived in, so nothing is sized up front and no config of
 //!   it pays an allreduce;
-//! * the pad → uniform exchange → scan wrapper, entered when the
-//!   [`PaddingRule`] fires, around the direct loop or the uniform radix
-//!   Zero Rotation Bruck;
+//! * the padded wrapper, entered when the [`PaddingRule`] fires: pad →
+//!   direct loop → scan, or pad → uniform radix Zero Rotation Bruck, whose
+//!   delivery closure strips each block's padding as it arrives for the last
+//!   time (no receive image and no scan on the `Bruck` side);
 //! * the oracle, leader and two-stage exchanges, which have no knobs beyond
 //!   their topology.
 //!
@@ -46,7 +47,7 @@ use bruck_comm::{CommError, CommResult, Communicator, MsgBuf, ReduceOp};
 use super::validate_v;
 use crate::common::{add_mod, data_tag, meta_tag, sub_mod, SPREAD_TAG};
 use crate::probe::span;
-use crate::radix::{radix_schedule, radix_step_rel_indices, zero_rotation_bruck_radix};
+use crate::radix::{radix_schedule, radix_step_rel_indices, zero_rotation_bruck_deliver};
 use super::hierarchical::{hierarchical_alltoallv, DEFAULT_GROUP_SIZE};
 use super::two_stage::ranka_two_stage_alltoallv;
 use super::{reference_alltoallv, AlltoallvAlgorithm};
@@ -64,7 +65,7 @@ pub enum PaddingRule {
     /// Never pad: exchange exact block sizes (metadata where needed).
     Never,
     /// Always pad (the §3.1 padded family): one allreduce finds `N`, blocks
-    /// travel as `N`-byte slots, a final scan strips the padding.
+    /// travel as `N`-byte slots, only the real bytes reach the receive buffer.
     Always,
     /// Pad only when the global maximum block size is at most this many
     /// bytes — the model-driven regime switch of inequality (3), §3.3.
@@ -200,7 +201,7 @@ impl EngineConfig {
         }
     }
 
-    /// Pad → radix-2 Zero Rotation Bruck → scan
+    /// Pad → radix-2 Zero Rotation Bruck, stripped on delivery
     /// ([`AlltoallvAlgorithm::PaddedBruck`]).
     pub fn as_padded_bruck() -> EngineConfig {
         EngineConfig {
@@ -464,8 +465,8 @@ fn global_n_max<C: Communicator + ?Sized>(comm: &C, sendcounts: &[usize]) -> Com
 }
 
 /// The `Direct` and `Bruck` topologies: validate once, find `N` if the padding
-/// rule wants it, then either pad → uniform exchange → scan, or the
-/// exact-size exchange.
+/// rule wants it, then either the padded uniform exchange or the exact-size
+/// exchange.
 ///
 /// The three loops this chooses between are `#[inline(never)]`: `EventComm`
 /// suspends a rank by unwinding, the unwinder's work per frame grows with the
@@ -511,9 +512,15 @@ fn direct_or_bruck<C: Communicator + ?Sized>(
 }
 
 /// The §3.1 padded family: every block travels as an `n`-byte slot (`n` = the
-/// global maximum), moved by the topology's uniform exchange — windowed
-/// pairwise for `Direct`, radix-`r` Zero Rotation Bruck for `Bruck` — and a
-/// final scan strips the padding.
+/// global maximum), moved by the topology's uniform exchange, and only each
+/// block's `recvcounts[src]` real bytes reach `recvbuf`.
+///
+/// * `Direct` — windowed pairwise into a `P × n` receive image, then a scan
+///   strips the padding (`direct_exchange` receives into one buffer).
+/// * `Bruck` — radix-`r` Zero Rotation Bruck, whose delivery closure strips
+///   each block as the sub-step that finishes it receives it, straight from
+///   the wire into `recvbuf`: no receive image, no scan. `padded.scan` then
+///   brackets only the self block's copy.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn padded_exchange<C: Communicator + ?Sized>(
@@ -531,8 +538,10 @@ fn padded_exchange<C: Communicator + ?Sized>(
     if n == 0 {
         return Ok(()); // nothing anywhere (all blocks empty)
     }
+    if recvcounts.iter().any(|&want| want > n) {
+        return Err(CommError::BadArgument("recvcounts exceed the global maximum block size"));
+    }
     let mut padded_send = vec![0u8; p * n];
-    let mut padded_recv = vec![0u8; p * n];
     {
         let _probe = span("padded.pad");
         for dst in 0..p {
@@ -541,26 +550,38 @@ fn padded_exchange<C: Communicator + ?Sized>(
                 .copy_from_slice(&sendbuf[d..d + sendcounts[dst]]);
         }
     }
+    if cfg.topology == EngineTopology::Bruck {
+        {
+            let _probe = span("padded.exchange");
+            zero_rotation_bruck_deliver(comm, &padded_send, n, cfg.radix, |src, slot| {
+                let want = recvcounts[src];
+                recvbuf[rdispls[src]..rdispls[src] + want].copy_from_slice(&slot[..want]);
+            })?;
+        }
+        let _probe = span("padded.scan");
+        let me = comm.rank();
+        let want = recvcounts[me];
+        recvbuf[rdispls[me]..rdispls[me] + want]
+            .copy_from_slice(&padded_send[me * n..me * n + want]);
+        return Ok(());
+    }
+    let mut padded_recv = vec![0u8; p * n];
     {
         let _probe = span("padded.exchange");
-        if cfg.topology == EngineTopology::Direct {
-            // The padded region is the packed send buffer: every message is
-            // a disjoint slice of it.
-            let counts = vec![n; p];
-            let displs: Vec<usize> = (0..p).map(|i| i * n).collect();
-            direct_exchange(
-                comm,
-                cfg.throttle_window,
-                padded_send,
-                &counts,
-                &displs,
-                &mut padded_recv,
-                &counts,
-                &displs,
-            )?;
-        } else {
-            zero_rotation_bruck_radix(comm, &padded_send, &mut padded_recv, n, cfg.radix)?;
-        }
+        // The padded region is the packed send buffer: every message is a
+        // disjoint slice of it.
+        let counts = vec![n; p];
+        let displs: Vec<usize> = (0..p).map(|i| i * n).collect();
+        direct_exchange(
+            comm,
+            cfg.throttle_window,
+            padded_send,
+            &counts,
+            &displs,
+            &mut padded_recv,
+            &counts,
+            &displs,
+        )?;
     }
     let _probe = span("padded.scan");
     for src in 0..p {
@@ -904,10 +925,10 @@ fn bruck_unpadded<C: Communicator + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{build_send, run_and_check_config, TEST_SIZES};
+    use super::super::testutil::{build_send, check_recv, run_and_check_config, TEST_SIZES};
     use super::*;
     use crate::packed_displs;
-    use bruck_comm::{MeteredComm, ThreadComm};
+    use bruck_comm::{MeteredComm, SimComm, ThreadComm};
     use bruck_workload::{Distribution, SizeMatrix};
 
     #[test]
@@ -1078,6 +1099,72 @@ mod tests {
             ] {
                 run_and_check_config(&cfg, m);
             }
+        }
+    }
+
+    #[test]
+    fn padded_bruck_writes_only_the_real_bytes_into_gapped_receive_blocks() {
+        // Every receive block is followed by a poison-filled gap shorter than
+        // the padding, so a delivery that wrote a whole `N`-byte slot instead
+        // of `recvcounts[src]` bytes would overwrite poison with padding. The
+        // buffer ends in `N` more poison bytes: such a delivery stays in
+        // bounds, every rank finishes, and the gap check reports it.
+        const POISON: u8 = 0xA5;
+        const GAP: usize = 3;
+        const N: usize = 40;
+        // Blocks of 0–16 bytes and one of `N` that sets the slot size.
+        let mut rows: Vec<Vec<usize>> =
+            (0..7).map(|s| (0..7).map(|d| (5 * s + 3 * d) % 17).collect()).collect();
+        rows[0][1] = N;
+        let m = SizeMatrix::from_rows(rows);
+        let run = |comm: &dyn Communicator| {
+            let me = comm.rank();
+            let (sendbuf, sendcounts, sdispls) = build_send(me, &m);
+            let recvcounts = m.recvcounts(me);
+            let mut rdispls = Vec::with_capacity(m.p());
+            let mut end = 0;
+            for &c in &recvcounts {
+                rdispls.push(end);
+                end += c + GAP;
+            }
+            let mut recvbuf = vec![POISON; end + N];
+            configurable_alltoallv(
+                comm,
+                &EngineConfig::as_padded_bruck(),
+                &sendbuf,
+                &sendcounts,
+                &sdispls,
+                &mut recvbuf,
+                &recvcounts,
+                &rdispls,
+            )
+            .unwrap();
+            check_recv(me, &m, &recvbuf, &rdispls);
+            for (src, (&at, &c)) in rdispls.iter().zip(&recvcounts).enumerate() {
+                assert_eq!(recvbuf[at + c..at + c + GAP], [POISON; GAP], "gap after block {src}");
+            }
+        };
+        ThreadComm::run(m.p(), |comm| run(comm));
+        for seed in [1, 7] {
+            SimComm::run(m.p(), seed, |comm| run(comm));
+        }
+    }
+
+    #[test]
+    fn a_recvcount_above_the_slot_size_is_a_typed_error() {
+        // A receive block larger than any block sent cannot be filled from
+        // an `N`-byte slot: both padded topologies refuse it before sending.
+        for cfg in [EngineConfig::as_padded_bruck(), EngineConfig::as_padded_alltoall()] {
+            let got = ThreadComm::run(1, |comm| {
+                let mut recvbuf = [0u8; 3];
+                configurable_alltoallv(comm, &cfg, &[7, 7], &[2], &[0], &mut recvbuf, &[3], &[0])
+            });
+            assert_eq!(
+                got,
+                [Err(CommError::BadArgument("recvcounts exceed the global maximum block size"))],
+                "{}",
+                cfg.key()
+            );
         }
     }
 

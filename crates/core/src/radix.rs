@@ -12,8 +12,16 @@
 //! holds the schedule, the uniform loop (Zero Rotation Bruck, whose `r = 2`
 //! point is the paper's algorithm) and the step enumeration the non-uniform
 //! engine's `radix` knob shares with it; the bench suite ablates the radix.
+//!
+//! The uniform loop keeps no working image: a block that must hop again
+//! stays in the receive region it arrived in (`(region, offset)` per slot,
+//! as the engine's unpadded loop does), and a block whose remaining digits
+//! are zero is handed to a delivery closure straight off the wire, exactly
+//! once. [`zero_rotation_bruck_radix`] delivers into `recvbuf[src · block..]`;
+//! the engine's padded path delivers `recvcounts[src]` bytes to
+//! `recvbuf[rdispls[src]..]`, which is its padding strip.
 
-use bruck_comm::{CommResult, Communicator, MsgBuf};
+use bruck_comm::{CommError, CommResult, Communicator, MsgBuf};
 
 use crate::common::{add_mod, rotation_index, sub_mod, uniform_step_tag};
 use crate::probe::span;
@@ -63,7 +71,8 @@ pub fn radix_step_rel_indices(
 }
 
 /// Radix-`r` Zero Rotation Bruck (uniform all-to-all). `radix = 2` is
-/// [`crate::AlltoallAlgorithm::ZeroRotationBruck`].
+/// [`crate::AlltoallAlgorithm::ZeroRotationBruck`]. Each block is written to
+/// `recvbuf` once, when it arrives for the last time.
 pub fn zero_rotation_bruck_radix<C: Communicator + ?Sized>(
     comm: &C,
     sendbuf: &[u8],
@@ -71,7 +80,33 @@ pub fn zero_rotation_bruck_radix<C: Communicator + ?Sized>(
     block: usize,
     radix: usize,
 ) -> CommResult<()> {
-    let p = validate_uniform(comm, sendbuf, recvbuf, block)?;
+    validate_uniform(comm, sendbuf, recvbuf, block)?;
+    zero_rotation_bruck_deliver(comm, sendbuf, block, radix, |src, data| {
+        recvbuf[src * block..(src + 1) * block].copy_from_slice(data);
+    })?;
+    // The self block never travels: I[p] = p.
+    let me = comm.rank();
+    recvbuf[me * block..(me + 1) * block].copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
+    Ok(())
+}
+
+/// The radix-`r` Zero Rotation Bruck loop over `sendbuf`'s `P` slots of
+/// `block` bytes. `deliver(src, bytes)` receives the block from rank `src`
+/// once, at the sub-step that finishes it, for every `src` but this rank (the
+/// self block never travels; the caller places it).
+///
+/// Store-and-forward needs no working image: `held[j]` says where in the kept
+/// receive regions slot `j`'s block arrived — `(region, offset)` — and until a
+/// sub-step delivers it, the slot is still the original send block `I[j]`.
+/// The per-step pack is the only copy besides the delivery.
+pub(crate) fn zero_rotation_bruck_deliver<C: Communicator + ?Sized>(
+    comm: &C,
+    sendbuf: &[u8],
+    block: usize,
+    radix: usize,
+    mut deliver: impl FnMut(usize, &[u8]),
+) -> CommResult<()> {
+    let p = comm.size();
     let me = comm.rank();
 
     // Phase 1 — O(P) rotation index array instead of an O(P·n) data rotation:
@@ -81,30 +116,28 @@ pub fn zero_rotation_bruck_radix<C: Communicator + ?Sized>(
         rotation_index(me, p)
     };
 
-    // received[j]: slot j's current data lives in recvbuf (it has been
-    // received in an earlier step) rather than in sendbuf[I[j]].
-    let mut received = vec![false; p];
-    let mut slots: Vec<usize> = Vec::new();
+    let mut regions: Vec<MsgBuf> = Vec::new();
+    let mut held: Vec<Option<(usize, usize)>> = vec![None; p];
+    let mut rel: Vec<usize> = Vec::new();
     for (idx, weight, d) in radix_schedule(p, radix) {
         let _probe = span("zero_rotation.step");
         let hop = d * weight; // < P by construction of the schedule
         let dest = sub_mod(me, hop, p);
         let src = add_mod(me, hop, p);
-        radix_step_rel_indices(p, weight, d, radix, &mut slots);
-        for j in &mut slots {
-            *j = add_mod(*j, me, p);
-        }
-        // Per-step pack is the only copy; the wire region moves to the
-        // transport as a `MsgBuf` without another allocation.
-        let mut wire = Vec::new();
-        for &abs in &slots {
-            let from = if received[abs] {
-                &recvbuf[abs * block..(abs + 1) * block]
-            } else {
-                let orig = rot[abs] * block;
-                &sendbuf[orig..orig + block]
-            };
-            wire.extend_from_slice(from);
+        radix_step_rel_indices(p, weight, d, radix, &mut rel);
+        // The wire region moves to the transport as a `MsgBuf` without
+        // another allocation.
+        let len = rel.len() * block;
+        let mut wire = Vec::with_capacity(len);
+        for &i in &rel {
+            let abs = add_mod(i, me, p);
+            match held[abs] {
+                Some((r, at)) => wire.extend_from_slice(&regions[r][at..at + block]),
+                None => {
+                    let orig = rot[abs] * block;
+                    wire.extend_from_slice(&sendbuf[orig..orig + block]);
+                }
+            }
         }
         let got = comm.sendrecv_buf(
             dest,
@@ -113,15 +146,22 @@ pub fn zero_rotation_bruck_radix<C: Communicator + ?Sized>(
             src,
             uniform_step_tag(idx),
         )?;
-        let mut at = 0;
-        for &abs in &slots {
-            recvbuf[abs * block..(abs + 1) * block].copy_from_slice(&got[at..at + block]);
-            received[abs] = true;
-            at += block;
+        if got.len() != len {
+            return Err(CommError::BadArgument("uniform step length mismatch"));
         }
+        // A block whose relative index is below this needs no further hop:
+        // every digit above the sub-step's position is zero.
+        let done_bound = weight.saturating_mul(radix);
+        for (k, &i) in rel.iter().enumerate() {
+            let abs = add_mod(i, me, p);
+            if i < done_bound {
+                deliver(abs, &got[k * block..(k + 1) * block]);
+            } else {
+                held[abs] = Some((regions.len(), k * block));
+            }
+        }
+        regions.push(got);
     }
-    // The self block never travels: I[p] = p.
-    recvbuf[me * block..(me + 1) * block].copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
     Ok(())
 }
 
@@ -225,6 +265,30 @@ mod tests {
                     zero_rotation_bruck_radix(comm, &sendbuf, &mut recvbuf, 4, radix).unwrap();
                     ut::check_recvbuf(me, p, 4, &recvbuf);
                 });
+            }
+        }
+    }
+
+    #[test]
+    fn delivery_sees_every_source_exactly_once() {
+        for p in [1usize, 2, 3, 5, 8, 12, 17, 27] {
+            for radix in [2usize, 3, 4, 7, 16] {
+                for block in [0usize, 3] {
+                    ThreadComm::run(p, |comm| {
+                        let me = comm.rank();
+                        let sendbuf = ut::fill_sendbuf(me, p, block);
+                        let mut seen = vec![0usize; p];
+                        zero_rotation_bruck_deliver(comm, &sendbuf, block, radix, |src, data| {
+                            seen[src] += 1;
+                            let want: Vec<u8> =
+                                (0..block).map(|idx| ut::pattern(src, me, idx)).collect();
+                            assert_eq!(data, want, "p={p} radix={radix} src={src}");
+                        })
+                        .unwrap();
+                        let expect: Vec<usize> = (0..p).map(|src| usize::from(src != me)).collect();
+                        assert_eq!(seen, expect, "p={p} radix={radix} block={block} rank {me}");
+                    });
+                }
             }
         }
     }

@@ -5,9 +5,10 @@
 //! — instead of physically rotating the send buffer, the index array
 //! `I[j] = (2p − j) % P` maps each working slot `j` to the original send
 //! block that the rotation would have placed there. First-time sends read
-//! straight out of the user's send buffer through `I`; received blocks are
-//! staged in the receive buffer itself (slot `j` is its own final home for
-//! uniform loads) and re-sent from there.
+//! straight out of the user's send buffer through `I`; a received block that
+//! must hop again is re-sent from the receive region it arrived in, and one
+//! that has arrived for the last time is copied to its slot `j` of the
+//! receive buffer (its final home for uniform loads).
 //!
 //! The loop itself is the radix-`r` one in
 //! [`crate::zero_rotation_bruck_radix`]; the paper's algorithm is its `r = 2`

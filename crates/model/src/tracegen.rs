@@ -5,7 +5,8 @@
 //! [`nonuniform_trace`] is keyed by [`EngineConfig`] — the one identity of an
 //! exchange — and walks the same decision tree as the engine
 //! (`engine.rs::direct_or_bruck`): sizing allreduce ← padding rule; padded →
-//! uniform slots + scan; `Direct` → one pairwise phase; unpadded `Bruck` →
+//! uniform slots (+ a scan on `Direct`, stripped on delivery on `Bruck`);
+//! `Direct` → one pairwise phase; unpadded `Bruck` →
 //! one radix-`r` step loop whose direction comes from the layout and whose
 //! metadata/data split — and whether the metadata's latency is exposed —
 //! comes from the coupling. Every config,
@@ -131,11 +132,18 @@ fn pairwise_step(
 /// The radix-`r` uniform Bruck steps over `n`-byte blocks: every rank ships
 /// the same `count · n` bytes per sub-step. `dt_per_block` is the datatype
 /// engine's descriptor work per block (`0` for explicit packing).
+///
+/// A sub-step copies its pack and then, with a working buffer, every block it
+/// receives (`2 × bytes`). With `forward_from_regions` (Zero Rotation Bruck) a
+/// block that hops again is re-sent from the region it arrived in, so only
+/// the blocks the sub-step finishes — relative index below `weight · radix`
+/// — are copied out of it.
 fn uniform_bruck_steps(
     p: usize,
     n: usize,
     radix: usize,
     dt_per_block: u32,
+    forward_from_regions: bool,
     sample: &RankSample,
     steps: &mut Vec<Step>,
 ) {
@@ -143,11 +151,17 @@ fn uniform_bruck_steps(
     for (idx, weight, d) in radix_schedule(p, radix) {
         radix_step_rel_indices(p, weight, d, radix, &mut rel);
         let bytes = (rel.len() * n) as u64;
+        let unpacked = if forward_from_regions {
+            let done_bound = weight.saturating_mul(radix);
+            (rel.iter().filter(|&&i| i < done_bound).count() * n) as u64
+        } else {
+            bytes
+        };
         let load = RankLoad {
             seq_msgs: 1,
             bytes_out: bytes,
             bytes_in: bytes,
-            copy_bytes: 2 * bytes,
+            copy_bytes: bytes + unpacked,
             dt_blocks: dt_per_block * rel.len() as u32,
             ..Default::default()
         };
@@ -165,7 +179,7 @@ pub fn zero_rotation_radix_trace(
     sample: &RankSample,
 ) -> CommTrace {
     let mut steps = vec![copy_step(|_| 8 * p as u64, sample)];
-    uniform_bruck_steps(p, n, radix, 0, sample, &mut steps);
+    uniform_bruck_steps(p, n, radix, 0, true, sample, &mut steps);
     CommTrace { p, steps }
 }
 
@@ -197,7 +211,7 @@ pub fn uniform_trace(algo: AlltoallAlgorithm, p: usize, n: usize, sample: &RankS
     if rot_in {
         steps.push(rotation());
     }
-    uniform_bruck_steps(p, n, 2, dt_per_block, sample, &mut steps);
+    uniform_bruck_steps(p, n, 2, dt_per_block, false, sample, &mut steps);
     if rot_out {
         steps.push(rotation());
     }
@@ -245,13 +259,14 @@ pub fn nonuniform_trace<S: SizeSource + ?Sized>(
                 // Padding: write the P·N uniform buffer (reading row_sum bytes).
                 steps.push(copy_step(|q| (p * n_max) as u64 + source.row_sum(q), sample));
                 if bruck {
+                    // Each finished slot is stripped as it is delivered: no scan.
                     steps.extend(zero_rotation_radix_trace(p, n_max, cfg.radix, sample).steps);
                 } else {
                     let bytes = ((p - 1) * n_max) as u64;
                     steps.push(pairwise_step(p, issue, |_| (bytes, bytes), sample));
+                    // Scan the real bytes out of the padded receive buffer.
+                    steps.push(copy_step(|q| source.col_sum(q), sample));
                 }
-                // Scan the real bytes out of the padded receive buffer.
-                steps.push(copy_step(|q| source.col_sum(q), sample));
             } else if bruck {
                 let downward = cfg.layout == IntermediateLayout::Monolithic;
                 bruck_steps(&cfg, downward, source, sample, &mut steps);
@@ -733,6 +748,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn zero_rotation_copies_its_packs_and_each_block_out_once() {
+        // Forwarded blocks are re-sent from their receive regions: beyond the
+        // packs (= the wire bytes) and the index array, each of the P − 1
+        // travelling blocks is copied out exactly once, whatever the radix.
+        // The padded Bruck trace adds its pad and no scan.
+        let (p, n) = (27, 32);
+        let sample = RankSample::all(p);
+        let copies = |t: &CommTrace| -> u64 {
+            t.steps.iter().map(|s| s.loads[0].1.copy_bytes).sum()
+        };
+        for radix in [2usize, 3, 4, 7, 16] {
+            let t = zero_rotation_radix_trace(p, n, radix, &sample);
+            let packs = t.total_wire_bytes() / p as u64;
+            assert_eq!(copies(&t), 8 * p as u64 + packs + ((p - 1) * n) as u64, "radix {radix}");
+        }
+        let s = src(p, n);
+        let padded = nonuniform_trace(AlltoallvAlgorithm::PaddedBruck, &s, &sample);
+        let uniform = zero_rotation_radix_trace(p, s.n_max(), 2, &sample);
+        let pad = (p * s.n_max()) as u64 + s.row_sum(0);
+        assert_eq!(copies(&padded), pad + copies(&uniform));
     }
 
     #[test]
