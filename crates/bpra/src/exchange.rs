@@ -1,16 +1,17 @@
-//! Tuple redistribution: one control exchange and one non-uniform all-to-all
-//! per fixpoint round (DESIGN.md §14.5).
+//! Tuple redistribution: one non-uniform all-to-all per fixpoint round, whose
+//! receivers learn their counts from the exchange itself (DESIGN.md §14.5).
 
 use std::time::{Duration, Instant};
 
-use bruck_comm::{CommResult, Communicator};
-use bruck_core::{alltoall, alltoallv, packed_displs, AlltoallAlgorithm, AlltoallvAlgorithm};
+use bruck_comm::{CommError, CommResult, Communicator};
+use bruck_core::{alltoallv_discover, packed_displs, AlltoallvAlgorithm, EngineConfig};
 
-use crate::{decode_all, encode_into, Tuple};
+use crate::tuple::{decode_into, le_u64};
+use crate::{encode_into, Tuple, TUPLE_BYTES};
 
-/// Bytes of one control block: `(bytes I send you, my largest block, my
-/// vote)` as little-endian `u64`s.
-const CONTROL_BYTES: usize = 24;
+/// Bytes of the lane header at the front of every destination segment:
+/// `(my largest block, my vote)` as little-endian `u64`s.
+const HEADER_BYTES: usize = 16;
 
 /// Instrumentation for one exchange (the data behind Figure 12).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -19,11 +20,12 @@ pub struct ExchangeStats {
     pub n_max: usize,
     /// Sum of every rank's `vote` (see [`exchange_tuples`]).
     pub votes: u64,
-    /// Bytes this rank sent (all destinations, including self block).
+    /// Tuple bytes this rank sent (all destinations, including the self
+    /// block; the lane headers are not counted).
     pub bytes_sent: usize,
     /// Tuples this rank received.
     pub tuples_received: usize,
-    /// Wall-clock time of the control exchange plus the all-to-all.
+    /// Wall-clock time of the exchange.
     pub comm_time: Duration,
 }
 
@@ -35,52 +37,67 @@ pub struct ExchangeStats {
 /// (§5: "this step was simple as our algorithm has the same function
 /// signature as MPI_Alltoallv").
 ///
-/// What the ranks must agree on first rides one uniform Bruck all-to-all of
-/// 24-byte blocks: the receive counts, the global `N`, and the sum of the
-/// callers' `vote`s (a fixpoint's termination; 0 without one). With `N == 0`
-/// every rank knows nothing moves, and the data exchange is skipped.
+/// It is one [`alltoallv_discover`]: every destination segment starts with a
+/// 16-byte lane header, so each rank reads the global `N` (the max of the
+/// first lane) and the sum of the callers' `vote`s (a fixpoint's
+/// termination; 0 without one) off what it receives, and the engine finds
+/// the receive counts on the exchange's own wire. Consecutive calls on one
+/// communicator must alternate `odd_round`.
+///
+/// Every length here is a peer's word: a segment shorter than its header or
+/// with a partial tuple, like an `outboxes` of the wrong length, is a
+/// [`CommError::BadArgument`].
 pub fn exchange_tuples<C: Communicator + ?Sized>(
     comm: &C,
     algo: AlltoallvAlgorithm,
     outboxes: &[Vec<Tuple>],
     vote: u64,
+    odd_round: bool,
 ) -> CommResult<(Vec<Tuple>, ExchangeStats)> {
-    assert_eq!(outboxes.len(), comm.size(), "one outbox per rank");
+    if outboxes.len() != comm.size() {
+        return Err(CommError::BadArgument("one outbox per rank"));
+    }
 
-    // Encode every outbox straight into the single packed send region — no
-    // per-destination staging buffer; the alltoallv below sends views of it.
-    let sendcounts: Vec<usize> = outboxes.iter().map(|b| b.len() * crate::TUPLE_BYTES).collect();
+    // Encode every outbox, behind its header, straight into the single packed
+    // send region — no per-destination staging buffer.
+    let local_max = outboxes.iter().map(Vec::len).max().unwrap_or(0) * TUPLE_BYTES;
+    let sendcounts: Vec<usize> =
+        outboxes.iter().map(|b| HEADER_BYTES + b.len() * TUPLE_BYTES).collect();
     let sdispls = packed_displs(&sendcounts);
     let mut sendbuf = Vec::with_capacity(sendcounts.iter().sum());
     for b in outboxes {
+        sendbuf.extend_from_slice(&(local_max as u64).to_le_bytes());
+        sendbuf.extend_from_slice(&vote.to_le_bytes());
         for &t in b {
             encode_into(t, &mut sendbuf);
         }
     }
-    let local_max = sendcounts.iter().copied().max().unwrap_or(0) as u64;
-    let lanes = sendcounts.iter().flat_map(|&count| [count as u64, local_max, vote]);
-    let control: Vec<u8> = lanes.flat_map(u64::to_le_bytes).collect();
 
     let start = Instant::now();
-    let mut gathered = vec![0u8; control.len()];
-    alltoall(AlltoallAlgorithm::ZeroRotationBruck, comm, &control, &mut gathered, CONTROL_BYTES)?;
-    let word = |w: &[u8]| u64::from_le_bytes(std::array::from_fn(|b| w[b]));
-    let lane = |i: usize| gathered.chunks_exact(8).skip(i).step_by(CONTROL_BYTES / 8).map(word);
-    let recvcounts: Vec<usize> = lane(0).map(|n| n as usize).collect();
-    // The iteration's global maximum block size (Figure 12's N series).
-    let n_max = lane(1).max().unwrap_or(0) as usize;
-    let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-    if n_max > 0 {
-        let rdispls = packed_displs(&recvcounts);
-        alltoallv(algo, comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls)?;
-    }
+    let cfg = EngineConfig::for_algorithm(algo);
+    let (recvbuf, recvcounts) =
+        alltoallv_discover(comm, &cfg, &sendbuf, &sendcounts, &sdispls, odd_round)?;
     let comm_time = start.elapsed();
 
-    let received = decode_all(&recvbuf);
+    // The iteration's global maximum block size (Figure 12's N series).
+    let (mut n_max, mut votes) = (0u64, 0u64);
+    let mut received = Vec::with_capacity(recvbuf.len() / TUPLE_BYTES);
+    let mut segments = recvbuf.as_slice();
+    for count in recvcounts {
+        let (segment, rest) = segments.split_at(count);
+        segments = rest;
+        if segment.len() < HEADER_BYTES {
+            return Err(CommError::BadArgument("tuple segment shorter than its header"));
+        }
+        let (header, tuples) = segment.split_at(HEADER_BYTES);
+        n_max = n_max.max(le_u64(header));
+        votes = votes.saturating_add(le_u64(&header[8..]));
+        decode_into(tuples, &mut received)?;
+    }
     let stats = ExchangeStats {
-        n_max,
-        votes: lane(2).sum(),
-        bytes_sent: sendbuf.len(),
+        n_max: n_max as usize,
+        votes,
+        bytes_sent: sendbuf.len() - HEADER_BYTES * outboxes.len(),
         tuples_received: received.len(),
         comm_time,
     };
@@ -89,8 +106,8 @@ pub fn exchange_tuples<C: Communicator + ?Sized>(
 
 /// The driver of a semi-naive loop. Round `r` ships what the caller
 /// derived from round `r − 1`'s delta and votes that delta's size, so the
-/// control exchange that sizes round `r` also tells whether round `r − 1` was
-/// the last: the verdict is one round late and costs no allreduce.
+/// exchange of round `r` also tells whether round `r − 1` was the last: the
+/// verdict is one round late and costs no allreduce.
 #[derive(Debug, Default)]
 pub(crate) struct Fixpoint {
     /// Per data round: the globally new facts it produced (filled in by the
@@ -102,7 +119,7 @@ impl Fixpoint {
     /// Run one round; `None` at the fixpoint. New facts come only from
     /// received tuples and outboxes only from new facts, so the loop is over
     /// when the previous round found nothing anywhere (this round moved no
-    /// data: its control exchange is booked to that one) or when this one has
+    /// tuples: its exchange is booked to that one) or when this one has
     /// `N == 0` (counted, as the round that found nothing).
     pub fn round<C: Communicator + ?Sized>(
         &mut self,
@@ -111,7 +128,9 @@ impl Fixpoint {
         outboxes: &[Vec<Tuple>],
         new_facts: u64,
     ) -> CommResult<Option<Vec<Tuple>>> {
-        let (received, stats) = exchange_tuples(comm, algo, outboxes, new_facts)?;
+        // Every call but the last pushes a round, so this alternates.
+        let odd_round = self.rounds.len() % 2 == 1;
+        let (received, stats) = exchange_tuples(comm, algo, outboxes, new_facts, odd_round)?;
         if let Some(last) = self.rounds.last_mut() {
             last.0 = stats.votes;
             if stats.votes == 0 {
@@ -128,13 +147,19 @@ impl Fixpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bruck_comm::ThreadComm;
+    use bruck_comm::{SimComm, ThreadComm};
     use crate::owner;
 
     #[test]
     fn exchange_routes_tuples_to_their_destination() {
         let p = 6;
-        for algo in [AlltoallvAlgorithm::Vendor, AlltoallvAlgorithm::TwoPhaseBruck] {
+        // Counts off the metadata chain, off the message lengths, and off the
+        // counts exchange in front of a padded one.
+        for algo in [
+            AlltoallvAlgorithm::Vendor,
+            AlltoallvAlgorithm::TwoPhaseBruck,
+            AlltoallvAlgorithm::PaddedBruck,
+        ] {
             let results = ThreadComm::run(p, |comm| {
                 let me = comm.rank() as u64;
                 // Send (me, dst) to each dst, and two tuples to dst 0.
@@ -143,7 +168,7 @@ mod tests {
                     outbox.push((me, dst as u64));
                 }
                 outboxes[0].push((me, 999));
-                let (got, stats) = exchange_tuples(comm, algo, &outboxes, 0).unwrap();
+                let (got, stats) = exchange_tuples(comm, algo, &outboxes, 0, false).unwrap();
                 assert_eq!(stats.bytes_sent, (p + 1) * crate::TUPLE_BYTES);
                 (comm.rank(), got, stats)
             });
@@ -167,10 +192,61 @@ mod tests {
         ThreadComm::run(4, |comm| {
             let outboxes = vec![Vec::new(); 4];
             let (got, stats) =
-                exchange_tuples(comm, AlltoallvAlgorithm::TwoPhaseBruck, &outboxes, 0).unwrap();
+                exchange_tuples(comm, AlltoallvAlgorithm::TwoPhaseBruck, &outboxes, 0, false)
+                    .unwrap();
             assert!(got.is_empty());
             assert_eq!(stats.n_max, 0);
         });
+    }
+
+    /// What each rank of a P = 3 world gets from one exchange when rank 1 is
+    /// a rogue peer that sends rank 0 `segment` in place of a lane header and
+    /// tuples (and everyone else an honest empty segment), or, with
+    /// `segment = None`, when every rank passes one outbox too many.
+    fn against_rogue_peer(comm: &dyn Communicator, segment: Option<&[u8]>) -> Option<CommError> {
+        let p = comm.size();
+        let algo = AlltoallvAlgorithm::TwoPhaseBruck;
+        let Some(segment) = segment else {
+            return exchange_tuples(comm, algo, &vec![Vec::new(); p + 1], 0, false).err();
+        };
+        if comm.rank() != 1 {
+            return exchange_tuples(comm, algo, &vec![Vec::new(); p], 0, false).err();
+        }
+        let mut counts = vec![HEADER_BYTES; p];
+        counts[0] = segment.len();
+        let mut sendbuf = segment.to_vec();
+        sendbuf.resize(counts.iter().sum(), 0);
+        let cfg = EngineConfig::for_algorithm(algo);
+        alltoallv_discover(comm, &cfg, &sendbuf, &counts, &packed_displs(&counts), false).err()
+    }
+
+    /// The rogue segments and wrong outboxes, with what each rank must get.
+    fn rogue_cases() -> [(Option<&'static [u8]>, Vec<Option<CommError>>); 3] {
+        let short = CommError::BadArgument("tuple segment shorter than its header");
+        let partial = CommError::BadArgument("truncated tuple buffer");
+        let outboxes = CommError::BadArgument("one outbox per rank");
+        [
+            (Some(&[7; 7]), vec![Some(short), None, None]),
+            (Some(&[7; HEADER_BYTES + 5]), vec![Some(partial), None, None]),
+            (None, vec![Some(outboxes); 3]),
+        ]
+    }
+
+    #[test]
+    fn a_rogue_peer_gets_a_typed_error_on_thread_comm() {
+        for (segment, want) in rogue_cases() {
+            assert_eq!(ThreadComm::run(3, |comm| against_rogue_peer(comm, segment)), want);
+        }
+    }
+
+    #[test]
+    fn a_rogue_peer_gets_a_typed_error_on_sim_comm() {
+        for (segment, want) in rogue_cases() {
+            for seed in [1, 2] {
+                let run = SimComm::run(3, seed, |comm| against_rogue_peer(comm, segment));
+                assert_eq!(run.results, want, "seed {seed}");
+            }
+        }
     }
 
     #[test]
@@ -184,8 +260,9 @@ mod tests {
                 let t = (me * 1000 + i, i);
                 outboxes[owner(t.1, p)].push(t);
             }
-            let (got, _) = exchange_tuples(comm, AlltoallvAlgorithm::TwoPhaseBruck, &outboxes, 0)
-                .unwrap();
+            let (got, _) =
+                exchange_tuples(comm, AlltoallvAlgorithm::TwoPhaseBruck, &outboxes, 0, false)
+                    .unwrap();
             (comm.rank(), got)
         });
         for (rank, got) in results {

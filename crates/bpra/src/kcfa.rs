@@ -91,7 +91,8 @@ pub fn kcfa_like_run<C: Communicator + ?Sized>(
     let mut facts_received = 0u64;
     for iter in 0..cfg.iterations {
         // No vote: the schedule, not a fixpoint, decides when this run ends.
-        let (received, stats) = exchange_tuples(comm, algo, &outboxes_at(cfg, me, iter, p), 0)?;
+        let outboxes = outboxes_at(cfg, me, iter, p);
+        let (received, stats) = exchange_tuples(comm, algo, &outboxes, 0, iter % 2 == 1)?;
         facts_received += received.len() as u64;
         per_iteration.push(stats);
     }

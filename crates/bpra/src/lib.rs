@@ -18,7 +18,8 @@
 //!   [`outboxes_at`] are the schedule itself, for oracles.
 //! * [`graph1_like`] / [`graph2_like`] — the two topology regimes of Fig. 11.
 //! * [`exchange_tuples`] → [`ExchangeStats`] — the one communication step of
-//!   both: a fused control round plus one `alltoallv`.
+//!   both: one `alltoallv` whose receivers learn their counts, `N` and the
+//!   termination vote from what it delivers.
 //! * [`Relation`], [`Tuple`] ([`TUPLE_BYTES`] on the wire via [`encode_into`]
 //!   / [`encode_all`] / [`decode_all`]) and [`owner`], the hash partitioning.
 //! * [`recovering_closure`] → [`RecoveringTcResult`],

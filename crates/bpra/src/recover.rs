@@ -71,7 +71,7 @@ pub fn exchange_tuples_recovering<C: Communicator + ?Sized>(
         }
     }
     let recovery = recovering_alltoallv(cfg, comm, view, &sendcounts, &sendbuf)?;
-    let tuples = decode_all(&recovery.recvbuf);
+    let tuples = decode_all(&recovery.recvbuf)?;
     Ok((tuples, recovery))
 }
 

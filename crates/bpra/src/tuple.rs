@@ -1,5 +1,7 @@
 //! Binary relation tuples and their wire encoding.
 
+use bruck_comm::{CommError, CommResult};
+
 /// A binary relation tuple (the BPRA papers' relations are sets of arity-2
 /// facts: graph edges, analysis facts).
 pub type Tuple = (u64, u64);
@@ -23,21 +25,28 @@ pub fn encode_all(tuples: &[Tuple]) -> Vec<u8> {
     out
 }
 
-/// Decode a byte buffer produced by [`encode_all`].
-///
-/// # Panics
-/// If the buffer length is not a multiple of [`TUPLE_BYTES`].
-pub fn decode_all(bytes: &[u8]) -> Vec<Tuple> {
-    assert!(bytes.len().is_multiple_of(TUPLE_BYTES), "truncated tuple buffer");
-    bytes
-        .chunks_exact(TUPLE_BYTES)
-        .map(|c| {
-            (
-                u64::from_le_bytes(c[0..8].try_into().expect("8-byte field")),
-                u64::from_le_bytes(c[8..16].try_into().expect("8-byte field")),
-            )
-        })
-        .collect()
+/// Decode a byte buffer produced by [`encode_all`]. The bytes usually came
+/// off the wire, so a length that is not a multiple of [`TUPLE_BYTES`] is a
+/// [`CommError::BadArgument`].
+pub fn decode_all(bytes: &[u8]) -> CommResult<Vec<Tuple>> {
+    let mut out = Vec::with_capacity(bytes.len() / TUPLE_BYTES);
+    decode_into(bytes, &mut out)?;
+    Ok(out)
+}
+
+/// [`decode_all`], appending to `out`.
+pub(crate) fn decode_into(bytes: &[u8], out: &mut Vec<Tuple>) -> CommResult<()> {
+    if !bytes.len().is_multiple_of(TUPLE_BYTES) {
+        return Err(CommError::BadArgument("truncated tuple buffer"));
+    }
+    out.extend(bytes.chunks_exact(TUPLE_BYTES).map(|c| (le_u64(&c[..8]), le_u64(&c[8..]))));
+    Ok(())
+}
+
+/// The little-endian `u64` in the first eight bytes of `bytes`.
+#[inline]
+pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(std::array::from_fn(|b| bytes[b]))
 }
 
 /// The rank that owns a value under hash partitioning (FNV-1a, stable across
@@ -59,18 +68,23 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let tuples = vec![(0u64, 1u64), (u64::MAX, 42), (7, 7)];
-        assert_eq!(decode_all(&encode_all(&tuples)), tuples);
+        assert_eq!(decode_all(&encode_all(&tuples)), Ok(tuples));
     }
 
     #[test]
     fn empty_roundtrip() {
-        assert_eq!(decode_all(&encode_all(&[])), Vec::<Tuple>::new());
+        assert_eq!(decode_all(&encode_all(&[])), Ok(Vec::<Tuple>::new()));
     }
 
     #[test]
-    #[should_panic(expected = "truncated")]
     fn decode_rejects_truncated() {
-        decode_all(&[0u8; 15]);
+        for len in [1, 15, 17, 31] {
+            assert_eq!(
+                decode_all(&vec![0u8; len]),
+                Err(CommError::BadArgument("truncated tuple buffer")),
+                "{len} bytes"
+            );
+        }
     }
 
     #[test]

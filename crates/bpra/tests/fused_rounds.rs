@@ -1,5 +1,5 @@
-//! The fused control round (DESIGN.md §14.5): its message counts at P = 8,
-//! and results identical to the three-collective driver it replaced.
+//! The one-exchange fixpoint round (DESIGN.md §14.5): its message counts at
+//! P = 8, and results identical to the three-collective driver it replaced.
 
 use bruck_bpra::{
     decode_all, encode_all, exchange_tuples, graph1_like, kcfa_like_run, outboxes_at, owner,
@@ -8,31 +8,34 @@ use bruck_bpra::{
 use bruck_comm::{Communicator, EventComm, MeteredComm, ReduceOp, SimComm, ThreadComm};
 use bruck_core::{alltoallv, packed_displs, AlltoallvAlgorithm};
 
-const ALGO: AlltoallvAlgorithm = AlltoallvAlgorithm::TwoPhaseBruck;
+/// The paper's swap: vendor `MPI_Alltoallv` against two-phase Bruck.
+const ALGOS: [AlltoallvAlgorithm; 2] = [AlltoallvAlgorithm::TwoPhaseBruck, AlltoallvAlgorithm::Vendor];
 
 #[test]
-fn a_round_is_nine_messages_with_data_and_three_without_at_p8() {
+fn a_round_is_one_exchange_with_or_without_data_at_p8() {
     let p = 8;
-    let sent = ThreadComm::run(p, |comm| {
-        let mc = MeteredComm::new(comm);
-        let round = |outboxes: &[Vec<Tuple>]| {
-            mc.reset();
-            let (_, stats) = exchange_tuples(&mc, ALGO, outboxes, 0).unwrap();
-            let m = mc.metrics();
-            (stats.n_max, m.logical.sent_msgs, m.reserved.sent_msgs)
-        };
-        // One tuple from rank 3 to rank 5 is data for the whole world.
-        let mut outboxes = vec![Vec::new(); p];
-        if comm.rank() == 3 {
-            outboxes[5].push((1, 2));
+    // Two-phase: 3 metadata + 3 data messages; vendor: one per peer. Nothing
+    // on reserved tags: no collective runs beside the exchange.
+    for (algo, msgs) in ALGOS.into_iter().zip([6, 7]) {
+        let sent = ThreadComm::run(p, |comm| {
+            let mc = MeteredComm::new(comm);
+            let round = |outboxes: &[Vec<Tuple>], odd_round| {
+                mc.reset();
+                let (_, stats) = exchange_tuples(&mc, algo, outboxes, 0, odd_round).unwrap();
+                let m = mc.metrics();
+                (stats.n_max, m.logical.sent_msgs, m.reserved.sent_msgs)
+            };
+            // One tuple from rank 3 to rank 5 is data for the whole world.
+            let mut outboxes = vec![Vec::new(); p];
+            if comm.rank() == 3 {
+                outboxes[5].push((1, 2));
+            }
+            [round(&outboxes, false), round(&vec![Vec::new(); p], true)]
+        });
+        for [with_data, without] in sent {
+            assert_eq!(with_data, (TUPLE_BYTES, msgs, 0), "{algo:?}");
+            assert_eq!(without, (0, msgs, 0), "{algo:?}");
         }
-        [round(&outboxes), round(&vec![Vec::new(); p])]
-    });
-    for [with_data, without] in sent {
-        // 3 control + (3 metadata + 3 data) two-phase steps, nothing on
-        // reserved tags: the engine sizes no buffer, so it runs no allreduce.
-        assert_eq!(with_data, (TUPLE_BYTES, 9, 0));
-        assert_eq!(without, (0, 3, 0));
     }
 }
 
@@ -40,6 +43,7 @@ fn a_round_is_nine_messages_with_data_and_three_without_at_p8() {
 /// then the same `alltoallv`.
 fn parent_exchange<C: Communicator + ?Sized>(
     comm: &C,
+    algo: AlltoallvAlgorithm,
     outboxes: &[Vec<Tuple>],
 ) -> (Vec<Tuple>, usize) {
     let sendcounts: Vec<usize> = outboxes.iter().map(|b| b.len() * TUPLE_BYTES).collect();
@@ -49,9 +53,9 @@ fn parent_exchange<C: Communicator + ?Sized>(
     let recvcounts = comm.alltoall_counts(&sendcounts).unwrap();
     let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
     let (sdispls, rdispls) = (packed_displs(&sendcounts), packed_displs(&recvcounts));
-    alltoallv(ALGO, comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls)
+    alltoallv(algo, comm, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls)
         .unwrap();
-    (decode_all(&recvbuf), n_max)
+    (decode_all(&recvbuf).unwrap(), n_max)
 }
 
 /// Everything a rank's run leaves behind that does not depend on the clock:
@@ -60,7 +64,11 @@ fn parent_exchange<C: Communicator + ?Sized>(
 type Outcome = (Vec<Tuple>, u64, Vec<(usize, u64)>);
 
 /// The parent's closure loop: an allreduce per iteration decides termination.
-fn parent_closure<C: Communicator + ?Sized>(comm: &C, edges: &[Tuple]) -> Outcome {
+fn parent_closure<C: Communicator + ?Sized>(
+    comm: &C,
+    algo: AlltoallvAlgorithm,
+    edges: &[Tuple],
+) -> Outcome {
     let (p, me) = (comm.size(), comm.rank());
     let my_edges: Relation = edges.iter().copied().filter(|e| owner(e.0, p) == me).collect();
     let mut paths: Relation = edges.iter().copied().filter(|e| owner(e.1, p) == me).collect();
@@ -69,7 +77,7 @@ fn parent_closure<C: Communicator + ?Sized>(comm: &C, edges: &[Tuple]) -> Outcom
     loop {
         let mut outboxes = vec![Vec::new(); p];
         my_edges.join_on_first(&delta, |x, _y, z| outboxes[owner(z, p)].push((x, z)));
-        let (received, n_max) = parent_exchange(comm, &outboxes);
+        let (received, n_max) = parent_exchange(comm, algo, &outboxes);
         delta = received.into_iter().filter(|&t| paths.insert(t)).collect();
         let new_paths = comm.allreduce_u64(delta.len() as u64, ReduceOp::Sum).unwrap();
         series.push((n_max, new_paths));
@@ -83,8 +91,12 @@ fn parent_closure<C: Communicator + ?Sized>(comm: &C, edges: &[Tuple]) -> Outcom
     (shard, total, series)
 }
 
-fn fused_closure<C: Communicator + ?Sized>(comm: &C, edges: &[Tuple]) -> Outcome {
-    let r = transitive_closure(comm, ALGO, edges).unwrap();
+fn fused_closure<C: Communicator + ?Sized>(
+    comm: &C,
+    algo: AlltoallvAlgorithm,
+    edges: &[Tuple],
+) -> Outcome {
+    let r = transitive_closure(comm, algo, edges).unwrap();
     assert_eq!(r.iterations, r.per_iteration.len());
     let mut shard: Vec<Tuple> = r.local_paths.iter().copied().collect();
     shard.sort_unstable();
@@ -94,11 +106,11 @@ fn fused_closure<C: Communicator + ?Sized>(comm: &C, edges: &[Tuple]) -> Outcome
 
 const KCFA: KcfaConfig = KcfaConfig { iterations: 12, base_facts: 3, seed: 0xCFA8 };
 
-fn parent_kcfa<C: Communicator + ?Sized>(comm: &C) -> Outcome {
+fn parent_kcfa<C: Communicator + ?Sized>(comm: &C, algo: AlltoallvAlgorithm) -> Outcome {
     let (p, me) = (comm.size(), comm.rank());
     let (mut facts_received, mut series) = (0, Vec::new());
     for iter in 0..KCFA.iterations {
-        let (received, n_max) = parent_exchange(comm, &outboxes_at(&KCFA, me, iter, p));
+        let (received, n_max) = parent_exchange(comm, algo, &outboxes_at(&KCFA, me, iter, p));
         facts_received += received.len() as u64;
         series.push((n_max, 0));
     }
@@ -106,8 +118,8 @@ fn parent_kcfa<C: Communicator + ?Sized>(comm: &C) -> Outcome {
     (Vec::new(), facts_received, series)
 }
 
-fn fused_kcfa<C: Communicator + ?Sized>(comm: &C) -> Outcome {
-    let r = kcfa_like_run(comm, ALGO, &KCFA).unwrap();
+fn fused_kcfa<C: Communicator + ?Sized>(comm: &C, algo: AlltoallvAlgorithm) -> Outcome {
+    let r = kcfa_like_run(comm, algo, &KCFA).unwrap();
     (Vec::new(), r.facts_received, r.per_iteration.iter().map(|s| (s.n_max, s.votes)).collect())
 }
 
@@ -131,14 +143,16 @@ fn closure_and_kcfa_results_are_the_parents_on_every_backend() {
     // Deep enough for a few dozen rounds, with rounds near the end that
     // carry only duplicates.
     let edges = graph1_like(2, 14, 4, 7);
-    let want = ThreadComm::run(p, |comm| parent_closure(comm, &edges));
-    assert!(want[0].2.len() > 10 && want[0].1 > 0, "{:?}", want[0].2);
-    for got in on_every_backend(p, |comm| fused_closure(comm, &edges)) {
-        assert_eq!(got, want);
-    }
-    let want = ThreadComm::run(p, parent_kcfa);
-    assert!(want.iter().all(|(_, total, _)| *total > 0));
-    for got in on_every_backend(p, |comm| fused_kcfa(comm)) {
-        assert_eq!(got, want);
+    for algo in ALGOS {
+        let want = ThreadComm::run(p, |comm| parent_closure(comm, algo, &edges));
+        assert!(want[0].2.len() > 10 && want[0].1 > 0, "{:?}", want[0].2);
+        for got in on_every_backend(p, |comm| fused_closure(comm, algo, &edges)) {
+            assert_eq!(got, want, "{algo:?}");
+        }
+        let want = ThreadComm::run(p, |comm| parent_kcfa(comm, algo));
+        assert!(want.iter().all(|(_, total, _)| *total > 0));
+        for got in on_every_backend(p, |comm| fused_kcfa(comm, algo)) {
+            assert_eq!(got, want, "{algo:?}");
+        }
     }
 }

@@ -69,8 +69,8 @@ fn reduce_op_name(op: ReduceOp) -> &'static str {
 // Op: what runs
 // ---------------------------------------------------------------------------
 
-/// The multi-epoch tenants: a whole fixpoint of control + data rounds over
-/// two-phase Bruck (the paper's §5 swap), reusing every tag round after round.
+/// The multi-epoch tenants: a whole fixpoint of one-exchange rounds, whose
+/// tags alternate between two blocks round after round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fixpoint {
     /// `transitive_closure` of a deep graph: two chains of `n_max` edges
@@ -102,8 +102,11 @@ pub enum Op {
     ReduceScatter(ReduceScatterAlgorithm, ReduceOp),
     /// Vector allreduce by schedule and operator.
     Allreduce(AllreduceAlgorithm, ReduceOp),
-    /// A `bruck-bpra` fixpoint, start to finish.
-    Fixpoint(Fixpoint),
+    /// A `bruck-bpra` fixpoint, start to finish, over this `alltoallv`.
+    /// The algorithm picks how a round's receivers learn their counts: off
+    /// two-phase Bruck's metadata chain, off the vendor exchange's message
+    /// lengths, or off a counts exchange in front of any other.
+    Fixpoint(Fixpoint, AlltoallvAlgorithm),
 }
 
 impl Op {
@@ -130,7 +133,7 @@ impl Op {
             | Op::Allgatherv(_)
             | Op::ReduceScatter(..)
             | Op::Allreduce(..)
-            | Op::Fixpoint(_) => None,
+            | Op::Fixpoint(..) => None,
         }
     }
 
@@ -158,8 +161,8 @@ impl Op {
             Op::ReduceScatter(ReduceScatterAlgorithm::Pat, op) => reduce("rs/pat", op),
             Op::Allreduce(AllreduceAlgorithm::RecursiveDoubling, op) => reduce("ar/doubling", op),
             Op::Allreduce(AllreduceAlgorithm::ReduceScatterAllgather, op) => reduce("ar/rsag", op),
-            Op::Fixpoint(Fixpoint::Tc) => "fixpoint/tc".to_string(),
-            Op::Fixpoint(Fixpoint::Kcfa) => "fixpoint/kcfa".to_string(),
+            Op::Fixpoint(Fixpoint::Tc, algo) => format!("fixpoint/tc:{}", squash(algo.name())),
+            Op::Fixpoint(Fixpoint::Kcfa, algo) => format!("fixpoint/kcfa:{}", squash(algo.name())),
         }
     }
 
@@ -179,7 +182,9 @@ impl Op {
         let mut known: Vec<Op> = AlltoallvAlgorithm::ALL.map(Op::named).to_vec();
         known.extend(AlltoallvAlgorithm::ALL.map(Op::Plan));
         known.extend(ReduceOp::ALL.into_iter().flat_map(Op::schedules));
-        known.extend(Fixpoint::ALL.map(Op::Fixpoint));
+        for app in Fixpoint::ALL {
+            known.extend(AlltoallvAlgorithm::ALL.map(|algo| Op::Fixpoint(app, algo)));
+        }
         known.into_iter().find(|op| op.label() == tok).ok_or_else(bad)
     }
 }
@@ -345,9 +350,16 @@ impl Faults {
 // Cell: one op on one workload
 // ---------------------------------------------------------------------------
 
-/// The all-to-all under every fixpoint cell (and under the frozen
-/// benchmark's application cells).
+/// The all-to-all under most fixpoint cells (and under the frozen
+/// benchmark's application cells): its receivers read their counts off the
+/// metadata chain.
 pub const FIXPOINT_ALGORITHM: AlltoallvAlgorithm = AlltoallvAlgorithm::TwoPhaseBruck;
+
+/// The other two ways a fixpoint round finds its counts, each with its own
+/// check and sim rows: message lengths (vendor) and the counts exchange in
+/// front of a padded exchange.
+pub const FIXPOINT_DISCOVERY: [AlltoallvAlgorithm; 2] =
+    [AlltoallvAlgorithm::Vendor, AlltoallvAlgorithm::PaddedBruck];
 
 /// Workload generators a cell may name; [`decode_meta`] looks labels up here.
 pub const DISTRIBUTIONS: [Distribution; 5] = [
@@ -523,13 +535,13 @@ impl Cell {
                 allreduce(algo, comm, &mut buf, op)?;
                 Ok(le(buf))
             }
-            Op::Fixpoint(Fixpoint::Tc) => {
-                let r = transitive_closure(comm, FIXPOINT_ALGORITHM, &self.tc_edges())?;
+            Op::Fixpoint(Fixpoint::Tc, algo) => {
+                let r = transitive_closure(comm, algo, &self.tc_edges())?;
                 Ok(Cell::tc_output(r.local_paths.iter().copied().collect(), r.total_paths))
             }
             // The facts received, then the `N` of every iteration.
-            Op::Fixpoint(Fixpoint::Kcfa) => {
-                let r = kcfa_like_run(comm, FIXPOINT_ALGORITHM, &self.kcfa_config())?;
+            Op::Fixpoint(Fixpoint::Kcfa, algo) => {
+                let r = kcfa_like_run(comm, algo, &self.kcfa_config())?;
                 let n_series = r.per_iteration.iter().map(|s| s.n_max as u64);
                 Ok(le(std::iter::once(r.facts_received).chain(n_series).collect()))
             }
@@ -576,14 +588,14 @@ impl Cell {
             Op::Allreduce(_, op) => {
                 le(&reference_allreduce(&self.u64_inputs(self.allreduce_len()), op))
             }
-            Op::Fixpoint(Fixpoint::Tc) => {
+            Op::Fixpoint(Fixpoint::Tc, _) => {
                 let closure = sequential_closure(&self.tc_edges());
                 let shard = closure.iter().copied().filter(|t| owner(t.1, self.p) == me);
                 Cell::tc_output(shard.collect(), closure.len() as u64)
             }
             // Every fact produced is received once, by its owner; `N` is the
             // largest outbox anywhere that iteration.
-            Op::Fixpoint(Fixpoint::Kcfa) => {
+            Op::Fixpoint(Fixpoint::Kcfa, _) => {
                 let cfg = self.kcfa_config();
                 let mut out = vec![0u64; 1 + cfg.iterations];
                 for iter in 0..cfg.iterations {
@@ -619,7 +631,7 @@ impl Cell {
                     Op::Allgatherv(_)
                     | Op::ReduceScatter(..)
                     | Op::Allreduce(..)
-                    | Op::Fixpoint(_) => String::new(),
+                    | Op::Fixpoint(..) => String::new(),
                 };
                 Err(format!("byte {i}{from}: got {:#04x}, want {:#04x}", got[i], want[i]))
             }
@@ -909,19 +921,22 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
         }
     }
 
-    // The multi-epoch tenants: every tag reused round after round, control
-    // and data exchanges alternating — at every size, and once for well over
-    // a hundred rounds.
+    // The multi-epoch tenants: every tag reused two rounds later, the round
+    // in between on the other tag block — at every size, once for well over
+    // a hundred rounds, and once per other way of finding the counts.
     for app in Fixpoint::ALL {
+        let fixpoint = |algo| Op::Fixpoint(app, algo);
         for p in SIZES {
-            check(cell(Op::Fixpoint(app), Uniform, p, 24, 0xF1C5 + p as u64));
+            check(cell(fixpoint(FIXPOINT_ALGORITHM), Uniform, p, 24, 0xF1C5 + p as u64));
         }
-        check(cell(Op::Fixpoint(app), Uniform, 8, 160, 0xF1C5));
+        check(cell(fixpoint(FIXPOINT_ALGORITHM), Uniform, 8, 160, 0xF1C5));
+        for algo in FIXPOINT_DISCOVERY {
+            check(cell(fixpoint(algo), Uniform, 5, 24, 0xF1C5 + 5));
+        }
     }
     // Shortcut-free chains end on a round that derives nothing from a
-    // non-empty delta: the `N == 0` exit, without which two control rounds
-    // would run back to back on the same tags.
-    check(cell(Op::Fixpoint(Fixpoint::Tc), Uniform, 8, 3, 0xF1C5));
+    // non-empty delta: the `N == 0` exit, counted as the last round.
+    check(cell(Op::Fixpoint(Fixpoint::Tc, FIXPOINT_ALGORITHM), Uniform, 8, 3, 0xF1C5));
 
     // -- sim: seeded schedules; the fault stack on the paper's algorithm. ---
     let mut sim = |tier, faults, seed, cell| add(Harness::Sim, tier, faults, seed, cell);
@@ -933,11 +948,17 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
             sim(Smoke, faults, seed, cell(two_phase, Uniform, 5, 24, 11));
         }
         for app in Fixpoint::ALL {
-            sim(Smoke, Faults::None, seed, cell(Op::Fixpoint(app), Uniform, 5, 24, 11));
+            let op = Op::Fixpoint(app, FIXPOINT_ALGORITHM);
+            sim(Smoke, Faults::None, seed, cell(op, Uniform, 5, 24, 11));
         }
     }
     for &op in &others {
         sim(Smoke, Faults::None, 1, cell(op, Uniform, 5, 24, 11));
+    }
+    for app in Fixpoint::ALL {
+        for algo in FIXPOINT_DISCOVERY {
+            sim(Smoke, Faults::None, 1, cell(Op::Fixpoint(app, algo), Uniform, 5, 24, 11));
+        }
     }
     for seed in 1..=6 {
         for dist in [Uniform, Normal, POWER_LAW] {
@@ -977,7 +998,8 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
     // docs), so these are bounded systematic exploration, not proofs.
     verify(400, false, Smoke, Faults::Clean, cell(two_phase, Uniform, 2, 2, 11));
     // A whole fixpoint: rounds multiply the schedule space, so bounded.
-    verify(2_000, false, Smoke, Faults::None, cell(Op::Fixpoint(Fixpoint::Tc), Uniform, 2, 3, 11));
+    let tc = Op::Fixpoint(Fixpoint::Tc, FIXPOINT_ALGORITHM);
+    verify(2_000, false, Smoke, Faults::None, cell(tc, Uniform, 2, 3, 11));
     verify(800, false, Full, Faults::Lossy, cell(two_phase, Uniform, 3, 2, 11));
 
     // -- chaos: the plan battery on virtual time. The workload seed is the
@@ -1014,7 +1036,7 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
             // oracle's bytes where the link repairs, a typed end where a
             // rank dies mid-run.
             for app in Fixpoint::ALL {
-                chaos(false, tier, faults, seed, Op::Fixpoint(app), 5, 24);
+                chaos(false, tier, faults, seed, Op::Fixpoint(app, FIXPOINT_ALGORITHM), 5, 24);
             }
         }
         for faults in [Faults::Lossy, Faults::Crash] {

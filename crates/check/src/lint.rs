@@ -72,15 +72,15 @@
 //!   avoid, and it is invisible to the deadlock prover.
 //! * `no-raw-collective-in-fixpoint` — `.allreduce_u64(` / `.alltoall_counts(`
 //!   in a round loop: non-test code under `crates/bpra/src` and in
-//!   `crates/core/src/nonuniform/engine.rs`. A fixpoint round is one control
-//!   exchange plus one data exchange (DESIGN.md §14.5) — counts, `N` and the
-//!   termination vote ride `exchange_tuples`' fused round, and a raw
-//!   collective creeping back into a driver loop is three more blocking
-//!   rounds per iteration (and, under faults, the asymmetric failure
-//!   `recover.rs` exists to avoid); an unpadded Bruck step is one latency,
-//!   and a sizing round beside the step loop is ⌈log₂ P⌉ more. The one-off
-//!   totals after a loop and the padding rule's `global_n_max` carry
-//!   allowlist budgets.
+//!   `crates/core/src/nonuniform/engine.rs`. A fixpoint round is one exchange
+//!   (DESIGN.md §14.5) — the receivers find their counts on its wire, and `N`
+//!   and the termination vote ride the lane headers `exchange_tuples` puts
+//!   in front of every segment — so a raw collective creeping back into a
+//!   driver loop is three more blocking rounds per iteration at P = 8 (and,
+//!   under faults, the asymmetric failure `recover.rs` exists to avoid); an
+//!   unpadded Bruck step is one latency, and a sizing round beside the step
+//!   loop is ⌈log₂ P⌉ more. The one-off totals after a loop and the padding
+//!   rule's `global_n_max` carry allowlist budgets.
 //!
 //! Test code (`#[cfg(test)]` regions, tracked by brace depth) is exempt from
 //! the unwrap/expect/relaxed rules; `unsafe` is flagged even in tests.
@@ -281,8 +281,8 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<LintFinding>) {
     let sleep_poll_banned = ["crates/comm/src/", "crates/core/src/", "crates/bpra/src/"]
         .iter()
         .any(|dir| rel.starts_with(dir));
-    // The fixpoint drivers' control traffic rides the fused exchange, and the
-    // engine's step loops size nothing with a collective.
+    // The fixpoint drivers' control lanes ride the round's one exchange, and
+    // the engine's step loops size nothing with a collective.
     let raw_collective_banned = rel.starts_with("crates/bpra/src/")
         || rel == "crates/core/src/nonuniform/engine.rs";
     // The scheduler and the blocking-mailbox wrapper are the two sanctioned

@@ -66,7 +66,7 @@ fn check_cell_in(cell: &Cell, cfg: &SimConfig) -> (CaseReport, Extraction) {
         | Op::Allgatherv(_)
         | Op::ReduceScatter(..)
         | Op::Allreduce(..)
-        | Op::Fixpoint(_) => {}
+        | Op::Fixpoint(..) => {}
     }
     findings.extend(analyze(&extraction));
     (CaseReport { name: cell.label(), findings }, extraction)

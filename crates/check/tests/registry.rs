@@ -25,7 +25,7 @@ fn shape(op: Op) -> Op {
         Op::ReduceScatter(a, _) => Op::ReduceScatter(a, ReduceOp::Sum),
         Op::Allreduce(a, _) => Op::Allreduce(a, ReduceOp::Sum),
         Op::Plan(_) => Op::Plan(AlltoallvAlgorithm::Reference),
-        Op::Alltoallv(_) | Op::Allgatherv(_) | Op::Fixpoint(_) => op,
+        Op::Alltoallv(_) | Op::Allgatherv(_) | Op::Fixpoint(..) => op,
     }
 }
 
@@ -71,15 +71,22 @@ fn registry_covers_every_public_point() {
             assert!(hit, "{fam:?} has no alltoallv cell with {what}");
         }
     }
-    // The multi-epoch tenants are recorded, schedule-fuzzed and (the closure,
-    // bounded) model-checked; they run on the plain transport only.
-    for want in Fixpoint::ALL.map(Op::Fixpoint) {
-        for fam in [Family::Check, Family::Sim] {
-            let hit = family(fam, Tier::Smoke).iter().any(|r| r.cell.op == want);
-            assert!(hit, "{fam:?}: no {}", want.label());
+    // The multi-epoch tenants are recorded and schedule-fuzzed through every
+    // way a round finds its counts — the metadata chain (two-phase), message
+    // lengths (vendor), a counts exchange (padded Bruck) — and, over
+    // two-phase, model-checked (the closure, bounded) and run through the
+    // reliable stack by chaos (below).
+    let ways =
+        [AlltoallvAlgorithm::TwoPhaseBruck, AlltoallvAlgorithm::Vendor, AlltoallvAlgorithm::PaddedBruck];
+    for app in Fixpoint::ALL {
+        for want in ways.map(|algo| Op::Fixpoint(app, algo)) {
+            for fam in [Family::Check, Family::Sim] {
+                let hit = family(fam, Tier::Smoke).iter().any(|r| r.cell.op == want);
+                assert!(hit, "{fam:?}: no {}", want.label());
+            }
         }
     }
-    let tc = Op::Fixpoint(Fixpoint::Tc);
+    let tc = Op::Fixpoint(Fixpoint::Tc, AlltoallvAlgorithm::TwoPhaseBruck);
     assert!(family(Family::Verify, Tier::Smoke).iter().any(|r| r.cell.op == tc && r.cell.p == 2));
     // The schedule families are model-checked too, at P = 2 and P = 3.
     let verify = family(Family::Verify, Tier::Smoke);
@@ -117,15 +124,19 @@ fn registry_covers_every_public_point() {
 #[test]
 fn smoke_cell_counts_are_pinned() {
     let count = |fam| family(fam, Tier::Smoke).len();
-    // 414 single operations + 13 fixpoints.
-    assert_eq!(count(Family::Check), 427);
-    assert!(count(Family::Sim) >= 38 + 4, "sim: {}", count(Family::Sim));
+    // 414 single operations + 13 two-phase fixpoints + the two fixpoints
+    // over vendor and over padded Bruck.
+    assert_eq!(count(Family::Check), 431);
+    // 51 single operations + the two fixpoints over two-phase at two seeds,
+    // and over vendor and padded Bruck at one.
+    assert_eq!(count(Family::Sim), 59);
     // 96 single operations + the two fixpoints under clean / lossy / crash.
     assert_eq!(count(Family::Chaos), 102);
     let chaos = family(Family::Chaos, Tier::Smoke);
     for app in Fixpoint::ALL {
         for f in [Faults::Clean, Faults::Lossy, Faults::Crash] {
-            let hit = |r: &Row| r.cell.op == Op::Fixpoint(app) && r.faults == f && r.cell.p == 5;
+            let op = Op::Fixpoint(app, AlltoallvAlgorithm::TwoPhaseBruck);
+            let hit = |r: &Row| r.cell.op == op && r.faults == f && r.cell.p == 5;
             assert!(chaos.iter().any(hit), "{app:?} misses {}", f.name());
         }
     }

@@ -4,8 +4,9 @@
 //! cycles.
 
 use bruck_check::analysis::{analyze, Finding};
-use bruck_check::extract;
+use bruck_check::{extract, Extraction};
 use bruck_comm::{CommResult, Communicator};
+use bruck_core::{alltoallv_discover, packed_displs, EngineConfig};
 
 /// A deliberately broken two-step ring exchange: both Bruck-style steps tag
 /// their messages `TAG` instead of `TAG + step`, so each rank has two
@@ -65,6 +66,38 @@ fn per_step_tags_fix_the_collision() {
     let ext = extract(3, |comm| broken_two_step_ring(comm, true));
     assert!(ext.all_completed());
     assert!(analyze(&ext).is_empty());
+}
+
+/// Two `alltoallv_discover` rounds back to back over two-phase Bruck at
+/// P = 5, on the tag blocks `parities` names, with different payloads.
+fn two_discover_rounds(parities: [bool; 2]) -> Extraction {
+    extract(5, move |comm| {
+        for (round, odd_round) in parities.into_iter().enumerate() {
+            let sendcounts = vec![1 + round; comm.size()];
+            let sendbuf = vec![round as u8; sendcounts.iter().sum()];
+            let sdispls = packed_displs(&sendcounts);
+            let cfg = EngineConfig::as_two_phase();
+            alltoallv_discover(comm, &cfg, &sendbuf, &sendcounts, &sdispls, odd_round)?;
+        }
+        Ok(())
+    })
+}
+
+#[test]
+fn same_parity_discover_rounds_back_to_back_collide() {
+    // A fixpoint's rounds reuse their tags; only the alternating tag block
+    // keeps two consecutive rounds apart. The collision pass is what says
+    // so, not a relaxation of it.
+    for parity in [false, true] {
+        let ext = two_discover_rounds([parity, parity]);
+        assert!(ext.all_completed(), "{:?}", ext.ranks);
+        let findings = analyze(&ext);
+        assert!(findings.iter().any(|f| matches!(f, Finding::TagCollision { .. })), "{findings:?}");
+        assert!(findings.iter().all(|f| matches!(f, Finding::TagCollision { .. })), "{findings:?}");
+    }
+    for parities in [[false, true], [true, false]] {
+        assert_eq!(analyze(&two_discover_rounds(parities)), []);
+    }
 }
 
 #[test]

@@ -32,6 +32,10 @@
 //! * [`EngineConfig::as_sloav`] — the SLOAV (Xu et al.) prior art,
 //!   reimplemented (§6.1)
 //!
+//! [`alltoallv_discover`] runs the same configs for a caller that knows only
+//! its send side, as a fixpoint round does: it returns what arrived, packed
+//! in source order, with the `recvcounts` it found on the exchange's wire.
+//!
 //! ## Beyond alltoallv — the collective family
 //!
 //! [`allgatherv`] (ring / Bruck doubling / PAT), [`reduce_scatter`]
@@ -93,7 +97,7 @@ pub use collectives::{
 };
 pub use memory::memory_overhead_bytes;
 pub use nonuniform::{
-    alltoallv, configurable_alltoallv, configurable_alltoallv_general, packed_displs, pattern,
+    alltoallv, alltoallv_discover, configurable_alltoallv, configurable_alltoallv_general, packed_displs, pattern,
     piece_len, recovering_alltoallv, reference_alltoallv, resilient_alltoallv, AlltoallvAlgorithm,
     EngineConfig, EngineTopology, ExchangeOutcome, IntermediateLayout, Mttr, PaddingRule,
     PartialExchange, Recovery, RecoveringConfig, RecoveryOutcome, ResilientConfig, VENDOR_WINDOW,

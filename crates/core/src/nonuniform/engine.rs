@@ -33,6 +33,16 @@
 //! * the oracle, leader and two-stage exchanges, which have no knobs beyond
 //!   their topology.
 //!
+//! [`alltoallv_discover`] is the same engine for a caller that knows only its
+//! send side, as a fixpoint round does. The direct and unpadded Bruck loops
+//! have a second delivery mode for it: the direct loop reads each message's
+//! length, the Bruck loop reads each block's size off the size arrays that
+//! carried it, and both pack the blocks in source order once every length is
+//! in. No other topology can learn a length from its own wire (a padded slot
+//! is `N` bytes whatever it carries), so those run a uniform Zero Rotation
+//! Bruck exchange of the counts first. Consecutive calls alternate between
+//! two disjoint tag blocks by the parity the caller passes (DESIGN.md §14.5).
+//!
 //! The `bruck-probe` spans live in those loops under the names the paper's
 //! algorithms are known by (DESIGN.md §10.2 has the span ← loop ← knob table).
 //! The evidence that each named point is the paper's algorithm is the model
@@ -42,12 +52,14 @@
 
 use std::time::Duration;
 
-use bruck_comm::{CommError, CommResult, Communicator, MsgBuf, ReduceOp};
+use bruck_comm::{CommError, CommResult, Communicator, MsgBuf, ReduceOp, Tag, RESERVED_TAG_BASE};
 
-use super::validate_v;
+use super::{packed_displs, validate_send, validate_v};
 use crate::common::{add_mod, data_tag, meta_tag, sub_mod, SPREAD_TAG};
 use crate::probe::span;
-use crate::radix::{radix_schedule, radix_step_rel_indices, zero_rotation_bruck_deliver};
+use crate::radix::{
+    radix_schedule, radix_step_rel_indices, zero_rotation_bruck_deliver, zero_rotation_bruck_radix,
+};
 use super::hierarchical::{hierarchical_alltoallv, DEFAULT_GROUP_SIZE};
 use super::two_stage::ranka_two_stage_alltoallv;
 use super::{reference_alltoallv, AlltoallvAlgorithm};
@@ -456,6 +468,146 @@ pub fn configurable_alltoallv<C: Communicator + ?Sized>(
     }
 }
 
+/// The engine for a caller that knows only its send side: run the exchange
+/// `cfg` describes and return the received blocks packed in source order,
+/// with the `recvcounts` they came in.
+///
+/// Unpadded `Direct` and `Bruck` configs learn every count from the
+/// exchange's own wire, at no extra message; every other config runs one
+/// uniform Zero Rotation Bruck exchange of the counts first (module docs).
+///
+/// Consecutive calls on one communicator must alternate `odd_round`: the
+/// odd calls run on a tag block disjoint from the even ones', so a call's
+/// messages can only be confused with those of the call two back, and the
+/// call in between — every rank hears from every rank — orders the two.
+pub fn alltoallv_discover<C: Communicator + ?Sized>(
+    comm: &C,
+    cfg: &EngineConfig,
+    sendbuf: &[u8],
+    sendcounts: &[usize],
+    sdispls: &[usize],
+    odd_round: bool,
+) -> CommResult<(Vec<u8>, Vec<usize>)> {
+    if odd_round {
+        discover(&OddRound(comm), cfg, sendbuf, sendcounts, sdispls)
+    } else {
+        discover(comm, cfg, sendbuf, sendcounts, sdispls)
+    }
+}
+
+fn discover<C: Communicator + ?Sized>(
+    comm: &C,
+    cfg: &EngineConfig,
+    sendbuf: &[u8],
+    sendcounts: &[usize],
+    sdispls: &[usize],
+) -> CommResult<(Vec<u8>, Vec<usize>)> {
+    cfg.validate()?;
+    let p = validate_send(comm, sendbuf, sendcounts, sdispls)?;
+    let (mut buf, mut counts) = (Vec::new(), Vec::new());
+    let recv = Recv::Packed { buf: &mut buf, counts: &mut counts };
+    match (cfg.topology, cfg.padding) {
+        (EngineTopology::Direct, PaddingRule::Never) => {
+            direct_exchange(comm, cfg.throttle_window, sendbuf, sendcounts, sdispls, recv)?;
+        }
+        (EngineTopology::Bruck, PaddingRule::Never) => {
+            bruck_unpadded(comm, cfg, p, sendbuf, sendcounts, sdispls, recv)?;
+        }
+        _ => return counts_then_alltoallv(comm, cfg, sendbuf, sendcounts, sdispls),
+    }
+    Ok((buf, counts))
+}
+
+/// [`alltoallv_discover`] for the configs whose loops cannot learn a length
+/// from their own wire: a uniform Zero Rotation Bruck exchange of 8-byte
+/// counts, then the `alltoallv`.
+fn counts_then_alltoallv<C: Communicator + ?Sized>(
+    comm: &C,
+    cfg: &EngineConfig,
+    sendbuf: &[u8],
+    sendcounts: &[usize],
+    sdispls: &[usize],
+) -> CommResult<(Vec<u8>, Vec<usize>)> {
+    let mine: Vec<u8> = sendcounts.iter().flat_map(|&c| (c as u64).to_le_bytes()).collect();
+    let mut theirs = vec![0u8; mine.len()];
+    zero_rotation_bruck_radix(comm, &mine, &mut theirs, 8, 2)?;
+    let word = |w: &[u8]| u64::from_le_bytes(std::array::from_fn(|b| w[b]));
+    let counts: Vec<usize> = theirs.chunks_exact(8).map(|w| word(w) as usize).collect();
+    let total = counts.iter().try_fold(0usize, |sum, &c| sum.checked_add(c));
+    let mut buf = vec![0u8; total.ok_or(CommError::BadArgument("recvcounts overflow"))?];
+    let rdispls = packed_displs(&counts);
+    configurable_alltoallv(comm, cfg, sendbuf, sendcounts, sdispls, &mut buf, &counts, &rdispls)?;
+    Ok((buf, counts))
+}
+
+/// The tag bit of [`alltoallv_discover`]'s odd rounds: above every engine
+/// tag, below `SubComm`'s context bits.
+const ODD_ROUND_TAG: Tag = 1 << 23;
+
+/// A communicator whose algorithm tags carry [`ODD_ROUND_TAG`]: the odd
+/// rounds' tag block. Reserved tags (the built-in collectives, which rely on
+/// non-overtaking by contract) pass through.
+struct OddRound<'a, C: ?Sized>(&'a C);
+
+impl<C: Communicator + ?Sized> OddRound<'_, C> {
+    #[inline]
+    fn tag(tag: Tag) -> Tag {
+        if tag < RESERVED_TAG_BASE {
+            tag | ODD_ROUND_TAG
+        } else {
+            tag
+        }
+    }
+}
+
+impl<C: Communicator + ?Sized> Communicator for OddRound<'_, C> {
+    #[inline]
+    fn rank(&self) -> usize {
+        self.0.rank()
+    }
+
+    #[inline]
+    fn size(&self) -> usize {
+        self.0.size()
+    }
+
+    #[inline]
+    fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()> {
+        self.0.send_buf(dest, Self::tag(tag), buf)
+    }
+
+    #[inline]
+    fn recv_match(
+        &self,
+        src: usize,
+        tag: Tag,
+        max_len: usize,
+        timeout: Duration,
+    ) -> CommResult<MsgBuf> {
+        self.0.recv_match(src, Self::tag(tag), max_len, timeout)
+    }
+
+    #[inline]
+    fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
+        self.0.probe(src, Self::tag(tag))
+    }
+
+    #[inline]
+    fn now(&self) -> Duration {
+        self.0.now()
+    }
+
+    #[inline]
+    fn sleep(&self, d: Duration) {
+        self.0.sleep(d)
+    }
+
+    #[inline]
+    fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
+        self.0.wait_arrival(seen, timeout)
+    }
+}
+
 /// Global maximum block size (one allreduce) — the `N` of the paper. Only a
 /// padding rule asks for it.
 fn global_n_max<C: Communicator + ?Sized>(comm: &C, sendcounts: &[usize]) -> CommResult<usize> {
@@ -502,13 +654,30 @@ fn direct_or_bruck<C: Communicator + ?Sized>(
         drop(span("two_phase.allreduce"));
     }
 
+    let recv = Recv::Placed { buf: recvbuf, counts: recvcounts, displs: rdispls };
     if cfg.topology == EngineTopology::Direct {
-        direct_exchange(
-            comm, cfg.throttle_window, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
-        )
+        direct_exchange(comm, cfg.throttle_window, sendbuf, sendcounts, sdispls, recv)
     } else {
-        bruck_unpadded(comm, cfg, p, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
+        bruck_unpadded(comm, cfg, p, sendbuf, sendcounts, sdispls, recv)
     }
+}
+
+/// Where a loop puts the blocks it receives.
+enum Recv<'a> {
+    /// `alltoallv`'s receive side: the block from `src` is `counts[src]`
+    /// bytes at `buf[displs[src]..]`.
+    Placed { buf: &'a mut [u8], counts: &'a [usize], displs: &'a [usize] },
+    /// [`alltoallv_discover`]'s: every block's length comes off the wire, and
+    /// the blocks are packed into `buf` in source order once all are in,
+    /// their lengths into `counts`.
+    Packed { buf: &'a mut Vec<u8>, counts: &'a mut Vec<usize> },
+}
+
+/// Pack `blocks` (indexed by source) into `buf` and their lengths into
+/// `counts`: the end of a [`Recv::Packed`] exchange.
+fn pack_by_source(blocks: &[&[u8]], buf: &mut Vec<u8>, counts: &mut Vec<usize>) {
+    *counts = blocks.iter().map(|b| b.len()).collect();
+    *buf = blocks.concat();
 }
 
 /// The §3.1 padded family: every block travels as an `n`-byte slot (`n` = the
@@ -572,16 +741,8 @@ fn padded_exchange<C: Communicator + ?Sized>(
         // disjoint slice of it.
         let counts = vec![n; p];
         let displs: Vec<usize> = (0..p).map(|i| i * n).collect();
-        direct_exchange(
-            comm,
-            cfg.throttle_window,
-            padded_send,
-            &counts,
-            &displs,
-            &mut padded_recv,
-            &counts,
-            &displs,
-        )?;
+        let recv = Recv::Placed { buf: &mut padded_recv, counts: &counts, displs: &displs };
+        direct_exchange(comm, cfg.throttle_window, padded_send, &counts, &displs, recv)?;
     }
     let _probe = span("padded.scan");
     for src in 0..p {
@@ -601,7 +762,8 @@ fn padded_exchange<C: Communicator + ?Sized>(
 /// Zero-copy send path: `sendbuf` becomes one shared region (a copy of the
 /// user's buffer, or the padded buffer moved in) and the in-flight messages
 /// are disjoint slices of it, so posting a send allocates and copies nothing.
-#[allow(clippy::too_many_arguments)]
+/// A [`Recv::Packed`] exchange keeps each received message as it arrived and
+/// reads its length; the one copy per block is the final pack.
 #[inline(never)]
 fn direct_exchange<C: Communicator + ?Sized>(
     comm: &C,
@@ -609,16 +771,24 @@ fn direct_exchange<C: Communicator + ?Sized>(
     sendbuf: impl Into<MsgBuf>,
     sendcounts: &[usize],
     sdispls: &[usize],
-    recvbuf: &mut [u8],
-    recvcounts: &[usize],
-    rdispls: &[usize],
+    mut recv: Recv<'_>,
 ) -> CommResult<()> {
     let p = comm.size();
     let me = comm.rank();
     let packed: MsgBuf = sendbuf.into(); // the one pack copy
+    let own = sdispls[me]..sdispls[me] + sendcounts[me];
 
-    recvbuf[rdispls[me]..rdispls[me] + recvcounts[me]]
-        .copy_from_slice(&packed[sdispls[me]..sdispls[me] + sendcounts[me]]);
+    // Packed mode: every block by source, the own one included.
+    let mut arrived: Vec<MsgBuf> = Vec::new();
+    match &mut recv {
+        Recv::Placed { buf, counts, displs } => {
+            buf[displs[me]..displs[me] + counts[me]].copy_from_slice(&packed[own]);
+        }
+        Recv::Packed { .. } => {
+            arrived = vec![MsgBuf::new(); p];
+            arrived[me] = packed.slice(own);
+        }
+    }
 
     let batch = window.unwrap_or(p).max(1);
     let mut next = 1usize;
@@ -639,14 +809,20 @@ fn direct_exchange<C: Communicator + ?Sized>(
         let _recv = window.is_none().then(|| span("spread_out.recv"));
         for i in next..batch_end {
             let src = sub_mod(me, i, p);
-            let n = comm.recv_into(
-                src,
-                SPREAD_TAG,
-                &mut recvbuf[rdispls[src]..rdispls[src] + recvcounts[src]],
-            )?;
-            debug_assert_eq!(n, recvcounts[src], "peer sent unexpected block size");
+            match &mut recv {
+                Recv::Placed { buf, counts, displs } => {
+                    let into = &mut buf[displs[src]..displs[src] + counts[src]];
+                    let n = comm.recv_into(src, SPREAD_TAG, into)?;
+                    debug_assert_eq!(n, counts[src], "peer sent unexpected block size");
+                }
+                Recv::Packed { .. } => arrived[src] = comm.recv_buf(src, SPREAD_TAG)?,
+            }
         }
         next = batch_end;
+    }
+    if let Recv::Packed { buf, counts } = recv {
+        let blocks: Vec<&[u8]> = arrived.iter().map(MsgBuf::as_slice).collect();
+        pack_by_source(&blocks, buf, counts);
     }
     Ok(())
 }
@@ -823,6 +999,11 @@ fn coupled_step<C: Communicator + ?Sized>(
 ///   the structure §6.1 criticizes so the ablation can price it: blocks hop
 ///   *upward* in basic-Bruck direction, every received block goes into the
 ///   pointer array, and a final scan copies all of them home.
+///
+/// A [`Recv::Packed`] exchange holds every block where it arrived in either
+/// layout, reads its size off the size array that carried it, and packs all
+/// of them once the last one is in: where a block lands depends on every
+/// size before it.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn bruck_unpadded<C: Communicator + ?Sized>(
@@ -832,9 +1013,7 @@ fn bruck_unpadded<C: Communicator + ?Sized>(
     sendbuf: &[u8],
     sendcounts: &[usize],
     sdispls: &[usize],
-    recvbuf: &mut [u8],
-    recvcounts: &[usize],
-    rdispls: &[usize],
+    mut recv: Recv<'_>,
 ) -> CommResult<()> {
     let me = comm.rank();
     let (downward, spans) = match cfg.layout {
@@ -844,10 +1023,12 @@ fn bruck_unpadded<C: Communicator + ?Sized>(
     // The rank `i` hops along the routing direction, and the one `i` against.
     let ahead = |i: usize| if downward { sub_mod(me, i, p) } else { add_mod(me, i, p) };
     let behind = |i: usize| if downward { add_mod(me, i, p) } else { sub_mod(me, i, p) };
+    let own = sdispls[me]..sdispls[me] + sendcounts[me];
 
     // Self block: never communicated (relative index 0).
-    recvbuf[rdispls[me]..rdispls[me] + recvcounts[me]]
-        .copy_from_slice(&sendbuf[sdispls[me]..sdispls[me] + sendcounts[me]]);
+    if let Recv::Placed { buf, counts, displs } = &mut recv {
+        buf[displs[me]..displs[me] + counts[me]].copy_from_slice(&sendbuf[own.clone()]);
+    }
 
     let mut regions: Vec<MsgBuf> = Vec::new();
     let mut held: Vec<Option<(usize, usize)>> = vec![None; p];
@@ -895,30 +1076,44 @@ fn bruck_unpadded<C: Communicator + ?Sized>(
         let mut at = base;
         for &i in &hop.rel {
             let sz = sizes[i];
-            if downward && i < hop.done_bound {
-                let from = behind(i);
-                debug_assert_eq!(sz, recvcounts[from], "recvcounts disagrees with routed size");
-                recvbuf[rdispls[from]..rdispls[from] + sz].copy_from_slice(&got[at..at + sz]);
-            } else {
-                held[i] = Some((regions.len(), at));
+            match &mut recv {
+                Recv::Placed { buf, counts, displs } if downward && i < hop.done_bound => {
+                    let from = behind(i);
+                    debug_assert_eq!(sz, counts[from], "recvcounts disagrees with routed size");
+                    buf[displs[from]..displs[from] + sz].copy_from_slice(&got[at..at + sz]);
+                }
+                _ => held[i] = Some((regions.len(), at)),
             }
             at += sz;
         }
         regions.push(got);
     }
-    if downward {
-        return Ok(());
-    }
 
-    // Final scan (+ implicit rotation): the block at offset i came from rank
-    // (me − i) mod P. Only the self block (offset 0) never travels.
-    let _probe = span("sloav.scan");
-    for (i, block) in held.iter().enumerate() {
-        let Some((r, at)) = *block else { continue };
-        let from = behind(i);
-        debug_assert_eq!(sizes[i], recvcounts[from], "routed size disagrees with recvcounts");
-        recvbuf[rdispls[from]..rdispls[from] + recvcounts[from]]
-            .copy_from_slice(&regions[r][at..at + sizes[i]]);
+    match recv {
+        Recv::Placed { .. } if downward => {}
+        // Final scan (+ implicit rotation): the block at offset i came from
+        // rank (me − i) mod P. Only the self block (offset 0) never travels.
+        Recv::Placed { buf, counts, displs } => {
+            let _probe = span("sloav.scan");
+            for (i, block) in held.iter().enumerate() {
+                let Some((r, at)) = *block else { continue };
+                let from = behind(i);
+                debug_assert_eq!(sizes[i], counts[from], "routed size disagrees with recvcounts");
+                buf[displs[from]..displs[from] + counts[from]]
+                    .copy_from_slice(&regions[r][at..at + sizes[i]]);
+            }
+        }
+        // The per-step delivery copies of the placed mode, made here.
+        Recv::Packed { buf, counts } => {
+            let _probe = span(spans.scatter);
+            let mut blocks: Vec<&[u8]> = vec![&[]; p];
+            blocks[me] = &sendbuf[own];
+            for (i, block) in held.iter().enumerate() {
+                let Some((r, at)) = *block else { continue };
+                blocks[behind(i)] = &regions[r][at..at + sizes[i]];
+            }
+            pack_by_source(&blocks, buf, counts);
+        }
     }
     Ok(())
 }

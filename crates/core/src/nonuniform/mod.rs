@@ -17,8 +17,9 @@ mod two_stage;
 // `configurable_alltoallv_general` is the same function under the name the
 // frozen `benchmark/` crate imports.
 pub use engine::{
-    configurable_alltoallv, configurable_alltoallv as configurable_alltoallv_general,
-    EngineConfig, EngineTopology, IntermediateLayout, PaddingRule, VENDOR_WINDOW,
+    alltoallv_discover, configurable_alltoallv,
+    configurable_alltoallv as configurable_alltoallv_general, EngineConfig, EngineTopology,
+    IntermediateLayout, PaddingRule, VENDOR_WINDOW,
 };
 pub use recovering::{recovering_alltoallv, Mttr, Recovery, RecoveringConfig, RecoveryOutcome};
 pub use reference::{pattern, reference_alltoallv};
@@ -130,19 +131,32 @@ pub(crate) fn validate_v<C: Communicator + ?Sized>(
     recvcounts: &[usize],
     rdispls: &[usize],
 ) -> CommResult<usize> {
-    let p = comm.size();
-    if sendcounts.len() != p || sdispls.len() != p {
-        return Err(CommError::BadArgument("sendcounts/sdispls must have length P"));
-    }
+    let p = validate_send(comm, sendbuf, sendcounts, sdispls)?;
     if recvcounts.len() != p || rdispls.len() != p {
         return Err(CommError::BadArgument("recvcounts/rdispls must have length P"));
     }
     for i in 0..p {
-        if sdispls[i].checked_add(sendcounts[i]).is_none_or(|end| end > sendbuf.len()) {
-            return Err(CommError::BadArgument("send block out of bounds"));
-        }
         if rdispls[i].checked_add(recvcounts[i]).is_none_or(|end| end > recvbuf.len()) {
             return Err(CommError::BadArgument("recv block out of bounds"));
+        }
+    }
+    Ok(p)
+}
+
+/// Validate the send side of an `alltoallv` argument set; returns `P`.
+pub(crate) fn validate_send<C: Communicator + ?Sized>(
+    comm: &C,
+    sendbuf: &[u8],
+    sendcounts: &[usize],
+    sdispls: &[usize],
+) -> CommResult<usize> {
+    let p = comm.size();
+    if sendcounts.len() != p || sdispls.len() != p {
+        return Err(CommError::BadArgument("sendcounts/sdispls must have length P"));
+    }
+    for i in 0..p {
+        if sdispls[i].checked_add(sendcounts[i]).is_none_or(|end| end > sendbuf.len()) {
+            return Err(CommError::BadArgument("send block out of bounds"));
         }
     }
     Ok(p)

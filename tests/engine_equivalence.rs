@@ -13,13 +13,17 @@
 //!    the paper's.
 //! 2. **Oracle byte identity** — the receive buffers must equal
 //!    [`reference_alltoallv`]'s on ThreadComm, [`SimComm`] (two schedule
-//!    seeds) and [`EventComm`].
+//!    seeds) and [`EventComm`] — and so must what [`alltoallv_discover`]
+//!    returns, next to the `recvcounts` it found.
 
 mod common;
 
 use bruck_bench::tune_candidates;
 use bruck_comm::{Communicator, EventComm, MeteredComm, Metrics, SimComm, ThreadComm};
-use bruck_core::{configurable_alltoallv, packed_displs, reference_alltoallv, EngineConfig};
+use bruck_core::{
+    alltoallv_discover, configurable_alltoallv, packed_displs, reference_alltoallv, EngineConfig,
+    PaddingRule,
+};
 use bruck_workload::{Distribution, SizeMatrix};
 use common::assert_config_conforms;
 
@@ -131,6 +135,63 @@ fn engine_byte_identical_to_oracle_on_sim_comm_across_seeds() {
             for (cfg, _) in EngineConfig::named_points() {
                 let got = SimComm::run(p, seed, |comm| run_engine(comm, &cfg, &m)).results;
                 assert_eq!(got, want, "{} on SimComm seed {seed} (P={p})", cfg.key());
+            }
+        }
+    }
+}
+
+/// Run [`alltoallv_discover`] on `comm` twice, on both tag blocks; return
+/// what each call found.
+fn run_discover<C: Communicator + ?Sized>(
+    comm: &C,
+    cfg: &EngineConfig,
+    m: &SizeMatrix,
+) -> [(Vec<u8>, Vec<usize>); 2] {
+    let me = comm.rank();
+    let (sendbuf, sendcounts, sdispls) = send_side(me, m);
+    [false, true].map(|odd_round| {
+        alltoallv_discover(comm, cfg, &sendbuf, &sendcounts, &sdispls, odd_round)
+            .unwrap_or_else(|e| panic!("rank {me}: discover {} failed: {e}", cfg.key()))
+    })
+}
+
+#[test]
+fn discovered_counts_and_bytes_are_the_oracle_s_on_every_backend() {
+    // The named points, and off-points through each loop and the fallback.
+    let mut configs: Vec<EngineConfig> = EngineConfig::named_points().map(|(c, _)| c).to_vec();
+    configs.extend([
+        EngineConfig { radix: 4, ..EngineConfig::as_two_phase() },
+        EngineConfig { radix: 3, ..EngineConfig::as_sloav() },
+        EngineConfig { throttle_window: Some(2), ..EngineConfig::as_spread_out() },
+        EngineConfig { padding: PaddingRule::Threshold(64), ..EngineConfig::as_two_phase() },
+    ]);
+    for p in [1usize, 2, 3, 5, 8, 13] {
+        let power_law = SizeMatrix::generate(Distribution::POWER_LAW_STEEP, 0xD15C + p as u64, p, 48);
+        // Every third block empty, and rank 1 (rank 0 at P = 1) sends nothing.
+        let silent = 1 % p;
+        let sparse = SizeMatrix::from_rows(
+            (0..p)
+                .map(|src| {
+                    let row = (0..p).map(|dst| if (src + 2 * dst) % 3 == 0 { 0 } else { power_law.get(src, dst) });
+                    row.map(|n| if src == silent { 0 } else { n }).collect()
+                })
+                .collect(),
+        );
+        for m in [&power_law, &sparse] {
+            let oracle = ThreadComm::run(p, |comm| run_oracle(comm, m));
+            let want: Vec<[(Vec<u8>, Vec<usize>); 2]> = (0..p)
+                .map(|me| [0; 2].map(|_| (oracle[me].clone(), m.recvcounts(me))))
+                .collect();
+            for cfg in &configs {
+                let run = |comm: &dyn Communicator| run_discover(comm, cfg, m);
+                for (backend, got) in [
+                    ("ThreadComm", ThreadComm::run(p, |comm| run(comm))),
+                    ("SimComm seed 1", SimComm::run(p, 1, |comm| run(comm)).results),
+                    ("SimComm seed 2", SimComm::run(p, 2, |comm| run(comm)).results),
+                    ("EventComm", EventComm::run(p, |comm| run(comm))),
+                ] {
+                    assert_eq!(got, want, "{} on {backend} (P={p})", cfg.key());
+                }
             }
         }
     }

@@ -198,12 +198,13 @@ fn the_pairwise_families_are_no_dearer_than_in_arrival_order() {
 #[test]
 fn a_transitive_closure_fixpoint_at_p8_pins_its_executions() {
     // One worker is fully deterministic, so the count is exact. In arrival
-    // order this fixpoint took 325 executions.
+    // order this fixpoint took 325 executions, and 193 while every round ran
+    // a uniform Bruck exchange of its counts before the data.
     let edges = graph1_like(2, 10, 2, 1);
     let execs = executions(8, |comm| {
         transitive_closure(comm, AlltoallvAlgorithm::TwoPhaseBruck, &edges).unwrap();
     });
-    assert_eq!(execs, 193);
+    assert_eq!(execs, 113);
 }
 
 #[test]
