@@ -8,10 +8,13 @@
 //! `--release`; the large-P sweeps are compute-heavy.
 
 use std::path::Path;
+use std::time::Duration;
 
 use bruck_bench::export::{chrome_trace_json, write_text};
 use bruck_bench::{print_table, time_alltoall, time_alltoallv, time_on_threads, to_ms, Series};
-use bruck_bpra::{graph1_like, graph2_like, kcfa_like_run, transitive_closure, KcfaConfig};
+use bruck_bpra::{
+    graph1_like, graph2_like, kcfa_like_run, transitive_closure, KcfaConfig, TcResult,
+};
 use bruck_comm::ThreadComm;
 use bruck_core::{AlltoallAlgorithm, AlltoallvAlgorithm, EngineConfig};
 use bruck_model::{
@@ -405,7 +408,9 @@ fn fig10f() {
     }
 }
 
-/// Figure 11: transitive closure, vendor vs two-phase (real execution).
+/// Figure 11: transitive closure, vendor vs two-phase (real execution). Per
+/// algorithm: the run, its exchanges (`comm`), and the rest (`local`: join,
+/// dedup, encode), each the maximum over ranks.
 fn fig11() {
     println!("\n== Fig 11 — transitive closure strong scaling (real threaded runs) ==");
     let graph1 = graph1_like(8, 160, 80, SEED);
@@ -413,8 +418,9 @@ fn fig11() {
     for (edges, label) in [(&graph1, "Graph 1 (deep)"), (&graph2, "Graph 2 (bushy)")] {
         println!("\n  {label}: {} edges", edges.len());
         println!(
-            "  {:>4} | {:>14} {:>14} | {:>14} {:>14} | {:>10} {:>12}",
-            "P", "Alltoallv ms", "comm ms", "two-phase ms", "comm ms", "iters", "paths"
+            "  {:>4} | {:>12} {:>9} {:>9} | {:>12} {:>9} {:>9} | {:>6} {:>9}",
+            "P", "Alltoallv ms", "comm ms", "local ms", "two-phase ms", "comm ms", "local ms",
+            "iters", "paths"
         );
         for p in [2usize, 4, 8, 16] {
             let mut row = Vec::new();
@@ -423,20 +429,25 @@ fn fig11() {
                 let e = edges.clone();
                 let results =
                     ThreadComm::run(p, move |comm| transitive_closure(comm, algo, &e).unwrap());
-                let total =
-                    results.iter().map(|r| r.total_time.as_secs_f64()).fold(0.0f64, f64::max);
-                let comm_t =
-                    results.iter().map(|r| r.comm_time.as_secs_f64()).fold(0.0f64, f64::max);
+                let max_ms = |f: fn(&TcResult) -> Duration| {
+                    results.iter().map(|r| to_ms(f(r).as_secs_f64())).fold(0.0f64, f64::max)
+                };
                 meta = (results[0].iterations, results[0].total_paths);
-                row.push((total, comm_t));
+                row.push([
+                    max_ms(|r| r.total_time),
+                    max_ms(|r| r.comm_time),
+                    max_ms(|r| r.total_time.saturating_sub(r.comm_time)),
+                ]);
             }
             println!(
-                "  {:>4} | {:>14.2} {:>14.2} | {:>14.2} {:>14.2} | {:>10} {:>12}",
+                "  {:>4} | {:>12.2} {:>9.2} {:>9.2} | {:>12.2} {:>9.2} {:>9.2} | {:>6} {:>9}",
                 p,
-                to_ms(row[0].0),
-                to_ms(row[0].1),
-                to_ms(row[1].0),
-                to_ms(row[1].1),
+                row[0][0],
+                row[0][1],
+                row[0][2],
+                row[1][0],
+                row[1][1],
+                row[1][2],
                 meta.0,
                 meta.1
             );

@@ -84,7 +84,7 @@ mod tests {
         let bushy = graph2_like(60, 240, 1);
         let depth = |edges: &[Tuple]| {
             let index: crate::Relation = edges.iter().copied().collect();
-            let mut closure: crate::Relation = edges.iter().copied().collect();
+            let mut closure: crate::TupleSet = edges.iter().copied().collect();
             let mut delta: Vec<Tuple> = edges.to_vec();
             let mut iters = 0usize;
             while !delta.is_empty() && iters < 1000 {
@@ -114,7 +114,7 @@ mod tests {
         let paths_per_iter = |edges: &[Tuple]| {
             let c = sequential_closure(edges);
             let index: crate::Relation = edges.iter().copied().collect();
-            let mut closure: crate::Relation = edges.iter().copied().collect();
+            let mut closure: crate::TupleSet = edges.iter().copied().collect();
             let mut delta: Vec<Tuple> = edges.to_vec();
             let mut iters = 0usize;
             while !delta.is_empty() && iters < 1000 {

@@ -20,8 +20,11 @@
 //! * [`exchange_tuples`] → [`ExchangeStats`] — the one communication step of
 //!   both: one `alltoallv` whose receivers learn their counts, `N` and the
 //!   termination vote from what it delivers.
-//! * [`Relation`], [`Tuple`] ([`TUPLE_BYTES`] on the wire via [`encode_into`]
-//!   / [`encode_all`] / [`decode_all`]) and [`owner`], the hash partitioning.
+//! * [`Relation`] (a join side: edges with their first-column index) and
+//!   [`TupleSet`] (a fixpoint's result: each path once), both under one
+//!   unkeyed word hash, so their iteration order depends only on the inserts.
+//! * [`Tuple`] ([`TUPLE_BYTES`] on the wire via [`encode_into`] /
+//!   [`encode_all`] / [`decode_all`]) and [`owner`], the hash partitioning.
 //! * [`recovering_closure`] → [`RecoveringTcResult`],
 //!   [`exchange_tuples_recovering`] and [`heal_membership`] — the closure on
 //!   the self-healing membership stack (`bruck_core::recovering_alltoallv`).
@@ -57,6 +60,6 @@ pub use kcfa::{facts_at, kcfa_like_run, outboxes_at, KcfaConfig, KcfaResult};
 pub use recover::{
     exchange_tuples_recovering, heal_membership, recovering_closure, RecoveringTcResult,
 };
-pub use relation::Relation;
+pub use relation::{Relation, TupleSet};
 pub use tc::{sequential_closure, transitive_closure, TcIteration, TcResult};
 pub use tuple::{decode_all, encode_all, encode_into, owner, Tuple, TUPLE_BYTES};

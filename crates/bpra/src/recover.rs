@@ -36,7 +36,7 @@ use std::time::Duration;
 use bruck_comm::{CommError, CommResult, Communicator};
 use bruck_core::{recovering_alltoallv, Recovery, RecoveringConfig, RecoveryOutcome};
 
-use crate::{decode_all, encode_into, owner, Relation, Tuple};
+use crate::{decode_all, encode_into, owner, Relation, Tuple, TupleSet};
 
 /// Reserved tuple key: the sender's per-iteration new-fact count. Each rank
 /// appends one `(CTRL_DELTA, delta.len())` to every outbox, so each member
@@ -87,7 +87,7 @@ pub struct RecoveringTcResult {
     pub total_paths: u64,
     /// This rank's shard of the closure, hash-partitioned by the *dense*
     /// numbering of the final view.
-    pub local_paths: Relation,
+    pub local_paths: TupleSet,
     /// The final survivor view (sorted parent ranks).
     pub view: Vec<usize>,
     /// Parent ranks evicted across the run, ascending.
@@ -136,9 +136,12 @@ pub fn recovering_closure<C: Communicator + ?Sized>(
         // Re-shard the replicated inputs by the dense world.
         let my_edges: Relation =
             edges.iter().copied().filter(|e| owner(e.0, p) == me_pos).collect();
-        let mut local_paths: Relation =
+        // The first delta in input order, so the wire bytes repeat run to
+        // run (as in `transitive_closure`).
+        let mut local_paths = TupleSet::default();
+        let mut delta: Vec<Tuple> =
             edges.iter().copied().filter(|e| owner(e.1, p) == me_pos).collect();
-        let mut delta: Vec<Tuple> = local_paths.iter().copied().collect();
+        delta.retain(|&e| local_paths.insert(e));
 
         let mut iterations = 0usize;
         loop {
@@ -224,9 +227,13 @@ pub fn heal_membership<C: Communicator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential_closure;
-    use bruck_comm::{FaultComm, FaultPlan, SimComm, SimConfig};
+    use crate::{graph2_like, sequential_closure};
+    use bruck_comm::{
+        FaultComm, FaultPlan, MsgBuf, SimComm, SimConfig, Tag, ThreadComm, RESERVED_TAG_BASE,
+    };
     use bruck_core::{AlltoallvAlgorithm, ResilientConfig};
+    use std::hash::{DefaultHasher, Hasher};
+    use std::sync::Mutex;
 
     fn chain(n: u64) -> Vec<Tuple> {
         (0..n).map(|i| (i, i + 1)).collect()
@@ -266,6 +273,70 @@ mod tests {
         let mut want: Vec<Tuple> = expect.iter().copied().collect();
         want.sort_unstable();
         assert_eq!(all, want);
+    }
+
+    /// Forwards to `inner` and digests every data-plane `send_buf` payload
+    /// in send order. Reserved tags (plan, failure detector, agreement) are
+    /// left out: the detector's heartbeats follow the clock.
+    struct Digesting<'a, C: Communicator + ?Sized> {
+        inner: &'a C,
+        sent: Mutex<Vec<(usize, Tag, u64)>>,
+    }
+
+    impl<C: Communicator + ?Sized> Communicator for Digesting<'_, C> {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+        fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()> {
+            if tag < RESERVED_TAG_BASE {
+                let mut h = DefaultHasher::new();
+                h.write(&buf);
+                self.sent.lock().unwrap().push((dest, tag, h.finish()));
+            }
+            self.inner.send_buf(dest, tag, buf)
+        }
+        fn recv_match(
+            &self,
+            src: usize,
+            tag: Tag,
+            max_len: usize,
+            timeout: Duration,
+        ) -> CommResult<MsgBuf> {
+            self.inner.recv_match(src, tag, max_len, timeout)
+        }
+        fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
+            self.inner.probe(src, tag)
+        }
+        fn now(&self) -> Duration {
+            self.inner.now()
+        }
+        fn sleep(&self, d: Duration) {
+            self.inner.sleep(d)
+        }
+        fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
+            self.inner.wait_arrival(seen, timeout)
+        }
+    }
+
+    #[test]
+    fn a_healthy_run_sends_the_same_bytes_every_time() {
+        // Each run gets fresh rank threads, so a set keyed per thread (or per
+        // instance) would hand the first round its tuples in another order.
+        let edges = graph2_like(32, 80, 7);
+        let run = || {
+            ThreadComm::run(3, |comm| {
+                let dc = Digesting { inner: comm, sent: Default::default() };
+                let r = recovering_closure(&dc, &RecoveringConfig::default(), &edges).unwrap();
+                assert_eq!(r.epochs, 1);
+                dc.sent.into_inner().unwrap()
+            })
+        };
+        let first = run();
+        assert!(first.iter().all(|sent| sent.len() > 10), "{first:?}");
+        assert_eq!(run(), first);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use bruck_comm::{CommResult, Communicator, ReduceOp};
 use bruck_core::AlltoallvAlgorithm;
 
 use crate::exchange::Fixpoint;
-use crate::{owner, ExchangeStats, Relation, Tuple};
+use crate::{owner, ExchangeStats, Relation, Tuple, TupleSet};
 
 /// Instrumentation for one fixpoint iteration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,7 +35,7 @@ pub struct TcResult {
     pub total_paths: u64,
     /// This rank's shard of the closure (paths `(x, y)` with
     /// `owner(y) == rank`).
-    pub local_paths: Relation,
+    pub local_paths: TupleSet,
     /// Per-iteration instrumentation.
     pub per_iteration: Vec<TcIteration>,
     /// Total wall-clock time of the run.
@@ -60,7 +60,7 @@ pub fn transitive_closure<C: Communicator + ?Sized>(
     let my_edges: Relation = edges.iter().copied().filter(|e| owner(e.0, p) == me).collect();
     // T and the initial delta: paths sharded by second column, the delta in
     // input order (not hash order) so the wire bytes repeat run to run.
-    let mut local_paths = Relation::new();
+    let mut local_paths = TupleSet::default();
     let mut delta: Vec<Tuple> = edges.iter().copied().filter(|e| owner(e.1, p) == me).collect();
     delta.retain(|&e| local_paths.insert(e));
 
@@ -96,10 +96,11 @@ pub fn transitive_closure<C: Communicator + ?Sized>(
 }
 
 /// Sequential reference closure (tests and single-rank baselines).
-pub fn sequential_closure(edges: &[Tuple]) -> Relation {
+pub fn sequential_closure(edges: &[Tuple]) -> TupleSet {
     let index: Relation = edges.iter().copied().collect();
-    let mut closure: Relation = edges.iter().copied().collect();
+    let mut closure = TupleSet::default();
     let mut delta: Vec<Tuple> = edges.to_vec();
+    delta.retain(|&e| closure.insert(e));
     while !delta.is_empty() {
         let mut next = Vec::new();
         index.join_on_first(&delta, |x, _y, z| next.push((x, z)));

@@ -1,9 +1,11 @@
 //! The one-exchange fixpoint round (DESIGN.md §14.5): its message counts at
-//! P = 8, and results identical to the three-collective driver it replaced.
+//! P = 8, results identical to the three-collective driver it replaced, and
+//! per-round wire counts pinned from before the closure shard's hash changed.
 
 use bruck_bpra::{
-    decode_all, encode_all, exchange_tuples, graph1_like, kcfa_like_run, outboxes_at, owner,
-    transitive_closure, KcfaConfig, Relation, Tuple, TUPLE_BYTES,
+    decode_all, encode_all, exchange_tuples, graph1_like, graph2_like, kcfa_like_run,
+    outboxes_at, owner, transitive_closure, KcfaConfig, Relation, TcIteration, Tuple, TupleSet,
+    TUPLE_BYTES,
 };
 use bruck_comm::{Communicator, EventComm, MeteredComm, ReduceOp, SimComm, ThreadComm};
 use bruck_core::{alltoallv, packed_displs, AlltoallvAlgorithm};
@@ -71,8 +73,10 @@ fn parent_closure<C: Communicator + ?Sized>(
 ) -> Outcome {
     let (p, me) = (comm.size(), comm.rank());
     let my_edges: Relation = edges.iter().copied().filter(|e| owner(e.0, p) == me).collect();
-    let mut paths: Relation = edges.iter().copied().filter(|e| owner(e.1, p) == me).collect();
-    let mut delta: Vec<Tuple> = paths.iter().copied().collect();
+    // The first delta in input order, as the library's drivers seed theirs.
+    let mut paths = TupleSet::default();
+    let mut delta: Vec<Tuple> = edges.iter().copied().filter(|e| owner(e.1, p) == me).collect();
+    delta.retain(|&e| paths.insert(e));
     let mut series = Vec::new();
     loop {
         let mut outboxes = vec![Vec::new(); p];
@@ -125,10 +129,10 @@ fn fused_kcfa<C: Communicator + ?Sized>(comm: &C, algo: AlltoallvAlgorithm) -> O
 
 /// `body` on every backend the suite runs on: real threads, two simulator
 /// schedules, the event runtime.
-fn on_every_backend(
+fn on_every_backend<T: Send>(
     p: usize,
-    body: impl Fn(&dyn Communicator) -> Outcome + Sync + Copy,
-) -> [Vec<Outcome>; 4] {
+    body: impl Fn(&dyn Communicator) -> T + Sync + Copy,
+) -> [Vec<T>; 4] {
     [
         ThreadComm::run(p, |comm| body(comm)),
         SimComm::run(p, 1, |comm| body(comm)).results,
@@ -153,6 +157,91 @@ fn closure_and_kcfa_results_are_the_parents_on_every_backend() {
         assert!(want.iter().all(|(_, total, _)| *total > 0));
         for got in on_every_backend(p, |comm| fused_kcfa(comm, algo)) {
             assert_eq!(got, want, "{algo:?}");
+        }
+    }
+}
+
+/// One round as a rank sees it: `(N, tuple bytes sent, tuples received,
+/// globally new paths)`.
+type Round = (usize, usize, usize, u64);
+
+/// `graph1_like(2, 14, 4, 7)` at P = 5, per rank, captured while the closure
+/// shard still hashed with std's `RandomState`.
+#[rustfmt::skip]
+const GRAPH1_ROUNDS: [[Round; 13]; 5] = [
+    [
+        (64, 64, 3, 30), (64, 48, 2, 27), (64, 32, 2, 23), (48, 32, 2, 20), (48, 32, 2, 18),
+        (48, 32, 2, 16), (48, 32, 2, 14), (32, 32, 3, 11), (32, 48, 3, 9), (32, 48, 2, 7),
+        (16, 32, 1, 3), (16, 16, 0, 1), (0, 0, 0, 0),
+    ],
+    [
+        (64, 160, 8, 30), (64, 160, 7, 27), (64, 128, 6, 23), (48, 112, 6, 20), (48, 112, 5, 18),
+        (48, 96, 5, 16), (48, 96, 4, 14), (32, 64, 3, 11), (32, 48, 2, 9), (32, 32, 2, 7),
+        (16, 32, 1, 3), (16, 16, 0, 1), (0, 0, 0, 0),
+    ],
+    [
+        (64, 96, 4, 30), (64, 80, 5, 27), (64, 96, 4, 23), (48, 80, 4, 20), (48, 80, 3, 18),
+        (48, 64, 3, 16), (48, 64, 2, 14), (32, 48, 2, 11), (32, 48, 1, 9), (32, 32, 0, 7),
+        (16, 0, 0, 3), (16, 0, 0, 1), (0, 0, 0, 0),
+    ],
+    [
+        (64, 144, 10, 30), (64, 144, 9, 27), (64, 112, 9, 23), (48, 112, 7, 20), (48, 96, 7, 18),
+        (48, 96, 5, 16), (48, 64, 5, 14), (32, 64, 3, 11), (32, 32, 3, 9), (32, 32, 2, 7),
+        (16, 16, 1, 3), (16, 0, 1, 1), (0, 0, 0, 0),
+    ],
+    [
+        (64, 32, 6, 30), (64, 32, 6, 27), (64, 32, 4, 23), (48, 16, 3, 20), (48, 0, 3, 18),
+        (48, 0, 3, 16), (48, 0, 3, 14), (32, 0, 2, 11), (32, 0, 2, 9), (32, 0, 3, 7),
+        (16, 0, 2, 3), (16, 0, 1, 1), (0, 0, 0, 0),
+    ],
+];
+
+/// `graph2_like(32, 80, 7)` at P = 5, captured with [`GRAPH1_ROUNDS`].
+#[rustfmt::skip]
+const GRAPH2_ROUNDS: [[Round; 7]; 5] = [
+    [
+        (416, 128, 9, 165), (1152, 240, 18, 233), (864, 448, 29, 211), (784, 912, 24, 115),
+        (688, 1056, 10, 34), (368, 512, 1, 5), (48, 64, 0, 0),
+    ],
+    [
+        (416, 736, 51, 165), (1152, 1696, 114, 233), (864, 2704, 146, 211), (784, 2320, 140, 115),
+        (688, 880, 64, 34), (368, 288, 20, 5), (48, 80, 5, 0),
+    ],
+    [
+        (416, 640, 50, 165), (1152, 1264, 126, 233), (864, 1792, 137, 211), (784, 1216, 113, 115),
+        (688, 512, 66, 34), (368, 288, 18, 5), (48, 48, 1, 0),
+    ],
+    [
+        (416, 432, 37, 165), (1152, 880, 79, 233), (864, 1456, 116, 211), (784, 1888, 97, 115),
+        (688, 1024, 62, 34), (368, 80, 26, 5), (48, 0, 4, 0),
+    ],
+    [
+        (416, 1072, 41, 165), (1152, 2720, 88, 233), (864, 2496, 128, 211), (784, 1248, 100, 115),
+        (688, 544, 49, 34), (368, 80, 13, 5), (48, 0, 2, 0),
+    ],
+];
+
+#[test]
+fn per_round_wire_counts_are_pinned_on_every_backend() {
+    // The set a rank dedups against decides which tuples are new, not what
+    // travels: a change of its hash must leave every count where it was.
+    let cases = [
+        (graph1_like(2, 14, 4, 7), GRAPH1_ROUNDS.map(Vec::from).to_vec()),
+        (graph2_like(32, 80, 7), GRAPH2_ROUNDS.map(Vec::from).to_vec()),
+    ];
+    for (edges, want) in &cases {
+        for algo in ALGOS {
+            let rounds = |comm: &dyn Communicator| -> Vec<Round> {
+                let r = transitive_closure(comm, algo, edges).unwrap();
+                let round = |i: &TcIteration| {
+                    let e = i.exchange;
+                    (e.n_max, e.bytes_sent, e.tuples_received, i.new_paths)
+                };
+                r.per_iteration.iter().map(round).collect()
+            };
+            for got in on_every_backend(5, rounds) {
+                assert_eq!(&got, want, "{algo:?}");
+            }
         }
     }
 }
