@@ -7,6 +7,8 @@
 //! on the threaded runtime at laptop-scale rank counts. Build with
 //! `--release`; the large-P sweeps are compute-heavy.
 
+#![expect(clippy::unwrap_used, reason = "a CLI: a failed run aborts the figure loudly")]
+
 use std::path::Path;
 use std::time::Duration;
 

@@ -14,7 +14,6 @@
 //!   points at a counter. Embedded in every `scale` row of the `bruck-bench`
 //!   artifact.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -42,7 +41,7 @@ pub(crate) fn json_escape(s: &str) -> String {
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                out.push_str(&format!("\\u{:04x}", c as u32));
             }
             c => out.push(c),
         }
@@ -60,23 +59,21 @@ pub fn chrome_trace_json(cells: &[(String, Vec<PhaseTimeline>)]) -> String {
             out.push(',');
         }
         first = false;
-        let _ = write!(
-            out,
+        out.push_str(&format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
              \"args\":{{\"name\":\"{}\"}}}}",
             json_escape(label)
-        );
+        ));
         for tl in timelines {
             for ev in &tl.events {
-                let _ = write!(
-                    out,
+                out.push_str(&format!(
                     ",{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
                      \"pid\":{pid},\"tid\":{}}}",
                     json_escape(ev.name),
                     ev.start_ns as f64 / 1e3,
                     ev.dur_ns as f64 / 1e3,
                     tl.rank
-                );
+                ));
             }
         }
     }

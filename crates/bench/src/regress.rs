@@ -15,8 +15,6 @@
 //! The committed baseline is `crates/bench/baseline.json`, regenerated with
 //! `bruck-bench --smoke --out crates/bench/baseline.json`.
 
-use std::fmt::Write as _;
-
 use bruck_core::{AlltoallvAlgorithm, EngineConfig};
 
 use crate::export::json_escape;
@@ -139,21 +137,15 @@ impl Cell {
 
     /// This cell's one-line row.
     pub fn to_json_line(&self) -> String {
-        let mut s = self.id_json();
-        let _ = write!(s, "\"workers\":{}", self.workers);
-        match &self.skip_reason {
+        let outcome = match &self.skip_reason {
             Some(reason) => {
-                let _ = write!(s, ",\"skipped\":true,\"skip_reason\":\"{}\"", json_escape(reason));
+                format!(",\"skipped\":true,\"skip_reason\":\"{}\"", json_escape(reason))
             }
-            None => {
-                let _ = write!(s, ",\"wall_s\":{:.6},\"messages\":{}", self.wall_s, self.messages);
-            }
-        }
-        if let Some(scheduler) = &self.scheduler {
-            let _ = write!(s, ",\"scheduler\":{scheduler}");
-        }
-        s.push('}');
-        s
+            None => format!(",\"wall_s\":{:.6},\"messages\":{}", self.wall_s, self.messages),
+        };
+        let scheduler =
+            self.scheduler.as_ref().map_or(String::new(), |s| format!(",\"scheduler\":{s}"));
+        format!("{}\"workers\":{}{outcome}{scheduler}}}", self.id_json(), self.workers)
     }
 }
 
@@ -175,19 +167,22 @@ pub struct Selection {
 pub fn artifact_json(workers: usize, tuned: Option<(f64, &[Selection])>, cells: &[Cell]) -> String {
     let mut out = format!("{{\"schema\":\"bruck-bench/cells\",\"workers\":{workers},");
     if let Some((fit_log_mse, selections)) = tuned {
-        let _ = write!(out, "\"fit_log_mse\":{fit_log_mse:.6},\"selections\":[");
-        for (i, s) in selections.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"p\":{},\"dist\":\"{}\",\"config\":\"{}\",\"predicted_s\":{:e}}}",
-                if i > 0 { "," } else { "" },
-                s.p,
-                json_escape(&s.dist),
-                s.config.key(),
-                s.predicted_s
-            );
-        }
-        out.push_str("],");
+        let rows: Vec<String> = selections
+            .iter()
+            .map(|s| {
+                format!(
+                    "{{\"p\":{},\"dist\":\"{}\",\"config\":\"{}\",\"predicted_s\":{:e}}}",
+                    s.p,
+                    json_escape(&s.dist),
+                    s.config.key(),
+                    s.predicted_s
+                )
+            })
+            .collect();
+        out.push_str(&format!(
+            "\"fit_log_mse\":{fit_log_mse:.6},\"selections\":[{}],",
+            rows.join(",")
+        ));
     }
     out.push_str("\"cells\":[\n");
     let rows: Vec<String> = cells.iter().map(Cell::to_json_line).collect();

@@ -43,7 +43,6 @@
 //! assert!(totals.iter().all(|&t| t == totals[0] && t > 0));
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod exchange;

@@ -79,6 +79,7 @@ pub fn transitive_closure<C: Communicator + ?Sized>(
         delta.extend(received.into_iter().filter(|&t| local_paths.insert(t)));
     }
 
+    #[expect(clippy::disallowed_methods, reason = "the one-off total after the fixpoint loop")]
     let total_paths = comm.allreduce_u64(local_paths.len() as u64, ReduceOp::Sum)?;
     let per_iteration: Vec<TcIteration> = fixpoint
         .rounds

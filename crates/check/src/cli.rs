@@ -65,11 +65,10 @@ impl Args {
 /// self-describing, so either simulator binary can replay them.
 pub fn save_witness(bin: &str, name: &str, message: &str, trace: &ScheduleTrace, min: &ScheduleTrace) {
     let dir = Path::new("target").join(bin);
-    let _ = std::fs::create_dir_all(&dir);
     let stem = name.replace(['/', ' '], "_");
     let (path, min_path) = (dir.join(format!("{stem}.trace")), dir.join(format!("{stem}.min.trace")));
     println!("  message:        {message}");
-    if trace.save(&path).is_ok() {
+    if std::fs::create_dir_all(&dir).and_then(|()| trace.save(&path)).is_ok() {
         println!("  witness trace:  {} ({} choices)", path.display(), trace.choices.len());
         println!(
             "  replay with:    cargo run --release -p bruck-check --bin {bin} -- --replay {}",

@@ -1,4 +1,4 @@
-//! # bruck-check — communication-protocol verifier and repo lint gate
+//! # bruck-check — communication-protocol verifier
 //!
 //! One typed cell list ([`cells::registry`]) — every operation reachable
 //! from a public `bruck-core` entry point × workload × world size — and five
@@ -15,20 +15,16 @@
 //! | **chaos** (`bruck-chaos`) | `SimComm` + `FaultComm → ReliableComm → MeteredComm`; three real-clock canaries on `ThreadComm` | the crash-only contract on exact virtual-time budgets: never hang, never silent corruption, completion where promised, never meter drift; every cell run twice (DESIGN.md §9) | [`runner`], [`sim_matrix`] |
 //! | **recovery** (`bruck-chaos --recovery-smoke`) | `SimComm` + scripted crash calibrated into each phase class | detect → agree → shrink → retry ends typed `Recovered`, byte-correct on the survivor view, digest-deterministic; virtual-time MTTR regression-checked against `BENCH_PR8.json` (DESIGN.md §14) | [`recovery`] |
 //!
-//! Beside them, the **source lint** ([`lint`], binary `bruck-lint`) scans
-//! crate sources for banned patterns with an explicit, counted allowlist;
 //! [`cli`] is what the matrix binaries share. `scripts/verify.sh` runs all
 //! of it as tier-1 gates. The verifier's model, guarantees, and
 //! non-guarantees are documented in DESIGN.md §8.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod analysis;
 pub mod cells;
 pub mod cli;
 pub mod dpor;
-pub mod lint;
 pub mod matrix;
 pub mod recovery;
 pub mod runner;

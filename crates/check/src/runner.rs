@@ -114,7 +114,7 @@ where
                 let ranks = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     ThreadComm::run(p, |comm| body(comm))
                 }));
-                // The watchdog may have given up; a dead receiver is fine.
+                #[expect(clippy::let_underscore_must_use, reason = "the watchdog may have gone")]
                 let _ = tx.send(ranks);
             });
             let lost = |why: String| (0..p).map(|_| Err(why.clone())).collect();
@@ -198,8 +198,8 @@ fn run_rank(cell: &Cell, faults: Faults, seed: u64, comm: &dyn Communicator) -> 
     };
     let done = mc.now();
     // Service peers' retransmissions before leaving so a lost ack near the
-    // end cannot strand a survivor in its retry loop (a crashed rank's own
-    // quiesce fails typed at once; that is its ending, not a finding).
+    // end cannot strand a survivor in its retry loop.
+    #[expect(clippy::let_underscore_must_use, reason = "a crashed rank's quiesce fails typed")]
     let _ = rc.quiesce(Faults::QUIESCE.0, Faults::QUIESCE.1);
     let elapsed = (done.saturating_sub(start), mc.now().saturating_sub(done));
     Ok(RankRun { ending, elapsed, drift: mc.metrics().consistency_errors() })

@@ -6,9 +6,11 @@
 //! `Communicator` trait rather than `std::time` directly, so a backend can
 //! substitute a *virtual* clock (see [`crate::SimComm`]) and make timeouts
 //! fire deterministically. This module is the one sanctioned place where the
-//! real-thread backends touch `Instant::now` / `thread::sleep` — the
-//! `no-adhoc-sleep` lint in `bruck-check` bans `thread::sleep` everywhere
-//! else in `bruck-comm`/`bruck-core`.
+//! real-thread backends touch `Instant::now` / `thread::sleep`; the crates'
+//! `clippy.toml` bans `thread::sleep` everywhere else in
+//! `bruck-comm`/`bruck-core`.
+
+#![expect(clippy::disallowed_methods, reason = "the one sanctioned real-sleep site")]
 
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};

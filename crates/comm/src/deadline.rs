@@ -92,6 +92,7 @@ impl<C: Communicator + ?Sized> Communicator for DeadlineComm<'_, C> {
         self.inner.now()
     }
 
+    #[expect(clippy::disallowed_methods, reason = "a wrapper forward; it waits for nothing")]
     fn sleep(&self, d: Duration) {
         self.inner.sleep(d)
     }

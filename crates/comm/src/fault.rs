@@ -290,6 +290,7 @@ impl<'a, C: Communicator + ?Sized> FaultComm<'a, C> {
             // mailbox bookkeeping (or the log readers). Taken on the inner
             // communicator's clock, so a stall under the deterministic
             // simulator costs virtual time, not wall-clock time.
+            #[expect(clippy::disallowed_methods, reason = "the stall is the injected fault")]
             self.inner.sleep(Duration::from_millis(millis));
         }
         Ok(())
@@ -380,6 +381,7 @@ impl<C: Communicator + ?Sized> Communicator for FaultComm<'_, C> {
         self.inner.now()
     }
 
+    #[expect(clippy::disallowed_methods, reason = "a wrapper forward; it waits for nothing")]
     fn sleep(&self, d: Duration) {
         self.inner.sleep(d)
     }

@@ -42,6 +42,8 @@
 //! parks a receive: the condvar here, a blocked state in the simulator, an
 //! any-source waiter in the event runtime.
 
+#![expect(clippy::disallowed_types, reason = "the blocking wrapper is a sanctioned condvar site")]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -375,7 +377,7 @@ mod tests {
         mb.push(0, 1, region.slice(16..32));
         let got = take(&mb, 0, 1);
         // The queued message aliases the sender's region.
-        assert_eq!(got.as_slice().as_ptr(), unsafe { ptr.add(16) });
+        assert_eq!(got.as_slice().as_ptr(), ptr.wrapping_add(16));
         assert_eq!(got, region.slice(16..32));
     }
 

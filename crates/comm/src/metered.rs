@@ -328,6 +328,7 @@ impl<C: Communicator + ?Sized> Communicator for MeteredComm<'_, C> {
         self.inner.now()
     }
 
+    #[expect(clippy::disallowed_methods, reason = "a wrapper forward; it waits for nothing")]
     fn sleep(&self, d: Duration) {
         self.inner.sleep(d)
     }

@@ -372,6 +372,7 @@ impl<C: Communicator + ?Sized> Drop for ReliableComm<'_, C> {
     /// [`ReliableComm::flush`], result ignored; not while unwinding (rule 2).
     fn drop(&mut self) {
         if !std::thread::panicking() {
+            #[expect(clippy::let_underscore_must_use, reason = "`Drop` has nowhere to return it")]
             let _ = self.flush();
         }
     }
@@ -459,6 +460,7 @@ impl<C: Communicator + ?Sized> Communicator for ReliableComm<'_, C> {
         self.inner.now()
     }
 
+    #[expect(clippy::disallowed_methods, reason = "a wrapper forward; it waits for nothing")]
     fn sleep(&self, d: Duration) {
         self.inner.sleep(d)
     }

@@ -96,6 +96,7 @@ impl RetryPolicy {
 
     /// Sleep for `attempt`'s delay on the communicator's trait clock —
     /// virtual time under [`crate::SimComm`], wall time elsewhere.
+    #[expect(clippy::disallowed_methods, reason = "back-off between attempts: nothing to wait for")]
     pub fn sleep_before_retry<C: Communicator + ?Sized>(&self, comm: &C, attempt: u32) {
         comm.sleep(self.delay(attempt));
     }

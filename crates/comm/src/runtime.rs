@@ -51,6 +51,12 @@
 //! anything ≥ 1 is correct — `run_pooled(p, 1, …)` is fully deterministic:
 //! with one worker the sweep's order is a function of the program alone.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the scheduler is the sanctioned site for worker threads and condvars"
+)]
+
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};

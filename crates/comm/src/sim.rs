@@ -33,6 +33,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+#[expect(clippy::disallowed_types, reason = "the token condvar that sequences SimComm's ranks")]
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -384,12 +385,14 @@ struct SimState {
 /// variable rank threads park on while they do not hold the token.
 pub struct SimWorld {
     state: Mutex<SimState>,
+    #[expect(clippy::disallowed_types, reason = "the token condvar (see the import)")]
     cv: Condvar,
     p: usize,
     seed: u64,
 }
 
 impl SimWorld {
+    #[expect(clippy::disallowed_types, reason = "the token condvar (see the import)")]
     fn new(p: usize, cfg: &SimConfig) -> SimWorld {
         let mode = match &cfg.replay {
             Some(choices) => SchedMode::Replay(choices.iter().copied().collect()),
@@ -553,7 +556,7 @@ impl SimWorld {
         if st.started == self.p {
             self.pick_next(&mut st, rank);
         }
-        let _ = self.wait_for_token(st, rank);
+        drop(self.wait_for_token(st, rank));
     }
 
     /// Last scheduling point of a rank thread: mark it done and pass the
@@ -673,7 +676,7 @@ impl SimWorld {
         let until = st.now + d;
         st.ranks[rank] = RankState::Sleeping { until };
         self.pick_next(&mut st, rank);
-        let _ = self.wait_for_token(st, rank);
+        drop(self.wait_for_token(st, rank));
     }
 
     fn sim_now(&self) -> Duration {
@@ -771,6 +774,7 @@ impl SimComm<'_> {
         assert!(p > 0, "world size must be at least 1");
         let world = SimWorld::new(p, cfg);
         let outcomes = std::thread::scope(|scope| {
+            #[expect(clippy::disallowed_methods, reason = "one cooperative thread per rank")]
             let handles: Vec<_> = (0..p)
                 .map(|rank| {
                     let world = &world;

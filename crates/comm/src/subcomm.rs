@@ -43,6 +43,7 @@ impl<'a, C: Communicator + ?Sized> SubComm<'a, C> {
         let mut members: Vec<usize> =
             (0..parent.size()).filter(|&r| colors[r] == color).collect();
         members.sort_by_key(|&r| (keys[r], r));
+        #[expect(clippy::expect_used, reason = "`members` includes this rank")]
         let my_index =
             members.iter().position(|&r| r == me).expect("caller is a member of its own color");
         // Context: derived from the color so sibling groups differ; 6 bits,
@@ -177,6 +178,7 @@ impl<C: Communicator + ?Sized> Communicator for ShrinkComm<'_, C> {
         self.sub.now()
     }
 
+    #[expect(clippy::disallowed_methods, reason = "a wrapper forward; it waits for nothing")]
     fn sleep(&self, d: Duration) {
         self.sub.sleep(d)
     }
@@ -228,6 +230,7 @@ impl<C: Communicator + ?Sized> Communicator for SubComm<'_, C> {
         self.parent.now()
     }
 
+    #[expect(clippy::disallowed_methods, reason = "a wrapper forward; it waits for nothing")]
     fn sleep(&self, d: Duration) {
         self.parent.sleep(d)
     }

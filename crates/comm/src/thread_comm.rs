@@ -116,6 +116,8 @@ impl ThreadComm {
         let world = World::new(size);
         let f = &f;
         std::thread::scope(|scope| {
+            #[expect(clippy::disallowed_methods, reason = "the rank-per-thread backend, by design")]
+            #[expect(clippy::expect_used, reason = "`run` has no error path for a failed spawn")]
             let handles: Vec<_> = (0..size)
                 .map(|rank| {
                     let world = Arc::clone(&world);

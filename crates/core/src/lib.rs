@@ -79,7 +79,6 @@
 //! });
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod collectives;

@@ -598,6 +598,7 @@ impl<C: Communicator + ?Sized> Communicator for OddRound<'_, C> {
     }
 
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "a wrapper forward; it waits for nothing")]
     fn sleep(&self, d: Duration) {
         self.0.sleep(d)
     }
@@ -610,6 +611,7 @@ impl<C: Communicator + ?Sized> Communicator for OddRound<'_, C> {
 
 /// Global maximum block size (one allreduce) — the `N` of the paper. Only a
 /// padding rule asks for it.
+#[expect(clippy::disallowed_methods, reason = "the padding rule's one allreduce, before the loop")]
 fn global_n_max<C: Communicator + ?Sized>(comm: &C, sendcounts: &[usize]) -> CommResult<usize> {
     let _probe = span("padded.allreduce");
     let local_max = sendcounts.iter().copied().max().unwrap_or(0);

@@ -105,6 +105,7 @@ pub(super) fn hierarchical_alltoallv<C: Communicator + ?Sized>(
             if msg.len() < 8 * p {
                 return Err(CommError::BadArgument("gather payload too short"));
             }
+            #[expect(clippy::expect_used, reason = "`chunks_exact(8)` yields 8-byte slices")]
             let counts: Vec<usize> = msg[..8 * p]
                 .chunks_exact(8)
                 .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte count")) as usize)
@@ -149,6 +150,7 @@ pub(super) fn hierarchical_alltoallv<C: Communicator + ?Sized>(
         if msg.len() < header {
             return Err(CommError::BadArgument("leader payload too short"));
         }
+        #[expect(clippy::expect_used, reason = "`chunks_exact(4)` yields 4-byte slices")]
         let mut sizes = msg[..header]
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte size")) as usize);
@@ -156,6 +158,7 @@ pub(super) fn hierarchical_alltoallv<C: Communicator + ?Sized>(
         for &s in &src_members {
             let mut per_dst = Vec::with_capacity(members.len());
             for _ in 0..members.len() {
+                #[expect(clippy::expect_used, reason = "the header has one size per member pair")]
                 let sz = sizes.next().expect("size matrix entry");
                 per_dst.push(msg.slice(at..at + sz));
                 at += sz;

@@ -253,11 +253,10 @@ pub fn recovering_alltoallv<C: Communicator + ?Sized>(
                 Err(e) => Err(e),
             }
         };
-        if let Err(e) = &local {
-            if !is_fault(e) || names_me(e) {
-                return Err(local.unwrap_err());
-            }
-        }
+        let local = match local {
+            Err(e) if !is_fault(&e) || names_me(&e) => return Err(e),
+            other => other,
+        };
 
         // Confirmation: EVERY attempt — success or not — ends in detect +
         // agreement, because failure evidence is asymmetric (one rank's

@@ -45,6 +45,7 @@ pub(super) fn ranka_two_stage_alltoallv<C: Communicator + ?Sized>(
 
     // ---- Stage 1: scatter pieces to intermediates -----------------------
     // Message to intermediate i: [u32 sendcounts row][piece i of each block].
+    #[expect(clippy::expect_used, reason = "the stage-1 header is u32; a 4 GiB block is beyond it")]
     let build_stage1 = |i: usize| -> Vec<u8> {
         let mut msg = Vec::with_capacity(4 * p + sendcounts.iter().sum::<usize>() / p + p);
         for &c in sendcounts {
@@ -139,6 +140,7 @@ fn parse_stage1(msg: MsgBuf, p: usize) -> CommResult<(Vec<usize>, MsgBuf)> {
     if msg.len() < 4 * p {
         return Err(CommError::BadArgument("stage-1 payload too short"));
     }
+    #[expect(clippy::expect_used, reason = "`chunks_exact(4)` yields 4-byte slices")]
     let counts: Vec<usize> = msg[..4 * p]
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte count")) as usize)

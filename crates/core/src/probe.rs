@@ -23,9 +23,11 @@
 //!
 //! ## Wall-clock discipline
 //!
-//! `bruck-lint` bans ad-hoc `Instant::now()` in `crates/core`: all timing
-//! goes through [`span`]. This file is the single audited exception where
-//! the clock is actually read.
+//! `crates/core/clippy.toml` bans ad-hoc `Instant::now()` in `crates/core`:
+//! all timing goes through [`span`]. This file is the single audited exception
+//! where the clock is actually read.
+
+#![expect(clippy::disallowed_methods, reason = "the one sanctioned stopwatch site in bruck-core")]
 
 use std::cell::RefCell;
 use std::time::Instant;

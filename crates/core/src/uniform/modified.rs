@@ -73,13 +73,16 @@ pub(super) fn modified_bruck_dt<C: Communicator + ?Sized>(
         let hop = 1usize << k;
         let dest = sub_mod(me, hop, p);
         let src = add_mod(me, hop, p);
+        #[expect(clippy::expect_used, reason = "step blocks end inside `recvbuf`")]
         let layout = IndexedBlocks::new(
             step_rel_indices(p, k).map(|i| (add_mod(i, me, p) * block, block)).collect(),
         )
         .expect("in-bounds step layout");
         let mut wire = vec![0u8; layout.packed_len()];
+        #[expect(clippy::expect_used, reason = "the wire is `packed_len` long")]
         layout.pack_into(recvbuf, &mut wire).expect("pack step blocks");
         let got = comm.sendrecv(dest, uniform_step_tag(k), &wire, src, uniform_step_tag(k))?;
+        #[expect(clippy::expect_used, reason = "peers pack the same layout; a rogue peer panics")]
         layout.unpack_from(&got, recvbuf).expect("unpack step blocks");
     }
     Ok(())

@@ -78,9 +78,12 @@ pub(super) fn zero_copy_bruck_dt<C: Communicator + ?Sized>(
             send_blocks.push((send_base + abs * block, block));
             recv_blocks.push((recv_base + abs * block, block));
         }
+        #[expect(clippy::expect_used, reason = "step blocks end inside the work buffer")]
         let send_layout = IndexedBlocks::new(send_blocks).expect("in-bounds send layout");
+        #[expect(clippy::expect_used, reason = "step blocks end inside the work buffer")]
         let recv_layout = IndexedBlocks::new(recv_blocks).expect("in-bounds recv layout");
         let mut wire = vec![0u8; send_layout.packed_len()];
+        #[expect(clippy::expect_used, reason = "the wire is `packed_len` long")]
         send_layout.pack_into(&w, &mut wire).expect("pack step blocks");
         let got = comm.sendrecv_buf(
             dest,
@@ -89,6 +92,7 @@ pub(super) fn zero_copy_bruck_dt<C: Communicator + ?Sized>(
             src,
             uniform_step_tag(k),
         )?;
+        #[expect(clippy::expect_used, reason = "peers pack the same layout; a rogue peer panics")]
         recv_layout.unpack_from(&got, &mut w).expect("unpack step blocks");
     }
 

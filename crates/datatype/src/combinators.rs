@@ -60,6 +60,7 @@ impl IndexedBlocks {
     /// the *commit-time normalization* real MPI datatype engines apply.
     /// Packing through the normalized layout is byte-identical but walks
     /// fewer descriptors.
+    #[expect(clippy::expect_used, reason = "merging adjacent valid blocks keeps ends in range")]
     pub fn normalized(&self) -> IndexedBlocks {
         let mut blocks: Vec<(usize, usize)> = Vec::with_capacity(self.block_count());
         for &(d, l) in self.blocks() {

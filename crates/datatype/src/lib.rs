@@ -16,7 +16,6 @@
 //! general datatype engine: they walk a block-descriptor tape per transfer
 //! rather than special-casing what a hand-written `memcpy` loop would fuse.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod combinators;

@@ -31,7 +31,6 @@
 //! assert!(two_phase < vendor); // the paper's headline regime
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod closed_form;

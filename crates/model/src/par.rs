@@ -43,6 +43,7 @@ where
                 })
             })
             .collect();
+        #[expect(clippy::expect_used, reason = "re-raises a worker's panic, as a serial map would")]
         handles.into_iter().map(|h| h.join().expect("par_map worker panicked")).collect()
     });
 

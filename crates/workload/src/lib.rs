@@ -17,7 +17,6 @@
 //! ([`Distribution::sample_row`]) or a full `P×P` [`SizeMatrix`] with
 //! `matrix[src][dst]` = bytes sent from `src` to `dst`.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod distribution;

@@ -17,6 +17,7 @@ pub struct SizeMatrix {
 
 impl SizeMatrix {
     /// Generate a matrix for `p` ranks from `dist` with maximum size `n_max`.
+    #[expect(clippy::expect_used, reason = "sizes are u32: a 4 GiB block is a caller error")]
     pub fn generate(dist: Distribution, seed: u64, p: usize, n_max: usize) -> Self {
         let mut sizes = Vec::with_capacity(p * p);
         for src in 0..p {
@@ -29,6 +30,7 @@ impl SizeMatrix {
     }
 
     /// Build from an explicit row-major size table (tests, custom workloads).
+    #[expect(clippy::expect_used, reason = "sizes are u32: a 4 GiB block is a caller error")]
     pub fn from_rows(rows: Vec<Vec<usize>>) -> Self {
         let p = rows.len();
         let mut sizes = Vec::with_capacity(p * p);
@@ -40,6 +42,7 @@ impl SizeMatrix {
     }
 
     /// A uniform matrix: every block exactly `n` bytes.
+    #[expect(clippy::expect_used, reason = "sizes are u32: a 4 GiB block is a caller error")]
     pub fn uniform(p: usize, n: usize) -> Self {
         SizeMatrix { p, sizes: vec![u32::try_from(n).expect("block size exceeds u32"); p * p] }
     }

@@ -52,12 +52,24 @@ stage conformance cargo test --release -q --test conformance
 # seeded property sweep over arbitrary non-uniform counts.
 stage collectives-gauntlet cargo test --release -q --test collectives_gauntlet
 stage collectives-properties cargo test --release -q --test collectives_properties
-# Static gates (DESIGN.md §8): source lint with audited allowlist, then the
-# protocol-analysis matrix (the registry's check rows on a lowest-first
-# `SimComm` run). Both exit non-zero on any unallowlisted finding. Every
-# matrix binary's summary line prints `cells: N`, so coverage reads next to
-# the wall time in the table below.
-stage bruck-lint cargo run --release -p bruck-check --bin bruck-lint
+# Source rules (DESIGN.md §8.4): the `[workspace.lints]` table plus the bans
+# in crates/{comm,core,bpra}/clippy.toml. `--lib --bins` compiles no
+# `#[cfg(test)]` code, which is the rules' test exemption. An audited
+# exception is an `#[expect]` at its site, and a stale one fails through
+# `unfulfilled_lint_expectations`; a plain `cargo build` ignores the clippy
+# ones. A clippy.toml path that resolves to nothing is a plain warning that
+# `-D warnings` does not reach, so any `warning` line fails the stage too.
+clippy_gate() {
+    clippy_out=$(cargo clippy --workspace --lib --bins --color never -- -D warnings 2>&1)
+    clippy_status=$?
+    printf '%s\n' "$clippy_out"
+    [ "$clippy_status" -eq 0 ] && ! printf '%s\n' "$clippy_out" | grep -q '^warning'
+}
+stage clippy clippy_gate
+# Protocol-analysis matrix (DESIGN.md §8): the registry's check rows on a
+# lowest-first `SimComm` run, non-zero exit on any finding. Every matrix
+# binary's summary line prints `cells: N`, so coverage reads next to the wall
+# time in the table below.
 stage bruck-check cargo run --release -p bruck-check --bin bruck-check
 # Dynamic fault-tolerance gate (DESIGN.md §9): the op × fault-plan battery
 # on SimComm's virtual clock, asserting the crash-only property against exact

@@ -2,12 +2,10 @@
 //!
 //! Facade crate re-exporting the full workspace API. See the individual crates:
 //! [`bruck_comm`], [`bruck_datatype`], [`bruck_core`], [`bruck_workload`],
-//! [`bruck_model`], [`bruck_bpra`]. The `bruck-check` verifier and `bruck-lint`
-//! source gate live outside the facade; run them via
-//! `cargo run -p bruck-check --bin bruck-check` / `--bin bruck-lint` (both are
-//! tier-1 stages of `scripts/verify.sh`).
+//! [`bruck_model`], [`bruck_bpra`]. The `bruck-check` verifier lives outside
+//! the facade; run it via `cargo run -p bruck-check --bin bruck-check` (a
+//! stage of `scripts/verify.sh`, like the workspace's `cargo clippy` gate).
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub use bruck_bpra as bpra;
