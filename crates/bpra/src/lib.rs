@@ -25,9 +25,13 @@
 //!   unkeyed word hash, so their iteration order depends only on the inserts.
 //! * [`Tuple`] ([`TUPLE_BYTES`] on the wire via [`encode_into`] /
 //!   [`encode_all`] / [`decode_all`]) and [`owner`], the hash partitioning.
-//! * [`recovering_closure`] → [`RecoveringTcResult`],
-//!   [`exchange_tuples_recovering`] and [`heal_membership`] — the closure on
-//!   the self-healing membership stack (`bruck_core::recovering_alltoallv`).
+//!
+//! A fixpoint that survives rank failures needs no code here: it is one
+//! operation for `bruck_core::recovering`, which re-runs it on the survivor
+//! view until an attempt commits —
+//! `recovering(&cfg, comm, &view, |c, _| transitive_closure(c, algo, &edges))`.
+//! Every rank holds the whole input, so a re-run on the shrunken world loses
+//! nothing and shards by its dense ranks.
 //!
 //! ```
 //! use bruck_comm::ThreadComm;
@@ -48,7 +52,6 @@
 mod exchange;
 mod graphs;
 mod kcfa;
-mod recover;
 mod relation;
 mod tc;
 mod tuple;
@@ -56,9 +59,6 @@ mod tuple;
 pub use exchange::{exchange_tuples, ExchangeStats};
 pub use graphs::{graph1_like, graph2_like};
 pub use kcfa::{facts_at, kcfa_like_run, outboxes_at, KcfaConfig, KcfaResult};
-pub use recover::{
-    exchange_tuples_recovering, heal_membership, recovering_closure, RecoveringTcResult,
-};
 pub use relation::{Relation, TupleSet};
 pub use tc::{sequential_closure, transitive_closure, TcIteration, TcResult};
 pub use tuple::{decode_all, encode_all, encode_into, owner, Tuple, TUPLE_BYTES};

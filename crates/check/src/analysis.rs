@@ -283,8 +283,7 @@ fn conservation(ext: &Extraction, out: &mut Vec<Finding>) {
 /// Validate a counts/displacements layout against a buffer: every block in
 /// bounds, no two non-empty blocks overlapping.
 ///
-/// Used both by the matrix runner (on the workload's packed layouts) and by
-/// the `ExchangePlan` invariant tests.
+/// The matrix runner applies it to every `alltoallv` cell's packed layouts.
 pub fn check_layout(context: &str, counts: &[usize], displs: &[usize], buf_len: usize) -> Vec<Finding> {
     let mut findings = Vec::new();
     if counts.len() != displs.len() {

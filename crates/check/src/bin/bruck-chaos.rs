@@ -11,11 +11,11 @@
 //!   silent corruption — and every cell, crash cells included, is run twice
 //!   and compared by digest. Three rows are real-clock canaries: the same
 //!   runner on `ThreadComm` under a watchdog.
-//! * The **recovery matrix** (`--recovery-smoke`): algorithm × crash phase
-//!   class under the deterministic simulator, driving the full self-healing
-//!   stack (`recovering_alltoallv`: detect → agree → shrink → retry) and
-//!   asserting typed `Recovered` endings, byte-correctness on the survivor
-//!   view, and same-seed digest determinism. `--out FILE` writes the
+//! * The **recovery matrix** (`--recovery-smoke`): every operation family ×
+//!   crash point under the deterministic simulator, driving the recovering
+//!   driver (`recovering`: detect → agree → shrink → retry) and asserting
+//!   typed `Recovered` endings, byte-correctness on the survivor view, and
+//!   same-seed digest determinism. `--out FILE` writes the
 //!   virtual-time MTTR per cell as line-JSON (the committed
 //!   `BENCH_PR8.json`); `--check-against FILE` regression-checks fresh
 //!   MTTRs against such a baseline (>1.6x drift advisory, >8x fatal).
@@ -77,15 +77,15 @@ fn run_recovery(seed: u64, out: Option<&str>, baseline: Option<&str>) -> ExitCod
     let start = Instant::now();
     let reports = run_recovery_matrix(seed, |r| match (&r.violation, &r.mttr) {
         (None, Some(cm)) => println!(
-            "  PASS {:<32} crash@{:<4} cycles={} attempts={} mttr={:.1?}",
+            "  PASS {:<40} crash@{:<4} cycles={} attempts={} mttr={:.1?}",
             r.label,
             r.crash_after_ops,
             cm.cycles,
             cm.attempts,
             cm.mttr.total()
         ),
-        (None, None) => println!("  PASS {:<32}", r.label),
-        (Some(v), _) => println!("  FAIL {:<32} {v}", r.label),
+        (None, None) => println!("  PASS {:<40}", r.label),
+        (Some(v), _) => println!("  FAIL {:<40} {v}", r.label),
     });
     let failures = reports.iter().filter(|r| r.violation.is_some()).count();
     println!(

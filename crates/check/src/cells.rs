@@ -25,10 +25,10 @@ use bruck_bpra::{
     encode_all, graph1_like, kcfa_like_run, outboxes_at, owner, sequential_closure,
     transitive_closure, KcfaConfig, Tuple, TUPLE_BYTES,
 };
-use bruck_comm::{CommError, CommResult, Communicator, ExchangePlan, FaultPlan, ReduceOp, ReliableConfig};
+use bruck_comm::{CommError, CommResult, Communicator, FaultPlan, ReduceOp, ReliableConfig};
 use bruck_core::{
-    allgatherv, allreduce, alltoall, configurable_alltoallv, packed_displs, pattern, pattern_byte,
-    pattern_u64, reduce_scatter, reference_allgatherv, reference_allreduce,
+    allgatherv, allreduce, alltoall, alltoallv_discover, configurable_alltoallv, packed_displs,
+    pattern, pattern_byte, pattern_u64, reduce_scatter, reference_allgatherv, reference_allreduce,
     reference_reduce_scatter, AllgathervAlgorithm, AllreduceAlgorithm, AlltoallAlgorithm,
     AlltoallvAlgorithm, EngineConfig, PaddingRule, ReduceScatterAlgorithm, ResilientConfig,
 };
@@ -93,9 +93,9 @@ pub enum Op {
     /// Non-uniform `alltoallv` through the engine. Named algorithms *are*
     /// configs ([`EngineConfig::for_algorithm`]); they are labelled by name.
     Alltoallv(EngineConfig),
-    /// `ExchangePlan::negotiate` from send counts only, then `alltoallv`
-    /// with the negotiated arrays.
-    Plan(AlltoallvAlgorithm),
+    /// `alltoallv_discover` by algorithm: from the send side only, with the
+    /// receive counts, which must be the matrix's, found on the wire.
+    Discover(AlltoallvAlgorithm),
     /// Vector all-gather by schedule.
     Allgatherv(AllgathervAlgorithm),
     /// Vector reduce-scatter by schedule and operator.
@@ -129,7 +129,7 @@ impl Op {
         match self {
             Op::Alltoallv(cfg) => cfg.as_algorithm(),
             Op::Alltoall(..)
-            | Op::Plan(_)
+            | Op::Discover(_)
             | Op::Allgatherv(_)
             | Op::ReduceScatter(..)
             | Op::Allreduce(..)
@@ -150,7 +150,7 @@ impl Op {
                 }
                 Some(_) | None => format!("engine:{}", cfg.key()),
             },
-            Op::Plan(algo) => format!("plan:{}", squash(algo.name())),
+            Op::Discover(algo) => format!("discover:{}", squash(algo.name())),
             Op::Allgatherv(AllgathervAlgorithm::Ring) => "agv/ring".to_string(),
             Op::Allgatherv(AllgathervAlgorithm::Bruck) => "agv/bruck".to_string(),
             Op::Allgatherv(AllgathervAlgorithm::Pat) => "agv/pat".to_string(),
@@ -180,7 +180,7 @@ impl Op {
             return Ok(Op::Alltoall(algo.ok_or_else(bad)?, block.parse().map_err(|_| bad())?));
         }
         let mut known: Vec<Op> = AlltoallvAlgorithm::ALL.map(Op::named).to_vec();
-        known.extend(AlltoallvAlgorithm::ALL.map(Op::Plan));
+        known.extend(AlltoallvAlgorithm::ALL.map(Op::Discover));
         known.extend(ReduceOp::ALL.into_iter().flat_map(Op::schedules));
         for app in Fixpoint::ALL {
             known.extend(AlltoallvAlgorithm::ALL.map(|algo| Op::Fixpoint(app, algo)));
@@ -428,30 +428,42 @@ impl Cell {
             .collect()
     }
 
+    /// The whole world: the view every harness but recovery runs a cell on.
+    fn world(&self) -> Vec<usize> {
+        (0..self.p).collect()
+    }
+
+    /// The collective counts of the members of `view`, in view order.
+    fn coll_counts_on(&self, view: &[usize]) -> Vec<usize> {
+        let counts = self.coll_counts();
+        view.iter().map(|&r| counts[r]).collect()
+    }
+
     /// Rank `me`'s pattern-filled `alltoallv` arguments.
     pub fn v_args(&self, me: usize) -> VArgs {
+        self.v_args_on(me, &self.world())
+    }
+
+    /// Parent rank `me`'s pattern-filled `alltoallv` arguments to and from
+    /// the members of `view` (parent ranks), in view order.
+    pub fn v_args_on(&self, me: usize, view: &[usize]) -> VArgs {
         let m = self.matrix();
-        let sendcounts = m.sendcounts(me);
-        let sdispls = packed_displs(&sendcounts);
-        let mut sendbuf = vec![0u8; sendcounts.iter().sum()];
-        for dst in 0..self.p {
-            for idx in 0..sendcounts[dst] {
-                sendbuf[sdispls[dst] + idx] = pattern(me, dst, idx);
-            }
+        let sendcounts: Vec<usize> = view.iter().map(|&dst| m.get(me, dst)).collect();
+        let block = |dst: usize| (0..m.get(me, dst)).map(move |idx| pattern(me, dst, idx));
+        let recvcounts: Vec<usize> = view.iter().map(|&src| m.get(src, me)).collect();
+        VArgs {
+            sdispls: packed_displs(&sendcounts),
+            sendcounts,
+            sendbuf: view.iter().flat_map(|&dst| block(dst)).collect(),
+            rdispls: packed_displs(&recvcounts),
+            recvcounts,
         }
-        let recvcounts = m.recvcounts(me);
-        let rdispls = packed_displs(&recvcounts);
-        VArgs { sendcounts, sdispls, sendbuf, recvcounts, rdispls }
     }
 
-    /// Every rank's input of a reduce-family cell, `len` elements each.
-    fn u64_inputs(&self, len: usize) -> Vec<Vec<u64>> {
-        (0..self.p).map(|r| (0..len).map(|i| pattern_u64(r, i)).collect()).collect()
-    }
-
-    /// Element count of an allreduce cell: seed-dependent and never empty.
-    fn allreduce_len(&self) -> usize {
-        self.coll_counts().iter().sum::<usize>() + 1
+    /// The input of every member of `view` to a reduce-family cell, `len`
+    /// elements each.
+    fn u64_inputs(view: &[usize], len: usize) -> Vec<Vec<u64>> {
+        view.iter().map(|&r| (0..len).map(|i| pattern_u64(r, i)).collect()).collect()
     }
 
     /// The input graph of a closure cell.
@@ -473,65 +485,66 @@ impl Cell {
         out
     }
 
-    /// One `alltoallv` through the engine. With `negotiate`, first derive
-    /// the receive side by `ExchangePlan::negotiate` from the send counts
-    /// alone: the handshake must reproduce exactly the packed arrays the
-    /// matrix implies (which the check harness layout-checks).
-    fn run_v<C: Communicator + ?Sized>(
-        &self,
-        comm: &C,
-        cfg: &EngineConfig,
-        negotiate: bool,
-    ) -> CommResult<Vec<u8>> {
-        let a = self.v_args(comm.rank());
-        if negotiate {
-            let plan = ExchangePlan::negotiate(comm, a.sendcounts.clone())?;
-            if (plan.sdispls(), plan.recvcounts(), plan.rdispls())
-                != (&a.sdispls[..], &a.recvcounts[..], &a.rdispls[..])
-            {
-                return Err(CommError::BadArgument("negotiated plan diverges from the matrix"));
-            }
-        }
-        let mut recvbuf = vec![0u8; a.recvcounts.iter().sum()];
-        configurable_alltoallv(
-            comm, cfg, &a.sendbuf, &a.sendcounts, &a.sdispls, &mut recvbuf, &a.recvcounts,
-            &a.rdispls,
-        )?;
-        Ok(recvbuf)
-    }
-
     /// Fill this rank's input, run the operation on `comm`, return this
     /// rank's output bytes (`u64` results little-endian).
     pub fn run_rank<C: Communicator + ?Sized>(&self, comm: &C) -> CommResult<Vec<u8>> {
-        let me = comm.rank();
+        self.run_on(comm, &self.world())
+    }
+
+    /// [`Cell::run_rank`] on the `view` subset of the world: `comm` is dense
+    /// over `view` (its rank `i` is parent rank `view[i]`), and every input
+    /// is its parent rank's, restricted to the view — the operation a
+    /// recovering driver re-runs on a survivor view.
+    pub fn run_on<C>(&self, comm: &C, view: &[usize]) -> CommResult<Vec<u8>>
+    where
+        C: Communicator + ?Sized,
+    {
+        let (dense, me) = (comm.rank(), view[comm.rank()]);
         let le = |v: Vec<u64>| v.iter().flat_map(|x| x.to_le_bytes()).collect();
+        let counts = self.coll_counts_on(view);
         match self.op {
             Op::Alltoall(algo, block) => {
-                let a = self.v_args(me);
-                let mut recvbuf = vec![0u8; self.p * block];
+                let a = self.v_args_on(me, view);
+                let mut recvbuf = vec![0u8; view.len() * block];
                 alltoall(algo, comm, &a.sendbuf, &mut recvbuf, block)?;
                 Ok(recvbuf)
             }
-            Op::Alltoallv(cfg) => self.run_v(comm, &cfg, false),
-            Op::Plan(algo) => self.run_v(comm, &EngineConfig::for_algorithm(algo), true),
+            Op::Alltoallv(cfg) => {
+                let a = self.v_args_on(me, view);
+                let mut recvbuf = vec![0u8; a.recvcounts.iter().sum()];
+                configurable_alltoallv(
+                    comm, &cfg, &a.sendbuf, &a.sendcounts, &a.sdispls, &mut recvbuf,
+                    &a.recvcounts, &a.rdispls,
+                )?;
+                Ok(recvbuf)
+            }
+            Op::Discover(algo) => {
+                let a = self.v_args_on(me, view);
+                let cfg = EngineConfig::for_algorithm(algo);
+                let (recvbuf, recvcounts) =
+                    alltoallv_discover(comm, &cfg, &a.sendbuf, &a.sendcounts, &a.sdispls, false)?;
+                if recvcounts != a.recvcounts {
+                    return Err(CommError::BadArgument("discovered counts diverge from the matrix"));
+                }
+                Ok(recvbuf)
+            }
             Op::Allgatherv(algo) => {
-                let counts = self.coll_counts();
-                let input: Vec<u8> = (0..counts[me]).map(|i| pattern_byte(me, i)).collect();
+                let input: Vec<u8> = (0..counts[dense]).map(|i| pattern_byte(me, i)).collect();
                 let mut recvbuf = vec![0u8; counts.iter().sum()];
                 allgatherv(algo, comm, &input, &mut recvbuf, &counts, &packed_displs(&counts))?;
                 Ok(recvbuf)
             }
             Op::ReduceScatter(algo, op) => {
-                let counts = self.coll_counts();
                 let input: Vec<u64> =
                     (0..counts.iter().sum()).map(|i| pattern_u64(me, i)).collect();
-                let mut recvbuf = vec![0u64; counts[me]];
+                let mut recvbuf = vec![0u64; counts[dense]];
                 reduce_scatter(algo, comm, &input, &mut recvbuf, &counts, op)?;
                 Ok(le(recvbuf))
             }
+            // Seed-dependent and never empty.
             Op::Allreduce(algo, op) => {
-                let mut buf: Vec<u64> =
-                    (0..self.allreduce_len()).map(|i| pattern_u64(me, i)).collect();
+                let len = counts.iter().sum::<usize>() + 1;
+                let mut buf: Vec<u64> = (0..len).map(|i| pattern_u64(me, i)).collect();
                 allreduce(algo, comm, &mut buf, op)?;
                 Ok(le(buf))
             }
@@ -556,52 +569,51 @@ impl Cell {
         start..start + m.get(src, me)
     }
 
-    /// The bytes rank `me` must receive from `sources`, in that order — the
-    /// all-to-all family's expected output on any (possibly shrunken) view.
-    pub fn expected_from(&self, me: usize, sources: &[usize]) -> Vec<u8> {
-        let m = self.matrix();
-        sources
-            .iter()
-            .flat_map(|&src| (0..m.get(src, me)).map(move |idx| pattern(src, me, idx)))
-            .collect()
-    }
-
     /// The bytes rank `me` must end with.
     pub fn expected(&self, me: usize) -> Vec<u8> {
+        self.expected_on(&self.world(), me)
+    }
+
+    /// The bytes dense rank `dense` of [`Cell::run_on`]'s `view` must end
+    /// with: what a fault-free run on the world of `view` alone produces.
+    pub fn expected_on(&self, view: &[usize], dense: usize) -> Vec<u8> {
+        let me = view[dense];
         let le = |v: &[u64]| v.iter().flat_map(|x| x.to_le_bytes()).collect();
+        let counts = self.coll_counts_on(view);
         match self.op {
-            Op::Alltoall(..) | Op::Alltoallv(_) | Op::Plan(_) => {
-                self.expected_from(me, &(0..self.p).collect::<Vec<_>>())
+            Op::Alltoall(..) | Op::Alltoallv(_) | Op::Discover(_) => {
+                let m = self.matrix();
+                let block = |src: usize| (0..m.get(src, me)).map(move |idx| pattern(src, me, idx));
+                view.iter().flat_map(|&src| block(src)).collect()
             }
             Op::Allgatherv(_) => {
-                let counts = self.coll_counts();
-                let inputs: Vec<Vec<u8>> = (0..self.p)
-                    .map(|r| (0..counts[r]).map(|i| pattern_byte(r, i)).collect())
+                let inputs: Vec<Vec<u8>> = (view.iter().zip(&counts))
+                    .map(|(&r, &n)| (0..n).map(|i| pattern_byte(r, i)).collect())
                     .collect();
                 reference_allgatherv(&inputs)
             }
             Op::ReduceScatter(_, op) => {
-                let counts = self.coll_counts();
-                let inputs = self.u64_inputs(counts.iter().sum());
-                le(&reference_reduce_scatter(&inputs, &counts, op)[me])
+                let inputs = Cell::u64_inputs(view, counts.iter().sum());
+                le(&reference_reduce_scatter(&inputs, &counts, op)[dense])
             }
             Op::Allreduce(_, op) => {
-                le(&reference_allreduce(&self.u64_inputs(self.allreduce_len()), op))
+                let inputs = Cell::u64_inputs(view, counts.iter().sum::<usize>() + 1);
+                le(&reference_allreduce(&inputs, op))
             }
             Op::Fixpoint(Fixpoint::Tc, _) => {
                 let closure = sequential_closure(&self.tc_edges());
-                let shard = closure.iter().copied().filter(|t| owner(t.1, self.p) == me);
+                let shard = closure.iter().copied().filter(|t| owner(t.1, view.len()) == dense);
                 Cell::tc_output(shard.collect(), closure.len() as u64)
             }
             // Every fact produced is received once, by its owner; `N` is the
             // largest outbox anywhere that iteration.
             Op::Fixpoint(Fixpoint::Kcfa, _) => {
-                let cfg = self.kcfa_config();
+                let (cfg, p) = (self.kcfa_config(), view.len());
                 let mut out = vec![0u64; 1 + cfg.iterations];
                 for iter in 0..cfg.iterations {
-                    for src in 0..self.p {
-                        let outboxes = outboxes_at(&cfg, src, iter, self.p);
-                        out[0] += outboxes[me].len() as u64;
+                    for src in 0..p {
+                        let outboxes = outboxes_at(&cfg, src, iter, p);
+                        out[0] += outboxes[dense].len() as u64;
                         let largest = outboxes.iter().map(Vec::len).max().unwrap_or(0);
                         out[1 + iter] = out[1 + iter].max((largest * TUPLE_BYTES) as u64);
                     }
@@ -625,7 +637,7 @@ impl Cell {
             None => Ok(()),
             Some(i) => {
                 let from = match self.op {
-                    Op::Alltoall(..) | Op::Alltoallv(_) | Op::Plan(_) => (0..self.p)
+                    Op::Alltoall(..) | Op::Alltoallv(_) | Op::Discover(_) => (0..self.p)
                         .find(|&src| self.recv_block(me, src).contains(&i))
                         .map_or(String::new(), |src| format!(" (block from rank {src})")),
                     Op::Allgatherv(_)
@@ -701,34 +713,49 @@ pub fn decode_meta(meta: &str) -> Result<(Cell, Faults, u64), String> {
 // The registry
 // ---------------------------------------------------------------------------
 
-/// Which crash phase a recovery row's scripted crash is calibrated into.
+/// Where in its operation a recovery row's victim crashes, as a share of
+/// the data ops (`FaultComm::ops`) the victim's operation takes in a healthy
+/// attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseClass {
-    /// Mid counts-handshake: the plan itself is the casualty.
-    Negotiate,
-    /// The negotiate/data boundary: the victim dies on its first data op.
-    Pack,
-    /// Mid data movement: survivors hold partial, asymmetric data.
-    Data,
-    /// The victim's last exchange op: survivors may already be lossless and
-    /// must still re-execute on the shrunken view (commit needs the full
-    /// view to confirm clean).
-    Unpack,
+    /// At op 1: the victim dies before it has sent much of anything.
+    First,
+    /// A quarter of the way through.
+    Quarter,
+    /// Halfway: survivors hold partial, asymmetric data.
+    Half,
+    /// At the victim's last op: survivors may already have finished and
+    /// must still re-run on the shrunken view (commit needs the full view
+    /// to confirm clean).
+    Last,
 }
 
 impl PhaseClass {
-    /// All four classes, in exchange order.
+    /// All four classes, in operation order.
     pub const ALL: [PhaseClass; 4] =
-        [PhaseClass::Negotiate, PhaseClass::Pack, PhaseClass::Data, PhaseClass::Unpack];
+        [PhaseClass::First, PhaseClass::Quarter, PhaseClass::Half, PhaseClass::Last];
 
     /// Display name for cell labels.
     pub fn name(&self) -> &'static str {
         match self {
-            PhaseClass::Negotiate => "negotiate",
-            PhaseClass::Pack => "pack",
-            PhaseClass::Data => "data",
-            PhaseClass::Unpack => "unpack",
+            PhaseClass::First => "first",
+            PhaseClass::Quarter => "quarter",
+            PhaseClass::Half => "half",
+            PhaseClass::Last => "last",
         }
+    }
+
+    /// The `FaultComm` crash threshold for an operation the victim
+    /// completes in `ops` data ops: the victim fails its op number
+    /// `crash_point(ops)` (counting from 0), never before op 1.
+    pub fn crash_point(self, ops: u64) -> u64 {
+        let at = match self {
+            PhaseClass::First => 1,
+            PhaseClass::Quarter => ops / 4,
+            PhaseClass::Half => ops / 2,
+            PhaseClass::Last => ops.saturating_sub(1),
+        };
+        at.max(1)
     }
 }
 
@@ -752,7 +779,8 @@ pub enum Harness {
         /// Real-clock canary on `ThreadComm` instead of virtual time.
         threads: bool,
     },
-    /// `bruck-chaos --recovery-smoke`: scripted crash in this phase class.
+    /// `bruck-chaos --recovery-smoke`: a scripted crash at this point of
+    /// the operation, under the recovering driver.
     Recovery(PhaseClass),
 }
 
@@ -782,18 +810,23 @@ pub struct Row {
 
 impl Row {
     /// Report label: the trace `meta` tokens. Recovery labels are the keys
-    /// of `BENCH_PR8.json` instead.
+    /// of `BENCH_PR8.json` instead: `op/class/seed`, an `alltoallv` named by
+    /// its algorithm.
     pub fn label(&self) -> String {
         let (cell, seed, fault) = (self.cell.label(), self.seed, self.faults.name());
-        match (self.harness, self.cell.op.resilient_algorithm()) {
-            (Harness::Recovery(phase), Some(algo)) => {
-                format!("{}/{}/seed{seed}", algo.name(), phase.name())
+        match self.harness {
+            Harness::Recovery(phase) => {
+                let op = match self.cell.op {
+                    Op::Discover(algo) => algo.name().to_string(),
+                    op => op.label(),
+                };
+                format!("{op}/{}/seed{seed}", phase.name())
             }
-            (Harness::Check, _) => cell,
-            (Harness::Chaos { threads: true }, _) => {
+            Harness::Check => cell,
+            Harness::Chaos { threads: true } => {
                 format!("{cell} sseed={seed} fault={fault} threads")
             }
-            (Harness::Sim | Harness::Verify { .. } | Harness::Chaos { .. } | Harness::Recovery(_), _) => {
+            Harness::Sim | Harness::Verify { .. } | Harness::Chaos { .. } => {
                 format!("{cell} sseed={seed} fault={fault}")
             }
         }
@@ -821,7 +854,7 @@ pub fn engine_off_points() -> [EngineConfig; 4] {
 /// Seeds `bruck-chaos` sweeps unless `--seeds` overrides them.
 pub const DEFAULT_SEEDS: [u64; 2] = [1, 2];
 
-/// World size, victim rank and block cap of every recovery row.
+/// World size, victim rank and `n_max` of every recovery row.
 pub const RECOVERY_WORLD: (usize, usize, usize) = (5, 2, 24);
 
 /// Per-op exploration budget at P = 3 and whether it must converge. The
@@ -873,7 +906,7 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
         .map(Op::Alltoallv)
         .into_iter()
         .chain(AlltoallAlgorithm::ALL.map(|a| Op::Alltoall(a, 3)))
-        .chain([Op::Plan(AlltoallvAlgorithm::TwoPhaseBruck)])
+        .chain([Op::Discover(AlltoallvAlgorithm::TwoPhaseBruck)])
         .collect();
 
     // -- check: one recorded run. Powers of two, odd, prime, one. ----------
@@ -897,14 +930,14 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
             }
         }
     }
-    // The knob space by setting rather than by name, and negotiated plans,
-    // at a prime and a power-of-two size.
+    // The knob space by setting rather than by name, and every algorithm
+    // finding its counts on the wire, at a prime and a power-of-two size.
     for p in [3usize, 8] {
         for op in named.into_iter().chain(engine_off_points().map(Op::Alltoallv)) {
             check(cell(op, Normal, p, 16, 0xE2617E + p as u64));
         }
         for algo in AlltoallvAlgorithm::ALL {
-            check(cell(Op::Plan(algo), POWER_LAW, p, 16, 0xBEEF + p as u64));
+            check(cell(Op::Discover(algo), POWER_LAW, p, 16, 0xBEEF + p as u64));
         }
     }
     // The collective family (DESIGN.md §16): the reduce schedules sweep a
@@ -1058,9 +1091,12 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
     chaos(true, Smoke, Faults::Crash, first, two_phase, 5, 48);
     chaos(true, Smoke, Faults::Crash, first, Op::Allgatherv(AllgathervAlgorithm::Bruck), 5, 9);
 
-    // -- recovery: every algorithm × crash phase class. ----------------------
+    // -- recovery: every operation family × crash point: the nine
+    // `alltoallv`s finding their counts on the wire (what
+    // `recovering_alltoallv` runs), a whole fixpoint, the eight schedules. --
     let (p, _victim, n_max) = RECOVERY_WORLD;
-    for op in named {
+    let discover = AlltoallvAlgorithm::ALL.map(Op::Discover);
+    for op in discover.into_iter().chain([tc]).chain(schedules) {
         for phase in PhaseClass::ALL {
             add(Harness::Recovery(phase), Smoke, Faults::Crash, first, cell(op, Uniform, p, n_max, first));
         }

@@ -13,7 +13,7 @@
 //! | **sim** (`bruck-sim`) | `SimComm` × schedule seeds | run twice: identical schedule trace and digest; expected bytes; failing schedule saved, ddmin-shrunk, `--replay`able (DESIGN.md §11) | [`sim_matrix`] |
 //! | **verify** (`bruck-verify`) | recorded `SimComm` schedules | stateless DPOR: every Mazurkiewicz-inequivalent interleaving of the tiny-world cells ends byte-identical and deadlock-free; plus the event runtime's wakeup protocol audited exhaustively with vector clocks (DESIGN.md §13) | [`dpor`] |
 //! | **chaos** (`bruck-chaos`) | `SimComm` + `FaultComm → ReliableComm → MeteredComm`; three real-clock canaries on `ThreadComm` | the crash-only contract on exact virtual-time budgets: never hang, never silent corruption, completion where promised, never meter drift; every cell run twice (DESIGN.md §9) | [`runner`], [`sim_matrix`] |
-//! | **recovery** (`bruck-chaos --recovery-smoke`) | `SimComm` + scripted crash calibrated into each phase class | detect → agree → shrink → retry ends typed `Recovered`, byte-correct on the survivor view, digest-deterministic; virtual-time MTTR regression-checked against `BENCH_PR8.json` (DESIGN.md §14) | [`recovery`] |
+//! | **recovery** (`bruck-chaos --recovery-smoke`) | `SimComm` + a crash at the victim's first / quarter / half / last op | the recovering driver's detect → agree → shrink → retry ends typed `Recovered`, byte-correct on the survivor view, digest-deterministic; virtual-time MTTR regression-checked against `BENCH_PR8.json` (DESIGN.md §14) | [`recovery`] |
 //!
 //! [`cli`] is what the matrix binaries share. `scripts/verify.sh` runs all
 //! of it as tier-1 gates. The verifier's model, guarantees, and

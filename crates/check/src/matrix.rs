@@ -50,7 +50,7 @@ fn check_cell_in(cell: &Cell, cfg: &SimConfig) -> (CaseReport, Extraction) {
         }
     }
     match cell.op {
-        Op::Alltoallv(_) | Op::Plan(_) => {
+        Op::Alltoallv(_) | Op::Discover(_) => {
             for me in 0..cell.p {
                 let a = cell.v_args(me);
                 let recv_len = a.recvcounts.iter().sum();

@@ -1,163 +1,127 @@
-//! The self-healing recovery matrix: scripted crash in every exchange phase
-//! class × every `alltoallv` algorithm, under the deterministic simulator.
+//! The self-healing recovery matrix: a scripted crash at four points of
+//! every operation family, under the deterministic simulator.
 //!
-//! Each cell runs a 5-rank `SimComm` world with a [`bruck_comm::FaultComm`]
-//! scripting the victim rank to crash at an op count *calibrated* to land in
-//! one of four phase classes — counts **negotiate**, **pack** (the
-//! negotiate/data boundary), **data** (mid data movement), **unpack** (the
-//! victim's last exchange op) — and drives
-//! [`bruck_core::recovering_alltoallv`] through its full detect → agree →
-//! shrink → retry cycle. Per cell the harness asserts:
+//! Each row runs a 5-rank `SimComm` world whose victim rank a
+//! [`FaultComm`] crashes at a share of the data ops its operation takes —
+//! the victim's [`FaultComm::ops`] at the end of the operation, read in a
+//! healthy run of the same driver — and drives the operation through
+//! [`recovering`]'s detect → agree → shrink → retry. The `alltoallv` rows
+//! call [`recovering_alltoallv`]; every other row hands [`recovering`] its
+//! cell's operation on the survivor view ([`Cell::run_on`]). Per row the
+//! harness asserts:
 //!
 //! * **Typed endings** — the victim fails with a fault error; every survivor
 //!   returns [`RecoveryOutcome::Recovered`] naming exactly the victim as
 //!   evicted, on the dense survivor view.
-//! * **Byte-correct on the survivor world** — every received block matches
-//!   the closed-form [`bruck_core::pattern`] for its (survivor source,
-//!   destination) pair, which is exactly what a fault-free direct run on the
-//!   survivor set produces (the chaos and sim matrices prove that equality
-//!   for healthy worlds; `direct_survivor_run_matches` re-proves it here).
-//! * **Deterministic** — the cell is run twice with the same seed and the
-//!   two runs must fold to byte-identical digests (outcomes, views, buffers,
+//! * **Byte-correct on the survivor world** — every survivor's output is
+//!   [`Cell::expected_on`] the survivor view: what a fault-free run on the
+//!   survivor set alone produces (`direct_survivor_runs_match` re-proves that
+//!   equality by running it).
+//! * **Deterministic** — the row is run twice with the same seed and the
+//!   two runs must fold to byte-identical digests (outcomes, views, outputs,
 //!   and virtual-time MTTR included).
 //!
 //! The virtual-time MTTR breakdown (detect / agree / repair / re-execute) of
-//! the slowest survivor is reported per cell and can be emitted as line-JSON
+//! the slowest survivor is reported per row and can be emitted as line-JSON
 //! (`bruck-chaos --recovery-smoke --out BENCH_PR8.json`) and regression
 //! checked against a committed baseline (`--check-against`).
 
 use std::time::Duration;
 
-use bruck_comm::{
-    CommError, CommResult, Communicator, DeadlineComm, ExchangePlan, FaultComm, FaultPlan,
-    ShrinkComm,
-};
+use bruck_comm::{CommError, CommResult, Communicator, FaultComm, FaultPlan};
 use bruck_core::{
-    recovering_alltoallv, resilient_alltoallv, AlltoallvAlgorithm, Mttr, RecoveringConfig,
-    RecoveryOutcome, ResilientConfig,
+    recovering, recovering_alltoallv, Mttr, Recovered, RecoveringConfig, RecoveryOutcome,
 };
 
-use crate::cells::{
-    digest_rank_buf, rows, Cell, Family, Harness, PhaseClass, Row, Tier, RECOVERY_WORLD,
-};
+use crate::cells::{digest_rank_buf, rows, Cell, Family, Harness, Op, Row, Tier, RECOVERY_WORLD};
 use crate::runner::{launch, run_twice, Launched, World};
 
-/// The recovering-exchange budgets every cell runs under: tight enough that
-/// a whole cell is a few hundred simulated milliseconds, with the detector
-/// and agreement windows derived from the abort skew
-/// ([`RecoveringConfig::with_derived_windows`]).
-pub fn recovery_config(algorithm: AlltoallvAlgorithm) -> RecoveringConfig {
-    RecoveringConfig {
-        resilient: ResilientConfig {
-            algorithm,
-            deadline: Duration::from_millis(600),
-            commit_timeout: Duration::from_millis(200),
-            peer_timeout: Duration::from_millis(300),
-            epoch: 0,
-        },
-        negotiate_timeout: Duration::from_millis(400),
-        ..RecoveringConfig::default()
-    }
-    .with_derived_windows()
+/// The recovering budgets every row runs under: tight enough that a whole
+/// row is a few simulated seconds, with the detector and agreement windows
+/// derived from the deadline ([`RecoveringConfig::with_derived_windows`]).
+pub fn recovery_config() -> RecoveringConfig {
+    RecoveringConfig { deadline: Duration::from_millis(600), ..RecoveringConfig::default() }
+        .with_derived_windows()
 }
 
-/// Virtual-time MTTR of one cell's slowest survivor, plus retry shape.
+/// Virtual-time MTTR of one row's slowest survivor, plus retry shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellMttr {
     /// The slowest survivor's breakdown.
     pub mttr: Mttr,
     /// Recovery cycles that survivor went through.
     pub cycles: u32,
-    /// Exchange attempts it used (first try included).
+    /// Attempts it used (first try included).
     pub attempts: u32,
 }
 
-/// One recovery cell's outcome.
+/// One recovery row's outcome.
 #[derive(Debug)]
 pub struct RecoveryCellReport {
-    /// `algorithm/phase/seed` label.
+    /// `op/class/seed` label.
     pub label: String,
-    /// Violation description, if the cell failed.
+    /// Violation description, if the row failed.
     pub violation: Option<String>,
-    /// Slowest-survivor MTTR (absent if the cell failed before extraction).
+    /// Slowest-survivor MTTR (absent if the row failed before extraction).
     pub mttr: Option<CellMttr>,
-    /// The calibrated crash op count.
+    /// The victim's crash threshold.
     pub crash_after_ops: u64,
 }
 
-/// The algorithm a recovery cell names (recovery rows are named points).
-fn algorithm(cell: &Cell) -> AlltoallvAlgorithm {
-    cell.op.resilient_algorithm().unwrap_or(AlltoallvAlgorithm::TwoPhaseBruck)
+/// One rank's recovered output, and its `FaultComm::ops()` at the end of
+/// the last operation it ran through [`recovering`] itself.
+type RankValue = (Recovered<Vec<u8>>, u64);
+type RankOutcome = CommResult<RankValue>;
+
+/// One rank of a recovery row: `cell`'s operation under the recovering
+/// driver over `fc`. With `entry`, an `alltoallv` row goes through
+/// [`recovering_alltoallv`], whose operation is the row's [`Cell::run_on`]
+/// (op count 0: only a run without `entry` reads one).
+fn recover_rank<C>(cell: &Cell, fc: &FaultComm<'_, C>, entry: bool) -> RankOutcome
+where
+    C: Communicator + ?Sized,
+{
+    let cfg = recovery_config();
+    let world: Vec<usize> = (0..cell.p).collect();
+    if let (Op::Discover(algo), true) = (cell.op, entry) {
+        let me = fc.rank();
+        let a = cell.v_args(me);
+        let rec = recovering_alltoallv(&cfg, fc, algo, &world, &a.sendcounts, &a.sendbuf)?;
+        let (bytes, recvcounts) = rec.value;
+        if recvcounts != cell.v_args_on(me, &rec.view).recvcounts {
+            return Err(CommError::BadArgument("recovered counts diverge from the matrix"));
+        }
+        return Ok((Recovered { value: bytes, view: rec.view, outcome: rec.outcome }, 0));
+    }
+    let mut ops = 0;
+    let rec = recovering(&cfg, fc, &world, |c, view| {
+        let out = cell.run_on(c, view);
+        ops = fc.ops();
+        out
+    })?;
+    Ok((rec, ops))
 }
 
-/// Calibrate the victim's op counts on a healthy same-seed world: returns
-/// `(negotiate_ops, exchange_ops)` — the victim's [`FaultComm::ops`] counter
-/// right after plan negotiation and right after the full exchange. The
-/// calibration replays the exact op sequence of `recovering_alltoallv`'s
-/// first attempt (same epoch, same wrappers), so a crash threshold placed
-/// between those marks lands inside the intended phase.
-pub fn calibrate_phases(cell: &Cell, victim: usize, seed: u64) -> Result<(u64, u64), String> {
-    let cfg = recovery_config(algorithm(cell));
-    let (cell, p) = (*cell, cell.p);
+/// Run a recovery row's world under `plan` (see [`recover_rank`]).
+fn run_world(cell: &Cell, plan: &FaultPlan, seed: u64, entry: bool) -> Launched<RankValue> {
+    let (cell, plan) = (*cell, plan.clone());
     let body = move |comm: &dyn Communicator| {
-        let fc = FaultComm::new(comm, FaultPlan::new(seed));
-        let a = cell.v_args(fc.rank());
-        let sc = ShrinkComm::new(&fc, (0..p).collect(), cfg.epoch)?;
-        let dc = DeadlineComm::new(&sc, cfg.negotiate_timeout);
-        let plan = ExchangePlan::negotiate_isolated(&dc, a.sendcounts, cfg.epoch)?;
-        let negotiate_ops = fc.ops();
-        let mut recvbuf = plan.alloc_recvbuf();
-        resilient_alltoallv(
-            &ResilientConfig { epoch: cfg.epoch, ..cfg.resilient },
-            &sc,
-            &a.sendbuf,
-            plan.sendcounts(),
-            plan.sdispls(),
-            &mut recvbuf,
-            plan.recvcounts(),
-            plan.rdispls(),
-        )?;
-        Ok((negotiate_ops, fc.ops()))
+        recover_rank(&cell, &FaultComm::new(comm, plan.clone()), entry)
     };
-    match launch(&World::sim(seed), p, "", body).ranks.into_iter().nth(victim) {
-        Some(Ok(Ok(marks))) => Ok(marks),
+    launch(&World::sim(seed), cell.p, "", body)
+}
+
+/// The victim's data ops over one healthy attempt of the row's operation.
+pub fn calibrate(cell: &Cell, victim: usize, seed: u64) -> Result<u64, String> {
+    match run_world(cell, &FaultPlan::new(seed), seed, false).ranks.into_iter().nth(victim) {
+        Some(Ok(Ok((_, ops)))) => Ok(ops),
         Some(Ok(Err(e))) => Err(format!("calibration comm error: {e}")),
         Some(Err(why)) => Err(format!("calibration {why}")),
         None => Err("victim out of range".to_string()),
     }
 }
 
-/// Map a phase class to a crash threshold given the calibration marks.
-pub fn crash_point(phase: PhaseClass, negotiate_ops: u64, exchange_ops: u64) -> u64 {
-    match phase {
-        PhaseClass::Negotiate => (negotiate_ops / 2).max(1),
-        PhaseClass::Pack => negotiate_ops,
-        PhaseClass::Data => negotiate_ops + (exchange_ops.saturating_sub(negotiate_ops)) / 2,
-        PhaseClass::Unpack => exchange_ops.saturating_sub(1),
-    }
-}
-
-/// One rank's recovered `(recvbuf, recvcounts, view, outcome)`.
-type Recovered = (Vec<u8>, Vec<usize>, Vec<usize>, RecoveryOutcome);
-type RankOutcome = CommResult<Recovered>;
-
-/// Run the recovering exchange with `victim` scripted to crash after
-/// `after_ops` data ops. The recovering driver brings its own detector and
-/// epoch retry, so only the fault injector sits under it.
-fn run_world(cell: &Cell, victim: usize, after_ops: u64, seed: u64) -> Launched<Recovered> {
-    let cfg = recovery_config(algorithm(cell));
-    let (cell, p) = (*cell, cell.p);
-    let body = move |comm: &dyn Communicator| {
-        let fc = FaultComm::new(comm, FaultPlan::new(seed).with_crash(victim, after_ops));
-        let a = cell.v_args(fc.rank());
-        let view: Vec<usize> = (0..p).collect();
-        recovering_alltoallv(&cfg, &fc, &view, &a.sendcounts, &a.sendbuf)
-            .map(|rec| (rec.recvbuf, rec.recvcounts, rec.view, rec.outcome))
-    };
-    launch(&World::sim(seed), p, "", body)
-}
-
-/// Fold one world's outcomes — errors, buffers, views, evictions, retry
+/// Fold one world's outcomes — errors, outputs, views, evictions, retry
 /// shape and virtual-time MTTR, everything `Debug` shows — into an
 /// order-sensitive digest.
 fn digest_world(outcomes: &[Result<RankOutcome, String>]) -> u64 {
@@ -186,14 +150,14 @@ fn check_world(
             }
             continue;
         }
-        let (recvbuf, recvcounts, view, outcome) = match res {
-            Ok(r) => r,
+        let rec = match res {
+            Ok((rec, _)) => rec,
             Err(e) => return Err(format!("survivor {rank} failed: {e}")),
         };
-        if view != &survivors {
-            return Err(format!("survivor {rank}: view {view:?}, want {survivors:?}"));
+        if rec.view != survivors {
+            return Err(format!("survivor {rank}: view {:?}, want {survivors:?}", rec.view));
         }
-        let cm = match outcome {
+        let cm = match &rec.outcome {
             RecoveryOutcome::Recovered { evicted, cycles, attempts, mttr } => {
                 if evicted != &[victim] {
                     return Err(format!("survivor {rank}: evicted {evicted:?}"));
@@ -207,24 +171,14 @@ fn check_world(
         if slowest.map_or(true, |s| cm.mttr.total() > s.mttr.total()) {
             slowest = Some(cm);
         }
-        // Byte-correctness on the shrunken view: block j must be exactly
-        // what parent rank view[j] sends rank `rank` in a fault-free world.
-        let m = cell.matrix();
-        if let Some((j, &src)) =
-            view.iter().enumerate().find(|&(j, &src)| recvcounts[j] != m.get(src, rank))
-        {
+        let dense = survivors.iter().position(|&r| r == rank).unwrap_or(0);
+        let want = cell.expected_on(&rec.view, dense);
+        let len = want.len().max(rec.value.len());
+        if let Some(i) = (0..len).find(|&i| rec.value.get(i) != want.get(i)) {
             return Err(format!(
-                "survivor {rank}: block from {src} has {} bytes, want {}",
-                recvcounts[j],
-                m.get(src, rank)
-            ));
-        }
-        let want = cell.expected_from(rank, view);
-        if let Some(i) = (0..want.len()).find(|&i| recvbuf.get(i) != Some(&want[i])) {
-            return Err(format!(
-                "survivor {rank}: SILENT CORRUPTION at byte {i}: got {:?}, want {}",
-                recvbuf.get(i),
-                want[i]
+                "survivor {rank}: SILENT CORRUPTION at byte {i}: got {:?}, want {:?}",
+                rec.value.get(i),
+                want.get(i)
             ));
         }
     }
@@ -244,13 +198,13 @@ pub fn run_recovery_cell(row: &Row) -> RecoveryCellReport {
     let Harness::Recovery(phase) = row.harness else {
         return fail("not a recovery row".to_string());
     };
-    let (neg, ex) = match calibrate_phases(cell, victim, seed) {
-        Ok(marks) => marks,
+    let after_ops = match calibrate(cell, victim, seed) {
+        Ok(ops) => phase.crash_point(ops),
         Err(e) => return fail(e),
     };
-    let after_ops = crash_point(phase, neg, ex);
+    let plan = FaultPlan::new(seed).with_crash(victim, after_ops);
     let (first, diff) = run_twice(
-        || run_world(cell, victim, after_ops, seed),
+        || run_world(cell, &plan, seed, true),
         |w| (w.trace.as_ref().map_or(Vec::new(), |t| t.choices.clone()), digest_world(&w.ranks)),
     );
     let (violation, mttr) = match check_world(cell, victim, &first.ranks) {
@@ -260,8 +214,8 @@ pub fn run_recovery_cell(row: &Row) -> RecoveryCellReport {
     RecoveryCellReport { label, violation, mttr, crash_after_ops: after_ops }
 }
 
-/// Run every algorithm × phase-class row at `seed` (workload, schedule and
-/// fault seed at once).
+/// Run every recovery row at `seed` (workload, schedule and fault seed at
+/// once).
 pub fn run_recovery_matrix(
     seed: u64,
     mut progress: impl FnMut(&RecoveryCellReport),
@@ -276,7 +230,7 @@ pub fn run_recovery_matrix(
         .collect()
 }
 
-/// Render one passing cell as a `BENCH_PR8.json` line.
+/// Render one passing row as a `BENCH_PR8.json` line.
 pub fn bench_json_line(r: &RecoveryCellReport) -> Option<String> {
     let cm = r.mttr?;
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
@@ -356,89 +310,69 @@ pub fn check_against_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cells::{Fixpoint, PhaseClass};
     use bruck_comm::SimComm;
-    use bruck_core::{alltoallv, packed_displs, pattern};
+    use bruck_core::AlltoallvAlgorithm;
 
-    /// The registry's recovery row for `algo` × `phase` at `seed`.
-    fn row(algo: AlltoallvAlgorithm, phase: PhaseClass, seed: u64) -> Row {
+    /// The registry's recovery row for `op` × `phase` at `seed`.
+    fn row(op: Op, phase: PhaseClass, seed: u64) -> Row {
         rows(Family::Recovery, Tier::Smoke, &[seed])
             .into_iter()
-            .find(|r| r.harness == Harness::Recovery(phase) && algorithm(&r.cell) == algo)
-            .expect("every algorithm x phase has a recovery row")
+            .find(|r| r.harness == Harness::Recovery(phase) && r.cell.op == op)
+            .expect("every recovered op x phase has a recovery row")
+    }
+
+    fn two_phase() -> Op {
+        Op::Discover(AlltoallvAlgorithm::TwoPhaseBruck)
     }
 
     #[test]
-    fn calibration_marks_are_ordered() {
-        let cell = row(AlltoallvAlgorithm::TwoPhaseBruck, PhaseClass::Data, 1).cell;
-        let (neg, ex) = calibrate_phases(&cell, 2, 1).unwrap();
-        assert!(neg > 0, "negotiation moves messages");
-        assert!(ex > neg, "the exchange moves more");
-        let points: Vec<u64> =
-            PhaseClass::ALL.iter().map(|&ph| crash_point(ph, neg, ex)).collect();
-        for w in points.windows(2) {
-            assert!(w[0] <= w[1], "phase crash points are ordered: {points:?}");
+    fn crash_points_are_ordered_inside_the_operation() {
+        let cell = row(two_phase(), PhaseClass::Half, 1).cell;
+        let ops = calibrate(&cell, RECOVERY_WORLD.1, 1).unwrap();
+        assert!(ops > 8, "a two-phase exchange at P = 5 is more than a handful of ops: {ops}");
+        let points = PhaseClass::ALL.map(|ph| ph.crash_point(ops));
+        assert_eq!((points[0], points[3]), (1, ops - 1));
+        assert!(points.windows(2).all(|w| w[0] < w[1]), "{points:?}");
+    }
+
+    #[test]
+    fn half_crash_rows_recover_byte_correct_and_deterministic() {
+        let tc = Op::Fixpoint(Fixpoint::Tc, AlltoallvAlgorithm::TwoPhaseBruck);
+        for op in [two_phase(), tc] {
+            let r = run_recovery_cell(&row(op, PhaseClass::Half, 1));
+            assert!(r.violation.is_none(), "{}: {:?}", r.label, r.violation);
+            let cm = r.mttr.expect("survivor MTTR extracted");
+            assert!(cm.cycles >= 1);
+            assert!(cm.mttr.total() > Duration::ZERO);
         }
     }
 
     #[test]
-    fn data_crash_cell_recovers_byte_correct_and_deterministic() {
-        let r = run_recovery_cell(&row(AlltoallvAlgorithm::TwoPhaseBruck, PhaseClass::Data, 1));
-        assert!(r.violation.is_none(), "{:?}", r.violation);
-        let cm = r.mttr.expect("survivor MTTR extracted");
-        assert!(cm.cycles >= 1);
-        assert!(cm.mttr.total() > Duration::ZERO);
-    }
-
-    #[test]
-    fn negotiate_crash_cell_recovers() {
-        let r = run_recovery_cell(&row(AlltoallvAlgorithm::SpreadOut, PhaseClass::Negotiate, 3));
-        assert!(r.violation.is_none(), "{:?}", r.violation);
-    }
-
-    #[test]
-    fn direct_survivor_run_matches_recovered_buffers() {
-        // The cell checks bytes against the closed-form pattern; this test
-        // closes the loop by running an actual fault-free exchange on the
-        // survivor world and comparing buffers block by block.
-        let (victim, seed) = (2usize, 1u64);
-        let cell = row(AlltoallvAlgorithm::TwoPhaseBruck, PhaseClass::Data, seed).cell;
-        let (neg, ex) = calibrate_phases(&cell, victim, seed).unwrap();
-        let recovered = run_world(&cell, victim, crash_point(PhaseClass::Data, neg, ex), seed);
-
-        let survivors: Vec<usize> = (0..cell.p).filter(|&r| r != victim).collect();
-        // Direct run: survivor s at dense position j exchanges the same
-        // blocks the recovered world settled on.
-        let (m, sv) = (cell.matrix(), &survivors);
-        let direct = SimComm::run(survivors.len(), seed, |comm| {
-            let me = sv[comm.rank()];
-            let sendcounts: Vec<usize> = sv.iter().map(|&d| m.get(me, d)).collect();
-            let sdispls = packed_displs(&sendcounts);
-            let mut sendbuf = vec![0u8; sendcounts.iter().sum()];
-            for (j, &dst) in sv.iter().enumerate() {
-                for idx in 0..sendcounts[j] {
-                    sendbuf[sdispls[j] + idx] = pattern(me, dst, idx);
-                }
+    fn direct_survivor_runs_match_the_recovered_outputs() {
+        // The rows check outputs against `expected_on`; this closes the loop
+        // by running the operation fault-free on the survivor world alone.
+        let (victim, seed) = (RECOVERY_WORLD.1, 1u64);
+        let tc = Op::Fixpoint(Fixpoint::Tc, AlltoallvAlgorithm::TwoPhaseBruck);
+        for op in [two_phase(), tc] {
+            let cell = row(op, PhaseClass::Half, seed).cell;
+            let after = PhaseClass::Half.crash_point(calibrate(&cell, victim, seed).unwrap());
+            let plan = FaultPlan::new(seed).with_crash(victim, after);
+            let recovered = run_world(&cell, &plan, seed, true);
+            let survivors: Vec<usize> = (0..cell.p).filter(|&r| r != victim).collect();
+            let sv = &survivors;
+            let direct = SimComm::run(sv.len(), seed, |comm| cell.run_on(comm, sv).unwrap());
+            for (j, &rank) in survivors.iter().enumerate() {
+                let (rec, _) = recovered.ranks[rank].as_ref().unwrap().as_ref().unwrap();
+                assert_eq!(rec.value, direct.results[j], "{}: rank {rank}", op.label());
             }
-            let recvcounts: Vec<usize> = sv.iter().map(|&s| m.get(s, me)).collect();
-            let rdispls = packed_displs(&recvcounts);
-            let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-            alltoallv(
-                AlltoallvAlgorithm::TwoPhaseBruck, comm, &sendbuf, &sendcounts, &sdispls,
-                &mut recvbuf, &recvcounts, &rdispls,
-            )
-            .unwrap();
-            recvbuf
-        });
-        for (j, &rank) in survivors.iter().enumerate() {
-            let rec = recovered.ranks[rank].as_ref().unwrap().as_ref().unwrap();
-            assert_eq!(rec.0, direct.results[j], "rank {rank}: recovered buffer == direct run");
         }
     }
 
     #[test]
     fn bench_line_roundtrips_through_the_reader() {
         let r = RecoveryCellReport {
-            label: "TwoPhaseBruck/data/seed1".to_string(),
+            label: "Two-phase Bruck/half/seed1".to_string(),
             violation: None,
             mttr: Some(CellMttr {
                 mttr: Mttr {
@@ -455,7 +389,7 @@ mod tests {
         let line = bench_json_line(&r).unwrap();
         assert_eq!(field_f64(&line, "detect_ms"), Some(120.0));
         assert_eq!(field_f64(&line, "cycles"), Some(1.0));
-        assert!(find_cell_line(&line, "TwoPhaseBruck/data/seed1").is_some());
+        assert!(find_cell_line(&line, "Two-phase Bruck/half/seed1").is_some());
         let (adv, fatal) = check_against_baseline(&line, &[r]);
         assert!(adv.is_empty() && fatal.is_empty(), "{adv:?} {fatal:?}");
     }

@@ -24,7 +24,7 @@ fn shape(op: Op) -> Op {
         Op::Alltoall(a, _) => Op::Alltoall(a, 0),
         Op::ReduceScatter(a, _) => Op::ReduceScatter(a, ReduceOp::Sum),
         Op::Allreduce(a, _) => Op::Allreduce(a, ReduceOp::Sum),
-        Op::Plan(_) => Op::Plan(AlltoallvAlgorithm::Reference),
+        Op::Discover(_) => Op::Discover(AlltoallvAlgorithm::Reference),
         Op::Alltoallv(_) | Op::Allgatherv(_) | Op::Fixpoint(..) => op,
     }
 }
@@ -37,7 +37,7 @@ fn registry_covers_every_public_point() {
     let schedules = Op::schedules(ReduceOp::Sum);
     let mut surface: Vec<Op> = AlltoallAlgorithm::ALL.map(|a| Op::Alltoall(a, 0)).to_vec();
     surface.extend(AlltoallvAlgorithm::ALL.map(Op::named));
-    surface.push(Op::Plan(AlltoallvAlgorithm::Reference));
+    surface.push(Op::Discover(AlltoallvAlgorithm::Reference));
     surface.extend(&schedules);
     assert_eq!(schedules.len(), 3 + 3 + 2, "one schedule per *Algorithm::ALL entry");
     let bruck = |c: &EngineConfig| c.topology == EngineTopology::Bruck;
@@ -144,7 +144,9 @@ fn smoke_cell_counts_are_pinned() {
     // one fixpoint on top.
     assert!(count(Family::Verify) > 19 + 16, "verify: {}", count(Family::Verify));
     assert_eq!(bruck_check::dpor::EventScenario::ALL.len(), 4);
-    assert_eq!(count(Family::Recovery), 36);
+    // Nine `alltoallv`s, the closure and the eight schedules, each crashed
+    // at four points.
+    assert_eq!(count(Family::Recovery), 72);
     let canaries = family(Family::Chaos, Tier::Full)
         .iter()
         .filter(|r| r.harness == Harness::Chaos { threads: true })
@@ -167,7 +169,7 @@ fn recovery_labels_match_the_committed_baseline() {
         .collect();
     let labels: Vec<String> = family(Family::Recovery, Tier::Smoke).iter().map(Row::label).collect();
     assert_eq!(labels, committed);
-    assert_eq!(labels[2], format!("Reference/{}/seed1", PhaseClass::Data.name()));
+    assert_eq!(labels[2], format!("Reference/{}/seed1", PhaseClass::Half.name()));
 }
 
 #[test]

@@ -41,6 +41,10 @@
 //!   [`DeadlineComm`] bounds every blocking receive by a shared
 //!   wall-clock budget, surfacing [`CommError::Timeout`] /
 //!   [`CommError::RankFailed`] for graceful-degradation drivers.
+//! * **Membership** — [`detect_failures`] (heartbeat sweep),
+//!   [`agree_survivors`] (flooded survivor agreement with a commit/abort
+//!   vote) and [`ShrinkComm`] (the dense survivor world of one epoch): the
+//!   pieces `bruck-core`'s recovering driver confirms and shrinks with.
 //! * **Deterministic simulation** — [`SimComm`] runs the same unmodified
 //!   algorithms under a seeded cooperative scheduler with a virtual clock:
 //!   one runnable rank at a time, recorded/replayable schedules
@@ -78,7 +82,6 @@ mod metered;
 mod msgbuf;
 mod agree;
 mod detect;
-mod plan;
 mod reliable;
 mod reduce;
 mod retry;
@@ -96,7 +99,6 @@ pub use metered::{ChannelTotals, Histogram, MeteredComm, Metrics, TagCounters, H
 pub use msgbuf::MsgBuf;
 pub use agree::{agree_survivors, AgreeConfig, AgreeOutcome};
 pub use detect::{detect_failures, DetectorConfig, Suspicion};
-pub use plan::ExchangePlan;
 pub use reliable::{ReliableComm, ReliableConfig};
 pub use reduce::ReduceOp;
 pub use retry::RetryPolicy;

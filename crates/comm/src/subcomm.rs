@@ -66,11 +66,6 @@ impl<'a, C: Communicator + ?Sized> SubComm<'a, C> {
         Ok(SubComm { parent, members, my_index, ctx: ctx & CTX_MASK })
     }
 
-    /// The parent rank of subcommunicator rank `r`.
-    pub fn parent_rank(&self, r: usize) -> usize {
-        self.members[r]
-    }
-
     /// The member list (parent ranks, in subcommunicator order).
     pub fn members(&self) -> &[usize] {
         &self.members
@@ -103,13 +98,11 @@ impl<'a, C: Communicator + ?Sized> SubComm<'a, C> {
 ///   (`(epoch mod 63) + 1`), so consecutive epochs always map the same
 ///   logical tag to different wire tags: straggler traffic from the epoch
 ///   that died can never be matched by the repaired world's exchanges.
-/// * [`ShrinkComm::shrink_rank`] / [`ShrinkComm::parent_rank`] translate
-///   between the worlds, so pending per-destination state (plans, buffers)
-///   can be remapped instead of rebuilt — see
-///   [`crate::ExchangePlan::remap_survivors`].
+///
+/// Dense rank `i` is `survivors[i]`; a recovering operation rebuilds its
+/// per-destination state from that list on every attempt.
 pub struct ShrinkComm<'a, C: Communicator + ?Sized> {
     sub: SubComm<'a, C>,
-    epoch: u32,
 }
 
 impl<'a, C: Communicator + ?Sized> ShrinkComm<'a, C> {
@@ -122,28 +115,7 @@ impl<'a, C: Communicator + ?Sized> ShrinkComm<'a, C> {
         }
         let ctx = (epoch % 63) + 1;
         let sub = SubComm::from_members(parent, survivors, ctx)?;
-        Ok(ShrinkComm { sub, epoch })
-    }
-
-    /// The membership epoch this communicator belongs to.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// The survivor set (parent ranks, in dense rank order).
-    pub fn survivors(&self) -> &[usize] {
-        self.sub.members()
-    }
-
-    /// The parent rank of dense survivor rank `r`.
-    pub fn parent_rank(&self, r: usize) -> usize {
-        self.sub.parent_rank(r)
-    }
-
-    /// The dense survivor rank of `parent_rank`, or `None` if it was
-    /// evicted.
-    pub fn shrink_rank(&self, parent_rank: usize) -> Option<usize> {
-        self.sub.members().iter().position(|&m| m == parent_rank)
+        Ok(ShrinkComm { sub })
     }
 }
 
@@ -363,12 +335,12 @@ mod tests {
             let peer = (shrink.rank() + 1) % shrink.size();
             shrink.send(peer, 3, &[me as u8]).unwrap();
             let from = shrink.recv((shrink.rank() + shrink.size() - 1) % shrink.size(), 3).unwrap();
-            Some((shrink.rank(), shrink.size(), shrink.shrink_rank(4), from[0]))
+            Some((shrink.rank(), shrink.size(), from[0]))
         });
-        assert_eq!(out[0], Some((0, 4, Some(3), 4)));
-        assert_eq!(out[1], Some((1, 4, Some(3), 0)));
-        assert_eq!(out[3], Some((2, 4, Some(3), 1)));
-        assert_eq!(out[4], Some((3, 4, Some(3), 3)));
+        assert_eq!(out[0], Some((0, 4, 4)));
+        assert_eq!(out[1], Some((1, 4, 0)));
+        assert_eq!(out[3], Some((2, 4, 1)));
+        assert_eq!(out[4], Some((3, 4, 3)));
     }
 
     #[test]

@@ -44,6 +44,16 @@
 //! [`AllgathervAlgorithm`], [`ReduceScatterAlgorithm`], and
 //! [`AllreduceAlgorithm`] — see the [`collectives`] module.
 //!
+//! ## Faults and recovery
+//!
+//! [`resilient_alltoallv`] runs one exchange under a deadline and degrades
+//! to typed holes ([`ExchangeOutcome`]); [`collective_with_deadline`] bounds
+//! any operation the same way ([`CollectiveOutcome`]). [`recovering`] is the
+//! one recovery driver: it runs an operation on a survivor view, confirms
+//! every attempt with failure detection and agreement, and shrinks the view
+//! and retries until an attempt commits ([`Recovered`], [`RecoveringConfig`]).
+//! [`recovering_alltoallv`] is that driver over one `alltoallv`.
+//!
 //! ## Model — §3.3
 //!
 //! The cost model lives in `bruck-model`, keyed by [`EngineConfig`]: its
@@ -97,9 +107,10 @@ pub use collectives::{
 pub use memory::memory_overhead_bytes;
 pub use nonuniform::{
     alltoallv, alltoallv_discover, configurable_alltoallv, configurable_alltoallv_general, packed_displs, pattern,
-    piece_len, recovering_alltoallv, reference_alltoallv, resilient_alltoallv, AlltoallvAlgorithm,
-    EngineConfig, EngineTopology, ExchangeOutcome, IntermediateLayout, Mttr, PaddingRule,
-    PartialExchange, Recovery, RecoveringConfig, RecoveryOutcome, ResilientConfig, VENDOR_WINDOW,
+    piece_len, recovering, recovering_alltoallv, reference_alltoallv, resilient_alltoallv,
+    AlltoallvAlgorithm, EngineConfig, EngineTopology, ExchangeOutcome, IntermediateLayout, Mttr,
+    PaddingRule, PartialExchange, Recovered, RecoveringConfig, RecoveryOutcome, ResilientConfig,
+    VENDOR_WINDOW,
 };
 pub use radix::{radix_schedule, radix_step_rel_indices, zero_rotation_bruck_radix};
 pub use uniform::{alltoall, reference_alltoall, AlltoallAlgorithm};

@@ -21,7 +21,9 @@ pub use engine::{
     configurable_alltoallv as configurable_alltoallv_general, EngineConfig, EngineTopology,
     IntermediateLayout, PaddingRule, VENDOR_WINDOW,
 };
-pub use recovering::{recovering_alltoallv, Mttr, Recovery, RecoveringConfig, RecoveryOutcome};
+pub use recovering::{
+    recovering, recovering_alltoallv, Mttr, Recovered, RecoveringConfig, RecoveryOutcome,
+};
 pub use reference::{pattern, reference_alltoallv};
 pub use resilient::{resilient_alltoallv, ExchangeOutcome, PartialExchange, ResilientConfig};
 pub use two_stage::piece_len;

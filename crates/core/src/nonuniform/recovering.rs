@@ -1,91 +1,83 @@
-//! Multi-epoch self-healing `alltoallv`: detect → agree → shrink → retry.
+//! Multi-epoch self-healing: one driver — detect → agree → shrink → retry —
+//! around any operation on a communicator.
 //!
 //! [`resilient_alltoallv`](super::resilient_alltoallv) degrades gracefully
-//! *within* one exchange — it reports typed holes instead of hanging — but it
-//! leaves the membership question to the caller: the dead rank is still part
-//! of the world, and the next exchange will trip over it again. This module
-//! closes that loop, ULFM-style:
+//! *within* one exchange, but leaves the membership question to the caller:
+//! the dead rank is still part of the world, and the next operation trips
+//! over it again. [`recovering`] closes that loop, ULFM-style. Every attempt
+//! is the same three steps (DESIGN.md §14.1):
 //!
-//! 1. **Execute.** Negotiate an [`ExchangePlan`] (counts handshake under a
-//!    deadline — a rank can die *here*, between planning and data movement)
-//!    and run `resilient_alltoallv` on the current survivor view, wrapped in
-//!    a [`ShrinkComm`] whose epoch isolates this attempt's traffic from every
-//!    other attempt's strays.
-//! 2. **Detect.** On a degraded outcome, run [`detect_failures`]: seeded
-//!    heartbeats over the current view with suspicion timeouts, on the trait
-//!    clock.
-//! 3. **Agree.** Feed the local suspicions to [`agree_survivors`], which
-//!    floods bitmaps until every live rank holds the identical survivor set
-//!    (tolerating further deaths *during* agreement).
-//! 4. **Repair.** Renumber the survivors into a dense world
-//!    ([`ShrinkComm`]), project the send buffer onto the survivor columns,
-//!    and remap the pending plan with
-//!    [`ExchangePlan::remap_survivors`] — re-negotiating only after *dirty*
-//!    attempts (where plan possession may be asymmetric); a clean membership
-//!    shrink keeps every survivor's plan and just remaps it.
-//! 5. **Retry.** Back off per the configured [`RetryPolicy`] (seeded jitter,
-//!    on the trait clock) and re-execute on the repaired world.
+//! 1. **Execute.** Run the operation on a [`ShrinkComm`] of the current
+//!    survivor view — a dense world whose epoch isolates this attempt's
+//!    traffic from every other attempt's strays — through
+//!    [`collective_with_deadline`]: the whole operation, however many
+//!    exchanges it is, runs under one deadline, and a peer's death ends it
+//!    as a typed abort instead of a hang.
+//! 2. **Confirm.** Always [`detect_failures`] (seeded heartbeats over the
+//!    view, on the trait clock), then [`agree_survivors`] (flooded suspicion
+//!    bitmaps plus this rank's dirty vote: "my attempt aborted").
+//! 3. **Commit or shrink.** An unchanged view with no dirty vote commits.
+//!    Anything else evicts the agreed dead, backs off per the configured
+//!    [`RetryPolicy`] (seeded jitter, on the trait clock) and re-runs the
+//!    operation on the survivor view.
 //!
-//! The caller observes one of three endings: a lossless buffer on the
-//! original view ([`RecoveryOutcome::Complete`]), a lossless buffer on a
-//! *shrunken* view plus an MTTR breakdown ([`RecoveryOutcome::Recovered`]),
-//! or a typed error (this rank died / was evicted / retries exhausted).
-//! Because every wait is on the trait clock, the entire cycle is
-//! deterministic and replayable under `SimComm`, and the MTTR numbers are
-//! virtual-time exact.
+//! The unit of agreement is the attempt, not an exchange: every rank leaves
+//! an attempt — by finishing, by a fault or at the deadline — and enters the
+//! same epoch's confirm, so an operation may be a whole fixpoint and issue
+//! any collective it likes. [`recovering_alltoallv`] is the driver over one
+//! `alltoallv`.
+//!
+//! The caller observes one of three endings: a value on the original view
+//! ([`RecoveryOutcome::Complete`]), a value on a *shrunken* view plus an MTTR
+//! breakdown ([`RecoveryOutcome::Recovered`]), or a typed error (this rank
+//! died / was evicted / retries exhausted). Because every wait is on the
+//! trait clock, the entire cycle is deterministic and replayable under
+//! `SimComm`, and the MTTR numbers are virtual-time exact.
 
 use std::time::Duration;
 
 use bruck_comm::{
     agree_survivors, detect_failures, AgreeConfig, CommError, CommResult, Communicator,
-    DeadlineComm, DetectorConfig, ExchangePlan, RetryPolicy, ShrinkComm, Suspicion,
+    DetectorConfig, RetryPolicy, ShrinkComm, Suspicion,
 };
 
-use super::resilient::{is_fault, resilient_alltoallv, ExchangeOutcome, ResilientConfig};
-use super::packed_displs;
+use super::{alltoallv_discover, packed_displs, AlltoallvAlgorithm, EngineConfig};
+use crate::collectives::{collective_with_deadline, CollectiveOutcome};
 use crate::probe::span;
 
 /// Budgets for every stage of the detect → agree → shrink → retry cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveringConfig {
-    /// Per-attempt exchange budgets (its `epoch` field is ignored — the
-    /// recovery loop stamps each attempt with its own epoch).
-    pub resilient: ResilientConfig,
-    /// Deadline for the counts handshake of each attempt.
-    pub negotiate_timeout: Duration,
+    /// Budget for one attempt of the operation, shared by all of its
+    /// receives.
+    pub deadline: Duration,
     /// Heartbeat failure-detector policy.
     pub detector: DetectorConfig,
     /// Survivor-agreement policy.
     pub agreement: AgreeConfig,
-    /// Backoff between attempts; its `attempts()` bounds the exchange
-    /// attempts (first try included).
+    /// Backoff between attempts; its `attempts()` bounds the attempts
+    /// (first try included).
     pub retry: RetryPolicy,
-    /// Base epoch: attempt `k` runs at `epoch + k`. Bump it across calls on
-    /// one communicator so no two recovering exchanges ever share tags.
+    /// Base epoch: attempt `k` runs at `epoch + k`. Bump it by
+    /// `retry.attempts()` across calls on one communicator so no two
+    /// recovering operations ever share tags.
     pub epoch: u32,
 }
 
 impl RecoveringConfig {
-    /// Resize the detector and agreement windows so they cover the
-    /// worst-case skew with which ranks abort one attempt and enter the
-    /// confirmation round.
+    /// Resize the detector and agreement windows so they cover the skew with
+    /// which ranks leave one attempt and enter its confirm: one rank fails
+    /// fast at its first operation, another waits out the whole `deadline`.
     ///
-    /// Ranks reach the detector at very different times after a failed
-    /// exchange: one aborts at the negotiate deadline, another only after
-    /// the primary deadline, the commit barrier, and a string of fallback
-    /// peer timeouts. A detector window smaller than that skew makes the
-    /// early ranks give up on the laggards — false suspicion, mutual
-    /// eviction, and a view that collapses to singletons. The generous
-    /// windows are nearly free where it matters: the detector's all-proven
-    /// early exit and the agreement's anchored round deadlines both finish
-    /// at message speed when everyone is alive, so only genuine failures
-    /// pay the window (and under `SimComm` virtual time even that is free).
+    /// A detector window smaller than that skew makes the early ranks give
+    /// up on the laggards — false suspicion, mutual eviction, and a view
+    /// that collapses to singletons. The generous windows are nearly free
+    /// where it matters: the detector's all-proven early exit and the
+    /// agreement's anchored round deadlines both finish at message speed
+    /// when everyone is alive, so only genuine failures pay the window (and
+    /// under `SimComm` virtual time even that is free).
     pub fn with_derived_windows(mut self) -> Self {
-        let r = &self.resilient;
-        let skew = self
-            .negotiate_timeout
-            .max(r.deadline + r.commit_timeout + 2 * r.peer_timeout);
-        let window = skew + skew / 4;
+        let window = self.deadline + self.deadline / 4;
         self.detector.window = window;
         self.detector.heartbeat = (window / 8).max(Duration::from_millis(1));
         self.agreement.round_timeout = window;
@@ -96,8 +88,7 @@ impl RecoveringConfig {
 impl Default for RecoveringConfig {
     fn default() -> Self {
         RecoveringConfig {
-            resilient: ResilientConfig::default(),
-            negotiate_timeout: Duration::from_secs(1),
+            deadline: Duration::from_secs(4),
             detector: DetectorConfig::default(),
             agreement: AgreeConfig::default(),
             retry: RetryPolicy::exponential(
@@ -121,9 +112,9 @@ pub struct Mttr {
     pub detect: Duration,
     /// Time inside [`agree_survivors`].
     pub agree: Duration,
-    /// Time spent renumbering, projecting buffers, and remapping the plan.
+    /// Time spent renumbering the view.
     pub repair: Duration,
-    /// Duration of the successful re-execution (negotiate-if-needed + data).
+    /// Duration of the successful attempt, its confirm included.
     pub reexecute: Duration,
 }
 
@@ -134,36 +125,31 @@ impl Mttr {
     }
 }
 
-/// How a recovering exchange ended (on this rank).
+/// How a recovering operation ended (on this rank).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryOutcome {
-    /// No membership change was needed: the buffer is lossless on the view
-    /// the caller passed in.
+    /// No membership change was needed: the value is the operation's on the
+    /// view the caller passed in.
     Complete,
-    /// One or more recovery cycles ran; the buffer is lossless on the
+    /// One or more recovery cycles ran; the value is the operation's on the
     /// (possibly shrunken) final view.
     Recovered {
         /// Parent ranks evicted across all cycles, ascending.
         evicted: Vec<usize>,
         /// Recovery cycles executed (detect → agree → repair).
         cycles: u32,
-        /// Exchange attempts consumed, first try included.
+        /// Attempts consumed, first try included.
         attempts: u32,
         /// Where the recovery time went.
         mttr: Mttr,
     },
 }
 
-/// A completed recovering exchange: the received bytes plus the view they
-/// are indexed by.
+/// A committed recovering operation: its value plus the view it ran on.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Recovery {
-    /// Received bytes, packed by `recvcounts`.
-    pub recvbuf: Vec<u8>,
-    /// Bytes received from each member of `view`, in `view` order.
-    pub recvcounts: Vec<usize>,
-    /// Packed displacements for `recvcounts`.
-    pub rdispls: Vec<usize>,
+pub struct Recovered<T> {
+    /// What the committed attempt's operation returned on this rank.
+    pub value: T,
     /// The final survivor view: sorted parent ranks, including the caller.
     /// Feed it back as the next call's `view` for multi-epoch tenancy.
     pub view: Vec<usize>,
@@ -171,20 +157,26 @@ pub struct Recovery {
     pub outcome: RecoveryOutcome,
 }
 
-/// Self-healing non-uniform all-to-all over the `view` subset of `comm`'s
-/// world. `sendcounts[i]` bytes go to parent rank `view[i]`; `sendbuf` is
-/// packed by `sendcounts`. See the module docs for the protocol.
+/// Run `op` on the `view` subset of `comm`'s world until an attempt commits.
+/// See the module docs for the protocol.
 ///
-/// Errors are crash-only: bad arguments, this rank dead or evicted, or
-/// retries exhausted (the last fault). A `Recovered` outcome's buffer is
-/// byte-identical to a fault-free exchange run directly on the final view.
-pub fn recovering_alltoallv<C: Communicator + ?Sized>(
+/// `op(comm, view)` gets a dense communicator over the current survivor
+/// view (its rank `i` is parent rank `view[i]`) and must be SPMD over it:
+/// every member calls the same operation. It runs once per attempt, so it
+/// rebuilds its inputs for the view it is given.
+///
+/// Errors are crash-only: bad arguments, a non-fault error from `op`, this
+/// rank dead or evicted, or retries exhausted (the last fault).
+pub fn recovering<C, T, F>(
     cfg: &RecoveringConfig,
     comm: &C,
     view: &[usize],
-    sendcounts: &[usize],
-    sendbuf: &[u8],
-) -> CommResult<Recovery> {
+    mut op: F,
+) -> CommResult<Recovered<T>>
+where
+    C: Communicator + ?Sized,
+    F: FnMut(&dyn Communicator, &[usize]) -> CommResult<T>,
+{
     let me = comm.rank();
     if view.is_empty() || view.windows(2).any(|w| w[0] >= w[1]) {
         return Err(CommError::BadArgument("view must be sorted, unique, non-empty"));
@@ -195,19 +187,8 @@ pub fn recovering_alltoallv<C: Communicator + ?Sized>(
     if !view.contains(&me) {
         return Err(CommError::BadArgument("calling rank not in view"));
     }
-    if sendcounts.len() != view.len() {
-        return Err(CommError::BadArgument("sendcounts.len() != view.len()"));
-    }
-    if sendbuf.len() != sendcounts.iter().sum::<usize>() {
-        return Err(CommError::BadArgument("sendbuf must be packed by sendcounts"));
-    }
-
-    let names_me = |e: &CommError| matches!(e, CommError::RankFailed { rank } if *rank == me);
 
     let mut view = view.to_vec();
-    let mut counts = sendcounts.to_vec();
-    let mut buf = sendbuf.to_vec();
-    let mut plan: Option<ExchangePlan> = None;
     let mut mttr = Mttr::default();
     let mut evicted: Vec<usize> = Vec::new();
     let mut cycles = 0u32;
@@ -221,53 +202,26 @@ pub fn recovering_alltoallv<C: Communicator + ?Sized>(
         let exec_start = comm.now();
         let cur = ShrinkComm::new(comm, view.clone(), epoch)?;
 
-        // One attempt: negotiate (if no plan survived) then exchange. Any
-        // fault that does not name *us* becomes this rank's abort vote.
-        let local: Result<Vec<u8>, CommError> = 'attempt: {
+        // Any fault that does not name *us* becomes this rank's abort vote.
+        let local = {
             let _probe = span("recovering.attempt");
-            if plan.is_none() {
-                let dc = DeadlineComm::new(&cur, cfg.negotiate_timeout);
-                match ExchangePlan::negotiate_isolated(&dc, counts.clone(), epoch) {
-                    Ok(p) => plan = Some(p),
-                    Err(e) => break 'attempt Err(e),
-                }
-            }
-            let Some(pl) = plan.as_ref() else {
-                break 'attempt Err(CommError::BadArgument("no plan after negotiation"));
-            };
-            let mut recvbuf = pl.alloc_recvbuf();
-            let rcfg = ResilientConfig { epoch, ..cfg.resilient };
-            match resilient_alltoallv(
-                &rcfg,
-                &cur,
-                &buf,
-                pl.sendcounts(),
-                pl.sdispls(),
-                &mut recvbuf,
-                pl.recvcounts(),
-                pl.rdispls(),
-            ) {
-                Ok(out) if out.is_lossless() => Ok(recvbuf),
-                Ok(ExchangeOutcome::Partial { trigger, .. }) => Err(trigger),
-                Ok(_) => unreachable!("non-lossless outcomes are Partial"),
-                Err(e) => Err(e),
-            }
+            collective_with_deadline(&cur, cfg.deadline, |dc| op(dc, &view))?
         };
         let local = match local {
-            Err(e) if !is_fault(&e) || names_me(&e) => return Err(e),
-            other => other,
+            CollectiveOutcome::Complete(value) => Ok(value),
+            CollectiveOutcome::Aborted { error } => match error {
+                CommError::RankFailed { rank } if rank == me => return Err(error),
+                _ => Err(error),
+            },
         };
 
         // Confirmation: EVERY attempt — success or not — ends in detect +
-        // agreement, because failure evidence is asymmetric (one rank's
-        // fallback can be lossless while a peer's has holes; a commit
-        // barrier can complete on some ranks and time out on others). The
+        // agreement, because failure evidence is asymmetric (a peer's death
+        // can abort one rank's operation while another's completes). The
         // flooded dirty vote turns those local verdicts into one global
         // decision: commit only if the view is intact and nobody failed.
-        // The detector starts from empty suspicions on purpose — fault
-        // errors name ranks in a mix of parent and dense numbering
-        // depending on which layer raised them, so membership verdicts
-        // come only from the detector's own probes.
+        // The detector starts from empty suspicions on purpose: membership
+        // verdicts come only from its own probes.
         let n = view.len();
         let members: Vec<usize> = (0..n).collect();
         let t0 = comm.now();
@@ -288,16 +242,10 @@ pub fn recovering_alltoallv<C: Communicator + ?Sized>(
         // `agreed.survivors` are dense positions into the current view.
         let keep = agreed.survivors;
         if keep.len() == n && !agreed.dirty {
-            // Unanimous commit. A clean, full-view decision implies every
-            // survivor — us included — had a lossless exchange: our dirty
-            // vote was part of the decided flood.
-            let recvbuf = match local {
-                Ok(b) => b,
-                Err(e) => return Err(e),
-            };
-            let Some(pl) = plan.as_ref() else {
-                return Err(CommError::BadArgument("committed attempt has no plan"));
-            };
+            // Unanimous commit: a clean, full-view decision implies every
+            // survivor — us included — completed the attempt, because our
+            // dirty vote was part of the decided flood.
+            let value = local?;
             let outcome = if cycles == 0 {
                 RecoveryOutcome::Complete
             } else {
@@ -309,13 +257,7 @@ pub fn recovering_alltoallv<C: Communicator + ?Sized>(
                     mttr,
                 }
             };
-            return Ok(Recovery {
-                recvbuf,
-                recvcounts: pl.recvcounts().to_vec(),
-                rdispls: pl.rdispls().to_vec(),
-                view,
-                outcome,
-            });
+            return Ok(Recovered { value, view, outcome });
         }
 
         // Abort: at least one survivor failed, or the membership shrank.
@@ -328,40 +270,10 @@ pub fn recovering_alltoallv<C: Communicator + ?Sized>(
                 waited: comm.now().saturating_sub(exec_start),
             },
         });
-        if agreed.dirty {
-            // A dirty attempt can die mid-negotiation at some ranks and
-            // after it at others, leaving plan possession asymmetric; a
-            // retry where only the plan-less ranks re-negotiate hangs into
-            // exhaustion. The agreed dirty bit is the uniform signal: every
-            // survivor drops its plan and the group re-negotiates together.
-            // A clean shrink (`!dirty`) means every survivor was lossless,
-            // hence negotiated, so the remap below is uniform.
-            plan = None;
-        }
         if keep.len() < n {
             let _probe = span("recovering.repair");
-            let alive: Vec<bool> = {
-                let mut mask = vec![false; n];
-                for &i in &keep {
-                    mask[i] = true;
-                }
-                mask
-            };
-            evicted.extend((0..n).filter(|&i| !alive[i]).map(|i| view[i]));
+            evicted.extend((0..n).filter(|i| !keep.contains(i)).map(|i| view[i]));
             evicted.sort_unstable();
-            let displs = packed_displs(&counts);
-            let mut nbuf = Vec::with_capacity(buf.len());
-            let mut ncounts = Vec::with_capacity(keep.len());
-            for &i in &keep {
-                nbuf.extend_from_slice(&buf[displs[i]..displs[i] + counts[i]]);
-                ncounts.push(counts[i]);
-            }
-            buf = nbuf;
-            counts = ncounts;
-            plan = match plan.take() {
-                Some(p) => Some(p.remap_survivors(&alive)?),
-                None => None,
-            };
             view = keep.iter().map(|&i| view[i]).collect();
         }
         mttr.detect += t1.saturating_sub(t0);
@@ -373,44 +285,63 @@ pub fn recovering_alltoallv<C: Communicator + ?Sized>(
     Err(last_fault.unwrap_or(CommError::BadArgument("retry policy allows no attempts")))
 }
 
+/// Self-healing non-uniform all-to-all over the `view` subset of `comm`'s
+/// world: [`recovering`] over one [`alltoallv_discover`] running `algo`.
+/// `sendcounts[i]` bytes go to parent rank `view[i]`; `sendbuf` is packed by
+/// `sendcounts`. Each attempt sends the blocks of the members still in the
+/// view, and receivers learn their counts on the exchange's own wire.
+///
+/// The value is the received bytes, packed in final-view order, and the
+/// count from each member of the final view. A `Recovered` value is
+/// byte-identical to a fault-free exchange run directly on the final view.
+pub fn recovering_alltoallv<C: Communicator + ?Sized>(
+    cfg: &RecoveringConfig,
+    comm: &C,
+    algo: AlltoallvAlgorithm,
+    view: &[usize],
+    sendcounts: &[usize],
+    sendbuf: &[u8],
+) -> CommResult<Recovered<(Vec<u8>, Vec<usize>)>> {
+    if sendcounts.len() != view.len() {
+        return Err(CommError::BadArgument("sendcounts.len() != view.len()"));
+    }
+    if sendbuf.len() != sendcounts.iter().sum::<usize>() {
+        return Err(CommError::BadArgument("sendbuf must be packed by sendcounts"));
+    }
+    let displs = packed_displs(sendcounts);
+    let engine = EngineConfig::for_algorithm(algo);
+    recovering(cfg, comm, view, |c, now| {
+        // `now` is a subsequence of `view`: project the send side onto it.
+        let (mut counts, mut buf) = (Vec::with_capacity(now.len()), Vec::new());
+        for (i, dst) in view.iter().enumerate() {
+            if now.binary_search(dst).is_ok() {
+                counts.push(sendcounts[i]);
+                buf.extend_from_slice(&sendbuf[displs[i]..displs[i] + sendcounts[i]]);
+            }
+        }
+        alltoallv_discover(c, &engine, &buf, &counts, &packed_displs(&counts), false)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::nonuniform::testutil::pattern;
-    use crate::nonuniform::AlltoallvAlgorithm;
-    use bruck_comm::{FaultComm, FaultPlan, SimComm, SimConfig};
+    use bruck_comm::{
+        FaultComm, FaultPlan, MeteredComm, Metrics, SimComm, SimConfig, Tag, RESERVED_TAG_BASE,
+    };
 
     fn quick() -> RecoveringConfig {
         RecoveringConfig {
-            resilient: ResilientConfig {
-                algorithm: AlltoallvAlgorithm::TwoPhaseBruck,
-                deadline: Duration::from_millis(600),
-                commit_timeout: Duration::from_millis(200),
-                peer_timeout: Duration::from_millis(300),
-                epoch: 0,
-            },
-            negotiate_timeout: Duration::from_millis(400),
-            // Virtual time is free under the simulator, so both windows are
-            // sized generously: survivors leave a degraded exchange up to a
-            // full peer timeout apart, and the detector / agreement windows
-            // must absorb that skew without false suspicions.
-            detector: DetectorConfig {
-                window: Duration::from_millis(1200),
-                heartbeat: Duration::from_millis(150),
-                seed: 7,
-            },
-            agreement: AgreeConfig {
-                round_timeout: Duration::from_millis(900),
-                stable_rounds: 2,
-                max_rounds: 32,
-            },
+            deadline: Duration::from_millis(600),
             retry: RetryPolicy::exponential(
                 Duration::from_millis(10),
                 Duration::from_millis(40),
                 3,
             ),
-            epoch: 0,
+            ..RecoveringConfig::default()
         }
+        .with_derived_windows()
     }
 
     /// Packed (sendbuf, sendcounts) from `src` to each member of `view`,
@@ -426,25 +357,59 @@ mod tests {
         (buf, counts)
     }
 
+    /// Messages a rank sent on `width` reserved tags from `base`, whatever
+    /// the `ShrinkComm` context folded into them.
+    fn sent_on(m: &Metrics, base: Tag, width: Tag) -> u64 {
+        let ctx_bits: Tag = 0x3F << 24;
+        let on = |tag: &&Tag| (base..base + width).contains(&(**tag & !ctx_bits));
+        m.per_tag_sent.iter().filter(|(tag, _)| on(tag)).map(|(_, c)| c.msgs).sum()
+    }
+
     #[test]
-    fn healthy_run_is_complete_on_the_original_view() {
-        let p = 4;
-        let n = 8;
+    fn a_healthy_exchange_is_one_discover_and_one_confirm() {
+        // A plan handshake sent every rank P − 1 = 4 count messages on its
+        // block (`RESERVED_TAG_BASE + 0x1000`), and the commit barrier
+        // ⌈log₂ 5⌉ = 3 on the barrier tags; the attempt is now one
+        // `alltoallv_discover`, so both are 0 and the data plane is the
+        // plain exchange's, tag for tag.
+        let (p, n, algo) = (5, 8, AlltoallvAlgorithm::TwoPhaseBruck);
         let report = SimComm::try_run(p, &SimConfig::from_seed(3), move |comm| {
-            let me = comm.rank();
+            let mc = MeteredComm::new(comm);
             let view: Vec<usize> = (0..p).collect();
-            let (buf, counts) = build_view_send(me, &view, n);
-            recovering_alltoallv(&quick(), comm, &view, &counts, &buf)
+            let (buf, counts) = build_view_send(comm.rank(), &view, n);
+            let cfg = quick();
+            let rec = recovering_alltoallv(&cfg, &mc, algo, &view, &counts, &buf)?;
+            let recovering = mc.metrics();
+            mc.reset();
+            // The plain exchange, in the first attempt's tag context.
+            let sc = ShrinkComm::new(&mc, view, cfg.epoch)?;
+            let engine = EngineConfig::for_algorithm(algo);
+            let displs = packed_displs(&counts);
+            let plain = alltoallv_discover(&sc, &engine, &buf, &counts, &displs, false)?;
+            Ok::<_, CommError>((rec, recovering, plain, mc.metrics()))
         });
         for (rank, out) in report.outcomes.iter().enumerate() {
-            let rec = out.as_ref().expect("no panic").as_ref().unwrap();
+            let (rec, recovering, plain, plain_metrics) =
+                out.as_ref().expect("no panic").as_ref().unwrap();
             assert_eq!(rec.outcome, RecoveryOutcome::Complete);
             assert_eq!(rec.view, (0..p).collect::<Vec<_>>());
-            for (i, &src) in rec.view.iter().enumerate() {
-                for idx in 0..n {
-                    assert_eq!(rec.recvbuf[rec.rdispls[i] + idx], pattern(src, rank, idx));
-                }
+            assert_eq!(&rec.value, plain, "rank {rank}");
+            let (bytes, recvcounts) = &rec.value;
+            assert_eq!(recvcounts, &vec![n; p]);
+            for (src, block) in bytes.chunks(n).enumerate() {
+                assert!(block.iter().enumerate().all(|(i, &b)| b == pattern(src, rank, i)));
             }
+            assert_eq!(sent_on(recovering, RESERVED_TAG_BASE + 0x1000, 0x100), 0, "rank {rank}");
+            assert_eq!(sent_on(recovering, RESERVED_TAG_BASE, 3), 0, "rank {rank}");
+            // Everything else reserved is the one confirm.
+            let confirm = sent_on(recovering, RESERVED_TAG_BASE + 0x3000, 0x200);
+            assert_eq!(recovering.reserved.sent_msgs, confirm, "rank {rank}");
+            let data = |m: &Metrics| {
+                let below = m.per_tag_sent.iter().filter(|(tag, _)| **tag < RESERVED_TAG_BASE);
+                below.map(|(tag, c)| (*tag, c.msgs, c.bytes)).collect::<Vec<_>>()
+            };
+            assert_eq!(data(recovering), data(plain_metrics), "rank {rank}");
+            assert!(!data(plain_metrics).is_empty());
         }
     }
 
@@ -454,11 +419,11 @@ mod tests {
         let n = 8;
         let dead = 2usize;
         let report = SimComm::try_run(p, &SimConfig::from_seed(11), move |comm| {
-            let fc = FaultComm::new(comm, FaultPlan::new(4).with_crash(dead, 20));
-            let me = fc.rank();
+            let fc = FaultComm::new(comm, FaultPlan::new(4).with_crash(dead, 3));
             let view: Vec<usize> = (0..p).collect();
-            let (buf, counts) = build_view_send(me, &view, n);
-            recovering_alltoallv(&quick(), &fc, &view, &counts, &buf)
+            let (buf, counts) = build_view_send(fc.rank(), &view, n);
+            let algo = AlltoallvAlgorithm::TwoPhaseBruck;
+            recovering_alltoallv(&quick(), &fc, algo, &view, &counts, &buf)
         });
         for (rank, out) in report.outcomes.iter().enumerate() {
             let res = out.as_ref().expect("no panic");
@@ -480,50 +445,38 @@ mod tests {
                 }
                 other => panic!("rank {rank}: expected Recovered, got {other:?}"),
             }
-            for (i, &src) in rec.view.iter().enumerate() {
-                for idx in 0..n {
-                    assert_eq!(
-                        rec.recvbuf[rec.rdispls[i] + idx],
-                        pattern(src, rank, idx),
-                        "rank {rank}: block from parent {src}"
-                    );
+            let (bytes, recvcounts) = &rec.value;
+            assert_eq!(recvcounts, &vec![n; survivors.len()]);
+            for (block, &src) in bytes.chunks(n).zip(&rec.view) {
+                for (idx, &b) in block.iter().enumerate() {
+                    assert_eq!(b, pattern(src, rank, idx), "rank {rank}: block from parent {src}");
                 }
             }
         }
     }
 
     #[test]
-    fn crash_during_negotiate_still_recovers() {
-        // Op 1 lands inside the counts handshake: the plan never finishes on
-        // the dead rank, survivors re-negotiate on the shrunken world.
+    fn a_no_op_shrinks_the_view_around_a_dead_rank() {
+        // Rank 1 is dead before the first attempt: the operation does
+        // nothing, so only the confirm can find it.
         let p = 4;
-        let n = 6;
-        let dead = 1usize;
-        let report = SimComm::try_run(p, &SimConfig::from_seed(9), move |comm| {
-            let fc = FaultComm::new(comm, FaultPlan::new(8).with_crash(dead, 1));
-            let me = fc.rank();
+        let report = SimComm::try_run(p, &SimConfig::from_seed(2), move |comm| {
+            let fc = FaultComm::new(comm, FaultPlan::new(3).with_crash(1, 0));
             let view: Vec<usize> = (0..p).collect();
-            let (buf, counts) = build_view_send(me, &view, n);
-            recovering_alltoallv(&quick(), &fc, &view, &counts, &buf)
+            recovering(&quick(), &fc, &view, |_, _| Ok(()))
         });
         for (rank, out) in report.outcomes.iter().enumerate() {
             let res = out.as_ref().expect("no panic");
-            if rank == dead {
-                assert!(res.is_err());
+            if rank == 1 {
+                assert!(matches!(res, Err(CommError::RankFailed { rank: 1 })), "{res:?}");
                 continue;
             }
             let rec = res.as_ref().unwrap();
-            assert_eq!(rec.view, (0..p).filter(|&r| r != dead).collect::<Vec<_>>());
-            assert!(
-                matches!(&rec.outcome, RecoveryOutcome::Recovered { evicted, .. } if evicted == &vec![dead]),
-                "rank {rank}: {:?}",
-                rec.outcome
-            );
-            for (i, &src) in rec.view.iter().enumerate() {
-                for idx in 0..n {
-                    assert_eq!(rec.recvbuf[rec.rdispls[i] + idx], pattern(src, rank, idx));
-                }
-            }
+            assert_eq!(rec.view, vec![0, 2, 3], "rank {rank}");
+            let RecoveryOutcome::Recovered { evicted, cycles, attempts, .. } = &rec.outcome else {
+                panic!("rank {rank}: {:?}", rec.outcome);
+            };
+            assert_eq!((evicted.as_slice(), *cycles, *attempts), (&[1][..], 1, 2), "rank {rank}");
         }
     }
 
@@ -531,22 +484,23 @@ mod tests {
     fn bad_arguments_are_typed_errors() {
         SimComm::try_run(3, &SimConfig::from_seed(0), |comm| {
             let cfg = quick();
+            let algo = AlltoallvAlgorithm::TwoPhaseBruck;
             // Unsorted view.
             assert!(matches!(
-                recovering_alltoallv(&cfg, comm, &[1, 0, 2], &[0, 0, 0], &[]),
+                recovering_alltoallv(&cfg, comm, algo, &[1, 0, 2], &[0, 0, 0], &[]),
                 Err(CommError::BadArgument(_))
             ));
             // Caller missing from view (only an error on the excluded rank).
             if comm.rank() == 2 {
                 assert!(matches!(
-                    recovering_alltoallv(&cfg, comm, &[0, 1], &[0, 0], &[]),
+                    recovering(&cfg, comm, &[0, 1], |_, _| Ok(())),
                     Err(CommError::BadArgument(_))
                 ));
             }
             // sendbuf not packed by counts.
             let view: Vec<usize> = (0..3).collect();
             assert!(matches!(
-                recovering_alltoallv(&cfg, comm, &view, &[1, 1, 1], &[0u8; 2]),
+                recovering_alltoallv(&cfg, comm, algo, &view, &[1, 1, 1], &[0u8; 2]),
                 Err(CommError::BadArgument(_))
             ));
             Ok::<(), CommError>(())

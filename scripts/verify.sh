@@ -80,13 +80,16 @@ stage bruck-check cargo run --release -p bruck-check --bin bruck-check
 # fallback or the collective deadline wrapper; the crash ones sit out real
 # deadlines. Seeds can be overridden with `--seeds 1,2,3`.
 stage chaos-smoke cargo run --release -p bruck-check --bin bruck-chaos -- --smoke
-# Self-healing recovery gate (DESIGN.md §14): every alltoallv algorithm ×
-# crash phase class (negotiate/pack/data/unpack) on a 5-rank simulated world
-# with a scripted victim, driving detect -> agree -> shrink -> retry to a
-# typed Recovered ending — byte-correct on the survivor view, same-seed
-# digest-deterministic. Virtual-time MTTR per cell is compared against the
-# committed BENCH_PR8.json (> 1.6x drift advisory, > 8x fails; MTTR is
-# virtual-time, so drift means the protocol itself changed). Regenerate with:
+# Self-healing recovery gate (DESIGN.md §14): the nine alltoallv algorithms,
+# a transitive-closure fixpoint and the eight collective schedules, each with
+# a victim scripted to crash at its first / quarter / half / last op on a
+# 5-rank simulated world, driven by the one recovering driver (detect ->
+# agree -> shrink -> retry) to a typed Recovered ending — byte-correct on the
+# survivor view, same-seed digest-deterministic. Virtual-time MTTR per row
+# (detection waits out its whole window, 1.25 x the 600 ms deadline, in every
+# row) is compared against the committed BENCH_PR8.json (> 1.6x drift
+# advisory, > 8x fails; MTTR is virtual-time, so drift means the protocol
+# itself changed). Regenerate with:
 #   cargo run --release -p bruck-check --bin bruck-chaos -- --recovery-smoke --out BENCH_PR8.json
 stage recovery-smoke cargo run --release -p bruck-check --bin bruck-chaos -- --recovery-smoke --check-against BENCH_PR8.json
 # Deterministic-simulation gate (DESIGN.md §11): the registry's cell ×
