@@ -1,6 +1,7 @@
 //! `bruck-verify`: exhaustive interleaving verification.
 //!
-//! Two provers in one binary (see `bruck_check::dpor` and DESIGN.md §13):
+//! Two provers in one binary (see `bruck_check::dpor`,
+//! `bruck_check::wakeup_audit` and DESIGN.md §13):
 //!
 //! 1. **DPOR over the simulator** — every algorithm runs in tiny worlds
 //!    under `bruck_comm::SimComm`, and stateless dynamic partial-order
@@ -34,12 +35,11 @@ use bruck_check::cells::{rows, Family, DEFAULT_SEEDS};
 use bruck_check::cli::{
     exit_code, load_trace, parse_args, replay_cell, replay_verdict, save_witness,
 };
-use bruck_check::dpor::{
-    explore_cell, explore_event_scenario, replay_event_trace, EventScenario, Violation,
-};
+use bruck_check::dpor::{explore_cell, Violation};
+use bruck_check::wakeup_audit::{explore_event_scenario, replay_event_trace, EventScenario};
 
 /// Per-cell wall-clock budget: generous locally, hard stop for CI hangs.
-const CELL_WALL_BUDGET: Duration = Duration::from_secs(120);
+const CELL_WALL_BUDGET: Duration = Duration::from_secs(600);
 
 fn save_violation(name: &str, v: &Violation) {
     save_witness("bruck-verify", name, &v.message, &v.trace, &v.min_trace);

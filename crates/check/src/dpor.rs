@@ -1,16 +1,19 @@
 //! Stateless dynamic partial-order reduction (DPOR) over the deterministic
-//! simulator, plus an exhaustive happens-before audit of the event runtime's
-//! wakeup protocol. This is the engine behind the `bruck-verify` binary.
+//! simulator: the first of `bruck-verify`'s two provers (the second is
+//! [`crate::wakeup_audit`]).
 //!
 //! ## What it proves
 //!
 //! `bruck-sim` *samples* the schedule space with seeds; this module
 //! *exhausts* it for tiny worlds. A [`Harness::Verify`] registry row names a
-//! cell, a budget and a contract, and the explorer enumerates every
-//! Mazurkiewicz-inequivalent interleaving of its scheduling points
-//! (classic Flanagan–Godefroid stateless DPOR: depth-first replay from
-//! schedule prefixes, backtrack sets derived from the dependency relation,
-//! sleep sets to kill redundant siblings). At every explored leaf it asserts
+//! cell, a budget and a contract, and the explorer runs every
+//! Mazurkiewicz-inequivalent interleaving of its scheduling points: source-set
+//! DPOR (Abdulla, Aronis, Jonsson, Sagonas, *Optimal Dynamic Partial Order
+//! Reduction*, POPL 2014) with sleep sets, by depth-first replay from schedule
+//! prefixes. After each run, every race of a new event with an earlier one
+//! that happens-before does not order puts one representative of its
+//! reversal into the earlier event's backtrack set. At every explored leaf it
+//! asserts
 //!
 //! * the cell completed with pattern-exact, **byte-identical** receive
 //!   buffers (same digest as the baseline schedule),
@@ -27,30 +30,16 @@
 //! an arrival wait on its destination rank whatever the channel;
 //! everything that reads the virtual clock (timed receives, sleeps, arrival
 //! waits) is conservatively pairwise dependent, because the clock only
-//! advances at global quiescence and therefore couples all timed ops. Fault-stack cells
-//! are dominated by timed ops, so their reduction degenerates toward full
-//! enumeration — such cells run under an explicit *bounded* budget
-//! (`exhaustive: false` in the row) and act as systematic deep fuzzing
-//! rather than full proofs (DESIGN.md §13).
+//! advances at global quiescence and therefore couples all timed ops.
+//! Fault-stack cells are dominated by timed ops, so their reduction
+//! degenerates toward full enumeration — such cells run under an explicit
+//! *bounded* budget (`exhaustive: false` in the row) and act as systematic
+//! deep fuzzing rather than full proofs (DESIGN.md §13).
 //!
-//! ## The event-runtime auditor
-//!
-//! The second prong drives `EventComm::run_scheduled` — the PR 6 event
-//! runtime under a deterministic single-worker pick policy — through
-//! **every** worker-pick interleaving of tiny scenarios, and checks the
-//! `hb-audit` transition log of each schedule against the wakeup-protocol
-//! invariants ([`audit_check`]): no lost wakeups (every taken waiter is
-//! followed by a wake of that rank), no stale-epoch wake application, no
-//! double enqueue, vector-clock domination (a woken task's next execution
-//! joins its waker's clock), and termination. A violation is minimized with
-//! [`shrink_choices`] and saved as a one-command replayable trace.
 
 use crate::cells::{mix, Harness, Row};
 use crate::runner::{run_cell, shrink_trace, World};
-use bruck_comm::{
-    shrink_choices, AuditKind, CommError, Communicator, EventComm, EventRun, EventVerifyOpts,
-    ScheduleTrace, SimConfig, SimOp, WakeSource,
-};
+use bruck_comm::{ScheduleTrace, SimOp, SimStep};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -201,18 +190,133 @@ pub struct Violation {
     pub min_trace: ScheduleTrace,
 }
 
+/// One executed scheduling step: the rank and the op it ran.
+type Event = (u32, SimOp);
+
+/// The events a recorded run executed, in order.
+fn executed(steps: &[SimStep]) -> Vec<Event> {
+    let op = |s: &SimStep| match s.enabled.iter().find(|(r, _)| *r == s.chosen) {
+        Some(&(_, op)) => op,
+        None => panic!("recorded step chose rank {} outside its enabled set", s.chosen),
+    };
+    steps.iter().map(|s| (s.chosen, op(s))).collect()
+}
+
+/// Indices `m` of `v` whose event no earlier event of `v` is dependent with:
+/// the events that can run first in some interleaving equivalent to `v`.
+fn initials(v: &[Event]) -> impl Iterator<Item = usize> + '_ {
+    (0..v.len()).filter(|&m| v[..m].iter().all(|a| !dependent(a.0, &a.1, v[m].0, &v[m].1)))
+}
+
+/// What of `seq` a schedule can replay while `sleep` stays asleep, in order:
+/// an event of a sleeping rank is dropped, and so is every event dependent
+/// with a dropped one (its rank's later events among them). A kept event
+/// dependent with a sleeper's op wakes it.
+fn awake(seq: &[Event], mut sleep: BTreeMap<u32, SimOp>) -> Vec<Event> {
+    let mut dropped: Vec<Event> = Vec::new();
+    let mut kept = Vec::new();
+    for &(r, op) in seq {
+        if sleep.contains_key(&r) || dropped.iter().any(|d| dependent(d.0, &d.1, r, &op)) {
+            dropped.push((r, op));
+            continue;
+        }
+        sleep.retain(|&s, sop| !dependent(s, sop, r, &op));
+        kept.push((r, op));
+    }
+    kept
+}
+
+/// Happens-before over an executed run: the transitive closure of program
+/// order and [`dependent`] (so a send happens before the receive it fed),
+/// kept as vector clocks.
+struct Hb {
+    run: Vec<Event>,
+    /// `clock[k][r]`: 1 + the index of the last event of rank `r` that
+    /// happens before (or is) event `k`, 0 if none.
+    clock: Vec<Vec<usize>>,
+    /// Each event's direct predecessors: its rank's previous event and every
+    /// earlier dependent event of another rank.
+    preds: Vec<Vec<usize>>,
+}
+
+impl Hb {
+    fn new(run: Vec<Event>) -> Hb {
+        let p = run.iter().map(|e| e.0 as usize + 1).max().unwrap_or(0);
+        let mut hb = Hb { clock: Vec::new(), preds: Vec::new(), run };
+        let mut last: Vec<Option<usize>> = vec![None; p];
+        for (j, &(rj, oj)) in hb.run.iter().enumerate() {
+            let other = |&k: &usize| {
+                let (rk, ok) = hb.run[k];
+                rk != rj && dependent(rk, &ok, rj, &oj)
+            };
+            let preds: Vec<usize> =
+                last[rj as usize].into_iter().chain((0..j).filter(other)).collect();
+            let mut c = vec![0; p];
+            for &k in &preds {
+                c.iter_mut().zip(&hb.clock[k]).for_each(|(a, b)| *a = (*a).max(*b));
+            }
+            c[rj as usize] = j + 1;
+            hb.clock.push(c);
+            hb.preds.push(preds);
+            last[rj as usize] = Some(j);
+        }
+        hb
+    }
+
+    /// Does event `i` happen before (or is it) event `k`?
+    fn before(&self, i: usize, k: usize) -> bool {
+        self.clock[k][self.run[i].0 as usize] > i
+    }
+
+    /// The races whose later event `j` lies in `from..to`, each as `(i, v)`:
+    /// the earlier event's index and the indices of the reversal
+    /// `v = notdep(i).j` — the events between `i` and `j` that do not happen
+    /// after `i`, then `j` — which runs `j` before `i` from the state before
+    /// `i`.
+    ///
+    /// `i` and `j` race when they are dependent, belong to different ranks,
+    /// and no event between them happens after `i` and before `j`. A race is
+    /// dropped when its reversal cannot run: a rank that was not enabled at
+    /// `i` (blocked in a receive or an arrival wait) whose first event in `v`
+    /// nothing earlier in `v` could have woken. That is how a send and the
+    /// receive it woke add no backtrack point: only `i` could wake it.
+    fn reversals(&self, steps: &[SimStep], from: usize, to: usize) -> Vec<(usize, Vec<usize>)> {
+        let mut found = Vec::new();
+        for j in from..to {
+            let preds = &self.preds[j];
+            for &i in preds.iter().filter(|&&i| self.run[i].0 != self.run[j].0) {
+                if preds.iter().any(|&k| k > i && self.before(i, k)) {
+                    continue; // ordered through a later event: not a race
+                }
+                let v: Vec<usize> = (i + 1..j).filter(|&k| !self.before(i, k)).chain([j]).collect();
+                let enabled = |r: u32| steps[i].enabled.iter().any(|e| e.0 == r);
+                let feasible = v.iter().enumerate().all(|(m, &k)| {
+                    let e = self.run[k];
+                    let first = v.iter().position(|&a| self.run[a].0 == e.0) == Some(m);
+                    !first || enabled(e.0) || v[..m].iter().any(|&a| self.preds[k].contains(&a))
+                });
+                if feasible {
+                    found.push((i, v));
+                }
+            }
+        }
+        found
+    }
+}
+
 /// One node of the DFS stack: the scheduling point's enabled set and the
-/// DPOR bookkeeping that decides which siblings still need exploring.
+/// source-set bookkeeping that decides which siblings still need exploring.
 struct Node {
     /// Enabled ranks and their pending-op footprints, as recorded.
-    enabled: Vec<(u32, SimOp)>,
+    enabled: Vec<Event>,
     /// The rank executed from this point on the current path.
     chosen: u32,
-    /// Ranks whose subtree at this node has been explored.
-    done: BTreeSet<u32>,
-    /// Ranks that must be explored from this node (Flanagan–Godefroid
-    /// backtrack sets, seeded with the first chosen rank).
-    backtrack: BTreeSet<u32>,
+    /// The source set: ranks that must be explored from this node, each
+    /// with the events to replay after it (the rest of the race reversal
+    /// that put it there, and what follows), so the run follows the reversed
+    /// race instead of the lowest-rank fallback. Seeded with the first
+    /// chosen rank.
+    backtrack: BTreeMap<u32, Vec<Event>>,
     /// Sleep set: ranks whose op here provably re-explores an equivalent
     /// schedule (already explored in a sibling and independent of everything
     /// executed since). Never picked.
@@ -220,15 +324,36 @@ struct Node {
 }
 
 impl Node {
-    fn op_of(&self, rank: u32) -> Option<SimOp> {
-        self.enabled.iter().find(|(r, _)| *r == rank).map(|(_, op)| *op)
+    fn op_of(&self, rank: u32) -> SimOp {
+        match self.enabled.iter().find(|(r, _)| *r == rank) {
+            Some(&(_, op)) => op,
+            None => panic!("node chose rank {rank} outside its enabled set"),
+        }
     }
 
-    fn next_candidate(&self) -> Option<u32> {
-        self.backtrack
-            .iter()
-            .copied()
-            .find(|r| !self.done.contains(r) && !self.sleep.contains_key(r))
+    /// The sleep set a child inherits when `rank` runs here: the sleepers
+    /// independent of its op.
+    fn sleep_after(&self, rank: u32) -> BTreeMap<u32, SimOp> {
+        let op = self.op_of(rank);
+        let keeps = |(r, sop): &(&u32, &SimOp)| !dependent(**r, sop, rank, &op);
+        self.sleep.iter().filter(keeps).map(|(r, sop)| (*r, *sop)).collect()
+    }
+
+    /// Add a source-set representative of the reversal `v` unless one of
+    /// its initials is already in the backtrack set. An initial asleep here
+    /// is never picked; if every initial is, the reversal's schedules have
+    /// all been covered by an explored sibling.
+    /// `then` is what the run did from this node on with `v` taken out: it
+    /// is replayed after `v`, as far as the sleep set lets it, as a guess at
+    /// a continuation that keeps clear of sleeping ranks.
+    fn add_reversal(&mut self, v: &[Event], then: impl Iterator<Item = Event>) {
+        if initials(v).any(|m| self.backtrack.contains_key(&v[m].0)) {
+            return;
+        }
+        if let Some(m) = initials(v).find(|&m| !self.sleep.contains_key(&v[m].0)) {
+            let rest = v.iter().enumerate().filter(|&(k, _)| k != m).map(|(_, e)| *e);
+            self.backtrack.insert(v[m].0, rest.chain(then).collect());
+        }
     }
 }
 
@@ -244,7 +369,9 @@ pub fn explore_cell(row: &Row, wall_budget: Duration) -> CellVerifyReport {
     let mut executions = 0u64;
     let mut classes: BTreeSet<u64> = BTreeSet::new();
     let mut stack: Vec<Node> = Vec::new();
-    let mut prefix: Vec<u32> = Vec::new();
+    // What to replay after the stack's own choices: the continuation the
+    // deepest node's new choice came with, as far as its sleep set allows.
+    let mut hint: Vec<u32> = Vec::new();
     let mut baseline_digest = None;
     let mut baseline_len = 0usize;
     let mut naive_log10 = 0.0f64;
@@ -252,28 +379,23 @@ pub fn explore_cell(row: &Row, wall_budget: Duration) -> CellVerifyReport {
     let mut converged = false;
 
     loop {
-        let world =
-            World::Sim { sched_seed: seed, replay: Some(prefix.clone()), record_steps: true };
+        // Events from `fresh` on are new to this run: the node there took a
+        // new choice, and everything before it replays an explored path.
+        let fresh = stack.len().saturating_sub(1);
+        let replay: Vec<u32> = stack.iter().map(|n| n.chosen).chain(hint.drain(..)).collect();
+        let world = World::Sim { sched_seed: seed, replay: Some(replay), record_steps: true };
         let out = run_cell(cell, faults, seed, &world);
         executions += 1;
         let steps = out.steps.as_deref().unwrap_or(&[]);
-        let run: Vec<(u32, SimOp)> = steps
-            .iter()
-            .map(|s| {
-                let op = match s.enabled.iter().find(|(r, _)| *r == s.chosen) {
-                    Some((_, op)) => *op,
-                    None => panic!("recorded step chose rank {} outside its enabled set", s.chosen),
-                };
-                (s.chosen, op)
-            })
-            .collect();
-        classes.insert(canonical_trace_digest(&run));
+        let hb = Hb::new(executed(steps));
+        let run = &hb.run;
+        classes.insert(canonical_trace_digest(run));
 
         // Leaf assertions: every explored schedule must complete cleanly
         // with byte-identical results.
         let baseline = *baseline_digest.get_or_insert_with(|| {
             baseline_len = run.len();
-            naive_log10 = naive_interleavings_log10(&run);
+            naive_log10 = naive_interleavings_log10(run);
             out.digest
         });
         let leaf_failure = out.failure.clone().or_else(|| {
@@ -293,86 +415,57 @@ pub fn explore_cell(row: &Row, wall_budget: Duration) -> CellVerifyReport {
 
         // Fold the realized run into the DFS stack: the replayed prefix
         // keeps its bookkeeping, the fresh suffix becomes new nodes whose
-        // sleep sets are inherited through the independence filter.
-        for (j, (rank, op)) in run.iter().enumerate().skip(stack.len()) {
-            let sleep = match stack.last() {
-                Some(parent) => {
-                    let pop = match parent.op_of(parent.chosen) {
-                        Some(op) => op,
-                        None => panic!("parent node chose a rank outside its enabled set"),
-                    };
-                    parent
-                        .sleep
-                        .iter()
-                        .filter(|(r, sop)| !dependent(**r, sop, parent.chosen, &pop))
-                        .map(|(r, sop)| (*r, *sop))
-                        .collect()
-                }
-                None => BTreeMap::new(),
+        // sleep sets are inherited through the independence filter. The
+        // replay falls back to the lowest runnable rank, which may be asleep:
+        // from that node on the run repeats an explored class, so it is cut
+        // there, and the node's first choice becomes what the run can replay
+        // of itself with the sleepers left out (or any awake rank).
+        let mut end = run.len();
+        for (j, &(rank, _)) in run.iter().enumerate().skip(stack.len()) {
+            let sleep = stack.last().map_or_else(BTreeMap::new, |up| up.sleep_after(up.chosen));
+            let enabled = steps[j].enabled.clone();
+            let asleep = sleep.contains_key(&rank);
+            let backtrack = if !asleep {
+                BTreeMap::from([(rank, Vec::new())])
+            } else if let Some((first, rest)) = awake(&run[j..], sleep.clone()).split_first() {
+                BTreeMap::from([(first.0, rest.to_vec())])
+            } else {
+                let awake_rank = enabled.iter().map(|e| e.0).find(|r| !sleep.contains_key(r));
+                awake_rank.map(|r| (r, Vec::new())).into_iter().collect()
             };
-            stack.push(Node {
-                enabled: steps[j].enabled.clone(),
-                chosen: *rank,
-                done: BTreeSet::from([*rank]),
-                backtrack: BTreeSet::from([*rank]),
-                sleep,
-            });
-            // The prefix mirrors the stack: replaying it reproduces the
-            // path down to any node we later backtrack from.
-            prefix.push(*rank);
-            let _ = op;
+            stack.push(Node { enabled, chosen: rank, backtrack, sleep });
+            if asleep {
+                end = j;
+                break;
+            }
         }
 
-        // Flanagan–Godefroid backtrack rule over the realized run: for each
-        // executed step j, the *last* earlier step i (of another rank) whose
-        // op is dependent with j's must also try running j's rank first.
-        for j in 0..run.len() {
-            let (rj, oj) = run[j];
-            let mut i = j;
-            while i > 0 {
-                i -= 1;
-                let (ri, oi) = run[i];
-                if ri != rj && dependent(ri, &oi, rj, &oj) {
-                    if stack[i].op_of(rj).is_some() {
-                        stack[i].backtrack.insert(rj);
-                    } else {
-                        // `rj` was not enabled at `i`: conservatively try
-                        // everything that was.
-                        let all: Vec<u32> = stack[i].enabled.iter().map(|(r, _)| *r).collect();
-                        stack[i].backtrack.extend(all);
-                    }
-                    break;
-                }
-            }
+        // Source-set DPOR: every race whose later event is new to this run
+        // gets a representative of its reversal at the earlier event's node.
+        for (i, v) in hb.reversals(steps, fresh, end) {
+            let then = (i..run.len()).filter(|k| v.binary_search(k).is_err()).map(|k| run[k]);
+            stack[i].add_reversal(&v.iter().map(|&k| run[k]).collect::<Vec<_>>(), then);
         }
 
         // Pick the deepest unexplored backtrack point and re-run from it.
-        let mut next = None;
-        while let Some(node) = stack.last_mut() {
-            if let Some(cand) = node.next_candidate() {
-                // The just-finished subtree's root op goes to sleep for the
-                // remaining siblings: any schedule starting with it here has
-                // been covered.
-                if let Some(op) = node.op_of(node.chosen) {
-                    node.sleep.insert(node.chosen, op);
-                }
-                node.done.insert(cand);
+        let picked = loop {
+            let Some(node) = stack.last_mut() else { break false };
+            // The just-finished subtree's root op goes to sleep for the
+            // remaining siblings: any schedule starting with it here has
+            // been covered.
+            node.sleep.insert(node.chosen, node.op_of(node.chosen));
+            if let Some((&cand, rest)) =
+                node.backtrack.iter().find(|(r, _)| !node.sleep.contains_key(r))
+            {
+                hint = awake(rest, node.sleep_after(cand)).iter().map(|e| e.0).collect();
                 node.chosen = cand;
-                next = Some(stack.len());
-                break;
+                break true;
             }
             stack.pop();
-            prefix.pop();
-        }
-        match next {
-            None => {
-                converged = true;
-                break;
-            }
-            Some(depth) => {
-                prefix.truncate(depth - 1);
-                prefix.push(stack[depth - 1].chosen);
-            }
+        };
+        if !picked {
+            converged = true;
+            break;
         }
         if executions >= max_executions || start.elapsed() > wall_budget {
             break;
@@ -388,357 +481,6 @@ pub fn explore_cell(row: &Row, wall_budget: Duration) -> CellVerifyReport {
         converged,
         violation,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Event-runtime wakeup-protocol auditor
-// ---------------------------------------------------------------------------
-
-/// Tiny event-runtime scenarios the auditor explores exhaustively. Each is
-/// small enough that *every* worker-pick interleaving fits in the budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventScenario {
-    /// Rank 0 sends one message, rank 1 receives it (the minimal park/wake
-    /// handshake, and the seeded lost-wakeup bug's habitat).
-    Ping,
-    /// Both ranks send to each other, then receive (wake vs. store-hit in
-    /// both directions).
-    Cross,
-    /// A 3-rank ring pass (chained wakes).
-    Ring3,
-    /// Rank 1 receives with a timeout racing rank 0's send: explores both
-    /// the message-wins and timer-wins outcomes, including stale-timer
-    /// drops.
-    TimeoutRace,
-}
-
-impl EventScenario {
-    /// All scenarios, in report order.
-    pub const ALL: [EventScenario; 4] =
-        [EventScenario::Ping, EventScenario::Cross, EventScenario::Ring3, EventScenario::TimeoutRace];
-
-    /// Stable name (used in trace `meta` lines).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventScenario::Ping => "ping",
-            EventScenario::Cross => "cross",
-            EventScenario::Ring3 => "ring3",
-            EventScenario::TimeoutRace => "timeout-race",
-        }
-    }
-
-    /// Parse a stable name back.
-    pub fn parse(name: &str) -> Option<EventScenario> {
-        Self::ALL.iter().copied().find(|s| s.name() == name)
-    }
-
-    /// World size.
-    pub fn p(&self) -> usize {
-        match self {
-            EventScenario::Ring3 => 3,
-            _ => 2,
-        }
-    }
-
-    /// Run the scenario's closure for one rank; returns a small outcome
-    /// code checked by [`acceptable`](EventScenario::acceptable). A failed
-    /// op panics; scheduled mode captures the panic as that rank's outcome.
-    fn body(&self, comm: &EventComm<'_>) -> u64 {
-        fn must<T>(r: Result<T, CommError>) -> T {
-            match r {
-                Ok(v) => v,
-                Err(e) => panic!("scenario op failed: {e}"),
-            }
-        }
-        let me = comm.rank();
-        match self {
-            EventScenario::Ping => {
-                if me == 0 {
-                    must(comm.send(1, 3, &[7]));
-                    0
-                } else {
-                    u64::from(must(comm.recv(0, 3))[0])
-                }
-            }
-            EventScenario::Cross => {
-                let other = 1 - me;
-                must(comm.send(other, 4, &[10 + me as u8]));
-                u64::from(must(comm.recv(other, 4))[0])
-            }
-            EventScenario::Ring3 => {
-                let right = (me + 1) % 3;
-                let left = (me + 2) % 3;
-                must(comm.send(right, 5, &[me as u8]));
-                u64::from(must(comm.recv(left, 5))[0])
-            }
-            EventScenario::TimeoutRace => {
-                if me == 0 {
-                    must(comm.send(1, 6, &[9]));
-                    0
-                } else {
-                    match comm.recv_timeout(0, 6, Duration::from_millis(1)) {
-                        Ok(buf) => u64::from(buf[0]),
-                        Err(CommError::Timeout { .. }) => 1000,
-                        Err(e) => panic!("unexpected error: {e}"),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Is this per-rank outcome legal for the scenario? Scenarios with a
-    /// genuine race (timeout vs. message) admit a set of outcomes; all
-    /// others are singletons.
-    fn acceptable(&self, rank: usize, out: u64) -> bool {
-        match self {
-            EventScenario::Ping => out == if rank == 0 { 0 } else { 7 },
-            EventScenario::Cross => out == 10 + (1 - rank as u64),
-            EventScenario::Ring3 => out == (rank as u64 + 2) % 3,
-            EventScenario::TimeoutRace => {
-                if rank == 0 {
-                    out == 0
-                } else {
-                    out == 9 || out == 1000
-                }
-            }
-        }
-    }
-}
-
-/// Auditing event-runtime options; `with_bug` arms the seeded lost-wakeup
-/// bug. bruck-check compiles bruck-comm with `seeded-bugs` (Cargo.toml), so
-/// the arming constructor is always available here; the bug still fires
-/// only in runs that arm it.
-pub fn event_opts(with_bug: bool) -> EventVerifyOpts {
-    let mut o = EventVerifyOpts::default();
-    o.audit = true;
-    if with_bug {
-        o.with_lost_wakeup_bug()
-    } else {
-        o
-    }
-}
-
-/// Replay an auditor witness (`meta`: `event scenario=<name> bug=<bool>`)
-/// under exactly its recorded picks. `Ok` carries the scenario, whether the
-/// bug was armed, and the violation if it reproduced.
-pub fn replay_event_trace(
-    trace: &ScheduleTrace,
-) -> Result<(EventScenario, bool, Option<String>), String> {
-    let (mut scenario, mut bug) = (None, false);
-    for tok in trace.meta.split_whitespace() {
-        match tok.split_once('=') {
-            Some(("scenario", v)) => scenario = EventScenario::parse(v),
-            Some(("bug", v)) => bug = v == "true",
-            _ => {}
-        }
-    }
-    let scenario = scenario.ok_or("the trace names no known event scenario")?;
-    let run = run_event_scenario(scenario, &SimConfig::replay_trace(trace), event_opts(bug));
-    Ok((scenario, bug, event_leaf_check(scenario, &run)))
-}
-
-/// Run one scenario under the scheduled event runtime.
-pub fn run_event_scenario(
-    scenario: EventScenario,
-    cfg: &SimConfig,
-    opts: EventVerifyOpts,
-) -> EventRun<u64> {
-    EventComm::run_scheduled(scenario.p(), cfg, opts, move |comm| scenario.body(comm))
-}
-
-/// Check one scheduled run's audit log against the wakeup-protocol
-/// invariants. Returns one message per violation (empty = clean).
-pub fn audit_check(run: &EventRun<u64>, p: usize) -> Vec<String> {
-    let mut bad = Vec::new();
-    let events = &run.audit;
-    // (1) Lost wakeup: every taken waiter is eventually woken (enqueued or
-    // flagged mid-unwind) or its rank finishes/has the wake superseded.
-    for (i, e) in events.iter().enumerate() {
-        if let AuditKind::WaiterTaken { rank, epoch, by } = e.kind {
-            let woken = events[i + 1..].iter().any(|later| match later.kind {
-                AuditKind::Enqueued { rank: r, .. }
-                | AuditKind::WakeFlagged { rank: r, .. }
-                | AuditKind::TaskDone { rank: r }
-                | AuditKind::StaleDrop { rank: r, .. } => r == rank,
-                _ => false,
-            });
-            if !woken {
-                bad.push(format!(
-                    "lost wakeup: waiter of rank {rank} (epoch {epoch}) taken by {by:?} \
-                     but the rank is never woken or finished"
-                ));
-            }
-        }
-    }
-    // (2) Stale-epoch application: an external wake must be applied at the
-    // epoch of the rank's latest committed park; a park-commit requeue must
-    // match the rank's latest execution epoch.
-    let mut last_park = vec![None::<u64>; p];
-    let mut last_exec = vec![None::<u64>; p];
-    // (3) Double enqueue: between two wakes of a rank there must be an
-    // execution of it.
-    let mut pending_wake = vec![false; p];
-    for e in events {
-        match e.kind {
-            AuditKind::ParkCommitted { rank, epoch } => last_park[rank] = Some(epoch),
-            AuditKind::ExecStart { rank, epoch } => {
-                last_exec[rank] = Some(epoch);
-                pending_wake[rank] = false;
-            }
-            AuditKind::Enqueued { rank, epoch, by } => {
-                let want = match by {
-                    WakeSource::ParkCommit => last_exec[rank],
-                    _ => last_park[rank],
-                };
-                if want != Some(epoch) {
-                    bad.push(format!(
-                        "stale-epoch wake: rank {rank} enqueued by {by:?} at epoch {epoch}, \
-                         expected {want:?}"
-                    ));
-                }
-                if pending_wake[rank] {
-                    bad.push(format!("double enqueue: rank {rank} woken twice without running"));
-                }
-                pending_wake[rank] = true;
-            }
-            _ => {}
-        }
-    }
-    // (4) Happens-before: a woken rank's next execution must causally follow
-    // the wake (its clock joins the waker's — domination componentwise).
-    for (i, e) in events.iter().enumerate() {
-        if let AuditKind::Enqueued { rank, .. } = e.kind {
-            if let Some(exec) = events[i + 1..]
-                .iter()
-                .find(|l| matches!(l.kind, AuditKind::ExecStart { rank: r, .. } if r == rank))
-            {
-                if exec.clock.iter().zip(&e.clock).any(|(a, b)| a < b) {
-                    bad.push(format!(
-                        "happens-before violation: rank {rank}'s post-wake execution does \
-                         not causally follow its enqueue"
-                    ));
-                }
-            }
-        }
-    }
-    // (5) Termination: unless the runtime reported itself stuck, every rank
-    // must have completed.
-    if run.stuck.is_none() {
-        for rank in 0..p {
-            if !events.iter().any(|e| matches!(e.kind, AuditKind::TaskDone { rank: r } if r == rank))
-            {
-                bad.push(format!("rank {rank} never completed in a run that claims to have"));
-            }
-        }
-    }
-    bad
-}
-
-/// Verdict of checking one scheduled run end to end: runtime stuck, audit
-/// violations, and outcome legality.
-pub fn event_leaf_check(scenario: EventScenario, run: &EventRun<u64>) -> Option<String> {
-    if let Some(stuck) = &run.stuck {
-        return Some(stuck.clone());
-    }
-    for (rank, out) in run.outcomes.iter().enumerate() {
-        match out {
-            None => return Some(format!("rank {rank} never completed")),
-            Some(Err(msg)) => return Some(format!("rank {rank} panicked: {msg}")),
-            Some(Ok(v)) => {
-                if !scenario.acceptable(rank, *v) {
-                    return Some(format!("rank {rank}: illegal outcome {v}"));
-                }
-            }
-        }
-    }
-    audit_check(run, scenario.p()).into_iter().next()
-}
-
-/// Report of exhaustively exploring one event scenario.
-#[derive(Debug)]
-pub struct EventVerifyReport {
-    /// The scenario explored.
-    pub scenario: EventScenario,
-    /// Schedules executed.
-    pub executions: u64,
-    /// True when every worker-pick interleaving was explored.
-    pub converged: bool,
-    /// First violation found, minimized.
-    pub violation: Option<Violation>,
-}
-
-/// Exhaustively explore every worker-pick interleaving of a scenario
-/// (enabled sets carry no op footprints, so this is plain DFS, no
-/// reduction — the trees are tiny). `with_bug` arms the seeded lost-wakeup
-/// bug (needs the `seeded-bugs` feature to have any effect).
-pub fn explore_event_scenario(
-    scenario: EventScenario,
-    max_executions: u64,
-    with_bug: bool,
-) -> EventVerifyReport {
-    let opts = || event_opts(with_bug);
-    let meta = format!("event scenario={} bug={}", scenario.name(), with_bug);
-    let cfg_for = |prefix: &[u32]| SimConfig {
-        seed: 0,
-        replay: Some(prefix.to_vec()),
-        meta: meta.clone(),
-        record_steps: false,
-    };
-    let mut executions = 0u64;
-    let mut stack: Vec<(Vec<u32>, BTreeSet<u32>, u32)> = Vec::new(); // (enabled, done, chosen)
-    let mut prefix: Vec<u32> = Vec::new();
-    let mut violation = None;
-    let mut converged = false;
-    loop {
-        let run = run_event_scenario(scenario, &cfg_for(&prefix), opts());
-        executions += 1;
-        if let Some(message) = event_leaf_check(scenario, &run) {
-            let fails = |cand: &[u32]| {
-                let r = run_event_scenario(scenario, &cfg_for(cand), opts());
-                event_leaf_check(scenario, &r).is_some()
-            };
-            let min_choices = shrink_choices(&run.trace.choices, fails);
-            let mut trace = run.trace;
-            trace.meta = meta.clone();
-            let min_trace = ScheduleTrace {
-                p: trace.p,
-                seed: trace.seed,
-                meta: meta.clone(),
-                choices: min_choices,
-            };
-            violation = Some(Violation { message, trace, min_trace });
-            break;
-        }
-        for step in run.steps.iter().skip(stack.len()) {
-            stack.push((step.enabled.clone(), BTreeSet::from([step.chosen]), step.chosen));
-        }
-        let mut next = None;
-        while let Some((enabled, done, chosen)) = stack.last_mut() {
-            if let Some(cand) = enabled.iter().copied().find(|r| !done.contains(r)) {
-                done.insert(cand);
-                *chosen = cand;
-                next = Some(stack.len());
-                break;
-            }
-            stack.pop();
-            prefix.pop();
-        }
-        match next {
-            None => {
-                converged = true;
-                break;
-            }
-            Some(depth) => {
-                prefix.truncate(depth - 1);
-                prefix.push(stack[depth - 1].2);
-            }
-        }
-        if executions >= max_executions {
-            break;
-        }
-    }
-    EventVerifyReport { scenario, executions, converged, violation }
 }
 
 #[cfg(test)]
@@ -810,60 +552,61 @@ mod tests {
         assert!(report.ok(), "violation: {:?}", report.violation);
         assert!(report.converged, "did not converge in {} executions", report.executions);
         assert!(report.classes >= 2, "a 2-rank exchange has inequivalent schedules");
-        assert!(
-            report.executions < 10u64.pow(report.naive_log10.ceil() as u32).max(1),
-            "explored {} ≥ naive 10^{:.1}",
-            report.executions,
-            report.naive_log10
-        );
+        assert_eq!(report.executions, report.classes as u64, "one run per class");
+    }
+
+    /// A recorded step: `chosen` ran, out of `enabled`.
+    fn step(chosen: u32, enabled: &[(u32, SimOp)]) -> SimStep {
+        SimStep { chosen, enabled: enabled.to_vec() }
+    }
+
+    /// The races of a hand-built run whose later event is at `from` or later.
+    fn races(steps: &[SimStep], from: usize) -> Vec<(usize, Vec<Event>)> {
+        let hb = Hb::new(executed(steps));
+        let found = hb.reversals(steps, from, steps.len());
+        found.into_iter().map(|(i, v)| (i, v.iter().map(|&k| hb.run[k]).collect())).collect()
     }
 
     #[test]
-    fn event_scenarios_converge_exhaustively() {
-        for scenario in [EventScenario::Ping, EventScenario::Cross] {
-            let report = explore_event_scenario(scenario, 100_000, false);
-            assert!(report.converged, "{scenario:?} did not converge");
-            assert!(report.violation.is_none(), "{scenario:?}: {:?}", report.violation);
-            assert!(report.executions >= 2, "{scenario:?} has at least two interleavings");
+    fn a_send_and_the_receive_it_wakes_add_no_backtrack_point() {
+        // Rank 1 tries its receive first and blocks; rank 0's send wakes it.
+        // Only the attempt and the send race (the send could have gone
+        // first); the woken receive had no other waker.
+        let steps = [
+            step(1, &[(0, send(1, 5)), (1, recv(0, 5))]),
+            step(0, &[(0, send(1, 5))]),
+            step(1, &[(1, recv(0, 5))]),
+        ];
+        assert_eq!(races(&steps, 0), vec![(0, vec![(0, send(1, 5))])]);
+        // Sent first, the same receive was enabled all along: blocking
+        // before the send is the other order.
+        let steps = [
+            step(0, &[(0, send(1, 5)), (1, recv(0, 5))]),
+            step(1, &[(1, recv(0, 5))]),
+        ];
+        assert_eq!(races(&steps, 0), vec![(0, vec![(1, recv(0, 5))])]);
+    }
+
+    #[test]
+    fn two_sends_into_a_probe_or_an_arrival_race_in_both_orders() {
+        // Rank 2 probes rank 0's channel, or waits for any arrival, while
+        // ranks 0 and 1 send to it. The sends commute with each other, so
+        // each races the observer: it may run before rank 0's send (after
+        // rank 1's) and between the two.
+        let probe = SimOp::Probe { src: 0, tag: 5 };
+        for (observer, races_rank_1) in [(probe, false), (SimOp::Arrival, true)] {
+            let steps = [
+                step(0, &[(0, send(2, 5)), (1, send(2, 5)), (2, observer)]),
+                step(1, &[(1, send(2, 5)), (2, observer)]),
+                step(2, &[(2, observer)]),
+            ];
+            let mut want = vec![(0, vec![(1, send(2, 5)), (2, observer)])];
+            if races_rank_1 {
+                want.push((1, vec![(2, observer)]));
+            }
+            assert_eq!(races(&steps, 0), want, "{observer:?}");
+            // Explored from the new event on, the old race is not redone.
+            assert!(races(&steps, 3).is_empty());
         }
-    }
-
-    /// Regression pin for the seeded lost-wakeup bug (DESIGN.md §13.2): the
-    /// exhaustive explorer must *find* the schedule-dependent fault that
-    /// seed-based testing can miss, shrink the witness to a handful of
-    /// scheduling choices, and the witness must replay deterministically.
-    #[test]
-    fn seeded_lost_wakeup_is_found_shrunk_and_replayable() {
-        let report = explore_event_scenario(EventScenario::Ping, 10_000, true);
-        let v = match &report.violation {
-            Some(v) => v,
-            None => panic!(
-                "explored {} schedules without detecting the seeded lost wakeup",
-                report.executions
-            ),
-        };
-        assert!(
-            v.message.contains("stuck") || v.message.contains("lost"),
-            "unexpected violation kind: {}",
-            v.message
-        );
-        assert!(
-            v.min_trace.choices.len() <= 25,
-            "shrunk witness has {} choices (> 25)",
-            v.min_trace.choices.len()
-        );
-        // The saved witness replays: arm the bug, force the minimized
-        // schedule, and the same violation must reproduce.
-        let (scenario, bug, reproduced) = replay_event_trace(&v.min_trace).unwrap();
-        assert_eq!((scenario, bug), (EventScenario::Ping, true));
-        assert!(reproduced.is_some(), "minimized witness did not reproduce the violation");
-        // Without the bug armed, the exact same schedule is clean — the
-        // fault is the seeded bug, not the schedule.
-        let cfg = SimConfig::replay_trace(&v.min_trace);
-        let run = run_event_scenario(EventScenario::Ping, &cfg, event_opts(false));
-        assert!(
-            event_leaf_check(EventScenario::Ping, &run).is_none(),
-            "clean runtime failed under the witness schedule"
-        );
     }
 }

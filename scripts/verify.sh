@@ -98,13 +98,14 @@ stage recovery-smoke cargo run --release -p bruck-check --bin bruck-chaos -- --r
 # the report prints the seed plus a saved trace file under target/bruck-sim/
 # and the one-command replay.
 stage sim-smoke cargo run --release -p bruck-check --bin bruck-sim -- --smoke
-# Exhaustive-interleaving gate (DESIGN.md §13): DPOR over SimComm walks every
-# inequivalent schedule of the tiny-world matrix (the report prints explored
-# vs. inequivalent vs. naive counts per cell and requires >=10x pruning),
-# and the event-runtime wakeup audit checks every worker-pick interleaving
-# of the protocol scenarios against the vector-clock invariants. The second
-# run arms the seeded lost-wakeup bug and fails unless the auditor finds it
-# and shrinks the witness.
+# Exhaustive-interleaving gate (DESIGN.md §13): source-set DPOR over SimComm
+# walks every inequivalent schedule of the tiny-world matrix, close to one run
+# per class (the report prints explored vs. inequivalent vs. naive counts per
+# cell and requires >=10x pruning; ~10 s on 2 cores, P = 4 two-phase Bruck
+# the largest cell), and the event-runtime wakeup audit checks every
+# worker-pick interleaving of the protocol scenarios against the vector-clock
+# invariants. The second run arms the seeded lost-wakeup bug and fails
+# unless the auditor finds it and shrinks the witness.
 stage verify-smoke cargo run --release -p bruck-check --bin bruck-verify -- --smoke
 stage verify-with-bug cargo run --release -p bruck-check --bin bruck-verify -- --with-bug
 # Bench regression gate (DESIGN.md §12.6, §15.5): one bin, one row type, one
