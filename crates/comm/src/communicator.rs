@@ -285,13 +285,33 @@ pub trait Communicator: Sync {
         Ok(())
     }
 
-    /// All-reduce of a single `u64` (recursive doubling with the standard
-    /// fold-in of the non-power-of-two remainder ranks).
+    /// All-reduce of a single `u64`.
+    ///
+    /// `Max` and `Min` are idempotent, so a value may reach a rank twice:
+    /// they run a dissemination, in which at step `k` every rank sends its
+    /// accumulator to `me + 2ᵏ` and folds in the one from `me − 2ᵏ` (mod
+    /// `P`). That is ⌈log₂ P⌉ one-way rounds at any `P`, one message per rank
+    /// per round, with no fold (a point of the any-`P` allreduce family of
+    /// arXiv 2004.09362). `Sum` must count every rank once, so it keeps
+    /// recursive doubling with the fold-in of the non-power-of-two remainder
+    /// ranks. Both use the reserved round tags.
     fn allreduce_u64(&self, value: u64, op: ReduceOp) -> CommResult<u64> {
         let p = self.size();
         let me = self.rank();
         if p == 1 {
             return Ok(value);
+        }
+        if op != ReduceOp::Sum {
+            let mut acc = value;
+            let mut dist = 1;
+            let mut round: Tag = 2;
+            while dist < p {
+                self.send((me + dist) % p, TAG_ALLREDUCE + round, &acc.to_le_bytes())?;
+                acc = op.apply(acc, recv_u64(self, (me + p - dist) % p, TAG_ALLREDUCE + round)?);
+                dist <<= 1;
+                round += 1;
+            }
+            return Ok(acc);
         }
         let m = p.next_power_of_two() >> if p.is_power_of_two() { 0 } else { 1 };
         let rem = p - m; // ranks m..p fold into ranks 0..rem
@@ -371,7 +391,7 @@ pub trait Communicator: Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SimComm, ThreadComm};
+    use crate::{EventComm, MeteredComm, SimComm, ThreadComm};
 
     /// A payload four bytes short of a `u64`, and one four bytes too long.
     const SHORT: &[u8] = &[1; 4];
@@ -425,6 +445,47 @@ mod tests {
         assert_typed(2, (1, 0, TAG_ALLREDUCE + 2), op);
         assert_typed(3, (2, 0, TAG_ALLREDUCE), op);
         assert_typed(3, (0, 2, TAG_ALLREDUCE + 1), op);
+        // A dissemination round: rank 0 hears from rank P − 1 first.
+        let max = |comm: &dyn Communicator| comm.allreduce_u64(5, ReduceOp::Max);
+        assert_typed(3, (2, 0, TAG_ALLREDUCE + 2), max);
+    }
+
+    #[test]
+    fn allreduce_agrees_on_every_backend() {
+        let value = |rank: usize| (rank as u64 * 37 + 11) % 23;
+        for p in [1usize, 2, 3, 5, 6, 8, 12, 17] {
+            for op in ReduceOp::ALL {
+                let want = (1..p).fold(value(0), |acc, r| op.apply(acc, value(r)));
+                let rank =
+                    |comm: &dyn Communicator| comm.allreduce_u64(value(comm.rank()), op).unwrap();
+                let worlds = [
+                    ThreadComm::run(p, |comm| rank(comm)),
+                    SimComm::run(p, 7, |comm| rank(comm)).results,
+                    EventComm::run(p, |comm| rank(comm)),
+                ];
+                for got in worlds {
+                    assert_eq!(got, vec![want; p], "P = {p} {op:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn max_is_one_message_per_rank_per_round_and_no_fold() {
+        for p in [3usize, 5, 6, 8, 12] {
+            let metrics = ThreadComm::run(p, |comm| {
+                let mc = MeteredComm::new(comm);
+                let max = mc.allreduce_u64(mc.rank() as u64, ReduceOp::Max).unwrap();
+                assert_eq!(max, p as u64 - 1);
+                mc.metrics()
+            });
+            let rounds = p.next_power_of_two().trailing_zeros() as u64;
+            for m in &metrics {
+                assert_eq!(m.reserved.sent_msgs, rounds, "P = {p} rank {}", m.rank);
+                let sent_on = |tag| m.sent_for_tag(tag).msgs;
+                assert_eq!(sent_on(TAG_ALLREDUCE) + sent_on(TAG_ALLREDUCE + 1), 0, "P = {p}: a fold");
+            }
+        }
     }
 
     #[test]

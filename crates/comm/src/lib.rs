@@ -20,8 +20,9 @@
 //!   non-overtaking guarantee, plus `isend`/`sendrecv` forms. Matching is
 //!   lazy, so receive order is the waitall; there is no posted-receive
 //!   handle.
-//! * **Collectives** — dissemination [`Communicator::barrier`], recursive-
-//!   doubling [`Communicator::allreduce_u64`], ring
+//! * **Collectives** — dissemination [`Communicator::barrier`],
+//!   [`Communicator::allreduce_u64`] (dissemination for `Max` / `Min`,
+//!   recursive doubling for `Sum`), ring
 //!   [`Communicator::allgather_u64`], and the counts handshake
 //!   [`Communicator::alltoall_counts`] — all built from point-to-point as
 //!   provided trait methods, so every backend shares the exact same message

@@ -313,23 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_max_min_sum() {
-        for p in [1usize, 2, 3, 5, 8, 17] {
-            let maxes = ThreadComm::run(p, |comm| {
-                comm.allreduce_u64((comm.rank() as u64 + 3) * 7, ReduceOp::Max).unwrap()
-            });
-            assert!(maxes.iter().all(|&m| m == (p as u64 + 2) * 7));
-            let mins =
-                ThreadComm::run(p, |comm| comm.allreduce_u64(comm.rank() as u64 + 3, ReduceOp::Min).unwrap());
-            assert!(mins.iter().all(|&m| m == 3));
-            let sums =
-                ThreadComm::run(p, |comm| comm.allreduce_u64(comm.rank() as u64, ReduceOp::Sum).unwrap());
-            let expect = (p as u64 * (p as u64 - 1)) / 2;
-            assert!(sums.iter().all(|&s| s == expect));
-        }
-    }
-
-    #[test]
     fn allgather_collects_in_rank_order() {
         for p in [1usize, 2, 3, 6, 9] {
             let all = ThreadComm::run(p, |comm| comm.allgather_u64(comm.rank() as u64 * 100).unwrap());

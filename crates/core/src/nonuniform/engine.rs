@@ -609,8 +609,10 @@ impl<C: Communicator + ?Sized> Communicator for OddRound<'_, C> {
     }
 }
 
-/// Global maximum block size (one allreduce) — the `N` of the paper. Only a
-/// padding rule asks for it.
+/// Global maximum block size — the `N` of the paper. Only a padding rule
+/// asks for it. `Max` is idempotent, so the allreduce is a one-way
+/// dissemination: ⌈log₂ P⌉ rounds of one message per rank at any `P`, with
+/// no fold round.
 #[expect(clippy::disallowed_methods, reason = "the padding rule's one allreduce, before the loop")]
 fn global_n_max<C: Communicator + ?Sized>(comm: &C, sendcounts: &[usize]) -> CommResult<usize> {
     let _probe = span("padded.allreduce");

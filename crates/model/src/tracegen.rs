@@ -84,9 +84,10 @@ fn copy_step(copy_bytes: impl Fn(usize) -> u64, sample: &RankSample) -> Step {
 }
 
 /// The allreduce prologue of every config with a padding rule (global
-/// maximum block size).
+/// maximum block size): a `Max` dissemination, ⌈log₂ P⌉ rounds in which
+/// every rank sends and receives one `u64`, at any `P`.
 fn collective_step(p: usize, sample: &RankSample) -> Step {
-    let rounds = ceil_log2(p) + u32::from(!p.is_power_of_two());
+    let rounds = ceil_log2(p);
     let load = RankLoad {
         seq_msgs: rounds,
         bytes_out: 8 * u64::from(rounds),
@@ -707,6 +708,21 @@ mod tests {
             nonuniform_trace(fired, &s, &sample),
             nonuniform_trace(AlltoallvAlgorithm::PaddedBruck, &s, &sample)
         );
+    }
+
+    #[test]
+    fn the_sizing_allreduce_is_one_message_per_rank_per_round() {
+        // The one-way dissemination has no fold round: P·⌈log₂ P⌉ messages a
+        // world (recursive doubling with a fold sent 4, 12 and 32 at P = 3, 6
+        // and 12), and unchanged at a power of two.
+        for (p, world_msgs) in [(3usize, 6u32), (6, 18), (12, 48), (8, 24)] {
+            let sample = RankSample::all(p);
+            let trace = nonuniform_trace(AlltoallvAlgorithm::PaddedBruck, &src(p, 40), &sample);
+            let sizing = &trace.steps[0];
+            assert_eq!(sizing.kind, StepKind::Collective);
+            let sent: u32 = sizing.loads.iter().map(|(_, l)| l.seq_msgs).sum();
+            assert_eq!(sent, world_msgs, "P = {p}");
+        }
     }
 
     #[test]
