@@ -1,31 +1,31 @@
 //! `bruck-chaos`: fault-injection soak for the fault-tolerance stack.
 //!
-//! Two matrices share the binary:
+//! One invocation runs two matrices, both through the one fault path (the
+//! recovering driver, `recovering`: detect → agree → shrink → retry):
 //!
-//! * The **fault soak** (default): the registry's chaos rows — op × fault
-//!   plan × seed — each on a fresh *simulated* world with `FaultComm` →
-//!   `ReliableComm` → `MeteredComm` layered and the resilient driver (or
-//!   `collective_with_deadline`) on top. Asserts the crash-only property:
-//!   byte-identical completion or a typed error within the *exact* virtual
-//!   time budget — never a hang (a stuck world is proved stuck), never
-//!   silent corruption — and every cell, crash cells included, is run twice
-//!   and compared by digest. Three rows are real-clock canaries: the same
-//!   runner on `ThreadComm` under a watchdog.
-//! * The **recovery matrix** (`--recovery-smoke`): every operation family ×
-//!   crash point under the deterministic simulator, driving the recovering
-//!   driver (`recovering`: detect → agree → shrink → retry) and asserting
-//!   typed `Recovered` endings, byte-correctness on the survivor view, and
-//!   same-seed digest determinism. `--out FILE` writes the
-//!   virtual-time MTTR per cell as line-JSON (the committed
+//! * The **fault soak**: the registry's chaos rows — op × fault plan × seed —
+//!   each on a fresh *simulated* world with `FaultComm` → `ReliableComm` →
+//!   `MeteredComm` layered and the recovering driver on top. Asserts the
+//!   crash-only contract within the *exact* virtual-time budget: every rank
+//!   of a non-crash plan commits the first attempt byte-correct; under a
+//!   crash the victim fails typed and every survivor recovers on the
+//!   survivor view, byte-correct for that view — never a hang (a stuck world
+//!   is proved stuck), never a wrong byte — and every cell, crash cells
+//!   included, is run twice and compared by digest. Three rows are
+//!   real-clock canaries: the same runner on `ThreadComm` under a watchdog.
+//! * The **recovery matrix**: every operation family × crash point on bare
+//!   `FaultComm` under the deterministic simulator, judged by the same
+//!   contract, plus same-seed digest determinism. `--out FILE` writes the
+//!   virtual-time MTTR per row as line-JSON (the committed
 //!   `BENCH_PR8.json`); `--check-against FILE` regression-checks fresh
 //!   MTTRs against such a baseline (>1.6x drift advisory, >8x fatal).
 //!
 //! Usage:
-//!   bruck-chaos [--smoke] [--seeds 1,2,3]
-//!   bruck-chaos --recovery-smoke [--seeds 1] [--out FILE] [--check-against FILE]
+//!   bruck-chaos [--smoke] [--seeds 1,2,3] [--out FILE] [--check-against FILE]
 //!
-//! `--smoke` runs the CI-sized fault matrix (wired into scripts/verify.sh).
-//! Seeds come from `--seeds`, else the registry's defaults.
+//! `--smoke` runs the CI-sized soak (wired into scripts/verify.sh); the
+//! recovery matrix is the same at both tiers. Seeds come from `--seeds`,
+//! else the registry's defaults; the recovery matrix runs at the first.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -36,16 +36,12 @@ use bruck_check::recovery::{bench_json_line, check_against_baseline, run_recover
 use bruck_check::sim_matrix::sweep;
 
 fn main() -> ExitCode {
-    let usage = "bruck-chaos [--smoke] [--seeds 1,2,3]\n       \
-                 bruck-chaos --recovery-smoke [--seeds 1] [--out FILE] [--check-against FILE]";
-    let args = match parse_args(
-        usage,
-        &["--smoke", "--recovery-smoke"],
-        &["--seeds", "--out", "--check-against"],
-    ) {
-        Ok(args) => args,
-        Err(code) => return code,
-    };
+    let usage = "bruck-chaos [--smoke] [--seeds 1,2,3] [--out FILE] [--check-against FILE]";
+    let args =
+        match parse_args(usage, &["--smoke"], &["--seeds", "--out", "--check-against"]) {
+            Ok(args) => args,
+            Err(code) => return code,
+        };
     let seeds: Vec<u64> = match args.value("--seeds") {
         None => DEFAULT_SEEDS.to_vec(),
         Some(list) => list.split(',').filter_map(|t| t.trim().parse().ok()).collect(),
@@ -55,10 +51,6 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let tier = args.tier();
-    if args.has("--recovery-smoke") {
-        return run_recovery(seeds[0], args.value("--out"), args.value("--check-against"));
-    }
-
     let rows = rows(Family::Chaos, tier, &seeds);
     println!("bruck-chaos: {tier:?} matrix, seeds {seeds:?} (virtual time; each cell runs twice)");
     let start = Instant::now();
@@ -68,10 +60,13 @@ fn main() -> ExitCode {
         rows.len(),
         start.elapsed()
     );
-    exit_code(failures == 0)
+    let recovered = run_recovery(seeds[0], args.value("--out"), args.value("--check-against"));
+    exit_code(failures == 0 && recovered)
 }
 
-fn run_recovery(seed: u64, out: Option<&str>, baseline: Option<&str>) -> ExitCode {
+/// The recovery matrix, its `--out` file and its baseline check: did all
+/// of it pass?
+fn run_recovery(seed: u64, out: Option<&str>, baseline: Option<&str>) -> bool {
     let (p, victim, _) = bruck_check::cells::RECOVERY_WORLD;
     println!("bruck-chaos: recovery matrix, p={p} victim={victim} seed={seed}");
     let start = Instant::now();
@@ -104,7 +99,7 @@ fn run_recovery(seed: u64, out: Option<&str>, baseline: Option<&str>) -> ExitCod
         }
         if let Err(e) = std::fs::write(&path, body) {
             eprintln!("bruck-chaos: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            return false;
         }
         println!("bruck-chaos: wrote MTTR baseline to {path}");
     }
@@ -129,10 +124,10 @@ fn run_recovery(seed: u64, out: Option<&str>, baseline: Option<&str>) -> ExitCod
             }
             Err(e) => {
                 eprintln!("bruck-chaos: cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
+                return false;
             }
         }
     }
 
-    exit_code(failures == 0 && fatal_regressions == 0)
+    failures == 0 && fatal_regressions == 0
 }

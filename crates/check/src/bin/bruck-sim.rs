@@ -5,8 +5,9 @@
 //! under the cooperative simulation scheduler (`bruck_comm::SimComm`): every
 //! cell is executed twice and must produce byte-identical schedule traces
 //! and results; outputs must match the cell's expected bytes. Fault rows
-//! compose `FaultComm` → `ReliableComm` → `resilient_alltoallv` on top of
-//! the simulator, so the whole chaos stack is bit-reproducible.
+//! compose `FaultComm` → `ReliableComm` → `MeteredComm` and the recovering
+//! driver on top of the simulator, so the whole chaos stack is
+//! bit-reproducible.
 //!
 //! On failure the recorded schedule is written to a trace file, a
 //! delta-debugging shrinker minimizes it, and the report prints the seed,

@@ -6,7 +6,7 @@
 //! `bruck-bpra` fixpoints the paper's §5 runs over them. A cell knows
 //! the four things every harness needs and nothing else: how a rank fills its
 //! input and runs the operation ([`Cell::run_rank`]), what the right bytes
-//! are ([`Cell::expected`], built from [`bruck_core::pattern`] and the
+//! are ([`Cell::expected_on`] a view, built from [`bruck_core::pattern`] and the
 //! `reference_*` oracles) and what to call itself ([`Cell::label`]). The
 //! label is also how a cell survives a trace file ([`encode_meta`] /
 //! [`decode_meta`]): `key=value` tokens by name — never by index into an
@@ -30,7 +30,7 @@ use bruck_core::{
     allgatherv, allreduce, alltoall, alltoallv_discover, configurable_alltoallv, packed_displs,
     pattern, pattern_byte, pattern_u64, reduce_scatter, reference_allgatherv, reference_allreduce,
     reference_reduce_scatter, AllgathervAlgorithm, AllreduceAlgorithm, AlltoallAlgorithm,
-    AlltoallvAlgorithm, EngineConfig, PaddingRule, ReduceScatterAlgorithm, ResilientConfig,
+    AlltoallvAlgorithm, EngineConfig, PaddingRule, RecoveringConfig, ReduceScatterAlgorithm,
 };
 use bruck_workload::{Distribution, SizeMatrix};
 
@@ -123,20 +123,6 @@ impl Op {
         out
     }
 
-    /// The named algorithm the resilient driver can run this op as, if any
-    /// (`resilient_alltoallv` selects by [`AlltoallvAlgorithm`]).
-    pub fn resilient_algorithm(&self) -> Option<AlltoallvAlgorithm> {
-        match self {
-            Op::Alltoallv(cfg) => cfg.as_algorithm(),
-            Op::Alltoall(..)
-            | Op::Discover(_)
-            | Op::Allgatherv(_)
-            | Op::ReduceScatter(..)
-            | Op::Allreduce(..)
-            | Op::Fixpoint(..) => None,
-        }
-    }
-
     /// Whitespace-free label: the `op=` token of reports and trace `meta`
     /// lines. This is the one table of schedule names; `decode` reads it
     /// back through [`Op::schedules`].
@@ -196,11 +182,15 @@ impl Op {
 /// What a fault plan entitles a harness to demand of the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Expectation {
-    /// No rank is scripted to die: every rank must finish lossless.
+    /// No rank is scripted to die: every rank must commit the first attempt
+    /// on the whole world ([`RecoveryOutcome::Complete`]) with the right bytes.
+    ///
+    /// [`RecoveryOutcome::Complete`]: bruck_core::RecoveryOutcome::Complete
     MustComplete,
-    /// A rank is scripted to crash: the dead rank must fail typed; survivors
-    /// must finish bounded with holes at most naming dead ranks' blocks.
-    MayDegrade {
+    /// A rank is scripted to crash: it must fail typed, and every survivor
+    /// must recover on the survivor view with exactly it evicted, holding
+    /// the bytes a fault-free run on that view produces.
+    MustRecover {
         /// The scripted-to-crash rank.
         dead: usize,
     },
@@ -256,16 +246,14 @@ impl Faults {
         backoff_cap: Duration::from_millis(120),
     };
 
-    /// Budgets of the resilient driver under every plan (set `algorithm`
-    /// per cell). `deadline` bounds the primary attempt — and the whole
-    /// operation for ops that run under `collective_with_deadline`.
-    pub const RESILIENT: ResilientConfig = ResilientConfig {
-        algorithm: AlltoallvAlgorithm::TwoPhaseBruck,
-        deadline: Duration::from_secs(4),
-        commit_timeout: Duration::from_millis(700),
-        peer_timeout: Duration::from_millis(900),
-        epoch: 0,
-    };
+    /// Budgets of the recovering driver every plan runs its cells under:
+    /// a 2 s attempt deadline (the slowest non-crash cell of the full chaos
+    /// tier, kCFA under `lossy`, takes 855 ms of virtual time, its confirm
+    /// included), with the detector and agreement windows derived from it.
+    pub fn recovering() -> RecoveringConfig {
+        RecoveringConfig { deadline: Duration::from_secs(2), ..RecoveringConfig::default() }
+            .with_derived_windows()
+    }
 
     /// Post-operation ARQ service window: `(quiet, max_total)`. `quiet`
     /// exceeds [`Faults::RELIABLE`]'s backoff cap so a peer whose ack was
@@ -315,7 +303,7 @@ impl Faults {
     /// The verdict contract for this plan in a `p`-rank world.
     pub fn expectation(self, p: usize) -> Expectation {
         match self {
-            Faults::Crash => Expectation::MayDegrade { dead: p - 1 },
+            Faults::Crash => Expectation::MustRecover { dead: p - 1 },
             Faults::None
             | Faults::Clean
             | Faults::Drop
@@ -327,22 +315,22 @@ impl Faults {
     }
 
     /// Upper bound, on the communicator's own clock, for one operation under
-    /// this plan to return on any rank of a `p`-rank world. Each phase is
-    /// bounded by its deadline plus one full retransmission schedule — the
-    /// oldest unacknowledged frame's, which a window-full send or a receive
-    /// from a dying peer may sit out past the deadline; the resilient
-    /// fallback pays one such schedule and one timed receive per peer.
-    pub fn op_budget(self, p: usize, resilient: bool) -> Duration {
-        let policy = Faults::RELIABLE.retry_policy();
-        let send: Duration = (0..policy.attempts()).map(|k| policy.delay(k)).sum();
+    /// this plan to return on any rank. Every attempt of
+    /// [`Faults::recovering`] is bounded by its deadline plus one full
+    /// retransmission schedule — the oldest unacknowledged frame's, which a
+    /// window-full send or a receive from a dying peer may sit out past the
+    /// deadline. Between attempts sit the retry backoffs, and every cycle
+    /// pays one confirm: the detector's window, then at most one agreement
+    /// round timeout of waiting for a member that never answers.
+    pub fn op_budget(self) -> Duration {
+        let cfg = Faults::recovering();
+        let arq = Faults::RELIABLE.retry_policy();
+        let send: Duration = arq.schedule().into_iter().sum();
+        let attempts = cfg.retry.attempts();
+        let backoff: Duration = cfg.retry.schedule().into_iter().take(attempts as usize - 1).sum();
+        let confirm = cfg.detector.window + cfg.agreement.round_timeout;
         let stall = if self == Faults::Stall { Faults::STALL } else { Duration::ZERO };
-        let r = Faults::RESILIENT;
-        let fallback = if resilient {
-            r.commit_timeout + send + (r.peer_timeout + send) * (p as u32 - 1)
-        } else {
-            Duration::ZERO
-        };
-        r.deadline + send + stall + fallback
+        (cfg.deadline + send) * attempts + backoff + confirm * attempts + stall
     }
 }
 
@@ -428,8 +416,8 @@ impl Cell {
             .collect()
     }
 
-    /// The whole world: the view every harness but recovery runs a cell on.
-    fn world(&self) -> Vec<usize> {
+    /// The whole world: the view a cell starts on.
+    pub fn world(&self) -> Vec<usize> {
         (0..self.p).collect()
     }
 
@@ -561,19 +549,6 @@ impl Cell {
         }
     }
 
-    /// Where the block from `src` lands in rank `me`'s output (all-to-all
-    /// family; collectives have no per-source blocks).
-    fn recv_block(&self, me: usize, src: usize) -> std::ops::Range<usize> {
-        let m = self.matrix();
-        let start: usize = (0..src).map(|s| m.get(s, me)).sum();
-        start..start + m.get(src, me)
-    }
-
-    /// The bytes rank `me` must end with.
-    pub fn expected(&self, me: usize) -> Vec<u8> {
-        self.expected_on(&self.world(), me)
-    }
-
     /// The bytes dense rank `dense` of [`Cell::run_on`]'s `view` must end
     /// with: what a fault-free run on the world of `view` alone produces.
     pub fn expected_on(&self, view: &[usize], dense: usize) -> Vec<u8> {
@@ -623,31 +598,33 @@ impl Cell {
         }
     }
 
-    /// The one block check: `got` must equal [`Cell::expected`] outside the
-    /// blocks from `holes` (sources a degraded exchange named as lost).
-    /// Returns a description of the first wrong byte.
-    pub fn verify(&self, me: usize, got: &[u8], holes: &[usize]) -> Result<(), String> {
-        let want = self.expected(me);
+    /// The one output check: dense rank `dense` of [`Cell::run_on`]'s
+    /// `view` must hold exactly [`Cell::expected_on`] that view. Returns a
+    /// description of the first wrong byte.
+    pub fn verify(&self, view: &[usize], dense: usize, got: &[u8]) -> Result<(), String> {
+        let want = self.expected_on(view, dense);
         if got.len() != want.len() {
             return Err(format!("output is {} bytes, want {}", got.len(), want.len()));
         }
-        let holes: Vec<_> = holes.iter().map(|&src| self.recv_block(me, src)).collect();
-        match (0..want.len()).find(|i| got[*i] != want[*i] && !holes.iter().any(|h| h.contains(i)))
-        {
-            None => Ok(()),
-            Some(i) => {
-                let from = match self.op {
-                    Op::Alltoall(..) | Op::Alltoallv(_) | Op::Discover(_) => (0..self.p)
-                        .find(|&src| self.recv_block(me, src).contains(&i))
-                        .map_or(String::new(), |src| format!(" (block from rank {src})")),
-                    Op::Allgatherv(_)
-                    | Op::ReduceScatter(..)
-                    | Op::Allreduce(..)
-                    | Op::Fixpoint(..) => String::new(),
-                };
-                Err(format!("byte {i}{from}: got {:#04x}, want {:#04x}", got[i], want[i]))
+        let Some(i) = (0..want.len()).find(|&i| got[i] != want[i]) else {
+            return Ok(());
+        };
+        let from = match self.op {
+            Op::Alltoall(..) | Op::Alltoallv(_) | Op::Discover(_) => {
+                // Blocks land packed in view order.
+                let (m, me) = (self.matrix(), view[dense]);
+                let mut end = 0;
+                let src = view.iter().find(|&&src| {
+                    end += m.get(src, me);
+                    i < end
+                });
+                src.map_or(String::new(), |src| format!(" (block from rank {src})"))
             }
-        }
+            Op::Allgatherv(_) | Op::ReduceScatter(..) | Op::Allreduce(..) | Op::Fixpoint(..) => {
+                String::new()
+            }
+        };
+        Err(format!("byte {i}{from}: got {:#04x}, want {:#04x}", got[i], want[i]))
     }
 
     /// The cell as whitespace-free `key=value` tokens, e.g.
@@ -779,8 +756,8 @@ pub enum Harness {
         /// Real-clock canary on `ThreadComm` instead of virtual time.
         threads: bool,
     },
-    /// `bruck-chaos --recovery-smoke`: a scripted crash at this point of
-    /// the operation, under the recovering driver.
+    /// `bruck-chaos`'s recovery matrix: a scripted crash at this point of
+    /// the operation, under the recovering driver on bare `FaultComm`.
     Recovery(PhaseClass),
 }
 
@@ -1003,15 +980,15 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
     for op in named.into_iter().chain(schedules.iter().copied()) {
         verify(10_000, true, Smoke, Faults::None, cell(op, Uniform, 2, 3, 11));
         verify(10_000, true, Smoke, Faults::None, cell(op, POWER_LAW, 3, 3, 11));
-        if op.resilient_algorithm().is_some() {
+        if named.contains(&op) {
             let tier = if op == two_phase { Smoke } else { Full };
             verify(P4_BUDGET, true, tier, Faults::None, cell(op, Normal, 4, 4, 11));
         }
     }
-    // The fault stack: clock coupling defeats the reduction (dpor module
-    // docs), so these are bounded systematic exploration, not proofs. Every
-    // run is a new class: 400 / 400 (clean) and 800 / 800 (lossy); 30,000
-    // runs converge on neither.
+    // The fault stack under the recovering driver: clock coupling defeats
+    // the reduction (dpor module docs), so these are bounded systematic
+    // exploration, not proofs. Every run is a new class: 400 / 400 (clean,
+    // ≈ 0.8 ms a run with its confirm) and 800 / 800 (lossy, ≈ 14 ms a run).
     verify(400, false, Smoke, Faults::Clean, cell(two_phase, Uniform, 2, 2, 11));
     // A whole fixpoint, three rounds of the closure: 1,029 classes.
     let tc = Op::Fixpoint(Fixpoint::Tc, FIXPOINT_ALGORITHM);
@@ -1040,17 +1017,18 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
                 }
             }
         }
-        // One representative of each contract class — repaired, degraded —
-        // for the collectives (plus the clean path) and for the rest of the
-        // public surface; the smoke tier takes the first seed only.
+        // One representative of each contract class — repaired in one
+        // attempt, recovered on the survivors — for the collectives (plus the
+        // clean path) and for the rest of the public surface; the smoke tier
+        // takes the first seed only.
         let tier = if seed == first { Smoke } else { Full };
         for faults in [Faults::Clean, Faults::Lossy, Faults::Crash] {
             for &op in &schedules {
                 chaos(false, tier, faults, seed, op, 5, 9);
             }
             // A whole fixpoint through the reliable stack: the sequential
-            // oracle's bytes where the link repairs, a typed end where a
-            // rank dies mid-run.
+            // oracle's bytes where the link repairs, the survivors' oracle
+            // bytes where a rank dies mid-run.
             for app in Fixpoint::ALL {
                 chaos(false, tier, faults, seed, Op::Fixpoint(app, FIXPOINT_ALGORITHM), 5, 24);
             }
@@ -1068,8 +1046,8 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
     chaos(false, Smoke, Faults::None, first, two_phase, 5, 48);
     // The real-clock canary: three cells on ThreadComm prove the virtual
     // clock is not hiding a wall-clock dependence (a lost wake-up, a
-    // deadline that never fires) in the ARQ, the resilient driver's
-    // fallback, or the collective deadline wrapper.
+    // deadline that never fires) in the ARQ or in the recovering driver's
+    // deadline, detector, agreement and backoff.
     chaos(true, Smoke, Faults::Lossy, first, two_phase, 5, 48);
     chaos(true, Smoke, Faults::Crash, first, two_phase, 5, 48);
     chaos(true, Smoke, Faults::Crash, first, Op::Allgatherv(AllgathervAlgorithm::Bruck), 5, 9);
@@ -1135,21 +1113,24 @@ mod tests {
     #[test]
     fn what_a_rank_sends_is_what_its_peer_expects() {
         let c = two_phase(4);
-        // Rank 0's block for rank 2 is exactly the block rank 2 expects
-        // from rank 0, at the place `verify` looks for it.
-        let a = c.v_args(0);
+        // Rank 3's block for rank 2 is exactly the block rank 2 expects from
+        // rank 3, where `verify` looks for it: on the whole world, and on a
+        // survivor view without rank 1 (dense rank 1 is parent rank 2).
+        let a = c.v_args(3);
         let block = &a.sendbuf[a.sdispls[2]..a.sdispls[2] + a.sendcounts[2]];
-        let mut got = c.expected(2);
-        assert_eq!(&got[c.recv_block(2, 0)], block);
-        assert_eq!(c.verify(2, &got, &[]), Ok(()));
-        // Flip one byte of that block and the check names it — unless the
-        // block is a declared hole.
-        let at = c.recv_block(2, 0).start;
-        got[at] ^= 0xFF;
-        let err = c.verify(2, &got, &[]).unwrap_err();
-        assert!(err.contains(&format!("byte {at} (block from rank 0)")), "{err}");
-        assert_eq!(c.verify(2, &got, &[0]), Ok(()));
-        assert!(c.verify(2, &got[1..], &[]).is_err(), "a short buffer is wrong");
+        let m = c.matrix();
+        let survivors = [0, 2, 3];
+        for (view, dense) in [(&c.world()[..], 2), (&survivors[..], 1)] {
+            let mut got = c.expected_on(view, dense);
+            let at: usize = view.iter().take_while(|&&src| src != 3).map(|&src| m.get(src, 2)).sum();
+            assert_eq!(&got[at..at + block.len()], block, "{view:?}");
+            assert_eq!(c.verify(view, dense, &got), Ok(()));
+            // Flip one byte of that block and the check names it.
+            got[at] ^= 0xFF;
+            let err = c.verify(view, dense, &got).unwrap_err();
+            assert!(err.contains(&format!("byte {at} (block from rank 3)")), "{err}");
+            assert!(c.verify(view, dense, &got[1..]).is_err(), "a short buffer is wrong");
+        }
     }
 
     #[test]
@@ -1158,7 +1139,7 @@ mod tests {
         let counts = c.coll_counts();
         assert!(counts.contains(&0) && counts.iter().all(|&n| n <= 9));
         assert_ne!(counts, Cell { workload_seed: 12, ..c }.coll_counts());
-        assert_eq!(c.expected(3).len(), counts.iter().sum::<usize>());
+        assert_eq!(c.expected_on(&c.world(), 3).len(), counts.iter().sum::<usize>());
     }
 
     #[test]
@@ -1169,19 +1150,22 @@ mod tests {
     }
 
     #[test]
-    fn fault_table_round_trips_and_only_crash_may_degrade() {
+    fn fault_table_round_trips_and_only_crash_must_recover() {
         for f in Faults::ALL {
             assert_eq!(Faults::parse(f.name()), Ok(f));
             assert_eq!(f.plan(1, 5).is_none(), f == Faults::None);
-            let degrades = f.expectation(5) == Expectation::MayDegrade { dead: 4 };
-            assert_eq!(degrades, f == Faults::Crash);
+            let recovers = f.expectation(5) == Expectation::MustRecover { dead: 4 };
+            assert_eq!(recovers, f == Faults::Crash);
         }
         assert!(Faults::parse("losy").is_err());
-        // 15 + 30 + 60 + 10 × 120 ms of ack deadlines per exhausted send.
-        assert_eq!(Faults::Clean.op_budget(5, false), Duration::from_millis(4000 + 1305));
-        assert_eq!(
-            Faults::Stall.op_budget(5, true),
-            Duration::from_millis(4000 + 1305 + 120 + 700 + 1305 + 4 * (900 + 1305))
-        );
+        // Four attempts, each a 2 s deadline plus 15 + 30 + 60 + 10 × 120 ms
+        // of ack deadlines per exhausted send; three backoffs, 50, 100 and
+        // 200 ms plus their seeded jitter (+13.1 %, +19.3 %, +9.2 %); one
+        // confirm per cycle, a 2.5 s detector window plus a 2.5 s agreement
+        // round.
+        let backoff = 56_550 + 119_300 + 218_400;
+        let clean = 4 * (2_000_000 + 1_305_000) + backoff + 4 * (2_500_000 + 2_500_000);
+        assert_eq!(Faults::Clean.op_budget(), Duration::from_micros(clean));
+        assert_eq!(Faults::Stall.op_budget(), Duration::from_micros(clean + 120_000));
     }
 }

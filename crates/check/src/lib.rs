@@ -12,8 +12,8 @@
 //! | **check** (`bruck-check`) | `SimComm`, lowest-runnable-first, wire log recorded; [`schedule`] turns the log into a vector-clocked history; a stuck world is proved, not hung on | every [`analysis`] pass over the extracted schedule (wait-for cycles, unmatched sends, orphaned receives, tag collisions, byte conservation, layouts) + expected bytes | [`matrix`] |
 //! | **sim** (`bruck-sim`) | `SimComm` × schedule seeds | run twice: identical schedule trace and digest; expected bytes; failing schedule saved, ddmin-shrunk, `--replay`able (DESIGN.md §11) | [`sim_matrix`] |
 //! | **verify** (`bruck-verify`) | recorded `SimComm` schedules | stateless DPOR: every Mazurkiewicz-inequivalent interleaving of the tiny-world cells ends byte-identical and deadlock-free; plus the event runtime's wakeup protocol audited exhaustively with vector clocks (DESIGN.md §13) | [`dpor`], [`wakeup_audit`] |
-//! | **chaos** (`bruck-chaos`) | `SimComm` + `FaultComm → ReliableComm → MeteredComm`; three real-clock canaries on `ThreadComm` | the crash-only contract on exact virtual-time budgets: never hang, never silent corruption, completion where promised, never meter drift; every cell run twice (DESIGN.md §9) | [`runner`], [`sim_matrix`] |
-//! | **recovery** (`bruck-chaos --recovery-smoke`) | `SimComm` + a crash at the victim's first / quarter / half / last op | the recovering driver's detect → agree → shrink → retry ends typed `Recovered`, byte-correct on the survivor view, digest-deterministic; virtual-time MTTR regression-checked against `BENCH_PR8.json` (DESIGN.md §14) | [`recovery`] |
+//! | **chaos** (`bruck-chaos`) | `SimComm` + `FaultComm → ReliableComm → MeteredComm`; three real-clock canaries on `ThreadComm` | every cell through the recovering driver, on exact virtual-time budgets: never hang, never a wrong byte, one committed attempt on every rank unless a rank is scripted to crash, then the victim typed and every survivor `Recovered` on the survivor view; never meter drift; every cell run twice (DESIGN.md §9) | [`runner`], [`sim_matrix`] |
+//! | **recovery** (`bruck-chaos`, after the soak) | `SimComm` + bare `FaultComm`, a crash at the victim's first / quarter / half / last op | the chaos crash contract, plus same-seed digest determinism; virtual-time MTTR regression-checked against `BENCH_PR8.json` (DESIGN.md §14) | [`recovery`] |
 //!
 //! [`cli`] is what the matrix binaries share. `scripts/verify.sh` runs all
 //! of it as tier-1 gates. The verifier's model, guarantees, and

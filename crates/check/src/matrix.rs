@@ -4,7 +4,7 @@
 //!
 //! Each case runs the cell's one rank body through
 //! [`crate::schedule::record`], verifies every rank's output against
-//! [`Cell::expected`](crate::cells::Cell::expected),
+//! [`Cell::expected_on`](crate::cells::Cell::expected_on) the whole world,
 //! layout-checks the `alltoallv` argument arrays, and runs the full analysis
 //! suite from [`crate::analysis`] over the schedule.
 
@@ -44,7 +44,7 @@ fn check_cell_in(cell: &Cell, cfg: &SimConfig) -> (CaseReport, Extraction) {
     // the tag, the orphaned receive); wrong bytes are only visible here.
     for (rank, out) in outputs.iter().enumerate() {
         if let Ok(Ok(bytes)) = out {
-            if let Err(detail) = cell.verify(rank, bytes, &[]) {
+            if let Err(detail) = cell.verify(&cell.world(), rank, bytes) {
                 findings.push(Finding::WrongOutput { rank, detail });
             }
         }

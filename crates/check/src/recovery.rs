@@ -5,10 +5,11 @@
 //! [`FaultComm`] crashes at a share of the data ops its operation takes —
 //! the victim's [`FaultComm::ops`] at the end of the operation, read in a
 //! healthy run of the same driver — and drives the operation through
-//! [`recovering`]'s detect → agree → shrink → retry. The `alltoallv` rows
-//! call [`recovering_alltoallv`]; every other row hands [`recovering`] its
-//! cell's operation on the survivor view ([`Cell::run_on`]). Per row the
-//! harness asserts:
+//! [`recovering`](bruck_core::recovering)'s detect → agree → shrink →
+//! retry. The `alltoallv` rows call [`recovering_alltoallv`]; every other
+//! row runs [`recover_cell`], the chaos soak's rank body, over the bare
+//! `FaultComm` instead of the ARQ stack. Per row the harness asserts the
+//! chaos crash contract ([`judge`] under [`Expectation::MustRecover`]):
 //!
 //! * **Typed endings** — the victim fails with a fault error; every survivor
 //!   returns [`RecoveryOutcome::Recovered`] naming exactly the victim as
@@ -23,18 +24,18 @@
 //!
 //! The virtual-time MTTR breakdown (detect / agree / repair / re-execute) of
 //! the slowest survivor is reported per row and can be emitted as line-JSON
-//! (`bruck-chaos --recovery-smoke --out BENCH_PR8.json`) and regression
+//! (`bruck-chaos --smoke --out BENCH_PR8.json`) and regression
 //! checked against a committed baseline (`--check-against`).
 
 use std::time::Duration;
 
 use bruck_comm::{CommError, CommResult, Communicator, FaultComm, FaultPlan};
-use bruck_core::{
-    recovering, recovering_alltoallv, Mttr, Recovered, RecoveringConfig, RecoveryOutcome,
-};
+use bruck_core::{recovering_alltoallv, Mttr, Recovered, RecoveringConfig, RecoveryOutcome};
 
-use crate::cells::{digest_rank_buf, rows, Cell, Family, Harness, Op, Row, Tier, RECOVERY_WORLD};
-use crate::runner::{launch, run_twice, Launched, World};
+use crate::cells::{
+    digest_rank_buf, rows, Cell, Expectation, Family, Harness, Op, Row, Tier, RECOVERY_WORLD,
+};
+use crate::runner::{judge, launch, recover_cell, run_twice, Launched, World};
 
 /// The recovering budgets every row runs under: tight enough that a whole
 /// row is a few simulated seconds, with the detector and agreement windows
@@ -74,32 +75,27 @@ type RankValue = (Recovered<Vec<u8>>, u64);
 type RankOutcome = CommResult<RankValue>;
 
 /// One rank of a recovery row: `cell`'s operation under the recovering
-/// driver over `fc`. With `entry`, an `alltoallv` row goes through
-/// [`recovering_alltoallv`], whose operation is the row's [`Cell::run_on`]
-/// (op count 0: only a run without `entry` reads one).
+/// driver over bare `fc` ([`recover_cell`]). With `entry`, an `alltoallv`
+/// row goes through [`recovering_alltoallv`] instead, the public entry
+/// point over the same operation (op count 0: only a run without `entry`
+/// reads one).
 fn recover_rank<C>(cell: &Cell, fc: &FaultComm<'_, C>, entry: bool) -> RankOutcome
 where
     C: Communicator + ?Sized,
 {
     let cfg = recovery_config();
-    let world: Vec<usize> = (0..cell.p).collect();
-    if let (Op::Discover(algo), true) = (cell.op, entry) {
-        let me = fc.rank();
-        let a = cell.v_args(me);
-        let rec = recovering_alltoallv(&cfg, fc, algo, &world, &a.sendcounts, &a.sendbuf)?;
-        let (bytes, recvcounts) = rec.value;
-        if recvcounts != cell.v_args_on(me, &rec.view).recvcounts {
-            return Err(CommError::BadArgument("recovered counts diverge from the matrix"));
-        }
-        return Ok((Recovered { value: bytes, view: rec.view, outcome: rec.outcome }, 0));
+    let algo = match cell.op {
+        Op::Discover(algo) if entry => algo,
+        _ => return recover_cell(cell, &cfg, fc, fc),
+    };
+    let me = fc.rank();
+    let a = cell.v_args(me);
+    let rec = recovering_alltoallv(&cfg, fc, algo, &cell.world(), &a.sendcounts, &a.sendbuf)?;
+    let (bytes, recvcounts) = rec.value;
+    if recvcounts != cell.v_args_on(me, &rec.view).recvcounts {
+        return Err(CommError::BadArgument("recovered counts diverge from the matrix"));
     }
-    let mut ops = 0;
-    let rec = recovering(&cfg, fc, &world, |c, view| {
-        let out = cell.run_on(c, view);
-        ops = fc.ops();
-        out
-    })?;
-    Ok((rec, ops))
+    Ok((Recovered { value: bytes, view: rec.view, outcome: rec.outcome }, 0))
 }
 
 /// Run a recovery row's world under `plan` (see [`recover_rank`]).
@@ -129,57 +125,27 @@ fn digest_world(outcomes: &[Result<RankOutcome, String>]) -> u64 {
     outcomes.iter().enumerate().fold(0xD1_6E57, fold)
 }
 
-/// Check one world against the recovery contract; returns the slowest
-/// survivor's MTTR on success.
+/// Check one world against the recovery contract ([`judge`] under
+/// [`Expectation::MustRecover`]); returns the slowest survivor's MTTR on
+/// success.
 fn check_world(
     cell: &Cell,
     victim: usize,
     outcomes: &[Result<RankOutcome, String>],
 ) -> Result<CellMttr, String> {
-    let survivors: Vec<usize> = (0..cell.p).filter(|&r| r != victim).collect();
     let mut slowest: Option<CellMttr> = None;
     for (rank, out) in outcomes.iter().enumerate() {
-        let res = match out {
-            Ok(r) => r,
-            Err(why) => return Err(format!("rank {rank} {why}")),
-        };
-        if rank == victim {
-            match res {
-                Err(CommError::RankFailed { .. } | CommError::Timeout { .. }) => {}
-                other => return Err(format!("victim must fail typed, got {other:?}")),
-            }
-            continue;
-        }
-        let rec = match res {
-            Ok((rec, _)) => rec,
-            Err(e) => return Err(format!("survivor {rank} failed: {e}")),
-        };
-        if rec.view != survivors {
-            return Err(format!("survivor {rank}: view {:?}, want {survivors:?}", rec.view));
-        }
-        let cm = match &rec.outcome {
-            RecoveryOutcome::Recovered { evicted, cycles, attempts, mttr } => {
-                if evicted != &[victim] {
-                    return Err(format!("survivor {rank}: evicted {evicted:?}"));
+        let res = out.as_ref().map_err(|why| format!("rank {rank} {why}"))?;
+        let result = res.as_ref().map(|(rec, _)| rec);
+        judge(cell, rank, result, Expectation::MustRecover { dead: victim })
+            .map_err(|e| format!("rank {rank}: {e}"))?;
+        if let Ok((rec, _)) = res {
+            if let RecoveryOutcome::Recovered { cycles, attempts, mttr, .. } = &rec.outcome {
+                let cm = CellMttr { mttr: *mttr, cycles: *cycles, attempts: *attempts };
+                if slowest.map_or(true, |s| cm.mttr.total() > s.mttr.total()) {
+                    slowest = Some(cm);
                 }
-                CellMttr { mttr: *mttr, cycles: *cycles, attempts: *attempts }
             }
-            RecoveryOutcome::Complete => {
-                return Err(format!("survivor {rank}: Complete despite scripted crash"));
-            }
-        };
-        if slowest.map_or(true, |s| cm.mttr.total() > s.mttr.total()) {
-            slowest = Some(cm);
-        }
-        let dense = survivors.iter().position(|&r| r == rank).unwrap_or(0);
-        let want = cell.expected_on(&rec.view, dense);
-        let len = want.len().max(rec.value.len());
-        if let Some(i) = (0..len).find(|&i| rec.value.get(i) != want.get(i)) {
-            return Err(format!(
-                "survivor {rank}: SILENT CORRUPTION at byte {i}: got {:?}, want {:?}",
-                rec.value.get(i),
-                want.get(i)
-            ));
         }
     }
     slowest.ok_or_else(|| "no survivor produced an outcome".to_string())

@@ -5,25 +5,27 @@
 //! ([`World::Sim`], `SimComm`) or real threads under a watchdog
 //! ([`World::Threads`], the only `ThreadComm::run` call in this crate).
 //! [`run_cell`] layers the production fault stack over it, `FaultComm →
-//! ReliableComm → MeteredComm`, drives the cell through
-//! `resilient_alltoallv` (named `alltoallv` points) or
-//! `collective_with_deadline` (everything else), and judges every rank
-//! against the crash-only contract:
+//! ReliableComm → MeteredComm`, drives every cell through the one fault
+//! path, `recovering` ([`recover_cell`]), and judges every rank against one
+//! contract ([`judge`]):
 //!
 //! * **Never hang** — on virtual time a stuck world is *proved* stuck
 //!   ([`CommError::Deadlock`] is the HANG verdict) and every rank must return
 //!   inside [`Faults::op_budget`] / the quiesce window *exactly*, read from
 //!   `comm.now()`; on real threads a watchdog bounds the cell.
-//! * **Never silent corruption** — every output byte a rank does not name
-//!   as a hole must equal [`Cell::expected`]; errors must be the typed fault
-//!   errors.
-//! * **Completion where promised** — [`Expectation::MustComplete`] plans end
-//!   lossless on every rank; crash plans end with the dead rank failing typed
-//!   and every survivor bounded.
+//! * **Never a wrong byte** — every output must equal
+//!   [`Cell::expected_on`] the view it was computed on; the only errors
+//!   allowed are a scripted-dead rank's typed fault errors.
+//! * **Completion on every rank** — [`Expectation::MustComplete`] plans end
+//!   [`RecoveryOutcome::Complete`] on the whole world; under
+//!   [`Expectation::MustRecover`] the dead rank fails typed and every
+//!   survivor ends [`RecoveryOutcome::Recovered`] on the survivor view with
+//!   exactly the dead rank evicted.
 //! * **Never meter drift** — the `MeteredComm` above the ARQ must stay
 //!   internally consistent under every plan.
 //!
-//! The plain transport ([`Faults::None`]) is the same runner with no stack.
+//! The plain transport ([`Faults::None`]) is the same runner with no stack
+//! and no driver.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -32,10 +34,7 @@ use bruck_comm::{
     shrink_choices, CommError, CommResult, Communicator, FaultComm, MeteredComm, ReliableComm,
     ScheduleTrace, SimComm, SimConfig, SimStep, ThreadComm,
 };
-use bruck_core::{
-    collective_with_deadline, resilient_alltoallv, CollectiveOutcome, ExchangeOutcome,
-    ResilientConfig,
-};
+use bruck_core::{recovering, Recovered, RecoveringConfig, RecoveryOutcome};
 
 use crate::cells::{digest_rank_buf, encode_meta, mix, Cell, Expectation, Faults};
 
@@ -132,35 +131,48 @@ where
 // The fault stack
 // ---------------------------------------------------------------------------
 
-/// How one rank's operation ended.
-#[derive(Debug)]
-enum Ending {
-    /// Ran to completion; these are the output bytes.
-    Complete(Vec<u8>),
-    /// Degraded: every block not from `missing` is claimed correct.
-    Partial { bytes: Vec<u8>, missing: Vec<usize> },
-    /// A typed fault ended the attempt; no completion claim.
-    Aborted(CommError),
+/// `cell`'s operation on the whole world of `comm` under the recovering
+/// driver: the one rank body of every faulted cell. Also returns `fc`'s data
+/// op count at the end of the last attempt's operation (a healthy run's is
+/// what recovery rows place their crash points by). `comm` is `fc` or a
+/// stack over it.
+pub fn recover_cell<C>(
+    cell: &Cell,
+    cfg: &RecoveringConfig,
+    comm: &dyn Communicator,
+    fc: &FaultComm<'_, C>,
+) -> CommResult<(Recovered<Vec<u8>>, u64)>
+where
+    C: Communicator + ?Sized,
+{
+    let mut ops = 0;
+    let rec = recovering(cfg, comm, &cell.world(), |c, view| {
+        let out = cell.run_on(c, view);
+        ops = fc.ops();
+        out
+    })?;
+    Ok((rec, ops))
 }
 
-/// One rank under the stack: its ending plus what the contract's clock and
-/// meter clauses need.
+/// One rank under the stack: how its operation ended plus what the
+/// contract's clock and meter clauses need.
 struct RankRun {
-    ending: Ending,
+    /// What the operation returned on this rank.
+    result: CommResult<Recovered<Vec<u8>>>,
     /// Clock time the operation took, and the quiesce after it.
     elapsed: (Duration, Duration),
     /// `MeteredComm` consistency errors.
     drift: Vec<String>,
 }
 
-/// One rank's body: the plain op, or the op under the production fault
-/// stack. Typed faults become [`Ending::Aborted`]; anything else — bad
-/// arguments, truncation, a proved deadlock — stays an error.
+/// One rank's body: the plain op, or [`recover_cell`] under the production
+/// fault stack.
 fn run_rank(cell: &Cell, faults: Faults, seed: u64, comm: &dyn Communicator) -> CommResult<RankRun> {
-    let zero = (Duration::ZERO, Duration::ZERO);
     let Some(plan) = faults.plan(seed, cell.p) else {
-        let ending = Ending::Complete(cell.run_rank(comm)?);
-        return Ok(RankRun { ending, elapsed: zero, drift: Vec::new() });
+        let result = cell.run_rank(comm).map(|value| {
+            Recovered { value, view: cell.world(), outcome: RecoveryOutcome::Complete }
+        });
+        return Ok(RankRun { result, elapsed: (Duration::ZERO, Duration::ZERO), drift: Vec::new() });
     };
     let fc = FaultComm::new(comm, plan);
     let rc = ReliableComm::with_config(&fc, Faults::RELIABLE);
@@ -168,41 +180,14 @@ fn run_rank(cell: &Cell, faults: Faults, seed: u64, comm: &dyn Communicator) -> 
     // invisible) and prove it never drifts under injected faults.
     let mc = MeteredComm::new(&rc);
     let start = mc.now();
-    let ending = match cell.op.resilient_algorithm() {
-        Some(algorithm) => {
-            let a = cell.v_args(mc.rank());
-            let mut bytes = vec![0u8; a.recvcounts.iter().sum()];
-            resilient_alltoallv(
-                &ResilientConfig { algorithm, ..Faults::RESILIENT }, &mc, &a.sendbuf, &a.sendcounts,
-                &a.sdispls, &mut bytes, &a.recvcounts, &a.rdispls,
-            )
-            .map(|outcome| match outcome {
-                ExchangeOutcome::Partial { report, .. } if !report.is_lossless() => {
-                    Ending::Partial { bytes, missing: report.missing_sources }
-                }
-                ExchangeOutcome::Complete
-                | ExchangeOutcome::Recovered { .. }
-                | ExchangeOutcome::Partial { .. } => Ending::Complete(bytes),
-            })
-        }
-        None => collective_with_deadline(&mc, Faults::RESILIENT.deadline, |dc| cell.run_rank(dc)).map(
-            |outcome| match outcome {
-                CollectiveOutcome::Complete(bytes) => Ending::Complete(bytes),
-                CollectiveOutcome::Aborted { error } => Ending::Aborted(error),
-            },
-        ),
-    };
-    let ending = match ending {
-        Err(e @ (CommError::Timeout { .. } | CommError::RankFailed { .. })) => Ending::Aborted(e),
-        other => other?,
-    };
+    let result = recover_cell(cell, &Faults::recovering(), &mc, &fc).map(|(rec, _)| rec);
     let done = mc.now();
     // Service peers' retransmissions before leaving so a lost ack near the
     // end cannot strand a survivor in its retry loop.
     #[expect(clippy::let_underscore_must_use, reason = "a crashed rank's quiesce fails typed")]
     let _ = rc.quiesce(Faults::QUIESCE.0, Faults::QUIESCE.1);
     let elapsed = (done.saturating_sub(start), mc.now().saturating_sub(done));
-    Ok(RankRun { ending, elapsed, drift: mc.metrics().consistency_errors() })
+    Ok(RankRun { result, elapsed, drift: mc.metrics().consistency_errors() })
 }
 
 // ---------------------------------------------------------------------------
@@ -212,11 +197,12 @@ fn run_rank(cell: &Cell, faults: Faults, seed: u64, comm: &dyn Communicator) -> 
 /// How one rank ended, reduced to what determinism may compare.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RankVerdict {
-    /// Lossless finish with byte-correct output (retained).
-    Lossless(Vec<u8>),
-    /// Degraded finish; every other block verified, hole list retained.
-    Holes(Vec<usize>),
-    /// Typed fault error (the crash-only permitted failure).
+    /// One attempt on the whole world, byte-correct output (retained).
+    Complete(Vec<u8>),
+    /// Recovered on the survivor view, byte-correct output for that view
+    /// and the recovery's shape and virtual-time MTTR (retained).
+    Recovered(Vec<u8>, RecoveryOutcome),
+    /// The scripted-dead rank's typed fault error.
     TypedError(String),
 }
 
@@ -243,7 +229,54 @@ impl CellOutcome {
     }
 }
 
-/// Judge one rank against the contract.
+/// The one contract over how rank `me` of `cell`'s world ended (see the
+/// [module docs](self)): a value, or the error it ended with.
+pub fn judge(
+    cell: &Cell,
+    me: usize,
+    result: Result<&Recovered<Vec<u8>>, &CommError>,
+    expect: Expectation,
+) -> Result<RankVerdict, String> {
+    let dead = match expect {
+        Expectation::MustComplete => None,
+        Expectation::MustRecover { dead } => Some(dead),
+    };
+    let rec = match result {
+        Err(e @ CommError::Deadlock { .. }) => return Err(format!("HANG: {e}")),
+        Err(e @ (CommError::RankFailed { .. } | CommError::Timeout { .. })) if dead == Some(me) => {
+            return Ok(RankVerdict::TypedError(e.to_string()));
+        }
+        Err(e @ (CommError::RankFailed { .. } | CommError::Timeout { .. })) => {
+            return Err(format!("typed error {e} on a rank that must finish"));
+        }
+        Err(e) => return Err(format!("non-fault error {e}")),
+        Ok(_) if dead == Some(me) => return Err(format!("scripted-dead rank {me} finished")),
+        Ok(rec) => rec,
+    };
+    let want: Vec<usize> = cell.world().into_iter().filter(|&r| Some(r) != dead).collect();
+    if rec.view != want {
+        return Err(format!("ended on view {:?}, want {want:?}", rec.view));
+    }
+    let as_promised = match (&rec.outcome, dead) {
+        (RecoveryOutcome::Complete, None) => true,
+        (RecoveryOutcome::Recovered { evicted, .. }, Some(dead)) => evicted == &[dead],
+        (RecoveryOutcome::Complete | RecoveryOutcome::Recovered { .. }, _) => false,
+    };
+    if !as_promised {
+        return Err(format!("ended {:?} under {expect:?}", rec.outcome));
+    }
+    let dense = want.iter().position(|&r| r == me).unwrap_or(0);
+    cell.verify(&rec.view, dense, &rec.value).map_err(|e| format!("SILENT CORRUPTION: {e}"))?;
+    Ok(match &rec.outcome {
+        RecoveryOutcome::Complete => RankVerdict::Complete(rec.value.clone()),
+        RecoveryOutcome::Recovered { .. } => {
+            RankVerdict::Recovered(rec.value.clone(), rec.outcome.clone())
+        }
+    })
+}
+
+/// Judge one rank's run: the launcher's and the stack's clauses, then
+/// [`judge`].
 fn judge_rank(
     cell: &Cell,
     me: usize,
@@ -253,7 +286,6 @@ fn judge_rank(
 ) -> Result<RankVerdict, String> {
     let run = match run {
         Ok(Ok(run)) => run,
-        Ok(Err(e @ CommError::Deadlock { .. })) => return Err(format!("HANG: {e}")),
         Ok(Err(e)) => return Err(format!("non-fault error {e}")),
         Err(why) => return Err(why),
     };
@@ -268,46 +300,7 @@ fn judge_rank(
             return Err(format!("OVER BUDGET: quiesce took {:?} > {quiesce:?}", run.elapsed.1));
         }
     }
-    let must_complete = expect == Expectation::MustComplete;
-    match run.ending {
-        Ending::Complete(bytes) => {
-            cell.verify(me, &bytes, &[]).map_err(|e| format!("SILENT CORRUPTION: {e}"))?;
-            Ok(RankVerdict::Lossless(bytes))
-        }
-        Ending::Partial { missing, .. } if must_complete => {
-            Err(format!("holes {missing:?} under a must-complete plan"))
-        }
-        Ending::Partial { bytes, missing } => {
-            cell.verify(me, &bytes, &missing).map_err(|e| format!("SILENT CORRUPTION: {e}"))?;
-            Ok(RankVerdict::Holes(missing))
-        }
-        Ending::Aborted(e) if must_complete => {
-            Err(format!("typed error {e} under a must-complete plan"))
-        }
-        Ending::Aborted(e) => Ok(RankVerdict::TypedError(e.to_string())),
-    }
-}
-
-/// Cross-rank shape checks that single-rank judgement cannot see. They
-/// bind the resilient driver only: a collective's scripted-dead rank may
-/// legitimately finish inside its four ops (a folded remainder rank), and
-/// nothing promises a collective's survivors more than a typed abort.
-fn judge_world(cell: &Cell, verdicts: &[RankVerdict], expect: Expectation) -> Result<(), String> {
-    let (Expectation::MayDegrade { dead }, Some(_)) = (expect, cell.op.resilient_algorithm())
-    else {
-        return Ok(());
-    };
-    // The crash op count is low enough that the dead rank cannot have
-    // finished an exchange first: a lossless claim from it is a bug.
-    if matches!(verdicts.get(dead), Some(RankVerdict::Lossless(_))) {
-        return Err(format!("scripted-dead rank {dead} reported lossless"));
-    }
-    // The fallback promises at least one survivor a usable result.
-    let usable = |(r, v): (usize, &RankVerdict)| r != dead && !matches!(v, RankVerdict::TypedError(_));
-    if !verdicts.iter().enumerate().any(usable) {
-        return Err("no survivor produced a usable outcome".to_string());
-    }
-    Ok(())
+    judge(cell, me, run.result.as_ref(), expect)
 }
 
 /// Run `cell` once under `faults` (fault seed `seed`) in `world` and judge it.
@@ -319,9 +312,8 @@ pub fn run_cell(cell: &Cell, faults: Faults, seed: u64, world: &World) -> CellOu
     let launched = launch(world, cell.p, &encode_meta(cell, faults, seed), body);
     let expect = faults.expectation(cell.p);
     // Only virtual time has no scheduling slack to forgive.
-    let budget = (matches!(world, World::Sim { .. }) && faults != Faults::None).then(|| {
-        (faults.op_budget(cell.p, cell.op.resilient_algorithm().is_some()), Faults::QUIESCE.1)
-    });
+    let budget = (matches!(world, World::Sim { .. }) && faults != Faults::None)
+        .then(|| (faults.op_budget(), Faults::QUIESCE.1));
     let mut failure = None;
     let mut verdicts = Vec::with_capacity(cell.p);
     let mut digest = 0xC0FF_EE00_5EED_0001u64;
@@ -331,14 +323,14 @@ pub fn run_cell(cell: &Cell, faults: Faults, seed: u64, world: &World) -> CellOu
             RankVerdict::TypedError("violation".to_string())
         });
         digest = match &verdict {
-            RankVerdict::Lossless(bytes) => digest_rank_buf(digest, me, bytes),
-            RankVerdict::Holes(holes) => holes.iter().fold(mix(digest ^ 1), |d, &h| mix(d ^ h as u64)),
+            RankVerdict::Complete(bytes) => digest_rank_buf(digest, me, bytes),
+            RankVerdict::Recovered(bytes, outcome) => {
+                let d = digest_rank_buf(mix(digest ^ 1), me, bytes);
+                digest_rank_buf(d, me, format!("{outcome:?}").as_bytes())
+            }
             RankVerdict::TypedError(e) => digest_rank_buf(mix(digest ^ 2), me, e.as_bytes()),
         };
         verdicts.push(verdict);
-    }
-    if failure.is_none() {
-        failure = judge_world(cell, &verdicts, expect).err();
     }
     CellOutcome { failure, verdicts, digest, trace: launched.trace, steps: launched.steps }
 }
@@ -422,20 +414,18 @@ mod tests {
         }
     }
 
-    /// Crash cells sit out their deadlines in virtual time: the resilient
-    /// driver's dead rank fails typed and a survivor stays usable; a
-    /// collective's dead rank (four fault-level ops is less than one
-    /// doubling step's send + ack + recv + ack) aborts typed.
+    /// Crash cells sit out their deadlines in virtual time and recover:
+    /// the dead rank fails typed, every survivor ends `Recovered` on the
+    /// survivor view — an `alltoallv` and a collective alike.
     #[test]
-    fn crash_cells_degrade_typed_within_the_exact_budget() {
-        let r = run_cell(&cell(two_phase(), 4, 32, 2), Faults::Crash, 2, &World::sim(2));
-        assert!(r.ok(), "{:?}", r.failure);
-        assert!(matches!(r.verdicts[3], RankVerdict::TypedError(_)));
-        assert!(r.verdicts[..3].iter().any(|v| !matches!(v, RankVerdict::TypedError(_))));
-        let agv = cell(Op::Allgatherv(AllgathervAlgorithm::Bruck), 5, 9, 2);
-        let r = run_cell(&agv, Faults::Crash, 2, &World::sim(2));
-        assert!(r.ok(), "{:?}", r.failure);
-        assert!(matches!(r.verdicts[4], RankVerdict::TypedError(_)));
+    fn crash_cells_recover_within_the_exact_budget() {
+        let agv = Op::Allgatherv(AllgathervAlgorithm::Bruck);
+        for (op, p, n_max) in [(two_phase(), 4, 32), (agv, 5, 9)] {
+            let r = run_cell(&cell(op, p, n_max, 2), Faults::Crash, 2, &World::sim(2));
+            assert!(r.ok(), "{}: {:?}", op.label(), r.failure);
+            assert!(matches!(r.verdicts[p - 1], RankVerdict::TypedError(_)), "{:?}", r.verdicts);
+            assert!(r.verdicts[..p - 1].iter().all(|v| matches!(v, RankVerdict::Recovered(..))));
+        }
     }
 
     #[test]

@@ -21,9 +21,9 @@ use crate::cells::{Harness, Row};
 use crate::cli::save_witness;
 use crate::runner::{run_cell, run_twice, shrink_trace, World};
 
-/// Watchdog bound of a real-clock canary cell: a crash cell sits out
-/// roughly [`Faults::op_budget`](crate::cells::Faults::op_budget) (≈ 16 s
-/// at P = 5) in the worst case.
+/// Watchdog bound of a real-clock canary cell: a crash cell sits out at
+/// most [`Faults::op_budget`](crate::cells::Faults::op_budget) (≈ 33.6 s:
+/// four attempts, three backoffs, four confirms) plus the 2 s quiesce.
 pub const CANARY_WALL_BOUND: Duration = Duration::from_secs(60);
 
 /// Run every row — twice on the simulator, once under the watchdog for a

@@ -1,7 +1,7 @@
 //! Failure detection: proof-of-life heartbeat sweeps with suspicion
 //! timeouts, over any [`Communicator`].
 //!
-//! The resilient exchange drivers can *report* a fault (a timeout, a
+//! An operation can *report* a fault (a timeout, a
 //! [`crate::CommError::RankFailed`] from an ARQ layer), but a single error
 //! names at most one peer and may be a symptom, not the root cause. This
 //! module turns "something went wrong" into a concrete local *suspicion

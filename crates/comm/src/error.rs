@@ -11,8 +11,9 @@ use std::time::Duration;
 /// programs never see them. *Runtime faults* ([`CommError::Timeout`],
 /// [`CommError::RankFailed`]) are different — they are expected outcomes on a
 /// lossy or partially-failed system, raised by the deadline-aware receives and
-/// by [`crate::ReliableComm`]'s bounded retry, and the resilient drivers in
-/// `bruck-core` branch on them to degrade gracefully instead of hanging.
+/// by [`crate::ReliableComm`]'s bounded retry, and `bruck-core`'s recovering
+/// driver turns them into an abort vote, then a shrink and a retry, instead
+/// of a hang.
 ///
 /// The enum is `#[non_exhaustive]`: downstream matches must carry a wildcard
 /// arm, so future fault variants are not a breaking change.

@@ -29,7 +29,10 @@
 //! before the sweep, so a frame landing mid-pass ends the park at once, and a
 //! pass that finds the count where the last complete sweep left it skips its
 //! P − 1 probes. An untimed receive with nothing in flight parks unbounded,
-//! which the simulator can prove stuck.
+//! which the simulator can prove stuck. A caller that parks on the wrapper's
+//! own `wait_arrival` between probes (the failure detector, an agreement
+//! round) gets a service pass first and wakes by the next retransmission, so
+//! its own lost frames keep moving while it waits for its peers'.
 //!
 //! ## Three rules
 //!
@@ -54,8 +57,8 @@
 //! 3. **A failure is reported only by operations addressed to the failed
 //!    peer**: the next send to it, a receive *from* it once nothing of its is
 //!    stashed, and `flush` / `quiesce`. Never by a receive from a live peer —
-//!    callers (the resilient fallback) book a failed receive against its
-//!    source, which would turn a healthy peer into a hole.
+//!    callers (the failure detector, the agreement) book a failure against
+//!    the rank it names, which would evict a healthy peer.
 //!
 //! ## Costs
 //!
@@ -466,16 +469,28 @@ impl<C: Communicator + ?Sized> Communicator for ReliableComm<'_, C> {
     }
 
     fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
-        // The wire's count: acks and other channels' frames move it too, so a
-        // caller may wake early; its re-sweep through `probe` services them.
-        self.inner.wait_arrival(seen, timeout)
+        if timeout.is_zero() {
+            return self.inner.wait_arrival(seen, timeout);
+        }
+        // Park no longer than this rank's next retransmission, after a
+        // service pass that arms and resends what is overdue: a caller parked
+        // here between probes (the failure detector, an agreement round)
+        // would otherwise sit on its own lost frames while the peers waiting
+        // for them time out. The count is the wire's: acks and other
+        // channels' frames move it too, so a caller may wake early; its
+        // re-sweep through `probe` services them.
+        let count = self.inner.wait_arrival(0, Duration::ZERO)?;
+        let (_, next_due) = self.service(&mut self.lock(), count)?;
+        self.inner.wait_arrival(seen, timeout.min(next_due))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EdgeFaults, FaultComm, FaultPlan, ReduceOp, ThreadComm};
+    use crate::{
+        EdgeFaults, FaultComm, FaultKind, FaultPlan, ReduceOp, SimComm, SimConfig, ThreadComm,
+    };
     use std::time::Instant;
 
     fn quick_cfg() -> ReliableConfig {
@@ -570,6 +585,46 @@ mod tests {
             }
             // Rank 1 simply exits; it never sees a verified frame.
         });
+    }
+
+    #[test]
+    fn a_rank_parked_on_wait_arrival_keeps_retransmitting() {
+        // The failure detector and the agreement wait by parking on
+        // `wait_arrival` between probes. Rank 0's ping may be lost on the
+        // way to rank 1; then only a retransmission from rank 0, due while
+        // rank 0 is parked waiting for the pong, ends either wait in time.
+        let mut lost_first = 0;
+        for seed in 0..8 {
+            let report = SimComm::try_run(2, &SimConfig::from_seed(seed), |comm| {
+                let edge = EdgeFaults { drop: 0.5, ..EdgeFaults::default() };
+                let fc = FaultComm::new(comm, FaultPlan::new(seed).with_edge(0, 1, edge));
+                let rc = ReliableComm::with_config(&fc, quick_cfg());
+                let (me, peer) = (rc.rank(), 1 - rc.rank());
+                if me == 0 {
+                    rc.send(1, 7, b"ping")?;
+                }
+                let deadline = rc.now() + Duration::from_secs(1);
+                let mut seen = rc.wait_arrival(0, Duration::ZERO)?;
+                while rc.probe(peer, 7)?.is_none() {
+                    let now = rc.now();
+                    if now >= deadline {
+                        return Err(CommError::Timeout { src: peer, tag: 7, waited: now });
+                    }
+                    seen = rc.wait_arrival(seen, deadline - now)?;
+                }
+                rc.recv(peer, 7)?;
+                if me == 1 {
+                    rc.send(0, 7, b"pong")?;
+                }
+                Ok(fc.log().iter().any(|e| e.kind == FaultKind::Dropped && e.edge_msg == 0))
+            });
+            for (rank, out) in report.outcomes.iter().enumerate() {
+                let lost = out.as_ref().expect("no panic").as_ref();
+                let lost = lost.unwrap_or_else(|e| panic!("seed {seed} rank {rank}: {e}"));
+                lost_first += usize::from(*lost);
+            }
+        }
+        assert!(lost_first > 0, "no seed lost the first ping");
     }
 
     #[test]

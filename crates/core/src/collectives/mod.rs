@@ -38,9 +38,7 @@ pub use reference::{
     reference_reduce_scatter,
 };
 
-use std::time::Duration;
-
-use bruck_comm::{CommError, CommResult, Communicator, DeadlineComm, ReduceOp};
+use bruck_comm::{CommError, CommResult, Communicator, ReduceOp};
 
 /// Allgatherv schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -189,56 +187,6 @@ pub fn allreduce<C: Communicator + ?Sized>(
         AllreduceAlgorithm::ReduceScatterAllgather => {
             allreduce::allreduce_rs_ag(comm, buf, op)
         }
-    }
-}
-
-/// How a deadline-bounded collective attempt ended.
-///
-/// The typed partial outcome the chaos gauntlet asserts on: a scripted
-/// crash in the world must surface here as `Aborted` with the typed fault
-/// error, never as a hang, a panic, or a silently wrong buffer.
-#[derive(Debug)]
-pub enum CollectiveOutcome<T> {
-    /// The collective ran to completion within the deadline.
-    Complete(T),
-    /// A typed fault (peer death or deadline expiry) ended the attempt;
-    /// the operation made no completion claim and its output buffers are
-    /// unspecified.
-    Aborted {
-        /// The typed fault that ended the attempt.
-        error: CommError,
-    },
-}
-
-impl<T> CollectiveOutcome<T> {
-    /// Did the attempt complete?
-    pub fn is_complete(&self) -> bool {
-        matches!(self, CollectiveOutcome::Complete(_))
-    }
-}
-
-/// Run a collective closure under a deadline, mapping *typed* fault errors
-/// ([`CommError::Timeout`], [`CommError::RankFailed`]) to a
-/// [`CollectiveOutcome::Aborted`] instead of an `Err`.
-///
-/// Anything else — bad arguments, truncation, divergence — stays an error:
-/// those are bugs, not faults, and the chaos harness fails the cell on them.
-pub fn collective_with_deadline<C, T, F>(
-    comm: &C,
-    deadline: Duration,
-    f: F,
-) -> CommResult<CollectiveOutcome<T>>
-where
-    C: Communicator + ?Sized,
-    F: FnOnce(&DeadlineComm<'_, C>) -> CommResult<T>,
-{
-    let dc = DeadlineComm::new(comm, deadline);
-    match f(&dc) {
-        Ok(v) => Ok(CollectiveOutcome::Complete(v)),
-        Err(error @ (CommError::Timeout { .. } | CommError::RankFailed { .. })) => {
-            Ok(CollectiveOutcome::Aborted { error })
-        }
-        Err(e) => Err(e),
     }
 }
 
@@ -489,28 +437,5 @@ mod tests {
         let vals = vec![0u64, 1, u64::MAX, 0xDEAD_BEEF];
         assert_eq!(bytes_to_u64s(&u64s_to_bytes(&vals)).unwrap(), vals);
         assert!(bytes_to_u64s(&[1, 2, 3]).is_err());
-    }
-
-    #[test]
-    fn deadline_wrapper_passes_results_through() {
-        ThreadComm::run(3, |comm| {
-            let out = collective_with_deadline(comm, Duration::from_secs(5), |dc| {
-                let mut recv = vec![0u8; 3];
-                allgatherv(
-                    AllgathervAlgorithm::Bruck,
-                    dc,
-                    &[comm.rank() as u8],
-                    &mut recv,
-                    &[1, 1, 1],
-                    &[0, 1, 2],
-                )?;
-                Ok(recv)
-            })
-            .unwrap();
-            match out {
-                CollectiveOutcome::Complete(buf) => assert_eq!(buf, vec![0, 1, 2]),
-                CollectiveOutcome::Aborted { error } => panic!("aborted: {error}"),
-            }
-        });
     }
 }

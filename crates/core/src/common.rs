@@ -76,22 +76,11 @@ pub const RANKA_STAGE1_TAG: Tag = 0x0600;
 /// Tag for the Ranka two-stage algorithm's forwarding stage.
 pub const RANKA_STAGE2_TAG: Tag = 0x0601;
 
-/// Base tag for the resilient driver's fallback pairwise exchange. Disjoint
-/// from every algorithm tag above so fallback traffic can never match a
-/// message left in flight by the abandoned primary attempt. The driver adds
-/// its epoch (mod [`RESILIENT_EPOCH_SPAN`]) to keep successive degraded
-/// exchanges on the same communicator from matching each other's strays.
-pub const RESILIENT_FALLBACK_TAG: Tag = 0x0700;
-
-/// Number of distinct fallback tags before epoch reuse wraps around.
-pub const RESILIENT_EPOCH_SPAN: u32 = 0x100;
-
 // ---------------------------------------------------------------------------
 // The wider collective family (allgatherv / reduce_scatter / allreduce /
 // PAT) owns the 0x0800..0x0FFF block — disjoint from every alltoallv tag
-// above and from the resilient fallback span, so composed collectives (the
-// reduce_scatter + allgatherv allreduce) can never match a stray alltoallv
-// frame. `bruck-model`'s trace generators tag their steps by calling the
+// above, so composed collectives (the reduce_scatter + allgatherv allreduce)
+// can never match a stray alltoallv frame. `bruck-model`'s trace generators tag their steps by calling the
 // functions below, so the two crates share one definition of every tag.
 // ---------------------------------------------------------------------------
 

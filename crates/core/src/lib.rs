@@ -46,12 +46,11 @@
 //!
 //! ## Faults and recovery
 //!
-//! [`resilient_alltoallv`] runs one exchange under a deadline and degrades
-//! to typed holes ([`ExchangeOutcome`]); [`collective_with_deadline`] bounds
-//! any operation the same way ([`CollectiveOutcome`]). [`recovering`] is the
-//! one recovery driver: it runs an operation on a survivor view, confirms
-//! every attempt with failure detection and agreement, and shrinks the view
-//! and retries until an attempt commits ([`Recovered`], [`RecoveringConfig`]).
+//! [`recovering`] is the one fault path: it runs an operation on a survivor
+//! view under one deadline, confirms every attempt with failure detection
+//! and agreement, and shrinks the view and retries until an attempt commits
+//! ([`Recovered`], [`RecoveringConfig`]). A caller ends with its operation's
+//! value, on the whole view or on the survivors, or with a typed error.
 //! [`recovering_alltoallv`] is that driver over one `alltoallv`.
 //!
 //! ## Model — §3.3
@@ -100,17 +99,16 @@ mod radix;
 mod uniform;
 
 pub use collectives::{
-    allgatherv, allreduce, collective_with_deadline, pattern_byte, pattern_u64, reduce_scatter,
-    reference_allgatherv, reference_allreduce, reference_reduce_scatter, AllgathervAlgorithm,
-    AllreduceAlgorithm, CollectiveOutcome, ReduceScatterAlgorithm,
+    allgatherv, allreduce, pattern_byte, pattern_u64, reduce_scatter, reference_allgatherv,
+    reference_allreduce, reference_reduce_scatter, AllgathervAlgorithm, AllreduceAlgorithm,
+    ReduceScatterAlgorithm,
 };
 pub use memory::memory_overhead_bytes;
 pub use nonuniform::{
     alltoallv, alltoallv_discover, configurable_alltoallv, configurable_alltoallv_general, packed_displs, pattern,
-    piece_len, recovering, recovering_alltoallv, reference_alltoallv, resilient_alltoallv,
-    AlltoallvAlgorithm, EngineConfig, EngineTopology, ExchangeOutcome, IntermediateLayout, Mttr,
-    PaddingRule, PartialExchange, Recovered, RecoveringConfig, RecoveryOutcome, ResilientConfig,
-    VENDOR_WINDOW,
+    piece_len, recovering, recovering_alltoallv, reference_alltoallv, AlltoallvAlgorithm,
+    EngineConfig, EngineTopology, IntermediateLayout, Mttr, PaddingRule, Recovered,
+    RecoveringConfig, RecoveryOutcome, VENDOR_WINDOW,
 };
 pub use radix::{radix_schedule, radix_step_rel_indices, zero_rotation_bruck_radix};
 pub use uniform::{alltoall, reference_alltoall, AlltoallAlgorithm};

@@ -11,7 +11,6 @@ mod engine;
 mod hierarchical;
 mod recovering;
 mod reference;
-mod resilient;
 mod two_stage;
 
 // `configurable_alltoallv_general` is the same function under the name the
@@ -25,7 +24,6 @@ pub use recovering::{
     recovering, recovering_alltoallv, Mttr, Recovered, RecoveringConfig, RecoveryOutcome,
 };
 pub use reference::{pattern, reference_alltoallv};
-pub use resilient::{resilient_alltoallv, ExchangeOutcome, PartialExchange, ResilientConfig};
 pub use two_stage::piece_len;
 
 use bruck_comm::{CommError, CommResult, Communicator};

@@ -1,18 +1,20 @@
 //! Multi-epoch self-healing: one driver — detect → agree → shrink → retry —
-//! around any operation on a communicator.
+//! around any operation on a communicator, and the workspace's one fault
+//! path: an operation that must survive a crash runs through [`recovering`].
 //!
-//! [`resilient_alltoallv`](super::resilient_alltoallv) degrades gracefully
-//! *within* one exchange, but leaves the membership question to the caller:
-//! the dead rank is still part of the world, and the next operation trips
-//! over it again. [`recovering`] closes that loop, ULFM-style. Every attempt
-//! is the same three steps (DESIGN.md §14.1):
+//! A peer's death ends an operation on the caller's side with a typed fault,
+//! but leaves the membership question open: the dead rank is still part of
+//! the world, and the next operation trips over it again. [`recovering`]
+//! closes that loop, ULFM-style. Every attempt is the same three steps
+//! (DESIGN.md §14.1):
 //!
 //! 1. **Execute.** Run the operation on a [`ShrinkComm`] of the current
 //!    survivor view — a dense world whose epoch isolates this attempt's
-//!    traffic from every other attempt's strays — through
-//!    [`collective_with_deadline`]: the whole operation, however many
-//!    exchanges it is, runs under one deadline, and a peer's death ends it
-//!    as a typed abort instead of a hang.
+//!    traffic from every other attempt's strays — behind one
+//!    [`DeadlineComm`]: the whole operation, however many exchanges it is,
+//!    runs under one deadline, and a peer's death or the deadline ends it as
+//!    this rank's abort vote instead of a hang. Any other error (a bad
+//!    argument, a truncation) is the caller's bug and propagates.
 //! 2. **Confirm.** Always [`detect_failures`] (seeded heartbeats over the
 //!    view, on the trait clock), then [`agree_survivors`] (flooded suspicion
 //!    bitmaps plus this rank's dirty vote: "my attempt aborted").
@@ -30,19 +32,19 @@
 //! The caller observes one of three endings: a value on the original view
 //! ([`RecoveryOutcome::Complete`]), a value on a *shrunken* view plus an MTTR
 //! breakdown ([`RecoveryOutcome::Recovered`]), or a typed error (this rank
-//! died / was evicted / retries exhausted). Because every wait is on the
-//! trait clock, the entire cycle is deterministic and replayable under
-//! `SimComm`, and the MTTR numbers are virtual-time exact.
+//! died / was evicted / retries exhausted). There are no partial results:
+//! a value is always the whole operation's on its view. Because every wait
+//! is on the trait clock, the entire cycle is deterministic and replayable
+//! under `SimComm`, and the MTTR numbers are virtual-time exact.
 
 use std::time::Duration;
 
 use bruck_comm::{
     agree_survivors, detect_failures, AgreeConfig, CommError, CommResult, Communicator,
-    DetectorConfig, RetryPolicy, ShrinkComm, Suspicion,
+    DeadlineComm, DetectorConfig, RetryPolicy, ShrinkComm, Suspicion,
 };
 
 use super::{alltoallv_discover, packed_displs, AlltoallvAlgorithm, EngineConfig};
-use crate::collectives::{collective_with_deadline, CollectiveOutcome};
 use crate::probe::span;
 
 /// Budgets for every stage of the detect → agree → shrink → retry cycle.
@@ -165,8 +167,9 @@ pub struct Recovered<T> {
 /// every member calls the same operation. It runs once per attempt, so it
 /// rebuilds its inputs for the view it is given.
 ///
-/// Errors are crash-only: bad arguments, a non-fault error from `op`, this
-/// rank dead or evicted, or retries exhausted (the last fault).
+/// Errors are crash-only: bad arguments, a non-fault error from `op` (on the
+/// attempt that raised it, without a confirm), this rank dead or evicted, or
+/// retries exhausted (the last fault).
 pub fn recovering<C, T, F>(
     cfg: &RecoveringConfig,
     comm: &C,
@@ -202,17 +205,16 @@ where
         let exec_start = comm.now();
         let cur = ShrinkComm::new(comm, view.clone(), epoch)?;
 
-        // Any fault that does not name *us* becomes this rank's abort vote.
         let local = {
             let _probe = span("recovering.attempt");
-            collective_with_deadline(&cur, cfg.deadline, |dc| op(dc, &view))?
+            op(&DeadlineComm::new(&cur, cfg.deadline), &view)
         };
+        // A typed fault that does not name *us* becomes this rank's abort
+        // vote; any other error is a bug, not a fault, and propagates.
         let local = match local {
-            CollectiveOutcome::Complete(value) => Ok(value),
-            CollectiveOutcome::Aborted { error } => match error {
-                CommError::RankFailed { rank } if rank == me => return Err(error),
-                _ => Err(error),
-            },
+            Err(e @ CommError::RankFailed { rank }) if rank == me => return Err(e),
+            Err(e @ (CommError::Timeout { .. } | CommError::RankFailed { .. })) => Err(e),
+            other => Ok(other?),
         };
 
         // Confirmation: EVERY attempt — success or not — ends in detect +
@@ -328,7 +330,8 @@ mod tests {
     use super::*;
     use crate::nonuniform::testutil::pattern;
     use bruck_comm::{
-        FaultComm, FaultPlan, MeteredComm, Metrics, SimComm, SimConfig, Tag, RESERVED_TAG_BASE,
+        EdgeFaults, FaultComm, FaultPlan, MeteredComm, Metrics, ReliableComm, ReliableConfig,
+        SimComm, SimConfig, Tag, RESERVED_TAG_BASE,
     };
 
     fn quick() -> RecoveringConfig {
@@ -503,7 +506,66 @@ mod tests {
                 recovering_alltoallv(&cfg, comm, algo, &view, &[1, 1, 1], &[0u8; 2]),
                 Err(CommError::BadArgument(_))
             ));
+            // A caller bug inside the operation (sendcounts of the wrong
+            // length) propagates from the attempt that raised it: it is not
+            // an abort vote, so there is no confirm and no second attempt.
+            let mut attempts = 0;
+            let bad = recovering(&cfg, comm, &view, |c, _| {
+                attempts += 1;
+                let mut recvbuf = [0u8; 4];
+                crate::alltoallv(algo, c, &[0u8; 4], &[4], &[0], &mut recvbuf, &[2, 2], &[0, 2])
+            });
+            assert!(matches!(bad, Err(CommError::BadArgument(_))), "{bad:?}");
+            assert_eq!(attempts, 1);
             Ok::<(), CommError>(())
         });
+    }
+
+    #[test]
+    fn a_dead_edge_ends_typed_or_recovered_on_one_view() {
+        // Every frame on edge 0 → 1 is dropped below the ARQ, so 0's data
+        // to 1 and 0's acks of 1's data never arrive: each endpoint's ARQ
+        // declares the other dead. Nobody may hang; whoever recovers holds
+        // the same view, without at least one endpoint, and its bytes.
+        let (p, n) = (3, 8);
+        let report = SimComm::try_run(p, &SimConfig::from_seed(1), move |comm| {
+            let plan = FaultPlan::new(1)
+                .with_edge(0, 1, EdgeFaults { drop: 1.0, ..EdgeFaults::default() });
+            let fc = FaultComm::new(comm, plan);
+            let reliable = ReliableConfig {
+                ack_timeout: Duration::from_millis(5),
+                max_retries: 3,
+                backoff_cap: Duration::from_millis(20),
+            };
+            let rc = ReliableComm::with_config(&fc, reliable);
+            let view: Vec<usize> = (0..p).collect();
+            let (buf, counts) = build_view_send(rc.rank(), &view, n);
+            let algo = AlltoallvAlgorithm::TwoPhaseBruck;
+            recovering_alltoallv(&quick(), &rc, algo, &view, &counts, &buf)
+        });
+        let mut views = Vec::new();
+        for (rank, out) in report.outcomes.iter().enumerate() {
+            match out.as_ref().expect("no panic") {
+                Err(e) => {
+                    assert!(matches!(e, CommError::RankFailed { .. }), "rank {rank}: {e:?}");
+                    views.push(None);
+                }
+                Ok(rec) => {
+                    assert!(!rec.view.contains(&0) || !rec.view.contains(&1), "{:?}", rec.view);
+                    let (bytes, _) = &rec.value;
+                    let want: Vec<u8> = (rec.view.iter())
+                        .flat_map(|&src| (0..n).map(move |idx| pattern(src, rank, idx)))
+                        .collect();
+                    assert_eq!(bytes, &want, "rank {rank}");
+                    views.push(Some((rec.view.clone(), rec.outcome.clone())));
+                }
+            }
+        }
+        // Both endpoints are evicted; rank 2 finishes alone.
+        let Some((view, RecoveryOutcome::Recovered { evicted, .. })) = &views[2] else {
+            panic!("rank 2 must recover: {views:?}");
+        };
+        assert_eq!((view.as_slice(), evicted.as_slice()), (&[2][..], &[0, 1][..]));
+        assert_eq!((&views[0], &views[1]), (&None, &None));
     }
 }

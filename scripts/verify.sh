@@ -71,27 +71,28 @@ stage clippy clippy_gate
 # binary's summary line prints `cells: N`, so coverage reads next to the wall
 # time in the table below.
 stage bruck-check cargo run --release -p bruck-check --bin bruck-check
-# Dynamic fault-tolerance gate (DESIGN.md §9): the op × fault-plan battery
-# on SimComm's virtual clock, asserting the crash-only property against exact
-# budgets, every cell run twice (< 2 s for all of it). The rest of the
-# stage's time is three real-clock cells on ThreadComm — two-phase x lossy,
-# two-phase x crash, one collective x crash — kept as the canary that virtual
-# time is not hiding a wall-clock dependence in the ARQ, the resilient
-# fallback or the collective deadline wrapper; the crash ones sit out real
-# deadlines. Seeds can be overridden with `--seeds 1,2,3`.
-stage chaos-smoke cargo run --release -p bruck-check --bin bruck-chaos -- --smoke
-# Self-healing recovery gate (DESIGN.md §14): the nine alltoallv algorithms,
-# a transitive-closure fixpoint and the eight collective schedules, each with
-# a victim scripted to crash at its first / quarter / half / last op on a
-# 5-rank simulated world, driven by the one recovering driver (detect ->
-# agree -> shrink -> retry) to a typed Recovered ending — byte-correct on the
-# survivor view, same-seed digest-deterministic. Virtual-time MTTR per row
-# (detection waits out its whole window, 1.25 x the 600 ms deadline, in every
-# row) is compared against the committed BENCH_PR8.json (> 1.6x drift
+# Dynamic fault-tolerance gate (DESIGN.md §9, §14): every cell through the
+# one fault path, the recovering driver (detect -> agree -> shrink -> retry).
+# First the op x fault-plan battery on SimComm's virtual clock under
+# FaultComm -> ReliableComm -> MeteredComm, against exact budgets, every cell
+# run twice (~4 s): repair-only plans must commit the first attempt on every
+# rank; a crash must leave the victim typed and every survivor Recovered on
+# the survivor view with that view's bytes. Three of its rows are real-clock
+# cells on ThreadComm — two-phase x lossy, two-phase x crash, one collective
+# x crash — kept as the canary that virtual time is not hiding a wall-clock
+# dependence in the ARQ or the driver; the crash ones sit out a real 2 s
+# deadline and detector window (~6 s of the stage). Then the recovery matrix:
+# the nine alltoallv algorithms, a transitive-closure fixpoint and the eight
+# collective schedules, each with a victim scripted to crash at its first /
+# quarter / half / last op on a 5-rank simulated world over bare FaultComm,
+# same contract, same-seed digest-deterministic. Its virtual-time MTTR per
+# row (detection waits out its whole window, 1.25 x the 600 ms deadline, in
+# every row) is compared against the committed BENCH_PR8.json (> 1.6x drift
 # advisory, > 8x fails; MTTR is virtual-time, so drift means the protocol
-# itself changed). Regenerate with:
-#   cargo run --release -p bruck-check --bin bruck-chaos -- --recovery-smoke --out BENCH_PR8.json
-stage recovery-smoke cargo run --release -p bruck-check --bin bruck-chaos -- --recovery-smoke --check-against BENCH_PR8.json
+# itself changed). Seeds can be overridden with `--seeds 1,2,3`. Regenerate
+# the baseline with:
+#   cargo run --release -p bruck-check --bin bruck-chaos -- --smoke --out BENCH_PR8.json
+stage chaos-smoke cargo run --release -p bruck-check --bin bruck-chaos -- --smoke --check-against BENCH_PR8.json
 # Deterministic-simulation gate (DESIGN.md §11): the registry's cell ×
 # schedule-seed rows under the cooperative SimComm scheduler. Every cell
 # runs twice and must produce byte-identical traces and results; on failure

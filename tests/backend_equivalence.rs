@@ -12,11 +12,12 @@
 //!
 //! The matrix covers all nine [`AlltoallvAlgorithm`]s across two workload
 //! distributions and several world sizes, plus one fault-stack cell
-//! (`FaultComm` → `ReliableComm` → `resilient_alltoallv`) proving the
-//! wrapper stack composes unchanged over the new runtime: the fault plan
-//! injects repair-only faults (drop / duplicate / corrupt — no crash), so
-//! the ARQ layer must restore exactly-once delivery and the recovered bytes
-//! must match on every backend.
+//! (`FaultComm` → `ReliableComm` → [`recovering_alltoallv`], the one fault
+//! path) proving the wrapper stack and the recovering driver compose
+//! unchanged over every runtime: the fault plan injects repair-only faults
+//! (drop / duplicate / corrupt — no crash), so the ARQ layer must restore
+//! exactly-once delivery, every rank must commit the first attempt, and the
+//! bytes must match on every backend.
 
 use std::time::Duration;
 
@@ -25,7 +26,8 @@ use bruck_comm::{
     ThreadComm,
 };
 use bruck_core::{
-    alltoallv, packed_displs, resilient_alltoallv, AlltoallvAlgorithm, ResilientConfig,
+    alltoallv, packed_displs, recovering_alltoallv, AlltoallvAlgorithm, RecoveringConfig,
+    RecoveryOutcome,
 };
 use bruck_workload::{Distribution, SizeMatrix};
 
@@ -117,9 +119,10 @@ fn event_matches_thread_at_p_128() {
 }
 
 /// One rank's side of the fault-stack cell: repair-only faults injected
-/// below an ARQ layer below the resilient driver. The plan has no crashes
-/// and no stalls, so the exchange must come back lossless on every backend.
-fn resilient_exchange<C: Communicator + ?Sized>(comm: &C, m: &SizeMatrix) -> Vec<u8> {
+/// below an ARQ layer below the recovering driver. The plan has no crashes
+/// and no stalls, so every rank must commit the first attempt on the whole
+/// world, on every backend.
+fn recovering_exchange<C: Communicator + ?Sized>(comm: &C, m: &SizeMatrix) -> Vec<u8> {
     let p = m.p();
     let plan = FaultPlan::new(0xFA17).with_drop(0.04).with_duplicate(0.04).with_corrupt(0.03);
     let fc = FaultComm::new(comm, plan);
@@ -131,30 +134,18 @@ fn resilient_exchange<C: Communicator + ?Sized>(comm: &C, m: &SizeMatrix) -> Vec
             backoff_cap: Duration::from_millis(60),
         },
     );
-    let rcfg = ResilientConfig {
-        algorithm: AlltoallvAlgorithm::TwoPhaseBruck,
-        deadline: Duration::from_secs(4),
-        commit_timeout: Duration::from_secs(1),
-        peer_timeout: Duration::from_secs(2),
-        epoch: 0,
-    };
     let me = rc.rank();
     let sendcounts = m.sendcounts(me);
-    let sdispls = packed_displs(&sendcounts);
-    let mut sendbuf = vec![0u8; sendcounts.iter().sum()];
-    for dst in 0..p {
-        for idx in 0..sendcounts[dst] {
-            sendbuf[sdispls[dst] + idx] = pat(me, dst, idx);
-        }
-    }
-    let recvcounts = m.recvcounts(me);
-    let rdispls = packed_displs(&recvcounts);
-    let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
-    let outcome = resilient_alltoallv(
-        &rcfg, &rc, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
-    )
-    .unwrap_or_else(|e| panic!("rank {me}: resilient exchange failed: {e}"));
-    assert!(outcome.is_lossless(), "rank {me}: lossy outcome {outcome:?} under repair-only plan");
+    let sendbuf: Vec<u8> =
+        (0..p).flat_map(|dst| (0..sendcounts[dst]).map(move |idx| pat(me, dst, idx))).collect();
+    let view: Vec<usize> = (0..p).collect();
+    let algo = AlltoallvAlgorithm::TwoPhaseBruck;
+    let cfg = RecoveringConfig::default();
+    let rec = recovering_alltoallv(&cfg, &rc, algo, &view, &sendcounts, &sendbuf)
+        .unwrap_or_else(|e| panic!("rank {me}: recovering exchange failed: {e}"));
+    assert_eq!(rec.outcome, RecoveryOutcome::Complete, "rank {me} under a repair-only plan");
+    let (recvbuf, recvcounts) = rec.value;
+    assert_eq!(recvcounts, m.recvcounts(me), "rank {me}");
     // Keep re-acking peers' retransmissions until the network goes quiet, so
     // no rank tears down while another still waits on an ack.
     rc.quiesce(Duration::from_millis(120), Duration::from_secs(2))
@@ -162,18 +153,15 @@ fn resilient_exchange<C: Communicator + ?Sized>(comm: &C, m: &SizeMatrix) -> Vec
     recvbuf
 }
 
-/// The fault-stack cell: `FaultComm` → `ReliableComm` → `resilient_alltoallv`
-/// composes unchanged over all three backends and repairs to identical bytes.
+/// The fault-stack cell: `FaultComm` → `ReliableComm` →
+/// `recovering_alltoallv` composes unchanged over all three backends and
+/// repairs to identical bytes.
 #[test]
 fn fault_stack_recovers_identical_bytes_on_every_backend() {
     let m = SizeMatrix::generate(Distribution::Uniform, 0xFA17, 5, 48);
-    let reference = on_thread_resilient(&m);
-    let sim = SimComm::run(m.p(), 0x51F7, |comm| resilient_exchange(comm, &m)).results;
+    let reference = ThreadComm::run(m.p(), |comm| recovering_exchange(comm, &m));
+    let sim = SimComm::run(m.p(), 0x51F7, |comm| recovering_exchange(comm, &m)).results;
     assert_eq!(sim, reference, "fault stack on SimComm diverges from ThreadComm");
-    let event = EventComm::run_pooled(m.p(), 2, |comm| resilient_exchange(comm, &m));
+    let event = EventComm::run_pooled(m.p(), 2, |comm| recovering_exchange(comm, &m));
     assert_eq!(event, reference, "fault stack on EventComm diverges from ThreadComm");
-}
-
-fn on_thread_resilient(m: &SizeMatrix) -> Vec<Vec<u8>> {
-    ThreadComm::run(m.p(), |comm| resilient_exchange(comm, m))
 }
