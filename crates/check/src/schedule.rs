@@ -445,8 +445,6 @@ mod tests {
             comm.barrier()?;
             let sum = comm.allreduce_u64(comm.rank() as u64 + 1, ReduceOp::Sum)?;
             assert_eq!(sum, 15);
-            let all = comm.allgather_u64(comm.rank() as u64 * 10)?;
-            assert_eq!(all, vec![0, 10, 20, 30, 40]);
             let counts = comm.alltoall_counts(&[1, 2, 3, 4, 5])?;
             assert_eq!(counts.len(), 5);
             Ok(())

@@ -14,7 +14,8 @@
 //! backend and the ARQ implement: the oldest message on `(src, tag)`, unless
 //! it is longer than `max_len` (refused *without consuming it*) or `timeout`
 //! elapses first; `usize::MAX` / [`Duration::MAX`] mean unbounded.
-//! `recv_buf`, `recv_into` and `recv_buf_timeout` are provided corners of it.
+//! `recv_buf`, `recv_into`, `recv_exact` and `recv_buf_timeout` are provided
+//! corners of it.
 //! It blocks on *one* `(src, tag)`; `wait_arrival` is how a
 //! protocol that must service *any* channel while it waits (an ARQ acking
 //! third-party frames, a heartbeat sweep, a flood) parks without a poll
@@ -47,8 +48,8 @@ use crate::{CommError, CommResult, MsgBuf, ReduceOp, Tag};
 pub const RESERVED_TAG_BASE: Tag = 0x4000_0000;
 
 const TAG_BARRIER: Tag = RESERVED_TAG_BASE;
-const TAG_ALLREDUCE: Tag = RESERVED_TAG_BASE + 1;
-const TAG_ALLGATHER: Tag = RESERVED_TAG_BASE + 2;
+/// Round 0 of [`Communicator::allreduce_u64`]; round `k` is this plus `k`.
+const TAG_ALLREDUCE: Tag = RESERVED_TAG_BASE + 3;
 const TAG_ALLTOALL_COUNTS: Tag = RESERVED_TAG_BASE + 4;
 
 /// The tail of the failure detector's and the agreement flood's service loops
@@ -68,15 +69,11 @@ pub(crate) fn await_arrival<C: Communicator + ?Sized>(
     comm.wait_arrival(seen, if idle { budget } else { Duration::ZERO })
 }
 
-/// Receive the one little-endian `u64` of a small collective's step. Its
-/// length comes from the peer, so a wrong one is a typed error, not a panic:
-/// a longer payload is [`CommError::Truncated`] (and stays queued), a shorter
-/// one [`CommError::BadArgument`].
+/// Receive the one little-endian `u64` of a small collective's step
+/// ([`Communicator::recv_exact`] of 8 bytes).
 fn recv_u64<C: Communicator + ?Sized>(comm: &C, src: usize, tag: Tag) -> CommResult<u64> {
     let mut word = [0u8; 8];
-    if comm.recv_into(src, tag, &mut word)? != word.len() {
-        return Err(CommError::BadArgument("short u64 collective payload"));
-    }
+    word.copy_from_slice(&comm.recv_exact(src, tag, 8)?);
     Ok(u64::from_le_bytes(word))
 }
 
@@ -178,6 +175,19 @@ pub trait Communicator: Sync {
         let msg = self.recv_match(src, tag, buf.len(), Duration::MAX)?;
         buf[..msg.len()].copy_from_slice(&msg);
         Ok(msg.len())
+    }
+
+    /// Blocking zero-copy receive of a payload whose length the caller knows,
+    /// as every collective step does. The length comes from the peer, so a
+    /// wrong one is a typed error, not a panic: a longer payload is
+    /// [`CommError::Truncated`] (and stays queued), a shorter one
+    /// [`CommError::BadArgument`].
+    fn recv_exact(&self, src: usize, tag: Tag, len: usize) -> CommResult<MsgBuf> {
+        let msg = self.recv_match(src, tag, len, Duration::MAX)?;
+        if msg.len() != len {
+            return Err(CommError::BadArgument("short collective payload"));
+        }
+        Ok(msg)
     }
 
     /// Zero-copy receive with a deadline: [`CommError::Timeout`] if no
@@ -285,78 +295,17 @@ pub trait Communicator: Sync {
         Ok(())
     }
 
-    /// All-reduce of a single `u64`.
-    ///
-    /// `Max` and `Min` are idempotent, so a value may reach a rank twice:
-    /// they run a dissemination, in which at step `k` every rank sends its
-    /// accumulator to `me + 2ᵏ` and folds in the one from `me − 2ᵏ` (mod
-    /// `P`). That is ⌈log₂ P⌉ one-way rounds at any `P`, one message per rank
-    /// per round, with no fold (a point of the any-`P` allreduce family of
-    /// arXiv 2004.09362). `Sum` must count every rank once, so it keeps
-    /// recursive doubling with the fold-in of the non-power-of-two remainder
-    /// ranks. Both use the reserved round tags.
+    /// All-reduce of a single `u64`: [`crate::reduce::allreduce_doubling`]
+    /// on a one-element slice, on the reserved round tags. That is
+    /// ⌈log₂ P⌉ one-way rounds at any `P`, one message per rank per round and
+    /// no fold (a point of the any-`P` allreduce family of arXiv 2004.09362).
+    /// `Max` and `Min` send the accumulator alone; `Sum`, which must count
+    /// every rank once, sends a second word on some rounds of a
+    /// non-power-of-two `P`.
     fn allreduce_u64(&self, value: u64, op: ReduceOp) -> CommResult<u64> {
-        let p = self.size();
-        let me = self.rank();
-        if p == 1 {
-            return Ok(value);
-        }
-        if op != ReduceOp::Sum {
-            let mut acc = value;
-            let mut dist = 1;
-            let mut round: Tag = 2;
-            while dist < p {
-                self.send((me + dist) % p, TAG_ALLREDUCE + round, &acc.to_le_bytes())?;
-                acc = op.apply(acc, recv_u64(self, (me + p - dist) % p, TAG_ALLREDUCE + round)?);
-                dist <<= 1;
-                round += 1;
-            }
-            return Ok(acc);
-        }
-        let m = p.next_power_of_two() >> if p.is_power_of_two() { 0 } else { 1 };
-        let rem = p - m; // ranks m..p fold into ranks 0..rem
-        let mut acc = value;
-        if me >= m {
-            self.send(me - m, TAG_ALLREDUCE, &acc.to_le_bytes())?;
-            return recv_u64(self, me - m, TAG_ALLREDUCE + 1);
-        }
-        if me < rem {
-            acc = op.apply(acc, recv_u64(self, me + m, TAG_ALLREDUCE)?);
-        }
-        let mut dist = 1;
-        let mut round: Tag = 2;
-        while dist < m {
-            let partner = me ^ dist;
-            self.send(partner, TAG_ALLREDUCE + round, &acc.to_le_bytes())?;
-            acc = op.apply(acc, recv_u64(self, partner, TAG_ALLREDUCE + round)?);
-            dist <<= 1;
-            round += 1;
-        }
-        if me < rem {
-            self.send(me + m, TAG_ALLREDUCE + 1, &acc.to_le_bytes())?;
-        }
-        Ok(acc)
-    }
-
-    /// Ring allgather of one `u64` per rank; result is indexed by rank.
-    fn allgather_u64(&self, value: u64) -> CommResult<Vec<u64>> {
-        let p = self.size();
-        let me = self.rank();
-        let mut out = vec![0u64; p];
-        out[me] = value;
-        if p == 1 {
-            return Ok(out);
-        }
-        let right = (me + 1) % p;
-        let left = (me + p - 1) % p;
-        // At step s we forward the value that originated at (me - s) mod p.
-        let mut carry = value;
-        for s in 0..p - 1 {
-            self.send(right, TAG_ALLGATHER + s as Tag, &carry.to_le_bytes())?;
-            carry = recv_u64(self, left, TAG_ALLGATHER + s as Tag)?;
-            out[(me + p - s - 1) % p] = carry;
-        }
-        Ok(out)
+        let mut acc = [value];
+        crate::reduce::allreduce_doubling(self, &mut acc, op, |k| TAG_ALLREDUCE + k, || ())?;
+        Ok(acc[0])
     }
 
     /// The "counts handshake" of every `alltoallv`: each rank learns how many
@@ -391,63 +340,69 @@ pub trait Communicator: Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventComm, MeteredComm, SimComm, ThreadComm};
+    use crate::{EventComm, MeteredComm, Metrics, SimComm, ThreadComm};
 
-    /// A payload four bytes short of a `u64`, and one four bytes too long.
-    const SHORT: &[u8] = &[1; 4];
-    const LONG: &[u8] = &[1; 12];
-
-    fn wrong_length(payload: &[u8]) -> CommError {
-        if payload.len() < 8 {
-            CommError::BadArgument("short u64 collective payload")
-        } else {
-            CommError::Truncated { message_len: payload.len(), buffer_len: 8 }
-        }
-    }
+    /// One message a rank sends the victim in place of its step.
+    type Scripted = (usize, Tag, Vec<u8>);
 
     /// What the honest rank `victim` of a `p`-rank world gets from `op` when
-    /// rank `rogue` sends it `payload` on `tag` in place of its step; the
-    /// other ranks sit out. Returned in rank order from both a `ThreadComm`
-    /// and a `SimComm` world.
+    /// the other ranks sit out and only send it `script`. Returned in rank
+    /// order from both a `ThreadComm` and a `SimComm` world.
     fn against_rogue<T>(
         p: usize,
-        (rogue, victim, tag): (usize, usize, Tag),
-        payload: &[u8],
+        victim: usize,
+        script: &[Scripted],
         op: impl Fn(&dyn Communicator) -> CommResult<T> + Sync,
     ) -> [Vec<Option<CommError>>; 2] {
         let rank = |comm: &dyn Communicator| {
-            if comm.rank() == rogue {
-                comm.send(victim, tag, payload).unwrap();
+            for (from, tag, payload) in script {
+                if comm.rank() == *from {
+                    comm.send(victim, *tag, payload).unwrap();
+                }
             }
             (comm.rank() == victim).then(|| op(comm).err()).flatten()
         };
         [ThreadComm::run(p, |comm| rank(comm)), SimComm::run(p, 3, |comm| rank(comm)).results]
     }
 
+    /// After the honest `setup` messages, rank `rogue` answers the victim's
+    /// step on `tag`, which carries `len` bytes, with four bytes too few and
+    /// then four too many: each must come back typed.
     fn assert_typed<T>(
         p: usize,
-        (rogue, victim, tag): (usize, usize, Tag),
+        victim: usize,
+        setup: &[Scripted],
+        (rogue, tag, len): (usize, Tag, usize),
         op: impl Fn(&dyn Communicator) -> CommResult<T> + Sync + Copy,
     ) {
-        for payload in [SHORT, LONG] {
-            for results in against_rogue(p, (rogue, victim, tag), payload, op) {
+        for wrong in [len - 4, len + 4] {
+            let mut script = setup.to_vec();
+            script.push((rogue, tag, vec![1; wrong]));
+            for results in against_rogue(p, victim, &script, op) {
                 let mut want = vec![None; p];
-                want[victim] = Some(wrong_length(payload));
-                assert_eq!(results, want, "p={p} tag={tag:#x} {} bytes", payload.len());
+                want[victim] = Some(if wrong < len {
+                    CommError::BadArgument("short collective payload")
+                } else {
+                    CommError::Truncated { message_len: wrong, buffer_len: len }
+                });
+                assert_eq!(results, want, "p={p} tag={tag:#x} {wrong} bytes");
             }
         }
     }
 
     #[test]
     fn allreduce_types_a_wrong_length_payload_from_a_rogue_peer() {
-        let op = |comm: &dyn Communicator| comm.allreduce_u64(5, ReduceOp::Sum);
-        // A recursive-doubling round, the fold-in and the unfold.
-        assert_typed(2, (1, 0, TAG_ALLREDUCE + 2), op);
-        assert_typed(3, (2, 0, TAG_ALLREDUCE), op);
-        assert_typed(3, (0, 2, TAG_ALLREDUCE + 1), op);
-        // A dissemination round: rank 0 hears from rank P − 1 first.
+        let sum = |comm: &dyn Communicator| comm.allreduce_u64(5, ReduceOp::Sum);
+        let word = |from: usize, round: Tag| (from, TAG_ALLREDUCE + round, vec![0; 8]);
+        // Round 0: rank 0 hears from rank P − 1 first.
+        assert_typed(2, 0, &[], (1, TAG_ALLREDUCE, 8), sum);
+        assert_typed(3, 0, &[], (2, TAG_ALLREDUCE, 8), sum);
+        // The last round of P = 3, which sends Y in place of W.
+        assert_typed(3, 2, &[word(1, 0)], (0, TAG_ALLREDUCE + 1, 8), sum);
+        // Round 1 of P = 7 carries two words, W and Y.
+        assert_typed(7, 0, &[word(6, 0)], (5, TAG_ALLREDUCE + 1, 16), sum);
         let max = |comm: &dyn Communicator| comm.allreduce_u64(5, ReduceOp::Max);
-        assert_typed(3, (2, 0, TAG_ALLREDUCE + 2), max);
+        assert_typed(3, 0, &[], (2, TAG_ALLREDUCE, 8), max);
     }
 
     #[test]
@@ -471,31 +426,35 @@ mod tests {
     }
 
     #[test]
-    fn max_is_one_message_per_rank_per_round_and_no_fold() {
-        for p in [3usize, 5, 6, 8, 12] {
-            let metrics = ThreadComm::run(p, |comm| {
-                let mc = MeteredComm::new(comm);
-                let max = mc.allreduce_u64(mc.rank() as u64, ReduceOp::Max).unwrap();
-                assert_eq!(max, p as u64 - 1);
-                mc.metrics()
-            });
-            let rounds = p.next_power_of_two().trailing_zeros() as u64;
-            for m in &metrics {
-                assert_eq!(m.reserved.sent_msgs, rounds, "P = {p} rank {}", m.rank);
-                let sent_on = |tag| m.sent_for_tag(tag).msgs;
-                assert_eq!(sent_on(TAG_ALLREDUCE) + sent_on(TAG_ALLREDUCE + 1), 0, "P = {p}: a fold");
+    fn allreduce_is_one_message_per_rank_per_round_and_no_fold() {
+        // (P, messages in the world, of them carrying `Sum`'s two words).
+        for (p, msgs, doubled) in [(3usize, 6u64, 0u64), (5, 15, 0), (6, 18, 0), (7, 21, 7), (12, 48, 0)] {
+            for op in ReduceOp::ALL {
+                let metrics = ThreadComm::run(p, |comm| {
+                    let mc = MeteredComm::new(comm);
+                    let value = |rank: usize| rank as u64 + 1;
+                    let want = (1..p).fold(value(0), |acc, r| op.apply(acc, value(r)));
+                    assert_eq!(mc.allreduce_u64(value(mc.rank()), op).unwrap(), want);
+                    mc.metrics()
+                });
+                let rounds = u64::from(usize::BITS - (p - 1).leading_zeros());
+                for m in &metrics {
+                    assert_eq!(m.reserved.sent_msgs, rounds, "P = {p} {op:?} rank {}", m.rank);
+                    // The deleted fold and unfold tags.
+                    let fold = [RESERVED_TAG_BASE + 1, RESERVED_TAG_BASE + 2];
+                    assert!(fold.iter().all(|&t| m.sent_for_tag(t).msgs == 0), "P = {p}: a fold");
+                }
+                let sum = |f: fn(&Metrics) -> u64| metrics.iter().map(f).sum::<u64>();
+                assert_eq!(sum(|m| m.reserved.sent_msgs), msgs, "P = {p} {op:?}");
+                let words = msgs + if op == ReduceOp::Sum { doubled } else { 0 };
+                assert_eq!(sum(|m| m.reserved.sent_bytes), 8 * words, "P = {p} {op:?}");
             }
         }
     }
 
     #[test]
-    fn allgather_types_a_wrong_length_payload_from_a_rogue_peer() {
-        assert_typed(2, (1, 0, TAG_ALLGATHER), |comm: &dyn Communicator| comm.allgather_u64(5));
-    }
-
-    #[test]
     fn alltoall_counts_types_a_wrong_length_payload_from_a_rogue_peer() {
         let op = |comm: &dyn Communicator| comm.alltoall_counts(&[1, 2]);
-        assert_typed(2, (1, 0, TAG_ALLTOALL_COUNTS), op);
+        assert_typed(2, 0, &[], (1, TAG_ALLTOALL_COUNTS, 8), op);
     }
 }

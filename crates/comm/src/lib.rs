@@ -11,7 +11,8 @@
 //!   (`rank`, `size`, `send_buf`, `recv_match`, `probe`, and the clock group
 //!   `now`, `sleep`, `wait_arrival`), none with a default body. The one
 //!   receive takes a length bound and a timeout (`MAX` = unbounded);
-//!   `recv_buf` / `recv_into` / `recv_buf_timeout` are provided corners of it.
+//!   `recv_buf` / `recv_into` / `recv_exact` / `recv_buf_timeout` are provided
+//!   corners of it.
 //!   A backend or wrapper implements the eight and nothing else; the compiler
 //!   rejects one that forgets any. [`MeteredComm::send`] is the one observing
 //!   override of a provided method.
@@ -21,12 +22,12 @@
 //!   lazy, so receive order is the waitall; there is no posted-receive
 //!   handle.
 //! * **Collectives** — dissemination [`Communicator::barrier`],
-//!   [`Communicator::allreduce_u64`] (dissemination for `Max` / `Min`,
-//!   recursive doubling for `Sum`), ring
-//!   [`Communicator::allgather_u64`], and the counts handshake
+//!   [`Communicator::allreduce_u64`] and the counts handshake
 //!   [`Communicator::alltoall_counts`] — all built from point-to-point as
 //!   provided trait methods, so every backend shares the exact same message
-//!   schedule.
+//!   schedule. `allreduce_u64` is [`reduce::allreduce_doubling`], the one
+//!   distance-doubling loop, on a one-element slice: ⌈log₂ P⌉ one-way
+//!   rounds at any `P`, no fold.
 //! * **Instrumentation** — [`MeteredComm`] is the one meter: per-channel and
 //!   per-tag message/byte counters, the sent-size histogram, and the copy
 //!   audit (which sends packed their payload). The cost model in
@@ -84,7 +85,7 @@ mod msgbuf;
 mod agree;
 mod detect;
 mod reliable;
-mod reduce;
+pub mod reduce;
 mod retry;
 mod runtime;
 mod sim;
@@ -126,7 +127,7 @@ pub type Tag = u32;
 
 /// The splitmix64 finalizer: the seeded hash behind every deterministic draw
 /// in this crate (fault decisions, schedule seeds, ARQ checksums, backoff
-/// jitter, split contexts).
+/// jitter).
 pub(crate) fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -1,4 +1,9 @@
-//! Reduction operators for the scalar and vector collectives.
+//! Reduction operators, their `u64` wire codec, and the one
+//! distance-doubling allreduce loop shared by the scalar
+//! [`Communicator::allreduce_u64`] and `bruck-core`'s vector
+//! `allreduce(RecursiveDoubling)`.
+
+use crate::{CommError, CommResult, Communicator, MsgBuf, Tag};
 
 /// Associative, commutative reduction over `u64`, covering everything the
 /// all-to-all algorithms need (`MPI_MAX` for the global maximum block size,
@@ -59,6 +64,114 @@ impl ReduceOp {
     }
 }
 
+/// Little-endian wire encoding of a `u64` vector.
+pub fn u64s_to_bytes(vals: &[u64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(vals.len() * 8);
+    for v in vals {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
+/// Decode a little-endian `u64` vector; errors on a length that is not a
+/// multiple of 8 (a framing bug, surfaced typed so the chaos stack sees it).
+pub fn bytes_to_u64s(bytes: &[u8]) -> CommResult<Vec<u64>> {
+    if bytes.len() % 8 != 0 {
+        return Err(CommError::BadArgument("reduce payload not a multiple of 8 bytes"));
+    }
+    Ok(bytes
+        .chunks_exact(8)
+        .map(|c| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(c);
+            u64::from_le_bytes(w)
+        })
+        .collect())
+}
+
+/// What round `k` of a distance-doubling allreduce puts on the wire.
+///
+/// In every round each rank sends to `me + 2ᵏ` and folds what `me − 2ᵏ`
+/// sent into its window `W`, the reduction over the `2ᵏ` ranks ending at
+/// itself (mod `P`). `Max` and `Min` are idempotent, so `W` alone does: after
+/// `K = ⌈log₂ P⌉` rounds it covers every rank, some twice. `Sum` must count
+/// each rank once. With `r = P − 2ᴷ⁻¹` it also keeps `Y`, the sum of the last
+/// `r mod 2ᵏ` ranks, and its last round folds in the sender's last `r` ranks
+/// rather than its whole `W`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DoublingRound {
+    /// The receiver's `Y` grows this round (bit `k` of `r` is set, `k < K − 1`):
+    /// it becomes the receiver's `W` before the round plus the sender's `Y`.
+    pub builds_y: bool,
+    /// The sender's `Y` rides behind its `W`: a round that builds `Y` while
+    /// `r mod 2ᵏ > 0`.
+    pub carries_y: bool,
+    /// The round sends `Y` in place of `W`: the last `Sum` round, `r < 2ᴷ⁻¹`.
+    pub sends_y: bool,
+}
+
+impl DoublingRound {
+    /// Vectors on the wire this round: 2 when the round carries `Y`, else 1.
+    pub fn windows(&self) -> usize {
+        1 + usize::from(self.carries_y)
+    }
+}
+
+/// The `⌈log₂ P⌉` rounds of a distance-doubling allreduce with `op` over `p`
+/// ranks, in order.
+pub fn doubling_rounds(p: usize, op: ReduceOp) -> impl Iterator<Item = DoublingRound> {
+    let rounds = usize::BITS - p.saturating_sub(1).leading_zeros();
+    let r = p - ((1usize << rounds) >> 1);
+    let sum = op == ReduceOp::Sum;
+    (0..rounds).map(move |k| {
+        let h = 1usize << k;
+        let builds_y = sum && k + 1 < rounds && r & h != 0;
+        DoublingRound {
+            builds_y,
+            carries_y: builds_y && r % h != 0,
+            sends_y: sum && k + 1 == rounds && r != h,
+        }
+    })
+}
+
+/// The one distance-doubling allreduce, scalar or vector, fold-free at any
+/// `P`: the [`doubling_rounds`] as one-way messages to `me + 2ᵏ` on `tag(k)`,
+/// each round under the guard `step()` returns (a probe span, or `()`). Every
+/// rank's `buf` (equal length everywhere) ends as the `op` reduction over all
+/// ranks. A payload of the wrong length is a typed error
+/// ([`Communicator::recv_exact`]).
+pub fn allreduce_doubling<C: Communicator + ?Sized, G>(
+    comm: &C,
+    buf: &mut [u64],
+    op: ReduceOp,
+    tag: impl Fn(u32) -> Tag,
+    step: impl Fn() -> G,
+) -> CommResult<()> {
+    let (p, me, n) = (comm.size(), comm.rank(), buf.len());
+    let mut y = Vec::new();
+    for (k, round) in (0u32..).zip(doubling_rounds(p, op)) {
+        let _step = step();
+        let h = 1usize << k;
+        let mut out = u64s_to_bytes(if round.sends_y { &y } else { &*buf });
+        if round.carries_y {
+            out.extend_from_slice(&u64s_to_bytes(&y));
+        }
+        comm.send_buf((me + h) % p, tag(k), MsgBuf::from_vec(out))?;
+        let got = comm.recv_exact((me + p - h) % p, tag(k), 8 * n * round.windows())?;
+        let got = bytes_to_u64s(&got)?;
+        let (w, y_from) = got.split_at(n);
+        if round.builds_y {
+            let mut grown = buf.to_vec();
+            if round.carries_y {
+                op.apply_slice(&mut grown, y_from);
+            }
+            y = grown;
+        }
+        op.apply_slice(buf, w);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,6 +188,50 @@ mod tests {
                 z ^ (z >> 31)
             })
             .collect()
+    }
+
+    #[test]
+    fn doubling_windows_count_every_rank_once_for_sum() {
+        // A symbolic walk, no communicator: a window is the set of ranks it
+        // reduces over. `Sum` may only join disjoint sets; every operator
+        // must end with `W` = all ranks on every rank.
+        for p in 1..=64usize {
+            let all = (1u128 << p) - 1;
+            for op in ReduceOp::ALL {
+                let mut w: Vec<u128> = (0..p).map(|q| 1 << q).collect();
+                let mut y = vec![0u128; p];
+                for (k, round) in doubling_rounds(p, op).enumerate() {
+                    let h = 1 << k;
+                    let (w0, y0) = (w.clone(), y.clone());
+                    for q in 0..p {
+                        let from = (q + p - h) % p;
+                        let first = if round.sends_y { y0[from] } else { w0[from] };
+                        assert_ne!(first, 0, "p={p} k={k}: an empty window on the wire");
+                        if round.builds_y {
+                            assert_eq!(round.carries_y, y0[from] != 0, "p={p} k={k}: Y rides iff non-empty");
+                            let second = if round.carries_y { y0[from] } else { 0 };
+                            assert_eq!(w0[q] & second, 0, "p={p} k={k} rank {q}: Y counts a rank twice");
+                            y[q] = w0[q] | second;
+                        }
+                        if op == ReduceOp::Sum {
+                            assert_eq!(w0[q] & first, 0, "p={p} k={k} rank {q}: W counts a rank twice");
+                        } else {
+                            assert_eq!(round.windows(), 1, "p={p} {op:?}: W alone");
+                            assert!(!round.sends_y && !round.builds_y, "p={p} {op:?}: W alone");
+                        }
+                        w[q] = w0[q] | first;
+                    }
+                }
+                assert!(w.iter().all(|&m| m == all), "p={p} {op:?}: {w:x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn u64_wire_round_trips() {
+        let vals = vec![0u64, 1, u64::MAX, 0xDEAD_BEEF];
+        assert_eq!(bytes_to_u64s(&u64s_to_bytes(&vals)).unwrap(), vals);
+        assert!(bytes_to_u64s(&[1, 2, 3]).is_err());
     }
 
     #[test]

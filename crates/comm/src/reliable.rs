@@ -556,8 +556,6 @@ mod tests {
             rc.barrier().unwrap();
             let sum = rc.allreduce_u64(rc.rank() as u64, ReduceOp::Sum).unwrap();
             assert_eq!(sum, 10);
-            let all = rc.allgather_u64(rc.rank() as u64 * 5).unwrap();
-            assert_eq!(all, vec![0, 5, 10, 15, 20]);
             rc.quiesce(Duration::from_millis(120), Duration::from_secs(2)).unwrap();
         });
     }

@@ -1175,14 +1175,9 @@ mod tests {
     fn collectives_work_under_every_seed() {
         for seed in 0..10 {
             let run = SimComm::run(5, seed, |comm| {
-                let sum = comm.allreduce_u64(comm.rank() as u64, ReduceOp::Sum).unwrap();
-                let all = comm.allgather_u64(10 + comm.rank() as u64).unwrap();
-                (sum, all)
+                comm.allreduce_u64(comm.rank() as u64, ReduceOp::Sum).unwrap()
             });
-            for (sum, all) in run.results {
-                assert_eq!(sum, 10);
-                assert_eq!(all, vec![10, 11, 12, 13, 14]);
-            }
+            assert_eq!(run.results, vec![10; 5], "seed {seed}");
         }
     }
 }

@@ -1,15 +1,12 @@
-//! Subcommunicators: `MPI_Comm_split` for the threaded runtime.
+//! Subcommunicators over an explicit member list.
 //!
 //! A [`SubComm`] presents a contiguous `0..size` rank space over a subset of
 //! a parent communicator's ranks. Traffic is isolated from the parent (and
-//! from sibling groups that happen to reuse a rank pair, which cannot occur
-//! under a partition split, but can across *successive* splits) by folding a
-//! context id into the message tag, the same role MPI's communicator
-//! contexts play.
+//! from another group that reuses a rank pair) by folding a context id into
+//! the message tag, the same role MPI's communicator contexts play.
 
 use std::time::Duration;
 
-use crate::splitmix;
 use crate::{CommError, CommResult, Communicator, MsgBuf, Tag};
 
 /// Bits of the tag reserved for the subcommunicator context.
@@ -25,33 +22,11 @@ pub struct SubComm<'a, C: Communicator + ?Sized> {
     members: Vec<usize>,
     /// This rank's position in `members`.
     my_index: usize,
-    /// Context id folded into tags (derived from the split color).
+    /// Context id folded into tags.
     ctx: Tag,
 }
 
 impl<'a, C: Communicator + ?Sized> SubComm<'a, C> {
-    /// Collective split: ranks with equal `color` form one subcommunicator,
-    /// ordered by `(key, parent rank)` — the `MPI_Comm_split` contract.
-    ///
-    /// Every rank of `parent` must call this (it allgathers the colors).
-    pub fn split(parent: &'a C, color: u64, key: u64) -> CommResult<Self> {
-        let me = parent.rank();
-        // Pack (color-hash collisions are fine for grouping — we compare the
-        // actual color values gathered below).
-        let colors = parent.allgather_u64(color)?;
-        let keys = parent.allgather_u64(key)?;
-        let mut members: Vec<usize> =
-            (0..parent.size()).filter(|&r| colors[r] == color).collect();
-        members.sort_by_key(|&r| (keys[r], r));
-        #[expect(clippy::expect_used, reason = "`members` includes this rank")]
-        let my_index =
-            members.iter().position(|&r| r == me).expect("caller is a member of its own color");
-        // Context: derived from the color so sibling groups differ; 6 bits,
-        // never 0 (0 is effectively the parent's own context).
-        let ctx = ((splitmix(color) as Tag) & CTX_MASK).max(1);
-        Ok(SubComm { parent, members, my_index, ctx })
-    }
-
     /// Build from an explicit member list (every member must call this with
     /// the same list and a matching `ctx`). Useful for leader groups.
     pub fn from_members(parent: &'a C, members: Vec<usize>, ctx: Tag) -> CommResult<Self> {
@@ -93,7 +68,7 @@ impl<'a, C: Communicator + ?Sized> SubComm<'a, C> {
 /// * The member list is the **agreed survivor set** — every survivor builds
 ///   the identical communicator from [`crate::AgreeOutcome::survivors`]
 ///   with no further handshake (agreement already synchronized the view;
-///   a collective split here could itself trip over the dead ranks).
+///   a collective handshake here could itself trip over the dead ranks).
 /// * The tag context is derived from the **membership epoch**
 ///   (`(epoch mod 63) + 1`), so consecutive epochs always map the same
 ///   logical tag to different wire tags: straggler traffic from the epoch
@@ -224,19 +199,17 @@ mod tests {
     use crate::{ReduceOp, SimComm, ThreadComm};
 
     #[test]
-    fn split_partitions_and_reranks() {
-        // 6 ranks → even/odd groups; key reverses order within the group.
+    fn from_members_reranks_in_list_order() {
+        // 6 ranks → even/odd groups, each listed highest parent rank first.
         let out = ThreadComm::run(6, |comm| {
             let me = comm.rank();
-            let sub = SubComm::split(comm, (me % 2) as u64, (100 - me) as u64).unwrap();
+            let members = if me % 2 == 0 { vec![4, 2, 0] } else { vec![5, 3, 1] };
+            let sub = SubComm::from_members(comm, members, 1 + (me % 2) as Tag).unwrap();
             (me, sub.rank(), sub.size(), sub.members().to_vec())
         });
         for (me, sub_rank, sub_size, members) in out {
             assert_eq!(sub_size, 3);
-            // Reverse key order: highest parent rank is sub rank 0.
-            let expect: Vec<usize> =
-                if me % 2 == 0 { vec![4, 2, 0] } else { vec![5, 3, 1] };
-            assert_eq!(members, expect);
+            assert_eq!(sub_rank, 2 - me / 2, "parent rank {me}");
             assert_eq!(members[sub_rank], me);
         }
     }
@@ -245,7 +218,9 @@ mod tests {
     fn subcomm_collectives_are_isolated_per_group() {
         let sums = ThreadComm::run(8, |comm| {
             let me = comm.rank();
-            let sub = SubComm::split(comm, (me / 4) as u64, me as u64).unwrap();
+            let group = me / 4;
+            let sub = SubComm::from_members(comm, (4 * group..4 * group + 4).collect(), 1 + group as Tag)
+                .unwrap();
             sub.allreduce_u64(me as u64, ReduceOp::Sum).unwrap()
         });
         // Group 0 = ranks 0..4 (sum 6); group 1 = ranks 4..8 (sum 22).
@@ -256,7 +231,8 @@ mod tests {
     fn subcomm_p2p_routes_through_parent_ranks() {
         let got = ThreadComm::run(4, |comm| {
             let me = comm.rank();
-            let sub = SubComm::split(comm, (me % 2) as u64, me as u64).unwrap();
+            let sub = SubComm::from_members(comm, vec![me % 2, me % 2 + 2], 1 + (me % 2) as Tag)
+                .unwrap();
             // Within each 2-rank group: ping the other member.
             let peer = 1 - sub.rank();
             sub.send(peer, 5, &[me as u8]).unwrap();
@@ -269,7 +245,7 @@ mod tests {
     fn concurrent_parent_and_sub_traffic_do_not_cross() {
         ThreadComm::run(4, |comm| {
             let me = comm.rank();
-            let sub = SubComm::split(comm, 7, me as u64).unwrap(); // all in one group
+            let sub = SubComm::from_members(comm, (0..4).collect(), 7).unwrap(); // all in one group
             // Same (src, dst, tag) on parent and sub simultaneously.
             let peer = (me + 1) % 4;
             let back = (me + 3) % 4;
@@ -286,7 +262,8 @@ mod tests {
         // rank 2 and waits on sub-rank 1 (parent rank 0), who sends nothing.
         let run = SimComm::run(4, 1, |comm| {
             let me = comm.rank();
-            let sub = SubComm::split(comm, (me % 2) as u64, (100 - me) as u64).unwrap();
+            let members = if me % 2 == 0 { vec![2, 0] } else { vec![3, 1] };
+            let sub = SubComm::from_members(comm, members, 1 + (me % 2) as Tag).unwrap();
             (me == 2).then(|| {
                 let stuck = sub.recv_buf(1, 5).unwrap_err();
                 let seen = sub.wait_arrival(0, Duration::ZERO).unwrap();
@@ -318,7 +295,7 @@ mod tests {
     #[test]
     fn oversized_tags_rejected() {
         ThreadComm::run(2, |comm| {
-            let sub = SubComm::split(comm, 0, comm.rank() as u64).unwrap();
+            let sub = SubComm::from_members(comm, vec![0, 1], 1).unwrap();
             assert!(sub.send(0, SUBCOMM_MAX_TAG, &[]).is_err());
         });
     }

@@ -19,26 +19,41 @@
 //! commutative (wrapping sum), so every schedule produces byte-identical
 //! results regardless of arrival order.
 //!
+//! ## One step plan, two executors
+//!
+//! Every schedule is a sequence of one-way steps: each rank sends one
+//! message to `me + shift` and receives one from `me − shift`, at any `P`
+//! (the any-`P` family of arXiv 2004.09362; nothing folds a non-power-of-two
+//! remainder). The six block schedules are [`Plan`]s, data built by
+//! [`allgatherv_plan`] and [`reduce_scatter_plan`], run by one gather and one
+//! reduce executor. `allreduce(RecursiveDoubling)` is
+//! [`bruck_comm::reduce::allreduce_doubling`], the loop
+//! `Communicator::allreduce_u64` also runs; `ReduceScatterAllgather` is
+//! halving's reduce plan followed by Bruck's gather plan.
+//!
 //! ## Tags and spans
 //!
 //! Each schedule owns a tag block in `common` (0x0800..0x0FFF) and emits
-//! one probe span per wire step, so the conformance gauntlet pins message
-//! counts, byte volumes, and phase counts against `bruck-model`'s closed
-//! forms exactly. Dispatch goes through the algorithm enums here — the
-//! schedules are `pub(super)`, so no other module can call one directly.
+//! one probe span per wire step. `bruck-model` prices the same plans, and
+//! the conformance gauntlet pins message counts, byte volumes, and phase
+//! counts against those prices exactly. A wrong-length payload on any step
+//! is a typed error, never a panic.
 
-mod allgatherv;
-mod allreduce;
-mod reduce_scatter;
-mod pat;
+mod plan;
 mod reference;
 
+pub use plan::{allgatherv_plan, reduce_scatter_plan, Plan, PlanStep};
 pub use reference::{
     pattern_byte, pattern_u64, reference_allgatherv, reference_allreduce,
     reference_reduce_scatter,
 };
 
+use bruck_comm::reduce::{allreduce_doubling, bytes_to_u64s, u64s_to_bytes};
 use bruck_comm::{CommError, CommResult, Communicator, ReduceOp};
+
+use crate::common::ar_doubling_tag;
+use crate::packed_displs;
+use crate::probe::span;
 
 /// Allgatherv schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,7 +86,7 @@ impl AllgathervAlgorithm {
 pub enum ReduceScatterAlgorithm {
     /// All-pairs exchange: each rank mails every peer its segment directly.
     Pairwise,
-    /// Recursive halving over a power-of-two core, remainder ranks folded.
+    /// Recursive halving: ⌈log₂ P⌉ one-way steps, the transpose of Bruck.
     RecursiveHalving,
     /// PAT: one ascending-bit reduction tree per destination, aggregated.
     Pat,
@@ -98,8 +113,8 @@ impl ReduceScatterAlgorithm {
 /// Allreduce schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllreduceAlgorithm {
-    /// Recursive doubling on whole vectors — α-optimal, best for small
-    /// messages.
+    /// Distance doubling on whole vectors, ⌈log₂ P⌉ one-way rounds at any
+    /// `P` — α-optimal, best for small messages.
     RecursiveDoubling,
     /// Rabenseifner composition: recursive-halving reduce_scatter of near
     /// equal pieces, then Bruck allgatherv — β-optimal for large vectors.
@@ -134,17 +149,9 @@ pub fn allgatherv<C: Communicator + ?Sized>(
     displs: &[usize],
 ) -> CommResult<()> {
     validate_gv(comm, sendbuf, recvbuf, counts, displs)?;
-    match algo {
-        AllgathervAlgorithm::Ring => {
-            allgatherv::allgatherv_ring(comm, sendbuf, recvbuf, counts, displs)
-        }
-        AllgathervAlgorithm::Bruck => {
-            allgatherv::allgatherv_bruck(comm, sendbuf, recvbuf, counts, displs)
-        }
-        AllgathervAlgorithm::Pat => {
-            pat::pat_allgatherv(comm, sendbuf, recvbuf, counts, displs)
-        }
-    }
+    let me = comm.rank();
+    recvbuf[displs[me]..displs[me] + counts[me]].copy_from_slice(sendbuf);
+    plan::gather(comm, &allgatherv_plan(algo, comm.size()), recvbuf, counts, displs)
 }
 
 /// Vector reduce-scatter: `sendbuf` holds `Σ counts` elements on every
@@ -159,17 +166,7 @@ pub fn reduce_scatter<C: Communicator + ?Sized>(
     op: ReduceOp,
 ) -> CommResult<()> {
     validate_rs(comm, sendbuf, recvbuf, counts)?;
-    match algo {
-        ReduceScatterAlgorithm::Pairwise => {
-            reduce_scatter::reduce_scatter_pairwise(comm, sendbuf, recvbuf, counts, op)
-        }
-        ReduceScatterAlgorithm::RecursiveHalving => {
-            reduce_scatter::reduce_scatter_halving(comm, sendbuf, recvbuf, counts, op)
-        }
-        ReduceScatterAlgorithm::Pat => {
-            pat::pat_reduce_scatter(comm, sendbuf, recvbuf, counts, op)
-        }
-    }
+    plan::reduce(comm, &reduce_scatter_plan(algo, comm.size()), sendbuf, recvbuf, counts, op)
 }
 
 /// Vector allreduce, in place: every rank's `buf` (equal length everywhere)
@@ -182,12 +179,37 @@ pub fn allreduce<C: Communicator + ?Sized>(
 ) -> CommResult<()> {
     match algo {
         AllreduceAlgorithm::RecursiveDoubling => {
-            allreduce::allreduce_doubling(comm, buf, op)
+            allreduce_doubling(comm, buf, op, ar_doubling_tag, || span("ar_doubling.step"))
         }
-        AllreduceAlgorithm::ReduceScatterAllgather => {
-            allreduce::allreduce_rs_ag(comm, buf, op)
-        }
+        AllreduceAlgorithm::ReduceScatterAllgather => allreduce_rs_ag(comm, buf, op),
     }
+}
+
+/// Rabenseifner allreduce: recursive-halving [`reduce_scatter`] of near-equal
+/// pieces (`⌈n/P⌉` / `⌊n/P⌋` elements), then Bruck [`allgatherv`] of the
+/// reduced pieces. Moves `O(8n)` bytes per rank in total instead of `8n` per
+/// step — the large-vector schedule. Its wire trace is the two component
+/// traces back to back (their tag blocks are disjoint).
+fn allreduce_rs_ag<C: Communicator + ?Sized>(
+    comm: &C,
+    buf: &mut [u64],
+    op: ReduceOp,
+) -> CommResult<()> {
+    let p = comm.size();
+    let me = comm.rank();
+    let n = buf.len();
+    // Near-equal pieces — the same split the Ranka two-stage algorithm uses.
+    let counts: Vec<usize> = (0..p).map(|i| crate::piece_len(n, i, p)).collect();
+    let mut piece = vec![0u64; counts[me]];
+    reduce_scatter(ReduceScatterAlgorithm::RecursiveHalving, comm, buf, &mut piece, &counts, op)?;
+
+    let byte_counts: Vec<usize> = counts.iter().map(|c| c * 8).collect();
+    let byte_displs = packed_displs(&byte_counts);
+    let mut gathered = vec![0u8; n * 8];
+    let contrib = u64s_to_bytes(&piece);
+    allgatherv(AllgathervAlgorithm::Bruck, comm, &contrib, &mut gathered, &byte_counts, &byte_displs)?;
+    buf.copy_from_slice(&bytes_to_u64s(&gathered)?);
+    Ok(())
 }
 
 /// Validate an allgatherv argument set.
@@ -233,38 +255,13 @@ fn validate_rs<C: Communicator + ?Sized>(
     Ok(())
 }
 
-/// Little-endian wire encoding of a `u64` vector.
-pub(crate) fn u64s_to_bytes(vals: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decode a little-endian `u64` vector; errors on a length that is not a
-/// multiple of 8 (a framing bug, surfaced typed so the chaos stack sees it).
-pub(crate) fn bytes_to_u64s(bytes: &[u8]) -> CommResult<Vec<u64>> {
-    if bytes.len() % 8 != 0 {
-        return Err(CommError::BadArgument("reduce payload not a multiple of 8 bytes"));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(c);
-            u64::from_le_bytes(w)
-        })
-        .collect())
-}
-
 #[cfg(test)]
-pub(crate) mod testutil {
+mod tests {
     use super::*;
-    use crate::packed_displs;
+    use bruck_comm::ThreadComm;
 
     /// Deterministic non-uniform per-rank counts, including zeros.
-    pub fn gv_counts(p: usize, seed: u64) -> Vec<usize> {
+    fn gv_counts(p: usize, seed: u64) -> Vec<usize> {
         (0..p)
             .map(|i| {
                 let x = (seed.wrapping_mul(31).wrapping_add(i as u64 * 7)) % 13;
@@ -278,18 +275,18 @@ pub(crate) mod testutil {
     }
 
     /// Rank `r`'s allgatherv contribution bytes.
-    pub fn gv_input(r: usize, len: usize) -> Vec<u8> {
+    fn gv_input(r: usize, len: usize) -> Vec<u8> {
         (0..len).map(|i| super::reference::pattern_byte(r, i)).collect()
     }
 
     /// Rank `r`'s reduce-family input vector of `len` elements.
-    pub fn rs_input(r: usize, len: usize) -> Vec<u64> {
+    fn rs_input(r: usize, len: usize) -> Vec<u64> {
         (0..len).map(|i| super::reference::pattern_u64(r, i)).collect()
     }
 
     /// Run one allgatherv schedule on ThreadComm and check it against the
     /// local reference.
-    pub fn run_gv(algo: AllgathervAlgorithm, counts: &[usize]) {
+    fn run_gv(algo: AllgathervAlgorithm, counts: &[usize]) {
         let p = counts.len();
         let displs = packed_displs(counts);
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| gv_input(r, counts[r])).collect();
@@ -297,7 +294,7 @@ pub(crate) mod testutil {
         let counts = counts.to_vec();
         let displs2 = displs.clone();
         let inputs2 = inputs.clone();
-        let results = bruck_comm::ThreadComm::run(p, move |comm| {
+        let results = ThreadComm::run(p, move |comm| {
             let me = comm.rank();
             let mut recvbuf = vec![0u8; counts.iter().sum()];
             allgatherv(algo, comm, &inputs2[me], &mut recvbuf, &counts, &displs2).unwrap();
@@ -310,14 +307,14 @@ pub(crate) mod testutil {
 
     /// Run one reduce_scatter schedule on ThreadComm and check it against
     /// the local reference.
-    pub fn run_rs(algo: ReduceScatterAlgorithm, counts: &[usize], op: ReduceOp) {
+    fn run_rs(algo: ReduceScatterAlgorithm, counts: &[usize], op: ReduceOp) {
         let p = counts.len();
         let total: usize = counts.iter().sum();
         let inputs: Vec<Vec<u64>> = (0..p).map(|r| rs_input(r, total)).collect();
         let want = reference_reduce_scatter(&inputs, counts, op);
         let counts = counts.to_vec();
         let inputs2 = inputs.clone();
-        let results = bruck_comm::ThreadComm::run(p, move |comm| {
+        let results = ThreadComm::run(p, move |comm| {
             let me = comm.rank();
             let mut recvbuf = vec![0u64; counts[me]];
             reduce_scatter(algo, comm, &inputs2[me], &mut recvbuf, &counts, op).unwrap();
@@ -330,11 +327,11 @@ pub(crate) mod testutil {
 
     /// Run one allreduce schedule on ThreadComm and check it against the
     /// local reference.
-    pub fn run_ar(algo: AllreduceAlgorithm, p: usize, n: usize, op: ReduceOp) {
+    fn run_ar(algo: AllreduceAlgorithm, p: usize, n: usize, op: ReduceOp) {
         let inputs: Vec<Vec<u64>> = (0..p).map(|r| rs_input(r, n)).collect();
         let want = reference_allreduce(&inputs, op);
         let inputs2 = inputs.clone();
-        let results = bruck_comm::ThreadComm::run(p, move |comm| {
+        let results = ThreadComm::run(p, move |comm| {
             let mut buf = inputs2[comm.rank()].clone();
             allreduce(algo, comm, &mut buf, op).unwrap();
             buf
@@ -345,13 +342,43 @@ pub(crate) mod testutil {
     }
 
     /// World sizes every schedule must survive.
-    pub const SIZES: [usize; 8] = [1, 2, 3, 4, 5, 8, 12, 16];
-}
+    const SIZES: [usize; 8] = [1, 2, 3, 4, 5, 8, 12, 16];
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bruck_comm::ThreadComm;
+    #[test]
+    fn every_schedule_matches_reference_across_sizes() {
+        for p in SIZES {
+            for algo in AllgathervAlgorithm::ALL {
+                for seed in [1u64, 5] {
+                    run_gv(algo, &gv_counts(p, seed));
+                }
+            }
+            for op in ReduceOp::ALL {
+                for algo in ReduceScatterAlgorithm::ALL {
+                    run_rs(algo, &gv_counts(p, 3), op);
+                }
+                for algo in AllreduceAlgorithm::ALL {
+                    run_ar(algo, p, 17, op);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_degenerate_inputs_are_legal() {
+        for algo in AllgathervAlgorithm::ALL {
+            run_gv(algo, &[0, 0, 0, 0, 0]);
+        }
+        for algo in ReduceScatterAlgorithm::ALL {
+            run_rs(algo, &[0, 3, 0, 1, 0], ReduceOp::Sum);
+            run_rs(algo, &[0, 0, 0], ReduceOp::Max);
+        }
+        for algo in AllreduceAlgorithm::ALL {
+            // Empty vector, vector shorter than P, single element.
+            run_ar(algo, 5, 0, ReduceOp::Sum);
+            run_ar(algo, 5, 3, ReduceOp::Max);
+            run_ar(algo, 4, 1, ReduceOp::Min);
+        }
+    }
 
     #[test]
     fn allgatherv_rejects_bad_arguments() {
@@ -430,12 +457,5 @@ mod tests {
             )
             .is_err());
         });
-    }
-
-    #[test]
-    fn u64_wire_round_trips() {
-        let vals = vec![0u64, 1, u64::MAX, 0xDEAD_BEEF];
-        assert_eq!(bytes_to_u64s(&u64s_to_bytes(&vals)).unwrap(), vals);
-        assert!(bytes_to_u64s(&[1, 2, 3]).is_err());
     }
 }

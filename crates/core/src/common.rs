@@ -80,8 +80,9 @@ pub const RANKA_STAGE2_TAG: Tag = 0x0601;
 // The wider collective family (allgatherv / reduce_scatter / allreduce /
 // PAT) owns the 0x0800..0x0FFF block — disjoint from every alltoallv tag
 // above, so composed collectives (the reduce_scatter + allgatherv allreduce)
-// can never match a stray alltoallv frame. `bruck-model`'s trace generators tag their steps by calling the
-// functions below, so the two crates share one definition of every tag.
+// can never match a stray alltoallv frame. The collectives' plans carry these
+// tags and `bruck-model` prices the plans, so the two crates share one
+// definition of every tag.
 // ---------------------------------------------------------------------------
 
 /// Tag for ring-allgatherv step `s` (one hop per step, `P − 1` steps).
@@ -94,7 +95,7 @@ pub fn agv_bruck_tag(k: u32) -> Tag {
     0x0900 + k
 }
 
-/// Tag for the pairwise-exchange reduce_scatter (single all-pairs phase).
+/// Tag for every round of the pairwise-exchange reduce_scatter.
 pub const RS_PAIRWISE_TAG: Tag = 0x0A00;
 
 /// Tag for recursive-halving reduce_scatter step `k`.
@@ -102,24 +103,10 @@ pub fn rs_halving_tag(k: u32) -> Tag {
     0x0B00 + k
 }
 
-/// Tag for the recursive-halving pre-fold (non-power-of-two remainder ranks
-/// hand their whole vector to a partner).
-pub const RS_FOLD_TAG: Tag = 0x0B80;
-
-/// Tag for the recursive-halving post-unfold (partners hand remainder ranks
-/// their finished segment back).
-pub const RS_UNFOLD_TAG: Tag = 0x0B81;
-
-/// Tag for recursive-doubling allreduce step `k`.
+/// Tag for distance-doubling allreduce round `k`.
 pub fn ar_doubling_tag(k: u32) -> Tag {
     0x0C00 + k
 }
-
-/// Tag for the recursive-doubling pre-fold.
-pub const AR_FOLD_TAG: Tag = 0x0C80;
-
-/// Tag for the recursive-doubling post-unfold.
-pub const AR_UNFOLD_TAG: Tag = 0x0C81;
 
 /// Tag for PAT all-gather phase `k` (descending-bit binomial trees).
 pub fn pat_ag_tag(k: u32) -> Tag {

@@ -39,10 +39,13 @@
 //! ## Beyond alltoallv — the collective family
 //!
 //! [`allgatherv`] (ring / Bruck doubling / PAT), [`reduce_scatter`]
-//! (pairwise / recursive halving / PAT), and [`allreduce`] (recursive
+//! (pairwise / recursive halving / PAT), and [`allreduce`] (distance
 //! doubling / reduce_scatter+allgather), dispatched through
 //! [`AllgathervAlgorithm`], [`ReduceScatterAlgorithm`], and
-//! [`AllreduceAlgorithm`] — see the [`collectives`] module.
+//! [`AllreduceAlgorithm`] — see the [`collectives`] module. Every schedule
+//! is one message per rank per step at any `P`: the six block schedules are
+//! step [`Plan`]s ([`allgatherv_plan`], [`reduce_scatter_plan`]) run by one
+//! gather and one reduce executor, and `bruck-model` prices the same plans.
 //!
 //! ## Faults and recovery
 //!
@@ -99,9 +102,9 @@ mod radix;
 mod uniform;
 
 pub use collectives::{
-    allgatherv, allreduce, pattern_byte, pattern_u64, reduce_scatter, reference_allgatherv,
-    reference_allreduce, reference_reduce_scatter, AllgathervAlgorithm, AllreduceAlgorithm,
-    ReduceScatterAlgorithm,
+    allgatherv, allgatherv_plan, allreduce, pattern_byte, pattern_u64, reduce_scatter,
+    reduce_scatter_plan, reference_allgatherv, reference_allreduce, reference_reduce_scatter,
+    AllgathervAlgorithm, AllreduceAlgorithm, Plan, PlanStep, ReduceScatterAlgorithm,
 };
 pub use memory::memory_overhead_bytes;
 pub use nonuniform::{

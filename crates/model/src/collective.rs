@@ -1,56 +1,55 @@
-//! Closed-form communication traces for the collective family
-//! (`bruck_core::collectives`): non-uniform allgatherv, vector
-//! reduce_scatter, vector allreduce, and the PAT schedules.
+//! Byte-exact traces of the collective family (`bruck_core::collectives`):
+//! non-uniform allgatherv, vector reduce_scatter, vector allreduce, and the
+//! PAT schedules.
 //!
-//! Each generator replicates the exact loop arithmetic of its `bruck-core`
-//! counterpart — same step order, same per-rank byte sums — without moving
-//! payload. The collective gauntlet runs the real schedules under
-//! `MeteredComm` and asserts every per-tag message and byte count matches
-//! these traces exactly, so any drift between model and implementation
-//! fails CI.
-//!
-//! The generators are keyed by `bruck-core`'s own algorithm enums and tag
-//! their steps with `bruck_core::common`'s tag functions: which schedule and
-//! which tag are shared facts; which bytes travel at each step is derived
-//! here independently.
+//! `bruck-core` defines every block schedule once, as a [`Plan`] of one-way
+//! steps, and this module prices the plan rather than mirroring its loops:
+//! at step `i` rank `q` sends `Σ counts[q + o]` and receives
+//! `Σ counts[q − shift + o]` over the step's offsets `o`. Distance-doubling
+//! allreduce is priced from `bruck_comm::reduce::doubling_rounds`, the round
+//! table its one loop runs. The collective gauntlet runs the real schedules
+//! under `MeteredComm` and asserts every per-tag message and byte count
+//! matches these traces exactly; the plans' own correctness (every block
+//! delivered exactly once) is `bruck-core`'s symbolic property test.
 
-use bruck_core::common::{
-    add_mod, agv_bruck_tag, agv_ring_tag, ar_doubling_tag, ceil_log2, pat_ag_tag, pat_rs_tag,
-    rs_halving_tag, sub_mod, AR_FOLD_TAG, AR_UNFOLD_TAG, RS_FOLD_TAG, RS_PAIRWISE_TAG,
-    RS_UNFOLD_TAG,
+use bruck_comm::reduce::doubling_rounds;
+use bruck_comm::ReduceOp;
+use bruck_core::common::ar_doubling_tag;
+use bruck_core::{
+    allgatherv_plan, piece_len, reduce_scatter_plan, AllgathervAlgorithm, AllreduceAlgorithm,
+    Plan, ReduceScatterAlgorithm,
 };
-use bruck_core::{piece_len, AllgathervAlgorithm, AllreduceAlgorithm, ReduceScatterAlgorithm};
 
 use crate::trace::{CommTrace, RankLoad, Step, StepKind};
 use crate::tracegen::RankSample;
 
-/// The power-of-two core size for halving/doubling: largest `2ᵏ ≤ p`.
-#[inline]
-fn pow2_core(p: usize) -> usize {
-    if p.is_power_of_two() {
-        p
-    } else {
-        p.next_power_of_two() / 2
-    }
-}
-
-/// PAT holder offsets scheduled to send at phase `k` — must match
-/// `bruck_core::collectives`' `pat_sender_offsets`.
-fn pat_sender_offsets(p: usize, k: u32) -> impl Iterator<Item = usize> {
-    let h = 1usize << k;
-    (0..p).step_by(2 * h).take_while(move |j| j + h < p)
-}
-
-fn coll_step<F: Fn(usize) -> RankLoad>(
-    tag: u32,
-    pairwise: bool,
-    sample: &RankSample,
-    load: F,
-) -> Step {
+fn coll_step<F: Fn(usize) -> RankLoad>(tag: u32, sample: &RankSample, load: F) -> Step {
     Step {
-        kind: StepKind::Coll { tag, pairwise },
+        kind: StepKind::Coll { tag },
         loads: sample.ranks().iter().map(|&q| (q, load(q))).collect(),
     }
+}
+
+/// Price `plan` over per-block wire `bytes`. A gather packs what it sends,
+/// unless it forwards the view that just arrived, and copies every arrival
+/// into place; a reduce encodes what it sends and folds arrivals in place.
+fn price(plan: &Plan, bytes: &[u64], gather: bool, sample: &RankSample) -> Vec<Step> {
+    (0..plan.steps.len())
+        .map(|i| {
+            coll_step(plan.steps[i].tag, sample, |q| {
+                let out: u64 = plan.sent(i, q).map(|b| bytes[b]).sum();
+                let inc: u64 = plan.received(i, q).map(|b| bytes[b]).sum();
+                let packed = if gather && plan.forwards(i) { 0 } else { out };
+                RankLoad {
+                    seq_msgs: 1,
+                    bytes_out: out,
+                    bytes_in: inc,
+                    copy_bytes: packed + if gather { inc } else { 0 },
+                    ..Default::default()
+                }
+            })
+        })
+        .collect()
 }
 
 /// Byte-exact trace of one allgatherv schedule over per-rank byte `counts`.
@@ -60,73 +59,8 @@ pub fn allgatherv_trace(
     sample: &RankSample,
 ) -> CommTrace {
     let p = counts.len();
-    let mut steps = Vec::new();
-    if p <= 1 {
-        return CommTrace { p, steps };
-    }
-    match algo {
-        AllgathervAlgorithm::Ring => {
-            // Step s: forward the block received at step s − 1; one hop.
-            for s in 0..p - 1 {
-                steps.push(coll_step(agv_ring_tag(s as u32), false, sample, |q| {
-                    let out = counts[sub_mod(q, s, p)] as u64;
-                    let inc = counts[sub_mod(q, s + 1, p)] as u64;
-                    RankLoad {
-                        seq_msgs: 1,
-                        bytes_out: out,
-                        bytes_in: inc,
-                        // The arrival is copied into recvbuf; the forward
-                        // reuses the same buffer (zero-copy).
-                        copy_bytes: inc,
-                        ..Default::default()
-                    }
-                }));
-            }
-        }
-        AllgathervAlgorithm::Bruck => {
-            for k in 0..ceil_log2(p) {
-                let hop = 1usize << k;
-                let cnt = hop.min(p - hop);
-                steps.push(coll_step(agv_bruck_tag(k), false, sample, |q| {
-                    let out: u64 =
-                        (0..cnt).map(|j| counts[add_mod(q, j, p)] as u64).sum();
-                    let inc: u64 =
-                        (0..cnt).map(|j| counts[add_mod(q, hop + j, p)] as u64).sum();
-                    RankLoad {
-                        seq_msgs: 1,
-                        bytes_out: out,
-                        bytes_in: inc,
-                        // Pack the outgoing run + scatter the incoming one.
-                        copy_bytes: out + inc,
-                        ..Default::default()
-                    }
-                }));
-            }
-        }
-        AllgathervAlgorithm::Pat => {
-            // Execution order is descending k.
-            for k in (0..ceil_log2(p)).rev() {
-                let h = 1usize << k;
-                steps.push(coll_step(pat_ag_tag(k), false, sample, |q| {
-                    let out: u64 = pat_sender_offsets(p, k)
-                        .map(|j| counts[sub_mod(q, j, p)] as u64)
-                        .sum();
-                    let from = sub_mod(q, h, p);
-                    let inc: u64 = pat_sender_offsets(p, k)
-                        .map(|j| counts[sub_mod(from, j, p)] as u64)
-                        .sum();
-                    RankLoad {
-                        seq_msgs: 1,
-                        bytes_out: out,
-                        bytes_in: inc,
-                        copy_bytes: out + inc,
-                        ..Default::default()
-                    }
-                }));
-            }
-        }
-    }
-    CommTrace { p, steps }
+    let bytes: Vec<u64> = counts.iter().map(|&c| c as u64).collect();
+    CommTrace { p, steps: price(&allgatherv_plan(algo, p), &bytes, true, sample) }
 }
 
 /// Byte-exact trace of one reduce_scatter schedule over per-rank *element*
@@ -137,157 +71,34 @@ pub fn reduce_scatter_trace(
     sample: &RankSample,
 ) -> CommTrace {
     let p = counts.len();
-    let total: u64 = counts.iter().map(|&c| c as u64).sum();
-    let mut steps = Vec::new();
-    if p <= 1 {
-        return CommTrace { p, steps };
-    }
-    match algo {
-        ReduceScatterAlgorithm::Pairwise => {
-            // One all-pairs phase on a single tag: P − 1 serialized
-            // sendrecvs, each mailing the input segment of one peer.
-            steps.push(coll_step(RS_PAIRWISE_TAG, true, sample, |q| RankLoad {
-                seq_msgs: (p - 1) as u32,
-                bytes_out: 8 * (total - counts[q] as u64),
-                bytes_in: 8 * (total - counts[q] as u64),
-                copy_bytes: 8 * (total - counts[q] as u64),
-                ..Default::default()
-            }));
-        }
-        ReduceScatterAlgorithm::RecursiveHalving => {
-            let m = pow2_core(p);
-            let r = p - m;
-            // Element counts virtual rank `w < m` answers for post-fold.
-            let owned = |w: usize| -> u64 {
-                counts[w] as u64 + if w < r { counts[w + m] as u64 } else { 0 }
-            };
-            if r > 0 {
-                steps.push(coll_step(RS_FOLD_TAG, false, sample, |q| {
-                    if q >= m {
-                        RankLoad { seq_msgs: 1, bytes_out: 8 * total, ..Default::default() }
-                    } else if q < r {
-                        RankLoad { bytes_in: 8 * total, ..Default::default() }
-                    } else {
-                        RankLoad::default()
-                    }
-                }));
-            }
-            for k in (0..m.trailing_zeros()).rev() {
-                let h = 1usize << k;
-                steps.push(coll_step(rs_halving_tag(k), false, sample, |q| {
-                    if q >= m {
-                        return RankLoad::default();
-                    }
-                    let base = q & !(2 * h - 1);
-                    let other_base = if q < base + h { base + h } else { base };
-                    let my_base = if other_base == base { base + h } else { base };
-                    let out: u64 = (other_base..other_base + h).map(owned).sum();
-                    let inc: u64 = (my_base..my_base + h).map(owned).sum();
-                    RankLoad {
-                        seq_msgs: 1,
-                        bytes_out: 8 * out,
-                        bytes_in: 8 * inc,
-                        copy_bytes: 8 * out,
-                        ..Default::default()
-                    }
-                }));
-            }
-            if r > 0 {
-                steps.push(coll_step(RS_UNFOLD_TAG, false, sample, |q| {
-                    if q < r {
-                        RankLoad {
-                            seq_msgs: 1,
-                            bytes_out: 8 * counts[q + m] as u64,
-                            ..Default::default()
-                        }
-                    } else if q >= m {
-                        RankLoad { bytes_in: 8 * counts[q] as u64, ..Default::default() }
-                    } else {
-                        RankLoad::default()
-                    }
-                }));
-            }
-        }
-        ReduceScatterAlgorithm::Pat => {
-            // Execution order is ascending k.
-            for k in 0..ceil_log2(p) {
-                let h = 1usize << k;
-                steps.push(coll_step(pat_rs_tag(k), false, sample, |q| {
-                    let out: u64 = (h..p)
-                        .step_by(2 * h)
-                        .map(|j| counts[sub_mod(q, j, p)] as u64)
-                        .sum();
-                    let inc: u64 = pat_sender_offsets(p, k)
-                        .map(|j| counts[sub_mod(q, j, p)] as u64)
-                        .sum();
-                    RankLoad {
-                        seq_msgs: 1,
-                        bytes_out: 8 * out,
-                        bytes_in: 8 * inc,
-                        copy_bytes: 8 * out,
-                        ..Default::default()
-                    }
-                }));
-            }
-        }
-    }
-    CommTrace { p, steps }
+    let bytes: Vec<u64> = counts.iter().map(|&c| 8 * c as u64).collect();
+    CommTrace { p, steps: price(&reduce_scatter_plan(algo, p), &bytes, false, sample) }
 }
 
-/// Byte-exact trace of one allreduce schedule over `n`-element vectors on
-/// `p` ranks.
+/// Byte-exact trace of one allreduce schedule with `op` over `n`-element
+/// vectors on `p` ranks.
 pub fn allreduce_trace(
     algo: AllreduceAlgorithm,
+    op: ReduceOp,
     p: usize,
     n: usize,
     sample: &RankSample,
 ) -> CommTrace {
-    let mut steps = Vec::new();
-    if p <= 1 {
-        return CommTrace { p, steps };
-    }
     match algo {
         AllreduceAlgorithm::RecursiveDoubling => {
-            let m = pow2_core(p);
-            let r = p - m;
-            let full = 8 * n as u64;
-            if r > 0 {
-                steps.push(coll_step(AR_FOLD_TAG, false, sample, |q| {
-                    if q >= m {
-                        RankLoad { seq_msgs: 1, bytes_out: full, ..Default::default() }
-                    } else if q < r {
-                        RankLoad { bytes_in: full, ..Default::default() }
-                    } else {
-                        RankLoad::default()
-                    }
-                }));
-            }
-            for k in 0..m.trailing_zeros() {
-                steps.push(coll_step(ar_doubling_tag(k), false, sample, |q| {
-                    if q < m {
-                        RankLoad {
-                            seq_msgs: 1,
-                            bytes_out: full,
-                            bytes_in: full,
-                            copy_bytes: full,
-                            ..Default::default()
-                        }
-                    } else {
-                        RankLoad::default()
-                    }
-                }));
-            }
-            if r > 0 {
-                steps.push(coll_step(AR_UNFOLD_TAG, false, sample, |q| {
-                    if q < r {
-                        RankLoad { seq_msgs: 1, bytes_out: full, ..Default::default() }
-                    } else if q >= m {
-                        RankLoad { bytes_in: full, ..Default::default() }
-                    } else {
-                        RankLoad::default()
-                    }
-                }));
-            }
+            let steps = (0u32..)
+                .zip(doubling_rounds(p, op))
+                .map(|(k, round)| {
+                    let bytes = 8 * (n * round.windows()) as u64;
+                    coll_step(ar_doubling_tag(k), sample, |_| RankLoad {
+                        seq_msgs: 1,
+                        bytes_out: bytes,
+                        bytes_in: bytes,
+                        copy_bytes: bytes,
+                        ..Default::default()
+                    })
+                })
+                .collect();
             CommTrace { p, steps }
         }
         AllreduceAlgorithm::ReduceScatterAllgather => {
@@ -321,7 +132,7 @@ mod tests {
             assert!(reduce_scatter_trace(algo, &[7], &sample(1)).steps.is_empty());
         }
         for algo in AllreduceAlgorithm::ALL {
-            assert!(allreduce_trace(algo, 1, 7, &sample(1)).steps.is_empty());
+            assert!(allreduce_trace(algo, ReduceOp::Sum, 1, 7, &sample(1)).steps.is_empty());
         }
     }
 
@@ -362,10 +173,12 @@ mod tests {
             }
         }
         for algo in AllreduceAlgorithm::ALL {
-            for step in allreduce_trace(algo, p, 29, &sample(p)).steps {
-                let out: u64 = step.loads.iter().map(|(_, l)| l.bytes_out).sum();
-                let inc: u64 = step.loads.iter().map(|(_, l)| l.bytes_in).sum();
-                assert_eq!(out, inc, "{algo:?} {:?}", step.kind);
+            for op in ReduceOp::ALL {
+                for step in allreduce_trace(algo, op, p, 29, &sample(p)).steps {
+                    let out: u64 = step.loads.iter().map(|(_, l)| l.bytes_out).sum();
+                    let inc: u64 = step.loads.iter().map(|(_, l)| l.bytes_in).sum();
+                    assert_eq!(out, inc, "{algo:?} {op:?} {:?}", step.kind);
+                }
             }
         }
     }
@@ -374,7 +187,7 @@ mod tests {
     fn log_schedules_use_log_many_steps() {
         for p in [2usize, 3, 5, 8, 12, 16] {
             let counts = vec![4usize; p];
-            let lg = ceil_log2(p) as usize;
+            let lg = bruck_core::common::ceil_log2(p) as usize;
             assert_eq!(
                 allgatherv_trace(AllgathervAlgorithm::Ring, &counts, &sample(p)).steps.len(),
                 p - 1
@@ -395,37 +208,29 @@ mod tests {
     }
 
     #[test]
-    fn pat_sends_one_message_per_phase_per_rank() {
-        for p in [2usize, 3, 5, 7, 8, 12, 16, 31] {
-            let counts = vec![1usize; p];
-            for t in [
-                allgatherv_trace(AllgathervAlgorithm::Pat, &counts, &sample(p)),
-                reduce_scatter_trace(ReduceScatterAlgorithm::Pat, &counts, &sample(p)),
-            ] {
-                for step in &t.steps {
-                    for (q, l) in &step.loads {
-                        assert_eq!(l.seq_msgs, 1, "p={p} rank {q} {:?}", step.kind);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn halving_tags_include_fold_and_unfold_only_when_needed() {
-        let t8 = reduce_scatter_trace(ReduceScatterAlgorithm::RecursiveHalving, &[1; 8], &sample(8));
-        assert!(!t8.wire_tags().contains(&RS_FOLD_TAG));
-        assert!(!t8.wire_tags().contains(&RS_UNFOLD_TAG));
-        let t12 = reduce_scatter_trace(ReduceScatterAlgorithm::RecursiveHalving, &[1; 12], &sample(12));
-        assert!(t12.wire_tags().contains(&RS_FOLD_TAG));
-        assert!(t12.wire_tags().contains(&RS_UNFOLD_TAG));
+    fn non_powers_of_two_fold_nothing() {
+        // P = 12: halving is 4 one-way steps, no fold step; doubling `Sum`
+        // is 4 rounds of one window (r = 4 has no bit below 2ᴷ⁻¹), and at
+        // P = 7 round 1 carries the second window.
+        let t = reduce_scatter_trace(ReduceScatterAlgorithm::RecursiveHalving, &[1; 12], &sample(12));
+        assert_eq!(t.wire_tags(), (0..4).rev().map(bruck_core::common::rs_halving_tag).collect::<Vec<_>>());
+        let segments: Vec<u64> = t.steps.iter().map(|s| s.load_of(5).unwrap().bytes_out / 8).collect();
+        assert_eq!(segments, [4, 4, 2, 1]);
+        let bytes = |p, op| -> Vec<u64> {
+            let t = allreduce_trace(AllreduceAlgorithm::RecursiveDoubling, op, p, 2, &sample(p));
+            t.steps.iter().map(|s| s.load_of(0).unwrap().bytes_out).collect()
+        };
+        assert_eq!(bytes(12, ReduceOp::Sum), [16; 4]);
+        assert_eq!(bytes(7, ReduceOp::Sum), [16, 32, 16]);
+        assert_eq!(bytes(7, ReduceOp::Max), [16; 3]);
     }
 
     #[test]
     fn rs_ag_composition_concatenates_disjoint_tag_blocks() {
-        let t = allreduce_trace(AllreduceAlgorithm::ReduceScatterAllgather, 12, 100, &sample(12));
+        use bruck_core::common::{agv_bruck_tag, rs_halving_tag, RS_PAIRWISE_TAG};
+        let t = allreduce_trace(AllreduceAlgorithm::ReduceScatterAllgather, ReduceOp::Sum, 12, 100, &sample(12));
         let tags = t.wire_tags();
-        assert!(tags.iter().any(|&t| (rs_halving_tag(0)..RS_FOLD_TAG).contains(&t)));
+        assert!(tags.iter().any(|&t| (rs_halving_tag(0)..ar_doubling_tag(0)).contains(&t)));
         assert!(tags.iter().any(|&t| (agv_bruck_tag(0)..RS_PAIRWISE_TAG).contains(&t)));
     }
 }

@@ -43,16 +43,13 @@ pub enum StepKind {
     /// A collective prologue (allreduce of the maximum block size); uses
     /// reserved tags and is skipped by byte validation.
     Collective,
-    /// One wire step of the wider collective family (allgatherv /
+    /// One one-way step of the wider collective family (allgatherv /
     /// reduce_scatter / allreduce / PAT, tag block `0x0800..0x0FFF`). The
-    /// tag is carried explicitly — see [`crate::collective`] for the
-    /// per-schedule closed forms. `pairwise` selects the contended all-pairs
-    /// bandwidth, as [`StepKind::Pairwise`] does for alltoallv.
+    /// tag is carried explicitly — see [`crate::collective`], which prices
+    /// `bruck-core`'s step plans.
     Coll {
         /// The wire tag `bruck-core` sends this step's traffic under.
         tag: u32,
-        /// All-pairs contention (the pairwise-exchange reduce_scatter).
-        pairwise: bool,
     },
     /// Pure local work (rotation, padding, scan) — no wire traffic.
     Local,
@@ -128,7 +125,6 @@ fn rank_time(m: &MachineModel, kind: StepKind, l: &RankLoad, p: usize) -> f64 {
         // All-pairs patterns contend; the leader exchange is all-pairs over
         // the (much smaller) leader set.
         StepKind::Pairwise { .. }
-        | StepKind::Coll { pairwise: true, .. }
         | StepKind::HierLeader
         | StepKind::RankaStage1
         | StepKind::RankaStage2 => m.beta_pair,

@@ -47,9 +47,10 @@ stage conformance cargo test --release -q --test conformance
 # Collective-family gate (DESIGN.md §16): the differential gauntlet — every
 # allgatherv / reduce_scatter / allreduce schedule vs the naive reference,
 # byte-identical across ThreadComm/SimComm/EventComm, schedule-independent
-# over 16 sim seeds, and message/byte-exact against the closed-form model
-# traces (a miscounted trace must fail with a precise diagnostic) — plus the
-# seeded property sweep over arbitrary non-uniform counts.
+# over 16 sim seeds, and message/byte-exact against the model's pricing of
+# the same step plans (a miscounted trace must fail with a precise
+# diagnostic) — plus the seeded property sweep over arbitrary non-uniform
+# counts.
 stage collectives-gauntlet cargo test --release -q --test collectives_gauntlet
 stage collectives-properties cargo test --release -q --test collectives_properties
 # Source rules (DESIGN.md §8.4): the `[workspace.lints]` table plus the bans

@@ -9,9 +9,9 @@
 //! 2. **Schedule independence**: byte-identical results over 16 SimComm
 //!    schedule seeds.
 //! 3. **Conformance**: under `MeteredComm`, per-tag message and byte counts
-//!    match `bruck-model`'s closed-form traces *exactly* (the one comparator,
-//!    `tests/common/`), logical totals are fully explained by the trace, and
-//!    the probe-span timeline matches the declared phase table.
+//!    match `bruck-model`'s pricing of the same step plans *exactly* (the one
+//!    comparator, `tests/common/`), logical totals are fully explained by the
+//!    trace, and the probe-span timeline matches the declared phase table.
 //! 4. **Honest gate**: a deliberately miscounted model trace must produce a
 //!    precise violation — proving the conformance gate can actually fail.
 
@@ -20,7 +20,7 @@ mod common;
 use bruck_comm::{Communicator, EventComm, MeteredComm, Metrics, ReduceOp, SimComm, ThreadComm};
 use bruck_core::common::{
     agv_bruck_tag, agv_ring_tag, ar_doubling_tag, ceil_log2, pat_ag_tag, pat_rs_tag,
-    rs_halving_tag, AR_FOLD_TAG, AR_UNFOLD_TAG, RS_FOLD_TAG, RS_PAIRWISE_TAG, RS_UNFOLD_TAG,
+    rs_halving_tag, RS_PAIRWISE_TAG,
 };
 use bruck_core::probe::{self, PhaseEvent};
 use bruck_core::{
@@ -34,6 +34,10 @@ use common::{conformance_violations, phase_violations, Rule};
 /// World sizes covering the degenerate (1), even/odd, power-of-two and
 /// non-power-of-two regimes.
 const SIZES: [usize; 6] = [1, 2, 3, 5, 8, 12];
+
+/// The conformance bar adds P = 6 and 7: every point is one message per rank
+/// per step at any P (7 is where `Sum`'s doubling carries two windows).
+const CONFORMANCE_SIZES: [usize; 8] = [1, 2, 3, 5, 6, 7, 8, 12];
 
 const SIM_SEEDS: u64 = 16;
 
@@ -219,16 +223,8 @@ fn every_schedule_is_seed_independent_on_simcomm() {
 }
 
 // ---------------------------------------------------------------------------
-// Bar 3: metered conformance against the closed-form model traces.
+// Bar 3: metered conformance against the model's priced plans.
 // ---------------------------------------------------------------------------
-
-fn pow2_core(p: usize) -> usize {
-    if p.is_power_of_two() {
-        p
-    } else {
-        p.next_power_of_two() / 2
-    }
-}
 
 fn nonzero(phases: Vec<(&'static str, u64)>) -> Vec<(&'static str, u64)> {
     phases.into_iter().filter(|&(_, c)| c > 0).collect()
@@ -243,43 +239,24 @@ fn gv_phases(algo: AllgathervAlgorithm, p: usize) -> Vec<(&'static str, u64)> {
     })
 }
 
-/// Halving/doubling phase table — per rank: remainder ranks see only
-/// fold + unfold, core ranks see the halving steps (plus fold/unfold when
-/// they have a remainder partner).
-fn folded_phases(
-    names: (&'static str, &'static str, &'static str),
-    p: usize,
-    me: usize,
-) -> Vec<(&'static str, u64)> {
-    let (fold, step, unfold) = names;
-    let m = pow2_core(p);
-    let r = p - m;
-    let lg = m.trailing_zeros() as u64;
-    if me >= m {
-        vec![(fold, 1), (unfold, 1)]
-    } else {
-        let partnered = u64::from(me < r);
-        nonzero(vec![(fold, partnered), (step, lg), (unfold, partnered)])
-    }
+/// Every rank runs every step of every schedule, at any P: one table per
+/// schedule, the same on every rank.
+fn rs_phases(algo: ReduceScatterAlgorithm, p: usize) -> Vec<(&'static str, u64)> {
+    let lg = u64::from(ceil_log2(p));
+    nonzero(match algo {
+        ReduceScatterAlgorithm::Pairwise => vec![("rs_pairwise.step", p as u64 - 1)],
+        ReduceScatterAlgorithm::RecursiveHalving => vec![("rs_halving.step", lg)],
+        ReduceScatterAlgorithm::Pat => vec![("pat_rs.step", lg)],
+    })
 }
 
-fn rs_phases(algo: ReduceScatterAlgorithm, p: usize, me: usize) -> Vec<(&'static str, u64)> {
-    match algo {
-        ReduceScatterAlgorithm::Pairwise => nonzero(vec![("rs_pairwise.step", p as u64 - 1)]),
-        ReduceScatterAlgorithm::RecursiveHalving => {
-            folded_phases(("rs_halving.fold", "rs_halving.step", "rs_halving.unfold"), p, me)
-        }
-        ReduceScatterAlgorithm::Pat => nonzero(vec![("pat_rs.step", u64::from(ceil_log2(p)))]),
-    }
-}
-
-fn ar_phases(algo: AllreduceAlgorithm, p: usize, me: usize) -> Vec<(&'static str, u64)> {
+fn ar_phases(algo: AllreduceAlgorithm, p: usize) -> Vec<(&'static str, u64)> {
     match algo {
         AllreduceAlgorithm::RecursiveDoubling => {
-            folded_phases(("ar_doubling.fold", "ar_doubling.step", "ar_doubling.unfold"), p, me)
+            nonzero(vec![("ar_doubling.step", u64::from(ceil_log2(p)))])
         }
         AllreduceAlgorithm::ReduceScatterAllgather => {
-            let mut v = rs_phases(ReduceScatterAlgorithm::RecursiveHalving, p, me);
+            let mut v = rs_phases(ReduceScatterAlgorithm::RecursiveHalving, p);
             v.extend(gv_phases(AllgathervAlgorithm::Bruck, p));
             v
         }
@@ -290,18 +267,18 @@ fn assert_conformant(
     name: &str,
     runs: &[(Metrics, Vec<PhaseEvent>)],
     trace: &CommTrace,
-    phases: impl Fn(usize) -> Vec<(&'static str, u64)>,
+    phases: &[(&'static str, u64)],
 ) {
     for (rank, (metrics, events)) in runs.iter().enumerate() {
         let mut v = conformance_violations(rank, metrics, trace, Rule::Exact);
-        v.extend(phase_violations(rank, events, &phases(rank)));
+        v.extend(phase_violations(rank, events, phases));
         assert!(v.is_empty(), "{name}: {v:#?}");
     }
 }
 
 #[test]
 fn allgatherv_conforms_to_model_traces() {
-    for p in SIZES {
+    for p in CONFORMANCE_SIZES {
         let counts = gv_counts(p, 7);
         for algo in AllgathervAlgorithm::ALL {
             let trace = allgatherv_trace(algo, &counts, &RankSample::all(p));
@@ -312,16 +289,14 @@ fn allgatherv_conforms_to_model_traces() {
                 gv_cell(algo, &mc, &c);
                 (mc.metrics(), probe::take())
             });
-            assert_conformant(&format!("{} p={p}", algo.name()), &runs, &trace, |_| {
-                gv_phases(algo, p)
-            });
+            assert_conformant(&format!("{} p={p}", algo.name()), &runs, &trace, &gv_phases(algo, p));
         }
     }
 }
 
 #[test]
 fn reduce_scatter_conforms_to_model_traces() {
-    for p in SIZES {
+    for p in CONFORMANCE_SIZES {
         let counts = gv_counts(p, 9);
         for algo in ReduceScatterAlgorithm::ALL {
             let trace = reduce_scatter_trace(algo, &counts, &RankSample::all(p));
@@ -332,35 +307,35 @@ fn reduce_scatter_conforms_to_model_traces() {
                 rs_cell(algo, &mc, &c, ReduceOp::Sum);
                 (mc.metrics(), probe::take())
             });
-            assert_conformant(&format!("{} p={p}", algo.name()), &runs, &trace, |me| {
-                rs_phases(algo, p, me)
-            });
+            assert_conformant(&format!("{} p={p}", algo.name()), &runs, &trace, &rs_phases(algo, p));
         }
     }
 }
 
 #[test]
 fn allreduce_conforms_to_model_traces() {
-    for p in SIZES {
+    for p in CONFORMANCE_SIZES {
         let n = 23usize;
         for algo in AllreduceAlgorithm::ALL {
-            let trace = allreduce_trace(algo, p, n, &RankSample::all(p));
-            let runs = ThreadComm::run(p, move |comm| {
-                let mc = MeteredComm::new(comm);
-                probe::install();
-                ar_cell(algo, &mc, n, ReduceOp::Max);
-                (mc.metrics(), probe::take())
-            });
-            assert_conformant(&format!("{} p={p}", algo.name()), &runs, &trace, |me| {
-                ar_phases(algo, p, me)
-            });
+            for op in [ReduceOp::Max, ReduceOp::Sum] {
+                let trace = allreduce_trace(algo, op, p, n, &RankSample::all(p));
+                let runs = ThreadComm::run(p, move |comm| {
+                    let mc = MeteredComm::new(comm);
+                    probe::install();
+                    ar_cell(algo, &mc, n, op);
+                    (mc.metrics(), probe::take())
+                });
+                let name = format!("{} {op:?} p={p}", algo.name());
+                assert_conformant(&name, &runs, &trace, &ar_phases(algo, p));
+            }
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Tag agreement: the model tags its steps with core's tag functions; what
-// this pins is each schedule's step *order* and fold/unfold placement.
+// Tag agreement: the model prices core's plans; what this pins is each
+// schedule's step *order*, and that no fold step remains at a
+// non-power-of-two P.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -385,19 +360,20 @@ fn core_and_model_agree_on_every_wire_tag() {
         reduce_scatter_trace(ReduceScatterAlgorithm::Pairwise, &counts, &s).wire_tags(),
         vec![RS_PAIRWISE_TAG]
     );
-    let m = pow2_core(p);
-    let mut halving = vec![RS_FOLD_TAG];
-    halving.extend((0..m.trailing_zeros()).rev().map(rs_halving_tag));
-    halving.push(RS_UNFOLD_TAG);
-    assert_eq!(reduce_scatter_trace(ReduceScatterAlgorithm::RecursiveHalving, &counts, &s).wire_tags(), halving);
+    assert_eq!(
+        reduce_scatter_trace(ReduceScatterAlgorithm::RecursiveHalving, &counts, &s).wire_tags(),
+        (0..lg).rev().map(rs_halving_tag).collect::<Vec<_>>()
+    );
     assert_eq!(
         reduce_scatter_trace(ReduceScatterAlgorithm::Pat, &counts, &s).wire_tags(),
         (0..lg).map(pat_rs_tag).collect::<Vec<_>>()
     );
-    let mut doubling = vec![AR_FOLD_TAG];
-    doubling.extend((0..m.trailing_zeros()).map(ar_doubling_tag));
-    doubling.push(AR_UNFOLD_TAG);
-    assert_eq!(allreduce_trace(AllreduceAlgorithm::RecursiveDoubling, p, 8, &s).wire_tags(), doubling);
+    for op in ReduceOp::ALL {
+        assert_eq!(
+            allreduce_trace(AllreduceAlgorithm::RecursiveDoubling, op, p, 8, &s).wire_tags(),
+            (0..lg).map(ar_doubling_tag).collect::<Vec<_>>()
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

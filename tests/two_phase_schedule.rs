@@ -21,7 +21,8 @@ use bruck_comm::{
 use bruck_core::common::{ceil_log2, data_tag, meta_tag};
 use bruck_core::{
     allgatherv, allreduce, alltoall, configurable_alltoallv, packed_displs, pattern,
-    AllgathervAlgorithm, AllreduceAlgorithm, AlltoallAlgorithm, AlltoallvAlgorithm, EngineConfig,
+    reduce_scatter, AllgathervAlgorithm, AllreduceAlgorithm, AlltoallAlgorithm,
+    AlltoallvAlgorithm, EngineConfig, ReduceScatterAlgorithm,
 };
 use bruck_model::{nonuniform_trace, MatrixSource, RankSample};
 use bruck_workload::{Distribution, SizeMatrix};
@@ -164,19 +165,26 @@ fn a_bruck_rank_parks_twice_not_once_per_step() {
 }
 
 #[test]
-fn recursive_doubling_parks_half_the_ranks_at_every_step() {
-    // No order can beat this under run-to-block: in each of the log₂ P
-    // pairwise exchanges both partners send and then receive, and whichever
-    // of a pair runs first finds nothing to receive and must park — P/2
-    // parks per step, so P·(1 + log₂P / 2) executions is the floor, and the
-    // sweep sits on it.
+fn one_way_doubling_parks_each_rank_once() {
+    // Every round is one-way (send to `me + 2ᵏ`, receive from `me − 2ᵏ`), so
+    // no two ranks wait on each other: every rank but one parks exactly once,
+    // 2P − 1 executions at a power of two. The XOR butterfly this replaced
+    // parked P/2 ranks at every step (P·(1 + log₂P / 2): 256 and 1,280).
+    // Recursive halving is the same one-way shape, transposed.
     for p in [64usize, 256] {
         let execs = executions(p, |comm| {
             let mut v = [comm.rank() as u64; 8];
             allreduce(AllreduceAlgorithm::RecursiveDoubling, comm, &mut v, ReduceOp::Sum).unwrap();
         });
-        let (p, steps) = (p as u64, ceil_log2(p) as u64);
-        assert_eq!(execs, p + p * steps / 2, "P = {p}");
+        assert_eq!(execs, 2 * p as u64 - 1, "P = {p}");
+        let counts: Vec<usize> = (0..p).map(|r| 1 + r % 7).collect();
+        let execs = executions(p, |comm| {
+            let send = vec![comm.rank() as u64; counts.iter().sum()];
+            let mut recv = vec![0u64; counts[comm.rank()]];
+            let halving = ReduceScatterAlgorithm::RecursiveHalving;
+            reduce_scatter(halving, comm, &send, &mut recv, &counts, ReduceOp::Sum).unwrap();
+        });
+        assert!(execs <= 5 * p as u64 / 2, "halving at P = {p}: {execs} executions");
     }
 }
 
