@@ -1,7 +1,7 @@
 //! `bruck-chaos`: fault-injection soak for the fault-tolerance stack.
 //!
 //! One invocation runs two matrices, both through the one fault path (the
-//! recovering driver, `recovering`: detect → agree → shrink → retry):
+//! recovering driver, `recovering`: execute → agree → shrink → retry):
 //!
 //! * The **fault soak**: the registry's chaos rows — op × fault plan × seed —
 //!   each on a fresh *simulated* world with `FaultComm` → `ReliableComm` →

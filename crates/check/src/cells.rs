@@ -249,10 +249,9 @@ impl Faults {
     /// Budgets of the recovering driver every plan runs its cells under:
     /// a 2 s attempt deadline (the slowest non-crash cell of the full chaos
     /// tier, kCFA under `lossy`, takes 855 ms of virtual time, its confirm
-    /// included), with the detector and agreement windows derived from it.
+    /// included); the confirm's round timeout is derived from it.
     pub fn recovering() -> RecoveringConfig {
         RecoveringConfig { deadline: Duration::from_secs(2), ..RecoveringConfig::default() }
-            .with_derived_windows()
     }
 
     /// Post-operation ARQ service window: `(quiet, max_total)`. `quiet`
@@ -320,15 +319,15 @@ impl Faults {
     /// retransmission schedule — the oldest unacknowledged frame's, which a
     /// window-full send or a receive from a dying peer may sit out past the
     /// deadline. Between attempts sit the retry backoffs, and every cycle
-    /// pays one confirm: the detector's window, then at most one agreement
-    /// round timeout of waiting for a member that never answers.
+    /// pays one confirm: two round timeouts — the round that waits out a
+    /// member that never answers, and the anchored slack of the next.
     pub fn op_budget(self) -> Duration {
         let cfg = Faults::recovering();
         let arq = Faults::RELIABLE.retry_policy();
         let send: Duration = arq.schedule().into_iter().sum();
         let attempts = cfg.retry.attempts();
         let backoff: Duration = cfg.retry.schedule().into_iter().take(attempts as usize - 1).sum();
-        let confirm = cfg.detector.window + cfg.agreement.round_timeout;
+        let confirm = cfg.round_timeout() * 2;
         let stall = if self == Faults::Stall { Faults::STALL } else { Duration::ZERO };
         (cfg.deadline + send) * attempts + backoff + confirm * attempts + stall
     }
@@ -1047,7 +1046,7 @@ pub fn registry(seeds: &[u64]) -> Vec<Row> {
     // The real-clock canary: three cells on ThreadComm prove the virtual
     // clock is not hiding a wall-clock dependence (a lost wake-up, a
     // deadline that never fires) in the ARQ or in the recovering driver's
-    // deadline, detector, agreement and backoff.
+    // deadline, agreement and backoff.
     chaos(true, Smoke, Faults::Lossy, first, two_phase, 5, 48);
     chaos(true, Smoke, Faults::Crash, first, two_phase, 5, 48);
     chaos(true, Smoke, Faults::Crash, first, Op::Allgatherv(AllgathervAlgorithm::Bruck), 5, 9);
@@ -1161,8 +1160,7 @@ mod tests {
         // Four attempts, each a 2 s deadline plus 15 + 30 + 60 + 10 × 120 ms
         // of ack deadlines per exhausted send; three backoffs, 50, 100 and
         // 200 ms plus their seeded jitter (+13.1 %, +19.3 %, +9.2 %); one
-        // confirm per cycle, a 2.5 s detector window plus a 2.5 s agreement
-        // round.
+        // confirm per cycle, two 2.5 s agreement rounds.
         let backoff = 56_550 + 119_300 + 218_400;
         let clean = 4 * (2_000_000 + 1_305_000) + backoff + 4 * (2_500_000 + 2_500_000);
         assert_eq!(Faults::Clean.op_budget(), Duration::from_micros(clean));

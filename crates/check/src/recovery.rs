@@ -5,7 +5,7 @@
 //! [`FaultComm`] crashes at a share of the data ops its operation takes —
 //! the victim's [`FaultComm::ops`] at the end of the operation, read in a
 //! healthy run of the same driver — and drives the operation through
-//! [`recovering`](bruck_core::recovering)'s detect → agree → shrink →
+//! [`recovering`](bruck_core::recovering)'s execute → agree → shrink →
 //! retry. The `alltoallv` rows call [`recovering_alltoallv`]; every other
 //! row runs [`recover_cell`], the chaos soak's rank body, over the bare
 //! `FaultComm` instead of the ARQ stack. Per row the harness asserts the
@@ -22,7 +22,7 @@
 //!   two runs must fold to byte-identical digests (outcomes, views, outputs,
 //!   and virtual-time MTTR included).
 //!
-//! The virtual-time MTTR breakdown (detect / agree / repair / re-execute) of
+//! The virtual-time MTTR breakdown (agree / repair / re-execute) of
 //! the slowest survivor is reported per row and can be emitted as line-JSON
 //! (`bruck-chaos --smoke --out BENCH_PR8.json`) and regression
 //! checked against a committed baseline (`--check-against`).
@@ -38,11 +38,10 @@ use crate::cells::{
 use crate::runner::{judge, launch, recover_cell, run_twice, Launched, World};
 
 /// The recovering budgets every row runs under: tight enough that a whole
-/// row is a few simulated seconds, with the detector and agreement windows
-/// derived from the deadline ([`RecoveringConfig::with_derived_windows`]).
+/// row is a few simulated seconds, with the confirm's round window derived
+/// from the deadline ([`RecoveringConfig::round_timeout`]).
 pub fn recovery_config() -> RecoveringConfig {
     RecoveringConfig { deadline: Duration::from_millis(600), ..RecoveringConfig::default() }
-        .with_derived_windows()
 }
 
 /// Virtual-time MTTR of one row's slowest survivor, plus retry shape.
@@ -201,12 +200,10 @@ pub fn bench_json_line(r: &RecoveryCellReport) -> Option<String> {
     let cm = r.mttr?;
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     Some(format!(
-        "{{\"cell\":\"{}\",\"mttr_total_ms\":{:.3},\"detect_ms\":{:.3},\
-         \"agree_ms\":{:.3},\"repair_ms\":{:.3},\"reexecute_ms\":{:.3},\
-         \"cycles\":{},\"attempts\":{},\"crash_after_ops\":{}}}",
+        "{{\"cell\":\"{}\",\"mttr_total_ms\":{:.3},\"agree_ms\":{:.3},\"repair_ms\":{:.3},\
+         \"reexecute_ms\":{:.3},\"cycles\":{},\"attempts\":{},\"crash_after_ops\":{}}}",
         r.label,
         ms(cm.mttr.total()),
-        ms(cm.mttr.detect),
         ms(cm.mttr.agree),
         ms(cm.mttr.repair),
         ms(cm.mttr.reexecute),
@@ -342,8 +339,7 @@ mod tests {
             violation: None,
             mttr: Some(CellMttr {
                 mttr: Mttr {
-                    detect: Duration::from_millis(120),
-                    agree: Duration::from_millis(80),
+                    agree: Duration::from_millis(200),
                     repair: Duration::from_micros(500),
                     reexecute: Duration::from_millis(40),
                 },
@@ -353,7 +349,8 @@ mod tests {
             crash_after_ops: 33,
         };
         let line = bench_json_line(&r).unwrap();
-        assert_eq!(field_f64(&line, "detect_ms"), Some(120.0));
+        assert_eq!(field_f64(&line, "mttr_total_ms"), Some(240.5));
+        assert_eq!(field_f64(&line, "agree_ms"), Some(200.0));
         assert_eq!(field_f64(&line, "cycles"), Some(1.0));
         assert!(find_cell_line(&line, "Two-phase Bruck/half/seed1").is_some());
         let (adv, fatal) = check_against_baseline(&line, &[r]);

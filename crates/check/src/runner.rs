@@ -382,6 +382,7 @@ pub fn shrink_trace(
 mod tests {
     use super::*;
     use crate::cells::Op;
+    use bruck_comm::{agree_survivors, FaultPlan, Suspicion};
     use bruck_core::{AllgathervAlgorithm, AlltoallvAlgorithm};
     use bruck_workload::Distribution;
 
@@ -425,6 +426,36 @@ mod tests {
             assert!(r.ok(), "{}: {:?}", op.label(), r.failure);
             assert!(matches!(r.verdicts[p - 1], RankVerdict::TypedError(_)), "{:?}", r.verdicts);
             assert!(r.verdicts[..p - 1].iter().all(|v| matches!(v, RankVerdict::Recovered(..))));
+        }
+    }
+
+    /// Exit on evidence: a confirm under the chaos stack stops waiting for a
+    /// dead member when the ARQ gives up on it — one retry schedule after
+    /// the round-0 send — not at the round timeout.
+    #[test]
+    fn a_confirm_ends_on_the_arq_s_verdict_not_the_round_deadline() {
+        let (p, dead) = (5, 4);
+        let round = Faults::recovering().round_timeout();
+        let arq: Duration = Faults::RELIABLE.retry_policy().schedule().into_iter().sum();
+        assert_eq!((arq, round), (Duration::from_millis(1_305), Duration::from_millis(2_500)));
+        for seed in 0..4 {
+            let report = SimComm::try_run(p, &SimConfig::from_seed(seed), |comm| {
+                let fc = FaultComm::new(comm, FaultPlan::new(seed).with_crash(dead, 0));
+                let rc = ReliableComm::with_config(&fc, Faults::RELIABLE);
+                let members: Vec<usize> = (0..p).collect();
+                let out = agree_survivors(&rc, &members, 0, round, &Suspicion::none(p), false)?;
+                Ok::<_, CommError>((out.survivors, rc.now()))
+            });
+            for (rank, o) in report.outcomes.iter().enumerate() {
+                let o = o.as_ref().expect("no panic");
+                if rank == dead {
+                    assert_eq!(o, &Err(CommError::RankFailed { rank: dead }));
+                    continue;
+                }
+                let (survivors, at) = o.as_ref().unwrap();
+                assert_eq!(survivors, &[0, 1, 2, 3], "seed {seed} rank {rank}");
+                assert_eq!(*at, arq, "seed {seed} rank {rank}");
+            }
         }
     }
 

@@ -1,23 +1,25 @@
-//! All-survivor agreement: turn per-rank suspicion sets into one survivor
-//! set that every live rank decides identically.
+//! All-survivor agreement: one SPMD flood that finds the dead members of a
+//! group and decides, identically at every live rank, who survives — the
+//! ULFM `MPI_Comm_agree` idiom, and the whole of a recovering operation's
+//! confirm.
 //!
-//! [`crate::detect_failures`] produces *local* suspicions — a member that
-//! died mid-window may have proved itself to some peers and not others, and
-//! a member can keep dying while agreement itself is running. This module
-//! runs a flooding consensus over suspicion bitmaps
-//! ([`crate::Suspicion`]):
+//! It runs a flooding consensus over suspicion bitmaps ([`Suspicion`]):
 //!
 //! 1. **Rounds.** Each round, every participating rank sends its current
 //!    bitmap to every member it does not suspect, then collects one frame
-//!    from each such member (with a timeout) and unions what it receives.
-//!    A member that times out — or whose send fails with
-//!    [`crate::CommError::RankFailed`] — joins the suspicion set, so
-//!    failures *during* agreement simply re-enter the flood as new bits and
+//!    from each such member and unions what it receives. Round 0 from an
+//!    empty set is the proof-of-life sweep: a member that produces no frame
+//!    by the round's deadline joins the suspicion set, and so does one that
+//!    an operation addressed to it reports dead
+//!    ([`crate::CommError::RankFailed`] from a send, or from a probe once an
+//!    ARQ layer below has given up on it — no need to wait out the round).
+//!    Failures *during* agreement simply re-enter the flood as new bits, and
 //!    the round structure re-runs on the shrunken view until a fixpoint.
 //! 2. **Stability.** A rank's view is *stable* when a round changes
 //!    nothing: its own set did not grow and every collected frame echoed
-//!    exactly its set. After [`AgreeConfig::stable_rounds`] consecutive
-//!    stable rounds the rank *decides*.
+//!    exactly its set. After two consecutive stable rounds (the second gives
+//!    a freshly-propagated suspicion a round to reach everyone) the rank
+//!    *decides*.
 //! 3. **Decision flooding.** A deciding rank broadcasts a DECIDED frame
 //!    carrying the final bitmap to every member (best-effort, including
 //!    suspected ones — a falsely-suspected live rank learns its eviction
@@ -25,6 +27,9 @@
 //!    immediately adopts the decided set, re-floods it, and returns — so
 //!    one decision propagates even if its originator crashes mid-flood,
 //!    as long as any live rank received it.
+//!
+//! A healthy agreement is therefore three frames to every peer: rounds 0
+//! and 1, then the DECIDED flood.
 //!
 //! Two deciding ranks always decide the same set: deciding requires two
 //! rounds in which *every* live participant echoed the decider's exact
@@ -34,8 +39,8 @@
 //! a member that dies *after* the last flood it participated in may still
 //! appear in the decided survivor set. That is not a safety violation for
 //! the recovery stack — the next epoch's exchange trips over the stale
-//! member and the whole detect → agree → shrink cycle runs again (this is
-//! what makes recovery *multi*-epoch).
+//! member and the whole agree → shrink cycle runs again (this is what makes
+//! recovery *multi*-epoch).
 //!
 //! A rank that finds its own position suspected in any received bitmap is
 //! **evicted**: it keeps merging, stops sending, and returns with
@@ -62,8 +67,6 @@
 
 use std::time::Duration;
 
-use crate::communicator::await_arrival;
-use crate::detect::Suspicion;
 use crate::{CommError, CommResult, Communicator, MsgBuf, Tag, RESERVED_TAG_BASE};
 
 /// Base of the agreement tag block (`0x3100..0x31FF` above
@@ -74,10 +77,97 @@ fn agree_tag(epoch: u32) -> Tag {
     AGREE_TAG_BASE + (epoch % 0x100)
 }
 
+/// Consecutive stable rounds before a rank decides.
+const STABLE_ROUNDS: u32 = 2;
+/// Rounds before a wedged agreement fails loudly with
+/// [`crate::CommError::Timeout`] rather than spinning.
+const MAX_ROUNDS: u32 = 64;
+
 const KIND_ROUND: u8 = 0;
 const KIND_DECIDED: u8 = 1;
 
 const FLAG_DIRTY: u8 = 1;
+
+/// A set of suspected members, indexed by *position* in the member list the
+/// agreement runs over (not by parent rank). Dense and cheap to put on the
+/// wire: agreement floods these bitmaps.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Suspicion {
+    n: usize,
+    bits: Vec<u64>,
+}
+
+impl Suspicion {
+    /// An empty suspicion set over `n` members.
+    pub fn none(n: usize) -> Suspicion {
+        Suspicion { n, bits: vec![0; n.div_ceil(64)] }
+    }
+
+    /// Number of members the set ranges over.
+    pub fn members(&self) -> usize {
+        self.n
+    }
+
+    /// Mark member position `i` as suspected.
+    pub fn set(&mut self, i: usize) {
+        assert!(i < self.n, "suspicion index {i} out of range {}", self.n);
+        self.bits[i / 64] |= 1u64 << (i % 64);
+    }
+
+    /// Whether member position `i` is suspected.
+    pub fn get(&self, i: usize) -> bool {
+        assert!(i < self.n, "suspicion index {i} out of range {}", self.n);
+        self.bits[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    /// Union `other` into `self`; returns whether anything changed.
+    pub fn union(&mut self, other: &Suspicion) -> bool {
+        assert_eq!(self.n, other.n, "suspicion sets over different member counts");
+        let mut changed = false;
+        for (w, o) in self.bits.iter_mut().zip(&other.bits) {
+            let merged = *w | *o;
+            changed |= merged != *w;
+            *w = merged;
+        }
+        changed
+    }
+
+    /// The suspected member positions, ascending.
+    pub fn positions(&self) -> Vec<usize> {
+        (0..self.n).filter(|&i| self.get(i)).collect()
+    }
+
+    /// Wire encoding: the bit words, little-endian. The member count is
+    /// implied by the group both sides already share.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut v = Vec::with_capacity(self.bits.len() * 8);
+        for w in &self.bits {
+            v.extend_from_slice(&w.to_le_bytes());
+        }
+        v
+    }
+
+    /// Decode a wire bitmap for an `n`-member group; `None` if the length
+    /// is wrong or a bit beyond `n` is set (corrupt or mis-grouped frame).
+    pub fn from_bytes(n: usize, bytes: &[u8]) -> Option<Suspicion> {
+        let words = n.div_ceil(64);
+        if bytes.len() != words * 8 {
+            return None;
+        }
+        let mut bits = Vec::with_capacity(words);
+        for chunk in bytes.chunks_exact(8) {
+            bits.push(u64::from_le_bytes(chunk.try_into().ok()?));
+        }
+        if n % 64 != 0 {
+            if let Some(last) = bits.last() {
+                if *last >> (n % 64) != 0 {
+                    return None;
+                }
+            }
+        }
+        Some(Suspicion { n, bits })
+    }
+}
 
 fn frame(kind: u8, dirty: bool, epoch: u32, round: u32, bits: &Suspicion) -> MsgBuf {
     let body = bits.to_bytes();
@@ -103,43 +193,6 @@ fn parse_frame(n: usize, epoch: u32, buf: &MsgBuf) -> Option<(u8, bool, u32, Sus
     }
     let bits = Suspicion::from_bytes(n, &buf[10..])?;
     Some((kind, dirty, round, bits))
-}
-
-/// Timing and termination policy for [`agree_survivors`].
-///
-/// Round deadlines are **anchored**: round `r`'s collection at a rank ends
-/// at `entry + (r+1) · round_timeout`, where `entry` is when that rank
-/// called [`agree_survivors`]. Anchoring is what keeps ranks from drifting
-/// apart — a rank that burns a full window suspecting a dead peer in round
-/// `r` is still inside every other rank's round-`r+1` deadline, provided
-/// `round_timeout` exceeds the entry skew. Rounds do **not** busy-wait to
-/// their deadline: a round completes the moment every expected frame has
-/// arrived, so an all-alive agreement runs at message speed and only
-/// rounds that witness a failure pay the window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AgreeConfig {
-    /// Per-round collection window. Must exceed the entry skew between
-    /// ranks (detection may end at different instants on different ranks)
-    /// plus, above an ARQ layer, that layer's retry budget for one send to
-    /// a dead peer.
-    pub round_timeout: Duration,
-    /// Consecutive stable rounds required before deciding (≥ 1; 2 gives a
-    /// freshly-propagated suspicion a round to reach everyone first).
-    pub stable_rounds: u32,
-    /// Hard cap on rounds; exceeding it returns
-    /// [`crate::CommError::Timeout`] (crash-only: a wedged agreement fails
-    /// loudly rather than spinning).
-    pub max_rounds: u32,
-}
-
-impl Default for AgreeConfig {
-    fn default() -> Self {
-        AgreeConfig {
-            round_timeout: Duration::from_millis(200),
-            stable_rounds: 2,
-            max_rounds: 64,
-        }
-    }
 }
 
 /// What agreement concluded.
@@ -170,18 +223,31 @@ pub struct AgreeOutcome {
 
 /// Flood-and-decide agreement over `members` (sorted parent ranks,
 /// including the caller): see the module docs for the protocol. `initial`
-/// seeds the flood with this rank's detector verdicts; `dirty` seeds the
-/// flooded commit/abort vote (pass `true` when this rank's preceding
-/// exchange failed — the decided [`AgreeOutcome::dirty`] is then true at
-/// every survivor).
+/// seeds the flood with suspicions this rank already holds (a confirm
+/// passes [`Suspicion::none`]: round 0 finds the dead itself); `dirty`
+/// seeds the flooded commit/abort vote (pass `true` when this rank's
+/// preceding exchange failed — the decided [`AgreeOutcome::dirty`] is then
+/// true at every survivor).
+///
+/// Round deadlines are **anchored**: round `r`'s collection at a rank ends
+/// at `entry + (r+1) · round_timeout`, where `entry` is when that rank
+/// called `agree_survivors`. Anchoring is what keeps ranks from drifting
+/// apart — a rank that burns a full window suspecting a dead peer in round
+/// `r` is still inside every other rank's round-`r+1` deadline, provided
+/// `round_timeout` exceeds the entry skew (plus, above an ARQ layer, that
+/// layer's retry budget for one send to a dead peer). Rounds do **not**
+/// wait out their deadline: a round completes the moment every expected
+/// frame has arrived or its sender is proven dead, so an all-alive
+/// agreement runs at message speed and only a silent member costs the
+/// window.
 ///
 /// Errors only for local failure (this rank crashed, malformed arguments)
-/// or protocol non-termination within [`AgreeConfig::max_rounds`].
+/// or protocol non-termination within 64 rounds.
 pub fn agree_survivors<C: Communicator + ?Sized>(
     comm: &C,
     members: &[usize],
     epoch: u32,
-    cfg: &AgreeConfig,
+    round_timeout: Duration,
     initial: &Suspicion,
     dirty: bool,
 ) -> CommResult<AgreeOutcome> {
@@ -196,9 +262,6 @@ pub fn agree_survivors<C: Communicator + ?Sized>(
     let Some(me_pos) = members.iter().position(|&m| m == me) else {
         return Err(CommError::BadArgument("calling rank not in members"));
     };
-    if cfg.stable_rounds == 0 || cfg.max_rounds == 0 {
-        return Err(CommError::BadArgument("stable_rounds and max_rounds must be >= 1"));
-    }
     for &m in members {
         comm.check_rank(m)?;
     }
@@ -206,8 +269,8 @@ pub fn agree_survivors<C: Communicator + ?Sized>(
 
     let mut susp = initial.clone();
     let mut dirty = dirty;
-    // Members suspected before agreement began (detector verdicts): high
-    // confidence, never contacted. Members that become suspected *during*
+    // Members suspected before agreement began: high confidence, never
+    // contacted. Members that become suspected *during*
     // agreement get one courtesy frame so a falsely-accused live rank can
     // learn its eviction.
     let mut courtesy_done: Vec<bool> = (0..n).map(|i| susp.get(i)).collect();
@@ -224,13 +287,14 @@ pub fn agree_survivors<C: Communicator + ?Sized>(
         AgreeOutcome { survivors, suspected: survivor_bits, rounds, evicted_me, adopted, dirty }
     };
 
-    for round in 0..cfg.max_rounds {
+    for round in 0..MAX_ROUNDS {
         let sent_bits = susp.clone();
         let sent_dirty = dirty;
         let round_frame = frame(KIND_ROUND, sent_dirty, epoch, round, &sent_bits);
 
         // Send to every unsuspected peer; one courtesy copy to the newly
-        // suspected. Send failures incriminate the peer, not us.
+        // suspected. A failure reported by an operation addressed to a peer
+        // incriminates that peer, unless it names us.
         for i in 0..n {
             if i == me_pos {
                 continue;
@@ -239,15 +303,9 @@ pub fn agree_survivors<C: Communicator + ?Sized>(
             if is_susp && courtesy_done[i] {
                 continue;
             }
-            if let Err(e) = comm.send_buf(members[i], tag, round_frame.clone()) {
-                match e {
-                    CommError::RankFailed { rank } if rank != me => {
-                        if let Some(pos) = members.iter().position(|&m| m == rank) {
-                            susp.set(pos);
-                        }
-                    }
-                    other => return Err(other),
-                }
+            match comm.send_buf(members[i], tag, round_frame.clone()) {
+                Err(CommError::RankFailed { rank }) if rank != me => susp.set(i),
+                other => other?,
             }
             if is_susp {
                 courtesy_done[i] = true;
@@ -259,7 +317,7 @@ pub fn agree_survivors<C: Communicator + ?Sized>(
         // peers) against a deadline **anchored** to our entry time, so a
         // peer that burned its full round-`r` window on a member we had
         // already suspected is still inside our round-`r+1` window.
-        let deadline = start + cfg.round_timeout * (round + 1);
+        let deadline = start + round_timeout * (round + 1);
         let mut pending: Vec<usize> =
             (0..n).filter(|&i| i != me_pos && !sent_bits.get(i)).collect();
         let mut all_echoed_exactly = true;
@@ -307,10 +365,9 @@ pub fn agree_survivors<C: Communicator + ?Sized>(
                         pending.swap_remove(k);
                     }
                     Err(CommError::RankFailed { rank }) if rank != me => {
+                        // Evidence, not silence: the peer is proven dead
+                        // before the round's deadline.
                         progressed = true;
-                        if let Some(pos) = members.iter().position(|&m| m == rank) {
-                            susp.set(pos);
-                        }
                         susp.set(i);
                         all_echoed_exactly = false;
                         pending.swap_remove(k);
@@ -331,9 +388,12 @@ pub fn agree_survivors<C: Communicator + ?Sized>(
                 all_echoed_exactly = false;
                 break;
             }
-            // An empty pass parks until a frame arrives or the anchored
-            // deadline.
-            seen = await_arrival(comm, seen, !progressed, deadline - now)?;
+            // An empty pass parks until something arrives or the anchored
+            // deadline; a productive one only refreshes the count. The count
+            // is read before the next sweep either way, so a frame landing
+            // mid-sweep is never slept through.
+            let budget = if progressed { Duration::ZERO } else { deadline - now };
+            seen = comm.wait_arrival(seen, budget)?;
         }
 
         if susp.get(me_pos) {
@@ -346,7 +406,7 @@ pub fn agree_survivors<C: Communicator + ?Sized>(
         } else {
             stable = 0;
         }
-        if stable >= cfg.stable_rounds {
+        if stable >= STABLE_ROUNDS {
             // Decide and flood, best-effort, to every member — including
             // suspected ones, so a falsely-suspected rank learns.
             let decided = frame(KIND_DECIDED, dirty, epoch, round, &susp);
@@ -371,22 +431,15 @@ pub fn agree_survivors<C: Communicator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::Suspicion;
     use crate::{SimComm, SimConfig, ThreadComm};
 
-    fn quick() -> AgreeConfig {
-        AgreeConfig {
-            round_timeout: Duration::from_millis(150),
-            stable_rounds: 2,
-            max_rounds: 32,
-        }
-    }
+    const ROUND: Duration = Duration::from_millis(150);
 
     #[test]
     fn empty_suspicions_decide_full_membership() {
         ThreadComm::run(4, |comm| {
             let out =
-                agree_survivors(comm, &[0, 1, 2, 3], 0, &quick(), &Suspicion::none(4), false)
+                agree_survivors(comm, &[0, 1, 2, 3], 0, ROUND, &Suspicion::none(4), false)
                     .unwrap();
             assert_eq!(out.survivors, vec![0, 1, 2, 3]);
             assert!(!out.evicted_me);
@@ -401,7 +454,7 @@ mod tests {
         // dirty = true with the full survivor set.
         let outs = ThreadComm::run(4, |comm| {
             let dirty = comm.rank() == 1;
-            agree_survivors(comm, &[0, 1, 2, 3], 3, &quick(), &Suspicion::none(4), dirty)
+            agree_survivors(comm, &[0, 1, 2, 3], 3, ROUND, &Suspicion::none(4), dirty)
                 .unwrap()
         });
         for (r, out) in outs.iter().enumerate() {
@@ -423,7 +476,7 @@ mod tests {
                 initial.set(2);
             }
             Some(
-                agree_survivors(comm, &[0, 1, 2, 3], 1, &quick(), &initial, false)
+                agree_survivors(comm, &[0, 1, 2, 3], 1, ROUND, &initial, false)
                     .unwrap(),
             )
         });
@@ -448,7 +501,7 @@ mod tests {
                 if comm.rank() % 2 == 0 {
                     initial.set(3);
                 }
-                agree_survivors(comm, &[0, 1, 2, 3, 4], 2, &quick(), &initial, false).map(Some)
+                agree_survivors(comm, &[0, 1, 2, 3, 4], 2, ROUND, &initial, false).map(Some)
             });
             let mut sets = Vec::new();
             for (rank, o) in report.outcomes.iter().enumerate() {
@@ -463,5 +516,48 @@ mod tests {
                 assert_eq!(s, &vec![0, 1, 2, 4], "seed {seed}");
             }
         }
+    }
+
+    #[test]
+    fn a_silent_member_is_dropped_by_every_survivor_at_the_round_deadline() {
+        // Rank 2 never enters. Round 0 is the proof-of-life sweep: everyone
+        // else suspects exactly it when the round closes, one round timeout
+        // after entry, and rounds 1 and 2 run at message speed — virtual
+        // time does not move again before the decision.
+        for seed in 0..4u64 {
+            let report = SimComm::try_run(4, &SimConfig::from_seed(seed), |comm| {
+                if comm.rank() == 2 {
+                    return Ok(None);
+                }
+                let out = agree_survivors(comm, &[0, 1, 2, 3], 1, ROUND, &Suspicion::none(4), false)?;
+                Ok::<_, CommError>(Some((out, comm.now())))
+            });
+            for (rank, o) in report.outcomes.iter().enumerate() {
+                let Some((out, at)) = o.as_ref().expect("no panic").as_ref().unwrap() else {
+                    assert_eq!(rank, 2);
+                    continue;
+                };
+                assert_eq!(out.survivors, vec![0, 1, 3], "seed {seed} rank {rank}");
+                assert_eq!((out.rounds, out.adopted, out.evicted_me), (3, false, false));
+                assert_eq!(*at, ROUND, "seed {seed} rank {rank}");
+            }
+        }
+    }
+
+    #[test]
+    fn suspicion_bitmap_round_trips_and_rejects_garbage() {
+        let mut s = Suspicion::none(70);
+        s.set(0);
+        s.set(63);
+        s.set(69);
+        let bytes = s.to_bytes();
+        assert_eq!(Suspicion::from_bytes(70, &bytes), Some(s.clone()));
+        assert_eq!(Suspicion::from_bytes(65, &bytes), None, "set bit beyond smaller group");
+        assert_eq!(Suspicion::from_bytes(129, &bytes), None, "wrong word count");
+        assert_eq!(Suspicion::from_bytes(70, &bytes[1..]), None, "wrong length");
+        let mut high = bytes;
+        let last = high.len() - 1;
+        high[last] |= 0x80;
+        assert_eq!(Suspicion::from_bytes(70, &high), None, "bit beyond n");
     }
 }

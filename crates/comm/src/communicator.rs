@@ -52,23 +52,6 @@ const TAG_BARRIER: Tag = RESERVED_TAG_BASE;
 const TAG_ALLREDUCE: Tag = RESERVED_TAG_BASE + 3;
 const TAG_ALLTOALL_COUNTS: Tag = RESERVED_TAG_BASE + 4;
 
-/// The tail of the failure detector's and the agreement flood's service loops
-/// (the ARQ's driver parks on its pre-sweep count whatever the pass handled,
-/// so it calls `wait_arrival` itself). `seen` is an arrival count read *before*
-/// the pass that just ended: if that pass was `idle` (handled nothing), park
-/// until the count moves or `budget` — the caller's own next deadline —
-/// elapses; otherwise only refresh the count. Either way the caller sweeps
-/// again before it next parks on the returned count, so a frame landing
-/// mid-sweep is never slept through.
-pub(crate) fn await_arrival<C: Communicator + ?Sized>(
-    comm: &C,
-    seen: u64,
-    idle: bool,
-    budget: Duration,
-) -> CommResult<u64> {
-    comm.wait_arrival(seen, if idle { budget } else { Duration::ZERO })
-}
-
 /// Receive the one little-endian `u64` of a small collective's step
 /// ([`Communicator::recv_exact`] of 8 bytes).
 fn recv_u64<C: Communicator + ?Sized>(comm: &C, src: usize, tag: Tag) -> CommResult<u64> {

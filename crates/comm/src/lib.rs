@@ -43,10 +43,12 @@
 //!   [`DeadlineComm`] bounds every blocking receive by a shared
 //!   wall-clock budget, surfacing [`CommError::Timeout`] /
 //!   [`CommError::RankFailed`] for graceful-degradation drivers.
-//! * **Membership** — [`detect_failures`] (heartbeat sweep),
-//!   [`agree_survivors`] (flooded survivor agreement with a commit/abort
-//!   vote) and [`ShrinkComm`] (the dense survivor world of one epoch): the
-//!   pieces `bruck-core`'s recovering driver confirms and shrinks with.
+//! * **Membership** — [`agree_survivors`] (one flooded agreement that
+//!   finds the dead — its first round is the proof-of-life sweep, and an
+//!   ARQ's verdict ends the wait for a dead peer early — and decides the
+//!   survivors with a commit/abort vote) and [`SubComm::for_epoch`] (the
+//!   dense survivor world of one epoch): the pieces `bruck-core`'s
+//!   recovering driver confirms and shrinks with.
 //! * **Deterministic simulation** — [`SimComm`] runs the same unmodified
 //!   algorithms under a seeded cooperative scheduler with a virtual clock:
 //!   one runnable rank at a time, recorded/replayable schedules
@@ -83,7 +85,6 @@ mod mailbox;
 mod metered;
 mod msgbuf;
 mod agree;
-mod detect;
 mod reliable;
 pub mod reduce;
 mod retry;
@@ -99,8 +100,7 @@ pub use event::EventComm;
 pub use fault::{EdgeFaults, FaultComm, FaultEvent, FaultKind, FaultPlan, ScriptedFault};
 pub use metered::{ChannelTotals, Histogram, MeteredComm, Metrics, TagCounters, HIST_BUCKETS};
 pub use msgbuf::MsgBuf;
-pub use agree::{agree_survivors, AgreeConfig, AgreeOutcome};
-pub use detect::{detect_failures, DetectorConfig, Suspicion};
+pub use agree::{agree_survivors, AgreeOutcome, Suspicion};
 pub use reliable::{ReliableComm, ReliableConfig};
 pub use reduce::ReduceOp;
 pub use retry::RetryPolicy;
@@ -113,7 +113,7 @@ pub use sim::{
     shrink_choices, ScheduleTrace, SimComm, SimConfig, SimOp, SimReport, SimRun, SimStep,
     SimWorld, WireEvent, WireKind,
 };
-pub use subcomm::{ShrinkComm, SubComm, SUBCOMM_MAX_TAG};
+pub use subcomm::{SubComm, SUBCOMM_MAX_TAG};
 pub use thread_comm::{ThreadComm, World};
 
 /// The name of the send-log wrapper [`MeteredComm`] absorbed, kept for

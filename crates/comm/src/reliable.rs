@@ -30,9 +30,9 @@
 //! pass that finds the count where the last complete sweep left it skips its
 //! P − 1 probes. An untimed receive with nothing in flight parks unbounded,
 //! which the simulator can prove stuck. A caller that parks on the wrapper's
-//! own `wait_arrival` between probes (the failure detector, an agreement
-//! round) gets a service pass first and wakes by the next retransmission, so
-//! its own lost frames keep moving while it waits for its peers'.
+//! own `wait_arrival` between probes (an agreement round) gets a service pass
+//! first and wakes by the next retransmission, so its own lost frames keep
+//! moving while it waits for its peers'.
 //!
 //! ## Three rules
 //!
@@ -55,10 +55,12 @@
 //!    peer to repeat it: on a lossy transport call [`ReliableComm::quiesce`]
 //!    after the last exchange (`bruck-chaos` does).
 //! 3. **A failure is reported only by operations addressed to the failed
-//!    peer**: the next send to it, a receive *from* it once nothing of its is
-//!    stashed, and `flush` / `quiesce`. Never by a receive from a live peer —
-//!    callers (the failure detector, the agreement) book a failure against
-//!    the rank it names, which would evict a healthy peer.
+//!    peer**: the next send to it, a receive or a probe *from* it once nothing
+//!    of its on that tag is stashed, and `flush` / `quiesce`. Never by a
+//!    receive or probe from a live peer — the agreement books a failure
+//!    against the peer it addressed, which would evict a healthy one. The
+//!    probe is what lets an agreement round stop waiting for a dead peer as
+//!    soon as the retry schedule gives up on it, not at the round deadline.
 //!
 //! ## Costs
 //!
@@ -451,12 +453,20 @@ impl<C: Communicator + ?Sized> Communicator for ReliableComm<'_, C> {
         })
     }
 
+    /// After a service pass: the length of the oldest message stashed for
+    /// `(src, tag)`; with none, [`CommError::RankFailed`] if `src` has failed
+    /// (rule 3), else `None`.
     fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
         self.inner.check_rank(src)?;
         let seen = self.inner.wait_arrival(0, Duration::ZERO)?;
         let mut s = self.lock();
         self.service(&mut s, seen)?;
-        Ok(s.peers[src].stash.iter().find(|(t, _)| *t == tag).map(|(_, msg)| msg.len()))
+        let peer = &s.peers[src];
+        match peer.stash.iter().find(|(t, _)| *t == tag) {
+            Some((_, msg)) => Ok(Some(msg.len())),
+            None if peer.failed => Err(CommError::RankFailed { rank: src }),
+            None => Ok(None),
+        }
     }
 
     fn now(&self) -> Duration {
@@ -474,8 +484,7 @@ impl<C: Communicator + ?Sized> Communicator for ReliableComm<'_, C> {
         }
         // Park no longer than this rank's next retransmission, after a
         // service pass that arms and resends what is overdue: a caller parked
-        // here between probes (the failure detector, an agreement round)
-        // would otherwise sit on its own lost frames while the peers waiting
+        // here between probes (an agreement round) would otherwise sit on its own lost frames while the peers waiting
         // for them time out. The count is the wire's: acks and other
         // channels' frames move it too, so a caller may wake early; its
         // re-sweep through `probe` services them.
@@ -587,8 +596,7 @@ mod tests {
 
     #[test]
     fn a_rank_parked_on_wait_arrival_keeps_retransmitting() {
-        // The failure detector and the agreement wait by parking on
-        // `wait_arrival` between probes. Rank 0's ping may be lost on the
+        // The agreement waits by parking on `wait_arrival` between probes. Rank 0's ping may be lost on the
         // way to rank 1; then only a retransmission from rank 0, due while
         // rank 0 is parked waiting for the pong, ends either wait in time.
         let mut lost_first = 0;
@@ -623,6 +631,46 @@ mod tests {
             }
         }
         assert!(lost_first > 0, "no seed lost the first ping");
+    }
+
+    #[test]
+    fn a_probe_reports_only_the_failed_peer_and_only_with_nothing_stashed() {
+        // Every frame 0 → 1 is dropped: rank 1's message reaches rank 0, but
+        // rank 0's own frame to 1 is never acked, so its retry schedule runs
+        // out. Rank 2 is alive and silent.
+        let report = SimComm::try_run(3, &SimConfig::from_seed(4), |comm| {
+            let edge = EdgeFaults { drop: 1.0, ..EdgeFaults::default() };
+            let fc = FaultComm::new(comm, FaultPlan::new(4).with_edge(0, 1, edge));
+            let rc = ReliableComm::with_config(&fc, quick_cfg());
+            match rc.rank() {
+                0 => {
+                    rc.send(1, 5, b"lost")?;
+                    let deadline = rc.now() + Duration::from_secs(10);
+                    let mut seen = rc.wait_arrival(0, Duration::ZERO)?;
+                    let failed = loop {
+                        match rc.probe(1, 9) {
+                            Err(e) => break Some(e),
+                            Ok(_) if rc.now() >= deadline => break None,
+                            Ok(_) => seen = rc.wait_arrival(seen, deadline - rc.now())?,
+                        }
+                    };
+                    let stashed = rc.probe(1, 4);
+                    let live = rc.probe(2, 9);
+                    Ok::<_, CommError>(Some((failed, stashed, live, rc.recv(1, 4)?)))
+                }
+                1 => {
+                    rc.send(0, 4, b"kept")?;
+                    Ok(None)
+                }
+                _ => Ok(None),
+            }
+        });
+        let outcomes: Vec<_> = report.outcomes.into_iter().map(|o| o.expect("no panic")).collect();
+        let (failed, stashed, live, kept) = outcomes[0].clone().unwrap().unwrap();
+        assert_eq!(failed, Some(CommError::RankFailed { rank: 1 }), "nothing stashed on tag 9");
+        assert_eq!(stashed, Ok(Some(4)), "a stashed message is still reported");
+        assert_eq!(live, Ok(None), "a live peer never reports a third party");
+        assert_eq!(kept, b"kept");
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! a parent communicator's ranks. Traffic is isolated from the parent (and
 //! from another group that reuses a rank pair) by folding a context id into
 //! the message tag, the same role MPI's communicator contexts play.
+//! [`SubComm::for_epoch`] builds the dense survivor world a recovering
+//! operation runs each attempt on, its context drawn from the epoch.
 
 use std::time::Duration;
 
@@ -41,6 +43,23 @@ impl<'a, C: Communicator + ?Sized> SubComm<'a, C> {
         Ok(SubComm { parent, members, my_index, ctx: ctx & CTX_MASK })
     }
 
+    /// The repaired world after a membership shrink: the agreed `survivors`
+    /// ([`crate::AgreeOutcome::survivors`], sorted parent ranks including the
+    /// caller) renumbered densely, dense rank `i` being `survivors[i]`.
+    /// Purely local: agreement already synchronized the view, and a
+    /// handshake here could itself trip over the dead ranks.
+    ///
+    /// The context is derived from the **membership epoch**
+    /// (`(epoch mod 63) + 1`), so consecutive epochs map the same logical
+    /// tag to different wire tags: straggler traffic from the epoch that
+    /// died can never be matched by the repaired world's exchanges.
+    pub fn for_epoch(parent: &'a C, survivors: Vec<usize>, epoch: u32) -> CommResult<Self> {
+        if survivors.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(CommError::BadArgument("survivors must be sorted and unique"));
+        }
+        SubComm::from_members(parent, survivors, (epoch % 63) + 1)
+    }
+
     /// The member list (parent ranks, in subcommunicator order).
     pub fn members(&self) -> &[usize] {
         &self.members
@@ -56,82 +75,6 @@ impl<'a, C: Communicator + ?Sized> SubComm<'a, C> {
         } else {
             Ok(tag | (self.ctx << CTX_SHIFT))
         }
-    }
-}
-
-/// The repaired communicator after a membership shrink: survivors of an
-/// agreed eviction ([`crate::agree_survivors`]) renumbered into a dense
-/// `0..survivors.len()` world over the original parent communicator.
-///
-/// This is [`SubComm`] machinery with recovery semantics layered on:
-///
-/// * The member list is the **agreed survivor set** — every survivor builds
-///   the identical communicator from [`crate::AgreeOutcome::survivors`]
-///   with no further handshake (agreement already synchronized the view;
-///   a collective handshake here could itself trip over the dead ranks).
-/// * The tag context is derived from the **membership epoch**
-///   (`(epoch mod 63) + 1`), so consecutive epochs always map the same
-///   logical tag to different wire tags: straggler traffic from the epoch
-///   that died can never be matched by the repaired world's exchanges.
-///
-/// Dense rank `i` is `survivors[i]`; a recovering operation rebuilds its
-/// per-destination state from that list on every attempt.
-pub struct ShrinkComm<'a, C: Communicator + ?Sized> {
-    sub: SubComm<'a, C>,
-}
-
-impl<'a, C: Communicator + ?Sized> ShrinkComm<'a, C> {
-    /// Build the epoch-`epoch` repaired world over `parent` from the agreed
-    /// `survivors` (sorted parent ranks; must include the caller). Purely
-    /// local — no communication.
-    pub fn new(parent: &'a C, survivors: Vec<usize>, epoch: u32) -> CommResult<Self> {
-        if survivors.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(CommError::BadArgument("survivors must be sorted and unique"));
-        }
-        let ctx = (epoch % 63) + 1;
-        let sub = SubComm::from_members(parent, survivors, ctx)?;
-        Ok(ShrinkComm { sub })
-    }
-}
-
-impl<C: Communicator + ?Sized> Communicator for ShrinkComm<'_, C> {
-    fn rank(&self) -> usize {
-        self.sub.rank()
-    }
-
-    fn size(&self) -> usize {
-        self.sub.size()
-    }
-
-    fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()> {
-        self.sub.send_buf(dest, tag, buf)
-    }
-
-    fn recv_match(
-        &self,
-        src: usize,
-        tag: Tag,
-        max_len: usize,
-        timeout: Duration,
-    ) -> CommResult<MsgBuf> {
-        self.sub.recv_match(src, tag, max_len, timeout)
-    }
-
-    fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
-        self.sub.probe(src, tag)
-    }
-
-    fn now(&self) -> Duration {
-        self.sub.now()
-    }
-
-    #[expect(clippy::disallowed_methods, reason = "a wrapper forward; it waits for nothing")]
-    fn sleep(&self, d: Duration) {
-        self.sub.sleep(d)
-    }
-
-    fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
-        self.sub.wait_arrival(seen, timeout)
     }
 }
 
@@ -301,13 +244,13 @@ mod tests {
     }
 
     #[test]
-    fn shrink_renumbers_survivors_densely() {
+    fn for_epoch_renumbers_survivors_densely() {
         let out = ThreadComm::run(5, |comm| {
             let me = comm.rank();
             if me == 2 {
                 return None; // the evicted rank builds nothing
             }
-            let shrink = ShrinkComm::new(comm, vec![0, 1, 3, 4], 7).unwrap();
+            let shrink = SubComm::for_epoch(comm, vec![0, 1, 3, 4], 7).unwrap();
             // Ring ping on the dense world proves translation works.
             let peer = (shrink.rank() + 1) % shrink.size();
             shrink.send(peer, 3, &[me as u8]).unwrap();
@@ -326,8 +269,8 @@ mod tests {
         // epoch's receive must match only its own epoch's send.
         ThreadComm::run(2, |comm| {
             let me = comm.rank();
-            let old = ShrinkComm::new(comm, vec![0, 1], 4).unwrap();
-            let new = ShrinkComm::new(comm, vec![0, 1], 5).unwrap();
+            let old = SubComm::for_epoch(comm, vec![0, 1], 4).unwrap();
+            let new = SubComm::for_epoch(comm, vec![0, 1], 5).unwrap();
             let peer = 1 - me;
             old.send(peer, 11, &[b'o', me as u8]).unwrap();
             new.send(peer, 11, &[b'n', me as u8]).unwrap();
@@ -337,23 +280,23 @@ mod tests {
     }
 
     #[test]
-    fn shrink_collectives_run_on_the_dense_world() {
+    fn for_epoch_collectives_run_on_the_dense_world() {
         let sums = ThreadComm::run(4, |comm| {
             if comm.rank() == 1 {
                 return 0;
             }
-            let shrink = ShrinkComm::new(comm, vec![0, 2, 3], 1).unwrap();
+            let shrink = SubComm::for_epoch(comm, vec![0, 2, 3], 1).unwrap();
             shrink.allreduce_u64(comm.rank() as u64, ReduceOp::Sum).unwrap()
         });
         assert_eq!(sums, vec![5, 0, 5, 5]);
     }
 
     #[test]
-    fn shrink_rejects_unsorted_or_foreign_survivor_lists() {
+    fn for_epoch_rejects_unsorted_or_foreign_survivor_lists() {
         ThreadComm::run(3, |comm| {
             if comm.rank() == 0 {
-                assert!(ShrinkComm::new(comm, vec![1, 0], 0).is_err(), "unsorted");
-                assert!(ShrinkComm::new(comm, vec![1, 2], 0).is_err(), "caller evicted");
+                assert!(SubComm::for_epoch(comm, vec![1, 0], 0).is_err(), "unsorted");
+                assert!(SubComm::for_epoch(comm, vec![1, 2], 0).is_err(), "caller evicted");
             }
         });
     }

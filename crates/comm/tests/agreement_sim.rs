@@ -7,19 +7,12 @@
 use std::time::Duration;
 
 use bruck_comm::{
-    agree_survivors, AgreeConfig, CommError, Communicator, FaultComm, FaultPlan, SimComm,
-    SimConfig, Suspicion,
+    agree_survivors, CommError, Communicator, FaultComm, FaultPlan, SimComm, SimConfig, Suspicion,
 };
 
 const SEEDS: u64 = 20;
 
-fn cfg() -> AgreeConfig {
-    AgreeConfig {
-        round_timeout: Duration::from_millis(400),
-        stable_rounds: 2,
-        max_rounds: 48,
-    }
-}
+const ROUND: Duration = Duration::from_millis(400);
 
 /// Healthy world, no suspicions: every seed, every rank decides the full
 /// membership, clean.
@@ -29,7 +22,7 @@ fn healthy_agreement_is_schedule_independent() {
     for seed in 0..SEEDS {
         let report = SimComm::try_run(p, &SimConfig::from_seed(seed), move |comm| {
             let members: Vec<usize> = (0..p).collect();
-            agree_survivors(comm, &members, 7, &cfg(), &Suspicion::none(p), false)
+            agree_survivors(comm, &members, 7, ROUND, &Suspicion::none(p), false)
         });
         for (rank, out) in report.outcomes.iter().enumerate() {
             let o = out.as_ref().expect("no panic").as_ref().unwrap();
@@ -58,7 +51,7 @@ fn one_sided_suspicion_converges_across_schedules() {
             if me == 0 {
                 susp.set(absent);
             }
-            agree_survivors(comm, &members, 3, &cfg(), &susp, false).map(Some)
+            agree_survivors(comm, &members, 3, ROUND, &susp, false).map(Some)
         });
         for (rank, out) in report.outcomes.iter().enumerate() {
             let o = out.as_ref().expect("no panic").as_ref().unwrap();
@@ -88,7 +81,7 @@ fn crash_mid_agreement_still_converges() {
             let fc = FaultComm::new(comm, FaultPlan::new(seed).with_crash(victim, 3));
             let members: Vec<usize> = (0..p).collect();
             let dirty = fc.rank() == 1; // one live rank votes dirty
-            agree_survivors(&fc, &members, 11, &cfg(), &Suspicion::none(p), dirty)
+            agree_survivors(&fc, &members, 11, ROUND, &Suspicion::none(p), dirty)
         });
         let mut decisions: Vec<(Vec<usize>, bool)> = Vec::new();
         for (rank, out) in report.outcomes.iter().enumerate() {
@@ -131,7 +124,7 @@ fn same_seed_reruns_are_identical() {
             if comm.rank() == 2 {
                 susp.set(0); // false, one-sided accusation of a live rank
             }
-            agree_survivors(comm, &members, 5, &cfg(), &susp, comm.rank() == 0)
+            agree_survivors(comm, &members, 5, ROUND, &susp, comm.rank() == 0)
                 .map(|o| (o.survivors, o.suspected.positions(), o.rounds, o.dirty))
         })
     };

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use bruck_comm::{
     CommError, Communicator, DeadlineComm, EventComm, FaultComm, FaultPlan, MeteredComm, MsgBuf,
-    ReliableComm, ReliableConfig, ShrinkComm, SimComm, SimConfig, SimOp, SubComm, ThreadComm,
+    ReliableComm, ReliableConfig, SimComm, SimConfig, SimOp, SubComm, ThreadComm,
 };
 
 const NAP: Duration = Duration::from_millis(5);
@@ -137,16 +137,14 @@ fn stacked(sim: &SimComm<'_>, build: Option<Build>, f: impl FnOnce(&dyn Communic
     }
 }
 
-/// Bare, then every wrapper over the bare simulator (the two sub-worlds
-/// last).
-const CASES: [Case; 7] = [
+/// Bare, then every wrapper over the bare simulator (the sub-world last).
+const CASES: [Case; 6] = [
     ("bare", None),
     ("MeteredComm", Some(|sim| Box::new(MeteredComm::new(sim)))),
     ("DeadlineComm", Some(|sim| Box::new(DeadlineComm::new(sim, Duration::from_secs(1))))),
     ("ReliableComm", Some(|sim| Box::new(ReliableComm::new(sim)))),
     ("FaultComm", Some(|sim| Box::new(FaultComm::new(sim, FaultPlan::new(0))))),
     ("SubComm", Some(|sim| Box::new(SubComm::from_members(sim, vec![0, 1], 5).unwrap()))),
-    ("ShrinkComm", Some(|sim| Box::new(ShrinkComm::new(sim, vec![0, 1], 3).unwrap()))),
 ];
 
 /// Run `body` on a `p`-rank world under each of `cases` × 3 schedule seeds.
@@ -254,7 +252,7 @@ fn a_sub_world_arrival_wait_may_wake_early_but_never_late() {
 }
 
 /// Timed receives over a shrunk world park instead of polling: a
-/// `DeadlineComm(ShrinkComm(..))` receive with no sender times out after
+/// `DeadlineComm(SubComm(..))` receive with no sender times out after
 /// exactly the budget, in a number of scheduler steps that does not depend
 /// on the budget (a probe/sleep polling loop would take budget / 20 µs of
 /// them per rank).
@@ -265,7 +263,7 @@ fn timed_receive_over_a_shrunk_world_parks_instead_of_polling() {
         if sim.rank() == 1 {
             return None; // the evicted rank builds nothing
         }
-        let shrunk = ShrinkComm::new(sim, vec![0, 2], 1).unwrap();
+        let shrunk = SubComm::for_epoch(sim, vec![0, 2], 1).unwrap();
         let dc = DeadlineComm::new(&shrunk, budget);
         let peer = 1 - dc.rank();
         Some((peer, dc.recv_buf(peer, 9).unwrap_err()))

@@ -50,8 +50,8 @@
 //! ## Faults and recovery
 //!
 //! [`recovering`] is the one fault path: it runs an operation on a survivor
-//! view under one deadline, confirms every attempt with failure detection
-//! and agreement, and shrinks the view and retries until an attempt commits
+//! view under one deadline, confirms every attempt with one agreement that
+//! finds the dead and decides the survivors, and shrinks the view and retries until an attempt commits
 //! ([`Recovered`], [`RecoveringConfig`]). A caller ends with its operation's
 //! value, on the whole view or on the survivors, or with a typed error.
 //! [`recovering_alltoallv`] is that driver over one `alltoallv`.

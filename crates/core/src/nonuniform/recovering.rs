@@ -1,4 +1,4 @@
-//! Multi-epoch self-healing: one driver — detect → agree → shrink → retry —
+//! Multi-epoch self-healing: one driver — execute → agree → shrink → retry —
 //! around any operation on a communicator, and the workspace's one fault
 //! path: an operation that must survive a crash runs through [`recovering`].
 //!
@@ -8,16 +8,18 @@
 //! closes that loop, ULFM-style. Every attempt is the same three steps
 //! (DESIGN.md §14.1):
 //!
-//! 1. **Execute.** Run the operation on a [`ShrinkComm`] of the current
-//!    survivor view — a dense world whose epoch isolates this attempt's
-//!    traffic from every other attempt's strays — behind one
+//! 1. **Execute.** Run the operation on a [`SubComm::for_epoch`] of the
+//!    current survivor view — a dense world whose epoch isolates this
+//!    attempt's traffic from every other attempt's strays — behind one
 //!    [`DeadlineComm`]: the whole operation, however many exchanges it is,
 //!    runs under one deadline, and a peer's death or the deadline ends it as
 //!    this rank's abort vote instead of a hang. Any other error (a bad
 //!    argument, a truncation) is the caller's bug and propagates.
-//! 2. **Confirm.** Always [`detect_failures`] (seeded heartbeats over the
-//!    view, on the trait clock), then [`agree_survivors`] (flooded suspicion
-//!    bitmaps plus this rank's dirty vote: "my attempt aborted").
+//! 2. **Confirm.** Always one [`agree_survivors`] from an empty suspicion
+//!    set (flooded suspicion bitmaps plus this rank's dirty vote: "my attempt
+//!    aborted"). Its round 0 is the proof-of-life sweep: a member silent at
+//!    the round deadline, or reported dead by an ARQ layer below, is
+//!    suspected.
 //! 3. **Commit or shrink.** An unchanged view with no dirty vote commits.
 //!    Anything else evicts the agreed dead, backs off per the configured
 //!    [`RetryPolicy`] (seeded jitter, on the trait clock) and re-runs the
@@ -40,23 +42,21 @@
 use std::time::Duration;
 
 use bruck_comm::{
-    agree_survivors, detect_failures, AgreeConfig, CommError, CommResult, Communicator,
-    DeadlineComm, DetectorConfig, RetryPolicy, ShrinkComm, Suspicion,
+    agree_survivors, CommError, CommResult, Communicator, DeadlineComm, RetryPolicy, SubComm,
+    Suspicion,
 };
 
 use super::{alltoallv_discover, packed_displs, AlltoallvAlgorithm, EngineConfig};
 use crate::probe::span;
 
-/// Budgets for every stage of the detect → agree → shrink → retry cycle.
+/// Budgets for every stage of the execute → agree → shrink → retry cycle.
+/// The confirm's round timeout is derived from `deadline`
+/// ([`RecoveringConfig::round_timeout`]), not configured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveringConfig {
     /// Budget for one attempt of the operation, shared by all of its
     /// receives.
     pub deadline: Duration,
-    /// Heartbeat failure-detector policy.
-    pub detector: DetectorConfig,
-    /// Survivor-agreement policy.
-    pub agreement: AgreeConfig,
     /// Backoff between attempts; its `attempts()` bounds the attempts
     /// (first try included).
     pub retry: RetryPolicy,
@@ -67,23 +67,19 @@ pub struct RecoveringConfig {
 }
 
 impl RecoveringConfig {
-    /// Resize the detector and agreement windows so they cover the skew with
-    /// which ranks leave one attempt and enter its confirm: one rank fails
-    /// fast at its first operation, another waits out the whole `deadline`.
+    /// The confirm's per-round window, `1.25 × deadline`: it must cover the
+    /// skew with which ranks leave one attempt and enter its confirm — one
+    /// rank fails fast at its first operation, another waits out the whole
+    /// `deadline`.
     ///
-    /// A detector window smaller than that skew makes the early ranks give
-    /// up on the laggards — false suspicion, mutual eviction, and a view
-    /// that collapses to singletons. The generous windows are nearly free
-    /// where it matters: the detector's all-proven early exit and the
-    /// agreement's anchored round deadlines both finish at message speed
-    /// when everyone is alive, so only genuine failures pay the window (and
-    /// under `SimComm` virtual time even that is free).
-    pub fn with_derived_windows(mut self) -> Self {
-        let window = self.deadline + self.deadline / 4;
-        self.detector.window = window;
-        self.detector.heartbeat = (window / 8).max(Duration::from_millis(1));
-        self.agreement.round_timeout = window;
-        self
+    /// A window smaller than that skew makes the early ranks give up on the
+    /// laggards — false suspicion, mutual eviction, and a view that
+    /// collapses to singletons. The generous window is nearly free where it
+    /// matters: a round ends the moment every member has answered or been
+    /// proven dead, so only a silent member pays it (and under `SimComm`
+    /// virtual time even that is free).
+    pub fn round_timeout(&self) -> Duration {
+        self.deadline + self.deadline / 4
     }
 }
 
@@ -91,8 +87,6 @@ impl Default for RecoveringConfig {
     fn default() -> Self {
         RecoveringConfig {
             deadline: Duration::from_secs(4),
-            detector: DetectorConfig::default(),
-            agreement: AgreeConfig::default(),
             retry: RetryPolicy::exponential(
                 Duration::from_millis(50),
                 Duration::from_millis(400),
@@ -101,18 +95,15 @@ impl Default for RecoveringConfig {
             .with_jitter(250, 0x5EED_BACC_0FF5_0001),
             epoch: 0,
         }
-        .with_derived_windows()
     }
 }
 
 /// Mean-time-to-recovery breakdown on the trait clock (virtual-time exact
-/// under the simulator). Detect / agree / repair accumulate across recovery
-/// cycles; `reexecute` is the duration of the final, successful attempt.
+/// under the simulator). Agree / repair accumulate across recovery cycles;
+/// `reexecute` is the duration of the final, successful attempt.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Mttr {
-    /// Time inside [`detect_failures`].
-    pub detect: Duration,
-    /// Time inside [`agree_survivors`].
+    /// Time inside the confirms' [`agree_survivors`].
     pub agree: Duration,
     /// Time spent renumbering the view.
     pub repair: Duration,
@@ -121,9 +112,9 @@ pub struct Mttr {
 }
 
 impl Mttr {
-    /// Total detect → agree → repair → re-execute time.
+    /// Total agree → repair → re-execute time.
     pub fn total(&self) -> Duration {
-        self.detect + self.agree + self.repair + self.reexecute
+        self.agree + self.repair + self.reexecute
     }
 }
 
@@ -138,7 +129,7 @@ pub enum RecoveryOutcome {
     Recovered {
         /// Parent ranks evicted across all cycles, ascending.
         evicted: Vec<usize>,
-        /// Recovery cycles executed (detect → agree → repair).
+        /// Recovery cycles executed (agree → repair).
         cycles: u32,
         /// Attempts consumed, first try included.
         attempts: u32,
@@ -203,7 +194,7 @@ where
         }
         let epoch = cfg.epoch.wrapping_add(attempt);
         let exec_start = comm.now();
-        let cur = ShrinkComm::new(comm, view.clone(), epoch)?;
+        let cur = SubComm::for_epoch(comm, view.clone(), epoch)?;
 
         let local = {
             let _probe = span("recovering.attempt");
@@ -217,26 +208,22 @@ where
             other => Ok(other?),
         };
 
-        // Confirmation: EVERY attempt — success or not — ends in detect +
+        // Confirmation: EVERY attempt — success or not — ends in one
         // agreement, because failure evidence is asymmetric (a peer's death
         // can abort one rank's operation while another's completes). The
         // flooded dirty vote turns those local verdicts into one global
         // decision: commit only if the view is intact and nobody failed.
-        // The detector starts from empty suspicions on purpose: membership
-        // verdicts come only from its own probes.
+        // It starts from empty suspicions on purpose: membership verdicts
+        // come only from its own round 0.
         let n = view.len();
         let members: Vec<usize> = (0..n).collect();
         let t0 = comm.now();
-        let susp = {
-            let _probe = span("recovering.detect");
-            detect_failures(&cur, &members, epoch, &cfg.detector, &Suspicion::none(n))?
-        };
-        let t1 = comm.now();
         let agreed = {
             let _probe = span("recovering.agree");
-            agree_survivors(&cur, &members, epoch, &cfg.agreement, &susp, local.is_err())?
+            let none = Suspicion::none(n);
+            agree_survivors(&cur, &members, epoch, cfg.round_timeout(), &none, local.is_err())?
         };
-        let t2 = comm.now();
+        let t1 = comm.now();
         if agreed.evicted_me {
             return Err(CommError::RankFailed { rank: me });
         }
@@ -278,9 +265,8 @@ where
             evicted.sort_unstable();
             view = keep.iter().map(|&i| view[i]).collect();
         }
-        mttr.detect += t1.saturating_sub(t0);
-        mttr.agree += t2.saturating_sub(t1);
-        mttr.repair += comm.now().saturating_sub(t2);
+        mttr.agree += t1.saturating_sub(t0);
+        mttr.repair += comm.now().saturating_sub(t1);
     }
 
     // `retry.attempts()` is at least 1, so the loop ran and set a fault.
@@ -344,7 +330,6 @@ mod tests {
             ),
             ..RecoveringConfig::default()
         }
-        .with_derived_windows()
     }
 
     /// Packed (sendbuf, sendcounts) from `src` to each member of `view`,
@@ -361,7 +346,7 @@ mod tests {
     }
 
     /// Messages a rank sent on `width` reserved tags from `base`, whatever
-    /// the `ShrinkComm` context folded into them.
+    /// the epoch's `SubComm` context folded into them.
     fn sent_on(m: &Metrics, base: Tag, width: Tag) -> u64 {
         let ctx_bits: Tag = 0x3F << 24;
         let on = |tag: &&Tag| (base..base + width).contains(&(**tag & !ctx_bits));
@@ -370,49 +355,54 @@ mod tests {
 
     #[test]
     fn a_healthy_exchange_is_one_discover_and_one_confirm() {
-        // A plan handshake sent every rank P − 1 = 4 count messages on its
-        // block (`RESERVED_TAG_BASE + 0x1000`), and the commit barrier
-        // ⌈log₂ 5⌉ = 3 on the barrier tags; the attempt is now one
-        // `alltoallv_discover`, so both are 0 and the data plane is the
-        // plain exchange's, tag for tag.
-        let (p, n, algo) = (5, 8, AlltoallvAlgorithm::TwoPhaseBruck);
-        let report = SimComm::try_run(p, &SimConfig::from_seed(3), move |comm| {
-            let mc = MeteredComm::new(comm);
-            let view: Vec<usize> = (0..p).collect();
-            let (buf, counts) = build_view_send(comm.rank(), &view, n);
-            let cfg = quick();
-            let rec = recovering_alltoallv(&cfg, &mc, algo, &view, &counts, &buf)?;
-            let recovering = mc.metrics();
-            mc.reset();
-            // The plain exchange, in the first attempt's tag context.
-            let sc = ShrinkComm::new(&mc, view, cfg.epoch)?;
-            let engine = EngineConfig::for_algorithm(algo);
-            let displs = packed_displs(&counts);
-            let plain = alltoallv_discover(&sc, &engine, &buf, &counts, &displs, false)?;
-            Ok::<_, CommError>((rec, recovering, plain, mc.metrics()))
-        });
-        for (rank, out) in report.outcomes.iter().enumerate() {
-            let (rec, recovering, plain, plain_metrics) =
-                out.as_ref().expect("no panic").as_ref().unwrap();
-            assert_eq!(rec.outcome, RecoveryOutcome::Complete);
-            assert_eq!(rec.view, (0..p).collect::<Vec<_>>());
-            assert_eq!(&rec.value, plain, "rank {rank}");
-            let (bytes, recvcounts) = &rec.value;
-            assert_eq!(recvcounts, &vec![n; p]);
-            for (src, block) in bytes.chunks(n).enumerate() {
-                assert!(block.iter().enumerate().all(|(i, &b)| b == pattern(src, rank, i)));
+        // A plan handshake sent every rank P − 1 count messages on its block
+        // (`RESERVED_TAG_BASE + 0x1000`), and the commit barrier ⌈log₂ P⌉ on
+        // the barrier tags; the attempt is now one `alltoallv_discover`, so
+        // both are 0 and the data plane is the plain exchange's, tag for
+        // tag. The confirm is one agreement — rounds 0 and 1 and the
+        // DECIDED flood, 3(P − 1) messages — and nothing on the retired
+        // failure detector's block (`+0x3000`).
+        let (n, algo) = (8, AlltoallvAlgorithm::TwoPhaseBruck);
+        for p in [2, 3, 5, 8] {
+            let report = SimComm::try_run(p, &SimConfig::from_seed(3), move |comm| {
+                let mc = MeteredComm::new(comm);
+                let view: Vec<usize> = (0..p).collect();
+                let (buf, counts) = build_view_send(comm.rank(), &view, n);
+                let cfg = quick();
+                let rec = recovering_alltoallv(&cfg, &mc, algo, &view, &counts, &buf)?;
+                let recovering = mc.metrics();
+                mc.reset();
+                // The plain exchange, in the first attempt's tag context.
+                let sc = SubComm::for_epoch(&mc, view, cfg.epoch)?;
+                let engine = EngineConfig::for_algorithm(algo);
+                let displs = packed_displs(&counts);
+                let plain = alltoallv_discover(&sc, &engine, &buf, &counts, &displs, false)?;
+                Ok::<_, CommError>((rec, recovering, plain, mc.metrics()))
+            });
+            for (rank, out) in report.outcomes.iter().enumerate() {
+                let (rec, recovering, plain, plain_metrics) =
+                    out.as_ref().expect("no panic").as_ref().unwrap();
+                assert_eq!(rec.outcome, RecoveryOutcome::Complete);
+                assert_eq!(rec.view, (0..p).collect::<Vec<_>>());
+                assert_eq!(&rec.value, plain, "P = {p} rank {rank}");
+                let (bytes, recvcounts) = &rec.value;
+                assert_eq!(recvcounts, &vec![n; p]);
+                for (src, block) in bytes.chunks(n).enumerate() {
+                    assert!(block.iter().enumerate().all(|(i, &b)| b == pattern(src, rank, i)));
+                }
+                let on = |base, width| sent_on(recovering, RESERVED_TAG_BASE + base, width);
+                assert_eq!((on(0x1000, 0x100), on(0, 3), on(0x3000, 0x100)), (0, 0, 0));
+                // Everything reserved is the one confirm.
+                let confirm = on(0x3100, 0x100);
+                assert_eq!(confirm, 3 * (p as u64 - 1), "P = {p} rank {rank}");
+                assert_eq!(recovering.reserved.sent_msgs, confirm, "P = {p} rank {rank}");
+                let data = |m: &Metrics| {
+                    let below = m.per_tag_sent.iter().filter(|(tag, _)| **tag < RESERVED_TAG_BASE);
+                    below.map(|(tag, c)| (*tag, c.msgs, c.bytes)).collect::<Vec<_>>()
+                };
+                assert_eq!(data(recovering), data(plain_metrics), "P = {p} rank {rank}");
+                assert!(!data(plain_metrics).is_empty());
             }
-            assert_eq!(sent_on(recovering, RESERVED_TAG_BASE + 0x1000, 0x100), 0, "rank {rank}");
-            assert_eq!(sent_on(recovering, RESERVED_TAG_BASE, 3), 0, "rank {rank}");
-            // Everything else reserved is the one confirm.
-            let confirm = sent_on(recovering, RESERVED_TAG_BASE + 0x3000, 0x200);
-            assert_eq!(recovering.reserved.sent_msgs, confirm, "rank {rank}");
-            let data = |m: &Metrics| {
-                let below = m.per_tag_sent.iter().filter(|(tag, _)| **tag < RESERVED_TAG_BASE);
-                below.map(|(tag, c)| (*tag, c.msgs, c.bytes)).collect::<Vec<_>>()
-            };
-            assert_eq!(data(recovering), data(plain_metrics), "rank {rank}");
-            assert!(!data(plain_metrics).is_empty());
         }
     }
 

@@ -73,7 +73,7 @@ stage clippy clippy_gate
 # time in the table below.
 stage bruck-check cargo run --release -p bruck-check --bin bruck-check
 # Dynamic fault-tolerance gate (DESIGN.md §9, §14): every cell through the
-# one fault path, the recovering driver (detect -> agree -> shrink -> retry).
+# one fault path, the recovering driver (execute -> agree -> shrink -> retry).
 # First the op x fault-plan battery on SimComm's virtual clock under
 # FaultComm -> ReliableComm -> MeteredComm, against exact budgets, every cell
 # run twice (~4 s): repair-only plans must commit the first attempt on every
@@ -82,13 +82,15 @@ stage bruck-check cargo run --release -p bruck-check --bin bruck-check
 # cells on ThreadComm — two-phase x lossy, two-phase x crash, one collective
 # x crash — kept as the canary that virtual time is not hiding a wall-clock
 # dependence in the ARQ or the driver; the crash ones sit out a real 2 s
-# deadline and detector window (~6 s of the stage). Then the recovery matrix:
+# deadline and the ARQ's retry schedule for the victim, which ends the
+# confirm's wait for it (~5 s of the stage). Then the recovery matrix:
 # the nine alltoallv algorithms, a transitive-closure fixpoint and the eight
 # collective schedules, each with a victim scripted to crash at its first /
 # quarter / half / last op on a 5-rank simulated world over bare FaultComm,
 # same contract, same-seed digest-deterministic. Its virtual-time MTTR per
-# row (detection waits out its whole window, 1.25 x the 600 ms deadline, in
-# every row) is compared against the committed BENCH_PR8.json (> 1.6x drift
+# row (the confirm's first round waits out its whole window, 1.25 x the
+# 600 ms deadline, in every row: bare FaultComm gives no earlier evidence of
+# the death) is compared against the committed BENCH_PR8.json (> 1.6x drift
 # advisory, > 8x fails; MTTR is virtual-time, so drift means the protocol
 # itself changed). Seeds can be overridden with `--seeds 1,2,3`. Regenerate
 # the baseline with:
