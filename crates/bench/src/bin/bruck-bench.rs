@@ -58,7 +58,7 @@ const MODEL_SEED: u64 = 1;
 /// Default memory budget for the eager-queue feasibility estimate.
 const DEFAULT_MEM_BUDGET_GB: f64 = 100.0;
 /// Default per-cell wall-clock budget (estimate-gated, see
-/// [`estimated_wall_s`]): generous enough for every P² -shaped cell at
+/// [`estimated_wall_s`]): generous enough for every resumed family at
 /// 32768, refusing only the Θ(P³) replay-wavefront cells that would run
 /// for days.
 const DEFAULT_TIME_BUDGET_S: f64 = 3600.0;
@@ -91,39 +91,43 @@ fn estimated_peak_bytes(algo: AlltoallvAlgorithm, p: usize, block: usize) -> f64
     msgs * (MSG_OVERHEAD_BYTES + payload)
 }
 
-/// Estimated wall seconds for a cell on the calibration box (1 core), from
-/// the run-to-block cost model `wall ≈ executions × (per-execution prefix
-/// cost)`, with the parks per rank the runtime's rank-order sweep of its
-/// ready set leaves each family (DESIGN.md §12.6):
+/// Estimated wall seconds for a cell on the calibration box (1 core), fitted
+/// to `scale --workers 1` runs at P = 1,024 / 2,048 / 4,096 (DESIGN.md §12.6).
+/// Under the runtime's rank-order sweep each family parks a fixed number of
+/// times per rank; what a park costs depends on whether the family's loop is
+/// a resumed call:
 ///
-/// * **Log-phase** (Bruck family): ≈ 2 parks per rank whatever P, O(P)
-///   prefix → wall ∝ P². Measured: TwoPhaseBruck 3.2–3.5 s at P = 4096;
-///   PaddedBruck adds its sizing allreduce's log₂P / 2 parks.
-/// * **Pairwise** (Reference): the shifted schedule makes each rank's
-///   step-i receive depend on its step-i sender, so ranks advance in a
-///   wavefront — P/4 parks per rank, O(P) prefix → wall ∝ P³ (13 s at
-///   P = 1024, 97 s at 2048).
-/// * **Windowed/staged** (Vendor, PaddedAlltoall, RankaTwoStage): pairwise
-///   shape divided by the window / stage width (36 s and 41 s at P = 4096).
-/// * **Eager** (SpreadOut): 1 park per rank (everything is queued after
-///   the send wave) → wall ∝ P² message handling; memory is the binding
-///   constraint instead.
+/// * **Resumed** (every `Direct` and `Bruck` point): a wake polls the stored
+///   call where it stopped, so a park costs the closure's own prefix (O(P):
+///   building the send side) and the loop's work is paid once.
+///   - Log-phase (`TwoPhaseBruck`, `Sloav`, `PaddedBruck`): 2–3 parks per
+///     rank → wall ∝ P²; 4.4–4.6 s at P = 4096.
+///   - Windowed (`Vendor`, `PaddedAlltoall`): P / (4·window) + 2 parks per
+///     rank → wall ∝ P^2.5; 12.9–13.0 s at P = 4096.
+///   - Eager (`SpreadOut`): 1 park per rank → wall ∝ P² message handling;
+///     memory is the binding constraint instead (0.74–0.86 s at P = 1024).
+/// * **Replayed** (`Reference`, `Hierarchical`, `RankaTwoStage`): every park
+///   re-runs the exchange's prefix, `wall ≈ executions × O(P)`.
+///   - Pairwise (Reference): the shifted schedule makes each rank's step-i
+///     receive depend on its step-i sender — a wavefront, P/4 parks per rank
+///     → wall ∝ P³ (13 s at P = 1024, 97 s at 2048).
+///   - Staged (Hierarchical, RankaTwoStage): the pairwise shape divided by
+///     the stage width.
 ///
-/// Constants are fitted to measurements at P ≤ 4096 and deliberately rounded
-/// — the gate exists to refuse cells that are orders of magnitude over
-/// budget, not to predict wall clock to 10%.
+/// Constants are deliberately rounded — the gate exists to refuse cells that
+/// are orders of magnitude over budget, not to predict wall clock to 10%.
 fn estimated_wall_s(algo: AlltoallvAlgorithm, p: usize) -> f64 {
     use AlltoallvAlgorithm::*;
     let x = p as f64 / 4096.0;
     match algo {
-        PaddedBruck => 8.0 * x * x,
-        TwoPhaseBruck => 4.0 * x * x,
-        PaddedAlltoall => 45.0 * x * x * x.sqrt(),
+        PaddedBruck => 4.5 * x * x,
+        TwoPhaseBruck => 4.5 * x * x,
+        Sloav => 4.5 * x * x,
+        PaddedAlltoall => 14.0 * x * x * x.sqrt(),
+        Vendor => 14.0 * x * x * x.sqrt(),
+        SpreadOut => 13.0 * x * x,
         Hierarchical => 12.0 * x * x * x.sqrt(),
-        SpreadOut => 30.0 * x * x,
         RankaTwoStage => 13000.0 * x * x * x,
-        Vendor => 40.0 * x * x * x.sqrt(),
-        Sloav => 25.0 * x * x * x.sqrt(),
         Reference => 800.0 * x * x * x,
     }
 }

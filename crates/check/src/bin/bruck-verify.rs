@@ -172,7 +172,7 @@ fn main() -> ExitCode {
         let ok = report.converged && report.violation.is_none();
         failed |= !ok;
         println!(
-            "  {} {:13} — {} worker-pick interleavings{}",
+            "  {} {:14} — {} worker-pick interleavings{}",
             if ok { "PASS" } else { "FAIL" },
             scenario.name(),
             report.executions,

@@ -16,6 +16,7 @@ use bruck_comm::{
     shrink_choices, AuditKind, CommError, Communicator, EventComm, EventRun, EventVerifyOpts,
     ScheduleTrace, SimConfig, WakeSource,
 };
+use bruck_core::{configurable_alltoallv, EngineConfig};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -35,12 +36,21 @@ pub enum EventScenario {
     /// the message-wins and timer-wins outcomes, including stale-timer
     /// drops.
     TimeoutRace,
+    /// A 2-rank two-phase Bruck `alltoallv` on the bare runtime, so every
+    /// park is a resumed call's receive: the stored call's waiter, deposits
+    /// and wakes under the same audit.
+    TwoPhaseCall,
 }
 
 impl EventScenario {
     /// All scenarios, in report order.
-    pub const ALL: [EventScenario; 4] =
-        [EventScenario::Ping, EventScenario::Cross, EventScenario::Ring3, EventScenario::TimeoutRace];
+    pub const ALL: [EventScenario; 5] = [
+        EventScenario::Ping,
+        EventScenario::Cross,
+        EventScenario::Ring3,
+        EventScenario::TimeoutRace,
+        EventScenario::TwoPhaseCall,
+    ];
 
     /// Stable name (used in trace `meta` lines).
     pub fn name(&self) -> &'static str {
@@ -49,6 +59,7 @@ impl EventScenario {
             EventScenario::Cross => "cross",
             EventScenario::Ring3 => "ring3",
             EventScenario::TimeoutRace => "timeout-race",
+            EventScenario::TwoPhaseCall => "two-phase-call",
         }
     }
 
@@ -108,6 +119,28 @@ impl EventScenario {
                     }
                 }
             }
+            EventScenario::TwoPhaseCall => {
+                // Rank r sends r + 1 + d bytes to rank d, byte i = 16r + d + i.
+                let block = |src: usize, dst: usize| -> Vec<u8> {
+                    (0..src + 1 + dst).map(|i| (16 * src + dst + i) as u8).collect()
+                };
+                let sendcounts = [me + 1, me + 2];
+                let sendbuf = [block(me, 0), block(me, 1)].concat();
+                let recvcounts = [1, 2].map(|c| c + me);
+                let rdispls = [0, recvcounts[0]];
+                let mut recvbuf = vec![0u8; recvcounts[0] + recvcounts[1]];
+                must(configurable_alltoallv(
+                    comm,
+                    &EngineConfig::as_two_phase(),
+                    &sendbuf,
+                    &sendcounts,
+                    &[0, sendcounts[0]],
+                    &mut recvbuf,
+                    &recvcounts,
+                    &rdispls,
+                ));
+                u64::from(recvbuf == [block(0, me), block(1, me)].concat())
+            }
         }
     }
 
@@ -126,6 +159,7 @@ impl EventScenario {
                     out == 9 || out == 1000
                 }
             }
+            EventScenario::TwoPhaseCall => out == 1,
         }
     }
 }
@@ -372,7 +406,7 @@ mod tests {
 
     #[test]
     fn event_scenarios_converge_exhaustively() {
-        for scenario in [EventScenario::Ping, EventScenario::Cross] {
+        for scenario in [EventScenario::Ping, EventScenario::Cross, EventScenario::TwoPhaseCall] {
             let report = explore_event_scenario(scenario, 100_000, false);
             assert!(report.converged, "{scenario:?} did not converge");
             assert!(report.violation.is_none(), "{scenario:?}: {:?}", report.violation);

@@ -143,7 +143,7 @@ fn smoke_cell_counts_are_pinned() {
     // 19 alltoallv DPOR cells + the eight schedules at P = 2 and P = 3, and
     // one fixpoint on top.
     assert!(count(Family::Verify) > 19 + 16, "verify: {}", count(Family::Verify));
-    assert_eq!(bruck_check::wakeup_audit::EventScenario::ALL.len(), 4);
+    assert_eq!(bruck_check::wakeup_audit::EventScenario::ALL.len(), 5);
     // Nine `alltoallv`s, the closure and the eight schedules, each crashed
     // at four points.
     assert_eq!(count(Family::Recovery), 72);

@@ -23,8 +23,10 @@
 //! found nothing, wait for the count to move or for the protocol's own next
 //! deadline.
 //!
-//! Everything else — the `&[u8]`/`Vec<u8>` compat forms, `sendrecv*`, and the
-//! small collectives — is a provided method built from those eight, so every
+//! Everything else — the `&[u8]`/`Vec<u8>` compat forms, `sendrecv*`, the
+//! small collectives and the event runtime's hook
+//! ([`Communicator::resumable`], `None` but on a bare `EventComm`) — is a
+//! provided method built from those eight, so every
 //! backend and every wrapper stack gets it for free with an identical message
 //! schedule (which is what lets the cost model in `bruck-model` price them).
 //! **A wrapper implements the eight and nothing else.** The one exception is
@@ -41,6 +43,8 @@
 
 use std::time::Duration;
 
+use crate::event::Resume;
+use crate::port::{block_on, Blocking};
 use crate::{CommError, CommResult, MsgBuf, ReduceOp, Tag};
 
 /// Tags at or above this value are reserved for the collectives implemented
@@ -49,7 +53,7 @@ pub const RESERVED_TAG_BASE: Tag = 0x4000_0000;
 
 const TAG_BARRIER: Tag = RESERVED_TAG_BASE;
 /// Round 0 of [`Communicator::allreduce_u64`]; round `k` is this plus `k`.
-const TAG_ALLREDUCE: Tag = RESERVED_TAG_BASE + 3;
+pub(crate) const TAG_ALLREDUCE: Tag = RESERVED_TAG_BASE + 3;
 const TAG_ALLTOALL_COUNTS: Tag = RESERVED_TAG_BASE + 4;
 
 /// Receive the one little-endian `u64` of a small collective's step
@@ -166,11 +170,7 @@ pub trait Communicator: Sync {
     /// [`CommError::Truncated`] (and stays queued), a shorter one
     /// [`CommError::BadArgument`].
     fn recv_exact(&self, src: usize, tag: Tag, len: usize) -> CommResult<MsgBuf> {
-        let msg = self.recv_match(src, tag, len, Duration::MAX)?;
-        if msg.len() != len {
-            return Err(CommError::BadArgument("short collective payload"));
-        }
-        Ok(msg)
+        block_on(crate::Port::recv_exact(&Blocking(self), src, tag, len))
     }
 
     /// Zero-copy receive with a deadline: [`CommError::Timeout`] if no
@@ -286,9 +286,7 @@ pub trait Communicator: Sync {
     /// every rank once, sends a second word on some rounds of a
     /// non-power-of-two `P`.
     fn allreduce_u64(&self, value: u64, op: ReduceOp) -> CommResult<u64> {
-        let mut acc = [value];
-        crate::reduce::allreduce_doubling(self, &mut acc, op, |k| TAG_ALLREDUCE + k, || ())?;
-        Ok(acc[0])
+        block_on(crate::reduce::allreduce_u64(&Blocking(self), value, op))
     }
 
     /// The "counts handshake" of every `alltoallv`: each rank learns how many
@@ -308,6 +306,17 @@ pub trait Communicator: Sync {
             recvcounts[src] = recv_u64(self, src, TAG_ALLTOALL_COUNTS)? as usize;
         }
         Ok(recvcounts)
+    }
+
+    /// The event runtime's hook for a resumable call ([`Resume`]), or `None`
+    /// to run the call's loop on this communicator's blocking ops.
+    ///
+    /// Only a bare [`crate::EventComm`] answers (and a tag-mapping view of
+    /// one that adds its tag bits). A wrapper keeps the default: its state —
+    /// sequence numbers, meters — must see every op, so a loop run through
+    /// it calls its primitives.
+    fn resumable(&self) -> Option<Resume<'_>> {
+        None
     }
 
     /// Validate a rank argument.

@@ -15,22 +15,37 @@
 //!
 //! This workspace is `unsafe`-free and dependency-free, so a blocked task
 //! cannot capture its OS stack (no fibers, no hand-rolled coroutines). A
-//! rank task instead uses **run-to-block + replay** — the one place in the
-//! workspace that suspends a rank by unwinding it:
+//! rank's *exchanges* are resumable values; the rest of its closure is
+//! replayed:
 //!
-//! 1. The rank closure executes normally, appending every *completed*
-//!    communicator operation to a compact per-task [`ReplayLog`].
-//! 2. When a receive finds no matching message, the task registers a
-//!    *waiter* in the destination store's readiness list and unwinds off the
-//!    worker via a sentinel panic ([`TaskYield`]) — the worker thread is
-//!    immediately free to run another task.
-//! 3. A sender that deposits a matching message takes the waiter and marks
-//!    the task runnable. When a worker re-executes it, the closure runs from
-//!    the top, but the logged prefix is *replayed*: sends are suppressed,
-//!    receives return the logged payload bytes, clock reads return logged
-//!    values. Replay performs no communication and reaches the parked
-//!    operation in O(completed ops) straight-line time, then execution goes
-//!    live again.
+//! 1. **Resumed calls.** The step loops of the exchanges and collectives are
+//!    `async fn`s over [`crate::Port`]. On a bare `EventComm`
+//!    [`Communicator::resumable`] hands the entry point a hook ([`Resume`]):
+//!    the entry builds a `'static` future ([`Call`]) that owns copies of its
+//!    inputs and its output buffer, and the hook polls it on an
+//!    [`EventPort`]. A receive that finds nothing arms the rank's waiter —
+//!    the one parking protocol below — and returns `Pending`; the hook keeps
+//!    the future in the task's slot and unwinds only the closure's frames.
+//!    The wake re-runs the closure to the same hook, which polls the stored
+//!    future where it stopped: O(1), no engine prefix is re-executed. The
+//!    finished call is one replay-log entry, its output or its error.
+//! 2. **Replay.** Every other operation of the closure appends to a compact
+//!    per-task [`ReplayLog`]. When a receive finds no matching message, the
+//!    task registers a *waiter* in its inbox and unwinds off the worker via
+//!    a sentinel panic ([`TaskYield`]); the worker thread is immediately
+//!    free to run another task. A sender that deposits a matching message
+//!    takes the waiter and marks the task runnable. When a worker
+//!    re-executes it, the closure runs from the top, but the logged prefix
+//!    is *replayed*: sends are suppressed, receives return the logged
+//!    payload bytes, clock reads return logged values, a finished call
+//!    returns its logged output. Replay performs no communication and
+//!    reaches the parked operation in O(completed ops) straight-line time,
+//!    then execution goes live again.
+//!
+//! Both park the same way: a receive arms the waiter under the parking
+//! execution's epoch (`arm_waiter`), and every send, the closure's own or a
+//! stored call's, is deposited by one function (`deposit`) that takes a
+//! matching waiter and wakes its rank.
 //!
 //! The contract this imposes: the rank closure must be **deterministic**
 //! (replay must retrace it) and must not perform external side effects that
@@ -38,6 +53,8 @@
 //! qualifies — wrappers ([`crate::FaultComm`], [`crate::ReliableComm`],
 //! [`crate::MeteredComm`], …) are constructed inside the closure, so each
 //! re-execution rebuilds their state identically from the replayed prefix.
+//! A wrapper offers no hook, so its state sees every op, and a loop run
+//! through one is replayed like any other op sequence.
 //! Payload identity is *not* preserved across replay: a replayed
 //! `recv_buf` returns a fresh copy of the logged bytes, not the sender's
 //! original region (byte equality is preserved; pointer aliasing is not).
@@ -56,13 +73,16 @@
 //! The scheduler itself (worker pool, task states, wake lists, clock
 //! advance) lives in [`crate::runtime`].
 
+use std::future::Future;
 use std::panic::panic_any;
-use std::sync::{Mutex, MutexGuard};
+use std::pin::Pin;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use crate::mailbox::MatchStore;
 use crate::runtime::EventWorld;
-use crate::{CommError, CommResult, Communicator, MsgBuf, Tag};
+use crate::{CommError, CommResult, Communicator, MsgBuf, Port, Tag, RESERVED_TAG_BASE};
 
 /// Sentinel panic payload a task unwinds with when its current operation
 /// cannot complete yet. Filtered by the runtime's panic hook (so yields are
@@ -140,6 +160,7 @@ const K_PROBE: u8 = 3;
 const K_NOW: u8 = 4;
 const K_SLEEP: u8 = 5;
 const K_ARRIVAL: u8 = 6;
+const K_CALL: u8 = 7;
 
 fn kind_name(k: u8) -> &'static str {
     match k {
@@ -150,6 +171,7 @@ fn kind_name(k: u8) -> &'static str {
         K_NOW => "now",
         K_SLEEP => "sleep",
         K_ARRIVAL => "wait_arrival",
+        K_CALL => "call",
         _ => "unknown",
     }
 }
@@ -173,6 +195,8 @@ pub(crate) struct ReplayLog {
     nows: Vec<u64>,
     /// Arrival count returned per `K_ARRIVAL`.
     arrivals: Vec<u64>,
+    /// Result per `K_CALL`: a finished resumed call's output or error.
+    calls: Vec<CommResult<CallOutput>>,
 }
 
 /// Replay progress through a [`ReplayLog`]: one cursor per column.
@@ -185,6 +209,7 @@ struct Cursor {
     probe: usize,
     now: usize,
     arrival: usize,
+    call: usize,
 }
 
 /// Per-execution state of one task, owned by the [`EventComm`] handle the
@@ -204,6 +229,8 @@ pub(crate) struct ExecCtx {
     epoch: u64,
     /// Ops already in the log when this execution started (its replay debt).
     logged: usize,
+    /// The resumed call this task is parked in, kept across executions.
+    call: Option<StoredCall>,
 }
 
 /// Buffered sends per flush. Batching amortizes inbox locking and wake
@@ -211,9 +238,15 @@ pub(crate) struct ExecCtx {
 const OUTBOX_BATCH: usize = 64;
 
 impl ExecCtx {
-    pub(crate) fn new(log: ReplayLog, wake: Option<Wake>, epoch: u64) -> ExecCtx {
+    pub(crate) fn new(
+        log: ReplayLog,
+        call: Option<StoredCall>,
+        wake: Option<Wake>,
+        epoch: u64,
+    ) -> ExecCtx {
         let logged = log.kinds.len();
-        ExecCtx { log, cur: Cursor::default(), outbox: Vec::new(), wake, park: None, epoch, logged }
+        let cur = Cursor::default();
+        ExecCtx { log, cur, outbox: Vec::new(), wake, park: None, epoch, logged, call }
     }
 
     /// Still retracing the previous executions' completed prefix?
@@ -235,8 +268,20 @@ impl ExecCtx {
         self.park.take()
     }
 
-    pub(crate) fn into_log(self) -> ReplayLog {
-        self.log
+    /// The log and the stored call, for the slot to keep across the park.
+    pub(crate) fn into_parts(self) -> (ReplayLog, Option<StoredCall>) {
+        (self.log, self.call)
+    }
+
+    /// A live op other than the stored call's hook while a call is stored:
+    /// the closure did not retrace its previous execution.
+    fn check_live(&self, rank: usize, live: &str) {
+        if self.call.is_some() {
+            panic!(
+                "EventComm rank {rank}: nondeterministic rank closure: it parked inside a \
+                 resumed call but its re-execution issued a {live} before reaching it"
+            );
+        }
     }
 
     fn diverged(&self, rank: usize, live: &str) -> ! {
@@ -296,6 +341,13 @@ impl ExecCtx {
         self.log.arrivals.push(count);
         self.cur.op += 1;
         self.cur.arrival += 1;
+    }
+
+    fn append_call(&mut self, out: CommResult<CallOutput>) {
+        self.log.kinds.push(K_CALL);
+        self.log.calls.push(out);
+        self.cur.op += 1;
+        self.cur.call += 1;
     }
 
     // -- replay-mode consume helpers --
@@ -369,11 +421,286 @@ impl ExecCtx {
         }
     }
 
+    fn replay_call(&mut self, rank: usize) -> CommResult<CallOutput> {
+        match self.log.kinds[self.cur.op] {
+            K_CALL => {
+                self.cur.op += 1;
+                let out = self.log.calls[self.cur.call].clone();
+                self.cur.call += 1;
+                out
+            }
+            _ => self.diverged(rank, "call"),
+        }
+    }
+
     fn replay_err<T>(&mut self) -> CommResult<T> {
         self.cur.op += 1;
         let e = self.log.errs[self.cur.err].clone();
         self.cur.err += 1;
         Err(e)
+    }
+}
+
+/// Deliver sends of `rank`: deposit each into its destination inbox (taking
+/// a matching waiter) and hand the woken ranks to the scheduler in one batch.
+/// The one deposit path: the closure's outbox and a stored call's both
+/// flush through it.
+fn deposit(world: &EventWorld, rank: usize, sends: impl IntoIterator<Item = (usize, Tag, MsgBuf)>) {
+    let mut woken = Vec::new();
+    for (dest, tag, buf) in sends {
+        let mut inbox = world.inbox(dest);
+        inbox.store.push(rank, tag, buf);
+        #[cfg(feature = "hb-audit")]
+        world.audit_record(rank, crate::runtime::AuditKind::Deposit { src: rank, dest, tag });
+        let matches = inbox.waiter.as_ref().is_some_and(|w| w.matches(rank, tag));
+        if matches {
+            if let Some(w) = inbox.waiter.take() {
+                #[cfg(feature = "hb-audit")]
+                world.audit_record(
+                    rank,
+                    crate::runtime::AuditKind::WaiterTaken {
+                        rank: dest,
+                        epoch: w.epoch,
+                        by: crate::runtime::WakeSource::Sender(rank),
+                    },
+                );
+                let _ = w;
+                woken.push(dest);
+            }
+        }
+    }
+    if !woken.is_empty() {
+        world.wake_on_message(rank, &woken);
+    }
+}
+
+/// Register `rank`'s one waiter — `key` is the `(src, tag)` a receive
+/// matches on, `None` for `wait_arrival` — under the parking execution's
+/// `epoch`, and release the inbox. The one way a task parks on its inbox.
+fn arm_waiter(
+    world: &EventWorld,
+    rank: usize,
+    mut inbox: MutexGuard<'_, Inbox>,
+    key: Option<(usize, Tag)>,
+    epoch: u64,
+) {
+    if inbox.waiter.is_some() {
+        panic!("rank {rank}: second waiter registered");
+    }
+    inbox.waiter = Some(Waiter { key, epoch });
+    drop(inbox);
+    #[cfg(feature = "hb-audit")]
+    {
+        let (src, tag) = key.unwrap_or((rank, 0));
+        world.audit_record(
+            rank,
+            crate::runtime::AuditKind::WaiterArmed { rank, src, tag, epoch },
+        );
+    }
+    let _ = world;
+}
+
+/// What a finished resumed call returns, and what its replay-log entry
+/// keeps: the output bytes, plus the per-source counts of a call that
+/// discovers them (empty otherwise).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CallOutput {
+    /// The output buffer.
+    pub bytes: Vec<u8>,
+    /// Per-source byte counts, for a call that learns them.
+    pub counts: Vec<usize>,
+}
+
+/// A resumable call: a `'static` future over an [`EventPort`] that owns its
+/// inputs and its output buffer, so the runtime can keep it across parks.
+pub type Call = Pin<Box<dyn Future<Output = CommResult<CallOutput>> + Send>>;
+
+/// What a stored call's port and the hook that polls it share: the port's
+/// buffered sends, and the poll's wake verdict, epoch and park request.
+#[derive(Default)]
+struct PortIo {
+    outbox: Vec<(usize, Tag, MsgBuf)>,
+    /// The verdict the task was woken with; the poll's first receive takes it.
+    wake: Option<Wake>,
+    /// Epoch of the execution polling the call.
+    epoch: u64,
+    /// A receive armed the waiter and returned `Pending`.
+    parked: bool,
+}
+
+/// A call parked in the task's slot, with the state its port shares.
+pub(crate) struct StoredCall {
+    fut: Call,
+    io: Arc<Mutex<PortIo>>,
+}
+
+fn lock_io(io: &Mutex<PortIo>) -> MutexGuard<'_, PortIo> {
+    io.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The [`Port`] a resumed call runs on: an owned handle onto the world, so
+/// the call can outlive the execution that started it. Sends batch like the
+/// closure's own and leave through the same deposit; a receive that cannot
+/// complete arms the rank's waiter exactly as [`EventComm`]'s does and
+/// returns `Pending`.
+pub struct EventPort {
+    world: Arc<EventWorld>,
+    rank: usize,
+    /// Bits OR-ed into every algorithm tag (an odd-round tag block).
+    tag_bits: Tag,
+    io: Arc<Mutex<PortIo>>,
+}
+
+impl EventPort {
+    #[inline]
+    fn tag(&self, tag: Tag) -> Tag {
+        if tag < RESERVED_TAG_BASE {
+            tag | self.tag_bits
+        } else {
+            tag
+        }
+    }
+
+    fn flush(&self, io: &mut PortIo) {
+        if !io.outbox.is_empty() {
+            deposit(&self.world, self.rank, io.outbox.drain(..));
+        }
+    }
+
+    /// One attempt at the receive; see [`EventComm`]'s `recv_match`, whose
+    /// untimed path this is.
+    fn poll_recv(&self, src: usize, tag: Tag, max_len: usize) -> Poll<CommResult<MsgBuf>> {
+        if src >= self.world.size() {
+            return Poll::Ready(Err(CommError::InvalidRank { rank: src, size: self.world.size() }));
+        }
+        let mut io = lock_io(&self.io);
+        self.flush(&mut io);
+        let wake = io.wake.take();
+        let mut inbox = self.world.inbox(self.rank);
+        match inbox.store.try_pop(src, tag, max_len) {
+            Some(Err(message_len)) => {
+                Poll::Ready(Err(CommError::Truncated { message_len, buffer_len: max_len }))
+            }
+            // A message beats a simultaneous wake verdict.
+            Some(Ok(msg)) => Poll::Ready(Ok(msg)),
+            None if wake == Some(Wake::Deadlocked) => {
+                Poll::Ready(Err(CommError::Deadlock { src, tag }))
+            }
+            None => {
+                arm_waiter(&self.world, self.rank, inbox, Some((src, tag)), io.epoch);
+                io.parked = true;
+                Poll::Pending
+            }
+        }
+    }
+}
+
+impl Port for EventPort {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn size(&self) -> usize {
+        self.world.size()
+    }
+
+    fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()> {
+        if dest >= self.world.size() {
+            return Err(CommError::InvalidRank { rank: dest, size: self.world.size() });
+        }
+        let mut io = lock_io(&self.io);
+        io.outbox.push((dest, self.tag(tag), buf));
+        if io.outbox.len() >= OUTBOX_BATCH {
+            self.flush(&mut io);
+        }
+        Ok(())
+    }
+
+    fn recv_match(
+        &self,
+        src: usize,
+        tag: Tag,
+        max_len: usize,
+    ) -> impl Future<Output = CommResult<MsgBuf>> + Send + '_ {
+        let tag = self.tag(tag);
+        std::future::poll_fn(move |_| self.poll_recv(src, tag, max_len))
+    }
+}
+
+/// The event runtime's hook, from [`Communicator::resumable`]: runs a
+/// [`Call`] that the runtime keeps across parks.
+pub struct Resume<'a> {
+    comm: &'a EventComm<'a>,
+    tag_bits: Tag,
+}
+
+impl<'a> Resume<'a> {
+    /// The same hook with `bits` OR-ed into every algorithm tag (below
+    /// [`RESERVED_TAG_BASE`]) the call sends and receives on.
+    pub fn with_tag_bits(self, bits: Tag) -> Resume<'a> {
+        Resume { tag_bits: self.tag_bits | bits, ..self }
+    }
+
+    /// Run the call `build` makes on this rank's [`EventPort`], and return
+    /// its output.
+    ///
+    /// `build` runs once per call: when the call parks, the runtime keeps it
+    /// and unwinds the closure; the closure's re-execution reaches this hook
+    /// again, which polls the kept call where it stopped instead. A finished
+    /// call is one replay-log entry, so a later re-execution gets its output
+    /// back without running it.
+    pub fn call(self, build: impl FnOnce(EventPort) -> Call) -> CommResult<CallOutput> {
+        let comm = self.comm;
+        let mut ctx = comm.ctx();
+        if ctx.replaying() {
+            return ctx.replay_call(comm.rank);
+        }
+        // The closure's own sends leave before the call's.
+        comm.flush(&mut ctx);
+        let wake = ctx.wake.take();
+        let epoch = ctx.epoch;
+        let mut stored = match ctx.call.take() {
+            Some(stored) => stored,
+            None => {
+                let io = Arc::new(Mutex::new(PortIo::default()));
+                let port = EventPort {
+                    world: Arc::clone(comm.world),
+                    rank: comm.rank,
+                    tag_bits: self.tag_bits,
+                    io: Arc::clone(&io),
+                };
+                StoredCall { fut: build(port), io }
+            }
+        };
+        drop(ctx);
+        {
+            let mut io = lock_io(&stored.io);
+            io.wake = wake;
+            io.epoch = epoch;
+        }
+        let polled = stored.fut.as_mut().poll(&mut Context::from_waker(Waker::noop()));
+        let (sends, parked) = {
+            let mut io = lock_io(&stored.io);
+            io.wake = None;
+            (std::mem::take(&mut io.outbox), std::mem::take(&mut io.parked))
+        };
+        deposit(comm.world, comm.rank, sends);
+        let mut ctx = comm.ctx();
+        match polled {
+            Poll::Ready(out) => {
+                ctx.append_call(out.clone());
+                out
+            }
+            Poll::Pending => {
+                if !parked {
+                    panic!("rank {}: a resumed call is pending without a parked receive", comm.rank);
+                }
+                ctx.call = Some(stored);
+                ctx.park = Some(Park::Recv { deadline: None });
+                drop(ctx);
+                panic_any(TaskYield)
+            }
+        }
     }
 }
 
@@ -383,13 +710,13 @@ impl ExecCtx {
 /// only ever sees `&EventComm` inside the closure passed to
 /// [`EventComm::run`].
 pub struct EventComm<'w> {
-    world: &'w EventWorld,
+    pub(crate) world: &'w Arc<EventWorld>,
     rank: usize,
     ctx: Mutex<ExecCtx>,
 }
 
 impl<'w> EventComm<'w> {
-    pub(crate) fn attach(world: &'w EventWorld, rank: usize, ctx: ExecCtx) -> EventComm<'w> {
+    pub(crate) fn attach(world: &'w Arc<EventWorld>, rank: usize, ctx: ExecCtx) -> EventComm<'w> {
         EventComm { world, rank, ctx: Mutex::new(ctx) }
     }
 
@@ -405,38 +732,10 @@ impl<'w> EventComm<'w> {
         self.ctx.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Deliver every buffered send: deposit into the destination inboxes
-    /// (taking matching waiters) and hand the woken ranks to the scheduler
-    /// in one batch.
+    /// Deliver every buffered send of the closure.
     pub(crate) fn flush_outbox(world: &EventWorld, rank: usize, ctx: &mut ExecCtx) {
-        if ctx.outbox.is_empty() {
-            return;
-        }
-        let mut woken = Vec::new();
-        for (dest, tag, buf) in ctx.outbox.drain(..) {
-            let mut inbox = world.inbox(dest);
-            inbox.store.push(rank, tag, buf);
-            #[cfg(feature = "hb-audit")]
-            world.audit_record(rank, crate::runtime::AuditKind::Deposit { src: rank, dest, tag });
-            let matches = inbox.waiter.as_ref().is_some_and(|w| w.matches(rank, tag));
-            if matches {
-                if let Some(w) = inbox.waiter.take() {
-                    #[cfg(feature = "hb-audit")]
-                    world.audit_record(
-                        rank,
-                        crate::runtime::AuditKind::WaiterTaken {
-                            rank: dest,
-                            epoch: w.epoch,
-                            by: crate::runtime::WakeSource::Sender(rank),
-                        },
-                    );
-                    let _ = w;
-                    woken.push(dest);
-                }
-            }
-        }
-        if !woken.is_empty() {
-            world.wake_on_message(rank, &woken);
+        if !ctx.outbox.is_empty() {
+            deposit(world, rank, ctx.outbox.drain(..));
         }
     }
 
@@ -462,6 +761,7 @@ impl Communicator for EventComm<'_> {
             // delivered this message.
             return ctx.replay_send(self.rank);
         }
+        ctx.check_live(self.rank, "send");
         ctx.append_send();
         ctx.outbox.push((dest, tag, buf));
         if ctx.outbox.len() >= OUTBOX_BATCH {
@@ -486,6 +786,7 @@ impl Communicator for EventComm<'_> {
         if ctx.replaying() {
             return ctx.replay_recv(self.rank);
         }
+        ctx.check_live(self.rank, "recv");
         self.flush(&mut ctx);
         // By determinism the first live blocking op is the op that parked,
         // so this execution's wake verdict (if any) belongs to us.
@@ -525,21 +826,7 @@ impl Communicator for EventComm<'_> {
                 // this rank pops its inbox), but parking again is always
                 // safe and correct.
                 _ => {
-                    if inbox.waiter.is_some() {
-                        panic!("rank {}: second waiter registered", self.rank);
-                    }
-                    inbox.waiter = Some(Waiter { key: Some((src, tag)), epoch: ctx.epoch });
-                    drop(inbox);
-                    #[cfg(feature = "hb-audit")]
-                    self.world.audit_record(
-                        self.rank,
-                        crate::runtime::AuditKind::WaiterArmed {
-                            rank: self.rank,
-                            src,
-                            tag,
-                            epoch: ctx.epoch,
-                        },
-                    );
+                    arm_waiter(self.world, self.rank, inbox, Some((src, tag)), ctx.epoch);
                     // `Duration::MAX`, or a deadline past the end of the
                     // clock, is an untimed receive.
                     let deadline = (timeout != Duration::MAX)
@@ -559,6 +846,7 @@ impl Communicator for EventComm<'_> {
         if ctx.replaying() {
             return ctx.replay_probe(self.rank);
         }
+        ctx.check_live(self.rank, "probe");
         self.flush(&mut ctx);
         let len = self.world.inbox(self.rank).store.peek_len(src, tag);
         ctx.append_probe(len);
@@ -570,6 +858,7 @@ impl Communicator for EventComm<'_> {
         if ctx.replaying() {
             return ctx.replay_now(self.rank);
         }
+        ctx.check_live(self.rank, "now");
         let t = self.world.clock_now();
         ctx.append_now(t);
         t
@@ -581,6 +870,7 @@ impl Communicator for EventComm<'_> {
             ctx.replay_sleep(self.rank);
             return;
         }
+        ctx.check_live(self.rank, "sleep");
         let wake = ctx.wake.take();
         if matches!(wake, Some(Wake::SleepElapsed)) || d.is_zero() {
             ctx.append_sleep();
@@ -600,11 +890,12 @@ impl Communicator for EventComm<'_> {
         if ctx.replaying() {
             return ctx.replay_arrival(self.rank);
         }
+        ctx.check_live(self.rank, "wait_arrival");
         self.flush(&mut ctx);
         // As in `recv_match`: the first live blocking op is the op that parked,
         // so this execution's wake verdict (if any) belongs to us.
         let wake = ctx.wake.take();
-        let mut inbox = self.world.inbox(self.rank);
+        let inbox = self.world.inbox(self.rank);
         let count = inbox.store.deposits();
         // A deposit beats a simultaneous wake verdict; a timer wake means
         // virtual time reached the deadline exactly.
@@ -619,21 +910,7 @@ impl Communicator for EventComm<'_> {
             ctx.append_err(e.clone());
             return Err(e);
         }
-        if inbox.waiter.is_some() {
-            panic!("rank {}: second waiter registered", self.rank);
-        }
-        inbox.waiter = Some(Waiter { key: None, epoch: ctx.epoch });
-        drop(inbox);
-        #[cfg(feature = "hb-audit")]
-        self.world.audit_record(
-            self.rank,
-            crate::runtime::AuditKind::WaiterArmed {
-                rank: self.rank,
-                src: self.rank,
-                tag: 0,
-                epoch: ctx.epoch,
-            },
-        );
+        arm_waiter(self.world, self.rank, inbox, None, ctx.epoch);
         // `Duration::MAX`, or a timeout the clock cannot represent, is an
         // unbounded wait (at virtual time 0 the add alone would succeed).
         let deadline =
@@ -641,5 +918,9 @@ impl Communicator for EventComm<'_> {
         ctx.park = Some(Park::Arrival { deadline });
         drop(ctx);
         panic_any(TaskYield)
+    }
+
+    fn resumable(&self) -> Option<Resume<'_>> {
+        Some(Resume { comm: self, tag_bits: 0 })
     }
 }

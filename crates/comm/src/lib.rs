@@ -57,10 +57,15 @@
 //!   and a recorded wire log ([`WireEvent`]) `bruck-check` builds its
 //!   vector-clocked schedules from.
 //! * **Event-driven scale-out** — [`EventComm`] multiplexes many lightweight
-//!   rank tasks over a fixed pool of worker OS threads (run-to-block +
-//!   log-replay suspension), so the full algorithm suite executes at
-//!   P = 32,768 ranks on a handful of threads, with a virtual clock, proved
-//!   deadlocks, and scheduler telemetry ([`EventReport`]).
+//!   rank tasks over a fixed pool of worker OS threads, so the full algorithm
+//!   suite executes at P = 32,768 ranks on a handful of threads, with a
+//!   virtual clock, proved deadlocks, and scheduler telemetry
+//!   ([`EventReport`]). A rank's exchanges and collectives are loops written
+//!   once as `async fn`s over [`Port`]: a bare `EventComm` keeps a parked one
+//!   as a future and resumes it where it stopped ([`Resume`]); every other
+//!   communicator runs it blocking, in one poll ([`block_on`] over
+//!   [`Blocking`]). The rest of a closure is re-run with its completed
+//!   operations replayed from a log.
 //!
 //! ## Example
 //!
@@ -85,6 +90,7 @@ mod mailbox;
 mod metered;
 mod msgbuf;
 mod agree;
+mod port;
 mod reliable;
 pub mod reduce;
 mod retry;
@@ -96,10 +102,11 @@ mod thread_comm;
 pub use communicator::{Communicator, RESERVED_TAG_BASE};
 pub use deadline::DeadlineComm;
 pub use error::{CommError, CommResult};
-pub use event::EventComm;
+pub use event::{Call, CallOutput, EventComm, EventPort, Resume};
 pub use fault::{EdgeFaults, FaultComm, FaultEvent, FaultKind, FaultPlan, ScriptedFault};
 pub use metered::{ChannelTotals, Histogram, MeteredComm, Metrics, TagCounters, HIST_BUCKETS};
 pub use msgbuf::MsgBuf;
+pub use port::{block_on, Blocking, Port};
 pub use agree::{agree_survivors, AgreeOutcome, Suspicion};
 pub use reliable::{ReliableComm, ReliableConfig};
 pub use reduce::ReduceOp;

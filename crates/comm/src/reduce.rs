@@ -1,9 +1,13 @@
 //! Reduction operators, their `u64` wire codec, and the one
 //! distance-doubling allreduce loop shared by the scalar
-//! [`Communicator::allreduce_u64`] and `bruck-core`'s vector
-//! `allreduce(RecursiveDoubling)`.
+//! [`Communicator::allreduce_u64`](crate::Communicator::allreduce_u64) and
+//! `bruck-core`'s vector
+//! `allreduce(RecursiveDoubling)`. The loop is an `async fn` over a
+//! [`Port`], so a resumed call awaits it and a blocking caller runs it in one
+//! poll.
 
-use crate::{CommError, CommResult, Communicator, MsgBuf, Tag};
+use crate::communicator::TAG_ALLREDUCE;
+use crate::{CommError, CommResult, MsgBuf, Port, Tag};
 
 /// Associative, commutative reduction over `u64`, covering everything the
 /// all-to-all algorithms need (`MPI_MAX` for the global maximum block size,
@@ -139,9 +143,9 @@ pub fn doubling_rounds(p: usize, op: ReduceOp) -> impl Iterator<Item = DoublingR
 /// each round under the guard `step()` returns (a probe span, or `()`). Every
 /// rank's `buf` (equal length everywhere) ends as the `op` reduction over all
 /// ranks. A payload of the wrong length is a typed error
-/// ([`Communicator::recv_exact`]).
-pub fn allreduce_doubling<C: Communicator + ?Sized, G>(
-    comm: &C,
+/// ([`Port::recv_exact`]).
+pub async fn allreduce_doubling<P: Port + ?Sized, G>(
+    comm: &P,
     buf: &mut [u64],
     op: ReduceOp,
     tag: impl Fn(u32) -> Tag,
@@ -157,7 +161,7 @@ pub fn allreduce_doubling<C: Communicator + ?Sized, G>(
             out.extend_from_slice(&u64s_to_bytes(&y));
         }
         comm.send_buf((me + h) % p, tag(k), MsgBuf::from_vec(out))?;
-        let got = comm.recv_exact((me + p - h) % p, tag(k), 8 * n * round.windows())?;
+        let got = comm.recv_exact((me + p - h) % p, tag(k), 8 * n * round.windows()).await?;
         let got = bytes_to_u64s(&got)?;
         let (w, y_from) = got.split_at(n);
         if round.builds_y {
@@ -170,6 +174,16 @@ pub fn allreduce_doubling<C: Communicator + ?Sized, G>(
         op.apply_slice(buf, w);
     }
     Ok(())
+}
+
+/// The scalar allreduce: [`allreduce_doubling`] on a one-element slice, on
+/// the reserved round tags of
+/// [`Communicator::allreduce_u64`](crate::Communicator::allreduce_u64) (which
+/// is this, driven blocking).
+pub async fn allreduce_u64<P: Port + ?Sized>(comm: &P, value: u64, op: ReduceOp) -> CommResult<u64> {
+    let mut acc = [value];
+    allreduce_doubling(comm, &mut acc, op, |k| TAG_ALLREDUCE + k, || ()).await?;
+    Ok(acc[0])
 }
 
 #[cfg(test)]

@@ -17,13 +17,13 @@
 //! A worker takes the next rank of the ready set's sweep (rank order from the
 //! rank served last, turning round only when nothing is ahead — the disk
 //! elevator), bumps the slot's *epoch*, and executes the closure against a
-//! fresh [`EventComm`] (replaying the logged prefix; see `event.rs`). The
-//! execution ends one of three ways: the closure returns (task `Done`),
-//! panics for real (task `Done`, payload propagated with the rank id), or
-//! unwinds with the yield sentinel — then
-//! the worker *commits the park*: it stores the log back in the slot and
-//! either parks the task or, if a waker already flagged it mid-unwind
-//! (`RunningWake`), immediately re-queues it. This two-phase park is what
+//! fresh [`EventComm`] (replaying the logged prefix, and polling the stored
+//! call if the task parked in one; see `event.rs`). The execution ends one of
+//! three ways: the closure returns (task `Done`), panics for real (task
+//! `Done`, payload propagated with the rank id), or unwinds with the yield
+//! sentinel — then the worker *commits the park*: it stores the log and the
+//! stored call back in the slot and either parks the task or, if a waker
+//! already flagged it mid-unwind (`RunningWake`), immediately re-queues it. This two-phase park is what
 //! makes "sender deposits the message while the receiver is still
 //! unwinding" race-free: the waiter is registered in the inbox *before* the
 //! unwind starts, and a depositor that takes it while the slot is still
@@ -66,7 +66,7 @@ use std::time::Duration;
 
 use crate::splitmix;
 use crate::clock::VirtualClock;
-use crate::event::{EventComm, ExecCtx, Inbox, Park, ReplayLog, TaskYield, Wake};
+use crate::event::{EventComm, ExecCtx, Inbox, Park, ReplayLog, StoredCall, TaskYield, Wake};
 use crate::mailbox::{MatchStore, StoreStats};
 use crate::sim::{ScheduleTrace, SimConfig};
 use crate::thread_comm::describe_panic;
@@ -88,11 +88,15 @@ enum TaskState {
     Done,
 }
 
-/// One rank's task slot: state machine + the suspended replay log.
+/// One rank's task slot: state machine + the suspended replay log and
+/// resumed call.
 struct TaskSlot {
     state: TaskState,
     /// The task's replay log while it is not executing.
     log: Option<ReplayLog>,
+    /// The resumed call the task is parked in, if it parked in one; dropped
+    /// at `Done`.
+    call: Option<StoredCall>,
     /// Wake verdict to hand the next execution.
     wake: Option<Wake>,
     /// Incremented at each execution start; waiters and timers registered by
@@ -542,6 +546,7 @@ impl EventWorld {
                     Mutex::new(TaskSlot {
                         state: TaskState::Queued,
                         log: Some(ReplayLog::default()),
+                        call: None,
                         wake: None,
                         epoch: 0,
                         counters: SchedCounters::default(),
@@ -757,6 +762,15 @@ impl EventWorld {
         runnable
     }
 
+    /// Drop every call still stored in a slot once the pool has drained: a
+    /// stored call holds the world, so one left behind by a task that never
+    /// finished would keep the world alive.
+    fn release_calls(&self) {
+        for rank in 0..self.size() {
+            self.slot(rank).call = None;
+        }
+    }
+
     /// Quiescent with no pending deadline: no schedule can make progress.
     /// Wake every parked task with the deadlock verdict (its blocked receive
     /// returns [`crate::CommError::Deadlock`]; a message that raced in still
@@ -819,8 +833,12 @@ impl Drop for AbortOnPanic<'_> {
 type Outcome<T> = Result<T, Box<dyn Any + Send>>;
 
 /// Execute one scheduled task until it completes, panics, or parks.
-fn execute<T, F>(world: &EventWorld, rank: usize, f: &F, results: &[Mutex<Option<Outcome<T>>>])
-where
+fn execute<T, F>(
+    world: &Arc<EventWorld>,
+    rank: usize,
+    f: &F,
+    results: &[Mutex<Option<Outcome<T>>>],
+) where
     T: Send,
     F: Fn(&EventComm<'_>) -> T + Sync,
 {
@@ -832,9 +850,10 @@ where
         slot.state = TaskState::Running;
         slot.epoch += 1;
         let log = slot.log.take().unwrap_or_default();
+        let call = slot.call.take();
         let wake = slot.wake.take();
         slot.counters.wakes += u64::from(wake.is_some());
-        (ExecCtx::new(log, wake, slot.epoch), slot.epoch)
+        (ExecCtx::new(log, call, wake, slot.epoch), slot.epoch)
     };
     #[cfg(feature = "hb-audit")]
     world.audit_record(rank, AuditKind::ExecStart { rank, epoch });
@@ -872,7 +891,9 @@ where
             };
             let mut slot = world.slot(rank);
             slot.counters.note_execution(&ctx, Some(&park));
-            slot.log = Some(ctx.into_log());
+            let (log, call) = ctx.into_parts();
+            slot.log = Some(log);
+            slot.call = call;
             match slot.state {
                 TaskState::Running => {
                     slot.state = TaskState::Parked;
@@ -921,12 +942,12 @@ where
     }
 }
 
-fn worker_loop<T, F>(world: &EventWorld, f: &F, results: &[Mutex<Option<Outcome<T>>>])
+fn worker_loop<T, F>(world: &Arc<EventWorld>, f: &F, results: &[Mutex<Option<Outcome<T>>>])
 where
     T: Send,
     F: Fn(&EventComm<'_>) -> T + Sync,
 {
-    let _abort_guard = AbortOnPanic(world);
+    let _abort_guard = AbortOnPanic(world.as_ref());
     loop {
         let rank = {
             let mut s = world.lock_sched();
@@ -1013,7 +1034,8 @@ pub struct EventReport {
     /// Total messages deposited across the run.
     pub messages: usize,
     /// Task executions: `p` first runs plus every wake-driven re-execution.
-    /// `executions / p` is the replay amplification factor.
+    /// `executions / p` is the replay amplification factor (a re-execution
+    /// that resumes a stored call replays only the closure's own ops).
     pub executions: u64,
     /// Direction reversals of the ready set's sweep: how many passes over
     /// the ranks the world took, less one.
@@ -1032,7 +1054,8 @@ pub struct EventReport {
     /// sweep).
     pub wakes: u64,
     /// Logged ops retraced by re-executions before they went live — the
-    /// work the run-to-block + replay design spends on resumption.
+    /// work replay spends on resumption (a finished call is one op; a
+    /// stored call's own progress is never retraced).
     pub replayed_ops: u64,
 }
 
@@ -1051,7 +1074,7 @@ where
     assert!(p > 0, "world size must be at least 1");
     let workers = workers.max(1);
     install_yield_hook();
-    let world = EventWorld::new(p, workers);
+    let world = Arc::new(EventWorld::new(p, workers));
     let results: Vec<Mutex<Option<Outcome<T>>>> = (0..p).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for w in 0..workers {
@@ -1063,6 +1086,7 @@ where
                 .unwrap_or_else(|e| panic!("failed to spawn worker {w}: {e}"));
         }
     });
+    world.release_calls();
     let report = {
         let mut total = SchedCounters::default();
         for rank in 0..p {
@@ -1179,7 +1203,7 @@ impl EventComm<'_> {
         let bug = opts.lost_wakeup_bug;
         #[cfg(not(feature = "seeded-bugs"))]
         let bug = false;
-        let world = EventWorld::new_opts(p, 1, Some(policy), opts.audit, bug);
+        let world = Arc::new(EventWorld::new_opts(p, 1, Some(policy), opts.audit, bug));
         let results: Vec<Mutex<Option<Outcome<T>>>> = (0..p).map(|_| Mutex::new(None)).collect();
         let f = &f;
         let join_err = std::thread::scope(|scope| {
@@ -1191,6 +1215,7 @@ impl EventComm<'_> {
                 .unwrap_or_else(|e| panic!("failed to spawn scheduled worker: {e}"));
             h.join().err()
         });
+        world.release_calls();
         let pol = {
             let mut s = world.lock_sched();
             match s.policy.take() {
@@ -1216,7 +1241,8 @@ impl EventComm<'_> {
         #[cfg(feature = "hb-audit")]
         let audit = world
             .audit
-            .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()).events)
+            .as_ref()
+            .map(|m| std::mem::take(&mut m.lock().unwrap_or_else(|p| p.into_inner()).events))
             .unwrap_or_default();
         EventRun {
             outcomes,
@@ -1624,6 +1650,69 @@ mod tests {
         let msg = describe_panic(payload.as_ref());
         assert!(msg.contains("rank 0 panicked"), "{msg}");
         assert!(msg.contains("injected bug"), "{msg}");
+    }
+
+    #[test]
+    fn a_panic_inside_a_stored_call_propagates_and_frees_the_world() {
+        use crate::{CallOutput, Port};
+        use std::sync::Weak;
+        let world: Mutex<Option<Weak<EventWorld>>> = Mutex::new(None);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            EventComm::run_pooled(2, 1, |comm| {
+                *world.lock().unwrap() = Some(Arc::downgrade(comm.world));
+                if comm.rank() == 1 {
+                    comm.send(0, 7, &[1]).unwrap();
+                    return;
+                }
+                // Rank 0 runs first, parks inside the call, and fails on
+                // the resumed poll.
+                let hook = comm.resumable().expect("a bare EventComm offers its hook");
+                let _ = hook.call(|port| {
+                    Box::pin(async move {
+                        let got = port.recv_match(1, 7, usize::MAX).await;
+                        assert!(got.is_err(), "injected bug inside a resumed call");
+                        Ok(CallOutput::default())
+                    })
+                });
+            })
+        }));
+        let msg = describe_panic(caught.expect_err("rank 0 panicked").as_ref());
+        assert!(msg.contains("rank 0 panicked"), "{msg}");
+        assert!(msg.contains("injected bug inside a resumed call"), "{msg}");
+        let world = world.into_inner().unwrap().expect("the closure ran");
+        assert!(world.upgrade().is_none(), "the world outlived its run");
+    }
+
+    #[test]
+    fn a_stored_call_resumes_without_replaying_and_is_logged_once() {
+        use crate::{CallOutput, Port};
+        // Rank 0 parks twice: inside its call, then on its own receive after
+        // it. The second wake re-runs the closure past the finished call,
+        // which returns its logged output as one op: rank 0 retraces the
+        // call and its send, rank 1 its first send.
+        let (out, report) = EventComm::run_report(2, 1, |comm| {
+            if comm.rank() == 1 {
+                comm.send(0, 7, &[1, 2]).unwrap();
+                comm.recv(0, 9).unwrap();
+                comm.send(0, 8, &[3]).unwrap();
+                return Vec::new();
+            }
+            let hook = comm.resumable().expect("a bare EventComm offers its hook");
+            let got = hook
+                .call(|port| {
+                    Box::pin(async move {
+                        let msg = port.recv_match(1, 7, usize::MAX).await?;
+                        Ok(CallOutput { bytes: msg.to_vec(), counts: vec![msg.len()] })
+                    })
+                })
+                .unwrap();
+            assert_eq!(got.counts, [2]);
+            comm.send(1, 9, &[]).unwrap();
+            let tail = comm.recv(1, 8).unwrap();
+            [got.bytes, tail].concat()
+        });
+        assert_eq!(out[0], [1, 2, 3]);
+        assert_eq!((report.executions, report.replayed_ops), (5, 3));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use reference::{
 };
 
 use bruck_comm::reduce::{allreduce_doubling, bytes_to_u64s, u64s_to_bytes};
-use bruck_comm::{CommError, CommResult, Communicator, ReduceOp};
+use bruck_comm::{block_on, Blocking, CallOutput, CommError, CommResult, Communicator, Port, ReduceOp};
 
 use crate::common::ar_doubling_tag;
 use crate::packed_displs;
@@ -151,7 +151,19 @@ pub fn allgatherv<C: Communicator + ?Sized>(
     validate_gv(comm, sendbuf, recvbuf, counts, displs)?;
     let me = comm.rank();
     recvbuf[displs[me]..displs[me] + counts[me]].copy_from_slice(sendbuf);
-    plan::gather(comm, &allgatherv_plan(algo, comm.size()), recvbuf, counts, displs)
+    let plan = allgatherv_plan(algo, comm.size());
+    let Some(hook) = comm.resumable() else {
+        return block_on(plan::gather(&Blocking(comm), &plan, recvbuf, counts, displs));
+    };
+    let out = hook.call(|port| {
+        let (mut recv, counts, displs) = (recvbuf.to_vec(), counts.to_vec(), displs.to_vec());
+        Box::pin(async move {
+            plan::gather(&port, &plan, &mut recv, &counts, &displs).await?;
+            Ok(CallOutput { bytes: recv, counts: Vec::new() })
+        })
+    })?;
+    recvbuf.copy_from_slice(&out.bytes);
+    Ok(())
 }
 
 /// Vector reduce-scatter: `sendbuf` holds `Σ counts` elements on every
@@ -166,7 +178,21 @@ pub fn reduce_scatter<C: Communicator + ?Sized>(
     op: ReduceOp,
 ) -> CommResult<()> {
     validate_rs(comm, sendbuf, recvbuf, counts)?;
-    plan::reduce(comm, &reduce_scatter_plan(algo, comm.size()), sendbuf, recvbuf, counts, op)
+    let plan = reduce_scatter_plan(algo, comm.size());
+    let Some(hook) = comm.resumable() else {
+        return block_on(plan::reduce(&Blocking(comm), &plan, sendbuf, recvbuf, counts, op));
+    };
+    let len = recvbuf.len();
+    let out = hook.call(|port| {
+        let (send, counts) = (sendbuf.to_vec(), counts.to_vec());
+        Box::pin(async move {
+            let mut recv = vec![0u64; len];
+            plan::reduce(&port, &plan, &send, &mut recv, &counts, op).await?;
+            Ok(CallOutput { bytes: u64s_to_bytes(&recv), counts: Vec::new() })
+        })
+    })?;
+    recvbuf.copy_from_slice(&bytes_to_u64s(&out.bytes)?);
+    Ok(())
 }
 
 /// Vector allreduce, in place: every rank's `buf` (equal length everywhere)
@@ -177,11 +203,32 @@ pub fn allreduce<C: Communicator + ?Sized>(
     buf: &mut [u64],
     op: ReduceOp,
 ) -> CommResult<()> {
+    let Some(hook) = comm.resumable() else {
+        return block_on(allreduce_on(&Blocking(comm), algo, buf, op));
+    };
+    let out = hook.call(|port| {
+        let mut acc = buf.to_vec();
+        Box::pin(async move {
+            allreduce_on(&port, algo, &mut acc, op).await?;
+            Ok(CallOutput { bytes: u64s_to_bytes(&acc), counts: Vec::new() })
+        })
+    })?;
+    buf.copy_from_slice(&bytes_to_u64s(&out.bytes)?);
+    Ok(())
+}
+
+/// [`allreduce`]'s two schedules over a port.
+async fn allreduce_on<P: Port + ?Sized>(
+    comm: &P,
+    algo: AllreduceAlgorithm,
+    buf: &mut [u64],
+    op: ReduceOp,
+) -> CommResult<()> {
     match algo {
         AllreduceAlgorithm::RecursiveDoubling => {
-            allreduce_doubling(comm, buf, op, ar_doubling_tag, || span("ar_doubling.step"))
+            allreduce_doubling(comm, buf, op, ar_doubling_tag, || span("ar_doubling.step")).await
         }
-        AllreduceAlgorithm::ReduceScatterAllgather => allreduce_rs_ag(comm, buf, op),
+        AllreduceAlgorithm::ReduceScatterAllgather => allreduce_rs_ag(comm, buf, op).await,
     }
 }
 
@@ -190,8 +237,8 @@ pub fn allreduce<C: Communicator + ?Sized>(
 /// reduced pieces. Moves `O(8n)` bytes per rank in total instead of `8n` per
 /// step — the large-vector schedule. Its wire trace is the two component
 /// traces back to back (their tag blocks are disjoint).
-fn allreduce_rs_ag<C: Communicator + ?Sized>(
-    comm: &C,
+async fn allreduce_rs_ag<P: Port + ?Sized>(
+    comm: &P,
     buf: &mut [u64],
     op: ReduceOp,
 ) -> CommResult<()> {
@@ -201,13 +248,16 @@ fn allreduce_rs_ag<C: Communicator + ?Sized>(
     // Near-equal pieces — the same split the Ranka two-stage algorithm uses.
     let counts: Vec<usize> = (0..p).map(|i| crate::piece_len(n, i, p)).collect();
     let mut piece = vec![0u64; counts[me]];
-    reduce_scatter(ReduceScatterAlgorithm::RecursiveHalving, comm, buf, &mut piece, &counts, op)?;
+    let halving = reduce_scatter_plan(ReduceScatterAlgorithm::RecursiveHalving, p);
+    plan::reduce(comm, &halving, buf, &mut piece, &counts, op).await?;
 
     let byte_counts: Vec<usize> = counts.iter().map(|c| c * 8).collect();
     let byte_displs = packed_displs(&byte_counts);
     let mut gathered = vec![0u8; n * 8];
-    let contrib = u64s_to_bytes(&piece);
-    allgatherv(AllgathervAlgorithm::Bruck, comm, &contrib, &mut gathered, &byte_counts, &byte_displs)?;
+    gathered[byte_displs[me]..byte_displs[me] + byte_counts[me]]
+        .copy_from_slice(&u64s_to_bytes(&piece));
+    let bruck = allgatherv_plan(AllgathervAlgorithm::Bruck, p);
+    plan::gather(comm, &bruck, &mut gathered, &byte_counts, &byte_displs).await?;
     buf.copy_from_slice(&bytes_to_u64s(&gathered)?);
     Ok(())
 }

@@ -7,11 +7,12 @@
 //! per rank, at any `P`, with no fold of a non-power-of-two remainder.
 //! [`gather`] copies arriving blocks into place (allgatherv, the second half
 //! of `ReduceScatterAllgather`); [`reduce`] folds arriving partials into a
-//! working vector (reduce_scatter, the first half). `bruck-model` prices the
-//! same plans, so the schedule has one definition.
+//! working vector (reduce_scatter, the first half). Both are `async fn`s over
+//! a [`Port`]. `bruck-model` prices the same plans, so the schedule has one
+//! definition.
 
 use bruck_comm::reduce::bytes_to_u64s;
-use bruck_comm::{CommResult, Communicator, MsgBuf, ReduceOp, Tag};
+use bruck_comm::{CommResult, MsgBuf, Port, ReduceOp, Tag};
 
 use crate::common::{
     add_mod, agv_bruck_tag, agv_ring_tag, ceil_log2, pat_ag_tag, pat_rs_tag, rs_halving_tag,
@@ -154,8 +155,8 @@ pub fn reduce_scatter_plan(algo: ReduceScatterAlgorithm, p: usize) -> Plan {
 /// Run a gather plan: block `b` lives at `recvbuf[displs[b]..][..counts[b]]`,
 /// and this rank's own block is already there. A step whose one block
 /// arrived on the previous step sends the arrived view, zero-copy.
-pub(super) fn gather<C: Communicator + ?Sized>(
-    comm: &C,
+pub(super) async fn gather<P: Port + ?Sized>(
+    comm: &P,
     plan: &Plan,
     recvbuf: &mut [u8],
     counts: &[usize],
@@ -178,7 +179,7 @@ pub(super) fn gather<C: Communicator + ?Sized>(
         comm.send_buf(add_mod(me, step.shift, plan.p), step.tag, payload)?;
         let from = sub_mod(me, step.shift, plan.p);
         let want = plan.received(i, me).map(|b| counts[b]).sum();
-        arrived = comm.recv_exact(from, step.tag, want)?;
+        arrived = comm.recv_exact(from, step.tag, want).await?;
         let mut at = 0;
         for b in plan.received(i, me) {
             recvbuf[slot(b)].copy_from_slice(&arrived[at..at + counts[b]]);
@@ -192,8 +193,8 @@ pub(super) fn gather<C: Communicator + ?Sized>(
 /// elements at its packed offset) is destined for rank `b`. Every rank folds
 /// arriving partials into a working copy of `sendbuf`; `recvbuf` ends with
 /// its own segment.
-pub(super) fn reduce<C: Communicator + ?Sized>(
-    comm: &C,
+pub(super) async fn reduce<P: Port + ?Sized>(
+    comm: &P,
     plan: &Plan,
     sendbuf: &[u64],
     recvbuf: &mut [u64],
@@ -213,7 +214,7 @@ pub(super) fn reduce<C: Communicator + ?Sized>(
         comm.send_buf(add_mod(me, step.shift, plan.p), step.tag, MsgBuf::from_vec(out))?;
         let from = sub_mod(me, step.shift, plan.p);
         let want = plan.received(i, me).map(|b| 8 * counts[b]).sum();
-        let got = bytes_to_u64s(&comm.recv_exact(from, step.tag, want)?)?;
+        let got = bytes_to_u64s(&comm.recv_exact(from, step.tag, want).await?)?;
         let mut at = 0;
         for b in plan.received(i, me) {
             op.apply_slice(&mut work[seg(b)], &got[at..at + counts[b]]);

@@ -52,14 +52,16 @@
 
 use std::time::Duration;
 
-use bruck_comm::{CommError, CommResult, Communicator, MsgBuf, ReduceOp, Tag, RESERVED_TAG_BASE};
+use bruck_comm::reduce::allreduce_u64;
+use bruck_comm::{
+    block_on, Blocking, CallOutput, CommError, CommResult, Communicator, MsgBuf, Port, ReduceOp,
+    Resume, Tag, RESERVED_TAG_BASE,
+};
 
 use super::{packed_displs, validate_send, validate_v};
 use crate::common::{add_mod, data_tag, meta_tag, sub_mod, SPREAD_TAG};
 use crate::probe::span;
-use crate::radix::{
-    radix_schedule, radix_step_rel_indices, zero_rotation_bruck_deliver, zero_rotation_bruck_radix,
-};
+use crate::radix::{radix_schedule, radix_step_rel_indices, zero_rotation_bruck_deliver};
 use super::hierarchical::{hierarchical_alltoallv, DEFAULT_GROUP_SIZE};
 use super::two_stage::ranka_two_stage_alltoallv;
 use super::{reference_alltoallv, AlltoallvAlgorithm};
@@ -440,6 +442,11 @@ impl EngineConfig {
 
 /// The engine entry (same contract as `MPI_Alltoallv`): run the exchange
 /// `cfg` describes. Named points and off-point configs take the same path.
+///
+/// The `Direct` and `Bruck` loops are `async fn`s over a [`Port`]: on a bare
+/// `EventComm` they run as a resumed call ([`Communicator::resumable`]) that
+/// owns copies of the arguments and its receive buffer, on every other
+/// communicator blocking, in one poll.
 #[allow(clippy::too_many_arguments)]
 pub fn configurable_alltoallv<C: Communicator + ?Sized>(
     comm: &C,
@@ -462,9 +469,31 @@ pub fn configurable_alltoallv<C: Communicator + ?Sized>(
         EngineTopology::Leader { group } => hierarchical_alltoallv(
             comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls, group,
         ),
-        EngineTopology::Direct | EngineTopology::Bruck => direct_or_bruck(
-            comm, cfg, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
-        ),
+        EngineTopology::Direct | EngineTopology::Bruck => {
+            validate_v(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)?;
+            let Some(hook) = comm.resumable() else {
+                return block_on(direct_or_bruck(
+                    &Blocking(comm), cfg, sendbuf, sendcounts, sdispls, recvbuf, recvcounts,
+                    rdispls,
+                ));
+            };
+            let out = hook.call(|port| {
+                let (cfg, send, sendcounts, sdispls) =
+                    (*cfg, sendbuf.to_vec(), sendcounts.to_vec(), sdispls.to_vec());
+                let (mut recv, recvcounts, rdispls) =
+                    (recvbuf.to_vec(), recvcounts.to_vec(), rdispls.to_vec());
+                Box::pin(async move {
+                    direct_or_bruck(
+                        &port, &cfg, &send, &sendcounts, &sdispls, &mut recv, &recvcounts,
+                        &rdispls,
+                    )
+                    .await?;
+                    Ok(CallOutput { bytes: recv, counts: Vec::new() })
+                })
+            })?;
+            recvbuf.copy_from_slice(&out.bytes);
+            Ok(())
+        }
     }
 }
 
@@ -488,56 +517,100 @@ pub fn alltoallv_discover<C: Communicator + ?Sized>(
     sdispls: &[usize],
     odd_round: bool,
 ) -> CommResult<(Vec<u8>, Vec<usize>)> {
+    cfg.validate()?;
+    validate_send(comm, sendbuf, sendcounts, sdispls)?;
     if odd_round {
-        discover(&OddRound(comm), cfg, sendbuf, sendcounts, sdispls)
+        discover_on(&OddRound(comm), cfg, sendbuf, sendcounts, sdispls)
     } else {
-        discover(comm, cfg, sendbuf, sendcounts, sdispls)
+        discover_on(comm, cfg, sendbuf, sendcounts, sdispls)
     }
 }
 
-fn discover<C: Communicator + ?Sized>(
+/// [`alltoallv_discover`] on one tag block: the converted topologies as one
+/// call, the others as the counts exchange and then their own `alltoallv`.
+fn discover_on<C: Communicator + ?Sized>(
     comm: &C,
     cfg: &EngineConfig,
     sendbuf: &[u8],
     sendcounts: &[usize],
     sdispls: &[usize],
 ) -> CommResult<(Vec<u8>, Vec<usize>)> {
-    cfg.validate()?;
-    let p = validate_send(comm, sendbuf, sendcounts, sdispls)?;
+    if !matches!(cfg.topology, EngineTopology::Direct | EngineTopology::Bruck) {
+        let counts = block_on(exchange_counts(&Blocking(comm), sendcounts))?;
+        let (mut buf, rdispls) = packed_recv(&counts)?;
+        configurable_alltoallv(comm, cfg, sendbuf, sendcounts, sdispls, &mut buf, &counts, &rdispls)?;
+        return Ok((buf, counts));
+    }
+    let Some(hook) = comm.resumable() else {
+        return block_on(discover(&Blocking(comm), cfg, sendbuf, sendcounts, sdispls));
+    };
+    let out = hook.call(|port| {
+        let (cfg, send, sendcounts, sdispls) =
+            (*cfg, sendbuf.to_vec(), sendcounts.to_vec(), sdispls.to_vec());
+        Box::pin(async move {
+            let (bytes, counts) = discover(&port, &cfg, &send, &sendcounts, &sdispls).await?;
+            Ok(CallOutput { bytes, counts })
+        })
+    })?;
+    Ok((out.bytes, out.counts))
+}
+
+/// The converted topologies' discovering exchange. Only the unpadded loops
+/// read lengths off their own wire; a padded config runs
+/// [`counts_then_alltoallv`].
+async fn discover<P: Port + ?Sized>(
+    comm: &P,
+    cfg: &EngineConfig,
+    sendbuf: &[u8],
+    sendcounts: &[usize],
+    sdispls: &[usize],
+) -> CommResult<(Vec<u8>, Vec<usize>)> {
     let (mut buf, mut counts) = (Vec::new(), Vec::new());
     let recv = Recv::Packed { buf: &mut buf, counts: &mut counts };
     match (cfg.topology, cfg.padding) {
         (EngineTopology::Direct, PaddingRule::Never) => {
-            direct_exchange(comm, cfg.throttle_window, sendbuf, sendcounts, sdispls, recv)?;
+            direct_exchange(comm, cfg.throttle_window, sendbuf, sendcounts, sdispls, recv).await?;
         }
         (EngineTopology::Bruck, PaddingRule::Never) => {
-            bruck_unpadded(comm, cfg, p, sendbuf, sendcounts, sdispls, recv)?;
+            bruck_unpadded(comm, cfg, sendbuf, sendcounts, sdispls, recv).await?;
         }
-        _ => return counts_then_alltoallv(comm, cfg, sendbuf, sendcounts, sdispls),
+        _ => return counts_then_alltoallv(comm, cfg, sendbuf, sendcounts, sdispls).await,
     }
     Ok((buf, counts))
 }
 
-/// [`alltoallv_discover`] for the configs whose loops cannot learn a length
-/// from their own wire: a uniform Zero Rotation Bruck exchange of 8-byte
-/// counts, then the `alltoallv`.
-fn counts_then_alltoallv<C: Communicator + ?Sized>(
-    comm: &C,
+/// [`alltoallv_discover`] for the padded configs, whose loops cannot learn a
+/// length from their own wire: [`exchange_counts`], then the `alltoallv`.
+async fn counts_then_alltoallv<P: Port + ?Sized>(
+    comm: &P,
     cfg: &EngineConfig,
     sendbuf: &[u8],
     sendcounts: &[usize],
     sdispls: &[usize],
 ) -> CommResult<(Vec<u8>, Vec<usize>)> {
-    let mine: Vec<u8> = sendcounts.iter().flat_map(|&c| (c as u64).to_le_bytes()).collect();
-    let mut theirs = vec![0u8; mine.len()];
-    zero_rotation_bruck_radix(comm, &mine, &mut theirs, 8, 2)?;
-    let word = |w: &[u8]| u64::from_le_bytes(std::array::from_fn(|b| w[b]));
-    let counts: Vec<usize> = theirs.chunks_exact(8).map(|w| word(w) as usize).collect();
-    let total = counts.iter().try_fold(0usize, |sum, &c| sum.checked_add(c));
-    let mut buf = vec![0u8; total.ok_or(CommError::BadArgument("recvcounts overflow"))?];
-    let rdispls = packed_displs(&counts);
-    configurable_alltoallv(comm, cfg, sendbuf, sendcounts, sdispls, &mut buf, &counts, &rdispls)?;
+    let counts = exchange_counts(comm, sendcounts).await?;
+    let (mut buf, rdispls) = packed_recv(&counts)?;
+    direct_or_bruck(comm, cfg, sendbuf, sendcounts, sdispls, &mut buf, &counts, &rdispls).await?;
     Ok((buf, counts))
+}
+
+/// Every rank's count for this rank: a uniform Zero Rotation Bruck exchange
+/// of 8-byte counts.
+async fn exchange_counts<P: Port + ?Sized>(comm: &P, sendcounts: &[usize]) -> CommResult<Vec<usize>> {
+    let mine: Vec<u8> = sendcounts.iter().flat_map(|&c| (c as u64).to_le_bytes()).collect();
+    let me = comm.rank();
+    let mut counts = vec![0usize; sendcounts.len()];
+    counts[me] = sendcounts[me];
+    let word = |w: &[u8]| u64::from_le_bytes(std::array::from_fn(|b| w[b])) as usize;
+    zero_rotation_bruck_deliver(comm, &mine, 8, 2, |src, w| counts[src] = word(w)).await?;
+    Ok(counts)
+}
+
+/// A packed receive buffer for `counts`, and its displacements.
+fn packed_recv(counts: &[usize]) -> CommResult<(Vec<u8>, Vec<usize>)> {
+    let total = counts.iter().try_fold(0usize, |sum, &c| sum.checked_add(c));
+    let buf = vec![0u8; total.ok_or(CommError::BadArgument("recvcounts overflow"))?];
+    Ok((buf, packed_displs(counts)))
 }
 
 /// The tag bit of [`alltoallv_discover`]'s odd rounds: above every engine
@@ -546,7 +619,8 @@ const ODD_ROUND_TAG: Tag = 1 << 23;
 
 /// A communicator whose algorithm tags carry [`ODD_ROUND_TAG`]: the odd
 /// rounds' tag block. Reserved tags (the built-in collectives, which rely on
-/// non-overtaking by contract) pass through.
+/// non-overtaking by contract) pass through. Over a bare `EventComm` its
+/// hook is the runtime's, with the tag bit added.
 struct OddRound<'a, C: ?Sized>(&'a C);
 
 impl<C: Communicator + ?Sized> OddRound<'_, C> {
@@ -607,6 +681,10 @@ impl<C: Communicator + ?Sized> Communicator for OddRound<'_, C> {
     fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
         self.0.wait_arrival(seen, timeout)
     }
+
+    fn resumable(&self) -> Option<Resume<'_>> {
+        self.0.resumable().map(|hook| hook.with_tag_bits(ODD_ROUND_TAG))
+    }
 }
 
 /// Global maximum block size — the `N` of the paper. Only a padding rule
@@ -614,23 +692,18 @@ impl<C: Communicator + ?Sized> Communicator for OddRound<'_, C> {
 /// dissemination: ⌈log₂ P⌉ rounds of one message per rank at any `P`, with
 /// no fold round.
 #[expect(clippy::disallowed_methods, reason = "the padding rule's one allreduce, before the loop")]
-fn global_n_max<C: Communicator + ?Sized>(comm: &C, sendcounts: &[usize]) -> CommResult<usize> {
+async fn global_n_max<P: Port + ?Sized>(comm: &P, sendcounts: &[usize]) -> CommResult<usize> {
     let _probe = span("padded.allreduce");
     let local_max = sendcounts.iter().copied().max().unwrap_or(0);
-    Ok(comm.allreduce_u64(local_max as u64, ReduceOp::Max)? as usize)
+    Ok(allreduce_u64(comm, local_max as u64, ReduceOp::Max).await? as usize)
 }
 
-/// The `Direct` and `Bruck` topologies: validate once, find `N` if the padding
-/// rule wants it, then either the padded uniform exchange or the exact-size
-/// exchange.
-///
-/// The three loops this chooses between are `#[inline(never)]`: `EventComm`
-/// suspends a rank by unwinding, the unwinder's work per frame grows with the
-/// frame's call-site table, and one merged function measured ~3 % slower per
-/// exchange (P = 256, 64 B blocks) than one small frame per loop.
+/// The `Direct` and `Bruck` topologies over validated arguments: find `N` if
+/// the padding rule wants it, then either the padded uniform exchange or the
+/// exact-size exchange.
 #[allow(clippy::too_many_arguments)]
-fn direct_or_bruck<C: Communicator + ?Sized>(
-    comm: &C,
+async fn direct_or_bruck<P: Port + ?Sized>(
+    comm: &P,
     cfg: &EngineConfig,
     sendbuf: &[u8],
     sendcounts: &[usize],
@@ -639,14 +712,13 @@ fn direct_or_bruck<C: Communicator + ?Sized>(
     recvcounts: &[usize],
     rdispls: &[usize],
 ) -> CommResult<()> {
-    let p = validate_v(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)?;
-
     if cfg.padding != PaddingRule::Never {
-        let n = global_n_max(comm, sendcounts)?;
+        let n = global_n_max(comm, sendcounts).await?;
         if cfg.padding.fires(n) {
             return padded_exchange(
-                comm, cfg, p, n, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
-            );
+                comm, cfg, n, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
+            )
+            .await;
         }
     } else if cfg.topology == EngineTopology::Bruck
         && cfg.layout == IntermediateLayout::Monolithic
@@ -660,9 +732,9 @@ fn direct_or_bruck<C: Communicator + ?Sized>(
 
     let recv = Recv::Placed { buf: recvbuf, counts: recvcounts, displs: rdispls };
     if cfg.topology == EngineTopology::Direct {
-        direct_exchange(comm, cfg.throttle_window, sendbuf, sendcounts, sdispls, recv)
+        direct_exchange(comm, cfg.throttle_window, sendbuf, sendcounts, sdispls, recv).await
     } else {
-        bruck_unpadded(comm, cfg, p, sendbuf, sendcounts, sdispls, recv)
+        bruck_unpadded(comm, cfg, sendbuf, sendcounts, sdispls, recv).await
     }
 }
 
@@ -695,11 +767,9 @@ fn pack_by_source(blocks: &[&[u8]], buf: &mut Vec<u8>, counts: &mut Vec<usize>) 
 ///   the wire into `recvbuf`: no receive image, no scan. `padded.scan` then
 ///   brackets only the self block's copy.
 #[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn padded_exchange<C: Communicator + ?Sized>(
-    comm: &C,
+async fn padded_exchange<P: Port + ?Sized>(
+    comm: &P,
     cfg: &EngineConfig,
-    p: usize,
     n: usize,
     sendbuf: &[u8],
     sendcounts: &[usize],
@@ -714,6 +784,7 @@ fn padded_exchange<C: Communicator + ?Sized>(
     if recvcounts.iter().any(|&want| want > n) {
         return Err(CommError::BadArgument("recvcounts exceed the global maximum block size"));
     }
+    let p = comm.size();
     let mut padded_send = vec![0u8; p * n];
     {
         let _probe = span("padded.pad");
@@ -729,7 +800,8 @@ fn padded_exchange<C: Communicator + ?Sized>(
             zero_rotation_bruck_deliver(comm, &padded_send, n, cfg.radix, |src, slot| {
                 let want = recvcounts[src];
                 recvbuf[rdispls[src]..rdispls[src] + want].copy_from_slice(&slot[..want]);
-            })?;
+            })
+            .await?;
         }
         let _probe = span("padded.scan");
         let me = comm.rank();
@@ -746,7 +818,7 @@ fn padded_exchange<C: Communicator + ?Sized>(
         let counts = vec![n; p];
         let displs: Vec<usize> = (0..p).map(|i| i * n).collect();
         let recv = Recv::Placed { buf: &mut padded_recv, counts: &counts, displs: &displs };
-        direct_exchange(comm, cfg.throttle_window, padded_send, &counts, &displs, recv)?;
+        direct_exchange(comm, cfg.throttle_window, padded_send, &counts, &displs, recv).await?;
     }
     let _probe = span("padded.scan");
     for src in 0..p {
@@ -766,11 +838,12 @@ fn padded_exchange<C: Communicator + ?Sized>(
 /// Zero-copy send path: `sendbuf` becomes one shared region (a copy of the
 /// user's buffer, or the padded buffer moved in) and the in-flight messages
 /// are disjoint slices of it, so posting a send allocates and copies nothing.
-/// A [`Recv::Packed`] exchange keeps each received message as it arrived and
-/// reads its length; the one copy per block is the final pack.
-#[inline(never)]
-fn direct_exchange<C: Communicator + ?Sized>(
-    comm: &C,
+/// A [`Recv::Placed`] block must be exactly its `recvcounts` entry long (a
+/// longer one stays queued). A [`Recv::Packed`] exchange keeps each received
+/// message as it arrived and reads its length; the one copy per block is the
+/// final pack.
+async fn direct_exchange<P: Port + ?Sized>(
+    comm: &P,
     window: Option<usize>,
     sendbuf: impl Into<MsgBuf>,
     sendcounts: &[usize],
@@ -803,7 +876,7 @@ fn direct_exchange<C: Communicator + ?Sized>(
             let _send = window.is_none().then(|| span("spread_out.send"));
             for i in next..batch_end {
                 let dest = add_mod(me, i, p);
-                comm.isend_buf(
+                comm.send_buf(
                     dest,
                     SPREAD_TAG,
                     packed.slice(sdispls[dest]..sdispls[dest] + sendcounts[dest]),
@@ -815,11 +888,12 @@ fn direct_exchange<C: Communicator + ?Sized>(
             let src = sub_mod(me, i, p);
             match &mut recv {
                 Recv::Placed { buf, counts, displs } => {
-                    let into = &mut buf[displs[src]..displs[src] + counts[src]];
-                    let n = comm.recv_into(src, SPREAD_TAG, into)?;
-                    debug_assert_eq!(n, counts[src], "peer sent unexpected block size");
+                    let block = comm.recv_exact(src, SPREAD_TAG, counts[src]).await?;
+                    buf[displs[src]..displs[src] + counts[src]].copy_from_slice(&block);
                 }
-                Recv::Packed { .. } => arrived[src] = comm.recv_buf(src, SPREAD_TAG)?,
+                Recv::Packed { .. } => {
+                    arrived[src] = comm.recv_match(src, SPREAD_TAG, usize::MAX).await?;
+                }
             }
         }
         next = batch_end;
@@ -878,8 +952,8 @@ fn size_array(hop: &Hop, sizes: &[usize]) -> CommResult<Vec<u8>> {
 }
 
 /// Post the size array announcing `hop`'s outgoing blocks (split coupling).
-fn post_sizes<C: Communicator + ?Sized>(comm: &C, hop: &Hop, sizes: &[usize]) -> CommResult<()> {
-    comm.isend_buf(hop.dest, meta_tag(hop.idx), MsgBuf::from_vec(size_array(hop, sizes)?))
+fn post_sizes<P: Port + ?Sized>(comm: &P, hop: &Hop, sizes: &[usize]) -> CommResult<()> {
+    comm.send_buf(hop.dest, meta_tag(hop.idx), MsgBuf::from_vec(size_array(hop, sizes)?))
 }
 
 /// The coupled metadata + data exchange of one unpadded Bruck sub-step.
@@ -903,8 +977,8 @@ fn post_sizes<C: Communicator + ?Sized>(comm: &C, hop: &Hop, sizes: &[usize]) ->
 /// it. On return `sizes[i]` are the *received* blocks' sizes, and the result
 /// is the received body plus the offset its payload starts at; the payload
 /// length has been checked against the sizes.
-fn coupled_step<C: Communicator + ?Sized>(
-    comm: &C,
+async fn coupled_step<P: Port + ?Sized>(
+    comm: &P,
     split: bool,
     spans: &StepSpans,
     hop: &Hop,
@@ -933,11 +1007,11 @@ fn coupled_step<C: Communicator + ?Sized>(
             let _probe = span(spans.pack);
             let mut body = Vec::with_capacity(outgoing);
             pack(&mut body, sizes);
-            comm.isend_buf(dest, data_tag(idx), MsgBuf::from_vec(body))?;
+            comm.send_buf(dest, data_tag(idx), MsgBuf::from_vec(body))?;
         }
         let payload = {
             let _probe = span(spans.meta);
-            let array = comm.recv_buf(src, meta_tag(idx))?;
+            let array = comm.recv_match(src, meta_tag(idx), usize::MAX).await?;
             if array.len() != meta_len {
                 return Err(CommError::BadArgument("metadata length mismatch"));
             }
@@ -948,7 +1022,7 @@ fn coupled_step<C: Communicator + ?Sized>(
             payload
         };
         let _probe = span(spans.data);
-        (comm.recv_match(src, data_tag(idx), payload, Duration::MAX)?, 0, payload)
+        (comm.recv_match(src, data_tag(idx), payload).await?, 0, payload)
     } else {
         let body = {
             let _probe = span(spans.pack);
@@ -960,7 +1034,8 @@ fn coupled_step<C: Communicator + ?Sized>(
         let header = {
             let _probe = span(spans.meta);
             let announce = (body.len() as u64).to_le_bytes().to_vec();
-            comm.sendrecv_buf(dest, meta_tag(idx), MsgBuf::from_vec(announce), src, meta_tag(idx))?
+            comm.send_buf(dest, meta_tag(idx), MsgBuf::from_vec(announce))?;
+            comm.recv_match(src, meta_tag(idx), usize::MAX).await?
         };
         let announced = u64::from_le_bytes(
             header.as_slice().try_into().map_err(|_| CommError::BadArgument("bad size header"))?,
@@ -968,8 +1043,8 @@ fn coupled_step<C: Communicator + ?Sized>(
         let announced = usize::try_from(announced).unwrap_or(usize::MAX);
         let data = {
             let _probe = span(spans.data);
-            comm.isend_buf(dest, data_tag(idx), MsgBuf::from_vec(body))?;
-            comm.recv_match(src, data_tag(idx), announced, Duration::MAX)?
+            comm.send_buf(dest, data_tag(idx), MsgBuf::from_vec(body))?;
+            comm.recv_match(src, data_tag(idx), announced).await?
         };
         if data.len() != announced || data.len() < meta_len {
             return Err(CommError::BadArgument("combined buffer length mismatch"));
@@ -983,6 +1058,15 @@ fn coupled_step<C: Communicator + ?Sized>(
     Ok((data, base))
 }
 
+/// A routed block's size, read off the wire, against the `recvcounts` entry
+/// its slot was sized for: a peer that disagrees is a typed error.
+fn check_routed(size: usize, want: usize) -> CommResult<()> {
+    if size != want {
+        return Err(CommError::BadArgument("routed size disagrees with recvcounts"));
+    }
+    Ok(())
+}
+
 /// The unpadded non-uniform radix Bruck loop. Every sub-step's receive region
 /// is kept (`regions`) and `held[i]` says where in them the block at relative
 /// index `i` arrived — `(region, offset)`, its size in `sizes[i]` — so
@@ -990,7 +1074,7 @@ fn coupled_step<C: Communicator + ?Sized>(
 /// block sizes; until a sub-step delivers it the block is still the original
 /// one in the user's send buffer. (A reference-counted `MsgBuf::slice` per
 /// block is the same idea and measured 10–20 % slower at small blocks: the
-/// count moves twice per block per step, again on every `EventComm` replay.)
+/// count moves twice per block per step.)
 ///
 /// The layout picks the routing and the delivery:
 ///
@@ -1004,22 +1088,20 @@ fn coupled_step<C: Communicator + ?Sized>(
 ///   *upward* in basic-Bruck direction, every received block goes into the
 ///   pointer array, and a final scan copies all of them home.
 ///
-/// A [`Recv::Packed`] exchange holds every block where it arrived in either
-/// layout, reads its size off the size array that carried it, and packs all
-/// of them once the last one is in: where a block lands depends on every
-/// size before it.
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn bruck_unpadded<C: Communicator + ?Sized>(
-    comm: &C,
+/// A [`Recv::Placed`] block whose routed size is not its `recvcounts` entry
+/// is a typed error. A [`Recv::Packed`] exchange holds every block where it
+/// arrived in either layout, reads its size off the size array that carried
+/// it, and packs all of them once the last one is in: where a block lands
+/// depends on every size before it.
+async fn bruck_unpadded<P: Port + ?Sized>(
+    comm: &P,
     cfg: &EngineConfig,
-    p: usize,
     sendbuf: &[u8],
     sendcounts: &[usize],
     sdispls: &[usize],
     mut recv: Recv<'_>,
 ) -> CommResult<()> {
-    let me = comm.rank();
+    let (p, me) = (comm.size(), comm.rank());
     let (downward, spans) = match cfg.layout {
         IntermediateLayout::Monolithic => (true, &TWO_PHASE_SPANS),
         IntermediateLayout::BlockViews => (false, &SLOAV_SPANS),
@@ -1074,7 +1156,8 @@ fn bruck_unpadded<C: Communicator + ?Sized>(
                     }
                 }
             },
-        )?;
+        )
+        .await?;
 
         let _probe = span(spans.scatter);
         let mut at = base;
@@ -1083,7 +1166,7 @@ fn bruck_unpadded<C: Communicator + ?Sized>(
             match &mut recv {
                 Recv::Placed { buf, counts, displs } if downward && i < hop.done_bound => {
                     let from = behind(i);
-                    debug_assert_eq!(sz, counts[from], "recvcounts disagrees with routed size");
+                    check_routed(sz, counts[from])?;
                     buf[displs[from]..displs[from] + sz].copy_from_slice(&got[at..at + sz]);
                 }
                 _ => held[i] = Some((regions.len(), at)),
@@ -1102,7 +1185,7 @@ fn bruck_unpadded<C: Communicator + ?Sized>(
             for (i, block) in held.iter().enumerate() {
                 let Some((r, at)) = *block else { continue };
                 let from = behind(i);
-                debug_assert_eq!(sizes[i], counts[from], "routed size disagrees with recvcounts");
+                check_routed(sizes[i], counts[from])?;
                 buf[displs[from]..displs[from] + counts[from]]
                     .copy_from_slice(&regions[r][at..at + sizes[i]]);
             }

@@ -21,7 +21,7 @@
 //! the engine's padded path delivers `recvcounts[src]` bytes to
 //! `recvbuf[rdispls[src]..]`, which is its padding strip.
 
-use bruck_comm::{CommError, CommResult, Communicator, MsgBuf};
+use bruck_comm::{block_on, Blocking, CommError, CommResult, Communicator, MsgBuf, Port};
 
 use crate::common::{add_mod, rotation_index, sub_mod, uniform_step_tag};
 use crate::probe::span;
@@ -81,9 +81,9 @@ pub fn zero_rotation_bruck_radix<C: Communicator + ?Sized>(
     radix: usize,
 ) -> CommResult<()> {
     validate_uniform(comm, sendbuf, recvbuf, block)?;
-    zero_rotation_bruck_deliver(comm, sendbuf, block, radix, |src, data| {
+    block_on(zero_rotation_bruck_deliver(&Blocking(comm), sendbuf, block, radix, |src, data| {
         recvbuf[src * block..(src + 1) * block].copy_from_slice(data);
-    })?;
+    }))?;
     // The self block never travels: I[p] = p.
     let me = comm.rank();
     recvbuf[me * block..(me + 1) * block].copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
@@ -98,9 +98,10 @@ pub fn zero_rotation_bruck_radix<C: Communicator + ?Sized>(
 /// Store-and-forward needs no working image: `held[j]` says where in the kept
 /// receive regions slot `j`'s block arrived — `(region, offset)` — and until a
 /// sub-step delivers it, the slot is still the original send block `I[j]`.
-/// The per-step pack is the only copy besides the delivery.
-pub(crate) fn zero_rotation_bruck_deliver<C: Communicator + ?Sized>(
-    comm: &C,
+/// The per-step pack is the only copy besides the delivery. An `async fn`
+/// over a [`Port`], so the engine's resumed calls await it.
+pub(crate) async fn zero_rotation_bruck_deliver<P: Port + ?Sized>(
+    comm: &P,
     sendbuf: &[u8],
     block: usize,
     radix: usize,
@@ -139,13 +140,8 @@ pub(crate) fn zero_rotation_bruck_deliver<C: Communicator + ?Sized>(
                 }
             }
         }
-        let got = comm.sendrecv_buf(
-            dest,
-            uniform_step_tag(idx),
-            MsgBuf::from_vec(wire),
-            src,
-            uniform_step_tag(idx),
-        )?;
+        comm.send_buf(dest, uniform_step_tag(idx), MsgBuf::from_vec(wire))?;
+        let got = comm.recv_match(src, uniform_step_tag(idx), usize::MAX).await?;
         if got.len() != len {
             return Err(CommError::BadArgument("uniform step length mismatch"));
         }
@@ -278,12 +274,13 @@ mod tests {
                         let me = comm.rank();
                         let sendbuf = ut::fill_sendbuf(me, p, block);
                         let mut seen = vec![0usize; p];
-                        zero_rotation_bruck_deliver(comm, &sendbuf, block, radix, |src, data| {
+                        let port = Blocking(comm);
+                        block_on(zero_rotation_bruck_deliver(&port, &sendbuf, block, radix, |src, data| {
                             seen[src] += 1;
                             let want: Vec<u8> =
                                 (0..block).map(|idx| ut::pattern(src, me, idx)).collect();
                             assert_eq!(data, want, "p={p} radix={radix} src={src}");
-                        })
+                        }))
                         .unwrap();
                         let expect: Vec<usize> = (0..p).map(|src| usize::from(src != me)).collect();
                         assert_eq!(seen, expect, "p={p} radix={radix} block={block} rank {me}");

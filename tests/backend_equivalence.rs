@@ -31,6 +31,10 @@ use bruck_core::{
 };
 use bruck_workload::{Distribution, SizeMatrix};
 
+mod common;
+
+use common::{power_law_and_sparse, same_on_every_path, PATH_SIZES};
+
 /// Pattern byte for (src, dst, idx): distinct across blocks, same convention
 /// as `tests/algorithms_agree.rs`.
 fn pat(src: usize, dst: usize, idx: usize) -> u8 {
@@ -100,6 +104,21 @@ fn all_algorithms_byte_identical_across_backends() {
                     "{} on EventComm diverges from ThreadComm ({dist_name}, p={p})",
                     algo.name()
                 );
+            }
+        }
+    }
+}
+
+/// Every algorithm through the public `alltoallv`, on every path of the
+/// engine's loops: blocking on ThreadComm, SimComm and under `MeteredComm`,
+/// and as a bare `EventComm`'s stored calls — identical bytes, identical
+/// per-tag wire counts.
+#[test]
+fn every_algorithm_agrees_on_every_path() {
+    for p in PATH_SIZES {
+        for m in &power_law_and_sparse(p, 64) {
+            for algo in AlltoallvAlgorithm::ALL {
+                same_on_every_path(p, algo.name(), |comm| exchange(comm, algo, m));
             }
         }
     }

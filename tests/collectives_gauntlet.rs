@@ -29,7 +29,7 @@ use bruck_core::{
     AllreduceAlgorithm, ReduceScatterAlgorithm,
 };
 use bruck_model::{allgatherv_trace, allreduce_trace, reduce_scatter_trace, CommTrace, RankSample};
-use common::{conformance_violations, phase_violations, Rule};
+use common::{conformance_violations, phase_violations, same_on_every_path, Rule, PATH_SIZES};
 
 /// World sizes covering the degenerate (1), even/odd, power-of-two and
 /// non-power-of-two regimes.
@@ -176,6 +176,34 @@ fn allreduce_is_byte_identical_across_backends() {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+}
+
+/// Every collective schedule on every path of its loop — blocking on
+/// ThreadComm, SimComm and under `MeteredComm`, and as a bare `EventComm`'s
+/// stored call — with identical results and per-tag wire counts. Two count
+/// shapes: zeros sprinkled in, and one more with rank 1 (rank 0 at P = 1)
+/// contributing nothing.
+#[test]
+fn every_collective_agrees_on_every_path() {
+    for p in PATH_SIZES {
+        let sprinkled = gv_counts(p, 2);
+        let mut silent = gv_counts(p, 5);
+        silent[1 % p] = 0;
+        for counts in [&sprinkled, &silent] {
+            let n: usize = counts.iter().sum();
+            for algo in AllgathervAlgorithm::ALL {
+                same_on_every_path(p, algo.name(), |comm| gv_cell(algo, comm, counts));
+            }
+            for op in ReduceOp::ALL {
+                for algo in ReduceScatterAlgorithm::ALL {
+                    same_on_every_path(p, algo.name(), |comm| rs_cell(algo, comm, counts, op));
+                }
+                for algo in AllreduceAlgorithm::ALL {
+                    same_on_every_path(p, algo.name(), |comm| ar_cell(algo, comm, n, op));
                 }
             }
         }

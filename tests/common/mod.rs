@@ -5,10 +5,20 @@
 //! [`conformance_violations`] is a pure function returning violation strings,
 //! so the negative fixtures in `conformance.rs` and `collectives_gauntlet.rs`
 //! exercise the exact code path the positive cells assert empty.
+//!
+//! [`same_on_every_path`] is the equivalence suites' one runner for the
+//! entry points whose loops are `async fn`s: it runs them blocking and as
+//! stored calls, and holds every run to one answer.
 
 #![allow(dead_code)] // each test crate uses its own subset
 
-use bruck_comm::{Communicator, MeteredComm, Metrics, ThreadComm, RESERVED_TAG_BASE};
+use std::collections::BTreeMap;
+use std::fmt::Debug;
+
+use bruck_comm::{
+    Communicator, EventComm, MeteredComm, Metrics, SimComm, Tag, TagCounters, ThreadComm,
+    RESERVED_TAG_BASE,
+};
 use bruck_core::probe::PhaseEvent;
 use bruck_core::{configurable_alltoallv, packed_displs, EngineConfig, EngineTopology};
 use bruck_model::{nonuniform_trace, CommTrace, MatrixSource, RankSample};
@@ -181,4 +191,81 @@ pub fn metered_alltoallv(cfg: &EngineConfig, m: &SizeMatrix) -> Vec<Metrics> {
         .unwrap_or_else(|e| panic!("rank {me}: engine {} failed: {e}", cfg.key()));
         meter.metrics()
     })
+}
+
+/// World sizes the path-equivalence suites sweep.
+pub const PATH_SIZES: [usize; 6] = [1, 2, 3, 5, 8, 13];
+
+/// The two shapes of the path-equivalence suites at `p`: a power-law
+/// matrix, and the same with every third block empty and rank 1 (rank 0 at
+/// P = 1) silent.
+pub fn power_law_and_sparse(p: usize, n_max: usize) -> [SizeMatrix; 2] {
+    let power_law =
+        SizeMatrix::generate(bruck_workload::Distribution::POWER_LAW_STEEP, 0xD15C + p as u64, p, n_max);
+    let silent = 1 % p;
+    let sparse = SizeMatrix::from_rows(
+        (0..p)
+            .map(|src| {
+                (0..p)
+                    .map(|dst| {
+                        let quiet = src == silent || (src + 2 * dst) % 3 == 0;
+                        if quiet { 0 } else { power_law.get(src, dst) }
+                    })
+                    .collect()
+            })
+            .collect(),
+    );
+    [power_law, sparse]
+}
+
+/// One rank's metered run: its output, per-tag sent counters and messages.
+type Metered<T> = (T, BTreeMap<Tag, TagCounters>, u64);
+
+/// Run one rank body on every path of the converted entry points and hold
+/// them to one answer. A bare `EventComm` runs their loops as stored calls
+/// (one and two workers, and the default pool); ThreadComm, SimComm and
+/// `MeteredComm` over each of the three run them blocking. Every output must
+/// equal ThreadComm's, every metered run's per-tag sent counters
+/// `Metered(ThreadComm)`'s, and the bare one-worker world must deposit
+/// exactly the metered message count. Returns ThreadComm's outputs.
+pub fn same_on_every_path<T>(
+    p: usize,
+    what: &str,
+    body: impl Fn(&dyn Communicator) -> T + Sync,
+) -> Vec<T>
+where
+    T: PartialEq + Debug + Send,
+{
+    let thread = ThreadComm::run(p, |comm| body(comm));
+    let (one_worker, report) = EventComm::run_report(p, 1, |comm| body(comm));
+    let bare = [
+        ("SimComm", SimComm::run(p, 1, |comm| body(comm)).results),
+        ("EventComm (1 worker)", one_worker),
+        ("EventComm (2 workers)", EventComm::run_pooled(p, 2, |comm| body(comm))),
+        ("EventComm (default pool)", EventComm::run(p, |comm| body(comm))),
+    ];
+    for (path, got) in &bare {
+        assert_eq!(got, &thread, "{what} on {path} (P = {p})");
+    }
+    let metered = |comm: &dyn Communicator| -> Metered<T> {
+        let meter = MeteredComm::new(comm);
+        let out = body(&meter);
+        let m = meter.metrics();
+        (out, m.per_tag_sent, m.logical.sent_msgs + m.reserved.sent_msgs)
+    };
+    let on_threads = ThreadComm::run(p, |comm| metered(comm));
+    let wrapped = [
+        ("Metered(SimComm)", SimComm::run(p, 2, |comm| metered(comm)).results),
+        ("Metered(EventComm)", EventComm::run_pooled(p, 2, |comm| metered(comm))),
+    ];
+    for (rank, (out, tags, _)) in on_threads.iter().enumerate() {
+        assert_eq!(out, &thread[rank], "{what} on Metered(ThreadComm) rank {rank} (P = {p})");
+        for (path, runs) in &wrapped {
+            assert_eq!(&runs[rank].0, out, "{what} on {path} rank {rank} (P = {p})");
+            assert_eq!(&runs[rank].1, tags, "{what}: per-tag counts on {path} rank {rank} (P = {p})");
+        }
+    }
+    let msgs: u64 = on_threads.iter().map(|run| run.2).sum();
+    assert_eq!(report.messages as u64, msgs, "{what}: bare EventComm deposits (P = {p})");
+    thread
 }

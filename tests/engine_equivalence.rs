@@ -14,7 +14,9 @@
 //! 2. **Oracle byte identity** — the receive buffers must equal
 //!    [`reference_alltoallv`]'s on ThreadComm, [`SimComm`] (two schedule
 //!    seeds) and [`EventComm`] — and so must what [`alltoallv_discover`]
-//!    returns, next to the `recvcounts` it found.
+//!    returns, next to the `recvcounts` it found, on every path of its
+//!    loops (blocking, and as a bare `EventComm`'s stored call), with the
+//!    same per-tag wire counts under [`MeteredComm`].
 
 mod common;
 
@@ -25,7 +27,7 @@ use bruck_core::{
     PaddingRule,
 };
 use bruck_workload::{Distribution, SizeMatrix};
-use common::assert_config_conforms;
+use common::{assert_config_conforms, power_law_and_sparse, same_on_every_path, PATH_SIZES};
 
 /// Pattern byte for (src, dst, idx), distinct across blocks.
 fn pat(src: usize, dst: usize, idx: usize) -> u8 {
@@ -165,33 +167,38 @@ fn discovered_counts_and_bytes_are_the_oracle_s_on_every_backend() {
         EngineConfig { throttle_window: Some(2), ..EngineConfig::as_spread_out() },
         EngineConfig { padding: PaddingRule::Threshold(64), ..EngineConfig::as_two_phase() },
     ]);
-    for p in [1usize, 2, 3, 5, 8, 13] {
-        let power_law = SizeMatrix::generate(Distribution::POWER_LAW_STEEP, 0xD15C + p as u64, p, 48);
-        // Every third block empty, and rank 1 (rank 0 at P = 1) sends nothing.
-        let silent = 1 % p;
-        let sparse = SizeMatrix::from_rows(
-            (0..p)
-                .map(|src| {
-                    let row = (0..p).map(|dst| if (src + 2 * dst) % 3 == 0 { 0 } else { power_law.get(src, dst) });
-                    row.map(|n| if src == silent { 0 } else { n }).collect()
-                })
-                .collect(),
-        );
-        for m in [&power_law, &sparse] {
+    for p in PATH_SIZES {
+        for m in &power_law_and_sparse(p, 48) {
             let oracle = ThreadComm::run(p, |comm| run_oracle(comm, m));
             let want: Vec<[(Vec<u8>, Vec<usize>); 2]> = (0..p)
                 .map(|me| [0; 2].map(|_| (oracle[me].clone(), m.recvcounts(me))))
                 .collect();
             for cfg in &configs {
-                let run = |comm: &dyn Communicator| run_discover(comm, cfg, m);
-                for (backend, got) in [
-                    ("ThreadComm", ThreadComm::run(p, |comm| run(comm))),
-                    ("SimComm seed 1", SimComm::run(p, 1, |comm| run(comm)).results),
-                    ("SimComm seed 2", SimComm::run(p, 2, |comm| run(comm)).results),
-                    ("EventComm", EventComm::run(p, |comm| run(comm))),
-                ] {
-                    assert_eq!(got, want, "{} on {backend} (P={p})", cfg.key());
-                }
+                let what = format!("discover {}", cfg.key());
+                let got = same_on_every_path(p, &what, |comm| run_discover(comm, cfg, m));
+                assert_eq!(got, want, "{what} (P={p})");
+                // A second seed of the simulator's schedule.
+                let sim = SimComm::run(p, 2, |comm| run_discover(comm, cfg, m)).results;
+                assert_eq!(sim, want, "{what} on SimComm seed 2 (P={p})");
+            }
+        }
+    }
+}
+
+#[test]
+fn every_config_is_the_oracle_on_every_path() {
+    let mut configs: Vec<EngineConfig> = EngineConfig::named_points().map(|(c, _)| c).to_vec();
+    configs.extend([
+        EngineConfig { radix: 3, ..EngineConfig::as_two_phase() },
+        EngineConfig { radix: 3, ..EngineConfig::as_padded_bruck() },
+        EngineConfig { padding: PaddingRule::Threshold(8), ..EngineConfig::as_spread_out() },
+    ]);
+    for p in PATH_SIZES {
+        for m in &power_law_and_sparse(p, 48) {
+            let oracle = ThreadComm::run(p, |comm| run_oracle(comm, m));
+            for cfg in &configs {
+                let got = same_on_every_path(p, &cfg.key(), |comm| run_engine(comm, cfg, m));
+                assert_eq!(got, oracle, "{} (P={p})", cfg.key());
             }
         }
     }

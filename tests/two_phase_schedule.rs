@@ -10,19 +10,22 @@
 //! * **The passes.** `EventComm` re-executes a rank each time a receive parks
 //!   it, so a one-worker run's `executions` counts the parks a schedule costs
 //!   under the runtime's sweep of its ready set — pinned below per family.
+//!   On a bare `EventComm` a parked exchange is a stored call that resumes
+//!   where it stopped, so those executions replay nothing.
 //! * **The wire format.** A size array of the wrong length, a body longer or
-//!   shorter than announced, a malformed combined-coupling header: each must
-//!   come back as a typed error from the honest rank — no panic, no hang.
+//!   shorter than announced, a malformed combined-coupling header, a routed
+//!   block that disagrees with `recvcounts`: each must come back as a typed
+//!   error from the honest rank — no panic, no hang — on every backend.
 
 use bruck_bpra::{graph1_like, transitive_closure};
 use bruck_comm::{
     CommError, Communicator, EventComm, MeteredComm, MsgBuf, ReduceOp, SimComm, Tag, ThreadComm,
 };
-use bruck_core::common::{ceil_log2, data_tag, meta_tag};
+use bruck_core::common::{ceil_log2, data_tag, meta_tag, SPREAD_TAG};
 use bruck_core::{
     allgatherv, allreduce, alltoall, configurable_alltoallv, packed_displs, pattern,
     reduce_scatter, AllgathervAlgorithm, AllreduceAlgorithm, AlltoallAlgorithm,
-    AlltoallvAlgorithm, EngineConfig, ReduceScatterAlgorithm,
+    AlltoallvAlgorithm, EngineConfig, EngineTopology, ReduceScatterAlgorithm,
 };
 use bruck_model::{nonuniform_trace, MatrixSource, RankSample};
 use bruck_workload::{Distribution, SizeMatrix};
@@ -103,7 +106,14 @@ fn two_phase_at_p8_is_six_messages_per_rank_on_four_latencies() {
 
 /// Executions of a one-worker `EventComm` world of `p` ranks running `f`.
 fn executions(p: usize, f: impl Fn(&EventComm<'_>) + Sync) -> u64 {
-    EventComm::run_report(p, 1, f).1.executions
+    passes(p, f).0
+}
+
+/// `(executions, replayed ops)` of a one-worker `EventComm` world of `p`
+/// ranks running `f`.
+fn passes(p: usize, f: impl Fn(&EventComm<'_>) + Sync) -> (u64, u64) {
+    let report = EventComm::run_report(p, 1, f).1;
+    (report.executions, report.replayed_ops)
 }
 
 #[test]
@@ -204,15 +214,58 @@ fn the_pairwise_families_are_no_dearer_than_in_arrival_order() {
 }
 
 #[test]
+fn a_parked_exchange_resumes_where_it_stopped() {
+    // On a bare `EventComm` each family's loop is a stored call: a wake polls
+    // it where it parked, so no execution retraces a logged op. The parks —
+    // and so the executions — are the ones replay cost: replay retraced
+    // 238,884 / 7,170 / 15,055 / 3,585 / 3,331 ops here.
+    let p = 256;
+    let m = SizeMatrix::generate(Distribution::Uniform, 7, p, 64);
+    let counts: Vec<usize> = (0..p).map(|r| 1 + r % 7).collect();
+    let displs = packed_displs(&counts);
+    let m = &m;
+    let exchange_on = |cfg: EngineConfig| passes(p, move |comm| exchange(comm, &cfg, m));
+    let runs = [
+        ("vendor", exchange_on(EngineConfig::as_vendor()), 1_082),
+        ("two-phase", exchange_on(EngineConfig::as_two_phase()), 765),
+        ("padded Bruck", exchange_on(EngineConfig::as_padded_bruck()), 1_019),
+        (
+            "allgatherv(Bruck)",
+            passes(p, |comm| {
+                let mut recv = vec![0u8; counts.iter().sum()];
+                let send = vec![comm.rank() as u8; counts[comm.rank()]];
+                allgatherv(AllgathervAlgorithm::Bruck, comm, &send, &mut recv, &counts, &displs)
+                    .unwrap();
+            }),
+            765,
+        ),
+        (
+            "allreduce(RecursiveDoubling)",
+            passes(p, |comm| {
+                let mut v = [comm.rank() as u64; 8];
+                allreduce(AllreduceAlgorithm::RecursiveDoubling, comm, &mut v, ReduceOp::Sum)
+                    .unwrap();
+            }),
+            511,
+        ),
+    ];
+    for (name, got, execs) in runs {
+        assert_eq!(got, (execs, 0), "{name} at P = {p}: (executions, replayed ops)");
+    }
+}
+
+#[test]
 fn a_transitive_closure_fixpoint_at_p8_pins_its_executions() {
     // One worker is fully deterministic, so the count is exact. In arrival
     // order this fixpoint took 325 executions, and 193 while every round ran
-    // a uniform Bruck exchange of its counts before the data.
+    // a uniform Bruck exchange of its counts before the data. A finished
+    // round is one replay-log entry, so re-executions retrace 545 ops where
+    // replaying every round's sends and receives retraced 6,730.
     let edges = graph1_like(2, 10, 2, 1);
-    let execs = executions(8, |comm| {
+    let got = passes(8, |comm| {
         transitive_closure(comm, AlltoallvAlgorithm::TwoPhaseBruck, &edges).unwrap();
     });
-    assert_eq!(execs, 113);
+    assert_eq!(got, (113, 545));
 }
 
 #[test]
@@ -226,25 +279,30 @@ fn radix_four_two_phase_at_p8_deposits_64_messages() {
 }
 
 /// What rank 0 of a P = 2 world reports when rank 1 is a rogue peer that
-/// answers step 0 with `header` on the metadata tag and, if given, `body` on
-/// the data tag: the engine's error, and the length of whatever is still
-/// queued on the data tag afterwards.
+/// answers step 0 with `script` (tag, payload) in place of its own messages:
+/// the engine's error, and the length of whatever is still queued afterwards
+/// on the tag a block travels on (the data tag; the one tag of a direct
+/// exchange).
 fn against_rogue_peer<C: Communicator + ?Sized>(
     comm: &C,
     cfg: &EngineConfig,
-    header: &[u8],
-    body: Option<&[u8]>,
+    script: &[(Tag, &[u8])],
 ) -> Option<(CommError, Option<usize>)> {
+    let direct = cfg.topology == EngineTopology::Direct;
     if comm.rank() == 1 {
-        comm.send_buf(0, meta_tag(0), MsgBuf::copy_from_slice(header)).unwrap();
-        if let Some(body) = body {
-            comm.send_buf(0, data_tag(0), MsgBuf::copy_from_slice(body)).unwrap();
+        for &(tag, payload) in script {
+            comm.send_buf(0, tag, MsgBuf::copy_from_slice(payload)).unwrap();
         }
         // Consume what the honest rank has sent by the time it can fail: its
-        // header always, its body under the split coupling (posted first).
-        comm.recv_buf(0, meta_tag(0)).unwrap();
-        if cfg.two_phase_split {
-            comm.recv_buf(0, data_tag(0)).unwrap();
+        // block, or its header always and its body under the split coupling
+        // (posted first).
+        let sent: &[Tag] = match (direct, cfg.two_phase_split) {
+            (true, _) => &[SPREAD_TAG],
+            (false, true) => &[meta_tag(0), data_tag(0)],
+            (false, false) => &[meta_tag(0)],
+        };
+        for &tag in sent {
+            comm.recv_buf(0, tag).unwrap();
         }
         return None;
     }
@@ -255,48 +313,119 @@ fn against_rogue_peer<C: Communicator + ?Sized>(
         comm, cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
     )
     .expect_err("a malformed step must not be accepted");
-    Some((err, comm.probe(1, data_tag(0)).unwrap()))
+    let block_tag = if direct { SPREAD_TAG } else { data_tag(0) };
+    Some((err, comm.probe(1, block_tag).unwrap()))
 }
 
-/// `(header, body, expected error, expected leftover on the data tag)`.
-type RogueCase = (&'static [u8], Option<&'static [u8]>, CommError, Option<usize>);
+/// `(config, rogue script, expected error, expected leftover)`.
+type RogueCase = (EngineConfig, Vec<(Tag, &'static [u8])>, CommError, Option<usize>);
 
-/// The rogue-peer cases of the split coupling.
-fn split_cases() -> [RogueCase; 3] {
-    let four = &[4, 0, 0, 0];
-    [
+/// Every rogue-peer case: the split coupling's, the combined coupling's
+/// header, and a routed block of the wrong size through both topologies.
+fn rogue_cases() -> Vec<RogueCase> {
+    let split = EngineConfig::as_two_phase();
+    let combined = EngineConfig { two_phase_split: false, ..split };
+    let vendor = EngineConfig::as_vendor();
+    let four: &[u8] = &[4, 0, 0, 0];
+    let (meta, data) = (meta_tag(0), data_tag(0));
+    let routed = CommError::BadArgument("routed size disagrees with recvcounts");
+    vec![
         // (a) one block is announced by 4 bytes, not 8.
-        (&[4, 0, 0, 0, 9, 0, 0, 0], None, CommError::BadArgument("metadata length mismatch"), None),
+        (
+            split,
+            vec![(meta, &[4, 0, 0, 0, 9, 0, 0, 0])],
+            CommError::BadArgument("metadata length mismatch"),
+            None,
+        ),
         // (b) a body longer than announced is refused, not consumed.
         (
-            four,
-            Some(&[1; 6]),
+            split,
+            vec![(meta, four), (data, &[1; 6])],
             CommError::Truncated { message_len: 6, buffer_len: 4 },
             Some(6),
         ),
         // (c) a body shorter than announced.
-        (four, Some(&[1; 2]), CommError::BadArgument("data payload length mismatch"), None),
+        (
+            split,
+            vec![(meta, four), (data, &[1; 2])],
+            CommError::BadArgument("data payload length mismatch"),
+            None,
+        ),
+        // (d) the combined coupling's header is 8 bytes, whatever they say.
+        (combined, vec![(meta, &[1, 2, 3])], CommError::BadArgument("bad size header"), None),
+        // (e) a well-formed step routing 5 bytes into a 4-byte slot.
+        (split, vec![(meta, &[5, 0, 0, 0]), (data, &[1; 5])], routed, None),
+        // (f) a 2-byte block for a 4-byte slot of a direct exchange…
+        (
+            vendor,
+            vec![(SPREAD_TAG, &[1; 2])],
+            CommError::BadArgument("short collective payload"),
+            None,
+        ),
+        // (g) …and a 6-byte one, which stays queued.
+        (
+            vendor,
+            vec![(SPREAD_TAG, &[1; 6])],
+            CommError::Truncated { message_len: 6, buffer_len: 4 },
+            Some(6),
+        ),
     ]
 }
 
 #[test]
 fn a_rogue_peer_gets_a_typed_error_on_thread_comm() {
-    let cfg = EngineConfig::as_two_phase();
-    for (header, body, want, leftover) in split_cases() {
-        let got = ThreadComm::run(2, |comm| against_rogue_peer(comm, &cfg, header, body));
-        assert_eq!(got[0], Some((want, leftover)));
+    for (cfg, script, want, leftover) in rogue_cases() {
+        let got = ThreadComm::run(2, |comm| against_rogue_peer(comm, &cfg, &script));
+        assert_eq!(got[0], Some((want, leftover)), "{}: {script:?}", cfg.key());
     }
-    // (d) the combined coupling's header is 8 bytes, whatever they say.
-    let combined = EngineConfig { two_phase_split: false, ..cfg };
-    let got = ThreadComm::run(2, |comm| against_rogue_peer(comm, &combined, &[1, 2, 3], None));
-    assert_eq!(got[0], Some((CommError::BadArgument("bad size header"), None)));
 }
 
 #[test]
 fn a_rogue_peer_gets_a_typed_error_on_sim_comm() {
-    let cfg = EngineConfig::as_two_phase();
-    for (header, body, want, leftover) in split_cases() {
-        let run = SimComm::run(2, 5, |comm| against_rogue_peer(comm, &cfg, header, body));
-        assert_eq!(run.results[0], Some((want, leftover)));
+    for (cfg, script, want, leftover) in rogue_cases() {
+        let run = SimComm::run(2, 5, |comm| against_rogue_peer(comm, &cfg, &script));
+        assert_eq!(run.results[0], Some((want, leftover)), "{}: {script:?}", cfg.key());
     }
+}
+
+#[test]
+fn a_rogue_peer_gets_a_typed_error_from_a_stored_call() {
+    // Bare `EventComm`: the exchange is a resumed call, which parks on the
+    // rogue's messages whenever rank 0 runs first.
+    for (cfg, script, want, leftover) in rogue_cases() {
+        for workers in [1, 2] {
+            let got = EventComm::run_pooled(2, workers, |comm| {
+                against_rogue_peer(comm, &cfg, &script)
+            });
+            assert_eq!(got[0], Some((want.clone(), leftover)), "{}: {script:?}", cfg.key());
+        }
+    }
+}
+
+#[test]
+fn a_stored_call_ends_on_the_deadlock_verdict_a_metered_one_gets() {
+    // Rank 1 never takes part: rank 0 parks inside its stored call, the
+    // runtime proves the world stuck, and the verdict reaches the call's
+    // receive as the typed error the replayed path returns under a wrapper.
+    let cfg = EngineConfig::as_two_phase();
+    let m = SizeMatrix::generate(Distribution::Uniform, 3, 2, 16);
+    let rank0 = |comm: &dyn Communicator| {
+        let me = comm.rank();
+        let sendcounts = m.sendcounts(me);
+        let sdispls = packed_displs(&sendcounts);
+        let sendbuf = vec![0u8; sendcounts.iter().sum()];
+        let recvcounts = m.recvcounts(me);
+        let rdispls = packed_displs(&recvcounts);
+        let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
+        (me == 0).then(|| {
+            configurable_alltoallv(
+                comm, &cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
+            )
+        })
+    };
+    let bare = EventComm::run(2, |comm| rank0(comm));
+    let metered = EventComm::run(2, |comm| rank0(&MeteredComm::new(comm)));
+    let want = Some(Err(CommError::Deadlock { src: 1, tag: meta_tag(0) }));
+    assert_eq!(bare[0], want);
+    assert_eq!(metered[0], want);
 }
