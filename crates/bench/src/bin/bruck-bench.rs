@@ -12,8 +12,10 @@
 //!   4-byte uniform blocks) on a bounded worker pool. Per cell: wall clock,
 //!   transport deposits, **ranks/sec** (`P / wall`, "how many MPI ranks does
 //!   this box simulate"), **msgs/sec** (matching-core throughput under
-//!   multiplexing), `exec/P`, the replay amplification, and `sweeps`, the
-//!   direction reversals of the runtime's ready set. Cells whose
+//!   multiplexing), `exec/P`, the replay amplification, `resumes/P`, the
+//!   wakes the scheduler served by polling a parked call without running
+//!   the rank's closure, and `sweeps`, the direction reversals of the
+//!   runtime's ready set. Cells whose
 //!   estimated peak queue or wall clock exceeds its budget are *recorded as
 //!   skipped* with the estimate in the reason — never silently dropped.
 //! * **tune** — closes the loop the paper leaves open: instead of
@@ -98,14 +100,15 @@ fn estimated_peak_bytes(algo: AlltoallvAlgorithm, p: usize, block: usize) -> f64
 /// a resumed call:
 ///
 /// * **Resumed** (every `Direct` and `Bruck` point): a wake polls the stored
-///   call where it stopped, so a park costs the closure's own prefix (O(P):
-///   building the send side) and the loop's work is paid once.
+///   call where it stopped without running the closure, so the closure's
+///   own prefix (O(P): building the send side) is paid once per call that
+///   parked and the loop's work once.
 ///   - Log-phase (`TwoPhaseBruck`, `Sloav`, `PaddedBruck`): 2–3 parks per
-///     rank → wall ∝ P²; 4.4–4.6 s at P = 4096.
+///     rank → wall ∝ P²; 2.6–4.6 s at P = 4096.
 ///   - Windowed (`Vendor`, `PaddedAlltoall`): P / (4·window) + 2 parks per
-///     rank → wall ∝ P^2.5; 12.9–13.0 s at P = 4096.
+///     rank → wall ∝ P^2.5; 7.0–10.2 s at P = 4096.
 ///   - Eager (`SpreadOut`): 1 park per rank → wall ∝ P² message handling;
-///     memory is the binding constraint instead (0.74–0.86 s at P = 1024).
+///     memory is the binding constraint instead (0.55–0.86 s at P = 1024).
 /// * **Replayed** (`Reference`, `Hierarchical`, `RankaTwoStage`): every park
 ///   re-runs the exchange's prefix, `wall ≈ executions × O(P)`.
 ///   - Pairwise (Reference): the shifted schedule makes each rank's step-i
@@ -123,8 +126,8 @@ fn estimated_wall_s(algo: AlltoallvAlgorithm, p: usize) -> f64 {
         PaddedBruck => 4.5 * x * x,
         TwoPhaseBruck => 4.5 * x * x,
         Sloav => 4.5 * x * x,
-        PaddedAlltoall => 14.0 * x * x * x.sqrt(),
-        Vendor => 14.0 * x * x * x.sqrt(),
+        PaddedAlltoall => 10.0 * x * x * x.sqrt(),
+        Vendor => 10.0 * x * x * x.sqrt(),
         SpreadOut => 13.0 * x * x,
         Hierarchical => 12.0 * x * x * x.sqrt(),
         RankaTwoStage => 13000.0 * x * x * x,
@@ -189,12 +192,13 @@ fn run_cell(spec: &Spec, work: &Workload<'_>, workers: usize, budgets: &Budgets)
         cell.scheduler = Some(scheduler_report_json(report));
     }
     println!(
-        "{row} | {:>10.4} {:>10} {:>10.0} {:>11.0} {:>7.2} {:>6}",
+        "{row} | {:>10.4} {:>10} {:>10.0} {:>11.0} {:>7.2} {:>9.2} {:>6}",
         cell.wall_s,
         cell.messages,
         p as f64 / cell.wall_s,
         cell.msgs_per_s(),
         report.executions as f64 / p as f64,
+        report.resumes as f64 / p as f64,
         report.sweeps
     );
     cell
@@ -318,8 +322,18 @@ fn main() -> ExitCode {
         if smoke { " (smoke)" } else { "" }
     );
     println!(
-        "{:>5} {:>48} {:>6} {:>4} | {:>10} {:>10} {:>10} {:>11} {:>7} {:>6}",
-        "suite", "config", "P", "n", "wall s", "messages", "ranks/s", "msgs/s", "exec/P", "sweeps"
+        "{:>5} {:>48} {:>6} {:>4} | {:>10} {:>10} {:>10} {:>11} {:>7} {:>9} {:>6}",
+        "suite",
+        "config",
+        "P",
+        "n",
+        "wall s",
+        "messages",
+        "ranks/s",
+        "msgs/s",
+        "exec/P",
+        "resumes/P",
+        "sweeps"
     );
 
     let mut cells: Vec<Cell> = Vec::new();

@@ -10,9 +10,9 @@
 //!   writes its cells to `target/bruck-bench/ablation.trace.json`.
 //! * **Scheduler report** ([`scheduler_report_json`]) — an event-runtime
 //!   run's [`EventReport`]: the wire totals next to the scheduler counters
-//!   (sweeps, parks by kind, wakes, replayed ops), so a slow `EventComm` cell
-//!   points at a counter. Embedded in every `scale` row of the `bruck-bench`
-//!   artifact.
+//!   (sweeps, parks by kind, wakes, resumes, replayed ops), so a slow
+//!   `EventComm` cell points at a counter. Embedded in every `scale` row of
+//!   the `bruck-bench` artifact.
 
 use std::fs;
 use std::io;
@@ -85,7 +85,7 @@ pub fn chrome_trace_json(cells: &[(String, Vec<PhaseTimeline>)]) -> String {
 pub fn scheduler_report_json(r: &EventReport) -> String {
     format!(
         "{{\"schema\":\"bruck-bench/scheduler\",\"workers\":{},\"messages\":{},\
-         \"executions\":{},\"sweeps\":{},\"wakes\":{},\"replayed_ops\":{},\
+         \"executions\":{},\"sweeps\":{},\"wakes\":{},\"resumes\":{},\"replayed_ops\":{},\
          \"parks\":{{\"recv\":{},\"timed_recv\":{},\"sleep\":{},\"arrival\":{}}},\
          \"pending_messages\":{},\"dead_match_keys\":{}}}",
         r.workers,
@@ -93,6 +93,7 @@ pub fn scheduler_report_json(r: &EventReport) -> String {
         r.executions,
         r.sweeps,
         r.wakes,
+        r.resumes,
         r.replayed_ops,
         r.parks.recv,
         r.parks.timed_recv,

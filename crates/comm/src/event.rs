@@ -25,22 +25,22 @@
 //!    inputs and its output buffer, and the hook polls it on an
 //!    [`EventPort`]. A receive that finds nothing arms the rank's waiter —
 //!    the one parking protocol below — and returns `Pending`; the hook keeps
-//!    the future in the task's slot and unwinds only the closure's frames.
-//!    The wake re-runs the closure to the same hook, which polls the stored
-//!    future where it stopped: O(1), no engine prefix is re-executed. The
-//!    finished call is one replay-log entry, its output or its error.
+//!    the future in the task's slot and unwinds the closure, once per call.
+//!    Each wake, the scheduler polls the future where it stopped, and only a
+//!    finished call re-runs the closure to the hook, which returns it as one
+//!    replay-log entry, its output or its error.
 //! 2. **Replay.** Every other operation of the closure appends to a compact
 //!    per-task [`ReplayLog`]. When a receive finds no matching message, the
-//!    task registers a *waiter* in its inbox and unwinds off the worker via
-//!    a sentinel panic ([`TaskYield`]); the worker thread is immediately
-//!    free to run another task. A sender that deposits a matching message
-//!    takes the waiter and marks the task runnable. When a worker
-//!    re-executes it, the closure runs from the top, but the logged prefix
-//!    is *replayed*: sends are suppressed, receives return the logged
-//!    payload bytes, clock reads return logged values, a finished call
-//!    returns its logged output. Replay performs no communication and
-//!    reaches the parked operation in O(completed ops) straight-line time,
-//!    then execution goes live again.
+//!    task registers a *waiter* in its inbox and unwinds off the worker with
+//!    [`TaskYield`] (by `resume_unwind`: no panic hook sees a park); the
+//!    worker thread is immediately free to run another task. A sender that
+//!    deposits a matching message takes the waiter and marks the task
+//!    runnable. When a worker re-executes it, the closure runs from the top,
+//!    but the logged prefix is *replayed*: sends are suppressed, receives
+//!    return the logged payload bytes, clock reads return logged values, a
+//!    finished call returns its logged output. Replay performs no
+//!    communication and reaches the parked operation in O(completed ops)
+//!    straight-line time, then execution goes live again.
 //!
 //! Both park the same way: a receive arms the waiter under the parking
 //! execution's epoch (`arm_waiter`), and every send, the closure's own or a
@@ -74,7 +74,7 @@
 //! advance) lives in [`crate::runtime`].
 
 use std::future::Future;
-use std::panic::panic_any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
@@ -84,10 +84,10 @@ use crate::mailbox::MatchStore;
 use crate::runtime::EventWorld;
 use crate::{CommError, CommResult, Communicator, MsgBuf, Port, Tag, RESERVED_TAG_BASE};
 
-/// Sentinel panic payload a task unwinds with when its current operation
-/// cannot complete yet. Filtered by the runtime's panic hook (so yields are
-/// silent) and caught by the worker, which parks the task instead of
-/// treating it as a failure.
+/// Sentinel payload a task unwinds with when its current operation cannot
+/// complete yet. Raised with `resume_unwind`, which runs no panic hook, and
+/// caught by the worker, which parks the task instead of treating it as a
+/// failure.
 pub(crate) struct TaskYield;
 
 /// Why a parked task was made runnable again. Delivered to the first live
@@ -229,8 +229,8 @@ pub(crate) struct ExecCtx {
     epoch: u64,
     /// Ops already in the log when this execution started (its replay debt).
     logged: usize,
-    /// The resumed call this task is parked in, kept across executions.
-    call: Option<StoredCall>,
+    /// A finished call's output for the hook, or the call its first poll parked in.
+    call: Option<CallState>,
 }
 
 /// Buffered sends per flush. Batching amortizes inbox locking and wake
@@ -240,7 +240,7 @@ const OUTBOX_BATCH: usize = 64;
 impl ExecCtx {
     pub(crate) fn new(
         log: ReplayLog,
-        call: Option<StoredCall>,
+        call: Option<CallState>,
         wake: Option<Wake>,
         epoch: u64,
     ) -> ExecCtx {
@@ -269,12 +269,12 @@ impl ExecCtx {
     }
 
     /// The log and the stored call, for the slot to keep across the park.
-    pub(crate) fn into_parts(self) -> (ReplayLog, Option<StoredCall>) {
+    pub(crate) fn into_parts(self) -> (ReplayLog, Option<CallState>) {
         (self.log, self.call)
     }
 
-    /// A live op other than the stored call's hook while a call is stored:
-    /// the closure did not retrace its previous execution.
+    /// A live op other than the hook while a finished call waits for it: the
+    /// closure did not retrace its previous execution.
     fn check_live(&self, rank: usize, live: &str) {
         if self.call.is_some() {
             panic!(
@@ -515,8 +515,8 @@ pub struct CallOutput {
 /// inputs and its output buffer, so the runtime can keep it across parks.
 pub type Call = Pin<Box<dyn Future<Output = CommResult<CallOutput>> + Send>>;
 
-/// What a stored call's port and the hook that polls it share: the port's
-/// buffered sends, and the poll's wake verdict, epoch and park request.
+/// What a stored call's port and its poll share: the port's buffered sends,
+/// and the poll's wake verdict, epoch and park request.
 #[derive(Default)]
 struct PortIo {
     outbox: Vec<(usize, Tag, MsgBuf)>,
@@ -532,6 +532,40 @@ struct PortIo {
 pub(crate) struct StoredCall {
     fut: Call,
     io: Arc<Mutex<PortIo>>,
+}
+
+impl StoredCall {
+    /// Poll the call as `rank`'s execution at `epoch` (the first receive takes
+    /// `wake`) and deliver its sends, also a panicking poll's (then `Err`).
+    pub(crate) fn poll(
+        &mut self,
+        world: &EventWorld,
+        rank: usize,
+        wake: Option<Wake>,
+        epoch: u64,
+    ) -> std::thread::Result<Poll<CommResult<CallOutput>>> {
+        let mut io = lock_io(&self.io);
+        (io.wake, io.epoch) = (wake, epoch);
+        drop(io);
+        let (fut, io) = (&mut self.fut, &self.io);
+        let polled = catch_unwind(AssertUnwindSafe(|| {
+            let polled = fut.as_mut().poll(&mut Context::from_waker(Waker::noop()));
+            if polled.is_pending() && !std::mem::take(&mut lock_io(io).parked) {
+                panic!("rank {rank}: a resumed call is pending without a parked receive");
+            }
+            polled
+        }));
+        deposit(world, rank, std::mem::take(&mut lock_io(io).outbox));
+        polled
+    }
+}
+
+/// A task's resumed call between its executions.
+pub(crate) enum CallState {
+    /// Parked in a receive: the scheduler polls it at the next wake.
+    Stored(StoredCall),
+    /// Finished by the scheduler's poll: the closure's hook returns it.
+    Finished(CommResult<CallOutput>),
 }
 
 fn lock_io(io: &Mutex<PortIo>) -> MutexGuard<'_, PortIo> {
@@ -644,9 +678,9 @@ impl<'a> Resume<'a> {
     /// Run the call `build` makes on this rank's [`EventPort`], and return
     /// its output.
     ///
-    /// `build` runs once per call: when the call parks, the runtime keeps it
-    /// and unwinds the closure; the closure's re-execution reaches this hook
-    /// again, which polls the kept call where it stopped instead. A finished
+    /// `build` runs once per call: when the call parks, the runtime keeps it,
+    /// unwinds the closure and polls the call at each wake without it; the
+    /// closure re-runs to this hook once the call has finished. A finished
     /// call is one replay-log entry, so a later re-execution gets its output
     /// back without running it.
     pub fn call(self, build: impl FnOnce(EventPort) -> Call) -> CommResult<CallOutput> {
@@ -655,36 +689,25 @@ impl<'a> Resume<'a> {
         if ctx.replaying() {
             return ctx.replay_call(comm.rank);
         }
+        if let Some(CallState::Finished(out)) = ctx.call.take() {
+            ctx.append_call(out.clone());
+            return out;
+        }
         // The closure's own sends leave before the call's.
         comm.flush(&mut ctx);
-        let wake = ctx.wake.take();
-        let epoch = ctx.epoch;
-        let mut stored = match ctx.call.take() {
-            Some(stored) => stored,
-            None => {
-                let io = Arc::new(Mutex::new(PortIo::default()));
-                let port = EventPort {
-                    world: Arc::clone(comm.world),
-                    rank: comm.rank,
-                    tag_bits: self.tag_bits,
-                    io: Arc::clone(&io),
-                };
-                StoredCall { fut: build(port), io }
-            }
-        };
+        let (wake, epoch) = (ctx.wake.take(), ctx.epoch);
         drop(ctx);
-        {
-            let mut io = lock_io(&stored.io);
-            io.wake = wake;
-            io.epoch = epoch;
-        }
-        let polled = stored.fut.as_mut().poll(&mut Context::from_waker(Waker::noop()));
-        let (sends, parked) = {
-            let mut io = lock_io(&stored.io);
-            io.wake = None;
-            (std::mem::take(&mut io.outbox), std::mem::take(&mut io.parked))
+        let io = Arc::new(Mutex::new(PortIo::default()));
+        let port = EventPort {
+            world: Arc::clone(comm.world),
+            rank: comm.rank,
+            tag_bits: self.tag_bits,
+            io: Arc::clone(&io),
         };
-        deposit(comm.world, comm.rank, sends);
+        let mut stored = StoredCall { fut: build(port), io };
+        let polled = stored
+            .poll(comm.world, comm.rank, wake, epoch)
+            .unwrap_or_else(|payload| resume_unwind(payload));
         let mut ctx = comm.ctx();
         match polled {
             Poll::Ready(out) => {
@@ -692,13 +715,10 @@ impl<'a> Resume<'a> {
                 out
             }
             Poll::Pending => {
-                if !parked {
-                    panic!("rank {}: a resumed call is pending without a parked receive", comm.rank);
-                }
-                ctx.call = Some(stored);
+                ctx.call = Some(CallState::Stored(stored));
                 ctx.park = Some(Park::Recv { deadline: None });
                 drop(ctx);
-                panic_any(TaskYield)
+                resume_unwind(Box::new(TaskYield))
             }
         }
     }
@@ -834,7 +854,7 @@ impl Communicator for EventComm<'_> {
                         .flatten();
                     ctx.park = Some(Park::Recv { deadline });
                     drop(ctx);
-                    panic_any(TaskYield)
+                    resume_unwind(Box::new(TaskYield))
                 }
             },
         }
@@ -882,7 +902,7 @@ impl Communicator for EventComm<'_> {
         let until = self.world.clock_now() + d;
         ctx.park = Some(Park::Sleep { until });
         drop(ctx);
-        panic_any(TaskYield)
+        resume_unwind(Box::new(TaskYield))
     }
 
     fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
@@ -917,7 +937,7 @@ impl Communicator for EventComm<'_> {
             self.world.clock_now().checked_add(timeout).filter(|_| timeout != Duration::MAX);
         ctx.park = Some(Park::Arrival { deadline });
         drop(ctx);
-        panic_any(TaskYield)
+        resume_unwind(Box::new(TaskYield))
     }
 
     fn resumable(&self) -> Option<Resume<'_>> {

@@ -62,10 +62,10 @@
 //!   virtual clock, proved deadlocks, and scheduler telemetry
 //!   ([`EventReport`]). A rank's exchanges and collectives are loops written
 //!   once as `async fn`s over [`Port`]: a bare `EventComm` keeps a parked one
-//!   as a future and resumes it where it stopped ([`Resume`]); every other
-//!   communicator runs it blocking, in one poll ([`block_on`] over
-//!   [`Blocking`]). The rest of a closure is re-run with its completed
-//!   operations replayed from a log.
+//!   as a future, which its scheduler resumes where it stopped without
+//!   re-running the closure ([`Resume`]); every other communicator runs it
+//!   blocking, in one poll ([`block_on`] over [`Blocking`]). The rest of a
+//!   closure is re-run with its completed operations replayed from a log.
 //!
 //! ## Example
 //!

@@ -17,7 +17,7 @@
 //!   ([`Communicator::resumable`]) that takes the loop as a `'static` future
 //!   owning its inputs: a receive that cannot complete parks the task, and
 //!   the runtime keeps the future across the park, so a wake polls it where
-//!   it stopped (`event.rs`, "How a task blocks").
+//!   it stopped, not the closure (`event.rs`, "How a task blocks").
 
 use std::future::Future;
 use std::pin::pin;

@@ -16,18 +16,18 @@
 //!
 //! A worker takes the next rank of the ready set's sweep (rank order from the
 //! rank served last, turning round only when nothing is ahead — the disk
-//! elevator), bumps the slot's *epoch*, and executes the closure against a
-//! fresh [`EventComm`] (replaying the logged prefix, and polling the stored
-//! call if the task parked in one; see `event.rs`). The execution ends one of
-//! three ways: the closure returns (task `Done`), panics for real (task
-//! `Done`, payload propagated with the rank id), or unwinds with the yield
-//! sentinel — then the worker *commits the park*: it stores the log and the
-//! stored call back in the slot and either parks the task or, if a waker
-//! already flagged it mid-unwind (`RunningWake`), immediately re-queues it. This two-phase park is what
-//! makes "sender deposits the message while the receiver is still
-//! unwinding" race-free: the waiter is registered in the inbox *before* the
-//! unwind starts, and a depositor that takes it while the slot is still
-//! `Running` just flips it to `RunningWake`.
+//! elevator) and bumps the slot's *epoch*. A task parked in a stored call is
+//! *resumed*: the worker polls the call and runs no closure until it has
+//! finished (see `event.rs`). The closure runs against a fresh [`EventComm`],
+//! replaying the logged prefix. A pick ends one of three ways: the task
+//! returns (`Done`), panics for real (`Done`, payload propagated with the rank
+//! id), or parks — then the worker *commits the park*: it stores the log and
+//! the stored call back in the slot and either parks the task or, if a waker
+//! already flagged it mid-poll or mid-unwind (`RunningWake`), re-queues it.
+//! This two-phase park is what makes "sender deposits the message while the
+//! receiver is still unwinding" race-free: the waiter is registered in the
+//! inbox *before* the unwind starts, and a depositor that takes it while the
+//! slot is still `Running` just flips it to `RunningWake`.
 //!
 //! ## Wakeups, timers, quiescence
 //!
@@ -61,12 +61,13 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::task::Poll;
 use std::time::Duration;
 
 use crate::splitmix;
 use crate::clock::VirtualClock;
-use crate::event::{EventComm, ExecCtx, Inbox, Park, ReplayLog, StoredCall, TaskYield, Wake};
+use crate::event::{CallState, EventComm, ExecCtx, Inbox, Park, ReplayLog, TaskYield, Wake};
 use crate::mailbox::{MatchStore, StoreStats};
 use crate::sim::{ScheduleTrace, SimConfig};
 use crate::thread_comm::describe_panic;
@@ -77,7 +78,7 @@ use crate::Tag;
 enum TaskState {
     /// In the ready set, waiting for a worker.
     Queued,
-    /// A worker is executing (or unwinding) it.
+    /// A worker is executing (or unwinding) it, or polling its stored call.
     Running,
     /// Running, and a waker already fired: re-queue at park-commit instead
     /// of parking.
@@ -94,9 +95,9 @@ struct TaskSlot {
     state: TaskState,
     /// The task's replay log while it is not executing.
     log: Option<ReplayLog>,
-    /// The resumed call the task is parked in, if it parked in one; dropped
-    /// at `Done`.
-    call: Option<StoredCall>,
+    /// The resumed call the task is parked in, or its output once the
+    /// scheduler's poll finished it; dropped at `Done`.
+    call: Option<CallState>,
     /// Wake verdict to hand the next execution.
     wake: Option<Wake>,
     /// Incremented at each execution start; waiters and timers registered by
@@ -133,6 +134,7 @@ impl ParkCounts {
 struct SchedCounters {
     parks: ParkCounts,
     wakes: u64,
+    resumes: u64,
     replayed_ops: u64,
 }
 
@@ -156,6 +158,7 @@ impl SchedCounters {
         self.parks.sleep += other.parks.sleep;
         self.parks.arrival += other.parks.arrival;
         self.wakes += other.wakes;
+        self.resumes += other.resumes;
         self.replayed_ops += other.replayed_ops;
     }
 }
@@ -487,7 +490,7 @@ struct Sched {
     idle: usize,
     /// Tasks not yet `Done`.
     live: usize,
-    /// Total task executions (first runs + replays) — scheduler telemetry.
+    /// Total picks (first runs + wakes) — scheduler telemetry.
     executions: u64,
     /// A worker died on a runtime invariant violation: everyone bail out so
     /// the panic propagates instead of hanging the pool.
@@ -803,21 +806,6 @@ impl EventWorld {
     }
 }
 
-/// Install the process-wide panic hook that silences [`TaskYield`] unwinds
-/// (they are control flow, not failures) and forwards everything else to the
-/// previous hook. Installed once, composes with user hooks.
-fn install_yield_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<TaskYield>().is_none() {
-                prev(info);
-            }
-        }));
-    });
-}
-
 /// Sets the abort flag if the worker unwinds on a runtime bug, so sibling
 /// workers return (and the panic propagates) instead of waiting forever.
 struct AbortOnPanic<'w>(&'w EventWorld);
@@ -831,6 +819,97 @@ impl Drop for AbortOnPanic<'_> {
 }
 
 type Outcome<T> = Result<T, Box<dyn Any + Send>>;
+
+/// Park `rank`'s task (arming the park's deadline, if any), or re-queue it if
+/// a waker flagged it while it was still running (`RunningWake`).
+fn commit_park(
+    world: &EventWorld,
+    rank: usize,
+    mut slot: MutexGuard<'_, TaskSlot>,
+    epoch: u64,
+    park: Park,
+) {
+    match slot.state {
+        TaskState::Running => {
+            slot.state = TaskState::Parked;
+            match park {
+                Park::Recv { deadline: Some(d) } | Park::Arrival { deadline: Some(d) } => {
+                    world.add_timer(d, rank, epoch, TimerKind::RecvDeadline)
+                }
+                Park::Sleep { until } => world.add_timer(until, rank, epoch, TimerKind::Sleep),
+                Park::Recv { deadline: None } | Park::Arrival { deadline: None } => {}
+            }
+            drop(slot);
+            #[cfg(feature = "hb-audit")]
+            world.audit_record(rank, AuditKind::ParkCommitted { rank, epoch });
+        }
+        // A sender deposited our message while we were unwinding or
+        // polling: skip the park, go straight back to the ready set.
+        TaskState::RunningWake => {
+            slot.state = TaskState::Queued;
+            drop(slot);
+            #[cfg(feature = "hb-audit")]
+            world.audit_record(
+                rank,
+                AuditKind::Enqueued { rank, epoch, by: WakeSource::ParkCommit },
+            );
+            world.enqueue(&[rank]);
+        }
+        other => panic!("park-commit for rank {rank} in state {other:?}"),
+    }
+}
+
+/// Retire `rank`'s task, its outcome recorded.
+fn retire(world: &EventWorld, rank: usize, mut slot: MutexGuard<'_, TaskSlot>) {
+    slot.state = TaskState::Done;
+    slot.log = None;
+    drop(slot);
+    #[cfg(feature = "hb-audit")]
+    world.audit_record(rank, AuditKind::TaskDone { rank });
+    let _ = rank;
+    world.task_done();
+}
+
+/// Poll the call `rank` is parked in, if any, and run no closure: a pending
+/// poll parks the task again, a panic is its outcome (the pick is over,
+/// `true`), and a finished poll leaves the output for `execute`'s closure.
+/// Kept out of `execute`, whose frame every closure unwind lands in.
+#[inline(never)]
+fn resume<T>(world: &EventWorld, rank: usize, results: &[Mutex<Option<Outcome<T>>>]) -> bool {
+    let mut slot = world.slot(rank);
+    let Some(CallState::Stored(mut stored)) = slot.call.take() else { return false };
+    assert_eq!(slot.state, TaskState::Queued, "resuming rank {rank}");
+    slot.state = TaskState::Running;
+    slot.epoch += 1;
+    let (wake, epoch) = (slot.wake.take(), slot.epoch);
+    slot.counters.wakes += u64::from(wake.is_some());
+    drop(slot);
+    let timed = matches!(wake, Some(Wake::TimedOut | Wake::SleepElapsed));
+    assert!(!timed, "rank {rank}: a stored call parked with a deadline");
+    #[cfg(feature = "hb-audit")]
+    world.audit_record(rank, AuditKind::ExecStart { rank, epoch });
+    let polled = stored.poll(world, rank, wake, epoch);
+    let mut slot = world.slot(rank);
+    match polled {
+        // No waiter is armed: nothing wakes the task before `execute` runs it.
+        Ok(Poll::Ready(out)) => {
+            slot.call = Some(CallState::Finished(out));
+            slot.state = TaskState::Queued;
+            return false;
+        }
+        Ok(Poll::Pending) => {
+            slot.counters.resumes += 1;
+            slot.counters.parks.recv += 1;
+            slot.call = Some(CallState::Stored(stored));
+            commit_park(world, rank, slot, epoch, Park::Recv { deadline: None });
+        }
+        Err(payload) => {
+            *results[rank].lock().unwrap_or_else(|p| p.into_inner()) = Some(Err(payload));
+            retire(world, rank, slot);
+        }
+    }
+    true
+}
 
 /// Execute one scheduled task until it completes, panics, or parks.
 fn execute<T, F>(
@@ -877,12 +956,7 @@ fn execute<T, F>(
             *results[rank].lock().unwrap_or_else(|p| p.into_inner()) = Some(Ok(v));
             let mut slot = world.slot(rank);
             slot.counters.note_execution(&ctx, None);
-            slot.state = TaskState::Done;
-            slot.log = None;
-            drop(slot);
-            #[cfg(feature = "hb-audit")]
-            world.audit_record(rank, AuditKind::TaskDone { rank });
-            world.task_done();
+            retire(world, rank, slot);
         }
         Err(payload) if payload.is::<TaskYield>() => {
             let park = match ctx.take_park() {
@@ -894,50 +968,13 @@ fn execute<T, F>(
             let (log, call) = ctx.into_parts();
             slot.log = Some(log);
             slot.call = call;
-            match slot.state {
-                TaskState::Running => {
-                    slot.state = TaskState::Parked;
-                    match park {
-                        Park::Recv { deadline: Some(d) } => {
-                            world.add_timer(d, rank, epoch, TimerKind::RecvDeadline)
-                        }
-                        Park::Arrival { deadline: Some(d) } => {
-                            world.add_timer(d, rank, epoch, TimerKind::RecvDeadline)
-                        }
-                        Park::Sleep { until } => {
-                            world.add_timer(until, rank, epoch, TimerKind::Sleep)
-                        }
-                        Park::Recv { deadline: None } | Park::Arrival { deadline: None } => {}
-                    }
-                    drop(slot);
-                    #[cfg(feature = "hb-audit")]
-                    world.audit_record(rank, AuditKind::ParkCommitted { rank, epoch });
-                }
-                // A sender deposited our message while we were unwinding:
-                // skip the park, go straight back to the ready set.
-                TaskState::RunningWake => {
-                    slot.state = TaskState::Queued;
-                    drop(slot);
-                    #[cfg(feature = "hb-audit")]
-                    world.audit_record(
-                        rank,
-                        AuditKind::Enqueued { rank, epoch, by: WakeSource::ParkCommit },
-                    );
-                    world.enqueue(&[rank]);
-                }
-                other => panic!("park-commit for rank {rank} in state {other:?}"),
-            }
+            commit_park(world, rank, slot, epoch, park);
         }
         Err(payload) => {
             *results[rank].lock().unwrap_or_else(|p| p.into_inner()) = Some(Err(payload));
             let mut slot = world.slot(rank);
             slot.counters.note_execution(&ctx, None);
-            slot.state = TaskState::Done;
-            slot.log = None;
-            drop(slot);
-            #[cfg(feature = "hb-audit")]
-            world.audit_record(rank, AuditKind::TaskDone { rank });
-            world.task_done();
+            retire(world, rank, slot);
         }
     }
 }
@@ -1023,7 +1060,9 @@ where
                 s.idle -= 1;
             }
         };
-        execute(world, rank, f, results);
+        if !resume(world, rank, results) {
+            execute(world, rank, f, results);
+        }
     }
 }
 
@@ -1033,9 +1072,9 @@ where
 pub struct EventReport {
     /// Total messages deposited across the run.
     pub messages: usize,
-    /// Task executions: `p` first runs plus every wake-driven re-execution.
-    /// `executions / p` is the replay amplification factor (a re-execution
-    /// that resumes a stored call replays only the closure's own ops).
+    /// Picks of a task: `p` first runs plus one per wake, whether it
+    /// re-executed the closure or only resumed a stored call (`resumes`).
+    /// `executions / p` is the replay amplification factor.
     pub executions: u64,
     /// Direction reversals of the ready set's sweep: how many passes over
     /// the ranks the world took, less one.
@@ -1047,16 +1086,18 @@ pub struct EventReport {
     /// Drained-but-unremoved match keys at the end: 0 by construction (a
     /// match key is one message); leak checks add it to `pending_messages`.
     pub dead_match_keys: usize,
-    /// Executions that ended in a park request, by the operation parked in
-    /// (`parks.total() == executions - p` once every task has finished).
+    /// Picks that ended in a park (an unwind or a pending resume), by the
+    /// operation parked in (`parks.total() == executions - p` at the end).
     pub parks: ParkCounts,
-    /// Executions started by a wake verdict (message, timer or deadlock
-    /// sweep).
+    /// Picks started by a wake verdict (message, timer or deadlock sweep).
     pub wakes: u64,
     /// Logged ops retraced by re-executions before they went live — the
     /// work replay spends on resumption (a finished call is one op; a
     /// stored call's own progress is never retraced).
     pub replayed_ops: u64,
+    /// Picks that polled a stored call, found it pending and parked again
+    /// without running the closure (`parks.total() − resumes` unwinds).
+    pub resumes: u64,
 }
 
 /// Worker-pool size for [`EventComm::run`]: tasks never block an OS thread,
@@ -1073,7 +1114,6 @@ where
 {
     assert!(p > 0, "world size must be at least 1");
     let workers = workers.max(1);
-    install_yield_hook();
     let world = Arc::new(EventWorld::new(p, workers));
     let results: Vec<Mutex<Option<Outcome<T>>>> = (0..p).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
@@ -1103,6 +1143,7 @@ where
             parks: total.parks,
             wakes: total.wakes,
             replayed_ops: total.replayed_ops,
+            resumes: total.resumes,
         }
     };
     let outcomes = results
@@ -1191,7 +1232,6 @@ impl EventComm<'_> {
         F: Fn(&EventComm<'_>) -> T + Sync,
     {
         assert!(p > 0, "world size must be at least 1");
-        install_yield_hook();
         let policy = PickPolicy {
             replay: cfg.replay.clone().map(VecDeque::from),
             rng: splitmix(cfg.seed ^ 0x5eed_5c4e_d01e_d001),
@@ -1509,6 +1549,62 @@ mod tests {
         }
     }
 
+    #[cfg(feature = "hb-audit")]
+    #[test]
+    fn a_resume_records_the_lifecycle_of_an_execution() {
+        use crate::{CallOutput, Port};
+        // Rank 0 parks in its call on tag 7 (the closure unwinds), is resumed
+        // and parks again on tag 8, then is resumed to the end and runs its
+        // closure once more to collect the output.
+        let cfg = SimConfig::replay_trace(&ScheduleTrace {
+            p: 2,
+            seed: 0,
+            meta: String::new(),
+            choices: vec![0, 1, 0, 1, 0],
+        });
+        let opts = EventVerifyOpts { audit: true, ..Default::default() };
+        let run = EventComm::run_scheduled(2, &cfg, opts, |comm| {
+            if comm.rank() == 1 {
+                comm.send(0, 7, &[7]).unwrap();
+                comm.recv(0, 9).unwrap();
+                comm.send(0, 8, &[8]).unwrap();
+                return Vec::new();
+            }
+            let hook = comm.resumable().expect("a bare EventComm offers its hook");
+            let out = hook.call(|port| {
+                Box::pin(async move {
+                    let a = port.recv_match(1, 7, usize::MAX).await?;
+                    port.send_buf(1, 9, MsgBuf::from_vec(Vec::new()))?;
+                    let b = port.recv_match(1, 8, usize::MAX).await?;
+                    Ok(CallOutput { bytes: [a.to_vec(), b.to_vec()].concat(), counts: Vec::new() })
+                })
+            });
+            out.unwrap().bytes
+        });
+        assert!(run.stuck.is_none(), "stuck: {:?}", run.stuck);
+        assert_eq!(run.outcomes[0], Some(Ok(vec![7, 8])));
+        let lifecycle: Vec<String> = run
+            .audit
+            .iter()
+            .filter_map(|e| match e.kind {
+                AuditKind::ExecStart { rank: 0, .. } => Some("start".to_string()),
+                AuditKind::WaiterArmed { rank: 0, tag, .. } => Some(format!("armed {tag}")),
+                AuditKind::ParkCommitted { rank: 0, .. } => Some("parked".to_string()),
+                AuditKind::Enqueued { rank: 0, by: WakeSource::ParkCommit, .. } => {
+                    Some("requeued".to_string())
+                }
+                AuditKind::TaskDone { rank: 0 } => Some("done".to_string()),
+                _ => None,
+            })
+            .collect();
+        // The unwinding execution, the resume that parks again, the resume
+        // that finishes the call, and the closure's run to its end.
+        let want = [
+            "start", "armed 7", "parked", "start", "armed 8", "parked", "start", "start", "done",
+        ];
+        assert_eq!(lifecycle, want);
+    }
+
     #[cfg(feature = "seeded-bugs")]
     #[test]
     fn seeded_lost_wakeup_goes_stuck_under_a_parking_schedule() {
@@ -1656,31 +1752,34 @@ mod tests {
     fn a_panic_inside_a_stored_call_propagates_and_frees_the_world() {
         use crate::{CallOutput, Port};
         use std::sync::Weak;
-        let world: Mutex<Option<Weak<EventWorld>>> = Mutex::new(None);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            EventComm::run_pooled(2, 1, |comm| {
-                *world.lock().unwrap() = Some(Arc::downgrade(comm.world));
-                if comm.rank() == 1 {
-                    comm.send(0, 7, &[1]).unwrap();
-                    return;
-                }
-                // Rank 0 runs first, parks inside the call, and fails on
-                // the resumed poll.
-                let hook = comm.resumable().expect("a bare EventComm offers its hook");
-                let _ = hook.call(|port| {
-                    Box::pin(async move {
-                        let got = port.recv_match(1, 7, usize::MAX).await;
-                        assert!(got.is_err(), "injected bug inside a resumed call");
-                        Ok(CallOutput::default())
-                    })
-                });
-            })
-        }));
-        let msg = describe_panic(caught.expect_err("rank 0 panicked").as_ref());
-        assert!(msg.contains("rank 0 panicked"), "{msg}");
-        assert!(msg.contains("injected bug inside a resumed call"), "{msg}");
-        let world = world.into_inner().unwrap().expect("the closure ran");
-        assert!(world.upgrade().is_none(), "the world outlived its run");
+        // One worker runs rank 0 first: it parks inside the call and fails
+        // on the scheduler's resume of it. Two may also deliver rank 1's
+        // message while the call's first poll runs.
+        for workers in [1, 2] {
+            let world: Mutex<Option<Weak<EventWorld>>> = Mutex::new(None);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                EventComm::run_pooled(2, workers, |comm| {
+                    *world.lock().unwrap() = Some(Arc::downgrade(comm.world));
+                    if comm.rank() == 1 {
+                        comm.send(0, 7, &[1]).unwrap();
+                        return;
+                    }
+                    let hook = comm.resumable().expect("a bare EventComm offers its hook");
+                    let _ = hook.call(|port| {
+                        Box::pin(async move {
+                            let got = port.recv_match(1, 7, usize::MAX).await;
+                            assert!(got.is_err(), "injected bug inside a resumed call");
+                            Ok(CallOutput::default())
+                        })
+                    });
+                })
+            }));
+            let msg = describe_panic(caught.expect_err("rank 0 panicked").as_ref());
+            assert!(msg.contains("rank 0 panicked"), "{workers} workers: {msg}");
+            assert!(msg.contains("injected bug inside a resumed call"), "{workers} workers: {msg}");
+            let world = world.into_inner().unwrap().expect("the closure ran");
+            assert!(world.upgrade().is_none(), "{workers} workers: the world outlived its run");
+        }
     }
 
     #[test]

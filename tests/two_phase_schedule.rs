@@ -10,8 +10,9 @@
 //! * **The passes.** `EventComm` re-executes a rank each time a receive parks
 //!   it, so a one-worker run's `executions` counts the parks a schedule costs
 //!   under the runtime's sweep of its ready set — pinned below per family.
-//!   On a bare `EventComm` a parked exchange is a stored call that resumes
-//!   where it stopped, so those executions replay nothing.
+//!   On a bare `EventComm` a parked exchange is a stored call that the
+//!   scheduler resumes where it stopped, so those executions replay nothing
+//!   and a rank's closure unwinds once per call.
 //! * **The wire format.** A size array of the wrong length, a body longer or
 //!   shorter than announced, a malformed combined-coupling header, a routed
 //!   block that disagrees with `recvcounts`: each must come back as a typed
@@ -106,14 +107,15 @@ fn two_phase_at_p8_is_six_messages_per_rank_on_four_latencies() {
 
 /// Executions of a one-worker `EventComm` world of `p` ranks running `f`.
 fn executions(p: usize, f: impl Fn(&EventComm<'_>) + Sync) -> u64 {
-    passes(p, f).0
+    resumed_passes(p, f).0
 }
 
-/// `(executions, replayed ops)` of a one-worker `EventComm` world of `p`
-/// ranks running `f`.
-fn passes(p: usize, f: impl Fn(&EventComm<'_>) + Sync) -> (u64, u64) {
+/// `(executions, replayed ops, resumes, closure unwinds)` of a one-worker
+/// `EventComm` world of `p` ranks running `f`.
+fn resumed_passes(p: usize, f: impl Fn(&EventComm<'_>) + Sync) -> (u64, u64, u64, u64) {
     let report = EventComm::run_report(p, 1, f).1;
-    (report.executions, report.replayed_ops)
+    let unwinds = report.parks.total() - report.resumes;
+    (report.executions, report.replayed_ops, report.resumes, unwinds)
 }
 
 #[test]
@@ -218,39 +220,42 @@ fn a_parked_exchange_resumes_where_it_stopped() {
     // On a bare `EventComm` each family's loop is a stored call: a wake polls
     // it where it parked, so no execution retraces a logged op. The parks —
     // and so the executions — are the ones replay cost: replay retraced
-    // 238,884 / 7,170 / 15,055 / 3,585 / 3,331 ops here.
+    // 238,884 / 7,170 / 15,055 / 3,585 / 3,331 ops here. The scheduler polls
+    // a parked call itself, so a closure unwinds once, at its call's first
+    // park: every other park is a resume, and the allreduce, which parks
+    // each rank but one once, resumes nothing.
     let p = 256;
     let m = SizeMatrix::generate(Distribution::Uniform, 7, p, 64);
     let counts: Vec<usize> = (0..p).map(|r| 1 + r % 7).collect();
     let displs = packed_displs(&counts);
     let m = &m;
-    let exchange_on = |cfg: EngineConfig| passes(p, move |comm| exchange(comm, &cfg, m));
+    let exchange_on = |cfg: EngineConfig| resumed_passes(p, move |comm| exchange(comm, &cfg, m));
     let runs = [
-        ("vendor", exchange_on(EngineConfig::as_vendor()), 1_082),
-        ("two-phase", exchange_on(EngineConfig::as_two_phase()), 765),
-        ("padded Bruck", exchange_on(EngineConfig::as_padded_bruck()), 1_019),
+        ("vendor", exchange_on(EngineConfig::as_vendor()), (1_082, 0, 570, 256)),
+        ("two-phase", exchange_on(EngineConfig::as_two_phase()), (765, 0, 253, 256)),
+        ("padded Bruck", exchange_on(EngineConfig::as_padded_bruck()), (1_019, 0, 507, 256)),
         (
             "allgatherv(Bruck)",
-            passes(p, |comm| {
+            resumed_passes(p, |comm| {
                 let mut recv = vec![0u8; counts.iter().sum()];
                 let send = vec![comm.rank() as u8; counts[comm.rank()]];
                 allgatherv(AllgathervAlgorithm::Bruck, comm, &send, &mut recv, &counts, &displs)
                     .unwrap();
             }),
-            765,
+            (765, 0, 253, 256),
         ),
         (
             "allreduce(RecursiveDoubling)",
-            passes(p, |comm| {
+            resumed_passes(p, |comm| {
                 let mut v = [comm.rank() as u64; 8];
                 allreduce(AllreduceAlgorithm::RecursiveDoubling, comm, &mut v, ReduceOp::Sum)
                     .unwrap();
             }),
-            511,
+            (511, 0, 0, 255),
         ),
     ];
-    for (name, got, execs) in runs {
-        assert_eq!(got, (execs, 0), "{name} at P = {p}: (executions, replayed ops)");
+    for (name, got, want) in runs {
+        assert_eq!(got, want, "{name} at P = {p}: (executions, replayed ops, resumes, unwinds)");
     }
 }
 
@@ -259,13 +264,15 @@ fn a_transitive_closure_fixpoint_at_p8_pins_its_executions() {
     // One worker is fully deterministic, so the count is exact. In arrival
     // order this fixpoint took 325 executions, and 193 while every round ran
     // a uniform Bruck exchange of its counts before the data. A finished
-    // round is one replay-log entry, so re-executions retrace 545 ops where
-    // replaying every round's sends and receives retraced 6,730.
+    // round is one replay-log entry, so re-executions retrace 483 ops where
+    // replaying every round's sends and receives retraced 6,730; 19 wakes
+    // resume a parked round without re-running the closure's prefix, which
+    // retraced 545 ops while every wake re-ran it.
     let edges = graph1_like(2, 10, 2, 1);
-    let got = passes(8, |comm| {
+    let got = resumed_passes(8, |comm| {
         transitive_closure(comm, AlltoallvAlgorithm::TwoPhaseBruck, &edges).unwrap();
     });
-    assert_eq!(got, (113, 545));
+    assert_eq!((got.0, got.1, got.2), (113, 483, 19));
 }
 
 #[test]
@@ -406,7 +413,8 @@ fn a_rogue_peer_gets_a_typed_error_from_a_stored_call() {
 fn a_stored_call_ends_on_the_deadlock_verdict_a_metered_one_gets() {
     // Rank 1 never takes part: rank 0 parks inside its stored call, the
     // runtime proves the world stuck, and the verdict reaches the call's
-    // receive as the typed error the replayed path returns under a wrapper.
+    // receive — through the scheduler's resume of it — as the typed error
+    // the replayed path returns under a wrapper.
     let cfg = EngineConfig::as_two_phase();
     let m = SizeMatrix::generate(Distribution::Uniform, 3, 2, 16);
     let rank0 = |comm: &dyn Communicator| {
@@ -423,9 +431,13 @@ fn a_stored_call_ends_on_the_deadlock_verdict_a_metered_one_gets() {
             )
         })
     };
+    let want = Some(Err(CommError::Deadlock { src: 1, tag: meta_tag(0) }));
+    for workers in [1, 2] {
+        let bare = EventComm::run_pooled(2, workers, |comm| rank0(comm));
+        assert_eq!(bare[0], want, "{workers} workers");
+    }
     let bare = EventComm::run(2, |comm| rank0(comm));
     let metered = EventComm::run(2, |comm| rank0(&MeteredComm::new(comm)));
-    let want = Some(Err(CommError::Deadlock { src: 1, tag: meta_tag(0) }));
     assert_eq!(bare[0], want);
     assert_eq!(metered[0], want);
 }
