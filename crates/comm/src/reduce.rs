@@ -66,31 +66,48 @@ impl ReduceOp {
             *a = self.apply(*a, b);
         }
     }
+
+    /// [`apply_slice`](Self::apply_slice) with `other` still in its wire
+    /// encoding: `acc[i] = op(acc[i], word i of other)`, decoded and folded
+    /// in one pass. A payload that is not `8 × acc.len()` bytes is a typed
+    /// error, like [`decode_u64s_into`]'s.
+    pub fn apply_bytes(self, acc: &mut [u64], other: &[u8]) -> CommResult<()> {
+        match self {
+            ReduceOp::Max => fold_words(acc, other, u64::max),
+            ReduceOp::Min => fold_words(acc, other, u64::min),
+            ReduceOp::Sum => fold_words(acc, other, u64::wrapping_add),
+        }
+    }
+}
+
+/// `acc[i] = f(acc[i], word i of bytes)` over little-endian words; `bytes`
+/// must be exactly `8 × acc.len()` long.
+fn fold_words(acc: &mut [u64], bytes: &[u8], f: impl Fn(u64, u64) -> u64) -> CommResult<()> {
+    if bytes.len() != 8 * acc.len() {
+        return Err(CommError::BadArgument("reduce payload length differs from the vector's"));
+    }
+    for (a, chunk) in acc.iter_mut().zip(bytes.chunks_exact(8)) {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(chunk);
+        *a = f(*a, u64::from_le_bytes(w));
+    }
+    Ok(())
 }
 
 /// Little-endian wire encoding of a `u64` vector.
 pub fn u64s_to_bytes(vals: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
+    let mut out = vec![0u8; vals.len() * 8];
+    for (dst, v) in out.chunks_exact_mut(8).zip(vals) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
     out
 }
 
-/// Decode a little-endian `u64` vector; errors on a length that is not a
-/// multiple of 8 (a framing bug, surfaced typed so the chaos stack sees it).
-pub fn bytes_to_u64s(bytes: &[u8]) -> CommResult<Vec<u64>> {
-    if bytes.len() % 8 != 0 {
-        return Err(CommError::BadArgument("reduce payload not a multiple of 8 bytes"));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(c);
-            u64::from_le_bytes(w)
-        })
-        .collect())
+/// Decode a little-endian `u64` vector into `out`; errors unless `bytes` is
+/// exactly `8 × out.len()` long (a framing bug, surfaced typed so the chaos
+/// stack sees it).
+pub fn decode_u64s_into(bytes: &[u8], out: &mut [u64]) -> CommResult<()> {
+    fold_words(out, bytes, |_, w| w)
 }
 
 /// What round `k` of a distance-doubling allreduce puts on the wire.
@@ -162,16 +179,15 @@ pub async fn allreduce_doubling<P: Port + ?Sized, G>(
         }
         comm.send_buf((me + h) % p, tag(k), MsgBuf::from_vec(out))?;
         let got = comm.recv_exact((me + p - h) % p, tag(k), 8 * n * round.windows()).await?;
-        let got = bytes_to_u64s(&got)?;
-        let (w, y_from) = got.split_at(n);
+        let (w, y_from) = got.split_at(8 * n);
         if round.builds_y {
             let mut grown = buf.to_vec();
             if round.carries_y {
-                op.apply_slice(&mut grown, y_from);
+                op.apply_bytes(&mut grown, y_from)?;
             }
             y = grown;
         }
-        op.apply_slice(buf, w);
+        op.apply_bytes(buf, w)?;
     }
     Ok(())
 }
@@ -244,8 +260,10 @@ mod tests {
     #[test]
     fn u64_wire_round_trips() {
         let vals = vec![0u64, 1, u64::MAX, 0xDEAD_BEEF];
-        assert_eq!(bytes_to_u64s(&u64s_to_bytes(&vals)).unwrap(), vals);
-        assert!(bytes_to_u64s(&[1, 2, 3]).is_err());
+        let mut back = [0u64; 4];
+        decode_u64s_into(&u64s_to_bytes(&vals), &mut back).unwrap();
+        assert_eq!(back[..], vals[..]);
+        assert!(decode_u64s_into(&[1, 2, 3], &mut []).is_err());
     }
 
     #[test]
@@ -305,6 +323,33 @@ mod tests {
         // Empty vectors are a no-op, not an error (zero-sized segments are
         // legal collective inputs).
         ReduceOp::Sum.apply_slice(&mut [], &[]);
+    }
+
+    #[test]
+    fn apply_bytes_is_apply_slice_of_the_decoded_payload() {
+        for op in ReduceOp::ALL {
+            for n in 0..=33usize {
+                let acc = values(3 + n as u64, n);
+                let other = values(4 + n as u64, n);
+                let wire = u64s_to_bytes(&other);
+                let mut decoded = vec![0u64; n];
+                decode_u64s_into(&wire, &mut decoded).unwrap();
+                assert_eq!(decoded, other, "n={n}");
+                let mut want = acc.clone();
+                op.apply_slice(&mut want, &decoded);
+                let mut got = acc.clone();
+                op.apply_bytes(&mut got, &wire).unwrap();
+                assert_eq!(got, want, "{op:?} n={n}");
+                // A byte short, a byte over, a word over: typed errors.
+                let short = &wire[..wire.len().saturating_sub(1)];
+                for bad in [short, &[&wire[..], &[0]].concat(), &[&wire[..], &[0; 8]].concat()] {
+                    if bad.len() != wire.len() {
+                        assert!(op.apply_bytes(&mut got, bad).is_err(), "{op:?} n={n} len {}", bad.len());
+                        assert!(decode_u64s_into(bad, &mut decoded).is_err(), "n={n} len {}", bad.len());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

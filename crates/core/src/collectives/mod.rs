@@ -48,7 +48,7 @@ pub use reference::{
     reference_reduce_scatter,
 };
 
-use bruck_comm::reduce::{allreduce_doubling, bytes_to_u64s, u64s_to_bytes};
+use bruck_comm::reduce::{allreduce_doubling, decode_u64s_into, u64s_to_bytes};
 use bruck_comm::{block_on, Blocking, CallOutput, CommError, CommResult, Communicator, Port, ReduceOp};
 
 use crate::common::ar_doubling_tag;
@@ -191,7 +191,7 @@ pub fn reduce_scatter<C: Communicator + ?Sized>(
             Ok(CallOutput { bytes: u64s_to_bytes(&recv), counts: Vec::new() })
         })
     })?;
-    recvbuf.copy_from_slice(&bytes_to_u64s(&out.bytes)?);
+    decode_u64s_into(&out.bytes, recvbuf)?;
     Ok(())
 }
 
@@ -213,7 +213,7 @@ pub fn allreduce<C: Communicator + ?Sized>(
             Ok(CallOutput { bytes: u64s_to_bytes(&acc), counts: Vec::new() })
         })
     })?;
-    buf.copy_from_slice(&bytes_to_u64s(&out.bytes)?);
+    decode_u64s_into(&out.bytes, buf)?;
     Ok(())
 }
 
@@ -258,8 +258,7 @@ async fn allreduce_rs_ag<P: Port + ?Sized>(
         .copy_from_slice(&u64s_to_bytes(&piece));
     let bruck = allgatherv_plan(AllgathervAlgorithm::Bruck, p);
     plan::gather(comm, &bruck, &mut gathered, &byte_counts, &byte_displs).await?;
-    buf.copy_from_slice(&bytes_to_u64s(&gathered)?);
-    Ok(())
+    decode_u64s_into(&gathered, buf)
 }
 
 /// Validate an allgatherv argument set.

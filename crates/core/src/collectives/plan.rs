@@ -11,7 +11,6 @@
 //! a [`Port`]. `bruck-model` prices the same plans, so the schedule has one
 //! definition.
 
-use bruck_comm::reduce::bytes_to_u64s;
 use bruck_comm::{CommResult, MsgBuf, Port, ReduceOp, Tag};
 
 use crate::common::{
@@ -207,18 +206,18 @@ pub(super) async fn reduce<P: Port + ?Sized>(
     let mut work = sendbuf.to_vec();
     for (i, step) in plan.steps.iter().enumerate() {
         let _probe = span(plan.span);
-        let mut out = Vec::with_capacity(plan.sent(i, me).map(|b| 8 * counts[b]).sum());
-        for v in plan.sent(i, me).flat_map(|b| &work[seg(b)]) {
-            out.extend_from_slice(&v.to_le_bytes());
+        let mut out = vec![0u8; plan.sent(i, me).map(|b| 8 * counts[b]).sum()];
+        for (dst, v) in out.chunks_exact_mut(8).zip(plan.sent(i, me).flat_map(|b| &work[seg(b)])) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
         comm.send_buf(add_mod(me, step.shift, plan.p), step.tag, MsgBuf::from_vec(out))?;
         let from = sub_mod(me, step.shift, plan.p);
         let want = plan.received(i, me).map(|b| 8 * counts[b]).sum();
-        let got = bytes_to_u64s(&comm.recv_exact(from, step.tag, want).await?)?;
+        let got = comm.recv_exact(from, step.tag, want).await?;
         let mut at = 0;
         for b in plan.received(i, me) {
-            op.apply_slice(&mut work[seg(b)], &got[at..at + counts[b]]);
-            at += counts[b];
+            op.apply_bytes(&mut work[seg(b)], &got[at..at + 8 * counts[b]])?;
+            at += 8 * counts[b];
         }
     }
     recvbuf.copy_from_slice(&work[seg(me)]);
