@@ -315,11 +315,22 @@ impl<'a, C: Communicator + ?Sized> ReliableComm<'a, C> {
         self.send_ack(src, peer)
     }
 
+    /// The pass's clock reading in `clock`, taken on first use: a service
+    /// pass and the poll after it share one reading.
+    fn pass_now(&self, clock: &mut Option<Duration>) -> Duration {
+        *clock.get_or_insert_with(|| self.inner.now())
+    }
+
     /// One service pass: drain the arrived wire frames (unless the arrival
     /// count `seen` is where the last complete sweep left it), then resend to
     /// every peer whose oldest frame is overdue. Returns the frames handled and
     /// the time to the next retransmission (`MAX`, no clock read, if none).
-    fn service(&self, s: &mut State, seen: u64) -> CommResult<(usize, Duration)> {
+    fn service(
+        &self,
+        s: &mut State,
+        seen: u64,
+        clock: &mut Option<Duration>,
+    ) -> CommResult<(usize, Duration)> {
         let me = self.inner.rank();
         let mut handled = 0usize;
         if s.swept != Some(seen) {
@@ -332,10 +343,10 @@ impl<'a, C: Communicator + ?Sized> ReliableComm<'a, C> {
             }
             s.swept = Some(seen);
         }
-        let (mut clock, mut next_due) = (None, Duration::MAX);
+        let mut next_due = Duration::MAX;
         let in_flight = s.peers.iter_mut().enumerate().filter(|(_, peer)| !peer.unacked.is_empty());
         for (dest, peer) in in_flight {
-            let now = *clock.get_or_insert_with(|| self.inner.now());
+            let now = self.pass_now(clock);
             let overdue = peer.overdue.get_or_insert(now + self.policy.delay(peer.attempt));
             if now >= *overdue {
                 peer.attempt += 1;
@@ -358,18 +369,24 @@ impl<'a, C: Communicator + ?Sized> ReliableComm<'a, C> {
     /// The one wait loop behind every blocking point. `poll` answers done
     /// (`Break`) or how long the caller may still wait (`Continue`): asked
     /// first (done at once costs no inner call), then after each service pass,
-    /// with the frames it handled. The rank parks in between, for that budget
-    /// or until the next retransmission, on a count read before the sweep.
+    /// with the frames it handled and the pass's clock, which it reads through
+    /// [`Self::pass_now`]: the clock is read at most once per pass. The rank
+    /// parks in between, for that budget or until the next retransmission, on
+    /// a count read before the sweep.
     fn drive<T>(
         &self,
-        mut poll: impl FnMut(&mut State, usize) -> CommResult<ControlFlow<T, Duration>>,
+        mut poll: impl FnMut(
+            &mut State,
+            usize,
+            &mut Option<Duration>,
+        ) -> CommResult<ControlFlow<T, Duration>>,
     ) -> CommResult<T> {
         let mut seen = None;
         loop {
-            let mut s = self.lock();
-            let pass = seen.map(|count| self.service(&mut s, count)).transpose()?;
+            let (mut s, mut clock) = (self.lock(), None);
+            let pass = seen.map(|count| self.service(&mut s, count, &mut clock)).transpose()?;
             let (handled, next_due) = pass.unwrap_or((0, Duration::ZERO));
-            let budget = match poll(&mut s, handled)? {
+            let budget = match poll(&mut s, handled, &mut clock)? {
                 Break(done) => return Ok(done),
                 Continue(budget) => budget.min(next_due),
             };
@@ -383,7 +400,7 @@ impl<'a, C: Communicator + ?Sized> ReliableComm<'a, C> {
     /// its frame is delivered: a failed peer surfaces here, the first one.
     pub fn flush(&self) -> CommResult<()> {
         self.send_owed_acks()?;
-        self.drive(|s, _| {
+        self.drive(|s, _, _| {
             let settled = s.peers.iter().all(|peer| peer.unacked.is_empty());
             Ok(if settled { Break(s.first_failed()?) } else { Continue(Duration::MAX) })
         })
@@ -398,8 +415,8 @@ impl<'a, C: Communicator + ?Sized> ReliableComm<'a, C> {
         self.send_owed_acks()?;
         let start = self.inner.now();
         let mut quiet_since = start;
-        self.drive(|s, handled| {
-            let now = self.inner.now();
+        self.drive(|s, handled, clock| {
+            let now = self.pass_now(clock);
             if handled > 0 {
                 quiet_since = now;
             }
@@ -438,7 +455,7 @@ impl<C: Communicator + ?Sized> Communicator for ReliableComm<'_, C> {
         // Wait (servicing) only while the window is full: two ranks flooding
         // each other ack each other from inside their sends, so neither
         // deadlocks; a failed peer's queue is dropped, so the wait ends.
-        self.drive(|s, _| {
+        self.drive(|s, _, _| {
             let full = s.peers[dest].unacked.len() >= ReliableConfig::WINDOW;
             Ok(if full { Continue(Duration::MAX) } else { Break(()) })
         })?;
@@ -465,7 +482,7 @@ impl<C: Communicator + ?Sized> Communicator for ReliableComm<'_, C> {
     ) -> CommResult<MsgBuf> {
         self.inner.check_rank(src)?;
         let mut start = None;
-        self.drive(|s, _| {
+        self.drive(|s, _, clock| {
             if let Some(msg) = s.pop_stash(src, tag, max_len)? {
                 return Ok(Break(msg));
             }
@@ -475,7 +492,7 @@ impl<C: Communicator + ?Sized> Communicator for ReliableComm<'_, C> {
             if timeout == Duration::MAX {
                 return Ok(Continue(timeout));
             }
-            let now = self.inner.now();
+            let now = self.pass_now(clock);
             let waited = now.saturating_sub(*start.get_or_insert(now));
             if waited >= timeout {
                 return Err(CommError::Timeout { src, tag, waited });
@@ -496,7 +513,7 @@ impl<C: Communicator + ?Sized> Communicator for ReliableComm<'_, C> {
         self.inner.check_rank(src)?;
         let seen = self.inner.wait_arrival(0, Duration::ZERO)?;
         let mut s = self.lock();
-        self.service(&mut s, seen)?;
+        self.service(&mut s, seen, &mut None)?;
         let peer = &s.peers[src];
         match peer.stash.iter().find(|(t, _)| *t == tag) {
             Some((_, msg)) => Ok(Some(msg.len())),
@@ -525,7 +542,7 @@ impl<C: Communicator + ?Sized> Communicator for ReliableComm<'_, C> {
         // channels' frames move it too, so a caller may wake early; its
         // re-sweep through `probe` services them.
         let count = self.inner.wait_arrival(0, Duration::ZERO)?;
-        let (_, next_due) = self.service(&mut self.lock(), count)?;
+        let (_, next_due) = self.service(&mut self.lock(), count, &mut None)?;
         self.inner.wait_arrival(seen, timeout.min(next_due))
     }
 }
@@ -707,6 +724,91 @@ mod tests {
         assert_eq!(stashed, Ok(Some(4)), "a stashed message is still reported");
         assert_eq!(live, Ok(None), "a live peer never reports a third party");
         assert_eq!(kept, b"kept");
+    }
+
+    /// A forwarding wrapper that counts `[now() reads, wait_arrival calls]`.
+    struct ClockCount<'a, C: ?Sized> {
+        inner: &'a C,
+        counts: Mutex<[usize; 2]>,
+    }
+
+    impl<C: Communicator + ?Sized> ClockCount<'_, C> {
+        fn counts(&self) -> [usize; 2] {
+            *self.counts.lock().unwrap()
+        }
+    }
+
+    impl<C: Communicator + ?Sized> Communicator for ClockCount<'_, C> {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+
+        fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()> {
+            self.inner.send_buf(dest, tag, buf)
+        }
+
+        fn recv_match(
+            &self,
+            src: usize,
+            tag: Tag,
+            max_len: usize,
+            timeout: Duration,
+        ) -> CommResult<MsgBuf> {
+            self.inner.recv_match(src, tag, max_len, timeout)
+        }
+
+        fn probe(&self, src: usize, tag: Tag) -> CommResult<Option<usize>> {
+            self.inner.probe(src, tag)
+        }
+
+        fn now(&self) -> Duration {
+            self.counts.lock().unwrap()[0] += 1;
+            self.inner.now()
+        }
+
+        fn sleep(&self, d: Duration) {
+            self.inner.sleep(d)
+        }
+
+        fn wait_arrival(&self, seen: u64, timeout: Duration) -> CommResult<u64> {
+            self.counts.lock().unwrap()[1] += 1;
+            self.inner.wait_arrival(seen, timeout)
+        }
+    }
+
+    #[test]
+    fn a_pass_reads_the_clock_at_most_once() {
+        // Rank 0 keeps one frame in flight (rank 1 takes it, and acks it,
+        // only afterwards) and waits for a message that never comes, less
+        // long than the frame's ack timeout. Every pass after a wait both
+        // services the frame and checks the receive's timeout: one clock
+        // reading serves both, so the receive reads the clock once for its
+        // start and once per wait.
+        let report = SimComm::try_run(2, &SimConfig::from_seed(1), |comm| {
+            let counted = ClockCount { inner: comm, counts: Mutex::default() };
+            let rc = ReliableComm::new(&counted);
+            if rc.rank() == 1 {
+                rc.recv(0, 9)?;
+                rc.recv(0, 8)?;
+                return Ok(None);
+            }
+            rc.send(1, 8, b"held")?;
+            let [reads, waits] = counted.counts();
+            let err = rc.recv_timeout(1, 5, Duration::from_millis(20)).unwrap_err();
+            let [reads_after, waits_after] = counted.counts();
+            rc.send(1, 9, b"go")?;
+            Ok::<_, CommError>(Some((err, reads_after - reads, waits_after - waits)))
+        });
+        let outcomes: Vec<_> = report.outcomes.into_iter().map(|o| o.expect("no panic")).collect();
+        let (err, reads, waits) = outcomes[0].clone().unwrap().unwrap();
+        assert!(matches!(err, CommError::Timeout { src: 1, tag: 5, .. }), "{err}");
+        assert!(waits >= 2, "the receive parked after its first service pass: {waits} waits");
+        assert_eq!(reads, waits + 1, "one reading for the start, one per pass");
+        assert_eq!(outcomes[1], Ok(None));
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //! are near `N` and `P` is large (every block hops ≈ ½·log₂ P times).
 //!
 //! Padded alltoall holds two `P × N` images (send and receive) whatever the
-//! sizes are. Padded Bruck holds one — the padded send image — plus the
-//! `N`-byte slots that pass through the rank, because its uniform loop also
-//! forwards from the receive regions and strips each slot on delivery: about
-//! `1 + ½·⌈log₂ P⌉` images at radix 2, *more* than padded alltoall's two once
-//! `P ≥ 8` — the trade two-phase makes too, paid for the receive image's
-//! per-hop copies and the final scan it no longer runs.
+//! sizes are. Padded Bruck holds none: its first pack of each block pads it
+//! on the wire, and its uniform loop forwards from the receive regions and
+//! strips each slot on delivery, so what it holds is the `N`-byte slots that
+//! pass through the rank — about `½·⌈log₂ P⌉` images at radix 2 plus one
+//! step's wire buffer, *more* than padded alltoall's two images and their
+//! staging once `P > 32` — the trade two-phase makes too, paid for the
+//! receive image's per-hop copies and the final scan it no longer runs.
 //!
 //! This module quantifies the trade-off so a selection can respect a memory
 //! budget: filter the candidate slice by [`memory_overhead_bytes`] before
@@ -57,8 +58,8 @@ pub fn memory_overhead_bytes(
         // staging.
         EngineTopology::Direct if pads => 2 * p * n_max + 2 * step_wire(1),
         EngineTopology::Direct => 0,
-        // The padded send image, and `N`-byte slots through the rank.
-        EngineTopology::Bruck if pads => p * n_max + passed_through(p * n_max) + step_wire(1),
+        // `N`-byte slots through the rank; the packs pad, so no send image.
+        EngineTopology::Bruck if pads => passed_through(p * n_max) + step_wire(1),
         EngineTopology::Bruck => passed_through(recv_total) + step_wire(2),
         // Leaders hold the whole group's data both ways; amortized per rank
         // this is a send + receive image.
@@ -81,14 +82,15 @@ mod tests {
         let of = |a: AlltoallvAlgorithm| memory_overhead_bytes(a, p, n, totals, totals);
         assert_eq!(of(AlltoallvAlgorithm::Vendor), 0);
         // Padded alltoall holds two P × N images (+ two 512-slot staging
-        // steps); padded Bruck one, plus the slots through the rank: 10 steps
-        // × half of P × N; two-phase what passed through the rank (10 steps ×
-        // half the receive volume here) + one half-size staging step.
+        // steps); padded Bruck none, only the slots through the rank: 10
+        // steps × half of P × N (+ one staging step); two-phase what passed
+        // through the rank (10 steps × half the receive volume here) + one
+        // half-size staging step.
         let image = p * n;
         assert_eq!(of(AlltoallvAlgorithm::PaddedAlltoall), 2 * image + 2 * 512 * n);
         assert_eq!(of(AlltoallvAlgorithm::PaddedAlltoall), 1_572_864);
-        assert_eq!(of(AlltoallvAlgorithm::PaddedBruck), image + 5 * image + 512 * n);
-        assert_eq!(of(AlltoallvAlgorithm::PaddedBruck), 3_407_872);
+        assert_eq!(of(AlltoallvAlgorithm::PaddedBruck), 5 * image + 512 * n);
+        assert_eq!(of(AlltoallvAlgorithm::PaddedBruck), 2_883_584);
         assert_eq!(of(AlltoallvAlgorithm::TwoPhaseBruck), 5 * totals + 512 * n / 2);
         assert_eq!(of(AlltoallvAlgorithm::TwoPhaseBruck), 1_441_792);
         assert!(of(AlltoallvAlgorithm::PaddedBruck) > of(AlltoallvAlgorithm::PaddedAlltoall));

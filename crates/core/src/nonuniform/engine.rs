@@ -27,9 +27,10 @@
 //!   regions they arrived in, so nothing is sized up front and no config of
 //!   it pays an allreduce;
 //! * the padded wrapper, entered when the [`PaddingRule`] fires: pad →
-//!   direct loop → scan, or pad → uniform radix Zero Rotation Bruck, whose
+//!   direct loop → scan, or a uniform radix Zero Rotation Bruck over the
+//!   user's own send blocks, whose packs pad each block on the wire and whose
 //!   delivery closure strips each block's padding as it arrives for the last
-//!   time (no receive image and no scan on the `Bruck` side);
+//!   time (no `P × N` image on either side and no scan on the `Bruck` side);
 //! * the oracle, leader and two-stage exchanges, which have no knobs beyond
 //!   their topology.
 //!
@@ -61,7 +62,7 @@ use bruck_comm::{
 use super::{packed_displs, validate_send, validate_v};
 use crate::common::{add_mod, data_tag, meta_tag, sub_mod, SPREAD_TAG};
 use crate::probe::span;
-use crate::radix::{radix_schedule, radix_step_rel_indices, zero_rotation_bruck_deliver};
+use crate::radix::{full_slots, radix_schedule, radix_step_rel_indices, zero_rotation_bruck_deliver};
 use super::hierarchical::{hierarchical_alltoallv, DEFAULT_GROUP_SIZE};
 use super::two_stage::ranka_two_stage_alltoallv;
 use super::{reference_alltoallv, AlltoallvAlgorithm};
@@ -602,7 +603,8 @@ async fn exchange_counts<P: Port + ?Sized>(comm: &P, sendcounts: &[usize]) -> Co
     let mut counts = vec![0usize; sendcounts.len()];
     counts[me] = sendcounts[me];
     let word = |w: &[u8]| u64::from_le_bytes(std::array::from_fn(|b| w[b])) as usize;
-    zero_rotation_bruck_deliver(comm, &mine, 8, 2, |src, w| counts[src] = word(w)).await?;
+    let slots = full_slots(&mine, sendcounts.len(), 8);
+    zero_rotation_bruck_deliver(comm, &slots, 8, 2, |src, w| counts[src] = word(w)).await?;
     Ok(counts)
 }
 
@@ -760,12 +762,15 @@ fn pack_by_source(blocks: &[&[u8]], buf: &mut Vec<u8>, counts: &mut Vec<usize>) 
 /// global maximum), moved by the topology's uniform exchange, and only each
 /// block's `recvcounts[src]` real bytes reach `recvbuf`.
 ///
-/// * `Direct` — windowed pairwise into a `P × n` receive image, then a scan
-///   strips the padding (`direct_exchange` receives into one buffer).
-/// * `Bruck` — radix-`r` Zero Rotation Bruck, whose delivery closure strips
-///   each block as the sub-step that finishes it receives it, straight from
-///   the wire into `recvbuf`: no receive image, no scan. `padded.scan` then
-///   brackets only the self block's copy.
+/// * `Direct` — a `P × n` send image, windowed pairwise into a `P × n`
+///   receive image, then a scan strips the padding (`direct_exchange` sends
+///   disjoint slices of one buffer and receives into one buffer).
+/// * `Bruck` — radix-`r` Zero Rotation Bruck over an O(P) table of the
+///   user's send blocks: the first pack of each block zero-pads it to `n` on
+///   the wire, and the delivery closure strips it as the sub-step that
+///   finishes it receives it, straight into `recvbuf`. No `P × n` image on
+///   either side and no scan: `padded.pad` brackets building the table,
+///   `padded.scan` only the self block's copy.
 #[allow(clippy::too_many_arguments)]
 async fn padded_exchange<P: Port + ?Sized>(
     comm: &P,
@@ -785,19 +790,15 @@ async fn padded_exchange<P: Port + ?Sized>(
         return Err(CommError::BadArgument("recvcounts exceed the global maximum block size"));
     }
     let p = comm.size();
-    let mut padded_send = vec![0u8; p * n];
-    {
-        let _probe = span("padded.pad");
-        for dst in 0..p {
-            let d = sdispls[dst];
-            padded_send[dst * n..dst * n + sendcounts[dst]]
-                .copy_from_slice(&sendbuf[d..d + sendcounts[dst]]);
-        }
-    }
+    let send_block = |dst: usize| &sendbuf[sdispls[dst]..][..sendcounts[dst]];
     if cfg.topology == EngineTopology::Bruck {
+        let slots: Vec<&[u8]> = {
+            let _probe = span("padded.pad");
+            (0..p).map(send_block).collect()
+        };
         {
             let _probe = span("padded.exchange");
-            zero_rotation_bruck_deliver(comm, &padded_send, n, cfg.radix, |src, slot| {
+            zero_rotation_bruck_deliver(comm, &slots, n, cfg.radix, |src, slot| {
                 let want = recvcounts[src];
                 recvbuf[rdispls[src]..rdispls[src] + want].copy_from_slice(&slot[..want]);
             })
@@ -805,11 +806,18 @@ async fn padded_exchange<P: Port + ?Sized>(
         }
         let _probe = span("padded.scan");
         let me = comm.rank();
-        let want = recvcounts[me];
-        recvbuf[rdispls[me]..rdispls[me] + want]
-            .copy_from_slice(&padded_send[me * n..me * n + want]);
+        recvbuf[rdispls[me]..][..recvcounts[me]].copy_from_slice(send_block(me));
         return Ok(());
     }
+    let padded_send = {
+        let _probe = span("padded.pad");
+        let mut image = Vec::with_capacity(p * n);
+        for dst in 0..p {
+            image.extend_from_slice(send_block(dst));
+            image.resize((dst + 1) * n, 0);
+        }
+        image
+    };
     let mut padded_recv = vec![0u8; p * n];
     {
         let _probe = span("padded.exchange");
@@ -1207,10 +1215,13 @@ async fn bruck_unpadded<P: Port + ?Sized>(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
     use super::super::testutil::{build_send, check_recv, run_and_check_config, TEST_SIZES};
     use super::*;
-    use crate::packed_displs;
-    use bruck_comm::{MeteredComm, SimComm, ThreadComm};
+    use crate::common::uniform_step_tag;
+    use crate::{packed_displs, pattern};
+    use bruck_comm::{EventComm, MeteredComm, SimComm, ThreadComm};
     use bruck_workload::{Distribution, SizeMatrix};
 
     #[test]
@@ -1432,21 +1443,173 @@ mod tests {
         }
     }
 
+    /// Every payload a [`Tap`] sent: `(sender, tag, bytes)`.
+    type Wire = Arc<Mutex<Vec<(usize, Tag, Vec<u8>)>>>;
+
+    /// A [`Port`] that records every payload it sends into its [`Wire`].
+    struct Tap<P> {
+        inner: P,
+        wire: Wire,
+    }
+
+    impl<P: Port> Port for Tap<P> {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+
+        fn send_buf(&self, dest: usize, tag: Tag, buf: MsgBuf) -> CommResult<()> {
+            self.wire.lock().unwrap().push((self.inner.rank(), tag, buf.to_vec()));
+            self.inner.send_buf(dest, tag, buf)
+        }
+
+        fn recv_match(
+            &self,
+            src: usize,
+            tag: Tag,
+            max_len: usize,
+        ) -> impl std::future::Future<Output = CommResult<MsgBuf>> + Send + '_ {
+            self.inner.recv_match(src, tag, max_len)
+        }
+    }
+
+    /// [`configurable_alltoallv`]'s `Direct | Bruck` path with its loop's
+    /// port tapped: blocking on a communicator without a hook, a resumed
+    /// call that owns copies of the arguments on a bare `EventComm`.
+    #[allow(clippy::too_many_arguments)]
+    fn tapped_alltoallv<C: Communicator + ?Sized>(
+        comm: &C,
+        cfg: &EngineConfig,
+        sendbuf: &[u8],
+        sendcounts: &[usize],
+        sdispls: &[usize],
+        recvbuf: &mut [u8],
+        recvcounts: &[usize],
+        rdispls: &[usize],
+        wire: &Wire,
+    ) -> CommResult<()> {
+        validate_v(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)?;
+        let Some(hook) = comm.resumable() else {
+            let tap = Tap { inner: Blocking(comm), wire: Arc::clone(wire) };
+            return block_on(direct_or_bruck(
+                &tap, cfg, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
+            ));
+        };
+        let out = hook.call(|port| {
+            let tap = Tap { inner: port, wire: Arc::clone(wire) };
+            let (cfg, send, sendcounts, sdispls) =
+                (*cfg, sendbuf.to_vec(), sendcounts.to_vec(), sdispls.to_vec());
+            let (mut recv, recvcounts, rdispls) =
+                (recvbuf.to_vec(), recvcounts.to_vec(), rdispls.to_vec());
+            Box::pin(async move {
+                direct_or_bruck(
+                    &tap, &cfg, &send, &sendcounts, &sdispls, &mut recv, &recvcounts, &rdispls,
+                )
+                .await?;
+                Ok(CallOutput { bytes: recv, counts: Vec::new() })
+            })
+        })?;
+        recvbuf.copy_from_slice(&out.bytes);
+        Ok(())
+    }
+
+    #[test]
+    fn padded_bruck_slots_carry_zeros_never_a_neighbours_bytes() {
+        // Every send block sits between poison gaps, the one after it `N`
+        // bytes long, so a pack that read a whole slot from the block's
+        // start would stay in bounds and put poison on the wire. Real bytes
+        // are odd, so neither a zero nor the poison is ever one.
+        const POISON: u8 = 0xFF;
+        let byte = |src: usize, dst: usize, idx: usize| pattern(src, dst, idx) & 0x7F | 1;
+        for p in [3usize, 8, 12] {
+            let m = SizeMatrix::generate(Distribution::Normal, 0x9AD + p as u64, p, 24);
+            let n = m.global_max();
+            assert!((0..p).any(|s| (0..p).any(|d| m.get(s, d) < n)), "P={p}: nothing to pad");
+            // Every slot that may legally cross the wire: a block, then zeros.
+            let slots: std::collections::HashSet<Vec<u8>> = (0..p)
+                .flat_map(|s| (0..p).map(move |d| (s, d)))
+                .map(|(s, d)| {
+                    let mut slot: Vec<u8> = (0..m.get(s, d)).map(|i| byte(s, d, i)).collect();
+                    slot.resize(n, 0);
+                    slot
+                })
+                .collect();
+            for radix in [2usize, 3, 4] {
+                let cfg = EngineConfig { radix, ..EngineConfig::as_padded_bruck() };
+                let wire: Wire = Arc::default();
+                let run = |comm: &dyn Communicator| {
+                    let me = comm.rank();
+                    let sendcounts = m.sendcounts(me);
+                    let (mut sendbuf, mut sdispls) = (vec![POISON; 5], Vec::new());
+                    for (dst, &c) in sendcounts.iter().enumerate() {
+                        sdispls.push(sendbuf.len());
+                        sendbuf.extend((0..c).map(|i| byte(me, dst, i)));
+                        sendbuf.resize(sendbuf.len() + 5 + n, POISON);
+                    }
+                    let recvcounts = m.recvcounts(me);
+                    let rdispls = packed_displs(&recvcounts);
+                    let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
+                    tapped_alltoallv(
+                        comm, &cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts,
+                        &rdispls, &wire,
+                    )
+                    .unwrap();
+                    for src in 0..p {
+                        let want: Vec<u8> =
+                            (0..recvcounts[src]).map(|i| byte(src, me, i)).collect();
+                        assert_eq!(recvbuf[rdispls[src]..][..want.len()], want, "P={p} r={radix}");
+                    }
+                };
+                let check = |backend: &str| {
+                    let wire = std::mem::take(&mut *wire.lock().unwrap());
+                    let schedule = radix_schedule(p, radix);
+                    let step_tags: Vec<Tag> =
+                        schedule.iter().map(|&(k, ..)| uniform_step_tag(k)).collect();
+                    let data: Vec<_> =
+                        wire.iter().filter(|(_, tag, _)| step_tags.contains(tag)).collect();
+                    let case = format!("{backend} P={p} r={radix}");
+                    assert_eq!(data.len(), p * step_tags.len(), "{case}: one message per step");
+                    for (from, tag, bytes) in data {
+                        assert!(!bytes.contains(&POISON), "{case}: poison from {from}");
+                        assert_eq!(bytes.len() % n, 0, "{case}: a message is whole slots");
+                        for slot in bytes.chunks(n) {
+                            assert!(slots.contains(slot), "{case}: {from} sent {slot:?}, {tag:#x}");
+                        }
+                    }
+                };
+                ThreadComm::run(p, |comm| run(comm));
+                check("ThreadComm");
+                EventComm::run(p, |comm| {
+                    assert!(comm.resumable().is_some(), "a bare EventComm runs the stored call");
+                    run(comm)
+                });
+                check("EventComm");
+            }
+        }
+    }
+
     #[test]
     fn a_recvcount_above_the_slot_size_is_a_typed_error() {
         // A receive block larger than any block sent cannot be filled from
         // an `N`-byte slot: both padded topologies refuse it before sending.
+        // Every rank sends 2 bytes to each and expects 3 from its peer.
         for cfg in [EngineConfig::as_padded_bruck(), EngineConfig::as_padded_alltoall()] {
-            let got = ThreadComm::run(1, |comm| {
-                let mut recvbuf = [0u8; 3];
-                configurable_alltoallv(comm, &cfg, &[7, 7], &[2], &[0], &mut recvbuf, &[3], &[0])
+            let got = ThreadComm::run(2, |comm| {
+                let me = comm.rank();
+                let mut recvcounts = [3, 3];
+                recvcounts[me] = 2;
+                let rdispls = packed_displs(&recvcounts);
+                let mut recvbuf = [0u8; 5];
+                configurable_alltoallv(
+                    comm, &cfg, &[7; 4], &[2, 2], &[0, 2], &mut recvbuf, &recvcounts, &rdispls,
+                )
             });
-            assert_eq!(
-                got,
-                [Err(CommError::BadArgument("recvcounts exceed the global maximum block size"))],
-                "{}",
-                cfg.key()
-            );
+            let want =
+                Err(CommError::BadArgument("recvcounts exceed the global maximum block size"));
+            assert_eq!(got, [want.clone(), want], "{}", cfg.key());
         }
     }
 

@@ -140,6 +140,11 @@ pub(crate) fn validate_v<C: Communicator + ?Sized>(
             return Err(CommError::BadArgument("recv block out of bounds"));
         }
     }
+    // The self block never travels: it is copied, so both sides must agree.
+    let me = comm.rank();
+    if sendcounts[me] != recvcounts[me] {
+        return Err(CommError::BadArgument("sendcounts and recvcounts disagree on the self block"));
+    }
     Ok(p)
 }
 
@@ -279,6 +284,45 @@ mod tests {
     fn packed_displs_is_exclusive_prefix_sum() {
         assert_eq!(packed_displs(&[3, 0, 5, 1]), vec![0, 3, 3, 8]);
         assert_eq!(packed_displs(&[]), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn an_inconsistent_self_block_is_a_typed_error_on_every_path() {
+        // The self block never travels, so a rank whose send and receive
+        // counts for itself disagree cannot be served. Every rank here
+        // disagrees with itself, so every rank refuses before it sends and
+        // no peer waits on one that returned.
+        for algo in AlltoallvAlgorithm::ALL {
+            for p in [1usize, 3] {
+                for (send, recv) in [(3usize, 4usize), (4, 3)] {
+                    let got = bruck_comm::ThreadComm::run(p, |comm| {
+                        let me = comm.rank();
+                        let (mut sendcounts, mut recvcounts) = (vec![2; p], vec![2; p]);
+                        (sendcounts[me], recvcounts[me]) = (send, recv);
+                        let sendbuf = vec![7u8; sendcounts.iter().sum()];
+                        let mut recvbuf = vec![0u8; recvcounts.iter().sum()];
+                        alltoallv(
+                            algo,
+                            comm,
+                            &sendbuf,
+                            &sendcounts,
+                            &packed_displs(&sendcounts),
+                            &mut recvbuf,
+                            &recvcounts,
+                            &packed_displs(&recvcounts),
+                        )
+                    });
+                    let want = Err(CommError::BadArgument(
+                        "sendcounts and recvcounts disagree on the self block",
+                    ));
+                    assert!(
+                        got.iter().all(|r| *r == want),
+                        "{} at P={p}, send {send} / receive {recv}: {got:?}",
+                        algo.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

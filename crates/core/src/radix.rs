@@ -18,8 +18,9 @@
 //! as the engine's unpadded loop does), and a block whose remaining digits
 //! are zero is handed to a delivery closure straight off the wire, exactly
 //! once. [`zero_rotation_bruck_radix`] delivers into `recvbuf[src · block..]`;
-//! the engine's padded path delivers `recvcounts[src]` bytes to
-//! `recvbuf[rdispls[src]..]`, which is its padding strip.
+//! the engine's padded path hands in the user's unpadded send blocks, which
+//! the first pack of each pads on the wire, and delivers `recvcounts[src]`
+//! bytes to `recvbuf[rdispls[src]..]`, which is its padding strip.
 
 use bruck_comm::{block_on, Blocking, CommError, CommResult, Communicator, MsgBuf, Port};
 
@@ -81,7 +82,8 @@ pub fn zero_rotation_bruck_radix<C: Communicator + ?Sized>(
     radix: usize,
 ) -> CommResult<()> {
     validate_uniform(comm, sendbuf, recvbuf, block)?;
-    block_on(zero_rotation_bruck_deliver(&Blocking(comm), sendbuf, block, radix, |src, data| {
+    let slots = full_slots(sendbuf, comm.size(), block);
+    block_on(zero_rotation_bruck_deliver(&Blocking(comm), &slots, block, radix, |src, data| {
         recvbuf[src * block..(src + 1) * block].copy_from_slice(data);
     }))?;
     // The self block never travels: I[p] = p.
@@ -90,10 +92,18 @@ pub fn zero_rotation_bruck_radix<C: Communicator + ?Sized>(
     Ok(())
 }
 
-/// The radix-`r` Zero Rotation Bruck loop over `sendbuf`'s `P` slots of
-/// `block` bytes. `deliver(src, bytes)` receives the block from rank `src`
-/// once, at the sub-step that finishes it, for every `src` but this rank (the
-/// self block never travels; the caller places it).
+/// The `P` full `block`-byte slots of a uniform send buffer, by destination.
+pub(crate) fn full_slots(sendbuf: &[u8], p: usize, block: usize) -> Vec<&[u8]> {
+    (0..p).map(|dst| &sendbuf[dst * block..(dst + 1) * block]).collect()
+}
+
+/// The radix-`r` Zero Rotation Bruck loop over `P` slots of `block` bytes.
+/// `slots[dst]` is the original block for rank `dst`, at most `block` bytes:
+/// a shorter one travels zero-padded to `block`, the padding written by the
+/// sub-step that first packs it, so no padded copy of the input exists.
+/// `deliver(src, bytes)` receives the `block`-byte slot from rank `src` once,
+/// at the sub-step that finishes it, for every `src` but this rank (the self
+/// block never travels; the caller places it).
 ///
 /// Store-and-forward needs no working image: `held[j]` says where in the kept
 /// receive regions slot `j`'s block arrived — `(region, offset)` — and until a
@@ -102,7 +112,7 @@ pub fn zero_rotation_bruck_radix<C: Communicator + ?Sized>(
 /// over a [`Port`], so the engine's resumed calls await it.
 pub(crate) async fn zero_rotation_bruck_deliver<P: Port + ?Sized>(
     comm: &P,
-    sendbuf: &[u8],
+    slots: &[&[u8]],
     block: usize,
     radix: usize,
     mut deliver: impl FnMut(usize, &[u8]),
@@ -130,13 +140,15 @@ pub(crate) async fn zero_rotation_bruck_deliver<P: Port + ?Sized>(
         // another allocation.
         let len = rel.len() * block;
         let mut wire = Vec::with_capacity(len);
-        for &i in &rel {
+        for (k, &i) in rel.iter().enumerate() {
             let abs = add_mod(i, me, p);
             match held[abs] {
                 Some((r, at)) => wire.extend_from_slice(&regions[r][at..at + block]),
                 None => {
-                    let orig = rot[abs] * block;
-                    wire.extend_from_slice(&sendbuf[orig..orig + block]);
+                    let orig = slots[rot[abs]];
+                    assert!(orig.len() <= block, "a slot holds at most `block` bytes");
+                    wire.extend_from_slice(orig);
+                    wire.resize((k + 1) * block, 0);
                 }
             }
         }
@@ -273,9 +285,10 @@ mod tests {
                     ThreadComm::run(p, |comm| {
                         let me = comm.rank();
                         let sendbuf = ut::fill_sendbuf(me, p, block);
+                        let slots = full_slots(&sendbuf, p, block);
                         let mut seen = vec![0usize; p];
                         let port = Blocking(comm);
-                        block_on(zero_rotation_bruck_deliver(&port, &sendbuf, block, radix, |src, data| {
+                        block_on(zero_rotation_bruck_deliver(&port, &slots, block, radix, |src, data| {
                             seen[src] += 1;
                             let want: Vec<u8> =
                                 (0..block).map(|idx| ut::pattern(src, me, idx)).collect();

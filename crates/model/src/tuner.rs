@@ -254,14 +254,14 @@ mod tests {
         assert_eq!(winner(0), EngineConfig::as_spread_out());
         // A budget that fits two-phase but not padded: two-phase holds what
         // passes through the rank (10 steps × half the receive volume + a
-        // half-size staging step), padded Bruck the P × N send image plus
-        // 10 steps × half of it in slots + a full-size staging step.
+        // half-size staging step), padded Bruck 10 steps × half of P × N in
+        // slots + a full-size staging step.
         let two_phase_need =
             memory_overhead_bytes(EngineConfig::as_two_phase(), p, n, totals, totals);
         assert_eq!(two_phase_need, 22_528);
         let padded_need =
             memory_overhead_bytes(EngineConfig::as_padded_bruck(), p, n, totals, totals);
-        assert_eq!(padded_need, 53_248);
+        assert_eq!(padded_need, 45_056);
         assert_eq!(within(two_phase_need).len(), 2);
         assert_eq!(winner(two_phase_need), EngineConfig::as_two_phase());
     }
