@@ -25,7 +25,7 @@
 //!   select), and print every selection as a loss table: predicted seconds
 //!   per candidate, the winner, and what the runner-up and the paper's
 //!   default (two-phase) would lose. The selection grid extrapolates beyond
-//!   the measured grid on purpose: the α–β model is what lets 26 tiny cells
+//!   the measured grid on purpose: the α–β model is what lets 24 tiny cells
 //!   pick winners at P = 32768.
 //!
 //! `--out` is rewritten as soon as a scale cell finishes (one JSON object per
@@ -81,11 +81,6 @@ fn estimated_peak_bytes(algo: AlltoallvAlgorithm, p: usize, block: usize) -> f64
         // All P² tiny messages queued at the crossover (measured: 5 GB RSS
         // at P = 4096 with 4-byte blocks).
         AlltoallvAlgorithm::SpreadOut => (pf * pf, block as f64),
-        // Both stages post all P−1 sends eagerly and each message carries a
-        // 4-byte-per-peer counts row, so payload is ~4P per message — the
-        // stage-1 wave alone is ~4P³ bytes (measured: 37 GB RSS at
-        // P = 2048). Quadratic message count × linear payload.
-        AlltoallvAlgorithm::RankaTwoStage => (pf * pf, 4.0 * pf + block as f64),
         // Pairwise/windowed/staged algorithms block on a receive within a
         // bounded number of sends, so the queue stays O(P × window).
         _ => (pf * 64.0, block as f64),
@@ -109,13 +104,12 @@ fn estimated_peak_bytes(algo: AlltoallvAlgorithm, p: usize, block: usize) -> f64
 ///     rank → wall ∝ P^2.5; 7.0–10.2 s at P = 4096.
 ///   - Eager (`SpreadOut`): 1 park per rank → wall ∝ P² message handling;
 ///     memory is the binding constraint instead (0.55–0.86 s at P = 1024).
-/// * **Replayed** (`Reference`, `Hierarchical`, `RankaTwoStage`): every park
-///   re-runs the exchange's prefix, `wall ≈ executions × O(P)`.
+/// * **Replayed** (`Reference`, `Hierarchical`): every park re-runs the
+///   exchange's prefix, `wall ≈ executions × O(P)`.
 ///   - Pairwise (Reference): the shifted schedule makes each rank's step-i
 ///     receive depend on its step-i sender — a wavefront, P/4 parks per rank
 ///     → wall ∝ P³ (13 s at P = 1024, 97 s at 2048).
-///   - Staged (Hierarchical, RankaTwoStage): the pairwise shape divided by
-///     the stage width.
+///   - Staged (Hierarchical): the pairwise shape divided by the stage width.
 ///
 /// Constants are deliberately rounded — the gate exists to refuse cells that
 /// are orders of magnitude over budget, not to predict wall clock to 10%.
@@ -130,7 +124,6 @@ fn estimated_wall_s(algo: AlltoallvAlgorithm, p: usize) -> f64 {
         Vendor => 10.0 * x * x * x.sqrt(),
         SpreadOut => 13.0 * x * x,
         Hierarchical => 12.0 * x * x * x.sqrt(),
-        RankaTwoStage => 13000.0 * x * x * x,
         Reference => 800.0 * x * x * x,
     }
 }

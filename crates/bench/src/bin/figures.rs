@@ -651,15 +651,14 @@ fn memory_table() {
         AlltoallvAlgorithm::PaddedBruck,
         AlltoallvAlgorithm::Sloav,
         AlltoallvAlgorithm::Hierarchical,
-        AlltoallvAlgorithm::RankaTwoStage,
     ] {
         let bytes = memory_overhead_bytes(algo, p, n, totals, totals);
         println!("  {:<16} {:>12} bytes ({:.1} MiB)", algo.name(), bytes, bytes as f64 / (1 << 20) as f64);
     }
 }
 
-/// Related-work baselines (§6) under the model: hierarchical and Ranka
-/// two-stage vs the paper's algorithms.
+/// Related-work baseline (§6) under the model: the leader-based
+/// hierarchical exchange vs the paper's algorithms.
 fn related_work_table() {
     let m = MachineModel::theta_like();
     let ns = [16usize, 128, 1024];
@@ -668,7 +667,6 @@ fn related_work_table() {
             AlltoallvAlgorithm::Vendor,
             AlltoallvAlgorithm::TwoPhaseBruck,
             AlltoallvAlgorithm::Hierarchical,
-            AlltoallvAlgorithm::RankaTwoStage,
         ]
         .iter()
         .map(|&algo| Series {

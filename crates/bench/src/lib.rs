@@ -33,7 +33,7 @@ use bruck_workload::SizeMatrix;
 use export::PhaseTimeline;
 
 /// The candidate set `bruck-bench tune` measures, calibrates on and selects
-/// from: all nine named points plus four off-point members of the knob space
+/// from: all eight named points plus four off-point members of the knob space
 /// no algorithm name covers. Shared with the workspace tests, which hold
 /// every one of them to its model trace.
 pub fn tune_candidates() -> Vec<EngineConfig> {

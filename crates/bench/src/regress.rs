@@ -383,7 +383,7 @@ mod tests {
         let baseline = include_str!("../baseline.json");
         let smoke: Vec<Spec> =
             scale_matrix(true, &[]).into_iter().chain(tune_matrix(true, &[])).collect();
-        assert_eq!(smoke.len(), 2 + 26);
+        assert_eq!(smoke.len(), 2 + 24);
         for spec in smoke {
             let probe = cell(spec, 0.0, 0);
             let line = find_cell_line(baseline, &probe)

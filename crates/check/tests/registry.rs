@@ -43,12 +43,11 @@ fn registry_covers_every_public_point() {
     let bruck = |c: &EngineConfig| c.topology == EngineTopology::Bruck;
     let direct = |c: &EngineConfig| c.topology == EngineTopology::Direct;
     // Every engine dimension, both sides.
-    let knobs: [(&str, &dyn Fn(&EngineConfig) -> bool); 16] = [
+    let knobs: [(&str, &dyn Fn(&EngineConfig) -> bool); 15] = [
         ("topology oracle", &|c| c.topology == EngineTopology::Oracle),
         ("topology direct", &direct),
         ("topology bruck", &bruck),
         ("topology leader", &|c| matches!(c.topology, EngineTopology::Leader { .. })),
-        ("topology two-stage", &|c| c.topology == EngineTopology::TwoStage),
         ("radix 2", &|c| bruck(c) && c.radix == 2),
         ("radix > 2", &|c| bruck(c) && c.radix > 2),
         ("no throttle", &|c| direct(c) && c.throttle_window.is_none()),
@@ -124,14 +123,14 @@ fn registry_covers_every_public_point() {
 #[test]
 fn smoke_cell_counts_are_pinned() {
     let count = |fam| family(fam, Tier::Smoke).len();
-    // 414 single operations + 13 two-phase fixpoints + the two fixpoints
+    // 385 single operations + 13 two-phase fixpoints + the two fixpoints
     // over vendor and over padded Bruck.
-    assert_eq!(count(Family::Check), 431);
-    // 51 single operations + the two fixpoints over two-phase at two seeds,
+    assert_eq!(count(Family::Check), 402);
+    // 49 single operations + the two fixpoints over two-phase at two seeds,
     // and over vendor and padded Bruck at one.
-    assert_eq!(count(Family::Sim), 59);
-    // 96 single operations + the two fixpoints under clean / lossy / crash.
-    assert_eq!(count(Family::Chaos), 102);
+    assert_eq!(count(Family::Sim), 57);
+    // 94 single operations + the two fixpoints under clean / lossy / crash.
+    assert_eq!(count(Family::Chaos), 100);
     let chaos = family(Family::Chaos, Tier::Smoke);
     for app in Fixpoint::ALL {
         for f in [Faults::Clean, Faults::Lossy, Faults::Crash] {
@@ -140,13 +139,13 @@ fn smoke_cell_counts_are_pinned() {
             assert!(chaos.iter().any(hit), "{app:?} misses {}", f.name());
         }
     }
-    // 19 alltoallv DPOR cells + the eight schedules at P = 2 and P = 3, and
+    // 17 alltoallv DPOR cells + the eight schedules at P = 2 and P = 3, and
     // one fixpoint on top.
-    assert!(count(Family::Verify) > 19 + 16, "verify: {}", count(Family::Verify));
+    assert!(count(Family::Verify) > 17 + 16, "verify: {}", count(Family::Verify));
     assert_eq!(bruck_check::wakeup_audit::EventScenario::ALL.len(), 5);
-    // Nine `alltoallv`s, the closure and the eight schedules, each crashed
+    // Eight `alltoallv`s, the closure and the eight schedules, each crashed
     // at four points.
-    assert_eq!(count(Family::Recovery), 72);
+    assert_eq!(count(Family::Recovery), 68);
     let canaries = family(Family::Chaos, Tier::Full)
         .iter()
         .filter(|r| r.harness == Harness::Chaos { threads: true })

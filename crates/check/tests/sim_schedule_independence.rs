@@ -36,7 +36,7 @@ fn assert_schedule_independent(ops: &[Op], dist: Distribution, workload_seed: u6
     }
 }
 
-/// The nine named points (named algorithms are engine configs) plus
+/// The eight named points (named algorithms are engine configs) plus
 /// off-point product-space members.
 #[test]
 fn every_engine_config_delivers_identical_bytes_across_16_schedules() {

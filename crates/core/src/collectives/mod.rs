@@ -245,7 +245,7 @@ async fn allreduce_rs_ag<P: Port + ?Sized>(
     let p = comm.size();
     let me = comm.rank();
     let n = buf.len();
-    // Near-equal pieces — the same split the Ranka two-stage algorithm uses.
+    // Near-equal pieces, the longer ones first.
     let counts: Vec<usize> = (0..p).map(|i| crate::piece_len(n, i, p)).collect();
     let mut piece = vec![0u64; counts[me]];
     let halving = reduce_scatter_plan(ReduceScatterAlgorithm::RecursiveHalving, p);

@@ -26,6 +26,14 @@ pub fn rotation_index(rank: usize, p: usize) -> Vec<usize> {
     (0..p).map(|j| ((2 * rank + p) - j) % p).collect()
 }
 
+/// Bytes of piece `i` (of `p`) of a `len`-byte block split into near-equal
+/// pieces: `len/p`, plus one for the first `len mod p` pieces. The
+/// Rabenseifner allreduce splits its vector this way.
+#[inline]
+pub fn piece_len(len: usize, i: usize, p: usize) -> usize {
+    len / p + usize::from(i < len % p)
+}
+
 /// `(a − b) mod p` without underflow.
 #[inline]
 pub fn sub_mod(a: usize, b: usize, p: usize) -> usize {
@@ -69,12 +77,6 @@ pub const HIER_LEADER_TAG: Tag = 0x0501;
 
 /// Tag for the hierarchical algorithm's leader→member scatter phase.
 pub const HIER_SCATTER_TAG: Tag = 0x0502;
-
-/// Tag for the Ranka two-stage algorithm's piece-scatter stage.
-pub const RANKA_STAGE1_TAG: Tag = 0x0600;
-
-/// Tag for the Ranka two-stage algorithm's forwarding stage.
-pub const RANKA_STAGE2_TAG: Tag = 0x0601;
 
 // ---------------------------------------------------------------------------
 // The wider collective family (allgatherv / reduce_scatter / allreduce /
@@ -121,6 +123,19 @@ pub fn pat_rs_tag(k: u32) -> Tag {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn piece_arithmetic_partitions_blocks() {
+        for len in [0usize, 1, 7, 64, 65, 1023] {
+            for p in [1usize, 2, 5, 8, 13] {
+                let pieces: Vec<usize> = (0..p).map(|i| piece_len(len, i, p)).collect();
+                assert_eq!(pieces.iter().sum::<usize>(), len, "len={len} p={p}");
+                // Balanced within one byte, the longer pieces first.
+                assert!(pieces.windows(2).all(|w| w[0] >= w[1]), "len={len} p={p}");
+                assert!(pieces[0] - pieces[p - 1] <= 1, "len={len} p={p}");
+            }
+        }
+    }
 
     #[test]
     fn ceil_log2_matches_definition() {

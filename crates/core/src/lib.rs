@@ -106,10 +106,11 @@ pub use collectives::{
     reduce_scatter_plan, reference_allgatherv, reference_allreduce, reference_reduce_scatter,
     AllgathervAlgorithm, AllreduceAlgorithm, Plan, PlanStep, ReduceScatterAlgorithm,
 };
+pub use common::piece_len;
 pub use memory::memory_overhead_bytes;
 pub use nonuniform::{
     alltoallv, alltoallv_discover, configurable_alltoallv, configurable_alltoallv_general, packed_displs, pattern,
-    piece_len, recovering, recovering_alltoallv, reference_alltoallv, AlltoallvAlgorithm,
+    recovering, recovering_alltoallv, reference_alltoallv, AlltoallvAlgorithm,
     EngineConfig, EngineTopology, IntermediateLayout, Mttr, PaddingRule, Recovered,
     RecoveringConfig, RecoveryOutcome, VENDOR_WINDOW,
 };

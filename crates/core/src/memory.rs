@@ -64,9 +64,6 @@ pub fn memory_overhead_bytes(
         // Leaders hold the whole group's data both ways; amortized per rank
         // this is a send + receive image.
         EngineTopology::Leader { group: _ } => send_total + recv_total,
-        // Intermediates hold one piece of every block: a full send image in
-        // aggregate, 1/P per rank of the global volume ≈ send_total.
-        EngineTopology::TwoStage => send_total + recv_total / p.max(1),
     }
 }
 

@@ -8,7 +8,7 @@
 //!
 //! | knob | values | what it selects |
 //! |---|---|---|
-//! | [`EngineTopology`] | oracle / direct / bruck / leader / two-stage | message pattern family |
+//! | [`EngineTopology`] | oracle / direct / bruck / leader | message pattern family |
 //! | `radix` | `r ≥ 2` | Bruck digit base: `(r−1)·⌈log_r P⌉` steps, `⌈log_r P⌉` forwards |
 //! | `throttle_window` | `None` / `Some(w)` | outstanding pairs for direct exchanges |
 //! | [`PaddingRule`] | never / always / threshold | pad blocks to the global max `N` first |
@@ -31,8 +31,8 @@
 //!   user's own send blocks, whose packs pad each block on the wire and whose
 //!   delivery closure strips each block's padding as it arrives for the last
 //!   time (no `P × N` image on either side and no scan on the `Bruck` side);
-//! * the oracle, leader and two-stage exchanges, which have no knobs beyond
-//!   their topology.
+//! * the oracle and leader exchanges, which have no knobs beyond their
+//!   topology.
 //!
 //! [`alltoallv_discover`] is the same engine for a caller that knows only its
 //! send side, as a fixpoint round does. The direct and unpadded Bruck loops
@@ -64,7 +64,6 @@ use crate::common::{add_mod, data_tag, meta_tag, sub_mod, SPREAD_TAG};
 use crate::probe::span;
 use crate::radix::{full_slots, radix_schedule, radix_step_rel_indices, zero_rotation_bruck_deliver};
 use super::hierarchical::{hierarchical_alltoallv, DEFAULT_GROUP_SIZE};
-use super::two_stage::ranka_two_stage_alltoallv;
 use super::{reference_alltoallv, AlltoallvAlgorithm};
 
 /// Outstanding-request window of the vendor `MPI_Alltoallv` stand-in. Cray's
@@ -132,8 +131,6 @@ pub enum EngineTopology {
         /// Ranks per group (leaders are the rank-0 member of each group).
         group: usize,
     },
-    /// Ranka et al.'s balanced two-stage decomposition.
-    TwoStage,
 }
 
 /// One point in the engine's knob space. See the module docs for the
@@ -257,12 +254,6 @@ impl EngineConfig {
         }
     }
 
-    /// Ranka et al.'s two-stage decomposition
-    /// ([`AlltoallvAlgorithm::RankaTwoStage`]).
-    pub fn as_ranka_two_stage() -> EngineConfig {
-        EngineConfig { topology: EngineTopology::TwoStage, ..CANONICAL }
-    }
-
     /// The named config point reproducing `algo`.
     pub fn for_algorithm(algo: AlltoallvAlgorithm) -> EngineConfig {
         match algo {
@@ -274,12 +265,11 @@ impl EngineConfig {
             AlltoallvAlgorithm::TwoPhaseBruck => Self::as_two_phase(),
             AlltoallvAlgorithm::Sloav => Self::as_sloav(),
             AlltoallvAlgorithm::Hierarchical => Self::as_hierarchical(),
-            AlltoallvAlgorithm::RankaTwoStage => Self::as_ranka_two_stage(),
         }
     }
 
     /// Every named config point, paired with the variant it reproduces.
-    pub fn named_points() -> [(EngineConfig, AlltoallvAlgorithm); 9] {
+    pub fn named_points() -> [(EngineConfig, AlltoallvAlgorithm); 8] {
         AlltoallvAlgorithm::ALL.map(|a| (Self::for_algorithm(a), a))
     }
 
@@ -289,7 +279,6 @@ impl EngineConfig {
     pub fn as_algorithm(&self) -> Option<AlltoallvAlgorithm> {
         match self.topology {
             EngineTopology::Oracle => Some(AlltoallvAlgorithm::Reference),
-            EngineTopology::TwoStage => Some(AlltoallvAlgorithm::RankaTwoStage),
             EngineTopology::Leader { group } => {
                 (group == DEFAULT_GROUP_SIZE).then_some(AlltoallvAlgorithm::Hierarchical)
             }
@@ -348,7 +337,6 @@ impl EngineConfig {
         };
         match self.topology {
             EngineTopology::Oracle => "oracle".to_string(),
-            EngineTopology::TwoStage => "twostage".to_string(),
             EngineTopology::Leader { group } => format!("leader:g={group}"),
             EngineTopology::Direct => {
                 let w = match self.throttle_window {
@@ -390,7 +378,6 @@ impl EngineConfig {
         };
         let mut cfg = match head {
             "oracle" => EngineConfig::as_reference(),
-            "twostage" => EngineConfig::as_ranka_two_stage(),
             "leader" => {
                 EngineConfig { topology: EngineTopology::Leader { group: 0 }, ..CANONICAL }
             }
@@ -464,9 +451,6 @@ pub fn configurable_alltoallv<C: Communicator + ?Sized>(
         EngineTopology::Oracle => {
             reference_alltoallv(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
         }
-        EngineTopology::TwoStage => ranka_two_stage_alltoallv(
-            comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls,
-        ),
         EngineTopology::Leader { group } => hierarchical_alltoallv(
             comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls, group,
         ),

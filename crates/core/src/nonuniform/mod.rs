@@ -11,7 +11,6 @@ mod engine;
 mod hierarchical;
 mod recovering;
 mod reference;
-mod two_stage;
 
 // `configurable_alltoallv_general` is the same function under the name the
 // frozen `benchmark/` crate imports.
@@ -24,7 +23,6 @@ pub use recovering::{
     recovering, recovering_alltoallv, Mttr, Recovered, RecoveringConfig, RecoveryOutcome,
 };
 pub use reference::{pattern, reference_alltoallv};
-pub use two_stage::piece_len;
 
 use bruck_comm::{CommError, CommResult, Communicator};
 
@@ -51,13 +49,11 @@ pub enum AlltoallvAlgorithm {
     /// Leader-based hierarchical exchange (related work, §6) with groups of
     /// eight ([`EngineConfig::as_hierarchical`]).
     Hierarchical,
-    /// Ranka et al.'s balanced two-stage decomposition (related work, §6).
-    RankaTwoStage,
 }
 
 impl AlltoallvAlgorithm {
     /// All algorithms, baselines first.
-    pub const ALL: [AlltoallvAlgorithm; 9] = [
+    pub const ALL: [AlltoallvAlgorithm; 8] = [
         AlltoallvAlgorithm::Reference,
         AlltoallvAlgorithm::SpreadOut,
         AlltoallvAlgorithm::Vendor,
@@ -66,7 +62,6 @@ impl AlltoallvAlgorithm {
         AlltoallvAlgorithm::TwoPhaseBruck,
         AlltoallvAlgorithm::Sloav,
         AlltoallvAlgorithm::Hierarchical,
-        AlltoallvAlgorithm::RankaTwoStage,
     ];
 
     /// Display name matching the paper's figures.
@@ -80,7 +75,6 @@ impl AlltoallvAlgorithm {
             AlltoallvAlgorithm::TwoPhaseBruck => "Two-phase Bruck",
             AlltoallvAlgorithm::Sloav => "SLOAV",
             AlltoallvAlgorithm::Hierarchical => "Hierarchical",
-            AlltoallvAlgorithm::RankaTwoStage => "Ranka two-stage",
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use bruck_core::common::{
     data_tag, meta_tag, uniform_step_tag, HIER_GATHER_TAG, HIER_LEADER_TAG, HIER_SCATTER_TAG,
-    RANKA_STAGE1_TAG, RANKA_STAGE2_TAG, SPREAD_TAG,
+    SPREAD_TAG,
 };
 
 use crate::MachineModel;
@@ -36,10 +36,6 @@ pub enum StepKind {
     HierLeader,
     /// Hierarchical leader→member scatter (`HIER_SCATTER_TAG`).
     HierScatter,
-    /// Ranka two-stage piece scatter (`RANKA_STAGE1_TAG`).
-    RankaStage1,
-    /// Ranka two-stage forwarding (`RANKA_STAGE2_TAG`).
-    RankaStage2,
     /// A collective prologue (allreduce of the maximum block size); uses
     /// reserved tags and is skipped by byte validation.
     Collective,
@@ -67,8 +63,6 @@ impl StepKind {
             StepKind::HierGather => Some(HIER_GATHER_TAG),
             StepKind::HierLeader => Some(HIER_LEADER_TAG),
             StepKind::HierScatter => Some(HIER_SCATTER_TAG),
-            StepKind::RankaStage1 => Some(RANKA_STAGE1_TAG),
-            StepKind::RankaStage2 => Some(RANKA_STAGE2_TAG),
             StepKind::Coll { tag, .. } => Some(tag),
             StepKind::Collective | StepKind::Local => None,
         }
@@ -88,7 +82,7 @@ pub struct RankLoad {
     /// Payload bytes received by this rank in this step.
     pub bytes_in: u64,
     /// Local bytes copied (pack + unpack + rotations + padding + scans, the
-    /// combined coupling's extra pack pass, the two-stage repack).
+    /// combined coupling's extra pack pass).
     pub copy_bytes: u64,
     /// Blocks handled one descriptor at a time: walked by the datatype engine
     /// (`-dt` variants), parsed out of a combined buffer, or kept as views in
@@ -124,10 +118,7 @@ fn rank_time(m: &MachineModel, kind: StepKind, l: &RankLoad, p: usize) -> f64 {
     let beta = match kind {
         // All-pairs patterns contend; the leader exchange is all-pairs over
         // the (much smaller) leader set.
-        StepKind::Pairwise { .. }
-        | StepKind::HierLeader
-        | StepKind::RankaStage1
-        | StepKind::RankaStage2 => m.beta_pair,
+        StepKind::Pairwise { .. } | StepKind::HierLeader => m.beta_pair,
         _ => m.beta,
     };
     let inject = match kind {

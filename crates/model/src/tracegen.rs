@@ -27,7 +27,7 @@
 
 use bruck_core::common::{add_mod, ceil_log2, sub_mod};
 use bruck_core::{
-    piece_len, radix_schedule, radix_step_rel_indices, AlltoallAlgorithm, EngineConfig,
+    radix_schedule, radix_step_rel_indices, AlltoallAlgorithm, EngineConfig,
     EngineTopology, IntermediateLayout, PaddingRule,
 };
 
@@ -243,7 +243,6 @@ pub fn nonuniform_trace<S: SizeSource + ?Sized>(
             steps.push(pairwise_step(p, Issue::Blocking, off_diagonal, sample));
         }
         EngineTopology::Leader { group } => hierarchical_steps(source, group, sample, &mut steps),
-        EngineTopology::TwoStage => ranka_steps(source, sample, &mut steps),
         EngineTopology::Direct | EngineTopology::Bruck => {
             let bruck = cfg.topology == EngineTopology::Bruck;
             let n_max = source.n_max();
@@ -433,9 +432,12 @@ fn hierarchical_steps<S: SizeSource + ?Sized>(
             };
             exchange.push((q, load));
         }
-        // Scatter: flatten each other member's column; deliver its own.
+        // Scatter: flatten each other member's column and send it, one
+        // message per member (the first pays the latency, the rest overlap
+        // it); deliver its own.
         let load = RankLoad {
-            seq_msgs: 1,
+            seq_msgs: u32::from(g_size > 1),
+            ov_msgs: g_size.saturating_sub(2) as u32,
             bytes_out: cols - own_col,
             copy_bytes: own_col,
             ..Default::default()
@@ -447,101 +449,6 @@ fn hierarchical_steps<S: SizeSource + ?Sized>(
         steps.push(Step { kind: StepKind::HierLeader, loads: exchange });
     }
     steps.push(Step { kind: StepKind::HierScatter, loads: scatter });
-}
-
-/// P above which Ranka per-rank loads are estimated statistically (exact
-/// computation is O(P²) per covered rank).
-const RANKA_EXACT_LIMIT: usize = 1024;
-
-/// Steps of the Ranka two-stage exchange.
-fn ranka_steps<S: SizeSource + ?Sized>(source: &S, sample: &RankSample, steps: &mut Vec<Step>) {
-    let p = source.p();
-    // Σ_d piece_i(size(s, d)): piece `i` of every block in row `s`.
-    let pieces_row = |s: usize, i: usize| -> u64 {
-        (0..p).map(|d| piece_len(source.size(s, d), i, p) as u64).sum()
-    };
-    let header = 4 * (p as u64) * (p as u64 - 1);
-
-    if p <= RANKA_EXACT_LIMIT {
-        let stage1 = sample
-            .ranks()
-            .iter()
-            .map(|&q| {
-                let out = header + source.row_sum(q) - pieces_row(q, q);
-                let inb = header
-                    + (0..p).filter(|&s| s != q).map(|s| pieces_row(s, q)).sum::<u64>();
-                (
-                    q,
-                    RankLoad {
-                        seq_msgs: 1,
-                        ov_msgs: (p.saturating_sub(2)) as u32,
-                        bytes_out: out,
-                        bytes_in: inb,
-                        // Every block is cut into pieces: one pass over the
-                        // send image.
-                        copy_bytes: source.row_sum(q),
-                        ..Default::default()
-                    },
-                )
-            })
-            .collect();
-        steps.push(Step { kind: StepKind::RankaStage1, loads: stage1 });
-        let stage2 = sample
-            .ranks()
-            .iter()
-            .map(|&q| {
-                // out: piece q of every (s, d ≠ q) block.
-                let all: u64 = (0..p).map(|s| pieces_row(s, q)).sum();
-                let own: u64 =
-                    (0..p).map(|s| piece_len(source.size(s, q), q, p) as u64).sum();
-                let out = all - own;
-                // in: from each intermediate i ≠ q, piece i of column q —
-                // i.e. everything destined to q except the pieces q already
-                // holds itself: col_sum(q) − own.
-                let inb = source.col_sum(q) - own;
-                (
-                    q,
-                    RankLoad {
-                        seq_msgs: 1,
-                        ov_msgs: (p.saturating_sub(2)) as u32,
-                        bytes_out: out,
-                        bytes_in: inb,
-                        // Pieces are placed one by one: one pass over the
-                        // receive image.
-                        copy_bytes: source.col_sum(q),
-                        ..Default::default()
-                    },
-                )
-            })
-            .collect();
-        steps.push(Step { kind: StepKind::RankaStage2, loads: stage2 });
-    } else {
-        // Statistical estimate: total volume from a 32-column sample.
-        let cols = 32.min(p);
-        let est_total: u64 =
-            (0..cols).map(|i| source.col_sum(i * p / cols)).sum::<u64>() / cols as u64
-                * p as u64;
-        let per_rank = est_total / p as u64 + (p as u64 - 1) / 2;
-        let load = RankLoad {
-            seq_msgs: 1,
-            ov_msgs: (p - 2) as u32,
-            bytes_out: header + per_rank,
-            bytes_in: header + per_rank,
-            copy_bytes: per_rank, // the send image, then the receive image
-            ..Default::default()
-        };
-        for kind in [StepKind::RankaStage1, StepKind::RankaStage2] {
-            let mut l = load;
-            if kind == StepKind::RankaStage2 {
-                l.bytes_out = per_rank;
-                l.bytes_in = per_rank;
-            }
-            steps.push(Step {
-                kind,
-                loads: sample.ranks().iter().map(|&r| (r, l)).collect(),
-            });
-        }
-    }
 }
 
 #[cfg(test)]

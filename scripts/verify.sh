@@ -38,7 +38,7 @@ stage docs env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Observability conformance gate (DESIGN.md §10): every algorithm × workload
 # cell under MeteredComm must match the closed-form model's phase counts,
 # message counts, and byte volumes. Its message/byte comparator
-# (tests/common/, with the two negative fixtures that prove it can fail) is
+# (tests/common/, with the three negative fixtures that prove it can fail) is
 # the only one in the workspace: trace_validation, radix_validation,
 # engine_equivalence, engine_properties and collectives_gauntlet bring their
 # cells to it in the `test` stage above — the last one holds every randomly
@@ -84,7 +84,7 @@ stage bruck-check cargo run --release -p bruck-check --bin bruck-check
 # dependence in the ARQ or the driver; the crash ones sit out a real 2 s
 # deadline and the ARQ's retry schedule for the victim, which ends the
 # confirm's wait for it (~5 s of the stage). Then the recovery matrix:
-# the nine alltoallv algorithms, a transitive-closure fixpoint and the eight
+# the eight alltoallv algorithms, a transitive-closure fixpoint and the eight
 # collective schedules, each with a victim scripted to crash at its first /
 # quarter / half / last op on a 5-rank simulated world over bare FaultComm,
 # same contract, same-seed digest-deterministic. Its virtual-time MTTR per

@@ -10,7 +10,7 @@
 //! to tens of thousands of ranks on the event runtime — all with the
 //! guarantee that a disagreement is a backend bug, not an algorithm quirk.
 //!
-//! The matrix covers all nine [`AlltoallvAlgorithm`]s across two workload
+//! The matrix covers all eight [`AlltoallvAlgorithm`]s across two workload
 //! distributions and several world sizes, plus one fault-stack cell
 //! (`FaultComm` → `ReliableComm` → [`recovering_alltoallv`], the one fault
 //! path) proving the wrapper stack and the recovering driver compose
@@ -78,7 +78,7 @@ fn on_event(algo: AlltoallvAlgorithm, m: &SizeMatrix, workers: usize) -> Vec<Vec
     EventComm::run_pooled(m.p(), workers, |comm| exchange(comm, algo, m))
 }
 
-/// The full matrix: 9 algorithms × 2 distributions × 3 world sizes, three
+/// The full matrix: 8 algorithms × 2 distributions × 3 world sizes, three
 /// backends each, every receive buffer compared byte-for-byte.
 #[test]
 fn all_algorithms_byte_identical_across_backends() {

@@ -29,7 +29,7 @@ use bruck_core::{
     AllreduceAlgorithm, ReduceScatterAlgorithm,
 };
 use bruck_model::{allgatherv_trace, allreduce_trace, reduce_scatter_trace, CommTrace, RankSample};
-use common::{conformance_violations, phase_violations, same_on_every_path, Rule, PATH_SIZES};
+use common::{conformance_violations, phase_violations, same_on_every_path, PATH_SIZES};
 
 /// World sizes covering the degenerate (1), even/odd, power-of-two and
 /// non-power-of-two regimes.
@@ -298,7 +298,7 @@ fn assert_conformant(
     phases: &[(&'static str, u64)],
 ) {
     for (rank, (metrics, events)) in runs.iter().enumerate() {
-        let mut v = conformance_violations(rank, metrics, trace, Rule::Exact);
+        let mut v = conformance_violations(rank, metrics, trace);
         v.extend(phase_violations(rank, events, phases));
         assert!(v.is_empty(), "{name}: {v:#?}");
     }
@@ -423,7 +423,7 @@ fn miscounted_allgatherv_fixture_fails_the_gate_with_precise_diagnostic() {
     // The honest trace passes...
     let honest = allgatherv_trace(AllgathervAlgorithm::Bruck, &counts, &RankSample::all(p));
     for (rank, metrics) in runs.iter().enumerate() {
-        assert!(conformance_violations(rank, metrics, &honest, Rule::Exact).is_empty());
+        assert!(conformance_violations(rank, metrics, &honest).is_empty());
     }
 
     // ...and a trace built from deliberately miscounted contributions — the
@@ -435,7 +435,7 @@ fn miscounted_allgatherv_fixture_fails_the_gate_with_precise_diagnostic() {
     let violations: Vec<String> = runs
         .iter()
         .enumerate()
-        .flat_map(|(rank, metrics)| conformance_violations(rank, metrics, &fixture, Rule::Exact))
+        .flat_map(|(rank, metrics)| conformance_violations(rank, metrics, &fixture))
         .collect();
     assert!(!violations.is_empty(), "miscounted fixture must not pass the gate");
     assert!(
@@ -449,7 +449,7 @@ fn miscounted_allgatherv_fixture_fails_the_gate_with_precise_diagnostic() {
     let violations: Vec<String> = runs
         .iter()
         .enumerate()
-        .flat_map(|(rank, metrics)| conformance_violations(rank, metrics, &wrong_schedule, Rule::Exact))
+        .flat_map(|(rank, metrics)| conformance_violations(rank, metrics, &wrong_schedule))
         .collect();
     assert!(violations.iter().any(|v| v.contains("messages")), "{violations:#?}");
 }

@@ -20,57 +20,15 @@ use bruck_comm::{
     RESERVED_TAG_BASE,
 };
 use bruck_core::probe::PhaseEvent;
-use bruck_core::{configurable_alltoallv, packed_displs, EngineConfig, EngineTopology};
+use bruck_core::{configurable_alltoallv, packed_displs, EngineConfig};
 use bruck_model::{nonuniform_trace, CommTrace, MatrixSource, RankSample};
 use bruck_workload::SizeMatrix;
 
-/// How one rank's metered counters are held to a trace.
-#[derive(Clone, Copy)]
-pub enum Rule {
-    /// Messages and bytes per tag must equal the prediction.
-    Exact,
-    /// Messages exact; |measured − predicted| bytes ≤ `quantum` × predicted
-    /// messages: padding may shift volume by up to one pad quantum per
-    /// message, never more.
-    Quantum(u64),
-    /// Bytes exact per tag, message counts not compared — the one named
-    /// exception: the hierarchical and Ranka traces fold a fan-out round
-    /// (`g − 1` scatter sends, `P − 1` piece sends) into a single modelled
-    /// load, so their per-tag message counts are not the wire's.
-    AggregatedFanOut,
-}
-
-impl Rule {
-    /// The strictest rule `cfg`'s trace supports.
-    pub fn for_config(cfg: &EngineConfig) -> Rule {
-        match cfg.topology {
-            EngineTopology::Leader { .. } | EngineTopology::TwoStage => Rule::AggregatedFanOut,
-            EngineTopology::Oracle | EngineTopology::Direct | EngineTopology::Bruck => Rule::Exact,
-        }
-    }
-
-    fn msgs_hold(self, got: u64, want: u64) -> bool {
-        matches!(self, Rule::AggregatedFanOut) || got == want
-    }
-
-    fn bytes_hold(self, got: u64, want_bytes: u64, want_msgs: u64) -> bool {
-        match self {
-            Rule::Exact | Rule::AggregatedFanOut => got == want_bytes,
-            Rule::Quantum(q) => got.abs_diff(want_bytes) <= q * want_msgs,
-        }
-    }
-}
-
-/// Compare one rank's metered counters against the model trace: messages and
-/// bytes per wire tag, no logical traffic on a tag the trace does not model,
-/// and channel totals fully explained. Returns one violation string per
-/// mismatch; empty = conformant.
-pub fn conformance_violations(
-    rank: usize,
-    metrics: &Metrics,
-    trace: &CommTrace,
-    rule: Rule,
-) -> Vec<String> {
+/// Compare one rank's metered counters against the model trace, exactly:
+/// messages and bytes per wire tag, no logical traffic on a tag the trace
+/// does not model, and channel totals fully explained. Returns one violation
+/// string per mismatch; empty = conformant.
+pub fn conformance_violations(rank: usize, metrics: &Metrics, trace: &CommTrace) -> Vec<String> {
     let mut v = metrics.consistency_errors();
     let wire_tags = trace.wire_tags();
     let mut predicted_msgs = 0u64;
@@ -84,16 +42,15 @@ pub fn conformance_violations(
         predicted_msgs += want_msgs;
         predicted_bytes += want_bytes;
         let got = metrics.sent_for_tag(tag);
-        if !rule.msgs_hold(got.msgs, want_msgs) {
+        if got.msgs != want_msgs {
             v.push(format!(
                 "rank {rank} tag {tag:#x}: sent {} messages, model predicts {want_msgs}",
                 got.msgs
             ));
         }
-        if !rule.bytes_hold(got.bytes, want_bytes, want_msgs) {
+        if got.bytes != want_bytes {
             v.push(format!(
-                "rank {rank} tag {tag:#x}: sent {} bytes, model predicts {want_bytes} \
-                 (outside tolerance)",
+                "rank {rank} tag {tag:#x}: sent {} bytes, model predicts {want_bytes}",
                 got.bytes
             ));
         }
@@ -104,37 +61,34 @@ pub fn conformance_violations(
         }
     }
     // Channel totals must be fully explained by the trace.
-    if !rule.msgs_hold(metrics.logical.sent_msgs, predicted_msgs) {
+    if metrics.logical.sent_msgs != predicted_msgs {
         v.push(format!(
             "rank {rank}: {} logical messages total, model explains {predicted_msgs}",
             metrics.logical.sent_msgs
         ));
     }
-    if !rule.bytes_hold(metrics.logical.sent_bytes, predicted_bytes, predicted_msgs) {
+    if metrics.logical.sent_bytes != predicted_bytes {
         v.push(format!(
-            "rank {rank}: {} logical bytes total, model explains {predicted_bytes} \
-             (outside tolerance)",
+            "rank {rank}: {} logical bytes total, model explains {predicted_bytes}",
             metrics.logical.sent_bytes
         ));
     }
     v
 }
 
-/// Assert every rank of a metered run conforms to `trace` under `rule`.
+/// Assert every rank of a metered run conforms to `trace`.
 pub fn assert_conforms<'a>(
     label: &str,
     metrics: impl IntoIterator<Item = &'a Metrics>,
     trace: &CommTrace,
-    rule: Rule,
 ) {
     for (rank, mm) in metrics.into_iter().enumerate() {
-        let v = conformance_violations(rank, mm, trace, rule);
+        let v = conformance_violations(rank, mm, trace);
         assert!(v.is_empty(), "{label} rank {rank}:\n{}", v.join("\n"));
     }
 }
 
-/// Hold a metered run of `cfg` on `m` to `cfg`'s own trace under the
-/// strictest rule that trace supports.
+/// Hold a metered run of `cfg` on `m` to `cfg`'s own trace.
 pub fn assert_config_conforms<'a>(
     cfg: &EngineConfig,
     m: &SizeMatrix,
@@ -142,7 +96,7 @@ pub fn assert_config_conforms<'a>(
 ) {
     let p = m.p();
     let trace = nonuniform_trace(*cfg, &MatrixSource(m), &RankSample::all(p));
-    assert_conforms(&format!("{} (P={p})", cfg.key()), metrics, &trace, Rule::for_config(cfg));
+    assert_conforms(&format!("{} (P={p})", cfg.key()), metrics, &trace);
 }
 
 /// Compare a rank's span timeline against the declared phase list: every

@@ -5,18 +5,16 @@
 //! checked against closed-form predictions from `bruck-model`:
 //!
 //! * **Message counts** — per wire tag, *exact* (`CommTrace::msgs_for_tag`).
-//! * **Byte volumes** — per wire tag: exact for the direct algorithms; for
-//!   padded Bruck the assertion is a bounded band of one pad quantum
-//!   (8 bytes, the `u64` length granularity the padding machinery rounds
-//!   with) per predicted message — see DESIGN.md §10 for why the band is
-//!   sized this way.
+//! * **Byte volumes** — per wire tag, *exact* (`CommTrace::bytes_for_tag`),
+//!   padded Bruck included: its slots travel at exactly `n_max`.
 //! * **Phase counts** — the span timeline must contain *exactly* the named
 //!   phases the algorithm declares, with per-step phases appearing once per
 //!   step.
 //!
-//! A deliberately miscounted fixture (a trace with one extra predicted
-//! message / inflated bytes) must make the checker report violations — the
-//! negative control that proves the suite can fail.
+//! Deliberately miscounted fixtures (a two-phase trace with one extra
+//! predicted message and inflated bytes; a leader trace whose scatter
+//! message count is off by one) must make the checker report violations —
+//! the negative controls that prove the suite can fail.
 //!
 //! The checker is a pure function returning violation strings, so the
 //! negative tests exercise the exact code path the positive cells assert
@@ -29,12 +27,12 @@
 mod common;
 
 use bruck_comm::{Communicator, MeteredComm, Metrics, ThreadComm};
-use bruck_core::common::ceil_log2;
+use bruck_core::common::{ceil_log2, HIER_SCATTER_TAG};
 use bruck_core::probe::{self, PhaseEvent};
 use bruck_core::{alltoall, alltoallv, packed_displs, AlltoallAlgorithm, AlltoallvAlgorithm};
 use bruck_model::{nonuniform_trace, uniform_trace, MatrixSource, RankSample, StepKind};
 use bruck_workload::{Distribution, SizeMatrix};
-use common::{conformance_violations, phase_violations, Rule};
+use common::{conformance_violations, phase_violations};
 
 const SEED: u64 = 0xC04F;
 const WORLD_SIZES: [usize; 2] = [8, 12];
@@ -108,52 +106,40 @@ fn expected_phases_v(algo: AlltoallvAlgorithm, p: usize) -> Vec<(&'static str, u
     }
 }
 
-/// Positive direction: run the cell, assert zero violations of any kind.
-fn assert_cell_conformant(algo: AlltoallvAlgorithm, label: &str, m: &SizeMatrix, rule: Rule) {
-    let p = m.p();
-    let trace = nonuniform_trace(algo, &MatrixSource(m), &RankSample::all(p));
-    let expected_spans = expected_phases_v(algo, p);
-    for (rank, (metrics, events)) in run_metered_v(algo, m).iter().enumerate() {
-        let mut v = conformance_violations(rank, metrics, &trace, rule);
-        v.extend(phase_violations(rank, events, &expected_spans));
-        assert!(v.is_empty(), "{algo:?} / {label} / p={p} rank {rank}:\n{}", v.join("\n"));
+/// Positive direction: run every cell of `algo`, assert zero violations of
+/// any kind.
+fn assert_conformant(algo: AlltoallvAlgorithm) {
+    for p in WORLD_SIZES {
+        let expected_spans = expected_phases_v(algo, p);
+        for (label, m) in workloads(p) {
+            let trace = nonuniform_trace(algo, &MatrixSource(&m), &RankSample::all(p));
+            for (rank, (metrics, events)) in run_metered_v(algo, &m).iter().enumerate() {
+                let mut v = conformance_violations(rank, metrics, &trace);
+                v.extend(phase_violations(rank, events, &expected_spans));
+                assert!(v.is_empty(), "{algo:?} / {label} / p={p} rank {rank}:\n{}", v.join("\n"));
+            }
+        }
     }
 }
 
 #[test]
 fn two_phase_bruck_conforms_to_model() {
-    for p in WORLD_SIZES {
-        for (label, m) in workloads(p) {
-            assert_cell_conformant(AlltoallvAlgorithm::TwoPhaseBruck, &label, &m, Rule::Exact);
-        }
-    }
+    assert_conformant(AlltoallvAlgorithm::TwoPhaseBruck);
 }
 
 #[test]
 fn padded_bruck_conforms_to_model() {
-    for p in WORLD_SIZES {
-        for (label, m) in workloads(p) {
-            assert_cell_conformant(AlltoallvAlgorithm::PaddedBruck, &label, &m, Rule::Quantum(8));
-        }
-    }
+    assert_conformant(AlltoallvAlgorithm::PaddedBruck);
 }
 
 #[test]
 fn spread_out_conforms_to_model() {
-    for p in WORLD_SIZES {
-        for (label, m) in workloads(p) {
-            assert_cell_conformant(AlltoallvAlgorithm::SpreadOut, &label, &m, Rule::Exact);
-        }
-    }
+    assert_conformant(AlltoallvAlgorithm::SpreadOut);
 }
 
 #[test]
 fn vendor_conforms_to_model() {
-    for p in WORLD_SIZES {
-        for (label, m) in workloads(p) {
-            assert_cell_conformant(AlltoallvAlgorithm::Vendor, &label, &m, Rule::Exact);
-        }
-    }
+    assert_conformant(AlltoallvAlgorithm::Vendor);
 }
 
 #[test]
@@ -177,7 +163,7 @@ fn uniform_zero_rotation_conforms_to_model() {
                 (mc.metrics(), probe::take())
             });
             for (rank, (metrics, events)) in results.iter().enumerate() {
-                let mut v = conformance_violations(rank, metrics, &trace, Rule::Exact);
+                let mut v = conformance_violations(rank, metrics, &trace);
                 v.extend(phase_violations(rank, events, &expected_spans));
                 assert!(v.is_empty(), "zero-rotation / p={p} n={n} rank {rank}:\n{}", v.join("\n"));
             }
@@ -204,16 +190,31 @@ fn miscounted_fixture_fails_the_checker() {
     }
     let results = run_metered_v(AlltoallvAlgorithm::TwoPhaseBruck, &m);
     for (rank, (metrics, _)) in results.iter().enumerate() {
-        let v = conformance_violations(rank, metrics, &trace, Rule::Exact);
+        let v = conformance_violations(rank, metrics, &trace);
         assert!(
             v.iter().any(|s| s.contains("messages")) && v.iter().any(|s| s.contains("bytes")),
             "rank {rank}: miscounted fixture must fail both counts and bytes, got {v:?}"
         );
     }
-    // And the quantum rule must not absorb a million-byte error either.
-    for (rank, (metrics, _)) in results.iter().enumerate() {
-        let v = conformance_violations(rank, metrics, &trace, Rule::Quantum(8));
-        assert!(!v.is_empty(), "rank {rank}: tolerance must not hide gross miscounts");
+}
+
+#[test]
+fn miscounted_leader_scatter_fails_the_checker() {
+    // The leader trace counts each scatter send: the honest trace holds
+    // exactly, and one off by one on the scatter tag fails, naming it.
+    // P = 12 puts a leader over eight ranks and one over four.
+    let (p, algo) = (12, AlltoallvAlgorithm::Hierarchical);
+    let m = SizeMatrix::generate(Distribution::Uniform, SEED, p, 48);
+    let honest = nonuniform_trace(algo, &MatrixSource(&m), &RankSample::all(p));
+    let mut trace = honest.clone();
+    let step = trace.steps.iter_mut().find(|s| s.kind == StepKind::HierScatter).unwrap();
+    step.loads.iter_mut().for_each(|(_, load)| load.ov_msgs += 1); // the deliberate miscount
+    let named = format!("tag {HIER_SCATTER_TAG:#x}:");
+    for (rank, (metrics, _)) in run_metered_v(algo, &m).iter().enumerate() {
+        assert_eq!(conformance_violations(rank, metrics, &honest), Vec::<String>::new());
+        let v = conformance_violations(rank, metrics, &trace);
+        assert!(v.iter().any(|s| s.contains(&named) && s.contains("messages")), "{v:?}");
+        assert!(v.iter().all(|s| s.contains(&named) || s.contains("logical messages")), "{v:?}");
     }
 }
 

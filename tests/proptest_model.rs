@@ -177,7 +177,7 @@ fn predictions_are_sane() {
 fn select_orders_candidates_as_predict_does() {
     let tuner = AutoTuner::new(MachineModel::cori_like());
     let candidates = tune_candidates();
-    assert_eq!(candidates.len(), 13);
+    assert_eq!(candidates.len(), 12);
     for (p, n, dist) in [
         (8usize, 64usize, Distribution::Uniform),
         (64, 1024, Distribution::Normal),

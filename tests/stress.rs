@@ -18,7 +18,6 @@ fn all_algorithms_at_p64() {
         AlltoallvAlgorithm::TwoPhaseBruck,
         AlltoallvAlgorithm::Sloav,
         AlltoallvAlgorithm::Hierarchical,
-        AlltoallvAlgorithm::RankaTwoStage,
     ] {
         run_and_verify(algo, &m);
     }
@@ -141,7 +140,6 @@ fn alternating_algorithms_on_one_communicator() {
             AlltoallvAlgorithm::TwoPhaseBruck,
             AlltoallvAlgorithm::Vendor,
             AlltoallvAlgorithm::PaddedBruck,
-            AlltoallvAlgorithm::RankaTwoStage,
             AlltoallvAlgorithm::Hierarchical,
         ];
         for round in 0..25 {
@@ -289,7 +287,6 @@ fn all_algorithms_survive_chaos() {
             AlltoallvAlgorithm::TwoPhaseBruck,
             AlltoallvAlgorithm::Sloav,
             AlltoallvAlgorithm::Hierarchical,
-            AlltoallvAlgorithm::RankaTwoStage,
         ] {
             ThreadComm::run(p, |comm| {
                 // Delay-only plan: every cross-rank send spin-yields a seeded
