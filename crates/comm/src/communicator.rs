@@ -245,20 +245,6 @@ pub trait Communicator: Sync {
         self.recv_buf(src, recv_tag)
     }
 
-    /// [`Communicator::sendrecv`] into a caller buffer; returns received length.
-    fn sendrecv_into(
-        &self,
-        dest: usize,
-        send_tag: Tag,
-        data: &[u8],
-        src: usize,
-        recv_tag: Tag,
-        rbuf: &mut [u8],
-    ) -> CommResult<usize> {
-        self.send(dest, send_tag, data)?;
-        self.recv_into(src, recv_tag, rbuf)
-    }
-
     /// Dissemination barrier: ⌈log₂ P⌉ rounds of empty messages.
     fn barrier(&self) -> CommResult<()> {
         let p = self.size();

@@ -42,7 +42,7 @@
 mod plan;
 mod reference;
 
-pub use plan::{allgatherv_plan, reduce_scatter_plan, Plan, PlanStep};
+pub use plan::{allgatherv_plan, alltoall_plan, reduce_scatter_plan, Plan, PlanStep};
 pub use reference::{
     pattern_byte, pattern_u64, reference_allgatherv, reference_allreduce,
     reference_reduce_scatter,

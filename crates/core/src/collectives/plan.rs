@@ -1,5 +1,5 @@
-//! The collective family as data: a [`Plan`] of one-way [`PlanStep`]s, and
-//! the two executors that run every plan.
+//! Every Bruck-family schedule as data: a [`Plan`] of one-way
+//! [`PlanStep`]s, and the two executors that run the collectives' plans.
 //!
 //! A step is the paper's Bruck step generalised: every rank sends one
 //! message to one peer and receives the mirror message, so each of the six
@@ -8,14 +8,16 @@
 //! [`gather`] copies arriving blocks into place (allgatherv, the second half
 //! of `ReduceScatterAllgather`); [`reduce`] folds arriving partials into a
 //! working vector (reduce_scatter, the first half). Both are `async fn`s over
-//! a [`Port`]. `bruck-model` prices the same plans, so the schedule has one
-//! definition.
+//! a [`Port`]. [`alltoall_plan`] is the all-to-all's radix-`r` Bruck
+//! schedule, which the uniform kernels, the engine's Bruck loops and the
+//! memory model run. `bruck-model` prices the same plans, so each schedule
+//! has one definition.
 
 use bruck_comm::{CommResult, MsgBuf, Port, ReduceOp, Tag};
 
 use crate::common::{
     add_mod, agv_bruck_tag, agv_ring_tag, ceil_log2, pat_ag_tag, pat_rs_tag, rs_halving_tag,
-    sub_mod, RS_PAIRWISE_TAG,
+    sub_mod, uniform_step_tag, RS_PAIRWISE_TAG,
 };
 use crate::packed_displs;
 use crate::probe::span;
@@ -26,6 +28,13 @@ use super::{AllgathervAlgorithm, ReduceScatterAlgorithm};
 /// for each `o` in `offsets` in order, to `me + shift` as one message. It
 /// receives the same-shaped run from `from = me − shift`, holding the blocks
 /// at `from + o`. `shift` and `offsets` are residues mod `P`.
+///
+/// An [`alltoall_plan`] reads `offsets` as *slots*, not positions: Bruck's
+/// store-and-forward keeps a block in its slot when it hops, so what `me`
+/// receives for slot `o` replaces what it sent for slot `o`. Its consumers
+/// read `shift` and `offsets` directly; [`Plan::sent`], [`Plan::received`]
+/// and [`Plan::forwards`] read blocks by absolute position, the
+/// collectives' way, and mean nothing for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanStep {
     /// The wire tag of this step's message.
@@ -68,6 +77,19 @@ impl Plan {
         self.sent(i, sub_mod(q, self.steps[i].shift, self.p))
     }
 
+    /// For each slot `0..P` of an [`alltoall_plan`], the index of the last
+    /// step whose `offsets` hold it: the step that finishes the block in
+    /// that slot. Slot 0, which no step holds, reads `usize::MAX`.
+    pub fn last_hops(&self) -> Vec<usize> {
+        let mut last = vec![usize::MAX; self.p];
+        for (k, step) in self.steps.iter().enumerate() {
+            for &o in &step.offsets {
+                last[o] = k;
+            }
+        }
+        last
+    }
+
     /// Whether step `i` sends exactly the one block step `i − 1` delivered,
     /// so a gather forwards the arrived view instead of packing a copy (the
     /// ring's zero-copy forward).
@@ -78,6 +100,43 @@ impl Plan {
             _ => false,
         }
     }
+}
+
+/// The radix-`radix` Bruck all-to-all over `p` ranks (§2; Bruck's radix
+/// generalisation). Slots `i ∈ (0, P)` are written in base `radix`, and for
+/// each digit weight `w = radixᵏ < P` and each digit `d ≥ 1` with `d·w < P`
+/// one step moves every slot whose digit at `w` is `d` by `d·w` ranks: up
+/// (`shift = d·w`, basic Bruck's direction) or, `downward`, down
+/// (`shift = P − d·w`, the modified and zero-rotation direction). A block
+/// hops at exactly its non-zero digits, so after the last step holding it
+/// ([`Plan::last_hops`]) slot `i` of rank `me` holds the block from `me ∓ i`.
+/// That is `(r − 1)·log_r P` steps when `P` is a power of `r`, and `P − 1`
+/// in one phase for any `r ≥ P`. Step `k` carries `uniform_step_tag(k)`; the
+/// span is the one Zero Rotation Bruck (down) and basic Bruck (up) record.
+pub fn alltoall_plan(p: usize, radix: usize, downward: bool) -> Plan {
+    assert!(radix >= 2, "radix must be at least 2");
+    let weights = std::iter::successors(Some(1usize), |&w| Some(w.saturating_mul(radix)));
+    // Only digits with `d·w < P` move anything, so a phase has at most
+    // `⌈P/w⌉ − 1` steps however large the radix is.
+    let hops = weights.take_while(|&w| w < p).flat_map(|w| {
+        (1..radix).map_while(move |d| (d.saturating_mul(w) < p).then_some((w, d)))
+    });
+    let span = if downward { "zero_rotation.step" } else { "basic.step" };
+    Plan::new(
+        p,
+        span,
+        hops.enumerate().map(|(k, (w, d))| {
+            // The slots with digit `d` at `w` come in runs of `w` starting at
+            // `d·w`, one run per period `w·radix`: enumerated by stride, with
+            // no per-slot division, into one exactly sized allocation.
+            let runs = (d * w..p).step_by(w.saturating_mul(radix));
+            let runs = runs.map(|run| run..(run + w).min(p));
+            let mut offsets = Vec::with_capacity(runs.clone().map(|run| run.len()).sum());
+            runs.for_each(|run| offsets.extend(run));
+            let shift = if downward { p - d * w } else { d * w };
+            (uniform_step_tag(k as u32), shift, offsets)
+        }),
+    )
 }
 
 /// The plan of one allgatherv schedule over `p` ranks; block `b` is rank
@@ -275,6 +334,115 @@ mod tests {
         for d in 0..p {
             assert!(!gone[d][d] && part[d][d] == all, "p={p} {name}: segment {d}");
         }
+    }
+
+    /// A symbolic walk of an all-to-all plan: `at[q][i]` is the block
+    /// `(s, d)` in slot `i` of rank `q`, and rank `s` starts with the block
+    /// for `s + i` (up) or `s − i` (down) there. Every block must reach its
+    /// destination exactly once, at the step [`Plan::last_hops`] names, having
+    /// hopped by exactly its non-zero base-`radix` digits, lowest first.
+    fn walk_alltoall(plan: &Plan, radix: usize, downward: bool) {
+        let p = plan.p;
+        let case = format!("p={p} r={radix} down={downward}");
+        let toward = |s, i| if downward { sub_mod(s, i, p) } else { add_mod(s, i, p) };
+        let mut at: Vec<Vec<(usize, usize)>> =
+            (0..p).map(|s| (0..p).map(|i| (s, toward(s, i))).collect()).collect();
+        let mut arrivals = vec![vec![0u32; p]; p];
+        let mut hopped: Vec<Vec<usize>> = vec![Vec::new(); p];
+        let last = plan.last_hops();
+        for (k, step) in plan.steps.iter().enumerate() {
+            assert_eq!(step.tag, uniform_step_tag(k as u32), "{case} step {k}");
+            let one = 0 < step.shift && step.shift < p && !step.offsets.is_empty();
+            assert!(one, "{case} step {k}: one non-empty message to another rank");
+            let slots = step.offsets.windows(2).all(|w| w[0] < w[1]);
+            assert!(slots && step.offsets.iter().all(|&i| 0 < i && i < p), "{case} step {k}");
+            let before = at.clone();
+            for q in 0..p {
+                let from = sub_mod(q, step.shift, p);
+                for &i in &step.offsets {
+                    at[q][i] = before[from][i];
+                    if last[i] == k {
+                        let (s, d) = at[q][i];
+                        assert_eq!(d, q, "{case} step {k}: slot {i} ends ({s}, {d}) at {q}");
+                        arrivals[d][s] += 1;
+                    }
+                }
+            }
+            for &i in &step.offsets {
+                hopped[i].push(if downward { p - step.shift } else { step.shift });
+            }
+        }
+        for (d, from) in arrivals.iter().enumerate() {
+            let once: Vec<u32> = (0..p).map(|s| u32::from(s != d)).collect();
+            assert_eq!(*from, once, "{case}: the blocks reaching {d}, by source");
+        }
+        for (i, hops) in hopped.iter().enumerate() {
+            let (mut digits, mut rest, mut w) = (Vec::new(), i, 1usize);
+            while rest > 0 {
+                if rest % radix != 0 {
+                    digits.push(rest % radix * w);
+                }
+                rest /= radix;
+                w = w.saturating_mul(radix);
+            }
+            assert_eq!(*hops, digits, "{case}: slot {i} hops by its non-zero digits");
+        }
+    }
+
+    /// `⌈log_r P⌉`, the number of digit weights below `P`: the phases.
+    fn phases(p: usize, radix: usize) -> u32 {
+        std::iter::successors(Some(1usize), |&w| Some(w.saturating_mul(radix)))
+            .take_while(|&w| w < p)
+            .count() as u32
+    }
+
+    #[test]
+    fn every_alltoall_plan_routes_each_block_by_its_digits() {
+        for p in 1..=64usize {
+            for radix in [2, 3, 4, 8, p.max(2), usize::MAX] {
+                for downward in [false, true] {
+                    walk_alltoall(&alltoall_plan(p, radix, downward), radix, downward);
+                }
+            }
+            // At r = 2, step k moves the slots with bit k set (at most ⌈P/2⌉,
+            // §2.2) by 2ᵏ.
+            for (k, step) in alltoall_plan(p, 2, false).steps.iter().enumerate() {
+                assert_eq!(step.shift, 1 << k, "p={p} step {k}");
+                assert!(step.offsets.len() <= p.div_ceil(2), "p={p} step {k}");
+            }
+        }
+        let last = alltoall_plan(12, 2, false).steps.pop().map(|s| s.offsets);
+        assert_eq!(last, Some(vec![8, 9, 10, 11]), "a non-power-of-two last step is short");
+    }
+
+    #[test]
+    fn alltoall_plans_take_r_minus_one_steps_per_phase() {
+        // Digits with `d·w < P` only: `min(r − 1, ⌊(P − 1)/w⌋)` steps per
+        // phase, so exactly (r − 1)·log_r P when P is a power of the radix
+        // (the α multiplier of the model's radix trade-off), and P − 1 steps
+        // in one phase for any r ≥ P, however large.
+        for p in [2usize, 5, 16, 27, 64, 100, 256, 729] {
+            for radix in [2usize, 3, 4, 8, 16, p, 1 << 40, usize::MAX] {
+                let plan = alltoall_plan(p, radix, true);
+                let n = phases(p, radix);
+                let per_phase = (0..n).map(|k| (radix - 1).min((p - 1) / radix.pow(k)));
+                assert_eq!(plan.steps.len(), per_phase.sum::<usize>(), "p={p} r={radix}");
+                if radix.checked_pow(n) == Some(p) {
+                    assert_eq!(plan.steps.len(), (radix - 1) * n as usize, "p={p} r={radix}");
+                }
+                if radix >= p {
+                    assert_eq!(plan.steps.len(), p - 1, "p={p} r={radix}");
+                }
+            }
+        }
+        // More steps at a larger radix, but fewer forwards of any one block.
+        let steps = |r: usize| alltoall_plan(256, r, false).steps.len();
+        assert_eq!([steps(2), steps(4), steps(16)], [8, 12, 30]);
+        let forwards = |r: usize| {
+            let plan = alltoall_plan(256, r, false);
+            (1..256).map(|i| plan.steps.iter().filter(|s| s.offsets.contains(&i)).count()).max()
+        };
+        assert_eq!([forwards(2), forwards(4), forwards(16)], [Some(8), Some(4), Some(2)]);
     }
 
     #[test]

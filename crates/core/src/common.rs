@@ -9,15 +9,6 @@ pub fn ceil_log2(p: usize) -> u32 {
     usize::BITS - (p - 1).leading_zeros()
 }
 
-/// The relative block indices transmitted at step `k`: all `i ∈ (0, P)` whose
-/// `k`-th bit is 1. (The last step of a non-power-of-two `P` naturally yields
-/// fewer than `(P+1)/2` indices, exactly as §2.2 of the paper notes.)
-#[inline]
-pub fn step_rel_indices(p: usize, k: u32) -> impl Iterator<Item = usize> {
-    let mask = 1usize << k;
-    (1..p).filter(move |i| i & mask != 0)
-}
-
 /// The rotation index array of Zero Rotation Bruck and two-phase Bruck
 /// (§2.1, §3.2): `I[j] = (2p − j) mod P` for this rank `p`, mapping an
 /// *absolute working slot* `j` back to the original send-buffer block that
@@ -146,45 +137,6 @@ mod tests {
         assert_eq!(ceil_log2(5), 3);
         assert_eq!(ceil_log2(1024), 10);
         assert_eq!(ceil_log2(1025), 11);
-    }
-
-    #[test]
-    fn rel_indices_have_bit_k_set() {
-        for p in [2usize, 3, 4, 7, 8, 12, 16] {
-            for k in 0..ceil_log2(p) {
-                let idx: Vec<usize> = step_rel_indices(p, k).collect();
-                assert!(idx.iter().all(|i| i & (1 << k) != 0));
-                assert!(idx.iter().all(|&i| i < p));
-                // At most (P+1)/2 blocks per step (§2.2).
-                assert!(idx.len() <= p.div_ceil(2), "p={p} k={k} len={}", idx.len());
-            }
-        }
-    }
-
-    #[test]
-    fn every_offset_is_routed_exactly_by_its_bits() {
-        // Summing the hops 2^k over the steps in which offset i participates
-        // must move a block exactly i ranks — the core Bruck invariant.
-        for p in [2usize, 3, 5, 8, 13, 16, 31] {
-            for i in 1..p {
-                let mut moved = 0usize;
-                for k in 0..ceil_log2(p) {
-                    if step_rel_indices(p, k).any(|j| j == i) {
-                        moved += 1 << k;
-                    }
-                }
-                assert_eq!(moved, i, "offset {i} at p={p}");
-            }
-        }
-    }
-
-    #[test]
-    fn last_step_of_non_power_of_two_sends_fewer_blocks() {
-        let p = 12;
-        let k_last = ceil_log2(p) - 1; // k = 3, mask 8
-        let blocks = step_rel_indices(p, k_last).count();
-        assert_eq!(blocks, 4); // {8, 9, 10, 11}
-        assert!(blocks < p.div_ceil(2));
     }
 
     #[test]

@@ -16,15 +16,22 @@
 //! | `ZeroRotationBruck` | ZeroRotationBruck | **none** |
 //! | `SpreadOut` | Spread-out | — |
 //!
+//! Every Bruck variant runs the steps of one schedule, [`alltoall_plan`]:
+//! radix 2, upward for basic Bruck and downward for the others
+//! ([`zero_rotation_bruck_radix`] runs it at any radix).
+//!
 //! ## Non-uniform (`MPI_Alltoallv` signature) — §3
 //!
 //! One engine, [`configurable_alltoallv`], runs every algorithm; an
 //! [`EngineConfig`] says which. The paper's algorithms are its named points,
 //! also reachable by [`AlltoallvAlgorithm`] through [`alltoallv`]:
 //!
-//! * [`EngineConfig::as_padded_bruck`] — pad → uniform Bruck → scan (§3.1)
-//! * [`EngineConfig::as_two_phase`] — coupled metadata/data exchange over a
-//!   monolithic working buffer (§3.2, Algorithm 1)
+//! * [`EngineConfig::as_padded_bruck`] — uniform Zero Rotation Bruck over
+//!   `N`-byte slots, each block padded as it is packed and stripped as it is
+//!   delivered (§3.1)
+//! * [`EngineConfig::as_two_phase`] — coupled metadata/data exchange, each
+//!   block forwarded from the receive region it arrived in (§3.2,
+//!   Algorithm 1)
 //! * [`EngineConfig::as_spread_out`], [`EngineConfig::as_vendor`] — the
 //!   linear baselines
 //! * [`EngineConfig::as_padded_alltoall`] — pad → vendor uniform all-to-all
@@ -46,6 +53,8 @@
 //! is one message per rank per step at any `P`: the six block schedules are
 //! step [`Plan`]s ([`allgatherv_plan`], [`reduce_scatter_plan`]) run by one
 //! gather and one reduce executor, and `bruck-model` prices the same plans.
+//! [`Plan`] is the one schedule type: the engine's radix Bruck loops and
+//! every uniform Bruck kernel read an [`alltoall_plan`].
 //!
 //! ## Faults and recovery
 //!
@@ -102,8 +111,9 @@ mod radix;
 mod uniform;
 
 pub use collectives::{
-    allgatherv, allgatherv_plan, allreduce, pattern_byte, pattern_u64, reduce_scatter,
-    reduce_scatter_plan, reference_allgatherv, reference_allreduce, reference_reduce_scatter,
+    allgatherv, allgatherv_plan, allreduce, alltoall_plan, pattern_byte, pattern_u64,
+    reduce_scatter, reduce_scatter_plan, reference_allgatherv, reference_allreduce,
+    reference_reduce_scatter,
     AllgathervAlgorithm, AllreduceAlgorithm, Plan, PlanStep, ReduceScatterAlgorithm,
 };
 pub use common::piece_len;
@@ -114,5 +124,5 @@ pub use nonuniform::{
     EngineConfig, EngineTopology, IntermediateLayout, Mttr, PaddingRule, Recovered,
     RecoveringConfig, RecoveryOutcome, VENDOR_WINDOW,
 };
-pub use radix::{radix_schedule, radix_step_rel_indices, zero_rotation_bruck_radix};
+pub use radix::zero_rotation_bruck_radix;
 pub use uniform::{alltoall, reference_alltoall, AlltoallAlgorithm};

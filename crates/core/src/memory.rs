@@ -24,8 +24,8 @@
 //! handing it to `bruck_model::AutoTuner::select` — the budget is a filter,
 //! not a second selector.
 
+use crate::collectives::alltoall_plan;
 use crate::nonuniform::{EngineConfig, EngineTopology};
-use crate::radix::radix_schedule;
 
 /// Auxiliary bytes allocated by one call of `cfg` (an [`EngineConfig`] or an
 /// `AlltoallvAlgorithm`, i.e. its named point) on one rank, excluding the
@@ -49,7 +49,8 @@ pub fn memory_overhead_bytes(
     // rank — each sub-step brings in about 1/radix of the receive volume —
     // plus the outgoing wire buffer.
     let radix = cfg.radix.max(2); // an unvalidated config may hold less
-    let passed_through = |recv: usize| recv * radix_schedule(p, radix).len() / radix;
+    let steps = alltoall_plan(p, radix, true).steps.len();
+    let passed_through = |recv: usize| recv * steps / radix;
     let pads = cfg.padding.fires(n_max);
     match cfg.topology {
         // Pairwise sends straight out of user buffers.

@@ -60,9 +60,10 @@ use bruck_comm::{
 };
 
 use super::{packed_displs, validate_send, validate_v};
+use crate::collectives::{alltoall_plan, PlanStep};
 use crate::common::{add_mod, data_tag, meta_tag, sub_mod, SPREAD_TAG};
 use crate::probe::span;
-use crate::radix::{full_slots, radix_schedule, radix_step_rel_indices, zero_rotation_bruck_deliver};
+use crate::radix::{full_slots, zero_rotation_bruck_deliver};
 use super::hierarchical::{hierarchical_alltoallv, DEFAULT_GROUP_SIZE};
 use super::{reference_alltoallv, AlltoallvAlgorithm};
 
@@ -919,23 +920,10 @@ const SLOAV_SPANS: StepSpans = StepSpans {
     scatter: "sloav.scatter",
 };
 
-/// One sub-step of the unpadded Bruck schedule as this rank sees it.
-struct Hop {
-    /// Schedule index: the wire-tag offset of the sub-step's two messages.
-    idx: u32,
-    dest: usize,
-    src: usize,
-    /// Relative indices of the blocks on the wire, ascending.
-    rel: Vec<usize>,
-    /// A received block whose relative index is below this needs no further
-    /// hop: every digit above the sub-step's position is zero.
-    done_bound: usize,
-}
-
-/// The 4-byte-per-block size array announcing `hop`'s outgoing blocks.
-fn size_array(hop: &Hop, sizes: &[usize]) -> CommResult<Vec<u8>> {
-    let mut array = Vec::with_capacity(hop.rel.len() * 4);
-    for &i in &hop.rel {
+/// The 4-byte-per-block size array announcing `step`'s outgoing blocks.
+fn size_array(step: &PlanStep, sizes: &[usize]) -> CommResult<Vec<u8>> {
+    let mut array = Vec::with_capacity(step.offsets.len() * 4);
+    for &i in &step.offsets {
         let sz = u32::try_from(sizes[i])
             .map_err(|_| CommError::BadArgument("block size exceeds u32 metadata"))?;
         array.extend_from_slice(&sz.to_le_bytes());
@@ -943,21 +931,28 @@ fn size_array(hop: &Hop, sizes: &[usize]) -> CommResult<Vec<u8>> {
     Ok(array)
 }
 
-/// Post the size array announcing `hop`'s outgoing blocks (split coupling).
-fn post_sizes<P: Port + ?Sized>(comm: &P, hop: &Hop, sizes: &[usize]) -> CommResult<()> {
-    comm.send_buf(hop.dest, meta_tag(hop.idx), MsgBuf::from_vec(size_array(hop, sizes)?))
+/// Post the size array announcing step `k`'s outgoing blocks (split
+/// coupling).
+fn post_sizes<P: Port + ?Sized>(
+    comm: &P,
+    k: usize,
+    step: &PlanStep,
+    sizes: &[usize],
+) -> CommResult<()> {
+    let dest = add_mod(comm.rank(), step.shift, comm.size());
+    comm.send_buf(dest, meta_tag(k as u32), MsgBuf::from_vec(size_array(step, sizes)?))
 }
 
-/// The coupled metadata + data exchange of one unpadded Bruck sub-step.
-/// `sizes[i]` for `i` in `hop.rel` are the byte sizes of the outgoing blocks,
-/// in wire order; `pack` appends their payload.
+/// The coupled metadata + data exchange of step `k` of an unpadded Bruck
+/// plan. `sizes[i]` for `i` in `step.offsets` are the byte sizes of the
+/// outgoing blocks, in wire order; `pack` appends their payload.
 ///
 /// * Split coupling (§3.2), with the metadata chain one sub-step ahead of the
 ///   data chain: the caller has already sent this sub-step's size array
 ///   (`next`'s is sent here), so the packed payload leaves first, the size
 ///   array from `src` is usually waiting, and the only latency left is the
 ///   payload's. That is sound because a data message needs no metadata to be
-///   *sent*, and every size `next` announces is known once this sub-step's
+///   *sent*, and every size `next` announces is known once this step's
 ///   metadata is in: a block sent at `next` is an original one or was last
 ///   overwritten no later than here.
 /// * Combined coupling (SLOAV, §6.1): the body is `[sizes][payload]`, packed
@@ -969,23 +964,26 @@ fn post_sizes<P: Port + ?Sized>(comm: &P, hop: &Hop, sizes: &[usize]) -> CommRes
 /// it. On return `sizes[i]` are the *received* blocks' sizes, and the result
 /// is the received body plus the offset its payload starts at; the payload
 /// length has been checked against the sizes.
+#[allow(clippy::too_many_arguments)]
 async fn coupled_step<P: Port + ?Sized>(
     comm: &P,
     split: bool,
     spans: &StepSpans,
-    hop: &Hop,
-    next: Option<&Hop>,
+    k: usize,
+    step: &PlanStep,
+    next: Option<&PlanStep>,
     sizes: &mut [usize],
     pack: impl Fn(&mut Vec<u8>, &[usize]),
 ) -> CommResult<(MsgBuf, usize)> {
-    let (idx, dest, src) = (hop.idx, hop.dest, hop.src);
-    let meta_len = hop.rel.len() * 4;
+    let (p, me) = (comm.size(), comm.rank());
+    let (idx, dest, src) = (k as u32, add_mod(me, step.shift, p), sub_mod(me, step.shift, p));
+    let meta_len = step.offsets.len() * 4;
     // Sized up front, the body is packed without a reallocation.
-    let outgoing: usize = hop.rel.iter().map(|&i| sizes[i]).sum();
+    let outgoing: usize = step.offsets.iter().map(|&i| sizes[i]).sum();
     // Read the size array of the incoming blocks; returns their total.
     let read_sizes = |sizes: &mut [usize], array: &[u8]| -> usize {
         let mut total = 0;
-        for (&i, sz) in hop.rel.iter().zip(array.chunks_exact(4)) {
+        for (&i, sz) in step.offsets.iter().zip(array.chunks_exact(4)) {
             sizes[i] = u32::from_le_bytes([sz[0], sz[1], sz[2], sz[3]]) as usize;
             total += sizes[i];
         }
@@ -1009,7 +1007,7 @@ async fn coupled_step<P: Port + ?Sized>(
             }
             let payload = read_sizes(sizes, &array);
             if let Some(next) = next {
-                post_sizes(comm, next, sizes)?;
+                post_sizes(comm, k + 1, next, sizes)?;
             }
             payload
         };
@@ -1018,7 +1016,7 @@ async fn coupled_step<P: Port + ?Sized>(
     } else {
         let body = {
             let _probe = span(spans.pack);
-            let mut body = size_array(hop, sizes)?;
+            let mut body = size_array(step, sizes)?;
             body.reserve_exact(outgoing);
             pack(&mut body, sizes);
             body
@@ -1059,21 +1057,21 @@ fn check_routed(size: usize, want: usize) -> CommResult<()> {
     Ok(())
 }
 
-/// The unpadded non-uniform radix Bruck loop. Every sub-step's receive region
-/// is kept (`regions`) and `held[i]` says where in them the block at relative
-/// index `i` arrived — `(region, offset)`, its size in `sizes[i]` — so
-/// store-and-forward needs no working buffer, no staging copy and no bound on
-/// block sizes; until a sub-step delivers it the block is still the original
-/// one in the user's send buffer. (A reference-counted `MsgBuf::slice` per
-/// block is the same idea and measured 10–20 % slower at small blocks: the
-/// count moves twice per block per step.)
+/// The unpadded non-uniform radix Bruck loop over an [`alltoall_plan`]. Every
+/// step's receive region is kept (`regions`) and `held[i]` says where in them
+/// the block in slot `i` arrived — `(region, offset)`, its size in `sizes[i]`
+/// — so store-and-forward needs no working buffer, no staging copy and no
+/// bound on block sizes; until a step delivers it the block is still the
+/// original one in the user's send buffer. (A reference-counted
+/// `MsgBuf::slice` per block is the same idea and measured 10–20 % slower at
+/// small blocks: the count moves twice per block per step.)
 ///
 /// The layout picks the routing and the delivery:
 ///
 /// * `Monolithic` — two-phase Bruck's §3.2 / §6.1 design. Routing is Zero
-///   Rotation Bruck's: blocks hop *downward*, relative index `i` at rank `p`
-///   starts as the send-buffer block for rank `p − i` and ends as the block
-///   from rank `p + i`; a block whose relative index is exhausted is copied
+///   Rotation Bruck's: blocks hop *downward*, slot `i` at rank `p` starts as
+///   the send-buffer block for rank `p − i` and ends as the block from rank
+///   `p + i`; a block arriving at the last step that holds its slot is copied
 ///   from the wire straight into its final position — no rotation, no scan.
 /// * `BlockViews` — SLOAV's (Xu et al.) two-layer layout, kept faithful to
 ///   the structure §6.1 criticizes so the ablation can price it: blocks hop
@@ -1112,33 +1110,26 @@ async fn bruck_unpadded<P: Port + ?Sized>(
     let mut held: Vec<Option<(usize, usize)>> = vec![None; p];
     let mut sizes: Vec<usize> = (0..p).map(|i| sendcounts[ahead(i)]).collect();
 
-    // Built one sub-step ahead of the loop: the split coupling announces
-    // the next sub-step's sizes while this one's data is in flight.
-    let mut hops = radix_schedule(p, cfg.radix)
-        .into_iter()
-        .map(|(idx, weight, d)| {
-            let hop = d * weight; // < P by construction of the schedule
-            let mut rel = Vec::new();
-            radix_step_rel_indices(p, weight, d, cfg.radix, &mut rel);
-            let done_bound = weight.saturating_mul(cfg.radix);
-            Hop { idx, dest: ahead(hop), src: behind(hop), rel, done_bound }
-        })
-        .peekable();
-
-    if let (true, Some(first)) = (cfg.two_phase_split, hops.peek()) {
+    // The split coupling announces the next step's sizes while this one's
+    // data is in flight, so the loop looks one step ahead.
+    let plan = alltoall_plan(p, cfg.radix, downward);
+    // A block is finished at the last step that holds its slot.
+    let last = plan.last_hops();
+    if let (true, Some(first)) = (cfg.two_phase_split, plan.steps.first()) {
         // Prologue of the split coupling: the metadata chain's head start.
-        post_sizes(comm, first, &sizes)?;
+        post_sizes(comm, 0, first, &sizes)?;
     }
-    while let Some(hop) = hops.next() {
+    for (k, step) in plan.steps.iter().enumerate() {
         let (got, base) = coupled_step(
             comm,
             cfg.two_phase_split,
             spans,
-            &hop,
-            hops.peek(),
+            k,
+            step,
+            plan.steps.get(k + 1),
             &mut sizes,
             |wire, sizes| {
-                for &i in &hop.rel {
+                for &i in &step.offsets {
                     match held[i] {
                         Some((r, at)) => wire.extend_from_slice(&regions[r][at..at + sizes[i]]),
                         None => {
@@ -1153,10 +1144,10 @@ async fn bruck_unpadded<P: Port + ?Sized>(
 
         let _probe = span(spans.scatter);
         let mut at = base;
-        for &i in &hop.rel {
+        for &i in &step.offsets {
             let sz = sizes[i];
             match &mut recv {
-                Recv::Placed { buf, counts, displs } if downward && i < hop.done_bound => {
+                Recv::Placed { buf, counts, displs } if downward && last[i] == k => {
                     let from = behind(i);
                     check_routed(sz, counts[from])?;
                     buf[displs[from]..displs[from] + sz].copy_from_slice(&got[at..at + sz]);
@@ -1203,7 +1194,6 @@ mod tests {
 
     use super::super::testutil::{build_send, check_recv, run_and_check_config, TEST_SIZES};
     use super::*;
-    use crate::common::uniform_step_tag;
     use crate::{packed_displs, pattern};
     use bruck_comm::{EventComm, MeteredComm, SimComm, ThreadComm};
     use bruck_workload::{Distribution, SizeMatrix};
@@ -1549,9 +1539,8 @@ mod tests {
                 };
                 let check = |backend: &str| {
                     let wire = std::mem::take(&mut *wire.lock().unwrap());
-                    let schedule = radix_schedule(p, radix);
-                    let step_tags: Vec<Tag> =
-                        schedule.iter().map(|&(k, ..)| uniform_step_tag(k)).collect();
+                    let plan = alltoall_plan(p, radix, true);
+                    let step_tags: Vec<Tag> = plan.steps.iter().map(|s| s.tag).collect();
                     let data: Vec<_> =
                         wire.iter().filter(|(_, tag, _)| step_tags.contains(tag)).collect();
                     let case = format!("{backend} P={p} r={radix}");

@@ -4,7 +4,8 @@ use bruck_comm::{CommResult, Communicator};
 use bruck_datatype::IndexedBlocks;
 
 use super::validate_uniform;
-use crate::common::{add_mod, ceil_log2, step_rel_indices, sub_mod, uniform_step_tag};
+use crate::collectives::alltoall_plan;
+use crate::common::{add_mod, sub_mod};
 use crate::probe::span;
 
 /// Basic Bruck with explicit `memcpy` buffer management.
@@ -26,21 +27,19 @@ pub(super) fn basic_bruck<C: Communicator + ?Sized>(
         }
     }
 
-    // Phase 2 — log(P) exchange steps over the offset bits.
+    // Phase 2 — log(P) exchange steps over the offset bits, upward.
+    let plan = alltoall_plan(p, 2, false);
     let mut wire = Vec::new();
-    for k in 0..ceil_log2(p) {
-        let _probe = span("basic.step");
-        let hop = 1usize << k;
-        let dest = add_mod(me, hop, p);
-        let src = sub_mod(me, hop, p);
+    for step in &plan.steps {
+        let _probe = span(plan.span);
         wire.clear();
-        for i in step_rel_indices(p, k) {
+        for &i in &step.offsets {
             wire.extend_from_slice(&recvbuf[i * block..(i + 1) * block]);
         }
-        let got = comm.sendrecv(dest, uniform_step_tag(k), &wire, src, uniform_step_tag(k))?;
-        debug_assert_eq!(got.len(), wire.len(), "peers exchange equal step volumes");
+        comm.send(add_mod(me, step.shift, p), step.tag, &wire)?;
+        let got = comm.recv_exact(sub_mod(me, step.shift, p), step.tag, wire.len())?;
         let mut at = 0;
-        for i in step_rel_indices(p, k) {
+        for &i in &step.offsets {
             recvbuf[i * block..(i + 1) * block].copy_from_slice(&got[at..at + block]);
             at += block;
         }
@@ -73,22 +72,19 @@ pub(super) fn basic_bruck_dt<C: Communicator + ?Sized>(
         recvbuf[i * block..(i + 1) * block].copy_from_slice(&sendbuf[src..src + block]);
     }
 
-    for k in 0..ceil_log2(p) {
-        let hop = 1usize << k;
-        let dest = add_mod(me, hop, p);
-        let src = sub_mod(me, hop, p);
+    for step in &alltoall_plan(p, 2, false).steps {
         // The same layout describes both what we gather to send and where the
-        // received blocks scatter (indices are symmetric between the peers).
+        // received blocks scatter (slots are symmetric between the peers).
         #[expect(clippy::expect_used, reason = "step blocks end inside `recvbuf`")]
-        let layout = IndexedBlocks::new(
-            step_rel_indices(p, k).map(|i| (i * block, block)).collect(),
-        )
-        .expect("in-bounds step layout");
+        let layout =
+            IndexedBlocks::new(step.offsets.iter().map(|&i| (i * block, block)).collect())
+                .expect("in-bounds step layout");
         let mut wire = vec![0u8; layout.packed_len()];
         #[expect(clippy::expect_used, reason = "the wire is `packed_len` long")]
         layout.pack_into(recvbuf, &mut wire).expect("pack step blocks");
-        let got = comm.sendrecv(dest, uniform_step_tag(k), &wire, src, uniform_step_tag(k))?;
-        #[expect(clippy::expect_used, reason = "peers pack the same layout; a rogue peer panics")]
+        comm.send(add_mod(me, step.shift, p), step.tag, &wire)?;
+        let got = comm.recv_exact(sub_mod(me, step.shift, p), step.tag, wire.len())?;
+        #[expect(clippy::expect_used, reason = "`recv_exact` checked the length")]
         layout.unpack_from(&got, recvbuf).expect("unpack step blocks");
     }
 

@@ -10,7 +10,6 @@ mod modified;
 mod reference;
 mod spread_out;
 mod zero_copy;
-mod zero_rotation;
 
 pub use reference::reference_alltoall;
 
@@ -18,9 +17,10 @@ use basic::{basic_bruck, basic_bruck_dt};
 use modified::{modified_bruck, modified_bruck_dt};
 use spread_out::spread_out_alltoall;
 use zero_copy::zero_copy_bruck_dt;
-use zero_rotation::zero_rotation_bruck;
 
 use bruck_comm::{CommError, CommResult, Communicator};
+
+use crate::radix::zero_rotation_bruck_radix;
 
 /// The six Bruck variants of the paper's Figure 2, plus the baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,7 +35,8 @@ pub enum AlltoallAlgorithm {
     ModifiedBruckDt,
     /// Datatype-only variant that avoids the per-step local copy.
     ZeroCopyBruckDt,
-    /// The paper's synthesis: neither rotation phase (explicit packing).
+    /// The paper's synthesis: neither rotation phase (explicit packing); the
+    /// `r = 2` point of [`crate::zero_rotation_bruck_radix`].
     ZeroRotationBruck,
     /// Linear-time non-blocking point-to-point exchange.
     SpreadOut,
@@ -85,7 +86,9 @@ pub fn alltoall<C: Communicator + ?Sized>(
         AlltoallAlgorithm::ModifiedBruck => modified_bruck(comm, sendbuf, recvbuf, block),
         AlltoallAlgorithm::ModifiedBruckDt => modified_bruck_dt(comm, sendbuf, recvbuf, block),
         AlltoallAlgorithm::ZeroCopyBruckDt => zero_copy_bruck_dt(comm, sendbuf, recvbuf, block),
-        AlltoallAlgorithm::ZeroRotationBruck => zero_rotation_bruck(comm, sendbuf, recvbuf, block),
+        AlltoallAlgorithm::ZeroRotationBruck => {
+            zero_rotation_bruck_radix(comm, sendbuf, recvbuf, block, 2)
+        }
         AlltoallAlgorithm::SpreadOut => spread_out_alltoall(comm, sendbuf, recvbuf, block),
         AlltoallAlgorithm::Reference => reference_alltoall(comm, sendbuf, recvbuf, block),
     }
@@ -160,6 +163,55 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{uniform_step_tag, SPREAD_TAG};
+    use bruck_comm::{EventComm, MsgBuf, SimComm, ThreadComm};
+
+    /// What rank 0 of a P = 2 world gets from `algo` when rank 1 answers its
+    /// one step with `len` bytes instead of a 4-byte block, and how many
+    /// bytes of that answer are still queued.
+    fn against_rogue_peer<C: Communicator + ?Sized>(
+        comm: &C,
+        algo: AlltoallAlgorithm,
+        len: usize,
+    ) -> Option<(CommError, Option<usize>)> {
+        let tag = match algo {
+            AlltoallAlgorithm::SpreadOut | AlltoallAlgorithm::Reference => SPREAD_TAG,
+            _ => uniform_step_tag(0),
+        };
+        if comm.rank() == 1 {
+            comm.send_buf(0, tag, MsgBuf::from_vec(vec![1; len])).unwrap();
+            comm.recv_buf(0, tag).unwrap();
+            return None;
+        }
+        let mut recvbuf = [0u8; 8];
+        let err = alltoall(algo, comm, &[7; 8], &mut recvbuf, 4)
+            .expect_err("a malformed step must not be accepted");
+        Some((err, comm.probe(1, tag).unwrap()))
+    }
+
+    #[test]
+    fn a_rogue_peer_gets_a_typed_error_from_every_kernel() {
+        // A short step is refused; a long one is refused and stays queued.
+        let cases = [
+            (2, CommError::BadArgument("short collective payload"), None),
+            (6, CommError::Truncated { message_len: 6, buffer_len: 4 }, Some(6)),
+        ];
+        for algo in AlltoallAlgorithm::ALL {
+            for (len, err, leftover) in cases.clone() {
+                let (want, case) = (Some((err, leftover)), format!("{} got {len}", algo.name()));
+                let got = ThreadComm::run(2, |comm| against_rogue_peer(comm, algo, len));
+                assert_eq!(got[0], want, "ThreadComm: {case}");
+                let got = SimComm::run(2, 5, |comm| against_rogue_peer(comm, algo, len));
+                assert_eq!(got.results[0], want, "SimComm: {case}");
+                for workers in [1, 2] {
+                    let got = EventComm::run_pooled(2, workers, |comm| {
+                        against_rogue_peer(comm, algo, len)
+                    });
+                    assert_eq!(got[0], want, "EventComm × {workers}: {case}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn dispatcher_rejects_bad_buffer_sizes() {

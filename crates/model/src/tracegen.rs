@@ -13,22 +13,22 @@
 //! named point or not, therefore has a trace, and
 //! `CommTrace::time(&MachineModel)` of it is the repo's only cost function.
 //!
-//! What is shared with `bruck-core` is the *schedule* (`radix_schedule`, the
-//! step index enumeration, the tag functions, the padding predicate). What is
-//! derived here independently — and is what makes the byte-exact gate a
-//! differential test — is the per-step **block identity**: store-and-forward
-//! means the block with relative index `i` hops at exactly the non-zero
-//! base-`r` digits of `i`, so just before sub-step `(weight, d)` the block at
-//! relative index `i` of rank `q` is the original `(s, d)` block with
-//! `s = q ± (i mod weight)` and `d = s ∓ i` (sign by schedule direction).
-//! Summing `size(s, d)` over the step's indices gives the exact bytes on the
-//! wire — which integration tests verify against `MeteredComm` per-tag
-//! counters of the real implementations.
+//! What is shared with `bruck-core` is the *schedule* (`alltoall_plan`, whose
+//! steps carry their tags, and the padding predicate). What is derived here
+//! independently — and is what makes the byte-exact gate a differential test
+//! — is the per-step **block identity**: store-and-forward keeps a block in
+//! its slot, and the plan moves slot `i` by each step's `shift`, so just
+//! before step `k` the block in slot `i` of rank `q` is the original `(s, d)`
+//! block with `s = q − moved[i]` and `d = s + total[i]` (mod `P`), where
+//! `moved[i]` sums the shifts of the steps before `k` that hold slot `i` and
+//! `total[i]` sums them all. Summing `size(s, d)` over the step's slots gives
+//! the exact bytes on the wire — which integration tests verify against
+//! `MeteredComm` per-tag counters of the real implementations.
 
 use bruck_core::common::{add_mod, ceil_log2, sub_mod};
 use bruck_core::{
-    radix_schedule, radix_step_rel_indices, AlltoallAlgorithm, EngineConfig,
-    EngineTopology, IntermediateLayout, PaddingRule,
+    alltoall_plan, AlltoallAlgorithm, EngineConfig, EngineTopology, IntermediateLayout,
+    PaddingRule,
 };
 
 use crate::source::SizeSource;
@@ -134,11 +134,12 @@ fn pairwise_step(
 /// the same `count · n` bytes per sub-step. `dt_per_block` is the datatype
 /// engine's descriptor work per block (`0` for explicit packing).
 ///
-/// A sub-step copies its pack and then, with a working buffer, every block it
+/// A step copies its pack and then, with a working buffer, every block it
 /// receives (`2 × bytes`). With `forward_from_regions` (Zero Rotation Bruck) a
 /// block that hops again is re-sent from the region it arrived in, so only
-/// the blocks the sub-step finishes — relative index below `weight · radix`
-/// — are copied out of it.
+/// the blocks the step finishes — the last step holding their slot — are
+/// copied out of it. Both directions move the same slots, so the downward
+/// plan prices the upward kernels too.
 fn uniform_bruck_steps(
     p: usize,
     n: usize,
@@ -148,13 +149,13 @@ fn uniform_bruck_steps(
     sample: &RankSample,
     steps: &mut Vec<Step>,
 ) {
-    let mut rel = Vec::new();
-    for (idx, weight, d) in radix_schedule(p, radix) {
-        radix_step_rel_indices(p, weight, d, radix, &mut rel);
-        let bytes = (rel.len() * n) as u64;
+    let plan = alltoall_plan(p, radix, true);
+    let last = plan.last_hops();
+    for (k, step) in plan.steps.iter().enumerate() {
+        let blocks = step.offsets.len();
+        let bytes = (blocks * n) as u64;
         let unpacked = if forward_from_regions {
-            let done_bound = weight.saturating_mul(radix);
-            (rel.iter().filter(|&&i| i < done_bound).count() * n) as u64
+            (step.offsets.iter().filter(|&&i| last[i] == k).count() * n) as u64
         } else {
             bytes
         };
@@ -163,10 +164,10 @@ fn uniform_bruck_steps(
             bytes_out: bytes,
             bytes_in: bytes,
             copy_bytes: bytes + unpacked,
-            dt_blocks: dt_per_block * rel.len() as u32,
+            dt_blocks: dt_per_block * blocks as u32,
             ..Default::default()
         };
-        steps.push(even_step(StepKind::UniformData(idx), load, sample));
+        steps.push(even_step(StepKind::UniformData(k as u32), load, sample));
     }
 }
 
@@ -270,8 +271,7 @@ pub fn nonuniform_trace<S: SizeSource + ?Sized>(
                     steps.push(copy_step(|q| source.col_sum(q), sample));
                 }
             } else if bruck {
-                let downward = cfg.layout == IntermediateLayout::Monolithic;
-                bruck_steps(&cfg, downward, source, sample, &mut steps);
+                bruck_steps(&cfg, source, sample, &mut steps);
             } else {
                 steps.push(pairwise_step(p, issue, off_diagonal, sample));
             }
@@ -284,42 +284,45 @@ pub fn nonuniform_trace<S: SizeSource + ?Sized>(
 /// combinations (two-phase and SLOAV are two of them).
 ///
 /// * Layout → direction. The monolithic layout routes like Zero Rotation
-///   Bruck: blocks hop *downward* (`q → q − hop`), so relative index `i` at
-///   rank `q` holds the original block `s = q + (i mod weight)`,
-///   `d = s − i`. Block views route like basic Bruck: *upward*,
-///   `s = q − (i mod weight)`, `d = s + i` — and end with a scan that copies
-///   every received block home through the pointer array.
+///   Bruck, *downward* (`q → q − d·w`); block views route like basic Bruck,
+///   *upward*, and end with a scan that copies every received block home
+///   through the pointer array. Either way the plan's shifts name each
+///   block: the one in slot `i` of rank `q` before step `k` is `(s, d)` with
+///   `s = q − moved[i]` and `d = s + total[i]` (module docs).
 /// * Coupling → metadata/data split. Split: a `4·count`-byte size array and
-///   the payload; the engine sends the size array of sub-step `k ≥ 1` beside
-///   the payload of sub-step `k − 1`, so only the first one's latency is
-///   exposed and the rest are overlapped messages. Combined: an 8-byte length
+///   the payload; the engine sends the size array of step `k ≥ 1` beside the
+///   payload of step `k − 1`, so only the first one's latency is exposed and
+///   the rest are overlapped messages. Combined: an 8-byte length
 ///   announcement, then `[sizes][payload]` in one buffer — walked once more
 ///   when it is packed and parsed block by block on arrival (§6.1) — and
-///   both latencies every sub-step, because the announced length depends on
+///   both latencies every step, because the announced length depends on
 ///   sizes inside the previous body.
 fn bruck_steps<S: SizeSource + ?Sized>(
     cfg: &EngineConfig,
-    downward: bool,
     source: &S,
     sample: &RankSample,
     steps: &mut Vec<Step>,
 ) {
     let p = source.p();
-    let mut rel = Vec::new();
+    let downward = cfg.layout == IntermediateLayout::Monolithic;
+    let plan = alltoall_plan(p, cfg.radix, downward);
+    // How far each slot's block travels in all, and has travelled so far.
+    let mut total = vec![0usize; p];
+    for step in &plan.steps {
+        for &i in &step.offsets {
+            total[i] = add_mod(total[i], step.shift, p);
+        }
+    }
+    let mut moved = vec![0usize; p];
     // Per transmitted block, as forward offsets mod P: where its source rank
     // sits relative to the sender, and its destination relative to the source.
     let mut blocks: Vec<(usize, usize)> = Vec::new();
-    for (idx, weight, d) in radix_schedule(p, cfg.radix) {
-        radix_step_rel_indices(p, weight, d, cfg.radix, &mut rel);
+    for (k, step) in plan.steps.iter().enumerate() {
         blocks.clear();
-        blocks.extend(rel.iter().map(|&i| {
-            let absorbed = i % weight; // the lower-digit hops already taken
-            if downward {
-                (absorbed, p - i)
-            } else {
-                (p - absorbed, i)
-            }
-        }));
+        blocks.extend(step.offsets.iter().map(|&i| (sub_mod(0, moved[i], p), total[i])));
+        for &i in &step.offsets {
+            moved[i] = add_mod(moved[i], step.shift, p);
+        }
         let count = blocks.len() as u64;
         let payload = |q: usize| -> u64 {
             blocks
@@ -331,7 +334,7 @@ fn bruck_steps<S: SizeSource + ?Sized>(
                 .sum()
         };
         let (meta_bytes, header) = if cfg.two_phase_split { (4 * count, 0) } else { (8, 4 * count) };
-        let runs_ahead = cfg.two_phase_split && idx > 0;
+        let runs_ahead = cfg.two_phase_split && k > 0;
         let meta = RankLoad {
             seq_msgs: u32::from(!runs_ahead),
             ov_msgs: u32::from(runs_ahead),
@@ -339,9 +342,8 @@ fn bruck_steps<S: SizeSource + ?Sized>(
             bytes_in: meta_bytes,
             ..Default::default()
         };
-        steps.push(even_step(StepKind::Meta(idx), meta, sample));
+        steps.push(even_step(StepKind::Meta(k as u32), meta, sample));
 
-        let hop = d * weight;
         let sent: Vec<u64> = sample.ranks().iter().map(|&q| payload(q)).collect();
         let loads = sample
             .ranks()
@@ -350,7 +352,7 @@ fn bruck_steps<S: SizeSource + ?Sized>(
             .map(|(&q, &sent_q)| {
                 // What arrives is what the peer sends: already known when the
                 // peer is covered too (always, unless the ranks are sampled).
-                let from = if downward { add_mod(q, hop, p) } else { sub_mod(q, hop, p) };
+                let from = sub_mod(q, step.shift, p);
                 let arriving = match sample.ranks().binary_search(&from) {
                     Ok(at) => sent[at],
                     Err(_) => payload(from),
@@ -371,7 +373,7 @@ fn bruck_steps<S: SizeSource + ?Sized>(
                 (q, load)
             })
             .collect();
-        steps.push(Step { kind: StepKind::Data(idx), loads });
+        steps.push(Step { kind: StepKind::Data(k as u32), loads });
     }
     if !downward {
         // Final scan: every received block is copied to its destination, one
@@ -649,7 +651,7 @@ mod tests {
                     nonuniform_trace(cfg, &s, &sample)
                 };
                 let (split, combined) = (point(true), point(false));
-                let steps = radix_schedule(p, radix).len() as u64;
+                let steps = alltoall_plan(p, radix, true).steps.len() as u64;
                 assert_eq!(
                     combined.total_wire_bytes(),
                     split.total_wire_bytes() + 8 * steps * p as u64,

@@ -31,7 +31,9 @@ tree_state() {
 tree_before=$(tree_state)
 
 stage build cargo build --workspace --release
-stage test cargo test --workspace -q
+# Every test binary runs even after one fails, so a red stage lists all of
+# the failures, not the first binary's.
+stage test cargo test --workspace -q --no-fail-fast
 # Rustdoc gate: every intra-doc link must resolve, so deleting or renaming a
 # type fails here instead of leaving [`crate::Gone`] references to rot.
 stage docs env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -19,11 +19,24 @@ fn two_phase_radix(radix: usize) -> EngineConfig {
 
 #[test]
 fn radix_two_phase_traces_predict_wire_bytes_exactly() {
-    for radix in [2usize, 3, 4, 8] {
-        for p in [4usize, 9, 12, 16] {
+    // Every unpadded layout × coupling point (two-phase and SLOAV are two of
+    // them) and padded Bruck, at each radix and at r = P: one phase of P − 1
+    // steps.
+    let (split, combined) = (EngineConfig::as_two_phase(), EngineConfig::as_sloav());
+    let points = [
+        split,
+        EngineConfig { two_phase_split: false, ..split },
+        combined,
+        EngineConfig { two_phase_split: true, ..combined },
+        EngineConfig::as_padded_bruck(),
+    ];
+    for p in [4usize, 9, 12, 16] {
+        for radix in [2, 3, 4, 8, p] {
             let m = SizeMatrix::generate(Distribution::Uniform, radix as u64 * 97, p, 64);
-            let cfg = two_phase_radix(radix);
-            assert_config_conforms(&cfg, &m, &metered_alltoallv(&cfg, &m));
+            for point in points {
+                let cfg = EngineConfig { radix, ..point };
+                assert_config_conforms(&cfg, &m, &metered_alltoallv(&cfg, &m));
+            }
         }
     }
 }
