@@ -11,9 +11,9 @@
 //!    exhaustive cells must *converge* within their budget.
 //! 2. **Event-runtime wakeup audit** — tiny scenarios on the event runtime
 //!    run under a deterministic single-worker pick policy through every
-//!    worker-pick interleaving; each schedule's `hb-audit` transition log is
-//!    checked for lost wakeups, stale-epoch wakes, double enqueues, and
-//!    happens-before (vector-clock) violations.
+//!    worker-pick interleaving; the happens-before transition log every
+//!    scheduled run records is checked for lost wakeups, stale-epoch wakes,
+//!    double enqueues, and happens-before (vector-clock) violations.
 //!
 //! On any violation the witness schedule is saved, ddmin-minimized, and the
 //! one-command replay is printed:

@@ -39,7 +39,7 @@
 
 use crate::cells::{mix, Harness, Row};
 use crate::runner::{run_cell, shrink_trace, World};
-use bruck_comm::{ScheduleTrace, SimOp, SimStep};
+use bruck_comm::{ScheduleTrace, SimOp, SimStep, VectorClock};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -231,9 +231,9 @@ fn awake(seq: &[Event], mut sleep: BTreeMap<u32, SimOp>) -> Vec<Event> {
 /// kept as vector clocks.
 struct Hb {
     run: Vec<Event>,
-    /// `clock[k][r]`: 1 + the index of the last event of rank `r` that
-    /// happens before (or is) event `k`, 0 if none.
-    clock: Vec<Vec<usize>>,
+    /// `clock[k].get(r)`: how many events of rank `r` happen before (or are)
+    /// event `k`.
+    clock: Vec<VectorClock>,
     /// Each event's direct predecessors: its rank's previous event and every
     /// earlier dependent event of another rank.
     preds: Vec<Vec<usize>>,
@@ -251,11 +251,11 @@ impl Hb {
             };
             let preds: Vec<usize> =
                 last[rj as usize].into_iter().chain((0..j).filter(other)).collect();
-            let mut c = vec![0; p];
+            let mut c = VectorClock::new(p);
             for &k in &preds {
-                c.iter_mut().zip(&hb.clock[k]).for_each(|(a, b)| *a = (*a).max(*b));
+                c.join(&hb.clock[k]);
             }
-            c[rj as usize] = j + 1;
+            c.tick(rj as usize);
             hb.clock.push(c);
             hb.preds.push(preds);
             last[rj as usize] = Some(j);
@@ -265,7 +265,8 @@ impl Hb {
 
     /// Does event `i` happen before (or is it) event `k`?
     fn before(&self, i: usize, k: usize) -> bool {
-        self.clock[k][self.run[i].0 as usize] > i
+        let ri = self.run[i].0 as usize;
+        self.clock[i].get(ri) <= self.clock[k].get(ri)
     }
 
     /// The races whose later event `j` lies in `from..to`, each as `(i, v)`:

@@ -8,9 +8,10 @@
 //! been in flight at the same time under some legal schedule?" have answers
 //! independent of the interleaving that happened to occur.
 //!
-//! * [`VectorClock`] — the standard logical-clock construction: each rank
-//!   ticks its own component on every event and joins the sender's clock on
-//!   every receive, so `a.le(b)` decides happens-before for any two events.
+//! * [`VectorClock`] — `bruck-comm`'s one logical clock, the type the event
+//!   runtime's audit stamps with too: here each rank ticks its own component
+//!   on every event and joins the sender's clock on every receive, so
+//!   `a.le(b)` decides happens-before for any two events.
 //! * [`Event`] / [`EventKind`] — one record per communicator operation.
 //! * [`MsgRecord`] — one record per message, linking its send event, its
 //!   receive event (if matched), the payload, and the sender's clock.
@@ -31,46 +32,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use bruck_comm::{
-    CommError, CommResult, MsgBuf, SimComm, SimConfig, Tag, WireEvent, WireKind,
+    CommError, CommResult, MsgBuf, SimComm, SimConfig, Tag, VectorClock, WireEvent, WireKind,
 };
-
-/// A vector logical clock over `P` ranks.
-///
-/// Maintained with the classic protocol: tick your own component before
-/// stamping an event, join the sender's clock on receive. For two stamped
-/// events `a` (on rank `ra`) and `b`, `a` happens-before `b` iff
-/// `a.clock.get(ra) <= b.clock.get(ra)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VectorClock(Vec<u64>);
-
-impl VectorClock {
-    /// The zero clock for `p` ranks.
-    pub fn new(p: usize) -> Self {
-        VectorClock(vec![0; p])
-    }
-
-    /// Advance `rank`'s own component by one.
-    pub fn tick(&mut self, rank: usize) {
-        self.0[rank] += 1;
-    }
-
-    /// Component-wise maximum with `other` (the receive-side join).
-    pub fn join(&mut self, other: &VectorClock) {
-        for (mine, theirs) in self.0.iter_mut().zip(&other.0) {
-            *mine = (*mine).max(*theirs);
-        }
-    }
-
-    /// `rank`'s component.
-    pub fn get(&self, rank: usize) -> u64 {
-        self.0.get(rank).copied().unwrap_or(0)
-    }
-
-    /// Component-wise `<=` (the happens-before-or-equal partial order).
-    pub fn le(&self, other: &VectorClock) -> bool {
-        self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
-    }
-}
 
 /// What a recorded event did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -331,21 +294,6 @@ where
 mod tests {
     use super::*;
     use bruck_comm::Communicator;
-
-    #[test]
-    fn clock_ordering_basics() {
-        let mut a = VectorClock::new(3);
-        a.tick(0);
-        let mut b = a.clone();
-        b.tick(1);
-        assert!(a.le(&b));
-        assert!(!b.le(&a));
-        let mut c = VectorClock::new(3);
-        c.tick(2);
-        assert!(!a.le(&c) && !c.le(&a), "independent events are concurrent");
-        b.join(&c);
-        assert!(c.le(&b));
-    }
 
     #[test]
     fn pingpong_extracts_completely() {

@@ -3,8 +3,10 @@
 //!
 //! It drives `EventComm::run_scheduled` — the event runtime
 //! under a deterministic single-worker pick policy — through **every**
-//! worker-pick interleaving of tiny scenarios, and checks the `hb-audit`
-//! transition log of each schedule against the wakeup-protocol invariants
+//! worker-pick interleaving of tiny scenarios, and checks the happens-before
+//! transition log every scheduled run records
+//! ([`EventRun::audit`](bruck_comm::EventRun::audit)) against the
+//! wakeup-protocol invariants
 //! ([`audit_check`]): no lost wakeups (every taken waiter is followed by a
 //! wake of that rank), no stale-epoch wake application, no double enqueue,
 //! vector-clock domination (a woken task's next execution joins its waker's
@@ -164,13 +166,10 @@ impl EventScenario {
     }
 }
 
-/// Auditing event-runtime options; `with_bug` arms the seeded lost-wakeup
-/// bug. bruck-check compiles bruck-comm with `seeded-bugs` (Cargo.toml), so
-/// the arming constructor is always available here; the bug still fires
-/// only in runs that arm it.
+/// Scheduled-run options; `with_bug` arms the seeded lost-wakeup bug, which
+/// fires only in runs that arm it.
 pub fn event_opts(with_bug: bool) -> EventVerifyOpts {
-    let mut o = EventVerifyOpts::default();
-    o.audit = true;
+    let o = EventVerifyOpts::default();
     if with_bug {
         o.with_lost_wakeup_bug()
     } else {
@@ -272,7 +271,7 @@ pub fn audit_check(run: &EventRun<u64>, p: usize) -> Vec<String> {
                 .iter()
                 .find(|l| matches!(l.kind, AuditKind::ExecStart { rank: r, .. } if r == rank))
             {
-                if exec.clock.iter().zip(&e.clock).any(|(a, b)| a < b) {
+                if !e.clock.le(&exec.clock) {
                     bad.push(format!(
                         "happens-before violation: rank {rank}'s post-wake execution does \
                          not causally follow its enqueue"
@@ -330,7 +329,7 @@ pub struct EventVerifyReport {
 /// Exhaustively explore every worker-pick interleaving of a scenario
 /// (enabled sets carry no op footprints, so this is plain DFS, no
 /// reduction — the trees are tiny). `with_bug` arms the seeded lost-wakeup
-/// bug (needs the `seeded-bugs` feature to have any effect).
+/// bug.
 pub fn explore_event_scenario(
     scenario: EventScenario,
     max_executions: u64,
@@ -403,6 +402,63 @@ pub fn explore_event_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bruck_comm::{AuditEvent, VectorClock};
+
+    /// One clean recorded run, doctored at one event per invariant: each
+    /// fixture trips exactly that invariant of [`audit_check`], and with its
+    /// message, so none of the five checks can pass vacuously.
+    #[test]
+    fn each_audit_invariant_fails_on_its_own_doctored_log() {
+        // Rank 1 parks first, so rank 0's deposit takes its waiter and
+        // enqueues it: every invariant has an event of rank 1 to bite on.
+        let cfg = SimConfig { replay: Some(vec![1, 0]), ..SimConfig::from_seed(0) };
+        let doctored = |edit: &dyn Fn(&mut Vec<AuditEvent>)| {
+            let mut run = run_event_scenario(EventScenario::Ping, &cfg, event_opts(false));
+            edit(&mut run.audit);
+            audit_check(&run, 2)
+        };
+        assert_eq!(doctored(&|_| {}), Vec::<String>::new(), "the undoctored run is clean");
+        let clean = run_event_scenario(EventScenario::Ping, &cfg, event_opts(false)).audit;
+        let at = |want: fn(&AuditKind) -> bool| {
+            clean.iter().rposition(|e| want(&e.kind)).expect("the clean log records the wake")
+        };
+        let taken = at(|k| matches!(k, AuditKind::WaiterTaken { rank: 1, .. }));
+        let enqueued = at(|k| matches!(k, AuditKind::Enqueued { rank: 1, .. }));
+        let woken = at(|k| matches!(k, AuditKind::ExecStart { rank: 1, .. }));
+        assert!(taken < enqueued && enqueued < woken, "{clean:?}");
+        let AuditKind::Enqueued { epoch, .. } = clean[enqueued].kind else { unreachable!() };
+
+        // (1) A dropped wake: the take moves past the rank's last event, so
+        // no wake follows it.
+        let lost = doctored(&|log| log[taken..].rotate_left(1));
+        let msg = format!(
+            "lost wakeup: waiter of rank 1 (epoch {epoch}) taken by Sender(0) but the rank is \
+             never woken or finished"
+        );
+        assert_eq!(lost, [msg]);
+        // (2) A wrong epoch on the wake.
+        let stale = doctored(&|log| {
+            log[enqueued].kind =
+                AuditKind::Enqueued { rank: 1, epoch: epoch + 1, by: WakeSource::Sender(0) };
+        });
+        let msg = format!(
+            "stale-epoch wake: rank 1 enqueued by Sender(0) at epoch {}, expected Some({epoch})",
+            epoch + 1
+        );
+        assert_eq!(stale, [msg]);
+        // (3) A second `Enqueued` before the rank runs.
+        let double = doctored(&|log| log.insert(enqueued + 1, log[enqueued].clone()));
+        assert_eq!(double, ["double enqueue: rank 1 woken twice without running"]);
+        // (4) The woken execution's clock lowered below its enqueue's.
+        let unordered = doctored(&|log| log[woken].clock = VectorClock::new(3));
+        let msg = "happens-before violation: rank 1's post-wake execution does not causally \
+                   follow its enqueue";
+        assert_eq!(unordered, [msg]);
+        // (5) A missing `TaskDone` in a run that reports no stall.
+        let unfinished =
+            doctored(&|log| log.retain(|e| !matches!(e.kind, AuditKind::TaskDone { rank: 1 })));
+        assert_eq!(unfinished, ["rank 1 never completed in a run that claims to have"]);
+    }
 
     #[test]
     fn event_scenarios_converge_exhaustively() {

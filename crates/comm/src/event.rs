@@ -81,7 +81,7 @@ use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use crate::mailbox::MatchStore;
-use crate::runtime::EventWorld;
+use crate::runtime::{AuditKind, EventWorld, WakeSource};
 use crate::{CommError, CommResult, Communicator, MsgBuf, Port, Tag, RESERVED_TAG_BASE};
 
 /// Sentinel payload a task unwinds with when its current operation cannot
@@ -450,21 +450,18 @@ fn deposit(world: &EventWorld, rank: usize, sends: impl IntoIterator<Item = (usi
     for (dest, tag, buf) in sends {
         let mut inbox = world.inbox(dest);
         inbox.store.push(rank, tag, buf);
-        #[cfg(feature = "hb-audit")]
-        world.audit_record(rank, crate::runtime::AuditKind::Deposit { src: rank, dest, tag });
+        world.audit_record(rank, AuditKind::Deposit { src: rank, dest, tag });
         let matches = inbox.waiter.as_ref().is_some_and(|w| w.matches(rank, tag));
         if matches {
             if let Some(w) = inbox.waiter.take() {
-                #[cfg(feature = "hb-audit")]
                 world.audit_record(
                     rank,
-                    crate::runtime::AuditKind::WaiterTaken {
+                    AuditKind::WaiterTaken {
                         rank: dest,
                         epoch: w.epoch,
-                        by: crate::runtime::WakeSource::Sender(rank),
+                        by: WakeSource::Sender(rank),
                     },
                 );
-                let _ = w;
                 woken.push(dest);
             }
         }
@@ -489,15 +486,8 @@ fn arm_waiter(
     }
     inbox.waiter = Some(Waiter { key, epoch });
     drop(inbox);
-    #[cfg(feature = "hb-audit")]
-    {
-        let (src, tag) = key.unwrap_or((rank, 0));
-        world.audit_record(
-            rank,
-            crate::runtime::AuditKind::WaiterArmed { rank, src, tag, epoch },
-        );
-    }
-    let _ = world;
+    let (src, tag) = key.unwrap_or((rank, 0));
+    world.audit_record(rank, AuditKind::WaiterArmed { rank, src, tag, epoch });
 }
 
 /// What a finished resumed call returns, and what its replay-log entry

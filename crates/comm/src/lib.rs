@@ -113,8 +113,7 @@ pub use reduce::ReduceOp;
 pub use retry::RetryPolicy;
 pub use runtime::{
     AuditEvent, AuditKind, EventReport, EventRun, EventStep, EventVerifyOpts, EventWorld,
-    ParkCounts,
-    WakeSource,
+    ParkCounts, VectorClock, WakeSource,
 };
 pub use sim::{
     shrink_choices, ScheduleTrace, SimComm, SimConfig, SimOp, SimReport, SimRun, SimStep,
