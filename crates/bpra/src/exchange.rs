@@ -41,8 +41,11 @@ pub struct ExchangeStats {
 /// 16-byte lane header, so each rank reads the global `N` (the max of the
 /// first lane) and the sum of the callers' `vote`s (a fixpoint's
 /// termination; 0 without one) off what it receives, and the engine finds
-/// the receive counts on the exchange's own wire. Consecutive calls on one
-/// communicator must alternate `odd_round`.
+/// the receive counts on the exchange's own wire: an unpadded Bruck
+/// algorithm (two-phase, SLOAV) sends one `[sizes | payload]` frame per
+/// sub-step, 3 messages per rank at P = 8, and a direct one's receivers read
+/// message lengths. Consecutive calls on one communicator must alternate
+/// `odd_round`.
 ///
 /// Every length here is a peer's word: a segment shorter than its header or
 /// with a partial tuple, like an `outboxes` of the wrong length, is a
@@ -153,7 +156,7 @@ mod tests {
     #[test]
     fn exchange_routes_tuples_to_their_destination() {
         let p = 6;
-        // Counts off the metadata chain, off the message lengths, and off the
+        // Counts off the Bruck frames, off the message lengths, and off the
         // counts exchange in front of a padded one.
         for algo in [
             AlltoallvAlgorithm::Vendor,

@@ -16,9 +16,10 @@ const ALGOS: [AlltoallvAlgorithm; 2] = [AlltoallvAlgorithm::TwoPhaseBruck, Allto
 #[test]
 fn a_round_is_one_exchange_with_or_without_data_at_p8() {
     let p = 8;
-    // Two-phase: 3 metadata + 3 data messages; vendor: one per peer. Nothing
-    // on reserved tags: no collective runs beside the exchange.
-    for (algo, msgs) in ALGOS.into_iter().zip([6, 7]) {
+    // Two-phase: one `[sizes | payload]` frame per sub-step, 3 in all;
+    // vendor: one per peer. Nothing on reserved tags: no collective runs
+    // beside the exchange.
+    for (algo, msgs) in ALGOS.into_iter().zip([3, 7]) {
         let sent = ThreadComm::run(p, |comm| {
             let mc = MeteredComm::new(comm);
             let round = |outboxes: &[Vec<Tuple>], odd_round| {

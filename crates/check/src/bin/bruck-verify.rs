@@ -8,7 +8,8 @@
 //!    reduction enumerates every Mazurkiewicz-inequivalent interleaving,
 //!    asserting byte-identical results and no deadlock at every leaf. Each
 //!    cell reports explored vs. inequivalent vs. naive interleavings, and
-//!    exhaustive cells must *converge* within their budget.
+//!    exhaustive cells must *converge* within their budget at exactly the
+//!    class count `cells::VERIFY_CLASSES` lists for them.
 //! 2. **Event-runtime wakeup audit** — tiny scenarios on the event runtime
 //!    run under a deterministic single-worker pick policy through every
 //!    worker-pick interleaving; the happens-before transition log every
@@ -31,7 +32,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use bruck_check::cells::{rows, Family, DEFAULT_SEEDS};
+use bruck_check::cells::{expected_classes, rows, Family, DEFAULT_SEEDS};
 use bruck_check::cli::{
     exit_code, load_trace, parse_args, replay_cell, replay_verdict, save_witness,
 };
@@ -131,7 +132,10 @@ fn main() -> ExitCode {
     let mut best_pruning_log10 = f64::NEG_INFINITY;
     for row in &cells {
         let report = explore_cell(row, CELL_WALL_BUDGET);
-        let status = if !report.ok() {
+        // An exhaustive row must find exactly its cell's classes.
+        let expected = expected_classes(row);
+        let classes_ok = !report.exhaustive || expected == Some(report.classes);
+        let status = if !report.ok() || !classes_ok {
             failed = true;
             "FAIL"
         } else if report.converged {
@@ -147,6 +151,12 @@ fn main() -> ExitCode {
             report.naive_log10,
             report.pruning_log10(),
         );
+        if !classes_ok {
+            match expected {
+                Some(want) => println!("    expected {want} inequivalent classes"),
+                None => println!("    no expected class count for this cell (cells::VERIFY_CLASSES)"),
+            }
+        }
         if report.converged {
             best_pruning_log10 = best_pruning_log10.max(report.pruning_log10());
         }

@@ -291,10 +291,17 @@ mod tests {
 
     #[test]
     fn crash_points_are_ordered_inside_the_operation() {
-        let cell = row(two_phase(), PhaseClass::Half, 1).cell;
-        let ops = calibrate(&cell, RECOVERY_WORLD.1, 1).unwrap();
-        assert!(ops > 8, "a two-phase exchange at P = 5 is more than a handful of ops: {ops}");
-        let points = PhaseClass::ALL.map(|ph| ph.crash_point(ops));
+        let ops_of = |op| calibrate(&row(op, PhaseClass::Half, 1).cell, RECOVERY_WORLD.1, 1);
+        let points = |ops| PhaseClass::ALL.map(|ph: PhaseClass| ph.crash_point(ops));
+        // A discovering two-phase exchange at P = 5 is three framed sub-steps,
+        // one send and one receive each: a quarter of its six ops rounds down
+        // onto the first, as for every three-step schedule at P = 5.
+        let ops = ops_of(two_phase()).unwrap();
+        assert_eq!((ops, points(ops)), (6, [1, 1, 3, 5]));
+        let tc = Op::Fixpoint(Fixpoint::Tc, AlltoallvAlgorithm::TwoPhaseBruck);
+        let ops = ops_of(tc).unwrap();
+        assert!(ops > 8, "a fixpoint at P = 5 is more than a handful of ops: {ops}");
+        let points = points(ops);
         assert_eq!((points[0], points[3]), (1, ops - 1));
         assert!(points.windows(2).all(|w| w[0] < w[1]), "{points:?}");
     }

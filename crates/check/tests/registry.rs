@@ -4,8 +4,8 @@
 use std::collections::BTreeSet;
 
 use bruck_check::cells::{
-    decode_meta, encode_meta, registry, rows, Faults, Family, Fixpoint, Harness, Op, PhaseClass,
-    Row, Tier, DEFAULT_SEEDS,
+    decode_meta, encode_meta, expected_classes, registry, rows, Faults, Family, Fixpoint, Harness,
+    Op, PhaseClass, Row, Tier, DEFAULT_SEEDS, VERIFY_CLASSES,
 };
 use bruck_comm::ReduceOp;
 use bruck_core::{
@@ -71,7 +71,7 @@ fn registry_covers_every_public_point() {
         }
     }
     // The multi-epoch tenants are recorded and schedule-fuzzed through every
-    // way a round finds its counts — the metadata chain (two-phase), message
+    // way a round finds its counts — the Bruck frames (two-phase), message
     // lengths (vendor), a counts exchange (padded Bruck) — and, over
     // two-phase, model-checked (the closure, bounded) and run through the
     // reliable stack by chaos (below).
@@ -205,4 +205,21 @@ fn decode_rejects_unknown_tokens_by_name() {
     assert!(decode_meta("not a cell").is_err());
     // A fault plan scripts rank 1 and rank p − 1: it needs a second rank.
     assert!(decode_meta(&good.replace("p=5", "p=1").replace("fault=none", "fault=crash")).is_err());
+}
+
+#[test]
+fn every_exhaustive_verify_row_has_exactly_one_class_count() {
+    let exhaustive: Vec<Row> = family(Family::Verify, Tier::Full)
+        .into_iter()
+        .filter(|r| matches!(r.harness, Harness::Verify { exhaustive: true, .. }))
+        .collect();
+    for row in &exhaustive {
+        assert!(expected_classes(row).is_some(), "{}: no expected class count", row.label());
+    }
+    // No stale or duplicate entry: each names one exhaustive row's cell.
+    for (cell, _) in VERIFY_CLASSES {
+        let rows = exhaustive.iter().filter(|r| r.cell.label() == cell).count();
+        assert_eq!(rows, 1, "{cell}");
+    }
+    assert_eq!(VERIFY_CLASSES.len(), exhaustive.len());
 }

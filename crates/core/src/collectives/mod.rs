@@ -42,6 +42,7 @@
 mod plan;
 mod reference;
 
+pub(crate) use plan::bruck_schedule;
 pub use plan::{allgatherv_plan, alltoall_plan, reduce_scatter_plan, Plan, PlanStep};
 pub use reference::{
     pattern_byte, pattern_u64, reference_allgatherv, reference_allreduce,

@@ -13,6 +13,9 @@
 //! memory model run. `bruck-model` prices the same plans, so each schedule
 //! has one definition.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use bruck_comm::{CommResult, MsgBuf, Port, ReduceOp, Tag};
 
 use crate::common::{
@@ -137,6 +140,37 @@ pub fn alltoall_plan(p: usize, radix: usize, downward: bool) -> Plan {
             (uniform_step_tag(k as u32), shift, offsets)
         }),
     )
+}
+
+/// An [`alltoall_plan`] and its [`Plan::last_hops`], as the Bruck loops read
+/// them.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Schedule {
+    pub plan: Plan,
+    pub last: Vec<usize>,
+}
+
+thread_local! {
+    /// The schedule this thread built last, keyed by `(p, radix, downward)`.
+    static LAST_SCHEDULE: RefCell<Option<((usize, usize, bool), Arc<Schedule>)>> =
+        const { RefCell::new(None) };
+}
+
+/// `alltoall_plan(p, radix, downward)` and its last hops, built once per
+/// thread for consecutive calls with the same key: one event-runtime worker
+/// serves every rank of its world, and a fixpoint calls the same exchange
+/// every round, so each would otherwise rebuild the same `O(P log P)` table.
+pub(crate) fn bruck_schedule(p: usize, radix: usize, downward: bool) -> Arc<Schedule> {
+    let key = (p, radix, downward);
+    LAST_SCHEDULE.with_borrow_mut(|memo| match memo {
+        Some((k, schedule)) if *k == key => Arc::clone(schedule),
+        _ => {
+            let plan = alltoall_plan(p, radix, downward);
+            let schedule = Arc::new(Schedule { last: plan.last_hops(), plan });
+            *memo = Some((key, Arc::clone(&schedule)));
+            schedule
+        }
+    })
 }
 
 /// The plan of one allgatherv schedule over `p` ranks; block `b` is rank
@@ -490,6 +524,23 @@ mod tests {
                 let plan = allgatherv_plan(algo, p);
                 assert!((0..plan.steps.len()).all(|i| !plan.forwards(i)), "p={p} {algo:?}");
             }
+        }
+    }
+
+    #[test]
+    fn a_schedule_is_built_once_per_key_in_a_row() {
+        let (a, b) = (bruck_schedule(12, 3, true), bruck_schedule(12, 3, true));
+        assert!(Arc::ptr_eq(&a, &b), "same key: the memo's schedule");
+        let want = |p, r, down| {
+            let plan = alltoall_plan(p, r, down);
+            Schedule { last: plan.last_hops(), plan }
+        };
+        assert_eq!(*a, want(12, 3, true));
+        // Every component of the key is the key: a new one is a fresh plan.
+        for (p, r, down) in [(12, 3, false), (12, 4, false), (13, 4, false), (12, 3, true)] {
+            let c = bruck_schedule(p, r, down);
+            assert!(!Arc::ptr_eq(&a, &c), "({p}, {r}, {down}) after another key");
+            assert_eq!(*c, want(p, r, down), "({p}, {r}, {down})");
         }
     }
 }

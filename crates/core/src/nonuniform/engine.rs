@@ -13,7 +13,7 @@
 //! | `throttle_window` | `None` / `Some(w)` | outstanding pairs for direct exchanges |
 //! | [`PaddingRule`] | never / always / threshold | pad blocks to the global max `N` first |
 //! | [`IntermediateLayout`] | monolithic / block-views | zero-rotation routing, finished blocks delivered in place, no final scan vs. basic routing + scan |
-//! | `two_phase_split` | bool | decoupled metadata message, running one step ahead of the data, vs. combined buffer |
+//! | `two_phase_split` | bool | decoupled metadata message, running one step ahead of the data, vs. combined buffer behind a length message; a don't-care in [`alltoallv_discover`], which frames every step |
 //!
 //! The named algorithms are **constructors, not kernels**:
 //! [`EngineConfig::as_two_phase`], [`EngineConfig::as_spread_out`], … build
@@ -37,9 +37,11 @@
 //! [`alltoallv_discover`] is the same engine for a caller that knows only its
 //! send side, as a fixpoint round does. The direct and unpadded Bruck loops
 //! have a second delivery mode for it: the direct loop reads each message's
-//! length, the Bruck loop reads each block's size off the size arrays that
-//! carried it, and both pack the blocks in source order once every length is
-//! in. No other topology can learn a length from its own wire (a padded slot
+//! length; the Bruck loop sends each sub-step as one `[sizes | payload]`
+//! frame, received at whatever length it has, and reads each block's size off
+//! the frame that carried it — one message per sub-step, under either
+//! `two_phase_split`. Both pack the blocks in source order once every length
+//! is in. No other topology can learn a length from its own wire (a padded slot
 //! is `N` bytes whatever it carries), so those run a uniform Zero Rotation
 //! Bruck exchange of the counts first. Consecutive calls alternate between
 //! two disjoint tag blocks by the parity the caller passes (DESIGN.md §14.5).
@@ -60,7 +62,7 @@ use bruck_comm::{
 };
 
 use super::{packed_displs, validate_send, validate_v};
-use crate::collectives::{alltoall_plan, PlanStep};
+use crate::collectives::{bruck_schedule, PlanStep};
 use crate::common::{add_mod, data_tag, meta_tag, sub_mod, SPREAD_TAG};
 use crate::probe::span;
 use crate::radix::{full_slots, zero_rotation_bruck_deliver};
@@ -159,7 +161,8 @@ pub struct EngineConfig {
     /// one step ahead, so a step costs one latency. `false`: one combined
     /// `[sizes][blocks]` buffer preceded by an 8-byte total-size exchange
     /// (SLOAV coupling), two latencies per step. Consulted by unpadded
-    /// `Bruck` only.
+    /// `Bruck` only, and only by its `alltoallv`: [`alltoallv_discover`]
+    /// sends every step as one `[sizes][blocks]` frame either way.
     pub two_phase_split: bool,
 }
 
@@ -488,8 +491,11 @@ pub fn configurable_alltoallv<C: Communicator + ?Sized>(
 /// with the `recvcounts` they came in.
 ///
 /// Unpadded `Direct` and `Bruck` configs learn every count from the
-/// exchange's own wire, at no extra message; every other config runs one
-/// uniform Zero Rotation Bruck exchange of the counts first (module docs).
+/// exchange's own wire, at no extra message: an unpadded Bruck sub-step is
+/// one `[sizes | payload]` frame whatever `two_phase_split` says, so a
+/// two-phase or SLOAV config sends one message per sub-step here where its
+/// `alltoallv` sends two. Every other config runs one uniform Zero Rotation
+/// Bruck exchange of the counts first (module docs).
 ///
 /// Consecutive calls on one communicator must alternate `odd_round`: the
 /// odd calls run on a tag block disjoint from the even ones', so a call's
@@ -920,15 +926,35 @@ const SLOAV_SPANS: StepSpans = StepSpans {
     scatter: "sloav.scatter",
 };
 
-/// The 4-byte-per-block size array announcing `step`'s outgoing blocks.
-fn size_array(step: &PlanStep, sizes: &[usize]) -> CommResult<Vec<u8>> {
-    let mut array = Vec::with_capacity(step.offsets.len() * 4);
+/// How one unpadded Bruck sub-step couples its blocks' sizes to their
+/// payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Coupling {
+    /// Two-phase Bruck's (§3.2): the 4-byte-per-block size array is its own
+    /// message on the meta tag, running one sub-step ahead of the payload on
+    /// the data tag. One latency per sub-step, two messages.
+    Split,
+    /// SLOAV's (§6.1): one `[sizes | payload]` body on the data tag, preceded
+    /// on the meta tag by an 8-byte message announcing its length. Two
+    /// latencies per sub-step.
+    Announced,
+    /// [`alltoallv_discover`]'s: the `[sizes | payload]` body alone, received
+    /// at whatever length it has (`MPI_Mprobe` + `MPI_Mrecv`). One latency
+    /// and one message per sub-step. A receive posted with a length — the
+    /// named `alltoallv`'s, which the paper and the model price — cannot take
+    /// it.
+    Framed,
+}
+
+/// Append the 4-byte-per-block size array announcing `step`'s outgoing
+/// blocks to `wire`.
+fn put_sizes(wire: &mut Vec<u8>, step: &PlanStep, sizes: &[usize]) -> CommResult<()> {
     for &i in &step.offsets {
         let sz = u32::try_from(sizes[i])
             .map_err(|_| CommError::BadArgument("block size exceeds u32 metadata"))?;
-        array.extend_from_slice(&sz.to_le_bytes());
+        wire.extend_from_slice(&sz.to_le_bytes());
     }
-    Ok(array)
+    Ok(())
 }
 
 /// Post the size array announcing step `k`'s outgoing blocks (split
@@ -940,14 +966,16 @@ fn post_sizes<P: Port + ?Sized>(
     sizes: &[usize],
 ) -> CommResult<()> {
     let dest = add_mod(comm.rank(), step.shift, comm.size());
-    comm.send_buf(dest, meta_tag(k as u32), MsgBuf::from_vec(size_array(step, sizes)?))
+    let mut array = Vec::with_capacity(step.offsets.len() * 4);
+    put_sizes(&mut array, step, sizes)?;
+    comm.send_buf(dest, meta_tag(k as u32), MsgBuf::from_vec(array))
 }
 
 /// The coupled metadata + data exchange of step `k` of an unpadded Bruck
 /// plan. `sizes[i]` for `i` in `step.offsets` are the byte sizes of the
 /// outgoing blocks, in wire order; `pack` appends their payload.
 ///
-/// * Split coupling (§3.2), with the metadata chain one sub-step ahead of the
+/// * [`Coupling::Split`], with the metadata chain one sub-step ahead of the
 ///   data chain: the caller has already sent this sub-step's size array
 ///   (`next`'s is sent here), so the packed payload leaves first, the size
 ///   array from `src` is usually waiting, and the only latency left is the
@@ -955,19 +983,21 @@ fn post_sizes<P: Port + ?Sized>(
 ///   *sent*, and every size `next` announces is known once this step's
 ///   metadata is in: a block sent at `next` is an original one or was last
 ///   overwritten no later than here.
-/// * Combined coupling (SLOAV, §6.1): the body is `[sizes][payload]`, packed
-///   up front, preceded by an 8-byte message announcing its total length.
-///   That length depends on sizes carried inside the previous body, so it
-///   cannot run ahead: two latencies per sub-step.
+/// * [`Coupling::Announced`]: the `[sizes | payload]` body, packed up front,
+///   is preceded by an 8-byte message announcing its total length. That
+///   length depends on sizes carried inside the previous body, so it cannot
+///   run ahead: two latencies per sub-step.
+/// * [`Coupling::Framed`]: the same body, sent alone and received at any
+///   length; its first `4·|offsets|` bytes say how long the rest must be.
 ///
-/// Either way the body is received with `max_len` = the length announced for
-/// it. On return `sizes[i]` are the *received* blocks' sizes, and the result
-/// is the received body plus the offset its payload starts at; the payload
+/// A body is received with `max_len` = the length announced for it, if any.
+/// On return `sizes[i]` are the *received* blocks' sizes, and the result is
+/// the received body plus the offset its payload starts at; the payload
 /// length has been checked against the sizes.
 #[allow(clippy::too_many_arguments)]
 async fn coupled_step<P: Port + ?Sized>(
     comm: &P,
-    split: bool,
+    coupling: Coupling,
     spans: &StepSpans,
     k: usize,
     step: &PlanStep,
@@ -992,7 +1022,7 @@ async fn coupled_step<P: Port + ?Sized>(
 
     // The wire buffers are handed to the transport as `MsgBuf`s: the per-step
     // pack is the only copy, the send itself moves the region.
-    let (data, base, payload) = if split {
+    let (data, base, payload) = if coupling == Coupling::Split {
         {
             let _probe = span(spans.pack);
             let mut body = Vec::with_capacity(outgoing);
@@ -1016,27 +1046,34 @@ async fn coupled_step<P: Port + ?Sized>(
     } else {
         let body = {
             let _probe = span(spans.pack);
-            let mut body = size_array(step, sizes)?;
-            body.reserve_exact(outgoing);
+            let mut body = Vec::with_capacity(meta_len + outgoing);
+            put_sizes(&mut body, step, sizes)?;
             pack(&mut body, sizes);
             body
         };
-        let header = {
-            let _probe = span(spans.meta);
-            let announce = (body.len() as u64).to_le_bytes().to_vec();
-            comm.send_buf(dest, meta_tag(idx), MsgBuf::from_vec(announce))?;
-            comm.recv_match(src, meta_tag(idx), usize::MAX).await?
+        // The longest body this step accepts: the announced length, or any.
+        let announced = if coupling == Coupling::Announced {
+            let header = {
+                let _probe = span(spans.meta);
+                let announce = (body.len() as u64).to_le_bytes().to_vec();
+                comm.send_buf(dest, meta_tag(idx), MsgBuf::from_vec(announce))?;
+                comm.recv_match(src, meta_tag(idx), usize::MAX).await?
+            };
+            let header = header.as_slice().try_into();
+            let announced =
+                u64::from_le_bytes(header.map_err(|_| CommError::BadArgument("bad size header"))?);
+            usize::try_from(announced).unwrap_or(usize::MAX)
+        } else {
+            usize::MAX
         };
-        let announced = u64::from_le_bytes(
-            header.as_slice().try_into().map_err(|_| CommError::BadArgument("bad size header"))?,
-        );
-        let announced = usize::try_from(announced).unwrap_or(usize::MAX);
         let data = {
             let _probe = span(spans.data);
             comm.send_buf(dest, data_tag(idx), MsgBuf::from_vec(body))?;
             comm.recv_match(src, data_tag(idx), announced).await?
         };
-        if data.len() != announced || data.len() < meta_len {
+        // A longer body stays queued; a frame has no announced length.
+        let short = coupling == Coupling::Announced && data.len() != announced;
+        if short || data.len() < meta_len {
             return Err(CommError::BadArgument("combined buffer length mismatch"));
         }
         let payload = read_sizes(sizes, &data[..meta_len]);
@@ -1057,12 +1094,13 @@ fn check_routed(size: usize, want: usize) -> CommResult<()> {
     Ok(())
 }
 
-/// The unpadded non-uniform radix Bruck loop over an [`alltoall_plan`]. Every
-/// step's receive region is kept (`regions`) and `held[i]` says where in them
-/// the block in slot `i` arrived — `(region, offset)`, its size in `sizes[i]`
-/// — so store-and-forward needs no working buffer, no staging copy and no
-/// bound on block sizes; until a step delivers it the block is still the
-/// original one in the user's send buffer. (A reference-counted
+/// The unpadded non-uniform radix Bruck loop over an
+/// [`alltoall_plan`](crate::alltoall_plan). Every step's receive region is
+/// kept (`regions`) and `held[i]` says where in them the block in slot `i`
+/// arrived — `(region, offset)`, its size in `sizes[i]` — so
+/// store-and-forward needs no working buffer, no staging copy and no bound
+/// on block sizes; until a step delivers it the block is still the original
+/// one in the user's send buffer. (A reference-counted
 /// `MsgBuf::slice` per block is the same idea and measured 10–20 % slower at
 /// small blocks: the count moves twice per block per step.)
 ///
@@ -1078,11 +1116,13 @@ fn check_routed(size: usize, want: usize) -> CommResult<()> {
 ///   *upward* in basic-Bruck direction, every received block goes into the
 ///   pointer array, and a final scan copies all of them home.
 ///
-/// A [`Recv::Placed`] block whose routed size is not its `recvcounts` entry
-/// is a typed error. A [`Recv::Packed`] exchange holds every block where it
-/// arrived in either layout, reads its size off the size array that carried
-/// it, and packs all of them once the last one is in: where a block lands
-/// depends on every size before it.
+/// A [`Recv::Placed`] exchange couples each step's sizes to its payload as
+/// `two_phase_split` says, and a block whose routed size is not its
+/// `recvcounts` entry is a typed error. A [`Recv::Packed`] exchange sends
+/// each step as one [`Coupling::Framed`] message whatever the knob says,
+/// holds every block where it arrived in either layout, reads its size off
+/// the frame that carried it, and packs all of them once the last one is in:
+/// where a block lands depends on every size before it.
 async fn bruck_unpadded<P: Port + ?Sized>(
     comm: &P,
     cfg: &EngineConfig,
@@ -1110,19 +1150,25 @@ async fn bruck_unpadded<P: Port + ?Sized>(
     let mut held: Vec<Option<(usize, usize)>> = vec![None; p];
     let mut sizes: Vec<usize> = (0..p).map(|i| sendcounts[ahead(i)]).collect();
 
+    // A receiver that posts no length takes each sub-step as one frame.
+    let coupling = match (&recv, cfg.two_phase_split) {
+        (Recv::Packed { .. }, _) => Coupling::Framed,
+        (Recv::Placed { .. }, true) => Coupling::Split,
+        (Recv::Placed { .. }, false) => Coupling::Announced,
+    };
     // The split coupling announces the next step's sizes while this one's
     // data is in flight, so the loop looks one step ahead.
-    let plan = alltoall_plan(p, cfg.radix, downward);
+    let schedule = bruck_schedule(p, cfg.radix, downward);
     // A block is finished at the last step that holds its slot.
-    let last = plan.last_hops();
-    if let (true, Some(first)) = (cfg.two_phase_split, plan.steps.first()) {
+    let (plan, last) = (&schedule.plan, &schedule.last);
+    if let (Coupling::Split, Some(first)) = (coupling, plan.steps.first()) {
         // Prologue of the split coupling: the metadata chain's head start.
         post_sizes(comm, 0, first, &sizes)?;
     }
     for (k, step) in plan.steps.iter().enumerate() {
         let (got, base) = coupled_step(
             comm,
-            cfg.two_phase_split,
+            coupling,
             spans,
             k,
             step,
@@ -1194,7 +1240,7 @@ mod tests {
 
     use super::super::testutil::{build_send, check_recv, run_and_check_config, TEST_SIZES};
     use super::*;
-    use crate::{packed_displs, pattern};
+    use crate::{alltoall_plan, packed_displs, pattern};
     use bruck_comm::{EventComm, MeteredComm, SimComm, ThreadComm};
     use bruck_workload::{Distribution, SizeMatrix};
 

@@ -33,7 +33,7 @@
 
 use bruck_comm::{block_on, Blocking, CommResult, Communicator, MsgBuf, Port};
 
-use crate::collectives::alltoall_plan;
+use crate::collectives::bruck_schedule;
 use crate::common::{add_mod, rotation_index, sub_mod};
 use crate::probe::span;
 use crate::uniform::validate_uniform;
@@ -94,9 +94,9 @@ pub(crate) async fn zero_rotation_bruck_deliver<P: Port + ?Sized>(
         rotation_index(me, p)
     };
 
-    let plan = alltoall_plan(p, radix, true);
+    let schedule = bruck_schedule(p, radix, true);
     // A block is finished at the last step that holds its slot.
-    let last = plan.last_hops();
+    let (plan, last) = (&schedule.plan, &schedule.last);
     let mut regions: Vec<MsgBuf> = Vec::new();
     let mut held: Vec<Option<(usize, usize)>> = vec![None; p];
     for (k, step) in plan.steps.iter().enumerate() {
@@ -137,7 +137,7 @@ mod tests {
     use super::*;
     use crate::nonuniform::testutil as nu;
     use crate::uniform::testutil as ut;
-    use crate::{alltoall, AlltoallAlgorithm, EngineConfig};
+    use crate::{alltoall, alltoall_plan, AlltoallAlgorithm, EngineConfig};
     use bruck_comm::ThreadComm;
     use bruck_workload::{Distribution, SizeMatrix};
 

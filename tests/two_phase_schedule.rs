@@ -13,20 +13,26 @@
 //!   On a bare `EventComm` a parked exchange is a stored call that the
 //!   scheduler resumes where it stopped, so those executions replay nothing
 //!   and a rank's closure unwinds once per call.
+//! * **The discovering wire.** `alltoallv_discover` posts no receive length,
+//!   so its Bruck loop sends each sub-step as one `[sizes | payload]` frame
+//!   on the data tag and nothing on the metadata tags, whatever the
+//!   coupling knob says.
 //! * **The wire format.** A size array of the wrong length, a body longer or
 //!   shorter than announced, a malformed combined-coupling header, a routed
-//!   block that disagrees with `recvcounts`: each must come back as a typed
-//!   error from the honest rank — no panic, no hang — on every backend.
+//!   block that disagrees with `recvcounts`, a frame shorter than its size
+//!   array or whose sizes disagree with its payload: each must come back as a
+//!   typed error from the honest rank — no panic, no hang — on every backend.
 
 use bruck_bpra::{graph1_like, transitive_closure};
 use bruck_comm::{
     CommError, Communicator, EventComm, MeteredComm, MsgBuf, ReduceOp, SimComm, Tag, ThreadComm,
 };
-use bruck_core::common::{ceil_log2, data_tag, meta_tag, SPREAD_TAG};
+use bruck_core::common::{add_mod, ceil_log2, data_tag, meta_tag, sub_mod, SPREAD_TAG};
 use bruck_core::{
-    allgatherv, allreduce, alltoall, configurable_alltoallv, packed_displs, pattern,
-    reduce_scatter, AllgathervAlgorithm, AllreduceAlgorithm, AlltoallAlgorithm,
-    AlltoallvAlgorithm, EngineConfig, EngineTopology, ReduceScatterAlgorithm,
+    allgatherv, allreduce, alltoall, alltoall_plan, alltoallv_discover, configurable_alltoallv,
+    packed_displs, pattern, reduce_scatter, AllgathervAlgorithm, AllreduceAlgorithm,
+    AlltoallAlgorithm, AlltoallvAlgorithm, EngineConfig, EngineTopology, IntermediateLayout,
+    ReduceScatterAlgorithm,
 };
 use bruck_model::{nonuniform_trace, MatrixSource, RankSample};
 use bruck_workload::{Distribution, SizeMatrix};
@@ -103,6 +109,68 @@ fn two_phase_at_p8_is_six_messages_per_rank_on_four_latencies() {
     };
     assert_eq!(latencies(cfg), [4; 8]);
     assert_eq!(latencies(EngineConfig { two_phase_split: false, ..cfg }), [6; 8]);
+}
+
+#[test]
+fn a_discovering_bruck_exchange_sends_one_frame_per_sub_step() {
+    // Every rank sends exactly one message per sub-step, on that step's data
+    // tag, of 4 bytes per slot it carries plus the blocks in those slots;
+    // nothing goes on a metadata tag or a reserved one.
+    for p in [2usize, 5, 8, 12] {
+        let m = SizeMatrix::generate(Distribution::Uniform, 0x45 + p as u64, p, 32);
+        for (named, radix) in [2, 3, 4, p]
+            .into_iter()
+            .flat_map(|r| [(EngineConfig::as_two_phase(), r), (EngineConfig::as_sloav(), r)])
+        {
+            let cfg = EngineConfig { radix, ..named };
+            let case = format!("P={p} {}", cfg.key());
+            let metrics = ThreadComm::run(p, |comm| {
+                let meter = MeteredComm::new(comm);
+                let me = meter.rank();
+                let sendcounts = m.sendcounts(me);
+                let sdispls = packed_displs(&sendcounts);
+                let sendbuf: Vec<u8> = (0..p)
+                    .flat_map(|dst| (0..sendcounts[dst]).map(move |idx| pattern(me, dst, idx)))
+                    .collect();
+                let (recvbuf, recvcounts) =
+                    alltoallv_discover(&meter, &cfg, &sendbuf, &sendcounts, &sdispls, false)
+                        .unwrap_or_else(|e| panic!("{case} rank {me}: {e}"));
+                assert_eq!(recvcounts, m.recvcounts(me), "{case}");
+                let want: Vec<u8> = (0..p)
+                    .flat_map(|src| (0..recvcounts[src]).map(move |idx| pattern(src, me, idx)))
+                    .collect();
+                assert_eq!(recvbuf, want, "{case} rank {me}");
+                meter.metrics()
+            });
+            let downward = cfg.layout == IntermediateLayout::Monolithic;
+            let plan = alltoall_plan(p, radix, downward);
+            // `moved[i]`: how far slot `i`'s block has travelled so far, so
+            // the block in slot `i` at rank `q` left rank `q − moved[i]`.
+            let mut moved = vec![0usize; p];
+            for (k, step) in plan.steps.iter().enumerate() {
+                for (q, mm) in metrics.iter().enumerate() {
+                    let block = |i: usize| {
+                        let src = sub_mod(q, moved[i], p);
+                        let dst = if downward { sub_mod(src, i, p) } else { add_mod(src, i, p) };
+                        m.get(src, dst)
+                    };
+                    let payload: usize = step.offsets.iter().map(|&i| block(i)).sum();
+                    let frame = mm.sent_for_tag(data_tag(k as u32));
+                    let want = (1, (4 * step.offsets.len() + payload) as u64);
+                    assert_eq!((frame.msgs, frame.bytes), want, "{case} rank {q} step {k}");
+                    assert_eq!(mm.sent_for_tag(meta_tag(k as u32)).msgs, 0, "{case} rank {q}");
+                }
+                for &i in &step.offsets {
+                    moved[i] = add_mod(moved[i], step.shift, p);
+                }
+            }
+            for mm in &metrics {
+                let steps = plan.steps.len() as u64;
+                assert_eq!(mm.logical.sent_msgs, steps, "{case} rank {}", mm.rank);
+                assert_eq!(mm.reserved.sent_msgs, 0, "{case} rank {}", mm.rank);
+            }
+        }
+    }
 }
 
 /// Executions of a one-worker `EventComm` world of `p` ranks running `f`.
@@ -285,6 +353,15 @@ fn radix_four_two_phase_at_p8_deposits_64_messages() {
     assert_eq!(report.messages, 64);
 }
 
+/// The entry point the honest rank of [`against_rogue_peer`] calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Entry {
+    /// `configurable_alltoallv`, with `recvcounts`.
+    Alltoallv,
+    /// `alltoallv_discover`, which learns every length off the wire.
+    Discover,
+}
+
 /// What rank 0 of a P = 2 world reports when rank 1 is a rogue peer that
 /// answers step 0 with `script` (tag, payload) in place of its own messages:
 /// the engine's error, and the length of whatever is still queued afterwards
@@ -292,6 +369,7 @@ fn radix_four_two_phase_at_p8_deposits_64_messages() {
 /// exchange).
 fn against_rogue_peer<C: Communicator + ?Sized>(
     comm: &C,
+    entry: Entry,
     cfg: &EngineConfig,
     script: &[(Tag, &[u8])],
 ) -> Option<(CommError, Option<usize>)> {
@@ -301,12 +379,13 @@ fn against_rogue_peer<C: Communicator + ?Sized>(
             comm.send_buf(0, tag, MsgBuf::copy_from_slice(payload)).unwrap();
         }
         // Consume what the honest rank has sent by the time it can fail: its
-        // block, or its header always and its body under the split coupling
-        // (posted first).
-        let sent: &[Tag] = match (direct, cfg.two_phase_split) {
-            (true, _) => &[SPREAD_TAG],
-            (false, true) => &[meta_tag(0), data_tag(0)],
-            (false, false) => &[meta_tag(0)],
+        // block, its frame, or its header always and its body under the
+        // split coupling (posted first).
+        let sent: &[Tag] = match (direct, entry, cfg.two_phase_split) {
+            (true, _, _) => &[SPREAD_TAG],
+            (false, Entry::Discover, _) => &[data_tag(0)],
+            (false, Entry::Alltoallv, true) => &[meta_tag(0), data_tag(0)],
+            (false, Entry::Alltoallv, false) => &[meta_tag(0)],
         };
         for &tag in sent {
             comm.recv_buf(0, tag).unwrap();
@@ -316,29 +395,37 @@ fn against_rogue_peer<C: Communicator + ?Sized>(
     // Rank 0 keeps 3 bytes, sends 5 and expects 4 from rank 1.
     let (sendbuf, sendcounts, sdispls) = ([7u8; 8], [3, 5], [0, 3]);
     let (mut recvbuf, recvcounts, rdispls) = ([0u8; 7], [3, 4], [0, 3]);
-    let err = configurable_alltoallv(
-        comm, cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
-    )
-    .expect_err("a malformed step must not be accepted");
+    let err = match entry {
+        Entry::Alltoallv => configurable_alltoallv(
+            comm, cfg, &sendbuf, &sendcounts, &sdispls, &mut recvbuf, &recvcounts, &rdispls,
+        )
+        .expect_err("a malformed step must not be accepted"),
+        Entry::Discover => alltoallv_discover(comm, cfg, &sendbuf, &sendcounts, &sdispls, false)
+            .expect_err("a malformed frame must not be accepted"),
+    };
     let block_tag = if direct { SPREAD_TAG } else { data_tag(0) };
     Some((err, comm.probe(1, block_tag).unwrap()))
 }
 
-/// `(config, rogue script, expected error, expected leftover)`.
-type RogueCase = (EngineConfig, Vec<(Tag, &'static [u8])>, CommError, Option<usize>);
+/// `(entry, config, rogue script, expected error, expected leftover)`.
+type RogueCase = (Entry, EngineConfig, Vec<(Tag, &'static [u8])>, CommError, Option<usize>);
 
 /// Every rogue-peer case: the split coupling's, the combined coupling's
-/// header, and a routed block of the wrong size through both topologies.
+/// header, a routed block of the wrong size through both topologies, and the
+/// discovering exchange's frames.
 fn rogue_cases() -> Vec<RogueCase> {
+    use Entry::{Alltoallv, Discover};
     let split = EngineConfig::as_two_phase();
     let combined = EngineConfig { two_phase_split: false, ..split };
     let vendor = EngineConfig::as_vendor();
     let four: &[u8] = &[4, 0, 0, 0];
     let (meta, data) = (meta_tag(0), data_tag(0));
     let routed = CommError::BadArgument("routed size disagrees with recvcounts");
+    let payload = CommError::BadArgument("data payload length mismatch");
     vec![
         // (a) one block is announced by 4 bytes, not 8.
         (
+            Alltoallv,
             split,
             vec![(meta, &[4, 0, 0, 0, 9, 0, 0, 0])],
             CommError::BadArgument("metadata length mismatch"),
@@ -346,24 +433,27 @@ fn rogue_cases() -> Vec<RogueCase> {
         ),
         // (b) a body longer than announced is refused, not consumed.
         (
+            Alltoallv,
             split,
             vec![(meta, four), (data, &[1; 6])],
             CommError::Truncated { message_len: 6, buffer_len: 4 },
             Some(6),
         ),
         // (c) a body shorter than announced.
+        (Alltoallv, split, vec![(meta, four), (data, &[1; 2])], payload.clone(), None),
+        // (d) the combined coupling's header is 8 bytes, whatever they say.
         (
-            split,
-            vec![(meta, four), (data, &[1; 2])],
-            CommError::BadArgument("data payload length mismatch"),
+            Alltoallv,
+            combined,
+            vec![(meta, &[1, 2, 3])],
+            CommError::BadArgument("bad size header"),
             None,
         ),
-        // (d) the combined coupling's header is 8 bytes, whatever they say.
-        (combined, vec![(meta, &[1, 2, 3])], CommError::BadArgument("bad size header"), None),
         // (e) a well-formed step routing 5 bytes into a 4-byte slot.
-        (split, vec![(meta, &[5, 0, 0, 0]), (data, &[1; 5])], routed, None),
+        (Alltoallv, split, vec![(meta, &[5, 0, 0, 0]), (data, &[1; 5])], routed, None),
         // (f) a 2-byte block for a 4-byte slot of a direct exchange…
         (
+            Alltoallv,
             vendor,
             vec![(SPREAD_TAG, &[1; 2])],
             CommError::BadArgument("short collective payload"),
@@ -371,27 +461,40 @@ fn rogue_cases() -> Vec<RogueCase> {
         ),
         // (g) …and a 6-byte one, which stays queued.
         (
+            Alltoallv,
             vendor,
             vec![(SPREAD_TAG, &[1; 6])],
             CommError::Truncated { message_len: 6, buffer_len: 4 },
             Some(6),
         ),
+        // (h) a frame shorter than its one-block size array;
+        (
+            Discover,
+            split,
+            vec![(data, &[4, 0, 0])],
+            CommError::BadArgument("combined buffer length mismatch"),
+            None,
+        ),
+        // (i) a frame whose size says more than its payload holds…
+        (Discover, split, vec![(data, &[9, 0, 0, 0, 1, 1, 1, 1])], payload.clone(), None),
+        // (j) …and one whose size says less.
+        (Discover, split, vec![(data, &[2, 0, 0, 0, 1, 1, 1, 1])], payload, None),
     ]
 }
 
 #[test]
 fn a_rogue_peer_gets_a_typed_error_on_thread_comm() {
-    for (cfg, script, want, leftover) in rogue_cases() {
-        let got = ThreadComm::run(2, |comm| against_rogue_peer(comm, &cfg, &script));
-        assert_eq!(got[0], Some((want, leftover)), "{}: {script:?}", cfg.key());
+    for (entry, cfg, script, want, leftover) in rogue_cases() {
+        let got = ThreadComm::run(2, |comm| against_rogue_peer(comm, entry, &cfg, &script));
+        assert_eq!(got[0], Some((want, leftover)), "{entry:?} {}: {script:?}", cfg.key());
     }
 }
 
 #[test]
 fn a_rogue_peer_gets_a_typed_error_on_sim_comm() {
-    for (cfg, script, want, leftover) in rogue_cases() {
-        let run = SimComm::run(2, 5, |comm| against_rogue_peer(comm, &cfg, &script));
-        assert_eq!(run.results[0], Some((want, leftover)), "{}: {script:?}", cfg.key());
+    for (entry, cfg, script, want, leftover) in rogue_cases() {
+        let run = SimComm::run(2, 5, |comm| against_rogue_peer(comm, entry, &cfg, &script));
+        assert_eq!(run.results[0], Some((want, leftover)), "{entry:?} {}: {script:?}", cfg.key());
     }
 }
 
@@ -399,12 +502,14 @@ fn a_rogue_peer_gets_a_typed_error_on_sim_comm() {
 fn a_rogue_peer_gets_a_typed_error_from_a_stored_call() {
     // Bare `EventComm`: the exchange is a resumed call, which parks on the
     // rogue's messages whenever rank 0 runs first.
-    for (cfg, script, want, leftover) in rogue_cases() {
+    for (entry, cfg, script, want, leftover) in rogue_cases() {
         for workers in [1, 2] {
             let got = EventComm::run_pooled(2, workers, |comm| {
-                against_rogue_peer(comm, &cfg, &script)
+                assert!(comm.resumable().is_some(), "a bare EventComm runs the stored call");
+                against_rogue_peer(comm, entry, &cfg, &script)
             });
-            assert_eq!(got[0], Some((want.clone(), leftover)), "{}: {script:?}", cfg.key());
+            let case = format!("{entry:?} {}: {script:?}", cfg.key());
+            assert_eq!(got[0], Some((want.clone(), leftover)), "{case}");
         }
     }
 }
