@@ -1,6 +1,9 @@
 //! Regenerate every figure of the paper's evaluation as text tables.
 //!
-//! Usage: `figures <fig2a|fig2b|fig6|fig7|fig8|fig9|fig10|fig10f|fig11|fig12|fig13|model|radix|ablation|all>`
+//! Usage: `figures [SECTION...]`, each SECTION one of `fig2a fig2b fig6 fig7
+//! fig8 fig9 fig10 fig10f fig11 fig12 fig13 model radix ablation all`, and
+//! `all` when none is given. The sections run in that order, whatever the
+//! order of the arguments; an unknown name exits 2 before any runs.
 //!
 //! Model-driven figures sweep the α–β trace simulator (Theta-like preset
 //! unless stated); application figures (11, 12) run the real implementations
@@ -37,15 +40,22 @@ const FIG6_ALGOS: [AlltoallvAlgorithm; 5] = [
     AlltoallvAlgorithm::TwoPhaseBruck,
 ];
 
+/// Every section name `figures` takes, in the order they run.
+const SECTIONS: [&str; 15] = [
+    "fig2a", "fig2b", "fig6", "fig7", "fig8", "fig9", "fig10", "fig10f", "fig11", "fig12", "fig13",
+    "model", "radix", "ablation", "all",
+];
+
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let run_all = which == "all";
-    let mut ran = false;
-    let mut want = |name: &str| {
-        let hit = run_all || which == name;
-        ran |= hit;
-        hit
-    };
+    let mut which: Vec<String> = std::env::args().skip(1).collect();
+    if which.is_empty() {
+        which.push("all".to_string());
+    }
+    if let Some(bad) = which.iter().find(|w| !SECTIONS.contains(&w.as_str())) {
+        eprintln!("unknown figure '{bad}'; expected one of {}", SECTIONS.join(" "));
+        std::process::exit(2);
+    }
+    let want = |name: &str| which.iter().any(|w| w == name || w == "all");
 
     if want("fig2a") {
         fig2a();
@@ -90,13 +100,6 @@ fn main() {
         sloav_ablation();
         memory_table();
         related_work_table();
-    }
-    if !ran {
-        eprintln!(
-            "unknown figure '{which}'; expected one of \
-             fig2a fig2b fig6 fig7 fig8 fig9 fig10 fig10f fig11 fig12 fig13 model radix ablation all"
-        );
-        std::process::exit(2);
     }
 }
 

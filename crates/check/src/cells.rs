@@ -724,10 +724,14 @@ impl PhaseClass {
 
     /// The `FaultComm` crash threshold for an operation the victim
     /// completes in `ops` data ops: the victim fails its op number
-    /// `crash_point(ops)` (counting from 0), never before op 1.
+    /// `crash_point(ops)` (counting from 0), never before op 1. From six ops
+    /// up the four points are distinct, `1 < quarter < half < ops − 1`, so
+    /// the quarter point is at least op 2; below six they cannot all fit
+    /// under `half = ops / 2`.
     pub fn crash_point(self, ops: u64) -> u64 {
         let at = match self {
             PhaseClass::First => 1,
+            PhaseClass::Quarter if ops >= 6 => (ops / 4).max(2),
             PhaseClass::Quarter => ops / 4,
             PhaseClass::Half => ops / 2,
             PhaseClass::Last => ops.saturating_sub(1),

@@ -295,15 +295,24 @@ mod tests {
         let points = |ops| PhaseClass::ALL.map(|ph: PhaseClass| ph.crash_point(ops));
         // A discovering two-phase exchange at P = 5 is three framed sub-steps,
         // one send and one receive each: a quarter of its six ops rounds down
-        // onto the first, as for every three-step schedule at P = 5.
+        // onto the first, so the quarter point is held at op 2, as for every
+        // three-step schedule at P = 5.
         let ops = ops_of(two_phase()).unwrap();
-        assert_eq!((ops, points(ops)), (6, [1, 1, 3, 5]));
+        assert_eq!((ops, points(ops)), (6, [1, 2, 3, 5]));
         let tc = Op::Fixpoint(Fixpoint::Tc, AlltoallvAlgorithm::TwoPhaseBruck);
         let ops = ops_of(tc).unwrap();
         assert!(ops > 8, "a fixpoint at P = 5 is more than a handful of ops: {ops}");
-        let points = points(ops);
-        assert_eq!((points[0], points[3]), (1, ops - 1));
-        assert!(points.windows(2).all(|w| w[0] < w[1]), "{points:?}");
+        // Every row of six ops or more crashes at four distinct points, in
+        // order: `1 < quarter < half < ops − 1`.
+        let halves = rows(Family::Recovery, Tier::Smoke, &[1]).into_iter();
+        for row in halves.filter(|r| r.harness == Harness::Recovery(PhaseClass::Half)) {
+            let ops = calibrate(&row.cell, RECOVERY_WORLD.1, 1).unwrap();
+            let points = points(ops);
+            if ops >= 6 {
+                assert_eq!((points[0], points[3]), (1, ops - 1), "{}", row.label());
+                assert!(points.windows(2).all(|w| w[0] < w[1]), "{}: {points:?}", row.label());
+            }
+        }
     }
 
     #[test]

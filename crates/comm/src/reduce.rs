@@ -5,6 +5,14 @@
 //! `allreduce(RecursiveDoubling)`. The loop is an `async fn` over a
 //! [`Port`], so a resumed call awaits it and a blocking caller runs it in one
 //! poll.
+//!
+//! The codec is three loops over one contiguous run of little-endian words:
+//! [`encode_u64s`] appends a run to a message, [`decode_u64s_into`] decodes
+//! one into place, and [`ReduceOp::apply_bytes`] folds one into place. A
+//! message of several segments is one call per segment, never one word at a
+//! time across them, so each loop compiles to straight-line vector code.
+//! The collectives, the doubling allreduce, the engine's count exchange and
+//! the stored calls' word outputs all encode through them.
 
 use crate::communicator::TAG_ALLREDUCE;
 use crate::{CommError, CommResult, MsgBuf, Port, Tag};
@@ -51,10 +59,10 @@ impl ReduceOp {
 
     /// Element-wise `acc[i] = op(acc[i], other[i])` over equal-length slices.
     ///
-    /// This is the one reduction loop in the workspace: reduce_scatter and
-    /// allreduce fold partial vectors through it instead of hand-rolling,
-    /// so the operator semantics (wrapping sum, in particular) cannot drift
-    /// between call sites.
+    /// The reference implementations fold with it; the schedules fold wire
+    /// payloads with [`apply_bytes`](Self::apply_bytes), which the codec's
+    /// tests hold equal to it, so the operator semantics (wrapping sum, in
+    /// particular) cannot drift between the two.
     ///
     /// # Panics
     /// If the slices differ in length — a protocol bug, not an input error:
@@ -94,13 +102,13 @@ fn fold_words(acc: &mut [u64], bytes: &[u8], f: impl Fn(u64, u64) -> u64) -> Com
     Ok(())
 }
 
-/// Little-endian wire encoding of a `u64` vector.
-pub fn u64s_to_bytes(vals: &[u64]) -> Vec<u8> {
-    let mut out = vec![0u8; vals.len() * 8];
-    for (dst, v) in out.chunks_exact_mut(8).zip(vals) {
-        dst.copy_from_slice(&v.to_le_bytes());
+/// Append the little-endian wire encoding of `words` to `out`.
+pub fn encode_u64s(words: &[u64], out: &mut Vec<u8>) {
+    let at = out.len();
+    out.resize(at + 8 * words.len(), 0);
+    for (dst, w) in out[at..].chunks_exact_mut(8).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
     }
-    out
 }
 
 /// Decode a little-endian `u64` vector into `out`; errors unless `bytes` is
@@ -173,19 +181,21 @@ pub async fn allreduce_doubling<P: Port + ?Sized, G>(
     for (k, round) in (0u32..).zip(doubling_rounds(p, op)) {
         let _step = step();
         let h = 1usize << k;
-        let mut out = u64s_to_bytes(if round.sends_y { &y } else { &*buf });
+        let mut out = Vec::with_capacity(8 * n * round.windows());
+        encode_u64s(if round.sends_y { &y } else { &*buf }, &mut out);
         if round.carries_y {
-            out.extend_from_slice(&u64s_to_bytes(&y));
+            encode_u64s(&y, &mut out);
         }
         comm.send_buf((me + h) % p, tag(k), MsgBuf::from_vec(out))?;
         let got = comm.recv_exact((me + p - h) % p, tag(k), 8 * n * round.windows()).await?;
         let (w, y_from) = got.split_at(8 * n);
         if round.builds_y {
-            let mut grown = buf.to_vec();
+            // `Y` becomes this rank's `W` before the fold, in `Y`'s own storage.
+            y.clear();
+            y.extend_from_slice(buf);
             if round.carries_y {
-                op.apply_bytes(&mut grown, y_from)?;
+                op.apply_bytes(&mut y, y_from)?;
             }
-            y = grown;
         }
         op.apply_bytes(buf, w)?;
     }
@@ -257,12 +267,68 @@ mod tests {
         }
     }
 
+    /// `words` encoded one word at a time: the wire format the codec's run
+    /// loops must reproduce.
+    fn wire(words: &[u64]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// Every way to cut `0..n` into three runs `0..a`, `a..b`, `b..n` (an
+    /// empty run leaves one or two segments), or for a long run the cuts at
+    /// its edges, at a word past them and in the middle.
+    fn splits(n: usize) -> Vec<(usize, usize)> {
+        let cuts: Vec<usize> = if n <= 9 {
+            (0..=n).collect()
+        } else {
+            vec![0, 1, 7, 8, 9, n / 2, n - 9, n - 8, n - 1, n]
+        };
+        let pairs = cuts.iter().flat_map(|&a| cuts.iter().map(move |&b| (a, b)));
+        pairs.filter(|(a, b)| a <= b).collect()
+    }
+
     #[test]
-    fn u64_wire_round_trips() {
-        let vals = vec![0u64, 1, u64::MAX, 0xDEAD_BEEF];
-        let mut back = [0u64; 4];
-        decode_u64s_into(&u64s_to_bytes(&vals), &mut back).unwrap();
-        assert_eq!(back[..], vals[..]);
+    fn the_codec_round_trips_and_folds_every_split_of_a_run() {
+        for n in [0usize, 1, 7, 8, 9, 8193] {
+            let words = values(5 + n as u64, n);
+            let want = wire(&words);
+            for (a, b) in splits(n) {
+                let runs = [0..a, a..b, b..n];
+                let mut out = Vec::new();
+                for run in runs.clone() {
+                    encode_u64s(&words[run], &mut out);
+                }
+                assert_eq!(out, want, "n={n} split ({a}, {b})");
+                let mut back = vec![0u64; n];
+                for run in runs.clone() {
+                    decode_u64s_into(&out[8 * run.start..8 * run.end], &mut back[run]).unwrap();
+                }
+                assert_eq!(back, words, "n={n} split ({a}, {b})");
+                for op in ReduceOp::ALL {
+                    let acc = values(6 + n as u64, n);
+                    let mut folded = acc.clone();
+                    for run in runs.clone() {
+                        op.apply_bytes(&mut folded[run.clone()], &out[8 * run.start..8 * run.end])
+                            .unwrap();
+                    }
+                    let mut reference = acc;
+                    op.apply_slice(&mut reference, &words);
+                    assert_eq!(folded, reference, "{op:?} n={n} split ({a}, {b})");
+                }
+            }
+            // A word short or a word long is a typed error, never a partial
+            // decode or fold.
+            let long = [&want[..], &[0; 8]].concat();
+            for bad in [&want[..want.len().saturating_sub(8)], &long[..]] {
+                if bad.len() == want.len() {
+                    continue;
+                }
+                let mut back = vec![0u64; n];
+                assert!(decode_u64s_into(bad, &mut back).is_err(), "n={n} len {}", bad.len());
+                for op in ReduceOp::ALL {
+                    assert!(op.apply_bytes(&mut back, bad).is_err(), "{op:?} n={n}");
+                }
+            }
+        }
         assert!(decode_u64s_into(&[1, 2, 3], &mut []).is_err());
     }
 
@@ -331,7 +397,7 @@ mod tests {
             for n in 0..=33usize {
                 let acc = values(3 + n as u64, n);
                 let other = values(4 + n as u64, n);
-                let wire = u64s_to_bytes(&other);
+                let wire = wire(&other);
                 let mut decoded = vec![0u64; n];
                 decode_u64s_into(&wire, &mut decoded).unwrap();
                 assert_eq!(decoded, other, "n={n}");

@@ -19,17 +19,17 @@
 //! commutative (wrapping sum), so every schedule produces byte-identical
 //! results regardless of arrival order.
 //!
-//! ## One step plan, two executors
+//! ## One step plan, one executor
 //!
 //! Every schedule is a sequence of one-way steps: each rank sends one
 //! message to `me + shift` and receives one from `me − shift`, at any `P`
 //! (the any-`P` family of arXiv 2004.09362; nothing folds a non-power-of-two
 //! remainder). The six block schedules are [`Plan`]s, data built by
-//! [`allgatherv_plan`] and [`reduce_scatter_plan`], run by one gather and one
-//! reduce executor. `allreduce(RecursiveDoubling)` is
-//! [`bruck_comm::reduce::allreduce_doubling`], the loop
-//! `Communicator::allreduce_u64` also runs; `ReduceScatterAllgather` is
-//! halving's reduce plan followed by Bruck's gather plan.
+//! [`allgatherv_plan`] and [`reduce_scatter_plan`], run in place by one step
+//! loop, words through `bruck_comm::reduce`'s codec.
+//! `allreduce(RecursiveDoubling)` is [`bruck_comm::reduce::allreduce_doubling`],
+//! the loop `Communicator::allreduce_u64` also runs; `ReduceScatterAllgather`
+//! is halving's reduce plan, then Bruck's gather plan, over the caller's vector.
 //!
 //! ## Tags and spans
 //!
@@ -44,12 +44,13 @@ mod reference;
 
 pub(crate) use plan::bruck_schedule;
 pub use plan::{allgatherv_plan, alltoall_plan, reduce_scatter_plan, Plan, PlanStep};
+use plan::Blocks;
 pub use reference::{
     pattern_byte, pattern_u64, reference_allgatherv, reference_allreduce,
     reference_reduce_scatter,
 };
 
-use bruck_comm::reduce::{allreduce_doubling, decode_u64s_into, u64s_to_bytes};
+use bruck_comm::reduce::{allreduce_doubling, decode_u64s_into, encode_u64s};
 use bruck_comm::{block_on, Blocking, CallOutput, CommError, CommResult, Communicator, Port, ReduceOp};
 
 use crate::common::ar_doubling_tag;
@@ -154,12 +155,12 @@ pub fn allgatherv<C: Communicator + ?Sized>(
     recvbuf[displs[me]..displs[me] + counts[me]].copy_from_slice(sendbuf);
     let plan = allgatherv_plan(algo, comm.size());
     let Some(hook) = comm.resumable() else {
-        return block_on(plan::gather(&Blocking(comm), &plan, recvbuf, counts, displs));
+        return block_on(plan::run(&Blocking(comm), &plan, Blocks::Place(recvbuf), counts, displs));
     };
     let out = hook.call(|port| {
         let (mut recv, counts, displs) = (recvbuf.to_vec(), counts.to_vec(), displs.to_vec());
         Box::pin(async move {
-            plan::gather(&port, &plan, &mut recv, &counts, &displs).await?;
+            plan::run(&port, &plan, Blocks::Place(&mut recv), &counts, &displs).await?;
             Ok(CallOutput { bytes: recv, counts: Vec::new() })
         })
     })?;
@@ -169,7 +170,7 @@ pub fn allgatherv<C: Communicator + ?Sized>(
 
 /// Vector reduce-scatter: `sendbuf` holds `Σ counts` elements on every
 /// rank; `recvbuf` (length `counts[me]`) receives the element-wise `op`
-/// reduction of segment `me` over all ranks.
+/// reduction of segment `me` over all ranks, folded in one working copy.
 pub fn reduce_scatter<C: Communicator + ?Sized>(
     algo: ReduceScatterAlgorithm,
     comm: &C,
@@ -180,24 +181,29 @@ pub fn reduce_scatter<C: Communicator + ?Sized>(
 ) -> CommResult<()> {
     validate_rs(comm, sendbuf, recvbuf, counts)?;
     let plan = reduce_scatter_plan(algo, comm.size());
+    let displs = packed_displs(counts);
+    let mine = displs[comm.rank()]..displs[comm.rank()] + recvbuf.len();
     let Some(hook) = comm.resumable() else {
-        return block_on(plan::reduce(&Blocking(comm), &plan, sendbuf, recvbuf, counts, op));
+        let mut work = sendbuf.to_vec();
+        block_on(plan::run(&Blocking(comm), &plan, Blocks::Fold(&mut work, op), counts, &displs))?;
+        recvbuf.copy_from_slice(&work[mine]);
+        return Ok(());
     };
-    let len = recvbuf.len();
     let out = hook.call(|port| {
-        let (send, counts) = (sendbuf.to_vec(), counts.to_vec());
+        let (mut work, counts) = (sendbuf.to_vec(), counts.to_vec());
         Box::pin(async move {
-            let mut recv = vec![0u64; len];
-            plan::reduce(&port, &plan, &send, &mut recv, &counts, op).await?;
-            Ok(CallOutput { bytes: u64s_to_bytes(&recv), counts: Vec::new() })
+            plan::run(&port, &plan, Blocks::Fold(&mut work, op), &counts, &displs).await?;
+            Ok(words_output(&work[mine]))
         })
     })?;
-    decode_u64s_into(&out.bytes, recvbuf)?;
-    Ok(())
+    decode_u64s_into(&out.bytes, recvbuf)
 }
 
 /// Vector allreduce, in place: every rank's `buf` (equal length everywhere)
 /// becomes the element-wise `op` reduction over all ranks.
+///
+/// On `Err` the contents of `buf` are unspecified (MPI's rule): the
+/// schedules fold partials into it as they arrive.
 pub fn allreduce<C: Communicator + ?Sized>(
     algo: AllreduceAlgorithm,
     comm: &C,
@@ -211,11 +217,17 @@ pub fn allreduce<C: Communicator + ?Sized>(
         let mut acc = buf.to_vec();
         Box::pin(async move {
             allreduce_on(&port, algo, &mut acc, op).await?;
-            Ok(CallOutput { bytes: u64s_to_bytes(&acc), counts: Vec::new() })
+            Ok(words_output(&acc))
         })
     })?;
-    decode_u64s_into(&out.bytes, buf)?;
-    Ok(())
+    decode_u64s_into(&out.bytes, buf)
+}
+
+/// A stored call's output: `words` on the wire codec.
+fn words_output(words: &[u64]) -> CallOutput {
+    let mut bytes = Vec::with_capacity(8 * words.len());
+    encode_u64s(words, &mut bytes);
+    CallOutput { bytes, counts: Vec::new() }
 }
 
 /// [`allreduce`]'s two schedules over a port.
@@ -233,33 +245,24 @@ async fn allreduce_on<P: Port + ?Sized>(
     }
 }
 
-/// Rabenseifner allreduce: recursive-halving [`reduce_scatter`] of near-equal
-/// pieces (`⌈n/P⌉` / `⌊n/P⌋` elements), then Bruck [`allgatherv`] of the
-/// reduced pieces. Moves `O(8n)` bytes per rank in total instead of `8n` per
-/// step — the large-vector schedule. Its wire trace is the two component
-/// traces back to back (their tag blocks are disjoint).
+/// Rabenseifner allreduce in `buf`: recursive-halving [`reduce_scatter`] of
+/// near-equal pieces (`⌈n/P⌉` / `⌊n/P⌋` elements), then Bruck [`allgatherv`]
+/// of the reduced pieces over the partials left. Moves `O(8n)` bytes per rank
+/// in total instead of `8n` per step — the large-vector schedule. Its wire
+/// trace is the two component traces back to back (disjoint tag blocks).
 async fn allreduce_rs_ag<P: Port + ?Sized>(
     comm: &P,
     buf: &mut [u64],
     op: ReduceOp,
 ) -> CommResult<()> {
     let p = comm.size();
-    let me = comm.rank();
-    let n = buf.len();
     // Near-equal pieces, the longer ones first.
-    let counts: Vec<usize> = (0..p).map(|i| crate::piece_len(n, i, p)).collect();
-    let mut piece = vec![0u64; counts[me]];
+    let counts: Vec<usize> = (0..p).map(|i| crate::piece_len(buf.len(), i, p)).collect();
+    let displs = packed_displs(&counts);
     let halving = reduce_scatter_plan(ReduceScatterAlgorithm::RecursiveHalving, p);
-    plan::reduce(comm, &halving, buf, &mut piece, &counts, op).await?;
-
-    let byte_counts: Vec<usize> = counts.iter().map(|c| c * 8).collect();
-    let byte_displs = packed_displs(&byte_counts);
-    let mut gathered = vec![0u8; n * 8];
-    gathered[byte_displs[me]..byte_displs[me] + byte_counts[me]]
-        .copy_from_slice(&u64s_to_bytes(&piece));
+    plan::run(comm, &halving, Blocks::Fold(buf, op), &counts, &displs).await?;
     let bruck = allgatherv_plan(AllgathervAlgorithm::Bruck, p);
-    plan::gather(comm, &bruck, &mut gathered, &byte_counts, &byte_displs).await?;
-    decode_u64s_into(&gathered, buf)
+    plan::run(comm, &bruck, Blocks::Decode(buf), &counts, &displs).await
 }
 
 /// Validate an allgatherv argument set.
@@ -341,13 +344,10 @@ mod tests {
         let displs = packed_displs(counts);
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| gv_input(r, counts[r])).collect();
         let want = reference_allgatherv(&inputs);
-        let counts = counts.to_vec();
-        let displs2 = displs.clone();
-        let inputs2 = inputs.clone();
-        let results = ThreadComm::run(p, move |comm| {
+        let results = ThreadComm::run(p, |comm| {
             let me = comm.rank();
             let mut recvbuf = vec![0u8; counts.iter().sum()];
-            allgatherv(algo, comm, &inputs2[me], &mut recvbuf, &counts, &displs2).unwrap();
+            allgatherv(algo, comm, &inputs[me], &mut recvbuf, counts, &displs).unwrap();
             recvbuf
         });
         for (r, got) in results.iter().enumerate() {
@@ -362,12 +362,10 @@ mod tests {
         let total: usize = counts.iter().sum();
         let inputs: Vec<Vec<u64>> = (0..p).map(|r| rs_input(r, total)).collect();
         let want = reference_reduce_scatter(&inputs, counts, op);
-        let counts = counts.to_vec();
-        let inputs2 = inputs.clone();
-        let results = ThreadComm::run(p, move |comm| {
+        let results = ThreadComm::run(p, |comm| {
             let me = comm.rank();
             let mut recvbuf = vec![0u64; counts[me]];
-            reduce_scatter(algo, comm, &inputs2[me], &mut recvbuf, &counts, op).unwrap();
+            reduce_scatter(algo, comm, &inputs[me], &mut recvbuf, counts, op).unwrap();
             recvbuf
         });
         for (r, got) in results.iter().enumerate() {
@@ -380,9 +378,8 @@ mod tests {
     fn run_ar(algo: AllreduceAlgorithm, p: usize, n: usize, op: ReduceOp) {
         let inputs: Vec<Vec<u64>> = (0..p).map(|r| rs_input(r, n)).collect();
         let want = reference_allreduce(&inputs, op);
-        let inputs2 = inputs.clone();
-        let results = ThreadComm::run(p, move |comm| {
-            let mut buf = inputs2[comm.rank()].clone();
+        let results = ThreadComm::run(p, |comm| {
+            let mut buf = inputs[comm.rank()].clone();
             allreduce(algo, comm, &mut buf, op).unwrap();
             buf
         });
@@ -406,8 +403,8 @@ mod tests {
                 for algo in ReduceScatterAlgorithm::ALL {
                     run_rs(algo, &gv_counts(p, 3), op);
                 }
-                for algo in AllreduceAlgorithm::ALL {
-                    run_ar(algo, p, 17, op);
+                for n in [17, p.saturating_sub(1), p + 1, 8193] {
+                    AllreduceAlgorithm::ALL.into_iter().for_each(|a| run_ar(a, p, n, op));
                 }
             }
         }

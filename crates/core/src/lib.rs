@@ -52,7 +52,7 @@
 //! [`AllreduceAlgorithm`] — see the [`collectives`] module. Every schedule
 //! is one message per rank per step at any `P`: the six block schedules are
 //! step [`Plan`]s ([`allgatherv_plan`], [`reduce_scatter_plan`]) run by one
-//! gather and one reduce executor, and `bruck-model` prices the same plans.
+//! in-place executor, and `bruck-model` prices the same plans.
 //! [`Plan`] is the one schedule type: the engine's radix Bruck loops and
 //! every uniform Bruck kernel read an [`alltoall_plan`].
 //!

@@ -55,7 +55,7 @@
 
 use std::time::Duration;
 
-use bruck_comm::reduce::allreduce_u64;
+use bruck_comm::reduce::{allreduce_u64, encode_u64s};
 use bruck_comm::{
     block_on, Blocking, CallOutput, CommError, CommResult, Communicator, MsgBuf, Port, ReduceOp,
     Resume, Tag, RESERVED_TAG_BASE,
@@ -589,7 +589,9 @@ async fn counts_then_alltoallv<P: Port + ?Sized>(
 /// Every rank's count for this rank: a uniform Zero Rotation Bruck exchange
 /// of 8-byte counts.
 async fn exchange_counts<P: Port + ?Sized>(comm: &P, sendcounts: &[usize]) -> CommResult<Vec<usize>> {
-    let mine: Vec<u8> = sendcounts.iter().flat_map(|&c| (c as u64).to_le_bytes()).collect();
+    let words: Vec<u64> = sendcounts.iter().map(|&c| c as u64).collect();
+    let mut mine = Vec::with_capacity(8 * words.len());
+    encode_u64s(&words, &mut mine);
     let me = comm.rank();
     let mut counts = vec![0usize; sendcounts.len()];
     counts[me] = sendcounts[me];

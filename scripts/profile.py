@@ -29,11 +29,14 @@ Notes on reading the output:
   switches) is not sampled, and every thread's last partial period is
   dropped, so a thread that runs for less than one period is not seen (on
   the `thread-stack` workload the samples cover ≈ 93 % of user time).
-* Symbols come from `nm` (the full table, or the dynamic one for a stripped
-  library such as libc): a frame inside a library resolves to the nearest
-  exported symbol below it, so libc's internal helpers show up under a
-  public neighbour's name. Monomorphised copies of one generic are summed
-  under their shared demangled name; inlined functions count as their caller.
+* Symbols come from `nm -S` (the full table, or the dynamic one for a
+  stripped library such as libc): a frame resolves to the nearest symbol
+  below it. A frame past that symbol's end (its `nm` size) is in code the
+  table does not name, such as libc's internal `_int_malloc` or its
+  multiarch `memcpy` / `memset` variants, and prints as
+  `[libc.so.6 past <name>]`, never as `<name>` itself. Monomorphised copies
+  of one generic are summed under their shared demangled name; inlined
+  functions count as their caller.
 * The call chain is walked by the kernel through frame pointers. Rust's
   release builds omit them, so **inclusive shares need a frame-pointer
   build** in its own target directory, e.g.
@@ -164,7 +167,7 @@ class Profile:
 
 
 class Symbols:
-    """File offset -> symbol name, per file, through `readelf -lW` and `nm`."""
+    """File offset -> symbol name, per file, through `readelf -lW` and `nm -S`."""
 
     def __init__(self):
         self.files = {}
@@ -180,20 +183,25 @@ class Symbols:
                 if cols[:1] == ["LOAD"]:
                     loads.append((int(cols[1], 16), int(cols[2], 16), int(cols[4], 16)))
             for dynamic in ([], ["-D"]):
-                out = subprocess.run(["nm", "-n", "-C", "--defined-only", *dynamic, path],
+                out = subprocess.run(["nm", "-n", "-S", "-C", "--defined-only", *dynamic, path],
                                      capture_output=True, text=True).stdout
                 for line in out.splitlines():
-                    cols = line.split(" ", 2)
-                    if len(cols) == 3 and cols[1] in "tTwWiI":
-                        table.append((int(cols[0], 16), cols[2].split("@")[0]))
+                    # `addr size type name`, or `addr type name` for a symbol
+                    # without a size (0: its end is unknown).
+                    cols = line.split(" ", 3)
+                    if len(cols) >= 3 and len(cols[1]) == 1:
+                        cols = [cols[0], "0", *line.split(" ", 2)[1:]]
+                    if len(cols) == 4 and cols[2] in "tTwWiI":
+                        table.append((int(cols[0], 16), int(cols[1], 16), cols[3].split("@")[0]))
                 if table:
                     break
+        # Of several names at one address, the one with the largest size wins.
         table.sort()
-        self.files[path] = (loads, [a for a, _ in table], [n for _, n in table])
+        self.files[path] = (loads, [a for a, _, _ in table], table)
         return self.files[path]
 
     def name(self, path, offset):
-        loads, addrs, names = self.load(path)
+        loads, addrs, table = self.load(path)
         vaddr = offset
         for p_offset, p_vaddr, p_filesz in loads:
             if p_offset <= offset < p_offset + p_filesz:
@@ -202,7 +210,10 @@ class Symbols:
         at = bisect.bisect_right(addrs, vaddr) - 1
         if at < 0:
             return path if path.startswith("[") else f"[{os.path.basename(path)}]"
-        return names[at]
+        addr, size, name = table[at]
+        if 0 < size <= vaddr - addr:
+            return f"[{os.path.basename(path)} past {name}]"
+        return name
 
 
 def run(command, cpu):

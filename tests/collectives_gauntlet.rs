@@ -14,19 +14,25 @@
 //!    trace, and the probe-span timeline matches the declared phase table.
 //! 4. **Honest gate**: a deliberately miscounted model trace must produce a
 //!    precise violation — proving the conformance gate can actually fail.
+//! 5. **Typed errors**: a partial a word short or a word long, on any step
+//!    of the in-place `ReduceScatterAllgather`, is a typed error on every
+//!    backend, never a panic.
 
 mod common;
 
-use bruck_comm::{Communicator, EventComm, MeteredComm, Metrics, ReduceOp, SimComm, ThreadComm};
+use bruck_comm::{
+    CommError, Communicator, EventComm, MeteredComm, Metrics, MsgBuf, ReduceOp, SimComm, ThreadComm,
+};
 use bruck_core::common::{
-    agv_bruck_tag, agv_ring_tag, ar_doubling_tag, ceil_log2, pat_ag_tag, pat_rs_tag,
-    rs_halving_tag, RS_PAIRWISE_TAG,
+    add_mod, agv_bruck_tag, agv_ring_tag, ar_doubling_tag, ceil_log2, pat_ag_tag, pat_rs_tag,
+    rs_halving_tag, sub_mod, RS_PAIRWISE_TAG,
 };
 use bruck_core::probe::{self, PhaseEvent};
 use bruck_core::{
-    allgatherv, allreduce, packed_displs, pattern_byte, pattern_u64, reduce_scatter,
-    reference_allgatherv, reference_allreduce, reference_reduce_scatter, AllgathervAlgorithm,
-    AllreduceAlgorithm, ReduceScatterAlgorithm,
+    allgatherv, allgatherv_plan, allreduce, packed_displs, pattern_byte, pattern_u64, piece_len,
+    reduce_scatter, reduce_scatter_plan, reference_allgatherv, reference_allreduce,
+    reference_reduce_scatter, AllgathervAlgorithm, AllreduceAlgorithm, Plan,
+    ReduceScatterAlgorithm,
 };
 use bruck_model::{allgatherv_trace, allreduce_trace, reduce_scatter_trace, CommTrace, RankSample};
 use common::{conformance_violations, phase_violations, same_on_every_path, PATH_SIZES};
@@ -452,4 +458,84 @@ fn miscounted_allgatherv_fixture_fails_the_gate_with_precise_diagnostic() {
         .flat_map(|(rank, metrics)| conformance_violations(rank, metrics, &wrong_schedule))
         .collect();
     assert!(violations.iter().any(|v| v.contains("messages")), "{violations:#?}");
+}
+
+/// What rank 0 of a P = 3 world gets from `allreduce(ReduceScatterAllgather)`
+/// of 7 words (pieces of 3, 2 and 2) when its two peers follow the schedule
+/// up to step `fault` of the composition (halving's steps, then Bruck's) and
+/// there send a partial one word short or one word long: the error, and the
+/// length still queued on that step's tag.
+fn against_rogue_partial<C: Communicator + ?Sized>(
+    comm: &C,
+    fault: usize,
+    long: bool,
+) -> Option<(CommError, Option<usize>)> {
+    const N: usize = 7;
+    let p = comm.size();
+    let counts: Vec<usize> = (0..p).map(|i| piece_len(N, i, p)).collect();
+    let halving = reduce_scatter_plan(ReduceScatterAlgorithm::RecursiveHalving, p);
+    let bruck = allgatherv_plan(AllgathervAlgorithm::Bruck, p);
+    let steps: Vec<(&Plan, usize)> = [&halving, &bruck]
+        .into_iter()
+        .flat_map(|plan| (0..plan.steps.len()).map(move |i| (plan, i)))
+        .collect();
+    let me = comm.rank();
+    if me != 0 {
+        for (k, &(plan, i)) in steps[..=fault].iter().enumerate() {
+            if sub_mod(0, plan.steps[i].shift, p) == me {
+                let words: usize = plan.received(i, 0).map(|b| counts[b]).sum();
+                let words =
+                    if k < fault { words } else { [words - 1, words + 1][usize::from(long)] };
+                comm.send_buf(0, plan.steps[i].tag, MsgBuf::from_vec(vec![0; 8 * words])).unwrap();
+            }
+        }
+        // Consume what rank 0 has sent this rank by the time it fails.
+        for &(plan, i) in &steps[..=fault] {
+            if add_mod(0, plan.steps[i].shift, p) == me {
+                comm.recv_buf(0, plan.steps[i].tag).unwrap();
+            }
+        }
+        return None;
+    }
+    let mut buf = vec![1u64; N];
+    let err = allreduce(AllreduceAlgorithm::ReduceScatterAllgather, comm, &mut buf, ReduceOp::Sum)
+        .expect_err("a partial of the wrong length must not be accepted");
+    let (plan, i) = steps[fault];
+    Some((err, comm.probe(sub_mod(0, plan.steps[i].shift, p), plan.steps[i].tag).unwrap()))
+}
+
+/// Every `(fault step, long, expected report)` of [`against_rogue_partial`]:
+/// steps 0–1 are the reduce half's, 2–3 the gather half's. A short partial
+/// is refused by the length check and consumed; a long one is refused
+/// without being consumed.
+fn rogue_partial_cases() -> Vec<(usize, bool, (CommError, Option<usize>))> {
+    let short = || (CommError::BadArgument("short collective payload"), None);
+    let long = |want: usize| {
+        (CommError::Truncated { message_len: want + 8, buffer_len: want }, Some(want + 8))
+    };
+    // The partial rank 0 expects at each step: segment 0 (3 words) twice,
+    // then piece 1 and piece 2 (2 words each).
+    [24, 24, 16, 16]
+        .into_iter()
+        .enumerate()
+        .flat_map(|(step, want)| [(step, false, short()), (step, true, long(want))])
+        .collect()
+}
+
+#[test]
+fn a_wrong_length_partial_is_a_typed_error_on_every_backend() {
+    for (fault, long, want) in rogue_partial_cases() {
+        let case = format!("step {fault}, a word {}", if long { "long" } else { "short" });
+        let got = ThreadComm::run(3, |comm| against_rogue_partial(comm, fault, long));
+        assert_eq!(got[0], Some(want.clone()), "ThreadComm {case}");
+        let run = SimComm::run(3, 5, |comm| against_rogue_partial(comm, fault, long));
+        assert_eq!(run.results[0], Some(want.clone()), "SimComm {case}");
+        for workers in [1, 2] {
+            let got = EventComm::run_pooled(3, workers, |comm| {
+                assert!(comm.resumable().is_some(), "a bare EventComm runs the stored call");
+                against_rogue_partial(comm, fault, long)
+            });
+            assert_eq!(got[0], Some(want.clone()), "EventComm ({workers} workers) {case}");
+        }
+    }
 }
